@@ -105,6 +105,28 @@ pub fn sum_op_gather<A: AsI64, B: AsI64, O: BinOp>(a: &[A], b: &[B], idx: &[u32]
     sum
 }
 
+/// Hybrid gather with overflow detection: identical accumulation to
+/// [`sum_op_gather`], but reports whether any gathered tuple's operator
+/// application, or the running sum, wrapped around `i64`.
+#[inline]
+pub fn sum_op_gather_checked<A: AsI64, B: AsI64, O: BinOp>(
+    a: &[A],
+    b: &[B],
+    idx: &[u32],
+) -> (i64, bool) {
+    assert_eq!(a.len(), b.len());
+    let mut sum = 0i64;
+    let mut overflow = false;
+    for &j in idx {
+        let j = j as usize;
+        let (v, op_wrapped) = O::apply_checked(a[j].widen(), b[j].widen());
+        let (s, sum_wrapped) = sum.overflowing_add(v);
+        sum = s;
+        overflow |= op_wrapped | sum_wrapped;
+    }
+    (sum, overflow)
+}
+
 /// **Value masking** (Fig. 3): unconditionally read the aggregation inputs
 /// sequentially and multiply the result by the 0/1 predicate outcome —
 /// `sum += (a[i+j] OP b[i+j]) * cmp[j]`.
@@ -321,6 +343,30 @@ mod tests {
         let (sum, ovf) = sum_op_masked_checked::<_, _, Mul>(&big, &two, &[0, 1]);
         assert!(!ovf);
         assert_eq!(sum, 1);
+    }
+
+    #[test]
+    fn gather_checked_agrees_and_detects_overflow() {
+        let (x, a, b) = mk_data(1000);
+        let mut cmp = vec![0u8; x.len()];
+        predicate::cmp_lt(&x, 42, &mut cmp);
+        let mut idx = vec![0u32; x.len()];
+        let k = selvec::fill_nobranch(&cmp, 0, &mut idx);
+        let (sum, ovf) = sum_op_gather_checked::<_, _, Mul>(&a, &b, &idx[..k]);
+        assert!(!ovf);
+        assert_eq!(sum, sum_op_gather::<_, _, Mul>(&a, &b, &idx[..k]));
+        // A wrapping product in a gathered tuple is detected...
+        let big = [i64::MAX, 1];
+        let two = [2i64, 1];
+        assert!(sum_op_gather_checked::<_, _, Mul>(&big, &two, &[0, 1]).1);
+        // ...one the selection vector skips is not...
+        assert_eq!(
+            sum_op_gather_checked::<_, _, Mul>(&big, &two, &[1]),
+            (1, false)
+        );
+        // ...and neither is a wrapping running sum missed.
+        let one = [1i64, 1];
+        assert!(sum_op_gather_checked::<_, _, Mul>(&[i64::MAX, 1], &one, &[0, 1]).1);
     }
 
     #[test]

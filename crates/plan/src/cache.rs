@@ -457,6 +457,7 @@ pub(crate) fn generations_of(db: &crate::catalog::Database, tables: &[&str]) -> 
 mod tests {
     use super::*;
     use crate::physical::{PhysicalPlan, Shape};
+    use crate::tile::TileProgram;
     use swole_cost::AggStrategy;
 
     fn plan() -> Arc<PhysicalPlan> {
@@ -467,6 +468,10 @@ mod tests {
                 group_by: None,
                 aggs: Vec::new(),
                 strategy: AggStrategy::Hybrid,
+                program: Arc::new(
+                    TileProgram::lower(&swole_storage::Table::new("T"), None, &[])
+                        .expect("empty program lowers"),
+                ),
             },
             post: Vec::new(),
             decisions: vec!["test".into()],

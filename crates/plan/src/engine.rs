@@ -18,6 +18,7 @@ use crate::metrics::{MetricsLevel, OpMetrics, QueryMetrics};
 use crate::physical::{JoinEdge, PhysicalPlan, PostOp, Shape};
 use crate::session::QueryOptions;
 use crate::stats;
+use crate::tile::{scalar_sinks, BoundProgram, Regs, ScalarSinks, TileProgram, Want};
 use crate::value::Value;
 use swole_bitmap::PositionalBitmap;
 use swole_cost::choose::{choose_agg_mt, choose_groupjoin_mt, choose_semijoin, sort_cost};
@@ -831,6 +832,9 @@ struct ExecOpts<'a> {
     threads: usize,
     morsel_rows: usize,
     level: MetricsLevel,
+    /// The plan's certificate proves every arithmetic site overflow-safe, so
+    /// the scalar sinks may run the unchecked kernels.
+    overflow_proved: bool,
 }
 
 /// Per-call limits resolved against the session defaults.
@@ -1669,7 +1673,7 @@ impl EngineInner {
         if breaker == BreakerDecision::Probe {
             report.push(format!("{strategy}: probing, fallback circuit half-open"));
         }
-        let primary = isolate(|| self.execute_shape(db, physical, &ctx, level));
+        let primary = isolate(|| self.execute_shape(db, physical, &ctx, level, &cert));
         // Value-range payoff: when the certificate proves every arithmetic
         // site overflow-safe (accumulator magnitude x row count fits i64),
         // a runtime overflow would be a soundness bug in the bounds pass,
@@ -1774,7 +1778,7 @@ impl EngineInner {
         gate.attach(&ctx);
         let level = r.metrics;
         let t0 = level.timing().then(Instant::now);
-        let (mut res, ops) = isolate(|| self.execute_shape(db, plan, &ctx, level))?;
+        let (mut res, ops) = isolate(|| self.execute_shape(db, plan, &ctx, level, &cert))?;
         self.attach_metrics(
             db,
             &mut res,
@@ -1976,6 +1980,7 @@ impl EngineInner {
                 group_by,
                 aggs,
                 strategy,
+                ..
             } => {
                 let Ok(t) = db.table(table) else {
                     return (None, None);
@@ -2468,6 +2473,13 @@ impl EngineInner {
         } else {
             None
         };
+        let program = Arc::new(TileProgram::lower_agg(
+            table,
+            filter.as_ref(),
+            group_by,
+            aggs,
+            group_by.is_none(),
+        )?);
         Ok(PhysicalPlan {
             shape: Shape::ScanAgg {
                 table: table_name.to_string(),
@@ -2475,6 +2487,7 @@ impl EngineInner {
                 group_by: group_by.map(str::to_string),
                 aggs: aggs.to_vec(),
                 strategy,
+                program,
             },
             post: Vec::new(),
             decisions,
@@ -2631,6 +2644,19 @@ impl EngineInner {
             let cost = sort_cost(&self.params, est_rows, n_keys.max(1));
             cost_terms.push(("window.sort".to_string(), cost));
         }
+        let scan_program = Arc::new(TileProgram::lower(table, filter.as_ref(), &[])?);
+        let gather_cols: Vec<Expr> = partition_by
+            .into_iter()
+            .chain(order_by.iter().map(|k| k.column.as_str()))
+            .chain(select.iter().map(String::as_str))
+            .map(Expr::col)
+            .collect();
+        let gather_wants: Vec<Want<'_>> = gather_cols
+            .iter()
+            .chain(funcs.iter().filter_map(|f| f.expr.as_ref()))
+            .map(Want::Reg)
+            .collect();
+        let gather_program = Arc::new(TileProgram::lower(table, None, &gather_wants)?);
         Ok(PhysicalPlan {
             shape: Shape::WindowScan {
                 table: table_name.to_string(),
@@ -2641,6 +2667,8 @@ impl EngineInner {
                 funcs: funcs.to_vec(),
                 select: select.to_vec(),
                 strategy,
+                scan_program,
+                gather_program,
             },
             post: Vec::new(),
             decisions,
@@ -2724,6 +2752,14 @@ impl EngineInner {
             }
             None => choice.strategy,
         };
+        let probe_program = Arc::new(TileProgram::lower_agg(
+            probe_t,
+            probe_filter.as_ref(),
+            None,
+            aggs,
+            true,
+        )?);
+        let build_program = Arc::new(TileProgram::lower(build_t, build_filter.as_ref(), &[])?);
         Ok(PhysicalPlan {
             shape: Shape::SemiJoinAgg {
                 probe: probe.to_string(),
@@ -2734,6 +2770,8 @@ impl EngineInner {
                 aggs: aggs.to_vec(),
                 strategy,
                 probe_masked,
+                probe_program,
+                build_program,
             },
             post: Vec::new(),
             decisions,
@@ -2830,6 +2868,13 @@ impl EngineInner {
             ("join.order.worst".to_string(), choice.worst_cost),
         ];
         let edges: Vec<JoinEdge> = order_idx.into_iter().map(|i| edges[i].clone()).collect();
+        let fact_program = Arc::new(TileProgram::lower_agg(
+            fact_t,
+            fact_filter.as_ref(),
+            None,
+            aggs,
+            true,
+        )?);
         Ok(PhysicalPlan {
             shape: Shape::MultiJoinAgg {
                 fact,
@@ -2837,6 +2882,7 @@ impl EngineInner {
                 edges,
                 aggs: aggs.to_vec(),
                 order_method: method,
+                fact_program,
             },
             post: Vec::new(),
             decisions,
@@ -2914,9 +2960,11 @@ impl EngineInner {
             "edge {child}.{} -> {} σ={est_selectivity:.2}: {}",
             e.fk_col, e.parent, choice.explanation
         ));
+        let parent_program = Arc::new(TileProgram::lower(parent_t, e.parent_filter.as_ref(), &[])?);
         Ok(JoinEdge {
             parent: e.parent,
             parent_filter: e.parent_filter,
+            parent_program,
             fk_col: e.fk_col,
             strategy,
             children,
@@ -2989,6 +3037,8 @@ impl EngineInner {
             }
             None => choice.strategy,
         };
+        let probe_program = Arc::new(TileProgram::lower_agg(probe_t, None, None, aggs, false)?);
+        let build_program = Arc::new(TileProgram::lower(build_t, build_filter.as_ref(), &[])?);
         Ok(PhysicalPlan {
             shape: Shape::GroupJoinAgg {
                 probe: probe.to_string(),
@@ -2997,6 +3047,8 @@ impl EngineInner {
                 fk_col: fk_col.to_string(),
                 aggs: aggs.to_vec(),
                 strategy,
+                probe_program,
+                build_program,
             },
             post: Vec::new(),
             decisions,
@@ -3084,7 +3136,7 @@ impl EngineInner {
                 Ok(BoundEdge {
                     parent: e.parent.clone(),
                     parent_t: db.table_arc(&e.parent)?,
-                    parent_filter: e.parent_filter.clone(),
+                    parent_program: Arc::clone(&e.parent_program),
                     fk: self.fk_source(db, child, &e.fk_col, &e.parent)?,
                     strategy: e.strategy,
                     children: self.bind_join_edges(db, &e.parent, &e.children)?,
@@ -3109,6 +3161,7 @@ impl EngineInner {
         plan: &PhysicalPlan,
         ctx: &Arc<ExecCtx>,
         level: MetricsLevel,
+        cert: &PlanCertificate,
     ) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
         // Upfront cooperative check: zero-morsel inputs still observe an
         // already-expired deadline or cancelled handle.
@@ -3136,21 +3189,23 @@ impl EngineInner {
             threads: self.threads,
             morsel_rows: self.morsel_rows,
             level,
+            overflow_proved: cert.all_sites_overflow_safe(),
         };
         let (mut res, mut ops) = match &plan.shape {
             Shape::ScanAgg {
                 table,
-                filter,
                 group_by,
                 aggs,
                 strategy,
+                program,
+                ..
             } => {
                 let t = db.table_arc(table)?;
                 match group_by {
                     None => exec_scalar_agg(
                         &format!("agg({table})"),
                         &t,
-                        filter.as_ref(),
+                        program,
                         aggs,
                         *strategy,
                         opts,
@@ -3159,7 +3214,7 @@ impl EngineInner {
                     Some(g) => exec_groupby_agg(
                         &format!("groupby-agg({table})"),
                         &t,
-                        filter.as_ref(),
+                        program,
                         g,
                         aggs,
                         *strategy,
@@ -3170,13 +3225,14 @@ impl EngineInner {
             }
             Shape::SemiJoinAgg {
                 probe,
-                probe_filter,
                 build,
-                build_filter,
                 fk_col,
                 aggs,
                 strategy,
                 probe_masked,
+                probe_program,
+                build_program,
+                ..
             } => {
                 let probe_t = db.table_arc(probe)?;
                 let build_t = db.table_arc(build)?;
@@ -3187,9 +3243,9 @@ impl EngineInner {
                         probe: &format!("probe-agg({probe})"),
                     },
                     &probe_t,
-                    probe_filter.as_ref(),
+                    probe_program,
                     &build_t,
-                    build_filter.as_ref(),
+                    build_program,
                     &fk,
                     aggs,
                     *strategy,
@@ -3200,22 +3256,24 @@ impl EngineInner {
             }
             Shape::MultiJoinAgg {
                 fact,
-                fact_filter,
                 edges,
                 aggs,
+                fact_program,
                 ..
             } => {
                 let fact_t = db.table_arc(fact)?;
                 let bound = self.bind_join_edges(db, fact, edges)?;
-                exec_multijoin_agg(fact, &fact_t, fact_filter.as_ref(), &bound, aggs, opts, ctx)
+                exec_multijoin_agg(fact, &fact_t, fact_program, &bound, aggs, opts, ctx)
             }
             Shape::GroupJoinAgg {
                 probe,
                 build,
-                build_filter,
                 fk_col,
                 aggs,
                 strategy,
+                probe_program,
+                build_program,
+                ..
             } => {
                 let probe_t = db.table_arc(probe)?;
                 let build_t = db.table_arc(build)?;
@@ -3226,8 +3284,9 @@ impl EngineInner {
                         probe: &format!("probe-agg({probe})"),
                     },
                     &probe_t,
+                    probe_program,
                     &build_t,
-                    build_filter.as_ref(),
+                    build_program,
                     &fk,
                     fk_col,
                     aggs,
@@ -3238,19 +3297,22 @@ impl EngineInner {
             }
             Shape::WindowScan {
                 table,
-                filter,
                 partition_by,
                 order_by,
                 frame,
                 funcs,
                 select,
                 strategy,
+                scan_program,
+                gather_program,
+                ..
             } => {
                 let t = db.table_arc(table)?;
                 exec_window(
                     &format!("window({table})"),
                     &t,
-                    filter.as_ref(),
+                    scan_program,
+                    gather_program,
                     partition_by.as_deref(),
                     order_by,
                     *frame,
@@ -3369,7 +3431,7 @@ enum BuildSide {
 struct BoundEdge {
     parent: String,
     parent_t: Arc<Table>,
-    parent_filter: Option<Expr>,
+    parent_program: Arc<TileProgram>,
     /// FK on the *child* side of this edge (the fact for direct edges, the
     /// intermediate parent for chain edges).
     fk: FkSource,
@@ -3654,14 +3716,6 @@ fn table_generations(db: &Database, plan: &LogicalPlan) -> Vec<(String, u64)> {
     crate::cache::generations_of(db, &tables)
 }
 
-/// Evaluate the filter (or all-ones) mask for one tile.
-fn tile_mask(filter: Option<&Expr>, table: &Table, start: usize, cmp: &mut [u8]) {
-    match filter {
-        Some(f) => f.eval_mask(table, start, cmp),
-        None => cmp.fill(1),
-    }
-}
-
 /// Per-worker merge operators for an aggregate list (all of which are
 /// commutative and associative, making the merge order — and therefore the
 /// thread count *and* the pool's morsel interleaving — invisible in the
@@ -3676,8 +3730,9 @@ fn merge_ops(aggs: &[AggSpec]) -> Vec<MergeOp> {
         .collect()
 }
 
-/// Thread-local state for scalar aggregation (also the semijoin probe):
-/// accumulator slots plus per-tile scratch buffers.
+/// Thread-local state for scalar aggregation (also the semijoin and
+/// multi-way join probes): accumulator slots plus the stage's register
+/// file, allocated once in the morsel `init`.
 struct ScalarAcc {
     acc: Vec<i64>,
     matched: usize,
@@ -3686,44 +3741,85 @@ struct ScalarAcc {
     overflow: bool,
     /// Access-pattern counters (only touched at `MetricsLevel::Counters`+).
     ctr: AccessCounters,
-    cmp: Vec<u8>,
-    idx: Vec<u32>,
-    val: Vec<i64>,
+    regs: Regs,
 }
 
-impl ScalarAcc {
-    fn new(aggs: &[AggSpec]) -> ScalarAcc {
-        let mut acc = vec![0i64; aggs.len()];
-        for (i, a) in aggs.iter().enumerate() {
-            if a.func == AggFunc::Min {
-                acc[i] = i64::MAX;
-            }
-            if a.func == AggFunc::Max {
-                acc[i] = i64::MIN;
-            }
-        }
+/// What the morsel workers of a scalar-aggregation stage share: the bound
+/// program, the sinks selected for it and whether they detect overflow.
+/// Built once per query, before any morsel is claimed.
+struct ScalarStage {
+    bound: BoundProgram,
+    sinks: ScalarSinks,
+    /// Accumulator identities: `i64::MAX` / `i64::MIN` for min / max.
+    identities: Vec<i64>,
+}
+
+impl ScalarStage {
+    /// `masked` selects the value-masking sinks, otherwise the
+    /// selection-vector gather.
+    fn new(
+        program: &Arc<TileProgram>,
+        table: &Arc<Table>,
+        aggs: &[AggSpec],
+        masked: bool,
+        opts: ExecOpts<'_>,
+    ) -> Result<Arc<ScalarStage>, PlanError> {
+        Ok(Arc::new(ScalarStage {
+            bound: program.bind(table)?,
+            sinks: scalar_sinks(program, aggs, masked, !opts.overflow_proved),
+            identities: aggs
+                .iter()
+                .map(|a| match a.func {
+                    AggFunc::Min => i64::MAX,
+                    AggFunc::Max => i64::MIN,
+                    AggFunc::Sum | AggFunc::Count => 0,
+                })
+                .collect(),
+        }))
+    }
+
+    /// Worker state, its `scratch_bytes` charged before it is allocated.
+    fn worker(&self, gauge: &MemGauge, scratch_bytes: usize) -> ScalarAcc {
+        charge_or_panic(gauge, scratch_bytes);
         ScalarAcc {
-            acc,
+            acc: self.identities.clone(),
             matched: 0,
             overflow: false,
             ctr: AccessCounters::default(),
-            cmp: vec![0u8; TILE],
-            idx: vec![0u32; TILE],
-            val: vec![0i64; TILE],
+            regs: Regs::new(self.bound.program()),
         }
     }
 
-    /// Bytes of the per-worker scratch buffers, charged at worker init.
-    fn scratch_bytes(n_aggs: usize) -> usize {
-        TILE * (1 + 4 + 8) + n_aggs * 8
+    /// Per-morsel counter bookkeeping shared by every scalar stage.
+    fn count_morsel(&self, ctr: &mut AccessCounters, m_len: usize) {
+        ctr.morsels += 1;
+        ctr.rows_in += m_len as u64;
+        if self.bound.program().has_filter() {
+            ctr.predicate_evals += m_len as u64;
+        }
     }
 
-    /// Accumulate a sum term with overflow detection.
-    #[inline]
-    fn add_sum(&mut self, i: usize, v: i64) {
-        let (s, wrapped) = self.acc[i].overflowing_add(v);
-        self.acc[i] = s;
-        self.overflow |= wrapped;
+    /// Value masking over the tile just run (its filter mask possibly
+    /// narrowed by a join bit): every lane aggregated, multiplied by the
+    /// mask. Returns the qualifying count.
+    fn masked(&self, w: &mut ScalarAcc, tile: (usize, usize)) -> usize {
+        let m = self.bound.accumulate_masked(
+            &mut w.regs,
+            &self.sinks,
+            tile,
+            &mut w.acc,
+            &mut w.overflow,
+        );
+        w.matched += m;
+        m
+    }
+
+    /// Gather the tile's aggregate inputs through the first `k` offsets of
+    /// the worker's selection vector.
+    fn gather(&self, w: &mut ScalarAcc, tile: (usize, usize), k: usize) {
+        self.bound
+            .accumulate_gather(&w.regs, &self.sinks, tile, k, &mut w.acc, &mut w.overflow);
+        w.matched += k;
     }
 }
 
@@ -3760,10 +3856,43 @@ fn merge_scalar_partials(
     Ok((acc, matched, overflow))
 }
 
+/// The morsel body of a scalar aggregation, monomorphized per strategy so
+/// the tile loop carries no strategy or aggregate-function dispatch: the
+/// sinks were resolved when the stage was built.
+fn scalar_body<const MASKED: bool>(
+    stage: Arc<ScalarStage>,
+    counting: bool,
+) -> impl Fn(&mut ScalarAcc, usize, usize) + Send + Sync + 'static {
+    move |w: &mut ScalarAcc, m_start: usize, m_len: usize| {
+        if counting {
+            stage.count_morsel(&mut w.ctr, m_len);
+        }
+        for tile in tiles_in(m_start, m_len) {
+            let (start, len) = tile;
+            stage.bound.run(&mut w.regs, start, len);
+            let q = if MASKED {
+                stage.masked(w, tile)
+            } else {
+                let k = stage.bound.select(&mut w.regs, len);
+                stage.gather(w, tile, k);
+                k
+            };
+            if counting {
+                w.ctr.rows_out += q as u64;
+                if MASKED {
+                    // VM aggregates every lane; the non-qualifying ones are
+                    // the pullup's wasted work (§ III-A).
+                    w.ctr.wasted_lanes += (len - q) as u64;
+                }
+            }
+        }
+    }
+}
+
 fn exec_scalar_agg(
     op_name: &str,
     table: &Arc<Table>,
-    filter: Option<&Expr>,
+    program: &Arc<TileProgram>,
     aggs: &[AggSpec],
     strategy: AggStrategy,
     opts: ExecOpts<'_>,
@@ -3772,93 +3901,33 @@ fn exec_scalar_agg(
     let n = table.len();
     let counting = opts.level.counting();
     let t0 = opts.level.timing().then(Instant::now);
-    let aggs_arc: Arc<[AggSpec]> = aggs.to_vec().into();
+    let masked = strategy == AggStrategy::ValueMasking;
+    let stage = ScalarStage::new(program, table, aggs, masked, opts)?;
     let init = {
         let ctx = Arc::clone(ctx);
-        let aggs = Arc::clone(&aggs_arc);
-        move || {
-            charge_or_panic(&ctx.gauge, ScalarAcc::scratch_bytes(aggs.len()));
-            ScalarAcc::new(&aggs)
-        }
+        let stage = Arc::clone(&stage);
+        let scratch = program.scratch_bytes();
+        move || stage.worker(&ctx.gauge, scratch)
     };
-    let body = {
-        let table = Arc::clone(table);
-        let filter = filter.cloned();
-        let aggs = Arc::clone(&aggs_arc);
-        move |w: &mut ScalarAcc, m_start: usize, m_len: usize| {
-            let filter = filter.as_ref();
-            if counting {
-                w.ctr.morsels += 1;
-                w.ctr.rows_in += m_len as u64;
-                if filter.is_some() {
-                    w.ctr.predicate_evals += m_len as u64;
-                }
-            }
-            for (start, len) in tiles_in(m_start, m_len) {
-                tile_mask(filter, &table, start, &mut w.cmp[..len]);
-                match strategy {
-                    AggStrategy::ValueMasking => {
-                        let m = predicate::mask_count(&w.cmp[..len]);
-                        w.matched += m;
-                        if counting {
-                            w.ctr.rows_out += m as u64;
-                            // VM aggregates every lane; the non-qualifying
-                            // ones are the pullup's wasted work (§ III-A).
-                            w.ctr.wasted_lanes += (len - m) as u64;
-                        }
-                        for (i, a) in aggs.iter().enumerate() {
-                            match a.func {
-                                AggFunc::Sum => {
-                                    a.expr.eval_values(&table, start, &mut w.val[..len]);
-                                    for j in 0..len {
-                                        // cmp is 0/1, so the product cannot overflow.
-                                        w.add_sum(i, w.val[j] * w.cmp[j] as i64);
-                                    }
-                                }
-                                AggFunc::Count => {
-                                    for &c in &w.cmp[..len] {
-                                        w.acc[i] = w.acc[i].wrapping_add(c as i64);
-                                    }
-                                }
-                                // Planner never sends min/max down the masked path.
-                                AggFunc::Min | AggFunc::Max => unreachable!("planner invariant"),
-                            }
-                        }
-                    }
-                    // Scalar aggregation has no key to mask; hybrid covers both.
-                    AggStrategy::Hybrid | AggStrategy::KeyMasking => {
-                        let k =
-                            selvec::fill_nobranch(&w.cmp[..len], start as u32, &mut w.idx[..len]);
-                        w.matched += k;
-                        if counting {
-                            w.ctr.rows_out += k as u64;
-                        }
-                        for (i, a) in aggs.iter().enumerate() {
-                            match a.func {
-                                AggFunc::Count => w.acc[i] = w.acc[i].wrapping_add(k as i64),
-                                _ => {
-                                    a.expr.eval_values(&table, start, &mut w.val[..len]);
-                                    for t in 0..k {
-                                        let j = w.idx[t] as usize;
-                                        let v = w.val[j - start];
-                                        match a.func {
-                                            AggFunc::Sum => w.add_sum(i, v),
-                                            AggFunc::Min => w.acc[i] = w.acc[i].min(v),
-                                            AggFunc::Max => w.acc[i] = w.acc[i].max(v),
-                                            AggFunc::Count => unreachable!(),
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    };
-    let partials = opts
-        .executor
-        .run_morsels(ctx, n, opts.morsel_rows, init, body)?;
+    // The one strategy dispatch of the query: each arm runs a body compiled
+    // for its strategy.
+    let partials = match strategy {
+        AggStrategy::ValueMasking => opts.executor.run_morsels(
+            ctx,
+            n,
+            opts.morsel_rows,
+            init,
+            scalar_body::<true>(stage, counting),
+        ),
+        // Scalar aggregation has no key to mask; hybrid covers both.
+        AggStrategy::Hybrid | AggStrategy::KeyMasking => opts.executor.run_morsels(
+            ctx,
+            n,
+            opts.morsel_rows,
+            init,
+            scalar_body::<false>(stage, counting),
+        ),
+    }?;
     let ops = if counting {
         let mut op = OpMetrics::named(op_name);
         for p in &partials {
@@ -3872,8 +3941,9 @@ fn exec_scalar_agg(
     // Provably-safe site: the bounds pass's value-range analysis covers
     // exactly this accumulator (`AggInput` lowering). When the input
     // column's statistics bound `|value| * rows` within i64, the site is
-    // counted in `PlanCertificate::overflow_safe_sites` and this branch is
-    // statically unreachable — `query_leveled` debug-asserts that.
+    // counted in `PlanCertificate::overflow_safe_sites`, the stage ran the
+    // unchecked kernels and this branch is statically unreachable —
+    // `query_leveled` debug-asserts that.
     let (acc, _, overflow) = merge_scalar_partials(aggs, partials)?;
     if overflow {
         return Err(PlanError::Overflow(format!(
@@ -3892,48 +3962,64 @@ fn exec_scalar_agg(
     ))
 }
 
-/// Thread-local state for group-by aggregation: a private [`AggTable`]
-/// plus per-tile scratch buffers.
+/// One aggregate of a grouped stage with its input register resolved, so
+/// the per-row loop reads no `AggSpec`.
+#[derive(Clone, Copy)]
+enum GroupIn {
+    Sum(usize),
+    Count,
+    Min(usize),
+    Max(usize),
+}
+
+fn group_inputs(program: &TileProgram, aggs: &[AggSpec]) -> Arc<[GroupIn]> {
+    aggs.iter()
+        .enumerate()
+        .map(|(i, a)| match a.func {
+            AggFunc::Sum => GroupIn::Sum(program.output_reg(i)),
+            AggFunc::Count => GroupIn::Count,
+            AggFunc::Min => GroupIn::Min(program.output_reg(i)),
+            AggFunc::Max => GroupIn::Max(program.output_reg(i)),
+        })
+        .collect()
+}
+
+/// Thread-local state for the grouped stages (group-by and groupjoin): a
+/// private [`AggTable`] plus the stage's register file.
 struct GroupAcc {
     ht: AggTable,
     /// Bytes already charged to the gauge for this worker (scratch + table).
     charged: usize,
     /// Access-pattern counters (only touched at `MetricsLevel::Counters`+).
     ctr: AccessCounters,
-    cmp: Vec<u8>,
-    idx: Vec<u32>,
-    keys: Vec<i64>,
-    masked: Vec<i64>,
-    vals: Vec<Vec<i64>>,
+    regs: Regs,
 }
 
 impl GroupAcc {
-    fn new(n_aggs: usize) -> GroupAcc {
+    /// Worker state for `program` with a table sized for `capacity` keys,
+    /// its scratch and initial table charged before either is touched.
+    fn new(gauge: &MemGauge, program: &TileProgram, n_aggs: usize, capacity: usize) -> GroupAcc {
+        let ht = AggTable::with_capacity(n_aggs, capacity);
+        let charged = program.scratch_bytes() + ht.size_bytes();
+        charge_or_panic(gauge, charged);
         GroupAcc {
-            ht: AggTable::with_capacity(n_aggs, 64),
-            charged: 0,
+            ht,
+            charged,
             ctr: AccessCounters::default(),
-            cmp: vec![0u8; TILE],
-            idx: vec![0u32; TILE],
-            keys: vec![0i64; TILE],
-            masked: vec![0i64; TILE],
-            vals: vec![vec![0i64; TILE]; n_aggs],
+            regs: Regs::new(program),
         }
     }
 
-    fn scratch_bytes(n_aggs: usize) -> usize {
-        TILE * (1 + 4 + 8 + 8) + n_aggs * 8 * TILE
-    }
-}
-
-/// Charge hash-table growth since the last morsel boundary. `AggTable`
-/// grows inside the (infallible) tile loop, so the charge is settled at
-/// morsel granularity; a failed charge panics with the typed error and is
-/// caught by the worker's isolation domain.
-fn charge_growth(gauge: &MemGauge, charged: &mut usize, now_bytes: usize) {
-    if now_bytes > *charged {
-        charge_or_panic(gauge, now_bytes - *charged);
-        *charged = now_bytes;
+    /// Charge hash-table growth since the last morsel boundary. `AggTable`
+    /// grows inside the (infallible) tile loop, so the charge is settled at
+    /// morsel granularity; a failed charge panics with the typed error and
+    /// is caught by the worker's isolation domain.
+    fn charge_growth(&mut self, gauge: &MemGauge, program: &TileProgram) {
+        let now_bytes = program.scratch_bytes() + self.ht.size_bytes();
+        if now_bytes > self.charged {
+            charge_or_panic(gauge, now_bytes - self.charged);
+            self.charged = now_bytes;
+        }
     }
 }
 
@@ -3941,7 +4027,7 @@ fn charge_growth(gauge: &MemGauge, charged: &mut usize, now_bytes: usize) {
 fn exec_groupby_agg(
     op_name: &str,
     table: &Arc<Table>,
-    filter: Option<&Expr>,
+    program: &Arc<TileProgram>,
     group_by: &str,
     aggs: &[AggSpec],
     strategy: AggStrategy,
@@ -3952,129 +4038,107 @@ fn exec_groupby_agg(
     let n_aggs = aggs.len();
     let counting = opts.level.counting();
     let t0 = opts.level.timing().then(Instant::now);
+    let bound = Arc::new(program.bind(table)?);
+    let inputs = group_inputs(program, aggs);
+    // The key is the last output, after one per aggregate.
+    let key_reg = program.output_reg(n_aggs);
     let init = {
         let ctx = Arc::clone(ctx);
-        move || {
-            let mut w = GroupAcc::new(n_aggs);
-            w.charged = GroupAcc::scratch_bytes(n_aggs) + w.ht.size_bytes();
-            charge_or_panic(&ctx.gauge, w.charged);
-            w
-        }
+        let program = Arc::clone(program);
+        move || GroupAcc::new(&ctx.gauge, &program, n_aggs, 64)
     };
     let body = {
         let ctx = Arc::clone(ctx);
-        let table = Arc::clone(table);
-        let filter = filter.cloned();
-        let key_expr = Expr::col(group_by);
-        let aggs: Arc<[AggSpec]> = aggs.to_vec().into();
         move |w: &mut GroupAcc, m_start: usize, m_len: usize| {
-            let filter = filter.as_ref();
             if counting {
                 w.ctr.morsels += 1;
                 w.ctr.rows_in += m_len as u64;
-                if filter.is_some() {
+                if bound.program().has_filter() {
                     w.ctr.predicate_evals += m_len as u64;
                 }
             }
             for (start, len) in tiles_in(m_start, m_len) {
-                tile_mask(filter, &table, start, &mut w.cmp[..len]);
-                key_expr.eval_values(&table, start, &mut w.keys[..len]);
-                for (i, a) in aggs.iter().enumerate() {
-                    if a.func != AggFunc::Count {
-                        a.expr.eval_values(&table, start, &mut w.vals[i][..len]);
-                    }
-                }
+                bound.run(&mut w.regs, start, len);
                 match strategy {
                     AggStrategy::Hybrid => {
-                        let k =
-                            selvec::fill_nobranch(&w.cmp[..len], start as u32, &mut w.idx[..len]);
+                        let k = bound.select(&mut w.regs, len);
                         if counting {
                             w.ctr.rows_out += k as u64;
                             w.ctr.ht_probes += k as u64;
                         }
-                        for &j in &w.idx[..k] {
-                            let j = j as usize - start;
-                            let off = w.ht.entry(w.keys[j]);
-                            let fresh = !w.ht.is_valid(off);
-                            for (i, a) in aggs.iter().enumerate() {
-                                let v = w.vals[i][j];
-                                match a.func {
+                        let GroupAcc { ht, regs, .. } = &mut *w;
+                        let keys = regs.val(key_reg);
+                        for &j in &regs.idx[..k] {
+                            let j = j as usize;
+                            let off = ht.entry(keys[j]);
+                            let fresh = !ht.is_valid(off);
+                            for (i, input) in inputs.iter().enumerate() {
+                                match *input {
                                     // add() detects wraparound in the table's
                                     // overflow flag.
-                                    AggFunc::Sum => w.ht.add(off, i, v),
-                                    AggFunc::Count => w.ht.add(off, i, 1),
-                                    AggFunc::Min => {
-                                        let s = &mut w.ht.states_mut()[off + i];
+                                    GroupIn::Sum(r) => ht.add(off, i, regs.val(r)[j]),
+                                    GroupIn::Count => ht.add(off, i, 1),
+                                    GroupIn::Min(r) => {
+                                        let v = regs.val(r)[j];
+                                        let s = &mut ht.states_mut()[off + i];
                                         *s = if fresh { v } else { (*s).min(v) };
                                     }
-                                    AggFunc::Max => {
-                                        let s = &mut w.ht.states_mut()[off + i];
+                                    GroupIn::Max(r) => {
+                                        let v = regs.val(r)[j];
+                                        let s = &mut ht.states_mut()[off + i];
                                         *s = if fresh { v } else { (*s).max(v) };
                                     }
                                 }
                             }
-                            w.ht.set_valid(off);
+                            ht.set_valid(off);
                         }
                     }
-                    AggStrategy::ValueMasking => {
-                        if counting {
-                            // The one counter the VM kernel does not already
-                            // produce: qualifying-lane count (the budgeted
-                            // extra mask_count per tile).
-                            let m = predicate::mask_count(&w.cmp[..len]);
-                            w.ctr.rows_out += m as u64;
-                            w.ctr.wasted_lanes += (len - m) as u64;
-                            w.ctr.ht_probes += len as u64;
+                    AggStrategy::ValueMasking | AggStrategy::KeyMasking => {
+                        let key_masked = strategy == AggStrategy::KeyMasking;
+                        if key_masked {
+                            bound.mask_keys(&mut w.regs, key_reg, len);
                         }
-                        for j in 0..len {
-                            let off = w.ht.entry(w.keys[j]);
-                            let m = w.cmp[j] as i64;
-                            for (i, a) in aggs.iter().enumerate() {
-                                let add = match a.func {
-                                    AggFunc::Sum => w.vals[i][j] * m,
-                                    AggFunc::Count => m,
-                                    AggFunc::Min | AggFunc::Max => {
+                        let GroupAcc { ht, regs, ctr, .. } = &mut *w;
+                        let cmp = bound.filter(regs, len);
+                        if counting {
+                            // The one counter the masked kernels do not
+                            // already produce: qualifying-lane count (the
+                            // budgeted extra mask_count per tile).
+                            let m = predicate::mask_count(cmp);
+                            ctr.rows_out += m as u64;
+                            ctr.wasted_lanes += (len - m) as u64;
+                            ctr.ht_probes += len as u64;
+                        }
+                        // Key masking sends filtered-out lanes to the
+                        // throwaway entry and adds unmasked values; value
+                        // masking keeps the key and multiplies by the mask.
+                        let keys = if key_masked {
+                            &regs.tmp[..len]
+                        } else {
+                            &regs.val(key_reg)[..len]
+                        };
+                        for (j, (&key, &c)) in keys.iter().zip(cmp).enumerate() {
+                            let off = ht.entry(key);
+                            let m = if key_masked { 1 } else { c as i64 };
+                            for (i, input) in inputs.iter().enumerate() {
+                                let add = match *input {
+                                    // m is 0/1, so the product cannot overflow.
+                                    GroupIn::Sum(r) => regs.val(r)[j] * m,
+                                    GroupIn::Count => m,
+                                    GroupIn::Min(_) | GroupIn::Max(_) => {
                                         unreachable!("planner invariant")
                                     }
                                 };
-                                w.ht.add(off, i, add);
+                                ht.add(off, i, add);
                             }
-                            w.ht.or_valid(off, w.cmp[j]);
-                        }
-                    }
-                    AggStrategy::KeyMasking => {
-                        swole_kernels::groupby::mask_keys(
-                            &w.keys[..len],
-                            &w.cmp[..len],
-                            &mut w.masked[..len],
-                        );
-                        if counting {
-                            let m = predicate::mask_count(&w.cmp[..len]);
-                            w.ctr.rows_out += m as u64;
-                            w.ctr.wasted_lanes += (len - m) as u64;
-                            w.ctr.ht_probes += len as u64;
-                        }
-                        for j in 0..len {
-                            let off = w.ht.entry(w.masked[j]);
-                            for (i, a) in aggs.iter().enumerate() {
-                                let add = match a.func {
-                                    AggFunc::Sum => w.vals[i][j],
-                                    AggFunc::Count => 1,
-                                    AggFunc::Min | AggFunc::Max => {
-                                        unreachable!("planner invariant")
-                                    }
-                                };
-                                w.ht.add(off, i, add);
-                            }
-                            // Branch-free: the throwaway entry's flag is ignored by
-                            // the result iterator, so set it unconditionally.
-                            w.ht.or_valid(off, w.cmp[j]);
+                            // Branch-free: the throwaway entry's flag is
+                            // ignored by the result iterator.
+                            ht.or_valid(off, c);
                         }
                     }
                 }
             }
-            let now_bytes = GroupAcc::scratch_bytes(n_aggs) + w.ht.size_bytes();
-            charge_growth(&ctx.gauge, &mut w.charged, now_bytes);
+            w.charge_growth(&ctx.gauge, bound.program());
         }
     };
     let partials = opts
@@ -4153,72 +4217,95 @@ fn rows_from_table(
     }
 }
 
+/// Thread-local state of a whole-table filter scan: the stage's register
+/// file plus the worker's output, appended morsel by morsel, and where
+/// each claimed morsel's part of it starts.
+struct ScanAcc<T> {
+    regs: Regs,
+    out: Vec<T>,
+    /// `(morsel start row, offset into out, length)` per claimed morsel.
+    segs: Vec<(usize, usize, usize)>,
+    ctr: AccessCounters,
+}
+
+impl<T> ScanAcc<T> {
+    fn new(gauge: &MemGauge, program: &TileProgram) -> ScanAcc<T> {
+        charge_or_panic(gauge, program.scratch_bytes());
+        ScanAcc {
+            regs: Regs::new(program),
+            out: Vec::new(),
+            segs: Vec::new(),
+            ctr: AccessCounters::default(),
+        }
+    }
+}
+
+/// Stitch the workers' segments back into table order. The segments form
+/// an exact disjoint cover of the scanned table, so the result is
+/// identical to a sequential scan regardless of which worker claimed what.
+fn stitch<T: Copy>(partials: &[ScanAcc<T>], capacity: usize) -> Vec<T> {
+    let mut segs: Vec<(usize, &[T])> = partials
+        .iter()
+        .flat_map(|p| {
+            p.segs
+                .iter()
+                .map(|&(start, off, len)| (start, &p.out[off..off + len]))
+        })
+        .collect();
+    segs.sort_unstable_by_key(|(start, _)| *start);
+    let mut out = Vec::with_capacity(capacity);
+    for (_, seg) in segs {
+        out.extend_from_slice(seg);
+    }
+    out
+}
+
 /// Evaluate the build-side predicate mask over the whole build table on
-/// morsel workers. Each worker produces `(offset, bytes)` segments for the
-/// morsels it claimed; the segments form an exact disjoint cover of the
-/// table, so stitching them back is byte-identical to a sequential
-/// evaluation regardless of which worker claimed what.
+/// morsel workers.
 fn build_mask(
     build: &Arc<Table>,
-    build_filter: Option<&Expr>,
+    program: &Arc<TileProgram>,
     opts: ExecOpts<'_>,
     ctx: &Arc<ExecCtx>,
 ) -> Result<Vec<u8>, PlanError> {
     let n = build.len();
     ctx.gauge.try_charge(n)?;
-    let body = {
-        let build = Arc::clone(build);
-        let filter = build_filter.cloned();
-        move |segs: &mut Vec<(usize, Vec<u8>)>, m_start: usize, m_len: usize| {
-            let mut seg = vec![0u8; m_len];
-            for (start, len) in tiles_in(m_start, m_len) {
-                tile_mask(
-                    filter.as_ref(),
-                    &build,
-                    start,
-                    &mut seg[start - m_start..start - m_start + len],
-                );
-            }
-            segs.push((m_start, seg));
+    let bound = program.bind(build)?;
+    let init = {
+        let ctx = Arc::clone(ctx);
+        let program = Arc::clone(program);
+        move || ScanAcc::<u8>::new(&ctx.gauge, &program)
+    };
+    let body = move |w: &mut ScanAcc<u8>, m_start: usize, m_len: usize| {
+        w.segs.push((m_start, w.out.len(), m_len));
+        for (start, len) in tiles_in(m_start, m_len) {
+            bound.run(&mut w.regs, start, len);
+            w.out.extend_from_slice(bound.filter(&w.regs, len));
         }
     };
     let partials = opts
         .executor
-        .run_morsels(ctx, n, opts.morsel_rows, Vec::new, body)?;
-    let mut mask = vec![0u8; n];
-    for (start, seg) in partials.into_iter().flatten() {
-        mask[start..start + seg.len()].copy_from_slice(&seg);
-    }
-    Ok(mask)
+        .run_morsels(ctx, n, opts.morsel_rows, init, body)?;
+    Ok(stitch(&partials, n))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn exec_semijoin_agg(
-    names: SemiJoinNames<'_>,
-    probe: &Arc<Table>,
-    probe_filter: Option<&Expr>,
-    build: &Arc<Table>,
-    build_filter: Option<&Expr>,
-    fk: &FkSource,
-    aggs: &[AggSpec],
+/// Materialize a membership structure over `n` build positions from their
+/// qualifying mask, charging each pullup temporary (key-set storage,
+/// selection vector, bitmap words) to the gauge before it is built.
+fn build_side_from_mask(
+    mask: &[u8],
     strategy: SemiJoinStrategy,
-    probe_masked: bool,
     opts: ExecOpts<'_>,
     ctx: &Arc<ExecCtx>,
-) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
-    let counting = opts.level.counting();
-    // Build phase. Each pullup temporary (mask bytes, key-set storage,
-    // bitmap words) is charged to the gauge before it is materialized.
-    let build_n = build.len();
-    let build_t0 = opts.level.timing().then(Instant::now);
-    let build_cmp = build_mask(build, build_filter, opts, ctx)?;
-    let bitmap_bytes = build_n.div_ceil(64) * 8;
-    let side = match strategy {
+) -> Result<BuildSide, PlanError> {
+    let n = mask.len();
+    let bitmap_bytes = n.div_ceil(64) * 8;
+    Ok(match strategy {
         SemiJoinStrategy::Hash => {
-            let mut set = KeySet::with_capacity(build_n / 2 + 4);
+            let mut set = KeySet::with_capacity(n / 2 + 4);
             let before = set.size_bytes();
             ctx.gauge.try_charge(before)?;
-            for (pos, &c) in build_cmp.iter().enumerate() {
+            for (pos, &c) in mask.iter().enumerate() {
                 if c != 0 {
                     set.insert(pos as i64);
                 }
@@ -4231,141 +4318,145 @@ fn exec_semijoin_agg(
         SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional) => {
             ctx.gauge.try_charge(bitmap_bytes)?;
             BuildSide::Bitmap(PositionalBitmap::from_predicate_bytes_parallel(
-                &build_cmp,
+                mask,
                 opts.threads,
             ))
         }
         SemiJoinStrategy::PositionalBitmap(BitmapBuild::SelectionVector) => {
             let mut sel = Vec::new();
-            for (start, len) in tiles(build_n) {
-                selvec::append_nobranch(&build_cmp[start..start + len], start as u32, &mut sel);
+            for (start, len) in tiles(n) {
+                selvec::append_nobranch(&mask[start..start + len], start as u32, &mut sel);
             }
             ctx.gauge.try_charge(sel.len() * 4 + bitmap_bytes)?;
-            BuildSide::Bitmap(PositionalBitmap::from_selection(build_n, &sel))
+            BuildSide::Bitmap(PositionalBitmap::from_selection(n, &sel))
         }
-    };
-    let build_op = counting.then(|| {
-        let mut op = OpMetrics::named(names.build);
-        op.access.rows_in = build_n as u64;
-        if build_filter.is_some() {
-            op.access.predicate_evals = build_n as u64;
+    })
+}
+
+impl BuildSide {
+    /// 1 when build position `pos` qualifies.
+    #[inline]
+    fn hit(&self, pos: usize) -> usize {
+        match self {
+            BuildSide::Set(set) => set.contains(pos as i64) as usize,
+            BuildSide::Bitmap(bm) => bm.get_bit(pos) as usize,
         }
-        match &side {
+    }
+
+    /// Record the structure's footprint on its build operator.
+    fn describe(&self, op: &mut OpMetrics) {
+        match self {
             BuildSide::Set(set) => {
-                // Build positions are distinct, so the set's key count is
-                // exactly the qualifying build rows.
-                op.access.rows_out = set.len() as u64;
                 op.ht.inserts = set.len() as u64;
                 op.ht.bytes_allocated = set.size_bytes() as u64;
             }
             BuildSide::Bitmap(bm) => {
-                op.access.rows_out = bm.count_ones() as u64;
                 op.bitmap_bits_set = bm.count_ones() as u64;
                 op.bitmap_words = bm.word_count() as u64;
             }
         }
+    }
+}
+
+/// Narrow the first `k` tile-local offsets of `idx` to the rows whose FK
+/// position hits `side`, compacting in place (the write cursor trails the
+/// read cursor, so no unread slot is overwritten). Returns the survivors.
+#[inline]
+fn narrow_selection(idx: &mut [u32], k: usize, fk: &[u32], side: &BuildSide) -> usize {
+    let mut kk = 0usize;
+    for t in 0..k {
+        let j = idx[t];
+        idx[kk] = j;
+        kk += side.hit(fk[j as usize] as usize);
+    }
+    kk
+}
+
+#[allow(clippy::too_many_arguments)]
+fn exec_semijoin_agg(
+    names: SemiJoinNames<'_>,
+    probe: &Arc<Table>,
+    probe_program: &Arc<TileProgram>,
+    build: &Arc<Table>,
+    build_program: &Arc<TileProgram>,
+    fk: &FkSource,
+    aggs: &[AggSpec],
+    strategy: SemiJoinStrategy,
+    probe_masked: bool,
+    opts: ExecOpts<'_>,
+    ctx: &Arc<ExecCtx>,
+) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
+    let counting = opts.level.counting();
+    // Build phase.
+    let build_n = build.len();
+    let build_t0 = opts.level.timing().then(Instant::now);
+    let build_cmp = build_mask(build, build_program, opts, ctx)?;
+    let side = build_side_from_mask(&build_cmp, strategy, opts, ctx)?;
+    let build_op = counting.then(|| {
+        let mut op = OpMetrics::named(names.build);
+        op.access.rows_in = build_n as u64;
+        if build_program.has_filter() {
+            op.access.predicate_evals = build_n as u64;
+        }
+        // Build positions are distinct, so a key set's key count is exactly
+        // the qualifying build rows.
+        op.access.rows_out = match &side {
+            BuildSide::Set(set) => set.len() as u64,
+            BuildSide::Bitmap(bm) => bm.count_ones() as u64,
+        };
+        side.describe(&mut op);
         op.wall_nanos = build_t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
         op
     });
     // Probe phase: scalar accumulation on morsel workers sharing the
-    // read-only build side.
+    // read-only build side. A fully masked probe folds the bitmap bit into
+    // the filter mask; every other combination narrows the selection vector
+    // of filter-qualifying rows to the join hits.
     let n = probe.len();
     let probe_t0 = opts.level.timing().then(Instant::now);
-    let aggs_arc: Arc<[AggSpec]> = aggs.to_vec().into();
+    let masked = probe_masked && matches!(side, BuildSide::Bitmap(_));
+    let stage = ScalarStage::new(probe_program, probe, aggs, masked, opts)?;
     let init = {
         let ctx = Arc::clone(ctx);
-        let aggs = Arc::clone(&aggs_arc);
-        move || {
-            charge_or_panic(&ctx.gauge, ScalarAcc::scratch_bytes(aggs.len()));
-            ScalarAcc::new(&aggs)
-        }
+        let stage = Arc::clone(&stage);
+        let scratch = probe_program.scratch_bytes();
+        move || stage.worker(&ctx.gauge, scratch)
     };
-    let side = Arc::new(side);
     let body = {
-        let probe = Arc::clone(probe);
-        let probe_filter = probe_filter.cloned();
-        let aggs = Arc::clone(&aggs_arc);
-        let side = Arc::clone(&side);
+        let side = Arc::new(side);
         let fk_src = fk.clone();
         move |w: &mut ScalarAcc, m_start: usize, m_len: usize| {
-            let probe_filter = probe_filter.as_ref();
             let fk = fk_src.slice();
             if counting {
-                w.ctr.morsels += 1;
-                w.ctr.rows_in += m_len as u64;
-                if probe_filter.is_some() {
-                    w.ctr.predicate_evals += m_len as u64;
-                }
+                stage.count_morsel(&mut w.ctr, m_len);
             }
-            for (start, len) in tiles_in(m_start, m_len) {
-                tile_mask(probe_filter, &probe, start, &mut w.cmp[..len]);
-                // Fold the join bit into the mask, per build structure.
-                match (&*side, probe_masked) {
-                    (BuildSide::Bitmap(bm), true) => {
-                        for j in 0..len {
-                            w.cmp[j] &= bm.get_bit(fk[start + j] as usize) as u8;
-                        }
-                        let m = predicate::mask_count(&w.cmp[..len]);
-                        w.matched += m;
-                        if counting {
-                            // Every lane probes the bitmap and is
-                            // aggregated; non-matching lanes are wasted.
-                            w.ctr.ht_probes += len as u64;
-                            w.ctr.rows_out += m as u64;
-                            w.ctr.wasted_lanes += (len - m) as u64;
-                        }
-                        for (i, a) in aggs.iter().enumerate() {
-                            match a.func {
-                                AggFunc::Sum => {
-                                    a.expr.eval_values(&probe, start, &mut w.val[..len]);
-                                    for j in 0..len {
-                                        // cmp is 0/1, so the product cannot overflow.
-                                        w.add_sum(i, w.val[j] * w.cmp[j] as i64);
-                                    }
-                                }
-                                AggFunc::Count => {
-                                    for &c in &w.cmp[..len] {
-                                        w.acc[i] = w.acc[i].wrapping_add(c as i64);
-                                    }
-                                }
-                                _ => unreachable!("planner invariant"),
-                            }
-                        }
+            for tile in tiles_in(m_start, m_len) {
+                let (start, len) = tile;
+                let fk = &fk[start..start + len];
+                stage.bound.run(&mut w.regs, start, len);
+                if let (BuildSide::Bitmap(bm), true) = (&*side, masked) {
+                    let cmp = stage.bound.filter_mut(&mut w.regs, len);
+                    for (c, &pos) in cmp.iter_mut().zip(fk) {
+                        *c &= bm.get_bit(pos as usize) as u8;
                     }
-                    (side, _) => {
-                        let k =
-                            selvec::fill_nobranch(&w.cmp[..len], start as u32, &mut w.idx[..len]);
-                        if counting {
-                            // Only filter-qualifying rows reach the probe;
-                            // join-missed ones still aggregate a zero.
-                            w.ctr.ht_probes += k as u64;
-                        }
-                        for (i, a) in aggs.iter().enumerate() {
-                            if a.func != AggFunc::Count {
-                                a.expr.eval_values(&probe, start, &mut w.val[..len]);
-                            }
-                            for t in 0..k {
-                                let j = w.idx[t] as usize;
-                                let pos = fk[j] as usize;
-                                let hit = match side {
-                                    BuildSide::Set(set) => set.contains(pos as i64) as i64,
-                                    BuildSide::Bitmap(bm) => bm.get_bit(pos) as i64,
-                                };
-                                match a.func {
-                                    // hit is 0/1, so the product cannot overflow.
-                                    AggFunc::Sum => w.add_sum(i, w.val[j - start] * hit),
-                                    AggFunc::Count => w.acc[i] = w.acc[i].wrapping_add(hit),
-                                    _ => unreachable!("planner invariant"),
-                                }
-                                if i == 0 {
-                                    w.matched += hit as usize;
-                                    if counting {
-                                        w.ctr.rows_out += hit as u64;
-                                        w.ctr.wasted_lanes += (1 - hit) as u64;
-                                    }
-                                }
-                            }
-                        }
+                    let m = stage.masked(w, tile);
+                    if counting {
+                        // Every lane probes the bitmap and is aggregated;
+                        // non-matching lanes are wasted.
+                        w.ctr.ht_probes += len as u64;
+                        w.ctr.rows_out += m as u64;
+                        w.ctr.wasted_lanes += (len - m) as u64;
+                    }
+                } else {
+                    let k = stage.bound.select(&mut w.regs, len);
+                    let hits = narrow_selection(&mut w.regs.idx, k, fk, &side);
+                    stage.gather(w, tile, hits);
+                    if counting {
+                        // Only filter-qualifying rows reach the probe;
+                        // join-missed ones are its wasted lanes.
+                        w.ctr.ht_probes += k as u64;
+                        w.ctr.rows_out += hits as u64;
+                        w.ctr.wasted_lanes += (k - hits) as u64;
                     }
                 }
             }
@@ -4410,7 +4501,7 @@ fn edge_parent_mask(
     ops: &mut Vec<OpMetrics>,
 ) -> Result<Vec<u8>, PlanError> {
     let t0 = opts.level.timing().then(Instant::now);
-    let mut mask = build_mask(&e.parent_t, e.parent_filter.as_ref(), opts, ctx)?;
+    let mut mask = build_mask(&e.parent_t, &e.parent_program, opts, ctx)?;
     let mut nested_ops = Vec::new();
     for c in &e.children {
         let child_mask = edge_parent_mask(c, opts, ctx, &mut nested_ops)?;
@@ -4424,7 +4515,7 @@ fn edge_parent_mask(
     if opts.level.counting() {
         let mut op = OpMetrics::named(format!("multijoin-build({})", e.parent));
         op.access.rows_in = e.parent_t.len() as u64;
-        if e.parent_filter.is_some() {
+        if e.parent_program.has_filter() {
             op.access.predicate_evals = e.parent_t.len() as u64;
         }
         op.access.rows_out = predicate::mask_count(&mask) as u64;
@@ -4447,52 +4538,18 @@ fn build_edge_side(
 ) -> Result<BuildSide, PlanError> {
     let self_op_at = ops.len();
     let mask = edge_parent_mask(e, opts, ctx, ops)?;
-    let n = e.parent_t.len();
-    let bitmap_bytes = n.div_ceil(64) * 8;
-    let side = match e.strategy {
-        SemiJoinStrategy::Hash => {
-            let mut set = KeySet::with_capacity(n / 2 + 4);
-            let before = set.size_bytes();
-            ctx.gauge.try_charge(before)?;
-            for (pos, &c) in mask.iter().enumerate() {
-                if c != 0 {
-                    set.insert(pos as i64);
-                }
-            }
-            if set.size_bytes() > before {
-                ctx.gauge.try_charge(set.size_bytes() - before)?;
-            }
-            BuildSide::Set(set)
-        }
-        SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional) => {
-            ctx.gauge.try_charge(bitmap_bytes)?;
-            BuildSide::Bitmap(PositionalBitmap::from_predicate_bytes_parallel(
-                &mask,
-                opts.threads,
-            ))
-        }
-        SemiJoinStrategy::PositionalBitmap(BitmapBuild::SelectionVector) => {
-            let mut sel = Vec::new();
-            for (start, len) in tiles(n) {
-                selvec::append_nobranch(&mask[start..start + len], start as u32, &mut sel);
-            }
-            ctx.gauge.try_charge(sel.len() * 4 + bitmap_bytes)?;
-            BuildSide::Bitmap(PositionalBitmap::from_selection(n, &sel))
-        }
-    };
+    let side = build_side_from_mask(&mask, e.strategy, opts, ctx)?;
     if let Some(op) = ops.get_mut(self_op_at) {
-        match &side {
-            BuildSide::Set(set) => {
-                op.ht.inserts = set.len() as u64;
-                op.ht.bytes_allocated = set.size_bytes() as u64;
-            }
-            BuildSide::Bitmap(bm) => {
-                op.bitmap_bits_set = bm.count_ones() as u64;
-                op.bitmap_words = bm.word_count() as u64;
-            }
-        }
+        side.describe(op);
     }
     Ok(side)
+}
+
+/// Bytes of one multi-way join probe worker's scratch: the fact program's
+/// register file plus an in/out survivor counter per edge. Read by the
+/// executor's charge and by the verifier lowering alike.
+pub(crate) fn multijoin_scratch_bytes(fact_program: &TileProgram, n_edges: usize) -> usize {
+    fact_program.scratch_bytes() + n_edges * 16
 }
 
 /// Thread-local state for multi-way join probing: the scalar accumulator
@@ -4514,7 +4571,7 @@ struct MultiJoinAcc {
 fn exec_multijoin_agg(
     fact_name: &str,
     fact: &Arc<Table>,
-    fact_filter: Option<&Expr>,
+    fact_program: &Arc<TileProgram>,
     edges: &[BoundEdge],
     aggs: &[AggSpec],
     opts: ExecOpts<'_>,
@@ -4525,109 +4582,53 @@ fn exec_multijoin_agg(
     let mut op_list = Vec::new();
     let mut sides = Vec::with_capacity(n_edges);
     for e in edges {
-        sides.push(build_edge_side(e, opts, ctx, &mut op_list)?);
+        sides.push((build_edge_side(e, opts, ctx, &mut op_list)?, e.fk.clone()));
     }
-    let sides = Arc::new(sides);
     let n = fact.len();
     let probe_t0 = opts.level.timing().then(Instant::now);
-    let aggs_arc: Arc<[AggSpec]> = aggs.to_vec().into();
+    // Survivors are fully narrowed before accumulation, so min/max see only
+    // real qualifying rows.
+    let stage = ScalarStage::new(fact_program, fact, aggs, false, opts)?;
     let init = {
         let ctx = Arc::clone(ctx);
-        let aggs = Arc::clone(&aggs_arc);
-        move || {
-            charge_or_panic(
-                &ctx.gauge,
-                ScalarAcc::scratch_bytes(aggs.len()) + n_edges * 16,
-            );
-            MultiJoinAcc {
-                s: ScalarAcc::new(&aggs),
-                edge_in: vec![0u64; n_edges],
-                edge_out: vec![0u64; n_edges],
-            }
+        let stage = Arc::clone(&stage);
+        let scratch = multijoin_scratch_bytes(fact_program, n_edges);
+        move || MultiJoinAcc {
+            s: stage.worker(&ctx.gauge, scratch),
+            edge_in: vec![0u64; n_edges],
+            edge_out: vec![0u64; n_edges],
         }
     };
-    let body = {
-        let fact = Arc::clone(fact);
-        let fact_filter = fact_filter.cloned();
-        let aggs = Arc::clone(&aggs_arc);
-        let sides = Arc::clone(&sides);
-        let fks: Vec<FkSource> = edges.iter().map(|e| e.fk.clone()).collect();
-        move |w: &mut MultiJoinAcc, m_start: usize, m_len: usize| {
-            let fact_filter = fact_filter.as_ref();
-            if counting {
-                w.s.ctr.morsels += 1;
-                w.s.ctr.rows_in += m_len as u64;
-                if fact_filter.is_some() {
-                    w.s.ctr.predicate_evals += m_len as u64;
-                }
-            }
-            for (start, len) in tiles_in(m_start, m_len) {
-                tile_mask(fact_filter, &fact, start, &mut w.s.cmp[..len]);
-                let mut k =
-                    selvec::fill_nobranch(&w.s.cmp[..len], start as u32, &mut w.s.idx[..len]);
-                let filtered = k;
-                for (ei, side) in sides.iter().enumerate() {
-                    if k == 0 {
-                        // Later edges see zero rows; skipping their zero
-                        // counter increments leaves identical totals.
-                        break;
-                    }
-                    if counting {
-                        w.edge_in[ei] += k as u64;
-                        w.s.ctr.ht_probes += k as u64;
-                    }
-                    let fk = fks[ei].slice();
-                    let mut kk = 0usize;
-                    // In-place compaction: kk trails t, so reads never see
-                    // an overwritten slot.
-                    for t in 0..k {
-                        let j = w.s.idx[t] as usize;
-                        let pos = fk[j] as usize;
-                        let hit = match side {
-                            BuildSide::Set(set) => set.contains(pos as i64) as usize,
-                            BuildSide::Bitmap(bm) => bm.get_bit(pos) as usize,
-                        };
-                        w.s.idx[kk] = w.s.idx[t];
-                        kk += hit;
-                    }
-                    if counting {
-                        w.edge_out[ei] += kk as u64;
-                    }
-                    k = kk;
+    let body = move |w: &mut MultiJoinAcc, m_start: usize, m_len: usize| {
+        if counting {
+            stage.count_morsel(&mut w.s.ctr, m_len);
+        }
+        for tile in tiles_in(m_start, m_len) {
+            let (start, len) = tile;
+            stage.bound.run(&mut w.s.regs, start, len);
+            let filtered = stage.bound.select(&mut w.s.regs, len);
+            let mut k = filtered;
+            for (ei, (side, fk)) in sides.iter().enumerate() {
+                if k == 0 {
+                    // Later edges see zero rows; skipping their zero
+                    // counter increments leaves identical totals.
+                    break;
                 }
                 if counting {
-                    w.s.ctr.rows_out += k as u64;
-                    w.s.ctr.wasted_lanes += (filtered - k) as u64;
+                    w.edge_in[ei] += k as u64;
+                    w.s.ctr.ht_probes += k as u64;
                 }
-                w.s.matched += k;
-                for (i, a) in aggs.iter().enumerate() {
-                    if a.func != AggFunc::Count {
-                        a.expr.eval_values(&fact, start, &mut w.s.val[..len]);
-                    }
-                    for t in 0..k {
-                        let j = w.s.idx[t] as usize;
-                        match a.func {
-                            AggFunc::Sum => w.s.add_sum(i, w.s.val[j - start]),
-                            AggFunc::Count => w.s.acc[i] = w.s.acc[i].wrapping_add(1),
-                            // Survivors are fully narrowed before
-                            // accumulation, so min/max see only real
-                            // qualifying rows.
-                            AggFunc::Min => {
-                                let v = w.s.val[j - start];
-                                if v < w.s.acc[i] {
-                                    w.s.acc[i] = v;
-                                }
-                            }
-                            AggFunc::Max => {
-                                let v = w.s.val[j - start];
-                                if v > w.s.acc[i] {
-                                    w.s.acc[i] = v;
-                                }
-                            }
-                        }
-                    }
+                let fk = &fk.slice()[start..start + len];
+                k = narrow_selection(&mut w.s.regs.idx, k, fk, side);
+                if counting {
+                    w.edge_out[ei] += k as u64;
                 }
             }
+            if counting {
+                w.s.ctr.rows_out += k as u64;
+                w.s.ctr.wasted_lanes += (filtered - k) as u64;
+            }
+            stage.gather(&mut w.s, tile, k);
         }
     };
     let partials = opts
@@ -4668,37 +4669,13 @@ fn exec_multijoin_agg(
     ))
 }
 
-/// Thread-local state for groupjoin execution.
-struct GroupJoinAcc {
-    ht: AggTable,
-    /// Bytes already charged to the gauge for this worker.
-    charged: usize,
-    /// Access-pattern counters (only touched at `MetricsLevel::Counters`+).
-    ctr: AccessCounters,
-    vals: Vec<Vec<i64>>,
-}
-
-impl GroupJoinAcc {
-    fn new(n_aggs: usize, capacity: usize) -> GroupJoinAcc {
-        GroupJoinAcc {
-            ht: AggTable::with_capacity(n_aggs, capacity),
-            charged: 0,
-            ctr: AccessCounters::default(),
-            vals: vec![vec![0i64; TILE]; n_aggs],
-        }
-    }
-
-    fn scratch_bytes(n_aggs: usize) -> usize {
-        n_aggs * 8 * TILE
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn exec_groupjoin_agg(
     names: SemiJoinNames<'_>,
     probe: &Arc<Table>,
+    probe_program: &Arc<TileProgram>,
     build: &Arc<Table>,
-    build_filter: Option<&Expr>,
+    build_program: &Arc<TileProgram>,
     fk: &FkSource,
     fk_col: &str,
     aggs: &[AggSpec],
@@ -4710,11 +4687,11 @@ fn exec_groupjoin_agg(
     let counting = opts.level.counting();
     let build_n = build.len();
     let build_t0 = opts.level.timing().then(Instant::now);
-    let build_cmp = Arc::new(build_mask(build, build_filter, opts, ctx)?);
+    let build_cmp = Arc::new(build_mask(build, build_program, opts, ctx)?);
     let build_op = counting.then(|| {
         let mut op = OpMetrics::named(names.build);
         op.access.rows_in = build_n as u64;
-        if build_filter.is_some() {
+        if build_program.has_filter() {
             op.access.predicate_evals = build_n as u64;
         }
         op.access.rows_out = predicate::mask_count(&build_cmp) as u64;
@@ -4723,86 +4700,73 @@ fn exec_groupjoin_agg(
     });
     let probe_t0 = opts.level.timing().then(Instant::now);
     let capacity = (build_n / 2).max(16);
+    let bound = probe_program.bind(probe)?;
+    let inputs = group_inputs(probe_program, aggs);
     let init = {
         let ctx = Arc::clone(ctx);
-        move || {
-            let mut w = GroupJoinAcc::new(n_aggs, capacity);
-            w.charged = GroupJoinAcc::scratch_bytes(n_aggs) + w.ht.size_bytes();
-            charge_or_panic(&ctx.gauge, w.charged);
-            w
-        }
+        let program = Arc::clone(probe_program);
+        move || GroupAcc::new(&ctx.gauge, &program, n_aggs, capacity)
     };
     let body = {
         let ctx = Arc::clone(ctx);
-        let probe = Arc::clone(probe);
-        let aggs: Arc<[AggSpec]> = aggs.to_vec().into();
         let build_cmp = Arc::clone(&build_cmp);
         let fk_src = fk.clone();
-        move |w: &mut GroupJoinAcc, m_start: usize, m_len: usize| {
+        move |w: &mut GroupAcc, m_start: usize, m_len: usize| {
             let fk = fk_src.slice();
             if counting {
                 w.ctr.morsels += 1;
                 w.ctr.rows_in += m_len as u64;
             }
             for (start, len) in tiles_in(m_start, m_len) {
-                for (i, a) in aggs.iter().enumerate() {
-                    if a.func != AggFunc::Count {
-                        a.expr.eval_values(&probe, start, &mut w.vals[i][..len]);
+                bound.run(&mut w.regs, start, len);
+                let GroupAcc { ht, regs, ctr, .. } = &mut *w;
+                let fk = &fk[start..start + len];
+                let mut upsert = |j: usize, pos: u32| {
+                    let off = ht.entry(pos as i64);
+                    for (i, input) in inputs.iter().enumerate() {
+                        let add = match *input {
+                            GroupIn::Sum(r) => regs.val(r)[j],
+                            GroupIn::Count => 1,
+                            GroupIn::Min(_) | GroupIn::Max(_) => unreachable!("planner invariant"),
+                        };
+                        ht.add(off, i, add);
                     }
-                }
+                    ht.set_valid(off);
+                };
                 match strategy {
                     GroupJoinStrategy::GroupJoin => {
-                        for j in 0..len {
-                            let pos = fk[start + j] as usize;
+                        let mut hits = 0u64;
+                        for (j, &pos) in fk.iter().enumerate() {
                             // Membership via the build mask: equivalent to
                             // probing a table pre-populated with qualifying
                             // keys, but sharable read-only across workers.
-                            if build_cmp[pos] != 0 {
-                                if counting {
-                                    w.ctr.rows_out += 1;
-                                    w.ctr.ht_probes += 1;
-                                }
-                                let off = w.ht.entry(pos as i64);
-                                for (i, a) in aggs.iter().enumerate() {
-                                    let add = match a.func {
-                                        AggFunc::Sum => w.vals[i][j],
-                                        AggFunc::Count => 1,
-                                        _ => unreachable!("planner invariant"),
-                                    };
-                                    w.ht.add(off, i, add);
-                                }
-                                w.ht.set_valid(off);
+                            if build_cmp[pos as usize] != 0 {
+                                hits += 1;
+                                upsert(j, pos);
                             }
+                        }
+                        if counting {
+                            ctr.rows_out += hits;
+                            ctr.ht_probes += hits;
                         }
                     }
                     GroupJoinStrategy::EagerAggregation => {
-                        for j in 0..len {
-                            let pos = fk[start + j] as usize;
-                            if counting {
-                                // Eager aggregation touches every probe row
-                                // (§ III-E); rows whose parent fails the build
-                                // filter are aggregated then deleted — wasted.
-                                let q = (build_cmp[pos] != 0) as u64;
-                                w.ctr.rows_out += q;
-                                w.ctr.wasted_lanes += 1 - q;
-                                w.ctr.ht_probes += 1;
-                            }
-                            let off = w.ht.entry(fk[start + j] as i64);
-                            for (i, a) in aggs.iter().enumerate() {
-                                let add = match a.func {
-                                    AggFunc::Sum => w.vals[i][j],
-                                    AggFunc::Count => 1,
-                                    _ => unreachable!("planner invariant"),
-                                };
-                                w.ht.add(off, i, add);
-                            }
-                            w.ht.set_valid(off);
+                        if counting {
+                            // Eager aggregation touches every probe row
+                            // (§ III-E); rows whose parent fails the build
+                            // filter are aggregated then deleted — wasted.
+                            let q: u64 = fk.iter().map(|&p| build_cmp[p as usize] as u64).sum();
+                            ctr.rows_out += q;
+                            ctr.wasted_lanes += len as u64 - q;
+                            ctr.ht_probes += len as u64;
+                        }
+                        for (j, &pos) in fk.iter().enumerate() {
+                            upsert(j, pos);
                         }
                     }
                 }
             }
-            let now_bytes = GroupJoinAcc::scratch_bytes(n_aggs) + w.ht.size_bytes();
-            charge_growth(&ctx.gauge, &mut w.charged, now_bytes);
+            w.charge_growth(&ctx.gauge, bound.program());
         }
     };
     let partials = opts
@@ -4854,36 +4818,44 @@ fn exec_groupjoin_agg(
     Ok((rows_from_table(fk_col, aggs, &ht, None), op_list))
 }
 
-/// Thread-local state for the window operator's parallel filter phase:
-/// per-morsel qualifying-row segments, stitched by offset afterwards.
-struct WinScan {
-    segs: Vec<(usize, Vec<u32>)>,
-    ctr: AccessCounters,
-    cmp: Vec<u8>,
-}
-
-/// Evaluate `expr` for the (ascending) qualifying row ids, tile at a time,
-/// reusing the engine's tile evaluation so dictionary codes, decimals and
-/// CASE expressions behave exactly as on the aggregate paths.
-fn gather_expr(table: &Arc<Table>, expr: &Expr, row_ids: &[u32]) -> Vec<i64> {
-    let mut out = Vec::with_capacity(row_ids.len());
-    let mut buf = vec![0i64; TILE];
+/// Materialize every output of `program` for the (ascending) qualifying
+/// row ids, one pass over the tiles that hold any, through the same tile
+/// evaluation as the aggregate paths — so dictionary codes, decimals and
+/// CASE expressions behave exactly as they do there. The register file is
+/// the pass's one temporary; it is charged before it is allocated.
+fn gather_columns(
+    table: &Arc<Table>,
+    program: &Arc<TileProgram>,
+    n_outputs: usize,
+    row_ids: &[u32],
+    ctx: &ExecCtx,
+) -> Result<Vec<Vec<i64>>, PlanError> {
+    let bound = program.bind(table)?;
+    ctx.gauge.try_charge(program.scratch_bytes())?;
+    let mut regs = Regs::new(program);
+    let mut out: Vec<Vec<i64>> = (0..n_outputs)
+        .map(|_| Vec::with_capacity(row_ids.len()))
+        .collect();
     let mut i = 0;
     for (start, len) in tiles(table.len()) {
         if i >= row_ids.len() {
             break;
         }
         let end = start + len;
-        if (row_ids[i] as usize) >= end {
-            continue;
-        }
-        expr.eval_values(table, start, &mut buf[..len]);
+        let i0 = i;
         while i < row_ids.len() && (row_ids[i] as usize) < end {
-            out.push(buf[row_ids[i] as usize - start]);
             i += 1;
         }
+        if i == i0 {
+            continue;
+        }
+        bound.run(&mut regs, start, len);
+        for (o, col) in out.iter_mut().enumerate() {
+            let v = regs.val(program.output_reg(o));
+            col.extend(row_ids[i0..i].iter().map(|&r| v[r as usize - start]));
+        }
     }
-    out
+    Ok(out)
 }
 
 /// True when two qualifying rows are window-order peers (equal on every
@@ -4901,7 +4873,8 @@ fn order_peers(ord: &[Vec<i64>], a: usize, b: usize) -> bool {
 fn exec_window(
     op_name: &str,
     table: &Arc<Table>,
-    filter: Option<&Expr>,
+    scan_program: &Arc<TileProgram>,
+    gather_program: &Arc<TileProgram>,
     partition_by: Option<&str>,
     order_by: &[SortKey],
     frame: FrameSpec,
@@ -4915,56 +4888,43 @@ fn exec_window(
     let counting = opts.level.counting();
     let t0 = opts.level.timing().then(Instant::now);
     // Phase 1: qualifying-row selection vector, produced on morsel workers.
-    // Segments disjointly cover the table, so stitching them by offset is
-    // identical to a sequential scan regardless of who claimed what.
     ctx.gauge.try_charge(n.saturating_mul(4))?;
+    let bound = scan_program.bind(table)?;
     let init = {
         let ctx = Arc::clone(ctx);
-        move || {
-            charge_or_panic(&ctx.gauge, TILE);
-            WinScan {
-                segs: Vec::new(),
-                ctr: AccessCounters::default(),
-                cmp: vec![0u8; TILE],
-            }
-        }
+        let program = Arc::clone(scan_program);
+        move || ScanAcc::<u32>::new(&ctx.gauge, &program)
     };
-    let body = {
-        let table = Arc::clone(table);
-        let filter = filter.cloned();
-        move |w: &mut WinScan, m_start: usize, m_len: usize| {
-            let filter = filter.as_ref();
-            if counting {
-                w.ctr.morsels += 1;
-                w.ctr.rows_in += m_len as u64;
-                if filter.is_some() {
-                    w.ctr.predicate_evals += m_len as u64;
-                }
+    let body = move |w: &mut ScanAcc<u32>, m_start: usize, m_len: usize| {
+        if counting {
+            w.ctr.morsels += 1;
+            w.ctr.rows_in += m_len as u64;
+            if bound.program().has_filter() {
+                w.ctr.predicate_evals += m_len as u64;
             }
-            let mut seg = Vec::new();
-            for (start, len) in tiles_in(m_start, m_len) {
-                tile_mask(filter, &table, start, &mut w.cmp[..len]);
-                selvec::append_nobranch(&w.cmp[..len], start as u32, &mut seg);
-            }
-            if counting {
-                w.ctr.rows_out += seg.len() as u64;
-            }
-            w.segs.push((m_start, seg));
         }
+        let off = w.out.len();
+        for (start, len) in tiles_in(m_start, m_len) {
+            bound.run(&mut w.regs, start, len);
+            selvec::append_nobranch(bound.filter(&w.regs, len), start as u32, &mut w.out);
+        }
+        let found = w.out.len() - off;
+        if counting {
+            w.ctr.rows_out += found as u64;
+        }
+        w.segs.push((m_start, off, found));
     };
     let partials = opts
         .executor
         .run_morsels(ctx, n, opts.morsel_rows, init, body)?;
     let mut op = counting.then(|| OpMetrics::named(op_name));
-    let mut segs = Vec::new();
-    for p in partials {
-        if let Some(op) = op.as_mut() {
+    if let Some(op) = op.as_mut() {
+        for p in &partials {
             op.access.merge(&p.ctr);
         }
-        segs.extend(p.segs);
     }
-    segs.sort_unstable_by_key(|(start, _)| *start);
-    let row_ids: Vec<u32> = segs.into_iter().flat_map(|(_, seg)| seg).collect();
+    let row_ids: Vec<u32> = stitch(&partials, 0);
+    drop(partials);
     let m = row_ids.len();
 
     // Phase 2: materialize partition key, order keys, projected columns and
@@ -4972,22 +4932,21 @@ fn exec_window(
     let n_mat = 1 + order_by.len() + select.len() + funcs.len();
     ctx.gauge
         .try_charge(m.saturating_mul(8).saturating_mul(n_mat))?;
+    let n_inputs = funcs.iter().filter(|f| f.expr.is_some()).count();
+    let n_gathered = usize::from(partition_by.is_some()) + order_by.len() + select.len() + n_inputs;
+    let mut gathered =
+        gather_columns(table, gather_program, n_gathered, &row_ids, ctx)?.into_iter();
+    let mut take = |k: usize| -> Vec<Vec<i64>> { gathered.by_ref().take(k).collect() };
     let part: Vec<i64> = match partition_by {
-        Some(p) => gather_expr(table, &Expr::col(p), &row_ids),
+        Some(_) => take(1).pop().expect("partition key was lowered"),
         None => vec![0; m],
     };
-    let ord: Vec<Vec<i64>> = order_by
-        .iter()
-        .map(|k| gather_expr(table, &Expr::col(&k.column), &row_ids))
-        .collect();
-    let sel_cols: Vec<Vec<i64>> = select
-        .iter()
-        .map(|c| gather_expr(table, &Expr::col(c), &row_ids))
-        .collect();
+    let ord = take(order_by.len());
+    let sel_cols = take(select.len());
     let inputs: Vec<Vec<i64>> = funcs
         .iter()
         .map(|f| match &f.expr {
-            Some(e) => gather_expr(table, e, &row_ids),
+            Some(_) => take(1).pop().expect("function input was lowered"),
             None => vec![1; m],
         })
         .collect();
@@ -5156,33 +5115,12 @@ mod bounds_drift_tests {
     //! the formulas *dominating* what execution charges — if someone
     //! resizes a scratch buffer or changes a hash-table growth policy
     //! without touching the verifier, these tests fail before the
-    //! end-to-end soundness harness does.
+    //! end-to-end soundness harness does. Per-worker scratch has no formula
+    //! to drift: the lowering hands the bounds pass the same
+    //! `TileProgram::scratch_bytes` the executors charge.
 
-    use super::{GroupAcc, GroupJoinAcc, ScalarAcc};
     use swole_ht::{AggTable, KeySet};
-    use swole_kernels::TILE;
     use swole_verify::bounds::sizing;
-
-    #[test]
-    fn scratch_formulas_match_engine_accumulators() {
-        for n_aggs in 1..=8usize {
-            assert_eq!(
-                sizing::scalar_scratch(TILE as u64, n_aggs as u64),
-                ScalarAcc::scratch_bytes(n_aggs) as u64,
-                "scalar scratch drifted at n_aggs={n_aggs}"
-            );
-            assert_eq!(
-                sizing::group_scratch(TILE as u64, n_aggs as u64),
-                GroupAcc::scratch_bytes(n_aggs) as u64,
-                "group scratch drifted at n_aggs={n_aggs}"
-            );
-            assert_eq!(
-                sizing::groupjoin_scratch(TILE as u64, n_aggs as u64),
-                GroupJoinAcc::scratch_bytes(n_aggs) as u64,
-                "groupjoin scratch drifted at n_aggs={n_aggs}"
-            );
-        }
-    }
 
     #[test]
     fn agg_table_formula_matches_initial_capacity() {

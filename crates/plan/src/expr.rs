@@ -1,9 +1,9 @@
-//! Expressions with vectorized (tile-wise) and row-wise evaluation.
+//! Expressions and their row-wise evaluation.
 //!
-//! The vectorized evaluators are what the engine's generated pipelines use:
-//! masks are `u8` 0/1 arrays (the `cmp` arrays of the paper's figures) and
-//! values are widened `i64`. The row-wise evaluator backs the naive
-//! reference interpreter.
+//! The engine does not walk these trees while it scans: the planner lowers
+//! them once into flat tile programs (`crate::tile`). The row-wise evaluator
+//! here backs the naive reference interpreter and statistics sampling, and
+//! is the oracle the tile programs are tested against.
 
 use crate::error::PlanError;
 use swole_storage::{like_match, ColumnData, Table};
@@ -26,7 +26,7 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
-    fn apply(self, a: i64, b: i64) -> bool {
+    pub(crate) fn apply(self, a: i64, b: i64) -> bool {
         match self {
             CmpOp::Lt => a < b,
             CmpOp::Le => a <= b,
@@ -347,178 +347,6 @@ impl Expr {
             }
         }
     }
-
-    /// Vectorized boolean evaluation over rows `[start, start+out.len())`
-    /// into a 0/1 mask — the prepass loop of the generated code.
-    pub fn eval_mask(&self, table: &Table, start: usize, out: &mut [u8]) {
-        let len = out.len();
-        match self {
-            Expr::And(a, b) => {
-                a.eval_mask(table, start, out);
-                let mut rhs = vec![0u8; len];
-                b.eval_mask(table, start, &mut rhs);
-                swole_kernels::predicate::and_into(out, &rhs);
-            }
-            Expr::Or(a, b) => {
-                a.eval_mask(table, start, out);
-                let mut rhs = vec![0u8; len];
-                b.eval_mask(table, start, &mut rhs);
-                swole_kernels::predicate::or_into(out, &rhs);
-            }
-            Expr::Not(a) => {
-                a.eval_mask(table, start, out);
-                swole_kernels::predicate::not_inplace(out);
-            }
-            Expr::Cmp(op, a, b) => {
-                let mut av = vec![0i64; len];
-                let mut bv = vec![0i64; len];
-                a.eval_values(table, start, &mut av);
-                b.eval_values(table, start, &mut bv);
-                for j in 0..len {
-                    out[j] = op.apply(av[j], bv[j]) as u8;
-                }
-            }
-            Expr::Like { col, pattern } => {
-                let dict = table
-                    .column_required(col)
-                    .as_dict()
-                    .expect("validated dictionary column");
-                // "Computed on the fly": one match per dictionary entry,
-                // then a sequential code-table scan.
-                let matches = dict.matching_codes(|v| like_match(pattern, v));
-                swole_kernels::predicate::in_code_table(
-                    &dict.codes()[start..start + len],
-                    &matches,
-                    out,
-                );
-            }
-            Expr::InList { col, values } => {
-                let dict = table
-                    .column_required(col)
-                    .as_dict()
-                    .expect("validated dictionary column");
-                let matches = dict.matching_codes(|v| values.iter().any(|x| x == v));
-                swole_kernels::predicate::in_code_table(
-                    &dict.codes()[start..start + len],
-                    &matches,
-                    out,
-                );
-            }
-            other => {
-                // Generic: nonzero value ⇒ true.
-                let mut vals = vec![0i64; len];
-                other.eval_values(table, start, &mut vals);
-                for j in 0..len {
-                    out[j] = (vals[j] != 0) as u8;
-                }
-            }
-        }
-    }
-
-    /// Vectorized value evaluation over rows `[start, start+out.len())`.
-    ///
-    /// CASE is evaluated with **value masking** (§ III-A): both branches run
-    /// unconditionally and the mask selects per row, keeping the access
-    /// pattern sequential.
-    pub fn eval_values(&self, table: &Table, start: usize, out: &mut [i64]) {
-        let len = out.len();
-        match self {
-            Expr::Col(name) => copy_column(table.column_required(name), start, out),
-            Expr::Lit(v) => out.fill(*v),
-            // Unreachable after validation; evaluate defensively as 0.
-            Expr::Param(_) => out.fill(0),
-            // Arithmetic wraps explicitly — same results under debug,
-            // release, and `-C overflow-checks=on` builds.
-            Expr::Add(a, b) => {
-                a.eval_values(table, start, out);
-                let mut rhs = vec![0i64; len];
-                b.eval_values(table, start, &mut rhs);
-                for j in 0..len {
-                    out[j] = out[j].wrapping_add(rhs[j]);
-                }
-            }
-            Expr::Sub(a, b) => {
-                a.eval_values(table, start, out);
-                let mut rhs = vec![0i64; len];
-                b.eval_values(table, start, &mut rhs);
-                for j in 0..len {
-                    out[j] = out[j].wrapping_sub(rhs[j]);
-                }
-            }
-            Expr::Mul(a, b) => {
-                a.eval_values(table, start, out);
-                let mut rhs = vec![0i64; len];
-                b.eval_values(table, start, &mut rhs);
-                for j in 0..len {
-                    out[j] = out[j].wrapping_mul(rhs[j]);
-                }
-            }
-            Expr::Div(a, b) => {
-                a.eval_values(table, start, out);
-                let mut rhs = vec![0i64; len];
-                b.eval_values(table, start, &mut rhs);
-                for j in 0..len {
-                    out[j] = out[j].wrapping_div(rhs[j]);
-                }
-            }
-            Expr::Case {
-                when,
-                then,
-                otherwise,
-            } => {
-                let mut mask = vec![0u8; len];
-                when.eval_mask(table, start, &mut mask);
-                then.eval_values(table, start, out);
-                let mut other = vec![0i64; len];
-                otherwise.eval_values(table, start, &mut other);
-                for j in 0..len {
-                    // 0/1 blend: neither product nor their sum can overflow.
-                    let m = mask[j] as i64;
-                    out[j] = out[j] * m + other[j] * (1 - m);
-                }
-            }
-            boolean => {
-                let mut mask = vec![0u8; len];
-                boolean.eval_mask(table, start, &mut mask);
-                for j in 0..len {
-                    out[j] = mask[j] as i64;
-                }
-            }
-        }
-    }
-}
-
-/// Widen a column slice into the `i64` working buffer.
-fn copy_column(col: &ColumnData, start: usize, out: &mut [i64]) {
-    let len = out.len();
-    match col {
-        ColumnData::I8(v) => {
-            for (o, &x) in out.iter_mut().zip(&v[start..start + len]) {
-                *o = x as i64;
-            }
-        }
-        ColumnData::I16(v) => {
-            for (o, &x) in out.iter_mut().zip(&v[start..start + len]) {
-                *o = x as i64;
-            }
-        }
-        ColumnData::I32(v) => {
-            for (o, &x) in out.iter_mut().zip(&v[start..start + len]) {
-                *o = x as i64;
-            }
-        }
-        ColumnData::I64(v) => out.copy_from_slice(&v[start..start + len]),
-        ColumnData::U32(v) => {
-            for (o, &x) in out.iter_mut().zip(&v[start..start + len]) {
-                *o = x as i64;
-            }
-        }
-        ColumnData::Dict(d) => {
-            for (o, &x) in out.iter_mut().zip(&d.codes()[start..start + len]) {
-                *o = x as i64;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -538,29 +366,21 @@ mod tests {
             )
     }
 
-    fn mask_of(e: &Expr, t: &Table) -> Vec<u8> {
-        let mut out = vec![0u8; t.len()];
-        e.eval_mask(t, 0, &mut out);
-        out
-    }
-
     fn values_of(e: &Expr, t: &Table) -> Vec<i64> {
-        let mut out = vec![0i64; t.len()];
-        e.eval_values(t, 0, &mut out);
-        out
+        (0..t.len()).map(|row| e.eval_row(t, row)).collect()
     }
 
     #[test]
     fn comparisons_and_boolean_logic() {
         let t = table();
         let e = Expr::col("x").cmp(CmpOp::Lt, Expr::lit(13));
-        assert_eq!(mask_of(&e, &t), vec![1, 1, 0, 0, 1]);
+        assert_eq!(values_of(&e, &t), vec![1, 1, 0, 0, 1]);
         let e2 = e.clone().and(Expr::col("x").cmp(CmpOp::Gt, Expr::lit(0)));
-        assert_eq!(mask_of(&e2, &t), vec![1, 1, 0, 0, 0]);
+        assert_eq!(values_of(&e2, &t), vec![1, 1, 0, 0, 0]);
         let e3 = Expr::Not(Box::new(e2.clone()));
-        assert_eq!(mask_of(&e3, &t), vec![0, 0, 1, 1, 1]);
+        assert_eq!(values_of(&e3, &t), vec![0, 0, 1, 1, 1]);
         let e4 = e2.or(Expr::col("x").cmp(CmpOp::Eq, Expr::lit(13)));
-        assert_eq!(mask_of(&e4, &t), vec![1, 1, 1, 0, 0]);
+        assert_eq!(values_of(&e4, &t), vec![1, 1, 1, 0, 0]);
     }
 
     #[test]
@@ -583,32 +403,12 @@ mod tests {
             col: "s".into(),
             pattern: "PROMO%".into(),
         };
-        assert_eq!(mask_of(&like, &t), vec![1, 0, 1, 0, 0]);
+        assert_eq!(values_of(&like, &t), vec![1, 0, 1, 0, 0]);
         let inlist = Expr::InList {
             col: "s".into(),
             values: vec!["STD".into(), "X".into()],
         };
-        assert_eq!(mask_of(&inlist, &t), vec![0, 1, 0, 1, 1]);
-    }
-
-    #[test]
-    fn row_eval_matches_vectorized() {
-        let t = table();
-        let exprs = vec![
-            Expr::col("x").cmp(CmpOp::Ge, Expr::lit(5)),
-            Expr::col("a").mul(Expr::col("x")),
-            Expr::Case {
-                when: Box::new(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(10))),
-                then: Box::new(Expr::col("a").mul(Expr::lit(3))),
-                otherwise: Box::new(Expr::Sub(Box::new(Expr::col("a")), Box::new(Expr::lit(1)))),
-            },
-        ];
-        for e in exprs {
-            let vec = values_of(&e, &t);
-            for (row, v) in vec.iter().enumerate() {
-                assert_eq!(*v, e.eval_row(&t, row), "{e:?} row {row}");
-            }
-        }
+        assert_eq!(values_of(&inlist, &t), vec![0, 1, 0, 1, 1]);
     }
 
     #[test]
@@ -635,18 +435,5 @@ mod tests {
             Err(PlanError::InvalidExpr(_))
         ));
         assert!(Expr::col("x").validate(&t).is_ok());
-    }
-
-    #[test]
-    fn tiled_evaluation_with_offset() {
-        let t = table();
-        let e = Expr::col("a");
-        let mut out = vec![0i64; 2];
-        e.eval_values(&t, 2, &mut out);
-        assert_eq!(out, vec![30, 40]);
-        let p = Expr::col("x").cmp(CmpOp::Lt, Expr::lit(13));
-        let mut m = vec![0u8; 2];
-        p.eval_mask(&t, 3, &mut m);
-        assert_eq!(m, vec![0, 1]);
     }
 }

@@ -45,6 +45,7 @@ mod prepared;
 mod session;
 pub mod sql;
 pub mod stats;
+mod tile;
 mod value;
 mod verify;
 

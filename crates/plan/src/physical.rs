@@ -1,8 +1,11 @@
 //! Physical plans: the shapes the executor runs plus the decisions the
 //! planner made, with their cost-model evidence.
 
+use std::sync::Arc;
+
 use crate::expr::Expr;
 use crate::logical::{AggSpec, FrameSpec, SortKey, WindowFnSpec};
+use crate::tile::TileProgram;
 use swole_cost::{
     AggStrategy, GroupJoinStrategy, JoinOrderMethod, SemiJoinStrategy, WindowStrategy,
 };
@@ -141,6 +144,8 @@ pub(crate) struct JoinEdge {
     pub parent: String,
     /// Filter over the parent's own columns, if any.
     pub parent_filter: Option<Expr>,
+    /// `parent_filter` lowered over `parent`.
+    pub parent_program: Arc<TileProgram>,
     /// FK column on the child pointing into `parent`.
     pub fk_col: String,
     /// Membership structure the build side materializes.
@@ -172,6 +177,10 @@ pub(crate) enum Shape {
         group_by: Option<String>,
         aggs: Vec<AggSpec>,
         strategy: AggStrategy,
+        /// `filter`, the aggregate inputs and `group_by` lowered over
+        /// `table` (every shape carries its stages' programs, lowered once
+        /// at plan time and cached with the plan).
+        program: Arc<TileProgram>,
     },
     /// scan → filter? → FK semijoin → scalar aggregation.
     SemiJoinAgg {
@@ -184,6 +193,8 @@ pub(crate) enum Shape {
         strategy: SemiJoinStrategy,
         /// `true`: fully masked probe; `false`: selection-vector probe.
         probe_masked: bool,
+        probe_program: Arc<TileProgram>,
+        build_program: Arc<TileProgram>,
     },
     /// Multi-way FK join: scan the fact table, narrow each tile through the
     /// edges' membership structures in the planned probe order, then a
@@ -195,6 +206,7 @@ pub(crate) enum Shape {
         edges: Vec<JoinEdge>,
         aggs: Vec<AggSpec>,
         order_method: JoinOrderMethod,
+        fact_program: Arc<TileProgram>,
     },
     /// FK groupjoin: group the probe side by its FK, keeping groups whose
     /// parent survives the build filter.
@@ -205,6 +217,8 @@ pub(crate) enum Shape {
         fk_col: String,
         aggs: Vec<AggSpec>,
         strategy: GroupJoinStrategy,
+        probe_program: Arc<TileProgram>,
+        build_program: Arc<TileProgram>,
     },
     /// scan → filter? → sort by (partition, order, row) → window functions.
     /// With no functions this degenerates to a row projection.
@@ -217,6 +231,12 @@ pub(crate) enum Shape {
         funcs: Vec<WindowFnSpec>,
         select: Vec<String>,
         strategy: WindowStrategy,
+        /// `filter` lowered over `table`.
+        scan_program: Arc<TileProgram>,
+        /// The columns phase 2 materializes for qualifying rows, in order:
+        /// partition key (if any), order keys, projected columns, then the
+        /// inputs of the functions that have one.
+        gather_program: Arc<TileProgram>,
     },
 }
 
@@ -274,6 +294,7 @@ impl Shape {
                 group_by,
                 aggs,
                 strategy,
+                ..
             } => format!(
                 "Aggregate[{}] ({} aggs{}) <- {}Scan {table}",
                 strategy.name(),

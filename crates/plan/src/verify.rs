@@ -26,6 +26,7 @@ use crate::expr::Expr;
 use crate::faults;
 use crate::logical::{AggSpec, SortKey, WindowFnSpec};
 use crate::physical::{JoinEdge, PhysicalPlan, PostOp, Shape};
+use crate::tile::TileProgram;
 use swole_cost::{AggStrategy, SemiJoinStrategy, WindowStrategy};
 
 /// Lower `plan` and verify it at `level`. `Off` is a no-op by construction
@@ -71,6 +72,7 @@ fn program_for_with(
             group_by,
             aggs,
             strategy,
+            program,
         } => lower_scan_agg(
             db,
             plan,
@@ -79,6 +81,7 @@ fn program_for_with(
             group_by.as_deref(),
             aggs,
             *strategy,
+            program,
         )?,
         Shape::SemiJoinAgg {
             probe,
@@ -89,6 +92,8 @@ fn program_for_with(
             aggs,
             strategy,
             probe_masked,
+            probe_program,
+            build_program,
         } => lower_semijoin_agg(
             db,
             probe,
@@ -99,14 +104,24 @@ fn program_for_with(
             aggs,
             *strategy,
             *probe_masked,
+            [probe_program, build_program],
         )?,
         Shape::MultiJoinAgg {
             fact,
             fact_filter,
             edges,
             aggs,
+            fact_program,
             ..
-        } => lower_multijoin_agg(db, plan, fact, fact_filter.as_ref(), edges, aggs)?,
+        } => lower_multijoin_agg(
+            db,
+            plan,
+            fact,
+            fact_filter.as_ref(),
+            edges,
+            aggs,
+            fact_program,
+        )?,
         Shape::GroupJoinAgg {
             probe,
             build,
@@ -114,6 +129,8 @@ fn program_for_with(
             fk_col,
             aggs,
             strategy,
+            probe_program,
+            build_program,
         } => lower_groupjoin_agg(
             db,
             plan,
@@ -123,6 +140,7 @@ fn program_for_with(
             fk_col,
             aggs,
             *strategy,
+            [probe_program, build_program],
         )?,
         Shape::WindowScan {
             table,
@@ -132,6 +150,8 @@ fn program_for_with(
             funcs,
             select,
             strategy,
+            scan_program,
+            gather_program,
             ..
         } => lower_window_scan(
             db,
@@ -143,6 +163,10 @@ fn program_for_with(
             funcs,
             select,
             *strategy,
+            // Workers charge the scan's register file; the submitter
+            // charges the gather pass's once. Declaring the sum per worker
+            // dominates both.
+            scan_program.scratch_bytes() + gather_program.scratch_bytes(),
         )?,
     };
     // Result-level post-operators run over the materialized result but are
@@ -245,7 +269,15 @@ fn cost_term_names(plan: &PhysicalPlan) -> Vec<String> {
         .collect()
 }
 
-fn tile_mask_artifact(table: &str) -> Artifact {
+/// The per-worker register file every morsel stage charges at `init`.
+fn worker_scratch_alloc() -> Alloc {
+    Alloc {
+        site: "worker-scratch".to_string(),
+        charged: true,
+    }
+}
+
+fn cmp_artifact(table: &str) -> Artifact {
     Artifact {
         kind: ArtifactKind::ValueMask,
         table: table.to_string(),
@@ -254,6 +286,7 @@ fn tile_mask_artifact(table: &str) -> Artifact {
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn lower_scan_agg(
     db: &Database,
     plan: &PhysicalPlan,
@@ -262,6 +295,7 @@ fn lower_scan_agg(
     group_by: Option<&str>,
     aggs: &[AggSpec],
     strategy: AggStrategy,
+    program: &TileProgram,
 ) -> Result<Program, PlanError> {
     let decl = table_decl(db, table)?;
     let rows = decl.rows;
@@ -287,11 +321,12 @@ fn lower_scan_agg(
     }
     op.strategy = Some(StrategyRef::Agg { strategy, grouped });
     op.n_aggs = Some(aggs.len());
+    op.scratch_bytes = program.scratch_bytes();
     op.cost_terms = cost_term_names(plan);
     // Every strategy evaluates the predicate into the tile-scoped `cmp`
     // mask; hybrid compacts it into a tile selection vector, grouped key
     // masking folds it into the tile key buffer.
-    op.locals.push(tile_mask_artifact(table));
+    op.locals.push(cmp_artifact(table));
     match (strategy, grouped) {
         (AggStrategy::Hybrid, _) | (AggStrategy::KeyMasking, false) => {
             op.locals.push(Artifact {
@@ -345,6 +380,7 @@ fn lower_window_scan(
     funcs: &[WindowFnSpec],
     select: &[String],
     strategy: WindowStrategy,
+    scratch_bytes: usize,
 ) -> Result<Program, PlanError> {
     let decl = table_decl(db, table)?;
     let rows = decl.rows;
@@ -374,12 +410,13 @@ fn lower_window_scan(
         });
     }
     op.strategy = Some(StrategyRef::Window { strategy });
+    op.scratch_bytes = scratch_bytes;
     // Phase 2 materializes one column per partition key, order key,
     // projected column, and function input — exactly what execution charges.
     op.mat_cols = Some(1 + order_by.len() + select.len() + funcs.len());
     op.n_aggs = Some(funcs.len());
     op.cost_terms = cost_term_names(plan);
-    op.locals.push(tile_mask_artifact(table));
+    op.locals.push(cmp_artifact(table));
     op.locals.push(Artifact {
         kind: ArtifactKind::SelectionVector,
         table: table.to_string(),
@@ -430,6 +467,7 @@ fn lower_semijoin_agg(
     aggs: &[AggSpec],
     strategy: SemiJoinStrategy,
     probe_masked: bool,
+    [probe_program, build_program]: [&TileProgram; 2],
 ) -> Result<Program, PlanError> {
     let probe_decl = table_decl(db, probe)?;
     let build_decl = table_decl(db, build)?;
@@ -449,6 +487,7 @@ fn lower_semijoin_agg(
         });
     }
     build_op.strategy = Some(StrategyRef::SemiJoinBuild(strategy));
+    build_op.scratch_bytes = build_program.scratch_bytes();
     // The build predicate materializes over the whole build table before the
     // membership structure is derived from it.
     build_op.locals.push(Artifact {
@@ -502,6 +541,8 @@ fn lower_semijoin_agg(
         }
     };
 
+    build_op.allocs.push(worker_scratch_alloc());
+
     let mut probe_op = Op::new(
         &format!("probe-agg({probe})"),
         "/semijoin-agg/probe",
@@ -520,6 +561,7 @@ fn lower_semijoin_agg(
         probe_masked,
     });
     probe_op.n_aggs = Some(aggs.len());
+    probe_op.scratch_bytes = probe_program.scratch_bytes();
     probe_op.imports.push(Import {
         kind: import_kind,
         table: build.to_string(),
@@ -529,7 +571,7 @@ fn lower_semijoin_agg(
             parent: build.to_string(),
         }),
     });
-    probe_op.locals.push(tile_mask_artifact(probe));
+    probe_op.locals.push(cmp_artifact(probe));
     if !probe_masked {
         probe_op.locals.push(Artifact {
             kind: ArtifactKind::SelectionVector,
@@ -600,10 +642,12 @@ fn lower_join_build(
             }),
         });
     }
+    op.scratch_bytes = e.parent_program.scratch_bytes();
     op.allocs.push(Alloc {
         site: "build-mask".to_string(),
         charged: true,
     });
+    op.allocs.push(worker_scratch_alloc());
     if direct {
         op.strategy = Some(StrategyRef::SemiJoinBuild(e.strategy));
         op.locals.push(Artifact {
@@ -671,6 +715,7 @@ fn lower_multijoin_agg(
     fact_filter: Option<&Expr>,
     edges: &[JoinEdge],
     aggs: &[AggSpec],
+    fact_program: &TileProgram,
 ) -> Result<Program, PlanError> {
     let fact_decl = table_decl(db, fact)?;
     let fact_rows = fact_decl.rows;
@@ -705,6 +750,7 @@ fn lower_multijoin_agg(
         probe_masked: false,
     });
     probe_op.n_aggs = Some(aggs.len());
+    probe_op.scratch_bytes = crate::engine::multijoin_scratch_bytes(fact_program, edges.len());
     probe_op.cost_terms = cost_term_names(plan);
     for e in edges {
         probe_op.imports.push(Import {
@@ -720,7 +766,7 @@ fn lower_multijoin_agg(
             }),
         });
     }
-    probe_op.locals.push(tile_mask_artifact(fact));
+    probe_op.locals.push(cmp_artifact(fact));
     probe_op.locals.push(Artifact {
         kind: ArtifactKind::SelectionVector,
         table: fact.to_string(),
@@ -750,6 +796,7 @@ fn lower_groupjoin_agg(
     fk_col: &str,
     aggs: &[AggSpec],
     strategy: swole_cost::GroupJoinStrategy,
+    [probe_program, build_program]: [&TileProgram; 2],
 ) -> Result<Program, PlanError> {
     let probe_decl = table_decl(db, probe)?;
     let build_decl = table_decl(db, build)?;
@@ -772,6 +819,7 @@ fn lower_groupjoin_agg(
         });
     }
     build_op.strategy = Some(StrategyRef::GroupJoinBuild);
+    build_op.scratch_bytes = build_program.scratch_bytes();
     build_op.exports.push(Artifact {
         kind: ArtifactKind::ValueMask,
         table: build.to_string(),
@@ -782,6 +830,7 @@ fn lower_groupjoin_agg(
         site: "build-mask".to_string(),
         charged: true,
     });
+    build_op.allocs.push(worker_scratch_alloc());
 
     let mut probe_op = Op::new(
         &format!("probe-agg({probe})"),
@@ -796,6 +845,7 @@ fn lower_groupjoin_agg(
     });
     probe_op.strategy = Some(StrategyRef::GroupJoin(strategy));
     probe_op.n_aggs = Some(aggs.len());
+    probe_op.scratch_bytes = probe_program.scratch_bytes();
     probe_op.cost_terms = cost_term_names(plan);
     probe_op.imports.push(Import {
         kind: ArtifactKind::ValueMask,

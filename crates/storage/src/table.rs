@@ -97,6 +97,17 @@ impl Table {
         })
     }
 
+    /// Position of a column in insertion order, for callers that resolve a
+    /// name once and then address the column with [`Table::column_at`].
+    pub fn column_index(&self, name: &str) -> Option<usize> {
+        self.columns.iter().position(|(n, _)| n == name)
+    }
+
+    /// The column at `index` (insertion order). Panics when out of range.
+    pub fn column_at(&self, index: usize) -> &ColumnData {
+        &self.columns[index].1
+    }
+
     /// Iterate over column names in insertion order.
     pub fn column_names(&self) -> impl Iterator<Item = &str> {
         self.columns.iter().map(|(n, _)| n.as_str())
@@ -126,6 +137,9 @@ mod tests {
         assert_eq!(t.num_columns(), 2);
         assert_eq!(t.column("a").unwrap().get_i64(2), 3);
         assert!(t.column("zzz").is_none());
+        assert_eq!(t.column_index("b"), Some(1));
+        assert_eq!(t.column_at(1).get_i64(0), 4);
+        assert_eq!(t.column_index("zzz"), None);
         assert_eq!(t.column_names().collect::<Vec<_>>(), vec!["a", "b"]);
         assert_eq!(t.size_bytes(), 12 + 3);
     }

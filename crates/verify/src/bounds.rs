@@ -438,25 +438,6 @@ fn key_set_bytes(n: u64) -> u64 {
     grown_cap(cap0, n).saturating_mul(8)
 }
 
-/// `ScalarAcc::scratch_bytes`: tile cmp mask + selection vector + value
-/// buffer, plus one accumulator per aggregate.
-fn scalar_scratch(tile: u64, n_aggs: u64) -> u64 {
-    tile.saturating_mul(1 + 4 + 8)
-        .saturating_add(n_aggs.saturating_mul(8))
-}
-
-/// `GroupAcc::scratch_bytes`: scalar scratch plus the tile key buffer and
-/// per-lane aggregate staging.
-fn group_scratch(tile: u64, n_aggs: u64) -> u64 {
-    tile.saturating_mul(1 + 4 + 8 + 8)
-        .saturating_add(n_aggs.saturating_mul(8).saturating_mul(tile))
-}
-
-/// `GroupJoinAcc::scratch_bytes`: per-lane aggregate staging only.
-fn groupjoin_scratch(tile: u64, n_aggs: u64) -> u64 {
-    n_aggs.saturating_mul(8).saturating_mul(tile)
-}
-
 fn bitmap_bytes(rows: u64) -> u64 {
     rows.div_ceil(64).saturating_mul(8)
 }
@@ -538,7 +519,6 @@ fn analyze_overflow(
 #[must_use]
 pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
     let workers = ctx.workers.max(1) as u64;
-    let tile = program.tile_rows as u64;
     let mut per_op = Vec::with_capacity(program.ops.len());
     // Output cardinality of the most recent core operator, for sizing the
     // Sort post-operator's selection vector.
@@ -554,7 +534,9 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
             rows_scanned: rows,
             out_rows_bound: rows,
             plan_bytes_bound: 0,
-            worker_bytes_bound: 0,
+            // Every morsel stage charges one register file per worker; the
+            // lowering carries its size from the tile program itself.
+            worker_bytes_bound: workers.saturating_mul(op.scratch_bytes as u64),
             ht_bytes_bound: 0,
             arith_sites: 0,
             overflow_safe_sites: 0,
@@ -567,12 +549,10 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
                 if *grouped {
                     let keys = group_keys_bound(ctx, &op.table, group_key_column(op), rows);
                     b.out_rows_bound = keys;
-                    b.worker_bytes_bound = workers.saturating_mul(group_scratch(tile, n_aggs));
                     let cap = grown_cap(agg_table_cap0(64), keys);
                     b.ht_bytes_bound = workers.saturating_mul(agg_table_bytes(cap, n_aggs));
                 } else {
                     b.out_rows_bound = 1;
-                    b.worker_bytes_bound = workers.saturating_mul(scalar_scratch(tile, n_aggs));
                 }
                 last_out = b.out_rows_bound;
             }
@@ -595,14 +575,6 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
             }
             Some(StrategyRef::SemiJoinProbe { .. }) => {
                 b.out_rows_bound = 1;
-                let mut per_worker = scalar_scratch(tile, n_aggs);
-                if op.path.starts_with("/multijoin") {
-                    // The multijoin probe narrows a per-worker edge cursor
-                    // (16 bytes per edge) alongside its scalar scratch.
-                    per_worker =
-                        per_worker.saturating_add((op.imports.len() as u64).saturating_mul(16));
-                }
-                b.worker_bytes_bound = workers.saturating_mul(per_worker);
                 last_out = b.out_rows_bound;
             }
             Some(StrategyRef::GroupJoinBuild) => {
@@ -624,19 +596,17 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
                     None => parent_rows,
                 };
                 b.out_rows_bound = keys;
-                b.worker_bytes_bound = workers.saturating_mul(groupjoin_scratch(tile, n_aggs));
                 let cap = grown_cap(agg_table_cap0((parent_rows / 2).max(16)), keys);
                 b.ht_bytes_bound = workers.saturating_mul(agg_table_bytes(cap, n_aggs));
                 last_out = b.out_rows_bound;
             }
             Some(StrategyRef::Window { .. }) => {
-                // Phase 1: plan-scoped selection vector + per-worker tile
-                // mask. Phase 2: materialized columns for qualifying rows.
+                // Phase 1: plan-scoped selection vector (+ per-worker scan
+                // scratch). Phase 2: materialized columns for qualifying rows.
                 let mat_cols = op.mat_cols.unwrap_or(1 + op.exprs.len()) as u64;
                 b.plan_bytes_bound = rows
                     .saturating_mul(4)
                     .saturating_add(rows.saturating_mul(8).saturating_mul(mat_cols));
-                b.worker_bytes_bound = workers.saturating_mul(tile);
                 last_out = rows;
             }
             Some(StrategyRef::Sort) => {
@@ -714,21 +684,6 @@ pub mod sizing {
     pub fn key_set_bytes(n: u64) -> u64 {
         super::key_set_bytes(n)
     }
-    /// `ScalarAcc::scratch_bytes` equivalent.
-    #[must_use]
-    pub fn scalar_scratch(tile: u64, n_aggs: u64) -> u64 {
-        super::scalar_scratch(tile, n_aggs)
-    }
-    /// `GroupAcc::scratch_bytes` equivalent.
-    #[must_use]
-    pub fn group_scratch(tile: u64, n_aggs: u64) -> u64 {
-        super::group_scratch(tile, n_aggs)
-    }
-    /// `GroupJoinAcc::scratch_bytes` equivalent.
-    #[must_use]
-    pub fn groupjoin_scratch(tile: u64, n_aggs: u64) -> u64 {
-        super::groupjoin_scratch(tile, n_aggs)
-    }
     /// Positional bitmap bytes over a parent domain.
     #[must_use]
     pub fn bitmap_bytes(rows: u64) -> u64 {
@@ -777,6 +732,7 @@ mod tests {
             grouped: true,
         });
         op.n_aggs = Some(1);
+        op.scratch_bytes = 3 * TILE * 8;
         op.locals.push(Artifact {
             kind: ArtifactKind::ValueMask,
             table: "t".into(),
@@ -855,6 +811,11 @@ mod tests {
         let w1 = certify(&p, &BoundsCtx::without_stats(1));
         let w8 = certify(&p, &BoundsCtx::without_stats(8));
         assert!(w8.peak_bytes_bound > w1.peak_bytes_bound);
+        // Scratch is whatever the lowering declared, per worker.
+        assert_eq!(
+            w1.per_op_bounds[0].worker_bytes_bound,
+            p.ops[0].scratch_bytes as u64
+        );
         assert_eq!(
             w8.per_op_bounds[0].worker_bytes_bound,
             8 * w1.per_op_bounds[0].worker_bytes_bound

@@ -317,6 +317,11 @@ pub struct Op {
     /// per-worker scratch and hash-table payloads in the bounds pass).
     /// `None` for non-aggregating operators.
     pub n_aggs: Option<usize>,
+    /// Bytes each worker of the operator's morsel stage charges for its
+    /// tile scratch — the lowered tile program's register file, as the
+    /// engine's `TileProgram::scratch_bytes` reports it. The bounds pass
+    /// has no sizing formula of its own for scratch; it reads this.
+    pub scratch_bytes: usize,
 }
 
 impl Op {
@@ -339,6 +344,7 @@ impl Op {
             allocs: Vec::new(),
             mat_cols: None,
             n_aggs: None,
+            scratch_bytes: 0,
         }
     }
 }

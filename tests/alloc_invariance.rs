@@ -1,0 +1,167 @@
+//! A morsel body allocates nothing: the number of heap allocations one
+//! `Engine::execute` performs must not depend on how many tiles the table
+//! has. Everything a worker needs per tile — masks, widened values, the
+//! selection vector, dictionary match tables — is allocated once per query
+//! (register file in the morsel `init`, match tables at bind time), so a
+//! 400-tile table costs exactly the allocations a 4-tile table does.
+//!
+//! This is the one file in the repository with `unsafe`: counting needs a
+//! `GlobalAlloc`, and implementing that trait is an `unsafe impl`. It only
+//! forwards to [`System`]. The binary holds a single test so that no
+//! neighbouring test allocates while the counter runs, and the counter is
+//! gated per thread for the harness's own threads.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use swole::plan::physical::PhysicalPlan;
+use swole::prelude::*;
+use swole_kernels::TILE;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set on the thread whose allocations are being counted.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+struct CountingAlloc;
+
+fn note() {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down, when the flag is gone and nothing is being measured.
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// `GlobalAlloc` contract is therefore this type's contract; the counter
+// touches no allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+}
+
+/// R(x, y, a, b, g, d) with `tiles` full tiles; every column cycles
+/// with a short period so both sizes hold the same value domains (16 group
+/// keys, 4 dictionary words — no hash-table growth to tell them apart).
+fn database(tiles: usize) -> Database {
+    let n = tiles * TILE;
+    let words = ["PROMO A", "STD", "PROMO B", "ECO"];
+    let mut db = Database::new();
+    db.add_table(
+        Table::new("R")
+            .with_column(
+                "x",
+                ColumnData::I8((0..n).map(|i| (i % 100) as i8).collect()),
+            )
+            .with_column("y", ColumnData::I8(vec![1; n]))
+            .with_column(
+                "a",
+                ColumnData::I32((0..n).map(|i| (i % 50) as i32 + 1).collect()),
+            )
+            .with_column(
+                "b",
+                ColumnData::I32((0..n).map(|i| (i % 47) as i32 + 1).collect()),
+            )
+            .with_column(
+                "g",
+                ColumnData::I16((0..n).map(|i| (i % 16) as i16).collect()),
+            )
+            .with_column(
+                "d",
+                ColumnData::Dict(swole_storage::DictColumn::encode(
+                    &(0..n).map(|i| words[i % 4]).collect::<Vec<_>>(),
+                )),
+            ),
+    );
+    db
+}
+
+const QUERIES: [(&str, &str); 4] = [
+    (
+        "fused scalar sum",
+        "select sum(a * b) as s, count(*) as n from R where x < 50 and y = 1",
+    ),
+    (
+        "generic scalar path (CASE, nested arithmetic)",
+        "select sum(case when x < 30 then a * b + 1 else a - b end) as s, min(a) as lo \
+         from R where x < 90",
+    ),
+    (
+        "dictionary predicates",
+        "select sum(a) as s from R where d like 'PROMO%' or d in ('STD', 'nothing')",
+    ),
+    (
+        "group-by",
+        "select g, sum(a * b) as s, count(*) as n from R where x < 50 group by g",
+    ),
+];
+
+fn count(engine: &Engine, physical: &PhysicalPlan) -> usize {
+    // One untimed run first: lazily initialized process state (thread-local
+    // buffers, the first use of a lock) is not per-query cost.
+    engine.execute(physical).expect("warm-up run");
+    let (n, res) = allocations_during(|| engine.execute(physical));
+    res.expect("counted run");
+    n
+}
+
+#[test]
+fn execute_allocations_do_not_scale_with_table_size() {
+    for strategy in [AggStrategy::ValueMasking, AggStrategy::Hybrid] {
+        let build = |tiles| {
+            Engine::builder(database(tiles))
+                .threads(1)
+                .strategies(StrategyOverrides::pin_agg(strategy))
+                .build()
+        };
+        let (small, large) = (build(4), build(400));
+        for (name, sql) in QUERIES {
+            if name.starts_with("generic") && strategy == AggStrategy::ValueMasking {
+                continue; // min/max require hybrid
+            }
+            let plan = swole::plan::parse_sql(sql).expect("parses").plan;
+            let on = |e: &Engine| count(e, &e.plan(&plan).expect("plans"));
+            let (few, many) = (on(&small), on(&large));
+            assert!(few > 0, "{name}: the counter is live");
+            assert_eq!(
+                few, many,
+                "{name} under {strategy:?}: 4 tiles took {few} allocations, 400 tiles {many}"
+            );
+        }
+    }
+}

@@ -235,8 +235,10 @@ fn admission_rejects_typed_and_drains() {
     // One execution slot, no wait queue: whenever two queries genuinely
     // overlap, the loser gets a typed QueueFull rejection. Repeat the
     // paired race until an overlap happens (single round on any normal
-    // machine; bounded retries keep it deterministic on loaded CI).
-    let engine = Engine::builder(make_db(11, 60_000, 256))
+    // machine; bounded retries keep it deterministic on loaded CI). The
+    // table is large enough that one query outlasts the skew between two
+    // threads leaving a barrier even at the optimized scan rate.
+    let engine = Engine::builder(make_db(11, 1 << 20, 256))
         .threads(1)
         .tile_rows(2048)
         .admission(AdmissionConfig::new(1).queue_depth(0))

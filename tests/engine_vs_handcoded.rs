@@ -132,3 +132,133 @@ fn engine_explain_names_pullup_techniques() {
     let text = engine.explain(&plan).expect("plans").to_string();
     assert!(text.contains("masking"), "{text}");
 }
+
+/// The third differential leg: besides the interpreter oracle and the
+/// cross-strategy/cross-thread checks, every engine strategy must reproduce
+/// the hand-coded SWOLE entry point of the same query — the pipelines the
+/// paper's figures measure — at every thread count. Small tiles-per-morsel
+/// so even these inputs split across workers.
+#[test]
+fn engine_matches_handcoded_swole_for_every_pinned_strategy_and_thread_count() {
+    use swole_kernels::agg::{Div, Mul};
+    use swole_micro::q3::Q3Col;
+
+    let db = micro();
+    let cost = CostParams::default();
+    let tpch = swole_tpch::generate(0.004, 7);
+    let sum = |a: &str, op: fn(Expr, Expr) -> Expr, b: &str| {
+        vec![AggSpec::sum(op(Expr::col(a), Expr::col(b)), "s")]
+    };
+    let div = |a: Expr, b: Expr| Expr::Div(Box::new(a), Box::new(b));
+    let scalar = |sel: i8, aggs: Vec<AggSpec>| {
+        QueryBuilder::scan("R")
+            .filter(q_filter(sel))
+            .aggregate(None, aggs)
+    };
+    let s_side = |sel: i8| {
+        QueryBuilder::scan("S").filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(sel as i64)))
+    };
+    let pairs =
+        |res: &QueryResult| -> Vec<(i64, i64)> { res.rows.iter().map(|r| (r[0], r[1])).collect() };
+    let agg_pins = [
+        AggStrategy::ValueMasking,
+        AggStrategy::Hybrid,
+        AggStrategy::KeyMasking,
+    ];
+    for threads in [1usize, 2, 8] {
+        let engine_with = |pins: StrategyOverrides| {
+            Engine::builder(as_database(&db))
+                .threads(threads)
+                .tile_rows(2 * swole_kernels::TILE)
+                .strategies(pins)
+                .build()
+        };
+        for pin in agg_pins {
+            let e = engine_with(StrategyOverrides::pin_agg(pin));
+            let at = format!("{pin:?} x{threads}");
+            for sel in [1i8, 50, 99] {
+                let q1 = |aggs| e.query(&scalar(sel, aggs)).expect("q1").rows[0][0];
+                assert_eq!(
+                    q1(sum("a", Expr::mul, "b")),
+                    swole_micro::q1::swole::<Mul>(&db.r, sel, &cost).0,
+                    "q1 mul sel={sel} {at}"
+                );
+                assert_eq!(
+                    q1(sum("a", div, "b")),
+                    swole_micro::q1::swole::<Div>(&db.r, sel, &cost).0,
+                    "q1 div sel={sel} {at}"
+                );
+                for (other, col) in [("a", Q3Col::A), ("x", Q3Col::X)] {
+                    assert_eq!(
+                        q1(sum("x", Expr::mul, other)),
+                        swole_micro::q3::swole(&db.r, col, sel, &cost),
+                        "q3 {col:?} sel={sel} {at}"
+                    );
+                }
+                let q2 = QueryBuilder::scan("R")
+                    .filter(q_filter(sel))
+                    .aggregate(Some("c"), sum("a", Expr::mul, "b"));
+                assert_eq!(
+                    pairs(&e.query(&q2).expect("q2")),
+                    collect_groups(&swole_micro::q2::swole(&db.r, sel, 64, &cost).0),
+                    "q2 sel={sel} {at}"
+                );
+            }
+            // TPC-H Q6 through the same pins.
+            let e = Engine::builder(swole_tpch::catalog::to_database(&tpch))
+                .threads(threads)
+                .tile_rows(2 * swole_kernels::TILE)
+                .strategies(StrategyOverrides::pin_agg(pin))
+                .build();
+            let q6 = swole::plan::parse_sql(&format!(
+                "select sum(l_extendedprice * l_discount) as revenue from lineitem \
+                 where l_shipdate >= {} and l_shipdate < {} \
+                 and l_discount between 5 and 7 and l_quantity < 24",
+                swole_tpch::q6_date_lo().days(),
+                swole_tpch::q6_date_hi().days()
+            ))
+            .expect("q6 parses")
+            .plan;
+            assert_eq!(
+                e.query(&q6).expect("q6").rows[0][0],
+                swole_tpch::queries::q6::swole(&tpch),
+                "tpch q6 {at}"
+            );
+        }
+        for pin in [
+            SemiJoinStrategy::Hash,
+            SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional),
+            SemiJoinStrategy::PositionalBitmap(BitmapBuild::SelectionVector),
+        ] {
+            let e = engine_with(StrategyOverrides::pin_semijoin(pin));
+            // Probe selectivities on both sides of the masked-probe threshold.
+            for (sel1, sel2) in [(5i8, 90i8), (90, 10), (50, 50)] {
+                let q4 = QueryBuilder::scan("R")
+                    .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(sel1 as i64)))
+                    .semijoin(s_side(sel2), "fk")
+                    .aggregate(None, sum("a", Expr::mul, "b"));
+                assert_eq!(
+                    e.query(&q4).expect("q4").rows[0][0],
+                    swole_micro::q4::swole(&db, sel1, sel2, &cost).0,
+                    "q4 ({sel1},{sel2}) {pin:?} x{threads}"
+                );
+            }
+        }
+        for pin in [
+            GroupJoinStrategy::GroupJoin,
+            GroupJoinStrategy::EagerAggregation,
+        ] {
+            let e = engine_with(StrategyOverrides::pin_groupjoin(pin));
+            for sel in [10i8, 50, 90] {
+                let q5 = QueryBuilder::scan("R")
+                    .semijoin(s_side(sel), "fk")
+                    .aggregate(Some("fk"), sum("a", Expr::mul, "b"));
+                assert_eq!(
+                    pairs(&e.query(&q5).expect("q5")),
+                    collect_groups(&swole_micro::q5::swole(&db.r, &db.s, sel, &cost).0),
+                    "q5 sel={sel} {pin:?} x{threads}"
+                );
+            }
+        }
+    }
+}

@@ -156,6 +156,9 @@ fn random_plan(rng: &mut SmallRng) -> LogicalPlan {
 /// verification pass — at every thread count the corpus script also uses.
 #[test]
 fn randomized_planner_output_passes_full_verification() {
+    // Verifying a plan consumes an armed `inject_uncharged_alloc` fault,
+    // so this must not interleave with the tests that arm one.
+    let _guard = serial();
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0x5EED_0000 + seed);
         let _schema_draw = random_db(&mut rng); // advance the stream
@@ -178,6 +181,9 @@ fn randomized_planner_output_passes_full_verification() {
 /// all of them must verify on all shapes they apply to.
 #[test]
 fn every_pinned_strategy_verifies() {
+    // Verifying a plan consumes an armed `inject_uncharged_alloc` fault,
+    // so this must not interleave with the tests that arm one.
+    let _guard = serial();
     let mk_db = || {
         let mut rng = SmallRng::seed_from_u64(77);
         random_db(&mut rng)
@@ -246,6 +252,9 @@ fn every_pinned_strategy_verifies() {
 /// [`Engine::explain_verify`] and renders one line per pass.
 #[test]
 fn explain_verify_renders_pass_lines() {
+    // Verifying a plan consumes an armed `inject_uncharged_alloc` fault,
+    // so this must not interleave with the tests that arm one.
+    let _guard = serial();
     let mut rng = SmallRng::seed_from_u64(11);
     let db = random_db(&mut rng);
     let engine = Engine::builder(db).threads(2).build();
