@@ -21,9 +21,15 @@ impl PositionalBitmap {
     /// All-zero bitmap covering positions `0..len`.
     pub fn new(len: usize) -> PositionalBitmap {
         PositionalBitmap {
-            words: vec![0; len.div_ceil(64)],
+            words: vec![0; PositionalBitmap::bytes_for(len) / 8],
             len,
         }
+    }
+
+    /// [`PositionalBitmap::size_bytes`] of a bitmap over `len` positions:
+    /// whole 64-bit words.
+    pub fn bytes_for(len: usize) -> usize {
+        len.div_ceil(64) * 8
     }
 
     /// Number of positions covered.

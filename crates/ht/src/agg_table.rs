@@ -127,17 +127,13 @@ impl AggTable {
     /// before the first grow, each carrying `n_aggs` aggregate values.
     pub fn with_capacity(n_aggs: usize, expected_keys: usize) -> AggTable {
         assert!(n_aggs > 0, "need at least one aggregate slot");
-        // Size for a max load factor of 50% so probe sequences stay short
-        // even with uniform (worst-case, per the paper) keys.
-        let cap_log2 = (expected_keys.max(4) * 2)
-            .next_power_of_two()
-            .trailing_zeros();
+        let cap = AggTable::initial_capacity(expected_keys);
         let mut t = AggTable {
-            keys: vec![EMPTY; 1 << cap_log2],
-            states: vec![0; ((1 << cap_log2) + 1) * n_aggs],
-            valid: vec![0; 1 << cap_log2],
+            keys: vec![EMPTY; cap],
+            states: vec![0; (cap + 1) * n_aggs],
+            valid: vec![0; cap],
             n_aggs,
-            cap_log2,
+            cap_log2: cap.trailing_zeros(),
             len: 0,
             tombstones: 0,
             policy: DeletePolicy::default(),
@@ -146,6 +142,47 @@ impl AggTable {
         };
         t.counters.bytes_allocated = t.size_bytes() as u64;
         t
+    }
+
+    /// Slots a table (or a [`crate::KeySet`]) expecting `expected_keys`
+    /// starts with: a power of two sized for a max load factor of 50% so
+    /// probe sequences stay short even with uniform (worst-case, per the
+    /// paper) keys. Saturating, like the two formulas below, so the
+    /// verifier's bounds pass can evaluate them at any row count.
+    pub fn initial_capacity(expected_keys: usize) -> usize {
+        expected_keys
+            .max(4)
+            .saturating_mul(2)
+            .checked_next_power_of_two()
+            .unwrap_or(usize::MAX)
+    }
+
+    /// Upper bound on the slots of a table that started at `cap0` once
+    /// `keys` distinct keys are in it: it doubles whenever
+    /// `(len + 1) * 2 > cap`, so the occupants (plus the throwaway entry)
+    /// force the first power of two at or above `2 * keys + 2`, and it never
+    /// shrinks below `cap0`.
+    pub fn grown_capacity(cap0: usize, keys: usize) -> usize {
+        cap0.max(
+            keys.saturating_mul(2)
+                .saturating_add(2)
+                .checked_next_power_of_two()
+                .unwrap_or(usize::MAX),
+        )
+    }
+
+    /// [`AggTable::size_bytes`] of a table with `capacity` slots and
+    /// `n_aggs` aggregate values per key.
+    pub fn bytes_for(capacity: usize, n_aggs: usize) -> usize {
+        capacity
+            .saturating_mul(8)
+            .saturating_add(
+                capacity
+                    .saturating_add(1)
+                    .saturating_mul(n_aggs)
+                    .saturating_mul(8),
+            )
+            .saturating_add(capacity)
     }
 
     /// Select the deletion strategy (defaults to backward shift).
@@ -178,7 +215,7 @@ impl AggTable {
     /// Approximate payload size in bytes — what the cost model compares
     /// against cache sizes to price `ht_lookup`.
     pub fn size_bytes(&self) -> usize {
-        self.keys.len() * 8 + self.states.len() * 8 + self.valid.len()
+        AggTable::bytes_for(self.capacity(), self.n_aggs)
     }
 
     /// Find or insert `key`, returning its state offset into
@@ -535,6 +572,31 @@ mod tests {
         // Without any masked tuples, the throwaway state reads as zeros.
         let empty = AggTable::with_capacity(2, 4);
         assert_eq!(empty.null_state(), &[0, 0]);
+    }
+
+    #[test]
+    fn growth_stays_under_grown_capacity_bound() {
+        // The bound must dominate the *final* table size after any number
+        // of doubling grows, including the throwaway NULL entry.
+        for n_aggs in [1usize, 3] {
+            for expected in [4usize, 64] {
+                for keys in [1usize, 10, 100, 500, 3000] {
+                    let mut t = AggTable::with_capacity(n_aggs, expected);
+                    for k in 0..keys {
+                        let off = t.entry(k as i64);
+                        t.add(off, 0, 1);
+                    }
+                    let cap0 = AggTable::initial_capacity(expected);
+                    let bound = AggTable::bytes_for(AggTable::grown_capacity(cap0, keys), n_aggs);
+                    assert!(
+                        t.size_bytes() <= bound,
+                        "grown table {} B exceeds bound {bound} B \
+                         (expected={expected}, keys={keys}, n_aggs={n_aggs})",
+                        t.size_bytes()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 // capacity (dev/test profiles carry overflow checks).
 #![allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 
+use crate::agg_table::AggTable;
 use crate::hash::{hash_i64, slot_for};
 
 /// An open-addressing set of `i64` keys.
@@ -27,14 +28,29 @@ const EMPTY: i64 = i64::MIN;
 impl KeySet {
     /// Create a set expecting roughly `expected_keys` inserts.
     pub fn with_capacity(expected_keys: usize) -> KeySet {
-        let cap_log2 = (expected_keys.max(4) * 2)
-            .next_power_of_two()
-            .trailing_zeros();
+        let cap = AggTable::initial_capacity(expected_keys);
         KeySet {
-            keys: vec![EMPTY; 1 << cap_log2],
-            cap_log2,
+            keys: vec![EMPTY; cap],
+            cap_log2: cap.trailing_zeros(),
             len: 0,
         }
+    }
+
+    /// The set a semijoin build over `build_rows` positions starts from:
+    /// sized as if half of them qualify.
+    pub fn for_build(build_rows: usize) -> KeySet {
+        KeySet::with_capacity(KeySet::build_expected_keys(build_rows))
+    }
+
+    fn build_expected_keys(build_rows: usize) -> usize {
+        (build_rows / 2).saturating_add(4)
+    }
+
+    /// Upper bound on [`KeySet::size_bytes`] of a [`KeySet::for_build`] set
+    /// once up to every one of the `build_rows` positions is in it.
+    pub fn build_bytes_bound(build_rows: usize) -> usize {
+        let cap0 = AggTable::initial_capacity(KeySet::build_expected_keys(build_rows));
+        AggTable::grown_capacity(cap0, build_rows).saturating_mul(8)
     }
 
     /// Insert `key`; returns `true` if it was newly added.
@@ -132,6 +148,22 @@ mod tests {
         for k in 0..n {
             assert!(s.contains(k * 3));
             assert!(!s.contains(k * 3 + 1));
+        }
+    }
+
+    #[test]
+    fn build_growth_stays_under_bound() {
+        for n in [0usize, 5, 100, 1000, 5000] {
+            let mut ks = KeySet::for_build(n);
+            for k in 0..n {
+                ks.insert(k as i64);
+            }
+            let bound = KeySet::build_bytes_bound(n);
+            assert!(
+                ks.size_bytes() <= bound,
+                "key set {} B exceeds bound {bound} B at n={n}",
+                ks.size_bytes()
+            );
         }
     }
 

@@ -12,7 +12,6 @@
 //!     entries and actual 0 values",
 //!   * **deletion** (backward-shift or tombstone) so eager aggregation
 //!     (§ III-E) can remove non-qualifying aggregates after the fact;
-//! * [`JoinTable`] — an equijoin multimap from `i64` keys to row ids;
 //! * [`KeySet`] — a membership set used by the hash-based semijoin
 //!   baselines that positional bitmaps replace.
 //!
@@ -29,10 +28,8 @@
 
 mod agg_table;
 mod hash;
-mod join_table;
 mod key_set;
 
 pub use agg_table::{AggTable, DeletePolicy, HtCounters, MergeOp, NULL_KEY};
 pub use hash::hash_i64;
-pub use join_table::JoinTable;
 pub use key_set::KeySet;

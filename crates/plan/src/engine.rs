@@ -1562,7 +1562,6 @@ impl EngineInner {
         let est_selectivity = hint.or_else(|| self.planned_selectivity(db, shape));
         let tables: Vec<&str> = match shape {
             Shape::ScanAgg { table, .. } => vec![table],
-            Shape::SemiJoinAgg { probe, build, .. } => vec![probe, build],
             Shape::GroupJoinAgg { probe, build, .. } => vec![probe, build],
             Shape::WindowScan { table, .. } => vec![table],
             Shape::MultiJoinAgg { fact, edges, .. } => {
@@ -1939,19 +1938,14 @@ impl EngineInner {
     fn planned_selectivity(&self, db: &Database, shape: &Shape) -> Option<f64> {
         let (table, filter) = match shape {
             Shape::ScanAgg { table, filter, .. } => (table, filter.as_ref()?),
-            Shape::SemiJoinAgg {
-                build,
-                build_filter,
-                ..
-            } => (build, build_filter.as_ref()?),
             Shape::GroupJoinAgg {
                 build,
                 build_filter,
                 ..
             } => (build, build_filter.as_ref()?),
             Shape::WindowScan { table, filter, .. } => (table, filter.as_ref()?),
-            // The first operator of a multi-way join is the first edge's
-            // build: its planned selectivity is the edge estimate.
+            // The first operator of a join is the first edge's build: its
+            // planned selectivity is the edge estimate.
             Shape::MultiJoinAgg { edges, .. } => {
                 return edges.first().map(|e| e.est_selectivity);
             }
@@ -1964,9 +1958,9 @@ impl EngineInner {
     /// the same model the planner consulted, fed the counter-derived
     /// selectivity and the merged hash table's actual key count instead of
     /// estimates. Returns `(predicted, observed)` cycles when the shape
-    /// has a modelled strategy decision (scan-aggregations and groupjoins;
-    /// the semijoin chooser keys on build cardinality, which the planner
-    /// knows exactly, so there is nothing to validate).
+    /// has a modelled strategy decision (scan-aggregations, groupjoins and
+    /// the join order; the semijoin chooser keys on build cardinality, which
+    /// the planner knows exactly, so there is nothing to validate).
     fn cost_comparison(
         &self,
         db: &Database,
@@ -2111,7 +2105,7 @@ impl EngineInner {
                 let observed_cost = join_order_cost(&self.params, &profile, &order);
                 (Some(predicted), Some(observed_cost))
             }
-            Shape::SemiJoinAgg { .. } | Shape::WindowScan { .. } => (None, None),
+            Shape::WindowScan { .. } => (None, None),
         }
     }
 
@@ -2134,7 +2128,9 @@ impl EngineInner {
                     SemiJoinStrategy::Hash => {
                         (((parent_rows as f64 * e.est_selectivity).ceil() as usize).max(1)) * 16
                     }
-                    SemiJoinStrategy::PositionalBitmap(_) => parent_rows.div_ceil(64) * 8,
+                    SemiJoinStrategy::PositionalBitmap(_) => {
+                        PositionalBitmap::bytes_for(parent_rows)
+                    }
                 };
                 JoinEdgeProfile {
                     parent: e.parent.clone(),
@@ -2164,7 +2160,7 @@ impl EngineInner {
                     .map(|t| stats::estimate_distinct(t, g))
                     .unwrap_or(1),
             },
-            Shape::SemiJoinAgg { .. } | Shape::MultiJoinAgg { .. } => 1,
+            Shape::MultiJoinAgg { .. } => 1,
             Shape::GroupJoinAgg { build, .. } => db.table(build).ok().map(|t| t.len()).unwrap_or(1),
             Shape::WindowScan { table, filter, .. } => {
                 let Ok(t) = db.table(table) else { return 1 };
@@ -2300,23 +2296,17 @@ impl EngineInner {
                 build,
                 fk_col,
             } => {
-                let (probe_core, mut probe_filter) = split_filters(probe);
-                // More than one join edge anywhere in the tree routes to the
-                // multi-way planner; the plain two-table shapes below stay in
-                // charge of single-edge queries.
+                // Scalar aggregation over any number of join edges is one
+                // shape; only the single-edge group-by-FK query is a
+                // groupjoin.
+                let Some(g) = group_by.as_deref() else {
+                    return self.plan_multijoin_agg(db, core, filter, aggs, hints);
+                };
+                let (probe_core, probe_filter) = split_filters(probe);
                 if matches!(probe_core, LogicalPlan::SemiJoin { .. }) || join_depth(build) > 0 {
-                    if let Some(g) = group_by.as_deref() {
-                        return Err(PlanError::Unsupported(format!(
-                            "group by {g} over a multi-way join"
-                        )));
-                    }
-                    return self.plan_multijoin_agg(db, core, filter, aggs);
-                }
-                if let Some(extra) = filter {
-                    probe_filter = Some(match probe_filter {
-                        Some(f) => f.and(extra),
-                        None => extra,
-                    });
+                    return Err(PlanError::Unsupported(format!(
+                        "group by {g} over a multi-way join"
+                    )));
                 }
                 let LogicalPlan::Scan { table: probe_table } = probe_core else {
                     return Err(PlanError::Unsupported(
@@ -2329,37 +2319,25 @@ impl EngineInner {
                         "semijoin build side must be scan(+filter)".into(),
                     ));
                 };
-                match group_by.as_deref() {
-                    None => self.plan_semijoin_agg(
-                        db,
-                        probe_table,
-                        probe_filter,
-                        build_table,
-                        build_filter,
-                        fk_col,
-                        aggs,
-                        hints,
-                    ),
-                    Some(g) if g == fk_col => {
-                        if probe_filter.is_some() {
-                            return Err(PlanError::Unsupported(
-                                "groupjoin with a probe-side filter".into(),
-                            ));
-                        }
-                        self.plan_groupjoin_agg(
-                            db,
-                            probe_table,
-                            build_table,
-                            build_filter,
-                            fk_col,
-                            aggs,
-                            hints,
-                        )
-                    }
-                    Some(other) => Err(PlanError::Unsupported(format!(
-                        "group by {other} over a semijoin (only the FK column is supported)"
-                    ))),
+                if g != fk_col {
+                    return Err(PlanError::Unsupported(format!(
+                        "group by {g} over a semijoin (only the FK column is supported)"
+                    )));
                 }
+                if filter.is_some() || probe_filter.is_some() {
+                    return Err(PlanError::Unsupported(
+                        "groupjoin with a probe-side filter".into(),
+                    ));
+                }
+                self.plan_groupjoin_agg(
+                    db,
+                    probe_table,
+                    build_table,
+                    build_filter,
+                    fk_col,
+                    aggs,
+                    hints,
+                )
             }
             other => Err(PlanError::Unsupported(format!(
                 "aggregation over {other:?}"
@@ -2677,121 +2655,20 @@ impl EngineInner {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn plan_semijoin_agg(
-        &self,
-        db: &Database,
-        probe: &str,
-        probe_filter: Option<Expr>,
-        build: &str,
-        build_filter: Option<Expr>,
-        fk_col: &str,
-        aggs: &[AggSpec],
-        hints: PlanHints,
-    ) -> Result<PhysicalPlan, PlanError> {
-        let probe_t = db.table(probe)?;
-        let build_t = db.table(build)?;
-        if let Some(f) = &probe_filter {
-            f.validate(probe_t)?;
-        }
-        if let Some(f) = &build_filter {
-            f.validate(build_t)?;
-        }
-        for a in aggs {
-            a.expr.validate(probe_t)?;
-            if matches!(a.func, AggFunc::Min | AggFunc::Max) {
-                return Err(PlanError::Unsupported(
-                    "min/max over a semijoin (use sum/count)".into(),
-                ));
-            }
-        }
-        self.fk_positions(db, probe, fk_col, build)?; // validate FK column early
-        let mut hint_decision = None;
-        let build_sel = match (hints.selectivity, &build_filter) {
-            (Some(observed), Some(_)) => {
-                hint_decision = Some(format!(
-                    "σ_build overridden to {observed:.4} (observed after drift)"
-                ));
-                observed
-            }
-            (_, Some(f)) => stats::estimate_selectivity(build_t, f),
-            (_, None) => 1.0,
-        };
-        let has_fk_index = db.fk_index(probe, fk_col, build).is_some();
-        let choice = choose_semijoin(
-            &self.params,
-            &SemiJoinProfile {
-                build_rows: build_t.len(),
-                build_selectivity: build_sel,
-                has_fk_index,
-            },
-        );
-        let probe_sel = match &probe_filter {
-            Some(f) => stats::estimate_selectivity(probe_t, f),
-            None => 1.0,
-        };
-        // Same VM-model threshold as the chooser's build decision: masked
-        // probing wins unless the probe predicate is very selective.
-        let probe_masked = probe_sel >= 0.125;
-        let mut decisions = vec![format!("σ_build={build_sel:.2} → {}", choice.explanation)];
-        if let Some(d) = hint_decision {
-            decisions.push(d);
-        }
-        decisions.extend([format!(
-            "σ_probe={probe_sel:.2} → {} probe",
-            if probe_masked {
-                "masked"
-            } else {
-                "selection-vector"
-            }
-        )]);
-        let strategy = match self.strategies.semijoin {
-            Some(pin) => {
-                decisions.push("semijoin strategy pinned by the session".to_string());
-                pin
-            }
-            None => choice.strategy,
-        };
-        let probe_program = Arc::new(TileProgram::lower_agg(
-            probe_t,
-            probe_filter.as_ref(),
-            None,
-            aggs,
-            true,
-        )?);
-        let build_program = Arc::new(TileProgram::lower(build_t, build_filter.as_ref(), &[])?);
-        Ok(PhysicalPlan {
-            shape: Shape::SemiJoinAgg {
-                probe: probe.to_string(),
-                probe_filter,
-                build: build.to_string(),
-                build_filter,
-                fk_col: fk_col.to_string(),
-                aggs: aggs.to_vec(),
-                strategy,
-                probe_masked,
-                probe_program,
-                build_program,
-            },
-            post: Vec::new(),
-            decisions,
-            cost_terms: Vec::new(),
-            shortcut: None,
-        })
-    }
-
-    /// Plan a multi-way FK join aggregation: decompose the nested semijoin
-    /// tree into a join graph (fact plus direct and chain edges), estimate
-    /// per-edge selectivities from statistics and sampling, choose the
-    /// probe order (exact subset DP up to [`swole_cost::JOIN_DP_LIMIT`]
-    /// direct edges, greedy rank beyond, session pin override), and pick
-    /// each edge's membership structure with the semijoin cost model.
+    /// Plan an FK join aggregation over one or more edges: decompose the
+    /// nested semijoin tree into a join graph (fact plus direct and chain
+    /// edges), estimate per-edge selectivities from statistics and
+    /// sampling, choose the probe order (exact subset DP up to
+    /// [`swole_cost::JOIN_DP_LIMIT`] direct edges, greedy rank beyond,
+    /// session pin override), pick each edge's membership structure with
+    /// the semijoin cost model, and decide whether the probe is masked.
     fn plan_multijoin_agg(
         &self,
         db: &Database,
         core: &LogicalPlan,
         outer_filter: Option<Expr>,
         aggs: &[AggSpec],
+        hints: PlanHints,
     ) -> Result<PhysicalPlan, PlanError> {
         let (fact, mut fact_filter, raw_edges) = extract_join_tree(core)?;
         if let Some(extra) = outer_filter {
@@ -2808,9 +2685,13 @@ impl EngineInner {
             a.expr.validate(fact_t)?;
         }
         let mut decisions = Vec::new();
+        // The plan cache's drift feedback is the observed selectivity of the
+        // first build; only a one-edge join says which edge that was.
+        let single_edge = matches!(&raw_edges[..], [e] if e.children.is_empty());
+        let drift = hints.selectivity.filter(|_| single_edge);
         let mut edges = Vec::with_capacity(raw_edges.len());
         for e in raw_edges {
-            edges.push(self.lower_join_edge(db, &fact, e, &mut decisions)?);
+            edges.push(self.lower_join_edge(db, &fact, e, drift, &mut decisions)?);
         }
         let fact_sel = match &fact_filter {
             Some(f) => stats::estimate_selectivity(fact_t, f),
@@ -2868,6 +2749,26 @@ impl EngineInner {
             ("join.order.worst".to_string(), choice.worst_cost),
         ];
         let edges: Vec<JoinEdge> = order_idx.into_iter().map(|i| edges[i].clone()).collect();
+        // A masked probe ANDs the bitmap bit into the filter mask and
+        // aggregates every lane, which value masking has no min/max sink
+        // for. Same VM-model threshold as the chooser's build decision: it
+        // wins unless the fact predicate is very selective.
+        let maskable = single_edge
+            && matches!(edges[0].strategy, SemiJoinStrategy::PositionalBitmap(_))
+            && !aggs
+                .iter()
+                .any(|a| matches!(a.func, AggFunc::Min | AggFunc::Max));
+        let probe_masked = maskable && fact_sel >= 0.125;
+        if maskable {
+            decisions.push(format!(
+                "σ_fact={fact_sel:.2} → {} probe",
+                if probe_masked {
+                    "masked"
+                } else {
+                    "selection-vector"
+                }
+            ));
+        }
         let fact_program = Arc::new(TileProgram::lower_agg(
             fact_t,
             fact_filter.as_ref(),
@@ -2882,6 +2783,7 @@ impl EngineInner {
                 edges,
                 aggs: aggs.to_vec(),
                 order_method: method,
+                probe_masked,
                 fact_program,
             },
             post: Vec::new(),
@@ -2893,13 +2795,15 @@ impl EngineInner {
 
     /// Lower one raw join edge: validate the FK path and the parent
     /// filter, estimate the fraction of probe rows surviving the edge (own
-    /// filter × nested children, with adaptive observed-selectivity
-    /// feedback when available), and choose the membership structure.
+    /// filter × nested children; `drift`, the selectivity the plan cache
+    /// observed for this edge's build, overrides the estimate, then adaptive
+    /// statistics when available), and choose the membership structure.
     fn lower_join_edge(
         &self,
         db: &Database,
         child: &str,
         e: RawEdge,
+        drift: Option<f64>,
         decisions: &mut Vec<String>,
     ) -> Result<JoinEdge, PlanError> {
         let parent_t = db.table(&e.parent)?;
@@ -2909,23 +2813,30 @@ impl EngineInner {
         self.fk_positions(db, child, &e.fk_col, &e.parent)?;
         let mut children = Vec::with_capacity(e.children.len());
         for c in e.children {
-            children.push(self.lower_join_edge(db, &e.parent, c, decisions)?);
+            children.push(self.lower_join_edge(db, &e.parent, c, None, decisions)?);
         }
         let own = match &e.parent_filter {
             Some(f) => {
                 let sampled = stats::estimate_selectivity(parent_t, f);
-                match self
-                    .stats_for(db, &e.parent)
-                    .and_then(|s| s.observed_selectivity)
-                {
-                    Some(obs) if self.stats_mode == stats::StatsMode::Adaptive => {
+                let adaptive = (self.stats_mode == stats::StatsMode::Adaptive)
+                    .then(|| self.stats_for(db, &e.parent)?.observed_selectivity)
+                    .flatten();
+                match (drift, adaptive) {
+                    (Some(observed), _) => {
+                        decisions.push(format!(
+                            "σ({}) overridden to {observed:.4} (observed after drift)",
+                            e.parent
+                        ));
+                        observed
+                    }
+                    (None, Some(obs)) => {
                         decisions.push(format!(
                             "σ({}) = {obs:.4} from adaptive statistics (sampled {sampled:.4})",
                             e.parent
                         ));
                         obs
                     }
-                    _ => sampled,
+                    (None, None) => sampled,
                 }
             }
             None => 1.0,
@@ -2952,6 +2863,7 @@ impl EngineInner {
             decisions.push(format!("build side {} pinned by the session", e.parent));
             *pin
         } else if let Some(pin) = self.strategies.semijoin {
+            decisions.push("semijoin strategy pinned by the session".to_string());
             pin
         } else {
             choice.strategy
@@ -3107,17 +3019,19 @@ impl EngineInner {
             return Ok(FkSource::Index(idx));
         }
         let t = db.table_arc(child)?;
-        let col = t.column(fk_col).ok_or_else(|| PlanError::UnknownColumn {
-            table: child.to_string(),
-            column: fk_col.to_string(),
-        })?;
-        if col.as_u32().is_none() {
+        let col = t
+            .column_index(fk_col)
+            .ok_or_else(|| PlanError::UnknownColumn {
+                table: child.to_string(),
+                column: fk_col.to_string(),
+            })?;
+        if t.column_at(col).as_u32().is_none() {
             return Err(PlanError::MissingFkIndex {
                 child: child.to_string(),
                 fk_column: fk_col.to_string(),
             });
         }
-        Ok(FkSource::Column(t, fk_col.to_string()))
+        Ok(FkSource::Column(t, col))
     }
 
     /// Pin every table and FK column of a join forest as `Arc` snapshots
@@ -3202,12 +3116,15 @@ impl EngineInner {
             } => {
                 let t = db.table_arc(table)?;
                 match group_by {
-                    None => exec_scalar_agg(
+                    // Scalar aggregation has no key to mask; hybrid covers
+                    // key masking too.
+                    None => exec_scalar_pipeline(
                         &format!("agg({table})"),
                         &t,
                         program,
+                        &[],
                         aggs,
-                        *strategy,
+                        *strategy == AggStrategy::ValueMasking,
                         opts,
                         ctx,
                     ),
@@ -3223,47 +3140,26 @@ impl EngineInner {
                     ),
                 }
             }
-            Shape::SemiJoinAgg {
-                probe,
-                build,
-                fk_col,
-                aggs,
-                strategy,
-                probe_masked,
-                probe_program,
-                build_program,
-                ..
-            } => {
-                let probe_t = db.table_arc(probe)?;
-                let build_t = db.table_arc(build)?;
-                let fk = self.fk_source(db, probe, fk_col, build)?;
-                exec_semijoin_agg(
-                    SemiJoinNames {
-                        build: &format!("semijoin-build({build})"),
-                        probe: &format!("probe-agg({probe})"),
-                    },
-                    &probe_t,
-                    probe_program,
-                    &build_t,
-                    build_program,
-                    &fk,
-                    aggs,
-                    *strategy,
-                    *probe_masked,
-                    opts,
-                    ctx,
-                )
-            }
             Shape::MultiJoinAgg {
                 fact,
                 edges,
                 aggs,
+                probe_masked,
                 fact_program,
                 ..
             } => {
                 let fact_t = db.table_arc(fact)?;
                 let bound = self.bind_join_edges(db, fact, edges)?;
-                exec_multijoin_agg(fact, &fact_t, fact_program, &bound, aggs, opts, ctx)
+                exec_scalar_pipeline(
+                    &format!("multijoin-agg({fact})"),
+                    &fact_t,
+                    fact_program,
+                    &bound,
+                    aggs,
+                    *probe_masked,
+                    opts,
+                    ctx,
+                )
             }
             Shape::GroupJoinAgg {
                 probe,
@@ -3390,7 +3286,7 @@ fn apply_post_ops(
     Ok(())
 }
 
-/// Operator display names for the two-phase join shapes.
+/// Operator display names of the groupjoin's two phases.
 struct SemiJoinNames<'a> {
     build: &'a str,
     probe: &'a str,
@@ -3403,9 +3299,9 @@ struct SemiJoinNames<'a> {
 enum FkSource {
     /// A registered FK index.
     Index(Arc<FkIndex>),
-    /// The raw `u32` FK column of the (pinned, immutable) child table —
-    /// validated at construction, so `slice` cannot fail.
-    Column(Arc<Table>, String),
+    /// The raw `u32` FK column (by index) of the (pinned, immutable) child
+    /// table — validated at construction, so `slice` cannot fail.
+    Column(Arc<Table>, usize),
 }
 
 impl FkSource {
@@ -3413,8 +3309,8 @@ impl FkSource {
         match self {
             FkSource::Index(idx) => idx.positions(),
             FkSource::Column(t, col) => t
-                .column(col)
-                .and_then(|c| c.as_u32())
+                .column_at(*col)
+                .as_u32()
                 .expect("validated u32 FK column on an immutable table"),
         }
     }
@@ -3480,9 +3376,7 @@ fn shape_output_columns(shape: &Shape) -> Vec<String> {
             .cloned()
             .chain(aggs.iter().map(|a| a.name.clone()))
             .collect(),
-        Shape::SemiJoinAgg { aggs, .. } | Shape::MultiJoinAgg { aggs, .. } => {
-            aggs.iter().map(|a| a.name.clone()).collect()
-        }
+        Shape::MultiJoinAgg { aggs, .. } => aggs.iter().map(|a| a.name.clone()).collect(),
         Shape::GroupJoinAgg { fk_col, aggs, .. } => std::iter::once(fk_col.clone())
             .chain(aggs.iter().map(|a| a.name.clone()))
             .collect(),
@@ -3559,11 +3453,6 @@ fn primary_stats_table(shape: &Shape) -> Option<&str> {
             filter: Some(_),
             ..
         } => Some(table),
-        Shape::SemiJoinAgg {
-            build,
-            build_filter: Some(_),
-            ..
-        } => Some(build),
         Shape::GroupJoinAgg {
             build,
             build_filter: Some(_),
@@ -3730,9 +3619,10 @@ fn merge_ops(aggs: &[AggSpec]) -> Vec<MergeOp> {
         .collect()
 }
 
-/// Thread-local state for scalar aggregation (also the semijoin and
-/// multi-way join probes): accumulator slots plus the stage's register
-/// file, allocated once in the morsel `init`.
+/// Thread-local state of the scalar pipeline: accumulator slots, the
+/// stage's register file (allocated once in the morsel `init`) and, per
+/// join edge, the rows that reached and survived it — the counters of the
+/// `multijoin-probe(<parent>)` ops.
 struct ScalarAcc {
     acc: Vec<i64>,
     matched: usize,
@@ -3741,95 +3631,55 @@ struct ScalarAcc {
     overflow: bool,
     /// Access-pattern counters (only touched at `MetricsLevel::Counters`+).
     ctr: AccessCounters,
+    edge_in: Vec<u64>,
+    edge_out: Vec<u64>,
     regs: Regs,
 }
 
-/// What the morsel workers of a scalar-aggregation stage share: the bound
-/// program, the sinks selected for it and whether they detect overflow.
+/// What the morsel workers of the scalar pipeline share: the bound program,
+/// the sinks selected for it and the join edges' membership structures.
 /// Built once per query, before any morsel is claimed.
 struct ScalarStage {
     bound: BoundProgram,
     sinks: ScalarSinks,
     /// Accumulator identities: `i64::MAX` / `i64::MIN` for min / max.
     identities: Vec<i64>,
+    /// Each direct edge's membership structure with the FK that addresses
+    /// it, in probe order. Empty for a plain scan.
+    sides: Vec<(BuildSide, FkSource)>,
+}
+
+/// Bytes of one scalar-pipeline worker's scratch: the program's register
+/// file plus an in/out survivor counter per edge. Read by the executor's
+/// charge and by the verifier lowering alike.
+pub(crate) fn scalar_scratch_bytes(program: &TileProgram, n_edges: usize) -> usize {
+    program.scratch_bytes() + n_edges * 16
 }
 
 impl ScalarStage {
-    /// `masked` selects the value-masking sinks, otherwise the
-    /// selection-vector gather.
-    fn new(
-        program: &Arc<TileProgram>,
-        table: &Arc<Table>,
-        aggs: &[AggSpec],
-        masked: bool,
-        opts: ExecOpts<'_>,
-    ) -> Result<Arc<ScalarStage>, PlanError> {
-        Ok(Arc::new(ScalarStage {
-            bound: program.bind(table)?,
-            sinks: scalar_sinks(program, aggs, masked, !opts.overflow_proved),
-            identities: aggs
-                .iter()
-                .map(|a| match a.func {
-                    AggFunc::Min => i64::MAX,
-                    AggFunc::Max => i64::MIN,
-                    AggFunc::Sum | AggFunc::Count => 0,
-                })
-                .collect(),
-        }))
-    }
-
-    /// Worker state, its `scratch_bytes` charged before it is allocated.
-    fn worker(&self, gauge: &MemGauge, scratch_bytes: usize) -> ScalarAcc {
-        charge_or_panic(gauge, scratch_bytes);
+    /// Worker state, its scratch charged before it is allocated.
+    fn worker(&self, gauge: &MemGauge) -> ScalarAcc {
+        let n_edges = self.sides.len();
+        charge_or_panic(gauge, scalar_scratch_bytes(self.bound.program(), n_edges));
         ScalarAcc {
             acc: self.identities.clone(),
             matched: 0,
             overflow: false,
             ctr: AccessCounters::default(),
+            edge_in: vec![0; n_edges],
+            edge_out: vec![0; n_edges],
             regs: Regs::new(self.bound.program()),
         }
     }
-
-    /// Per-morsel counter bookkeeping shared by every scalar stage.
-    fn count_morsel(&self, ctr: &mut AccessCounters, m_len: usize) {
-        ctr.morsels += 1;
-        ctr.rows_in += m_len as u64;
-        if self.bound.program().has_filter() {
-            ctr.predicate_evals += m_len as u64;
-        }
-    }
-
-    /// Value masking over the tile just run (its filter mask possibly
-    /// narrowed by a join bit): every lane aggregated, multiplied by the
-    /// mask. Returns the qualifying count.
-    fn masked(&self, w: &mut ScalarAcc, tile: (usize, usize)) -> usize {
-        let m = self.bound.accumulate_masked(
-            &mut w.regs,
-            &self.sinks,
-            tile,
-            &mut w.acc,
-            &mut w.overflow,
-        );
-        w.matched += m;
-        m
-    }
-
-    /// Gather the tile's aggregate inputs through the first `k` offsets of
-    /// the worker's selection vector.
-    fn gather(&self, w: &mut ScalarAcc, tile: (usize, usize), k: usize) {
-        self.bound
-            .accumulate_gather(&w.regs, &self.sinks, tile, k, &mut w.acc, &mut w.overflow);
-        w.matched += k;
-    }
 }
 
-/// Fold per-worker scalar partials into one accumulator. Zero matches
-/// anywhere leaves min/max at their identities, which the caller flattens
-/// to the documented all-zero row. Also folds the workers' overflow flags.
+/// Fold per-worker scalar partials into one accumulator and their overflow
+/// flags into one. Zero matches anywhere leaves min/max at their identities,
+/// which flatten to the documented all-zero row.
 fn merge_scalar_partials(
     aggs: &[AggSpec],
     partials: Vec<ScalarAcc>,
-) -> Result<(Vec<i64>, usize, bool), PlanError> {
+) -> Result<(Vec<i64>, bool), PlanError> {
     let mut iter = partials.into_iter();
     let first = iter
         .next()
@@ -3853,102 +3703,189 @@ fn merge_scalar_partials(
     if matched == 0 {
         acc.iter_mut().for_each(|v| *v = 0);
     }
-    Ok((acc, matched, overflow))
+    Ok((acc, overflow))
 }
 
-/// The morsel body of a scalar aggregation, monomorphized per strategy so
-/// the tile loop carries no strategy or aggregate-function dispatch: the
-/// sinks were resolved when the stage was built.
+/// The morsel body of the scalar pipeline, monomorphized on `MASKED` so the
+/// tile loop carries no strategy or aggregate-function dispatch: the sinks
+/// were resolved when the stage was built. Masked, every edge's bitmap bit
+/// is ANDed into the filter mask and every lane aggregated (value masking,
+/// § III-A; the fully masked probe, § III-D). Otherwise the filter's
+/// selection vector is narrowed edge by edge to the join hits and the
+/// survivors gathered. A plain scan is the zero-edge case of both.
 fn scalar_body<const MASKED: bool>(
     stage: Arc<ScalarStage>,
     counting: bool,
 ) -> impl Fn(&mut ScalarAcc, usize, usize) + Send + Sync + 'static {
     move |w: &mut ScalarAcc, m_start: usize, m_len: usize| {
         if counting {
-            stage.count_morsel(&mut w.ctr, m_len);
+            w.ctr.morsels += 1;
+            w.ctr.rows_in += m_len as u64;
+            if stage.bound.program().has_filter() {
+                w.ctr.predicate_evals += m_len as u64;
+            }
         }
         for tile in tiles_in(m_start, m_len) {
             let (start, len) = tile;
             stage.bound.run(&mut w.regs, start, len);
-            let q = if MASKED {
-                stage.masked(w, tile)
+            // Lanes that reached the sinks or the first probe, and those
+            // that qualified.
+            let (reached, q) = if MASKED {
+                // Qualifying lanes so far (tracked only when counting).
+                let mut k = if counting && !stage.sides.is_empty() {
+                    predicate::mask_count(stage.bound.filter(&w.regs, len)) as u64
+                } else {
+                    0
+                };
+                for (ei, (side, fk)) in stage.sides.iter().enumerate() {
+                    let BuildSide::Bitmap(bm) = side else {
+                        unreachable!("a masked probe is planned over bitmap edges only")
+                    };
+                    let cmp = stage.bound.filter_mut(&mut w.regs, len);
+                    for (c, &pos) in cmp.iter_mut().zip(&fk.slice()[start..start + len]) {
+                        *c &= bm.get_bit(pos as usize) as u8;
+                    }
+                    if counting {
+                        // The edge's cardinalities are the qualifying rows,
+                        // though every lane probes the bitmap.
+                        w.edge_in[ei] += k;
+                        k = predicate::mask_count(cmp) as u64;
+                        w.edge_out[ei] += k;
+                        w.ctr.ht_probes += len as u64;
+                    }
+                }
+                let m = stage.bound.accumulate_masked(
+                    &mut w.regs,
+                    &stage.sinks,
+                    tile,
+                    &mut w.acc,
+                    &mut w.overflow,
+                );
+                (len, m)
             } else {
-                let k = stage.bound.select(&mut w.regs, len);
-                stage.gather(w, tile, k);
-                k
+                let filtered = stage.bound.select(&mut w.regs, len);
+                let mut k = filtered;
+                for (ei, (side, fk)) in stage.sides.iter().enumerate() {
+                    if k == 0 {
+                        // Later edges see zero rows; skipping their zero
+                        // counter increments leaves identical totals.
+                        break;
+                    }
+                    let reaching = k as u64;
+                    k = narrow_selection(&mut w.regs.idx, k, &fk.slice()[start..start + len], side);
+                    if counting {
+                        w.edge_in[ei] += reaching;
+                        w.edge_out[ei] += k as u64;
+                        w.ctr.ht_probes += reaching;
+                    }
+                }
+                // Survivors are fully narrowed before accumulation, so
+                // min/max see only real qualifying rows.
+                stage.bound.accumulate_gather(
+                    &w.regs,
+                    &stage.sinks,
+                    tile,
+                    k,
+                    &mut w.acc,
+                    &mut w.overflow,
+                );
+                (filtered, k)
             };
+            w.matched += q;
             if counting {
                 w.ctr.rows_out += q as u64;
-                if MASKED {
-                    // VM aggregates every lane; the non-qualifying ones are
-                    // the pullup's wasted work (§ III-A).
-                    w.ctr.wasted_lanes += (len - q) as u64;
-                }
+                // Lanes aggregated (masked) or probed (selection vector)
+                // for nothing: the pullup's wasted work (§ III-A).
+                w.ctr.wasted_lanes += (reached - q) as u64;
             }
         }
     }
 }
 
-fn exec_scalar_agg(
-    op_name: &str,
+/// Execute a scalar aggregation over `table` restricted by zero or more FK
+/// join edges: a plain scan, a two-table semijoin and a multi-way join are
+/// one pipeline at three arities. Builds one membership structure per
+/// direct edge (chains folded into the parent mask first), then runs
+/// [`scalar_body`] on morsel workers sharing them read-only.
+///
+/// The surviving row *set* per tile is order-independent (each edge is a
+/// pure membership filter), so results are bit-identical across probe
+/// orders and thread counts.
+#[allow(clippy::too_many_arguments)]
+fn exec_scalar_pipeline(
+    agg_op: &str,
     table: &Arc<Table>,
     program: &Arc<TileProgram>,
+    edges: &[BoundEdge],
     aggs: &[AggSpec],
-    strategy: AggStrategy,
+    masked: bool,
     opts: ExecOpts<'_>,
     ctx: &Arc<ExecCtx>,
 ) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
-    let n = table.len();
     let counting = opts.level.counting();
+    let mut op_list = Vec::new();
+    let mut sides = Vec::with_capacity(edges.len());
+    for e in edges {
+        sides.push((build_edge_side(e, opts, ctx, &mut op_list)?, e.fk.clone()));
+    }
     let t0 = opts.level.timing().then(Instant::now);
-    let masked = strategy == AggStrategy::ValueMasking;
-    let stage = ScalarStage::new(program, table, aggs, masked, opts)?;
+    let stage = Arc::new(ScalarStage {
+        bound: program.bind(table)?,
+        sinks: scalar_sinks(program, aggs, masked, !opts.overflow_proved),
+        identities: aggs
+            .iter()
+            .map(|a| match a.func {
+                AggFunc::Min => i64::MAX,
+                AggFunc::Max => i64::MIN,
+                AggFunc::Sum | AggFunc::Count => 0,
+            })
+            .collect(),
+        sides,
+    });
     let init = {
         let ctx = Arc::clone(ctx);
         let stage = Arc::clone(&stage);
-        let scratch = program.scratch_bytes();
-        move || stage.worker(&ctx.gauge, scratch)
+        move || stage.worker(&ctx.gauge)
     };
     // The one strategy dispatch of the query: each arm runs a body compiled
-    // for its strategy.
-    let partials = match strategy {
-        AggStrategy::ValueMasking => opts.executor.run_morsels(
-            ctx,
-            n,
-            opts.morsel_rows,
-            init,
-            scalar_body::<true>(stage, counting),
-        ),
-        // Scalar aggregation has no key to mask; hybrid covers both.
-        AggStrategy::Hybrid | AggStrategy::KeyMasking => opts.executor.run_morsels(
-            ctx,
-            n,
-            opts.morsel_rows,
-            init,
-            scalar_body::<false>(stage, counting),
-        ),
-    }?;
-    let ops = if counting {
-        let mut op = OpMetrics::named(op_name);
-        for p in &partials {
-            op.access.merge(&p.ctr);
-        }
-        op.wall_nanos = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-        vec![op]
+    // for it.
+    let (n, morsel_rows) = (table.len(), opts.morsel_rows);
+    let partials = if masked {
+        let body = scalar_body::<true>(stage, counting);
+        opts.executor.run_morsels(ctx, n, morsel_rows, init, body)
     } else {
-        Vec::new()
-    };
+        let body = scalar_body::<false>(stage, counting);
+        opts.executor.run_morsels(ctx, n, morsel_rows, init, body)
+    }?;
+    if counting {
+        let wall_nanos = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
+        for (ei, e) in edges.iter().enumerate() {
+            let mut op = OpMetrics::named(format!("multijoin-probe({})", e.parent));
+            for p in &partials {
+                op.access.rows_in += p.edge_in[ei];
+                op.access.rows_out += p.edge_out[ei];
+            }
+            op.ht.probes = op.access.rows_in;
+            op.wall_nanos = wall_nanos;
+            op_list.push(op);
+        }
+        let mut agg = OpMetrics::named(agg_op);
+        for p in &partials {
+            agg.access.merge(&p.ctr);
+        }
+        agg.wall_nanos = wall_nanos;
+        op_list.push(agg);
+    }
     // Provably-safe site: the bounds pass's value-range analysis covers
     // exactly this accumulator (`AggInput` lowering). When the input
     // column's statistics bound `|value| * rows` within i64, the site is
     // counted in `PlanCertificate::overflow_safe_sites`, the stage ran the
     // unchecked kernels and this branch is statically unreachable —
     // `query_leveled` debug-asserts that.
-    let (acc, _, overflow) = merge_scalar_partials(aggs, partials)?;
+    let (acc, overflow) = merge_scalar_partials(aggs, partials)?;
     if overflow {
         return Err(PlanError::Overflow(format!(
-            "scalar aggregation under {}",
-            strategy.name()
+            "scalar aggregation in {agg_op}"
         )));
     }
     Ok((
@@ -3958,7 +3895,7 @@ fn exec_scalar_agg(
             metrics: None,
             key_dict: None,
         },
-        ops,
+        op_list,
     ))
 }
 
@@ -4299,10 +4236,10 @@ fn build_side_from_mask(
     ctx: &Arc<ExecCtx>,
 ) -> Result<BuildSide, PlanError> {
     let n = mask.len();
-    let bitmap_bytes = n.div_ceil(64) * 8;
+    let bitmap_bytes = PositionalBitmap::bytes_for(n);
     Ok(match strategy {
         SemiJoinStrategy::Hash => {
-            let mut set = KeySet::with_capacity(n / 2 + 4);
+            let mut set = KeySet::for_build(n);
             let before = set.size_bytes();
             ctx.gauge.try_charge(before)?;
             for (pos, &c) in mask.iter().enumerate() {
@@ -4372,124 +4309,6 @@ fn narrow_selection(idx: &mut [u32], k: usize, fk: &[u32], side: &BuildSide) -> 
     kk
 }
 
-#[allow(clippy::too_many_arguments)]
-fn exec_semijoin_agg(
-    names: SemiJoinNames<'_>,
-    probe: &Arc<Table>,
-    probe_program: &Arc<TileProgram>,
-    build: &Arc<Table>,
-    build_program: &Arc<TileProgram>,
-    fk: &FkSource,
-    aggs: &[AggSpec],
-    strategy: SemiJoinStrategy,
-    probe_masked: bool,
-    opts: ExecOpts<'_>,
-    ctx: &Arc<ExecCtx>,
-) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
-    let counting = opts.level.counting();
-    // Build phase.
-    let build_n = build.len();
-    let build_t0 = opts.level.timing().then(Instant::now);
-    let build_cmp = build_mask(build, build_program, opts, ctx)?;
-    let side = build_side_from_mask(&build_cmp, strategy, opts, ctx)?;
-    let build_op = counting.then(|| {
-        let mut op = OpMetrics::named(names.build);
-        op.access.rows_in = build_n as u64;
-        if build_program.has_filter() {
-            op.access.predicate_evals = build_n as u64;
-        }
-        // Build positions are distinct, so a key set's key count is exactly
-        // the qualifying build rows.
-        op.access.rows_out = match &side {
-            BuildSide::Set(set) => set.len() as u64,
-            BuildSide::Bitmap(bm) => bm.count_ones() as u64,
-        };
-        side.describe(&mut op);
-        op.wall_nanos = build_t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-        op
-    });
-    // Probe phase: scalar accumulation on morsel workers sharing the
-    // read-only build side. A fully masked probe folds the bitmap bit into
-    // the filter mask; every other combination narrows the selection vector
-    // of filter-qualifying rows to the join hits.
-    let n = probe.len();
-    let probe_t0 = opts.level.timing().then(Instant::now);
-    let masked = probe_masked && matches!(side, BuildSide::Bitmap(_));
-    let stage = ScalarStage::new(probe_program, probe, aggs, masked, opts)?;
-    let init = {
-        let ctx = Arc::clone(ctx);
-        let stage = Arc::clone(&stage);
-        let scratch = probe_program.scratch_bytes();
-        move || stage.worker(&ctx.gauge, scratch)
-    };
-    let body = {
-        let side = Arc::new(side);
-        let fk_src = fk.clone();
-        move |w: &mut ScalarAcc, m_start: usize, m_len: usize| {
-            let fk = fk_src.slice();
-            if counting {
-                stage.count_morsel(&mut w.ctr, m_len);
-            }
-            for tile in tiles_in(m_start, m_len) {
-                let (start, len) = tile;
-                let fk = &fk[start..start + len];
-                stage.bound.run(&mut w.regs, start, len);
-                if let (BuildSide::Bitmap(bm), true) = (&*side, masked) {
-                    let cmp = stage.bound.filter_mut(&mut w.regs, len);
-                    for (c, &pos) in cmp.iter_mut().zip(fk) {
-                        *c &= bm.get_bit(pos as usize) as u8;
-                    }
-                    let m = stage.masked(w, tile);
-                    if counting {
-                        // Every lane probes the bitmap and is aggregated;
-                        // non-matching lanes are wasted.
-                        w.ctr.ht_probes += len as u64;
-                        w.ctr.rows_out += m as u64;
-                        w.ctr.wasted_lanes += (len - m) as u64;
-                    }
-                } else {
-                    let k = stage.bound.select(&mut w.regs, len);
-                    let hits = narrow_selection(&mut w.regs.idx, k, fk, &side);
-                    stage.gather(w, tile, hits);
-                    if counting {
-                        // Only filter-qualifying rows reach the probe;
-                        // join-missed ones are its wasted lanes.
-                        w.ctr.ht_probes += k as u64;
-                        w.ctr.rows_out += hits as u64;
-                        w.ctr.wasted_lanes += (k - hits) as u64;
-                    }
-                }
-            }
-        }
-    };
-    let partials = opts
-        .executor
-        .run_morsels(ctx, n, opts.morsel_rows, init, body)?;
-    let mut op_list = Vec::new();
-    if let Some(build_op) = build_op {
-        let mut probe_op = OpMetrics::named(names.probe);
-        for p in &partials {
-            probe_op.access.merge(&p.ctr);
-        }
-        probe_op.wall_nanos = probe_t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-        op_list.push(build_op);
-        op_list.push(probe_op);
-    }
-    let (acc, _, overflow) = merge_scalar_partials(aggs, partials)?;
-    if overflow {
-        return Err(PlanError::Overflow("semijoin aggregation".into()));
-    }
-    Ok((
-        QueryResult {
-            columns: aggs.iter().map(|a| a.name.clone()).collect(),
-            rows: vec![acc],
-            metrics: None,
-            key_dict: None,
-        },
-        op_list,
-    ))
-}
-
 /// Qualifying mask of a join edge's parent: the parent's own filter ANDed
 /// with every nested child edge's mask, folded through the child's FK
 /// gather. Pushes one `multijoin-build(<parent>)` op for this edge, then
@@ -4527,8 +4346,7 @@ fn edge_parent_mask(
 }
 
 /// Materialize one direct edge's membership structure from its (fully
-/// chain-restricted) parent mask, charging the gauge exactly like the
-/// two-table semijoin build. Enriches the edge's own build op with the
+/// chain-restricted) parent mask. Enriches the edge's own build op with the
 /// structure's footprint.
 fn build_edge_side(
     e: &BoundEdge,
@@ -4543,130 +4361,6 @@ fn build_edge_side(
         side.describe(op);
     }
     Ok(side)
-}
-
-/// Bytes of one multi-way join probe worker's scratch: the fact program's
-/// register file plus an in/out survivor counter per edge. Read by the
-/// executor's charge and by the verifier lowering alike.
-pub(crate) fn multijoin_scratch_bytes(fact_program: &TileProgram, n_edges: usize) -> usize {
-    fact_program.scratch_bytes() + n_edges * 16
-}
-
-/// Thread-local state for multi-way join probing: the scalar accumulator
-/// plus per-edge survivor counters for the `multijoin-probe(<parent>)` ops.
-struct MultiJoinAcc {
-    s: ScalarAcc,
-    edge_in: Vec<u64>,
-    edge_out: Vec<u64>,
-}
-
-/// Execute a multi-way FK join + scalar aggregation: build one membership
-/// structure per direct edge (chains folded into the parent mask first),
-/// then narrow each fact tile's selection vector edge-by-edge in the
-/// planned probe order and aggregate the survivors.
-///
-/// The surviving row *set* per tile is order-independent (each edge is a
-/// pure membership filter), so results are bit-identical across probe
-/// orders and thread counts.
-fn exec_multijoin_agg(
-    fact_name: &str,
-    fact: &Arc<Table>,
-    fact_program: &Arc<TileProgram>,
-    edges: &[BoundEdge],
-    aggs: &[AggSpec],
-    opts: ExecOpts<'_>,
-    ctx: &Arc<ExecCtx>,
-) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
-    let counting = opts.level.counting();
-    let n_edges = edges.len();
-    let mut op_list = Vec::new();
-    let mut sides = Vec::with_capacity(n_edges);
-    for e in edges {
-        sides.push((build_edge_side(e, opts, ctx, &mut op_list)?, e.fk.clone()));
-    }
-    let n = fact.len();
-    let probe_t0 = opts.level.timing().then(Instant::now);
-    // Survivors are fully narrowed before accumulation, so min/max see only
-    // real qualifying rows.
-    let stage = ScalarStage::new(fact_program, fact, aggs, false, opts)?;
-    let init = {
-        let ctx = Arc::clone(ctx);
-        let stage = Arc::clone(&stage);
-        let scratch = multijoin_scratch_bytes(fact_program, n_edges);
-        move || MultiJoinAcc {
-            s: stage.worker(&ctx.gauge, scratch),
-            edge_in: vec![0u64; n_edges],
-            edge_out: vec![0u64; n_edges],
-        }
-    };
-    let body = move |w: &mut MultiJoinAcc, m_start: usize, m_len: usize| {
-        if counting {
-            stage.count_morsel(&mut w.s.ctr, m_len);
-        }
-        for tile in tiles_in(m_start, m_len) {
-            let (start, len) = tile;
-            stage.bound.run(&mut w.s.regs, start, len);
-            let filtered = stage.bound.select(&mut w.s.regs, len);
-            let mut k = filtered;
-            for (ei, (side, fk)) in sides.iter().enumerate() {
-                if k == 0 {
-                    // Later edges see zero rows; skipping their zero
-                    // counter increments leaves identical totals.
-                    break;
-                }
-                if counting {
-                    w.edge_in[ei] += k as u64;
-                    w.s.ctr.ht_probes += k as u64;
-                }
-                let fk = &fk.slice()[start..start + len];
-                k = narrow_selection(&mut w.s.regs.idx, k, fk, side);
-                if counting {
-                    w.edge_out[ei] += k as u64;
-                }
-            }
-            if counting {
-                w.s.ctr.rows_out += k as u64;
-                w.s.ctr.wasted_lanes += (filtered - k) as u64;
-            }
-            stage.gather(&mut w.s, tile, k);
-        }
-    };
-    let partials = opts
-        .executor
-        .run_morsels(ctx, n, opts.morsel_rows, init, body)?;
-    if counting {
-        let probe_nanos = probe_t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-        for (ei, e) in edges.iter().enumerate() {
-            let mut op = OpMetrics::named(format!("multijoin-probe({})", e.parent));
-            for p in &partials {
-                op.access.rows_in += p.edge_in[ei];
-                op.access.rows_out += p.edge_out[ei];
-            }
-            op.ht.probes = op.access.rows_in;
-            op.wall_nanos = probe_nanos;
-            op_list.push(op);
-        }
-        let mut agg_op = OpMetrics::named(format!("multijoin-agg({fact_name})"));
-        for p in &partials {
-            agg_op.access.merge(&p.s.ctr);
-        }
-        agg_op.wall_nanos = probe_nanos;
-        op_list.push(agg_op);
-    }
-    let (acc, _, overflow) =
-        merge_scalar_partials(aggs, partials.into_iter().map(|p| p.s).collect())?;
-    if overflow {
-        return Err(PlanError::Overflow("multi-way join aggregation".into()));
-    }
-    Ok((
-        QueryResult {
-            columns: aggs.iter().map(|a| a.name.clone()).collect(),
-            rows: vec![acc],
-            metrics: None,
-            key_dict: None,
-        },
-        op_list,
-    ))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -5105,93 +4799,4 @@ fn exec_window(
         },
         op.into_iter().collect(),
     ))
-}
-
-#[cfg(test)]
-mod bounds_drift_tests {
-    //! Drift guard between the bounds pass's sizing formulas
-    //! ([`swole_verify::bounds::sizing`]) and the engine's actual charge
-    //! sites. The certificate's soundness argument (DESIGN.md §15) rests on
-    //! the formulas *dominating* what execution charges — if someone
-    //! resizes a scratch buffer or changes a hash-table growth policy
-    //! without touching the verifier, these tests fail before the
-    //! end-to-end soundness harness does. Per-worker scratch has no formula
-    //! to drift: the lowering hands the bounds pass the same
-    //! `TileProgram::scratch_bytes` the executors charge.
-
-    use swole_ht::{AggTable, KeySet};
-    use swole_verify::bounds::sizing;
-
-    #[test]
-    fn agg_table_formula_matches_initial_capacity() {
-        for n_aggs in [1usize, 2, 5] {
-            for expected in [0u64, 1, 4, 16, 63, 64, 65, 1000] {
-                let t = AggTable::with_capacity(n_aggs, expected as usize);
-                let cap = sizing::agg_table_cap0(expected);
-                assert_eq!(t.capacity() as u64, cap, "cap0 drifted at {expected}");
-                assert_eq!(
-                    t.size_bytes() as u64,
-                    sizing::agg_table_bytes(cap, n_aggs as u64),
-                    "size drifted at expected={expected} n_aggs={n_aggs}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn agg_table_growth_stays_under_grown_cap_bound() {
-        // The bound must dominate the *final* table size after any number
-        // of doubling grows, including the throwaway NULL entry.
-        for n_aggs in [1usize, 3] {
-            for expected in [4u64, 64] {
-                for keys in [1u64, 10, 100, 500, 3000] {
-                    let mut t = AggTable::with_capacity(n_aggs, expected as usize);
-                    for k in 0..keys {
-                        let off = t.entry(k as i64);
-                        t.add(off, 0, 1);
-                    }
-                    let cap0 = sizing::agg_table_cap0(expected);
-                    let bound =
-                        sizing::agg_table_bytes(sizing::grown_cap(cap0, keys), n_aggs as u64);
-                    assert!(
-                        (t.size_bytes() as u64) <= bound,
-                        "grown table {} B exceeds bound {bound} B \
-                         (expected={expected}, keys={keys}, n_aggs={n_aggs})",
-                        t.size_bytes()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn key_set_growth_stays_under_bound() {
-        // The semijoin build sizes its KeySet at `n/2 + 4` expected keys
-        // and may insert up to every one of the n build rows.
-        for n in [0u64, 5, 100, 1000, 5000] {
-            let mut ks = KeySet::with_capacity((n / 2 + 4) as usize);
-            for k in 0..n {
-                ks.insert(k as i64);
-            }
-            let bound = sizing::key_set_bytes(n);
-            assert!(
-                (ks.size_bytes() as u64) <= bound,
-                "key set {} B exceeds bound {bound} B at n={n}",
-                ks.size_bytes()
-            );
-        }
-    }
-
-    #[test]
-    fn bitmap_formula_matches_positional_bitmap_charge() {
-        use swole_bitmap::PositionalBitmap;
-        for rows in [0u64, 1, 63, 64, 65, 4096, 5000] {
-            let bm = PositionalBitmap::new(rows as usize);
-            assert_eq!(
-                bm.size_bytes() as u64,
-                sizing::bitmap_bytes(rows),
-                "bitmap size drifted at rows={rows}"
-            );
-        }
-    }
 }

@@ -96,10 +96,11 @@ impl PhysicalPlan {
         }
     }
 
-    /// The semijoin strategy chosen, if any.
+    /// The semijoin strategy chosen, if this plan is a single-edge
+    /// (two-table) FK join.
     pub fn semijoin_strategy(&self) -> Option<SemiJoinStrategy> {
         match &self.shape {
-            Shape::SemiJoinAgg { strategy, .. } => Some(*strategy),
+            Shape::MultiJoinAgg { edges, .. } if count_edges(edges) == 1 => Some(edges[0].strategy),
             _ => None,
         }
     }
@@ -112,8 +113,8 @@ impl PhysicalPlan {
         }
     }
 
-    /// How the multi-way join order was determined, if this plan is a
-    /// multi-way join.
+    /// How the join's probe order was determined, if this plan is an FK
+    /// join.
     pub fn join_order_method(&self) -> Option<JoinOrderMethod> {
         match &self.shape {
             Shape::MultiJoinAgg { order_method, .. } => Some(*order_method),
@@ -121,7 +122,7 @@ impl PhysicalPlan {
         }
     }
 
-    /// Probe order of a multi-way join: build-side table names in the order
+    /// Probe order of an FK join: build-side table names in the order
     /// their membership tests run.
     pub fn join_probe_order(&self) -> Option<Vec<String>> {
         match &self.shape {
@@ -133,7 +134,7 @@ impl PhysicalPlan {
     }
 }
 
-/// One edge of a multi-way FK join: the fact (or an intermediate parent)
+/// One edge of an FK join: the fact (or an intermediate parent)
 /// semijoins `parent` through `fk_col`. Nested `children` edges restrict
 /// the parent itself (a chain: fact → parent → grandparent); they fold into
 /// the parent's qualifying mask before the fact-side membership structure
@@ -182,23 +183,10 @@ pub(crate) enum Shape {
         /// at plan time and cached with the plan).
         program: Arc<TileProgram>,
     },
-    /// scan → filter? → FK semijoin → scalar aggregation.
-    SemiJoinAgg {
-        probe: String,
-        probe_filter: Option<Expr>,
-        build: String,
-        build_filter: Option<Expr>,
-        fk_col: String,
-        aggs: Vec<AggSpec>,
-        strategy: SemiJoinStrategy,
-        /// `true`: fully masked probe; `false`: selection-vector probe.
-        probe_masked: bool,
-        probe_program: Arc<TileProgram>,
-        build_program: Arc<TileProgram>,
-    },
-    /// Multi-way FK join: scan the fact table, narrow each tile through the
-    /// edges' membership structures in the planned probe order, then a
-    /// scalar aggregation over the survivors. Edges may nest (chains).
+    /// FK join over one or more edges (a two-table semijoin is the one-edge
+    /// case): scan the fact table, restrict each tile through the edges'
+    /// membership structures in the planned probe order, then a scalar
+    /// aggregation over the survivors. Edges may nest (chains).
     MultiJoinAgg {
         fact: String,
         fact_filter: Option<Expr>,
@@ -206,6 +194,10 @@ pub(crate) enum Shape {
         edges: Vec<JoinEdge>,
         aggs: Vec<AggSpec>,
         order_method: JoinOrderMethod,
+        /// `true`: fully masked probe (the bitmap bit is ANDed into the
+        /// filter mask and every lane aggregated); `false`: each edge
+        /// narrows the tile's selection vector.
+        probe_masked: bool,
         fact_program: Arc<TileProgram>,
     },
     /// FK groupjoin: group the probe side by its FK, keeping groups whose
@@ -245,30 +237,16 @@ impl Shape {
     pub(crate) fn strategy_name(&self) -> String {
         match self {
             Shape::ScanAgg { strategy, .. } => strategy.name().to_string(),
-            Shape::SemiJoinAgg {
-                strategy,
-                probe_masked,
-                ..
-            } => format!(
-                "{} semijoin, {} probe",
-                match strategy {
-                    SemiJoinStrategy::Hash => "hash",
-                    SemiJoinStrategy::PositionalBitmap(_) => "positional-bitmap",
-                },
-                if *probe_masked {
-                    "masked"
-                } else {
-                    "selection-vector"
-                },
-            ),
             Shape::MultiJoinAgg {
                 edges,
                 order_method,
+                probe_masked,
                 ..
             } => format!(
-                "multi-join ({} edges, order: {})",
+                "multi-join ({} edges, order: {}{})",
                 count_edges(edges),
-                order_method.name()
+                order_method.name(),
+                if *probe_masked { ", masked probe" } else { "" },
             ),
             Shape::GroupJoinAgg { strategy, .. } => match strategy {
                 GroupJoinStrategy::GroupJoin => "groupjoin".to_string(),
@@ -305,33 +283,15 @@ impl Shape {
                     .unwrap_or_default(),
                 if filter.is_some() { "Filter <- " } else { "" },
             ),
-            Shape::SemiJoinAgg {
-                probe,
-                build,
-                fk_col,
-                strategy,
-                probe_masked,
-                ..
-            } => format!(
-                "Aggregate <- SemiJoin[{}] {probe}.{fk_col} -> {build} (probe: {})",
-                match strategy {
-                    SemiJoinStrategy::Hash => "hash".to_string(),
-                    SemiJoinStrategy::PositionalBitmap(_) => "positional-bitmap".to_string(),
-                },
-                if *probe_masked {
-                    "masked"
-                } else {
-                    "selection-vector"
-                },
-            ),
             Shape::MultiJoinAgg {
                 fact,
                 fact_filter,
                 edges,
                 order_method,
+                probe_masked,
                 ..
             } => format!(
-                "Aggregate <- MultiJoin[order: {}] {}{fact} -> [{}]",
+                "Aggregate <- MultiJoin[order: {}] {}{fact} -> [{}]{}",
                 order_method.name(),
                 if fact_filter.is_some() {
                     "Filter <- "
@@ -339,6 +299,11 @@ impl Shape {
                     ""
                 },
                 edges.iter().map(render_edge).collect::<Vec<_>>().join(", "),
+                if *probe_masked {
+                    " (probe: masked)"
+                } else {
+                    ""
+                },
             ),
             Shape::GroupJoinAgg {
                 probe,

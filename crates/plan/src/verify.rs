@@ -83,34 +83,12 @@ fn program_for_with(
             *strategy,
             program,
         )?,
-        Shape::SemiJoinAgg {
-            probe,
-            probe_filter,
-            build,
-            build_filter,
-            fk_col,
-            aggs,
-            strategy,
-            probe_masked,
-            probe_program,
-            build_program,
-        } => lower_semijoin_agg(
-            db,
-            probe,
-            probe_filter.as_ref(),
-            build,
-            build_filter.as_ref(),
-            fk_col,
-            aggs,
-            *strategy,
-            *probe_masked,
-            [probe_program, build_program],
-        )?,
         Shape::MultiJoinAgg {
             fact,
             fact_filter,
             edges,
             aggs,
+            probe_masked,
             fact_program,
             ..
         } => lower_multijoin_agg(
@@ -120,6 +98,7 @@ fn program_for_with(
             fact_filter.as_ref(),
             edges,
             aggs,
+            *probe_masked,
             fact_program,
         )?,
         Shape::GroupJoinAgg {
@@ -456,147 +435,10 @@ fn fk_decl(db: &Database, probe: &str, fk_col: &str, build: &str) -> Result<FkDe
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn lower_semijoin_agg(
-    db: &Database,
-    probe: &str,
-    probe_filter: Option<&Expr>,
-    build: &str,
-    build_filter: Option<&Expr>,
-    fk_col: &str,
-    aggs: &[AggSpec],
-    strategy: SemiJoinStrategy,
-    probe_masked: bool,
-    [probe_program, build_program]: [&TileProgram; 2],
-) -> Result<Program, PlanError> {
-    let probe_decl = table_decl(db, probe)?;
-    let build_decl = table_decl(db, build)?;
-    let (probe_rows, build_rows) = (probe_decl.rows, build_decl.rows);
-    let fk = fk_decl(db, probe, fk_col, build)?;
-
-    let mut build_op = Op::new(
-        &format!("semijoin-build({build})"),
-        "/semijoin-agg/build",
-        build,
-        build_rows,
-    );
-    if let Some(f) = build_filter {
-        build_op.exprs.push(BoundExpr {
-            role: ExprRole::Predicate,
-            expr: lower_expr(f),
-        });
-    }
-    build_op.strategy = Some(StrategyRef::SemiJoinBuild(strategy));
-    build_op.scratch_bytes = build_program.scratch_bytes();
-    // The build predicate materializes over the whole build table before the
-    // membership structure is derived from it.
-    build_op.locals.push(Artifact {
-        kind: ArtifactKind::ValueMask,
-        table: build.to_string(),
-        rows: build_rows,
-        scope: Scope::Plan,
-    });
-    build_op.allocs.push(Alloc {
-        site: "build-mask".to_string(),
-        charged: true,
-    });
-    let import_kind = match strategy {
-        SemiJoinStrategy::Hash => {
-            build_op.exports.push(Artifact {
-                kind: ArtifactKind::KeySet,
-                table: build.to_string(),
-                rows: build_rows,
-                scope: Scope::Plan,
-            });
-            build_op.allocs.push(Alloc {
-                site: "key-set".to_string(),
-                charged: true,
-            });
-            ArtifactKind::KeySet
-        }
-        SemiJoinStrategy::PositionalBitmap(bmb) => {
-            if bmb == swole_cost::BitmapBuild::SelectionVector {
-                build_op.locals.push(Artifact {
-                    kind: ArtifactKind::SelectionVector,
-                    table: build.to_string(),
-                    rows: build_rows,
-                    scope: Scope::Plan,
-                });
-                build_op.allocs.push(Alloc {
-                    site: "selection-vector".to_string(),
-                    charged: true,
-                });
-            }
-            build_op.exports.push(Artifact {
-                kind: ArtifactKind::PositionalBitmap,
-                table: build.to_string(),
-                rows: build_rows,
-                scope: Scope::Plan,
-            });
-            build_op.allocs.push(Alloc {
-                site: "positional-bitmap".to_string(),
-                charged: true,
-            });
-            ArtifactKind::PositionalBitmap
-        }
-    };
-
-    build_op.allocs.push(worker_scratch_alloc());
-
-    let mut probe_op = Op::new(
-        &format!("probe-agg({probe})"),
-        "/semijoin-agg/probe",
-        probe,
-        probe_rows,
-    );
-    if let Some(f) = probe_filter {
-        probe_op.exprs.push(BoundExpr {
-            role: ExprRole::Predicate,
-            expr: lower_expr(f),
-        });
-    }
-    probe_op.exprs.extend(agg_inputs(aggs));
-    probe_op.strategy = Some(StrategyRef::SemiJoinProbe {
-        strategy,
-        probe_masked,
-    });
-    probe_op.n_aggs = Some(aggs.len());
-    probe_op.scratch_bytes = probe_program.scratch_bytes();
-    probe_op.imports.push(Import {
-        kind: import_kind,
-        table: build.to_string(),
-        via_fk: Some(FkRef {
-            child: probe.to_string(),
-            fk_col: fk_col.to_string(),
-            parent: build.to_string(),
-        }),
-    });
-    probe_op.locals.push(cmp_artifact(probe));
-    if !probe_masked {
-        probe_op.locals.push(Artifact {
-            kind: ArtifactKind::SelectionVector,
-            table: probe.to_string(),
-            rows: TILE,
-            scope: Scope::Tile,
-        });
-    }
-    probe_op.allocs.push(Alloc {
-        site: "worker-scratch".to_string(),
-        charged: true,
-    });
-
-    Ok(Program {
-        tables: vec![probe_decl, build_decl],
-        fks: vec![fk],
-        ops: vec![build_op, probe_op],
-        tile_rows: TILE,
-    })
-}
-
-/// Lower one multi-way join edge's build side, post-order (chain children
-/// first, so every `ValueMask` import resolves against an earlier export).
+/// Lower one join edge's build side, post-order (chain children first, so
+/// every `ValueMask` import resolves against an earlier export).
 ///
-/// Direct fact edges lower like a semijoin build: qualifying mask, then the
+/// Direct fact edges are semijoin builds: qualifying mask, then the
 /// membership structure the probe imports. Nested chain edges export only
 /// their qualifying `ValueMask` — execution folds it into the parent's mask
 /// through the parent's FK column, the same access the groupjoin build/probe
@@ -708,6 +550,7 @@ fn lower_join_build(
     Ok(())
 }
 
+#[allow(clippy::too_many_arguments)]
 fn lower_multijoin_agg(
     db: &Database,
     plan: &PhysicalPlan,
@@ -715,6 +558,7 @@ fn lower_multijoin_agg(
     fact_filter: Option<&Expr>,
     edges: &[JoinEdge],
     aggs: &[AggSpec],
+    probe_masked: bool,
     fact_program: &TileProgram,
 ) -> Result<Program, PlanError> {
     let fact_decl = table_decl(db, fact)?;
@@ -738,19 +582,20 @@ fn lower_multijoin_agg(
         });
     }
     probe_op.exprs.extend(agg_inputs(aggs));
-    // The probe narrows a tile selection vector edge-by-edge; its access
-    // signature is the selection-vector semijoin probe's, whichever
-    // membership structure each edge gathers into.
+    // The probe either folds the bitmap bit into the tile mask or narrows a
+    // tile selection vector edge-by-edge; its access signature is the
+    // semijoin probe's, whichever membership structure each edge gathers
+    // into.
     let first_strategy = edges
         .first()
         .map(|e| e.strategy)
         .unwrap_or(SemiJoinStrategy::Hash);
     probe_op.strategy = Some(StrategyRef::SemiJoinProbe {
         strategy: first_strategy,
-        probe_masked: false,
+        probe_masked,
     });
     probe_op.n_aggs = Some(aggs.len());
-    probe_op.scratch_bytes = crate::engine::multijoin_scratch_bytes(fact_program, edges.len());
+    probe_op.scratch_bytes = crate::engine::scalar_scratch_bytes(fact_program, edges.len());
     probe_op.cost_terms = cost_term_names(plan);
     for e in edges {
         probe_op.imports.push(Import {
@@ -767,16 +612,15 @@ fn lower_multijoin_agg(
         });
     }
     probe_op.locals.push(cmp_artifact(fact));
-    probe_op.locals.push(Artifact {
-        kind: ArtifactKind::SelectionVector,
-        table: fact.to_string(),
-        rows: TILE,
-        scope: Scope::Tile,
-    });
-    probe_op.allocs.push(Alloc {
-        site: "worker-scratch".to_string(),
-        charged: true,
-    });
+    if !probe_masked {
+        probe_op.locals.push(Artifact {
+            kind: ArtifactKind::SelectionVector,
+            table: fact.to_string(),
+            rows: TILE,
+            scope: Scope::Tile,
+        });
+    }
+    probe_op.allocs.push(worker_scratch_alloc());
     ops.push(probe_op);
     Ok(Program {
         tables,

@@ -27,14 +27,18 @@
 //!
 //! Soundness argument: every byte bound here mirrors a charge site in the
 //! engine (`crates/plan/src/engine.rs`) with the operator's row count, worker
-//! count, and hash-table growth discipline substituted by their maxima, and
-//! each formula is checked against the kernel sizing functions by a
-//! drift-guard test in the engine crate. Charges are never released
-//! mid-query, so the sum of per-operator bounds dominates the gauge peak.
+//! count, and hash-table growth discipline substituted by their maxima. The
+//! structure sizes are the sizing functions the structures' own constructors
+//! call (`AggTable::{initial_capacity, grown_capacity, bytes_for}`,
+//! `KeySet::build_bytes_bound`, `PositionalBitmap::bytes_for`), so there is
+//! no second copy to drift. Charges are never released mid-query, so the sum
+//! of per-operator bounds dominates the gauge peak.
 
 use std::fmt;
 
+use swole_bitmap::PositionalBitmap;
 use swole_cost::{BitmapBuild, SemiJoinStrategy};
+use swole_ht::{AggTable, KeySet};
 
 use crate::ir::{
     ArithOp, BoundExpr, ColType, ExprRole, Op, Program, StrategyRef, TableDecl, VExpr,
@@ -398,48 +402,11 @@ fn column_interval(name: &str, decl: Option<&TableDecl>, profile: Option<&TableP
     }
 }
 
-// ---------------------------------------------------------------------------
-// Sizing formulas (mirror swole_kernels + engine charge sites; the engine
-// crate carries a drift-guard test comparing these against the real sizing
-// functions)
-// ---------------------------------------------------------------------------
-
-fn next_pow2(x: u64) -> u64 {
-    x.max(1).checked_next_power_of_two().unwrap_or(u64::MAX)
-}
-
-/// `AggTable::with_capacity` initial capacity for an expected key count.
-fn agg_table_cap0(expected: u64) -> u64 {
-    next_pow2(expected.max(4).saturating_mul(2))
-}
-
-/// Final capacity after growth: the table doubles whenever
-/// `(len + 1) * 2 > cap`, so `keys` occupants force capacity to the first
-/// power of two at or above `2 * keys + 2` (never shrinking below `cap0`).
-fn grown_cap(cap0: u64, keys: u64) -> u64 {
-    cap0.max(next_pow2(keys.saturating_mul(2).saturating_add(2)))
-}
-
-/// `AggTable::size_bytes` at a given capacity.
-fn agg_table_bytes(cap: u64, n_aggs: u64) -> u64 {
-    cap.saturating_mul(8)
-        .saturating_add(
-            cap.saturating_add(1)
-                .saturating_mul(n_aggs)
-                .saturating_mul(8),
-        )
-        .saturating_add(cap)
-}
-
-/// Total `KeySet` charge for up to `n` inserted keys: initial capacity for
-/// an expected `n/2 + 4`, grown until `n` occupants fit.
-fn key_set_bytes(n: u64) -> u64 {
-    let cap0 = agg_table_cap0(n / 2 + 4);
-    grown_cap(cap0, n).saturating_mul(8)
-}
-
-fn bitmap_bytes(rows: u64) -> u64 {
-    rows.div_ceil(64).saturating_mul(8)
+/// Bytes of one worker's grouped-aggregation table that started out sized
+/// for `expected` keys and may come to hold `keys`.
+fn grown_agg_table_bytes(expected: usize, keys: u64, n_aggs: u64) -> u64 {
+    let cap = AggTable::grown_capacity(AggTable::initial_capacity(expected), keys as usize);
+    AggTable::bytes_for(cap, n_aggs as usize) as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -549,8 +516,8 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
                 if *grouped {
                     let keys = group_keys_bound(ctx, &op.table, group_key_column(op), rows);
                     b.out_rows_bound = keys;
-                    let cap = grown_cap(agg_table_cap0(64), keys);
-                    b.ht_bytes_bound = workers.saturating_mul(agg_table_bytes(cap, n_aggs));
+                    b.ht_bytes_bound =
+                        workers.saturating_mul(grown_agg_table_bytes(64, keys, n_aggs));
                 } else {
                     b.out_rows_bound = 1;
                 }
@@ -562,14 +529,16 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
                 b.plan_bytes_bound = rows;
                 match s {
                     SemiJoinStrategy::Hash => {
-                        b.ht_bytes_bound = key_set_bytes(rows);
+                        b.ht_bytes_bound = KeySet::build_bytes_bound(op.rows) as u64;
                     }
                     SemiJoinStrategy::PositionalBitmap(bmb) => {
                         if *bmb == BitmapBuild::SelectionVector {
                             b.plan_bytes_bound =
                                 b.plan_bytes_bound.saturating_add(rows.saturating_mul(4));
                         }
-                        b.plan_bytes_bound = b.plan_bytes_bound.saturating_add(bitmap_bytes(rows));
+                        b.plan_bytes_bound = b
+                            .plan_bytes_bound
+                            .saturating_add(PositionalBitmap::bytes_for(op.rows) as u64);
                     }
                 }
             }
@@ -596,8 +565,9 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
                     None => parent_rows,
                 };
                 b.out_rows_bound = keys;
-                let cap = grown_cap(agg_table_cap0((parent_rows / 2).max(16)), keys);
-                b.ht_bytes_bound = workers.saturating_mul(agg_table_bytes(cap, n_aggs));
+                let expected = (parent_rows as usize / 2).max(16);
+                b.ht_bytes_bound =
+                    workers.saturating_mul(grown_agg_table_bytes(expected, keys, n_aggs));
                 last_out = b.out_rows_bound;
             }
             Some(StrategyRef::Window { .. }) => {
@@ -653,41 +623,6 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
         workers,
         stats_generations,
         lines,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sizing-formula accessors for the engine's drift-guard test
-// ---------------------------------------------------------------------------
-
-/// Kernel-sizing formulas re-exported for cross-crate drift tests: the
-/// engine asserts these agree with the real `swole_kernels` sizing
-/// functions, so a kernel layout change cannot silently unsound the bounds.
-pub mod sizing {
-    /// Initial `AggTable` capacity for an expected key count.
-    #[must_use]
-    pub fn agg_table_cap0(expected: u64) -> u64 {
-        super::agg_table_cap0(expected)
-    }
-    /// Capacity after growth to hold `keys` occupants.
-    #[must_use]
-    pub fn grown_cap(cap0: u64, keys: u64) -> u64 {
-        super::grown_cap(cap0, keys)
-    }
-    /// `AggTable::size_bytes` at a capacity.
-    #[must_use]
-    pub fn agg_table_bytes(cap: u64, n_aggs: u64) -> u64 {
-        super::agg_table_bytes(cap, n_aggs)
-    }
-    /// Total `KeySet` charge for up to `n` inserted keys.
-    #[must_use]
-    pub fn key_set_bytes(n: u64) -> u64 {
-        super::key_set_bytes(n)
-    }
-    /// Positional bitmap bytes over a parent domain.
-    #[must_use]
-    pub fn bitmap_bytes(rows: u64) -> u64 {
-        super::bitmap_bytes(rows)
     }
 }
 
@@ -881,7 +816,7 @@ mod tests {
     #[test]
     fn semijoin_hash_build_bound_covers_grown_key_set() {
         let rows = 5_000usize;
-        let mut build = Op::new("semijoin-build(s)", "/semijoin-agg/build", "s", rows);
+        let mut build = Op::new("multijoin-build(s)", "/multijoin-agg/build", "s", rows);
         build.strategy = Some(StrategyRef::SemiJoinBuild(SemiJoinStrategy::Hash));
         let p = Program {
             tables: vec![table("s", rows, &[("k", ColType::Int)])],
@@ -893,7 +828,7 @@ mod tests {
         let b = &cert.per_op_bounds[0];
         // Mask byte per row + final key-set capacity (pow2 >= 2n+2) * 8.
         assert_eq!(b.plan_bytes_bound, rows as u64);
-        assert_eq!(b.ht_bytes_bound, key_set_bytes(rows as u64));
+        assert_eq!(b.ht_bytes_bound, KeySet::build_bytes_bound(rows) as u64);
         assert!(b.ht_bytes_bound >= (2 * rows as u64) * 8);
     }
 

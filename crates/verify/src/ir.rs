@@ -284,7 +284,7 @@ pub enum StrategyRef {
 pub struct Op {
     /// Operator name (e.g. "groupby-agg(lineitem)").
     pub name: String,
-    /// Plan-path provenance for error messages (e.g. "/semijoin-agg/probe").
+    /// Plan-path provenance for error messages (e.g. "/multijoin-agg/probe").
     pub path: String,
     /// Table the operator scans.
     pub table: String,

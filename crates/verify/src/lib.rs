@@ -85,7 +85,7 @@ impl fmt::Display for VerifyLevel {
 }
 
 /// A verification failure: what went wrong ([`VerifyErrorKind`]) and where in
-/// the plan it was detected (`path`, e.g. `/semijoin-agg/build(supplier)`).
+/// the plan it was detected (`path`, e.g. `/multijoin-agg/build(supplier)`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyError {
     /// Plan-path provenance of the rejected construct.

@@ -606,8 +606,8 @@ mod tests {
         let build_rows = 5_000;
         let probe_rows = 60_000;
         let mut build = Op::new(
-            "semijoin-build(supplier)",
-            "/semijoin-agg/build",
+            "multijoin-build(supplier)",
+            "/multijoin-agg/build",
             "supplier",
             build_rows,
         );
@@ -640,8 +640,8 @@ mod tests {
         });
 
         let mut probe = Op::new(
-            "semijoin-probe(lineitem)",
-            "/semijoin-agg/probe",
+            "multijoin-agg(lineitem)",
+            "/multijoin-agg/probe",
             "lineitem",
             probe_rows,
         );
@@ -749,7 +749,7 @@ mod tests {
                 column: "l_ghost".into()
             }
         );
-        assert_eq!(e.path, "/semijoin-agg/probe");
+        assert_eq!(e.path, "/multijoin-agg/probe");
     }
 
     #[test]
@@ -844,7 +844,7 @@ mod tests {
                 found_rows: 4_096,
             }
         );
-        assert_eq!(e.path, "/semijoin-agg/probe");
+        assert_eq!(e.path, "/multijoin-agg/probe");
     }
 
     #[test]
@@ -936,7 +936,7 @@ mod tests {
         assert_eq!(
             e.kind,
             VerifyErrorKind::UnchargedAllocation {
-                op: "semijoin-build(supplier)".into(),
+                op: "multijoin-build(supplier)".into(),
                 site: "positional-bitmap".into(),
             }
         );

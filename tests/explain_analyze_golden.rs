@@ -102,6 +102,21 @@ fn multijoin_star_chain_golden() {
     );
 }
 
+/// Two-table semijoin (micro Q4 shape): a one-edge join reports like any
+/// other — `multijoin-build` / `-probe` / `-agg` operators, the edge's
+/// estimated vs observed cardinality and a re-scored `join.order` cost —
+/// plus the masked-probe decision only a single bitmap edge takes.
+#[test]
+fn semijoin_one_edge_golden() {
+    assert_golden(
+        "semijoin_explain_analyze",
+        "explain analyze select sum(lineitem.l_extendedprice * lineitem.l_discount) as s \
+         from lineitem, orders \
+         where lineitem.l_orderkey = orders.rowid \
+           and lineitem.l_quantity < 25 and orders.o_orderdate < 9204",
+    );
+}
+
 const WINDOW_SQL: &str = "select l_orderkey, \
      row_number() over (partition by l_returnflag order by l_orderkey) as rn, \
      sum(l_quantity) over (partition by l_returnflag order by l_orderkey) as rq \

@@ -319,13 +319,19 @@ fn semijoin_build_and_probe_reported_separately() {
             SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional),
         ))
     });
-    let build = m.op("semijoin-build(S)").expect("build op present");
-    let probe = m.op("probe-agg(R)").expect("probe op present");
+    let build = m.op("multijoin-build(S)").expect("build op present");
+    let probe = m.op("multijoin-probe(S)").expect("edge probe op present");
+    let agg = m.op("multijoin-agg(R)").expect("probe-side agg op present");
     assert_eq!(build.access.rows_in, 512);
     assert!(build.bitmap_words > 0, "bitmap build reports its words");
     assert_eq!(build.bitmap_bits_set, build.access.rows_out);
-    assert_eq!(probe.access.rows_in, 50_000);
-    assert!(probe.access.ht_probes > 0);
+    assert_eq!(agg.access.rows_in, 50_000);
+    assert!(agg.access.ht_probes > 0);
+    // The masked probe tests every lane, but the edge's cardinalities are
+    // the filter-qualifying rows, and its survivors the aggregated ones.
+    assert_eq!(agg.access.ht_probes, 50_000);
+    assert!(probe.access.rows_in < 50_000 && probe.access.rows_in > probe.access.rows_out);
+    assert_eq!(probe.access.rows_out, agg.access.rows_out);
 }
 
 #[test]

@@ -163,7 +163,84 @@ fn semijoin_all_strategies_all_thread_counts() {
                 &format!("semijoin {strategy:?}, probe_sel={probe_sel}"),
                 |b| b.strategies(StrategyOverrides::pin_semijoin(strategy)),
             );
+            assert_one_edge_matches_zero_edge(probe_sel, strategy);
         }
+    }
+}
+
+/// A scan and a semijoin run the same executor at arities zero and one:
+/// with no build filter every parent qualifies, so the join restricts
+/// nothing and must match the scan under the same probe filter — result
+/// and probe-side counters — on the masked path (value masking ≡ masked
+/// probe) and the selection-vector path (hybrid ≡ narrowed selection).
+fn assert_one_edge_matches_zero_edge(probe_sel: i64, strategy: SemiJoinStrategy) {
+    let probe =
+        || QueryBuilder::scan("R").filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(probe_sel)));
+    let aggs = || {
+        vec![
+            AggSpec::sum(Expr::col("a").mul(Expr::col("b")), "s"),
+            AggSpec::count("n"),
+        ]
+    };
+    let zero_edge = probe().aggregate(None, aggs());
+    let one_edge = probe()
+        .semijoin(QueryBuilder::scan("S"), "fk")
+        .aggregate(None, aggs());
+    let masked = probe_sel >= 13 && matches!(strategy, SemiJoinStrategy::PositionalBitmap(_));
+    let pins = StrategyOverrides {
+        agg: Some(if masked {
+            AggStrategy::ValueMasking
+        } else {
+            AggStrategy::Hybrid
+        }),
+        semijoin: Some(strategy),
+        ..StrategyOverrides::default()
+    };
+    for threads in THREADS {
+        let label = format!("{strategy:?}, probe_sel={probe_sel}, threads={threads}");
+        let engine = Engine::builder(make_db(42, 50_000, 512))
+            .threads(threads)
+            .tile_rows(2048)
+            .metrics(MetricsLevel::Counters)
+            .strategies(pins.clone())
+            .build();
+        let explain = engine.explain(&one_edge).expect("plans");
+        assert_eq!(explain.strategy.contains("masked probe"), masked, "{label}");
+        let zero = engine.query(&zero_edge).expect("scan runs");
+        let one = engine.query(&one_edge).expect("join runs");
+        assert_eq!(zero, one, "{label}");
+        let last_op = |r: &QueryResult| {
+            let ops = &r.metrics().expect("counters recorded").operators;
+            ops.last().expect("an operator ran").clone()
+        };
+        let (z, o) = (last_op(&zero), last_op(&one));
+        assert_eq!(
+            (z.name.as_str(), o.name.as_str()),
+            ("agg(R)", "multijoin-agg(R)")
+        );
+        let body = |op: &swole::OpMetrics| {
+            let a = &op.access;
+            (
+                a.rows_in,
+                a.rows_out,
+                a.predicate_evals,
+                a.wasted_lanes,
+                a.morsels,
+            )
+        };
+        assert_eq!(body(&z), body(&o), "{label}");
+        // The edge adds only its probes: every lane when masked, the
+        // filter's survivors through the selection vector.
+        let probed = if masked {
+            o.access.rows_in
+        } else {
+            o.access.rows_out
+        };
+        assert_eq!(
+            (z.access.ht_probes, o.access.ht_probes),
+            (0, probed),
+            "{label}"
+        );
     }
 }
 

@@ -125,37 +125,26 @@ fn reload_bumps_generation_and_invalidates() {
     );
 }
 
-#[test]
-fn drift_between_sample_and_reality_triggers_replan() {
-    // Adversarial layout: every row the Fibonacci-strided sampler visits
-    // satisfies the predicate, almost nothing else does. The planner
-    // estimates σ≈1.0; execution observes σ≈0.04 — far past the drift
-    // thresholds, so the cached entry is marked stale and the next run
-    // re-plans with the observed selectivity.
-    let n = 50_000usize;
+/// Adversarial filter column over `n` rows: every row the
+/// Fibonacci-strided sampler visits is 0, everything else 100, so
+/// `col < 50` is estimated at σ≈1.0 and observed at σ≈0.04.
+fn sampler_fooling_column(n: usize) -> ColumnData {
     let sampled: std::collections::HashSet<usize> = (0..2048u64)
         .map(|k| (k.wrapping_mul(FIB) % n as u64) as usize)
         .collect();
-    let mut db = Database::new();
-    db.add_table(
-        Table::new("R")
-            .with_column(
-                "r_a",
-                ColumnData::I32((0..n).map(|i| (i % 10) as i32).collect()),
-            )
-            .with_column(
-                "r_x",
-                ColumnData::I32(
-                    (0..n)
-                        .map(|i| if sampled.contains(&i) { 0 } else { 100 })
-                        .collect(),
-                ),
-            ),
-    );
-    let engine = Engine::builder(db).metrics(MetricsLevel::Counters).build();
-    let plan = sum_where_x_lt(50);
+    ColumnData::I32(
+        (0..n)
+            .map(|i| if sampled.contains(&i) { 0 } else { 100 })
+            .collect(),
+    )
+}
 
-    let first = engine.query(&plan).expect("runs");
+/// The first execution of `plan` must observe a selectivity far past the
+/// drift thresholds from the planner's estimate, marking the cached entry
+/// stale; the second re-plans with the observed selectivity; the third
+/// hits the re-planned entry.
+fn assert_drift_replans_once(engine: &Engine, plan: &LogicalPlan) {
+    let first = engine.query(plan).expect("runs");
     let est = first
         .metrics()
         .and_then(|m| m.estimated_selectivity)
@@ -165,7 +154,7 @@ fn drift_between_sample_and_reality_triggers_replan() {
     // The first execution observed the true selectivity and marked the
     // entry stale; this run misses, re-plans with the measurement, and
     // re-caches.
-    let second = engine.query(&plan).expect("runs");
+    let second = engine.query(plan).expect("runs");
     assert_eq!(first, second, "same data, same answer");
     let stats = engine.plan_cache_stats();
     assert_eq!(stats.invalidations, 1, "{stats:?}");
@@ -173,11 +162,65 @@ fn drift_between_sample_and_reality_triggers_replan() {
 
     // The re-planned entry is stable: the observed selectivity matches
     // what the hint predicted, so no further churn.
-    let third = engine.query(&plan).expect("runs");
+    let third = engine.query(plan).expect("runs");
     assert_eq!(first, third);
     let stats = engine.plan_cache_stats();
     assert_eq!(stats.invalidations, 1, "no thrash: {stats:?}");
     assert!(stats.hits >= 1, "{stats:?}");
+}
+
+#[test]
+fn drift_between_sample_and_reality_triggers_replan() {
+    let n = 50_000usize;
+    let mut db = Database::new();
+    db.add_table(
+        Table::new("R")
+            .with_column(
+                "r_a",
+                ColumnData::I32((0..n).map(|i| (i % 10) as i32).collect()),
+            )
+            .with_column("r_x", sampler_fooling_column(n)),
+    );
+    let engine = Engine::builder(db).metrics(MetricsLevel::Counters).build();
+    assert_drift_replans_once(&engine, &sum_where_x_lt(50));
+}
+
+/// The same feedback through a two-table semijoin: the drifted filter is
+/// the build side's, observed by the edge's build operator, and the re-plan
+/// overrides that edge's σ.
+#[test]
+fn drifted_semijoin_build_filter_triggers_replan() {
+    let (n_r, n_s) = (20_000usize, 50_000usize);
+    let mut db = Database::new();
+    db.add_table(
+        Table::new("R")
+            .with_column(
+                "r_a",
+                ColumnData::I32((0..n_r).map(|i| (i % 10) as i32).collect()),
+            )
+            .with_column(
+                "r_fk",
+                ColumnData::U32((0..n_r).map(|i| (i * 7 % n_s) as u32).collect()),
+            ),
+    );
+    db.add_table(Table::new("S").with_column("s_x", sampler_fooling_column(n_s)));
+    db.add_fk("R", "r_fk", "S").expect("valid by construction");
+    let engine = Engine::builder(db).metrics(MetricsLevel::Counters).build();
+    let plan = QueryBuilder::scan("R")
+        .semijoin(
+            QueryBuilder::scan("S").filter(Expr::col("s_x").cmp(CmpOp::Lt, Expr::lit(50))),
+            "r_fk",
+        )
+        .aggregate(None, vec![AggSpec::sum(Expr::col("r_a"), "s")]);
+    assert_drift_replans_once(&engine, &plan);
+    // The cached re-plan carries the observed σ as the edge's estimate.
+    let est = engine
+        .query(&plan)
+        .expect("runs")
+        .metrics()
+        .and_then(|m| m.estimated_selectivity)
+        .expect("estimate recorded");
+    assert!(est < 0.1, "edge σ must be the observed one, est={est}");
 }
 
 #[test]

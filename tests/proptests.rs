@@ -9,7 +9,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use swole::bitmap::{CompressedBitmap, PositionalBitmap};
-use swole::ht::{AggTable, JoinTable, KeySet, NULL_KEY};
+use swole::ht::{AggTable, KeySet, NULL_KEY};
 use swole::kernels::{predicate, selvec};
 use swole::storage::{like_match, ColumnData, Date};
 
@@ -160,27 +160,6 @@ fn key_set_matches_hashset() {
             assert!(set.contains(k), "seed={seed} k={k}");
         }
         assert_eq!(set.contains(i64::MAX), model.contains(&i64::MAX));
-    }
-}
-
-#[test]
-fn join_table_matches_multimap() {
-    for seed in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0x60 + seed);
-        let keys: Vec<i64> = (0..rng.gen_range(0usize..500))
-            .map(|_| rng.gen_range(-50i64..50))
-            .collect();
-        let table = JoinTable::build(&keys);
-        let mut model: HashMap<i64, Vec<u32>> = HashMap::new();
-        for (row, &k) in keys.iter().enumerate() {
-            model.entry(k).or_default().push(row as u32);
-        }
-        for k in -60i64..60 {
-            let mut got: Vec<u32> = table.probe(k).collect();
-            got.sort_unstable();
-            let expected = model.get(&k).cloned().unwrap_or_default();
-            assert_eq!(got, expected, "seed={seed} k={k}");
-        }
     }
 }
 
