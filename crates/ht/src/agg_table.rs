@@ -157,6 +157,19 @@ impl AggTable {
             .unwrap_or(usize::MAX)
     }
 
+    /// Distinct keys a grouped aggregation's table is sized for before any
+    /// row is seen: half of the `fk_parent_rows` positions when the key is a
+    /// foreign key into a table of that many rows (a groupjoin, sized as if
+    /// half the parents qualify), a small constant for any other key. The
+    /// executor's initial allocation and the verifier's bounds pass both
+    /// start from this.
+    pub fn expected_group_keys(fk_parent_rows: Option<usize>) -> usize {
+        match fk_parent_rows {
+            Some(rows) => (rows / 2).max(16),
+            None => 64,
+        }
+    }
+
     /// Upper bound on the slots of a table that started at `cap0` once
     /// `keys` distinct keys are in it: it doubles whenever
     /// `(len + 1) * 2 > cap`, so the occupants (plus the throwaway entry)

@@ -91,24 +91,10 @@ pub struct FallbackBreakerStats {
     pub short_circuits: u64,
 }
 
-/// Cost-model inputs captured when a plan was cached, so invalidation can
-/// reason about what the planner believed at planning time.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CostSnapshot {
-    /// Estimated selectivity of the probe/filter predicate, when the shape
-    /// has one (the drift check compares this against measurements).
-    pub est_selectivity: Option<f64>,
-    /// Estimated number of distinct group keys, for group-by shapes.
-    pub group_keys: Option<usize>,
-    /// Row counts of every table the plan touches, at planning time.
-    pub cardinalities: Vec<(String, usize)>,
-}
-
 /// One cached plan.
 struct CacheEntry {
     key: String,
     plan: Arc<PhysicalPlan>,
-    snapshot: CostSnapshot,
     /// `(table, generation)` for every table the plan reads.
     generations: Vec<(String, u64)>,
     /// Bytes charged against the cache gauge for this entry.
@@ -278,7 +264,6 @@ impl PlanCache {
         &self,
         key: String,
         plan: Arc<PhysicalPlan>,
-        snapshot: CostSnapshot,
         generations: Vec<(String, u64)>,
         verified: VerifyLevel,
         certificate: Option<Arc<PlanCertificate>>,
@@ -286,7 +271,7 @@ impl PlanCache {
         if !self.enabled {
             return;
         }
-        let bytes = entry_bytes(&key, &plan, &snapshot)
+        let bytes = entry_bytes(&key, &plan)
             + certificate
                 .as_ref()
                 .map_or(0, |c| 64 + c.per_op_bounds.len() * 96);
@@ -308,7 +293,6 @@ impl PlanCache {
         inner.entries.push(CacheEntry {
             key,
             plan,
-            snapshot,
             generations,
             bytes,
             stale: None,
@@ -330,7 +314,7 @@ impl PlanCache {
     }
 
     /// Feed a measured selectivity back into the cache. If it diverges from
-    /// the entry's planning-time estimate past the drift thresholds, the
+    /// the σ the entry's plan was priced with past the drift thresholds, the
     /// entry is marked stale; the next lookup misses and re-plans with
     /// `observed` as a hint.
     pub(crate) fn observe(&self, key: &str, observed: f64) {
@@ -341,7 +325,7 @@ impl PlanCache {
         let Some(entry) = inner.entries.iter_mut().find(|e| e.key == key) else {
             return;
         };
-        let Some(estimated) = entry.snapshot.est_selectivity else {
+        let Some(estimated) = entry.plan.estimates.selectivity else {
             return;
         };
         let abs = (estimated - observed).abs();
@@ -427,17 +411,11 @@ impl PlanCache {
 }
 
 /// Estimated resident size of a cache entry. The plan's `Debug` rendering
-/// tracks its structural size (shape, decision strings, cost terms) closely
-/// enough for budget accounting, without a hand-maintained `size_of` walk;
-/// the snapshot's tables and estimates are charged alongside.
-fn entry_bytes(key: &str, plan: &PhysicalPlan, snapshot: &CostSnapshot) -> usize {
-    let snapshot_bytes: usize = snapshot
-        .cardinalities
-        .iter()
-        .map(|(name, _)| name.len() + 8)
-        .sum::<usize>()
-        + snapshot.group_keys.map_or(0, |_| 8);
-    key.len() + format!("{plan:?}").len() + snapshot_bytes + 128
+/// tracks its structural size (shape, decision strings, cost terms, the
+/// estimates it was priced with) closely enough for budget accounting,
+/// without a hand-maintained `size_of` walk.
+fn entry_bytes(key: &str, plan: &PhysicalPlan) -> usize {
+    key.len() + format!("{plan:?}").len() + 128
 }
 
 /// Tracks per-table load generations for cache keying; a thin wrapper so
@@ -456,11 +434,15 @@ pub(crate) fn generations_of(db: &crate::catalog::Database, tables: &[&str]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::{PhysicalPlan, Shape};
+    use crate::physical::{CostProfile, Estimates, PhysicalPlan, Shape};
     use crate::tile::TileProgram;
     use swole_cost::AggStrategy;
 
     fn plan() -> Arc<PhysicalPlan> {
+        plan_estimating(None)
+    }
+
+    fn plan_estimating(selectivity: Option<f64>) -> Arc<PhysicalPlan> {
         Arc::new(PhysicalPlan {
             shape: Shape::ScanAgg {
                 table: "T".into(),
@@ -477,6 +459,11 @@ mod tests {
             decisions: vec!["test".into()],
             cost_terms: Vec::new(),
             shortcut: None,
+            estimates: Estimates {
+                selectivity,
+                result_rows: 1,
+                profile: CostProfile::Unmodelled,
+            },
         })
     }
 
@@ -491,14 +478,7 @@ mod tests {
             cache.lookup("q1", &gens(0)),
             CacheLookup::Miss { drift_hint: None }
         ));
-        cache.insert(
-            "q1".into(),
-            plan(),
-            CostSnapshot::default(),
-            gens(0),
-            VerifyLevel::Off,
-            None,
-        );
+        cache.insert("q1".into(), plan(), gens(0), VerifyLevel::Off, None);
         assert!(matches!(cache.lookup("q1", &gens(0)), CacheLookup::Hit(..)));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
@@ -507,14 +487,7 @@ mod tests {
     #[test]
     fn generation_mismatch_invalidates() {
         let cache = PlanCache::new(1 << 20);
-        cache.insert(
-            "q1".into(),
-            plan(),
-            CostSnapshot::default(),
-            gens(0),
-            VerifyLevel::Off,
-            None,
-        );
+        cache.insert("q1".into(), plan(), gens(0), VerifyLevel::Off, None);
         assert!(matches!(
             cache.lookup("q1", &gens(1)),
             CacheLookup::Miss { drift_hint: None }
@@ -526,14 +499,9 @@ mod tests {
     #[test]
     fn drift_marks_stale_and_hints_replan() {
         let cache = PlanCache::new(1 << 20);
-        let snapshot = CostSnapshot {
-            est_selectivity: Some(0.5),
-            ..CostSnapshot::default()
-        };
         cache.insert(
             "q1".into(),
-            plan(),
-            snapshot,
+            plan_estimating(Some(0.5)),
             gens(0),
             VerifyLevel::Off,
             None,
@@ -552,24 +520,10 @@ mod tests {
 
     #[test]
     fn lru_eviction_under_tiny_budget() {
-        let one = entry_bytes("a", &plan(), &CostSnapshot::default());
+        let one = entry_bytes("a", &plan());
         let cache = PlanCache::new(one + one / 2); // room for one entry only
-        cache.insert(
-            "a".into(),
-            plan(),
-            CostSnapshot::default(),
-            gens(0),
-            VerifyLevel::Off,
-            None,
-        );
-        cache.insert(
-            "b".into(),
-            plan(),
-            CostSnapshot::default(),
-            gens(0),
-            VerifyLevel::Off,
-            None,
-        );
+        cache.insert("a".into(), plan(), gens(0), VerifyLevel::Off, None);
+        cache.insert("b".into(), plan(), gens(0), VerifyLevel::Off, None);
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.evictions, 1);
@@ -583,14 +537,7 @@ mod tests {
     #[test]
     fn zero_budget_disables() {
         let cache = PlanCache::new(0);
-        cache.insert(
-            "a".into(),
-            plan(),
-            CostSnapshot::default(),
-            gens(0),
-            VerifyLevel::Off,
-            None,
-        );
+        cache.insert("a".into(), plan(), gens(0), VerifyLevel::Off, None);
         assert!(matches!(
             cache.lookup("a", &gens(0)),
             CacheLookup::Miss { .. }
@@ -634,14 +581,7 @@ mod tests {
     #[test]
     fn peek_does_not_perturb() {
         let cache = PlanCache::new(1 << 20);
-        cache.insert(
-            "a".into(),
-            plan(),
-            CostSnapshot::default(),
-            gens(0),
-            VerifyLevel::Off,
-            None,
-        );
+        cache.insert("a".into(), plan(), gens(0), VerifyLevel::Off, None);
         assert!(cache.peek("a", &gens(0)));
         assert!(!cache.peek("a", &gens(9)));
         assert!(!cache.peek("zzz", &gens(0)));

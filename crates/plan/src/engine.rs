@@ -7,7 +7,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, Weak};
 use std::time::{Duration, Instant};
 
 use crate::cache::{
-    BreakerDecision, CacheLookup, CostSnapshot, FallbackBreakerStats, PlanCache, PlanCacheStats,
+    BreakerDecision, CacheLookup, FallbackBreakerStats, PlanCache, PlanCacheStats,
     DEFAULT_PLAN_CACHE_BYTES,
 };
 use crate::catalog::Database;
@@ -15,7 +15,7 @@ use crate::error::PlanError;
 use crate::expr::{AggFunc, Expr};
 use crate::logical::{AggSpec, FrameSpec, LogicalPlan, SortKey, WindowFnSpec, WindowFunc};
 use crate::metrics::{MetricsLevel, OpMetrics, QueryMetrics};
-use crate::physical::{JoinEdge, PhysicalPlan, PostOp, Shape};
+use crate::physical::{CostProfile, Estimates, JoinEdge, PhysicalPlan, PostOp, Shape};
 use crate::session::QueryOptions;
 use crate::stats;
 use crate::tile::{scalar_sinks, BoundProgram, Regs, ScalarSinks, TileProgram, Want};
@@ -1450,11 +1450,9 @@ impl EngineInner {
                 } else {
                     self.certificate_for(db, &physical, fallback_bytes)?
                 };
-                let snapshot = self.snapshot_for(db, &physical.shape, drift_hint);
                 self.cache.insert(
                     key.clone(),
                     Arc::clone(&physical),
-                    snapshot,
                     gens,
                     verify,
                     Some(Arc::clone(&cert)),
@@ -1557,48 +1555,6 @@ impl EngineInner {
         key
     }
 
-    /// Cost-model inputs to remember alongside a cached plan.
-    fn snapshot_for(&self, db: &Database, shape: &Shape, hint: Option<f64>) -> CostSnapshot {
-        let est_selectivity = hint.or_else(|| self.planned_selectivity(db, shape));
-        let tables: Vec<&str> = match shape {
-            Shape::ScanAgg { table, .. } => vec![table],
-            Shape::GroupJoinAgg { probe, build, .. } => vec![probe, build],
-            Shape::WindowScan { table, .. } => vec![table],
-            Shape::MultiJoinAgg { fact, edges, .. } => {
-                let mut names = vec![fact.clone()];
-                for e in edges {
-                    e.tables(&mut names);
-                }
-                let cardinalities = names
-                    .iter()
-                    .filter_map(|t| db.table(t).ok().map(|tab| (t.clone(), tab.len())))
-                    .collect();
-                return CostSnapshot {
-                    est_selectivity,
-                    group_keys: None,
-                    cardinalities,
-                };
-            }
-        };
-        let cardinalities = tables
-            .iter()
-            .filter_map(|t| db.table(t).ok().map(|tab| (t.to_string(), tab.len())))
-            .collect();
-        let group_keys = match shape {
-            Shape::ScanAgg {
-                table,
-                group_by: Some(g),
-                ..
-            } => db.table(table).ok().map(|t| stats::estimate_distinct(t, g)),
-            _ => None,
-        };
-        CostSnapshot {
-            est_selectivity,
-            group_keys,
-            cardinalities,
-        }
-    }
-
     /// [`Engine::query`] against an explicit cancellation scope and
     /// per-call options — the one entry point every façade (engine,
     /// session, prepared statement, `EXPLAIN ANALYZE`) funnels through.
@@ -1650,7 +1606,6 @@ impl EngineInner {
                     report.push("data-centric interpreter: ok".into());
                     self.record_run(report);
                     self.attach_metrics(
-                        db,
                         &mut res,
                         physical,
                         op.into_iter().collect(),
@@ -1694,7 +1649,7 @@ impl EngineInner {
                     ctx.gauge.used()
                 ));
                 self.record_run(report);
-                self.attach_metrics(db, &mut res, physical, ops, &ctx, level, 0, t0, bound);
+                self.attach_metrics(&mut res, physical, ops, &ctx, level, 0, t0, bound);
                 // Drift check: feed the measured selectivity back to the
                 // cache so a materially mis-estimated entry re-plans.
                 if level.counting() {
@@ -1729,7 +1684,6 @@ impl EngineInner {
                         // interpreter's single operator *replaces* the
                         // operator list, so rows are never double-counted.
                         self.attach_metrics(
-                            db,
                             &mut res,
                             physical,
                             op.into_iter().collect(),
@@ -1779,7 +1733,6 @@ impl EngineInner {
         let t0 = level.timing().then(Instant::now);
         let (mut res, ops) = isolate(|| self.execute_shape(db, plan, &ctx, level, &cert))?;
         self.attach_metrics(
-            db,
             &mut res,
             plan,
             ops,
@@ -1830,7 +1783,7 @@ impl EngineInner {
         let key = self.cache_key(plan);
         let gens = table_generations(db, plan);
         let cached = self.cache.peek(&key, &gens);
-        let (join_order, join_tree) = self.explain_join_tree(db, &physical.shape);
+        let (join_order, join_tree) = self.explain_join_tree(db, &physical);
         Ok(Explain {
             shape: physical.describe(),
             strategy: physical.shape.strategy_name(),
@@ -1854,15 +1807,13 @@ impl EngineInner {
     fn explain_join_tree(
         &self,
         db: &Database,
-        shape: &Shape,
+        plan: &PhysicalPlan,
     ) -> (Option<String>, Vec<JoinEdgeExplain>) {
         let Shape::MultiJoinAgg {
-            fact,
-            fact_filter,
             edges,
             order_method,
             ..
-        } = shape
+        } = &plan.shape
         else {
             return (None, Vec::new());
         };
@@ -1875,16 +1826,13 @@ impl EngineInner {
                 .join(" -> "),
             order_method.name()
         );
-        let fact_rows = db.table(fact).map(|t| t.len()).unwrap_or(0) as f64;
-        let fact_sel = match fact_filter {
-            Some(f) => db
-                .table(fact)
-                .map(|t| stats::estimate_selectivity(t, f))
-                .unwrap_or(1.0),
-            None => 1.0,
+        // Fact rows passing the fact's own filter, as the planner priced it.
+        let mut alive = match &plan.estimates.profile {
+            CostProfile::Join(p) => p.fact_rows as f64 * p.fact_selectivity,
+            CostProfile::GroupJoin(p) => p.r_rows as f64 * p.r_selectivity,
+            CostProfile::Agg(_) | CostProfile::Unmodelled => 0.0,
         };
         let mut tree = Vec::new();
-        let mut alive = fact_rows * fact_sel;
         for e in edges {
             alive *= e.est_selectivity;
             tree.push(JoinEdgeExplain {
@@ -1905,7 +1853,6 @@ impl EngineInner {
     #[allow(clippy::too_many_arguments)]
     fn attach_metrics(
         &self,
-        db: &Database,
         res: &mut QueryResult,
         physical: &PhysicalPlan,
         operators: Vec<OpMetrics>,
@@ -1918,10 +1865,10 @@ impl EngineInner {
         if !level.counting() {
             return;
         }
-        let (predicted_cost, observed_cost) = self.cost_comparison(db, &physical.shape, &operators);
+        let (predicted_cost, observed_cost) = self.cost_comparison(physical, &operators);
         res.metrics = Some(QueryMetrics {
             level,
-            estimated_selectivity: self.planned_selectivity(db, &physical.shape),
+            estimated_selectivity: physical.estimates.selectivity,
             operators,
             retries,
             bytes_charged: ctx.gauge.used() as u64,
@@ -1932,180 +1879,96 @@ impl EngineInner {
         });
     }
 
-    /// The planner's sampled selectivity estimate for the filter feeding
-    /// the *first* operator (the one whose observed selectivity the
-    /// analyze output compares against).
-    fn planned_selectivity(&self, db: &Database, shape: &Shape) -> Option<f64> {
-        let (table, filter) = match shape {
-            Shape::ScanAgg { table, filter, .. } => (table, filter.as_ref()?),
-            Shape::GroupJoinAgg {
-                build,
-                build_filter,
-                ..
-            } => (build, build_filter.as_ref()?),
-            Shape::WindowScan { table, filter, .. } => (table, filter.as_ref()?),
-            // The first operator of a join is the first edge's build: its
-            // planned selectivity is the edge estimate.
-            Shape::MultiJoinAgg { edges, .. } => {
-                return edges.first().map(|e| e.est_selectivity);
-            }
-        };
-        let t = db.table(table).ok()?;
-        Some(stats::estimate_selectivity(t, filter))
-    }
-
     /// Re-score the chosen strategy's cost formula with observed inputs:
-    /// the same model the planner consulted, fed the counter-derived
-    /// selectivity and the merged hash table's actual key count instead of
-    /// estimates. Returns `(predicted, observed)` cycles when the shape
-    /// has a modelled strategy decision (scan-aggregations, groupjoins and
-    /// the join order; the semijoin chooser keys on build cardinality, which
-    /// the planner knows exactly, so there is nothing to validate).
+    /// the profile the planner priced the plan with, its estimated fields
+    /// overwritten by the counter-derived selectivities and the merged hash
+    /// table's actual key count. Returns `(predicted, observed)` cycles when
+    /// the plan has a modelled strategy decision (scan-aggregations,
+    /// groupjoins and the join order; the semijoin chooser keys on build
+    /// cardinality, which the planner knows exactly, so there is nothing to
+    /// validate).
     fn cost_comparison(
         &self,
-        db: &Database,
-        shape: &Shape,
+        plan: &PhysicalPlan,
         ops: &[OpMetrics],
     ) -> (Option<f64>, Option<f64>) {
-        match shape {
-            Shape::ScanAgg {
-                table,
-                filter,
-                group_by,
-                aggs,
-                strategy,
-                ..
-            } => {
-                let Ok(t) = db.table(table) else {
-                    return (None, None);
+        let edge_probe = |parent: &str| {
+            let name = format!("multijoin-probe({parent})");
+            ops.iter()
+                .find(|o| o.name == name)
+                .filter(|o| o.access.rows_in > 0)
+        };
+        match (&plan.estimates.profile, &plan.shape) {
+            (CostProfile::Agg(profile), Shape::ScanAgg { strategy, .. }) => {
+                let score = |p: &AggProfile| {
+                    observed::agg_cost_for(&choose_agg_mt(&self.params, p, self.threads), *strategy)
                 };
-                if aggs
-                    .iter()
-                    .any(|a| matches!(a.func, AggFunc::Min | AggFunc::Max))
-                {
-                    // min/max force hybrid without consulting the chooser.
-                    return (None, None);
-                }
-                let (comp, n_cols) = agg_comp_cols(aggs, group_by.as_deref());
-                let est_sel = match filter {
-                    Some(f) => stats::estimate_selectivity(t, f),
-                    None => 1.0,
-                };
-                let mut profile = AggProfile {
-                    rows: t.len(),
-                    selectivity: est_sel,
-                    comp,
-                    n_cols,
-                    group_keys: group_by.as_deref().map(|g| stats::estimate_distinct(t, g)),
-                    n_aggs: aggs.len(),
-                };
-                let predicted = observed::agg_cost_for(
-                    &choose_agg_mt(&self.params, &profile, self.threads),
-                    *strategy,
-                );
+                let predicted = score(profile);
                 let Some(op) = ops.first() else {
                     return (predicted, None);
                 };
-                profile.selectivity = op.observed_selectivity().unwrap_or(est_sel);
-                if profile.group_keys.is_some() {
-                    profile.group_keys = Some(op.ht.inserts as usize);
+                let mut seen = *profile;
+                seen.selectivity = op.observed_selectivity().unwrap_or(seen.selectivity);
+                if seen.group_keys.is_some() {
+                    seen.group_keys = Some(op.ht.inserts as usize);
                 }
-                let observed_cost = observed::agg_cost_for(
-                    &choose_agg_mt(&self.params, &profile, self.threads),
-                    *strategy,
-                );
-                (predicted, observed_cost)
+                (predicted, score(&seen))
             }
-            Shape::GroupJoinAgg {
-                probe,
-                build,
-                build_filter,
-                aggs,
-                strategy,
-                ..
-            } => {
-                let (Ok(probe_t), Ok(build_t)) = (db.table(probe), db.table(build)) else {
-                    return (None, None);
+            (
+                CostProfile::GroupJoin(profile),
+                Shape::MultiJoinAgg {
+                    edges,
+                    group: Some((_, strategy)),
+                    ..
+                },
+            ) => {
+                let score = |p: &GroupJoinProfile| {
+                    observed::groupjoin_cost_for(
+                        &choose_groupjoin_mt(&self.params, p, self.threads),
+                        *strategy,
+                    )
                 };
-                let est_sel = match build_filter {
-                    Some(f) => stats::estimate_selectivity(build_t, f),
-                    None => 1.0,
-                };
-                let comp: f64 = aggs.iter().map(|a| a.expr.comp_cycles() + 0.5).sum();
-                let mut profile = GroupJoinProfile {
-                    r_rows: probe_t.len(),
-                    r_selectivity: 1.0,
-                    s_rows: build_t.len(),
-                    s_selectivity: est_sel,
-                    join_match_prob: est_sel,
-                    group_keys: build_t.len(),
-                    comp,
-                    n_aggs: aggs.len(),
-                };
-                let predicted = observed::groupjoin_cost_for(
-                    &choose_groupjoin_mt(&self.params, &profile, self.threads),
-                    *strategy,
-                );
+                let predicted = score(profile);
+                // The first operator is the one edge's build.
                 let Some(build_op) = ops.first() else {
                     return (Some(predicted), None);
                 };
-                let obs_sel = build_op.observed_selectivity().unwrap_or(est_sel);
-                profile.s_selectivity = obs_sel;
-                profile.join_match_prob = obs_sel;
-                let observed_cost = observed::groupjoin_cost_for(
-                    &choose_groupjoin_mt(&self.params, &profile, self.threads),
-                    *strategy,
-                );
-                (Some(predicted), Some(observed_cost))
+                let mut seen = *profile;
+                seen.s_selectivity = build_op
+                    .observed_selectivity()
+                    .unwrap_or(seen.s_selectivity);
+                seen.join_match_prob = seen.s_selectivity;
+                if let Some(op) = edges.first().and_then(|e| edge_probe(&e.parent)) {
+                    seen.r_selectivity = op.access.rows_in as f64 / seen.r_rows.max(1) as f64;
+                }
+                (Some(predicted), Some(score(&seen)))
             }
-            Shape::MultiJoinAgg {
-                fact,
-                fact_filter,
-                edges,
-                ..
-            } => {
-                let Ok(fact_t) = db.table(fact) else {
-                    return (None, None);
-                };
-                let est_fact_sel = fact_filter
-                    .as_ref()
-                    .map(|f| stats::estimate_selectivity(fact_t, f))
-                    .unwrap_or(1.0);
-                let Some(mut profile) = self.multijoin_profile(db, fact, est_fact_sel, edges)
-                else {
-                    return (None, None);
-                };
+            (CostProfile::Join(profile), _) => {
                 let order: Vec<usize> = (0..profile.edges.len()).collect();
-                let predicted = join_order_cost(&self.params, &profile, &order);
+                let predicted = join_order_cost(&self.params, profile, &order);
                 // Re-score the same order with the per-edge selectivities the
                 // probe actually observed.
+                let mut seen = profile.clone();
                 let mut any = false;
-                for (i, e) in edges.iter().enumerate() {
-                    let name = format!("multijoin-probe({})", e.parent);
-                    if let Some(op) = ops.iter().find(|o| o.name == name) {
-                        if op.access.rows_in > 0 {
-                            profile.edges[i].selectivity =
-                                op.access.rows_out as f64 / op.access.rows_in as f64;
-                            any = true;
-                        }
+                for (i, e) in seen.edges.iter_mut().enumerate() {
+                    let Some(op) = edge_probe(&e.parent) else {
+                        continue;
+                    };
+                    e.selectivity = op.access.rows_out as f64 / op.access.rows_in as f64;
+                    if i == 0 && seen.fact_rows > 0 {
+                        seen.fact_selectivity = op.access.rows_in as f64 / seen.fact_rows as f64;
                     }
-                }
-                if let Some(first) = edges.first() {
-                    let name = format!("multijoin-probe({})", first.parent);
-                    if let Some(op) = ops.iter().find(|o| o.name == name) {
-                        if !fact_t.is_empty() {
-                            profile.fact_selectivity =
-                                op.access.rows_in as f64 / fact_t.len() as f64;
-                        }
-                    }
+                    any = true;
                 }
                 if !any {
                     return (Some(predicted), None);
                 }
-                let observed_cost = join_order_cost(&self.params, &profile, &order);
-                (Some(predicted), Some(observed_cost))
+                (
+                    Some(predicted),
+                    Some(join_order_cost(&self.params, &seen, &order)),
+                )
             }
-            Shape::WindowScan { .. } => (None, None),
+            _ => (None, None),
         }
     }
 
@@ -2145,32 +2008,6 @@ impl EngineInner {
             fact_selectivity,
             edges: edges_p,
         })
-    }
-
-    /// Rough result-row estimate for pricing post-operators.
-    fn est_result_rows(&self, db: &Database, shape: &Shape) -> usize {
-        match shape {
-            Shape::ScanAgg {
-                table, group_by, ..
-            } => match group_by {
-                None => 1,
-                Some(g) => db
-                    .table(table)
-                    .ok()
-                    .map(|t| stats::estimate_distinct(t, g))
-                    .unwrap_or(1),
-            },
-            Shape::MultiJoinAgg { .. } => 1,
-            Shape::GroupJoinAgg { build, .. } => db.table(build).ok().map(|t| t.len()).unwrap_or(1),
-            Shape::WindowScan { table, filter, .. } => {
-                let Ok(t) = db.table(table) else { return 1 };
-                let sel = filter
-                    .as_ref()
-                    .map(|f| stats::estimate_selectivity(t, f))
-                    .unwrap_or(1.0);
-                ((t.len() as f64) * sel).ceil().max(1.0) as usize
-            }
-        }
     }
 
     // -----------------------------------------------------------------
@@ -2217,7 +2054,7 @@ impl EngineInner {
                             return Err(PlanError::UnknownResultColumn(k.column.clone()));
                         }
                     }
-                    let est_rows = self.est_result_rows(db, &physical.shape);
+                    let est_rows = physical.estimates.result_rows;
                     let cost = sort_cost(&self.params, est_rows, keys.len());
                     physical.cost_terms.push(("sort.rows".to_string(), cost));
                     physical.decisions.push(format!(
@@ -2291,53 +2128,8 @@ impl EngineInner {
             LogicalPlan::Scan { table } => {
                 self.plan_scan_agg(db, table, filter, group_by.as_deref(), aggs, hints)
             }
-            LogicalPlan::SemiJoin {
-                input: probe,
-                build,
-                fk_col,
-            } => {
-                // Scalar aggregation over any number of join edges is one
-                // shape; only the single-edge group-by-FK query is a
-                // groupjoin.
-                let Some(g) = group_by.as_deref() else {
-                    return self.plan_multijoin_agg(db, core, filter, aggs, hints);
-                };
-                let (probe_core, probe_filter) = split_filters(probe);
-                if matches!(probe_core, LogicalPlan::SemiJoin { .. }) || join_depth(build) > 0 {
-                    return Err(PlanError::Unsupported(format!(
-                        "group by {g} over a multi-way join"
-                    )));
-                }
-                let LogicalPlan::Scan { table: probe_table } = probe_core else {
-                    return Err(PlanError::Unsupported(
-                        "semijoin probe side must be scan(+filter)".into(),
-                    ));
-                };
-                let (build_core, build_filter) = split_filters(build);
-                let LogicalPlan::Scan { table: build_table } = build_core else {
-                    return Err(PlanError::Unsupported(
-                        "semijoin build side must be scan(+filter)".into(),
-                    ));
-                };
-                if g != fk_col {
-                    return Err(PlanError::Unsupported(format!(
-                        "group by {g} over a semijoin (only the FK column is supported)"
-                    )));
-                }
-                if filter.is_some() || probe_filter.is_some() {
-                    return Err(PlanError::Unsupported(
-                        "groupjoin with a probe-side filter".into(),
-                    ));
-                }
-                self.plan_groupjoin_agg(
-                    db,
-                    probe_table,
-                    build_table,
-                    build_filter,
-                    fk_col,
-                    aggs,
-                    hints,
-                )
+            LogicalPlan::SemiJoin { .. } => {
+                self.plan_multijoin_agg(db, core, filter, group_by.as_deref(), aggs, hints)
             }
             other => Err(PlanError::Unsupported(format!(
                 "aggregation over {other:?}"
@@ -2372,16 +2164,8 @@ impl EngineInner {
         }
         let mut decisions = Vec::new();
         let mut cost_terms = Vec::new();
-        let selectivity = match (hints.selectivity, &filter) {
-            (Some(observed), Some(_)) => {
-                decisions.push(format!(
-                    "σ overridden to {observed:.4} (observed after drift)"
-                ));
-                observed
-            }
-            (_, Some(f)) => stats::estimate_selectivity(table, f),
-            (_, None) => 1.0,
-        };
+        let filter_selectivity = filter_selectivity(table, filter.as_ref(), hints, &mut decisions);
+        let selectivity = filter_selectivity.unwrap_or(1.0);
         let group_keys = group_by.map(|g| stats::estimate_distinct(table, g));
         let has_minmax = aggs
             .iter()
@@ -2471,6 +2255,16 @@ impl EngineInner {
             decisions,
             cost_terms,
             shortcut,
+            estimates: Estimates {
+                selectivity: filter_selectivity,
+                result_rows: group_keys.unwrap_or(1),
+                // min/max force hybrid without consulting the chooser.
+                profile: if has_minmax {
+                    CostProfile::Unmodelled
+                } else {
+                    CostProfile::Agg(profile)
+                },
+            },
         })
     }
 
@@ -2557,16 +2351,8 @@ impl EngineInner {
         }
         let mut decisions = Vec::new();
         let mut cost_terms = Vec::new();
-        let selectivity = match (hints.selectivity, &filter) {
-            (Some(observed), Some(_)) => {
-                decisions.push(format!(
-                    "σ overridden to {observed:.4} (observed after drift)"
-                ));
-                observed
-            }
-            (_, Some(f)) => stats::estimate_selectivity(table, f),
-            (_, None) => 1.0,
-        };
+        let filter_selectivity = filter_selectivity(table, filter.as_ref(), hints, &mut decisions);
+        let selectivity = filter_selectivity.unwrap_or(1.0);
         let strategy = if funcs.is_empty() {
             decisions.push("projection: no window functions to frame".into());
             // Price the degenerate projection as one sequential pass so the
@@ -2652,6 +2438,11 @@ impl EngineInner {
             decisions,
             cost_terms,
             shortcut: None,
+            estimates: Estimates {
+                selectivity: filter_selectivity,
+                result_rows: (table.len() as f64 * selectivity).ceil().max(1.0) as usize,
+                profile: CostProfile::Unmodelled,
+            },
         })
     }
 
@@ -2661,12 +2452,15 @@ impl EngineInner {
     /// sampling, choose the probe order (exact subset DP up to
     /// [`swole_cost::JOIN_DP_LIMIT`] direct edges, greedy rank beyond,
     /// session pin override), pick each edge's membership structure with
-    /// the semijoin cost model, and decide whether the probe is masked.
+    /// the semijoin cost model, and decide the sink: a scalar aggregation
+    /// (masked probe or not), or — grouped by the FK of the join's one
+    /// edge — the groupjoin or its eager-aggregation rewrite (§ III-E).
     fn plan_multijoin_agg(
         &self,
         db: &Database,
         core: &LogicalPlan,
         outer_filter: Option<Expr>,
+        group_by: Option<&str>,
         aggs: &[AggSpec],
         hints: PlanHints,
     ) -> Result<PhysicalPlan, PlanError> {
@@ -2676,6 +2470,20 @@ impl EngineInner {
                 Some(f) => f.and(extra),
                 None => extra,
             });
+        }
+        let single_edge = matches!(&raw_edges[..], [e] if e.children.is_empty());
+        if let Some(g) = group_by {
+            // The interpreter oracle draws the same line.
+            if !single_edge {
+                return Err(PlanError::Unsupported(format!(
+                    "group by {g} over a multi-way join"
+                )));
+            }
+            if g != raw_edges[0].fk_col {
+                return Err(PlanError::Unsupported(format!(
+                    "group by {g} over a semijoin (only the FK column is supported)"
+                )));
+            }
         }
         let fact_t = db.table(&fact)?;
         if let Some(f) = &fact_filter {
@@ -2687,7 +2495,6 @@ impl EngineInner {
         let mut decisions = Vec::new();
         // The plan cache's drift feedback is the observed selectivity of the
         // first build; only a one-edge join says which edge that was.
-        let single_edge = matches!(&raw_edges[..], [e] if e.children.is_empty());
         let drift = hints.selectivity.filter(|_| single_edge);
         let mut edges = Vec::with_capacity(raw_edges.len());
         for e in raw_edges {
@@ -2743,21 +2550,23 @@ impl EngineInner {
                 .join(" -> "),
             method.name(),
         ));
-        let cost_terms = vec![
+        let mut cost_terms = vec![
             ("join.order".to_string(), chosen_cost),
             ("join.order.best".to_string(), choice.cost),
             ("join.order.worst".to_string(), choice.worst_cost),
         ];
-        let edges: Vec<JoinEdge> = order_idx.into_iter().map(|i| edges[i].clone()).collect();
+        let edges: Vec<JoinEdge> = order_idx.iter().map(|&i| edges[i].clone()).collect();
+        let has_minmax = aggs
+            .iter()
+            .any(|a| matches!(a.func, AggFunc::Min | AggFunc::Max));
         // A masked probe ANDs the bitmap bit into the filter mask and
         // aggregates every lane, which value masking has no min/max sink
         // for. Same VM-model threshold as the chooser's build decision: it
         // wins unless the fact predicate is very selective.
-        let maskable = single_edge
+        let maskable = group_by.is_none()
+            && single_edge
             && matches!(edges[0].strategy, SemiJoinStrategy::PositionalBitmap(_))
-            && !aggs
-                .iter()
-                .any(|a| matches!(a.func, AggFunc::Min | AggFunc::Max));
+            && !has_minmax;
         let probe_masked = maskable && fact_sel >= 0.125;
         if maskable {
             decisions.push(format!(
@@ -2769,12 +2578,55 @@ impl EngineInner {
                 }
             ));
         }
+        let mut estimates = Estimates {
+            // The first operator of a join is the first edge's build. A
+            // multi-edge re-plan cannot say which edge a drift hint observed;
+            // recording it as the estimate keeps the cache from invalidating
+            // the re-plan over the same measurement again.
+            selectivity: hints
+                .selectivity
+                .or_else(|| edges.first().map(|e| e.est_selectivity)),
+            result_rows: 1,
+            profile: CostProfile::Join(JoinGraphProfile {
+                edges: order_idx
+                    .iter()
+                    .map(|&i| profile.edges[i].clone())
+                    .collect(),
+                ..profile
+            }),
+        };
+        let group = match group_by {
+            None => None,
+            Some(g) => {
+                let edge = &edges[0];
+                let parent_rows = db.table(&edge.parent)?.len();
+                let (comp, _) = agg_comp_cols(aggs, Some(g));
+                let gj_profile = GroupJoinProfile {
+                    r_rows: fact_t.len(),
+                    r_selectivity: fact_sel,
+                    s_rows: parent_rows,
+                    s_selectivity: edge.est_selectivity,
+                    join_match_prob: edge.est_selectivity,
+                    group_keys: parent_rows,
+                    comp,
+                    n_aggs: aggs.len(),
+                };
+                // Eager aggregation upserts every probe lane unmasked: it has
+                // no place for a probe-side filter or a min/max state.
+                let forced = has_minmax || fact_filter.is_some();
+                let strategy =
+                    self.choose_group_sink(&gj_profile, forced, &mut decisions, &mut cost_terms)?;
+                estimates.result_rows = parent_rows;
+                estimates.profile = CostProfile::GroupJoin(gj_profile);
+                Some((g.to_string(), strategy))
+            }
+        };
         let fact_program = Arc::new(TileProgram::lower_agg(
             fact_t,
             fact_filter.as_ref(),
-            None,
+            group_by,
             aggs,
-            true,
+            group_by.is_none(),
         )?);
         Ok(PhysicalPlan {
             shape: Shape::MultiJoinAgg {
@@ -2784,13 +2636,63 @@ impl EngineInner {
                 aggs: aggs.to_vec(),
                 order_method: method,
                 probe_masked,
+                group,
                 fact_program,
             },
             post: Vec::new(),
             decisions,
             cost_terms,
             shortcut: None,
+            estimates,
         })
+    }
+
+    /// The grouped sink's one decision: the groupjoin or its eager-aggregation
+    /// rewrite (§ III-E), by the cost model unless the query forces the
+    /// groupjoin (`forced`) or the session pins a strategy.
+    fn choose_group_sink(
+        &self,
+        profile: &GroupJoinProfile,
+        forced: bool,
+        decisions: &mut Vec<String>,
+        cost_terms: &mut Vec<(String, f64)>,
+    ) -> Result<GroupJoinStrategy, PlanError> {
+        let choice = choose_groupjoin_mt(&self.params, profile, self.threads);
+        // The forced path is still priced: the verifier cross-checks every
+        // strategy against its cost term.
+        cost_terms.push((
+            GroupJoinStrategy::GroupJoin.cost_term().to_string(),
+            choice.cost_groupjoin,
+        ));
+        let chosen = if forced {
+            decisions.push(
+                "groupjoin forced: min/max and probe-side filters need the selection vector".into(),
+            );
+            GroupJoinStrategy::GroupJoin
+        } else {
+            cost_terms.push((
+                GroupJoinStrategy::EagerAggregation.cost_term().to_string(),
+                choice.cost_eager,
+            ));
+            decisions.push(format!(
+                "σ_S={:.2} → {} (groupjoin={:.2e}, eager={:.2e})",
+                profile.s_selectivity, choice.explanation, choice.cost_groupjoin, choice.cost_eager,
+            ));
+            choice.strategy
+        };
+        match self.strategies.groupjoin {
+            Some(pin) if forced && pin != GroupJoinStrategy::GroupJoin => {
+                Err(PlanError::Unsupported(format!(
+                    "cannot pin {}: min/max and probe-side filters require groupjoin",
+                    pin.name()
+                )))
+            }
+            Some(pin) => {
+                decisions.push("groupjoin strategy pinned by the session".to_string());
+                Ok(pin)
+            }
+            None => Ok(chosen),
+        }
     }
 
     /// Lower one raw join edge: validate the FK path and the parent
@@ -2881,100 +2783,6 @@ impl EngineInner {
             strategy,
             children,
             est_selectivity,
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn plan_groupjoin_agg(
-        &self,
-        db: &Database,
-        probe: &str,
-        build: &str,
-        build_filter: Option<Expr>,
-        fk_col: &str,
-        aggs: &[AggSpec],
-        hints: PlanHints,
-    ) -> Result<PhysicalPlan, PlanError> {
-        let probe_t = db.table(probe)?;
-        let build_t = db.table(build)?;
-        if let Some(f) = &build_filter {
-            f.validate(build_t)?;
-        }
-        for a in aggs {
-            a.expr.validate(probe_t)?;
-            if matches!(a.func, AggFunc::Min | AggFunc::Max) {
-                return Err(PlanError::Unsupported(
-                    "min/max over a groupjoin (use sum/count)".into(),
-                ));
-            }
-        }
-        self.fk_positions(db, probe, fk_col, build)?;
-        let mut hint_decision = None;
-        let s_sel = match (hints.selectivity, &build_filter) {
-            (Some(observed), Some(_)) => {
-                hint_decision = Some(format!(
-                    "σ_S overridden to {observed:.4} (observed after drift)"
-                ));
-                observed
-            }
-            (_, Some(f)) => stats::estimate_selectivity(build_t, f),
-            (_, None) => 1.0,
-        };
-        let comp: f64 = aggs.iter().map(|a| a.expr.comp_cycles() + 0.5).sum();
-        let choice = choose_groupjoin_mt(
-            &self.params,
-            &GroupJoinProfile {
-                r_rows: probe_t.len(),
-                r_selectivity: 1.0,
-                s_rows: build_t.len(),
-                s_selectivity: s_sel,
-                join_match_prob: s_sel,
-                group_keys: build_t.len(),
-                comp,
-                n_aggs: aggs.len(),
-            },
-            self.threads,
-        );
-        let mut decisions = vec![format!(
-            "σ_S={s_sel:.2} → {} (groupjoin={:.2e}, eager={:.2e})",
-            choice.explanation, choice.cost_groupjoin, choice.cost_eager,
-        )];
-        if let Some(d) = hint_decision {
-            decisions.push(d);
-        }
-        let strategy = match self.strategies.groupjoin {
-            Some(pin) => {
-                decisions.push("groupjoin strategy pinned by the session".to_string());
-                pin
-            }
-            None => choice.strategy,
-        };
-        let probe_program = Arc::new(TileProgram::lower_agg(probe_t, None, None, aggs, false)?);
-        let build_program = Arc::new(TileProgram::lower(build_t, build_filter.as_ref(), &[])?);
-        Ok(PhysicalPlan {
-            shape: Shape::GroupJoinAgg {
-                probe: probe.to_string(),
-                build: build.to_string(),
-                build_filter,
-                fk_col: fk_col.to_string(),
-                aggs: aggs.to_vec(),
-                strategy,
-                probe_program,
-                build_program,
-            },
-            post: Vec::new(),
-            decisions,
-            cost_terms: vec![
-                (
-                    GroupJoinStrategy::GroupJoin.cost_term().to_string(),
-                    choice.cost_groupjoin,
-                ),
-                (
-                    GroupJoinStrategy::EagerAggregation.cost_term().to_string(),
-                    choice.cost_eager,
-                ),
-            ],
-            shortcut: None,
         })
     }
 
@@ -3128,13 +2936,14 @@ impl EngineInner {
                         opts,
                         ctx,
                     ),
-                    Some(g) => exec_groupby_agg(
+                    Some(g) => exec_grouped_pipeline(
                         &format!("groupby-agg({table})"),
                         &t,
                         program,
+                        &[],
                         g,
                         aggs,
-                        *strategy,
+                        GroupMode::By(*strategy),
                         opts,
                         ctx,
                     ),
@@ -3145,51 +2954,36 @@ impl EngineInner {
                 edges,
                 aggs,
                 probe_masked,
+                group,
                 fact_program,
                 ..
             } => {
                 let fact_t = db.table_arc(fact)?;
                 let bound = self.bind_join_edges(db, fact, edges)?;
-                exec_scalar_pipeline(
-                    &format!("multijoin-agg({fact})"),
-                    &fact_t,
-                    fact_program,
-                    &bound,
-                    aggs,
-                    *probe_masked,
-                    opts,
-                    ctx,
-                )
-            }
-            Shape::GroupJoinAgg {
-                probe,
-                build,
-                fk_col,
-                aggs,
-                strategy,
-                probe_program,
-                build_program,
-                ..
-            } => {
-                let probe_t = db.table_arc(probe)?;
-                let build_t = db.table_arc(build)?;
-                let fk = self.fk_source(db, probe, fk_col, build)?;
-                exec_groupjoin_agg(
-                    SemiJoinNames {
-                        build: &format!("build-mask({build})"),
-                        probe: &format!("probe-agg({probe})"),
-                    },
-                    &probe_t,
-                    probe_program,
-                    &build_t,
-                    build_program,
-                    &fk,
-                    fk_col,
-                    aggs,
-                    *strategy,
-                    opts,
-                    ctx,
-                )
+                let op = format!("multijoin-agg({fact})");
+                match group {
+                    None => exec_scalar_pipeline(
+                        &op,
+                        &fact_t,
+                        fact_program,
+                        &bound,
+                        aggs,
+                        *probe_masked,
+                        opts,
+                        ctx,
+                    ),
+                    Some((g, strategy)) => exec_grouped_pipeline(
+                        &op,
+                        &fact_t,
+                        fact_program,
+                        &bound,
+                        g,
+                        aggs,
+                        GroupMode::Join(*strategy),
+                        opts,
+                        ctx,
+                    ),
+                }
             }
             Shape::WindowScan {
                 table,
@@ -3286,12 +3080,6 @@ fn apply_post_ops(
     Ok(())
 }
 
-/// Operator display names of the groupjoin's two phases.
-struct SemiJoinNames<'a> {
-    build: &'a str,
-    probe: &'a str,
-}
-
 /// The positional FK mapping, pinned as owned data so shared-pool worker
 /// closures (which outlive the submitting call stack) can read it without
 /// borrowing from the database guard.
@@ -3335,9 +3123,29 @@ struct BoundEdge {
     children: Vec<BoundEdge>,
 }
 
-/// The `comp` estimate and distinct-column count of an aggregate list —
-/// shared by the planner's chooser profile and the observed-cost re-scoring
-/// so both feed the model identical inputs.
+/// σ of a scan's own filter as the planner prices it: what the plan cache
+/// observed when this is a re-plan after drift, the sample's estimate
+/// otherwise. `None` without a filter.
+fn filter_selectivity(
+    table: &Table,
+    filter: Option<&Expr>,
+    hints: PlanHints,
+    decisions: &mut Vec<String>,
+) -> Option<f64> {
+    let filter = filter?;
+    Some(match hints.selectivity {
+        Some(observed) => {
+            decisions.push(format!(
+                "σ overridden to {observed:.4} (observed after drift)"
+            ));
+            observed
+        }
+        None => stats::estimate_selectivity(table, filter),
+    })
+}
+
+/// The `comp` estimate and distinct-column count of an aggregate list, as
+/// the aggregation and groupjoin choosers' profiles take them.
 fn agg_comp_cols(aggs: &[AggSpec], group_by: Option<&str>) -> (f64, usize) {
     let mut cols: Vec<String> = Vec::new();
     for a in aggs {
@@ -3376,8 +3184,9 @@ fn shape_output_columns(shape: &Shape) -> Vec<String> {
             .cloned()
             .chain(aggs.iter().map(|a| a.name.clone()))
             .collect(),
-        Shape::MultiJoinAgg { aggs, .. } => aggs.iter().map(|a| a.name.clone()).collect(),
-        Shape::GroupJoinAgg { fk_col, aggs, .. } => std::iter::once(fk_col.clone())
+        Shape::MultiJoinAgg { group, aggs, .. } => group
+            .iter()
+            .map(|(g, _)| g.clone())
             .chain(aggs.iter().map(|a| a.name.clone()))
             .collect(),
         Shape::WindowScan { select, funcs, .. } => select
@@ -3395,15 +3204,6 @@ struct RawEdge {
     parent_filter: Option<Expr>,
     fk_col: String,
     children: Vec<RawEdge>,
-}
-
-/// Number of semijoin edges anywhere in `plan`'s tree (filters peeled).
-fn join_depth(plan: &LogicalPlan) -> usize {
-    match plan {
-        LogicalPlan::Filter { input, .. } => join_depth(input),
-        LogicalPlan::SemiJoin { input, build, .. } => 1 + join_depth(input) + join_depth(build),
-        _ => 0,
-    }
 }
 
 /// Decompose a nested semijoin tree into its join graph: the base table,
@@ -3453,11 +3253,6 @@ fn primary_stats_table(shape: &Shape) -> Option<&str> {
             filter: Some(_),
             ..
         } => Some(table),
-        Shape::GroupJoinAgg {
-            build,
-            build_filter: Some(_),
-            ..
-        } => Some(build),
         Shape::WindowScan {
             table,
             filter: Some(_),
@@ -3921,14 +3716,18 @@ fn group_inputs(program: &TileProgram, aggs: &[AggSpec]) -> Arc<[GroupIn]> {
         .collect()
 }
 
-/// Thread-local state for the grouped stages (group-by and groupjoin): a
-/// private [`AggTable`] plus the stage's register file.
+/// Thread-local state of the grouped pipeline: a private [`AggTable`], the
+/// stage's register file and, when the pipeline joins through an edge, the
+/// rows that reached and survived it — the counters of the
+/// `multijoin-probe(<parent>)` op.
 struct GroupAcc {
     ht: AggTable,
     /// Bytes already charged to the gauge for this worker (scratch + table).
     charged: usize,
     /// Access-pattern counters (only touched at `MetricsLevel::Counters`+).
     ctr: AccessCounters,
+    edge_in: u64,
+    edge_out: u64,
     regs: Regs,
 }
 
@@ -3943,6 +3742,8 @@ impl GroupAcc {
             ht,
             charged,
             ctr: AccessCounters::default(),
+            edge_in: 0,
+            edge_out: 0,
             regs: Regs::new(program),
         }
     }
@@ -3960,32 +3761,79 @@ impl GroupAcc {
     }
 }
 
+/// The strategy of a grouped pipeline: a group-by's over zero edges, a
+/// groupjoin's over one.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum GroupMode {
+    By(AggStrategy),
+    Join(GroupJoinStrategy),
+}
+
+/// Add lane `j`'s aggregate inputs of the tile just run, each times the 0/1
+/// mask `m`, to the entry at `off`. Sums and counts only: the planner gives
+/// the every-lane bodies no min/max.
+#[inline(always)]
+fn add_lane(ht: &mut AggTable, inputs: &[GroupIn], regs: &Regs, off: usize, j: usize, m: i64) {
+    for (i, input) in inputs.iter().enumerate() {
+        let add = match *input {
+            // m is 0/1, so the product cannot overflow.
+            GroupIn::Sum(r) => regs.val(r)[j] * m,
+            GroupIn::Count => m,
+            GroupIn::Min(_) | GroupIn::Max(_) => unreachable!("planner invariant"),
+        };
+        // add() detects wraparound in the table's overflow flag.
+        ht.add(off, i, add);
+    }
+}
+
+/// Execute a grouped aggregation over `table` restricted by zero or one FK
+/// join edge: a group-by and a groupjoin (§ III-E) are one pipeline at two
+/// arities, as the scalar aggregations are in [`exec_scalar_pipeline`], and
+/// the edge's build side comes from the same [`build_edge_side`].
+///
+/// The hybrid group-by upserts the tile's selection vector; the groupjoin is
+/// that body with the selection narrowed through the edge first. Eager
+/// aggregation upserts every lane, as the masked group-bys do but with no
+/// mask, and consults the edge once, after the merge, to delete the keys
+/// whose parent does not qualify.
 #[allow(clippy::too_many_arguments)]
-fn exec_groupby_agg(
+fn exec_grouped_pipeline(
     op_name: &str,
     table: &Arc<Table>,
     program: &Arc<TileProgram>,
+    edges: &[BoundEdge],
     group_by: &str,
     aggs: &[AggSpec],
-    strategy: AggStrategy,
+    mode: GroupMode,
     opts: ExecOpts<'_>,
     ctx: &Arc<ExecCtx>,
 ) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
+    debug_assert!(edges.len() <= 1, "the planner groups over at most one edge");
     let n = table.len();
     let n_aggs = aggs.len();
     let counting = opts.level.counting();
+    let mut op_list = Vec::new();
+    let edge = match edges.first() {
+        Some(e) => Some(Arc::new((
+            build_edge_side(e, opts, ctx, &mut op_list)?,
+            e.fk.clone(),
+        ))),
+        None => None,
+    };
     let t0 = opts.level.timing().then(Instant::now);
     let bound = Arc::new(program.bind(table)?);
     let inputs = group_inputs(program, aggs);
     // The key is the last output, after one per aggregate.
     let key_reg = program.output_reg(n_aggs);
+    let capacity = AggTable::expected_group_keys(edges.first().map(|e| e.parent_t.len()));
     let init = {
         let ctx = Arc::clone(ctx);
         let program = Arc::clone(program);
-        move || GroupAcc::new(&ctx.gauge, &program, n_aggs, 64)
+        move || GroupAcc::new(&ctx.gauge, &program, n_aggs, capacity)
     };
     let body = {
         let ctx = Arc::clone(ctx);
+        let edge = edge.clone();
         move |w: &mut GroupAcc, m_start: usize, m_len: usize| {
             if counting {
                 w.ctr.morsels += 1;
@@ -3996,9 +3844,21 @@ fn exec_groupby_agg(
             }
             for (start, len) in tiles_in(m_start, m_len) {
                 bound.run(&mut w.regs, start, len);
-                match strategy {
-                    AggStrategy::Hybrid => {
-                        let k = bound.select(&mut w.regs, len);
+                let edge = edge
+                    .as_deref()
+                    .map(|(side, fk)| (side, &fk.slice()[start..start + len]));
+                match mode {
+                    GroupMode::By(AggStrategy::Hybrid)
+                    | GroupMode::Join(GroupJoinStrategy::GroupJoin) => {
+                        let mut k = bound.select(&mut w.regs, len);
+                        if let Some((side, fk)) = edge {
+                            let reaching = k as u64;
+                            k = narrow_selection(&mut w.regs.idx, k, fk, side);
+                            if counting {
+                                w.edge_in += reaching;
+                                w.edge_out += k as u64;
+                            }
+                        }
                         if counting {
                             w.ctr.rows_out += k as u64;
                             w.ctr.ht_probes += k as u64;
@@ -4008,20 +3868,26 @@ fn exec_groupby_agg(
                         for &j in &regs.idx[..k] {
                             let j = j as usize;
                             let off = ht.entry(keys[j]);
-                            let fresh = !ht.is_valid(off);
                             for (i, input) in inputs.iter().enumerate() {
                                 match *input {
                                     // add() detects wraparound in the table's
                                     // overflow flag.
                                     GroupIn::Sum(r) => ht.add(off, i, regs.val(r)[j]),
                                     GroupIn::Count => ht.add(off, i, 1),
+                                    // Only min/max ask whether the entry is
+                                    // fresh: the valid flags are an array of
+                                    // their own, and reading one per lane is
+                                    // a cache miss a large table's sums and
+                                    // counts would pay for nothing.
                                     GroupIn::Min(r) => {
                                         let v = regs.val(r)[j];
+                                        let fresh = !ht.is_valid(off);
                                         let s = &mut ht.states_mut()[off + i];
                                         *s = if fresh { v } else { (*s).min(v) };
                                     }
                                     GroupIn::Max(r) => {
                                         let v = regs.val(r)[j];
+                                        let fresh = !ht.is_valid(off);
                                         let s = &mut ht.states_mut()[off + i];
                                         *s = if fresh { v } else { (*s).max(v) };
                                     }
@@ -4030,7 +3896,26 @@ fn exec_groupby_agg(
                             ht.set_valid(off);
                         }
                     }
-                    AggStrategy::ValueMasking | AggStrategy::KeyMasking => {
+                    GroupMode::Join(GroupJoinStrategy::EagerAggregation) => {
+                        if let (true, Some((side, fk))) = (counting, edge) {
+                            // Eager aggregation touches every probe row
+                            // (§ III-E); rows whose parent fails the build
+                            // filter are aggregated then deleted — wasted.
+                            let q: u64 = fk.iter().map(|&p| side.hit(p as usize) as u64).sum();
+                            w.edge_in += len as u64;
+                            w.edge_out += q;
+                            w.ctr.rows_out += q;
+                            w.ctr.wasted_lanes += len as u64 - q;
+                            w.ctr.ht_probes += len as u64;
+                        }
+                        let GroupAcc { ht, regs, .. } = &mut *w;
+                        for (j, &key) in regs.val(key_reg)[..len].iter().enumerate() {
+                            let off = ht.entry(key);
+                            add_lane(ht, &inputs, regs, off, j, 1);
+                            ht.set_valid(off);
+                        }
+                    }
+                    GroupMode::By(strategy) => {
                         let key_masked = strategy == AggStrategy::KeyMasking;
                         if key_masked {
                             bound.mask_keys(&mut w.regs, key_reg, len);
@@ -4057,17 +3942,7 @@ fn exec_groupby_agg(
                         for (j, (&key, &c)) in keys.iter().zip(cmp).enumerate() {
                             let off = ht.entry(key);
                             let m = if key_masked { 1 } else { c as i64 };
-                            for (i, input) in inputs.iter().enumerate() {
-                                let add = match *input {
-                                    // m is 0/1, so the product cannot overflow.
-                                    GroupIn::Sum(r) => regs.val(r)[j] * m,
-                                    GroupIn::Count => m,
-                                    GroupIn::Min(_) | GroupIn::Max(_) => {
-                                        unreachable!("planner invariant")
-                                    }
-                                };
-                                ht.add(off, i, add);
-                            }
+                            add_lane(ht, &inputs, regs, off, j, m);
                             // Branch-free: the throwaway entry's flag is
                             // ignored by the result iterator.
                             ht.or_valid(off, c);
@@ -4084,12 +3959,21 @@ fn exec_groupby_agg(
     // Snapshot worker counters BEFORE the merge: merge_from probes through
     // self.entry(), which would contaminate the merged table's counters
     // with merge traffic that never touched base data.
-    let mut op = counting.then(|| {
+    let agg_op = counting.then(|| {
         let mut op = OpMetrics::named(op_name);
         for p in &partials {
             op.access.merge(&p.ctr);
             op.ht.merge(&p.ht.counters());
         }
+        op
+    });
+    let probe_op = edges.first().filter(|_| counting).map(|e| {
+        let mut op = OpMetrics::named(format!("multijoin-probe({})", e.parent));
+        for p in &partials {
+            op.access.rows_in += p.edge_in;
+            op.access.rows_out += p.edge_out;
+        }
+        op.ht.probes = op.access.rows_in;
         op
     });
     let ops = merge_ops(aggs);
@@ -4101,30 +3985,43 @@ fn exec_groupby_agg(
     for p in iter {
         ht.merge_from(&p.ht, &ops);
     }
+    if let (GroupMode::Join(GroupJoinStrategy::EagerAggregation), Some(edge)) = (mode, &edge) {
+        // Inverted predicate deletes non-qualifying keys (§ III-E) — after
+        // the merge, so the reconciliation happens exactly once.
+        for pos in 0..edges[0].parent_t.len() {
+            if edge.0.hit(pos) == 0 {
+                ht.delete(pos as i64);
+            }
+        }
+    }
     if ht.overflow_detected() {
-        // Masked strategies aggregate filtered-out tuples too (wasted work,
-        // § III-A), so the wraparound may be spurious — the caller retries
-        // under the data-centric strategy.
+        // The masked strategies aggregate filtered-out tuples too (wasted
+        // work, § III-A), and eager aggregation sums groups it then deletes,
+        // so the wraparound may be spurious — the caller retries under the
+        // data-centric strategy.
         return Err(PlanError::Overflow(format!(
-            "group-by aggregation under {}",
-            strategy.name()
+            "grouped aggregation in {op_name}"
         )));
     }
-    if let Some(op) = op.as_mut() {
+    if let Some(mut agg) = agg_op {
+        let wall_nanos = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
+        if let Some(mut probe) = probe_op {
+            probe.wall_nanos = wall_nanos;
+            op_list.push(probe);
+        }
         // Per-worker insert counts depend on the morsel partition (several
         // workers insert the same key); the merged table's final key count
-        // is the deterministic figure the analyze output reports.
-        op.ht.inserts = ht.len() as u64;
-        op.wall_nanos = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
+        // — after any deletion — is the deterministic figure the analyze
+        // output reports.
+        agg.ht.inserts = ht.len() as u64;
+        agg.wall_nanos = wall_nanos;
+        op_list.push(agg);
     }
     let key_dict = table
         .column(group_by)
         .and_then(|c| c.as_dict())
         .map(|d| Arc::new(d.dictionary().to_vec()));
-    Ok((
-        rows_from_table(group_by, aggs, &ht, key_dict),
-        op.into_iter().collect(),
-    ))
+    Ok((rows_from_table(group_by, aggs, &ht, key_dict), op_list))
 }
 
 fn rows_from_table(
@@ -4361,155 +4258,6 @@ fn build_edge_side(
         side.describe(op);
     }
     Ok(side)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn exec_groupjoin_agg(
-    names: SemiJoinNames<'_>,
-    probe: &Arc<Table>,
-    probe_program: &Arc<TileProgram>,
-    build: &Arc<Table>,
-    build_program: &Arc<TileProgram>,
-    fk: &FkSource,
-    fk_col: &str,
-    aggs: &[AggSpec],
-    strategy: GroupJoinStrategy,
-    opts: ExecOpts<'_>,
-    ctx: &Arc<ExecCtx>,
-) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
-    let n_aggs = aggs.len();
-    let counting = opts.level.counting();
-    let build_n = build.len();
-    let build_t0 = opts.level.timing().then(Instant::now);
-    let build_cmp = Arc::new(build_mask(build, build_program, opts, ctx)?);
-    let build_op = counting.then(|| {
-        let mut op = OpMetrics::named(names.build);
-        op.access.rows_in = build_n as u64;
-        if build_program.has_filter() {
-            op.access.predicate_evals = build_n as u64;
-        }
-        op.access.rows_out = predicate::mask_count(&build_cmp) as u64;
-        op.wall_nanos = build_t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-        op
-    });
-    let probe_t0 = opts.level.timing().then(Instant::now);
-    let capacity = (build_n / 2).max(16);
-    let bound = probe_program.bind(probe)?;
-    let inputs = group_inputs(probe_program, aggs);
-    let init = {
-        let ctx = Arc::clone(ctx);
-        let program = Arc::clone(probe_program);
-        move || GroupAcc::new(&ctx.gauge, &program, n_aggs, capacity)
-    };
-    let body = {
-        let ctx = Arc::clone(ctx);
-        let build_cmp = Arc::clone(&build_cmp);
-        let fk_src = fk.clone();
-        move |w: &mut GroupAcc, m_start: usize, m_len: usize| {
-            let fk = fk_src.slice();
-            if counting {
-                w.ctr.morsels += 1;
-                w.ctr.rows_in += m_len as u64;
-            }
-            for (start, len) in tiles_in(m_start, m_len) {
-                bound.run(&mut w.regs, start, len);
-                let GroupAcc { ht, regs, ctr, .. } = &mut *w;
-                let fk = &fk[start..start + len];
-                let mut upsert = |j: usize, pos: u32| {
-                    let off = ht.entry(pos as i64);
-                    for (i, input) in inputs.iter().enumerate() {
-                        let add = match *input {
-                            GroupIn::Sum(r) => regs.val(r)[j],
-                            GroupIn::Count => 1,
-                            GroupIn::Min(_) | GroupIn::Max(_) => unreachable!("planner invariant"),
-                        };
-                        ht.add(off, i, add);
-                    }
-                    ht.set_valid(off);
-                };
-                match strategy {
-                    GroupJoinStrategy::GroupJoin => {
-                        let mut hits = 0u64;
-                        for (j, &pos) in fk.iter().enumerate() {
-                            // Membership via the build mask: equivalent to
-                            // probing a table pre-populated with qualifying
-                            // keys, but sharable read-only across workers.
-                            if build_cmp[pos as usize] != 0 {
-                                hits += 1;
-                                upsert(j, pos);
-                            }
-                        }
-                        if counting {
-                            ctr.rows_out += hits;
-                            ctr.ht_probes += hits;
-                        }
-                    }
-                    GroupJoinStrategy::EagerAggregation => {
-                        if counting {
-                            // Eager aggregation touches every probe row
-                            // (§ III-E); rows whose parent fails the build
-                            // filter are aggregated then deleted — wasted.
-                            let q: u64 = fk.iter().map(|&p| build_cmp[p as usize] as u64).sum();
-                            ctr.rows_out += q;
-                            ctr.wasted_lanes += len as u64 - q;
-                            ctr.ht_probes += len as u64;
-                        }
-                        for (j, &pos) in fk.iter().enumerate() {
-                            upsert(j, pos);
-                        }
-                    }
-                }
-            }
-            w.charge_growth(&ctx.gauge, bound.program());
-        }
-    };
-    let partials = opts
-        .executor
-        .run_morsels(ctx, probe.len(), opts.morsel_rows, init, body)?;
-    // Snapshot worker counters BEFORE the merge (merge_from probes through
-    // self.entry(), which would pollute the counters with merge traffic).
-    let mut probe_op = counting.then(|| {
-        let mut op = OpMetrics::named(names.probe);
-        for p in &partials {
-            op.access.merge(&p.ctr);
-            op.ht.merge(&p.ht.counters());
-        }
-        op
-    });
-    let ops = merge_ops(aggs);
-    let mut iter = partials.into_iter();
-    let mut ht = iter
-        .next()
-        .ok_or_else(|| PlanError::ExecutionFailed("no worker partials to merge".into()))?
-        .ht;
-    for p in iter {
-        ht.merge_from(&p.ht, &ops);
-    }
-    if strategy == GroupJoinStrategy::EagerAggregation {
-        // Inverted predicate deletes non-qualifying keys (§ III-E) — after
-        // the merge, so the reconciliation happens exactly once.
-        for (pos, &c) in build_cmp.iter().enumerate() {
-            if c == 0 {
-                ht.delete(pos as i64);
-            }
-        }
-    }
-    if ht.overflow_detected() {
-        // Eager aggregation sums non-qualifying groups before deleting
-        // them, so the wraparound may be spurious — retried data-centric.
-        return Err(PlanError::Overflow("groupjoin aggregation".into()));
-    }
-    let mut op_list = Vec::new();
-    if let (Some(build_op), Some(probe_op)) = (build_op, probe_op.take()) {
-        let mut probe_op = probe_op;
-        // Post-deletion key count: the deterministic number of surviving
-        // groups, regardless of how workers partitioned the probe side.
-        probe_op.ht.inserts = ht.len() as u64;
-        probe_op.wall_nanos = probe_t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-        op_list.push(build_op);
-        op_list.push(probe_op);
-    }
-    Ok((rows_from_table(fk_col, aggs, &ht, None), op_list))
 }
 
 /// Materialize every output of `program` for the (ascending) qualifying

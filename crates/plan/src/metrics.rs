@@ -74,7 +74,7 @@ impl MetricsLevel {
 /// Counters for one physical operator (one build or probe-aggregate pass).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpMetrics {
-    /// Operator name, stable across runs (e.g. `probe-agg(lineitem)`).
+    /// Operator name, stable across runs (e.g. `multijoin-agg(lineitem)`).
     pub name: String,
     /// Deterministic access-pattern counters (see module docs).
     pub access: AccessCounters,
@@ -135,7 +135,8 @@ pub struct QueryMetrics {
     /// group-key count — how the model would have scored this strategy with
     /// perfect estimates.
     pub observed_cost: Option<f64>,
-    /// The planner's sampled selectivity estimate for the primary filter.
+    /// The selectivity the planner priced the primary filter with: the
+    /// sampled estimate, or the observed σ after a drift re-plan.
     pub estimated_selectivity: Option<f64>,
 }
 

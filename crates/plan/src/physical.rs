@@ -7,7 +7,8 @@ use crate::expr::Expr;
 use crate::logical::{AggSpec, FrameSpec, SortKey, WindowFnSpec};
 use crate::tile::TileProgram;
 use swole_cost::{
-    AggStrategy, GroupJoinStrategy, JoinOrderMethod, SemiJoinStrategy, WindowStrategy,
+    AggProfile, AggStrategy, GroupJoinProfile, GroupJoinStrategy, JoinGraphProfile,
+    JoinOrderMethod, SemiJoinStrategy, WindowStrategy,
 };
 
 /// A result-level post-operator applied after the core pipeline: `ORDER BY`
@@ -40,6 +41,38 @@ pub struct PhysicalPlan {
     /// scan entirely. The shape is kept so verification and EXPLAIN still
     /// describe the scan the shortcut replaced.
     pub(crate) shortcut: Option<Vec<i64>>,
+    /// What the planner priced the plan with. Metrics, the cache's drift
+    /// check and the observed-cost re-scoring read these instead of
+    /// sampling the tables again.
+    pub(crate) estimates: Estimates,
+}
+
+/// The estimates one planner arm priced its plan with.
+#[derive(Debug, Clone)]
+pub(crate) struct Estimates {
+    /// σ of the filter feeding the plan's first operator (the scan's own
+    /// filter; for a join, the first edge's surviving fraction). `None`
+    /// when that operator has no filter. After a drift re-plan this is the
+    /// observed σ the plan was priced with, not the sample's.
+    pub selectivity: Option<f64>,
+    /// Result rows of the core pipeline, for pricing post-operators.
+    pub result_rows: usize,
+    /// Inputs of the strategy decision the cost model made.
+    pub profile: CostProfile,
+}
+
+/// The cost-model profile behind a plan's modelled strategy decision.
+#[derive(Debug, Clone)]
+pub(crate) enum CostProfile {
+    /// No modelled decision: window scans, and scan aggregations whose
+    /// min/max force hybrid without consulting the chooser.
+    Unmodelled,
+    /// Scan aggregation, scalar or grouped.
+    Agg(AggProfile),
+    /// Grouped FK join: the groupjoin / eager-aggregation decision.
+    GroupJoin(GroupJoinProfile),
+    /// Scalar FK join: the probe order.
+    Join(JoinGraphProfile),
 }
 
 impl PhysicalPlan {
@@ -105,10 +138,10 @@ impl PhysicalPlan {
         }
     }
 
-    /// The groupjoin strategy chosen, if any.
+    /// The groupjoin strategy chosen, if this plan is a grouped FK join.
     pub fn groupjoin_strategy(&self) -> Option<GroupJoinStrategy> {
         match &self.shape {
-            Shape::GroupJoinAgg { strategy, .. } => Some(*strategy),
+            Shape::MultiJoinAgg { group, .. } => group.as_ref().map(|(_, s)| *s),
             _ => None,
         }
     }
@@ -157,16 +190,6 @@ pub(crate) struct JoinEdge {
     pub est_selectivity: f64,
 }
 
-impl JoinEdge {
-    /// `parent` plus every transitive child parent, preorder.
-    pub(crate) fn tables(&self, out: &mut Vec<String>) {
-        out.push(self.parent.clone());
-        for c in &self.children {
-            c.tables(out);
-        }
-    }
-}
-
 /// The executable shapes (the plan patterns §§ III-A–III-E optimize).
 #[derive(Debug, Clone)]
 #[allow(clippy::enum_variant_names)] // every shape ends in an aggregation
@@ -185,8 +208,9 @@ pub(crate) enum Shape {
     },
     /// FK join over one or more edges (a two-table semijoin is the one-edge
     /// case): scan the fact table, restrict each tile through the edges'
-    /// membership structures in the planned probe order, then a scalar
-    /// aggregation over the survivors. Edges may nest (chains).
+    /// membership structures in the planned probe order, then aggregate the
+    /// survivors — into one row, or (the groupjoin, § III-E) by the FK of
+    /// the join's single edge. Edges may nest (chains).
     MultiJoinAgg {
         fact: String,
         fact_filter: Option<Expr>,
@@ -198,19 +222,10 @@ pub(crate) enum Shape {
         /// filter mask and every lane aggregated); `false`: each edge
         /// narrows the tile's selection vector.
         probe_masked: bool,
+        /// Group by this column — the FK of the one edge — under this
+        /// strategy; `None` for a scalar aggregation.
+        group: Option<(String, GroupJoinStrategy)>,
         fact_program: Arc<TileProgram>,
-    },
-    /// FK groupjoin: group the probe side by its FK, keeping groups whose
-    /// parent survives the build filter.
-    GroupJoinAgg {
-        probe: String,
-        build: String,
-        build_filter: Option<Expr>,
-        fk_col: String,
-        aggs: Vec<AggSpec>,
-        strategy: GroupJoinStrategy,
-        probe_program: Arc<TileProgram>,
-        build_program: Arc<TileProgram>,
     },
     /// scan → filter? → sort by (partition, order, row) → window functions.
     /// With no functions this degenerates to a row projection.
@@ -241,17 +256,18 @@ impl Shape {
                 edges,
                 order_method,
                 probe_masked,
+                group,
                 ..
             } => format!(
-                "multi-join ({} edges, order: {}{})",
+                "multi-join ({} edges, order: {}{}{})",
                 count_edges(edges),
                 order_method.name(),
                 if *probe_masked { ", masked probe" } else { "" },
+                group
+                    .as_ref()
+                    .map(|(_, s)| format!(", {}", s.name()))
+                    .unwrap_or_default(),
             ),
-            Shape::GroupJoinAgg { strategy, .. } => match strategy {
-                GroupJoinStrategy::GroupJoin => "groupjoin".to_string(),
-                GroupJoinStrategy::EagerAggregation => "eager-aggregation".to_string(),
-            },
             Shape::WindowScan {
                 strategy, funcs, ..
             } => {
@@ -289,9 +305,14 @@ impl Shape {
                 edges,
                 order_method,
                 probe_masked,
+                group,
                 ..
             } => format!(
-                "Aggregate <- MultiJoin[order: {}] {}{fact} -> [{}]{}",
+                "Aggregate{} <- MultiJoin[order: {}] {}{fact} -> [{}]{}",
+                group
+                    .as_ref()
+                    .map(|(g, s)| format!("[{}] (group by {g})", s.name()))
+                    .unwrap_or_default(),
                 order_method.name(),
                 if fact_filter.is_some() {
                     "Filter <- "
@@ -303,19 +324,6 @@ impl Shape {
                     " (probe: masked)"
                 } else {
                     ""
-                },
-            ),
-            Shape::GroupJoinAgg {
-                probe,
-                build,
-                fk_col,
-                strategy,
-                ..
-            } => format!(
-                "GroupJoin[{}] {probe}.{fk_col} -> {build}, group by {fk_col}",
-                match strategy {
-                    GroupJoinStrategy::GroupJoin => "groupjoin",
-                    GroupJoinStrategy::EagerAggregation => "eager-aggregation",
                 },
             ),
             Shape::WindowScan {

@@ -27,7 +27,7 @@ use crate::faults;
 use crate::logical::{AggSpec, SortKey, WindowFnSpec};
 use crate::physical::{JoinEdge, PhysicalPlan, PostOp, Shape};
 use crate::tile::TileProgram;
-use swole_cost::{AggStrategy, SemiJoinStrategy, WindowStrategy};
+use swole_cost::{AggStrategy, GroupJoinStrategy, SemiJoinStrategy, WindowStrategy};
 
 /// Lower `plan` and verify it at `level`. `Off` is a no-op by construction
 /// in the engine (callers guard it), but is honoured here too.
@@ -89,6 +89,7 @@ fn program_for_with(
             edges,
             aggs,
             probe_masked,
+            group,
             fact_program,
             ..
         } => lower_multijoin_agg(
@@ -99,27 +100,8 @@ fn program_for_with(
             edges,
             aggs,
             *probe_masked,
+            group.as_ref(),
             fact_program,
-        )?,
-        Shape::GroupJoinAgg {
-            probe,
-            build,
-            build_filter,
-            fk_col,
-            aggs,
-            strategy,
-            probe_program,
-            build_program,
-        } => lower_groupjoin_agg(
-            db,
-            plan,
-            probe,
-            build,
-            build_filter.as_ref(),
-            fk_col,
-            aggs,
-            *strategy,
-            [probe_program, build_program],
         )?,
         Shape::WindowScan {
             table,
@@ -441,8 +423,7 @@ fn fk_decl(db: &Database, probe: &str, fk_col: &str, build: &str) -> Result<FkDe
 /// Direct fact edges are semijoin builds: qualifying mask, then the
 /// membership structure the probe imports. Nested chain edges export only
 /// their qualifying `ValueMask` — execution folds it into the parent's mask
-/// through the parent's FK column, the same access the groupjoin build/probe
-/// pair models.
+/// through the parent's FK column.
 fn lower_join_build(
     db: &Database,
     child: &str,
@@ -559,6 +540,7 @@ fn lower_multijoin_agg(
     edges: &[JoinEdge],
     aggs: &[AggSpec],
     probe_masked: bool,
+    group: Option<&(String, GroupJoinStrategy)>,
     fact_program: &TileProgram,
 ) -> Result<Program, PlanError> {
     let fact_decl = table_decl(db, fact)?;
@@ -582,20 +564,45 @@ fn lower_multijoin_agg(
         });
     }
     probe_op.exprs.extend(agg_inputs(aggs));
-    // The probe either folds the bitmap bit into the tile mask or narrows a
-    // tile selection vector edge-by-edge; its access signature is the
-    // semijoin probe's, whichever membership structure each edge gathers
-    // into.
-    let first_strategy = edges
-        .first()
-        .map(|e| e.strategy)
-        .unwrap_or(SemiJoinStrategy::Hash);
-    probe_op.strategy = Some(StrategyRef::SemiJoinProbe {
-        strategy: first_strategy,
-        probe_masked,
-    });
+    probe_op.allocs.push(worker_scratch_alloc());
+    // Whether the tile body compacts the filter mask into a selection
+    // vector (which each edge then narrows).
+    let selects = match group {
+        // The probe either folds the bitmap bit into the tile mask or narrows
+        // a tile selection vector edge-by-edge; its access signature is the
+        // semijoin probe's, whichever membership structure each edge gathers
+        // into.
+        None => {
+            let first_strategy = edges
+                .first()
+                .map(|e| e.strategy)
+                .unwrap_or(SemiJoinStrategy::Hash);
+            probe_op.strategy = Some(StrategyRef::SemiJoinProbe {
+                strategy: first_strategy,
+                probe_masked,
+            });
+            probe_op.scratch_bytes = crate::engine::scalar_scratch_bytes(fact_program, edges.len());
+            !probe_masked
+        }
+        // Grouped by the edge's FK: the groupjoin narrows the selection
+        // through the edge, eager aggregation upserts every lane and
+        // consults the edge after the merge. Either way each worker fills
+        // a private table.
+        Some((g, strategy)) => {
+            probe_op.exprs.push(BoundExpr {
+                role: ExprRole::GroupKey,
+                expr: VExpr::Col(g.clone()),
+            });
+            probe_op.strategy = Some(StrategyRef::GroupJoin(*strategy));
+            probe_op.scratch_bytes = fact_program.scratch_bytes();
+            probe_op.allocs.push(Alloc {
+                site: "agg-table".to_string(),
+                charged: true,
+            });
+            *strategy == GroupJoinStrategy::GroupJoin
+        }
+    };
     probe_op.n_aggs = Some(aggs.len());
-    probe_op.scratch_bytes = crate::engine::scalar_scratch_bytes(fact_program, edges.len());
     probe_op.cost_terms = cost_term_names(plan);
     for e in edges {
         probe_op.imports.push(Import {
@@ -612,7 +619,7 @@ fn lower_multijoin_agg(
         });
     }
     probe_op.locals.push(cmp_artifact(fact));
-    if !probe_masked {
+    if selects {
         probe_op.locals.push(Artifact {
             kind: ArtifactKind::SelectionVector,
             table: fact.to_string(),
@@ -620,99 +627,11 @@ fn lower_multijoin_agg(
             scope: Scope::Tile,
         });
     }
-    probe_op.allocs.push(worker_scratch_alloc());
     ops.push(probe_op);
     Ok(Program {
         tables,
         fks,
         ops,
-        tile_rows: TILE,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn lower_groupjoin_agg(
-    db: &Database,
-    plan: &PhysicalPlan,
-    probe: &str,
-    build: &str,
-    build_filter: Option<&Expr>,
-    fk_col: &str,
-    aggs: &[AggSpec],
-    strategy: swole_cost::GroupJoinStrategy,
-    [probe_program, build_program]: [&TileProgram; 2],
-) -> Result<Program, PlanError> {
-    let probe_decl = table_decl(db, probe)?;
-    let build_decl = table_decl(db, build)?;
-    let (probe_rows, build_rows) = (probe_decl.rows, build_decl.rows);
-    let fk = fk_decl(db, probe, fk_col, build)?;
-
-    // Both variants materialize the qualifying mask over the build side:
-    // groupjoin consults it per probe row, eager aggregation uses it to
-    // delete non-qualifying groups after the merge.
-    let mut build_op = Op::new(
-        &format!("build-mask({build})"),
-        "/groupjoin-agg/build",
-        build,
-        build_rows,
-    );
-    if let Some(f) = build_filter {
-        build_op.exprs.push(BoundExpr {
-            role: ExprRole::Predicate,
-            expr: lower_expr(f),
-        });
-    }
-    build_op.strategy = Some(StrategyRef::GroupJoinBuild);
-    build_op.scratch_bytes = build_program.scratch_bytes();
-    build_op.exports.push(Artifact {
-        kind: ArtifactKind::ValueMask,
-        table: build.to_string(),
-        rows: build_rows,
-        scope: Scope::Plan,
-    });
-    build_op.allocs.push(Alloc {
-        site: "build-mask".to_string(),
-        charged: true,
-    });
-    build_op.allocs.push(worker_scratch_alloc());
-
-    let mut probe_op = Op::new(
-        &format!("probe-agg({probe})"),
-        "/groupjoin-agg/probe",
-        probe,
-        probe_rows,
-    );
-    probe_op.exprs.extend(agg_inputs(aggs));
-    probe_op.exprs.push(BoundExpr {
-        role: ExprRole::GroupKey,
-        expr: VExpr::Col(fk_col.to_string()),
-    });
-    probe_op.strategy = Some(StrategyRef::GroupJoin(strategy));
-    probe_op.n_aggs = Some(aggs.len());
-    probe_op.scratch_bytes = probe_program.scratch_bytes();
-    probe_op.cost_terms = cost_term_names(plan);
-    probe_op.imports.push(Import {
-        kind: ArtifactKind::ValueMask,
-        table: build.to_string(),
-        via_fk: Some(FkRef {
-            child: probe.to_string(),
-            fk_col: fk_col.to_string(),
-            parent: build.to_string(),
-        }),
-    });
-    probe_op.allocs.push(Alloc {
-        site: "worker-scratch".to_string(),
-        charged: true,
-    });
-    probe_op.allocs.push(Alloc {
-        site: "agg-table".to_string(),
-        charged: true,
-    });
-
-    Ok(Program {
-        tables: vec![probe_decl, build_decl],
-        fks: vec![fk],
-        ops: vec![build_op, probe_op],
         tile_rows: TILE,
     })
 }

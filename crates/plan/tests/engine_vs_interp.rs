@@ -4,8 +4,10 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use swole_cost::GroupJoinStrategy;
 use swole_plan::{
     interp, AggSpec, CmpOp, Database, Engine, Expr, LogicalPlan, PlanError, QueryBuilder,
+    StrategyOverrides,
 };
 use swole_storage::{ColumnData, DictColumn, Table};
 
@@ -294,6 +296,23 @@ fn unsupported_shapes_error_cleanly() {
         engine.plan(&bad_group),
         Err(PlanError::Unsupported(_))
     ));
+    // Eager aggregation pinned on a groupjoin only the selection-vector
+    // body answers: min/max, or a probe-side filter.
+    let eager = Engine::builder(test_db(11, 100, 16))
+        .strategies(StrategyOverrides::pin_groupjoin(
+            GroupJoinStrategy::EagerAggregation,
+        ))
+        .build();
+    let joined = || QueryBuilder::scan("R").semijoin(QueryBuilder::scan("S"), "fk");
+    for plan in [
+        joined().aggregate(Some("fk"), vec![AggSpec::min(Expr::col("a"), "lo")]),
+        joined()
+            .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(50)))
+            .aggregate(Some("fk"), vec![AggSpec::count("n")]),
+    ] {
+        assert!(matches!(eager.plan(&plan), Err(PlanError::Unsupported(_))));
+        check(test_db(11, 100, 16), &plan);
+    }
 }
 
 #[test]

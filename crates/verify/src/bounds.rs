@@ -402,9 +402,11 @@ fn column_interval(name: &str, decl: Option<&TableDecl>, profile: Option<&TableP
     }
 }
 
-/// Bytes of one worker's grouped-aggregation table that started out sized
-/// for `expected` keys and may come to hold `keys`.
-fn grown_agg_table_bytes(expected: usize, keys: u64, n_aggs: u64) -> u64 {
+/// Bytes of one worker's grouped-aggregation table that may come to hold
+/// `keys`, having started out sized as the executor sizes it
+/// (`fk_parent_rows` as in [`AggTable::expected_group_keys`]).
+fn grown_agg_table_bytes(fk_parent_rows: Option<u64>, keys: u64, n_aggs: u64) -> u64 {
+    let expected = AggTable::expected_group_keys(fk_parent_rows.map(|r| r as usize));
     let cap = AggTable::grown_capacity(AggTable::initial_capacity(expected), keys as usize);
     AggTable::bytes_for(cap, n_aggs as usize) as u64
 }
@@ -517,7 +519,7 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
                     let keys = group_keys_bound(ctx, &op.table, group_key_column(op), rows);
                     b.out_rows_bound = keys;
                     b.ht_bytes_bound =
-                        workers.saturating_mul(grown_agg_table_bytes(64, keys, n_aggs));
+                        workers.saturating_mul(grown_agg_table_bytes(None, keys, n_aggs));
                 } else {
                     b.out_rows_bound = 1;
                 }
@@ -547,7 +549,7 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
                 last_out = b.out_rows_bound;
             }
             Some(StrategyRef::GroupJoinBuild) => {
-                // Chain-edge / groupjoin build: only the qualifying mask.
+                // Chain-edge build: only the qualifying mask.
                 b.plan_bytes_bound = rows;
             }
             Some(StrategyRef::GroupJoin(_)) => {
@@ -565,9 +567,8 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
                     None => parent_rows,
                 };
                 b.out_rows_bound = keys;
-                let expected = (parent_rows as usize / 2).max(16);
                 b.ht_bytes_bound =
-                    workers.saturating_mul(grown_agg_table_bytes(expected, keys, n_aggs));
+                    workers.saturating_mul(grown_agg_table_bytes(Some(parent_rows), keys, n_aggs));
                 last_out = b.out_rows_bound;
             }
             Some(StrategyRef::Window { .. }) => {
@@ -835,7 +836,7 @@ mod tests {
     #[test]
     fn groupjoin_probe_keys_bounded_by_fk_parent_domain() {
         let (probe_rows, build_rows) = (60_000usize, 500usize);
-        let mut op = Op::new("probe-agg(c)", "/groupjoin-agg/probe", "c", probe_rows);
+        let mut op = Op::new("multijoin-agg(c)", "/multijoin-agg/probe", "c", probe_rows);
         op.exprs.push(BoundExpr {
             role: ExprRole::AggInput,
             expr: VExpr::Col("v".into()),

@@ -367,9 +367,10 @@ pub fn modelled_signature(strategy: &StrategyRef) -> AccessSig {
             group_key: None,
             structure: Some(Access::Gather),
         },
-        // Groupjoin gathers the build-side mask+entry per probe row and
-        // aggregates only qualifying rows; eager aggregation aggregates every
-        // probe row (sequential) and filters groups post-merge.
+        // Groupjoin gathers the edge's membership structure and the group
+        // entry per probe row and aggregates only qualifying rows; eager
+        // aggregation aggregates every probe row (sequential) and filters
+        // groups post-merge.
         StrategyRef::GroupJoin(g) => AccessSig {
             predicate: None,
             agg_input: Some(match g {
@@ -379,7 +380,7 @@ pub fn modelled_signature(strategy: &StrategyRef) -> AccessSig {
             group_key: None,
             structure: Some(Access::Gather),
         },
-        // Groupjoin build materializes the qualifying mask sequentially.
+        // A mask-only build materializes the qualifying mask sequentially.
         StrategyRef::GroupJoinBuild => AccessSig {
             predicate: Some(Access::Sequential),
             agg_input: None,

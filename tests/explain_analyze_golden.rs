@@ -117,6 +117,22 @@ fn semijoin_one_edge_golden() {
     );
 }
 
+/// FK groupjoin (micro Q5 shape): a grouped one-edge join reports the same
+/// `multijoin-build` / `-probe` / `-agg` operators and the edge's estimated
+/// vs observed cardinality as the scalar join above, plus the groupjoin
+/// decision and its cost terms.
+#[test]
+fn groupjoin_one_edge_golden() {
+    assert_golden(
+        "groupjoin_explain_analyze",
+        "explain analyze select lineitem.l_orderkey, \
+           sum(lineitem.l_extendedprice * lineitem.l_discount) as s \
+         from lineitem, orders \
+         where lineitem.l_orderkey = orders.rowid and orders.o_orderdate < 9204 \
+         group by lineitem.l_orderkey",
+    );
+}
+
 const WINDOW_SQL: &str = "select l_orderkey, \
      row_number() over (partition by l_returnflag order by l_orderkey) as rn, \
      sum(l_quantity) over (partition by l_returnflag order by l_orderkey) as rq \

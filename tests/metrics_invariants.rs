@@ -196,9 +196,32 @@ fn groupjoin_counters_thread_invariant() {
         GroupJoinStrategy::GroupJoin,
         GroupJoinStrategy::EagerAggregation,
     ] {
-        assert_counters_thread_invariant(&groupjoin_plan(), &format!("{strategy:?}"), |b| {
-            b.strategies(StrategyOverrides::pin_groupjoin(strategy))
-        });
+        let pin = |b: EngineBuilder| b.strategies(StrategyOverrides::pin_groupjoin(strategy));
+        assert_counters_thread_invariant(&groupjoin_plan(), &format!("{strategy:?}"), pin);
+        // A grouped join reports like any one-edge join: the edge's build,
+        // its probe cardinalities, then the probe-side aggregation, whose
+        // key count is the surviving groups'.
+        let m = run_counters(&groupjoin_plan(), 2, pin);
+        let names: Vec<&str> = m.operators.iter().map(|o| o.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "multijoin-build(S)",
+                "multijoin-probe(S)",
+                "multijoin-agg(R)"
+            ],
+            "{strategy:?}"
+        );
+        let (build, probe, agg) = (&m.operators[0], &m.operators[1], &m.operators[2]);
+        assert_eq!(probe.access.rows_out, agg.access.rows_out, "{strategy:?}");
+        assert_eq!(agg.access.rows_in, 50_000, "{strategy:?}");
+        assert!(agg.ht.inserts > 0 && agg.ht.inserts <= build.access.rows_out);
+        // Only eager aggregation touches rows whose parent fails the edge.
+        assert_eq!(
+            agg.access.wasted_lanes > 0,
+            strategy == GroupJoinStrategy::EagerAggregation,
+            "{strategy:?}"
+        );
     }
 }
 

@@ -265,6 +265,60 @@ fn groupjoin_both_strategies_all_thread_counts() {
         assert_equivalent(&plan, &format!("groupjoin {strategy:?}"), |b| {
             b.strategies(StrategyOverrides::pin_groupjoin(strategy))
         });
+        assert_grouped_one_edge_matches_zero_edge(strategy);
+    }
+}
+
+/// A group-by and a groupjoin run the same executor at arities zero and
+/// one: with no build filter every parent qualifies, so neither groupjoin
+/// strategy drops a row or a key and both must match `group by fk` over the
+/// bare scan (every lane selected, upserted unmasked) — result and
+/// probe-side counters — on scoped workers and on the pool.
+fn assert_grouped_one_edge_matches_zero_edge(strategy: GroupJoinStrategy) {
+    let aggs = || {
+        vec![
+            AggSpec::sum(Expr::col("a").mul(Expr::col("b")), "s"),
+            AggSpec::count("n"),
+        ]
+    };
+    let zero_edge = QueryBuilder::scan("R").aggregate(Some("fk"), aggs());
+    let one_edge = QueryBuilder::scan("R")
+        .semijoin(QueryBuilder::scan("S"), "fk")
+        .aggregate(Some("fk"), aggs());
+    let pins = StrategyOverrides {
+        agg: Some(AggStrategy::Hybrid),
+        groupjoin: Some(strategy),
+        ..StrategyOverrides::default()
+    };
+    for threads in THREADS {
+        for pool in [false, true] {
+            let label = format!("{strategy:?}, threads={threads}, pool={pool}");
+            let builder = Engine::builder(make_db(42, 50_000, 512))
+                .tile_rows(2048)
+                .metrics(MetricsLevel::Counters)
+                .strategies(pins.clone());
+            let engine = if pool {
+                builder.worker_pool(threads).build()
+            } else {
+                builder.threads(threads).build()
+            };
+            let planned = engine.plan(&one_edge).expect("plans");
+            assert_eq!(planned.groupjoin_strategy(), Some(strategy), "{label}");
+            let zero = engine.query(&zero_edge).expect("group-by runs");
+            let one = engine.query(&one_edge).expect("groupjoin runs");
+            assert_eq!(zero, one, "{label}");
+            let last_op = |r: &QueryResult| {
+                let ops = &r.metrics().expect("counters recorded").operators;
+                ops.last().expect("an operator ran").clone()
+            };
+            let (z, o) = (last_op(&zero), last_op(&one));
+            assert_eq!(
+                (z.name.as_str(), o.name.as_str()),
+                ("groupby-agg(R)", "multijoin-agg(R)")
+            );
+            assert_eq!(z.access, o.access, "{label}");
+            assert_eq!(z.ht.inserts, o.ht.inserts, "{label}");
+        }
     }
 }
 

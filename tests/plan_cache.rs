@@ -142,7 +142,7 @@ fn sampler_fooling_column(n: usize) -> ColumnData {
 /// The first execution of `plan` must observe a selectivity far past the
 /// drift thresholds from the planner's estimate, marking the cached entry
 /// stale; the second re-plans with the observed selectivity; the third
-/// hits the re-planned entry.
+/// hits the re-planned entry, which reports the σ it was priced with.
 fn assert_drift_replans_once(engine: &Engine, plan: &LogicalPlan) {
     let first = engine.query(plan).expect("runs");
     let est = first
@@ -167,6 +167,11 @@ fn assert_drift_replans_once(engine: &Engine, plan: &LogicalPlan) {
     let stats = engine.plan_cache_stats();
     assert_eq!(stats.invalidations, 1, "no thrash: {stats:?}");
     assert!(stats.hits >= 1, "{stats:?}");
+    let est = third
+        .metrics()
+        .and_then(|m| m.estimated_selectivity)
+        .expect("estimate recorded");
+    assert!(est < 0.1, "the re-plan's σ is the observed one, est={est}");
 }
 
 #[test]
@@ -213,14 +218,6 @@ fn drifted_semijoin_build_filter_triggers_replan() {
         )
         .aggregate(None, vec![AggSpec::sum(Expr::col("r_a"), "s")]);
     assert_drift_replans_once(&engine, &plan);
-    // The cached re-plan carries the observed σ as the edge's estimate.
-    let est = engine
-        .query(&plan)
-        .expect("runs")
-        .metrics()
-        .and_then(|m| m.estimated_selectivity)
-        .expect("estimate recorded");
-    assert!(est < 0.1, "edge σ must be the observed one, est={est}");
 }
 
 #[test]

@@ -246,6 +246,20 @@ fn every_pinned_strategy_verifies() {
             .verify_plan(&groupjoin)
             .unwrap_or_else(|e| panic!("groupjoin {strategy:?}: {e}"));
     }
+    // A probe-side filter and min/max force the groupjoin strategy: the
+    // grouped probe then carries a predicate and a tile selection vector.
+    let forced = QueryBuilder::scan("R")
+        .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(50)))
+        .semijoin(
+            QueryBuilder::scan("S").filter(Expr::col("y").cmp(CmpOp::Lt, Expr::lit(50))),
+            "fk",
+        )
+        .aggregate(Some("fk"), vec![AggSpec::max(Expr::col("a"), "hi")]);
+    let report = Engine::builder(mk_db())
+        .build()
+        .verify_plan(&forced)
+        .unwrap_or_else(|e| panic!("forced groupjoin: {e}"));
+    assert_eq!(report.ops, 2, "one edge build, one grouped probe");
 }
 
 /// `EXPLAIN VERIFY` routes through the parser into
