@@ -54,7 +54,8 @@ use std::path::{Path, PathBuf};
 
 use swole_plan::interp;
 use swole_plan::{
-    parse_sql, Database, Engine, LogicalPlan, QueryOptions, QueryResult, Value, VerifyLevel,
+    parse_sql, Database, Engine, LogicalPlan, QueryOptions, QueryResult, StatsMode, Value,
+    VerifyLevel,
 };
 use swole_storage::{ColumnData, DictColumn, Table};
 
@@ -510,15 +511,25 @@ impl Harness {
     /// Build the four engines (all at [`VerifyLevel::Full`]) and the
     /// oracle catalog.
     pub fn new() -> Harness {
+        Harness::with_stats(StatsMode::default())
+    }
+
+    /// [`Harness::new`] with the engines' statistics mode chosen: the
+    /// catalog decides the group-table representation, so `StatsMode::Off`
+    /// (integer keys stay on the hash table; FK and dictionary keys still
+    /// go dense) is how the corpus covers both.
+    pub fn with_stats(stats: StatsMode) -> Harness {
         let scoped = |threads: usize| {
             Engine::builder(fixture_db())
                 .threads(threads)
                 .verify(VerifyLevel::Full)
+                .stats(stats)
                 .build()
         };
         let pool = Engine::builder(fixture_db())
             .worker_pool(4)
             .verify(VerifyLevel::Full)
+            .stats(stats)
             .build();
         Harness {
             engines: vec![
@@ -715,6 +726,13 @@ impl Harness {
             .1
             .query(&parsed.plan)
             .map_err(|e| e.to_string())
+    }
+
+    /// The 1-thread engine's `EXPLAIN` decision lines for one SQL text.
+    pub fn decisions(&self, sql: &str) -> Result<Vec<String>, String> {
+        let parsed = parse_sql(sql).map_err(|e| e.to_string())?;
+        let explain = self.engines[0].1.explain(&parsed.plan);
+        explain.map(|e| e.decisions).map_err(|e| e.to_string())
     }
 
     /// Run one script file; under `UPDATE_CONFORM=1` rewrite its expected

@@ -58,7 +58,7 @@
 //! | re-export | crate | contents |
 //! |---|---|---|
 //! | [`storage`] | `swole-storage` | columns, dictionaries, dates, decimals, FK indexes |
-//! | [`ht`] | `swole-ht` | aggregation hash table (throwaway entry, valid flags, deletion) and key set |
+//! | [`ht`] | `swole-ht` | aggregation hash table (throwaway entry, valid flags, deletion), its dense-array twin and key set |
 //! | [`bitmap`] | `swole-bitmap` | dense + compressed positional bitmaps |
 //! | [`kernels`] | `swole-kernels` | the generated-code loop bodies for every strategy |
 //! | [`cost`] | `swole-cost` | the paper's cost models, calibration, the Fig. 2 chooser |

@@ -198,6 +198,16 @@ impl AggTable {
             .saturating_add(capacity)
     }
 
+    /// Upper bound on [`AggTable::size_bytes`] of a grouped aggregation's
+    /// table that started out sized as the executor sizes it
+    /// (`fk_parent_rows` as in [`AggTable::expected_group_keys`]) once `keys`
+    /// distinct keys are in it. The verifier's bounds pass charges this; the
+    /// planner compares the dense array against it.
+    pub fn grown_bytes(fk_parent_rows: Option<usize>, keys: usize, n_aggs: usize) -> usize {
+        let cap0 = AggTable::initial_capacity(AggTable::expected_group_keys(fk_parent_rows));
+        AggTable::bytes_for(AggTable::grown_capacity(cap0, keys), n_aggs)
+    }
+
     /// Select the deletion strategy (defaults to backward shift).
     pub fn with_delete_policy(mut self, policy: DeletePolicy) -> AggTable {
         self.policy = policy;

@@ -12,10 +12,12 @@
 //!     entries and actual 0 values",
 //!   * **deletion** (backward-shift or tombstone) so eager aggregation
 //!     (§ III-E) can remove non-qualifying aggregates after the fact;
+//! * [`DenseAggTable`] — the same contract ([`GroupTable`]) as a flat array
+//!   over a key domain the catalog knows exactly, with no hashing at all;
 //! * [`KeySet`] — a membership set used by the hash-based semijoin
 //!   baselines that positional bitmaps replace.
 //!
-//! All tables use power-of-two capacities, linear probing, and a
+//! The hash tables use power-of-two capacities, linear probing, and a
 //! Fibonacci-multiplicative hash ([`hash_i64`]) — the same cheap integer
 //! hashing a hand-tuned C implementation would use. Uniformly distributed
 //! keys (the paper's stated worst case for caching) therefore spread evenly,
@@ -27,9 +29,13 @@
 #![warn(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 
 mod agg_table;
+mod dense;
+mod group_table;
 mod hash;
 mod key_set;
 
 pub use agg_table::{AggTable, DeletePolicy, HtCounters, MergeOp, NULL_KEY};
+pub use dense::DenseAggTable;
+pub use group_table::GroupTable;
 pub use hash::hash_i64;
 pub use key_set::KeySet;

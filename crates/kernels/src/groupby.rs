@@ -11,10 +11,13 @@
 //!   filtered tuples hit the single throwaway entry (cached when the
 //!   predicate often fails), and the value needs no masking.
 //!
-//! All accumulation goes through [`AggTable::add`], which uses explicit
-//! wrapping arithmetic (identical results in debug and release) and records
-//! wraparound in the table's sticky overflow flag
-//! ([`AggTable::overflow_detected`]); the operator applications themselves
+//! The kernels are generic over the [`GroupTable`] they upsert into — the
+//! hash [`swole_ht::AggTable`] or the dense array — so each is compiled once
+//! per representation and no lane asks which it has. All accumulation goes
+//! through [`GroupTable::add`], which uses explicit wrapping arithmetic
+//! (identical results in debug and release) and records wraparound in the
+//! table's sticky overflow flag ([`GroupTable::overflow_detected`]); the
+//! operator applications themselves
 //! wrap via [`BinOp::apply`]. Masked strategies aggregate filtered tuples
 //! too, so a detected overflow may be wasted-work noise — callers decide
 //! whether to re-run data-centric.
@@ -27,7 +30,7 @@
 
 use crate::agg::BinOp;
 use crate::AsI64;
-use swole_ht::{AggTable, NULL_KEY};
+use swole_ht::{GroupTable, NULL_KEY};
 
 /// Data-centric group-by: branch per tuple, lookup only for qualifying rows.
 #[inline]
@@ -36,7 +39,7 @@ pub fn groupby_datacentric<K: AsI64, A: AsI64, B: AsI64, O: BinOp>(
     a: &[A],
     b: &[B],
     pred: impl Fn(usize) -> bool,
-    ht: &mut AggTable,
+    ht: &mut impl GroupTable,
 ) {
     assert_eq!(keys.len(), a.len());
     assert_eq!(keys.len(), b.len());
@@ -56,7 +59,7 @@ pub fn groupby_gather<K: AsI64, A: AsI64, B: AsI64, O: BinOp>(
     a: &[A],
     b: &[B],
     idx: &[u32],
-    ht: &mut AggTable,
+    ht: &mut impl GroupTable,
 ) {
     assert_eq!(keys.len(), a.len());
     assert_eq!(keys.len(), b.len());
@@ -77,7 +80,7 @@ pub fn groupby_value_masked<K: AsI64, A: AsI64, B: AsI64, O: BinOp>(
     a: &[A],
     b: &[B],
     cmp: &[u8],
-    ht: &mut AggTable,
+    ht: &mut impl GroupTable,
 ) {
     assert_eq!(keys.len(), a.len());
     assert_eq!(keys.len(), b.len());
@@ -111,7 +114,7 @@ pub fn groupby_key_masked<A: AsI64, B: AsI64, O: BinOp>(
     masked_keys: &[i64],
     a: &[A],
     b: &[B],
-    ht: &mut AggTable,
+    ht: &mut impl GroupTable,
 ) {
     assert_eq!(masked_keys.len(), a.len());
     assert_eq!(masked_keys.len(), b.len());
@@ -126,7 +129,7 @@ pub fn groupby_key_masked<A: AsI64, B: AsI64, O: BinOp>(
 /// honouring the valid flags (so value masking's bookkeeping excludes
 /// entries that only ever received masked updates) and excluding the
 /// throwaway entry.
-pub fn collect_groups(ht: &AggTable) -> Vec<(i64, i64)> {
+pub fn collect_groups(ht: &impl GroupTable) -> Vec<(i64, i64)> {
     let mut rows: Vec<(i64, i64)> = ht
         .iter()
         .filter(|&(_, _, valid)| valid)
@@ -142,6 +145,7 @@ mod tests {
     use crate::agg::Mul;
     use crate::{predicate, selvec, tiles, TILE};
     use std::collections::BTreeMap;
+    use swole_ht::{AggTable, DenseAggTable};
 
     fn mk_data(n: usize, key_card: i32) -> (Vec<i32>, Vec<i32>, Vec<i32>, Vec<i32>) {
         let mut state = 42u64;
@@ -228,6 +232,34 @@ mod tests {
                     expected,
                     "km card={key_card} lit={lit}"
                 );
+            }
+        }
+    }
+
+    /// The same kernels over the dense table give the same groups: they
+    /// are generic over the representation.
+    #[test]
+    fn strategies_agree_on_the_dense_table() {
+        let key_card = 1000;
+        let (c, x, a, b) = mk_data(5000, key_card);
+        let dense = || DenseAggTable::new(1, 0, key_card as i64 - 1);
+        let mut cmp = [0u8; TILE];
+        let mut idx = [0u32; TILE];
+        let mut mk = [0i64; TILE];
+        for lit in [0i32, 50, 100] {
+            let expected = reference(&c, &x, &a, &b, lit);
+            let (mut hy, mut vm, mut km) = (dense(), dense(), dense());
+            for (s, l) in tiles(c.len()) {
+                predicate::cmp_lt(&x[s..s + l], lit, &mut cmp[..l]);
+                let k = selvec::fill_nobranch(&cmp[..l], s as u32, &mut idx[..l]);
+                groupby_gather::<_, _, _, Mul>(&c, &a, &b, &idx[..k], &mut hy);
+                let (cs, as_, bs) = (&c[s..s + l], &a[s..s + l], &b[s..s + l]);
+                groupby_value_masked::<_, _, _, Mul>(cs, as_, bs, &cmp[..l], &mut vm);
+                mask_keys(cs, &cmp[..l], &mut mk[..l]);
+                groupby_key_masked::<_, _, Mul>(&mk[..l], as_, bs, &mut km);
+            }
+            for (name, ht) in [("hy", &hy), ("vm", &vm), ("km", &km)] {
+                assert_eq!(collect_groups(ht), expected, "{name} lit={lit}");
             }
         }
     }

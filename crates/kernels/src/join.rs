@@ -15,7 +15,7 @@
 use crate::agg::BinOp;
 use crate::AsI64;
 use swole_bitmap::PositionalBitmap;
-use swole_ht::{AggTable, KeySet};
+use swole_ht::{AggTable, GroupTable, KeySet};
 
 /// Build the baseline semijoin structure: a key set containing every
 /// build-side key whose row satisfies `pred` (data-centric form — branch per
@@ -158,7 +158,7 @@ pub fn eager_aggregate<K: AsI64, A: AsI64, B: AsI64, O: BinOp>(
     fk: &[K],
     a: &[A],
     b: &[B],
-    ht: &mut AggTable,
+    ht: &mut impl GroupTable,
 ) {
     assert_eq!(fk.len(), a.len());
     assert_eq!(fk.len(), b.len());
@@ -310,6 +310,16 @@ mod tests {
             let s_keys: Vec<u32> = (0..d.s_x.len() as u32).collect();
             delete_nonqualifying(&s_keys, &inv, &mut ht);
             assert_eq!(collect_groups(&ht), expected, "eager sel={sel_s}");
+
+            // The same on the dense table over the FK domain.
+            let mut ht = swole_ht::DenseAggTable::new(1, 0, d.s_x.len() as i64 - 1);
+            eager_aggregate::<_, _, _, Mul>(&d.r_fk, &d.r_a, &d.r_b, &mut ht);
+            for (pk, &gone) in inv.iter().enumerate() {
+                if gone != 0 {
+                    ht.delete(pk as i64);
+                }
+            }
+            assert_eq!(collect_groups(&ht), expected, "dense eager sel={sel_s}");
         }
     }
 

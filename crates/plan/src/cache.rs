@@ -434,7 +434,7 @@ pub(crate) fn generations_of(db: &crate::catalog::Database, tables: &[&str]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::{CostProfile, Estimates, PhysicalPlan, Shape};
+    use crate::physical::{CostProfile, Estimates, GroupTableRepr, PhysicalPlan, Shape};
     use crate::tile::TileProgram;
     use swole_cost::AggStrategy;
 
@@ -450,6 +450,7 @@ mod tests {
                 group_by: None,
                 aggs: Vec::new(),
                 strategy: AggStrategy::Hybrid,
+                group_table: GroupTableRepr::Hash,
                 program: Arc::new(
                     TileProgram::lower(&swole_storage::Table::new("T"), None, &[])
                         .expect("empty program lowers"),

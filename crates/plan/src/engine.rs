@@ -15,10 +15,15 @@ use crate::error::PlanError;
 use crate::expr::{AggFunc, Expr};
 use crate::logical::{AggSpec, FrameSpec, LogicalPlan, SortKey, WindowFnSpec, WindowFunc};
 use crate::metrics::{MetricsLevel, OpMetrics, QueryMetrics};
-use crate::physical::{CostProfile, Estimates, JoinEdge, PhysicalPlan, PostOp, Shape};
+use crate::physical::{
+    CostProfile, Estimates, GroupTableRepr, JoinEdge, PhysicalPlan, PostOp, Shape,
+};
 use crate::session::QueryOptions;
 use crate::stats;
-use crate::tile::{scalar_sinks, BoundProgram, Regs, ScalarSinks, TileProgram, Want};
+use crate::tile::{
+    group_sink, scalar_sinks, with_lane, BoundProgram, FusedSum, GroupIn, GroupSink, Lane, Regs,
+    ScalarSinks, TileProgram, Want,
+};
 use crate::value::Value;
 use swole_bitmap::PositionalBitmap;
 use swole_cost::choose::{choose_agg_mt, choose_groupjoin_mt, choose_semijoin, sort_cost};
@@ -27,14 +32,14 @@ use swole_cost::{
     GroupJoinProfile, GroupJoinStrategy, JoinEdgeProfile, JoinGraphProfile, JoinOrderMethod,
     SemiJoinProfile, SemiJoinStrategy, WindowProfile, WindowStrategy,
 };
-use swole_ht::{AggTable, KeySet, MergeOp};
-use swole_kernels::{predicate, selvec, tiles, tiles_in, AccessCounters, MORSEL_ROWS, TILE};
+use swole_ht::{AggTable, DenseAggTable, GroupTable, KeySet, MergeOp};
+use swole_kernels::{predicate, selvec, tiles, tiles_in, AccessCounters, AsI64, MORSEL_ROWS, TILE};
 use swole_runtime::{
     charge_or_panic, AdmissionConfig, AdmissionController, AdmissionError, AdmissionPermit,
     CancelState, ExecCtx, ExecHandle, Executor, GlobalMemoryPool, MemGauge, MemoryPolicy,
     MemoryPoolStats, Priority,
 };
-use swole_storage::{Date, Decimal, FkIndex, Table};
+use swole_storage::{ColumnData, Date, Decimal, FkIndex, Table};
 use swole_verify::{
     BoundsCtx, ColumnProfile, PlanCertificate, TableProfile, VerifyLevel, VerifyReport,
 };
@@ -2235,12 +2240,36 @@ impl EngineInner {
         } else {
             None
         };
+        let group_table = match group_by {
+            None => GroupTableRepr::Hash,
+            Some(g) => {
+                let generation = table.generation();
+                // Dictionary codes are `0..cardinality`; any other column's
+                // domain is the exact min/max of a fresh statistics snapshot.
+                let domain = match table.column(g) {
+                    Some(ColumnData::Dict(d)) => Ok((0, d.cardinality() as i64 - 1)),
+                    _ => self
+                        .stats_for(db, table_name)
+                        .filter(|s| s.fresh_for(generation))
+                        .and_then(|s| s.column(g).map(|c| (c.min, c.max)))
+                        .ok_or("no fresh statistics give the key domain"),
+                };
+                choose_group_table(
+                    domain,
+                    (generation, generation),
+                    None,
+                    group_keys.unwrap_or(0),
+                    aggs.len(),
+                    &mut decisions,
+                )
+            }
+        };
         let program = Arc::new(TileProgram::lower_agg(
             table,
             filter.as_ref(),
             group_by,
             aggs,
-            group_by.is_none(),
+            group_by.is_some(),
         )?);
         Ok(PhysicalPlan {
             shape: Shape::ScanAgg {
@@ -2249,6 +2278,7 @@ impl EngineInner {
                 group_by: group_by.map(str::to_string),
                 aggs: aggs.to_vec(),
                 strategy,
+                group_table,
                 program,
             },
             post: Vec::new(),
@@ -2595,11 +2625,13 @@ impl EngineInner {
                 ..profile
             }),
         };
+        let mut group_table = GroupTableRepr::Hash;
         let group = match group_by {
             None => None,
             Some(g) => {
                 let edge = &edges[0];
-                let parent_rows = db.table(&edge.parent)?.len();
+                let parent_t = db.table(&edge.parent)?;
+                let parent_rows = parent_t.len();
                 let (comp, _) = agg_comp_cols(aggs, Some(g));
                 let gj_profile = GroupJoinProfile {
                     r_rows: fact_t.len(),
@@ -2618,15 +2650,31 @@ impl EngineInner {
                     self.choose_group_sink(&gj_profile, forced, &mut decisions, &mut cost_terms)?;
                 estimates.result_rows = parent_rows;
                 estimates.profile = CostProfile::GroupJoin(gj_profile);
+                // FK keys are parent positions — exactly `0..parent rows`
+                // when a registered index has validated every one of them.
+                let domain = db
+                    .fk_index(&fact, g, &edge.parent)
+                    .map(|idx| (0, idx.parent_len() as i64 - 1))
+                    .ok_or("no FK index validates the key domain");
+                group_table = choose_group_table(
+                    domain,
+                    (fact_t.generation(), parent_t.generation()),
+                    Some(parent_rows),
+                    parent_rows,
+                    aggs.len(),
+                    &mut decisions,
+                );
                 Some((g.to_string(), strategy))
             }
         };
+        // A grouped join's key is the FK slice its edge is probed through,
+        // so the program lowers none.
         let fact_program = Arc::new(TileProgram::lower_agg(
             fact_t,
             fact_filter.as_ref(),
-            group_by,
+            None,
             aggs,
-            group_by.is_none(),
+            group_by.is_some(),
         )?);
         Ok(PhysicalPlan {
             shape: Shape::MultiJoinAgg {
@@ -2637,6 +2685,7 @@ impl EngineInner {
                 order_method: method,
                 probe_masked,
                 group,
+                group_table,
                 fact_program,
             },
             post: Vec::new(),
@@ -2919,6 +2968,7 @@ impl EngineInner {
                 group_by,
                 aggs,
                 strategy,
+                group_table,
                 program,
                 ..
             } => {
@@ -2944,6 +2994,7 @@ impl EngineInner {
                         g,
                         aggs,
                         GroupMode::By(*strategy),
+                        group_table.at((t.generation(), t.generation())),
                         opts,
                         ctx,
                     ),
@@ -2955,6 +3006,7 @@ impl EngineInner {
                 aggs,
                 probe_masked,
                 group,
+                group_table,
                 fact_program,
                 ..
             } => {
@@ -2980,6 +3032,10 @@ impl EngineInner {
                         g,
                         aggs,
                         GroupMode::Join(*strategy),
+                        group_table.at((
+                            fact_t.generation(),
+                            bound.first().map_or(0, |e| e.parent_t.generation()),
+                        )),
                         opts,
                         ctx,
                     ),
@@ -3017,6 +3073,49 @@ impl EngineInner {
         apply_post_ops(&plan.post, &mut res, &mut ops, level, ctx)?;
         Ok((res, ops))
     }
+}
+
+/// The group table of a grouped stage: the dense array when the catalog
+/// gives the key `domain` exactly (`(min, max)`, read from tables at
+/// `generations`; otherwise why it is unknown) and the array is no larger
+/// than the hash table it replaces, sized as the executor sizes it
+/// (`fk_parent_rows`) and grown to the planner's `keys` estimate; the hash
+/// table otherwise. Derived from catalog facts only, and recorded as a
+/// decision.
+fn choose_group_table(
+    domain: Result<(i64, i64), &'static str>,
+    generations: (u64, u64),
+    fk_parent_rows: Option<usize>,
+    keys: usize,
+    n_aggs: usize,
+    decisions: &mut Vec<String>,
+) -> GroupTableRepr {
+    let dense = domain.and_then(|(min, max)| {
+        let slots =
+            DenseAggTable::slots_for(min, max).ok_or("the key domain is empty or too wide")?;
+        Ok((min, max, DenseAggTable::bytes_for(slots, n_aggs)))
+    });
+    let hash_bytes = AggTable::grown_bytes(fk_parent_rows, keys, n_aggs);
+    let (repr, line) = match dense {
+        Ok((min, max, bytes)) if bytes <= hash_bytes => (
+            GroupTableRepr::Dense {
+                min,
+                max,
+                generations,
+            },
+            format!("dense [{min}..{max}], {bytes} B/worker"),
+        ),
+        Ok((min, max, bytes)) => (
+            GroupTableRepr::Hash,
+            format!(
+                "hash (sparse domain: dense [{min}..{max}] is {bytes} B, \
+                 over the {hash_bytes} B of a hash table for ~{keys} keys)"
+            ),
+        ),
+        Err(why) => (GroupTableRepr::Hash, format!("hash ({why})")),
+    };
+    decisions.push(format!("group table: {line}"));
+    repr
 }
 
 /// Apply the plan's result-level post-operators (`ORDER BY`, `LIMIT`) to a
@@ -3437,6 +3536,10 @@ struct ScalarAcc {
 struct ScalarStage {
     bound: BoundProgram,
     sinks: ScalarSinks,
+    /// The one sum of a masked one-edge probe that takes the fused kernel
+    /// ([`ScalarSinks::fused_probe`]); `None` on every other stage, and when
+    /// counters are on — they need the folded mask the fused pass skips.
+    fused_probe: Option<FusedSum>,
     /// Accumulator identities: `i64::MAX` / `i64::MIN` for min / max.
     identities: Vec<i64>,
     /// Each direct edge's membership structure with the FK that addresses
@@ -3505,7 +3608,9 @@ fn merge_scalar_partials(
 /// tile loop carries no strategy or aggregate-function dispatch: the sinks
 /// were resolved when the stage was built. Masked, every edge's bitmap bit
 /// is ANDed into the filter mask and every lane aggregated (value masking,
-/// § III-A; the fully masked probe, § III-D). Otherwise the filter's
+/// § III-A; the fully masked probe, § III-D) — or, for a stage with a
+/// [`ScalarStage::fused_probe`], the bit is multiplied in by the accumulate
+/// pass itself (`join::semijoin_sum_bitmap_masked`). Otherwise the filter's
 /// selection vector is narrowed edge by edge to the join hits and the
 /// survivors gathered. A plain scan is the zero-edge case of both.
 fn scalar_body<const MASKED: bool>(
@@ -3523,6 +3628,17 @@ fn scalar_body<const MASKED: bool>(
         for tile in tiles_in(m_start, m_len) {
             let (start, len) = tile;
             stage.bound.run(&mut w.regs, start, len);
+            if let (true, Some(sum), [(BuildSide::Bitmap(bm), fk)]) =
+                (MASKED, stage.fused_probe, &stage.sides[..])
+            {
+                let fk = &fk.slice()[start..start + len];
+                let v = stage.bound.probe_masked(&w.regs, sum, fk, bm, tile);
+                w.acc[0] = w.acc[0].wrapping_add(v);
+                // Lanes aggregated, not lanes qualifying: all the merge asks
+                // is whether any were, and a sum over none is 0 either way.
+                w.matched += len;
+                continue;
+            }
             // Lanes that reached the sinks or the first probe, and those
             // that qualified.
             let (reached, q) = if MASKED {
@@ -3624,9 +3740,13 @@ fn exec_scalar_pipeline(
         sides.push((build_edge_side(e, opts, ctx, &mut op_list)?, e.fk.clone()));
     }
     let t0 = opts.level.timing().then(Instant::now);
+    let sinks = scalar_sinks(program, aggs, masked, !opts.overflow_proved);
     let stage = Arc::new(ScalarStage {
         bound: program.bind(table)?,
-        sinks: scalar_sinks(program, aggs, masked, !opts.overflow_proved),
+        fused_probe: sinks
+            .fused_probe()
+            .filter(|_| masked && edges.len() == 1 && !counting),
+        sinks,
         identities: aggs
             .iter()
             .map(|a| match a.func {
@@ -3694,34 +3814,12 @@ fn exec_scalar_pipeline(
     ))
 }
 
-/// One aggregate of a grouped stage with its input register resolved, so
-/// the per-row loop reads no `AggSpec`.
-#[derive(Clone, Copy)]
-enum GroupIn {
-    Sum(usize),
-    Count,
-    Min(usize),
-    Max(usize),
-}
-
-fn group_inputs(program: &TileProgram, aggs: &[AggSpec]) -> Arc<[GroupIn]> {
-    aggs.iter()
-        .enumerate()
-        .map(|(i, a)| match a.func {
-            AggFunc::Sum => GroupIn::Sum(program.output_reg(i)),
-            AggFunc::Count => GroupIn::Count,
-            AggFunc::Min => GroupIn::Min(program.output_reg(i)),
-            AggFunc::Max => GroupIn::Max(program.output_reg(i)),
-        })
-        .collect()
-}
-
-/// Thread-local state of the grouped pipeline: a private [`AggTable`], the
+/// Thread-local state of the grouped pipeline: a private group table, the
 /// stage's register file and, when the pipeline joins through an edge, the
 /// rows that reached and survived it — the counters of the
 /// `multijoin-probe(<parent>)` op.
-struct GroupAcc {
-    ht: AggTable,
+struct GroupAcc<T> {
+    ht: T,
     /// Bytes already charged to the gauge for this worker (scratch + table).
     charged: usize,
     /// Access-pattern counters (only touched at `MetricsLevel::Counters`+).
@@ -3731,11 +3829,10 @@ struct GroupAcc {
     regs: Regs,
 }
 
-impl GroupAcc {
-    /// Worker state for `program` with a table sized for `capacity` keys,
-    /// its scratch and initial table charged before either is touched.
-    fn new(gauge: &MemGauge, program: &TileProgram, n_aggs: usize, capacity: usize) -> GroupAcc {
-        let ht = AggTable::with_capacity(n_aggs, capacity);
+impl<T: GroupTable> GroupAcc<T> {
+    /// Worker state for `program` around a fresh table, its scratch and
+    /// the table charged before either is touched.
+    fn new(gauge: &MemGauge, program: &TileProgram, ht: T) -> GroupAcc<T> {
         let charged = program.scratch_bytes() + ht.size_bytes();
         charge_or_panic(gauge, charged);
         GroupAcc {
@@ -3751,7 +3848,8 @@ impl GroupAcc {
     /// Charge hash-table growth since the last morsel boundary. `AggTable`
     /// grows inside the (infallible) tile loop, so the charge is settled at
     /// morsel granularity; a failed charge panics with the typed error and
-    /// is caught by the worker's isolation domain.
+    /// is caught by the worker's isolation domain. (The dense table never
+    /// grows.)
     fn charge_growth(&mut self, gauge: &MemGauge, program: &TileProgram) {
         let now_bytes = program.scratch_bytes() + self.ht.size_bytes();
         if now_bytes > self.charged {
@@ -3769,33 +3867,86 @@ enum GroupMode {
     Join(GroupJoinStrategy),
 }
 
-/// Add lane `j`'s aggregate inputs of the tile just run, each times the 0/1
-/// mask `m`, to the entry at `off`. Sums and counts only: the planner gives
-/// the every-lane bodies no min/max.
-#[inline(always)]
-fn add_lane(ht: &mut AggTable, inputs: &[GroupIn], regs: &Regs, off: usize, j: usize, m: i64) {
-    for (i, input) in inputs.iter().enumerate() {
-        let add = match *input {
-            // m is 0/1, so the product cannot overflow.
-            GroupIn::Sum(r) => regs.val(r)[j] * m,
-            GroupIn::Count => m,
-            GroupIn::Min(_) | GroupIn::Max(_) => unreachable!("planner invariant"),
-        };
-        // add() detects wraparound in the table's overflow flag.
-        ht.add(off, i, add);
+/// The register-fed fallback of the selection-vector bodies (hybrid
+/// group-by, groupjoin): upsert the rows the first `k` tile-local offsets of
+/// `regs.idx` select. The one grouped loop with `min` / `max`.
+fn upsert_selected<T: GroupTable, K: AsI64>(
+    ht: &mut T,
+    inputs: &[GroupIn],
+    regs: &Regs,
+    keys: &[K],
+    k: usize,
+) {
+    for &j in &regs.idx[..k] {
+        let j = j as usize;
+        let off = ht.entry(keys[j].widen());
+        for (i, input) in inputs.iter().enumerate() {
+            match *input {
+                // add() detects wraparound in the table's overflow flag.
+                GroupIn::Sum(r) => ht.add(off, i, regs.val(r)[j]),
+                GroupIn::Count => ht.add(off, i, 1),
+                // Only min/max ask whether the entry is fresh: the valid
+                // flags are an array of their own, and reading one per lane
+                // is a cache miss a large table's sums and counts would pay
+                // for nothing.
+                GroupIn::Min(r) => {
+                    let v = regs.val(r)[j];
+                    let fresh = !ht.is_valid(off);
+                    let s = &mut ht.states_mut()[off + i];
+                    *s = if fresh { v } else { (*s).min(v) };
+                }
+                GroupIn::Max(r) => {
+                    let v = regs.val(r)[j];
+                    let fresh = !ht.is_valid(off);
+                    let s = &mut ht.states_mut()[off + i];
+                    *s = if fresh { v } else { (*s).max(v) };
+                }
+            }
+        }
+        ht.set_valid(off);
+    }
+}
+
+/// The register-fed fallback of the every-lane bodies: each lane upserts
+/// its key. Value masking keeps the real key and multiplies the inputs by
+/// the lane's 0/1 mask; key masking (`key_masked`, the keys already masked)
+/// sends filtered-out lanes to the throwaway entry and adds unmasked values;
+/// eager aggregation is value masking under its all-ones mask. Sums and
+/// counts only: the planner gives these bodies no min/max.
+fn upsert_every_lane<T: GroupTable, K: AsI64>(
+    ht: &mut T,
+    inputs: &[GroupIn],
+    regs: &Regs,
+    keys: &[K],
+    cmp: &[u8],
+    key_masked: bool,
+) {
+    for (j, (&key, &c)) in keys.iter().zip(cmp).enumerate() {
+        let off = ht.entry(key.widen());
+        let m = if key_masked { 1 } else { c as i64 };
+        for (i, input) in inputs.iter().enumerate() {
+            let add = match *input {
+                // m is 0/1, so the product cannot overflow.
+                GroupIn::Sum(r) => regs.val(r)[j] * m,
+                GroupIn::Count => m,
+                GroupIn::Min(_) | GroupIn::Max(_) => unreachable!("planner invariant"),
+            };
+            // add() detects wraparound in the table's overflow flag.
+            ht.add(off, i, add);
+        }
+        // Branch-free: the throwaway entry's flag is ignored by the result
+        // iterator.
+        ht.or_valid(off, c);
     }
 }
 
 /// Execute a grouped aggregation over `table` restricted by zero or one FK
 /// join edge: a group-by and a groupjoin (§ III-E) are one pipeline at two
 /// arities, as the scalar aggregations are in [`exec_scalar_pipeline`], and
-/// the edge's build side comes from the same [`build_edge_side`].
-///
-/// The hybrid group-by upserts the tile's selection vector; the groupjoin is
-/// that body with the selection narrowed through the edge first. Eager
-/// aggregation upserts every lane, as the masked group-bys do but with no
-/// mask, and consults the edge once, after the merge, to delete the keys
-/// whose parent does not qualify.
+/// the edge's build side comes from the same [`build_edge_side`]. Each
+/// worker fills a private group table of the representation `group_table`
+/// names — the caller has already resolved it against the pinned tables'
+/// generations — and the pipeline is compiled once per representation.
 #[allow(clippy::too_many_arguments)]
 fn exec_grouped_pipeline(
     op_name: &str,
@@ -3805,12 +3956,59 @@ fn exec_grouped_pipeline(
     group_by: &str,
     aggs: &[AggSpec],
     mode: GroupMode,
+    group_table: GroupTableRepr,
+    opts: ExecOpts<'_>,
+    ctx: &Arc<ExecCtx>,
+) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
+    let n_aggs = aggs.len();
+    let dense = matches!(group_table, GroupTableRepr::Dense { .. });
+    let stage = (op_name, table, program, edges, group_by, aggs, mode, dense);
+    match group_table {
+        GroupTableRepr::Hash => {
+            let capacity = AggTable::expected_group_keys(edges.first().map(|e| e.parent_t.len()));
+            let table = move || AggTable::with_capacity(n_aggs, capacity);
+            grouped_stage(stage, table, opts, ctx)
+        }
+        GroupTableRepr::Dense { min, max, .. } => {
+            let table = move || DenseAggTable::new(n_aggs, min, max);
+            grouped_stage(stage, table, opts, ctx)
+        }
+    }
+}
+
+/// What [`exec_grouped_pipeline`] runs: operator name, scanned table and its
+/// program, the bound edges, the key column's name, the aggregates, the
+/// strategy and whether the group tables are dense (for the metrics).
+type GroupedStage<'a> = (
+    &'a str,
+    &'a Arc<Table>,
+    &'a Arc<TileProgram>,
+    &'a [BoundEdge],
+    &'a str,
+    &'a [AggSpec],
+    GroupMode,
+    bool,
+);
+
+/// [`exec_grouped_pipeline`] over one group-table representation. The sink
+/// is chosen once, before any morsel is claimed, from (`mode`, aggregate
+/// shape, `T`): for a single sum the tile body is the filter prepass, then
+/// `select` / `mask_keys` / nothing, then one upsert kernel reading key and
+/// operands as column slices; anything else takes the register-fed loops.
+///
+/// The hybrid group-by upserts the tile's selection vector; the groupjoin is
+/// that body with the selection narrowed through the edge first. Eager
+/// aggregation upserts every lane, as the masked group-bys do but with no
+/// mask, and consults the edge once, after the merge, to delete the keys
+/// whose parent does not qualify.
+fn grouped_stage<T: GroupTable + Send + 'static>(
+    (op_name, table, program, edges, group_by, aggs, mode, dense): GroupedStage<'_>,
+    new_table: impl Fn() -> T + Send + Sync + 'static,
     opts: ExecOpts<'_>,
     ctx: &Arc<ExecCtx>,
 ) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
     debug_assert!(edges.len() <= 1, "the planner groups over at most one edge");
     let n = table.len();
-    let n_aggs = aggs.len();
     let counting = opts.level.counting();
     let mut op_list = Vec::new();
     let edge = match edges.first() {
@@ -3822,19 +4020,16 @@ fn exec_grouped_pipeline(
     };
     let t0 = opts.level.timing().then(Instant::now);
     let bound = Arc::new(program.bind(table)?);
-    let inputs = group_inputs(program, aggs);
-    // The key is the last output, after one per aggregate.
-    let key_reg = program.output_reg(n_aggs);
-    let capacity = AggTable::expected_group_keys(edges.first().map(|e| e.parent_t.len()));
+    let sink = group_sink(program, aggs);
     let init = {
         let ctx = Arc::clone(ctx);
         let program = Arc::clone(program);
-        move || GroupAcc::new(&ctx.gauge, &program, n_aggs, capacity)
+        move || GroupAcc::new(&ctx.gauge, &program, new_table())
     };
     let body = {
         let ctx = Arc::clone(ctx);
         let edge = edge.clone();
-        move |w: &mut GroupAcc, m_start: usize, m_len: usize| {
+        move |w: &mut GroupAcc<T>, m_start: usize, m_len: usize| {
             if counting {
                 w.ctr.morsels += 1;
                 w.ctr.rows_in += m_len as u64;
@@ -3842,11 +4037,18 @@ fn exec_grouped_pipeline(
                     w.ctr.predicate_evals += m_len as u64;
                 }
             }
-            for (start, len) in tiles_in(m_start, m_len) {
+            for tile in tiles_in(m_start, m_len) {
+                let (start, len) = tile;
                 bound.run(&mut w.regs, start, len);
                 let edge = edge
                     .as_deref()
                     .map(|(side, fk)| (side, &fk.slice()[start..start + len]));
+                // The group key at native width: the raw FK slice the edge
+                // is probed through, or the key column.
+                let keys = match edge {
+                    Some((_, fk)) => Lane::U32(fk),
+                    None => bound.key_lane(start, len),
+                };
                 match mode {
                     GroupMode::By(AggStrategy::Hybrid)
                     | GroupMode::Join(GroupJoinStrategy::GroupJoin) => {
@@ -3864,40 +4066,18 @@ fn exec_grouped_pipeline(
                             w.ctr.ht_probes += k as u64;
                         }
                         let GroupAcc { ht, regs, .. } = &mut *w;
-                        let keys = regs.val(key_reg);
-                        for &j in &regs.idx[..k] {
-                            let j = j as usize;
-                            let off = ht.entry(keys[j]);
-                            for (i, input) in inputs.iter().enumerate() {
-                                match *input {
-                                    // add() detects wraparound in the table's
-                                    // overflow flag.
-                                    GroupIn::Sum(r) => ht.add(off, i, regs.val(r)[j]),
-                                    GroupIn::Count => ht.add(off, i, 1),
-                                    // Only min/max ask whether the entry is
-                                    // fresh: the valid flags are an array of
-                                    // their own, and reading one per lane is
-                                    // a cache miss a large table's sums and
-                                    // counts would pay for nothing.
-                                    GroupIn::Min(r) => {
-                                        let v = regs.val(r)[j];
-                                        let fresh = !ht.is_valid(off);
-                                        let s = &mut ht.states_mut()[off + i];
-                                        *s = if fresh { v } else { (*s).min(v) };
-                                    }
-                                    GroupIn::Max(r) => {
-                                        let v = regs.val(r)[j];
-                                        let fresh = !ht.is_valid(off);
-                                        let s = &mut ht.states_mut()[off + i];
-                                        *s = if fresh { v } else { (*s).max(v) };
-                                    }
-                                }
+                        match &sink {
+                            GroupSink::Kernel(sum) => {
+                                bound.upsert_gather(regs, *sum, keys, tile, k, ht)
                             }
-                            ht.set_valid(off);
+                            GroupSink::Registers(inputs) => with_lane!(keys, |keys| {
+                                upsert_selected(ht, inputs, regs, keys, k)
+                            }),
                         }
                     }
                     GroupMode::Join(GroupJoinStrategy::EagerAggregation) => {
-                        if let (true, Some((side, fk))) = (counting, edge) {
+                        let (side, fk) = edge.expect("eager aggregation is a grouped join");
+                        if counting {
                             // Eager aggregation touches every probe row
                             // (§ III-E); rows whose parent fails the build
                             // filter are aggregated then deleted — wasted.
@@ -3909,24 +4089,28 @@ fn exec_grouped_pipeline(
                             w.ctr.ht_probes += len as u64;
                         }
                         let GroupAcc { ht, regs, .. } = &mut *w;
-                        for (j, &key) in regs.val(key_reg)[..len].iter().enumerate() {
-                            let off = ht.entry(key);
-                            add_lane(ht, &inputs, regs, off, j, 1);
-                            ht.set_valid(off);
+                        match &sink {
+                            GroupSink::Kernel(sum) => bound.upsert_eager(regs, *sum, fk, tile, ht),
+                            // The planner gives eager aggregation no
+                            // probe-side filter: the mask is all ones.
+                            GroupSink::Registers(inputs) => upsert_every_lane(
+                                ht,
+                                inputs,
+                                regs,
+                                fk,
+                                bound.filter(regs, len),
+                                false,
+                            ),
                         }
                     }
                     GroupMode::By(strategy) => {
                         let key_masked = strategy == AggStrategy::KeyMasking;
-                        if key_masked {
-                            bound.mask_keys(&mut w.regs, key_reg, len);
-                        }
                         let GroupAcc { ht, regs, ctr, .. } = &mut *w;
-                        let cmp = bound.filter(regs, len);
                         if counting {
                             // The one counter the masked kernels do not
                             // already produce: qualifying-lane count (the
                             // budgeted extra mask_count per tile).
-                            let m = predicate::mask_count(cmp);
+                            let m = predicate::mask_count(bound.filter(regs, len));
                             ctr.rows_out += m as u64;
                             ctr.wasted_lanes += (len - m) as u64;
                             ctr.ht_probes += len as u64;
@@ -3934,18 +4118,24 @@ fn exec_grouped_pipeline(
                         // Key masking sends filtered-out lanes to the
                         // throwaway entry and adds unmasked values; value
                         // masking keeps the key and multiplies by the mask.
-                        let keys = if key_masked {
-                            &regs.tmp[..len]
-                        } else {
-                            &regs.val(key_reg)[..len]
-                        };
-                        for (j, (&key, &c)) in keys.iter().zip(cmp).enumerate() {
-                            let off = ht.entry(key);
-                            let m = if key_masked { 1 } else { c as i64 };
-                            add_lane(ht, &inputs, regs, off, j, m);
-                            // Branch-free: the throwaway entry's flag is
-                            // ignored by the result iterator.
-                            ht.or_valid(off, c);
+                        match (&sink, key_masked) {
+                            (GroupSink::Kernel(sum), true) => {
+                                bound.upsert_key_masked(regs, *sum, keys, tile, ht)
+                            }
+                            (GroupSink::Kernel(sum), false) => {
+                                bound.upsert_value_masked(regs, *sum, keys, tile, ht)
+                            }
+                            (GroupSink::Registers(inputs), true) => {
+                                bound.mask_keys(regs, keys);
+                                let cmp = bound.filter(regs, len);
+                                upsert_every_lane(ht, inputs, regs, &regs.tmp[..len], cmp, true)
+                            }
+                            (GroupSink::Registers(inputs), false) => {
+                                let cmp = bound.filter(regs, len);
+                                with_lane!(keys, |keys| {
+                                    upsert_every_lane(ht, inputs, regs, keys, cmp, false)
+                                })
+                            }
                         }
                     }
                 }
@@ -3961,6 +4151,7 @@ fn exec_grouped_pipeline(
     // with merge traffic that never touched base data.
     let agg_op = counting.then(|| {
         let mut op = OpMetrics::named(op_name);
+        op.ht_dense = dense;
         for p in &partials {
             op.access.merge(&p.ctr);
             op.ht.merge(&p.ht.counters());
@@ -4027,19 +4218,23 @@ fn exec_grouped_pipeline(
 fn rows_from_table(
     key_name: &str,
     aggs: &[AggSpec],
-    ht: &AggTable,
+    ht: &impl GroupTable,
     key_dict: Option<Arc<Vec<String>>>,
 ) -> QueryResult {
-    let mut rows: Vec<Vec<i64>> = ht
-        .iter()
-        .filter(|&(_, _, valid)| valid)
-        .map(|(key, state, _)| {
-            let mut row = Vec::with_capacity(1 + aggs.len());
-            row.push(key);
-            row.extend_from_slice(state);
-            row
-        })
-        .collect();
+    // Sized once for every stored key (valid or not): a filtered iterator
+    // has no lower size hint, and a large result would otherwise be copied
+    // through a run of doubling reallocations.
+    let mut rows: Vec<Vec<i64>> = Vec::with_capacity(ht.len());
+    rows.extend(
+        ht.iter()
+            .filter(|&(_, _, valid)| valid)
+            .map(|(key, state, _)| {
+                let mut row = Vec::with_capacity(1 + aggs.len());
+                row.push(key);
+                row.extend_from_slice(state);
+                row
+            }),
+    );
     rows.sort_unstable();
     let mut columns = vec![key_name.to_string()];
     columns.extend(aggs.iter().map(|a| a.name.clone()));

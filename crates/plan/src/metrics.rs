@@ -83,6 +83,10 @@ pub struct OpMetrics {
     /// `bytes_allocated` are summed over per-worker private tables and
     /// depend on the morsel partition.
     pub ht: HtCounters,
+    /// `true` when the operator's group table was the dense array rather
+    /// than the hash table: every probe is then one array access, with no
+    /// probe steps and no resizes.
+    pub ht_dense: bool,
     /// Bits set in a positional bitmap this operator built (0 otherwise).
     pub bitmap_bits_set: u64,
     /// 64-bit words backing that bitmap.
@@ -214,6 +218,8 @@ impl QueryMetrics {
                 s.push_str("\":");
                 s.push_str(&v.to_string());
             }
+            s.push_str(",\"ht_dense\":");
+            s.push_str(if o.ht_dense { "true" } else { "false" });
             s.push('}');
         }
         s.push_str("]}");
@@ -266,8 +272,12 @@ impl fmt::Display for QueryMetrics {
             if o.ht != HtCounters::default() {
                 write!(
                     f,
-                    "\n      ht: {} keys, {} probe steps, {} resizes, {} B allocated",
-                    o.ht.inserts, o.ht.probe_steps, o.ht.resizes, o.ht.bytes_allocated
+                    "\n      ht{}: {} keys, {} probe steps, {} resizes, {} B allocated",
+                    if o.ht_dense { "[dense]" } else { "" },
+                    o.ht.inserts,
+                    o.ht.probe_steps,
+                    o.ht.resizes,
+                    o.ht.bytes_allocated
                 )?;
             }
             if o.bitmap_words > 0 {

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use crate::expr::Expr;
 use crate::logical::{AggSpec, FrameSpec, SortKey, WindowFnSpec};
-use crate::tile::TileProgram;
+use crate::tile::{group_sink, scalar_sinks, TileProgram};
 use swole_cost::{
     AggProfile, AggStrategy, GroupJoinProfile, GroupJoinStrategy, JoinGraphProfile,
     JoinOrderMethod, SemiJoinStrategy, WindowStrategy,
@@ -190,6 +190,40 @@ pub(crate) struct JoinEdge {
     pub est_selectivity: f64,
 }
 
+/// The representation of a grouped stage's per-worker group table, decided
+/// at plan time from catalog facts only (no option selects it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum GroupTableRepr {
+    /// The open-addressing `AggTable`: sparse, unknown or stale key domains
+    /// (and every ungrouped shape, which has no table).
+    Hash,
+    /// A `DenseAggTable` over the exactly known key domain `[min, max]`.
+    /// The domain is a fact about particular contents: `generations` are
+    /// those of the scanned table and of the table the domain was read from
+    /// (the same table for a group-by; the edge's parent for a grouped
+    /// join, whose FK index ties the key to both).
+    Dense {
+        min: i64,
+        max: i64,
+        generations: (u64, u64),
+    },
+}
+
+impl GroupTableRepr {
+    /// The representation that runs, and that the bounds pass certifies,
+    /// against tables now at `generations`: a dense domain holds only for
+    /// the contents it was planned against, anything else takes the hash
+    /// table (which needs no domain) rather than index out of range.
+    pub(crate) fn at(self, generations: (u64, u64)) -> GroupTableRepr {
+        match self {
+            GroupTableRepr::Dense { generations: g, .. } if g != generations => {
+                GroupTableRepr::Hash
+            }
+            repr => repr,
+        }
+    }
+}
+
 /// The executable shapes (the plan patterns §§ III-A–III-E optimize).
 #[derive(Debug, Clone)]
 #[allow(clippy::enum_variant_names)] // every shape ends in an aggregation
@@ -201,6 +235,8 @@ pub(crate) enum Shape {
         group_by: Option<String>,
         aggs: Vec<AggSpec>,
         strategy: AggStrategy,
+        /// The group table of a grouped aggregation.
+        group_table: GroupTableRepr,
         /// `filter`, the aggregate inputs and `group_by` lowered over
         /// `table` (every shape carries its stages' programs, lowered once
         /// at plan time and cached with the plan).
@@ -225,6 +261,8 @@ pub(crate) enum Shape {
         /// Group by this column — the FK of the one edge — under this
         /// strategy; `None` for a scalar aggregation.
         group: Option<(String, GroupJoinStrategy)>,
+        /// The group table of a grouped join.
+        group_table: GroupTableRepr,
         fact_program: Arc<TileProgram>,
     },
     /// scan → filter? → sort by (partition, order, row) → window functions.
@@ -251,21 +289,59 @@ impl Shape {
     /// Short name of the access strategy driving this shape's loop body.
     pub(crate) fn strategy_name(&self) -> String {
         match self {
-            Shape::ScanAgg { strategy, .. } => strategy.name().to_string(),
+            Shape::ScanAgg {
+                strategy,
+                group_by: None,
+                ..
+            } => strategy.name().to_string(),
+            Shape::ScanAgg {
+                strategy,
+                aggs,
+                program,
+                ..
+            } => format!(
+                "{}, sink: {}",
+                strategy.name(),
+                group_sink(program, aggs).name(match strategy {
+                    AggStrategy::Hybrid => "groupby_gather",
+                    AggStrategy::ValueMasking => "groupby_value_masked",
+                    AggStrategy::KeyMasking => "groupby_key_masked",
+                })
+            ),
             Shape::MultiJoinAgg {
                 edges,
+                aggs,
                 order_method,
                 probe_masked,
                 group,
+                fact_program,
                 ..
             } => format!(
                 "multi-join ({} edges, order: {}{}{})",
                 count_edges(edges),
                 order_method.name(),
-                if *probe_masked { ", masked probe" } else { "" },
+                // The planned sink: at run time an unproven accumulator, or
+                // counters, step it down to AND-into-mask + `sum_op_masked`.
+                if !*probe_masked {
+                    ""
+                } else if scalar_sinks(fact_program, aggs, true, false)
+                    .fused_probe()
+                    .is_some()
+                {
+                    ", masked probe, sink: semijoin_sum_bitmap_masked"
+                } else {
+                    ", masked probe"
+                },
                 group
                     .as_ref()
-                    .map(|(_, s)| format!(", {}", s.name()))
+                    .map(|(_, s)| format!(
+                        ", {}, sink: {}",
+                        s.name(),
+                        group_sink(fact_program, aggs).name(match s {
+                            GroupJoinStrategy::GroupJoin => "groupby_gather",
+                            GroupJoinStrategy::EagerAggregation => "eager_aggregate",
+                        })
+                    ))
                     .unwrap_or_default(),
             ),
             Shape::WindowScan {

@@ -1,15 +1,18 @@
 //! Flat tile programs: the served form of the paper's generated loops.
 //!
-//! The planner lowers a pipeline stage's filter, group key and aggregate
-//! inputs once, at plan time, into a [`TileProgram`] — a short instruction
-//! list over typed registers (`u8` 0/1 masks, the `cmp` arrays of the
-//! paper's figures, and widened `i64` values). Comparisons against a
-//! literal run straight on the column's native-width slice through
+//! The planner lowers a pipeline stage's filter and aggregate inputs once,
+//! at plan time, into a [`TileProgram`] — a short instruction list over
+//! typed registers (`u8` 0/1 masks, the `cmp` arrays of the paper's
+//! figures, and widened `i64` values). Comparisons against a literal run
+//! straight on the column's native-width slice through
 //! `swole_kernels::predicate`; common sub-expressions and column loads are
 //! shared across aggregates (the served-path form of access merging,
 //! § III-C); top-level `col OP col` sums are left unevaluated so the scalar
 //! sinks can hand the column slices to the measured `swole_kernels::agg`
-//! loops. Binding a program to a pinned table ([`TileProgram::bind`])
+//! loops, the masked probe to `join::semijoin_sum_bitmap_masked` and the
+//! grouped sinks — which also read the group key at native width, never
+//! from a register — to the `groupby` / `join` upsert kernels. Binding a
+//! program to a pinned table ([`TileProgram::bind`])
 //! resolves column positions and evaluates every dictionary predicate once
 //! per query; running it ([`BoundProgram::run`]) against a per-worker
 //! [`Regs`] file allocates nothing, looks nothing up by name and never
@@ -17,8 +20,10 @@
 
 use std::sync::Arc;
 
+use swole_bitmap::PositionalBitmap;
+use swole_ht::GroupTable;
 use swole_kernels::agg::{self, BinOp, Div, Mul};
-use swole_kernels::{predicate, selvec, AsI64, TILE};
+use swole_kernels::{groupby, join, predicate, selvec, AsI64, TILE};
 use swole_storage::{like_match, ColumnData, DataType, Table};
 
 use crate::error::PlanError;
@@ -56,13 +61,21 @@ pub(crate) enum FusedOp {
     Div,
 }
 
+/// `a OP b`, left for a fused sink to evaluate while it accumulates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FusedSum {
+    pub(crate) op: FusedOp,
+    pub(crate) a: Src,
+    pub(crate) b: Src,
+}
+
 /// One value output of a program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Output {
     /// Materialized in a value register.
     Reg(usize),
-    /// `a OP b`, left for a fused sink to evaluate while it accumulates.
-    Op { op: FusedOp, a: Src, b: Src },
+    /// Unevaluated, for a fused sink.
+    Op(FusedSum),
 }
 
 /// What the caller wants lowered for one output position.
@@ -72,9 +85,9 @@ pub(crate) enum Want<'a> {
     Skip,
     /// The expression's value in a register.
     Reg(&'a Expr),
-    /// An [`Output::Op`] for a fused sum sink: `x * y`, `x / y` or a bare
-    /// column over columns and literals stay unevaluated; any other
-    /// expression is materialized and multiplied by a constant 1.
+    /// An [`Output::Op`] for a fused sum sink: `x * y` or `x / y` over
+    /// columns and literals stays unevaluated; any other expression (a bare
+    /// column included) is its value times a constant 1.
     Fused(&'a Expr),
 }
 
@@ -168,6 +181,10 @@ pub(crate) struct TileProgram {
     /// Column slots the filter reads, for the merged-access sink.
     filter_cols: Vec<usize>,
     outputs: Vec<Option<Output>>,
+    /// Column slot of the group key, which the grouped sinks read at native
+    /// width. `None` for an ungrouped stage — and for a grouped join, whose
+    /// key is the FK slice its edge is probed through.
+    key: Option<usize>,
 }
 
 impl TileProgram {
@@ -176,6 +193,15 @@ impl TileProgram {
         table: &Table,
         filter: Option<&Expr>,
         wants: &[Want<'_>],
+    ) -> Result<TileProgram, PlanError> {
+        TileProgram::lower_keyed(table, filter, wants, None)
+    }
+
+    fn lower_keyed(
+        table: &Table,
+        filter: Option<&Expr>,
+        wants: &[Want<'_>],
+        key: Option<&str>,
     ) -> Result<TileProgram, PlanError> {
         let mut lw = Lowerer::new(table);
         let filter_node = match filter {
@@ -195,22 +221,26 @@ impl TileProgram {
                 Want::Fused(e) => Some(lw.fused(e)?),
             });
         }
-        Ok(lw.finish(filter_node, filter.is_some(), filter_cols, outs))
+        let key = key.map(|k| lw.col(k)).transpose()?;
+        Ok(lw.finish(filter_node, filter.is_some(), filter_cols, outs, key))
     }
 
     /// Lower an aggregation stage: the filter, the aggregates' inputs
-    /// (output `i` belongs to `aggs[i]`; `count` has none) and, last, the
-    /// group key when there is one. With `fuse_sums` (the scalar sinks)
-    /// sum inputs stay [`Output::Op`]s; everything else is materialized.
+    /// (output `i` belongs to `aggs[i]`; `count` has none) and the column
+    /// slot of `key`, the group key a zero-edge grouped stage reads. Sum
+    /// inputs stay [`Output::Op`]s where a sink fuses them — every scalar
+    /// stage, and a grouped stage whose one aggregate is a sum
+    /// ([`group_sink`]); everything else is materialized for the
+    /// register-fed loops.
     pub(crate) fn lower_agg(
         table: &Table,
         filter: Option<&Expr>,
-        group_by: Option<&str>,
+        key: Option<&str>,
         aggs: &[AggSpec],
-        fuse_sums: bool,
+        grouped: bool,
     ) -> Result<TileProgram, PlanError> {
-        let key = group_by.map(Expr::col);
-        let mut wants: Vec<Want<'_>> = aggs
+        let fuse_sums = !grouped || matches!(aggs, [a] if a.func == AggFunc::Sum);
+        let wants: Vec<Want<'_>> = aggs
             .iter()
             .map(|a| match a.func {
                 AggFunc::Count => Want::Skip,
@@ -218,8 +248,7 @@ impl TileProgram {
                 _ => Want::Reg(&a.expr),
             })
             .collect();
-        wants.extend(key.as_ref().map(Want::Reg));
-        TileProgram::lower(table, filter, &wants)
+        TileProgram::lower_keyed(table, filter, &wants, key)
     }
 
     /// Bytes of one worker's [`Regs`] file plus one accumulator slot per
@@ -617,6 +646,7 @@ impl<'a> Lowerer<'a> {
         has_filter: bool,
         filter_cols: Vec<usize>,
         outs: Vec<Option<VOut>>,
+        key: Option<usize>,
     ) -> TileProgram {
         let mut phys = Vec::with_capacity(self.nodes.len());
         let (mut n_masks, mut n_vals) = (0usize, 0usize);
@@ -700,11 +730,11 @@ impl<'a> Lowerer<'a> {
             .map(|o| {
                 o.as_ref().map(|o| match o {
                     VOut::Node(n) => Output::Reg(phys[*n]),
-                    VOut::Op { op, a, b } => Output::Op {
+                    VOut::Op { op, a, b } => Output::Op(FusedSum {
                         op: *op,
                         a: src(a),
                         b: src(b),
-                    },
+                    }),
                 })
             })
             .collect();
@@ -720,6 +750,7 @@ impl<'a> Lowerer<'a> {
             has_filter,
             filter_cols,
             outputs,
+            key,
         }
     }
 }
@@ -786,6 +817,7 @@ macro_rules! with_lane {
         }
     };
 }
+pub(crate) use with_lane;
 
 /// A value operand resolved for one tile.
 #[derive(Clone, Copy)]
@@ -1041,14 +1073,24 @@ impl BoundProgram {
         selvec::fill_nobranch(&r.masks[self.prog.filter][..len], 0, &mut r.idx[..len])
     }
 
-    /// Key masking (§ III-B): `r.tmp = val[keys]` with the lanes the filter
+    /// The group key of rows `[start, start + len)` at native width.
+    pub(crate) fn key_lane(&self, start: usize, len: usize) -> Lane<'_> {
+        let key = self
+            .prog
+            .key
+            .expect("a zero-edge grouped stage lowers its key");
+        self.lane(key, start, len)
+    }
+
+    /// Key masking (§ III-B): `r.tmp = keys` with the lanes the filter
     /// rejected sent to the throwaway key.
-    pub(crate) fn mask_keys(&self, r: &mut Regs, keys: usize, len: usize) {
-        swole_kernels::groupby::mask_keys(
-            &r.vals[keys][..len],
-            &r.masks[self.prog.filter][..len],
-            &mut r.tmp[..len],
-        );
+    pub(crate) fn mask_keys(&self, r: &mut Regs, keys: Lane<'_>) {
+        let cmp = &r.masks[self.prog.filter];
+        with_lane!(keys, |k| groupby::mask_keys(
+            k,
+            &cmp[..k.len()],
+            &mut r.tmp[..k.len()]
+        ));
     }
 
     /// The filter mask of the tile just run, for a stage that folds a join
@@ -1077,11 +1119,7 @@ pub(crate) enum Sink {
     Count,
     /// `sum(a OP b)` through `agg::sum_op_masked` / `agg::sum_op_gather`
     /// (or their `_checked` forms).
-    Sum {
-        op: FusedOp,
-        a: Src,
-        b: Src,
-    },
+    Sum(FusedSum),
     /// Access merging (§ III-C, Fig. 5 bottom): `x` is shared with the
     /// filter, so `tmp = x * cmp` then `sum += other * tmp` (`other` absent
     /// for `sum(x * x)`). Value masking with a proven-safe accumulator only.
@@ -1121,8 +1159,9 @@ pub(crate) fn scalar_sinks(
             (AggFunc::Count, _) => Sink::Count,
             (AggFunc::Min, _) => Sink::Min(prog.output_reg(i)),
             (AggFunc::Max, _) => Sink::Max(prog.output_reg(i)),
-            (AggFunc::Sum, Some(Output::Op { op, a, b })) => {
+            (AggFunc::Sum, Some(Output::Op(sum))) => {
                 let shared = |s: Src| matches!(s, Src::Col(c) if prog.filter_cols.contains(&c));
+                let FusedSum { op, a, b } = sum;
                 match (op, a, b) {
                     (FusedOp::Mul, Src::Col(x), Src::Col(y)) if masked && !checked && shared(a) => {
                         Sink::SumMerged {
@@ -1133,7 +1172,7 @@ pub(crate) fn scalar_sinks(
                     (FusedOp::Mul, Src::Col(y), Src::Col(x)) if masked && !checked && shared(b) => {
                         Sink::SumMerged { x, other: Some(y) }
                     }
-                    _ => Sink::Sum { op, a, b },
+                    _ => Sink::Sum(sum),
                 }
             }
             (AggFunc::Sum, other) => {
@@ -1179,7 +1218,7 @@ impl BoundProgram {
         for (slot, sink) in acc.iter_mut().zip(sinks) {
             let (v, wrapped) = match *sink {
                 Sink::Count => (m as i64, false),
-                Sink::Sum { op, a, b } => {
+                Sink::Sum(FusedSum { op, a, b }) => {
                     let (a, b) = (self.src(r, a, start, len), self.src(r, b, start, len));
                     match op {
                         FusedOp::Mul => sum_masked::<Mul>(a, b, cmp, checked),
@@ -1224,7 +1263,7 @@ impl BoundProgram {
         for (slot, sink) in acc.iter_mut().zip(sinks) {
             let (v, wrapped) = match *sink {
                 Sink::Count => (k as i64, false),
-                Sink::Sum { op, a, b } => {
+                Sink::Sum(FusedSum { op, a, b }) => {
                     let (a, b) = (self.src(r, a, start, len), self.src(r, b, start, len));
                     match op {
                         FusedOp::Mul => sum_gather::<Mul>(a, b, idx, checked),
@@ -1247,6 +1286,184 @@ impl BoundProgram {
             *slot = s;
             *overflow |= wrapped | (checked & sum_wrapped);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Grouped and masked-probe sinks
+// ---------------------------------------------------------------------------
+
+/// One aggregate of a register-fed grouped stage with its input register
+/// resolved, so the per-row loop reads no `AggSpec`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum GroupIn {
+    Sum(usize),
+    Count,
+    Min(usize),
+    Max(usize),
+}
+
+/// The terminal loop of a grouped stage, selected once per query from the
+/// aggregate shape ([`TileProgram::lower_agg`] lowered the inputs for it).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum GroupSink {
+    /// The stage's one `sum(a OP b)`: a `swole_kernels::groupby` /
+    /// `join::eager_aggregate` upsert kernel reads key and operands as
+    /// column slices at native width.
+    Kernel(FusedSum),
+    /// The general fallback — several aggregates, `count`, `min` / `max`:
+    /// the inputs are materialized in value registers and one per-lane loop
+    /// upserts all of them.
+    Registers(Vec<GroupIn>),
+}
+
+impl GroupSink {
+    /// The upsert kernel (or the fallback) as `EXPLAIN` names it. `gather`
+    /// is the selection-vector kernel both the hybrid group-by and the
+    /// groupjoin end in.
+    pub(crate) fn name(&self, kernel: &'static str) -> &'static str {
+        match self {
+            GroupSink::Kernel(_) => kernel,
+            GroupSink::Registers(_) => "register loop",
+        }
+    }
+}
+
+/// Select the sink of a grouped stage over `aggs`.
+pub(crate) fn group_sink(prog: &TileProgram, aggs: &[AggSpec]) -> GroupSink {
+    if let ([_], Some(Output::Op(sum))) = (aggs, prog.output(0)) {
+        return GroupSink::Kernel(sum);
+    }
+    GroupSink::Registers(
+        aggs.iter()
+            .enumerate()
+            .map(|(i, a)| match a.func {
+                AggFunc::Sum => GroupIn::Sum(prog.output_reg(i)),
+                AggFunc::Count => GroupIn::Count,
+                AggFunc::Min => GroupIn::Min(prog.output_reg(i)),
+                AggFunc::Max => GroupIn::Max(prog.output_reg(i)),
+            })
+            .collect(),
+    )
+}
+
+impl ScalarSinks {
+    /// The one sum a fully masked probe hands, with its edge's bitmap, to
+    /// `join::semijoin_sum_bitmap_masked` — one pass that multiplies the
+    /// bitmap bit in while it accumulates, instead of ANDing the bit into
+    /// the mask and then running `agg::sum_op_masked`. Only a single plain
+    /// sum whose accumulator the certificate proved: the kernel has no
+    /// overflow-detecting twin, and several aggregates share the folded mask
+    /// more cheaply than each would fetch the bits again.
+    pub(crate) fn fused_probe(&self) -> Option<FusedSum> {
+        match self.sinks[..] {
+            [Sink::Sum(sum)] if !self.checked => Some(sum),
+            _ => None,
+        }
+    }
+}
+
+/// Run `$body` with `$a` / `$b` bound to the operand slices of `$sum` over
+/// `$tile` at native width and `$O` to its operator type.
+macro_rules! with_fused {
+    ($bound:expr, $r:expr, $sum:expr, $tile:expr, |$a:ident, $b:ident, $O:ident| $body:expr) => {{
+        let (sum, (start, len)): (FusedSum, (usize, usize)) = ($sum, $tile);
+        let a = $bound.src($r, sum.a, start, len);
+        let b = $bound.src($r, sum.b, start, len);
+        with_lane!(a, |$a| with_lane!(b, |$b| match sum.op {
+            FusedOp::Mul => {
+                type $O = Mul;
+                $body
+            }
+            FusedOp::Div => {
+                type $O = Div;
+                $body
+            }
+        }))
+    }};
+}
+
+impl BoundProgram {
+    /// The fused masked probe (§ III-D): `sum` over the tile just run, each
+    /// lane multiplied by the filter mask and by the bitmap bit its FK
+    /// position selects. Wrapping, like every unchecked sink.
+    pub(crate) fn probe_masked(
+        &self,
+        r: &Regs,
+        sum: FusedSum,
+        fk: &[u32],
+        bitmap: &PositionalBitmap,
+        tile: (usize, usize),
+    ) -> i64 {
+        let cmp = self.filter(r, tile.1);
+        with_fused!(self, r, sum, tile, |a, b, O| {
+            join::semijoin_sum_bitmap_masked::<_, _, O>(fk, a, b, cmp, bitmap)
+        })
+    }
+
+    /// Hybrid group-by / groupjoin (Fig. 4, Fig. 12): upsert the rows the
+    /// first `k` tile-local offsets of `r.idx` select.
+    pub(crate) fn upsert_gather<T: GroupTable>(
+        &self,
+        r: &Regs,
+        sum: FusedSum,
+        keys: Lane<'_>,
+        tile: (usize, usize),
+        k: usize,
+        ht: &mut T,
+    ) {
+        let idx = &r.idx[..k];
+        with_lane!(keys, |keys| with_fused!(self, r, sum, tile, |a, b, O| {
+            groupby::groupby_gather::<_, _, _, O>(keys, a, b, idx, ht)
+        }));
+    }
+
+    /// Value masking (Fig. 4 top): every lane upserts its real key, the
+    /// value multiplied by the filter mask.
+    pub(crate) fn upsert_value_masked<T: GroupTable>(
+        &self,
+        r: &Regs,
+        sum: FusedSum,
+        keys: Lane<'_>,
+        tile: (usize, usize),
+        ht: &mut T,
+    ) {
+        let cmp = self.filter(r, tile.1);
+        with_lane!(keys, |keys| with_fused!(self, r, sum, tile, |a, b, O| {
+            groupby::groupby_value_masked::<_, _, _, O>(keys, a, b, cmp, ht)
+        }));
+    }
+
+    /// Key masking (Fig. 4 bottom, Fig. 9): mask the keys into `r.tmp`,
+    /// then every lane upserts its masked key with the unmasked value.
+    pub(crate) fn upsert_key_masked<T: GroupTable>(
+        &self,
+        r: &mut Regs,
+        sum: FusedSum,
+        keys: Lane<'_>,
+        tile: (usize, usize),
+        ht: &mut T,
+    ) {
+        self.mask_keys(r, keys);
+        let masked = &r.tmp[..tile.1];
+        with_fused!(self, r, sum, tile, |a, b, O| {
+            groupby::groupby_key_masked::<_, _, O>(masked, a, b, ht)
+        });
+    }
+
+    /// Eager aggregation (§ III-E, Fig. 12): every lane upserts its FK,
+    /// unmasked; the caller deletes the non-qualifying keys after the merge.
+    pub(crate) fn upsert_eager<T: GroupTable>(
+        &self,
+        r: &Regs,
+        sum: FusedSum,
+        fk: &[u32],
+        tile: (usize, usize),
+        ht: &mut T,
+    ) {
+        with_fused!(self, r, sum, tile, |a, b, O| {
+            join::eager_aggregate::<_, _, _, O>(fk, a, b, ht)
+        });
     }
 }
 
@@ -1508,7 +1725,7 @@ mod tests {
                 .collect();
             let identities = [0, 0, 0, 0, i64::MAX, i64::MIN];
             let prog =
-                Arc::new(TileProgram::lower_agg(&t, Some(&filter), None, &aggs, true).unwrap());
+                Arc::new(TileProgram::lower_agg(&t, Some(&filter), None, &aggs, false).unwrap());
             let bound = prog.bind(&t).unwrap();
             for checked in [false, true] {
                 // Gather: every aggregate, min/max included.
@@ -1537,6 +1754,120 @@ mod tests {
                     "masked seed {seed} checked {checked} {aggs:?}"
                 );
                 assert_eq!(matched, qualifying.len());
+            }
+        }
+    }
+
+    /// The grouped sinks — every upsert kernel, over both table
+    /// representations, keys of every width — against a row-at-a-time fold
+    /// of `eval_row`, and the fused masked probe against the three-pass
+    /// path it replaces.
+    #[test]
+    fn grouped_and_probe_sinks_match_eval_row() {
+        use std::collections::BTreeMap;
+        use swole_ht::{AggTable, DenseAggTable};
+        let t = table(23);
+        // FK positions for the eager sink and the probe: `u` is `0..5000`.
+        let fk = t.column("u").and_then(|c| c.as_u32()).expect("u is u32");
+        let bitmap = PositionalBitmap::from_selection(
+            5000,
+            &(0..5000u32).filter(|p| p % 3 != 0).collect::<Vec<_>>(),
+        );
+        fn groups(ht: &impl GroupTable) -> BTreeMap<i64, i64> {
+            let valid = ht.iter().filter(|&(_, _, valid)| valid);
+            valid.map(|(k, s, _)| (k, s[0])).collect()
+        }
+        for seed in 0..60u64 {
+            let mut rng = SmallRng::seed_from_u64(4000 + seed);
+            let depth = rng.gen_range(0..3u32);
+            let filter = boolean(&mut rng, depth);
+            let input = match rng.gen_range(0..4u32) {
+                0 => Expr::Mul(bx(col(&mut rng)), bx(col(&mut rng))),
+                1 => Expr::Div(bx(col(&mut rng)), bx(divisor(&mut rng))),
+                2 => col(&mut rng),
+                _ => value(&mut rng, 2),
+            };
+            let aggs = [AggSpec::sum(input.clone(), "s")];
+            let key = ["c8", "c16", "c32", "u", "d"][rng.gen_range(0..5usize)];
+            let prog = Arc::new(
+                TileProgram::lower_agg(&t, Some(&filter), Some(key), &aggs, true).unwrap(),
+            );
+            let GroupSink::Kernel(sum) = group_sink(&prog, &aggs) else {
+                panic!("one sum takes a kernel sink");
+            };
+            let bound = prog.bind(&t).unwrap();
+            let key_of = |r: usize| Expr::col(key).eval_row(&t, r);
+            let (lo, hi) = (0..ROWS).fold((i64::MAX, i64::MIN), |(lo, hi), r| {
+                (lo.min(key_of(r)), hi.max(key_of(r)))
+            });
+            let fold = |rows: &mut dyn Iterator<Item = usize>, key_of: &dyn Fn(usize) -> i64| {
+                let mut want = BTreeMap::new();
+                for r in rows {
+                    let e = want.entry(key_of(r)).or_insert(0i64);
+                    *e = e.wrapping_add(input.eval_row(&t, r));
+                }
+                want
+            };
+            let qualifies = |r: &usize| filter.eval_row(&t, *r) != 0;
+            let want = fold(&mut (0..ROWS).filter(qualifies), &key_of);
+            let want_eager = fold(&mut (0..ROWS), &|r| fk[r] as i64);
+
+            // One run per (sink, representation); `which` picks the sink.
+            fn run<T: GroupTable>(
+                bound: &BoundProgram,
+                sum: FusedSum,
+                fk: &[u32],
+                which: usize,
+                mut ht: T,
+            ) -> BTreeMap<i64, i64> {
+                let mut regs = Regs::new(bound.program());
+                for tile in swole_kernels::tiles(ROWS) {
+                    let (start, len) = tile;
+                    bound.run(&mut regs, start, len);
+                    let keys = bound.key_lane(start, len);
+                    match which {
+                        0 => {
+                            let k = bound.select(&mut regs, len);
+                            bound.upsert_gather(&regs, sum, keys, tile, k, &mut ht);
+                        }
+                        1 => bound.upsert_value_masked(&regs, sum, keys, tile, &mut ht),
+                        2 => bound.upsert_key_masked(&mut regs, sum, keys, tile, &mut ht),
+                        _ => bound.upsert_eager(&regs, sum, &fk[start..start + len], tile, &mut ht),
+                    }
+                }
+                groups(&ht)
+            }
+            for which in 0..4 {
+                let want = if which == 3 { &want_eager } else { &want };
+                let dense = if which == 3 {
+                    DenseAggTable::new(1, 0, 4999)
+                } else {
+                    DenseAggTable::new(1, lo, hi)
+                };
+                let label = format!("seed {seed} sink {which} key {key} {input:?}");
+                let hash = AggTable::with_capacity(1, 8);
+                assert_eq!(&run(&bound, sum, fk, which, hash), want, "hash {label}");
+                assert_eq!(&run(&bound, sum, fk, which, dense), want, "dense {label}");
+            }
+
+            // The fused probe: one pass, against AND-into-mask then the
+            // masked sum.
+            let sinks = scalar_sinks(&prog, &aggs, true, false);
+            if let Some(sum) = sinks.fused_probe() {
+                let mut regs = Regs::new(&prog);
+                let (mut fused, mut three_pass) = (0i64, vec![0i64]);
+                for tile in swole_kernels::tiles(ROWS) {
+                    let (start, len) = tile;
+                    let fk = &fk[start..start + len];
+                    bound.run(&mut regs, start, len);
+                    let v = bound.probe_masked(&regs, sum, fk, &bitmap, tile);
+                    fused = fused.wrapping_add(v);
+                    for (c, &p) in bound.filter_mut(&mut regs, len).iter_mut().zip(fk) {
+                        *c &= bitmap.get_bit(p as usize) as u8;
+                    }
+                    bound.accumulate_masked(&mut regs, &sinks, tile, &mut three_pass, &mut false);
+                }
+                assert_eq!(fused, three_pass[0], "seed {seed} probe {input:?}");
             }
         }
     }
@@ -1640,27 +1971,57 @@ mod tests {
             .cmp(CmpOp::Lt, Expr::lit(50))
             .and(Expr::col("c16").cmp(CmpOp::Eq, Expr::lit(1)));
         let aggs = [AggSpec::sum(Expr::col("c32").mul(Expr::col("nz")), "s")];
-        let prog = TileProgram::lower_agg(&t, Some(&filter), None, &aggs, true).unwrap();
+        let prog = TileProgram::lower_agg(&t, Some(&filter), None, &aggs, false).unwrap();
         // cmp_lt, cmp_eq, and — and nothing for the sum.
         assert_eq!(prog.instrs.len(), 3);
         assert!(matches!(prog.instrs[2], Instr::And { .. }));
         assert_eq!((prog.n_masks, prog.n_vals), (3, 0));
+        let sum = FusedSum {
+            op: FusedOp::Mul,
+            a: Src::Col(2),
+            b: Src::Col(3),
+        };
+        assert_eq!(prog.output(0), Some(Output::Op(sum)));
         assert_eq!(
-            prog.output(0),
-            Some(Output::Op {
+            scalar_sinks(&prog, &aggs, true, false).sinks,
+            vec![Sink::Sum(sum)]
+        );
+    }
+
+    /// The grouped twin: micro Q2 is the same three-instruction prepass, no
+    /// `Load` or `Arith` — key and operands stay column slots for the upsert
+    /// kernel to read at native width.
+    #[test]
+    fn micro_q2_lowers_to_the_hand_coded_prepass_and_a_kernel_sink() {
+        let t = table(1);
+        let filter = Expr::col("c8")
+            .cmp(CmpOp::Lt, Expr::lit(50))
+            .and(Expr::col("c16").cmp(CmpOp::Eq, Expr::lit(1)));
+        let aggs = [AggSpec::sum(Expr::col("c32").mul(Expr::col("nz")), "s")];
+        let prog = TileProgram::lower_agg(&t, Some(&filter), Some("u"), &aggs, true).unwrap();
+        assert_eq!(prog.instrs.len(), 3);
+        assert!(prog.instrs[..2]
+            .iter()
+            .all(|i| matches!(i, Instr::CmpColLit { .. })));
+        assert!(matches!(prog.instrs[2], Instr::And { .. }));
+        assert_eq!((prog.n_masks, prog.n_vals), (3, 0));
+        assert_eq!(
+            group_sink(&prog, &aggs),
+            GroupSink::Kernel(FusedSum {
                 op: FusedOp::Mul,
                 a: Src::Col(2),
-                b: Src::Col(3)
+                b: Src::Col(3),
             })
         );
         assert_eq!(
-            scalar_sinks(&prog, &aggs, true, false).sinks,
-            vec![Sink::Sum {
-                op: FusedOp::Mul,
-                a: Src::Col(2),
-                b: Src::Col(3)
-            }]
+            prog.key,
+            Some(4),
+            "the key is a column slot, not a register"
         );
+        // A grouped join lowers no key at all: it reads the FK slice.
+        let joined = TileProgram::lower_agg(&t, Some(&filter), None, &aggs, true).unwrap();
+        assert_eq!(joined.key, None);
+        assert_eq!(joined.instrs, prog.instrs);
     }
 
     #[test]
@@ -1674,28 +2035,77 @@ mod tests {
             AggSpec::sum(Expr::col("c8").mul(Expr::col("c8")), "xx"),
             AggSpec::sum(Expr::col("c32").mul(Expr::col("nz")), "ab"),
         ];
-        let prog = TileProgram::lower_agg(&t, Some(&filter), None, &aggs, true).unwrap();
+        let prog = TileProgram::lower_agg(&t, Some(&filter), None, &aggs, false).unwrap();
         let (x, a) = (0, 1);
         // Value masking with a proven accumulator merges the shared access.
         let merged = scalar_sinks(&prog, &aggs, true, false).sinks;
         assert_eq!(merged[0], Sink::SumMerged { x, other: Some(a) });
         assert_eq!(merged[1], Sink::SumMerged { x, other: Some(a) });
         assert_eq!(merged[2], Sink::SumMerged { x, other: None });
-        assert!(matches!(merged[3], Sink::Sum { .. }), "nothing shared");
+        assert!(matches!(merged[3], Sink::Sum(_)), "nothing shared");
         // Unproven, or hybrid: the plain kernels on both columns.
         for (masked, checked) in [(true, true), (false, false), (false, true)] {
             assert!(scalar_sinks(&prog, &aggs, masked, checked)
                 .sinks
                 .iter()
-                .all(|s| matches!(s, Sink::Sum { .. })));
+                .all(|s| matches!(s, Sink::Sum(_))));
         }
+        // The fused masked probe takes exactly one plain, proven sum.
+        let one = &aggs[3..];
+        let fused = |aggs: &[AggSpec], masked, checked| {
+            let prog = TileProgram::lower_agg(&t, Some(&filter), None, aggs, false).unwrap();
+            scalar_sinks(&prog, aggs, masked, checked).fused_probe()
+        };
+        assert!(fused(one, true, false).is_some());
+        assert_eq!(fused(one, true, true), None, "unproven accumulator");
+        assert_eq!(fused(&aggs[2..], true, false), None, "two sums");
+        assert_eq!(fused(&aggs[..1], true, false), None, "merged access");
+        let counted = [aggs[3].clone(), AggSpec::count("n")];
+        assert_eq!(fused(&counted, true, false), None, "a count beside it");
+
+        // Grouped: one sum — fusable or not — takes an upsert kernel; several
+        // aggregates, count and min/max take the register loop.
+        let grouped = |aggs: &[AggSpec]| {
+            let prog = TileProgram::lower_agg(&t, Some(&filter), Some("u"), aggs, true).unwrap();
+            group_sink(&prog, aggs)
+        };
+        assert!(matches!(grouped(one), GroupSink::Kernel(_)));
+        let generic = [AggSpec::sum(
+            Expr::Add(bx(Expr::col("c32")), bx(Expr::col("nz"))),
+            "s",
+        )];
+        assert!(
+            matches!(
+                grouped(&generic),
+                GroupSink::Kernel(FusedSum {
+                    op: FusedOp::Mul,
+                    a: Src::Reg(_),
+                    b: Src::Reg(_)
+                })
+            ),
+            "a non-fusable sum is its register times one"
+        );
+        // c32, nz and their product each have a register.
+        assert_eq!(
+            grouped(&counted),
+            GroupSink::Registers(vec![GroupIn::Sum(2), GroupIn::Count]),
+        );
+        assert!(matches!(
+            grouped(&[AggSpec::count("n")]),
+            GroupSink::Registers(_)
+        ));
+        assert!(matches!(
+            grouped(&[AggSpec::min(Expr::col("c32"), "lo")]),
+            GroupSink::Registers(_)
+        ));
+        assert!(matches!(grouped(&aggs), GroupSink::Registers(_)));
     }
 
     #[test]
     fn checked_sinks_report_overflow_and_unchecked_wrap() {
         let big = Arc::new(Table::new("t").with_column("v", ColumnData::I64(vec![i64::MAX, 1, 5])));
         let aggs = [AggSpec::sum(Expr::col("v").mul(Expr::lit(2)), "s")];
-        let prog = Arc::new(TileProgram::lower_agg(&big, None, None, &aggs, true).unwrap());
+        let prog = Arc::new(TileProgram::lower_agg(&big, None, None, &aggs, false).unwrap());
         let bound = prog.bind(&big).unwrap();
         let want = i64::MAX.wrapping_mul(2).wrapping_add(2).wrapping_add(10);
         for masked in [true, false] {

@@ -25,9 +25,10 @@ use crate::error::PlanError;
 use crate::expr::Expr;
 use crate::faults;
 use crate::logical::{AggSpec, SortKey, WindowFnSpec};
-use crate::physical::{JoinEdge, PhysicalPlan, PostOp, Shape};
+use crate::physical::{GroupTableRepr, JoinEdge, PhysicalPlan, PostOp, Shape};
 use crate::tile::TileProgram;
 use swole_cost::{AggStrategy, GroupJoinStrategy, SemiJoinStrategy, WindowStrategy};
+use swole_ht::DenseAggTable;
 
 /// Lower `plan` and verify it at `level`. `Off` is a no-op by construction
 /// in the engine (callers guard it), but is honoured here too.
@@ -72,6 +73,7 @@ fn program_for_with(
             group_by,
             aggs,
             strategy,
+            group_table,
             program,
         } => lower_scan_agg(
             db,
@@ -81,6 +83,7 @@ fn program_for_with(
             group_by.as_deref(),
             aggs,
             *strategy,
+            *group_table,
             program,
         )?,
         Shape::MultiJoinAgg {
@@ -90,6 +93,7 @@ fn program_for_with(
             aggs,
             probe_masked,
             group,
+            group_table,
             fact_program,
             ..
         } => lower_multijoin_agg(
@@ -101,6 +105,7 @@ fn program_for_with(
             aggs,
             *probe_masked,
             group.as_ref(),
+            *group_table,
             fact_program,
         )?,
         Shape::WindowScan {
@@ -238,6 +243,23 @@ fn worker_scratch_alloc() -> Alloc {
     }
 }
 
+/// Keys of the dense group table the executor will allocate for a grouped
+/// operator, resolved exactly as execution resolves it: the planned domain
+/// holds only while `scanned` and `domain` are at the generations it was
+/// read from ([`GroupTableRepr::at`]).
+fn dense_group_slots(
+    db: &Database,
+    group_table: GroupTableRepr,
+    scanned: &str,
+    domain: &str,
+) -> Option<usize> {
+    let generations = (db.generation(scanned)?, db.generation(domain)?);
+    match group_table.at(generations) {
+        GroupTableRepr::Dense { min, max, .. } => DenseAggTable::slots_for(min, max),
+        GroupTableRepr::Hash => None,
+    }
+}
+
 fn cmp_artifact(table: &str) -> Artifact {
     Artifact {
         kind: ArtifactKind::ValueMask,
@@ -256,6 +278,7 @@ fn lower_scan_agg(
     group_by: Option<&str>,
     aggs: &[AggSpec],
     strategy: AggStrategy,
+    group_table: GroupTableRepr,
     program: &TileProgram,
 ) -> Result<Program, PlanError> {
     let decl = table_decl(db, table)?;
@@ -316,6 +339,7 @@ fn lower_scan_agg(
             site: "agg-table".to_string(),
             charged: true,
         });
+        op.dense_group_slots = dense_group_slots(db, group_table, table, table);
     }
     Ok(Program {
         tables: vec![decl],
@@ -541,6 +565,7 @@ fn lower_multijoin_agg(
     aggs: &[AggSpec],
     probe_masked: bool,
     group: Option<&(String, GroupJoinStrategy)>,
+    group_table: GroupTableRepr,
     fact_program: &TileProgram,
 ) -> Result<Program, PlanError> {
     let fact_decl = table_decl(db, fact)?;
@@ -599,6 +624,9 @@ fn lower_multijoin_agg(
                 site: "agg-table".to_string(),
                 charged: true,
             });
+            probe_op.dense_group_slots = edges
+                .first()
+                .and_then(|e| dense_group_slots(db, group_table, fact, &e.parent));
             *strategy == GroupJoinStrategy::GroupJoin
         }
     };

@@ -29,7 +29,7 @@
 //! engine (`crates/plan/src/engine.rs`) with the operator's row count, worker
 //! count, and hash-table growth discipline substituted by their maxima. The
 //! structure sizes are the sizing functions the structures' own constructors
-//! call (`AggTable::{initial_capacity, grown_capacity, bytes_for}`,
+//! call (`AggTable::grown_bytes`, `DenseAggTable::bytes_for`,
 //! `KeySet::build_bytes_bound`, `PositionalBitmap::bytes_for`), so there is
 //! no second copy to drift. Charges are never released mid-query, so the sum
 //! of per-operator bounds dominates the gauge peak.
@@ -38,7 +38,7 @@ use std::fmt;
 
 use swole_bitmap::PositionalBitmap;
 use swole_cost::{BitmapBuild, SemiJoinStrategy};
-use swole_ht::{AggTable, KeySet};
+use swole_ht::{AggTable, DenseAggTable, KeySet};
 
 use crate::ir::{
     ArithOp, BoundExpr, ColType, ExprRole, Op, Program, StrategyRef, TableDecl, VExpr,
@@ -402,13 +402,20 @@ fn column_interval(name: &str, decl: Option<&TableDecl>, profile: Option<&TableP
     }
 }
 
-/// Bytes of one worker's grouped-aggregation table that may come to hold
+/// Bytes of one worker's group table: the dense array's fixed size when the
+/// operator declares one, otherwise the hash table that may come to hold
 /// `keys`, having started out sized as the executor sizes it
 /// (`fk_parent_rows` as in [`AggTable::expected_group_keys`]).
-fn grown_agg_table_bytes(fk_parent_rows: Option<u64>, keys: u64, n_aggs: u64) -> u64 {
-    let expected = AggTable::expected_group_keys(fk_parent_rows.map(|r| r as usize));
-    let cap = AggTable::grown_capacity(AggTable::initial_capacity(expected), keys as usize);
-    AggTable::bytes_for(cap, n_aggs as usize) as u64
+fn group_table_bytes(op: &Op, fk_parent_rows: Option<u64>, keys: u64, n_aggs: u64) -> u64 {
+    let bytes = match op.dense_group_slots {
+        Some(slots) => DenseAggTable::bytes_for(slots, n_aggs as usize),
+        None => AggTable::grown_bytes(
+            fk_parent_rows.map(|r| r as usize),
+            keys as usize,
+            n_aggs as usize,
+        ),
+    };
+    bytes as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -519,7 +526,7 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
                     let keys = group_keys_bound(ctx, &op.table, group_key_column(op), rows);
                     b.out_rows_bound = keys;
                     b.ht_bytes_bound =
-                        workers.saturating_mul(grown_agg_table_bytes(None, keys, n_aggs));
+                        workers.saturating_mul(group_table_bytes(op, None, keys, n_aggs));
                 } else {
                     b.out_rows_bound = 1;
                 }
@@ -568,7 +575,7 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
                 };
                 b.out_rows_bound = keys;
                 b.ht_bytes_bound =
-                    workers.saturating_mul(grown_agg_table_bytes(Some(parent_rows), keys, n_aggs));
+                    workers.saturating_mul(group_table_bytes(op, Some(parent_rows), keys, n_aggs));
                 last_out = b.out_rows_bound;
             }
             Some(StrategyRef::Window { .. }) => {
@@ -739,6 +746,25 @@ mod tests {
         assert_eq!(tight.per_op_bounds[0].out_rows_bound, 8);
         assert_eq!(loose.per_op_bounds[0].out_rows_bound, 100_000);
         assert_eq!(tight.stats_generations, vec![("t".to_string(), 1)]);
+    }
+
+    #[test]
+    fn a_dense_group_table_is_bounded_by_its_domain_not_its_keys() {
+        let mut p = grouped_agg_program(100_000);
+        let hash = certify(&p, &BoundsCtx::without_stats(2));
+        p.ops[0].dense_group_slots = Some(1024);
+        let dense = certify(&p, &BoundsCtx::without_stats(2));
+        // No growth discipline to assume the worst of: the array is what
+        // the type says it is, per worker.
+        assert_eq!(
+            dense.per_op_bounds[0].ht_bytes_bound,
+            2 * DenseAggTable::bytes_for(1024, 1) as u64
+        );
+        assert!(dense.peak_bytes_bound < hash.peak_bytes_bound);
+        assert_eq!(
+            dense.per_op_bounds[0].worker_bytes_bound,
+            hash.per_op_bounds[0].worker_bytes_bound
+        );
     }
 
     #[test]

@@ -324,6 +324,11 @@ pub struct Op {
     /// engine's `TileProgram::scratch_bytes` reports it. The bounds pass
     /// has no sizing formula of its own for scratch; it reads this.
     pub scratch_bytes: usize,
+    /// Keys of the dense-array group table each worker of a grouped
+    /// operator fills, when the plan chose that representation (the key
+    /// domain is known exactly); `None` for the growing hash table. The
+    /// bounds pass sizes the table the operator will actually run.
+    pub dense_group_slots: Option<usize>,
 }
 
 impl Op {
@@ -347,6 +352,7 @@ impl Op {
             mat_cols: None,
             n_aggs: None,
             scratch_bytes: 0,
+            dense_group_slots: None,
         }
     }
 }

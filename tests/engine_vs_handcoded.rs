@@ -262,3 +262,203 @@ fn engine_matches_handcoded_swole_for_every_pinned_strategy_and_thread_count() {
         }
     }
 }
+
+/// The masked probe's sink is chosen once per query: the fused
+/// `semijoin_sum_bitmap_masked` pass when the certificate proves the
+/// accumulator and no counters are wanted, AND-into-mask then the (checked)
+/// masked sum otherwise. All four combinations — statistics on or off
+/// decides the proof — must return the hand-coded pipeline's answer.
+#[test]
+fn masked_probe_answers_the_same_fused_or_stepped_down() {
+    let db = micro();
+    let q4 = |sel1: i8, sel2: i8| {
+        QueryBuilder::scan("R")
+            .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(sel1 as i64)))
+            .semijoin(
+                QueryBuilder::scan("S")
+                    .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(sel2 as i64))),
+                "fk",
+            )
+            .aggregate(
+                None,
+                vec![AggSpec::sum(Expr::col("a").mul(Expr::col("b")), "s")],
+            )
+    };
+    for threads in [1usize, 2, 8] {
+        for stats in [StatsMode::OnLoad, StatsMode::Off] {
+            for metrics in [MetricsLevel::Off, MetricsLevel::Counters] {
+                let e = Engine::builder(as_database(&db))
+                    .threads(threads)
+                    .tile_rows(2 * swole_kernels::TILE)
+                    .stats(stats)
+                    .metrics(metrics)
+                    .build();
+                for (sel1, sel2) in [(50i8, 50i8), (90, 10), (100, 100), (20, 0)] {
+                    let plan = q4(sel1, sel2);
+                    let explain = e.explain(&plan).expect("plans");
+                    assert!(
+                        explain
+                            .strategy
+                            .ends_with("sink: semijoin_sum_bitmap_masked)"),
+                        "{}",
+                        explain.strategy
+                    );
+                    let expected =
+                        swole_micro::q4::bitmap_masked(&db, sel1, sel2, BitmapBuild::Unconditional);
+                    assert_eq!(
+                        e.query(&plan).expect("q4").rows[0][0],
+                        expected,
+                        "({sel1},{sel2}) x{threads} {stats:?} {metrics:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The grouped and masked-probe sinks against the pipelines `perf` times
+/// them against, bit for bit, at 1/2/8 threads: micro Q2 on a second key
+/// whose 256 K-value domain is wide enough to miss the cache (and, with
+/// statistics, dense), and the benchmark's TPC-H Q1-lite (two aggregates:
+/// the register loop) and Q4 (sum and count: the three-pass masked probe).
+#[test]
+fn grouped_and_probe_sinks_match_the_benchmarks_hand_coded_pipelines() {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use swole_bitmap::PositionalBitmap;
+    use swole_ht::AggTable;
+    use swole_kernels::groupby::mask_keys;
+    use swole_kernels::{predicate, tiles, TILE};
+
+    const C2_CARDINALITY: usize = 256 << 10;
+    let db = generate(MicroParams {
+        r_rows: 200_000,
+        s_rows: 256,
+        r_c_cardinality: 64,
+        seed: 77,
+    });
+    let mut rng = SmallRng::seed_from_u64(0xC2C2);
+    let c2: Vec<i32> = (0..db.r.len())
+        .map(|_| rng.gen_range(0..C2_CARDINALITY as i32))
+        .collect();
+    let r_c2 = swole_micro::RTable {
+        c: c2.clone(),
+        ..db.r.clone()
+    };
+    let catalog = || {
+        let mut out = Database::new();
+        out.add_table(
+            Table::new("R")
+                .with_column("a", ColumnData::I32(db.r.a.clone()))
+                .with_column("b", ColumnData::I32(db.r.b.clone()))
+                .with_column("c2", ColumnData::I32(c2.clone()))
+                .with_column("x", ColumnData::I8(db.r.x.clone()))
+                .with_column("y", ColumnData::I8(db.r.y.clone())),
+        );
+        out
+    };
+    let q2 = QueryBuilder::scan("R").filter(q_filter(50)).aggregate(
+        Some("c2"),
+        vec![AggSpec::sum(Expr::col("a").mul(Expr::col("b")), "s")],
+    );
+    let q2_expected = collect_groups(
+        &swole_micro::q2::swole(&r_c2, 50, C2_CARDINALITY, &CostParams::default()).0,
+    );
+
+    let tpch = swole_tpch::generate(0.004, 7);
+    let l = &tpch.lineitem;
+    // perf's `tpch_q1_lite`: prepass, key masking onto the throwaway entry,
+    // unconditional aggregation of both states.
+    let q1_expected: Vec<Vec<i64>> = {
+        let cutoff = swole_tpch::q1_ship_cutoff().days();
+        let flags = l.return_flag.codes();
+        let mut ht = AggTable::with_capacity(2, l.return_flag.cardinality());
+        let (mut cmp, mut keys) = ([0u8; TILE], [0i64; TILE]);
+        for (start, len) in tiles(l.len()) {
+            predicate::cmp_le(&l.ship_date[start..start + len], cutoff, &mut cmp[..len]);
+            mask_keys(&flags[start..start + len], &cmp[..len], &mut keys[..len]);
+            for (&key, &qty) in keys[..len].iter().zip(&l.quantity[start..start + len]) {
+                let off = ht.entry(key);
+                ht.add(off, 0, qty as i64);
+                ht.add(off, 1, 1);
+                ht.set_valid(off);
+            }
+        }
+        let mut rows: Vec<Vec<i64>> = ht
+            .iter()
+            .filter(|(_, _, valid)| *valid)
+            .map(|(k, state, _)| vec![k, state[0], state[1]])
+            .collect();
+        rows.sort();
+        rows
+    };
+    let q1 = swole::plan::parse_sql(&format!(
+        "select l_returnflag, sum(l_quantity) as sum_qty, count(*) as n from lineitem \
+         where l_shipdate <= {} group by l_returnflag",
+        swole_tpch::q1_ship_cutoff().days()
+    ))
+    .expect("q1 parses")
+    .plan;
+    // perf's `tpch_q4_semijoin`: bitmap build, fully masked probe.
+    let (lo, hi) = (
+        swole_tpch::q4_date_lo().days(),
+        swole_tpch::q4_date_hi().days(),
+    );
+    let q4_expected = {
+        let o = &tpch.orders;
+        let mut cmp = vec![0u8; o.len()];
+        predicate::cmp_between(&o.order_date, lo, hi - 1, &mut cmp);
+        let bitmap = PositionalBitmap::from_predicate_bytes(&cmp);
+        let (mut sum, mut n) = (0i64, 0i64);
+        for (&key, &price) in l.order_key.iter().zip(&l.extended_price) {
+            let bit = bitmap.get_bit(key as usize) as i64;
+            sum += price * bit;
+            n += bit;
+        }
+        vec![vec![sum, n]]
+    };
+    let q4 = swole::plan::parse_sql(&format!(
+        "select sum(lineitem.l_extendedprice) as s, count(*) as n \
+         from lineitem, orders where lineitem.l_orderkey = orders.rowid \
+         and orders.o_orderdate >= {lo} and orders.o_orderdate < {hi}"
+    ))
+    .expect("q4 parses")
+    .plan;
+
+    for threads in [1usize, 2, 8] {
+        for stats in [StatsMode::OnLoad, StatsMode::Off] {
+            for pin in [
+                AggStrategy::Hybrid,
+                AggStrategy::ValueMasking,
+                AggStrategy::KeyMasking,
+            ] {
+                let at = format!("{pin:?} x{threads} {stats:?}");
+                let micro = Engine::builder(catalog())
+                    .threads(threads)
+                    .tile_rows(8 * swole_kernels::TILE)
+                    .stats(stats)
+                    .strategies(StrategyOverrides::pin_agg(pin))
+                    .build();
+                let dense = micro
+                    .explain(&q2)
+                    .expect("q2 plans")
+                    .decisions
+                    .iter()
+                    .any(|d| d.starts_with("group table: dense [0..262143]"));
+                assert_eq!(dense, stats == StatsMode::OnLoad, "{at}");
+                let got = micro.query(&q2).expect("q2 on c2");
+                let got: Vec<(i64, i64)> = got.rows.iter().map(|r| (r[0], r[1])).collect();
+                assert_eq!(got, q2_expected, "q2 on c2 {at}");
+
+                let e = Engine::builder(swole_tpch::catalog::to_database(&tpch))
+                    .threads(threads)
+                    .tile_rows(2 * swole_kernels::TILE)
+                    .stats(stats)
+                    .strategies(StrategyOverrides::pin_agg(pin))
+                    .build();
+                assert_eq!(e.query(&q1).expect("q1").rows, q1_expected, "tpch q1 {at}");
+                assert_eq!(e.query(&q4).expect("q4").rows, q4_expected, "tpch q4 {at}");
+            }
+        }
+    }
+}

@@ -6,6 +6,12 @@
 //! Strategies are pinned through the `EngineBuilder` so each loop body is
 //! exercised explicitly rather than at the cost model's whim, and every
 //! result is also cross-checked against the naive interpreter.
+//!
+//! The group-table representation is the one thing no pin selects: it
+//! follows the catalog. `StatsMode::Off` leaves integer keys on the hash
+//! table and `OnLoad` moves them to the dense array, so the two modes are
+//! the differential between representations; FK and dictionary keys are
+//! dense either way and are held to the parent commit's counters instead.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -362,10 +368,248 @@ fn pinned_strategy_shows_up_in_explain() {
         .strategies(StrategyOverrides::pin_agg(AggStrategy::ValueMasking))
         .build();
     let report = engine.explain(&groupby_plan()).expect("plans");
-    assert_eq!(report.strategy, "value-masking");
+    assert_eq!(report.strategy, "value-masking, sink: register loop");
     assert_eq!(report.threads, 2);
     assert!(
         report.decisions.iter().any(|d| d.contains("pinned")),
         "{report}"
     );
 }
+
+/// `make_db` plus a dictionary column derived from `c` (no extra random
+/// draws, so every other column is what the tests above see).
+fn make_db_with_tags() -> Database {
+    let db = make_db(42, 50_000, 512);
+    let r = db.table("R").expect("R");
+    let tags: Vec<String> = r
+        .column_required("c")
+        .to_i64_vec()
+        .iter()
+        .map(|c| format!("tag{}", c % 7))
+        .collect();
+    let mut with_tags = Table::new("R");
+    for name in r.column_names() {
+        with_tags.add_column(name, r.column_required(name).clone());
+    }
+    with_tags.add_column("tag", ColumnData::Dict(DictColumn::encode(&tags)));
+    let mut out = Database::new();
+    out.add_table(with_tags);
+    out.add_table(
+        Table::new("S").with_column("y", db.table("S").expect("S").column_required("y").clone()),
+    );
+    out.add_fk("R", "fk", "S").expect("valid by construction");
+    out
+}
+
+fn filtered() -> QueryBuilder {
+    QueryBuilder::scan("R").filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(60)))
+}
+
+fn one_sum() -> Vec<AggSpec> {
+    vec![AggSpec::sum(Expr::col("a").mul(Expr::col("b")), "s")]
+}
+
+fn sum_and_count() -> Vec<AggSpec> {
+    vec![
+        AggSpec::sum(Expr::col("a").mul(Expr::col("b")), "s"),
+        AggSpec::count("n"),
+    ]
+}
+
+/// What a grouped operator reports that must not depend on the table
+/// behind it: the access counters and the merged key count.
+fn grouped_counters(res: &QueryResult) -> (swole::kernels::AccessCounters, u64, bool) {
+    let ops = &res.metrics().expect("counters recorded").operators;
+    let op = ops.last().expect("an operator ran");
+    (op.access, op.ht.inserts, op.ht_dense)
+}
+
+fn engines(db: fn() -> Database, pins: &StrategyOverrides, stats: StatsMode) -> Vec<Engine> {
+    let mut out = Vec::new();
+    for threads in THREADS {
+        for pool in [false, true] {
+            let builder = Engine::builder(db())
+                .tile_rows(2048)
+                .metrics(MetricsLevel::Counters)
+                .stats(stats)
+                .strategies(pins.clone());
+            out.push(if pool {
+                builder.worker_pool(threads).build()
+            } else {
+                builder.threads(threads).build()
+            });
+        }
+    }
+    out
+}
+
+/// Hash ≡ dense: every integer-keyed grouped shape, under every strategy
+/// it can be pinned to, at 1/2/8 threads, scoped and pooled, answers and
+/// counts the same whether its workers fill hash tables (`StatsMode::Off`:
+/// no key domain) or dense arrays (`OnLoad`: exact min/max) — through the
+/// kernel sinks (one sum) and the register loop (several aggregates,
+/// min/max) alike.
+#[test]
+fn dense_and_hash_group_tables_agree_on_results_and_counters() {
+    let min_max = vec![
+        AggSpec::min(Expr::col("a"), "lo"),
+        AggSpec::max(Expr::col("a").mul(Expr::col("b")), "hi"),
+        AggSpec::count("n"),
+    ];
+    let all = [
+        AggStrategy::Hybrid,
+        AggStrategy::ValueMasking,
+        AggStrategy::KeyMasking,
+    ];
+    let shapes: Vec<(&str, LogicalPlan, &[AggStrategy])> = vec![
+        ("one sum", filtered().aggregate(Some("c"), one_sum()), &all),
+        (
+            "sum+count",
+            filtered().aggregate(Some("c"), sum_and_count()),
+            &all,
+        ),
+        (
+            "unfiltered sum",
+            QueryBuilder::scan("R").aggregate(Some("c"), one_sum()),
+            &all,
+        ),
+        (
+            "min/max",
+            filtered().aggregate(Some("c"), min_max),
+            &all[..1],
+        ),
+        // An unsigned key that is no FK of this query.
+        ("u32 key", filtered().aggregate(Some("fk"), one_sum()), &all),
+    ];
+    for (name, plan, strategies) in &shapes {
+        let reference = interp::run(&make_db_with_tags(), plan).expect("interp");
+        for &strategy in *strategies {
+            let pins = StrategyOverrides::pin_agg(strategy);
+            let hash = engines(make_db_with_tags, &pins, StatsMode::Off);
+            let dense = engines(make_db_with_tags, &pins, StatsMode::OnLoad);
+            let mut counters = None;
+            for (i, (h, d)) in hash.iter().zip(&dense).enumerate() {
+                let label = format!("{name}, {strategy:?}, engine #{i}");
+                let table_line = |e: &Engine| {
+                    let decisions = e.explain(plan).expect("plans").decisions;
+                    let line = decisions.iter().find(|d| d.starts_with("group table: "));
+                    line.unwrap_or_else(|| panic!("{label}: no table decision"))
+                        .clone()
+                };
+                assert!(table_line(h).starts_with("group table: hash ("), "{label}");
+                assert!(table_line(d).starts_with("group table: dense ["), "{label}");
+                let (on_hash, on_dense) =
+                    (h.query(plan).expect("hash"), d.query(plan).expect("dense"));
+                assert_eq!(on_hash, reference, "{label}");
+                assert_eq!(on_dense, reference, "{label}");
+                let (h_access, h_keys, h_dense) = grouped_counters(&on_hash);
+                let (d_access, d_keys, d_dense) = grouped_counters(&on_dense);
+                assert_eq!((h_dense, d_dense), (false, true), "{label}");
+                assert_eq!((h_access, h_keys), (d_access, d_keys), "{label}");
+                // ... and the same at every thread count, scoped or pooled.
+                let first = *counters.get_or_insert((d_access, d_keys));
+                assert_eq!((d_access, d_keys), first, "{label}");
+            }
+        }
+    }
+}
+
+/// FK- and dictionary-keyed shapes take the dense table with or without
+/// statistics (the parent's rows, the dictionary's size, give the domain),
+/// so their differential is the interpreter for the rows and, for the
+/// counters, what the commit before the dense table recorded for the same
+/// statements on its hash tables: `(rows_in, rows_out, predicate_evals,
+/// wasted_lanes, ht_probes, morsels, merged keys)`.
+#[test]
+fn fk_and_dictionary_keys_go_dense_with_the_parents_counters() {
+    type Golden = (u64, u64, u64, u64, u64, u64, u64);
+    let groupjoin = |aggs| {
+        QueryBuilder::scan("R")
+            .semijoin(
+                QueryBuilder::scan("S").filter(Expr::col("y").cmp(CmpOp::Lt, Expr::lit(50))),
+                "fk",
+            )
+            .aggregate(Some("fk"), aggs)
+    };
+    let by_tag = |aggs| filtered().aggregate(Some("tag"), aggs);
+    let gj = StrategyOverrides::pin_groupjoin;
+    let agg = StrategyOverrides::pin_agg;
+    let cases: Vec<(&str, LogicalPlan, StrategyOverrides, Golden)> = vec![
+        (
+            "groupjoin, one sum",
+            groupjoin(one_sum()),
+            gj(GroupJoinStrategy::GroupJoin),
+            GOLDEN[0],
+        ),
+        (
+            "groupjoin, sum+count",
+            groupjoin(sum_and_count()),
+            gj(GroupJoinStrategy::GroupJoin),
+            GOLDEN[1],
+        ),
+        (
+            "eager, one sum",
+            groupjoin(one_sum()),
+            gj(GroupJoinStrategy::EagerAggregation),
+            GOLDEN[2],
+        ),
+        (
+            "eager, sum+count",
+            groupjoin(sum_and_count()),
+            gj(GroupJoinStrategy::EagerAggregation),
+            GOLDEN[3],
+        ),
+        (
+            "tag, hybrid",
+            by_tag(one_sum()),
+            agg(AggStrategy::Hybrid),
+            GOLDEN[4],
+        ),
+        (
+            "tag, value masking",
+            by_tag(one_sum()),
+            agg(AggStrategy::ValueMasking),
+            GOLDEN[5],
+        ),
+        (
+            "tag, key masking",
+            by_tag(sum_and_count()),
+            agg(AggStrategy::KeyMasking),
+            GOLDEN[6],
+        ),
+    ];
+    for (name, plan, pins, golden) in &cases {
+        let reference = interp::run(&make_db_with_tags(), plan).expect("interp");
+        for stats in [StatsMode::Off, StatsMode::OnLoad] {
+            for (i, e) in engines(make_db_with_tags, pins, stats).iter().enumerate() {
+                let label = format!("{name}, {stats:?}, engine #{i}");
+                let got = e.query(plan).expect("runs");
+                assert_eq!(got, reference, "{label}");
+                let (a, keys, dense) = grouped_counters(&got);
+                assert!(dense, "{label}: dense with or without statistics");
+                let counters = (
+                    a.rows_in,
+                    a.rows_out,
+                    a.predicate_evals,
+                    a.wasted_lanes,
+                    a.ht_probes,
+                    a.morsels,
+                    keys,
+                );
+                assert_eq!(counters, *golden, "{label}");
+            }
+        }
+    }
+}
+
+/// Recorded at the parent commit (hash tables throughout), one row per
+/// case of the test above.
+const GOLDEN: [(u64, u64, u64, u64, u64, u64, u64); 7] = [
+    (50000, 25599, 0, 0, 25599, 25, 262),
+    (50000, 25599, 0, 0, 25599, 25, 262),
+    (50000, 25599, 0, 24401, 50000, 25, 262),
+    (50000, 25599, 0, 24401, 50000, 25, 262),
+    (50000, 30078, 50000, 0, 30078, 25, 7),
+    (50000, 30078, 50000, 19922, 50000, 25, 7),
+    (50000, 30078, 50000, 19922, 50000, 25, 7),
+];

@@ -125,6 +125,158 @@ fn reload_bumps_generation_and_invalidates() {
     );
 }
 
+/// `T(k, v)`: 6 000 rows, keys cycling through `lo..=hi`.
+fn keyed(lo: i32, hi: i32) -> Table {
+    let span = (hi - lo + 1) as usize;
+    Table::new("T")
+        .with_column(
+            "k",
+            ColumnData::I32((0..6_000).map(|i| lo + (i * 7 % span) as i32).collect()),
+        )
+        .with_column(
+            "v",
+            ColumnData::I32((0..6_000).map(|i| i % 31 - 9).collect()),
+        )
+}
+
+fn sum_by_k() -> LogicalPlan {
+    QueryBuilder::scan("T").aggregate(Some("k"), vec![AggSpec::sum(Expr::col("v"), "s")])
+}
+
+fn group_table_line(engine: &Engine, plan: &LogicalPlan) -> String {
+    let decisions = engine.explain(plan).expect("plans").decisions;
+    let line = decisions.iter().find(|d| d.starts_with("group table: "));
+    line.expect("a grouped plan records its table").clone()
+}
+
+/// A dense key domain is a fact about one generation of the table. A
+/// physical plan held across a reload — wider, negative, shifted keys —
+/// must still answer correctly when executed directly: the executor sees
+/// the generation moved and fills hash tables instead of indexing a stale
+/// array out of range.
+#[test]
+fn a_plan_held_across_a_reload_does_not_trust_its_stale_key_domain() {
+    for threads in [1usize, 4] {
+        let mut db = Database::new();
+        db.add_table(keyed(10, 20));
+        let engine = Engine::builder(db).threads(threads).tile_rows(1024).build();
+        let plan = sum_by_k();
+        assert!(
+            group_table_line(&engine, &plan).starts_with("group table: dense [10..20]"),
+            "{}",
+            group_table_line(&engine, &plan)
+        );
+        let held = engine.plan(&plan).expect("plans");
+        let counted = QueryOptions::new().metrics(MetricsLevel::Counters);
+        let fresh = engine.execute_with(&held, &counted).expect("runs");
+        assert_eq!(fresh.rows.len(), 11);
+        let ops = &fresh.metrics().expect("counters requested").operators;
+        assert!(ops.last().expect("the grouped operator").ht_dense);
+        for (lo, hi) in [(0, 40), (-5, 5), (100, 110), (10, 20)] {
+            engine.load_table(keyed(lo, hi));
+            let reference =
+                swole::plan::interp::run(&engine.database(), &plan).expect("interpreter");
+            let got = engine
+                .execute_with(&held, &counted)
+                .expect("a stale plan still executes");
+            assert_eq!(got, reference, "keys {lo}..={hi}, threads={threads}");
+            // The certificate is derived for the table that ran, not the
+            // one the plan was made for.
+            let m = got.metrics().expect("counters requested");
+            let op = m.operators.last().expect("the grouped operator");
+            assert!(
+                !op.ht_dense,
+                "{lo}..={hi}: even the same range is a new generation"
+            );
+            assert!(
+                m.bytes_charged <= m.bytes_bound.expect("certified"),
+                "keys {lo}..={hi}: {} B charged over the bound {:?}",
+                m.bytes_charged,
+                m.bytes_bound
+            );
+        }
+    }
+}
+
+/// The same for a grouped join, whose domain is the parent's rows: a plan
+/// held while the parent grows (and the child starts referencing the new
+/// rows) falls back rather than upsert past the old parent's end.
+#[test]
+fn a_groupjoin_plan_held_across_a_parent_reload_falls_back() {
+    let child = |parents: u32| {
+        Table::new("C")
+            .with_column(
+                "fk",
+                ColumnData::U32((0..5_000u32).map(|i| i * 13 % parents).collect()),
+            )
+            .with_column("v", ColumnData::I32((0..5_000).map(|i| i % 17).collect()))
+    };
+    let parent = |rows: i32| Table::new("P").with_column("y", ColumnData::I32((0..rows).collect()));
+    let plan = QueryBuilder::scan("C")
+        .semijoin(
+            QueryBuilder::scan("P").filter(Expr::col("y").cmp(CmpOp::Ge, Expr::lit(8))),
+            "fk",
+        )
+        .aggregate(Some("fk"), vec![AggSpec::sum(Expr::col("v"), "s")]);
+    for strategy in [
+        GroupJoinStrategy::GroupJoin,
+        GroupJoinStrategy::EagerAggregation,
+    ] {
+        let engine = Engine::builder({
+            let mut db = Database::new();
+            db.add_table(child(64));
+            db.add_table(parent(64));
+            db.add_fk("C", "fk", "P").expect("valid FK");
+            db
+        })
+        .threads(2)
+        .tile_rows(1024)
+        .strategies(StrategyOverrides::pin_groupjoin(strategy))
+        .build();
+        assert!(
+            group_table_line(&engine, &plan).starts_with("group table: dense [0..63]"),
+            "{}",
+            group_table_line(&engine, &plan)
+        );
+        let held = engine.plan(&plan).expect("plans");
+        engine.load_table(parent(300));
+        engine.load_table(child(300));
+        engine
+            .register_fk("C", "fk", "P")
+            .expect("still a valid FK");
+        let reference = swole::plan::interp::run(&engine.database(), &plan).expect("interpreter");
+        assert_eq!(reference.rows.len(), 292);
+        let got = engine.execute(&held).expect("a stale plan still executes");
+        assert_eq!(got, reference, "{strategy:?}");
+        assert!(
+            group_table_line(&engine, &plan).starts_with("group table: dense [0..299]"),
+            "a fresh plan sees the new parent"
+        );
+    }
+}
+
+/// Through the cache the same reload is a generation bump: the entry dies,
+/// the statement re-plans, and the new plan's domain line shows the new
+/// range.
+#[test]
+fn a_reload_replans_with_the_new_key_domain() {
+    let mut db = Database::new();
+    db.add_table(keyed(10, 20));
+    let engine = Engine::builder(db).build();
+    let plan = sum_by_k();
+    engine.query(&plan).expect("runs");
+    engine.query(&plan).expect("runs");
+    assert_eq!(engine.plan_cache_stats().hits, 1);
+    engine.load_table(keyed(-5, 40));
+    let reference = swole::plan::interp::run(&engine.database(), &plan).expect("interpreter");
+    assert_eq!(engine.query(&plan).expect("runs"), reference);
+    assert_eq!(reference.rows.len(), 46);
+    let stats = engine.plan_cache_stats();
+    assert!(stats.invalidations >= 1, "{stats:?}");
+    let line = group_table_line(&engine, &plan);
+    assert!(line.starts_with("group table: dense [-5..40]"), "{line}");
+}
+
 /// Adversarial filter column over `n` rows: every row the
 /// Fibonacci-strided sampler visits is 0, everything else 100, so
 /// `col < 50` is estimated at σ≈1.0 and observed at σ≈0.04.
