@@ -434,38 +434,42 @@ pub(crate) fn generations_of(db: &crate::catalog::Database, tables: &[&str]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::{CostProfile, Estimates, GroupTableRepr, PhysicalPlan, Shape};
+    use crate::physical::{
+        AggMode, AggShape, CostProfile, Estimates, GroupTableRepr, PhysicalPlan, Shape,
+    };
     use crate::tile::TileProgram;
-    use swole_cost::AggStrategy;
+    use swole_cost::{AggStrategy, JoinOrderMethod};
 
     fn plan() -> Arc<PhysicalPlan> {
         plan_estimating(None)
     }
 
     fn plan_estimating(selectivity: Option<f64>) -> Arc<PhysicalPlan> {
-        Arc::new(PhysicalPlan {
-            shape: Shape::ScanAgg {
+        Arc::new(PhysicalPlan::new(
+            Shape::Agg(AggShape {
                 table: "T".into(),
                 filter: None,
-                group_by: None,
+                edges: Vec::new(),
+                order_method: JoinOrderMethod::Dp,
+                group: None,
                 aggs: Vec::new(),
-                strategy: AggStrategy::Hybrid,
+                mode: AggMode::By(AggStrategy::Hybrid),
+                group_sink: None,
                 group_table: GroupTableRepr::Hash,
                 program: Arc::new(
                     TileProgram::lower(&swole_storage::Table::new("T"), None, &[])
                         .expect("empty program lowers"),
                 ),
-            },
-            post: Vec::new(),
-            decisions: vec!["test".into()],
-            cost_terms: Vec::new(),
-            shortcut: None,
-            estimates: Estimates {
+            }),
+            vec!["test".into()],
+            Vec::new(),
+            None,
+            Estimates {
                 selectivity,
                 result_rows: 1,
                 profile: CostProfile::Unmodelled,
             },
-        })
+        ))
     }
 
     fn gens(g: u64) -> Vec<(String, u64)> {

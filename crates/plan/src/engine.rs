@@ -12,34 +12,32 @@ use crate::cache::{
 };
 use crate::catalog::Database;
 use crate::error::PlanError;
+use crate::exec::{apply_post_ops, exec_agg, exec_window, AggStage, BoundEdge, ExecOpts, FkSource};
 use crate::expr::{AggFunc, Expr};
-use crate::logical::{AggSpec, FrameSpec, LogicalPlan, SortKey, WindowFnSpec, WindowFunc};
+use crate::logical::{AggSpec, FrameSpec, LogicalPlan, SortKey, WindowFnSpec};
 use crate::metrics::{MetricsLevel, OpMetrics, QueryMetrics};
 use crate::physical::{
-    CostProfile, Estimates, GroupTableRepr, JoinEdge, PhysicalPlan, PostOp, Shape,
+    AggMode, AggShape, CostProfile, Estimates, GroupTableRepr, JoinEdge, PhysicalPlan, PostOp,
+    Shape, WindowShape,
 };
 use crate::session::QueryOptions;
 use crate::stats;
-use crate::tile::{
-    group_sink, scalar_sinks, with_lane, BoundProgram, FusedSum, GroupIn, GroupSink, Lane, Regs,
-    ScalarSinks, TileProgram, Want,
-};
+use crate::tile::{group_sink, TileProgram, Want};
 use crate::value::Value;
 use swole_bitmap::PositionalBitmap;
 use swole_cost::choose::{choose_agg_mt, choose_groupjoin_mt, choose_semijoin, sort_cost};
 use swole_cost::{
-    choose_join_order, join_order_cost, observed, AggProfile, AggStrategy, BitmapBuild, CostParams,
+    choose_join_order, join_order_cost, observed, AggProfile, AggStrategy, CostParams,
     GroupJoinProfile, GroupJoinStrategy, JoinEdgeProfile, JoinGraphProfile, JoinOrderMethod,
     SemiJoinProfile, SemiJoinStrategy, WindowProfile, WindowStrategy,
 };
-use swole_ht::{AggTable, DenseAggTable, GroupTable, KeySet, MergeOp};
-use swole_kernels::{predicate, selvec, tiles, tiles_in, AccessCounters, AsI64, MORSEL_ROWS, TILE};
+use swole_ht::{AggTable, DenseAggTable};
+use swole_kernels::{MORSEL_ROWS, TILE};
 use swole_runtime::{
-    charge_or_panic, AdmissionConfig, AdmissionController, AdmissionError, AdmissionPermit,
-    CancelState, ExecCtx, ExecHandle, Executor, GlobalMemoryPool, MemGauge, MemoryPolicy,
-    MemoryPoolStats, Priority,
+    AdmissionConfig, AdmissionController, AdmissionError, AdmissionPermit, CancelState, ExecCtx,
+    ExecHandle, Executor, GlobalMemoryPool, MemoryPolicy, MemoryPoolStats, Priority,
 };
-use swole_storage::{ColumnData, Date, Decimal, FkIndex, Table};
+use swole_storage::{ColumnData, Date, Decimal, Table};
 use swole_verify::{
     BoundsCtx, ColumnProfile, PlanCertificate, TableProfile, VerifyLevel, VerifyReport,
 };
@@ -830,18 +828,6 @@ pub struct ShutdownReport {
     pub wait: Duration,
 }
 
-/// Execution options threaded into every operator.
-#[derive(Clone, Copy)]
-struct ExecOpts<'a> {
-    executor: &'a Executor,
-    threads: usize,
-    morsel_rows: usize,
-    level: MetricsLevel,
-    /// The plan's certificate proves every arithmetic site overflow-safe, so
-    /// the scalar sinks may run the unchecked kernels.
-    overflow_proved: bool,
-}
-
 /// Per-call limits resolved against the session defaults.
 struct ResolvedOpts {
     deadline: Option<Duration>,
@@ -1597,29 +1583,24 @@ impl EngineInner {
         let ctx = self.exec_ctx(cancel, &r, deadline_at);
         gate.attach(&ctx);
         let t0 = level.timing().then(Instant::now);
-        let strategy = physical.shape.strategy_name();
+        let strategy = &physical.strategy;
         let mut report = Vec::new();
         // Consult this plan class's fallback circuit: once it has failed
         // its primary strategy [`BREAKER_OPEN_AFTER`] times in a row, skip
         // the doomed attempt and go straight to the interpreter so the
         // class stops paying double execution cost.
-        let breaker = self.cache.breaker_check(&cache_key);
-        if breaker == BreakerDecision::Open {
-            report.push(format!("{strategy}: skipped, fallback circuit open"));
-            return match self.fallback_datacentric(db, plan, &ctx, level) {
+        // Finish the statement under the data-centric interpreter, after
+        // `retries` failed attempts; `ok` is the run report's last line.
+        let fall_back = |mut report: Vec<String>, ok: &str, retries| {
+            match self.fallback_datacentric(db, plan, &ctx, level) {
                 Ok((mut res, op)) => {
-                    report.push("data-centric interpreter: ok".into());
+                    report.push(ok.into());
                     self.record_run(report);
-                    self.attach_metrics(
-                        &mut res,
-                        physical,
-                        op.into_iter().collect(),
-                        &ctx,
-                        level,
-                        0,
-                        t0,
-                        bound,
-                    );
+                    // A failed attempt's counters are discarded: the
+                    // interpreter's single operator *replaces* the
+                    // operator list, so rows are never double-counted.
+                    let ops = op.into_iter().collect();
+                    self.attach_metrics(&mut res, physical, ops, &ctx, level, retries, t0, bound);
                     Ok(res)
                 }
                 Err(fe) => {
@@ -1627,7 +1608,12 @@ impl EngineInner {
                     self.record_run(report);
                     Err(fe)
                 }
-            };
+            }
+        };
+        let breaker = self.cache.breaker_check(&cache_key);
+        if breaker == BreakerDecision::Open {
+            report.push(format!("{strategy}: skipped, fallback circuit open"));
+            return fall_back(report, "data-centric interpreter: ok", 0);
         }
         if breaker == BreakerDecision::Probe {
             report.push(format!("{strategy}: probing, fallback circuit half-open"));
@@ -1681,31 +1667,7 @@ impl EngineInner {
                 if self.cache.breaker_fallback_ran(&cache_key) {
                     report.push("fallback circuit opened for this plan".into());
                 }
-                match self.fallback_datacentric(db, plan, &ctx, level) {
-                    Ok((mut res, op)) => {
-                        report.push("fell back to data-centric interpreter: ok".into());
-                        self.record_run(report);
-                        // The failed attempt's counters are discarded: the
-                        // interpreter's single operator *replaces* the
-                        // operator list, so rows are never double-counted.
-                        self.attach_metrics(
-                            &mut res,
-                            physical,
-                            op.into_iter().collect(),
-                            &ctx,
-                            level,
-                            1,
-                            t0,
-                            bound,
-                        );
-                        Ok(res)
-                    }
-                    Err(fe) => {
-                        report.push(format!("data-centric fallback failed: {fe}"));
-                        self.record_run(report);
-                        Err(fe)
-                    }
-                }
+                fall_back(report, "fell back to data-centric interpreter: ok", 1)
             }
             Err(e) => {
                 report.push(format!("{strategy}: {e} ({done}/{total} morsels)"));
@@ -1791,7 +1753,7 @@ impl EngineInner {
         let (join_order, join_tree) = self.explain_join_tree(db, &physical);
         Ok(Explain {
             shape: physical.describe(),
-            strategy: physical.shape.strategy_name(),
+            strategy: physical.strategy.clone(),
             threads: self.threads,
             morsel_rows: self.morsel_rows,
             plan_source: Some(if cached { "cached" } else { "fresh" }.to_string()),
@@ -1814,14 +1776,10 @@ impl EngineInner {
         db: &Database,
         plan: &PhysicalPlan,
     ) -> (Option<String>, Vec<JoinEdgeExplain>) {
-        let Shape::MultiJoinAgg {
-            edges,
-            order_method,
-            ..
-        } = &plan.shape
-        else {
+        let Some(join) = plan.join() else {
             return (None, Vec::new());
         };
+        let edges = &join.edges;
         let order = format!(
             "{} ({})",
             edges
@@ -1829,7 +1787,7 @@ impl EngineInner {
                 .map(|e| e.parent.as_str())
                 .collect::<Vec<_>>()
                 .join(" -> "),
-            order_method.name()
+            join.order_method.name()
         );
         // Fact rows passing the fact's own filter, as the planner priced it.
         let mut alive = match &plan.estimates.profile {
@@ -1903,8 +1861,11 @@ impl EngineInner {
                 .find(|o| o.name == name)
                 .filter(|o| o.access.rows_in > 0)
         };
-        match (&plan.estimates.profile, &plan.shape) {
-            (CostProfile::Agg(profile), Shape::ScanAgg { strategy, .. }) => {
+        let Shape::Agg(AggShape { edges, mode, .. }) = &plan.shape else {
+            return (None, None);
+        };
+        match (&plan.estimates.profile, mode) {
+            (CostProfile::Agg(profile), AggMode::By(strategy)) => {
                 let score = |p: &AggProfile| {
                     observed::agg_cost_for(&choose_agg_mt(&self.params, p, self.threads), *strategy)
                 };
@@ -1919,14 +1880,7 @@ impl EngineInner {
                 }
                 (predicted, score(&seen))
             }
-            (
-                CostProfile::GroupJoin(profile),
-                Shape::MultiJoinAgg {
-                    edges,
-                    group: Some((_, strategy)),
-                    ..
-                },
-            ) => {
+            (CostProfile::GroupJoin(profile), AggMode::Join(strategy)) => {
                 let score = |p: &GroupJoinProfile| {
                     observed::groupjoin_cost_for(
                         &choose_groupjoin_mt(&self.params, p, self.threads),
@@ -2129,52 +2083,180 @@ impl EngineInner {
             return Err(PlanError::Unsupported("empty aggregate list".into()));
         }
         let (core, filter) = split_filters(input);
-        match core {
-            LogicalPlan::Scan { table } => {
-                self.plan_scan_agg(db, table, filter, group_by.as_deref(), aggs, hints)
-            }
-            LogicalPlan::SemiJoin { .. } => {
-                self.plan_multijoin_agg(db, core, filter, group_by.as_deref(), aggs, hints)
-            }
-            other => Err(PlanError::Unsupported(format!(
-                "aggregation over {other:?}"
-            ))),
+        if !matches!(
+            core,
+            LogicalPlan::Scan { .. } | LogicalPlan::SemiJoin { .. }
+        ) {
+            return Err(PlanError::Unsupported(format!("aggregation over {core:?}")));
         }
+        self.plan_agg(db, core, filter, group_by.as_deref(), aggs, hints)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn plan_scan_agg(
+    /// Plan an aggregation over a scan restricted by zero or more FK join
+    /// edges. The cost question depends on the edge count — which
+    /// scan-aggregation strategy ([`Self::decide_scan_agg`]), or which probe
+    /// order, membership structures and sink ([`Self::decide_join_agg`]) —
+    /// but validation before it and the tail after it (group table, tile
+    /// program, grouped sink) do not.
+    fn plan_agg(
         &self,
         db: &Database,
-        table_name: &str,
-        filter: Option<Expr>,
+        core: &LogicalPlan,
+        outer_filter: Option<Expr>,
         group_by: Option<&str>,
         aggs: &[AggSpec],
         hints: PlanHints,
     ) -> Result<PhysicalPlan, PlanError> {
-        let table = db.table(table_name)?;
+        let (table_name, mut filter, raw_edges) = extract_join_tree(core)?;
+        if let Some(extra) = outer_filter {
+            filter = Some(match filter {
+                Some(f) => f.and(extra),
+                None => extra,
+            });
+        }
+        if let (Some(g), Some(first)) = (group_by, raw_edges.first()) {
+            // The interpreter oracle draws the same line.
+            if raw_edges.len() > 1 || !first.children.is_empty() {
+                return Err(PlanError::Unsupported(format!(
+                    "group by {g} over a multi-way join"
+                )));
+            }
+            if g != first.fk_col {
+                return Err(PlanError::Unsupported(format!(
+                    "group by {g} over a semijoin (only the FK column is supported)"
+                )));
+            }
+        }
+        let table = db.table(&table_name)?;
         if let Some(f) = &filter {
             f.validate(table)?;
         }
         for a in aggs {
             a.expr.validate(table)?;
         }
-        if let Some(g) = group_by {
+        if let (Some(g), true) = (group_by, raw_edges.is_empty()) {
             if table.column(g).is_none() {
                 return Err(PlanError::UnknownColumn {
-                    table: table_name.to_string(),
+                    table: table_name,
                     column: g.to_string(),
                 });
             }
         }
-        let mut decisions = Vec::new();
-        let mut cost_terms = Vec::new();
-        let filter_selectivity = filter_selectivity(table, filter.as_ref(), hints, &mut decisions);
+        let mut q = AggQuery {
+            table,
+            filter: filter.as_ref(),
+            group_by,
+            aggs,
+            has_minmax: aggs
+                .iter()
+                .any(|a| matches!(a.func, AggFunc::Min | AggFunc::Max)),
+            hints,
+            decisions: Vec::new(),
+            cost_terms: Vec::new(),
+        };
+        let (edges, order_method, mode, estimates) = if raw_edges.is_empty() {
+            let (strategy, estimates) = self.decide_scan_agg(&mut q)?;
+            let mode = AggMode::By(strategy);
+            (Vec::new(), JoinOrderMethod::Dp, mode, estimates)
+        } else {
+            self.decide_join_agg(db, &mut q, raw_edges)?
+        };
+        let AggQuery {
+            mut decisions,
+            cost_terms,
+            ..
+        } = q;
+        // Statistics shortcut: an unfiltered, ungrouped COUNT/MIN/MAX list
+        // whose every answer is exact in a fresh catalog snapshot skips the
+        // scan entirely (the shape is kept for EXPLAIN and verification).
+        let shortcut = match (edges.is_empty(), &filter, group_by) {
+            (true, None, None) => self.stats_shortcut(db, &table_name, aggs, &mut decisions),
+            _ => None,
+        };
+        let group_table = if let Some(g) = group_by {
+            let generation = table.generation();
+            let (domain, domain_generation, fk_parent_rows) = match edges.first() {
+                // Dictionary codes are `0..cardinality`; any other column's
+                // domain is the exact min/max of a fresh statistics snapshot.
+                None => {
+                    let domain = match table.column(g) {
+                        Some(ColumnData::Dict(d)) => Ok((0, d.cardinality() as i64 - 1)),
+                        _ => self
+                            .stats_for(db, &table_name)
+                            .filter(|s| s.fresh_for(generation))
+                            .and_then(|s| s.column(g).map(|c| (c.min, c.max)))
+                            .ok_or("no fresh statistics give the key domain"),
+                    };
+                    (domain, generation, None)
+                }
+                // FK keys are parent positions — exactly `0..parent rows`
+                // when a registered index has validated every one of them.
+                Some(edge) => {
+                    let parent_t = db.table(&edge.parent)?;
+                    let domain = db
+                        .fk_index(&table_name, g, &edge.parent)
+                        .map(|idx| (0, idx.parent_len() as i64 - 1))
+                        .ok_or("no FK index validates the key domain");
+                    (domain, parent_t.generation(), Some(parent_t.len()))
+                }
+            };
+            choose_group_table(
+                domain,
+                (generation, domain_generation),
+                fk_parent_rows,
+                estimates.result_rows,
+                aggs.len(),
+                &mut decisions,
+            )
+        } else {
+            GroupTableRepr::Hash
+        };
+        // A grouped join's key is the FK slice its edge is probed through,
+        // so the program lowers none.
+        let key = group_by.filter(|_| edges.is_empty());
+        let grouped = group_by.is_some();
+        let program = Arc::new(TileProgram::lower_agg(
+            table,
+            filter.as_ref(),
+            key,
+            aggs,
+            grouped,
+        )?);
+        let group_sink = grouped.then(|| group_sink(&program, aggs));
+        Ok(PhysicalPlan::new(
+            Shape::Agg(AggShape {
+                table: table_name,
+                filter,
+                edges,
+                order_method,
+                group: group_by.map(str::to_string),
+                aggs: aggs.to_vec(),
+                mode,
+                group_sink,
+                group_table,
+                program,
+            }),
+            decisions,
+            cost_terms,
+            shortcut,
+            estimates,
+        ))
+    }
+
+    /// The scan aggregation's one decision (§ III-A, III-B): hybrid, value
+    /// masking or key masking, by the cost model unless min/max force hybrid
+    /// or the session pins a strategy.
+    fn decide_scan_agg(&self, q: &mut AggQuery<'_>) -> Result<(AggStrategy, Estimates), PlanError> {
+        let AggQuery {
+            table,
+            group_by,
+            aggs,
+            has_minmax,
+            ..
+        } = *q;
+        let filter_selectivity = filter_selectivity(table, q.filter, q.hints, &mut q.decisions);
         let selectivity = filter_selectivity.unwrap_or(1.0);
         let group_keys = group_by.map(|g| stats::estimate_distinct(table, g));
-        let has_minmax = aggs
-            .iter()
-            .any(|a| matches!(a.func, AggFunc::Min | AggFunc::Max));
         let (comp, n_cols) = agg_comp_cols(aggs, group_by);
         let profile = AggProfile {
             rows: table.len(),
@@ -2185,29 +2267,26 @@ impl EngineInner {
             n_aggs: aggs.len(),
         };
         let choice = choose_agg_mt(&self.params, &profile, self.threads);
+        // The forced path must still be priced: the verifier cross-checks
+        // every strategy against its cost term.
+        q.cost_terms.push((
+            AggStrategy::Hybrid.cost_term().to_string(),
+            choice.cost_hybrid,
+        ));
         let chosen = if has_minmax {
-            decisions
+            q.decisions
                 .push("hybrid forced: min/max require extra masking bookkeeping (§ III-A)".into());
-            // The forced path must still be priced: the verifier
-            // cross-checks every strategy against its cost term.
-            cost_terms.push((
-                AggStrategy::Hybrid.cost_term().to_string(),
-                choice.cost_hybrid,
-            ));
             AggStrategy::Hybrid
         } else {
-            cost_terms.push((
-                AggStrategy::Hybrid.cost_term().to_string(),
-                choice.cost_hybrid,
-            ));
-            cost_terms.push((
+            q.cost_terms.push((
                 AggStrategy::ValueMasking.cost_term().to_string(),
                 choice.cost_value_masking,
             ));
             if let Some(km) = choice.cost_key_masking {
-                cost_terms.push((AggStrategy::KeyMasking.cost_term().to_string(), km));
+                q.cost_terms
+                    .push((AggStrategy::KeyMasking.cost_term().to_string(), km));
             }
-            decisions.push(format!(
+            q.decisions.push(format!(
                 "σ={selectivity:.2} → {} (hybrid={:.2e}, vm={:.2e}{})",
                 choice.explanation,
                 choice.cost_hybrid,
@@ -2227,75 +2306,23 @@ impl EngineInner {
                         pin.name()
                     )));
                 }
-                decisions.push(format!("strategy pinned to {} by the session", pin.name()));
+                q.decisions
+                    .push(format!("strategy pinned to {} by the session", pin.name()));
                 pin
             }
             None => chosen,
         };
-        // Statistics shortcut: an unfiltered, ungrouped COUNT/MIN/MAX list
-        // whose every answer is exact in a fresh catalog snapshot skips the
-        // scan entirely (the shape is kept for EXPLAIN and verification).
-        let shortcut = if filter.is_none() && group_by.is_none() {
-            self.stats_shortcut(db, table_name, aggs, &mut decisions)
-        } else {
-            None
-        };
-        let group_table = match group_by {
-            None => GroupTableRepr::Hash,
-            Some(g) => {
-                let generation = table.generation();
-                // Dictionary codes are `0..cardinality`; any other column's
-                // domain is the exact min/max of a fresh statistics snapshot.
-                let domain = match table.column(g) {
-                    Some(ColumnData::Dict(d)) => Ok((0, d.cardinality() as i64 - 1)),
-                    _ => self
-                        .stats_for(db, table_name)
-                        .filter(|s| s.fresh_for(generation))
-                        .and_then(|s| s.column(g).map(|c| (c.min, c.max)))
-                        .ok_or("no fresh statistics give the key domain"),
-                };
-                choose_group_table(
-                    domain,
-                    (generation, generation),
-                    None,
-                    group_keys.unwrap_or(0),
-                    aggs.len(),
-                    &mut decisions,
-                )
-            }
-        };
-        let program = Arc::new(TileProgram::lower_agg(
-            table,
-            filter.as_ref(),
-            group_by,
-            aggs,
-            group_by.is_some(),
-        )?);
-        Ok(PhysicalPlan {
-            shape: Shape::ScanAgg {
-                table: table_name.to_string(),
-                filter,
-                group_by: group_by.map(str::to_string),
-                aggs: aggs.to_vec(),
-                strategy,
-                group_table,
-                program,
+        let estimates = Estimates {
+            selectivity: filter_selectivity,
+            result_rows: group_keys.unwrap_or(1),
+            // min/max force hybrid without consulting the chooser.
+            profile: if has_minmax {
+                CostProfile::Unmodelled
+            } else {
+                CostProfile::Agg(profile)
             },
-            post: Vec::new(),
-            decisions,
-            cost_terms,
-            shortcut,
-            estimates: Estimates {
-                selectivity: filter_selectivity,
-                result_rows: group_keys.unwrap_or(1),
-                // min/max force hybrid without consulting the chooser.
-                profile: if has_minmax {
-                    CostProfile::Unmodelled
-                } else {
-                    CostProfile::Agg(profile)
-                },
-            },
-        })
+        };
+        Ok((strategy, estimates))
     }
 
     /// The one result row of an aggregate list answerable from catalog
@@ -2451,8 +2478,8 @@ impl EngineInner {
             .map(Want::Reg)
             .collect();
         let gather_program = Arc::new(TileProgram::lower(table, None, &gather_wants)?);
-        Ok(PhysicalPlan {
-            shape: Shape::WindowScan {
+        Ok(PhysicalPlan::new(
+            Shape::WindowScan(WindowShape {
                 table: table_name.to_string(),
                 filter,
                 partition_by: partition_by.map(str::to_string),
@@ -2463,79 +2490,47 @@ impl EngineInner {
                 strategy,
                 scan_program,
                 gather_program,
-            },
-            post: Vec::new(),
+            }),
             decisions,
             cost_terms,
-            shortcut: None,
-            estimates: Estimates {
+            None,
+            Estimates {
                 selectivity: filter_selectivity,
                 result_rows: (table.len() as f64 * selectivity).ceil().max(1.0) as usize,
                 profile: CostProfile::Unmodelled,
             },
-        })
+        ))
     }
 
-    /// Plan an FK join aggregation over one or more edges: decompose the
-    /// nested semijoin tree into a join graph (fact plus direct and chain
-    /// edges), estimate per-edge selectivities from statistics and
-    /// sampling, choose the probe order (exact subset DP up to
-    /// [`swole_cost::JOIN_DP_LIMIT`] direct edges, greedy rank beyond,
-    /// session pin override), pick each edge's membership structure with
-    /// the semijoin cost model, and decide the sink: a scalar aggregation
-    /// (masked probe or not), or — grouped by the FK of the join's one
-    /// edge — the groupjoin or its eager-aggregation rewrite (§ III-E).
-    fn plan_multijoin_agg(
+    /// The decisions of an FK join aggregation over one or more edges:
+    /// estimate per-edge selectivities from statistics and sampling, choose
+    /// the probe order (exact subset DP up to [`swole_cost::JOIN_DP_LIMIT`]
+    /// direct edges, greedy rank beyond, session pin override), pick each
+    /// edge's membership structure with the semijoin cost model, and decide
+    /// the sink: a scalar aggregation (masked probe or not), or — grouped by
+    /// the FK of the join's one edge — the groupjoin or its
+    /// eager-aggregation rewrite (§ III-E).
+    fn decide_join_agg(
         &self,
         db: &Database,
-        core: &LogicalPlan,
-        outer_filter: Option<Expr>,
-        group_by: Option<&str>,
-        aggs: &[AggSpec],
-        hints: PlanHints,
-    ) -> Result<PhysicalPlan, PlanError> {
-        let (fact, mut fact_filter, raw_edges) = extract_join_tree(core)?;
-        if let Some(extra) = outer_filter {
-            fact_filter = Some(match fact_filter {
-                Some(f) => f.and(extra),
-                None => extra,
-            });
-        }
+        q: &mut AggQuery<'_>,
+        raw_edges: Vec<RawEdge>,
+    ) -> Result<(Vec<JoinEdge>, JoinOrderMethod, AggMode, Estimates), PlanError> {
+        let (fact_t, fact, aggs) = (q.table, q.table.name(), q.aggs);
         let single_edge = matches!(&raw_edges[..], [e] if e.children.is_empty());
-        if let Some(g) = group_by {
-            // The interpreter oracle draws the same line.
-            if !single_edge {
-                return Err(PlanError::Unsupported(format!(
-                    "group by {g} over a multi-way join"
-                )));
-            }
-            if g != raw_edges[0].fk_col {
-                return Err(PlanError::Unsupported(format!(
-                    "group by {g} over a semijoin (only the FK column is supported)"
-                )));
-            }
-        }
-        let fact_t = db.table(&fact)?;
-        if let Some(f) = &fact_filter {
-            f.validate(fact_t)?;
-        }
-        for a in aggs {
-            a.expr.validate(fact_t)?;
-        }
-        let mut decisions = Vec::new();
         // The plan cache's drift feedback is the observed selectivity of the
         // first build; only a one-edge join says which edge that was.
-        let drift = hints.selectivity.filter(|_| single_edge);
+        let drift = q.hints.selectivity.filter(|_| single_edge);
         let mut edges = Vec::with_capacity(raw_edges.len());
         for e in raw_edges {
-            edges.push(self.lower_join_edge(db, &fact, e, drift, &mut decisions)?);
+            edges.push(self.lower_join_edge(db, fact, e, drift, &mut q.decisions)?);
         }
-        let fact_sel = match &fact_filter {
+        let fact_sel = match q.filter {
             Some(f) => stats::estimate_selectivity(fact_t, f),
             None => 1.0,
         };
         let profile = self
-            .multijoin_profile(db, &fact, fact_sel, &edges)
+            .multijoin_profile(db, fact, fact_sel, &edges)
             .expect("fact table resolved above");
         let choice = choose_join_order(&self.params, &profile);
         let (order_idx, method) = match &self.strategies.join_order {
@@ -2561,7 +2556,7 @@ impl EngineInner {
                         edges.len()
                     )));
                 }
-                decisions.push(format!(
+                q.decisions.push(format!(
                     "join order pinned by the session: {}",
                     pin.join(" -> ")
                 ));
@@ -2570,7 +2565,7 @@ impl EngineInner {
             None => (choice.order.clone(), choice.method),
         };
         let chosen_cost = join_order_cost(&self.params, &profile, &order_idx);
-        decisions.push(format!(
+        q.decisions.push(format!(
             "σ_fact={fact_sel:.2}, {} → probe order {} ({})",
             choice.explanation,
             order_idx
@@ -2580,120 +2575,72 @@ impl EngineInner {
                 .join(" -> "),
             method.name(),
         ));
-        let mut cost_terms = vec![
+        q.cost_terms.extend([
             ("join.order".to_string(), chosen_cost),
             ("join.order.best".to_string(), choice.cost),
             ("join.order.worst".to_string(), choice.worst_cost),
-        ];
+        ]);
         let edges: Vec<JoinEdge> = order_idx.iter().map(|&i| edges[i].clone()).collect();
-        let has_minmax = aggs
-            .iter()
-            .any(|a| matches!(a.func, AggFunc::Min | AggFunc::Max));
-        // A masked probe ANDs the bitmap bit into the filter mask and
-        // aggregates every lane, which value masking has no min/max sink
-        // for. Same VM-model threshold as the chooser's build decision: it
-        // wins unless the fact predicate is very selective.
-        let maskable = group_by.is_none()
-            && single_edge
-            && matches!(edges[0].strategy, SemiJoinStrategy::PositionalBitmap(_))
-            && !has_minmax;
-        let probe_masked = maskable && fact_sel >= 0.125;
-        if maskable {
-            decisions.push(format!(
-                "σ_fact={fact_sel:.2} → {} probe",
-                if probe_masked {
-                    "masked"
-                } else {
-                    "selection-vector"
-                }
-            ));
-        }
-        let mut estimates = Estimates {
-            // The first operator of a join is the first edge's build. A
-            // multi-edge re-plan cannot say which edge a drift hint observed;
-            // recording it as the estimate keeps the cache from invalidating
-            // the re-plan over the same measurement again.
-            selectivity: hints
-                .selectivity
-                .or_else(|| edges.first().map(|e| e.est_selectivity)),
-            result_rows: 1,
-            profile: CostProfile::Join(JoinGraphProfile {
-                edges: order_idx
-                    .iter()
-                    .map(|&i| profile.edges[i].clone())
-                    .collect(),
-                ..profile
-            }),
-        };
-        let mut group_table = GroupTableRepr::Hash;
-        let group = match group_by {
-            None => None,
-            Some(g) => {
-                let edge = &edges[0];
-                let parent_t = db.table(&edge.parent)?;
-                let parent_rows = parent_t.len();
-                let (comp, _) = agg_comp_cols(aggs, Some(g));
-                let gj_profile = GroupJoinProfile {
-                    r_rows: fact_t.len(),
-                    r_selectivity: fact_sel,
-                    s_rows: parent_rows,
-                    s_selectivity: edge.est_selectivity,
-                    join_match_prob: edge.est_selectivity,
-                    group_keys: parent_rows,
-                    comp,
-                    n_aggs: aggs.len(),
-                };
-                // Eager aggregation upserts every probe lane unmasked: it has
-                // no place for a probe-side filter or a min/max state.
-                let forced = has_minmax || fact_filter.is_some();
-                let strategy =
-                    self.choose_group_sink(&gj_profile, forced, &mut decisions, &mut cost_terms)?;
-                estimates.result_rows = parent_rows;
-                estimates.profile = CostProfile::GroupJoin(gj_profile);
-                // FK keys are parent positions — exactly `0..parent rows`
-                // when a registered index has validated every one of them.
-                let domain = db
-                    .fk_index(&fact, g, &edge.parent)
-                    .map(|idx| (0, idx.parent_len() as i64 - 1))
-                    .ok_or("no FK index validates the key domain");
-                group_table = choose_group_table(
-                    domain,
-                    (fact_t.generation(), parent_t.generation()),
-                    Some(parent_rows),
-                    parent_rows,
-                    aggs.len(),
-                    &mut decisions,
-                );
-                Some((g.to_string(), strategy))
+        // The first operator of a join is the first edge's build. A
+        // multi-edge re-plan cannot say which edge a drift hint observed;
+        // recording it as the estimate keeps the cache from invalidating
+        // the re-plan over the same measurement again.
+        let selectivity = q
+            .hints
+            .selectivity
+            .or_else(|| edges.first().map(|e| e.est_selectivity));
+        let Some(g) = q.group_by else {
+            // A masked probe ANDs the bitmap bit into the filter mask and
+            // aggregates every lane, which value masking has no min/max sink
+            // for. Same VM-model threshold as the chooser's build decision: it
+            // wins unless the fact predicate is very selective.
+            let maskable = single_edge
+                && matches!(edges[0].strategy, SemiJoinStrategy::PositionalBitmap(_))
+                && !q.has_minmax;
+            let masked = maskable && fact_sel >= 0.125;
+            if maskable {
+                q.decisions.push(format!(
+                    "σ_fact={fact_sel:.2} → {} probe",
+                    if masked { "masked" } else { "selection-vector" }
+                ));
             }
+            let estimates = Estimates {
+                selectivity,
+                result_rows: 1,
+                profile: CostProfile::Join(JoinGraphProfile {
+                    edges: order_idx
+                        .iter()
+                        .map(|&i| profile.edges[i].clone())
+                        .collect(),
+                    ..profile
+                }),
+            };
+            return Ok((edges, method, AggMode::Probe { masked }, estimates));
         };
-        // A grouped join's key is the FK slice its edge is probed through,
-        // so the program lowers none.
-        let fact_program = Arc::new(TileProgram::lower_agg(
-            fact_t,
-            fact_filter.as_ref(),
-            None,
-            aggs,
-            group_by.is_some(),
-        )?);
-        Ok(PhysicalPlan {
-            shape: Shape::MultiJoinAgg {
-                fact,
-                fact_filter,
-                edges,
-                aggs: aggs.to_vec(),
-                order_method: method,
-                probe_masked,
-                group,
-                group_table,
-                fact_program,
-            },
-            post: Vec::new(),
-            decisions,
-            cost_terms,
-            shortcut: None,
-            estimates,
-        })
+        let edge = &edges[0];
+        let parent_rows = db.table(&edge.parent)?.len();
+        let (comp, _) = agg_comp_cols(aggs, Some(g));
+        let gj_profile = GroupJoinProfile {
+            r_rows: fact_t.len(),
+            r_selectivity: fact_sel,
+            s_rows: parent_rows,
+            s_selectivity: edge.est_selectivity,
+            join_match_prob: edge.est_selectivity,
+            group_keys: parent_rows,
+            comp,
+            n_aggs: aggs.len(),
+        };
+        // Eager aggregation upserts every probe lane unmasked: it has
+        // no place for a probe-side filter or a min/max state.
+        let forced = q.has_minmax || q.filter.is_some();
+        let strategy =
+            self.choose_group_sink(&gj_profile, forced, &mut q.decisions, &mut q.cost_terms)?;
+        let estimates = Estimates {
+            selectivity,
+            result_rows: parent_rows,
+            profile: CostProfile::GroupJoin(gj_profile),
+        };
+        Ok((edges, method, AggMode::Join(strategy), estimates))
     }
 
     /// The grouped sink's one decision: the groupjoin or its eager-aggregation
@@ -2761,7 +2708,7 @@ impl EngineInner {
         if let Some(f) = &e.parent_filter {
             f.validate(parent_t)?;
         }
-        self.fk_positions(db, child, &e.fk_col, &e.parent)?;
+        self.fk_source(db, child, &e.fk_col, &e.parent)?;
         let mut children = Vec::with_capacity(e.children.len());
         for c in e.children {
             children.push(self.lower_join_edge(db, &e.parent, c, None, decisions)?);
@@ -2835,36 +2782,11 @@ impl EngineInner {
         })
     }
 
-    /// The positional FK mapping probe→parent as a borrow: the registered
-    /// FK index if present, otherwise the raw `u32` FK column (dense parent
-    /// keys). Plan-time validation only — execution pins an owned
-    /// [`FkSource`] instead.
-    fn fk_positions<'a>(
-        &self,
-        db: &'a Database,
-        child: &str,
-        fk_col: &str,
-        parent: &str,
-    ) -> Result<&'a [u32], PlanError> {
-        if let Some(idx) = db.fk_index(child, fk_col, parent) {
-            return Ok(idx.positions());
-        }
-        let child_t = db.table(child)?;
-        let col = child_t
-            .column(fk_col)
-            .ok_or_else(|| PlanError::UnknownColumn {
-                table: child.to_string(),
-                column: fk_col.to_string(),
-            })?;
-        col.as_u32().ok_or_else(|| PlanError::MissingFkIndex {
-            child: child.to_string(),
-            fk_column: fk_col.to_string(),
-        })
-    }
-
-    /// [`EngineInner::fk_positions`] as an owned snapshot execution can
-    /// pin: shared-pool worker closures outlive the submitting call stack,
-    /// so they must not borrow from the database guard.
+    /// The positional FK mapping probe→parent: the registered FK index if
+    /// present, otherwise the raw `u32` FK column (dense parent keys) — as
+    /// an owned snapshot execution can pin: shared-pool worker closures
+    /// outlive the submitting call stack, so they must not borrow from the
+    /// database guard. Planning resolves it too, to validate the edge.
     fn fk_source(
         &self,
         db: &Database,
@@ -2895,21 +2817,19 @@ impl EngineInner {
     /// for the query's lifetime, recursing through chain edges (each
     /// nested edge's FK lives on its *parent* table, i.e. the child of
     /// that nested edge).
-    fn bind_join_edges(
+    fn bind_join_edges<'e>(
         &self,
         db: &Database,
         child: &str,
-        edges: &[JoinEdge],
-    ) -> Result<Vec<BoundEdge>, PlanError> {
+        edges: &'e [JoinEdge],
+    ) -> Result<Vec<BoundEdge<'e>>, PlanError> {
         edges
             .iter()
             .map(|e| {
                 Ok(BoundEdge {
-                    parent: e.parent.clone(),
+                    edge: e,
                     parent_t: db.table_arc(&e.parent)?,
-                    parent_program: Arc::clone(&e.parent_program),
                     fk: self.fk_source(db, child, &e.fk_col, &e.parent)?,
-                    strategy: e.strategy,
                     children: self.bind_join_edges(db, &e.parent, &e.children)?,
                 })
             })
@@ -2940,12 +2860,7 @@ impl EngineInner {
         if let Some(row) = &plan.shortcut {
             // Statistics-backed answer: the planner proved the result from
             // the catalog, so no table access happens at all.
-            let mut res = QueryResult {
-                columns: shape_output_columns(&plan.shape),
-                rows: vec![row.clone()],
-                metrics: None,
-                key_dict: None,
-            };
+            let mut res = QueryResult::new(shape_output_columns(&plan.shape), vec![row.clone()]);
             let mut ops = Vec::new();
             if level.counting() {
                 let mut op = OpMetrics::named("stats-shortcut");
@@ -2963,112 +2878,23 @@ impl EngineInner {
             overflow_proved: cert.all_sites_overflow_safe(),
         };
         let (mut res, mut ops) = match &plan.shape {
-            Shape::ScanAgg {
-                table,
-                group_by,
-                aggs,
-                strategy,
-                group_table,
-                program,
-                ..
-            } => {
-                let t = db.table_arc(table)?;
-                match group_by {
-                    // Scalar aggregation has no key to mask; hybrid covers
-                    // key masking too.
-                    None => exec_scalar_pipeline(
-                        &format!("agg({table})"),
-                        &t,
-                        program,
-                        &[],
-                        aggs,
-                        *strategy == AggStrategy::ValueMasking,
-                        opts,
-                        ctx,
-                    ),
-                    Some(g) => exec_grouped_pipeline(
-                        &format!("groupby-agg({table})"),
-                        &t,
-                        program,
-                        &[],
-                        g,
-                        aggs,
-                        GroupMode::By(*strategy),
-                        group_table.at((t.generation(), t.generation())),
-                        opts,
-                        ctx,
-                    ),
-                }
+            Shape::Agg(shape) => {
+                let table = &db.table_arc(&shape.table)?;
+                let edges = &self.bind_join_edges(db, &shape.table, &shape.edges)?;
+                // The tables a dense key domain is a fact about: the scanned
+                // one, and the first edge's parent when the key is its FK.
+                let domain_t = edges.first().map_or(table, |e| &e.parent_t);
+                let group_table = shape
+                    .group_table
+                    .at((table.generation(), domain_t.generation()));
+                let stage = AggStage {
+                    shape,
+                    table,
+                    edges,
+                };
+                exec_agg(stage, group_table, opts, ctx)
             }
-            Shape::MultiJoinAgg {
-                fact,
-                edges,
-                aggs,
-                probe_masked,
-                group,
-                group_table,
-                fact_program,
-                ..
-            } => {
-                let fact_t = db.table_arc(fact)?;
-                let bound = self.bind_join_edges(db, fact, edges)?;
-                let op = format!("multijoin-agg({fact})");
-                match group {
-                    None => exec_scalar_pipeline(
-                        &op,
-                        &fact_t,
-                        fact_program,
-                        &bound,
-                        aggs,
-                        *probe_masked,
-                        opts,
-                        ctx,
-                    ),
-                    Some((g, strategy)) => exec_grouped_pipeline(
-                        &op,
-                        &fact_t,
-                        fact_program,
-                        &bound,
-                        g,
-                        aggs,
-                        GroupMode::Join(*strategy),
-                        group_table.at((
-                            fact_t.generation(),
-                            bound.first().map_or(0, |e| e.parent_t.generation()),
-                        )),
-                        opts,
-                        ctx,
-                    ),
-                }
-            }
-            Shape::WindowScan {
-                table,
-                partition_by,
-                order_by,
-                frame,
-                funcs,
-                select,
-                strategy,
-                scan_program,
-                gather_program,
-                ..
-            } => {
-                let t = db.table_arc(table)?;
-                exec_window(
-                    &format!("window({table})"),
-                    &t,
-                    scan_program,
-                    gather_program,
-                    partition_by.as_deref(),
-                    order_by,
-                    *frame,
-                    funcs,
-                    select,
-                    *strategy,
-                    opts,
-                    ctx,
-                )
-            }
+            Shape::WindowScan(shape) => exec_window(&db.table_arc(&shape.table)?, shape, opts, ctx),
         }?;
         apply_post_ops(&plan.post, &mut res, &mut ops, level, ctx)?;
         Ok((res, ops))
@@ -3116,110 +2942,6 @@ fn choose_group_table(
     };
     decisions.push(format!("group table: {line}"));
     repr
-}
-
-/// Apply the plan's result-level post-operators (`ORDER BY`, `LIMIT`) to a
-/// materialized result, in order. The sort is stable over the core
-/// pipeline's (already deterministic) row order, so ties are deterministic
-/// at any thread count.
-fn apply_post_ops(
-    post: &[PostOp],
-    res: &mut QueryResult,
-    ops: &mut Vec<OpMetrics>,
-    level: MetricsLevel,
-    ctx: &Arc<ExecCtx>,
-) -> Result<(), PlanError> {
-    let counting = level.counting();
-    for p in post {
-        ctx.check()?;
-        let t0 = level.timing().then(Instant::now);
-        let rows_in = res.rows.len() as u64;
-        match p {
-            PostOp::Sort { keys } => {
-                let mut key_idx = Vec::with_capacity(keys.len());
-                for k in keys {
-                    key_idx.push((res.column_index(&k.column)?, k.desc));
-                }
-                // The permutation vector is the sort's one materialized
-                // artifact; charge it like any other selection vector.
-                ctx.gauge.try_charge(res.rows.len().saturating_mul(4))?;
-                let mut perm: Vec<u32> = (0..res.rows.len() as u32).collect();
-                perm.sort_by(|&a, &b| {
-                    let (ra, rb) = (&res.rows[a as usize], &res.rows[b as usize]);
-                    for &(i, desc) in &key_idx {
-                        let ord = ra[i].cmp(&rb[i]);
-                        let ord = if desc { ord.reverse() } else { ord };
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    a.cmp(&b) // deterministic tie-break: pre-sort position
-                });
-                res.rows = perm
-                    .into_iter()
-                    .map(|i| std::mem::take(&mut res.rows[i as usize]))
-                    .collect();
-            }
-            PostOp::Limit { n } => {
-                res.rows.truncate(*n);
-            }
-        }
-        if counting {
-            let name = match p {
-                PostOp::Sort { .. } => "sort",
-                PostOp::Limit { .. } => "limit",
-            };
-            let mut op = OpMetrics::named(name);
-            op.access.rows_in = rows_in;
-            op.access.rows_out = res.rows.len() as u64;
-            op.wall_nanos = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-            ops.push(op);
-        }
-    }
-    Ok(())
-}
-
-/// The positional FK mapping, pinned as owned data so shared-pool worker
-/// closures (which outlive the submitting call stack) can read it without
-/// borrowing from the database guard.
-#[derive(Clone)]
-enum FkSource {
-    /// A registered FK index.
-    Index(Arc<FkIndex>),
-    /// The raw `u32` FK column (by index) of the (pinned, immutable) child
-    /// table — validated at construction, so `slice` cannot fail.
-    Column(Arc<Table>, usize),
-}
-
-impl FkSource {
-    fn slice(&self) -> &[u32] {
-        match self {
-            FkSource::Index(idx) => idx.positions(),
-            FkSource::Column(t, col) => t
-                .column_at(*col)
-                .as_u32()
-                .expect("validated u32 FK column on an immutable table"),
-        }
-    }
-}
-
-/// The semijoin build side, shared read-only across probe workers.
-enum BuildSide {
-    Set(KeySet),
-    Bitmap(PositionalBitmap),
-}
-
-/// One multi-way join edge with its tables and FK column pinned as `Arc`
-/// snapshots, so execution cannot drift from the catalog mid-query.
-struct BoundEdge {
-    parent: String,
-    parent_t: Arc<Table>,
-    parent_program: Arc<TileProgram>,
-    /// FK on the *child* side of this edge (the fact for direct edges, the
-    /// intermediate parent for chain edges).
-    fk: FkSource,
-    strategy: SemiJoinStrategy,
-    children: Vec<BoundEdge>,
 }
 
 /// σ of a scan's own filter as the planner prices it: what the plan cache
@@ -3278,22 +3000,30 @@ pub(crate) fn plan_rows(db: &Database, plan: &LogicalPlan) -> usize {
 /// sort keys at plan time.
 fn shape_output_columns(shape: &Shape) -> Vec<String> {
     match shape {
-        Shape::ScanAgg { group_by, aggs, .. } => group_by
+        Shape::Agg(AggShape { group, aggs, .. }) => group
             .iter()
             .cloned()
             .chain(aggs.iter().map(|a| a.name.clone()))
             .collect(),
-        Shape::MultiJoinAgg { group, aggs, .. } => group
-            .iter()
-            .map(|(g, _)| g.clone())
-            .chain(aggs.iter().map(|a| a.name.clone()))
-            .collect(),
-        Shape::WindowScan { select, funcs, .. } => select
+        Shape::WindowScan(WindowShape { select, funcs, .. }) => select
             .iter()
             .cloned()
             .chain(funcs.iter().map(|f| f.name.clone()))
             .collect(),
     }
+}
+
+/// A validated aggregation as the decision halves of
+/// [`EngineInner::plan_agg`] read it, with the trail they append to.
+struct AggQuery<'a> {
+    table: &'a Table,
+    filter: Option<&'a Expr>,
+    group_by: Option<&'a str>,
+    aggs: &'a [AggSpec],
+    has_minmax: bool,
+    hints: PlanHints,
+    decisions: Vec<String>,
+    cost_terms: Vec<(String, f64)>,
 }
 
 /// One edge of a join graph as extracted from the logical plan, before
@@ -3347,21 +3077,15 @@ fn extract_join_tree(
 /// observed selectivity is attributed to under adaptive statistics.
 fn primary_stats_table(shape: &Shape) -> Option<&str> {
     match shape {
-        Shape::ScanAgg {
-            table,
-            filter: Some(_),
-            ..
-        } => Some(table),
-        Shape::WindowScan {
-            table,
-            filter: Some(_),
-            ..
-        } => Some(table),
-        Shape::MultiJoinAgg { edges, .. } => edges
-            .first()
-            .filter(|e| e.parent_filter.is_some())
-            .map(|e| e.parent.as_str()),
-        _ => None,
+        // A join's first operator is its first edge's build.
+        Shape::Agg(AggShape { edges, .. }) if !edges.is_empty() => edges[0]
+            .parent_filter
+            .as_ref()
+            .map(|_| edges[0].parent.as_str()),
+        Shape::Agg(AggShape { table, filter, .. })
+        | Shape::WindowScan(WindowShape { table, filter, .. }) => {
+            filter.as_ref().map(|_| table.as_str())
+        }
     }
 }
 
@@ -3497,1249 +3221,4 @@ fn table_generations(db: &Database, plan: &LogicalPlan) -> Vec<(String, u64)> {
     let mut tables = Vec::new();
     plan_tables(plan, &mut tables);
     crate::cache::generations_of(db, &tables)
-}
-
-/// Per-worker merge operators for an aggregate list (all of which are
-/// commutative and associative, making the merge order — and therefore the
-/// thread count *and* the pool's morsel interleaving — invisible in the
-/// result).
-fn merge_ops(aggs: &[AggSpec]) -> Vec<MergeOp> {
-    aggs.iter()
-        .map(|a| match a.func {
-            AggFunc::Sum | AggFunc::Count => MergeOp::Add,
-            AggFunc::Min => MergeOp::Min,
-            AggFunc::Max => MergeOp::Max,
-        })
-        .collect()
-}
-
-/// Thread-local state of the scalar pipeline: accumulator slots, the
-/// stage's register file (allocated once in the morsel `init`) and, per
-/// join edge, the rows that reached and survived it — the counters of the
-/// `multijoin-probe(<parent>)` ops.
-struct ScalarAcc {
-    acc: Vec<i64>,
-    matched: usize,
-    /// Set when a sum accumulation wrapped; surfaced as
-    /// [`PlanError::Overflow`] after the merge.
-    overflow: bool,
-    /// Access-pattern counters (only touched at `MetricsLevel::Counters`+).
-    ctr: AccessCounters,
-    edge_in: Vec<u64>,
-    edge_out: Vec<u64>,
-    regs: Regs,
-}
-
-/// What the morsel workers of the scalar pipeline share: the bound program,
-/// the sinks selected for it and the join edges' membership structures.
-/// Built once per query, before any morsel is claimed.
-struct ScalarStage {
-    bound: BoundProgram,
-    sinks: ScalarSinks,
-    /// The one sum of a masked one-edge probe that takes the fused kernel
-    /// ([`ScalarSinks::fused_probe`]); `None` on every other stage, and when
-    /// counters are on — they need the folded mask the fused pass skips.
-    fused_probe: Option<FusedSum>,
-    /// Accumulator identities: `i64::MAX` / `i64::MIN` for min / max.
-    identities: Vec<i64>,
-    /// Each direct edge's membership structure with the FK that addresses
-    /// it, in probe order. Empty for a plain scan.
-    sides: Vec<(BuildSide, FkSource)>,
-}
-
-/// Bytes of one scalar-pipeline worker's scratch: the program's register
-/// file plus an in/out survivor counter per edge. Read by the executor's
-/// charge and by the verifier lowering alike.
-pub(crate) fn scalar_scratch_bytes(program: &TileProgram, n_edges: usize) -> usize {
-    program.scratch_bytes() + n_edges * 16
-}
-
-impl ScalarStage {
-    /// Worker state, its scratch charged before it is allocated.
-    fn worker(&self, gauge: &MemGauge) -> ScalarAcc {
-        let n_edges = self.sides.len();
-        charge_or_panic(gauge, scalar_scratch_bytes(self.bound.program(), n_edges));
-        ScalarAcc {
-            acc: self.identities.clone(),
-            matched: 0,
-            overflow: false,
-            ctr: AccessCounters::default(),
-            edge_in: vec![0; n_edges],
-            edge_out: vec![0; n_edges],
-            regs: Regs::new(self.bound.program()),
-        }
-    }
-}
-
-/// Fold per-worker scalar partials into one accumulator and their overflow
-/// flags into one. Zero matches anywhere leaves min/max at their identities,
-/// which flatten to the documented all-zero row.
-fn merge_scalar_partials(
-    aggs: &[AggSpec],
-    partials: Vec<ScalarAcc>,
-) -> Result<(Vec<i64>, bool), PlanError> {
-    let mut iter = partials.into_iter();
-    let first = iter
-        .next()
-        .ok_or_else(|| PlanError::ExecutionFailed("no worker partials to merge".into()))?;
-    let (mut acc, mut matched, mut overflow) = (first.acc, first.matched, first.overflow);
-    for p in iter {
-        matched += p.matched;
-        overflow |= p.overflow;
-        for (i, a) in aggs.iter().enumerate() {
-            match a.func {
-                AggFunc::Sum | AggFunc::Count => {
-                    let (s, wrapped) = acc[i].overflowing_add(p.acc[i]);
-                    acc[i] = s;
-                    overflow |= wrapped;
-                }
-                AggFunc::Min => acc[i] = acc[i].min(p.acc[i]),
-                AggFunc::Max => acc[i] = acc[i].max(p.acc[i]),
-            }
-        }
-    }
-    if matched == 0 {
-        acc.iter_mut().for_each(|v| *v = 0);
-    }
-    Ok((acc, overflow))
-}
-
-/// The morsel body of the scalar pipeline, monomorphized on `MASKED` so the
-/// tile loop carries no strategy or aggregate-function dispatch: the sinks
-/// were resolved when the stage was built. Masked, every edge's bitmap bit
-/// is ANDed into the filter mask and every lane aggregated (value masking,
-/// § III-A; the fully masked probe, § III-D) — or, for a stage with a
-/// [`ScalarStage::fused_probe`], the bit is multiplied in by the accumulate
-/// pass itself (`join::semijoin_sum_bitmap_masked`). Otherwise the filter's
-/// selection vector is narrowed edge by edge to the join hits and the
-/// survivors gathered. A plain scan is the zero-edge case of both.
-fn scalar_body<const MASKED: bool>(
-    stage: Arc<ScalarStage>,
-    counting: bool,
-) -> impl Fn(&mut ScalarAcc, usize, usize) + Send + Sync + 'static {
-    move |w: &mut ScalarAcc, m_start: usize, m_len: usize| {
-        if counting {
-            w.ctr.morsels += 1;
-            w.ctr.rows_in += m_len as u64;
-            if stage.bound.program().has_filter() {
-                w.ctr.predicate_evals += m_len as u64;
-            }
-        }
-        for tile in tiles_in(m_start, m_len) {
-            let (start, len) = tile;
-            stage.bound.run(&mut w.regs, start, len);
-            if let (true, Some(sum), [(BuildSide::Bitmap(bm), fk)]) =
-                (MASKED, stage.fused_probe, &stage.sides[..])
-            {
-                let fk = &fk.slice()[start..start + len];
-                let v = stage.bound.probe_masked(&w.regs, sum, fk, bm, tile);
-                w.acc[0] = w.acc[0].wrapping_add(v);
-                // Lanes aggregated, not lanes qualifying: all the merge asks
-                // is whether any were, and a sum over none is 0 either way.
-                w.matched += len;
-                continue;
-            }
-            // Lanes that reached the sinks or the first probe, and those
-            // that qualified.
-            let (reached, q) = if MASKED {
-                // Qualifying lanes so far (tracked only when counting).
-                let mut k = if counting && !stage.sides.is_empty() {
-                    predicate::mask_count(stage.bound.filter(&w.regs, len)) as u64
-                } else {
-                    0
-                };
-                for (ei, (side, fk)) in stage.sides.iter().enumerate() {
-                    let BuildSide::Bitmap(bm) = side else {
-                        unreachable!("a masked probe is planned over bitmap edges only")
-                    };
-                    let cmp = stage.bound.filter_mut(&mut w.regs, len);
-                    for (c, &pos) in cmp.iter_mut().zip(&fk.slice()[start..start + len]) {
-                        *c &= bm.get_bit(pos as usize) as u8;
-                    }
-                    if counting {
-                        // The edge's cardinalities are the qualifying rows,
-                        // though every lane probes the bitmap.
-                        w.edge_in[ei] += k;
-                        k = predicate::mask_count(cmp) as u64;
-                        w.edge_out[ei] += k;
-                        w.ctr.ht_probes += len as u64;
-                    }
-                }
-                let m = stage.bound.accumulate_masked(
-                    &mut w.regs,
-                    &stage.sinks,
-                    tile,
-                    &mut w.acc,
-                    &mut w.overflow,
-                );
-                (len, m)
-            } else {
-                let filtered = stage.bound.select(&mut w.regs, len);
-                let mut k = filtered;
-                for (ei, (side, fk)) in stage.sides.iter().enumerate() {
-                    if k == 0 {
-                        // Later edges see zero rows; skipping their zero
-                        // counter increments leaves identical totals.
-                        break;
-                    }
-                    let reaching = k as u64;
-                    k = narrow_selection(&mut w.regs.idx, k, &fk.slice()[start..start + len], side);
-                    if counting {
-                        w.edge_in[ei] += reaching;
-                        w.edge_out[ei] += k as u64;
-                        w.ctr.ht_probes += reaching;
-                    }
-                }
-                // Survivors are fully narrowed before accumulation, so
-                // min/max see only real qualifying rows.
-                stage.bound.accumulate_gather(
-                    &w.regs,
-                    &stage.sinks,
-                    tile,
-                    k,
-                    &mut w.acc,
-                    &mut w.overflow,
-                );
-                (filtered, k)
-            };
-            w.matched += q;
-            if counting {
-                w.ctr.rows_out += q as u64;
-                // Lanes aggregated (masked) or probed (selection vector)
-                // for nothing: the pullup's wasted work (§ III-A).
-                w.ctr.wasted_lanes += (reached - q) as u64;
-            }
-        }
-    }
-}
-
-/// Execute a scalar aggregation over `table` restricted by zero or more FK
-/// join edges: a plain scan, a two-table semijoin and a multi-way join are
-/// one pipeline at three arities. Builds one membership structure per
-/// direct edge (chains folded into the parent mask first), then runs
-/// [`scalar_body`] on morsel workers sharing them read-only.
-///
-/// The surviving row *set* per tile is order-independent (each edge is a
-/// pure membership filter), so results are bit-identical across probe
-/// orders and thread counts.
-#[allow(clippy::too_many_arguments)]
-fn exec_scalar_pipeline(
-    agg_op: &str,
-    table: &Arc<Table>,
-    program: &Arc<TileProgram>,
-    edges: &[BoundEdge],
-    aggs: &[AggSpec],
-    masked: bool,
-    opts: ExecOpts<'_>,
-    ctx: &Arc<ExecCtx>,
-) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
-    let counting = opts.level.counting();
-    let mut op_list = Vec::new();
-    let mut sides = Vec::with_capacity(edges.len());
-    for e in edges {
-        sides.push((build_edge_side(e, opts, ctx, &mut op_list)?, e.fk.clone()));
-    }
-    let t0 = opts.level.timing().then(Instant::now);
-    let sinks = scalar_sinks(program, aggs, masked, !opts.overflow_proved);
-    let stage = Arc::new(ScalarStage {
-        bound: program.bind(table)?,
-        fused_probe: sinks
-            .fused_probe()
-            .filter(|_| masked && edges.len() == 1 && !counting),
-        sinks,
-        identities: aggs
-            .iter()
-            .map(|a| match a.func {
-                AggFunc::Min => i64::MAX,
-                AggFunc::Max => i64::MIN,
-                AggFunc::Sum | AggFunc::Count => 0,
-            })
-            .collect(),
-        sides,
-    });
-    let init = {
-        let ctx = Arc::clone(ctx);
-        let stage = Arc::clone(&stage);
-        move || stage.worker(&ctx.gauge)
-    };
-    // The one strategy dispatch of the query: each arm runs a body compiled
-    // for it.
-    let (n, morsel_rows) = (table.len(), opts.morsel_rows);
-    let partials = if masked {
-        let body = scalar_body::<true>(stage, counting);
-        opts.executor.run_morsels(ctx, n, morsel_rows, init, body)
-    } else {
-        let body = scalar_body::<false>(stage, counting);
-        opts.executor.run_morsels(ctx, n, morsel_rows, init, body)
-    }?;
-    if counting {
-        let wall_nanos = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-        for (ei, e) in edges.iter().enumerate() {
-            let mut op = OpMetrics::named(format!("multijoin-probe({})", e.parent));
-            for p in &partials {
-                op.access.rows_in += p.edge_in[ei];
-                op.access.rows_out += p.edge_out[ei];
-            }
-            op.ht.probes = op.access.rows_in;
-            op.wall_nanos = wall_nanos;
-            op_list.push(op);
-        }
-        let mut agg = OpMetrics::named(agg_op);
-        for p in &partials {
-            agg.access.merge(&p.ctr);
-        }
-        agg.wall_nanos = wall_nanos;
-        op_list.push(agg);
-    }
-    // Provably-safe site: the bounds pass's value-range analysis covers
-    // exactly this accumulator (`AggInput` lowering). When the input
-    // column's statistics bound `|value| * rows` within i64, the site is
-    // counted in `PlanCertificate::overflow_safe_sites`, the stage ran the
-    // unchecked kernels and this branch is statically unreachable —
-    // `query_leveled` debug-asserts that.
-    let (acc, overflow) = merge_scalar_partials(aggs, partials)?;
-    if overflow {
-        return Err(PlanError::Overflow(format!(
-            "scalar aggregation in {agg_op}"
-        )));
-    }
-    Ok((
-        QueryResult {
-            columns: aggs.iter().map(|a| a.name.clone()).collect(),
-            rows: vec![acc],
-            metrics: None,
-            key_dict: None,
-        },
-        op_list,
-    ))
-}
-
-/// Thread-local state of the grouped pipeline: a private group table, the
-/// stage's register file and, when the pipeline joins through an edge, the
-/// rows that reached and survived it — the counters of the
-/// `multijoin-probe(<parent>)` op.
-struct GroupAcc<T> {
-    ht: T,
-    /// Bytes already charged to the gauge for this worker (scratch + table).
-    charged: usize,
-    /// Access-pattern counters (only touched at `MetricsLevel::Counters`+).
-    ctr: AccessCounters,
-    edge_in: u64,
-    edge_out: u64,
-    regs: Regs,
-}
-
-impl<T: GroupTable> GroupAcc<T> {
-    /// Worker state for `program` around a fresh table, its scratch and
-    /// the table charged before either is touched.
-    fn new(gauge: &MemGauge, program: &TileProgram, ht: T) -> GroupAcc<T> {
-        let charged = program.scratch_bytes() + ht.size_bytes();
-        charge_or_panic(gauge, charged);
-        GroupAcc {
-            ht,
-            charged,
-            ctr: AccessCounters::default(),
-            edge_in: 0,
-            edge_out: 0,
-            regs: Regs::new(program),
-        }
-    }
-
-    /// Charge hash-table growth since the last morsel boundary. `AggTable`
-    /// grows inside the (infallible) tile loop, so the charge is settled at
-    /// morsel granularity; a failed charge panics with the typed error and
-    /// is caught by the worker's isolation domain. (The dense table never
-    /// grows.)
-    fn charge_growth(&mut self, gauge: &MemGauge, program: &TileProgram) {
-        let now_bytes = program.scratch_bytes() + self.ht.size_bytes();
-        if now_bytes > self.charged {
-            charge_or_panic(gauge, now_bytes - self.charged);
-            self.charged = now_bytes;
-        }
-    }
-}
-
-/// The strategy of a grouped pipeline: a group-by's over zero edges, a
-/// groupjoin's over one.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum GroupMode {
-    By(AggStrategy),
-    Join(GroupJoinStrategy),
-}
-
-/// The register-fed fallback of the selection-vector bodies (hybrid
-/// group-by, groupjoin): upsert the rows the first `k` tile-local offsets of
-/// `regs.idx` select. The one grouped loop with `min` / `max`.
-fn upsert_selected<T: GroupTable, K: AsI64>(
-    ht: &mut T,
-    inputs: &[GroupIn],
-    regs: &Regs,
-    keys: &[K],
-    k: usize,
-) {
-    for &j in &regs.idx[..k] {
-        let j = j as usize;
-        let off = ht.entry(keys[j].widen());
-        for (i, input) in inputs.iter().enumerate() {
-            match *input {
-                // add() detects wraparound in the table's overflow flag.
-                GroupIn::Sum(r) => ht.add(off, i, regs.val(r)[j]),
-                GroupIn::Count => ht.add(off, i, 1),
-                // Only min/max ask whether the entry is fresh: the valid
-                // flags are an array of their own, and reading one per lane
-                // is a cache miss a large table's sums and counts would pay
-                // for nothing.
-                GroupIn::Min(r) => {
-                    let v = regs.val(r)[j];
-                    let fresh = !ht.is_valid(off);
-                    let s = &mut ht.states_mut()[off + i];
-                    *s = if fresh { v } else { (*s).min(v) };
-                }
-                GroupIn::Max(r) => {
-                    let v = regs.val(r)[j];
-                    let fresh = !ht.is_valid(off);
-                    let s = &mut ht.states_mut()[off + i];
-                    *s = if fresh { v } else { (*s).max(v) };
-                }
-            }
-        }
-        ht.set_valid(off);
-    }
-}
-
-/// The register-fed fallback of the every-lane bodies: each lane upserts
-/// its key. Value masking keeps the real key and multiplies the inputs by
-/// the lane's 0/1 mask; key masking (`key_masked`, the keys already masked)
-/// sends filtered-out lanes to the throwaway entry and adds unmasked values;
-/// eager aggregation is value masking under its all-ones mask. Sums and
-/// counts only: the planner gives these bodies no min/max.
-fn upsert_every_lane<T: GroupTable, K: AsI64>(
-    ht: &mut T,
-    inputs: &[GroupIn],
-    regs: &Regs,
-    keys: &[K],
-    cmp: &[u8],
-    key_masked: bool,
-) {
-    for (j, (&key, &c)) in keys.iter().zip(cmp).enumerate() {
-        let off = ht.entry(key.widen());
-        let m = if key_masked { 1 } else { c as i64 };
-        for (i, input) in inputs.iter().enumerate() {
-            let add = match *input {
-                // m is 0/1, so the product cannot overflow.
-                GroupIn::Sum(r) => regs.val(r)[j] * m,
-                GroupIn::Count => m,
-                GroupIn::Min(_) | GroupIn::Max(_) => unreachable!("planner invariant"),
-            };
-            // add() detects wraparound in the table's overflow flag.
-            ht.add(off, i, add);
-        }
-        // Branch-free: the throwaway entry's flag is ignored by the result
-        // iterator.
-        ht.or_valid(off, c);
-    }
-}
-
-/// Execute a grouped aggregation over `table` restricted by zero or one FK
-/// join edge: a group-by and a groupjoin (§ III-E) are one pipeline at two
-/// arities, as the scalar aggregations are in [`exec_scalar_pipeline`], and
-/// the edge's build side comes from the same [`build_edge_side`]. Each
-/// worker fills a private group table of the representation `group_table`
-/// names — the caller has already resolved it against the pinned tables'
-/// generations — and the pipeline is compiled once per representation.
-#[allow(clippy::too_many_arguments)]
-fn exec_grouped_pipeline(
-    op_name: &str,
-    table: &Arc<Table>,
-    program: &Arc<TileProgram>,
-    edges: &[BoundEdge],
-    group_by: &str,
-    aggs: &[AggSpec],
-    mode: GroupMode,
-    group_table: GroupTableRepr,
-    opts: ExecOpts<'_>,
-    ctx: &Arc<ExecCtx>,
-) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
-    let n_aggs = aggs.len();
-    let dense = matches!(group_table, GroupTableRepr::Dense { .. });
-    let stage = (op_name, table, program, edges, group_by, aggs, mode, dense);
-    match group_table {
-        GroupTableRepr::Hash => {
-            let capacity = AggTable::expected_group_keys(edges.first().map(|e| e.parent_t.len()));
-            let table = move || AggTable::with_capacity(n_aggs, capacity);
-            grouped_stage(stage, table, opts, ctx)
-        }
-        GroupTableRepr::Dense { min, max, .. } => {
-            let table = move || DenseAggTable::new(n_aggs, min, max);
-            grouped_stage(stage, table, opts, ctx)
-        }
-    }
-}
-
-/// What [`exec_grouped_pipeline`] runs: operator name, scanned table and its
-/// program, the bound edges, the key column's name, the aggregates, the
-/// strategy and whether the group tables are dense (for the metrics).
-type GroupedStage<'a> = (
-    &'a str,
-    &'a Arc<Table>,
-    &'a Arc<TileProgram>,
-    &'a [BoundEdge],
-    &'a str,
-    &'a [AggSpec],
-    GroupMode,
-    bool,
-);
-
-/// [`exec_grouped_pipeline`] over one group-table representation. The sink
-/// is chosen once, before any morsel is claimed, from (`mode`, aggregate
-/// shape, `T`): for a single sum the tile body is the filter prepass, then
-/// `select` / `mask_keys` / nothing, then one upsert kernel reading key and
-/// operands as column slices; anything else takes the register-fed loops.
-///
-/// The hybrid group-by upserts the tile's selection vector; the groupjoin is
-/// that body with the selection narrowed through the edge first. Eager
-/// aggregation upserts every lane, as the masked group-bys do but with no
-/// mask, and consults the edge once, after the merge, to delete the keys
-/// whose parent does not qualify.
-fn grouped_stage<T: GroupTable + Send + 'static>(
-    (op_name, table, program, edges, group_by, aggs, mode, dense): GroupedStage<'_>,
-    new_table: impl Fn() -> T + Send + Sync + 'static,
-    opts: ExecOpts<'_>,
-    ctx: &Arc<ExecCtx>,
-) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
-    debug_assert!(edges.len() <= 1, "the planner groups over at most one edge");
-    let n = table.len();
-    let counting = opts.level.counting();
-    let mut op_list = Vec::new();
-    let edge = match edges.first() {
-        Some(e) => Some(Arc::new((
-            build_edge_side(e, opts, ctx, &mut op_list)?,
-            e.fk.clone(),
-        ))),
-        None => None,
-    };
-    let t0 = opts.level.timing().then(Instant::now);
-    let bound = Arc::new(program.bind(table)?);
-    let sink = group_sink(program, aggs);
-    let init = {
-        let ctx = Arc::clone(ctx);
-        let program = Arc::clone(program);
-        move || GroupAcc::new(&ctx.gauge, &program, new_table())
-    };
-    let body = {
-        let ctx = Arc::clone(ctx);
-        let edge = edge.clone();
-        move |w: &mut GroupAcc<T>, m_start: usize, m_len: usize| {
-            if counting {
-                w.ctr.morsels += 1;
-                w.ctr.rows_in += m_len as u64;
-                if bound.program().has_filter() {
-                    w.ctr.predicate_evals += m_len as u64;
-                }
-            }
-            for tile in tiles_in(m_start, m_len) {
-                let (start, len) = tile;
-                bound.run(&mut w.regs, start, len);
-                let edge = edge
-                    .as_deref()
-                    .map(|(side, fk)| (side, &fk.slice()[start..start + len]));
-                // The group key at native width: the raw FK slice the edge
-                // is probed through, or the key column.
-                let keys = match edge {
-                    Some((_, fk)) => Lane::U32(fk),
-                    None => bound.key_lane(start, len),
-                };
-                match mode {
-                    GroupMode::By(AggStrategy::Hybrid)
-                    | GroupMode::Join(GroupJoinStrategy::GroupJoin) => {
-                        let mut k = bound.select(&mut w.regs, len);
-                        if let Some((side, fk)) = edge {
-                            let reaching = k as u64;
-                            k = narrow_selection(&mut w.regs.idx, k, fk, side);
-                            if counting {
-                                w.edge_in += reaching;
-                                w.edge_out += k as u64;
-                            }
-                        }
-                        if counting {
-                            w.ctr.rows_out += k as u64;
-                            w.ctr.ht_probes += k as u64;
-                        }
-                        let GroupAcc { ht, regs, .. } = &mut *w;
-                        match &sink {
-                            GroupSink::Kernel(sum) => {
-                                bound.upsert_gather(regs, *sum, keys, tile, k, ht)
-                            }
-                            GroupSink::Registers(inputs) => with_lane!(keys, |keys| {
-                                upsert_selected(ht, inputs, regs, keys, k)
-                            }),
-                        }
-                    }
-                    GroupMode::Join(GroupJoinStrategy::EagerAggregation) => {
-                        let (side, fk) = edge.expect("eager aggregation is a grouped join");
-                        if counting {
-                            // Eager aggregation touches every probe row
-                            // (§ III-E); rows whose parent fails the build
-                            // filter are aggregated then deleted — wasted.
-                            let q: u64 = fk.iter().map(|&p| side.hit(p as usize) as u64).sum();
-                            w.edge_in += len as u64;
-                            w.edge_out += q;
-                            w.ctr.rows_out += q;
-                            w.ctr.wasted_lanes += len as u64 - q;
-                            w.ctr.ht_probes += len as u64;
-                        }
-                        let GroupAcc { ht, regs, .. } = &mut *w;
-                        match &sink {
-                            GroupSink::Kernel(sum) => bound.upsert_eager(regs, *sum, fk, tile, ht),
-                            // The planner gives eager aggregation no
-                            // probe-side filter: the mask is all ones.
-                            GroupSink::Registers(inputs) => upsert_every_lane(
-                                ht,
-                                inputs,
-                                regs,
-                                fk,
-                                bound.filter(regs, len),
-                                false,
-                            ),
-                        }
-                    }
-                    GroupMode::By(strategy) => {
-                        let key_masked = strategy == AggStrategy::KeyMasking;
-                        let GroupAcc { ht, regs, ctr, .. } = &mut *w;
-                        if counting {
-                            // The one counter the masked kernels do not
-                            // already produce: qualifying-lane count (the
-                            // budgeted extra mask_count per tile).
-                            let m = predicate::mask_count(bound.filter(regs, len));
-                            ctr.rows_out += m as u64;
-                            ctr.wasted_lanes += (len - m) as u64;
-                            ctr.ht_probes += len as u64;
-                        }
-                        // Key masking sends filtered-out lanes to the
-                        // throwaway entry and adds unmasked values; value
-                        // masking keeps the key and multiplies by the mask.
-                        match (&sink, key_masked) {
-                            (GroupSink::Kernel(sum), true) => {
-                                bound.upsert_key_masked(regs, *sum, keys, tile, ht)
-                            }
-                            (GroupSink::Kernel(sum), false) => {
-                                bound.upsert_value_masked(regs, *sum, keys, tile, ht)
-                            }
-                            (GroupSink::Registers(inputs), true) => {
-                                bound.mask_keys(regs, keys);
-                                let cmp = bound.filter(regs, len);
-                                upsert_every_lane(ht, inputs, regs, &regs.tmp[..len], cmp, true)
-                            }
-                            (GroupSink::Registers(inputs), false) => {
-                                let cmp = bound.filter(regs, len);
-                                with_lane!(keys, |keys| {
-                                    upsert_every_lane(ht, inputs, regs, keys, cmp, false)
-                                })
-                            }
-                        }
-                    }
-                }
-            }
-            w.charge_growth(&ctx.gauge, bound.program());
-        }
-    };
-    let partials = opts
-        .executor
-        .run_morsels(ctx, n, opts.morsel_rows, init, body)?;
-    // Snapshot worker counters BEFORE the merge: merge_from probes through
-    // self.entry(), which would contaminate the merged table's counters
-    // with merge traffic that never touched base data.
-    let agg_op = counting.then(|| {
-        let mut op = OpMetrics::named(op_name);
-        op.ht_dense = dense;
-        for p in &partials {
-            op.access.merge(&p.ctr);
-            op.ht.merge(&p.ht.counters());
-        }
-        op
-    });
-    let probe_op = edges.first().filter(|_| counting).map(|e| {
-        let mut op = OpMetrics::named(format!("multijoin-probe({})", e.parent));
-        for p in &partials {
-            op.access.rows_in += p.edge_in;
-            op.access.rows_out += p.edge_out;
-        }
-        op.ht.probes = op.access.rows_in;
-        op
-    });
-    let ops = merge_ops(aggs);
-    let mut iter = partials.into_iter();
-    let mut ht = iter
-        .next()
-        .ok_or_else(|| PlanError::ExecutionFailed("no worker partials to merge".into()))?
-        .ht;
-    for p in iter {
-        ht.merge_from(&p.ht, &ops);
-    }
-    if let (GroupMode::Join(GroupJoinStrategy::EagerAggregation), Some(edge)) = (mode, &edge) {
-        // Inverted predicate deletes non-qualifying keys (§ III-E) — after
-        // the merge, so the reconciliation happens exactly once.
-        for pos in 0..edges[0].parent_t.len() {
-            if edge.0.hit(pos) == 0 {
-                ht.delete(pos as i64);
-            }
-        }
-    }
-    if ht.overflow_detected() {
-        // The masked strategies aggregate filtered-out tuples too (wasted
-        // work, § III-A), and eager aggregation sums groups it then deletes,
-        // so the wraparound may be spurious — the caller retries under the
-        // data-centric strategy.
-        return Err(PlanError::Overflow(format!(
-            "grouped aggregation in {op_name}"
-        )));
-    }
-    if let Some(mut agg) = agg_op {
-        let wall_nanos = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-        if let Some(mut probe) = probe_op {
-            probe.wall_nanos = wall_nanos;
-            op_list.push(probe);
-        }
-        // Per-worker insert counts depend on the morsel partition (several
-        // workers insert the same key); the merged table's final key count
-        // — after any deletion — is the deterministic figure the analyze
-        // output reports.
-        agg.ht.inserts = ht.len() as u64;
-        agg.wall_nanos = wall_nanos;
-        op_list.push(agg);
-    }
-    let key_dict = table
-        .column(group_by)
-        .and_then(|c| c.as_dict())
-        .map(|d| Arc::new(d.dictionary().to_vec()));
-    Ok((rows_from_table(group_by, aggs, &ht, key_dict), op_list))
-}
-
-fn rows_from_table(
-    key_name: &str,
-    aggs: &[AggSpec],
-    ht: &impl GroupTable,
-    key_dict: Option<Arc<Vec<String>>>,
-) -> QueryResult {
-    // Sized once for every stored key (valid or not): a filtered iterator
-    // has no lower size hint, and a large result would otherwise be copied
-    // through a run of doubling reallocations.
-    let mut rows: Vec<Vec<i64>> = Vec::with_capacity(ht.len());
-    rows.extend(
-        ht.iter()
-            .filter(|&(_, _, valid)| valid)
-            .map(|(key, state, _)| {
-                let mut row = Vec::with_capacity(1 + aggs.len());
-                row.push(key);
-                row.extend_from_slice(state);
-                row
-            }),
-    );
-    rows.sort_unstable();
-    let mut columns = vec![key_name.to_string()];
-    columns.extend(aggs.iter().map(|a| a.name.clone()));
-    QueryResult {
-        columns,
-        rows,
-        metrics: None,
-        key_dict,
-    }
-}
-
-/// Thread-local state of a whole-table filter scan: the stage's register
-/// file plus the worker's output, appended morsel by morsel, and where
-/// each claimed morsel's part of it starts.
-struct ScanAcc<T> {
-    regs: Regs,
-    out: Vec<T>,
-    /// `(morsel start row, offset into out, length)` per claimed morsel.
-    segs: Vec<(usize, usize, usize)>,
-    ctr: AccessCounters,
-}
-
-impl<T> ScanAcc<T> {
-    fn new(gauge: &MemGauge, program: &TileProgram) -> ScanAcc<T> {
-        charge_or_panic(gauge, program.scratch_bytes());
-        ScanAcc {
-            regs: Regs::new(program),
-            out: Vec::new(),
-            segs: Vec::new(),
-            ctr: AccessCounters::default(),
-        }
-    }
-}
-
-/// Stitch the workers' segments back into table order. The segments form
-/// an exact disjoint cover of the scanned table, so the result is
-/// identical to a sequential scan regardless of which worker claimed what.
-fn stitch<T: Copy>(partials: &[ScanAcc<T>], capacity: usize) -> Vec<T> {
-    let mut segs: Vec<(usize, &[T])> = partials
-        .iter()
-        .flat_map(|p| {
-            p.segs
-                .iter()
-                .map(|&(start, off, len)| (start, &p.out[off..off + len]))
-        })
-        .collect();
-    segs.sort_unstable_by_key(|(start, _)| *start);
-    let mut out = Vec::with_capacity(capacity);
-    for (_, seg) in segs {
-        out.extend_from_slice(seg);
-    }
-    out
-}
-
-/// Evaluate the build-side predicate mask over the whole build table on
-/// morsel workers.
-fn build_mask(
-    build: &Arc<Table>,
-    program: &Arc<TileProgram>,
-    opts: ExecOpts<'_>,
-    ctx: &Arc<ExecCtx>,
-) -> Result<Vec<u8>, PlanError> {
-    let n = build.len();
-    ctx.gauge.try_charge(n)?;
-    let bound = program.bind(build)?;
-    let init = {
-        let ctx = Arc::clone(ctx);
-        let program = Arc::clone(program);
-        move || ScanAcc::<u8>::new(&ctx.gauge, &program)
-    };
-    let body = move |w: &mut ScanAcc<u8>, m_start: usize, m_len: usize| {
-        w.segs.push((m_start, w.out.len(), m_len));
-        for (start, len) in tiles_in(m_start, m_len) {
-            bound.run(&mut w.regs, start, len);
-            w.out.extend_from_slice(bound.filter(&w.regs, len));
-        }
-    };
-    let partials = opts
-        .executor
-        .run_morsels(ctx, n, opts.morsel_rows, init, body)?;
-    Ok(stitch(&partials, n))
-}
-
-/// Materialize a membership structure over `n` build positions from their
-/// qualifying mask, charging each pullup temporary (key-set storage,
-/// selection vector, bitmap words) to the gauge before it is built.
-fn build_side_from_mask(
-    mask: &[u8],
-    strategy: SemiJoinStrategy,
-    opts: ExecOpts<'_>,
-    ctx: &Arc<ExecCtx>,
-) -> Result<BuildSide, PlanError> {
-    let n = mask.len();
-    let bitmap_bytes = PositionalBitmap::bytes_for(n);
-    Ok(match strategy {
-        SemiJoinStrategy::Hash => {
-            let mut set = KeySet::for_build(n);
-            let before = set.size_bytes();
-            ctx.gauge.try_charge(before)?;
-            for (pos, &c) in mask.iter().enumerate() {
-                if c != 0 {
-                    set.insert(pos as i64);
-                }
-            }
-            if set.size_bytes() > before {
-                ctx.gauge.try_charge(set.size_bytes() - before)?;
-            }
-            BuildSide::Set(set)
-        }
-        SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional) => {
-            ctx.gauge.try_charge(bitmap_bytes)?;
-            BuildSide::Bitmap(PositionalBitmap::from_predicate_bytes_parallel(
-                mask,
-                opts.threads,
-            ))
-        }
-        SemiJoinStrategy::PositionalBitmap(BitmapBuild::SelectionVector) => {
-            let mut sel = Vec::new();
-            for (start, len) in tiles(n) {
-                selvec::append_nobranch(&mask[start..start + len], start as u32, &mut sel);
-            }
-            ctx.gauge.try_charge(sel.len() * 4 + bitmap_bytes)?;
-            BuildSide::Bitmap(PositionalBitmap::from_selection(n, &sel))
-        }
-    })
-}
-
-impl BuildSide {
-    /// 1 when build position `pos` qualifies.
-    #[inline]
-    fn hit(&self, pos: usize) -> usize {
-        match self {
-            BuildSide::Set(set) => set.contains(pos as i64) as usize,
-            BuildSide::Bitmap(bm) => bm.get_bit(pos) as usize,
-        }
-    }
-
-    /// Record the structure's footprint on its build operator.
-    fn describe(&self, op: &mut OpMetrics) {
-        match self {
-            BuildSide::Set(set) => {
-                op.ht.inserts = set.len() as u64;
-                op.ht.bytes_allocated = set.size_bytes() as u64;
-            }
-            BuildSide::Bitmap(bm) => {
-                op.bitmap_bits_set = bm.count_ones() as u64;
-                op.bitmap_words = bm.word_count() as u64;
-            }
-        }
-    }
-}
-
-/// Narrow the first `k` tile-local offsets of `idx` to the rows whose FK
-/// position hits `side`, compacting in place (the write cursor trails the
-/// read cursor, so no unread slot is overwritten). Returns the survivors.
-#[inline]
-fn narrow_selection(idx: &mut [u32], k: usize, fk: &[u32], side: &BuildSide) -> usize {
-    let mut kk = 0usize;
-    for t in 0..k {
-        let j = idx[t];
-        idx[kk] = j;
-        kk += side.hit(fk[j as usize] as usize);
-    }
-    kk
-}
-
-/// Qualifying mask of a join edge's parent: the parent's own filter ANDed
-/// with every nested child edge's mask, folded through the child's FK
-/// gather. Pushes one `multijoin-build(<parent>)` op for this edge, then
-/// the nested edges' ops in order.
-fn edge_parent_mask(
-    e: &BoundEdge,
-    opts: ExecOpts<'_>,
-    ctx: &Arc<ExecCtx>,
-    ops: &mut Vec<OpMetrics>,
-) -> Result<Vec<u8>, PlanError> {
-    let t0 = opts.level.timing().then(Instant::now);
-    let mut mask = build_mask(&e.parent_t, &e.parent_program, opts, ctx)?;
-    let mut nested_ops = Vec::new();
-    for c in &e.children {
-        let child_mask = edge_parent_mask(c, opts, ctx, &mut nested_ops)?;
-        let fk = c.fk.slice();
-        // The fold runs over the parent (dimension) table, which the cost
-        // model already priced into the edge's build cost.
-        for (i, m) in mask.iter_mut().enumerate() {
-            *m &= child_mask[fk[i] as usize];
-        }
-    }
-    if opts.level.counting() {
-        let mut op = OpMetrics::named(format!("multijoin-build({})", e.parent));
-        op.access.rows_in = e.parent_t.len() as u64;
-        if e.parent_program.has_filter() {
-            op.access.predicate_evals = e.parent_t.len() as u64;
-        }
-        op.access.rows_out = predicate::mask_count(&mask) as u64;
-        op.wall_nanos = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-        ops.push(op);
-        ops.append(&mut nested_ops);
-    }
-    Ok(mask)
-}
-
-/// Materialize one direct edge's membership structure from its (fully
-/// chain-restricted) parent mask. Enriches the edge's own build op with the
-/// structure's footprint.
-fn build_edge_side(
-    e: &BoundEdge,
-    opts: ExecOpts<'_>,
-    ctx: &Arc<ExecCtx>,
-    ops: &mut Vec<OpMetrics>,
-) -> Result<BuildSide, PlanError> {
-    let self_op_at = ops.len();
-    let mask = edge_parent_mask(e, opts, ctx, ops)?;
-    let side = build_side_from_mask(&mask, e.strategy, opts, ctx)?;
-    if let Some(op) = ops.get_mut(self_op_at) {
-        side.describe(op);
-    }
-    Ok(side)
-}
-
-/// Materialize every output of `program` for the (ascending) qualifying
-/// row ids, one pass over the tiles that hold any, through the same tile
-/// evaluation as the aggregate paths — so dictionary codes, decimals and
-/// CASE expressions behave exactly as they do there. The register file is
-/// the pass's one temporary; it is charged before it is allocated.
-fn gather_columns(
-    table: &Arc<Table>,
-    program: &Arc<TileProgram>,
-    n_outputs: usize,
-    row_ids: &[u32],
-    ctx: &ExecCtx,
-) -> Result<Vec<Vec<i64>>, PlanError> {
-    let bound = program.bind(table)?;
-    ctx.gauge.try_charge(program.scratch_bytes())?;
-    let mut regs = Regs::new(program);
-    let mut out: Vec<Vec<i64>> = (0..n_outputs)
-        .map(|_| Vec::with_capacity(row_ids.len()))
-        .collect();
-    let mut i = 0;
-    for (start, len) in tiles(table.len()) {
-        if i >= row_ids.len() {
-            break;
-        }
-        let end = start + len;
-        let i0 = i;
-        while i < row_ids.len() && (row_ids[i] as usize) < end {
-            i += 1;
-        }
-        if i == i0 {
-            continue;
-        }
-        bound.run(&mut regs, start, len);
-        for (o, col) in out.iter_mut().enumerate() {
-            let v = regs.val(program.output_reg(o));
-            col.extend(row_ids[i0..i].iter().map(|&r| v[r as usize - start]));
-        }
-    }
-    Ok(out)
-}
-
-/// True when two qualifying rows are window-order peers (equal on every
-/// order key; direction is irrelevant for equality).
-fn order_peers(ord: &[Vec<i64>], a: usize, b: usize) -> bool {
-    ord.iter().all(|k| k[a] == k[b])
-}
-
-/// Execute a window pipeline: parallel filter to a selection vector, then
-/// a deterministic sequential sort + frame pass. Frame sums use wrapping
-/// arithmetic, and the sequential frame scan's subtract-on-evict is the
-/// exact inverse of its add (mod 2^64), so both strategies produce
-/// bit-identical outputs at any thread count.
-#[allow(clippy::too_many_arguments)]
-fn exec_window(
-    op_name: &str,
-    table: &Arc<Table>,
-    scan_program: &Arc<TileProgram>,
-    gather_program: &Arc<TileProgram>,
-    partition_by: Option<&str>,
-    order_by: &[SortKey],
-    frame: FrameSpec,
-    funcs: &[WindowFnSpec],
-    select: &[String],
-    strategy: WindowStrategy,
-    opts: ExecOpts<'_>,
-    ctx: &Arc<ExecCtx>,
-) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
-    let n = table.len();
-    let counting = opts.level.counting();
-    let t0 = opts.level.timing().then(Instant::now);
-    // Phase 1: qualifying-row selection vector, produced on morsel workers.
-    ctx.gauge.try_charge(n.saturating_mul(4))?;
-    let bound = scan_program.bind(table)?;
-    let init = {
-        let ctx = Arc::clone(ctx);
-        let program = Arc::clone(scan_program);
-        move || ScanAcc::<u32>::new(&ctx.gauge, &program)
-    };
-    let body = move |w: &mut ScanAcc<u32>, m_start: usize, m_len: usize| {
-        if counting {
-            w.ctr.morsels += 1;
-            w.ctr.rows_in += m_len as u64;
-            if bound.program().has_filter() {
-                w.ctr.predicate_evals += m_len as u64;
-            }
-        }
-        let off = w.out.len();
-        for (start, len) in tiles_in(m_start, m_len) {
-            bound.run(&mut w.regs, start, len);
-            selvec::append_nobranch(bound.filter(&w.regs, len), start as u32, &mut w.out);
-        }
-        let found = w.out.len() - off;
-        if counting {
-            w.ctr.rows_out += found as u64;
-        }
-        w.segs.push((m_start, off, found));
-    };
-    let partials = opts
-        .executor
-        .run_morsels(ctx, n, opts.morsel_rows, init, body)?;
-    let mut op = counting.then(|| OpMetrics::named(op_name));
-    if let Some(op) = op.as_mut() {
-        for p in &partials {
-            op.access.merge(&p.ctr);
-        }
-    }
-    let row_ids: Vec<u32> = stitch(&partials, 0);
-    drop(partials);
-    let m = row_ids.len();
-
-    // Phase 2: materialize partition key, order keys, projected columns and
-    // function inputs for the qualifying rows (charged up front).
-    let n_mat = 1 + order_by.len() + select.len() + funcs.len();
-    ctx.gauge
-        .try_charge(m.saturating_mul(8).saturating_mul(n_mat))?;
-    let n_inputs = funcs.iter().filter(|f| f.expr.is_some()).count();
-    let n_gathered = usize::from(partition_by.is_some()) + order_by.len() + select.len() + n_inputs;
-    let mut gathered =
-        gather_columns(table, gather_program, n_gathered, &row_ids, ctx)?.into_iter();
-    let mut take = |k: usize| -> Vec<Vec<i64>> { gathered.by_ref().take(k).collect() };
-    let part: Vec<i64> = match partition_by {
-        Some(_) => take(1).pop().expect("partition key was lowered"),
-        None => vec![0; m],
-    };
-    let ord = take(order_by.len());
-    let sel_cols = take(select.len());
-    let inputs: Vec<Vec<i64>> = funcs
-        .iter()
-        .map(|f| match &f.expr {
-            Some(_) => take(1).pop().expect("function input was lowered"),
-            None => vec![1; m],
-        })
-        .collect();
-
-    // Phase 3: the window order — (partition, order keys, row id). The
-    // trailing row id breaks every tie, so the permutation is unique and
-    // the comparator total: `sort_unstable` is deterministic here.
-    let mut perm: Vec<u32> = (0..m as u32).collect();
-    perm.sort_unstable_by(|&ai, &bi| {
-        let (a, b) = (ai as usize, bi as usize);
-        let mut o = part[a].cmp(&part[b]);
-        if o != std::cmp::Ordering::Equal {
-            return o;
-        }
-        for (k, key) in order_by.iter().zip(&ord) {
-            o = key[a].cmp(&key[b]);
-            if k.desc {
-                o = o.reverse();
-            }
-            if o != std::cmp::Ordering::Equal {
-                return o;
-            }
-        }
-        row_ids[a].cmp(&row_ids[b])
-    });
-
-    // Phase 4: frame computation per partition run, in window order.
-    // `extra_touches` counts frame-state reads beyond one sequential pass —
-    // the window analogue of wasted lanes (re-evaluation re-reads, and the
-    // sliding frame's evictions), reported deterministically.
-    let mut outputs: Vec<Vec<i64>> = funcs.iter().map(|_| vec![0i64; m]).collect();
-    let mut extra_touches: u64 = 0;
-    let mut run_start = 0usize;
-    while run_start < m {
-        let mut run_end = run_start + 1;
-        while run_end < m && part[perm[run_end] as usize] == part[perm[run_start] as usize] {
-            run_end += 1;
-        }
-        let len = run_end - run_start;
-        for (fi, f) in funcs.iter().enumerate() {
-            let val = |i: usize| -> i64 {
-                match f.func {
-                    WindowFunc::Sum => inputs[fi][perm[run_start + i] as usize],
-                    _ => 1,
-                }
-            };
-            match f.func {
-                WindowFunc::RowNumber => {
-                    for i in 0..len {
-                        outputs[fi][run_start + i] = (i + 1) as i64;
-                    }
-                }
-                WindowFunc::Rank => {
-                    let mut rank = 1i64;
-                    for i in 0..len {
-                        if i > 0
-                            && !order_peers(
-                                &ord,
-                                perm[run_start + i - 1] as usize,
-                                perm[run_start + i] as usize,
-                            )
-                        {
-                            rank = (i + 1) as i64;
-                        }
-                        outputs[fi][run_start + i] = rank;
-                    }
-                }
-                WindowFunc::Sum | WindowFunc::Count => match strategy {
-                    WindowStrategy::SequentialFrameScan => match frame {
-                        FrameSpec::WholePartition => {
-                            let mut total = 0i64;
-                            for i in 0..len {
-                                total = total.wrapping_add(val(i));
-                            }
-                            for i in 0..len {
-                                outputs[fi][run_start + i] = total;
-                            }
-                        }
-                        FrameSpec::UnboundedPreceding => {
-                            let mut acc = 0i64;
-                            for i in 0..len {
-                                acc = acc.wrapping_add(val(i));
-                                outputs[fi][run_start + i] = acc;
-                            }
-                        }
-                        FrameSpec::Preceding(k) => {
-                            let mut acc = 0i64;
-                            for i in 0..len {
-                                acc = acc.wrapping_add(val(i));
-                                if i > k {
-                                    // Exact inverse of the add (mod 2^64):
-                                    // evicting restores the k-row frame sum
-                                    // bit-for-bit.
-                                    acc = acc.wrapping_sub(val(i - k - 1));
-                                    extra_touches += 1;
-                                }
-                                outputs[fi][run_start + i] = acc;
-                            }
-                        }
-                    },
-                    WindowStrategy::ConditionalReeval => {
-                        for i in 0..len {
-                            let lo = match frame {
-                                FrameSpec::WholePartition => 0,
-                                FrameSpec::UnboundedPreceding => 0,
-                                FrameSpec::Preceding(k) => i.saturating_sub(k),
-                            };
-                            let hi = match frame {
-                                FrameSpec::WholePartition => len - 1,
-                                _ => i,
-                            };
-                            let mut acc = 0i64;
-                            for j in lo..=hi {
-                                acc = acc.wrapping_add(val(j));
-                            }
-                            extra_touches += (hi - lo) as u64;
-                            outputs[fi][run_start + i] = acc;
-                        }
-                    }
-                },
-            }
-        }
-        run_start = run_end;
-    }
-
-    // Phase 5: assemble rows in window order (itself deterministic).
-    let mut rows = Vec::with_capacity(m);
-    for i in 0..m {
-        let src = perm[i] as usize;
-        let mut row = Vec::with_capacity(select.len() + funcs.len());
-        for c in &sel_cols {
-            row.push(c[src]);
-        }
-        for out in &outputs {
-            row.push(out[i]);
-        }
-        rows.push(row);
-    }
-    let mut columns: Vec<String> = select.to_vec();
-    columns.extend(funcs.iter().map(|f| f.name.clone()));
-    let key_dict = select
-        .first()
-        .and_then(|c| table.column(c))
-        .and_then(|c| c.as_dict())
-        .map(|d| Arc::new(d.dictionary().to_vec()));
-    if let Some(op) = op.as_mut() {
-        op.access.wasted_lanes += extra_touches;
-        op.wall_nanos = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-    }
-    Ok((
-        QueryResult {
-            columns,
-            rows,
-            metrics: None,
-            key_dict,
-        },
-        op.into_iter().collect(),
-    ))
 }

@@ -1,0 +1,301 @@
+//! The aggregation pipeline: one morsel driver for every technique of the
+//! paper (§ III-A – III-E). Each tile runs the stage's program (the
+//! predicate prepass and the aggregate inputs), the front end restricts it
+//! through the join edges, and the sink folds what is left:
+//!
+//! ```text
+//!  front end                      per edge                    sink
+//!  Select     filter → idx        narrow idx to the hits      selected(k)
+//!  Mask       filter mask         AND the bitmap bit in       masked()
+//!  EveryLane  —                   —                           every_lane()
+//! ```
+//!
+//! A plain scan is the zero-edge case of every row. The loop is compiled
+//! once per (front end, sink) pair, so the tile body carries no strategy,
+//! aggregate-function or table-representation dispatch.
+
+use std::sync::Arc;
+use std::time::Instant;
+
+use super::build::{build_edge_side, narrow_selection, BuildSide};
+use super::sinks::{GroupedSink, ScalarSink, Sink};
+use super::{BoundEdge, ExecOpts, FkSource};
+use crate::engine::QueryResult;
+use crate::error::PlanError;
+use crate::metrics::OpMetrics;
+use crate::physical::{AggShape, FrontEnd, GroupTableRepr};
+use crate::tile::{scalar_sinks, BoundProgram, Regs};
+use swole_ht::{AggTable, DenseAggTable};
+use swole_kernels::{predicate, tiles_in, AccessCounters};
+use swole_runtime::ExecCtx;
+use swole_storage::Table;
+
+/// One aggregation as the driver runs it: the planned shape with its table
+/// and direct edges (in probe order) pinned.
+#[derive(Clone, Copy)]
+pub(crate) struct AggStage<'a> {
+    pub shape: &'a AggShape,
+    pub table: &'a Arc<Table>,
+    pub edges: &'a [BoundEdge<'a>],
+}
+
+/// [`FrontEnd`] as the driver's const parameter.
+const SELECT: u8 = FrontEnd::Select as u8;
+const MASK: u8 = FrontEnd::Mask as u8;
+const EVERY_LANE: u8 = FrontEnd::EveryLane as u8;
+
+/// Each direct edge's membership structure with the FK that addresses it,
+/// in probe order.
+pub(super) type Sides = [(BuildSide, FkSource)];
+
+/// One tile as a sink sees it: the program that has just run over rows
+/// `at = (start, len)`, and the edges' build sides.
+#[derive(Clone, Copy)]
+pub(super) struct Tile<'a> {
+    pub bound: &'a BoundProgram,
+    pub sides: &'a Sides,
+    pub at: (usize, usize),
+}
+
+/// What the morsel workers share: the bound program, the edges' build
+/// sides and the sink. Built once per query, before any morsel is claimed.
+struct Shared<S> {
+    bound: BoundProgram,
+    sides: Vec<(BuildSide, FkSource)>,
+    sink: S,
+}
+
+/// Thread-local state of the driver: the sink's accumulator, the stage's
+/// register file (allocated once in the morsel `init`) and the counters.
+struct Worker<A> {
+    acc: A,
+    regs: Regs,
+    /// Access-pattern counters (only touched at `MetricsLevel::Counters`+).
+    ctr: AccessCounters,
+    /// Per edge, the rows that reached and survived it — the counters of
+    /// the `multijoin-probe(<parent>)` ops. Empty unless counting.
+    edge: Vec<(u64, u64)>,
+}
+
+/// Execute an aggregation: pick the sink and the group-table representation
+/// (`group_table`, already resolved against the pinned tables' generations),
+/// then run the driver compiled for them. The surviving row *set* per tile
+/// is order-independent (each edge is a pure membership filter), so results
+/// are bit-identical across probe orders and thread counts.
+pub(crate) fn exec_agg(
+    stage: AggStage<'_>,
+    group_table: GroupTableRepr,
+    opts: ExecOpts<'_>,
+    ctx: &Arc<ExecCtx>,
+) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
+    let shape = stage.shape;
+    let front = shape.mode.front_end(shape.group.is_some());
+    let counting = opts.level.counting();
+    let Some(sink) = shape.group_sink.clone() else {
+        let masked = front == FrontEnd::Mask;
+        let sinks = scalar_sinks(&shape.program, &shape.aggs, masked, !opts.overflow_proved);
+        let fused_probe = sinks
+            .fused_probe()
+            .filter(|_| masked && stage.edges.len() == 1 && !counting);
+        // The fused pass does its own restricting.
+        let front = fused_probe.map_or(front, |_| FrontEnd::EveryLane);
+        return drive(stage, front, ScalarSink { sinks, fused_probe }, opts, ctx);
+    };
+    let (n_aggs, mode) = (shape.aggs.len(), shape.mode);
+    match group_table {
+        GroupTableRepr::Hash => {
+            let parent_rows = stage.edges.first().map(|e| e.parent_t.len());
+            let capacity = AggTable::expected_group_keys(parent_rows);
+            let sink = GroupedSink {
+                new_table: move || AggTable::with_capacity(n_aggs, capacity),
+                dense: false,
+                sink,
+                mode,
+                counting,
+            };
+            drive(stage, front, sink, opts, ctx)
+        }
+        GroupTableRepr::Dense { min, max, .. } => {
+            let sink = GroupedSink {
+                new_table: move || DenseAggTable::new(n_aggs, min, max),
+                dense: true,
+                sink,
+                mode,
+                counting,
+            };
+            drive(stage, front, sink, opts, ctx)
+        }
+    }
+}
+
+/// The one strategy dispatch of the query: each arm runs a driver compiled
+/// for its front end.
+fn drive<S: Sink>(
+    stage: AggStage<'_>,
+    front: FrontEnd,
+    sink: S,
+    opts: ExecOpts<'_>,
+    ctx: &Arc<ExecCtx>,
+) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
+    match front {
+        FrontEnd::Select => run::<SELECT, S>(stage, sink, opts, ctx),
+        FrontEnd::Mask => run::<MASK, S>(stage, sink, opts, ctx),
+        FrontEnd::EveryLane => run::<EVERY_LANE, S>(stage, sink, opts, ctx),
+    }
+}
+
+/// The driver. Builds one membership structure per direct edge (chains
+/// folded into the parent mask first), runs the morsel body on workers
+/// sharing them read-only, then reports the edges' probe cardinalities and
+/// lets the sink merge.
+fn run<const FRONT: u8, S: Sink>(
+    stage: AggStage<'_>,
+    sink: S,
+    opts: ExecOpts<'_>,
+    ctx: &Arc<ExecCtx>,
+) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
+    let counting = opts.level.counting();
+    let mut op_list = Vec::new();
+    let mut sides = Vec::with_capacity(stage.edges.len());
+    for e in stage.edges {
+        sides.push((build_edge_side(e, opts, ctx, &mut op_list)?, e.fk.clone()));
+    }
+    let t0 = opts.level.timing().then(Instant::now);
+    let shape = stage.shape;
+    let shared = Arc::new(Shared {
+        bound: shape.program.bind(stage.table)?,
+        sides,
+        sink,
+    });
+    let init = {
+        let (ctx, shared) = (Arc::clone(ctx), Arc::clone(&shared));
+        move || {
+            let (program, n_edges) = (shared.bound.program(), shared.sides.len());
+            Worker {
+                acc: shared.sink.worker(&ctx.gauge, program, n_edges),
+                regs: Regs::new(program),
+                ctr: AccessCounters::default(),
+                edge: vec![(0, 0); if counting { n_edges } else { 0 }],
+            }
+        }
+    };
+    let body = {
+        let (ctx, shared) = (Arc::clone(ctx), Arc::clone(&shared));
+        let has_filter = shape.program.has_filter();
+        move |w: &mut Worker<S::Acc>, m_start: usize, m_len: usize| {
+            let Shared { bound, sides, sink } = &*shared;
+            if counting {
+                w.ctr.morsels += 1;
+                w.ctr.rows_in += m_len as u64;
+                if has_filter {
+                    w.ctr.predicate_evals += m_len as u64;
+                }
+            }
+            for at in tiles_in(m_start, m_len) {
+                let (start, len) = at;
+                let t = Tile { bound, sides, at };
+                bound.run(&mut w.regs, start, len);
+                // Lanes that reached the sink or the first probe, those that
+                // qualified, and the membership probes in between.
+                let (reached, q, probes) = if FRONT == SELECT {
+                    let filtered = bound.select(&mut w.regs, len);
+                    let (mut k, mut probes) = (filtered, 0);
+                    for (ei, (side, fk)) in sides.iter().enumerate() {
+                        if k == 0 {
+                            // Later edges see zero rows; skipping their zero
+                            // counter increments leaves identical totals.
+                            break;
+                        }
+                        let reaching = k as u64;
+                        let fk = &fk.slice()[start..start + len];
+                        k = narrow_selection(&mut w.regs.idx, k, fk, side);
+                        if counting {
+                            w.edge[ei].0 += reaching;
+                            w.edge[ei].1 += k as u64;
+                            probes += reaching;
+                        }
+                    }
+                    sink.selected(t, &mut w.acc, &w.regs, k);
+                    (filtered, k, probes)
+                } else if FRONT == MASK {
+                    // Qualifying lanes so far (tracked only when counting).
+                    let mut k = if counting && !sides.is_empty() {
+                        predicate::mask_count(bound.filter(&w.regs, len)) as u64
+                    } else {
+                        0
+                    };
+                    for (ei, (side, fk)) in sides.iter().enumerate() {
+                        let BuildSide::Bitmap(bm) = side else {
+                            unreachable!("a masked probe is planned over bitmap edges only")
+                        };
+                        let cmp = bound.filter_mut(&mut w.regs, len);
+                        for (c, &pos) in cmp.iter_mut().zip(&fk.slice()[start..start + len]) {
+                            *c &= bm.get_bit(pos as usize) as u8;
+                        }
+                        if counting {
+                            // The edge's cardinalities are the qualifying
+                            // rows, though every lane probes the bitmap.
+                            w.edge[ei].0 += k;
+                            k = predicate::mask_count(cmp) as u64;
+                            w.edge[ei].1 += k;
+                        }
+                    }
+                    let m = sink.masked(t, &mut w.acc, &mut w.regs);
+                    (len, m, (len * sides.len()) as u64)
+                } else {
+                    let mut q = 0;
+                    if counting {
+                        // Eager aggregation settles with the edge after the
+                        // merge; its cardinalities are what probing each
+                        // lane here would have seen.
+                        for j in start..start + len {
+                            let mut alive = 1;
+                            for (e, (side, fk)) in w.edge.iter_mut().zip(sides) {
+                                e.0 += alive;
+                                alive &= side.hit(fk.slice()[j] as usize) as u64;
+                                e.1 += alive;
+                            }
+                            q += alive as usize;
+                        }
+                    }
+                    sink.every_lane(t, &mut w.acc, &w.regs);
+                    (len, q, 0)
+                };
+                if counting {
+                    sink.count(&mut w.ctr, reached, q, probes);
+                }
+            }
+            sink.end_morsel(&mut w.acc, &ctx.gauge, bound.program());
+        }
+    };
+    let n = stage.table.len();
+    let partials = opts
+        .executor
+        .run_morsels(ctx, n, opts.morsel_rows, init, body)?;
+    // The edges' probe ops, then the aggregation's, after the builds'.
+    let first_op = op_list.len();
+    if counting {
+        for (ei, e) in stage.edges.iter().enumerate() {
+            let mut op = OpMetrics::named(format!("multijoin-probe({})", e.edge.parent));
+            for p in &partials {
+                op.access.rows_in += p.edge[ei].0;
+                op.access.rows_out += p.edge[ei].1;
+            }
+            op.ht.probes = op.access.rows_in;
+            op_list.push(op);
+        }
+        let mut agg = OpMetrics::named(shape.op_name());
+        for p in &partials {
+            agg.access.merge(&p.ctr);
+        }
+        op_list.push(agg);
+    }
+    let agg_op = op_list[first_op..].last_mut();
+    let accs = partials.into_iter().map(|w| w.acc);
+    let res = shared.sink.finish(&stage, &shared.sides, accs, agg_op)?;
+    let wall_nanos = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
+    for op in &mut op_list[first_op..] {
+        op.wall_nanos = wall_nanos;
+    }
+    Ok((res, op_list))
+}

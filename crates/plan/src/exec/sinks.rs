@@ -1,0 +1,542 @@
+//! The two sinks of the aggregation driver: the scalar accumulator and the
+//! per-worker group table. A sink is chosen once per query and the driver
+//! is compiled for it, so the tile loop dispatches on nothing.
+
+use std::sync::Arc;
+
+use super::build::BuildSide;
+use super::pipeline::{AggStage, Sides, Tile};
+use crate::engine::QueryResult;
+use crate::error::PlanError;
+use crate::expr::AggFunc;
+use crate::logical::AggSpec;
+use crate::metrics::OpMetrics;
+use crate::physical::{AggMode, FrontEnd};
+use crate::tile::{
+    self, with_lane, FusedSum, GroupIn, GroupSink, Lane, Regs, ScalarSinks, TileProgram,
+};
+use swole_cost::AggStrategy;
+use swole_ht::{GroupTable, MergeOp};
+use swole_kernels::{predicate, AccessCounters, AsI64};
+use swole_runtime::{charge_or_panic, MemGauge};
+
+/// Where the driver's front end delivers a tile's rows: one method per
+/// front end folds them into the worker's accumulator, the rest is what else
+/// differs between the sinks — the charge, the counters' meaning, the merge.
+pub(super) trait Sink: Send + Sync + 'static {
+    /// One worker's accumulator.
+    type Acc: Send + 'static;
+
+    /// A fresh accumulator, charged to `gauge` — together with the scratch
+    /// of the worker that holds it — before either is touched.
+    fn worker(&self, gauge: &MemGauge, program: &TileProgram, n_edges: usize) -> Self::Acc;
+
+    /// [`FrontEnd::Select`]: fold the rows the first `k` tile-local offsets
+    /// of `regs.idx` select, already narrowed through every edge.
+    fn selected(&self, t: Tile<'_>, acc: &mut Self::Acc, regs: &Regs, k: usize);
+
+    /// [`FrontEnd::Mask`]: fold every lane under the tile's filter mask, the
+    /// edges' bits already ANDed in. Returns the qualifying lanes (which the
+    /// grouped sink, whose kernels do not need them, counts only if asked).
+    fn masked(&self, t: Tile<'_>, acc: &mut Self::Acc, regs: &mut Regs) -> usize;
+
+    /// [`FrontEnd::EveryLane`]: fold every lane of a tile the edges have not
+    /// restricted; the sink settles with them itself.
+    fn every_lane(&self, t: Tile<'_>, acc: &mut Self::Acc, regs: &Regs);
+
+    /// Account one tile: `reached` lanes got past the filter (selection
+    /// vector) or were aggregated (the other front ends), `qualifying` of
+    /// them belong to the result, and the edges were probed `probes` times.
+    fn count(&self, ctr: &mut AccessCounters, reached: usize, qualifying: usize, probes: u64);
+
+    /// End-of-morsel hook: settle with `gauge` whatever grew inside the
+    /// (infallible) tile loop.
+    fn end_morsel(&self, _acc: &mut Self::Acc, _gauge: &MemGauge, _program: &TileProgram) {}
+
+    /// Merge the workers' accumulators into the result, reporting what only
+    /// the sink knows on the aggregation's operator. A wrapped accumulator
+    /// is the typed [`PlanError::Overflow`] the interpreter retry keys on.
+    fn finish(
+        &self,
+        stage: &AggStage<'_>,
+        sides: &Sides,
+        partials: impl Iterator<Item = Self::Acc>,
+        agg_op: Option<&mut OpMetrics>,
+    ) -> Result<QueryResult, PlanError>;
+}
+
+impl Tile<'_> {
+    /// The tile's slice of the FK the first edge is probed through.
+    fn first_fk(&self) -> Option<&[u32]> {
+        let (_, fk) = self.sides.first()?;
+        Some(&fk.slice()[self.at.0..self.at.0 + self.at.1])
+    }
+}
+
+fn no_partials() -> PlanError {
+    PlanError::ExecutionFailed("no worker partials to merge".into())
+}
+
+// ---------------------------------------------------------------------------
+// Scalar
+// ---------------------------------------------------------------------------
+
+/// The scalar sink: one accumulator slot per aggregate, fed by the
+/// `swole_kernels::agg` loops selected for the aggregate list.
+pub(super) struct ScalarSink {
+    pub sinks: ScalarSinks,
+    /// The one sum of a masked one-edge probe that takes the fused kernel
+    /// ([`ScalarSinks::fused_probe`]) — behind [`FrontEnd::EveryLane`]; `None`
+    /// on every other stage, and when counters are on — they need the folded
+    /// mask the fused pass skips.
+    pub fused_probe: Option<FusedSum>,
+}
+
+pub(super) struct ScalarAcc {
+    acc: Vec<i64>,
+    matched: usize,
+    /// Set when a sum accumulation wrapped; surfaced as
+    /// [`PlanError::Overflow`] after the merge.
+    overflow: bool,
+}
+
+/// Bytes of one scalar-pipeline worker's scratch: the program's register
+/// file plus an in/out survivor counter per edge. Read by the executor's
+/// charge and by the verifier lowering alike.
+pub(crate) fn scalar_scratch_bytes(program: &TileProgram, n_edges: usize) -> usize {
+    program.scratch_bytes() + n_edges * 16
+}
+
+impl Sink for ScalarSink {
+    type Acc = ScalarAcc;
+
+    fn worker(&self, gauge: &MemGauge, program: &TileProgram, n_edges: usize) -> ScalarAcc {
+        charge_or_panic(gauge, scalar_scratch_bytes(program, n_edges));
+        // Accumulator identities: `i64::MAX` / `i64::MIN` for min / max.
+        let identity = |s: &tile::Sink| match s {
+            tile::Sink::Min(_) => i64::MAX,
+            tile::Sink::Max(_) => i64::MIN,
+            _ => 0,
+        };
+        ScalarAcc {
+            acc: self.sinks.sinks.iter().map(identity).collect(),
+            matched: 0,
+            overflow: false,
+        }
+    }
+
+    fn selected(&self, t: Tile<'_>, acc: &mut ScalarAcc, regs: &Regs, k: usize) {
+        // Survivors are fully narrowed before accumulation, so min/max see
+        // only real qualifying rows.
+        let ScalarAcc {
+            acc,
+            overflow,
+            matched,
+        } = acc;
+        t.bound
+            .accumulate_gather(regs, &self.sinks, t.at, k, acc, overflow);
+        *matched += k;
+    }
+
+    fn masked(&self, t: Tile<'_>, acc: &mut ScalarAcc, regs: &mut Regs) -> usize {
+        let m = t
+            .bound
+            .accumulate_masked(regs, &self.sinks, t.at, &mut acc.acc, &mut acc.overflow);
+        acc.matched += m;
+        m
+    }
+
+    /// The fused masked probe: the accumulate pass multiplies the edge's
+    /// bitmap bit in itself instead of having it ANDed into the mask first.
+    fn every_lane(&self, t: Tile<'_>, acc: &mut ScalarAcc, regs: &Regs) {
+        let (Some(sum), [(BuildSide::Bitmap(bm), _)], Some(fk)) =
+            (self.fused_probe, t.sides, t.first_fk())
+        else {
+            unreachable!("only a fused probe sends a scalar sink every lane")
+        };
+        let v = t.bound.probe_masked(regs, sum, fk, bm, t.at);
+        acc.acc[0] = acc.acc[0].wrapping_add(v);
+        // Lanes aggregated, not lanes qualifying: all the merge asks is
+        // whether any were, and a sum over none is 0 either way.
+        acc.matched += t.at.1;
+    }
+
+    fn count(&self, ctr: &mut AccessCounters, reached: usize, qualifying: usize, probes: u64) {
+        ctr.rows_out += qualifying as u64;
+        // Lanes aggregated (masked) or probed (selection vector) for
+        // nothing: the pullup's wasted work (§ III-A).
+        ctr.wasted_lanes += (reached - qualifying) as u64;
+        ctr.ht_probes += probes;
+    }
+
+    /// Fold the per-worker partials into one accumulator and their overflow
+    /// flags into one. Zero matches anywhere leaves min/max at their
+    /// identities, which flatten to the documented all-zero row.
+    fn finish(
+        &self,
+        stage: &AggStage<'_>,
+        _sides: &Sides,
+        mut partials: impl Iterator<Item = ScalarAcc>,
+        _agg_op: Option<&mut OpMetrics>,
+    ) -> Result<QueryResult, PlanError> {
+        let aggs = &stage.shape.aggs;
+        let ScalarAcc {
+            mut acc,
+            mut matched,
+            mut overflow,
+        } = partials.next().ok_or_else(no_partials)?;
+        for p in partials {
+            matched += p.matched;
+            overflow |= p.overflow;
+            for (i, a) in aggs.iter().enumerate() {
+                match a.func {
+                    AggFunc::Sum | AggFunc::Count => {
+                        let (s, wrapped) = acc[i].overflowing_add(p.acc[i]);
+                        acc[i] = s;
+                        overflow |= wrapped;
+                    }
+                    AggFunc::Min => acc[i] = acc[i].min(p.acc[i]),
+                    AggFunc::Max => acc[i] = acc[i].max(p.acc[i]),
+                }
+            }
+        }
+        if matched == 0 {
+            acc.iter_mut().for_each(|v| *v = 0);
+        }
+        // Provably-safe site: the bounds pass's value-range analysis covers
+        // exactly this accumulator (`AggInput` lowering). When the input
+        // column's statistics bound `|value| * rows` within i64, the site is
+        // counted in `PlanCertificate::overflow_safe_sites`, the stage ran the
+        // unchecked kernels and this branch is statically unreachable —
+        // `query_leveled` debug-asserts that.
+        if overflow {
+            let op = stage.shape.op_name();
+            return Err(PlanError::Overflow(format!("scalar aggregation in {op}")));
+        }
+        let columns = aggs.iter().map(|a| a.name.clone()).collect();
+        Ok(QueryResult::new(columns, vec![acc]))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Grouped
+// ---------------------------------------------------------------------------
+
+/// The grouped sink: each worker upserts into a private group table `T`
+/// (the driver is compiled once per representation, so no lane asks which
+/// table it has) — through one `swole_kernels::groupby` / `join` kernel
+/// reading key and operands as column slices when the stage is a single sum,
+/// through the register-fed loops otherwise. Behind [`FrontEnd::Select`] it
+/// is the hybrid group-by and, narrowed through an edge, the groupjoin;
+/// behind [`FrontEnd::Mask`], value or key masking; behind
+/// [`FrontEnd::EveryLane`], eager aggregation, which consults its edge once,
+/// after the merge, to delete the keys whose parent does not qualify.
+pub(super) struct GroupedSink<F> {
+    pub new_table: F,
+    /// Whether `new_table` makes dense tables (for the metrics).
+    pub dense: bool,
+    pub sink: GroupSink,
+    pub mode: AggMode,
+    pub counting: bool,
+}
+
+pub(super) struct GroupAcc<T> {
+    ht: T,
+    /// Bytes already charged to the gauge for this worker (scratch + table).
+    charged: usize,
+}
+
+impl Tile<'_> {
+    /// The group key at native width: the key column, or — a grouped join's
+    /// program lowers none — the raw FK slice its first edge is probed
+    /// through.
+    fn group_keys(&self) -> Lane<'_> {
+        match self.first_fk() {
+            Some(fk) => Lane::U32(fk),
+            None => self.bound.key_lane(self.at.0, self.at.1),
+        }
+    }
+}
+
+impl<T, F> Sink for GroupedSink<F>
+where
+    T: GroupTable + Send + 'static,
+    F: Fn() -> T + Send + Sync + 'static,
+{
+    type Acc = GroupAcc<T>;
+
+    fn worker(&self, gauge: &MemGauge, program: &TileProgram, _n_edges: usize) -> GroupAcc<T> {
+        let ht = (self.new_table)();
+        let charged = program.scratch_bytes() + ht.size_bytes();
+        charge_or_panic(gauge, charged);
+        GroupAcc { ht, charged }
+    }
+
+    fn selected(&self, t: Tile<'_>, acc: &mut GroupAcc<T>, regs: &Regs, k: usize) {
+        let (keys, ht) = (t.group_keys(), &mut acc.ht);
+        match &self.sink {
+            GroupSink::Kernel(sum) => t.bound.upsert_gather(regs, *sum, keys, t.at, k, ht),
+            GroupSink::Registers(inputs) => {
+                with_lane!(keys, |keys| upsert_selected(ht, inputs, regs, keys, k))
+            }
+        }
+    }
+
+    fn masked(&self, t: Tile<'_>, acc: &mut GroupAcc<T>, regs: &mut Regs) -> usize {
+        let (Tile { bound, at, .. }, len) = (t, t.at.1);
+        let (keys, ht) = (t.group_keys(), &mut acc.ht);
+        // The one counter the masked kernels do not already produce (the
+        // budgeted extra mask_count per tile).
+        let m = match self.counting {
+            true => predicate::mask_count(bound.filter(regs, len)),
+            false => 0,
+        };
+        // Key masking sends filtered-out lanes to the throwaway entry and
+        // adds unmasked values; value masking keeps the key and multiplies
+        // by the mask.
+        match (
+            &self.sink,
+            self.mode == AggMode::By(AggStrategy::KeyMasking),
+        ) {
+            (GroupSink::Kernel(sum), true) => bound.upsert_key_masked(regs, *sum, keys, at, ht),
+            (GroupSink::Kernel(sum), false) => bound.upsert_value_masked(regs, *sum, keys, at, ht),
+            (GroupSink::Registers(inputs), true) => {
+                bound.mask_keys(regs, keys);
+                let cmp = bound.filter(regs, len);
+                upsert_every_lane(ht, inputs, regs, &regs.tmp[..len], cmp, true)
+            }
+            (GroupSink::Registers(inputs), false) => {
+                let cmp = bound.filter(regs, len);
+                with_lane!(keys, |keys| {
+                    upsert_every_lane(ht, inputs, regs, keys, cmp, false)
+                })
+            }
+        }
+        m
+    }
+
+    fn every_lane(&self, t: Tile<'_>, acc: &mut GroupAcc<T>, regs: &Regs) {
+        let fk = t
+            .first_fk()
+            .expect("eager aggregation keys by its edge's FK");
+        match &self.sink {
+            GroupSink::Kernel(sum) => t.bound.upsert_eager(regs, *sum, fk, t.at, &mut acc.ht),
+            // The planner gives eager aggregation no probe-side filter: the
+            // mask is all ones.
+            GroupSink::Registers(inputs) => {
+                let cmp = t.bound.filter(regs, t.at.1);
+                upsert_every_lane(&mut acc.ht, inputs, regs, fk, cmp, false)
+            }
+        }
+    }
+
+    fn count(&self, ctr: &mut AccessCounters, reached: usize, qualifying: usize, _probes: u64) {
+        // This sink's probes are its table upserts: the selected rows, or
+        // every lane — of which those the mask cancels, or whose group eager
+        // aggregation then deletes (§ III-E), are wasted.
+        let upserts = match self.mode.front_end(true) {
+            FrontEnd::Select => qualifying,
+            FrontEnd::Mask | FrontEnd::EveryLane => reached,
+        };
+        ctr.rows_out += qualifying as u64;
+        ctr.wasted_lanes += (upserts - qualifying) as u64;
+        ctr.ht_probes += upserts as u64;
+    }
+
+    /// Charge hash-table growth since the last morsel boundary. `AggTable`
+    /// grows inside the (infallible) tile loop, so the charge is settled at
+    /// morsel granularity; a failed charge panics with the typed error and
+    /// is caught by the worker's isolation domain. (The dense table never
+    /// grows.)
+    fn end_morsel(&self, acc: &mut GroupAcc<T>, gauge: &MemGauge, program: &TileProgram) {
+        let now_bytes = program.scratch_bytes() + acc.ht.size_bytes();
+        if now_bytes > acc.charged {
+            charge_or_panic(gauge, now_bytes - acc.charged);
+            acc.charged = now_bytes;
+        }
+    }
+
+    fn finish(
+        &self,
+        stage: &AggStage<'_>,
+        sides: &Sides,
+        mut partials: impl Iterator<Item = GroupAcc<T>>,
+        mut agg_op: Option<&mut OpMetrics>,
+    ) -> Result<QueryResult, PlanError> {
+        // Snapshot each worker's table counters BEFORE it takes part in the
+        // merge: merge_from probes through self.entry(), which would
+        // contaminate the merged table's counters with merge traffic that
+        // never touched base data.
+        let mut snapshot = |ht: &T| {
+            if let Some(op) = agg_op.as_deref_mut() {
+                op.ht.merge(&ht.counters());
+            }
+        };
+        let aggs = &stage.shape.aggs;
+        let ops = merge_ops(aggs);
+        let mut ht = partials.next().ok_or_else(no_partials)?.ht;
+        snapshot(&ht);
+        for p in partials {
+            snapshot(&p.ht);
+            ht.merge_from(&p.ht, &ops);
+        }
+        if let (FrontEnd::EveryLane, Some((side, _)), Some(edge)) = (
+            self.mode.front_end(true),
+            sides.first(),
+            stage.edges.first(),
+        ) {
+            // Inverted predicate deletes non-qualifying keys (§ III-E) — after
+            // the merge, so the reconciliation happens exactly once.
+            for pos in 0..edge.parent_t.len() {
+                if side.hit(pos) == 0 {
+                    ht.delete(pos as i64);
+                }
+            }
+        }
+        if ht.overflow_detected() {
+            // The masked strategies aggregate filtered-out tuples too (wasted
+            // work, § III-A), and eager aggregation sums groups it then deletes,
+            // so the wraparound may be spurious — the caller retries under the
+            // data-centric strategy.
+            let op = stage.shape.op_name();
+            return Err(PlanError::Overflow(format!("grouped aggregation in {op}")));
+        }
+        if let Some(op) = agg_op {
+            op.ht_dense = self.dense;
+            // Per-worker insert counts depend on the morsel partition (several
+            // workers insert the same key); the merged table's final key count
+            // — after any deletion — is the deterministic figure the analyze
+            // output reports.
+            op.ht.inserts = ht.len() as u64;
+        }
+        let key = stage
+            .shape
+            .group
+            .as_deref()
+            .expect("a grouped sink has a key");
+        let key_dict = stage
+            .table
+            .column(key)
+            .and_then(|c| c.as_dict())
+            .map(|d| Arc::new(d.dictionary().to_vec()));
+        Ok(rows_from_table(key, aggs, &ht, key_dict))
+    }
+}
+
+/// Per-worker merge operators for an aggregate list (all of which are
+/// commutative and associative, making the merge order — and therefore the
+/// thread count *and* the pool's morsel interleaving — invisible in the
+/// result).
+fn merge_ops(aggs: &[AggSpec]) -> Vec<MergeOp> {
+    aggs.iter()
+        .map(|a| match a.func {
+            AggFunc::Sum | AggFunc::Count => MergeOp::Add,
+            AggFunc::Min => MergeOp::Min,
+            AggFunc::Max => MergeOp::Max,
+        })
+        .collect()
+}
+
+/// The register-fed fallback of the selection-vector bodies (hybrid
+/// group-by, groupjoin): upsert the rows the first `k` tile-local offsets of
+/// `regs.idx` select. The one grouped loop with `min` / `max`.
+fn upsert_selected<T: GroupTable, K: AsI64>(
+    ht: &mut T,
+    inputs: &[GroupIn],
+    regs: &Regs,
+    keys: &[K],
+    k: usize,
+) {
+    for &j in &regs.idx[..k] {
+        let j = j as usize;
+        let off = ht.entry(keys[j].widen());
+        for (i, input) in inputs.iter().enumerate() {
+            match *input {
+                // add() detects wraparound in the table's overflow flag.
+                GroupIn::Sum(r) => ht.add(off, i, regs.val(r)[j]),
+                GroupIn::Count => ht.add(off, i, 1),
+                // Only min/max ask whether the entry is fresh: the valid
+                // flags are an array of their own, and reading one per lane
+                // is a cache miss a large table's sums and counts would pay
+                // for nothing.
+                GroupIn::Min(r) => {
+                    let v = regs.val(r)[j];
+                    let fresh = !ht.is_valid(off);
+                    let s = &mut ht.states_mut()[off + i];
+                    *s = if fresh { v } else { (*s).min(v) };
+                }
+                GroupIn::Max(r) => {
+                    let v = regs.val(r)[j];
+                    let fresh = !ht.is_valid(off);
+                    let s = &mut ht.states_mut()[off + i];
+                    *s = if fresh { v } else { (*s).max(v) };
+                }
+            }
+        }
+        ht.set_valid(off);
+    }
+}
+
+/// The register-fed fallback of the every-lane bodies: each lane upserts
+/// its key. Value masking keeps the real key and multiplies the inputs by
+/// the lane's 0/1 mask; key masking (`key_masked`, the keys already masked)
+/// sends filtered-out lanes to the throwaway entry and adds unmasked values;
+/// eager aggregation is value masking under its all-ones mask. Sums and
+/// counts only: the planner gives these bodies no min/max.
+fn upsert_every_lane<T: GroupTable, K: AsI64>(
+    ht: &mut T,
+    inputs: &[GroupIn],
+    regs: &Regs,
+    keys: &[K],
+    cmp: &[u8],
+    key_masked: bool,
+) {
+    for (j, (&key, &c)) in keys.iter().zip(cmp).enumerate() {
+        let off = ht.entry(key.widen());
+        let m = if key_masked { 1 } else { c as i64 };
+        for (i, input) in inputs.iter().enumerate() {
+            let add = match *input {
+                // m is 0/1, so the product cannot overflow.
+                GroupIn::Sum(r) => regs.val(r)[j] * m,
+                GroupIn::Count => m,
+                GroupIn::Min(_) | GroupIn::Max(_) => unreachable!("planner invariant"),
+            };
+            // add() detects wraparound in the table's overflow flag.
+            ht.add(off, i, add);
+        }
+        // Branch-free: the throwaway entry's flag is ignored by the result
+        // iterator.
+        ht.or_valid(off, c);
+    }
+}
+
+fn rows_from_table(
+    key_name: &str,
+    aggs: &[AggSpec],
+    ht: &impl GroupTable,
+    key_dict: Option<Arc<Vec<String>>>,
+) -> QueryResult {
+    // Sized once for every stored key (valid or not): a filtered iterator
+    // has no lower size hint, and a large result would otherwise be copied
+    // through a run of doubling reallocations.
+    let mut rows: Vec<Vec<i64>> = Vec::with_capacity(ht.len());
+    rows.extend(
+        ht.iter()
+            .filter(|&(_, _, valid)| valid)
+            .map(|(key, state, _)| {
+                let mut row = Vec::with_capacity(1 + aggs.len());
+                row.push(key);
+                row.extend_from_slice(state);
+                row
+            }),
+    );
+    rows.sort_unstable();
+    let mut columns = vec![key_name.to_string()];
+    columns.extend(aggs.iter().map(|a| a.name.clone()));
+    QueryResult {
+        columns,
+        rows,
+        metrics: None,
+        key_dict,
+    }
+}

@@ -1,0 +1,307 @@
+//! The window pipeline: a parallel filter scan to a selection vector, then
+//! a deterministic sequential sort + frame pass.
+
+use std::sync::Arc;
+use std::time::Instant;
+
+use super::{stitch, ExecOpts, ScanAcc};
+use crate::engine::QueryResult;
+use crate::error::PlanError;
+use crate::logical::{FrameSpec, WindowFunc};
+use crate::metrics::OpMetrics;
+use crate::physical::WindowShape;
+use crate::tile::{Regs, TileProgram};
+use swole_cost::WindowStrategy;
+use swole_kernels::{selvec, tiles, tiles_in};
+use swole_runtime::ExecCtx;
+use swole_storage::Table;
+
+/// Materialize every output of `program` for the (ascending) qualifying
+/// row ids, one pass over the tiles that hold any, through the same tile
+/// evaluation as the aggregate paths — so dictionary codes, decimals and
+/// CASE expressions behave exactly as they do there. The register file is
+/// the pass's one temporary; it is charged before it is allocated.
+fn gather_columns(
+    table: &Arc<Table>,
+    program: &Arc<TileProgram>,
+    n_outputs: usize,
+    row_ids: &[u32],
+    ctx: &ExecCtx,
+) -> Result<Vec<Vec<i64>>, PlanError> {
+    let bound = program.bind(table)?;
+    ctx.gauge.try_charge(program.scratch_bytes())?;
+    let mut regs = Regs::new(program);
+    let mut out: Vec<Vec<i64>> = (0..n_outputs)
+        .map(|_| Vec::with_capacity(row_ids.len()))
+        .collect();
+    let mut i = 0;
+    for (start, len) in tiles(table.len()) {
+        if i >= row_ids.len() {
+            break;
+        }
+        let end = start + len;
+        let i0 = i;
+        while i < row_ids.len() && (row_ids[i] as usize) < end {
+            i += 1;
+        }
+        if i == i0 {
+            continue;
+        }
+        bound.run(&mut regs, start, len);
+        for (o, col) in out.iter_mut().enumerate() {
+            let v = regs.val(program.output_reg(o));
+            col.extend(row_ids[i0..i].iter().map(|&r| v[r as usize - start]));
+        }
+    }
+    Ok(out)
+}
+
+/// True when two qualifying rows are window-order peers (equal on every
+/// order key; direction is irrelevant for equality).
+fn order_peers(ord: &[Vec<i64>], a: usize, b: usize) -> bool {
+    ord.iter().all(|k| k[a] == k[b])
+}
+
+/// Execute a window pipeline: parallel filter to a selection vector, then
+/// a deterministic sequential sort + frame pass. Frame sums use wrapping
+/// arithmetic, and the sequential frame scan's subtract-on-evict is the
+/// exact inverse of its add (mod 2^64), so both strategies produce
+/// bit-identical outputs at any thread count.
+pub(crate) fn exec_window(
+    table: &Arc<Table>,
+    shape: &WindowShape,
+    opts: ExecOpts<'_>,
+    ctx: &Arc<ExecCtx>,
+) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
+    let WindowShape {
+        scan_program,
+        gather_program,
+        partition_by,
+        order_by,
+        funcs,
+        select,
+        ..
+    } = shape;
+    let (frame, strategy) = (shape.frame, shape.strategy);
+    let n = table.len();
+    let counting = opts.level.counting();
+    let t0 = opts.level.timing().then(Instant::now);
+    // Phase 1: qualifying-row selection vector, produced on morsel workers.
+    ctx.gauge.try_charge(n.saturating_mul(4))?;
+    let bound = scan_program.bind(table)?;
+    let init = {
+        let ctx = Arc::clone(ctx);
+        let program = Arc::clone(scan_program);
+        move || ScanAcc::<u32>::new(&ctx.gauge, &program)
+    };
+    let body = move |w: &mut ScanAcc<u32>, m_start: usize, m_len: usize| {
+        if counting {
+            w.ctr.morsels += 1;
+            w.ctr.rows_in += m_len as u64;
+            if bound.program().has_filter() {
+                w.ctr.predicate_evals += m_len as u64;
+            }
+        }
+        let off = w.out.len();
+        for (start, len) in tiles_in(m_start, m_len) {
+            bound.run(&mut w.regs, start, len);
+            selvec::append_nobranch(bound.filter(&w.regs, len), start as u32, &mut w.out);
+        }
+        let found = w.out.len() - off;
+        if counting {
+            w.ctr.rows_out += found as u64;
+        }
+        w.segs.push((m_start, off, found));
+    };
+    let partials = opts
+        .executor
+        .run_morsels(ctx, n, opts.morsel_rows, init, body)?;
+    let mut op = counting.then(|| OpMetrics::named(format!("window({})", shape.table)));
+    if let Some(op) = op.as_mut() {
+        for p in &partials {
+            op.access.merge(&p.ctr);
+        }
+    }
+    let row_ids: Vec<u32> = stitch(&partials, 0);
+    drop(partials);
+    let m = row_ids.len();
+
+    // Phase 2: materialize partition key, order keys, projected columns and
+    // function inputs for the qualifying rows (charged up front).
+    let n_mat = 1 + order_by.len() + select.len() + funcs.len();
+    ctx.gauge
+        .try_charge(m.saturating_mul(8).saturating_mul(n_mat))?;
+    let n_inputs = funcs.iter().filter(|f| f.expr.is_some()).count();
+    let n_gathered = usize::from(partition_by.is_some()) + order_by.len() + select.len() + n_inputs;
+    let mut gathered =
+        gather_columns(table, gather_program, n_gathered, &row_ids, ctx)?.into_iter();
+    let mut take = |k: usize| -> Vec<Vec<i64>> { gathered.by_ref().take(k).collect() };
+    let part: Vec<i64> = match partition_by {
+        Some(_) => take(1).pop().expect("partition key was lowered"),
+        None => vec![0; m],
+    };
+    let ord = take(order_by.len());
+    let sel_cols = take(select.len());
+    let inputs: Vec<Vec<i64>> = funcs
+        .iter()
+        .map(|f| match &f.expr {
+            Some(_) => take(1).pop().expect("function input was lowered"),
+            None => vec![1; m],
+        })
+        .collect();
+
+    // Phase 3: the window order — (partition, order keys, row id). The
+    // trailing row id breaks every tie, so the permutation is unique and
+    // the comparator total: `sort_unstable` is deterministic here.
+    let mut perm: Vec<u32> = (0..m as u32).collect();
+    perm.sort_unstable_by(|&ai, &bi| {
+        let (a, b) = (ai as usize, bi as usize);
+        let mut o = part[a].cmp(&part[b]);
+        if o != std::cmp::Ordering::Equal {
+            return o;
+        }
+        for (k, key) in order_by.iter().zip(&ord) {
+            o = key[a].cmp(&key[b]);
+            if k.desc {
+                o = o.reverse();
+            }
+            if o != std::cmp::Ordering::Equal {
+                return o;
+            }
+        }
+        row_ids[a].cmp(&row_ids[b])
+    });
+
+    // Phase 4: frame computation per partition run, in window order.
+    // `extra_touches` counts frame-state reads beyond one sequential pass —
+    // the window analogue of wasted lanes (re-evaluation re-reads, and the
+    // sliding frame's evictions), reported deterministically.
+    let mut outputs: Vec<Vec<i64>> = funcs.iter().map(|_| vec![0i64; m]).collect();
+    let mut extra_touches: u64 = 0;
+    let mut run_start = 0usize;
+    while run_start < m {
+        let mut run_end = run_start + 1;
+        while run_end < m && part[perm[run_end] as usize] == part[perm[run_start] as usize] {
+            run_end += 1;
+        }
+        let len = run_end - run_start;
+        for (fi, f) in funcs.iter().enumerate() {
+            let val = |i: usize| -> i64 {
+                match f.func {
+                    WindowFunc::Sum => inputs[fi][perm[run_start + i] as usize],
+                    _ => 1,
+                }
+            };
+            match f.func {
+                WindowFunc::RowNumber => {
+                    for i in 0..len {
+                        outputs[fi][run_start + i] = (i + 1) as i64;
+                    }
+                }
+                WindowFunc::Rank => {
+                    let mut rank = 1i64;
+                    for i in 0..len {
+                        if i > 0
+                            && !order_peers(
+                                &ord,
+                                perm[run_start + i - 1] as usize,
+                                perm[run_start + i] as usize,
+                            )
+                        {
+                            rank = (i + 1) as i64;
+                        }
+                        outputs[fi][run_start + i] = rank;
+                    }
+                }
+                WindowFunc::Sum | WindowFunc::Count => match strategy {
+                    WindowStrategy::SequentialFrameScan => match frame {
+                        FrameSpec::WholePartition => {
+                            let mut total = 0i64;
+                            for i in 0..len {
+                                total = total.wrapping_add(val(i));
+                            }
+                            for i in 0..len {
+                                outputs[fi][run_start + i] = total;
+                            }
+                        }
+                        FrameSpec::UnboundedPreceding => {
+                            let mut acc = 0i64;
+                            for i in 0..len {
+                                acc = acc.wrapping_add(val(i));
+                                outputs[fi][run_start + i] = acc;
+                            }
+                        }
+                        FrameSpec::Preceding(k) => {
+                            let mut acc = 0i64;
+                            for i in 0..len {
+                                acc = acc.wrapping_add(val(i));
+                                if i > k {
+                                    // Exact inverse of the add (mod 2^64):
+                                    // evicting restores the k-row frame sum
+                                    // bit-for-bit.
+                                    acc = acc.wrapping_sub(val(i - k - 1));
+                                    extra_touches += 1;
+                                }
+                                outputs[fi][run_start + i] = acc;
+                            }
+                        }
+                    },
+                    WindowStrategy::ConditionalReeval => {
+                        for i in 0..len {
+                            let lo = match frame {
+                                FrameSpec::WholePartition => 0,
+                                FrameSpec::UnboundedPreceding => 0,
+                                FrameSpec::Preceding(k) => i.saturating_sub(k),
+                            };
+                            let hi = match frame {
+                                FrameSpec::WholePartition => len - 1,
+                                _ => i,
+                            };
+                            let mut acc = 0i64;
+                            for j in lo..=hi {
+                                acc = acc.wrapping_add(val(j));
+                            }
+                            extra_touches += (hi - lo) as u64;
+                            outputs[fi][run_start + i] = acc;
+                        }
+                    }
+                },
+            }
+        }
+        run_start = run_end;
+    }
+
+    // Phase 5: assemble rows in window order (itself deterministic).
+    let mut rows = Vec::with_capacity(m);
+    for i in 0..m {
+        let src = perm[i] as usize;
+        let mut row = Vec::with_capacity(select.len() + funcs.len());
+        for c in &sel_cols {
+            row.push(c[src]);
+        }
+        for out in &outputs {
+            row.push(out[i]);
+        }
+        rows.push(row);
+    }
+    let mut columns: Vec<String> = select.to_vec();
+    columns.extend(funcs.iter().map(|f| f.name.clone()));
+    let key_dict = select
+        .first()
+        .and_then(|c| table.column(c))
+        .and_then(|c| c.as_dict())
+        .map(|d| Arc::new(d.dictionary().to_vec()));
+    if let Some(op) = op.as_mut() {
+        op.access.wasted_lanes += extra_touches;
+        op.wall_nanos = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
+    }
+    Ok((
+        QueryResult {
+            columns,
+            rows,
+            metrics: None,
+            key_dict,
+        },
+        op.into_iter().collect(),
+    ))
+}

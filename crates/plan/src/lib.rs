@@ -35,8 +35,8 @@ mod cache;
 mod catalog;
 mod engine;
 mod error;
+mod exec;
 pub mod expr;
-pub mod faults;
 pub mod interp;
 mod logical;
 pub mod metrics;
@@ -65,6 +65,7 @@ pub use prepared::{BoundStatement, PreparedStatement};
 pub use session::{QueryOptions, Session};
 pub use sql::{parse as parse_sql, ExplainMode, ParamSlot, SqlError};
 pub use stats::{ColumnStats, StatsMode, TableStats};
+pub use swole_runtime::faults;
 pub use swole_runtime::{
     AdmissionConfig, AdmissionError, ExecHandle, MemGauge, MemoryPolicy, MemoryPoolStats, Priority,
 };

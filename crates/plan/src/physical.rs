@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use crate::expr::Expr;
 use crate::logical::{AggSpec, FrameSpec, SortKey, WindowFnSpec};
-use crate::tile::{group_sink, scalar_sinks, TileProgram};
+use crate::tile::{scalar_sinks, GroupSink, TileProgram};
 use swole_cost::{
     AggProfile, AggStrategy, GroupJoinProfile, GroupJoinStrategy, JoinGraphProfile,
     JoinOrderMethod, SemiJoinStrategy, WindowStrategy,
@@ -26,6 +26,9 @@ pub(crate) enum PostOp {
 #[derive(Debug, Clone)]
 pub struct PhysicalPlan {
     pub(crate) shape: Shape,
+    /// Short name of the access strategy driving the shape's loop body,
+    /// rendered once at plan time: `EXPLAIN` and every run report read it.
+    pub(crate) strategy: String,
     /// Result-level post-operators (`ORDER BY`, `LIMIT`) in application order.
     pub(crate) post: Vec<PostOp>,
     /// One line per decision the planner took, with the cost-model
@@ -76,6 +79,25 @@ pub(crate) enum CostProfile {
 }
 
 impl PhysicalPlan {
+    /// A planned core pipeline, before any post-operator is attached.
+    pub(crate) fn new(
+        shape: Shape,
+        decisions: Vec<String>,
+        cost_terms: Vec<(String, f64)>,
+        shortcut: Option<Vec<i64>>,
+        estimates: Estimates,
+    ) -> PhysicalPlan {
+        PhysicalPlan {
+            strategy: shape.strategy_name(),
+            shape,
+            post: Vec::new(),
+            decisions,
+            cost_terms,
+            shortcut,
+            estimates,
+        }
+    }
+
     /// Render the plan as EXPLAIN text.
     pub fn explain(&self) -> String {
         let mut out = self.describe();
@@ -115,16 +137,19 @@ impl PhysicalPlan {
     /// The window strategy chosen, if this plan has a window pipeline.
     pub fn window_strategy(&self) -> Option<WindowStrategy> {
         match &self.shape {
-            Shape::WindowScan { strategy, .. } => Some(*strategy),
-            _ => None,
+            Shape::WindowScan(w) => Some(w.strategy),
+            Shape::Agg(_) => None,
         }
     }
 
-    /// The aggregation strategy chosen, if this plan has an aggregation
-    /// pipeline (used by tests and the advisor example).
+    /// The aggregation strategy chosen, if this plan aggregates a plain
+    /// scan (used by tests and the advisor example).
     pub fn agg_strategy(&self) -> Option<AggStrategy> {
         match &self.shape {
-            Shape::ScanAgg { strategy, .. } => Some(*strategy),
+            Shape::Agg(AggShape {
+                mode: AggMode::By(strategy),
+                ..
+            }) => Some(*strategy),
             _ => None,
         }
     }
@@ -132,16 +157,16 @@ impl PhysicalPlan {
     /// The semijoin strategy chosen, if this plan is a single-edge
     /// (two-table) FK join.
     pub fn semijoin_strategy(&self) -> Option<SemiJoinStrategy> {
-        match &self.shape {
-            Shape::MultiJoinAgg { edges, .. } if count_edges(edges) == 1 => Some(edges[0].strategy),
+        match self.join()?.edges[..] {
+            [ref e] if e.children.is_empty() => Some(e.strategy),
             _ => None,
         }
     }
 
     /// The groupjoin strategy chosen, if this plan is a grouped FK join.
     pub fn groupjoin_strategy(&self) -> Option<GroupJoinStrategy> {
-        match &self.shape {
-            Shape::MultiJoinAgg { group, .. } => group.as_ref().map(|(_, s)| *s),
+        match self.join()?.mode {
+            AggMode::Join(strategy) => Some(strategy),
             _ => None,
         }
     }
@@ -149,19 +174,20 @@ impl PhysicalPlan {
     /// How the join's probe order was determined, if this plan is an FK
     /// join.
     pub fn join_order_method(&self) -> Option<JoinOrderMethod> {
-        match &self.shape {
-            Shape::MultiJoinAgg { order_method, .. } => Some(*order_method),
-            _ => None,
-        }
+        Some(self.join()?.order_method)
     }
 
     /// Probe order of an FK join: build-side table names in the order
     /// their membership tests run.
     pub fn join_probe_order(&self) -> Option<Vec<String>> {
+        let edges = &self.join()?.edges;
+        Some(edges.iter().map(|e| e.parent.clone()).collect())
+    }
+
+    /// The aggregation, if it restricts its scan through join edges.
+    pub(crate) fn join(&self) -> Option<&AggShape> {
         match &self.shape {
-            Shape::MultiJoinAgg { edges, .. } => {
-                Some(edges.iter().map(|e| e.parent.clone()).collect())
-            }
+            Shape::Agg(a) if !a.edges.is_empty() => Some(a),
             _ => None,
         }
     }
@@ -224,211 +250,229 @@ impl GroupTableRepr {
     }
 }
 
+/// How an aggregation's rows are folded: which strategies exist depends on
+/// whether they come through join edges and on the key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AggMode {
+    /// No edges: the scan aggregation's strategy (§ III-A, III-B), scalar
+    /// or grouped.
+    By(AggStrategy),
+    /// Scalar over one or more edges. `masked`: the fully masked probe
+    /// (each bitmap bit is ANDed into the filter mask and every lane
+    /// aggregated, § III-D); otherwise each edge narrows the tile's
+    /// selection vector.
+    Probe { masked: bool },
+    /// Grouped by the FK of the join's one edge: the groupjoin or its
+    /// eager-aggregation rewrite (§ III-E).
+    Join(GroupJoinStrategy),
+}
+
+/// How a tile's rows reach the aggregation's sink — the half of the loop
+/// every technique shares, and what the morsel driver is compiled for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FrontEnd {
+    /// Compact the filter mask into a selection vector, then narrow it
+    /// through each edge.
+    Select,
+    /// Keep the filter mask and AND each (bitmap) edge's bit into it: every
+    /// lane reaches the sink, cancelled by its mask.
+    Mask,
+    /// No restriction at all: the sink sees every lane unmasked and settles
+    /// with the edge once, after the merge.
+    EveryLane,
+}
+
+impl AggMode {
+    pub(crate) fn front_end(self, grouped: bool) -> FrontEnd {
+        match self {
+            AggMode::By(AggStrategy::Hybrid)
+            | AggMode::Probe { masked: false }
+            | AggMode::Join(GroupJoinStrategy::GroupJoin) => FrontEnd::Select,
+            // A scalar aggregation has no key to mask; hybrid covers key
+            // masking too.
+            AggMode::By(AggStrategy::KeyMasking) if !grouped => FrontEnd::Select,
+            AggMode::By(_) | AggMode::Probe { masked: true } => FrontEnd::Mask,
+            AggMode::Join(GroupJoinStrategy::EagerAggregation) => FrontEnd::EveryLane,
+        }
+    }
+}
+
 /// The executable shapes (the plan patterns §§ III-A–III-E optimize).
 #[derive(Debug, Clone)]
-#[allow(clippy::enum_variant_names)] // every shape ends in an aggregation
 pub(crate) enum Shape {
-    /// scan → filter? → (scalar | group-by) aggregation.
-    ScanAgg {
-        table: String,
-        filter: Option<Expr>,
-        group_by: Option<String>,
-        aggs: Vec<AggSpec>,
-        strategy: AggStrategy,
-        /// The group table of a grouped aggregation.
-        group_table: GroupTableRepr,
-        /// `filter`, the aggregate inputs and `group_by` lowered over
-        /// `table` (every shape carries its stages' programs, lowered once
-        /// at plan time and cached with the plan).
-        program: Arc<TileProgram>,
-    },
-    /// FK join over one or more edges (a two-table semijoin is the one-edge
-    /// case): scan the fact table, restrict each tile through the edges'
-    /// membership structures in the planned probe order, then aggregate the
-    /// survivors — into one row, or (the groupjoin, § III-E) by the FK of
-    /// the join's single edge. Edges may nest (chains).
-    MultiJoinAgg {
-        fact: String,
-        fact_filter: Option<Expr>,
-        /// Direct fact edges in chosen probe order.
-        edges: Vec<JoinEdge>,
-        aggs: Vec<AggSpec>,
-        order_method: JoinOrderMethod,
-        /// `true`: fully masked probe (the bitmap bit is ANDed into the
-        /// filter mask and every lane aggregated); `false`: each edge
-        /// narrows the tile's selection vector.
-        probe_masked: bool,
-        /// Group by this column — the FK of the one edge — under this
-        /// strategy; `None` for a scalar aggregation.
-        group: Option<(String, GroupJoinStrategy)>,
-        /// The group table of a grouped join.
-        group_table: GroupTableRepr,
-        fact_program: Arc<TileProgram>,
-    },
-    /// scan → filter? → sort by (partition, order, row) → window functions.
-    /// With no functions this degenerates to a row projection.
-    WindowScan {
-        table: String,
-        filter: Option<Expr>,
-        partition_by: Option<String>,
-        order_by: Vec<SortKey>,
-        frame: FrameSpec,
-        funcs: Vec<WindowFnSpec>,
-        select: Vec<String>,
-        strategy: WindowStrategy,
-        /// `filter` lowered over `table`.
-        scan_program: Arc<TileProgram>,
-        /// The columns phase 2 materializes for qualifying rows, in order:
-        /// partition key (if any), order keys, projected columns, then the
-        /// inputs of the functions that have one.
-        gather_program: Arc<TileProgram>,
-    },
+    Agg(AggShape),
+    WindowScan(WindowShape),
+}
+
+/// scan → filter? → restrict through zero or more FK join edges → (scalar |
+/// grouped) aggregation. With no edges this is the scan aggregation; with
+/// them, the fact table's tiles are restricted through the edges' membership
+/// structures in the planned probe order (a two-table semijoin is the
+/// one-edge case; edges may nest into chains) and the survivors aggregated —
+/// into one row, or (the groupjoin, § III-E) by the FK of the join's single
+/// edge.
+#[derive(Debug, Clone)]
+pub(crate) struct AggShape {
+    pub table: String,
+    pub filter: Option<Expr>,
+    /// Direct edges in chosen probe order.
+    pub edges: Vec<JoinEdge>,
+    /// How that order was determined (of no edges, trivially `Dp`).
+    pub order_method: JoinOrderMethod,
+    /// Group by this column — with edges, the FK of the one edge; `None` for
+    /// a scalar aggregation.
+    pub group: Option<String>,
+    pub aggs: Vec<AggSpec>,
+    pub mode: AggMode,
+    /// The terminal loop of a grouped aggregation, chosen here once (a
+    /// scalar one's depends on the certificate, at run time).
+    pub group_sink: Option<GroupSink>,
+    /// The group table of a grouped aggregation.
+    pub group_table: GroupTableRepr,
+    /// `filter`, the aggregate inputs and (without edges) `group` lowered
+    /// over `table` (every shape carries its stages' programs, lowered once
+    /// at plan time and cached with the plan).
+    pub program: Arc<TileProgram>,
+}
+
+/// scan → filter? → sort by (partition, order, row) → window functions.
+/// With no functions this degenerates to a row projection.
+#[derive(Debug, Clone)]
+pub(crate) struct WindowShape {
+    pub table: String,
+    pub filter: Option<Expr>,
+    pub partition_by: Option<String>,
+    pub order_by: Vec<SortKey>,
+    pub frame: FrameSpec,
+    pub funcs: Vec<WindowFnSpec>,
+    pub select: Vec<String>,
+    pub strategy: WindowStrategy,
+    /// `filter` lowered over `table`.
+    pub scan_program: Arc<TileProgram>,
+    /// The columns phase 2 materializes for qualifying rows, in order:
+    /// partition key (if any), order keys, projected columns, then the
+    /// inputs of the functions that have one.
+    pub gather_program: Arc<TileProgram>,
 }
 
 impl Shape {
     /// Short name of the access strategy driving this shape's loop body.
-    pub(crate) fn strategy_name(&self) -> String {
+    fn strategy_name(&self) -> String {
         match self {
-            Shape::ScanAgg {
-                strategy,
-                group_by: None,
-                ..
-            } => strategy.name().to_string(),
-            Shape::ScanAgg {
-                strategy,
-                aggs,
-                program,
-                ..
-            } => format!(
-                "{}, sink: {}",
-                strategy.name(),
-                group_sink(program, aggs).name(match strategy {
-                    AggStrategy::Hybrid => "groupby_gather",
-                    AggStrategy::ValueMasking => "groupby_value_masked",
-                    AggStrategy::KeyMasking => "groupby_key_masked",
-                })
-            ),
-            Shape::MultiJoinAgg {
-                edges,
-                aggs,
-                order_method,
-                probe_masked,
-                group,
-                fact_program,
-                ..
-            } => format!(
-                "multi-join ({} edges, order: {}{}{})",
-                count_edges(edges),
-                order_method.name(),
-                // The planned sink: at run time an unproven accumulator, or
-                // counters, step it down to AND-into-mask + `sum_op_masked`.
-                if !*probe_masked {
-                    ""
-                } else if scalar_sinks(fact_program, aggs, true, false)
-                    .fused_probe()
-                    .is_some()
-                {
-                    ", masked probe, sink: semijoin_sum_bitmap_masked"
-                } else {
-                    ", masked probe"
-                },
-                group
-                    .as_ref()
-                    .map(|(_, s)| format!(
-                        ", {}, sink: {}",
-                        s.name(),
-                        group_sink(fact_program, aggs).name(match s {
-                            GroupJoinStrategy::GroupJoin => "groupby_gather",
-                            GroupJoinStrategy::EagerAggregation => "eager_aggregate",
-                        })
-                    ))
-                    .unwrap_or_default(),
-            ),
-            Shape::WindowScan {
-                strategy, funcs, ..
-            } => {
-                if funcs.is_empty() {
-                    "projection".to_string()
-                } else {
-                    strategy.name().to_string()
-                }
-            }
+            Shape::Agg(a) => a.strategy_name(),
+            Shape::WindowScan(w) if w.funcs.is_empty() => "projection".to_string(),
+            Shape::WindowScan(w) => w.strategy.name().to_string(),
         }
     }
 
     pub(crate) fn describe(&self) -> String {
         match self {
-            Shape::ScanAgg {
-                table,
-                filter,
-                group_by,
-                aggs,
-                strategy,
-                ..
-            } => format!(
-                "Aggregate[{}] ({} aggs{}) <- {}Scan {table}",
-                strategy.name(),
-                aggs.len(),
-                group_by
-                    .as_ref()
-                    .map(|g| format!(", group by {g}"))
-                    .unwrap_or_default(),
-                if filter.is_some() { "Filter <- " } else { "" },
-            ),
-            Shape::MultiJoinAgg {
-                fact,
-                fact_filter,
-                edges,
-                order_method,
-                probe_masked,
-                group,
-                ..
-            } => format!(
-                "Aggregate{} <- MultiJoin[order: {}] {}{fact} -> [{}]{}",
-                group
-                    .as_ref()
-                    .map(|(g, s)| format!("[{}] (group by {g})", s.name()))
-                    .unwrap_or_default(),
-                order_method.name(),
-                if fact_filter.is_some() {
-                    "Filter <- "
-                } else {
-                    ""
-                },
-                edges.iter().map(render_edge).collect::<Vec<_>>().join(", "),
-                if *probe_masked {
-                    " (probe: masked)"
-                } else {
-                    ""
-                },
-            ),
-            Shape::WindowScan {
-                table,
-                filter,
-                partition_by,
-                funcs,
-                strategy,
-                ..
-            } => {
-                if funcs.is_empty() {
-                    format!(
-                        "Project <- {}Scan {table}",
-                        if filter.is_some() { "Filter <- " } else { "" },
-                    )
-                } else {
-                    format!(
-                        "Window[{}] ({} fns{}) <- {}Scan {table}",
-                        strategy.name(),
-                        funcs.len(),
-                        partition_by
-                            .as_ref()
-                            .map(|p| format!(", partition by {p}"))
-                            .unwrap_or_default(),
-                        if filter.is_some() { "Filter <- " } else { "" },
-                    )
-                }
+            Shape::Agg(a) => a.describe(),
+            Shape::WindowScan(w) => w.describe(),
+        }
+    }
+}
+
+impl AggShape {
+    /// Name of the aggregating operator, as the metrics and the verifier
+    /// know it: a function of edge count and key only.
+    pub(crate) fn op_name(&self) -> String {
+        match (self.edges.len(), &self.group) {
+            (0, None) => format!("agg({})", self.table),
+            (0, Some(_)) => format!("groupby-agg({})", self.table),
+            _ => format!("multijoin-agg({})", self.table),
+        }
+    }
+
+    fn strategy_name(&self) -> String {
+        let sink = |kernel| match &self.group_sink {
+            Some(s) => format!(", sink: {}", s.name(kernel)),
+            None => String::new(),
+        };
+        let join = |rest: &str| {
+            format!(
+                "multi-join ({} edges, order: {}{rest})",
+                count_edges(&self.edges),
+                self.order_method.name()
+            )
+        };
+        match self.mode {
+            AggMode::By(s) => {
+                let kernel = match s {
+                    AggStrategy::Hybrid => "groupby_gather",
+                    AggStrategy::ValueMasking => "groupby_value_masked",
+                    AggStrategy::KeyMasking => "groupby_key_masked",
+                };
+                format!("{}{}", s.name(), sink(kernel))
+            }
+            AggMode::Probe { masked: false } => join(""),
+            // The planned sink: at run time an unproven accumulator, or
+            // counters, step it down to AND-into-mask + `sum_op_masked`.
+            AggMode::Probe { masked: true } => {
+                let sinks = scalar_sinks(&self.program, &self.aggs, true, false);
+                join(match sinks.fused_probe() {
+                    Some(_) => ", masked probe, sink: semijoin_sum_bitmap_masked",
+                    None => ", masked probe",
+                })
+            }
+            AggMode::Join(s) => {
+                let kernel = match s {
+                    GroupJoinStrategy::GroupJoin => "groupby_gather",
+                    GroupJoinStrategy::EagerAggregation => "eager_aggregate",
+                };
+                join(&format!(", {}{}", s.name(), sink(kernel)))
             }
         }
+    }
+
+    fn describe(&self) -> String {
+        let AggShape { table, mode, .. } = self;
+        let filter = self.filter.as_ref().map_or("", |_| "Filter <- ");
+        let group = self.group.as_deref();
+        if let AggMode::By(strategy) = mode {
+            return format!(
+                "Aggregate[{}] ({} aggs{}) <- {filter}Scan {table}",
+                strategy.name(),
+                self.aggs.len(),
+                group.map(|g| format!(", group by {g}")).unwrap_or_default(),
+            );
+        }
+        format!(
+            "Aggregate{} <- MultiJoin[order: {}] {filter}{table} -> [{}]{}",
+            match (mode, group) {
+                (AggMode::Join(s), Some(g)) => format!("[{}] (group by {g})", s.name()),
+                _ => String::new(),
+            },
+            self.order_method.name(),
+            self.edges
+                .iter()
+                .map(render_edge)
+                .collect::<Vec<_>>()
+                .join(", "),
+            match mode {
+                AggMode::Probe { masked: true } => " (probe: masked)",
+                _ => "",
+            },
+        )
+    }
+}
+
+impl WindowShape {
+    fn describe(&self) -> String {
+        let WindowShape { table, funcs, .. } = self;
+        let filter = self.filter.as_ref().map_or("", |_| "Filter <- ");
+        if funcs.is_empty() {
+            return format!("Project <- {filter}Scan {table}");
+        }
+        format!(
+            "Window[{}] ({} fns{}) <- {filter}Scan {table}",
+            self.strategy.name(),
+            funcs.len(),
+            self.partition_by
+                .as_ref()
+                .map(|p| format!(", partition by {p}"))
+                .unwrap_or_default(),
+        )
     }
 }
 

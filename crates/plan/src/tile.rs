@@ -1070,7 +1070,7 @@ impl BoundProgram {
     /// Compact the filter mask of the tile just run into `r.idx` as
     /// tile-local offsets; returns the qualifying count.
     pub(crate) fn select(&self, r: &mut Regs, len: usize) -> usize {
-        selvec::fill_nobranch(&r.masks[self.prog.filter][..len], 0, &mut r.idx[..len])
+        selvec::fill_nobranch(&r.masks[self.prog.filter][..len], 0, &mut r.idx)
     }
 
     /// The group key of rows `[start, start + len)` at native width.

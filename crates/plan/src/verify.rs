@@ -24,10 +24,11 @@ use crate::catalog::Database;
 use crate::error::PlanError;
 use crate::expr::Expr;
 use crate::faults;
-use crate::logical::{AggSpec, SortKey, WindowFnSpec};
-use crate::physical::{GroupTableRepr, JoinEdge, PhysicalPlan, PostOp, Shape};
-use crate::tile::TileProgram;
-use swole_cost::{AggStrategy, GroupJoinStrategy, SemiJoinStrategy, WindowStrategy};
+use crate::logical::AggSpec;
+use crate::physical::{
+    AggMode, AggShape, FrontEnd, GroupTableRepr, JoinEdge, PhysicalPlan, PostOp, Shape, WindowShape,
+};
+use swole_cost::{AggStrategy, SemiJoinStrategy};
 use swole_ht::DenseAggTable;
 
 /// Lower `plan` and verify it at `level`. `Off` is a no-op by construction
@@ -67,73 +68,8 @@ fn program_for_with(
 ) -> Result<Program, PlanError> {
     let fault_uncharged = consume_fault && faults::take_uncharged_alloc();
     let mut program = match &plan.shape {
-        Shape::ScanAgg {
-            table,
-            filter,
-            group_by,
-            aggs,
-            strategy,
-            group_table,
-            program,
-        } => lower_scan_agg(
-            db,
-            plan,
-            table,
-            filter.as_ref(),
-            group_by.as_deref(),
-            aggs,
-            *strategy,
-            *group_table,
-            program,
-        )?,
-        Shape::MultiJoinAgg {
-            fact,
-            fact_filter,
-            edges,
-            aggs,
-            probe_masked,
-            group,
-            group_table,
-            fact_program,
-            ..
-        } => lower_multijoin_agg(
-            db,
-            plan,
-            fact,
-            fact_filter.as_ref(),
-            edges,
-            aggs,
-            *probe_masked,
-            group.as_ref(),
-            *group_table,
-            fact_program,
-        )?,
-        Shape::WindowScan {
-            table,
-            filter,
-            partition_by,
-            order_by,
-            funcs,
-            select,
-            strategy,
-            scan_program,
-            gather_program,
-            ..
-        } => lower_window_scan(
-            db,
-            plan,
-            table,
-            filter.as_ref(),
-            partition_by.as_deref(),
-            order_by,
-            funcs,
-            select,
-            *strategy,
-            // Workers charge the scan's register file; the submitter
-            // charges the gather pass's once. Declaring the sum per worker
-            // dominates both.
-            scan_program.scratch_bytes() + gather_program.scratch_bytes(),
-        )?,
+        Shape::Agg(shape) => lower_agg(db, plan, shape)?,
+        Shape::WindowScan(shape) => lower_window_scan(db, plan, shape)?,
     };
     // Result-level post-operators run over the materialized result but are
     // still part of the composed plan: lower them so ORDER BY / LIMIT
@@ -146,10 +82,7 @@ fn program_for_with(
                     let mut op = Op::new(&format!("sort({tname})"), "/post/sort", &tname, trows);
                     op.strategy = Some(StrategyRef::Sort);
                     op.cost_terms = vec!["sort.rows".to_string()];
-                    op.allocs.push(Alloc {
-                        site: "sort-selection-vector".to_string(),
-                        charged: true,
-                    });
+                    op.allocs.push(charged("sort-selection-vector"));
                     program.ops.push(op);
                 }
                 PostOp::Limit { .. } => {
@@ -219,6 +152,14 @@ fn lower_expr(e: &Expr) -> VExpr {
     }
 }
 
+/// An operator's own filter, if it has one.
+fn predicate(filter: &Option<Expr>) -> Option<BoundExpr> {
+    filter.as_ref().map(|f| BoundExpr {
+        role: ExprRole::Predicate,
+        expr: lower_expr(f),
+    })
+}
+
 fn agg_inputs(aggs: &[AggSpec]) -> Vec<BoundExpr> {
     aggs.iter()
         .map(|a| BoundExpr {
@@ -235,10 +176,12 @@ fn cost_term_names(plan: &PhysicalPlan) -> Vec<String> {
         .collect()
 }
 
-/// The per-worker register file every morsel stage charges at `init`.
-fn worker_scratch_alloc() -> Alloc {
+/// An allocation site that charges the gauge before it allocates
+/// (`worker-scratch` is the per-worker register file every morsel stage
+/// charges at `init`).
+fn charged(site: &str) -> Alloc {
     Alloc {
-        site: "worker-scratch".to_string(),
+        site: site.to_string(),
         charged: true,
     }
 }
@@ -260,93 +203,22 @@ fn dense_group_slots(
     }
 }
 
-fn cmp_artifact(table: &str) -> Artifact {
+/// An artifact that lives for one tile of `table`.
+fn tile_artifact(kind: ArtifactKind, table: &str) -> Artifact {
     Artifact {
-        kind: ArtifactKind::ValueMask,
-        table: table.to_string(),
-        rows: TILE,
         scope: Scope::Tile,
+        ..plan_artifact(kind, table, TILE)
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn lower_scan_agg(
-    db: &Database,
-    plan: &PhysicalPlan,
-    table: &str,
-    filter: Option<&Expr>,
-    group_by: Option<&str>,
-    aggs: &[AggSpec],
-    strategy: AggStrategy,
-    group_table: GroupTableRepr,
-    program: &TileProgram,
-) -> Result<Program, PlanError> {
-    let decl = table_decl(db, table)?;
-    let rows = decl.rows;
-    let grouped = group_by.is_some();
-    let name = if grouped {
-        format!("groupby-agg({table})")
-    } else {
-        format!("agg({table})")
-    };
-    let mut op = Op::new(&name, "/scan-agg", table, rows);
-    if let Some(f) = filter {
-        op.exprs.push(BoundExpr {
-            role: ExprRole::Predicate,
-            expr: lower_expr(f),
-        });
+/// An artifact over all `rows` of `table` that lives as long as the plan.
+fn plan_artifact(kind: ArtifactKind, table: &str, rows: usize) -> Artifact {
+    Artifact {
+        kind,
+        table: table.to_string(),
+        rows,
+        scope: Scope::Plan,
     }
-    op.exprs.extend(agg_inputs(aggs));
-    if let Some(g) = group_by {
-        op.exprs.push(BoundExpr {
-            role: ExprRole::GroupKey,
-            expr: VExpr::Col(g.to_string()),
-        });
-    }
-    op.strategy = Some(StrategyRef::Agg { strategy, grouped });
-    op.n_aggs = Some(aggs.len());
-    op.scratch_bytes = program.scratch_bytes();
-    op.cost_terms = cost_term_names(plan);
-    // Every strategy evaluates the predicate into the tile-scoped `cmp`
-    // mask; hybrid compacts it into a tile selection vector, grouped key
-    // masking folds it into the tile key buffer.
-    op.locals.push(cmp_artifact(table));
-    match (strategy, grouped) {
-        (AggStrategy::Hybrid, _) | (AggStrategy::KeyMasking, false) => {
-            op.locals.push(Artifact {
-                kind: ArtifactKind::SelectionVector,
-                table: table.to_string(),
-                rows: TILE,
-                scope: Scope::Tile,
-            });
-        }
-        (AggStrategy::KeyMasking, true) => {
-            op.locals.push(Artifact {
-                kind: ArtifactKind::KeyMask,
-                table: table.to_string(),
-                rows: TILE,
-                scope: Scope::Tile,
-            });
-        }
-        (AggStrategy::ValueMasking, _) => {}
-    }
-    op.allocs.push(Alloc {
-        site: "worker-scratch".to_string(),
-        charged: true,
-    });
-    if grouped {
-        op.allocs.push(Alloc {
-            site: "agg-table".to_string(),
-            charged: true,
-        });
-        op.dense_group_slots = dense_group_slots(db, group_table, table, table);
-    }
-    Ok(Program {
-        tables: vec![decl],
-        fks: Vec::new(),
-        ops: vec![op],
-        tile_rows: TILE,
-    })
 }
 
 /// Lower a window pipeline. The parallel filter phase materializes a
@@ -354,28 +226,23 @@ fn lower_scan_agg(
 /// plan-scoped selection vector (the window sort's input domain); function
 /// inputs are aggregate-input contexts and the partition/order keys are
 /// group keys, so pass 1 enforces the same typing as grouped aggregation.
-#[allow(clippy::too_many_arguments)]
 fn lower_window_scan(
     db: &Database,
     plan: &PhysicalPlan,
-    table: &str,
-    filter: Option<&Expr>,
-    partition_by: Option<&str>,
-    order_by: &[SortKey],
-    funcs: &[WindowFnSpec],
-    select: &[String],
-    strategy: WindowStrategy,
-    scratch_bytes: usize,
+    shape: &WindowShape,
 ) -> Result<Program, PlanError> {
+    let WindowShape {
+        table,
+        partition_by,
+        order_by,
+        funcs,
+        select,
+        ..
+    } = shape;
     let decl = table_decl(db, table)?;
     let rows = decl.rows;
     let mut op = Op::new(&format!("window({table})"), "/window-scan", table, rows);
-    if let Some(f) = filter {
-        op.exprs.push(BoundExpr {
-            role: ExprRole::Predicate,
-            expr: lower_expr(f),
-        });
-    }
+    op.exprs.extend(predicate(&shape.filter));
     for f in funcs {
         if let Some(e) = &f.expr {
             op.exprs.push(BoundExpr {
@@ -385,8 +252,8 @@ fn lower_window_scan(
         }
     }
     for c in partition_by
-        .iter()
-        .copied()
+        .as_deref()
+        .into_iter()
         .chain(order_by.iter().map(|k| k.column.as_str()))
     {
         op.exprs.push(BoundExpr {
@@ -394,28 +261,23 @@ fn lower_window_scan(
             expr: VExpr::Col(c.to_string()),
         });
     }
-    op.strategy = Some(StrategyRef::Window { strategy });
-    op.scratch_bytes = scratch_bytes;
+    op.strategy = Some(StrategyRef::Window {
+        strategy: shape.strategy,
+    });
+    // Workers charge the scan's register file; the submitter charges the
+    // gather pass's once. Declaring the sum per worker dominates both.
+    op.scratch_bytes = shape.scan_program.scratch_bytes() + shape.gather_program.scratch_bytes();
     // Phase 2 materializes one column per partition key, order key,
     // projected column, and function input — exactly what execution charges.
     op.mat_cols = Some(1 + order_by.len() + select.len() + funcs.len());
     op.n_aggs = Some(funcs.len());
     op.cost_terms = cost_term_names(plan);
-    op.locals.push(cmp_artifact(table));
-    op.locals.push(Artifact {
-        kind: ArtifactKind::SelectionVector,
-        table: table.to_string(),
-        rows,
-        scope: Scope::Plan,
-    });
-    op.allocs.push(Alloc {
-        site: "worker-scratch".to_string(),
-        charged: true,
-    });
-    op.allocs.push(Alloc {
-        site: "selection-vector".to_string(),
-        charged: true,
-    });
+    op.locals
+        .push(tile_artifact(ArtifactKind::ValueMask, table));
+    op.locals
+        .push(plan_artifact(ArtifactKind::SelectionVector, table, rows));
+    op.allocs.push(charged("worker-scratch"));
+    op.allocs.push(charged("selection-vector"));
     Ok(Program {
         tables: vec![decl],
         fks: Vec::new(),
@@ -472,12 +334,7 @@ fn lower_join_build(
         &e.parent,
         rows,
     );
-    if let Some(f) = &e.parent_filter {
-        op.exprs.push(BoundExpr {
-            role: ExprRole::Predicate,
-            expr: lower_expr(f),
-        });
-    }
+    op.exprs.extend(predicate(&e.parent_filter));
     for c in &e.children {
         op.imports.push(Import {
             kind: ArtifactKind::ValueMask,
@@ -490,172 +347,134 @@ fn lower_join_build(
         });
     }
     op.scratch_bytes = e.parent_program.scratch_bytes();
-    op.allocs.push(Alloc {
-        site: "build-mask".to_string(),
-        charged: true,
-    });
-    op.allocs.push(worker_scratch_alloc());
+    op.allocs.push(charged("build-mask"));
+    op.allocs.push(charged("worker-scratch"));
     if direct {
         op.strategy = Some(StrategyRef::SemiJoinBuild(e.strategy));
-        op.locals.push(Artifact {
-            kind: ArtifactKind::ValueMask,
-            table: e.parent.clone(),
-            rows,
-            scope: Scope::Plan,
-        });
+        op.locals
+            .push(plan_artifact(ArtifactKind::ValueMask, &e.parent, rows));
         match e.strategy {
             SemiJoinStrategy::Hash => {
-                op.exports.push(Artifact {
-                    kind: ArtifactKind::KeySet,
-                    table: e.parent.clone(),
-                    rows,
-                    scope: Scope::Plan,
-                });
-                op.allocs.push(Alloc {
-                    site: "key-set".to_string(),
-                    charged: true,
-                });
+                op.exports
+                    .push(plan_artifact(ArtifactKind::KeySet, &e.parent, rows));
+                op.allocs.push(charged("key-set"));
             }
             SemiJoinStrategy::PositionalBitmap(bmb) => {
                 if bmb == swole_cost::BitmapBuild::SelectionVector {
-                    op.locals.push(Artifact {
-                        kind: ArtifactKind::SelectionVector,
-                        table: e.parent.clone(),
+                    op.locals.push(plan_artifact(
+                        ArtifactKind::SelectionVector,
+                        &e.parent,
                         rows,
-                        scope: Scope::Plan,
-                    });
-                    op.allocs.push(Alloc {
-                        site: "selection-vector".to_string(),
-                        charged: true,
-                    });
+                    ));
+                    op.allocs.push(charged("selection-vector"));
                 }
-                op.exports.push(Artifact {
-                    kind: ArtifactKind::PositionalBitmap,
-                    table: e.parent.clone(),
+                op.exports.push(plan_artifact(
+                    ArtifactKind::PositionalBitmap,
+                    &e.parent,
                     rows,
-                    scope: Scope::Plan,
-                });
-                op.allocs.push(Alloc {
-                    site: "positional-bitmap".to_string(),
-                    charged: true,
-                });
+                ));
+                op.allocs.push(charged("positional-bitmap"));
             }
         }
     } else {
         // Chain edge: the mask itself crosses the operator boundary.
         op.strategy = Some(StrategyRef::GroupJoinBuild);
-        op.exports.push(Artifact {
-            kind: ArtifactKind::ValueMask,
-            table: e.parent.clone(),
-            rows,
-            scope: Scope::Plan,
-        });
+        op.exports
+            .push(plan_artifact(ArtifactKind::ValueMask, &e.parent, rows));
     }
     ops.push(op);
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn lower_multijoin_agg(
-    db: &Database,
-    plan: &PhysicalPlan,
-    fact: &str,
-    fact_filter: Option<&Expr>,
-    edges: &[JoinEdge],
-    aggs: &[AggSpec],
-    probe_masked: bool,
-    group: Option<&(String, GroupJoinStrategy)>,
-    group_table: GroupTableRepr,
-    fact_program: &TileProgram,
-) -> Result<Program, PlanError> {
-    let fact_decl = table_decl(db, fact)?;
-    let fact_rows = fact_decl.rows;
-    let mut tables = vec![fact_decl];
+/// Lower an aggregation: one build operator per join edge (none for a plain
+/// scan), then the operator that scans `table`, restricts each tile through
+/// the edges and aggregates — named, like the executor's, by edge count and
+/// key.
+fn lower_agg(db: &Database, plan: &PhysicalPlan, shape: &AggShape) -> Result<Program, PlanError> {
+    let AggShape {
+        table,
+        edges,
+        aggs,
+        mode,
+        program,
+        ..
+    } = shape;
+    let (group, mode) = (shape.group.as_deref(), *mode);
+    let decl = table_decl(db, table)?;
+    let rows = decl.rows;
+    let mut tables = vec![decl];
     let mut fks = Vec::new();
     let mut ops = Vec::new();
     for e in edges {
-        lower_join_build(db, fact, e, true, &mut tables, &mut fks, &mut ops)?;
+        lower_join_build(db, table, e, true, &mut tables, &mut fks, &mut ops)?;
     }
-    let mut probe_op = Op::new(
-        &format!("multijoin-agg({fact})"),
-        "/multijoin-agg/probe",
-        fact,
-        fact_rows,
-    );
-    if let Some(f) = fact_filter {
-        probe_op.exprs.push(BoundExpr {
-            role: ExprRole::Predicate,
-            expr: lower_expr(f),
-        });
-    }
-    probe_op.exprs.extend(agg_inputs(aggs));
-    probe_op.allocs.push(worker_scratch_alloc());
-    // Whether the tile body compacts the filter mask into a selection
-    // vector (which each edge then narrows).
-    let selects = match group {
+    let grouped = group.is_some();
+    let path = if edges.is_empty() {
+        "/scan-agg"
+    } else {
+        "/multijoin-agg/probe"
+    };
+    let mut op = Op::new(&shape.op_name(), path, table, rows);
+    op.exprs.extend(predicate(&shape.filter));
+    op.exprs.extend(agg_inputs(aggs));
+    op.strategy = Some(match mode {
+        AggMode::By(strategy) => StrategyRef::Agg { strategy, grouped },
         // The probe either folds the bitmap bit into the tile mask or narrows
         // a tile selection vector edge-by-edge; its access signature is the
         // semijoin probe's, whichever membership structure each edge gathers
         // into.
-        None => {
-            let first_strategy = edges
+        AggMode::Probe { masked } => StrategyRef::SemiJoinProbe {
+            strategy: edges
                 .first()
                 .map(|e| e.strategy)
-                .unwrap_or(SemiJoinStrategy::Hash);
-            probe_op.strategy = Some(StrategyRef::SemiJoinProbe {
-                strategy: first_strategy,
-                probe_masked,
-            });
-            probe_op.scratch_bytes = crate::engine::scalar_scratch_bytes(fact_program, edges.len());
-            !probe_masked
-        }
-        // Grouped by the edge's FK: the groupjoin narrows the selection
-        // through the edge, eager aggregation upserts every lane and
-        // consults the edge after the merge. Either way each worker fills
-        // a private table.
-        Some((g, strategy)) => {
-            probe_op.exprs.push(BoundExpr {
-                role: ExprRole::GroupKey,
-                expr: VExpr::Col(g.clone()),
-            });
-            probe_op.strategy = Some(StrategyRef::GroupJoin(*strategy));
-            probe_op.scratch_bytes = fact_program.scratch_bytes();
-            probe_op.allocs.push(Alloc {
-                site: "agg-table".to_string(),
-                charged: true,
-            });
-            probe_op.dense_group_slots = edges
-                .first()
-                .and_then(|e| dense_group_slots(db, group_table, fact, &e.parent));
-            *strategy == GroupJoinStrategy::GroupJoin
-        }
-    };
-    probe_op.n_aggs = Some(aggs.len());
-    probe_op.cost_terms = cost_term_names(plan);
+                .unwrap_or(SemiJoinStrategy::Hash),
+            probe_masked: masked,
+        },
+        AggMode::Join(strategy) => StrategyRef::GroupJoin(strategy),
+    });
+    op.allocs.push(charged("worker-scratch"));
+    if let Some(g) = group {
+        // Each worker fills a private group table.
+        op.exprs.push(BoundExpr {
+            role: ExprRole::GroupKey,
+            expr: VExpr::Col(g.to_string()),
+        });
+        op.scratch_bytes = program.scratch_bytes();
+        op.allocs.push(charged("agg-table"));
+        let domain = edges.first().map_or(table, |e| &e.parent);
+        op.dense_group_slots = dense_group_slots(db, shape.group_table, table, domain);
+    } else {
+        op.scratch_bytes = crate::exec::scalar_scratch_bytes(program, edges.len());
+    }
+    op.n_aggs = Some(aggs.len());
+    op.cost_terms = cost_term_names(plan);
     for e in edges {
-        probe_op.imports.push(Import {
+        op.imports.push(Import {
             kind: match e.strategy {
                 SemiJoinStrategy::Hash => ArtifactKind::KeySet,
                 SemiJoinStrategy::PositionalBitmap(_) => ArtifactKind::PositionalBitmap,
             },
             table: e.parent.clone(),
             via_fk: Some(FkRef {
-                child: fact.to_string(),
+                child: table.to_string(),
                 fk_col: e.fk_col.clone(),
                 parent: e.parent.clone(),
             }),
         });
     }
-    probe_op.locals.push(cmp_artifact(fact));
-    if selects {
-        probe_op.locals.push(Artifact {
-            kind: ArtifactKind::SelectionVector,
-            table: fact.to_string(),
-            rows: TILE,
-            scope: Scope::Tile,
-        });
+    // Every front end evaluates the predicate into the tile-scoped `cmp`
+    // mask; `Select` compacts it into a tile selection vector (which each
+    // edge then narrows), grouped key masking folds it into the tile key
+    // buffer.
+    op.locals
+        .push(tile_artifact(ArtifactKind::ValueMask, table));
+    if mode.front_end(grouped) == FrontEnd::Select {
+        op.locals
+            .push(tile_artifact(ArtifactKind::SelectionVector, table));
+    } else if grouped && mode == AggMode::By(AggStrategy::KeyMasking) {
+        op.locals.push(tile_artifact(ArtifactKind::KeyMask, table));
     }
-    ops.push(probe_op);
+    ops.push(op);
     Ok(Program {
         tables,
         fks,

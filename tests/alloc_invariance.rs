@@ -5,21 +5,29 @@
 //! (register file in the morsel `init`, match tables at bind time), so a
 //! 400-tile table costs exactly the allocations a 4-tile table does.
 //!
+//! And per-statement overhead does not creep: one warm, one-morsel
+//! statement of each hot kind allocates no more than it did at the commit
+//! recorded next to [`HOT_STATEMENTS`].
+//!
 //! This is the one file in the repository with `unsafe`: counting needs a
 //! `GlobalAlloc`, and implementing that trait is an `unsafe impl`. It only
-//! forwards to [`System`]. The binary holds a single test so that no
-//! neighbouring test allocates while the counter runs, and the counter is
-//! gated per thread for the harness's own threads.
+//! forwards to [`System`]. The counter is gated per thread for the harness's
+//! own threads, and the two tests take turns ([`COUNTER`]) so that neither
+//! allocates while the other counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use swole::plan::physical::PhysicalPlan;
 use swole::prelude::*;
 use swole_kernels::TILE;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+/// Held by the test that is counting.
+static COUNTER: Mutex<()> = Mutex::new(());
 
 thread_local! {
     /// Set on the thread whose allocations are being counted.
@@ -79,36 +87,38 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
 /// with a short period so both sizes hold the same value domains (16 group
 /// keys, 4 dictionary words — no hash-table growth to tell them apart).
 fn database(tiles: usize) -> Database {
+    let mut db = Database::new();
+    db.add_table(r_table(tiles));
+    db
+}
+
+fn r_table(tiles: usize) -> Table {
     let n = tiles * TILE;
     let words = ["PROMO A", "STD", "PROMO B", "ECO"];
-    let mut db = Database::new();
-    db.add_table(
-        Table::new("R")
-            .with_column(
-                "x",
-                ColumnData::I8((0..n).map(|i| (i % 100) as i8).collect()),
-            )
-            .with_column("y", ColumnData::I8(vec![1; n]))
-            .with_column(
-                "a",
-                ColumnData::I32((0..n).map(|i| (i % 50) as i32 + 1).collect()),
-            )
-            .with_column(
-                "b",
-                ColumnData::I32((0..n).map(|i| (i % 47) as i32 + 1).collect()),
-            )
-            .with_column(
-                "g",
-                ColumnData::I16((0..n).map(|i| (i % 16) as i16).collect()),
-            )
-            .with_column(
-                "d",
-                ColumnData::Dict(swole_storage::DictColumn::encode(
-                    &(0..n).map(|i| words[i % 4]).collect::<Vec<_>>(),
-                )),
-            ),
-    );
-    db
+    Table::new("R")
+        .with_column(
+            "x",
+            ColumnData::I8((0..n).map(|i| (i % 100) as i8).collect()),
+        )
+        .with_column("y", ColumnData::I8(vec![1; n]))
+        .with_column(
+            "a",
+            ColumnData::I32((0..n).map(|i| (i % 50) as i32 + 1).collect()),
+        )
+        .with_column(
+            "b",
+            ColumnData::I32((0..n).map(|i| (i % 47) as i32 + 1).collect()),
+        )
+        .with_column(
+            "g",
+            ColumnData::I16((0..n).map(|i| (i % 16) as i16).collect()),
+        )
+        .with_column(
+            "d",
+            ColumnData::Dict(swole_storage::DictColumn::encode(
+                &(0..n).map(|i| words[i % 4]).collect::<Vec<_>>(),
+            )),
+        )
 }
 
 const QUERIES: [(&str, &str); 4] = [
@@ -142,6 +152,7 @@ fn count(engine: &Engine, physical: &PhysicalPlan) -> usize {
 
 #[test]
 fn execute_allocations_do_not_scale_with_table_size() {
+    let _turn = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     for strategy in [AggStrategy::ValueMasking, AggStrategy::Hybrid] {
         let build = |tiles| {
             Engine::builder(database(tiles))
@@ -163,5 +174,71 @@ fn execute_allocations_do_not_scale_with_table_size() {
                 "{name} under {strategy:?}: 4 tiles took {few} allocations, 400 tiles {many}"
             );
         }
+    }
+}
+
+/// The hot statement kinds of a served workload, each with what marks its
+/// plan shape and the allocations one warm execution of it (plan-cache hit
+/// included) took at commit 32d5634, the parent of the one that merged the
+/// scalar and grouped executors into one driver. A one-morsel statement is
+/// all overhead, so this is the guard for the `sessions_mixed` benchmark
+/// workload: the count may fall, never rise.
+const HOT_STATEMENTS: [(&str, &str, &str, usize); 4] = [
+    (
+        "scalar scan",
+        "(1 aggs) <- Filter <- Scan R",
+        "select sum(a * b) as s from R where x < 50",
+        42,
+    ),
+    (
+        "group-by",
+        "group by g) <- Filter <- Scan R",
+        "select g, sum(a * b) as s from R where x < 50 group by g",
+        65,
+    ),
+    (
+        "masked one-edge probe",
+        "S[positional-bitmap]] (probe: masked)",
+        "select sum(R.a * R.b) as s from R, S where R.fk = S.rowid and R.x < 50 and S.y < 50",
+        74,
+    ),
+    (
+        "groupjoin",
+        "(group by fk) <- MultiJoin",
+        "select R.fk, sum(R.a * R.b) as s from R, S where R.fk = S.rowid and S.y < 50 \
+         group by R.fk",
+        123,
+    ),
+];
+
+#[test]
+fn hot_statements_allocate_no_more_than_at_the_parent_commit() {
+    let _turn = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    // Four tiles: one morsel.
+    let n = 4 * TILE;
+    let mut db = Database::new();
+    db.add_table(r_table(4).with_column(
+        "fk",
+        ColumnData::U32((0..n).map(|i| (i % 64) as u32).collect()),
+    ));
+    db.add_table(Table::new("S").with_column(
+        "y",
+        ColumnData::I8((0..64).map(|i| (i % 100) as i8).collect()),
+    ));
+    db.add_fk("R", "fk", "S").expect("FK registers");
+    let engine = Engine::builder(db).threads(1).build();
+    for (kind, marker, sql, parent) in HOT_STATEMENTS {
+        let plan = swole::plan::parse_sql(sql).expect("parses").plan;
+        // Plans and caches; the second run is the warm one.
+        let explain = engine.explain(&plan).expect("plans");
+        assert!(explain.shape.contains(marker), "{kind}: {}", explain.shape);
+        engine.query(&plan).expect("cold run");
+        engine.query(&plan).expect("warm-up run");
+        let (now, res) = allocations_during(|| engine.query(&plan));
+        res.expect("counted run");
+        assert!(
+            now <= parent,
+            "{kind}: one warm statement took {now} allocations, {parent} at the parent commit"
+        );
     }
 }

@@ -226,6 +226,55 @@ fn groupjoin_counters_thread_invariant() {
 }
 
 #[test]
+fn scalar_and_grouped_joins_report_the_same_edge() {
+    // One driver narrows the selection vector for both sinks: over the same
+    // fact table, filter and edge, what reached and survived the edge — and
+    // how often its membership structure was asked — cannot depend on what
+    // the survivors are folded into.
+    let join = || {
+        QueryBuilder::scan("R")
+            .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(80)))
+            .semijoin(
+                QueryBuilder::scan("S").filter(Expr::col("y").cmp(CmpOp::Lt, Expr::lit(50))),
+                "fk",
+            )
+    };
+    let sum = || AggSpec::sum(Expr::col("a").mul(Expr::col("b")), "s");
+    let scalar = join().aggregate(None, vec![sum()]);
+    let grouped = join().aggregate(Some("fk"), vec![sum()]);
+    // A key-set edge is probed through the selection vector, never masked.
+    let pins = StrategyOverrides {
+        semijoin: Some(SemiJoinStrategy::Hash),
+        groupjoin: Some(GroupJoinStrategy::GroupJoin),
+        ..StrategyOverrides::default()
+    };
+    for threads in THREADS {
+        for pool in [false, true] {
+            let edge = |plan: &LogicalPlan| {
+                let m = run_counters(plan, threads, |b| {
+                    let b = b.strategies(pins.clone());
+                    if pool {
+                        b.worker_pool(threads)
+                    } else {
+                        b
+                    }
+                });
+                let probe = m.op("multijoin-probe(S)").expect("edge probe op present");
+                (probe.access.rows_in, probe.access.rows_out, probe.ht.probes)
+            };
+            let (rows_in, rows_out, probes) = edge(&scalar);
+            assert!(rows_in < 50_000 && rows_out > 0 && rows_out < rows_in);
+            assert_eq!(probes, rows_in);
+            assert_eq!(
+                edge(&grouped),
+                (rows_in, rows_out, probes),
+                "threads={threads}, pool={pool}"
+            );
+        }
+    }
+}
+
+#[test]
 fn strategies_agree_on_rows_out() {
     // Data-centric (interpreter) and every engine strategy must report the
     // same qualifying-row count; they differ only in how they got there.
