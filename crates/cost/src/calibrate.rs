@@ -1,7 +1,7 @@
 //! On-host measurement of the primitive cost parameters.
 //!
 //! The paper's models take `read_seq`, `read_cond` and `ht_*` as machine
-//! constants (refs [6], [7] measure them per machine). This module measures
+//! constants (refs \[6\], \[7\] measure them per machine). This module measures
 //! them with small timing loops so the chooser's decisions reflect the host
 //! actually executing the queries. Units are nanoseconds per operation —
 //! the models only compare strategies, so any consistent unit works.

@@ -2,7 +2,7 @@
 //!
 //! § III-A: "if the aggregation is compute-bound, the model will use the
 //! cost `comp` (in cycles) of that computation, which can be estimated
-//! through introspection [4]". Tupleware's introspection inspects the
+//! through introspection \[4\]". Tupleware's introspection inspects the
 //! operation mix of the UDF/expression; here the planner walks the
 //! aggregate expression and feeds per-operator throughput costs into
 //! [`comp_cycles`].

@@ -7,12 +7,12 @@
 //! * [`CostParams`] — the primitive access costs (`read_seq`, `read_cond`,
 //!   `comp`, `ht_*`) in CPU cycles per tuple, with hash-structure costs
 //!   priced against the cache hierarchy (Manegold/Pirk-style hierarchical
-//!   memory cost modelling, refs [6], [7] of the paper);
+//!   memory cost modelling, refs \[6\], \[7\] of the paper);
 //! * [`model`] — the five formulas exactly as printed in the paper
 //!   (Hybrid, VM, VM-groupby, KM, Groupjoin, EA);
 //! * [`choose`] — the strategy chooser realising Fig. 2's
 //!   technique/operator/heuristic matrix, returning explainable decisions;
-//! * [`comp`] — "introspection" (section III-A, ref [4]): estimate the
+//! * [`comp`] — "introspection" (section III-A, ref \[4\]): estimate the
 //!   `comp` term of an aggregation from its operator mix;
 //! * [`calibrate`] — measure the primitive costs on the host so decisions
 //!   reflect the machine actually running the query.

@@ -3,7 +3,7 @@
 /// Primitive per-tuple access costs, in CPU cycles.
 ///
 /// `read_seq` and `read_cond` are the paper's sequential / conditional
-/// access costs (refs [6], [7]); the hash-structure costs are priced by
+/// access costs (refs \[6\], \[7\]); the hash-structure costs are priced by
 /// which cache level the structure fits in, since "a lookup in a large hash
 /// table with uniformly distributed values will almost certainly result in a
 /// cache miss" (§ IV-B).

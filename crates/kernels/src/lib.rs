@@ -13,7 +13,7 @@
 //! | module       | strategy / technique                                      |
 //! |--------------|-----------------------------------------------------------|
 //! | [`predicate`] | prepass predicate evaluation (hybrid/ROF/SWOLE, Fig. 1)  |
-//! | [`selvec`]    | selection-vector construction, branch & no-branch [31]   |
+//! | [`selvec`]    | selection-vector construction, branch & no-branch \[31\] |
 //! | [`agg`]       | aggregation: data-centric, hybrid gather, **value masking** (§ III-A), **access merging** (§ III-C), ROF |
 //! | [`groupby`]   | group-by aggregation: data-centric, hybrid, **value masking**, **key masking** (§ III-B) |
 //! | [`join`]      | joins: hash (semi)join baselines, **positional-bitmap semijoin** (§ III-D), groupjoin, **eager aggregation** (§ III-E) |

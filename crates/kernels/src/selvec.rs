@@ -2,7 +2,7 @@
 //!
 //! The hybrid strategy's "second inner loop" (Fig. 1): convert a tile's
 //! `cmp` mask into a selection vector of qualifying row offsets. Two
-//! variants exist because (per Ross [31], cited in § II-A) the predicated
+//! variants exist because (per Ross \[31\], cited in § II-A) the predicated
 //! no-branch form avoids branch mispredictions at intermediate
 //! selectivities while a branching form can win at the extremes — the
 //! `ablations` bench measures the trade-off.

@@ -20,7 +20,7 @@ use crate::physical::{
     AggMode, AggShape, CostProfile, Estimates, GroupTableRepr, JoinEdge, PhysicalPlan, PostOp,
     Shape, WindowShape,
 };
-use crate::session::QueryOptions;
+use crate::session::{QueryOptions, Session};
 use crate::stats;
 use crate::tile::{group_sink, TileProgram, Want};
 use crate::value::Value;
@@ -1150,16 +1150,14 @@ impl Engine {
         plan: &LogicalPlan,
         opts: &QueryOptions,
     ) -> Result<QueryResult, PlanError> {
-        let db = self.inner.read_db();
-        self.inner
-            .query_leveled(&db, plan, &self.inner.cancel, opts, None)
+        self.root().query_with(plan, opts)
     }
 
     /// EXPLAIN: plan and return the structured decision report (including
     /// whether the next execution would reuse a cached plan).
     pub fn explain(&self, plan: &LogicalPlan) -> Result<Explain, PlanError> {
         let db = self.inner.read_db();
-        self.inner.explain_for(&db, plan)
+        self.inner.explain_for(&db, plan, None)
     }
 
     /// EXPLAIN ANALYZE: execute the query once at (at least)
@@ -1177,18 +1175,7 @@ impl Engine {
         plan: &LogicalPlan,
         opts: &QueryOptions,
     ) -> Result<Explain, PlanError> {
-        let db = self.inner.read_db();
-        let res = self.inner.query_leveled(
-            &db,
-            plan,
-            &self.inner.cancel,
-            opts,
-            Some(MetricsLevel::Timings),
-        )?;
-        let mut ex = self.inner.explain_for(&db, plan)?;
-        ex.analyze = res.metrics;
-        ex.fill_join_observed();
-        Ok(ex)
+        self.root().explain_analyze_with(plan, opts)
     }
 
     /// Plan a logical query, making every Fig. 2 decision via the cost
@@ -1225,9 +1212,8 @@ impl Engine {
         let db = self.inner.read_db();
         let physical = self.inner.plan_with(&db, plan, PlanHints::default())?;
         let report = crate::verify::verify_physical(&db, &physical, VerifyLevel::Full)?;
-        let fallback_bytes = plan_rows(&db, plan).saturating_mul(8) as u64;
-        let cert = self.inner.certificate_for(&db, &physical, fallback_bytes)?;
-        let mut ex = self.inner.explain_for(&db, plan)?;
+        let cert = self.inner.certificate_for(&db, &physical, Some(plan))?;
+        let mut ex = self.inner.explain_for(&db, plan, None)?;
         ex.verification = report.lines.clone();
         ex.verification.extend(cert.lines.iter().cloned());
         Ok(ex)
@@ -1244,8 +1230,7 @@ impl Engine {
     pub fn certificate(&self, plan: &LogicalPlan) -> Result<PlanCertificate, PlanError> {
         let db = self.inner.read_db();
         let physical = self.inner.plan_with(&db, plan, PlanHints::default())?;
-        let fallback_bytes = plan_rows(&db, plan).saturating_mul(8) as u64;
-        let cert = self.inner.certificate_for(&db, &physical, fallback_bytes)?;
+        let cert = self.inner.certificate_for(&db, &physical, Some(plan))?;
         Ok(cert.as_ref().clone())
     }
 
@@ -1265,20 +1250,18 @@ impl Engine {
         plan: &PhysicalPlan,
         opts: &QueryOptions,
     ) -> Result<QueryResult, PlanError> {
-        let db = self.inner.read_db();
-        self.inner
-            .execute_physical(&db, plan, &self.inner.cancel, opts)
+        self.root().execute_with(plan, opts)
     }
 
-    /// Shared state accessor for the session and prepared-statement layers.
+    /// The session statements issued on the engine itself run in: the
+    /// engine-wide cancellation scope, no defaults beyond the builder's.
+    pub(crate) fn root(&self) -> Session {
+        Session::over(self.clone(), Arc::clone(&self.inner.cancel))
+    }
+
+    /// Shared state accessor for the session layer.
     pub(crate) fn inner(&self) -> &EngineInner {
         &self.inner
-    }
-
-    /// The engine-wide cancellation scope (sessions replace it with their
-    /// own).
-    pub(crate) fn cancel_scope(&self) -> &Arc<CancelState> {
-        &self.inner.cancel
     }
 }
 
@@ -1325,12 +1308,6 @@ impl EngineInner {
         if let Some(s) = map.get_mut(name) {
             s.observed_selectivity = Some(observed);
         }
-    }
-
-    /// The session's default static-verification level (for callers that
-    /// plan outside [`EngineInner::query_leveled`]).
-    pub(crate) fn verify_level(&self) -> VerifyLevel {
-        self.verify
     }
 
     /// Resolve per-call options against the session defaults.
@@ -1400,12 +1377,11 @@ impl EngineInner {
     /// cached alongside the plan and share its invalidation — a table
     /// generation bump evicts the entry, so a stale certificate can never
     /// outlive the statistics it was derived from.
-    pub(crate) fn plan_cached(
+    fn plan_cached(
         &self,
         db: &Database,
         plan: &LogicalPlan,
         verify: VerifyLevel,
-        fallback_bytes: u64,
     ) -> Result<(Arc<PhysicalPlan>, String, Arc<PlanCertificate>), PlanError> {
         let key = self.cache_key(plan);
         let gens = table_generations(db, plan);
@@ -1420,7 +1396,7 @@ impl EngineInner {
                 }
                 let cert = match certificate {
                     Some(c) => c,
-                    None => self.certificate_for(db, &physical, fallback_bytes)?,
+                    None => self.certificate_for(db, &physical, Some(plan))?,
                 };
                 Ok((physical, key, cert))
             }
@@ -1436,10 +1412,10 @@ impl EngineInner {
                     // program the verifier actually judges.
                     let program = crate::verify::program_for(db, &physical)?;
                     swole_verify::verify(&program, verify).map_err(PlanError::Verification)?;
-                    let ctx = self.bounds_ctx_for(db, &program, fallback_bytes);
+                    let ctx = self.bounds_ctx_for(db, &program, fallback_bytes(db, plan));
                     Arc::new(swole_verify::certify(&program, &ctx))
                 } else {
-                    self.certificate_for(db, &physical, fallback_bytes)?
+                    self.certificate_for(db, &physical, Some(plan))?
                 };
                 self.cache.insert(
                     key.clone(),
@@ -1453,17 +1429,31 @@ impl EngineInner {
         }
     }
 
+    /// Plan `plan` into the cache without running it: an explicit `prepare`
+    /// of a placeholder-free template, whose first `execute` is then a hit.
+    pub(crate) fn plan_now(
+        &self,
+        plan: &LogicalPlan,
+        opts: &QueryOptions,
+    ) -> Result<(), PlanError> {
+        let db = self.read_db();
+        self.plan_cached(&db, plan, self.resolve(opts).verify)
+            .map(drop)
+    }
+
     /// Derive the admission certificate for a composed plan via a
     /// certification-only lowering (non-consuming with respect to the
-    /// uncharged-allocation verification fault).
-    pub(crate) fn certificate_for(
+    /// uncharged-allocation verification fault). The bound reserves what a
+    /// data-centric fallback over `logical` would charge (`None`: no fallback).
+    fn certificate_for(
         &self,
         db: &Database,
         physical: &PhysicalPlan,
-        fallback_bytes: u64,
+        logical: Option<&LogicalPlan>,
     ) -> Result<Arc<PlanCertificate>, PlanError> {
         let program = crate::verify::program_for_certification(db, physical)?;
-        let ctx = self.bounds_ctx_for(db, &program, fallback_bytes);
+        let reserve = logical.map_or(0, |plan| fallback_bytes(db, plan));
+        let ctx = self.bounds_ctx_for(db, &program, reserve);
         Ok(Arc::new(swole_verify::certify(&program, &ctx)))
     }
 
@@ -1537,30 +1527,29 @@ impl EngineInner {
         Ok(())
     }
 
-    /// Session plan-cache key: the logical-plan fingerprint plus any
+    /// Plan-cache key: the thread count (it feeds the multi-threaded
+    /// groupjoin chooser, so plans picked at different parallelism must not
+    /// alias), the canonicalized logical plan's debug rendering, and any
     /// structural strategy pins (join order, per-edge build sides) that
     /// change what the planner would produce.
     fn cache_key(&self, plan: &LogicalPlan) -> String {
-        let mut key = plan_fingerprint(plan, self.threads);
-        key.push_str(&self.strategies.fingerprint_suffix());
-        key
+        let pins = self.strategies.fingerprint_suffix();
+        format!("t{}:{:?}{pins}", self.threads, canonicalize(plan))
     }
 
-    /// [`Engine::query`] against an explicit cancellation scope and
-    /// per-call options — the one entry point every façade (engine,
-    /// session, prepared statement, `EXPLAIN ANALYZE`) funnels through.
-    /// `floor` raises the effective metrics level (used by
-    /// `EXPLAIN ANALYZE`).
+    /// One statement, start to finish, under `cancel` and the resolved
+    /// `opts`; [`Session`]'s `query_with` and `explain_analyze_with` are its
+    /// only callers, the latter raising the metrics level to at least `floor`.
     pub(crate) fn query_leveled(
         &self,
         db: &Database,
         plan: &LogicalPlan,
         cancel: &Arc<CancelState>,
         opts: &QueryOptions,
-        floor: Option<MetricsLevel>,
+        floor: MetricsLevel,
     ) -> Result<QueryResult, PlanError> {
         let r = self.resolve(opts);
-        let level = floor.map_or(r.metrics, |f| r.metrics.max(f));
+        let level = r.metrics.max(floor);
         // Lifecycle gate first: a draining/stopped engine rejects before
         // the query can queue in admission or touch the cache.
         let gate = self.lifecycle.enter()?;
@@ -1568,16 +1557,11 @@ impl EngineInner {
         // the queue counts against it, and an expired waiter is rejected
         // without ever holding a slot.
         let deadline_at = r.deadline.map(|d| Instant::now() + d);
-        // The certificate's peak bound must cover the data-centric
-        // fallback's row-id vector: gauge charges are held to completion,
-        // so a failed primary plus the fallback can coexist on the gauge.
-        let fallback_bytes = plan_rows(db, plan).saturating_mul(8) as u64;
-        let (physical, cache_key, cert) = self.plan_cached(db, plan, r.verify, fallback_bytes)?;
+        let (physical, cache_key, cert) = self.plan_cached(db, plan, r.verify)?;
         // Admission-time enforcement: a plan whose proven bound cannot fit
         // the budget is rejected *before* it occupies an admission slot or
         // any worker starts, instead of failing mid-flight.
         self.check_budget_feasible(r.memory_budget, &cert)?;
-        let bound = Some(cert.peak_bytes_bound);
         let _permit = self.admit(r.priority, deadline_at)?;
         let physical = &*physical;
         let ctx = self.exec_ctx(cancel, &r, deadline_at);
@@ -1585,10 +1569,6 @@ impl EngineInner {
         let t0 = level.timing().then(Instant::now);
         let strategy = &physical.strategy;
         let mut report = Vec::new();
-        // Consult this plan class's fallback circuit: once it has failed
-        // its primary strategy [`BREAKER_OPEN_AFTER`] times in a row, skip
-        // the doomed attempt and go straight to the interpreter so the
-        // class stops paying double execution cost.
         // Finish the statement under the data-centric interpreter, after
         // `retries` failed attempts; `ok` is the run report's last line.
         let fall_back = |mut report: Vec<String>, ok: &str, retries| {
@@ -1600,7 +1580,7 @@ impl EngineInner {
                     // interpreter's single operator *replaces* the
                     // operator list, so rows are never double-counted.
                     let ops = op.into_iter().collect();
-                    self.attach_metrics(&mut res, physical, ops, &ctx, level, retries, t0, bound);
+                    self.attach_metrics(&mut res, physical, ops, &ctx, level, retries, t0, &cert);
                     Ok(res)
                 }
                 Err(fe) => {
@@ -1610,6 +1590,10 @@ impl EngineInner {
                 }
             }
         };
+        // Consult this plan class's fallback circuit: once it has failed
+        // its primary strategy [`BREAKER_OPEN_AFTER`] times in a row, skip
+        // the doomed attempt and go straight to the interpreter so the
+        // class stops paying double execution cost.
         let breaker = self.cache.breaker_check(&cache_key);
         if breaker == BreakerDecision::Open {
             report.push(format!("{strategy}: skipped, fallback circuit open"));
@@ -1640,7 +1624,7 @@ impl EngineInner {
                     ctx.gauge.used()
                 ));
                 self.record_run(report);
-                self.attach_metrics(&mut res, physical, ops, &ctx, level, 0, t0, bound);
+                self.attach_metrics(&mut res, physical, ops, &ctx, level, 0, t0, &cert);
                 // Drift check: feed the measured selectivity back to the
                 // cache so a materially mis-estimated entry re-plans.
                 if level.counting() {
@@ -1677,8 +1661,7 @@ impl EngineInner {
         }
     }
 
-    /// [`Engine::execute`] against an explicit cancellation scope and
-    /// per-call options (no cache, no fallback).
+    /// [`Session::execute_with`]'s body: no cache, no fallback.
     pub(crate) fn execute_physical(
         &self,
         db: &Database,
@@ -1691,7 +1674,7 @@ impl EngineInner {
         let deadline_at = r.deadline.map(|d| Instant::now() + d);
         // Direct physical execution has no data-centric fallback, so the
         // certificate carries no fallback reserve.
-        let cert = self.certificate_for(db, plan, 0)?;
+        let cert = self.certificate_for(db, plan, None)?;
         self.check_budget_feasible(r.memory_budget, &cert)?;
         let _permit = self.admit(r.priority, deadline_at)?;
         let ctx = self.exec_ctx(cancel, &r, deadline_at);
@@ -1699,16 +1682,7 @@ impl EngineInner {
         let level = r.metrics;
         let t0 = level.timing().then(Instant::now);
         let (mut res, ops) = isolate(|| self.execute_shape(db, plan, &ctx, level, &cert))?;
-        self.attach_metrics(
-            &mut res,
-            plan,
-            ops,
-            &ctx,
-            level,
-            0,
-            t0,
-            Some(cert.peak_bytes_bound),
-        );
+        self.attach_metrics(&mut res, plan, ops, &ctx, level, 0, t0, &cert);
         Ok(res)
     }
 
@@ -1725,8 +1699,7 @@ impl EngineInner {
         level: MetricsLevel,
     ) -> Result<(QueryResult, Option<OpMetrics>), PlanError> {
         ctx.check()?;
-        let rows = plan_rows(db, plan);
-        ctx.gauge.try_charge(rows.saturating_mul(8))?;
+        ctx.gauge.try_charge(fallback_bytes(db, plan) as usize)?;
         isolate(|| {
             if level.counting() {
                 let t0 = level.timing().then(Instant::now);
@@ -1740,18 +1713,20 @@ impl EngineInner {
     }
 
     /// EXPLAIN against a given database view: plan fresh (without touching
-    /// the cache) and report whether the next execution would hit it.
+    /// the cache) and report whether the next execution would hit it. With
+    /// the metrics of a run, `analyze`, it is that run's EXPLAIN ANALYZE.
     pub(crate) fn explain_for(
         &self,
         db: &Database,
         plan: &LogicalPlan,
+        analyze: Option<QueryMetrics>,
     ) -> Result<Explain, PlanError> {
         let physical = self.plan_with(db, plan, PlanHints::default())?;
         let key = self.cache_key(plan);
         let gens = table_generations(db, plan);
         let cached = self.cache.peek(&key, &gens);
         let (join_order, join_tree) = self.explain_join_tree(db, &physical);
-        Ok(Explain {
+        let mut ex = Explain {
             shape: physical.describe(),
             strategy: physical.strategy.clone(),
             threads: self.threads,
@@ -1760,11 +1735,13 @@ impl EngineInner {
             cost_terms: physical.cost_terms.clone(),
             decisions: physical.decisions.clone(),
             runtime: self.last_run.lock().map(|r| r.clone()).unwrap_or_default(),
-            analyze: None,
+            analyze,
             join_order,
             join_tree,
             verification: Vec::new(),
-        })
+        };
+        ex.fill_join_observed();
+        Ok(ex)
     }
 
     /// Structured join-tree rendering for `EXPLAIN`: the probe order plus
@@ -1823,7 +1800,7 @@ impl EngineInner {
         level: MetricsLevel,
         retries: u32,
         t0: Option<Instant>,
-        bound: Option<u64>,
+        cert: &PlanCertificate,
     ) {
         if !level.counting() {
             return;
@@ -1835,7 +1812,7 @@ impl EngineInner {
             operators,
             retries,
             bytes_charged: ctx.gauge.used() as u64,
-            bytes_bound: bound,
+            bytes_bound: Some(cert.peak_bytes_bound),
             elapsed_nanos: t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
             predicted_cost,
             observed_cost,
@@ -2980,20 +2957,17 @@ fn agg_comp_cols(aggs: &[AggSpec], group_by: Option<&str>) -> (f64, usize) {
     (comp, cols.len() + group_by.map(|_| 1).unwrap_or(0))
 }
 
-/// Total base-table rows a plan scans — the footprint estimate charged for
-/// the data-centric fallback's row-id bookkeeping.
-pub(crate) fn plan_rows(db: &Database, plan: &LogicalPlan) -> usize {
-    match plan {
-        LogicalPlan::Scan { table } => db.table(table).map(|t| t.len()).unwrap_or(0),
-        LogicalPlan::Filter { input, .. } => plan_rows(db, input),
-        LogicalPlan::SemiJoin { input, build, .. } => {
-            plan_rows(db, input).saturating_add(plan_rows(db, build))
+/// What the data-centric fallback charges for its row-id vector, 8 bytes
+/// per base-table row scanned. A certificate's peak bound reserves it: gauge
+/// charges are held to completion, so a failed primary can coexist with it.
+fn fallback_bytes(db: &Database, plan: &LogicalPlan) -> u64 {
+    let mut rows = 0usize;
+    plan.visit(&mut |node| {
+        if let LogicalPlan::Scan { table } = node {
+            rows = rows.saturating_add(db.table(table).map(|t| t.len()).unwrap_or(0));
         }
-        LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Window { input, .. }
-        | LogicalPlan::OrderBy { input, .. }
-        | LogicalPlan::Limit { input, .. } => plan_rows(db, input),
-    }
+    });
+    rows.saturating_mul(8) as u64
 }
 
 /// Output column names of a planned core shape, for validating post-op
@@ -3132,93 +3106,39 @@ fn split_filters(plan: &LogicalPlan) -> (&LogicalPlan, Option<Expr>) {
 /// a single node holding the merged conjunction (exactly what the planner
 /// itself sees through [`split_filters`]).
 fn canonicalize(plan: &LogicalPlan) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Scan { table } => LogicalPlan::Scan {
-            table: table.clone(),
-        },
-        LogicalPlan::Filter { .. } => {
-            let (core, merged) = split_filters(plan);
-            match merged {
-                Some(predicate) => LogicalPlan::Filter {
-                    input: Box::new(canonicalize(core)),
-                    predicate,
-                },
-                None => canonicalize(core),
+    // Children are rebuilt first, so a chain reaches `merge` two nodes at a
+    // time, the inner one already merged.
+    let mut merge = |node| match node {
+        LogicalPlan::Filter {
+            input,
+            predicate: outer,
+        } if matches!(*input, LogicalPlan::Filter { .. }) => {
+            let LogicalPlan::Filter { input, predicate } = *input else {
+                unreachable!("the arm's guard");
+            };
+            LogicalPlan::Filter {
+                input,
+                predicate: outer.and(predicate),
             }
         }
-        LogicalPlan::SemiJoin {
-            input,
-            build,
-            fk_col,
-        } => LogicalPlan::SemiJoin {
-            input: Box::new(canonicalize(input)),
-            build: Box::new(canonicalize(build)),
-            fk_col: fk_col.clone(),
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(canonicalize(input)),
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-        },
-        LogicalPlan::Window {
-            input,
-            partition_by,
-            order_by,
-            frame,
-            funcs,
-            select,
-        } => LogicalPlan::Window {
-            input: Box::new(canonicalize(input)),
-            partition_by: partition_by.clone(),
-            order_by: order_by.clone(),
-            frame: *frame,
-            funcs: funcs.clone(),
-            select: select.clone(),
-        },
-        LogicalPlan::OrderBy { input, keys } => LogicalPlan::OrderBy {
-            input: Box::new(canonicalize(input)),
-            keys: keys.clone(),
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(canonicalize(input)),
-            n: *n,
-        },
+        other => other,
+    };
+    let mut same = |e: &Expr| Ok::<_, std::convert::Infallible>(e.clone());
+    match plan.try_map(&mut same, &mut merge) {
+        Ok(canonical) => canonical,
+        Err(never) => match never {},
     }
 }
 
-/// The plan-cache key: the canonicalized logical plan's debug rendering,
-/// prefixed with the strategy-relevant session knobs (thread count feeds
-/// the multi-threaded groupjoin chooser, so plans picked at different
-/// parallelism must not alias).
-fn plan_fingerprint(plan: &LogicalPlan, threads: usize) -> String {
-    format!("t{threads}:{:?}", canonicalize(plan))
-}
-
-/// Collect the base tables a logical plan touches (depth-first, duplicates
-/// removed by [`cache::generations_of`]).
-fn plan_tables<'a>(plan: &'a LogicalPlan, out: &mut Vec<&'a str>) {
-    match plan {
-        LogicalPlan::Scan { table } => out.push(table),
-        LogicalPlan::Filter { input, .. } => plan_tables(input, out),
-        LogicalPlan::SemiJoin { input, build, .. } => {
-            plan_tables(input, out);
-            plan_tables(build, out);
-        }
-        LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Window { input, .. }
-        | LogicalPlan::OrderBy { input, .. }
-        | LogicalPlan::Limit { input, .. } => plan_tables(input, out),
-    }
-}
-
-/// Snapshot the generation counter of every table a plan reads, for the
-/// plan cache's staleness check.
+/// Snapshot the generation counter of every table a plan reads (depth-first,
+/// duplicates removed by [`cache::generations_of`]), for the plan cache's
+/// staleness check.
 fn table_generations(db: &Database, plan: &LogicalPlan) -> Vec<(String, u64)> {
-    let mut tables = Vec::new();
-    plan_tables(plan, &mut tables);
+    let mut tables: Vec<&str> = Vec::new();
+    plan.visit(&mut |node| {
+        if let LogicalPlan::Scan { table } = node {
+            tables.push(table);
+        }
+    });
     crate::cache::generations_of(db, &tables)
 }

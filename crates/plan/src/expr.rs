@@ -143,106 +143,116 @@ impl Expr {
         Expr::Mul(Box::new(self), Box::new(other))
     }
 
-    /// Column names referenced by this expression, in first-appearance
-    /// order without duplicates (feeds the cost model's `n_cols`).
-    pub fn columns(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_columns(&mut out);
-        out
-    }
-
-    fn collect_columns(&self, out: &mut Vec<String>) {
-        let mut push = |name: &String| {
-            if !out.contains(name) {
-                out.push(name.clone());
-            }
-        };
-        match self {
-            Expr::Col(name) => push(name),
-            Expr::Lit(_) | Expr::Param(_) => {}
-            Expr::Like { col, .. } | Expr::InList { col, .. } => push(col),
+    /// Direct sub-expressions, left to right: with
+    /// [`Expr::try_map_children`], all that knows which variants have operands.
+    pub(crate) fn children(&self) -> impl Iterator<Item = &Expr> {
+        let kids: [Option<&Expr>; 3] = match self {
+            Expr::Col(_)
+            | Expr::Lit(_)
+            | Expr::Param(_)
+            | Expr::Like { .. }
+            | Expr::InList { .. } => [None; 3],
+            Expr::Not(a) => [Some(a), None, None],
             Expr::Cmp(_, a, b)
             | Expr::Add(a, b)
             | Expr::Sub(a, b)
             | Expr::Mul(a, b)
             | Expr::Div(a, b)
             | Expr::And(a, b)
-            | Expr::Or(a, b) => {
-                a.collect_columns(out);
-                b.collect_columns(out);
-            }
-            Expr::Not(a) => a.collect_columns(out),
+            | Expr::Or(a, b) => [Some(a), Some(b), None],
             Expr::Case {
                 when,
                 then,
                 otherwise,
-            } => {
-                when.collect_columns(out);
-                then.collect_columns(out);
-                otherwise.collect_columns(out);
+            } => [Some(when), Some(then), Some(otherwise)],
+        };
+        kids.into_iter().flatten()
+    }
+
+    /// This node with every direct sub-expression replaced by `f` of it
+    /// (a leaf is cloned).
+    pub(crate) fn try_map_children<E>(
+        &self,
+        f: &mut impl FnMut(&Expr) -> Result<Expr, E>,
+    ) -> Result<Expr, E> {
+        let mut m = |e: &Expr| f(e).map(Box::new);
+        Ok(match self {
+            Expr::Col(_)
+            | Expr::Lit(_)
+            | Expr::Param(_)
+            | Expr::Like { .. }
+            | Expr::InList { .. } => self.clone(),
+            Expr::Not(a) => Expr::Not(m(a)?),
+            Expr::Cmp(op, a, b) => Expr::Cmp(*op, m(a)?, m(b)?),
+            Expr::Add(a, b) => Expr::Add(m(a)?, m(b)?),
+            Expr::Sub(a, b) => Expr::Sub(m(a)?, m(b)?),
+            Expr::Mul(a, b) => Expr::Mul(m(a)?, m(b)?),
+            Expr::Div(a, b) => Expr::Div(m(a)?, m(b)?),
+            Expr::And(a, b) => Expr::And(m(a)?, m(b)?),
+            Expr::Or(a, b) => Expr::Or(m(a)?, m(b)?),
+            Expr::Case {
+                when,
+                then,
+                otherwise,
+            } => Expr::Case {
+                when: m(when)?,
+                then: m(then)?,
+                otherwise: m(otherwise)?,
+            },
+        })
+    }
+
+    /// Pre-order walk: `f` sees this node, then its operands left to right.
+    fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
+        self.children().for_each(|c| c.visit(f));
+    }
+
+    /// Column names referenced by this expression, in first-appearance
+    /// order without duplicates (feeds the cost model's `n_cols`).
+    pub fn columns(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        self.visit(&mut |e| match e {
+            Expr::Col(c) | Expr::Like { col: c, .. } | Expr::InList { col: c, .. }
+                if !out.contains(c) =>
+            {
+                out.push(c.clone())
             }
-        }
+            _ => {}
+        });
+        out
     }
 
     /// Estimated computation cycles per tuple (the `comp` introspection of
     /// § III-A), using `swole-cost`'s per-operator costs.
     pub fn comp_cycles(&self) -> f64 {
         use swole_cost::comp::ArithOp;
-        match self {
-            Expr::Col(_) | Expr::Lit(_) | Expr::Param(_) => 0.0,
-            Expr::Cmp(_, a, b) => ArithOp::Cmp.cycles() + a.comp_cycles() + b.comp_cycles(),
-            Expr::Add(a, b) | Expr::Sub(a, b) => {
-                ArithOp::AddSub.cycles() + a.comp_cycles() + b.comp_cycles()
-            }
-            Expr::Mul(a, b) => ArithOp::Mul.cycles() + a.comp_cycles() + b.comp_cycles(),
-            Expr::Div(a, b) => ArithOp::Div.cycles() + a.comp_cycles() + b.comp_cycles(),
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                ArithOp::Cmp.cycles() + a.comp_cycles() + b.comp_cycles()
-            }
-            Expr::Not(a) => ArithOp::Cmp.cycles() + a.comp_cycles(),
+        let own = match self {
+            Expr::Col(_) | Expr::Lit(_) | Expr::Param(_) | Expr::Case { .. } => 0.0,
+            Expr::Add(..) | Expr::Sub(..) => ArithOp::AddSub.cycles(),
+            Expr::Mul(..) => ArithOp::Mul.cycles(),
+            Expr::Div(..) => ArithOp::Div.cycles(),
             // Dictionary predicates cost one table load per row.
-            Expr::Like { .. } | Expr::InList { .. } => ArithOp::Cmp.cycles(),
-            Expr::Case {
-                when,
-                then,
-                otherwise,
-            } => when.comp_cycles() + then.comp_cycles() + otherwise.comp_cycles(),
-        }
+            Expr::Cmp(..)
+            | Expr::And(..)
+            | Expr::Or(..)
+            | Expr::Not(_)
+            | Expr::Like { .. }
+            | Expr::InList { .. } => ArithOp::Cmp.cycles(),
+        };
+        self.children().fold(own, |sum, c| sum + c.comp_cycles())
     }
 
     /// Placeholder ordinals referenced by this expression, in appearance
     /// order with duplicates kept.
     pub fn params(&self) -> Vec<usize> {
         let mut out = Vec::new();
-        self.collect_params(&mut out);
+        self.visit(&mut |e| {
+            if let Expr::Param(i) = e {
+                out.push(*i);
+            }
+        });
         out
-    }
-
-    fn collect_params(&self, out: &mut Vec<usize>) {
-        match self {
-            Expr::Param(i) => out.push(*i),
-            Expr::Col(_) | Expr::Lit(_) | Expr::Like { .. } | Expr::InList { .. } => {}
-            Expr::Cmp(_, a, b)
-            | Expr::Add(a, b)
-            | Expr::Sub(a, b)
-            | Expr::Mul(a, b)
-            | Expr::Div(a, b)
-            | Expr::And(a, b)
-            | Expr::Or(a, b) => {
-                a.collect_params(out);
-                b.collect_params(out);
-            }
-            Expr::Not(a) => a.collect_params(out),
-            Expr::Case {
-                when,
-                then,
-                otherwise,
-            } => {
-                when.collect_params(out);
-                then.collect_params(out);
-                otherwise.collect_params(out);
-            }
-        }
     }
 
     /// Validate column references and dictionary requirements against a
@@ -267,39 +277,15 @@ impl Expr {
     }
 
     fn validate_dicts(&self, table: &Table) -> Result<(), PlanError> {
-        match self {
-            Expr::Like { col, .. } | Expr::InList { col, .. } => match table.column(col) {
-                Some(ColumnData::Dict(_)) => Ok(()),
-                Some(_) => Err(PlanError::InvalidExpr(format!(
+        if let Expr::Like { col, .. } | Expr::InList { col, .. } = self {
+            // `validate` has already found the column.
+            if !matches!(table.column(col), Some(ColumnData::Dict(_))) {
+                return Err(PlanError::InvalidExpr(format!(
                     "LIKE/IN requires a dictionary column, {col} is not"
-                ))),
-                None => Err(PlanError::UnknownColumn {
-                    table: table.name().to_string(),
-                    column: col.clone(),
-                }),
-            },
-            Expr::Cmp(_, a, b)
-            | Expr::Add(a, b)
-            | Expr::Sub(a, b)
-            | Expr::Mul(a, b)
-            | Expr::Div(a, b)
-            | Expr::And(a, b)
-            | Expr::Or(a, b) => {
-                a.validate_dicts(table)?;
-                b.validate_dicts(table)
+                )));
             }
-            Expr::Not(a) => a.validate_dicts(table),
-            Expr::Case {
-                when,
-                then,
-                otherwise,
-            } => {
-                when.validate_dicts(table)?;
-                then.validate_dicts(table)?;
-                otherwise.validate_dicts(table)
-            }
-            _ => Ok(()),
         }
+        self.children().try_for_each(|c| c.validate_dicts(table))
     }
 
     /// Row-wise evaluation (interpreter / sampling). Booleans are 0/1.

@@ -28,22 +28,6 @@ pub fn run_metered(
     plan: &LogicalPlan,
 ) -> Result<(QueryResult, OpMetrics), PlanError> {
     let mut op = OpMetrics::named("data-centric interpreter");
-    let res = run_inner(db, plan, &mut op)?;
-    Ok((res, op))
-}
-
-/// Result-level post-operators peeled off the top of the plan, mirroring
-/// the engine's `PostOp` handling so fallback results stay bit-identical.
-enum Post {
-    Sort(Vec<SortKey>),
-    Limit(usize),
-}
-
-fn run_inner(
-    db: &Database,
-    plan: &LogicalPlan,
-    op: &mut OpMetrics,
-) -> Result<QueryResult, PlanError> {
     // Peel ORDER BY / LIMIT wrappers, innermost-first after the reverse.
     let mut node = plan;
     let mut post = Vec::new();
@@ -66,7 +50,7 @@ fn run_inner(
         }
     }
     post.reverse();
-    let mut res = run_core(db, node, op)?;
+    let mut res = run_core(db, node, &mut op)?;
     for p in &post {
         match p {
             Post::Sort(keys) => {
@@ -94,7 +78,14 @@ fn run_inner(
             Post::Limit(n) => res.rows.truncate(*n),
         }
     }
-    Ok(res)
+    Ok((res, op))
+}
+
+/// Result-level post-operators peeled off the top of the plan, mirroring
+/// the engine's `PostOp` handling so fallback results stay bit-identical.
+enum Post {
+    Sort(Vec<SortKey>),
+    Limit(usize),
 }
 
 fn run_core(
@@ -155,7 +146,9 @@ fn run_core(
             // Mirror the engine's surface: grouped aggregation over more
             // than one join edge is unsupported everywhere, so rejection
             // stays uniform across all differential runners.
-            if semijoin_count(input) > 1 {
+            let mut edges = 0;
+            input.visit(&mut |n| edges += matches!(n, LogicalPlan::SemiJoin { .. }) as usize);
+            if edges > 1 {
                 return Err(PlanError::Unsupported(format!(
                     "group by {g} over a multi-way join"
                 )));
@@ -363,18 +356,6 @@ fn run_window(
             .and_then(|c| c.as_dict())
             .map(|d| std::sync::Arc::new(d.dictionary().to_vec())),
     })
-}
-
-/// Number of semijoin edges anywhere in the tree (filters are
-/// transparent; both the probe spine and build sides count).
-fn semijoin_count(plan: &LogicalPlan) -> usize {
-    match plan {
-        LogicalPlan::Filter { input, .. } => semijoin_count(input),
-        LogicalPlan::SemiJoin { input, build, .. } => {
-            1 + semijoin_count(input) + semijoin_count(build)
-        }
-        _ => 0,
-    }
 }
 
 fn accumulate(acc: &mut i64, spec: &AggSpec, table: &swole_storage::Table, row: usize) {

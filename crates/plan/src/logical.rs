@@ -239,6 +239,102 @@ impl LogicalPlan {
             | LogicalPlan::Limit { input, .. } => input.base_table(),
         }
     }
+
+    /// Pre-order walk, the one read-only traversal: `f` sees this node,
+    /// then every node under it (a semijoin's probe side before its build
+    /// side).
+    pub(crate) fn visit<'a>(&'a self, f: &mut impl FnMut(&'a LogicalPlan)) {
+        f(self);
+        match self {
+            LogicalPlan::Scan { .. } => {}
+            LogicalPlan::SemiJoin { input, build, .. } => {
+                input.visit(f);
+                build.visit(f);
+            }
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Window { input, .. }
+            | LogicalPlan::OrderBy { input, .. }
+            | LogicalPlan::Limit { input, .. } => input.visit(f),
+        }
+    }
+
+    /// Rebuild the tree bottom-up, the one rebuilding traversal: every
+    /// expression a node holds goes through `expr` (binding parameters), every
+    /// rebuilt node through `node` (cache-key normalisation).
+    pub(crate) fn try_map<E>(
+        &self,
+        expr: &mut impl FnMut(&Expr) -> Result<Expr, E>,
+        node: &mut impl FnMut(LogicalPlan) -> LogicalPlan,
+    ) -> Result<LogicalPlan, E> {
+        let rebuilt = match self {
+            LogicalPlan::Scan { .. } => self.clone(),
+            LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
+                input: Box::new(input.try_map(expr, node)?),
+                predicate: expr(predicate)?,
+            },
+            LogicalPlan::SemiJoin {
+                input,
+                build,
+                fk_col,
+            } => LogicalPlan::SemiJoin {
+                input: Box::new(input.try_map(expr, node)?),
+                build: Box::new(build.try_map(expr, node)?),
+                fk_col: fk_col.clone(),
+            },
+            LogicalPlan::Aggregate {
+                input,
+                group_by,
+                aggs,
+            } => LogicalPlan::Aggregate {
+                input: Box::new(input.try_map(expr, node)?),
+                group_by: group_by.clone(),
+                aggs: aggs
+                    .iter()
+                    .map(|a| {
+                        Ok(AggSpec {
+                            func: a.func,
+                            expr: expr(&a.expr)?,
+                            name: a.name.clone(),
+                        })
+                    })
+                    .collect::<Result<_, E>>()?,
+            },
+            LogicalPlan::Window {
+                input,
+                partition_by,
+                order_by,
+                frame,
+                funcs,
+                select,
+            } => LogicalPlan::Window {
+                input: Box::new(input.try_map(expr, node)?),
+                partition_by: partition_by.clone(),
+                order_by: order_by.clone(),
+                frame: *frame,
+                funcs: funcs
+                    .iter()
+                    .map(|w| {
+                        Ok(WindowFnSpec {
+                            func: w.func,
+                            expr: w.expr.as_ref().map(&mut *expr).transpose()?,
+                            name: w.name.clone(),
+                        })
+                    })
+                    .collect::<Result<_, E>>()?,
+                select: select.clone(),
+            },
+            LogicalPlan::OrderBy { input, keys } => LogicalPlan::OrderBy {
+                input: Box::new(input.try_map(expr, node)?),
+                keys: keys.clone(),
+            },
+            LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
+                input: Box::new(input.try_map(expr, node)?),
+                n: *n,
+            },
+        };
+        Ok(node(rebuilt))
+    }
 }
 
 /// Fluent builder for the supported plan shapes.

@@ -26,62 +26,61 @@
 //! # Ok::<(), swole_plan::PlanError>(())
 //! ```
 
-use std::sync::Arc;
-
 use crate::engine::{Engine, Explain, QueryResult};
 use crate::error::PlanError;
 use crate::expr::{CmpOp, Expr};
-use crate::logical::{AggSpec, LogicalPlan};
-use crate::session::QueryOptions;
+use crate::logical::LogicalPlan;
+use crate::session::{QueryOptions, Session};
 use crate::value::{Params, Value};
-use swole_runtime::CancelState;
 
-/// A planned statement template bound to an [`Engine`] session.
+/// A statement template and the [`Session`] it runs in: the session whose
+/// `prepare` made it, or the engine's root session for [`Engine::prepare`].
+/// Everything bound from it executes under that session's cancellation
+/// scope and [`QueryOptions`] defaults.
 ///
-/// A prepared statement carries the cancellation scope and
-/// [`QueryOptions`] defaults of whoever prepared it: [`Engine::prepare`]
-/// uses the engine-wide scope, [`crate::Session::prepare`] the session's.
-///
-/// Cloning is cheap (the template is shared per clone's `Vec` costs only;
-/// the engine handle is an `Arc`), and a prepared statement may be used
-/// from any thread — executions are bit-identical regardless of which
+/// Cloning costs one copy of the template, and a prepared statement may be
+/// used from any thread — executions are bit-identical regardless of which
 /// clone or thread runs them.
 #[derive(Clone)]
 pub struct PreparedStatement {
-    engine: Engine,
+    session: Session,
     template: LogicalPlan,
     param_count: usize,
-    scope: Arc<CancelState>,
-    defaults: QueryOptions,
 }
 
 /// A [`PreparedStatement`] with every placeholder substituted, ready to
-/// execute (repeatedly, if desired) against the session's plan cache.
+/// execute (repeatedly, if desired): a [`Session`] and the plan it runs.
 #[derive(Clone)]
 pub struct BoundStatement {
-    engine: Engine,
+    session: Session,
     plan: LogicalPlan,
-    scope: Arc<CancelState>,
-    defaults: QueryOptions,
 }
 
 impl Engine {
-    /// Prepare a logical-plan template for repeated execution.
+    /// [`Session::prepare`] on the engine-wide scope.
+    pub fn prepare(&self, plan: &LogicalPlan) -> Result<PreparedStatement, PlanError> {
+        self.root().prepare(plan)
+    }
+
+    /// [`Session::prepare_sql`] on the engine-wide scope.
+    pub fn prepare_sql(&self, sql: &str) -> Result<PreparedStatement, PlanError> {
+        self.root().prepare_sql(sql)
+    }
+}
+
+impl Session {
+    /// Prepare a logical-plan template for repeated execution in this
+    /// session.
     ///
     /// Placeholder ordinals ([`Expr::Param`]) must be contiguous from 0 —
     /// a template that mentions `$3` but never `$2` fails with
     /// [`PlanError::BindMismatch`]. A template without placeholders is
-    /// planned immediately, seeding the session's plan cache; templates
+    /// planned immediately, seeding the shared plan cache; templates
     /// with placeholders are planned on first execution of each bound
     /// variant (bound literals feed predicate sampling, so different
     /// bindings may legitimately choose different strategies).
-    pub fn prepare(&self, plan: &LogicalPlan) -> Result<PreparedStatement, PlanError> {
-        PreparedStatement::compile(
-            self,
-            plan,
-            Arc::clone(self.cancel_scope()),
-            QueryOptions::default(),
-        )
+    pub fn prepare(&self, template: &LogicalPlan) -> Result<PreparedStatement, PlanError> {
+        self.prepared(template.clone())
     }
 
     /// Prepare a SQL statement with `?` or `$n` placeholders.
@@ -90,76 +89,38 @@ impl Engine {
     /// [`BoundStatement::explain`] / [`BoundStatement::explain_analyze`]
     /// on the bound statement instead).
     pub fn prepare_sql(&self, sql: &str) -> Result<PreparedStatement, PlanError> {
-        PreparedStatement::compile_sql(
-            self,
-            sql,
-            Arc::clone(self.cancel_scope()),
-            QueryOptions::default(),
-        )
+        self.prepared(parse_statement(sql)?)
+    }
+
+    fn prepared(&self, template: LogicalPlan) -> Result<PreparedStatement, PlanError> {
+        let param_count = param_count(&template)?;
+        if param_count == 0 {
+            // No placeholders: plan now, so the first execute() is a hit.
+            self.engine().inner().plan_now(&template, self.defaults())?;
+        }
+        Ok(PreparedStatement {
+            session: self.clone(),
+            template,
+            param_count,
+        })
+    }
+
+    /// Run an ad-hoc SQL text: parse, check `params` against its
+    /// placeholders, substitute them, [`Session::query`]. Unlike the
+    /// explicit [`Session::prepare_sql`] this plans nothing ahead of the
+    /// run, so a text costs one plan-cache lookup, and a text without
+    /// placeholders is not even copied.
+    pub fn query_sql(&self, sql: &str, params: &Params) -> Result<QueryResult, PlanError> {
+        let template = parse_statement(sql)?;
+        let expects = param_count(&template)?;
+        if expects == 0 && params.is_empty() {
+            return self.query(&template);
+        }
+        self.query(&bind_plan(&template, expects, params)?)
     }
 }
 
 impl PreparedStatement {
-    /// Validate the template and (for placeholder-free templates) seed the
-    /// plan cache. Shared by the engine- and session-level `prepare`.
-    pub(crate) fn compile(
-        engine: &Engine,
-        plan: &LogicalPlan,
-        scope: Arc<CancelState>,
-        defaults: QueryOptions,
-    ) -> Result<PreparedStatement, PlanError> {
-        let mut ordinals = Vec::new();
-        plan_params(plan, &mut ordinals);
-        ordinals.sort_unstable();
-        ordinals.dedup();
-        let param_count = ordinals.last().map(|m| m + 1).unwrap_or(0);
-        for (expect, got) in ordinals.iter().enumerate() {
-            if expect != *got {
-                return Err(PlanError::BindMismatch(format!(
-                    "placeholder ${} is never used (placeholders must be contiguous)",
-                    expect + 1
-                )));
-            }
-        }
-        if param_count == 0 {
-            // No placeholders: plan now, so the first execute() is a hit.
-            let inner = engine.inner();
-            let db = inner.read_db();
-            let verify = defaults.verify.unwrap_or_else(|| inner.verify_level());
-            let fallback_bytes = crate::engine::plan_rows(&db, plan).saturating_mul(8) as u64;
-            inner.plan_cached(&db, plan, verify, fallback_bytes)?;
-        }
-        Ok(PreparedStatement {
-            engine: engine.clone(),
-            template: plan.clone(),
-            param_count,
-            scope,
-            defaults,
-        })
-    }
-
-    /// [`PreparedStatement::compile`] from SQL text (rejecting `EXPLAIN`
-    /// prefixes).
-    pub(crate) fn compile_sql(
-        engine: &Engine,
-        sql: &str,
-        scope: Arc<CancelState>,
-        defaults: QueryOptions,
-    ) -> Result<PreparedStatement, PlanError> {
-        let parsed = crate::sql::parse(sql).map_err(|e| PlanError::Sql {
-            message: e.message,
-            position: e.position,
-        })?;
-        if parsed.explain.is_some() {
-            return Err(PlanError::Unsupported(
-                "EXPLAIN cannot be prepared — prepare the bare query and call \
-                 explain() on the bound statement"
-                    .into(),
-            ));
-        }
-        PreparedStatement::compile(engine, &parsed.plan, scope, defaults)
-    }
-
     /// Number of placeholders the template expects.
     pub fn param_count(&self) -> usize {
         self.param_count
@@ -177,19 +138,9 @@ impl PreparedStatement {
     /// comparison against a column (strings live in dictionary columns and
     /// have no integer encoding the kernels could compare).
     pub fn bind(&self, params: &Params) -> Result<BoundStatement, PlanError> {
-        if params.len() != self.param_count {
-            return Err(PlanError::BindMismatch(format!(
-                "statement expects {} parameter(s), got {}",
-                self.param_count,
-                params.len()
-            )));
-        }
-        let plan = subst_plan(&self.template, params.values())?;
         Ok(BoundStatement {
-            engine: self.engine.clone(),
-            plan,
-            scope: Arc::clone(&self.scope),
-            defaults: self.defaults,
+            session: self.session.clone(),
+            plan: bind_plan(&self.template, self.param_count, params)?,
         })
     }
 
@@ -206,157 +157,95 @@ impl BoundStatement {
         &self.plan
     }
 
-    /// Execute through the session's plan cache with hardened-execution
-    /// supervision — semantics identical to [`Engine::query`] on the bound
-    /// plan, under the scope and option defaults this statement was
-    /// prepared with.
+    /// [`Session::query`] of the bound plan, in the session this statement
+    /// was prepared in.
     pub fn execute(&self) -> Result<QueryResult, PlanError> {
-        self.execute_with(&QueryOptions::default())
+        self.session.query(&self.plan)
     }
 
     /// [`BoundStatement::execute`] with per-call option overrides (fields
-    /// left `None` fall back to the preparing scope's defaults, then the
+    /// left `None` fall back to the preparing session's defaults, then the
     /// engine's).
     pub fn execute_with(&self, opts: &QueryOptions) -> Result<QueryResult, PlanError> {
-        let merged = opts.or(&self.defaults);
-        let inner = self.engine.inner();
-        let db = inner.read_db();
-        inner.query_leveled(&db, &self.plan, &self.scope, &merged, None)
+        self.session.query_with(&self.plan, opts)
     }
 
     /// EXPLAIN the bound plan (reports `plan: cached` once this statement
     /// has executed and nothing invalidated the entry).
     pub fn explain(&self) -> Result<Explain, PlanError> {
-        self.engine.explain(&self.plan)
+        self.session.engine().explain(&self.plan)
     }
 
-    /// EXPLAIN ANALYZE the bound plan: execute once with metrics and
-    /// return the report, under this statement's scope and defaults.
+    /// [`Session::explain_analyze`] of the bound plan: execute once with
+    /// metrics and return the report.
     pub fn explain_analyze(&self) -> Result<Explain, PlanError> {
-        self.explain_analyze_with(&QueryOptions::default())
+        self.session.explain_analyze(&self.plan)
     }
 
     /// [`BoundStatement::explain_analyze`] with per-call option overrides.
     pub fn explain_analyze_with(&self, opts: &QueryOptions) -> Result<Explain, PlanError> {
-        let merged = opts.or(&self.defaults);
-        let inner = self.engine.inner();
-        let db = inner.read_db();
-        let res = inner.query_leveled(
-            &db,
-            &self.plan,
-            &self.scope,
-            &merged,
-            Some(crate::metrics::MetricsLevel::Timings),
-        )?;
-        let mut ex = inner.explain_for(&db, &self.plan)?;
-        ex.analyze = res.metrics;
-        Ok(ex)
+        self.session.explain_analyze_with(&self.plan, opts)
     }
 }
 
-/// Collect every placeholder ordinal a plan mentions (filters and
-/// aggregate expressions alike).
-fn plan_params(plan: &LogicalPlan, out: &mut Vec<usize>) {
-    match plan {
-        LogicalPlan::Scan { .. } => {}
-        LogicalPlan::Filter { input, predicate } => {
-            out.extend(predicate.params());
-            plan_params(input, out);
+/// Parse one SQL statement into its plan template, rejecting `EXPLAIN`
+/// prefixes.
+fn parse_statement(sql: &str) -> Result<LogicalPlan, PlanError> {
+    let parsed = crate::sql::parse(sql).map_err(|e| PlanError::Sql {
+        message: e.message,
+        position: e.position,
+    })?;
+    if parsed.explain.is_some() {
+        return Err(PlanError::Unsupported(
+            "EXPLAIN cannot be prepared — prepare the bare query and call \
+             explain() on the bound statement"
+                .into(),
+        ));
+    }
+    Ok(parsed.plan)
+}
+
+/// How many placeholders a template expects: one more than the highest
+/// ordinal it mentions (filters, aggregate and window-function inputs
+/// alike), every ordinal below which must be mentioned too.
+fn param_count(template: &LogicalPlan) -> Result<usize, PlanError> {
+    let mut ordinals = Vec::new();
+    template.visit(&mut |node| match node {
+        LogicalPlan::Filter { predicate, .. } => ordinals.extend(predicate.params()),
+        LogicalPlan::Aggregate { aggs, .. } => {
+            ordinals.extend(aggs.iter().flat_map(|a| a.expr.params()));
         }
-        LogicalPlan::SemiJoin { input, build, .. } => {
-            plan_params(input, out);
-            plan_params(build, out);
+        LogicalPlan::Window { funcs, .. } => {
+            let inputs = funcs.iter().filter_map(|f| f.expr.as_ref());
+            ordinals.extend(inputs.flat_map(Expr::params));
         }
-        LogicalPlan::Aggregate { input, aggs, .. } => {
-            for a in aggs {
-                out.extend(a.expr.params());
-            }
-            plan_params(input, out);
-        }
-        LogicalPlan::Window { input, funcs, .. } => {
-            for f in funcs {
-                if let Some(e) = &f.expr {
-                    out.extend(e.params());
-                }
-            }
-            plan_params(input, out);
-        }
-        LogicalPlan::OrderBy { input, .. } | LogicalPlan::Limit { input, .. } => {
-            plan_params(input, out);
-        }
+        _ => {}
+    });
+    ordinals.sort_unstable();
+    ordinals.dedup();
+    match (0..ordinals.len()).find(|&i| ordinals[i] != i) {
+        Some(missing) => Err(PlanError::BindMismatch(format!(
+            "placeholder ${} is never used (placeholders must be contiguous)",
+            missing + 1
+        ))),
+        None => Ok(ordinals.len()),
     }
 }
 
-/// Rebuild a plan with every [`Expr::Param`] substituted.
-fn subst_plan(plan: &LogicalPlan, vals: &[Value]) -> Result<LogicalPlan, PlanError> {
-    Ok(match plan {
-        LogicalPlan::Scan { table } => LogicalPlan::Scan {
-            table: table.clone(),
-        },
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(subst_plan(input, vals)?),
-            predicate: subst_expr(predicate, vals)?,
-        },
-        LogicalPlan::SemiJoin {
-            input,
-            build,
-            fk_col,
-        } => LogicalPlan::SemiJoin {
-            input: Box::new(subst_plan(input, vals)?),
-            build: Box::new(subst_plan(build, vals)?),
-            fk_col: fk_col.clone(),
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(subst_plan(input, vals)?),
-            group_by: group_by.clone(),
-            aggs: aggs
-                .iter()
-                .map(|a| {
-                    Ok(AggSpec {
-                        func: a.func,
-                        expr: subst_expr(&a.expr, vals)?,
-                        name: a.name.clone(),
-                    })
-                })
-                .collect::<Result<Vec<_>, PlanError>>()?,
-        },
-        LogicalPlan::Window {
-            input,
-            partition_by,
-            order_by,
-            frame,
-            funcs,
-            select,
-        } => LogicalPlan::Window {
-            input: Box::new(subst_plan(input, vals)?),
-            partition_by: partition_by.clone(),
-            order_by: order_by.clone(),
-            frame: *frame,
-            funcs: funcs
-                .iter()
-                .map(|w| {
-                    Ok(crate::logical::WindowFnSpec {
-                        func: w.func,
-                        expr: w.expr.as_ref().map(|e| subst_expr(e, vals)).transpose()?,
-                        name: w.name.clone(),
-                    })
-                })
-                .collect::<Result<Vec<_>, PlanError>>()?,
-            select: select.clone(),
-        },
-        LogicalPlan::OrderBy { input, keys } => LogicalPlan::OrderBy {
-            input: Box::new(subst_plan(input, vals)?),
-            keys: keys.clone(),
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(subst_plan(input, vals)?),
-            n: *n,
-        },
-    })
+/// `template` with its `expects` placeholders replaced by `params`.
+fn bind_plan(
+    template: &LogicalPlan,
+    expects: usize,
+    params: &Params,
+) -> Result<LogicalPlan, PlanError> {
+    if params.len() != expects {
+        return Err(PlanError::BindMismatch(format!(
+            "statement expects {expects} parameter(s), got {}",
+            params.len()
+        )));
+    }
+    let vals = params.values();
+    template.try_map(&mut |e| subst_expr(e, vals), &mut |node| node)
 }
 
 /// Substitute placeholders inside one expression.
@@ -367,74 +256,32 @@ fn subst_plan(plan: &LogicalPlan, vals: &[Value]) -> Result<LogicalPlan, PlanErr
 /// `col = ?` / `col <> ?` (either operand order), which rewrite to the
 /// dictionary predicates `col IN (value)` / `NOT (col IN (value))`.
 fn subst_expr(e: &Expr, vals: &[Value]) -> Result<Expr, PlanError> {
-    Ok(match e {
-        Expr::Param(i) => Expr::Lit(param_raw(*i, vals)?),
-        Expr::Col(_) | Expr::Lit(_) | Expr::Like { .. } | Expr::InList { .. } => e.clone(),
-        Expr::Cmp(op, a, b) => {
-            // String bindings: rewrite `col = $n` (or the mirrored form)
-            // into a one-element dictionary IN-list before the generic
-            // substitution can reject the string.
-            let col_param = match (&**a, &**b) {
-                (Expr::Col(c), Expr::Param(i)) | (Expr::Param(i), Expr::Col(c)) => Some((c, *i)),
-                _ => None,
-            };
-            if let Some((col, i)) = col_param {
-                if let Some(Value::Str(s)) = vals.get(i) {
-                    let in_list = Expr::InList {
-                        col: col.clone(),
-                        values: vec![s.clone()],
-                    };
-                    return match op {
-                        CmpOp::Eq => Ok(in_list),
-                        CmpOp::Ne => Ok(Expr::Not(Box::new(in_list))),
-                        _ => Err(PlanError::BindMismatch(format!(
-                            "string parameter ${} only supports = or <> against \
-                             a dictionary column",
-                            i + 1
-                        ))),
-                    };
-                }
+    if let Expr::Param(i) = e {
+        return Ok(Expr::Lit(param_raw(*i, vals)?));
+    }
+    // String bindings: rewrite `col = $n` (or the mirrored form) into a
+    // one-element dictionary IN-list; under any other operator the string
+    // reaches `param_raw`, which rejects it.
+    if let Expr::Cmp(op @ (CmpOp::Eq | CmpOp::Ne), a, b) = e {
+        if let (Expr::Col(col), Expr::Param(i)) | (Expr::Param(i), Expr::Col(col)) = (&**a, &**b) {
+            if let Some(Value::Str(s)) = vals.get(*i) {
+                let in_list = Expr::InList {
+                    col: col.clone(),
+                    values: vec![s.clone()],
+                };
+                return Ok(match op {
+                    CmpOp::Eq => in_list,
+                    _ => Expr::Not(Box::new(in_list)),
+                });
             }
-            Expr::Cmp(
-                *op,
-                Box::new(subst_expr(a, vals)?),
-                Box::new(subst_expr(b, vals)?),
-            )
         }
-        Expr::Add(a, b) => bin(Expr::Add, a, b, vals)?,
-        Expr::Sub(a, b) => bin(Expr::Sub, a, b, vals)?,
-        Expr::Mul(a, b) => bin(Expr::Mul, a, b, vals)?,
-        Expr::Div(a, b) => bin(Expr::Div, a, b, vals)?,
-        Expr::And(a, b) => bin(Expr::And, a, b, vals)?,
-        Expr::Or(a, b) => bin(Expr::Or, a, b, vals)?,
-        Expr::Not(a) => Expr::Not(Box::new(subst_expr(a, vals)?)),
-        Expr::Case {
-            when,
-            then,
-            otherwise,
-        } => Expr::Case {
-            when: Box::new(subst_expr(when, vals)?),
-            then: Box::new(subst_expr(then, vals)?),
-            otherwise: Box::new(subst_expr(otherwise, vals)?),
-        },
-    })
-}
-
-fn bin(
-    ctor: fn(Box<Expr>, Box<Expr>) -> Expr,
-    a: &Expr,
-    b: &Expr,
-    vals: &[Value],
-) -> Result<Expr, PlanError> {
-    Ok(ctor(
-        Box::new(subst_expr(a, vals)?),
-        Box::new(subst_expr(b, vals)?),
-    ))
+    }
+    e.try_map_children(&mut |child| subst_expr(child, vals))
 }
 
 /// The raw `i64` encoding of the value bound to ordinal `i`, or a
-/// [`PlanError::BindMismatch`] for strings (which never reach this path
-/// through the supported rewrites).
+/// [`PlanError::BindMismatch`] for a string (the supported rewrites have
+/// consumed theirs before this).
 fn param_raw(i: usize, vals: &[Value]) -> Result<i64, PlanError> {
     let v = vals.get(i).ok_or_else(|| {
         PlanError::BindMismatch(format!("no value bound for placeholder ${}", i + 1))
@@ -451,7 +298,7 @@ fn param_raw(i: usize, vals: &[Value]) -> Result<i64, PlanError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logical::QueryBuilder;
+    use crate::logical::{AggSpec, QueryBuilder};
     use swole_storage::{ColumnData, DictColumn, Table};
 
     fn db() -> crate::Database {

@@ -1,23 +1,14 @@
-//! Sessions: per-client scopes over one shared [`Engine`].
-//!
-//! An [`Engine`] is already safe to share across threads, but everything
-//! issued directly on it shares one cancellation scope and the builder's
-//! option defaults. A [`Session`] carves out a client-sized scope: its own
-//! sticky cancellation flag (cancelling one client never touches another)
-//! and its own [`QueryOptions`] defaults, while the database, plan cache,
-//! worker pool, global memory budget, and admission controller stay shared
-//! engine-wide.
+//! Sessions: per-client scopes over one shared [`Engine`], and the one path
+//! a statement takes into it. See [`Session`].
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::engine::{Engine, QueryResult};
+use crate::engine::{Engine, Explain, QueryResult};
 use crate::error::PlanError;
 use crate::logical::LogicalPlan;
 use crate::metrics::MetricsLevel;
 use crate::physical::PhysicalPlan;
-use crate::prepared::PreparedStatement;
-use crate::value::Params;
 use swole_runtime::{CancelState, ExecHandle, Priority};
 use swole_verify::VerifyLevel;
 
@@ -110,9 +101,15 @@ impl QueryOptions {
     }
 }
 
-/// A per-client scope over a shared [`Engine`]: its own cancellation flag
-/// and its own [`QueryOptions`] defaults, with everything else — database,
-/// plan cache, worker pool, global memory budget, admission — shared.
+/// A scope over a shared [`Engine`]: its own sticky cancellation flag
+/// (cancelling one client never touches another) and its own
+/// [`QueryOptions`] defaults, while the database, plan cache, worker pool,
+/// global memory budget and admission controller stay shared engine-wide.
+///
+/// A session is also the only thing that runs a statement. What is issued
+/// on the [`Engine`] itself runs on its root session — the engine-wide
+/// scope, no defaults — and a prepared or bound statement is a session
+/// plus a plan.
 ///
 /// Sessions are cheap to create (one allocation) and cheap to clone;
 /// clones share the *same* scope. Create one per client/connection:
@@ -136,15 +133,20 @@ impl Engine {
     /// Open a new session: an independent cancellation scope with its own
     /// per-query option defaults. See [`Session`].
     pub fn session(&self) -> Session {
-        Session {
-            engine: self.clone(),
-            cancel: Arc::new(CancelState::default()),
-            defaults: QueryOptions::default(),
-        }
+        Session::over(self.clone(), Arc::new(CancelState::default()))
     }
 }
 
 impl Session {
+    /// A session of `engine` cancelled through `cancel`, without defaults.
+    pub(crate) fn over(engine: Engine, cancel: Arc<CancelState>) -> Session {
+        Session {
+            engine,
+            cancel,
+            defaults: QueryOptions::default(),
+        }
+    }
+
     /// Replace this session's option defaults (fields left `None` still
     /// fall back to the engine builder's settings).
     pub fn with_defaults(mut self, defaults: QueryOptions) -> Session {
@@ -177,7 +179,9 @@ impl Session {
     }
 
     /// [`Session::query`] with per-call overrides (fields left `None`
-    /// fall back to the session defaults, then the engine's).
+    /// fall back to the session defaults, then the engine's). Every
+    /// statement — the engine's, a bound statement's, an ad-hoc SQL text's —
+    /// runs here, on one plan-cache lookup.
     pub fn query_with(
         &self,
         plan: &LogicalPlan,
@@ -186,7 +190,7 @@ impl Session {
         let merged = opts.or(&self.defaults);
         let inner = self.engine.inner();
         let db = inner.read_db();
-        inner.query_leveled(&db, plan, &self.cancel, &merged, None)
+        inner.query_leveled(&db, plan, &self.cancel, &merged, MetricsLevel::Off)
     }
 
     /// [`Engine::execute`] under this session's scope and defaults.
@@ -208,7 +212,7 @@ impl Session {
 
     /// [`Engine::explain_analyze`] under this session's scope and
     /// defaults.
-    pub fn explain_analyze(&self, plan: &LogicalPlan) -> Result<crate::engine::Explain, PlanError> {
+    pub fn explain_analyze(&self, plan: &LogicalPlan) -> Result<Explain, PlanError> {
         self.explain_analyze_with(plan, &QueryOptions::default())
     }
 
@@ -217,42 +221,11 @@ impl Session {
         &self,
         plan: &LogicalPlan,
         opts: &QueryOptions,
-    ) -> Result<crate::engine::Explain, PlanError> {
+    ) -> Result<Explain, PlanError> {
         let merged = opts.or(&self.defaults);
         let inner = self.engine.inner();
         let db = inner.read_db();
-        let res = inner.query_leveled(
-            &db,
-            plan,
-            &self.cancel,
-            &merged,
-            Some(MetricsLevel::Timings),
-        )?;
-        let mut ex = inner.explain_for(&db, plan)?;
-        ex.analyze = res.metrics;
-        Ok(ex)
-    }
-
-    /// [`Engine::prepare`] scoped to this session: statements bound from
-    /// the returned handle execute under the session's cancellation scope
-    /// and option defaults.
-    pub fn prepare(&self, template: &LogicalPlan) -> Result<PreparedStatement, PlanError> {
-        PreparedStatement::compile(
-            &self.engine,
-            template,
-            Arc::clone(&self.cancel),
-            self.defaults,
-        )
-    }
-
-    /// [`Engine::prepare_sql`] scoped to this session.
-    pub fn prepare_sql(&self, sql: &str) -> Result<PreparedStatement, PlanError> {
-        PreparedStatement::compile_sql(&self.engine, sql, Arc::clone(&self.cancel), self.defaults)
-    }
-
-    /// Convenience: prepare, bind `params`, and execute in one call, all
-    /// under this session's scope.
-    pub fn query_sql(&self, sql: &str, params: &Params) -> Result<QueryResult, PlanError> {
-        self.prepare_sql(sql)?.bind(params)?.execute()
+        let res = inner.query_leveled(&db, plan, &self.cancel, &merged, MetricsLevel::Timings)?;
+        inner.explain_for(&db, plan, res.metrics)
     }
 }

@@ -12,14 +12,14 @@
 //!   workers are spawned for the stage and join before it returns. Zero
 //!   cross-query state; `threads == 1` runs inline on the caller.
 //! - [`Executor::Pool`] — a fixed [`WorkerPool`] multiplexing morsels from
-//!   N concurrent queries. Each stage keeps its own [`MorselQueue`] (so
+//!   N concurrent queries. Each stage keeps its own `MorselQueue` (so
 //!   tile partitioning — and therefore results — are bit-identical to solo
 //!   execution); pool workers round-robin across registered stages by
 //!   [`Priority`] class, claiming one morsel per visit. The submitting
 //!   thread participates too, so a query always makes progress even when
 //!   every pool worker is busy elsewhere.
 //!
-//! [`MorselQueue`] is internal; stages only exist behind the executors.
+//! `MorselQueue` is internal; stages only exist behind the executors.
 //!
 //! Around the executors sit the three resource-control layers a
 //! multi-query server needs:

@@ -6,7 +6,7 @@
 //! paper quotes hold (Q1 ≈ 98 %, Q4 ≈ 4 %, Q6 ≈ 2 %, Q13 ≈ 98 %,
 //! Q14 ≈ 1 %...), and hand-coded implementations of
 //! **Q1, Q3, Q4, Q5, Q6, Q13, Q14, Q19** — the subset used by the ROF paper
-//! [5] and adopted by this one — in each of the three strategies the paper
+//! \[5\] and adopted by this one — in each of the three strategies the paper
 //! compares:
 //!
 //! * `datacentric` — HyPer-style single-loop branch-per-tuple code;

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Non-test source lines per crate: for every file under crates/*/src, the
-# lines before its first `#[cfg(test)]` (the whole file when it has none).
+# lines before its first module-level `#[cfg(test)]` — one at column 0; an
+# indented one gates a statement or an item inside an impl, not the file's
+# test module — or the whole file when it has none.
 # This is the figure a simplicity PR states as its line delta; lines moved
 # into tests, data files or denser formatting do not show up as savings in
 # the diff this prints between two commits. Build output left under a
@@ -16,7 +18,7 @@ perf=crates/bench/src/bin/perf
 count() {
     local n=0 lines f
     while IFS= read -r -d '' f; do
-        lines=$(awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")
+        lines=$(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")
         n=$((n + lines))
     done < <(find "$1" -name '*.rs' -not -path '*/target/*' -not -path "${2:-}/*" -print0)
     echo "$n"

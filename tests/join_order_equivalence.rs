@@ -292,3 +292,43 @@ fn cardinality_estimates_track_observations() {
         );
     }
 }
+
+/// `EXPLAIN ANALYZE` is one function behind three doors: on a two-edge
+/// join the engine, a session and a bound statement report the same join
+/// tree, every probe edge with its observation, and render it. (When each
+/// door had its own copy of the body, only the engine's filled
+/// `observed_rows`.)
+#[test]
+fn every_explain_analyze_door_reports_observed_join_cardinalities() {
+    let engine = engine_with(None, |b| b.threads(2));
+    let (name, sql, direct) = QUERIES[0];
+    let plan = parse_sql(sql).expect("parses").plan;
+    let bound = engine
+        .prepare(&plan)
+        .and_then(|stmt| stmt.bind(&Params::new()))
+        .expect("binds");
+    let doors = [
+        ("Engine", engine.explain_analyze(&plan)),
+        ("Session", engine.session().explain_analyze(&plan)),
+        ("BoundStatement", bound.explain_analyze()),
+    ];
+    let mut trees = Vec::new();
+    for (door, ex) in doors {
+        let ex = ex.unwrap_or_else(|e| panic!("{name} through {door}: {e}"));
+        let probes: Vec<_> = ex.join_tree.iter().filter(|e| e.depth == 0).collect();
+        assert_eq!(probes.len(), direct.len(), "{name} through {door}");
+        let text = ex.to_string();
+        for edge in probes {
+            let observed = edge
+                .observed_rows
+                .unwrap_or_else(|| panic!("{door}: edge {} has no observation", edge.parent));
+            let line = format!(
+                "edge {} -> {} [{}] est {} rows, observed {observed} rows",
+                edge.fk_col, edge.parent, edge.build_side, edge.est_rows
+            );
+            assert!(text.contains(&line), "{door}: no `{line}` in\n{text}");
+        }
+        trees.push(ex.join_tree);
+    }
+    assert!(trees.iter().all(|t| *t == trees[0]), "{trees:#?}");
+}

@@ -427,3 +427,33 @@ fn cache_is_keyed_on_thread_count() {
         assert_eq!((stats.misses, stats.hits), (1, 1), "threads={threads}");
     }
 }
+
+/// An ad-hoc text is looked up once per statement; the explicit prepare
+/// door plans a placeholder-free template at once, so it and its first
+/// `execute` are a lookup each.
+#[test]
+fn an_ad_hoc_text_is_one_lookup_and_an_explicit_prepare_plans_at_once() {
+    let engine = Engine::builder(simple_db()).build();
+    let session = engine.session();
+    let lookups = || {
+        let stats = engine.plan_cache_stats();
+        stats.hits + stats.misses
+    };
+    let sql = "select sum(r_a) as s from R where r_x < 30";
+    let cold = session.query_sql(sql, &Params::new()).expect("runs");
+    let before = lookups();
+    let warm = session.query_sql(sql, &Params::new()).expect("runs");
+    assert_eq!(cold, warm);
+    assert_eq!(lookups(), before + 1, "a warm ad-hoc text is one lookup");
+
+    let stmt = session.prepare_sql(sql).expect("prepares");
+    assert_eq!(stmt.param_count(), 0);
+    assert_eq!(lookups(), before + 2, "prepare of a zero-param text plans");
+    assert_eq!(stmt.execute().expect("runs"), warm);
+    assert_eq!(lookups(), before + 3, "and its execute is one lookup more");
+    assert_eq!(
+        engine.plan_cache_stats().misses,
+        1,
+        "all of it on one entry"
+    );
+}
