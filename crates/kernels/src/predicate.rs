@@ -122,11 +122,34 @@ pub fn in_code_table(codes: &[u32], table: &[bool], out: &mut [u8]) {
 }
 
 /// Count set entries in a mask (selectivity observation, feeds the cost
-/// model's adaptive decisions).
+/// model's adaptive decisions, and `count(*)` under value masking).
+///
+/// A byte-lane sum: mask entries are 0 or 1 — every producer in this module
+/// writes a `bool as u8` — so 255 of them add up inside a `u8` lane, and the
+/// lanes widen to `usize` once per block instead of once per entry.
 #[inline]
 pub fn mask_count(cmp: &[u8]) -> usize {
-    cmp.iter().map(|&c| c as usize).sum()
+    debug_assert!(cmp.iter().all(|&c| c <= 1), "a mask holds 0 / 1");
+    cmp.chunks(LANE_ROUNDS * LANES)
+        .map(|block| {
+            let mut lanes = [0u8; LANES];
+            let rounds = block.chunks_exact(LANES);
+            let tail = rounds.remainder();
+            for round in rounds {
+                for (lane, &c) in lanes.iter_mut().zip(round) {
+                    // At most `LANE_ROUNDS` ones reach a lane: no wrap.
+                    *lane = lane.wrapping_add(c);
+                }
+            }
+            lanes.iter().chain(tail).map(|&c| c as usize).sum::<usize>()
+        })
+        .sum()
 }
+
+/// Byte lanes of [`mask_count`]: two 16-byte vectors.
+const LANES: usize = 32;
+/// Rounds of [`LANES`] ones a `u8` lane holds before it would wrap.
+const LANE_ROUNDS: usize = u8::MAX as usize;
 
 #[cfg(test)]
 mod tests {
@@ -176,6 +199,38 @@ mod tests {
     fn mask_count_counts() {
         assert_eq!(mask_count(&[1, 0, 1, 1, 0]), 3);
         assert_eq!(mask_count(&[]), 0);
+    }
+
+    fn naive_count(cmp: &[u8]) -> usize {
+        cmp.iter().map(|&c| c as usize).sum()
+    }
+
+    /// All ones around every boundary of the byte-lane sum: a lane's width,
+    /// the block at which a lane would wrap, and a whole morsel.
+    #[test]
+    fn mask_count_never_wraps_a_lane() {
+        let block = LANE_ROUNDS * LANES;
+        let lens = [0, 1, 31, 32, 33, block - 1, block, block + 1, 64 * 1024];
+        for len in lens {
+            assert_eq!(mask_count(&vec![1u8; len]), len, "len={len}");
+        }
+    }
+
+    #[test]
+    fn mask_count_matches_the_naive_sum_on_random_masks() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..48u64 {
+            let mut rng = SmallRng::seed_from_u64(0xC0 + seed);
+            let len = rng.gen_range(0usize..3 * LANE_ROUNDS * LANES);
+            let density = f64::from(rng.gen_range(0u32..=100)) / 100.0;
+            let mask: Vec<u8> = (0..len).map(|_| rng.gen_bool(density) as u8).collect();
+            assert_eq!(
+                mask_count(&mask),
+                naive_count(&mask),
+                "seed={seed} len={len}"
+            );
+        }
     }
 
     #[test]

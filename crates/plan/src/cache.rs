@@ -345,6 +345,11 @@ impl PlanCache {
     /// without allocating an entry.
     pub(crate) fn breaker_check(&self, key: &str) -> BreakerDecision {
         let mut map = self.breakers.lock().unwrap_or_else(|e| e.into_inner());
+        // Empty until some statement has fallen back: do not hash the
+        // several-hundred-byte key to learn that.
+        if map.is_empty() {
+            return BreakerDecision::Closed;
+        }
         let Some(st) = map.get_mut(key) else {
             return BreakerDecision::Closed;
         };
@@ -365,7 +370,9 @@ impl PlanCache {
     /// circuit. A successful half-open probe lands here too.
     pub(crate) fn breaker_primary_ok(&self, key: &str) {
         let mut map = self.breakers.lock().unwrap_or_else(|e| e.into_inner());
-        map.remove(key);
+        if !map.is_empty() {
+            map.remove(key);
+        }
     }
 
     /// The query fell back to the interpreter (the primary failed a
@@ -416,19 +423,6 @@ impl PlanCache {
 /// without a hand-maintained `size_of` walk.
 fn entry_bytes(key: &str, plan: &PhysicalPlan) -> usize {
     key.len() + format!("{plan:?}").len() + 128
-}
-
-/// Tracks per-table load generations for cache keying; a thin wrapper so
-/// the engine can collect `(table, generation)` pairs in one pass.
-pub(crate) fn generations_of(db: &crate::catalog::Database, tables: &[&str]) -> Vec<(String, u64)> {
-    let mut seen: HashMap<&str, ()> = HashMap::new();
-    let mut out = Vec::new();
-    for t in tables {
-        if seen.insert(t, ()).is_none() {
-            out.push((t.to_string(), db.generation(t).unwrap_or(0)));
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use crate::cache::{
 };
 use crate::catalog::Database;
 use crate::error::PlanError;
-use crate::exec::{apply_post_ops, exec_agg, exec_window, AggStage, BoundEdge, ExecOpts, FkSource};
+use crate::exec::{exec_agg, exec_window, post_process, AggStage, BoundEdge, ExecOpts, FkSource};
 use crate::expr::{AggFunc, Expr};
 use crate::logical::{AggSpec, FrameSpec, LogicalPlan, SortKey, WindowFnSpec};
 use crate::metrics::{MetricsLevel, OpMetrics, QueryMetrics};
@@ -2844,7 +2844,7 @@ impl EngineInner {
                 op.access.rows_out = 1;
                 ops.push(op);
             }
-            apply_post_ops(&plan.post, &mut res, &mut ops, level, ctx)?;
+            post_process(&plan.post, &mut res, &mut ops, level, ctx)?;
             return Ok((res, ops));
         }
         let opts = ExecOpts {
@@ -2854,7 +2854,7 @@ impl EngineInner {
             level,
             overflow_proved: cert.all_sites_overflow_safe(),
         };
-        let (mut res, mut ops) = match &plan.shape {
+        match &plan.shape {
             Shape::Agg(shape) => {
                 let table = &db.table_arc(&shape.table)?;
                 let edges = &self.bind_join_edges(db, &shape.table, &shape.edges)?;
@@ -2869,12 +2869,16 @@ impl EngineInner {
                     table,
                     edges,
                 };
-                exec_agg(stage, group_table, opts, ctx)
+                let (mut res, mut ops) = exec_agg(stage, group_table, opts, ctx)?;
+                post_process(&plan.post, &mut res, &mut ops, level, ctx)?;
+                Ok((res, ops))
             }
-            Shape::WindowScan(shape) => exec_window(&db.table_arc(&shape.table)?, shape, opts, ctx),
-        }?;
-        apply_post_ops(&plan.post, &mut res, &mut ops, level, ctx)?;
-        Ok((res, ops))
+            // The window pipeline holds its output as columns and applies
+            // `post` itself, before it assembles rows.
+            Shape::WindowScan(shape) => {
+                exec_window(&db.table_arc(&shape.table)?, shape, &plan.post, opts, ctx)
+            }
+        }
     }
 }
 
@@ -3131,14 +3135,16 @@ fn canonicalize(plan: &LogicalPlan) -> LogicalPlan {
 }
 
 /// Snapshot the generation counter of every table a plan reads (depth-first,
-/// duplicates removed by [`cache::generations_of`]), for the plan cache's
-/// staleness check.
+/// each table once — a statement names a handful, so duplicates are found by
+/// scanning), for the plan cache's staleness check.
 fn table_generations(db: &Database, plan: &LogicalPlan) -> Vec<(String, u64)> {
-    let mut tables: Vec<&str> = Vec::new();
+    let mut out: Vec<(String, u64)> = Vec::new();
     plan.visit(&mut |node| {
         if let LogicalPlan::Scan { table } = node {
-            tables.push(table);
+            if !out.iter().any(|(seen, _)| seen == table) {
+                out.push((table.clone(), db.generation(table).unwrap_or(0)));
+            }
         }
     });
-    crate::cache::generations_of(db, &tables)
+    out
 }

@@ -118,51 +118,85 @@ fn stitch<T: Copy>(partials: &[ScanAcc<T>], capacity: usize) -> Vec<T> {
     out
 }
 
-/// Apply the plan's result-level post-operators (`ORDER BY`, `LIMIT`) to a
-/// materialized result, in order. The sort is stable over the core
-/// pipeline's (already deterministic) row order, so ties are deterministic
-/// at any thread count.
+/// What the post-operators leave of a result: the first `len` rows of
+/// `order` (row indices into the operators' input), or of the input order
+/// itself while no sort has run.
+pub(crate) struct Kept {
+    order: Option<Vec<u32>>,
+    pub len: usize,
+}
+
+impl Kept {
+    /// The input row that is the result's row `r`.
+    pub fn source(&self, r: usize) -> usize {
+        self.order.as_ref().map_or(r, |o| o[r] as usize)
+    }
+
+    /// Cut and reorder materialized `rows` to what is kept of them.
+    pub fn apply(self, rows: &mut Vec<Vec<i64>>) {
+        if let Some(order) = &self.order {
+            *rows = order[..self.len]
+                .iter()
+                .map(|&i| std::mem::take(&mut rows[i as usize]))
+                .collect();
+        }
+        rows.truncate(self.len);
+    }
+}
+
+/// Apply the plan's result-level post-operators (`ORDER BY`, `LIMIT`), in
+/// order, to `n_rows` result rows read through `cell(row, column)`, and
+/// return which of them are left. Rows are judged before they are
+/// assembled, so a pipeline that holds its output as columns assembles
+/// only the survivors. The sort is stable over the core pipeline's
+/// (already deterministic) row order, so ties are deterministic at any
+/// thread count.
 pub(crate) fn apply_post_ops(
     post: &[PostOp],
-    res: &mut QueryResult,
+    columns: &[String],
+    n_rows: usize,
+    cell: impl Fn(usize, usize) -> i64,
     ops: &mut Vec<OpMetrics>,
     level: MetricsLevel,
     ctx: &Arc<ExecCtx>,
-) -> Result<(), PlanError> {
+) -> Result<Kept, PlanError> {
     let counting = level.counting();
+    let mut kept = Kept {
+        order: None,
+        len: n_rows,
+    };
     for p in post {
         ctx.check()?;
         let t0 = level.timing().then(Instant::now);
-        let rows_in = res.rows.len() as u64;
+        let rows_in = kept.len as u64;
         match p {
             PostOp::Sort { keys } => {
                 let mut key_idx = Vec::with_capacity(keys.len());
                 for k in keys {
-                    key_idx.push((res.column_index(&k.column)?, k.desc));
+                    let i = columns
+                        .iter()
+                        .position(|c| *c == k.column)
+                        .ok_or_else(|| PlanError::UnknownResultColumn(k.column.clone()))?;
+                    key_idx.push((i, k.desc));
                 }
                 // The permutation vector is the sort's one materialized
                 // artifact; charge it like any other selection vector.
-                ctx.gauge.try_charge(res.rows.len().saturating_mul(4))?;
-                let mut perm: Vec<u32> = (0..res.rows.len() as u32).collect();
+                ctx.gauge.try_charge(kept.len.saturating_mul(4))?;
+                let mut perm: Vec<u32> = (0..kept.len).map(|r| kept.source(r) as u32).collect();
+                // Stable, so ties keep their pre-sort order.
                 perm.sort_by(|&a, &b| {
-                    let (ra, rb) = (&res.rows[a as usize], &res.rows[b as usize]);
                     for &(i, desc) in &key_idx {
-                        let ord = ra[i].cmp(&rb[i]);
+                        let ord = cell(a as usize, i).cmp(&cell(b as usize, i));
                         let ord = if desc { ord.reverse() } else { ord };
                         if ord != std::cmp::Ordering::Equal {
                             return ord;
                         }
                     }
-                    a.cmp(&b) // deterministic tie-break: pre-sort position
+                    std::cmp::Ordering::Equal
                 });
-                res.rows = perm
-                    .into_iter()
-                    .map(|i| std::mem::take(&mut res.rows[i as usize]))
-                    .collect();
+                kept.order = Some(perm);
             }
-            PostOp::Limit { n } => {
-                res.rows.truncate(*n);
-            }
+            PostOp::Limit { n } => kept.len = kept.len.min(*n),
         }
         if counting {
             let name = match p {
@@ -171,10 +205,24 @@ pub(crate) fn apply_post_ops(
             };
             let mut op = OpMetrics::named(name);
             op.access.rows_in = rows_in;
-            op.access.rows_out = res.rows.len() as u64;
+            op.access.rows_out = kept.len as u64;
             op.wall_nanos = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
             ops.push(op);
         }
     }
+    Ok(kept)
+}
+
+/// [`apply_post_ops`] on a result whose rows are already assembled.
+pub(crate) fn post_process(
+    post: &[PostOp],
+    res: &mut QueryResult,
+    ops: &mut Vec<OpMetrics>,
+    level: MetricsLevel,
+    ctx: &Arc<ExecCtx>,
+) -> Result<(), PlanError> {
+    let cell = |r: usize, c: usize| res.rows[r][c];
+    let kept = apply_post_ops(post, &res.columns, res.rows.len(), cell, ops, level, ctx)?;
+    kept.apply(&mut res.rows);
     Ok(())
 }

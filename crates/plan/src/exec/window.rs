@@ -4,12 +4,12 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use super::{stitch, ExecOpts, ScanAcc};
+use super::{apply_post_ops, stitch, ExecOpts, ScanAcc};
 use crate::engine::QueryResult;
 use crate::error::PlanError;
 use crate::logical::{FrameSpec, WindowFunc};
 use crate::metrics::OpMetrics;
-use crate::physical::WindowShape;
+use crate::physical::{PostOp, WindowShape};
 use crate::tile::{Regs, TileProgram};
 use swole_cost::WindowStrategy;
 use swole_kernels::{selvec, tiles, tiles_in};
@@ -66,10 +66,13 @@ fn order_peers(ord: &[Vec<i64>], a: usize, b: usize) -> bool {
 /// a deterministic sequential sort + frame pass. Frame sums use wrapping
 /// arithmetic, and the sequential frame scan's subtract-on-evict is the
 /// exact inverse of its add (mod 2^64), so both strategies produce
-/// bit-identical outputs at any thread count.
+/// bit-identical outputs at any thread count. The plan's `post` operators
+/// run on the output while it is still columns, so under `ORDER BY … LIMIT
+/// n` only `n` rows are ever assembled.
 pub(crate) fn exec_window(
     table: &Arc<Table>,
     shape: &WindowShape,
+    post: &[PostOp],
     opts: ExecOpts<'_>,
     ctx: &Arc<ExecCtx>,
 ) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
@@ -271,30 +274,34 @@ pub(crate) fn exec_window(
         run_start = run_end;
     }
 
-    // Phase 5: assemble rows in window order (itself deterministic).
-    let mut rows = Vec::with_capacity(m);
-    for i in 0..m {
-        let src = perm[i] as usize;
-        let mut row = Vec::with_capacity(select.len() + funcs.len());
-        for c in &sel_cols {
-            row.push(c[src]);
-        }
-        for out in &outputs {
-            row.push(out[i]);
-        }
-        rows.push(row);
-    }
     let mut columns: Vec<String> = select.to_vec();
     columns.extend(funcs.iter().map(|f| f.name.clone()));
+
+    // Phase 5: the post-operators choose among the rows in window order
+    // (itself deterministic), and the rows they leave are assembled.
+    let cell = |i: usize, c: usize| match c.checked_sub(sel_cols.len()) {
+        None => sel_cols[c][perm[i] as usize],
+        Some(f) => outputs[f][i],
+    };
+    let mut post_ops = Vec::new();
+    let kept = apply_post_ops(post, &columns, m, cell, &mut post_ops, opts.level, ctx)?;
+    let rows = (0..kept.len)
+        .map(|r| {
+            let i = kept.source(r);
+            (0..columns.len()).map(|c| cell(i, c)).collect()
+        })
+        .collect();
+    if let Some(op) = op.as_mut() {
+        op.access.wasted_lanes += extra_touches;
+        // The post-operators report their own time.
+        let in_post: u64 = post_ops.iter().map(|o| o.wall_nanos).sum();
+        op.wall_nanos = t0.map_or(0, |t| t.elapsed().as_nanos() as u64 - in_post);
+    }
     let key_dict = select
         .first()
         .and_then(|c| table.column(c))
         .and_then(|c| c.as_dict())
         .map(|d| Arc::new(d.dictionary().to_vec()));
-    if let Some(op) = op.as_mut() {
-        op.access.wasted_lanes += extra_touches;
-        op.wall_nanos = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-    }
     Ok((
         QueryResult {
             columns,
@@ -302,6 +309,6 @@ pub(crate) fn exec_window(
             metrics: None,
             key_dict,
         },
-        op.into_iter().collect(),
+        op.into_iter().chain(post_ops).collect(),
     ))
 }

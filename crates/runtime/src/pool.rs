@@ -25,6 +25,21 @@
 //! The submitting thread participates in its own stage, which both bounds
 //! latency under load and guarantees progress if the pool is saturated.
 //!
+//! The pool is for stages that have morsels to share. A stage whose queue
+//! holds at most one morsel has nothing a second thread could take, so
+//! [`Executor::run_morsels`] runs it to completion on the submitting thread
+//! through the scoped executor's worker loop — the same `catch_unwind`
+//! isolation, boundary checks and fault hook, one partial — and builds no
+//! `Stage`. Registration bought such a statement nothing and cost it a
+//! type-erased `Arc`, the registry mutex twice, a `notify_all` that woke
+//! every sleeping worker to find the queue dry, a condvar wait and the
+//! `strong_count` spin below: 19 µs against 4.4 µs for the smallest
+//! statement on the 2-vCPU benchmark host (`runtime.pool.min_query_us`).
+//! The rule is keyed on the count the queue already computes, so there is
+//! no threshold to tune and no caller can tell. Engine shutdown and
+//! cancellation reach an inline stage through its [`ExecCtx`], which the
+//! engine's lifecycle registry holds, not through the pool's stage registry.
+//!
 //! **Hardening:** every morsel body (and accumulator init) runs under
 //! `catch_unwind`. A panic trips the stage's [`ExecCtx`], sibling claims
 //! stop at the next boundary, and the panic surfaces as a typed
@@ -135,31 +150,34 @@ enum Stop {
     Sibling,
 }
 
-/// One scoped worker: init an accumulator, then claim morsels until the
-/// queue is dry, the context trips, or a cooperative check fails. The
-/// whole loop — including `init`, so budget charges for worker scratch are
-/// covered — runs under `catch_unwind`.
+/// One scoped worker: pass the cooperative check, init an accumulator, then
+/// claim morsels until the queue is dry, the context trips, or a check
+/// fails. The check comes before `init`, as in `Stage::step`, so a
+/// statement that is already cancelled or expired charges no worker scratch
+/// and reports that — not the `BudgetExceeded` a tight budget would raise
+/// from `init`. The whole loop — including `init`, so budget charges for
+/// worker scratch are covered — runs under `catch_unwind`.
 fn run_worker<T, I, B>(ctx: &ExecCtx, queue: &MorselQueue, init: &I, body: &B) -> Exit<T>
 where
     I: Fn() -> T,
     B: Fn(&mut T, usize, usize),
 {
+    let boundary = || -> Result<(), Stop> {
+        if ctx.tripped() {
+            return Err(Stop::Sibling);
+        }
+        ctx.check().map_err(Stop::Interrupt)
+    };
     let caught = catch_unwind(AssertUnwindSafe(|| -> Result<T, Stop> {
+        boundary()?;
         let mut local = init();
-        loop {
-            if ctx.tripped() {
-                return Err(Stop::Sibling);
-            }
-            if let Err(e) = ctx.check() {
-                return Err(Stop::Interrupt(e));
-            }
-            let Some((start, len, index)) = queue.claim() else {
-                return Ok(local);
-            };
+        while let Some((start, len, index)) = queue.claim() {
             faults::maybe_panic_at_morsel(index);
             body(&mut local, start, len);
             ctx.morsel_done();
+            boundary()?;
         }
+        Ok(local)
     }));
     match caught {
         Ok(Ok(local)) => Exit::Done(local),
@@ -602,19 +620,15 @@ fn next_task(shared: &PoolShared) -> Option<(u64, Arc<dyn StageTask>)> {
 }
 
 /// Round-robin over the stages of the highest priority class present.
+/// Runs under the registry mutex once per morsel of every pooled stage, so
+/// it counts the class and walks to its `rr`-th member, allocating nothing.
 fn pick_stage(reg: &mut Registry) -> Option<(u64, Arc<dyn StageTask>)> {
     let top = reg.stages.iter().map(|s| s.priority).max()?;
-    let class: Vec<usize> = reg
-        .stages
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.priority == top)
-        .map(|(i, _)| i)
-        .collect();
-    let chosen = class[reg.rr % class.len()];
+    let class = || reg.stages.iter().filter(|s| s.priority == top);
+    let stage = class().nth(reg.rr % class().count())?;
+    let pick = (stage.id, Arc::clone(&stage.task));
     reg.rr = reg.rr.wrapping_add(1);
-    let stage = &reg.stages[chosen];
-    Some((stage.id, Arc::clone(&stage.task)))
+    Some(pick)
 }
 
 // ---------------------------------------------------------------------------
@@ -677,6 +691,10 @@ impl Executor {
     /// phase, or the highest-priority failure if any worker was
     /// interrupted.
     ///
+    /// On the pool, a stage of at most one morsel runs on the calling
+    /// thread and is never registered (see the module docs); morsel
+    /// bounds and the merge are the same either way.
+    ///
     /// The closures must be `'static` because pool workers outlive the
     /// call stack; capture table data via `Arc`.
     pub fn run_morsels<T, I, B>(
@@ -696,6 +714,8 @@ impl Executor {
         ctx.add_morsels_total(queue.total());
         match self {
             Executor::Scoped { threads } => run_scoped(ctx, *threads, &queue, &init, &body),
+            // At most one morsel: nothing to share, so nothing to register.
+            Executor::Pool(_) if queue.total() <= 1 => run_scoped(ctx, 1, &queue, &init, &body),
             Executor::Pool(pool) => run_pooled(pool, ctx, queue, init, body),
         }
     }
@@ -730,7 +750,7 @@ where
     while Arc::strong_count(&stage) > 1 {
         std::thread::yield_now();
     }
-    let (mut partials, errors) = stage.finish();
+    let (partials, errors) = stage.finish();
     if !errors.is_empty() {
         return Err(pick_error(errors));
     }
@@ -738,15 +758,8 @@ where
         // Tripped by a failure in an earlier phase of the same query.
         return Err(RuntimeError::Stopped);
     }
-    if partials.is_empty() {
-        // Zero-morsel input: materialize one accumulator so the caller's
-        // merge phase has a seed, under the same panic isolation (init may
-        // charge the gauge).
-        match catch_unwind(AssertUnwindSafe(|| (stage.init)())) {
-            Ok(acc) => partials.push(acc),
-            Err(payload) => return Err(panic_payload_error(payload)),
-        }
-    }
+    // At least one: `run_morsels` sends only stages of two or more morsels
+    // here, and every morsel body returned its accumulator.
     Ok(partials)
 }
 
@@ -860,6 +873,109 @@ mod tests {
                 matches!(err, RuntimeError::Cancelled { .. }),
                 "exec={name}: {err:?}"
             );
+        }
+    }
+
+    /// A context that is already cancelled, under a budget `init` cannot
+    /// meet: every executor checks before it checks an accumulator out, so
+    /// all report the cancellation and none charges worker scratch.
+    #[test]
+    fn pre_cancelled_context_under_a_tight_budget_is_cancelled_everywhere() {
+        let cases = [
+            ("scoped-1", Executor::scoped(1), 8),
+            ("scoped-4", Executor::scoped(4), 8),
+            ("pool-2, one morsel", Executor::pool(2), 1),
+            ("pool-2, eight morsels", Executor::pool(2), 8),
+        ];
+        for (name, exec, morsels) in cases {
+            let cancel = Arc::new(CancelState::default());
+            ExecHandle::new(Arc::clone(&cancel)).cancel();
+            let ctx = Arc::new(ExecCtx::new(cancel, None, Some(1), None, Priority::Normal));
+            let scratch = Arc::clone(&ctx);
+            let err = exec
+                .run_morsels(
+                    &ctx,
+                    morsels * TILE,
+                    TILE,
+                    move || crate::charge_or_panic(&scratch.gauge, 64),
+                    |_, _, _| {},
+                )
+                .expect_err("pre-cancelled ctx must refuse work");
+            assert!(
+                matches!(
+                    err,
+                    RuntimeError::Cancelled {
+                        morsels_done: 0,
+                        ..
+                    }
+                ),
+                "exec={name}: {err:?}"
+            );
+            assert_eq!(ctx.gauge.used(), 0, "exec={name}");
+        }
+    }
+
+    /// The inline rule: a stage of at most one morsel runs where it was
+    /// submitted, on the pool as on `scoped(1)`, and hands back one partial
+    /// — the `init()` one when there are no rows at all.
+    #[test]
+    fn one_morsel_stage_runs_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        for (name, exec) in executors() {
+            for n in [0usize, 1, TILE, 2 * TILE] {
+                let ctx = Arc::new(ExecCtx::unbounded());
+                let partials = exec
+                    .run_morsels(&ctx, n, 2 * TILE, Vec::new, |ran: &mut Vec<_>, _, len| {
+                        ran.push((std::thread::current().id(), len))
+                    })
+                    .expect("no faults armed");
+                // A scoped team of several still spawns them all, and each
+                // hands back its `init()`.
+                if !matches!(exec, Executor::Scoped { threads } if threads > 1) {
+                    assert_eq!(partials.len(), 1, "exec={name} n={n}");
+                    assert!(
+                        partials[0].iter().all(|&(id, _)| id == me),
+                        "exec={name} n={n}"
+                    );
+                }
+                let lens: Vec<usize> = partials.iter().flatten().map(|&(_, l)| l).collect();
+                assert_eq!(lens, if n == 0 { vec![] } else { vec![n] }, "exec={name}");
+                assert_eq!(ctx.progress(), (lens.len(), lens.len()), "exec={name}");
+            }
+        }
+    }
+
+    /// A panic in an inline stage is the stage's failure and nobody else's:
+    /// typed payload through, context tripped, and the executor — every
+    /// pool worker included — serves the next, shared stage.
+    #[test]
+    fn panicking_one_morsel_stage_leaves_the_executor_serving() {
+        for (name, exec) in executors() {
+            let workers = exec.live_workers();
+            let ctx = Arc::new(ExecCtx::unbounded());
+            let failure = RuntimeError::BudgetExceeded {
+                requested: 1,
+                used: 2,
+                budget: 3,
+            };
+            let payload = failure.clone();
+            let err = exec
+                .run_morsels(
+                    &ctx,
+                    TILE,
+                    TILE,
+                    || (),
+                    move |_, _, _| std::panic::panic_any(payload.clone()),
+                )
+                .expect_err("typed panic must surface");
+            assert_eq!(err, failure, "exec={name}");
+            assert!(ctx.tripped(), "exec={name}");
+            let ctx = Arc::new(ExecCtx::unbounded());
+            let partials = exec
+                .run_morsels(&ctx, 8 * TILE, TILE, || 0usize, |acc, _, len| *acc += len)
+                .expect("the failure stayed with its stage");
+            assert_eq!(partials.into_iter().sum::<usize>(), 8 * TILE, "exec={name}");
+            assert_eq!(exec.live_workers(), workers, "exec={name}");
         }
     }
 

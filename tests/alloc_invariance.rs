@@ -6,8 +6,9 @@
 //! 400-tile table costs exactly the allocations a 4-tile table does.
 //!
 //! And per-statement overhead does not creep: one warm, one-morsel
-//! statement of each hot kind allocates no more than it did at the commit
-//! recorded next to [`HOT_STATEMENTS`].
+//! statement of each hot kind allocates less than it did at the commit
+//! recorded next to [`HOT_STATEMENTS`], and no more when it is submitted to a
+//! worker pool than on a sequential engine.
 //!
 //! This is the one file in the repository with `unsafe`: counting needs a
 //! `GlobalAlloc`, and implementing that trait is an `unsafe impl`. It only
@@ -177,53 +178,73 @@ fn execute_allocations_do_not_scale_with_table_size() {
     }
 }
 
+/// `ORDER BY … LIMIT n` over a window assembles the `n` rows it returns, not
+/// one row vector per window row to sort and drop: the post-operators run on
+/// the window's columns. Tens of thousands of small frees left in the
+/// allocator's bins are also what made the *next* statement pay for this
+/// one's cleanup (DESIGN § 13).
+#[test]
+fn a_window_top_n_allocates_for_the_rows_it_returns() {
+    let _turn = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    let engine = Engine::builder(database(64)).threads(1).build();
+    let sql = "select a, row_number() over (partition by g order by b) as rn, \
+               sum(b) over (partition by g order by b) as s \
+               from R where x < 50 order by a, rn limit 5";
+    let plan = swole::plan::parse_sql(sql).expect("parses").plan;
+    let physical = engine.plan(&plan).expect("plans");
+    let rows = engine.execute(&physical).expect("runs").rows;
+    assert_eq!(rows.len(), 5);
+    let n = count(&engine, &physical);
+    let window_rows = 64 * TILE / 2;
+    assert!(
+        n < 200,
+        "{n} allocations to return 5 of {window_rows} window rows"
+    );
+}
+
 /// The hot statement kinds of a served workload, each with what marks its
-/// plan shape and the allocations one warm execution of it (plan-cache hit
-/// included) took at commit 32d5634, the parent of the one that merged the
-/// scalar and grouped executors into one driver. A one-morsel statement is
-/// all overhead, so this is the guard for the `sessions_mixed` benchmark
-/// workload: the count may fall, never rise.
-///
-/// The last figure is the same text as that workload issues it — a warm
-/// `Session::query_sql` with no parameters, parse included — at commit
-/// 6e0d587, the last one where an ad-hoc text was prepared, seeded into the
-/// cache, bound and only then executed. That count had to fall.
+/// plan shape and the allocations one warm execution of it took at commit
+/// 5fbe4a5 — through `Engine::query` (plan-cache hit included), and as the
+/// `sessions_mixed` benchmark workload issues it, a warm `Session::query_sql`
+/// with no parameters, parse included. The change that recorded them took
+/// two allocations out of every warm statement, so each is a strict bound. A
+/// one-morsel statement is all overhead, which makes this the guard for that
+/// workload: the counts may fall, never rise.
 const HOT_STATEMENTS: [(&str, &str, &str, usize, usize); 4] = [
     (
         "scalar scan",
         "(1 aggs) <- Filter <- Scan R",
         "select sum(a * b) as s from R where x < 50",
-        42,
-        129,
+        39,
+        83,
     ),
     (
         "group-by",
         "group by g) <- Filter <- Scan R",
         "select g, sum(a * b) as s from R where x < 50 group by g",
-        65,
-        166,
+        61,
+        116,
     ),
     (
         "masked one-edge probe",
         "S[positional-bitmap]] (probe: masked)",
         "select sum(R.a * R.b) as s from R, S where R.fk = S.rowid and R.x < 50 and S.y < 50",
-        74,
-        260,
+        66,
+        188,
     ),
     (
         "groupjoin",
         "(group by fk) <- MultiJoin",
         "select R.fk, sum(R.a * R.b) as s from R, S where R.fk = S.rowid and S.y < 50 \
          group by R.fk",
-        123,
-        293,
+        116,
+        230,
     ),
 ];
 
-#[test]
-fn hot_statements_allocate_no_more_than_at_the_parent_commit() {
-    let _turn = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
-    // Four tiles: one morsel.
+/// R ⋈ S with four tiles of R: every stage of every hot statement is one
+/// morsel.
+fn one_morsel_database() -> Database {
     let n = 4 * TILE;
     let mut db = Database::new();
     db.add_table(r_table(4).with_column(
@@ -235,27 +256,51 @@ fn hot_statements_allocate_no_more_than_at_the_parent_commit() {
         ColumnData::I8((0..64).map(|i| (i % 100) as i8).collect()),
     ));
     db.add_fk("R", "fk", "S").expect("FK registers");
-    let engine = Engine::builder(db).threads(1).build();
+    db
+}
+
+/// Allocations of one warm `Engine::query`: plan and cache, warm up once,
+/// count the third run.
+fn warm(engine: &Engine, kind: &str, marker: &str, plan: &LogicalPlan) -> usize {
+    let explain = engine.explain(plan).expect("plans");
+    assert!(explain.shape.contains(marker), "{kind}: {}", explain.shape);
+    engine.query(plan).expect("cold run");
+    engine.query(plan).expect("warm-up run");
+    let (now, res) = allocations_during(|| engine.query(plan));
+    res.expect("counted run");
+    now
+}
+
+#[test]
+fn hot_statements_allocate_no_more_than_at_the_parent_commit() {
+    let _turn = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    let engine = Engine::builder(one_morsel_database()).threads(1).build();
+    let pooled = Engine::builder(one_morsel_database())
+        .worker_pool(2)
+        .build();
     let session = engine.session();
     for (kind, marker, sql, parent, parent_sql) in HOT_STATEMENTS {
         let plan = swole::plan::parse_sql(sql).expect("parses").plan;
-        // Plans and caches; the second run is the warm one.
-        let explain = engine.explain(&plan).expect("plans");
-        assert!(explain.shape.contains(marker), "{kind}: {}", explain.shape);
-        engine.query(&plan).expect("cold run");
-        engine.query(&plan).expect("warm-up run");
-        let (now, res) = allocations_during(|| engine.query(&plan));
-        res.expect("counted run");
+        let now = warm(&engine, kind, marker, &plan);
         assert!(
-            now <= parent,
+            now < parent,
             "{kind}: one warm statement took {now} allocations, {parent} at the parent commit"
         );
         session.query_sql(sql, &Params::new()).expect("warm-up run");
-        let (now, res) = allocations_during(|| session.query_sql(sql, &Params::new()));
+        let (now_sql, res) = allocations_during(|| session.query_sql(sql, &Params::new()));
         res.expect("counted run");
         assert!(
-            now < parent_sql,
-            "{kind}: one warm query_sql took {now} allocations, {parent_sql} before the one-probe path"
+            now_sql < parent_sql,
+            "{kind}: one warm query_sql took {now_sql} allocations, {parent_sql} at the parent commit"
+        );
+        // The counter is per thread, so on the pool it sees the submitting
+        // thread alone: a one-morsel statement runs there and builds what
+        // the sequential engine builds — no stage, no type-erased task, no
+        // free list of accumulators.
+        let on_pool = warm(&pooled, kind, marker, &plan);
+        assert!(
+            on_pool <= now,
+            "{kind}: {on_pool} allocations submitting to a pool, {now} on one thread"
         );
     }
 }

@@ -5,8 +5,10 @@
 //! with a typed error and fully drain; and the global memory budget must
 //! never be exceeded and must return to zero when the storm passes.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::thread;
+use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -228,6 +230,63 @@ fn cancel_is_isolated_per_session() {
     assert!(b.query(&plan).is_ok());
     engine.handle().reset();
     assert!(engine.query(&plan).is_ok());
+}
+
+/// On the pool a one-morsel statement runs on its client's thread and is
+/// never registered as a stage; a cancel issued mid-hammer reaches it
+/// through the session's cancel scope all the same. The cancelled session
+/// sees exact rows and then the typed error, its siblings exact rows only.
+#[test]
+fn cancel_reaches_one_morsel_statements_on_the_pool() {
+    let refs = references();
+    let plans = workload();
+    // The default morsel (64 tiles) holds all of R, and all of S.
+    let engine = Engine::builder(make_db(SEED, N_R, N_S))
+        .worker_pool(2)
+        .build();
+    assert!(N_R <= engine.morsel_rows());
+    let victim = engine.session();
+    let handle = victim.handle();
+    let warmed = AtomicUsize::new(0);
+    thread::scope(|s| {
+        let (victim, engine, plans, refs, warmed) = (&victim, &engine, &plans, &refs, &warmed);
+        let cancelled = s.spawn(move || {
+            for i in (0..plans.len()).cycle() {
+                match victim.query(&plans[i]) {
+                    Ok(got) => {
+                        assert_eq!(got, refs[i], "victim, plan {i}");
+                        warmed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(PlanError::Cancelled { .. }) => return,
+                    Err(other) => panic!("a cancelled statement must say so: {other:?}"),
+                }
+            }
+        });
+        for c in 0..3 {
+            s.spawn(move || {
+                let session = engine.session();
+                for r in 0..24 {
+                    let i = (c + r) % plans.len();
+                    let got = session.query(&plans[i]).expect("siblings never see it");
+                    assert_eq!(got, refs[i], "client {c} round {r} plan {i}");
+                }
+            });
+        }
+        while warmed.load(Ordering::Relaxed) < plans.len() {
+            thread::yield_now();
+        }
+        handle.cancel();
+        cancelled.join().expect("victim thread");
+    });
+    // Sticky on the victim, invisible to everyone else.
+    assert!(matches!(
+        victim.query(&plans[0]),
+        Err(PlanError::Cancelled { .. })
+    ));
+    assert_eq!(engine.query(&plans[0]).expect("engine scope"), refs[0]);
+    let report = engine.shutdown(Some(Duration::from_secs(30)));
+    assert!(report.clean, "{report:?}");
+    assert_eq!(engine.live_pool_workers(), 0);
 }
 
 #[test]

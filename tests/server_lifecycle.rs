@@ -274,6 +274,80 @@ fn shutdown_deadline_hard_aborts_inflight_query() {
     panic!("zero-deadline shutdown never aborted the in-flight query in 20 attempts");
 }
 
+/// A one-morsel statement on the pool runs on its client's thread and never
+/// enters the pool's stage registry, so a deadline shutdown has to reach it
+/// through the `ExecCtx` the lifecycle registry holds. Clients hammering
+/// such statements across a zero-deadline shutdown see exact rows or the
+/// typed shutdown error, nothing else, and the engine quiesces.
+#[test]
+#[cfg_attr(miri, ignore = "spawns OS threads and measures wall-clock time")]
+fn deadline_shutdown_reaches_inline_one_morsel_statements() {
+    let _s = serial();
+    faults::disarm_all();
+    const CLIENTS: usize = 4;
+    // The default morsel (64 tiles) holds all of R.
+    let e = Engine::builder(make_db(N_ROWS, 512))
+        .worker_pool(2)
+        .global_memory_budget(64 << 20)
+        .build();
+    assert!(N_ROWS <= e.morsel_rows());
+    let scalar = QueryBuilder::scan("R")
+        .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(60)))
+        .aggregate(
+            None,
+            vec![AggSpec::sum(Expr::col("a").mul(Expr::col("b")), "s")],
+        );
+    let plans = [scalar, groupby_plan()];
+    let truth: Vec<_> = plans
+        .iter()
+        .map(|p| interp::run(&e.database(), p).expect("interpreter ground truth"))
+        .collect();
+
+    let start = Barrier::new(CLIENTS + 1);
+    let ok_runs = AtomicUsize::new(0);
+    let report = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (e, plans, truth, start, ok_runs) = (&e, &plans, &truth, &start, &ok_runs);
+                s.spawn(move || {
+                    start.wait();
+                    for i in (0..plans.len()).cycle().skip(c) {
+                        match e.query(&plans[i]) {
+                            Ok(got) => {
+                                assert_eq!(got, truth[i], "wrong rows across shutdown");
+                                ok_runs.fetch_add(1, Ordering::Relaxed);
+                            }
+                            Err(err) => return err,
+                        }
+                    }
+                    unreachable!("the cycle is endless")
+                })
+            })
+            .collect();
+        start.wait();
+        while ok_runs.load(Ordering::Relaxed) < CLIENTS {
+            std::thread::yield_now();
+        }
+        let report = e.shutdown(Some(Duration::ZERO));
+        for client in clients {
+            let err = client.join().expect("client thread");
+            assert!(
+                matches!(
+                    err,
+                    PlanError::Shutdown { .. } | PlanError::Admission(AdmissionError::Shutdown)
+                ),
+                "a statement cut short by shutdown must say so: {err:?}"
+            );
+        }
+        report
+    });
+    assert_eq!(report.clean, report.aborted == 0, "{report:?}");
+    assert_eq!(e.queries_in_flight(), 0);
+    let mem = e.global_memory_stats().expect("global pool configured");
+    assert_eq!((mem.used, mem.active), (0, 0), "{mem:?}");
+    assert_eq!(e.live_pool_workers(), 0);
+}
+
 #[test]
 #[cfg_attr(miri, ignore = "relies on wall-clock progress timing")]
 fn engine_drop_routes_through_graceful_drain() {
