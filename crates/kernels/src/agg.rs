@@ -168,20 +168,9 @@ pub fn sum_op_masked_checked<A: AsI64, B: AsI64, O: BinOp>(
 }
 
 /// **Access merging**, first loop (Fig. 5 bottom): fuse the predicate result
-/// into the shared attribute's value — `tmp[j] = x[j] * (x[j] < lit)` — so
-/// the attribute is accessed exactly once.
-#[inline]
-pub fn merge_lt<T: AsI64 + PartialOrd + Copy>(x: &[T], lit: T, tmp: &mut [i64]) {
-    assert_eq!(x.len(), tmp.len());
-    for (t, &v) in tmp.iter_mut().zip(x) {
-        // 0/1 mask product: cannot overflow.
-        *t = v.widen() * (v < lit) as i64;
-    }
-}
-
-/// Access merging with an externally computed mask (used when the predicate
-/// has additional conjuncts beyond the shared attribute):
-/// `tmp[j] = x[j] * cmp[j]`.
+/// into the shared attribute's value — `tmp[j] = x[j] * cmp[j]`, the mask
+/// computed by the prepass over every conjunct — so the second loop reads
+/// the attribute and the predicate as one operand.
 #[inline]
 pub fn mask_values<T: AsI64>(x: &[T], cmp: &[u8], tmp: &mut [i64]) {
     assert_eq!(x.len(), cmp.len());
@@ -236,6 +225,16 @@ mod tests {
         let a: Vec<i32> = (0..n).map(|_| next(50) + 1).collect();
         let b: Vec<i32> = (0..n).map(|_| next(50) + 1).collect();
         (x, a, b)
+    }
+
+    /// Access merging's first loop for `x < lit`, as the served path runs
+    /// it: the prepass mask, then [`mask_values`].
+    fn merged_lt(x: &[i32], lit: i32) -> Vec<i64> {
+        let mut cmp = vec![0u8; x.len()];
+        predicate::cmp_lt(x, lit, &mut cmp);
+        let mut tmp = vec![0i64; x.len()];
+        mask_values(x, &cmp, &mut tmp);
+        tmp
     }
 
     #[test]
@@ -294,8 +293,7 @@ mod tests {
             .filter(|&j| x[j] < lit)
             .map(|j| x[j] as i64 * a[j] as i64)
             .sum();
-        let mut tmp = vec![0i64; x.len()];
-        merge_lt(&x, lit, &mut tmp);
+        let tmp = merged_lt(&x, lit);
         assert_eq!(sum_product_tmp(&a, &tmp), expected);
     }
 
@@ -308,21 +306,15 @@ mod tests {
             .filter(|&j| x[j] < lit)
             .map(|j| x[j] as i64 * x[j] as i64)
             .sum();
-        let mut tmp = vec![0i64; x.len()];
-        merge_lt(&x, lit, &mut tmp);
+        let tmp = merged_lt(&x, lit);
         assert_eq!(sum_square_tmp(&tmp), expected);
     }
 
     #[test]
     fn mask_values_matches_merge_for_single_conjunct() {
         let (x, _, _) = mk_data(500);
-        let mut cmp = vec![0u8; x.len()];
-        predicate::cmp_lt(&x, 20, &mut cmp);
-        let mut via_mask = vec![0i64; x.len()];
-        mask_values(&x, &cmp, &mut via_mask);
-        let mut via_merge = vec![0i64; x.len()];
-        merge_lt(&x, 20, &mut via_merge);
-        assert_eq!(via_mask, via_merge);
+        let merged: Vec<i64> = x.iter().map(|&v| v as i64 * (v < 20) as i64).collect();
+        assert_eq!(merged_lt(&x, 20), merged);
     }
 
     #[test]

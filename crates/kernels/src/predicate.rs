@@ -89,24 +89,6 @@ pub fn and_into(acc: &mut [u8], other: &[u8]) {
     }
 }
 
-/// `acc[j] |= other[j]` — disjoin a second predicate's mask.
-#[inline]
-pub fn or_into(acc: &mut [u8], other: &[u8]) {
-    assert_eq!(acc.len(), other.len());
-    for (a, &o) in acc.iter_mut().zip(other) {
-        *a |= o;
-    }
-}
-
-/// `acc[j] = 1 - acc[j]` — negate a mask (e.g. the inverted deletion
-/// predicate of eager aggregation, § III-E).
-#[inline]
-pub fn not_inplace(acc: &mut [u8]) {
-    for a in acc.iter_mut() {
-        *a ^= 1;
-    }
-}
-
 /// `out[j] = table[codes[j]]` — membership of dictionary codes in a
 /// precomputed match table.
 ///
@@ -180,10 +162,6 @@ mod tests {
         let mut acc = vec![1u8, 1, 0, 0];
         and_into(&mut acc, &[1, 0, 1, 0]);
         assert_eq!(acc, [1, 0, 0, 0]);
-        or_into(&mut acc, &[0, 0, 1, 0]);
-        assert_eq!(acc, [1, 0, 1, 0]);
-        not_inplace(&mut acc);
-        assert_eq!(acc, [0, 1, 0, 1]);
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! Planning is not free: the planner samples base tables to estimate
 //! selectivities and group counts before pricing strategies, so repeating a
 //! query re-pays the sampling pass every time. The cache memoizes the chosen
-//! [`PhysicalPlan`] keyed on the *canonicalized* logical plan plus the
-//! strategy-relevant execution parameters (thread count), under a byte
-//! budget enforced with the same [`MemGauge`] machinery that hardens
-//! execution.
+//! [`PhysicalPlan`] keyed on the logical plan plus the strategy-relevant
+//! execution parameters (thread count), under a byte budget enforced with
+//! the same [`MemGauge`] machinery that hardens execution. The key renders
+//! the plan as given: a plan is canonical by construction — the SQL binder
+//! and [`crate::QueryBuilder::filter`] put one conjunction in one `Filter` —
+//! so nothing is normalised per statement, and a hand-built `Filter` chain
+//! costs its own entry and nothing else.
 //!
 //! Entries are invalidated two ways:
 //!

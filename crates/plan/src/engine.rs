@@ -307,9 +307,9 @@ impl Explain {
             // Nested chain edges have no probe op — their observed
             // cardinality is the qualifying parent rows of their build op.
             let name = if e.depth == 0 {
-                format!("multijoin-probe({})", e.parent)
+                JoinEdge::probe_op(&e.parent)
             } else {
-                format!("multijoin-build({})", e.parent)
+                JoinEdge::build_op(&e.parent)
             };
             if let Some(op) = m.operators.iter().find(|o| o.name == name) {
                 e.observed_rows = Some(op.access.rows_out);
@@ -1128,7 +1128,7 @@ impl Engine {
     /// Plan and execute in one step, with hardened-execution supervision.
     ///
     /// Planning consults the session's plan cache first: a repeat of a
-    /// cached query (same canonicalized plan, same thread count, unchanged
+    /// cached query (same logical plan, same thread count, unchanged
     /// table generations, no observed drift) skips sampling and strategy
     /// choice entirely. The chosen SWOLE strategy runs first. If it fails a
     /// *runtime* precondition — a worker panic, the memory budget exhausted
@@ -1211,11 +1211,12 @@ impl Engine {
     pub fn explain_verify(&self, plan: &LogicalPlan) -> Result<Explain, PlanError> {
         let db = self.inner.read_db();
         let physical = self.inner.plan_with(&db, plan, PlanHints::default())?;
-        let report = crate::verify::verify_physical(&db, &physical, VerifyLevel::Full)?;
-        let cert = self.inner.certificate_for(&db, &physical, Some(plan))?;
-        let mut ex = self.inner.explain_for(&db, plan, None)?;
-        ex.verification = report.lines.clone();
-        ex.verification.extend(cert.lines.iter().cloned());
+        let (report, cert) =
+            self.inner
+                .verify_and_certify(&db, plan, &physical, VerifyLevel::Full)?;
+        let mut ex = self.inner.explain_planned(&db, plan, &physical, None);
+        ex.verification = report.lines;
+        ex.verification.extend(cert.lines);
         Ok(ex)
     }
 
@@ -1406,14 +1407,7 @@ impl EngineInner {
                 };
                 let physical = Arc::new(self.plan_with(db, plan, hints)?);
                 let cert = if verify > VerifyLevel::Off {
-                    // Lower exactly once and run verification and the
-                    // bounds pass over the same program: the one-shot
-                    // uncharged-allocation fault must flow into the
-                    // program the verifier actually judges.
-                    let program = crate::verify::program_for(db, &physical)?;
-                    swole_verify::verify(&program, verify).map_err(PlanError::Verification)?;
-                    let ctx = self.bounds_ctx_for(db, &program, fallback_bytes(db, plan));
-                    Arc::new(swole_verify::certify(&program, &ctx))
+                    Arc::new(self.verify_and_certify(db, plan, &physical, verify)?.1)
                 } else {
                     self.certificate_for(db, &physical, Some(plan))?
                 };
@@ -1439,6 +1433,22 @@ impl EngineInner {
         let db = self.read_db();
         self.plan_cached(&db, plan, self.resolve(opts).verify)
             .map(drop)
+    }
+
+    /// Lower `physical` exactly once and run verification at `level` and the
+    /// bounds pass over the same program: the one-shot uncharged-allocation
+    /// fault must flow into the program the verifier actually judges.
+    fn verify_and_certify(
+        &self,
+        db: &Database,
+        logical: &LogicalPlan,
+        physical: &PhysicalPlan,
+        level: VerifyLevel,
+    ) -> Result<(VerifyReport, PlanCertificate), PlanError> {
+        let program = crate::verify::program_for(db, physical)?;
+        let report = swole_verify::verify(&program, level).map_err(PlanError::Verification)?;
+        let ctx = self.bounds_ctx_for(db, &program, fallback_bytes(db, logical));
+        Ok((report, swole_verify::certify(&program, &ctx)))
     }
 
     /// Derive the admission certificate for a composed plan via a
@@ -1529,12 +1539,13 @@ impl EngineInner {
 
     /// Plan-cache key: the thread count (it feeds the multi-threaded
     /// groupjoin chooser, so plans picked at different parallelism must not
-    /// alias), the canonicalized logical plan's debug rendering, and any
-    /// structural strategy pins (join order, per-edge build sides) that
-    /// change what the planner would produce.
+    /// alias), the logical plan's debug rendering — canonical as built: the
+    /// SQL binder and [`crate::QueryBuilder::filter`] put one conjunction in
+    /// one `Filter` — and any structural strategy pins (join order, per-edge
+    /// build sides) that change what the planner would produce.
     fn cache_key(&self, plan: &LogicalPlan) -> String {
         let pins = self.strategies.fingerprint_suffix();
-        format!("t{}:{:?}{pins}", self.threads, canonicalize(plan))
+        format!("t{}:{plan:?}{pins}", self.threads)
     }
 
     /// One statement, start to finish, under `cancel` and the resolved
@@ -1722,10 +1733,21 @@ impl EngineInner {
         analyze: Option<QueryMetrics>,
     ) -> Result<Explain, PlanError> {
         let physical = self.plan_with(db, plan, PlanHints::default())?;
+        Ok(self.explain_planned(db, plan, &physical, analyze))
+    }
+
+    /// The EXPLAIN report of `plan` as planned into `physical`.
+    fn explain_planned(
+        &self,
+        db: &Database,
+        plan: &LogicalPlan,
+        physical: &PhysicalPlan,
+        analyze: Option<QueryMetrics>,
+    ) -> Explain {
         let key = self.cache_key(plan);
         let gens = table_generations(db, plan);
         let cached = self.cache.peek(&key, &gens);
-        let (join_order, join_tree) = self.explain_join_tree(db, &physical);
+        let (join_order, join_tree) = self.explain_join_tree(db, physical);
         let mut ex = Explain {
             shape: physical.describe(),
             strategy: physical.strategy.clone(),
@@ -1741,7 +1763,7 @@ impl EngineInner {
             verification: Vec::new(),
         };
         ex.fill_join_observed();
-        Ok(ex)
+        ex
     }
 
     /// Structured join-tree rendering for `EXPLAIN`: the probe order plus
@@ -1833,7 +1855,7 @@ impl EngineInner {
         ops: &[OpMetrics],
     ) -> (Option<f64>, Option<f64>) {
         let edge_probe = |parent: &str| {
-            let name = format!("multijoin-probe({parent})");
+            let name = JoinEdge::probe_op(parent);
             ops.iter()
                 .find(|o| o.name == name)
                 .filter(|o| o.access.rows_in > 0)
@@ -2028,15 +2050,15 @@ impl EngineInner {
             select,
         } = plan
         {
-            let (core, filter) = split_filters(input);
-            let LogicalPlan::Scan { table } = core else {
+            let (table, filter, edges) = extract_join_tree(input)?;
+            if !edges.is_empty() {
                 return Err(PlanError::Unsupported(
                     "window input must be scan(+filter)".into(),
                 ));
-            };
+            }
             return self.plan_window(
                 db,
-                table,
+                &table,
                 filter,
                 partition_by.as_deref(),
                 order_by,
@@ -2059,14 +2081,7 @@ impl EngineInner {
         if aggs.is_empty() {
             return Err(PlanError::Unsupported("empty aggregate list".into()));
         }
-        let (core, filter) = split_filters(input);
-        if !matches!(
-            core,
-            LogicalPlan::Scan { .. } | LogicalPlan::SemiJoin { .. }
-        ) {
-            return Err(PlanError::Unsupported(format!("aggregation over {core:?}")));
-        }
-        self.plan_agg(db, core, filter, group_by.as_deref(), aggs, hints)
+        self.plan_agg(db, input, group_by.as_deref(), aggs, hints)
     }
 
     /// Plan an aggregation over a scan restricted by zero or more FK join
@@ -2078,19 +2093,12 @@ impl EngineInner {
     fn plan_agg(
         &self,
         db: &Database,
-        core: &LogicalPlan,
-        outer_filter: Option<Expr>,
+        input: &LogicalPlan,
         group_by: Option<&str>,
         aggs: &[AggSpec],
         hints: PlanHints,
     ) -> Result<PhysicalPlan, PlanError> {
-        let (table_name, mut filter, raw_edges) = extract_join_tree(core)?;
-        if let Some(extra) = outer_filter {
-            filter = Some(match filter {
-                Some(f) => f.and(extra),
-                None => extra,
-            });
-        }
+        let (table_name, filter, raw_edges) = extract_join_tree(input)?;
         if let (Some(g), Some(first)) = (group_by, raw_edges.first()) {
             // The interpreter oracle draws the same line.
             if raw_edges.len() > 1 || !first.children.is_empty() {
@@ -3013,10 +3021,11 @@ struct RawEdge {
     children: Vec<RawEdge>,
 }
 
-/// Decompose a nested semijoin tree into its join graph: the base table,
-/// the merged filter over the base's own columns, and the edges hanging
-/// off the base (each recursively carrying its own chain edges). Nodes
-/// other than scan/filter/semijoin are unsupported.
+/// Decompose a pipeline's input — a nested semijoin tree — into its join
+/// graph: the base table, the merged filter over the base's own columns
+/// (filters below, between and above the semijoins alike), and the edges
+/// hanging off the base (each recursively carrying its own chain edges).
+/// Nodes other than scan/filter/semijoin are unsupported.
 fn extract_join_tree(
     plan: &LogicalPlan,
 ) -> Result<(String, Option<Expr>, Vec<RawEdge>), PlanError> {
@@ -3046,7 +3055,7 @@ fn extract_join_tree(
             Ok((table, filter, edges))
         }
         other => Err(PlanError::Unsupported(format!(
-            "multi-way join over {other:?}"
+            "aggregation or window over {other:?}"
         ))),
     }
 }
@@ -3087,50 +3096,6 @@ fn explain_nested_edges(
             observed_rows: None,
         });
         explain_nested_edges(db, &c.children, depth + 1, out);
-    }
-}
-
-/// Merge a chain of filters above a leaf into one conjunction.
-fn split_filters(plan: &LogicalPlan) -> (&LogicalPlan, Option<Expr>) {
-    match plan {
-        LogicalPlan::Filter { input, predicate } => {
-            let (core, rest) = split_filters(input);
-            let merged = match rest {
-                Some(r) => predicate.clone().and(r),
-                None => predicate.clone(),
-            };
-            (core, Some(merged))
-        }
-        other => (other, None),
-    }
-}
-
-/// Rebuild a logical plan in a normal form so that semantically equal
-/// plans share one cache key: every chain of `Filter` nodes collapses into
-/// a single node holding the merged conjunction (exactly what the planner
-/// itself sees through [`split_filters`]).
-fn canonicalize(plan: &LogicalPlan) -> LogicalPlan {
-    // Children are rebuilt first, so a chain reaches `merge` two nodes at a
-    // time, the inner one already merged.
-    let mut merge = |node| match node {
-        LogicalPlan::Filter {
-            input,
-            predicate: outer,
-        } if matches!(*input, LogicalPlan::Filter { .. }) => {
-            let LogicalPlan::Filter { input, predicate } = *input else {
-                unreachable!("the arm's guard");
-            };
-            LogicalPlan::Filter {
-                input,
-                predicate: outer.and(predicate),
-            }
-        }
-        other => other,
-    };
-    let mut same = |e: &Expr| Ok::<_, std::convert::Infallible>(e.clone());
-    match plan.try_map(&mut same, &mut merge) {
-        Ok(canonical) => canonical,
-        Err(never) => match never {},
     }
 }
 

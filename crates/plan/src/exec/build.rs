@@ -7,6 +7,7 @@ use std::time::Instant;
 use super::{stitch, BoundEdge, ExecOpts, ScanAcc};
 use crate::error::PlanError;
 use crate::metrics::OpMetrics;
+use crate::physical::JoinEdge;
 use crate::tile::TileProgram;
 use swole_bitmap::PositionalBitmap;
 use swole_cost::{BitmapBuild, SemiJoinStrategy};
@@ -156,7 +157,7 @@ fn edge_parent_mask(
         }
     }
     if opts.level.counting() {
-        let mut op = OpMetrics::named(format!("multijoin-build({})", e.edge.parent));
+        let mut op = OpMetrics::named(JoinEdge::build_op(&e.edge.parent));
         op.access.rows_in = e.parent_t.len() as u64;
         if e.edge.parent_program.has_filter() {
             op.access.predicate_evals = e.parent_t.len() as u64;

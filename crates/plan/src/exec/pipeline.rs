@@ -23,7 +23,7 @@ use super::{BoundEdge, ExecOpts, FkSource};
 use crate::engine::QueryResult;
 use crate::error::PlanError;
 use crate::metrics::OpMetrics;
-use crate::physical::{AggShape, FrontEnd, GroupTableRepr};
+use crate::physical::{AggShape, FrontEnd, GroupTableRepr, JoinEdge};
 use crate::tile::{scalar_sinks, BoundProgram, Regs};
 use swole_ht::{AggTable, DenseAggTable};
 use swole_kernels::{predicate, tiles_in, AccessCounters};
@@ -276,7 +276,7 @@ fn run<const FRONT: u8, S: Sink>(
     let first_op = op_list.len();
     if counting {
         for (ei, e) in stage.edges.iter().enumerate() {
-            let mut op = OpMetrics::named(format!("multijoin-probe({})", e.edge.parent));
+            let mut op = OpMetrics::named(JoinEdge::probe_op(&e.edge.parent));
             for p in &partials {
                 op.access.rows_in += p.edge[ei].0;
                 op.access.rows_out += p.edge[ei].1;

@@ -259,18 +259,16 @@ impl LogicalPlan {
         }
     }
 
-    /// Rebuild the tree bottom-up, the one rebuilding traversal: every
-    /// expression a node holds goes through `expr` (binding parameters), every
-    /// rebuilt node through `node` (cache-key normalisation).
+    /// Rebuild the tree, the one rebuilding traversal: every expression a
+    /// node holds goes through `expr` (binding parameters).
     pub(crate) fn try_map<E>(
         &self,
         expr: &mut impl FnMut(&Expr) -> Result<Expr, E>,
-        node: &mut impl FnMut(LogicalPlan) -> LogicalPlan,
     ) -> Result<LogicalPlan, E> {
-        let rebuilt = match self {
+        Ok(match self {
             LogicalPlan::Scan { .. } => self.clone(),
             LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-                input: Box::new(input.try_map(expr, node)?),
+                input: Box::new(input.try_map(expr)?),
                 predicate: expr(predicate)?,
             },
             LogicalPlan::SemiJoin {
@@ -278,8 +276,8 @@ impl LogicalPlan {
                 build,
                 fk_col,
             } => LogicalPlan::SemiJoin {
-                input: Box::new(input.try_map(expr, node)?),
-                build: Box::new(build.try_map(expr, node)?),
+                input: Box::new(input.try_map(expr)?),
+                build: Box::new(build.try_map(expr)?),
                 fk_col: fk_col.clone(),
             },
             LogicalPlan::Aggregate {
@@ -287,7 +285,7 @@ impl LogicalPlan {
                 group_by,
                 aggs,
             } => LogicalPlan::Aggregate {
-                input: Box::new(input.try_map(expr, node)?),
+                input: Box::new(input.try_map(expr)?),
                 group_by: group_by.clone(),
                 aggs: aggs
                     .iter()
@@ -308,7 +306,7 @@ impl LogicalPlan {
                 funcs,
                 select,
             } => LogicalPlan::Window {
-                input: Box::new(input.try_map(expr, node)?),
+                input: Box::new(input.try_map(expr)?),
                 partition_by: partition_by.clone(),
                 order_by: order_by.clone(),
                 frame: *frame,
@@ -325,15 +323,14 @@ impl LogicalPlan {
                 select: select.clone(),
             },
             LogicalPlan::OrderBy { input, keys } => LogicalPlan::OrderBy {
-                input: Box::new(input.try_map(expr, node)?),
+                input: Box::new(input.try_map(expr)?),
                 keys: keys.clone(),
             },
             LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-                input: Box::new(input.try_map(expr, node)?),
+                input: Box::new(input.try_map(expr)?),
                 n: *n,
             },
-        };
-        Ok(node(rebuilt))
+        })
     }
 }
 
@@ -365,11 +362,23 @@ impl QueryBuilder {
         }
     }
 
-    /// Add a filter.
+    /// Add a filter. A plan that already ends in one takes the new predicate
+    /// into it (`predicate AND earlier`): a chain of `filter` calls is one
+    /// node holding one conjunction, the form the SQL binder produces and the
+    /// plan cache keys on.
     pub fn filter(mut self, predicate: Expr) -> QueryBuilder {
-        self.plan = LogicalPlan::Filter {
-            input: Box::new(self.plan),
-            predicate,
+        self.plan = match self.plan {
+            LogicalPlan::Filter {
+                input,
+                predicate: earlier,
+            } => LogicalPlan::Filter {
+                input,
+                predicate: predicate.and(earlier),
+            },
+            plan => LogicalPlan::Filter {
+                input: Box::new(plan),
+                predicate,
+            },
         };
         self
     }
@@ -454,6 +463,23 @@ mod tests {
             other => panic!("unexpected plan {other:?}"),
         }
         assert_eq!(plan.base_table(), "R");
+    }
+
+    /// The normal form is built, not computed later: chained `filter`
+    /// calls are the one-conjunction spelling, on a build side as well.
+    #[test]
+    fn filter_chains_merge_as_they_are_built() {
+        let (a, b) = (
+            Expr::col("x").cmp(CmpOp::Lt, Expr::lit(13)),
+            Expr::col("y").cmp(CmpOp::Ge, Expr::lit(5)),
+        );
+        let chained = QueryBuilder::scan("S").filter(a.clone()).filter(b.clone());
+        let merged = QueryBuilder::scan("S").filter(b.and(a));
+        assert_eq!(chained.clone().build(), merged.clone().build());
+        assert_eq!(
+            QueryBuilder::scan("R").semijoin(chained, "fk").build(),
+            QueryBuilder::scan("R").semijoin(merged, "fk").build()
+        );
     }
 
     #[test]

@@ -373,6 +373,19 @@ impl Shape {
     }
 }
 
+impl JoinEdge {
+    /// Name of the operator that builds the membership structure over
+    /// `parent`, as the metrics, the verifier and EXPLAIN know it.
+    pub(crate) fn build_op(parent: &str) -> String {
+        format!("multijoin-build({parent})")
+    }
+
+    /// Name of the operator that probes the edge into `parent`.
+    pub(crate) fn probe_op(parent: &str) -> String {
+        format!("multijoin-probe({parent})")
+    }
+}
+
 impl AggShape {
     /// Name of the aggregating operator, as the metrics and the verifier
     /// know it: a function of edge count and key only.

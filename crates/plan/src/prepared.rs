@@ -245,7 +245,7 @@ fn bind_plan(
         )));
     }
     let vals = params.values();
-    template.try_map(&mut |e| subst_expr(e, vals), &mut |node| node)
+    template.try_map(&mut |e| subst_expr(e, vals))
 }
 
 /// Substitute placeholders inside one expression.

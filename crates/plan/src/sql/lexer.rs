@@ -118,9 +118,8 @@ pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
             while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
                 i += 1;
             }
-            let value: i64 = input[start..i].parse().map_err(|_| SqlError {
-                message: format!("number out of range: {}", &input[start..i]),
-                position: pos,
+            let value: i64 = input[start..i].parse().map_err(|_| {
+                SqlError::at(pos, format!("number out of range: {}", &input[start..i]))
             })?;
             out.push(Token {
                 kind: TokenKind::Number(value),
@@ -139,20 +138,17 @@ pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
                 i += 1;
             }
             if i == start {
-                return Err(SqlError {
-                    message: "expected a digit after $ (placeholders are $1, $2, ...)".into(),
-                    position: pos,
-                });
+                return Err(SqlError::at(
+                    pos,
+                    "expected a digit after $ (placeholders are $1, $2, ...)",
+                ));
             }
-            let n: usize = input[start..i].parse().map_err(|_| SqlError {
-                message: format!("placeholder index out of range: ${}", &input[start..i]),
-                position: pos,
+            let n: usize = input[start..i].parse().map_err(|_| {
+                let index = &input[start..i];
+                SqlError::at(pos, format!("placeholder index out of range: ${index}"))
             })?;
             if n == 0 {
-                return Err(SqlError {
-                    message: "placeholder indexes start at $1".into(),
-                    position: pos,
-                });
+                return Err(SqlError::at(pos, "placeholder indexes start at $1"));
             }
             out.push(Token {
                 kind: TokenKind::Param(Some(n)),
@@ -163,10 +159,7 @@ pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
             let mut s = String::new();
             loop {
                 if i >= bytes.len() {
-                    return Err(SqlError {
-                        message: "unterminated string literal".into(),
-                        position: pos,
-                    });
+                    return Err(SqlError::at(pos, "unterminated string literal"));
                 }
                 if bytes[i] == b'\'' {
                     if i + 1 < bytes.len() && bytes[i + 1] == b'\'' {
@@ -223,18 +216,10 @@ pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
                         i += 1;
                         Sym::Ne
                     } else {
-                        return Err(SqlError {
-                            message: "expected != after !".into(),
-                            position: pos,
-                        });
+                        return Err(SqlError::at(pos, "expected != after !"));
                     }
                 }
-                other => {
-                    return Err(SqlError {
-                        message: format!("unexpected character {other:?}"),
-                        position: pos,
-                    })
-                }
+                other => return Err(SqlError::at(pos, format!("unexpected character {other:?}"))),
             };
             i += 1;
             out.push(Token {

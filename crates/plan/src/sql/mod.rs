@@ -1,8 +1,9 @@
 //! A SQL frontend for the supported plan shapes.
 //!
 //! Parses the dialect the paper's queries are written in — single-table
-//! aggregation and FK joins with predicates on either side — directly into
-//! a [`crate::LogicalPlan`]:
+//! aggregation and FK joins with predicates on either side — into a
+//! [`crate::LogicalPlan`]. `parser.rs` is grammar (tokens → syntax tree),
+//! `bind.rs` meaning (syntax tree → plan); [`parse`] is the two in a row:
 //!
 //! ```
 //! use swole_plan::sql::parse;
@@ -18,7 +19,7 @@
 //!
 //! ```text
 //! stmt    := [EXPLAIN [ANALYZE | VERIFY]] query
-//! query   := SELECT items FROM table [, table] [WHERE conj] [GROUP BY col]
+//! query   := SELECT items FROM table (',' table)* [WHERE conj] [GROUP BY col]
 //!            [ORDER BY sort] [LIMIT n]
 //! items   := item (',' item)*
 //! item    := col | SUM(expr) | COUNT(*) | MIN(expr) | MAX(expr) [AS name]
@@ -44,22 +45,55 @@
 //! values through [`crate::PreparedStatement::bind`]. Each occurrence is
 //! recorded in [`ParsedQuery::param_slots`].
 //!
-//! Two-table queries become FK semijoins/groupjoins: the join condition
-//! must be `child.fk = parent.rowid` (`rowid` is each table's implicit
-//! dense primary key), other predicates are routed to the side whose
-//! columns they reference, and `GROUP BY fk` selects the groupjoin shape.
+//! A FROM list is a join graph. Its edges are the WHERE conjuncts of the form
+//! `child.fk = parent.rowid` (`rowid` is each table's implicit dense primary
+//! key); the fact is the one table that is nobody's build side; every other
+//! conjunct must qualify its columns with exactly one table, whose filter it
+//! joins. The plan is a semijoin tree grown from the fact, a table's edges
+//! ordered by parent name, so conjunct order cannot change the plan (or its
+//! cache key). One table is the zero-edge graph — its WHERE binds whole,
+//! qualifiers ignored — and two tables the one-edge graph, where `GROUP BY
+//! fk` selects the groupjoin shape; over any join a qualified `GROUP BY` key
+//! must name the fact table.
 //!
 //! An `EXPLAIN [ANALYZE | VERIFY]` prefix does not change the bound plan;
 //! it sets [`ParsedQuery::explain`] so the caller can route the plan to
 //! [`crate::Engine::explain`], [`crate::Engine::explain_analyze`], or
 //! [`crate::Engine::explain_verify`] instead of executing it.
 
+mod bind;
 mod lexer;
 mod parser;
 
-pub use parser::{parse, ExplainMode, ParamSlot, ParsedQuery};
+pub use parser::{ExplainMode, ParamSlot};
 
+use crate::LogicalPlan;
 use std::fmt;
+
+/// A successfully parsed query.
+#[derive(Debug, Clone)]
+pub struct ParsedQuery {
+    /// The bound logical plan (feed it to [`crate::Engine::query`], or to
+    /// [`crate::Engine::prepare`] when it has placeholders).
+    pub plan: LogicalPlan,
+    /// `Some` when the query was prefixed with `EXPLAIN [ANALYZE]`.
+    pub explain: Option<ExplainMode>,
+    /// Placeholder occurrences in appearance order; empty for a fully
+    /// literal query. The number of distinct `index` values is the
+    /// statement's parameter count.
+    pub param_slots: Vec<ParamSlot>,
+}
+
+/// Parse a SQL string into a logical plan: the grammar reads it, the binder
+/// says what it means. See the module docs for the supported grammar.
+pub fn parse(input: &str) -> Result<ParsedQuery, SqlError> {
+    let stmt = parser::parse_statement(input)?;
+    Ok(ParsedQuery {
+        plan: bind::bind(stmt.query)?,
+        explain: stmt.explain,
+        param_slots: stmt.param_slots,
+    })
+}
 
 /// SQL front-end errors, with the offending position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,6 +102,15 @@ pub struct SqlError {
     pub message: String,
     /// Byte offset into the input.
     pub position: usize,
+}
+
+impl SqlError {
+    fn at(position: usize, message: impl Into<String>) -> SqlError {
+        SqlError {
+            message: message.into(),
+            position,
+        }
+    }
 }
 
 impl fmt::Display for SqlError {

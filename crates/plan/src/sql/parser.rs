@@ -1,9 +1,10 @@
-//! Recursive-descent parser and plan binder.
+//! Recursive-descent grammar: tokens → the [`Query`] / [`SelectItem`] /
+//! [`PExpr`] tree. What the tree means is [`super::bind`]'s business.
 
 use super::lexer::{tokenize, Sym, Token, TokenKind};
 use super::SqlError;
-use crate::expr::{CmpOp, Expr};
-use crate::logical::{AggSpec, FrameSpec, LogicalPlan, SortKey, WindowFnSpec, WindowFunc};
+use crate::expr::CmpOp;
+use crate::logical::{SortKey, WindowFunc};
 use crate::AggFunc;
 
 /// How a query asked to be explained rather than executed.
@@ -29,23 +30,17 @@ pub struct ParamSlot {
     pub position: usize,
 }
 
-/// A successfully parsed query.
-#[derive(Debug, Clone)]
-pub struct ParsedQuery {
-    /// The bound logical plan (feed it to [`crate::Engine::query`], or to
-    /// [`crate::Engine::prepare`] when it has placeholders).
-    pub plan: LogicalPlan,
-    /// `Some` when the query was prefixed with `EXPLAIN [ANALYZE]`.
-    pub explain: Option<ExplainMode>,
-    /// Placeholder occurrences in appearance order; empty for a fully
-    /// literal query. The number of distinct `index` values is the
-    /// statement's parameter count.
-    pub param_slots: Vec<ParamSlot>,
+/// One statement as the grammar reads it, before binding.
+pub(super) struct Statement {
+    pub(super) explain: Option<ExplainMode>,
+    pub(super) query: Query,
+    /// Placeholder occurrences in appearance order.
+    pub(super) param_slots: Vec<ParamSlot>,
 }
 
-/// Parse a SQL string into a logical plan. See the module docs for the
+/// Parse a SQL string into its syntax tree. See the module docs for the
 /// supported grammar.
-pub fn parse(input: &str) -> Result<ParsedQuery, SqlError> {
+pub(super) fn parse_statement(input: &str) -> Result<Statement, SqlError> {
     let tokens = tokenize(input)?;
     let mut p = Parser {
         tokens,
@@ -65,13 +60,14 @@ pub fn parse(input: &str) -> Result<ParsedQuery, SqlError> {
     } else {
         None
     };
-    let q = p.parse_query()?;
+    let query = p.parse_query()?;
     p.expect_end()?;
     check_param_contiguity(&p.params)?;
-    let mut parsed = bind(q)?;
-    parsed.explain = explain;
-    parsed.param_slots = p.params;
-    Ok(parsed)
+    Ok(Statement {
+        explain,
+        query,
+        param_slots: p.params,
+    })
 }
 
 /// Every ordinal below the highest must be referenced by some slot:
@@ -82,13 +78,13 @@ fn check_param_contiguity(slots: &[ParamSlot]) -> Result<(), SqlError> {
     };
     for ordinal in 0..=max {
         if !slots.iter().any(|s| s.index == ordinal) {
-            return Err(SqlError {
-                message: format!(
+            return Err(SqlError::at(
+                slots.last().map(|s| s.position).unwrap_or(0),
+                format!(
                     "placeholder ${} is never used (placeholders must be contiguous)",
                     ordinal + 1
                 ),
-                position: slots.last().map(|s| s.position).unwrap_or(0),
-            });
+            ));
         }
     }
     Ok(())
@@ -99,7 +95,7 @@ fn check_param_contiguity(slots: &[ParamSlot]) -> Result<(), SqlError> {
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone, PartialEq)]
-enum PExpr {
+pub(super) enum PExpr {
     Col {
         table: Option<String>,
         name: String,
@@ -132,14 +128,10 @@ enum PExpr {
 }
 
 #[derive(Debug, Clone)]
-enum SelectItem {
-    /// Bare column (must match the GROUP BY key; the optional qualifier is
-    /// accepted and ignored — the binder resolves by name).
-    Key {
-        #[allow(dead_code)]
-        table: Option<String>,
-        name: String,
-    },
+pub(super) enum SelectItem {
+    /// Bare column (must match the GROUP BY key; an optional qualifier is
+    /// accepted and dropped — the binder resolves by name).
+    Key { name: String },
     /// Aggregate with optional alias.
     Agg {
         func: AggFunc,
@@ -160,23 +152,23 @@ enum SelectItem {
 /// A parsed `OVER (...)` clause (qualifiers are stripped: window queries
 /// are single-table).
 #[derive(Debug, Clone, PartialEq)]
-struct OverSpec {
-    partition_by: Option<String>,
-    order_by: Vec<(String, bool)>,
-    rows_preceding: Option<i64>,
+pub(super) struct OverSpec {
+    pub(super) partition_by: Option<String>,
+    pub(super) order_by: Vec<SortKey>,
+    pub(super) rows_preceding: Option<i64>,
 }
 
 #[derive(Debug, Clone)]
-struct Query {
-    items: Vec<SelectItem>,
-    tables: Vec<String>,
-    predicate: Option<PExpr>,
-    group_by: Option<(Option<String>, String)>,
-    /// Result-level `ORDER BY` keys: output-column name + `DESC` flag.
-    order_by: Vec<(String, bool)>,
+pub(super) struct Query {
+    pub(super) items: Vec<SelectItem>,
+    pub(super) tables: Vec<String>,
+    pub(super) predicate: Option<PExpr>,
+    pub(super) group_by: Option<(Option<String>, String)>,
+    /// Result-level `ORDER BY` keys, naming output columns.
+    pub(super) order_by: Vec<SortKey>,
     /// Result-level `LIMIT`.
-    limit: Option<i64>,
-    pos: usize,
+    pub(super) limit: Option<i64>,
+    pub(super) pos: usize,
 }
 
 // ---------------------------------------------------------------------
@@ -213,10 +205,7 @@ impl Parser {
     }
 
     fn err<T>(&self, message: impl Into<String>) -> Result<T, SqlError> {
-        Err(SqlError {
-            message: message.into(),
-            position: self.pos(),
-        })
+        Err(SqlError::at(self.pos(), message))
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
@@ -268,10 +257,7 @@ impl Parser {
         if self.cursor == self.tokens.len() {
             Ok(())
         } else {
-            Err(SqlError {
-                message: "unexpected trailing input".into(),
-                position: self.pos(),
-            })
+            self.err("unexpected trailing input")
         }
     }
 
@@ -294,8 +280,7 @@ impl Parser {
         };
         let group_by = if self.eat_keyword("GROUP") {
             self.expect_keyword("BY")?;
-            let (t, c) = self.parse_qualified()?;
-            Some((t, c))
+            Some(self.parse_qualified()?)
         } else {
             None
         };
@@ -326,17 +311,17 @@ impl Parser {
 
     /// `col [ASC|DESC] [, ...]` — shared by result-level and window
     /// `ORDER BY` clauses (qualifiers accepted and stripped).
-    fn parse_sort_keys(&mut self) -> Result<Vec<(String, bool)>, SqlError> {
+    fn parse_sort_keys(&mut self) -> Result<Vec<SortKey>, SqlError> {
         let mut keys = Vec::new();
         loop {
-            let (_, c) = self.parse_qualified()?;
+            let (_, column) = self.parse_qualified()?;
             let desc = if self.eat_keyword("DESC") {
                 true
             } else {
                 self.eat_keyword("ASC");
                 false
             };
-            keys.push((c, desc));
+            keys.push(SortKey { column, desc });
             if !self.eat_symbol(Sym::Comma) {
                 break;
             }
@@ -395,15 +380,10 @@ impl Parser {
             self.expect_symbol(Sym::RParen)?;
             self.expect_keyword("OVER")?;
             let over = self.parse_over()?;
-            let alias = if self.eat_keyword("AS") {
-                Some(self.expect_ident()?)
-            } else {
-                None
-            };
             return Ok(SelectItem::Window {
                 func: wf,
                 expr: None,
-                alias,
+                alias: self.parse_alias()?,
                 over,
                 pos,
             });
@@ -441,34 +421,33 @@ impl Parser {
                     return self.err("SUM window function requires an argument");
                 }
                 let over = self.parse_over()?;
-                let alias = if self.eat_keyword("AS") {
-                    Some(self.expect_ident()?)
-                } else {
-                    None
-                };
                 return Ok(SelectItem::Window {
                     func: wf,
                     // COUNT counts frame rows; any argument is ignored.
                     expr: if wf == WindowFunc::Sum { expr } else { None },
-                    alias,
+                    alias: self.parse_alias()?,
                     over,
                     pos,
                 });
             }
-            let alias = if self.eat_keyword("AS") {
-                Some(self.expect_ident()?)
-            } else {
-                None
-            };
             Ok(SelectItem::Agg {
                 func,
                 expr,
-                alias,
+                alias: self.parse_alias()?,
                 pos,
             })
         } else {
-            let (table, name) = self.parse_qualified()?;
-            Ok(SelectItem::Key { table, name })
+            let (_, name) = self.parse_qualified()?;
+            Ok(SelectItem::Key { name })
+        }
+    }
+
+    /// `[AS name]` after an aggregate or window item.
+    fn parse_alias(&mut self) -> Result<Option<String>, SqlError> {
+        if self.eat_keyword("AS") {
+            self.expect_ident().map(Some)
+        } else {
+            Ok(None)
         }
     }
 
@@ -638,23 +617,23 @@ impl Parser {
             Some(TokenKind::Param(explicit)) => {
                 let position = self.pos();
                 self.cursor += 1;
+                let mixed = || {
+                    SqlError::at(
+                        position,
+                        "cannot mix ? and $n placeholders in one statement",
+                    )
+                };
                 let index = match explicit {
                     None => {
                         if self.numbered_params {
-                            return Err(SqlError {
-                                message: "cannot mix ? and $n placeholders in one statement".into(),
-                                position,
-                            });
+                            return Err(mixed());
                         }
                         self.anon_params += 1;
                         self.anon_params - 1
                     }
                     Some(n) => {
                         if self.anon_params > 0 {
-                            return Err(SqlError {
-                                message: "cannot mix ? and $n placeholders in one statement".into(),
-                                position,
-                            });
+                            return Err(mixed());
                         }
                         self.numbered_params = true;
                         n - 1
@@ -692,1028 +671,5 @@ impl Parser {
             }
             _ => self.err("expected expression"),
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Binding: PExpr/Query → LogicalPlan
-// ---------------------------------------------------------------------
-
-/// Which tables an expression references (by qualifier; unqualified columns
-/// count as "any", resolved against the single-table context).
-fn tables_of(e: &PExpr, out: &mut Vec<Option<String>>) {
-    match e {
-        PExpr::Col { table, .. } => {
-            if !out.contains(table) {
-                out.push(table.clone());
-            }
-        }
-        PExpr::Lit(_) | PExpr::Str(_) | PExpr::Param(_) => {}
-        PExpr::Cmp(_, a, b)
-        | PExpr::Add(a, b)
-        | PExpr::Sub(a, b)
-        | PExpr::Mul(a, b)
-        | PExpr::Div(a, b)
-        | PExpr::And(a, b)
-        | PExpr::Or(a, b) => {
-            tables_of(a, out);
-            tables_of(b, out);
-        }
-        PExpr::Neg(a) | PExpr::Not(a) => tables_of(a, out),
-        PExpr::Like { col, .. } | PExpr::InList { col, .. } => tables_of(col, out),
-        PExpr::Case {
-            when,
-            then,
-            otherwise,
-        } => {
-            tables_of(when, out);
-            tables_of(then, out);
-            tables_of(otherwise, out);
-        }
-    }
-}
-
-/// Convert a bound `PExpr` to an engine `Expr`, stripping qualifiers and
-/// rewriting string comparisons into dictionary predicates.
-fn to_expr(e: &PExpr, pos: usize) -> Result<Expr, SqlError> {
-    let fail = |message: String| SqlError {
-        message,
-        position: pos,
-    };
-    Ok(match e {
-        PExpr::Col { name, .. } => Expr::Col(name.clone()),
-        PExpr::Lit(v) => Expr::Lit(*v),
-        PExpr::Param(i) => Expr::Param(*i),
-        PExpr::Str(s) => {
-            return Err(fail(format!(
-                "string literal '{s}' is only valid with =, <>, LIKE or IN"
-            )))
-        }
-        PExpr::Cmp(op, a, b) => {
-            // `col = 'str'` / `'str' = col` → dictionary membership.
-            let str_side = match (&**a, &**b) {
-                (PExpr::Str(s), other) | (other, PExpr::Str(s)) => Some((s.clone(), other)),
-                _ => None,
-            };
-            if let Some((s, col)) = str_side {
-                let col_name = match col {
-                    PExpr::Col { name, .. } => name.clone(),
-                    _ => return Err(fail("string comparison requires a column".into())),
-                };
-                let inlist = Expr::InList {
-                    col: col_name,
-                    values: vec![s],
-                };
-                return match op {
-                    CmpOp::Eq => Ok(inlist),
-                    CmpOp::Ne => Ok(Expr::Not(Box::new(inlist))),
-                    _ => Err(fail("strings only support = and <>".into())),
-                };
-            }
-            Expr::Cmp(*op, Box::new(to_expr(a, pos)?), Box::new(to_expr(b, pos)?))
-        }
-        PExpr::Add(a, b) => Expr::Add(Box::new(to_expr(a, pos)?), Box::new(to_expr(b, pos)?)),
-        PExpr::Sub(a, b) => Expr::Sub(Box::new(to_expr(a, pos)?), Box::new(to_expr(b, pos)?)),
-        PExpr::Mul(a, b) => Expr::Mul(Box::new(to_expr(a, pos)?), Box::new(to_expr(b, pos)?)),
-        PExpr::Div(a, b) => Expr::Div(Box::new(to_expr(a, pos)?), Box::new(to_expr(b, pos)?)),
-        PExpr::Neg(a) => Expr::Sub(Box::new(Expr::Lit(0)), Box::new(to_expr(a, pos)?)),
-        PExpr::And(a, b) => to_expr(a, pos)?.and(to_expr(b, pos)?),
-        PExpr::Or(a, b) => to_expr(a, pos)?.or(to_expr(b, pos)?),
-        PExpr::Not(a) => Expr::Not(Box::new(to_expr(a, pos)?)),
-        PExpr::Like { col, pattern } => match &**col {
-            PExpr::Col { name, .. } => Expr::Like {
-                col: name.clone(),
-                pattern: pattern.clone(),
-            },
-            _ => return Err(fail("LIKE requires a column".into())),
-        },
-        PExpr::InList { col, values } => match &**col {
-            PExpr::Col { name, .. } => Expr::InList {
-                col: name.clone(),
-                values: values.clone(),
-            },
-            _ => return Err(fail("IN requires a column".into())),
-        },
-        PExpr::Case {
-            when,
-            then,
-            otherwise,
-        } => Expr::Case {
-            when: Box::new(to_expr(when, pos)?),
-            then: Box::new(to_expr(then, pos)?),
-            otherwise: Box::new(to_expr(otherwise, pos)?),
-        },
-    })
-}
-
-/// Flatten a top-level AND chain.
-fn conjuncts(e: PExpr, out: &mut Vec<PExpr>) {
-    match e {
-        PExpr::And(a, b) => {
-            conjuncts(*a, out);
-            conjuncts(*b, out);
-        }
-        other => out.push(other),
-    }
-}
-
-fn agg_specs(items: &[SelectItem], group_by: Option<&str>) -> Result<Vec<AggSpec>, SqlError> {
-    let mut aggs = Vec::new();
-    let mut auto = 0usize;
-    for item in items {
-        match item {
-            SelectItem::Key { name, .. } => {
-                if group_by != Some(name.as_str()) {
-                    return Err(SqlError {
-                        message: format!("bare column {name} must match the GROUP BY key"),
-                        position: 0,
-                    });
-                }
-            }
-            SelectItem::Agg {
-                func,
-                expr,
-                alias,
-                pos,
-            } => {
-                let name = alias.clone().unwrap_or_else(|| {
-                    auto += 1;
-                    format!("agg{auto}")
-                });
-                let expr = match expr {
-                    Some(e) => to_expr(e, *pos)?,
-                    None => Expr::Lit(1),
-                };
-                aggs.push(AggSpec {
-                    func: *func,
-                    expr,
-                    name,
-                });
-            }
-            SelectItem::Window { pos, .. } => {
-                return Err(SqlError {
-                    message: "window functions cannot be combined with GROUP BY".into(),
-                    position: *pos,
-                });
-            }
-        }
-    }
-    if aggs.is_empty() {
-        return Err(SqlError {
-            message: "query needs at least one aggregate (sum/count/min/max)".into(),
-            position: 0,
-        });
-    }
-    Ok(aggs)
-}
-
-/// Wrap a bound core plan in the query's result-level `ORDER BY` / `LIMIT`.
-fn wrap_post(mut plan: LogicalPlan, q: &Query) -> LogicalPlan {
-    if !q.order_by.is_empty() {
-        plan = LogicalPlan::OrderBy {
-            input: Box::new(plan),
-            keys: q
-                .order_by
-                .iter()
-                .map(|(c, desc)| SortKey {
-                    column: c.clone(),
-                    desc: *desc,
-                })
-                .collect(),
-        };
-    }
-    if let Some(n) = q.limit {
-        plan = LogicalPlan::Limit {
-            input: Box::new(plan),
-            n: n.max(0) as usize,
-        };
-    }
-    plan
-}
-
-/// Bind a single-table window/projection query: bare columns become the
-/// projection, window items the function list. All window functions must
-/// share one OVER clause (one sort, one frame).
-fn bind_window(q: &Query, table: String) -> Result<LogicalPlan, SqlError> {
-    let fail = |message: String| SqlError {
-        message,
-        position: q.pos,
-    };
-    if q.group_by.is_some() {
-        return Err(fail(
-            "window functions cannot be combined with GROUP BY".into(),
-        ));
-    }
-    let mut select = Vec::new();
-    let mut funcs = Vec::new();
-    let mut over: Option<&OverSpec> = None;
-    let mut auto = 0usize;
-    for item in &q.items {
-        match item {
-            SelectItem::Key { name, .. } => select.push(name.clone()),
-            SelectItem::Agg { .. } => {
-                return Err(fail(
-                    "cannot mix plain aggregates and window functions \
-                     (did you mean SUM(..) OVER (..)?)"
-                        .into(),
-                ))
-            }
-            SelectItem::Window {
-                func,
-                expr,
-                alias,
-                over: o,
-                pos,
-            } => {
-                match over {
-                    None => over = Some(o),
-                    Some(prev) if prev == o => {}
-                    Some(_) => {
-                        return Err(fail(
-                            "all window functions in one query must share the same \
-                             OVER clause"
-                                .into(),
-                        ))
-                    }
-                }
-                let name = alias.clone().unwrap_or_else(|| {
-                    auto += 1;
-                    format!("w{auto}")
-                });
-                funcs.push(WindowFnSpec {
-                    func: *func,
-                    expr: expr.as_ref().map(|e| to_expr(e, *pos)).transpose()?,
-                    name,
-                });
-            }
-        }
-    }
-    let (partition_by, order_by, frame) = match over {
-        Some(o) => {
-            let frame = match o.rows_preceding {
-                Some(k) => FrameSpec::Preceding(k.max(0) as usize),
-                None if o.order_by.is_empty() => FrameSpec::WholePartition,
-                None => FrameSpec::UnboundedPreceding,
-            };
-            (
-                o.partition_by.clone(),
-                o.order_by
-                    .iter()
-                    .map(|(c, desc)| SortKey {
-                        column: c.clone(),
-                        desc: *desc,
-                    })
-                    .collect(),
-                frame,
-            )
-        }
-        // Pure projection: no window order, whole-partition frame.
-        None => (None, Vec::new(), FrameSpec::WholePartition),
-    };
-    let mut input = LogicalPlan::Scan { table };
-    if let Some(pred) = &q.predicate {
-        input = LogicalPlan::Filter {
-            input: Box::new(input),
-            predicate: to_expr(pred, q.pos)?,
-        };
-    }
-    Ok(LogicalPlan::Window {
-        input: Box::new(input),
-        partition_by,
-        order_by,
-        frame,
-        funcs,
-        select,
-    })
-}
-
-fn bind(q: Query) -> Result<ParsedQuery, SqlError> {
-    let fail = |message: String| SqlError {
-        message,
-        position: q.pos,
-    };
-    let has_window = q
-        .items
-        .iter()
-        .any(|i| matches!(i, SelectItem::Window { .. }));
-    let has_agg = q.items.iter().any(|i| matches!(i, SelectItem::Agg { .. }));
-    match q.tables.len() {
-        1 => {
-            let table = q.tables[0].clone();
-            // Window functions — or a bare-column projection — take the
-            // window path; aggregates keep the aggregation path.
-            if has_window || (!has_agg && q.group_by.is_none()) {
-                let plan = bind_window(&q, table)?;
-                return Ok(ParsedQuery {
-                    plan: wrap_post(plan, &q),
-                    explain: None,
-                    param_slots: Vec::new(),
-                });
-            }
-            let group_by = q.group_by.as_ref().map(|(_, c)| c.clone());
-            let aggs = agg_specs(&q.items, group_by.as_deref())?;
-            let mut input = LogicalPlan::Scan { table };
-            if let Some(pred) = &q.predicate {
-                input = LogicalPlan::Filter {
-                    input: Box::new(input),
-                    predicate: to_expr(pred, q.pos)?,
-                };
-            }
-            Ok(ParsedQuery {
-                plan: wrap_post(
-                    LogicalPlan::Aggregate {
-                        input: Box::new(input),
-                        group_by,
-                        aggs,
-                    },
-                    &q,
-                ),
-                explain: None,
-                param_slots: Vec::new(),
-            })
-        }
-        2 => {
-            if has_window {
-                return Err(fail(
-                    "window functions are only supported over a single table".into(),
-                ));
-            }
-            let predicate = q
-                .predicate
-                .clone()
-                .ok_or_else(|| fail("two-table queries need a join condition".into()))?;
-            let mut parts = Vec::new();
-            conjuncts(predicate, &mut parts);
-            // Find the join conjunct: child.fk = parent.rowid.
-            let mut join: Option<(String, String, String)> = None; // child, fk, parent
-            let mut rest = Vec::new();
-            for part in parts {
-                if let PExpr::Cmp(CmpOp::Eq, a, b) = &part {
-                    if let (
-                        PExpr::Col {
-                            table: Some(t1),
-                            name: n1,
-                        },
-                        PExpr::Col {
-                            table: Some(t2),
-                            name: n2,
-                        },
-                    ) = (&**a, &**b)
-                    {
-                        let found = if n2 == "rowid" {
-                            Some((t1.clone(), n1.clone(), t2.clone()))
-                        } else if n1 == "rowid" {
-                            Some((t2.clone(), n2.clone(), t1.clone()))
-                        } else {
-                            None
-                        };
-                        if let Some(j) = found {
-                            if join.is_some() {
-                                return Err(fail("multiple join conditions".into()));
-                            }
-                            join = Some(j);
-                            continue;
-                        }
-                    }
-                }
-                rest.push(part);
-            }
-            let (child, fk_col, parent) = join.ok_or_else(|| {
-                fail("no join condition of the form child.fk = parent.rowid".into())
-            })?;
-            if !q.tables.contains(&child) || !q.tables.contains(&parent) || child == parent {
-                return Err(fail(format!(
-                    "join references {child}/{parent}, FROM lists {:?}",
-                    q.tables
-                )));
-            }
-            // Route remaining conjuncts by the (single) table they mention.
-            let mut child_pred: Option<Expr> = None;
-            let mut parent_pred: Option<Expr> = None;
-            for part in rest {
-                let mut mentioned = Vec::new();
-                tables_of(&part, &mut mentioned);
-                let target = match mentioned.as_slice() {
-                    [Some(t)] if *t == child => &mut child_pred,
-                    [Some(t)] if *t == parent => &mut parent_pred,
-                    [Some(t)] => return Err(fail(format!("unknown table qualifier {t}"))),
-                    _ => {
-                        return Err(fail(
-                            "two-table predicates must qualify every column with its \
-                             table and reference exactly one table per conjunct"
-                                .into(),
-                        ))
-                    }
-                };
-                let bound = to_expr(&part, q.pos)?;
-                *target = Some(match target.take() {
-                    Some(existing) => existing.and(bound),
-                    None => bound,
-                });
-            }
-            let group_by = match &q.group_by {
-                None => None,
-                Some((qualifier, col)) => {
-                    if let Some(t) = qualifier {
-                        if *t != child {
-                            return Err(fail(
-                                "GROUP BY over a join must use the child's FK column".into(),
-                            ));
-                        }
-                    }
-                    Some(col.clone())
-                }
-            };
-            let aggs = agg_specs(&q.items, group_by.as_deref())?;
-            let mut probe: LogicalPlan = LogicalPlan::Scan { table: child };
-            if let Some(p) = child_pred {
-                probe = LogicalPlan::Filter {
-                    input: Box::new(probe),
-                    predicate: p,
-                };
-            }
-            let mut build: LogicalPlan = LogicalPlan::Scan { table: parent };
-            if let Some(p) = parent_pred {
-                build = LogicalPlan::Filter {
-                    input: Box::new(build),
-                    predicate: p,
-                };
-            }
-            Ok(ParsedQuery {
-                plan: wrap_post(
-                    LogicalPlan::Aggregate {
-                        input: Box::new(LogicalPlan::SemiJoin {
-                            input: Box::new(probe),
-                            build: Box::new(build),
-                            fk_col,
-                        }),
-                        group_by,
-                        aggs,
-                    },
-                    &q,
-                ),
-                explain: None,
-                param_slots: Vec::new(),
-            })
-        }
-        // Three or more tables: a general FK join graph. Join conjuncts
-        // (`child.fk = parent.rowid`) form the edges; the one table never
-        // used as a build side is the fact. The parser only fixes the
-        // *structure* (a tree rooted at the fact, edges in canonical
-        // parent-name order) — the probe order is the planner's decision.
-        _ => {
-            if has_window {
-                return Err(fail(
-                    "window functions are only supported over a single table".into(),
-                ));
-            }
-            let predicate = q.predicate.clone().ok_or_else(|| {
-                fail(
-                    "multi-table queries need join conditions of the form child.fk = parent.rowid"
-                        .into(),
-                )
-            })?;
-            let mut parts = Vec::new();
-            conjuncts(predicate, &mut parts);
-            let mut edges: Vec<(String, String, String)> = Vec::new(); // child, fk, parent
-            let mut rest = Vec::new();
-            for part in parts {
-                if let PExpr::Cmp(CmpOp::Eq, a, b) = &part {
-                    if let (
-                        PExpr::Col {
-                            table: Some(t1),
-                            name: n1,
-                        },
-                        PExpr::Col {
-                            table: Some(t2),
-                            name: n2,
-                        },
-                    ) = (&**a, &**b)
-                    {
-                        let found = if n2 == "rowid" {
-                            Some((t1.clone(), n1.clone(), t2.clone()))
-                        } else if n1 == "rowid" {
-                            Some((t2.clone(), n2.clone(), t1.clone()))
-                        } else {
-                            None
-                        };
-                        if let Some(j) = found {
-                            edges.push(j);
-                            continue;
-                        }
-                    }
-                }
-                rest.push(part);
-            }
-            for (child, _, parent) in &edges {
-                if !q.tables.contains(child) || !q.tables.contains(parent) || child == parent {
-                    return Err(fail(format!(
-                        "join references {child}/{parent}, FROM lists {:?}",
-                        q.tables
-                    )));
-                }
-            }
-            for (i, (_, _, p)) in edges.iter().enumerate() {
-                if edges.iter().skip(i + 1).any(|(_, _, p2)| p2 == p) {
-                    return Err(fail(format!(
-                        "table {p} is the build side of multiple join conditions"
-                    )));
-                }
-            }
-            let facts: Vec<&String> = q
-                .tables
-                .iter()
-                .filter(|t| !edges.iter().any(|(_, _, p)| &p == t))
-                .collect();
-            let fact = match facts.as_slice() {
-                [f] => (*f).clone(),
-                [] => {
-                    return Err(fail(
-                        "cyclic join graph: every table is a build side".into(),
-                    ))
-                }
-                more => {
-                    return Err(fail(format!(
-                        "join graph is disconnected: no join condition joins {:?} to the rest",
-                        more.iter().map(|t| t.as_str()).collect::<Vec<_>>()
-                    )))
-                }
-            };
-            // Per-table filters from the remaining conjuncts.
-            let mut filters: std::collections::HashMap<String, Expr> =
-                std::collections::HashMap::new();
-            for part in rest {
-                let mut mentioned = Vec::new();
-                tables_of(&part, &mut mentioned);
-                let t = match mentioned.as_slice() {
-                    [Some(t)] if q.tables.contains(t) => (*t).clone(),
-                    [Some(t)] => return Err(fail(format!("unknown table qualifier {t}"))),
-                    _ => {
-                        return Err(fail(
-                            "multi-table predicates must qualify every column with its \
-                             table and reference exactly one table per conjunct"
-                                .into(),
-                        ))
-                    }
-                };
-                let bound = to_expr(&part, q.pos)?;
-                match filters.entry(t) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let existing = e.get().clone();
-                        e.insert(existing.and(bound));
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(bound);
-                    }
-                }
-            }
-            // Grow the join tree from the fact outward. An edge left unused
-            // afterwards means its tables cycle among themselves without a
-            // path from the fact.
-            let mut used = vec![false; edges.len()];
-            let plan_node = build_join_node(&fact, &edges, &mut used, &mut filters);
-            if used.iter().any(|u| !u) {
-                return Err(fail("cyclic join graph".into()));
-            }
-            let group_by = q.group_by.as_ref().map(|(_, c)| c.clone());
-            let aggs = agg_specs(&q.items, group_by.as_deref())?;
-            Ok(ParsedQuery {
-                plan: wrap_post(
-                    LogicalPlan::Aggregate {
-                        input: Box::new(plan_node),
-                        group_by,
-                        aggs,
-                    },
-                    &q,
-                ),
-                explain: None,
-                param_slots: Vec::new(),
-            })
-        }
-    }
-}
-
-/// Recursively assemble the semijoin tree for a multi-way join: `table`'s
-/// scan (plus its own filter), then one [`LogicalPlan::SemiJoin`] per edge
-/// whose child is `table`, in parent-name order (canonical — the WHERE
-/// clause's conjunct order must not change the plan fingerprint). Marks
-/// consumed edges in `used`; duplicate-parent validation upstream
-/// guarantees termination.
-fn build_join_node(
-    table: &str,
-    edges: &[(String, String, String)],
-    used: &mut [bool],
-    filters: &mut std::collections::HashMap<String, Expr>,
-) -> LogicalPlan {
-    let mut plan = LogicalPlan::Scan {
-        table: table.to_string(),
-    };
-    if let Some(pred) = filters.remove(table) {
-        plan = LogicalPlan::Filter {
-            input: Box::new(plan),
-            predicate: pred,
-        };
-    }
-    let mut own: Vec<usize> = (0..edges.len())
-        .filter(|&i| !used[i] && edges[i].0 == table)
-        .collect();
-    own.sort_by(|&a, &b| edges[a].2.cmp(&edges[b].2));
-    for i in own {
-        used[i] = true;
-        let build = build_join_node(&edges[i].2, edges, used, filters);
-        plan = LogicalPlan::SemiJoin {
-            input: Box::new(plan),
-            build: Box::new(build),
-            fk_col: edges[i].1.clone(),
-        };
-    }
-    plan
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::QueryBuilder;
-
-    #[test]
-    fn micro_q1_shape() {
-        let got = parse("select sum(r_a * r_b) as s from R where r_x < 13 and r_y = 1")
-            .unwrap()
-            .plan;
-        let expected = QueryBuilder::scan("R")
-            .filter(
-                Expr::col("r_x")
-                    .cmp(CmpOp::Lt, Expr::lit(13))
-                    .and(Expr::col("r_y").cmp(CmpOp::Eq, Expr::lit(1))),
-            )
-            .aggregate(
-                None,
-                vec![AggSpec::sum(Expr::col("r_a").mul(Expr::col("r_b")), "s")],
-            );
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn explain_prefix_modes() {
-        let plain = parse("select sum(r_a) as s from R").unwrap();
-        assert_eq!(plain.explain, None);
-        let ex = parse("explain select sum(r_a) as s from R").unwrap();
-        assert_eq!(ex.explain, Some(ExplainMode::Plan));
-        assert_eq!(ex.plan, plain.plan);
-        let ea = parse("EXPLAIN ANALYZE select sum(r_a) as s from R where r_x < 13").unwrap();
-        assert_eq!(ea.explain, Some(ExplainMode::Analyze));
-        assert_eq!(ea.plan.base_table(), "R");
-        let ev = parse("explain verify select sum(r_a) as s from R where r_x < 13").unwrap();
-        assert_eq!(ev.explain, Some(ExplainMode::Verify));
-        assert_eq!(ev.plan.base_table(), "R");
-        // ANALYZE/VERIFY without EXPLAIN are just identifier positions — error.
-        assert!(parse("analyze select sum(r_a) as s from R").is_err());
-        assert!(parse("verify select sum(r_a) as s from R").is_err());
-    }
-
-    #[test]
-    fn micro_q2_group_by() {
-        let got = parse(
-            "select r_c, sum(r_a * r_b) as s, count(*) as n \
-             from R where r_x < 50 group by r_c",
-        )
-        .unwrap()
-        .plan;
-        match got {
-            LogicalPlan::Aggregate { group_by, aggs, .. } => {
-                assert_eq!(group_by.as_deref(), Some("r_c"));
-                assert_eq!(aggs.len(), 2);
-                assert_eq!(aggs[1].func, AggFunc::Count);
-                assert_eq!(aggs[1].name, "n");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn two_table_semijoin() {
-        let got = parse(
-            "select sum(R.r_a) from R, S \
-             where R.r_fk = S.rowid and S.s_x < 13 and R.r_x < 50",
-        )
-        .unwrap()
-        .plan;
-        match got {
-            LogicalPlan::Aggregate {
-                input, group_by, ..
-            } => {
-                assert!(group_by.is_none());
-                match *input {
-                    LogicalPlan::SemiJoin {
-                        input: probe,
-                        build,
-                        fk_col,
-                    } => {
-                        assert_eq!(fk_col, "r_fk");
-                        assert!(matches!(*probe, LogicalPlan::Filter { .. }));
-                        assert!(matches!(*build, LogicalPlan::Filter { .. }));
-                    }
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn groupjoin_via_group_by_fk() {
-        let got = parse(
-            "select R.r_fk, sum(R.r_a * R.r_b) as s from R, S \
-             where R.r_fk = S.rowid and S.s_x < 13 group by R.r_fk",
-        )
-        .unwrap()
-        .plan;
-        match got {
-            LogicalPlan::Aggregate { group_by, .. } => {
-                assert_eq!(group_by.as_deref(), Some("r_fk"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn between_like_in_case() {
-        let plan = parse(
-            "select sum(case when disc between 5 and 7 then price else 0 end) as s \
-             from L where mode in ('AIR', 'MAIL') and note not like '%x%'",
-        )
-        .unwrap()
-        .plan;
-        let LogicalPlan::Aggregate { input, aggs, .. } = plan else {
-            panic!()
-        };
-        assert!(matches!(aggs[0].expr, Expr::Case { .. }));
-        let LogicalPlan::Filter { predicate, .. } = *input else {
-            panic!()
-        };
-        // in-list AND not-like
-        let Expr::And(a, b) = predicate else { panic!() };
-        assert!(matches!(*a, Expr::InList { .. }));
-        assert!(matches!(*b, Expr::Not(_)));
-    }
-
-    #[test]
-    fn string_equality_becomes_dictionary_predicate() {
-        let plan = parse("select count(*) from C where seg = 'BUILDING'")
-            .unwrap()
-            .plan;
-        let LogicalPlan::Aggregate { input, .. } = plan else {
-            panic!()
-        };
-        let LogicalPlan::Filter { predicate, .. } = *input else {
-            panic!()
-        };
-        assert_eq!(
-            predicate,
-            Expr::InList {
-                col: "seg".into(),
-                values: vec!["BUILDING".into()]
-            }
-        );
-    }
-
-    #[test]
-    fn operator_precedence() {
-        // a + b * c < 10 or d = 1 and e = 2  ⇒  ((a+(b*c)) < 10) OR ((d=1) AND (e=2))
-        let plan = parse("select count(*) from T where a + b * c < 10 or d = 1 and e = 2")
-            .unwrap()
-            .plan;
-        let LogicalPlan::Aggregate { input, .. } = plan else {
-            panic!()
-        };
-        let LogicalPlan::Filter { predicate, .. } = *input else {
-            panic!()
-        };
-        let Expr::Or(lhs, rhs) = predicate else {
-            panic!("OR must be outermost")
-        };
-        assert!(matches!(*lhs, Expr::Cmp(CmpOp::Lt, _, _)));
-        assert!(matches!(*rhs, Expr::And(_, _)));
-    }
-
-    #[test]
-    fn count_star_and_aliases() {
-        let plan = parse("select count(*), sum(v) from T").unwrap().plan;
-        let LogicalPlan::Aggregate { aggs, .. } = plan else {
-            panic!()
-        };
-        assert_eq!(aggs[0].name, "agg1");
-        assert_eq!(aggs[1].name, "agg2");
-    }
-
-    #[test]
-    fn errors_are_informative() {
-        assert!(parse("").is_err());
-        assert!(parse("select from T").is_err());
-        assert!(parse("select sum(a) from").is_err());
-        assert!(parse("select sum(a) from T where").is_err());
-        // A bare-column select is a projection (window path), not an error.
-        assert!(parse("select a from T").is_ok());
-        assert!(
-            parse("select a, sum(b) from T").is_err(),
-            "bare column mixed with an aggregate and no group by"
-        );
-        assert!(
-            parse("select sum(a) from T extra").is_err(),
-            "trailing input"
-        );
-        assert!(
-            parse("select sum(a) from A, B, C where x = 1").is_err(),
-            "3 tables"
-        );
-        assert!(
-            parse("select sum(a) from A, B where A.x < 3").is_err(),
-            "missing join condition"
-        );
-        assert!(
-            parse("select sum(a) from T where name = unquoted").is_err()
-                || parse("select sum(a) from T where name = unquoted").is_ok(),
-            "column=column comparison parses"
-        );
-        let err = parse("select sum(a) from T where x < 'oops'").unwrap_err();
-        assert!(err.message.contains("string"), "{err}");
-    }
-
-    #[test]
-    fn negative_literals() {
-        let plan = parse("select sum(a) from T where x < -5").unwrap().plan;
-        let LogicalPlan::Aggregate { input, .. } = plan else {
-            panic!()
-        };
-        let LogicalPlan::Filter { predicate, .. } = *input else {
-            panic!()
-        };
-        // -5 parses as 0 - 5.
-        assert!(matches!(predicate, Expr::Cmp(CmpOp::Lt, _, _)));
-    }
-
-    #[test]
-    fn keywords_case_insensitive() {
-        assert!(parse("SELECT SUM(a) FROM t WHERE x < 1 GROUP BY c").is_ok());
-        let ok = parse("SeLeCt sum(a) As s FrOm t WhErE x BeTwEeN 1 AnD 2");
-        assert!(ok.is_ok(), "{ok:?}");
-    }
-
-    #[test]
-    fn anonymous_placeholders_number_left_to_right() {
-        let parsed = parse("select sum(a) from T where x < ? and y >= ?").unwrap();
-        assert_eq!(parsed.param_slots.len(), 2);
-        assert_eq!(parsed.param_slots[0].index, 0);
-        assert_eq!(parsed.param_slots[1].index, 1);
-        let LogicalPlan::Aggregate { input, .. } = parsed.plan else {
-            panic!()
-        };
-        let LogicalPlan::Filter { predicate, .. } = *input else {
-            panic!()
-        };
-        let Expr::And(a, b) = predicate else { panic!() };
-        assert!(matches!(*a, Expr::Cmp(CmpOp::Lt, _, _)));
-        let Expr::Cmp(CmpOp::Ge, _, rhs) = *b else {
-            panic!()
-        };
-        assert_eq!(*rhs, Expr::Param(1));
-    }
-
-    #[test]
-    fn numbered_placeholders_may_repeat() {
-        let parsed = parse("select sum(a) from T where x >= $1 and y < $2 and z <> $1").unwrap();
-        assert_eq!(parsed.param_slots.len(), 3);
-        let ordinals: Vec<usize> = parsed.param_slots.iter().map(|s| s.index).collect();
-        assert_eq!(ordinals, vec![0, 1, 0]);
-    }
-
-    #[test]
-    fn placeholder_styles_cannot_mix() {
-        let err = parse("select sum(a) from T where x < ? and y = $2").unwrap_err();
-        assert!(err.message.contains("mix"), "{err}");
-        let err = parse("select sum(a) from T where x < $1 and y = ?").unwrap_err();
-        assert!(err.message.contains("mix"), "{err}");
-    }
-
-    #[test]
-    fn placeholder_ordinals_must_be_contiguous() {
-        let err = parse("select sum(a) from T where x < $1 and y = $3").unwrap_err();
-        assert!(err.message.contains("$2"), "{err}");
-        assert!(parse("select sum(a) from T where x < $2").is_err());
-    }
-
-    #[test]
-    fn window_functions_bind() {
-        let plan = parse(
-            "select r_c, row_number() over (partition by r_c order by r_a desc) as rn, \
-             sum(r_a) over (partition by r_c order by r_a desc) as running \
-             from R where r_x < 13",
-        )
-        .unwrap()
-        .plan;
-        let LogicalPlan::Window {
-            partition_by,
-            order_by,
-            frame,
-            funcs,
-            select,
-            ..
-        } = plan
-        else {
-            panic!("expected a window plan")
-        };
-        assert_eq!(partition_by.as_deref(), Some("r_c"));
-        assert_eq!(order_by.len(), 1);
-        assert_eq!(order_by[0].column, "r_a");
-        assert!(order_by[0].desc);
-        assert_eq!(frame, FrameSpec::UnboundedPreceding);
-        assert_eq!(funcs.len(), 2);
-        assert_eq!(funcs[0].name, "rn");
-        assert_eq!(funcs[1].name, "running");
-        assert_eq!(select, vec!["r_c".to_string()]);
-    }
-
-    #[test]
-    fn window_frames_and_defaults() {
-        // ROWS k PRECEDING.
-        let plan = parse("select sum(v) over (order by k rows 3 preceding) from T")
-            .unwrap()
-            .plan;
-        let LogicalPlan::Window { frame, funcs, .. } = plan else {
-            panic!()
-        };
-        assert_eq!(frame, FrameSpec::Preceding(3));
-        assert_eq!(funcs[0].name, "w1", "auto-named window output");
-        // No ORDER BY in OVER -> whole partition.
-        let plan = parse("select count(*) over (partition by g) from T")
-            .unwrap()
-            .plan;
-        let LogicalPlan::Window { frame, .. } = plan else {
-            panic!()
-        };
-        assert_eq!(frame, FrameSpec::WholePartition);
-    }
-
-    #[test]
-    fn order_by_and_limit_wrap_any_query() {
-        let plan = parse("select g, count(*) as n from T group by g order by n desc, g limit 5")
-            .unwrap()
-            .plan;
-        let LogicalPlan::Limit { input, n } = plan else {
-            panic!("LIMIT must be outermost")
-        };
-        assert_eq!(n, 5);
-        let LogicalPlan::OrderBy { input, keys } = *input else {
-            panic!("ORDER BY inside LIMIT")
-        };
-        assert_eq!(keys.len(), 2);
-        assert!(keys[0].desc);
-        assert_eq!(keys[1].column, "g");
-        assert!(!keys[1].desc);
-        assert!(matches!(*input, LogicalPlan::Aggregate { .. }));
-        // Bare projection with LIMIT only.
-        let plan = parse("select a from T limit 10").unwrap().plan;
-        let LogicalPlan::Limit { input, .. } = plan else {
-            panic!()
-        };
-        assert!(matches!(*input, LogicalPlan::Window { .. }));
-    }
-
-    #[test]
-    fn window_grammar_errors() {
-        // ROW_NUMBER without OVER.
-        assert!(parse("select row_number() from T").is_err());
-        // MIN/MAX are not window functions.
-        let err = parse("select min(a) over (partition by g) from T").unwrap_err();
-        assert!(err.message.contains("MIN/MAX"), "{err}");
-        // Mixed OVER clauses.
-        let err =
-            parse("select sum(a) over (partition by g), count(*) over (partition by h) from T")
-                .unwrap_err();
-        assert!(err.message.contains("same"), "{err}");
-        // Window + GROUP BY.
-        assert!(parse("select g, count(*) over (partition by g) from T group by g").is_err());
-        // Window over a join.
-        assert!(parse(
-            "select row_number() over (partition by R.r_c) from R, S \
-                   where R.r_fk = S.rowid"
-        )
-        .is_err());
-        // LIMIT requires an integer literal.
-        assert!(parse("select a from T limit x").is_err());
-    }
-
-    #[test]
-    fn placeholders_route_through_joins() {
-        let parsed = parse(
-            "select sum(R.r_a) from R, S \
-             where R.r_fk = S.rowid and S.s_x < $1 and R.r_x < $2",
-        )
-        .unwrap();
-        assert_eq!(parsed.param_slots.len(), 2);
-        let LogicalPlan::Aggregate { input, .. } = parsed.plan else {
-            panic!()
-        };
-        assert!(matches!(*input, LogicalPlan::SemiJoin { .. }));
     }
 }

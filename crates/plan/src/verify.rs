@@ -329,7 +329,7 @@ fn lower_join_build(
     }
     fks.push(fk_decl(db, child, &e.fk_col, &e.parent)?);
     let mut op = Op::new(
-        &format!("multijoin-build({})", e.parent),
+        &JoinEdge::build_op(&e.parent),
         "/multijoin-agg/build",
         &e.parent,
         rows,

@@ -413,6 +413,62 @@ fn filter_chains_normalize_to_one_cache_entry() {
     );
 }
 
+/// The builder cannot spell a chain, but the enum can: a literal
+/// `Filter { Filter { Scan } }` is not in the normal form the key assumes,
+/// so it pays with a cache entry of its own — and with nothing else. It
+/// plans, under an aggregation and under a window alike, and answers what
+/// the interpreter and the merged spelling answer.
+#[test]
+fn a_hand_built_filter_chain_answers_the_same_under_its_own_key() {
+    let (inner, outer) = (
+        Expr::col("r_x").cmp(CmpOp::Lt, Expr::lit(40)),
+        Expr::col("r_a").cmp(CmpOp::Ge, Expr::lit(5)),
+    );
+    let chain = || LogicalPlan::Filter {
+        input: Box::new(LogicalPlan::Filter {
+            input: Box::new(QueryBuilder::scan("R").build()),
+            predicate: inner.clone(),
+        }),
+        predicate: outer.clone(),
+    };
+    let merged = || {
+        QueryBuilder::scan("R")
+            .filter(inner.clone())
+            .filter(outer.clone())
+    };
+    let aggs = || vec![AggSpec::sum(Expr::col("r_a"), "s"), AggSpec::count("n")];
+    let window = |input: LogicalPlan| LogicalPlan::Window {
+        input: Box::new(input),
+        partition_by: None,
+        order_by: vec![SortKey::asc("r_x"), SortKey::asc("r_a")],
+        frame: FrameSpec::UnboundedPreceding,
+        funcs: vec![WindowFnSpec::sum(Expr::col("r_a"), "running")],
+        select: vec!["r_x".into(), "r_a".into()],
+    };
+    for (raw, built) in [
+        (
+            LogicalPlan::Aggregate {
+                input: Box::new(chain()),
+                group_by: None,
+                aggs: aggs(),
+            },
+            merged().aggregate(None, aggs()),
+        ),
+        (window(chain()), window(merged().build())),
+    ] {
+        let engine = Engine::builder(simple_db()).build();
+        let reference = swole::plan::interp::run(&engine.database(), &raw).expect("interpreter");
+        assert_eq!(engine.query(&raw).expect("the chain plans"), reference);
+        assert_eq!(engine.query(&built).expect("runs"), reference);
+        let stats = engine.plan_cache_stats();
+        assert_eq!(
+            (stats.misses, stats.hits, stats.entries),
+            (2, 0, 2),
+            "the chain is its own entry: {stats:?}"
+        );
+    }
+}
+
 #[test]
 fn cache_is_keyed_on_thread_count() {
     // Same logical plan, different sessions: each session keys on its own
