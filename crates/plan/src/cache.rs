@@ -247,17 +247,23 @@ impl PlanCache {
         CacheLookup::Hit(plan, verified, certificate)
     }
 
-    /// Non-mutating probe: would `lookup` hit? Used by `EXPLAIN` to report
-    /// `plan: cached` without perturbing LRU order or counters.
-    pub(crate) fn peek(&self, key: &str, generations: &[(String, u64)]) -> bool {
+    /// Non-mutating probe: the plan `lookup` would hit, if it would. Used by
+    /// `EXPLAIN` to report `plan: cached` — and to show that plan — without
+    /// perturbing LRU order or counters.
+    pub(crate) fn peek(
+        &self,
+        key: &str,
+        generations: &[(String, u64)],
+    ) -> Option<Arc<PhysicalPlan>> {
         if !self.enabled {
-            return false;
+            return None;
         }
         let inner = self.lock();
         inner
             .entries
             .iter()
-            .any(|e| e.key == key && e.generations == generations && e.stale.is_none())
+            .find(|e| e.key == key && e.generations == generations && e.stale.is_none())
+            .map(|e| Arc::clone(&e.plan))
     }
 
     /// Insert a freshly planned entry, evicting least-recently-used entries
@@ -545,7 +551,7 @@ mod tests {
             CacheLookup::Miss { .. }
         ));
         assert_eq!(cache.stats().entries, 0);
-        assert!(!cache.peek("a", &gens(0)));
+        assert!(cache.peek("a", &gens(0)).is_none());
     }
 
     #[test]
@@ -583,10 +589,21 @@ mod tests {
     #[test]
     fn peek_does_not_perturb() {
         let cache = PlanCache::new(1 << 20);
-        cache.insert("a".into(), plan(), gens(0), VerifyLevel::Off, None);
-        assert!(cache.peek("a", &gens(0)));
-        assert!(!cache.peek("a", &gens(9)));
-        assert!(!cache.peek("zzz", &gens(0)));
+        let cached = plan();
+        cache.insert(
+            "a".into(),
+            Arc::clone(&cached),
+            gens(0),
+            VerifyLevel::Off,
+            None,
+        );
+        let peeked = cache.peek("a", &gens(0)).expect("the entry is valid");
+        assert!(
+            Arc::ptr_eq(&peeked, &cached),
+            "peek hands out the entry's plan"
+        );
+        assert!(cache.peek("a", &gens(9)).is_none());
+        assert!(cache.peek("zzz", &gens(0)).is_none());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (0, 0));
     }

@@ -5,15 +5,17 @@
 //! number of FK join edges — is one morsel driver ([`pipeline`]) composed
 //! with one of two sinks ([`sinks`]); the join edges' membership structures
 //! come from [`build`]; [`window`] is the one shape that is not an
-//! aggregation.
+//! aggregation. [`execute_shape`] is the way in: it pins the plan's tables
+//! and FK columns and dispatches on the shape.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::engine::QueryResult;
+use crate::catalog::Database;
 use crate::error::PlanError;
 use crate::metrics::{MetricsLevel, OpMetrics};
-use crate::physical::{JoinEdge, PostOp};
+use crate::physical::{JoinEdge, PhysicalPlan, PostOp, Shape};
+use crate::result::QueryResult;
 use crate::tile::{Regs, TileProgram};
 use swole_kernels::AccessCounters;
 use swole_runtime::{charge_or_panic, ExecCtx, Executor, MemGauge};
@@ -24,9 +26,9 @@ mod pipeline;
 mod sinks;
 mod window;
 
-pub(crate) use pipeline::{exec_agg, AggStage};
+use pipeline::{exec_agg, AggStage};
 pub(crate) use sinks::scalar_scratch_bytes;
-pub(crate) use window::exec_window;
+use window::exec_window;
 
 /// Execution options threaded into every operator.
 #[derive(Clone, Copy)]
@@ -53,6 +55,34 @@ pub(crate) enum FkSource {
 }
 
 impl FkSource {
+    /// The positional FK mapping probe→parent: the registered FK index if
+    /// present, otherwise the raw `u32` FK column (dense parent keys).
+    /// Planning resolves it too, to validate the edge.
+    pub(crate) fn resolve(
+        db: &Database,
+        child: &str,
+        fk_col: &str,
+        parent: &str,
+    ) -> Result<FkSource, PlanError> {
+        if let Some(idx) = db.fk_index_arc(child, fk_col, parent) {
+            return Ok(FkSource::Index(idx));
+        }
+        let t = db.table_arc(child)?;
+        let col = t
+            .column_index(fk_col)
+            .ok_or_else(|| PlanError::UnknownColumn {
+                table: child.to_string(),
+                column: fk_col.to_string(),
+            })?;
+        if t.column_at(col).as_u32().is_none() {
+            return Err(PlanError::MissingFkIndex {
+                child: child.to_string(),
+                fk_column: fk_col.to_string(),
+            });
+        }
+        Ok(FkSource::Column(t, col))
+    }
+
     fn slice(&self) -> &[u32] {
         match self {
             FkSource::Index(idx) => idx.positions(),
@@ -73,6 +103,85 @@ pub(crate) struct BoundEdge<'a> {
     /// intermediate parent for chain edges).
     pub fk: FkSource,
     pub children: Vec<BoundEdge<'a>>,
+}
+
+impl<'a> BoundEdge<'a> {
+    /// Pin every table and FK column of a join forest for the query's
+    /// lifetime, recursing through chain edges (each nested edge's FK lives
+    /// on its *parent* table, i.e. the child of that nested edge).
+    fn bind_all(
+        db: &Database,
+        child: &str,
+        edges: &'a [JoinEdge],
+    ) -> Result<Vec<BoundEdge<'a>>, PlanError> {
+        edges
+            .iter()
+            .map(|e| {
+                Ok(BoundEdge {
+                    edge: e,
+                    parent_t: db.table_arc(&e.parent)?,
+                    fk: FkSource::resolve(db, child, &e.fk_col, &e.parent)?,
+                    children: BoundEdge::bind_all(db, &e.parent, &e.children)?,
+                })
+            })
+            .collect()
+    }
+}
+
+/// Execute a physical plan against an execution context, returning the
+/// result plus per-operator metrics (empty below
+/// [`MetricsLevel::Counters`]). Planner/executor drift (a table or FK
+/// index dropped after planning) propagates as a [`PlanError`] instead
+/// of panicking. Input tables and FK indexes are pinned as `Arc`
+/// snapshots for the query's lifetime.
+pub(crate) fn execute_shape(
+    db: &Database,
+    plan: &PhysicalPlan,
+    opts: ExecOpts<'_>,
+    ctx: &Arc<ExecCtx>,
+) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
+    let level = opts.level;
+    // Upfront cooperative check: zero-morsel inputs still observe an
+    // already-expired deadline or cancelled handle.
+    ctx.check()?;
+    if let Some(row) = &plan.shortcut {
+        // Statistics-backed answer: the planner proved the result from
+        // the catalog, so no table access happens at all.
+        let mut res = QueryResult::new(plan.shape.output_columns(), vec![row.clone()]);
+        let mut ops = Vec::new();
+        if level.counting() {
+            let mut op = OpMetrics::named("stats-shortcut");
+            op.access.rows_out = 1;
+            ops.push(op);
+        }
+        post_process(&plan.post, &mut res, &mut ops, level, ctx)?;
+        return Ok((res, ops));
+    }
+    match &plan.shape {
+        Shape::Agg(shape) => {
+            let table = &db.table_arc(&shape.table)?;
+            let edges = &BoundEdge::bind_all(db, &shape.table, &shape.edges)?;
+            // The tables a dense key domain is a fact about: the scanned
+            // one, and the first edge's parent when the key is its FK.
+            let domain_t = edges.first().map_or(table, |e| &e.parent_t);
+            let group_table = shape
+                .group_table
+                .at((table.generation(), domain_t.generation()));
+            let stage = AggStage {
+                shape,
+                table,
+                edges,
+            };
+            let (mut res, mut ops) = exec_agg(stage, group_table, opts, ctx)?;
+            post_process(&plan.post, &mut res, &mut ops, level, ctx)?;
+            Ok((res, ops))
+        }
+        // The window pipeline holds its output as columns and applies
+        // `post` itself, before it assembles rows.
+        Shape::WindowScan(shape) => {
+            exec_window(&db.table_arc(&shape.table)?, shape, &plan.post, opts, ctx)
+        }
+    }
 }
 
 /// Thread-local state of a whole-table filter scan: the stage's register
@@ -214,7 +323,7 @@ pub(crate) fn apply_post_ops(
 }
 
 /// [`apply_post_ops`] on a result whose rows are already assembled.
-pub(crate) fn post_process(
+fn post_process(
     post: &[PostOp],
     res: &mut QueryResult,
     ops: &mut Vec<OpMetrics>,

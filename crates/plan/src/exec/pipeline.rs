@@ -20,10 +20,10 @@ use std::time::Instant;
 use super::build::{build_edge_side, narrow_selection, BuildSide};
 use super::sinks::{GroupedSink, ScalarSink, Sink};
 use super::{BoundEdge, ExecOpts, FkSource};
-use crate::engine::QueryResult;
 use crate::error::PlanError;
 use crate::metrics::OpMetrics;
 use crate::physical::{AggShape, FrontEnd, GroupTableRepr, JoinEdge};
+use crate::result::QueryResult;
 use crate::tile::{scalar_sinks, BoundProgram, Regs};
 use swole_ht::{AggTable, DenseAggTable};
 use swole_kernels::{predicate, tiles_in, AccessCounters};

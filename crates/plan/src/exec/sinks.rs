@@ -6,12 +6,12 @@ use std::sync::Arc;
 
 use super::build::BuildSide;
 use super::pipeline::{AggStage, Sides, Tile};
-use crate::engine::QueryResult;
 use crate::error::PlanError;
 use crate::expr::AggFunc;
 use crate::logical::AggSpec;
 use crate::metrics::OpMetrics;
 use crate::physical::{AggMode, FrontEnd};
+use crate::result::QueryResult;
 use crate::tile::{
     self, with_lane, FusedSum, GroupIn, GroupSink, Lane, Regs, ScalarSinks, TileProgram,
 };

@@ -5,11 +5,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use super::{apply_post_ops, stitch, ExecOpts, ScanAcc};
-use crate::engine::QueryResult;
 use crate::error::PlanError;
 use crate::logical::{FrameSpec, WindowFunc};
 use crate::metrics::OpMetrics;
 use crate::physical::{PostOp, WindowShape};
+use crate::result::QueryResult;
 use crate::tile::{Regs, TileProgram};
 use swole_cost::WindowStrategy;
 use swole_kernels::{selvec, tiles, tiles_in};

@@ -6,11 +6,11 @@
 //! (the role HyPer plays as a sanity baseline in the paper's evaluation).
 
 use crate::catalog::Database;
-use crate::engine::QueryResult;
 use crate::error::PlanError;
 use crate::expr::{AggFunc, Expr};
 use crate::logical::{AggSpec, FrameSpec, LogicalPlan, SortKey, WindowFunc};
 use crate::metrics::OpMetrics;
+use crate::result::QueryResult;
 use std::collections::BTreeMap;
 
 /// Execute `plan` naively.

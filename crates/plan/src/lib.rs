@@ -31,17 +31,22 @@
 
 #![warn(missing_docs)]
 
+mod builder;
 mod cache;
 mod catalog;
 mod engine;
 mod error;
 mod exec;
+mod explain;
 pub mod expr;
 pub mod interp;
+mod lifecycle;
 mod logical;
 pub mod metrics;
 pub mod physical;
+mod planner;
 mod prepared;
+mod result;
 mod session;
 pub mod sql;
 pub mod stats;
@@ -49,19 +54,21 @@ mod tile;
 mod value;
 mod verify;
 
+pub use builder::{EngineBuilder, StrategyOverrides};
 pub use cache::{FallbackBreakerStats, PlanCacheStats};
 pub use catalog::Database;
-pub use engine::{
-    Engine, EngineBuilder, Explain, JoinEdgeExplain, QueryResult, ShutdownReport, StrategyOverrides,
-};
+pub use engine::Engine;
 pub use error::PlanError;
+pub use explain::{Explain, JoinEdgeExplain};
 pub use expr::{AggFunc, CmpOp, Expr};
+pub use lifecycle::ShutdownReport;
 pub use logical::{
     limit, order_by, AggSpec, FrameSpec, LogicalPlan, QueryBuilder, SortKey, WindowFnSpec,
     WindowFunc,
 };
 pub use metrics::{MetricsLevel, OpMetrics, QueryMetrics};
 pub use prepared::{BoundStatement, PreparedStatement};
+pub use result::QueryResult;
 pub use session::{QueryOptions, Session};
 pub use sql::{parse as parse_sql, ExplainMode, ParamSlot, SqlError};
 pub use stats::{ColumnStats, StatsMode, TableStats};

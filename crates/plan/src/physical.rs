@@ -371,6 +371,39 @@ impl Shape {
             Shape::WindowScan(w) => w.describe(),
         }
     }
+
+    /// Output column names of the core pipeline, for validating post-op
+    /// sort keys at plan time.
+    pub(crate) fn output_columns(&self) -> Vec<String> {
+        match self {
+            Shape::Agg(AggShape { group, aggs, .. }) => group
+                .iter()
+                .cloned()
+                .chain(aggs.iter().map(|a| a.name.clone()))
+                .collect(),
+            Shape::WindowScan(WindowShape { select, funcs, .. }) => select
+                .iter()
+                .cloned()
+                .chain(funcs.iter().map(|f| f.name.clone()))
+                .collect(),
+        }
+    }
+
+    /// The table whose filter drives the plan's *first* operator — the one an
+    /// observed selectivity is attributed to under adaptive statistics.
+    pub(crate) fn primary_stats_table(&self) -> Option<&str> {
+        match self {
+            // A join's first operator is its first edge's build.
+            Shape::Agg(AggShape { edges, .. }) if !edges.is_empty() => edges[0]
+                .parent_filter
+                .as_ref()
+                .map(|_| edges[0].parent.as_str()),
+            Shape::Agg(AggShape { table, filter, .. })
+            | Shape::WindowScan(WindowShape { table, filter, .. }) => {
+                filter.as_ref().map(|_| table.as_str())
+            }
+        }
+    }
 }
 
 impl JoinEdge {

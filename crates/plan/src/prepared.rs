@@ -26,10 +26,12 @@
 //! # Ok::<(), swole_plan::PlanError>(())
 //! ```
 
-use crate::engine::{Engine, Explain, QueryResult};
+use crate::engine::Engine;
 use crate::error::PlanError;
+use crate::explain::Explain;
 use crate::expr::{CmpOp, Expr};
 use crate::logical::LogicalPlan;
+use crate::result::QueryResult;
 use crate::session::{QueryOptions, Session};
 use crate::value::{Params, Value};
 

@@ -4,11 +4,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::engine::{Engine, Explain, QueryResult};
+use crate::engine::Engine;
 use crate::error::PlanError;
+use crate::explain::Explain;
 use crate::logical::LogicalPlan;
 use crate::metrics::MetricsLevel;
 use crate::physical::PhysicalPlan;
+use crate::result::QueryResult;
 use swole_runtime::{CancelState, ExecHandle, Priority};
 use swole_verify::VerifyLevel;
 
@@ -190,7 +192,8 @@ impl Session {
         let merged = opts.or(&self.defaults);
         let inner = self.engine.inner();
         let db = inner.read_db();
-        inner.query_leveled(&db, plan, &self.cancel, &merged, MetricsLevel::Off)
+        let ran = inner.query_leveled(&db, plan, &self.cancel, &merged, MetricsLevel::Off);
+        ran.map(|(res, _)| res)
     }
 
     /// [`Engine::execute`] under this session's scope and defaults.
@@ -225,7 +228,9 @@ impl Session {
         let merged = opts.or(&self.defaults);
         let inner = self.engine.inner();
         let db = inner.read_db();
-        let res = inner.query_leveled(&db, plan, &self.cancel, &merged, MetricsLevel::Timings)?;
-        inner.explain_for(&db, plan, res.metrics)
+        let (res, ran) =
+            inner.query_leveled(&db, plan, &self.cancel, &merged, MetricsLevel::Timings)?;
+        let cached = inner.peek(&db, plan).is_some();
+        Ok(inner.explain_planned(&db, &ran, cached, res.metrics))
     }
 }

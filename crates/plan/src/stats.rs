@@ -5,8 +5,10 @@
 //! planner samples a bounded number of rows — deterministic (stride
 //! sampling) so plans are reproducible.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::RwLock;
 
+use crate::catalog::Database;
 use crate::expr::Expr;
 use swole_storage::Table;
 
@@ -88,6 +90,81 @@ impl TableStats {
     /// precondition for answering aggregates straight from the catalog.
     pub fn fresh_for(&self, generation: u64) -> bool {
         self.generation == generation
+    }
+}
+
+/// An engine's statistics snapshots, one [`TableStats`] per table, kept as
+/// its [`StatsMode`] says: collected at registration and reload, refreshed
+/// lazily when a table's generation counter has moved past the snapshot's,
+/// and — under [`StatsMode::Adaptive`] — annotated with what runs observed.
+#[derive(Debug)]
+pub(crate) struct StatsCatalog {
+    mode: StatsMode,
+    tables: RwLock<HashMap<String, TableStats>>,
+}
+
+impl StatsCatalog {
+    /// Snapshot every table of `db` (none under [`StatsMode::Off`]).
+    pub(crate) fn new(mode: StatsMode, db: &Database) -> StatsCatalog {
+        let stats = StatsCatalog {
+            mode,
+            tables: RwLock::default(),
+        };
+        for name in db.table_names() {
+            stats.reload(db.table(name).expect("registered"));
+        }
+        stats
+    }
+
+    /// How the snapshots are collected and maintained.
+    pub(crate) fn mode(&self) -> StatsMode {
+        self.mode
+    }
+
+    /// Replace `table`'s snapshot after it was (re)loaded.
+    pub(crate) fn reload(&self, table: &Table) {
+        if self.mode != StatsMode::Off {
+            let fresh = collect_table_stats(table);
+            let mut map = self.tables.write().unwrap_or_else(|e| e.into_inner());
+            map.insert(table.name().to_string(), fresh);
+        }
+    }
+
+    /// Current snapshot for `name`, refreshed if the table's generation
+    /// moved past the snapshot's. `None` when statistics are off or the
+    /// table is unknown.
+    pub(crate) fn for_table(&self, db: &Database, name: &str) -> Option<TableStats> {
+        if self.mode == StatsMode::Off {
+            return None;
+        }
+        let generation = db.generation(name)?;
+        {
+            let map = self.tables.read().unwrap_or_else(|e| e.into_inner());
+            if let Some(s) = map.get(name) {
+                if s.fresh_for(generation) {
+                    return Some(s.clone());
+                }
+            }
+        }
+        let fresh = collect_table_stats(db.table(name).ok()?);
+        let mut map = self.tables.write().unwrap_or_else(|e| e.into_inner());
+        let entry = map.entry(name.to_string()).or_insert_with(|| fresh.clone());
+        if !entry.fresh_for(generation) {
+            *entry = fresh.clone();
+        }
+        Some(entry.clone())
+    }
+
+    /// Fold an observed filter selectivity back into `name`'s snapshot
+    /// ([`StatsMode::Adaptive`] only).
+    pub(crate) fn observe_selectivity(&self, name: &str, observed: f64) {
+        if self.mode != StatsMode::Adaptive {
+            return;
+        }
+        let mut map = self.tables.write().unwrap_or_else(|e| e.into_inner());
+        if let Some(s) = map.get_mut(name) {
+            s.observed_selectivity = Some(observed);
+        }
     }
 }
 

@@ -326,6 +326,44 @@ fn assert_drift_replans_once(engine: &Engine, plan: &LogicalPlan) {
     assert!(est < 0.1, "the re-plan's σ is the observed one, est={est}");
 }
 
+/// After the drift re-plan a statement still has one plan: `EXPLAIN ANALYZE`
+/// reports the plan its run executed — strategy, the decision that σ was
+/// overridden, and that σ as the estimate the observed one is set against —
+/// and plain `EXPLAIN`, which says `cached`, shows that same cached plan.
+fn assert_explain_describes_the_replanned_run(engine: &Engine, plan: &LogicalPlan) {
+    let ex = engine.explain_analyze(plan).expect("runs");
+    let ran = ex.runtime.last().expect("the run is recorded");
+    assert!(
+        ran.starts_with(&format!("{}: ok", ex.strategy)),
+        "EXPLAIN ANALYZE shows `{}` over a run of `{ran}`",
+        ex.strategy
+    );
+    let overridden = ex
+        .decisions
+        .iter()
+        .find(|d| d.contains(" overridden to ") && d.ends_with("(observed after drift)"))
+        .unwrap_or_else(|| panic!("no drift override among {:?}", ex.decisions));
+    let est = ex
+        .analyze
+        .as_ref()
+        .and_then(|m| m.estimated_selectivity)
+        .expect("estimate recorded");
+    assert!(
+        overridden.contains(&format!(" overridden to {est:.4} ")),
+        "analyze estimates σ={est:.4} under `{overridden}`"
+    );
+    assert_eq!(ex.plan_source.as_deref(), Some("cached"));
+    // Up to the analyze block (and the observed cardinalities it fills into
+    // the join tree), the two reports are the same text.
+    let mut head = ex.clone();
+    head.analyze = None;
+    for edge in &mut head.join_tree {
+        edge.observed_rows = None;
+    }
+    let plain = engine.explain(plan).expect("plans");
+    assert_eq!(plain.to_string(), head.to_string());
+}
+
 #[test]
 fn drift_between_sample_and_reality_triggers_replan() {
     let n = 50_000usize;
@@ -339,7 +377,14 @@ fn drift_between_sample_and_reality_triggers_replan() {
             .with_column("r_x", sampler_fooling_column(n)),
     );
     let engine = Engine::builder(db).metrics(MetricsLevel::Counters).build();
-    assert_drift_replans_once(&engine, &sum_where_x_lt(50));
+    let plan = sum_where_x_lt(50);
+    assert_drift_replans_once(&engine, &plan);
+    assert_explain_describes_the_replanned_run(&engine, &plan);
+    assert_eq!(
+        engine.explain(&plan).expect("plans").strategy,
+        "hybrid",
+        "at the observed σ the scan is hybrid, not the sample's value masking"
+    );
 }
 
 /// The same feedback through a two-table semijoin: the drifted filter is
@@ -370,6 +415,7 @@ fn drifted_semijoin_build_filter_triggers_replan() {
         )
         .aggregate(None, vec![AggSpec::sum(Expr::col("r_a"), "s")]);
     assert_drift_replans_once(&engine, &plan);
+    assert_explain_describes_the_replanned_run(&engine, &plan);
 }
 
 #[test]
