@@ -7,14 +7,18 @@
 //! ```
 //!
 //! Output: `figure,series,x,runtime_ms` rows on stdout (progress on
-//! stderr). `x` is the selectivity (%) for the microbenchmarks and the
-//! query name for Fig. 6. Scale via `SWOLE_R_ROWS` / `SWOLE_S_SMALL` /
+//! stderr). `x` is the selectivity (%) for the microbenchmarks, the query
+//! name for Fig. 6 and the group count for the `4g` sweep. Scale via `SWOLE_R_ROWS` / `SWOLE_S_SMALL` /
 //! `SWOLE_S_LARGE` / `SWOLE_SF` (see `swole-bench` docs).
 
 use swole_bench::{median_ms, r_rows, s_large, s_small, tpch_sf};
-use swole_cost::{BitmapBuild, CostParams};
+use swole_cost::{AggStrategy, BitmapBuild, CostParams};
+use swole_ht::{AggTable, GroupTable};
 use swole_kernels::agg::{Div, Mul};
-use swole_micro::{generate, q1, q2, q3, q4, q5, MicroParams};
+use swole_kernels::{groupby, predicate, selvec, tiles, TILE};
+use swole_micro::{generate, q1, q2, q3, q4, q5, MicroParams, RTable};
+use swole_plan::{AggSpec, CmpOp, Database, Engine, Expr, QueryBuilder, StrategyOverrides};
+use swole_storage::{ColumnData, Table};
 use swole_tpch::queries as tq;
 
 struct Opts {
@@ -85,9 +89,127 @@ fn micro_db(s_rows: usize, card: usize) -> swole_micro::MicroDb {
     })
 }
 
+/// The selectivity the group-count sweep holds fixed.
+const SWEEP_SEL: i8 = 50;
+
+/// The hand-coded side of the `4g` sweep: the paper's grouped loops over an
+/// `N`-aggregate list — predicate prepass, then the strategy's upsert
+/// kernel into an `AggTable` with the checked adds, as a pipeline written
+/// by hand (no certificate, no catalog) runs them. Sorted rows.
+fn groupby_handcoded<const N: usize>(
+    strategy: AggStrategy,
+    r: &RTable,
+    inputs: [&[i32]; N],
+    card: usize,
+) -> Vec<Vec<i64>> {
+    let mut ht = AggTable::with_capacity(N, card);
+    let (mut cmp, mut idx, mut keys) = ([0u8; TILE], [0u32; TILE], [0i64; TILE]);
+    for (s, l) in tiles(r.len()) {
+        predicate::cmp_lt(&r.x[s..s + l], SWEEP_SEL, &mut cmp[..l]);
+        let (c, ins) = (&r.c[s..s + l], inputs.map(|v| &v[s..s + l]));
+        match strategy {
+            AggStrategy::Hybrid => {
+                let k = selvec::fill_nobranch(&cmp[..l], 0, &mut idx[..l]);
+                groupby::groupby_gather_n::<_, _, N, false>(c, ins, &idx[..k], 0, &mut ht);
+            }
+            AggStrategy::ValueMasking => {
+                groupby::groupby_value_masked_n::<_, _, N, false>(c, ins, &cmp[..l], 0, &mut ht);
+            }
+            AggStrategy::KeyMasking => {
+                groupby::mask_keys(c, &cmp[..l], &mut keys[..l]);
+                groupby::groupby_key_masked_n::<_, N, false>(&keys[..l], ins, 0, &mut ht);
+            }
+        }
+    }
+    let valid = GroupTable::iter(&ht).filter(|&(_, _, valid)| valid);
+    let mut rows: Vec<Vec<i64>> = valid
+        .map(|(k, state, _)| std::iter::once(k).chain(state.iter().copied()).collect())
+        .collect();
+    rows.sort_unstable();
+    rows
+}
+
+/// Fig. 4 as a sweep over the group count: the three grouped strategies at
+/// a fixed 50 % selectivity, G ∈ {2, 3, 4, 16, 1 024, 256 Ki} ×
+/// {1, 2, 4} aggregates, engine-planned (the strategy pinned, everything
+/// else — group table, sink, proof — the planner's) against hand-coded.
+/// `x` is G; the series is `<side>:<strategy>:a<aggregates>`.
+fn group_count_sweep(runs: usize) {
+    let ones = vec![1i32; r_rows()];
+    for card in [2usize, 3, 4, 16, 1 << 10, 256 << 10] {
+        eprintln!("fig 4g: group-by (G = {card})");
+        let db = micro_db(s_small(), card);
+        let r = &db.r;
+        let catalog = || {
+            let mut out = Database::new();
+            out.add_table(
+                Table::new("R")
+                    .with_column("a", ColumnData::I32(r.a.clone()))
+                    .with_column("b", ColumnData::I32(r.b.clone()))
+                    .with_column("c", ColumnData::I32(r.c.clone()))
+                    .with_column("x", ColumnData::I8(r.x.clone())),
+            );
+            out
+        };
+        let (a, b) = (Expr::col("a"), Expr::col("b"));
+        let lists = [
+            vec![AggSpec::sum(a.clone(), "sa")],
+            vec![AggSpec::sum(a.clone(), "sa"), AggSpec::count("n")],
+            vec![
+                AggSpec::sum(a.clone(), "sa"),
+                AggSpec::sum(b, "sb"),
+                AggSpec::sum(a, "sa2"),
+                AggSpec::count("n"),
+            ],
+        ];
+        for strategy in [
+            AggStrategy::Hybrid,
+            AggStrategy::ValueMasking,
+            AggStrategy::KeyMasking,
+        ] {
+            let engine = Engine::builder(catalog())
+                .threads(1)
+                .strategies(StrategyOverrides::pin_agg(strategy))
+                .build();
+            for aggs in &lists {
+                let plan = QueryBuilder::scan("R")
+                    .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(SWEEP_SEL as i64)))
+                    .aggregate(Some("c"), aggs.clone());
+                let handcoded = || match aggs.len() {
+                    1 => groupby_handcoded(strategy, r, [&r.a], card),
+                    2 => groupby_handcoded(strategy, r, [&r.a, &ones], card),
+                    _ => groupby_handcoded(strategy, r, [&r.a, &r.b, &r.a, &ones], card),
+                };
+                let planned = || engine.query(&plan).expect("the sweep's plans run").rows;
+                assert_eq!(planned(), handcoded(), "{} G={card}", strategy.name());
+                let (x, series) = (
+                    card.to_string(),
+                    format!("{}:a{}", strategy.name(), aggs.len()),
+                );
+                emit(
+                    "4g",
+                    &format!("engine:{series}"),
+                    &x,
+                    median_ms(runs, planned),
+                );
+                emit(
+                    "4g",
+                    &format!("handcoded:{series}"),
+                    &x,
+                    median_ms(runs, handcoded),
+                );
+            }
+        }
+    }
+}
+
 fn main() {
     let opts = parse_args();
     println!("figure,series,x,runtime_ms");
+
+    if wanted(&opts, "4g") {
+        group_count_sweep(opts.runs);
+    }
 
     // ---- Fig. 8: micro Q1, value masking --------------------------------
     for (id, div) in [("8a", false), ("8b", true)] {

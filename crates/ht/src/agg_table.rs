@@ -329,6 +329,15 @@ impl AggTable {
         self.overflowed |= wrapped;
     }
 
+    /// [`AggTable::add`] without the sticky flag, for an accumulator a
+    /// bounds certificate proved cannot leave `i64`. Still an explicit
+    /// wrapping add: a wrong proof gives a wrong sum, never a panic.
+    #[inline(always)]
+    pub fn add_proven(&mut self, offset: usize, agg: usize, v: i64) {
+        debug_assert!(agg < self.n_aggs);
+        self.states[offset + agg] = self.states[offset + agg].wrapping_add(v);
+    }
+
     /// `true` if any [`AggTable::add`] or [`AggTable::merge_from`] addition
     /// has wrapped around `i64` since the table was created (the flag also
     /// propagates from merged-in partials).

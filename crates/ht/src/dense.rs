@@ -16,8 +16,9 @@ use crate::group_table::GroupTable;
 
 /// Flag bit: the entry received a real (unmasked) update.
 const VALID: u8 = 1;
-/// Flag bit: `entry` was called for the key (what a slot holding the key is
-/// to the hash table).
+/// Flag bit: an upsert reached the key (what a slot holding the key is to
+/// the hash table). Written by the valid update every upsert ends with, so
+/// `entry` itself stores nothing.
 const PRESENT: u8 = 2;
 
 /// A [`GroupTable`] over the contiguous key domain `[min, max]`: the state
@@ -31,6 +32,13 @@ const PRESENT: u8 = 2;
 /// The flags are indexed by state offset (one byte per state word, the
 /// first of each entry used) so that the per-lane flag update needs no
 /// division by `n_aggs`.
+///
+/// The upsert is **lean**: [`GroupTable::entry`] is offset arithmetic and
+/// nothing else, presence is recorded by the valid update that follows the
+/// adds (a plain store for [`GroupTable::set_valid`]), and the probes are
+/// counted once per tile by the loop that issued them
+/// ([`GroupTable::note_probes`]) — per lane, the table costs its caller the
+/// adds the lane is for and one flag byte.
 ///
 /// "Fine-Tuning Data Structures for Analytical Query Processing" shows this
 /// dictionary choice dominating group-by and groupjoin loops; the planner
@@ -46,9 +54,10 @@ pub struct DenseAggTable {
     states: Vec<i64>,
     flags: Vec<u8>,
     overflowed: bool,
-    /// `probes` and `bytes_allocated` as they stand; `inserts` holds only
-    /// the keys since deleted — [`GroupTable::counters`] adds the present
-    /// ones, so the find-or-insert path keeps no second running count.
+    /// `probes` (as the upsert loops report them) and `bytes_allocated` as
+    /// they stand; `inserts` holds only the keys since deleted —
+    /// [`GroupTable::counters`] adds the present ones, so the find-or-insert
+    /// path keeps no running count at all.
     counters: HtCounters,
 }
 
@@ -132,16 +141,15 @@ impl DenseAggTable {
 }
 
 impl GroupTable for DenseAggTable {
-    /// One flag update and the probe count are all the bookkeeping a
-    /// lane pays: anything that asks whether the key was new (a running
-    /// `len`, an insert counter) costs the upsert loops more than the
-    /// hashing this table exists to save, so those are counted on demand.
+    /// Offset arithmetic only. Anything that asks whether the key was new
+    /// (a running `len`, an insert counter) or touches a second cache line
+    /// per lane (a presence flag, a probe count) costs the upsert loops
+    /// more than the hashing this table exists to save: presence rides on
+    /// the valid update, probes are reported per tile, the rest is counted
+    /// on demand.
     #[inline(always)]
     fn entry(&mut self, key: i64) -> usize {
-        let off = self.offset_of(key);
-        self.flags[off] |= PRESENT;
-        self.counters.probes += 1;
-        off
+        self.offset_of(key)
     }
 
     #[inline(always)]
@@ -153,13 +161,24 @@ impl GroupTable for DenseAggTable {
     }
 
     #[inline(always)]
+    fn add_proven(&mut self, offset: usize, agg: usize, v: i64) {
+        debug_assert!(agg < self.n_aggs);
+        self.states[offset + agg] = self.states[offset + agg].wrapping_add(v);
+    }
+
+    #[inline(always)]
     fn set_valid(&mut self, offset: usize) {
         self.flags[offset] = PRESENT | VALID;
     }
 
     #[inline(always)]
     fn or_valid(&mut self, offset: usize, flag: u8) {
-        self.flags[offset] |= flag & VALID;
+        self.flags[offset] |= PRESENT | (flag & VALID);
+    }
+
+    #[inline(always)]
+    fn note_probes(&mut self, n: usize) {
+        self.counters.probes += n as u64;
     }
 
     #[inline(always)]
@@ -275,12 +294,20 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    /// A whole upsert with nothing to add, as the loops issue one.
+    fn upsert(t: &mut DenseAggTable, key: i64) -> usize {
+        let off = t.entry(key);
+        t.set_valid(off);
+        t.note_probes(1);
+        off
+    }
+
     #[test]
     fn offsets_follow_the_documented_layout() {
         let mut t = DenseAggTable::new(3, -5, 4);
-        assert_eq!(t.entry(NULL_KEY), 0, "offset 0 is the throwaway");
-        assert_eq!(t.entry(-5), 3, "(key - min + 1) * n_aggs");
-        assert_eq!(t.entry(4), 30, "key == max is the last entry");
+        assert_eq!(upsert(&mut t, NULL_KEY), 0, "offset 0 is the throwaway");
+        assert_eq!(upsert(&mut t, -5), 3, "(key - min + 1) * n_aggs");
+        assert_eq!(upsert(&mut t, 4), 30, "key == max is the last entry");
         assert_eq!(t.len(), 2, "the throwaway is not a real entry");
         assert_eq!(t.size_bytes(), DenseAggTable::bytes_for(10, 3));
         assert_eq!(t.counters().bytes_allocated, t.size_bytes() as u64);
@@ -291,11 +318,19 @@ mod tests {
             "the throwaway counts, as in the hash table"
         );
         assert!(t.delete(4));
-        t.entry(4);
-        t.entry(4);
+        upsert(&mut t, 4);
+        upsert(&mut t, 4);
         assert_eq!(t.counters().inserts, 4, "lifetime inserts survive deletion");
         assert_eq!(t.len(), 2);
         assert_eq!((t.counters().probe_steps, t.counters().resizes), (0, 0));
+        // The lean contract: `entry` alone is arithmetic — the key becomes an
+        // entry with the valid update, the probe is counted when reported.
+        let before = t.counters();
+        assert_eq!(t.entry(0), 18);
+        assert_eq!((t.len(), t.counters()), (2, before));
+        t.or_valid(18, 0);
+        assert_eq!(t.len(), 3, "a masked update still inserts its key");
+        assert!(!t.is_valid(18));
     }
 
     #[test]
@@ -326,6 +361,7 @@ mod tests {
         assert!(!t.is_valid(off));
         let off = t.entry(NULL_KEY);
         t.add(off, 0, 5);
+        t.or_valid(off, 0);
         assert_eq!(t.null_state(), &[5, 0]);
         assert!(t.delete(NULL_KEY));
         assert!(!t.delete(NULL_KEY));
@@ -342,8 +378,8 @@ mod tests {
         assert_eq!(keys, vec![i64::MAX]);
         assert!(!top.delete(i64::MIN), "far below the domain is just absent");
         let mut bottom = DenseAggTable::new(1, NULL_KEY + 1, NULL_KEY + 2);
-        assert_eq!(bottom.entry(NULL_KEY), 0);
-        assert_eq!(bottom.entry(NULL_KEY + 1), 1);
+        assert_eq!(upsert(&mut bottom, NULL_KEY), 0);
+        assert_eq!(upsert(&mut bottom, NULL_KEY + 1), 1);
         assert!(!bottom.delete(i64::MAX));
         assert_eq!(bottom.len(), 1);
     }
@@ -373,21 +409,45 @@ mod tests {
     /// One step of the differential below.
     #[derive(Clone, Copy)]
     enum Step {
-        /// `entry`, `add` to slot 0, min into slot 1, then the valid update.
+        /// `entry`, `add` (or `add_proven`) to slot 0, min into slot 1, then
+        /// the valid update.
         Update {
             key: i64,
             v: i64,
             valid: Option<u8>,
+            proven: bool,
         },
         Delete(i64),
     }
 
-    fn drive<T: GroupTable>(t: &mut T, steps: &[Step]) {
+    /// Run `steps`, reporting the probes once per "tile" of 16 steps as the
+    /// upsert loops do. Returns the `entry` calls issued.
+    fn drive<T: GroupTable>(t: &mut T, steps: &[Step]) -> u64 {
+        let mut probes = 0;
+        for tile in steps.chunks(16) {
+            let upserts = tile.iter().filter(|s| matches!(s, Step::Update { .. }));
+            t.note_probes(upserts.count());
+            probes += drive_tile(t, tile);
+        }
+        probes
+    }
+
+    fn drive_tile<T: GroupTable>(t: &mut T, steps: &[Step]) -> u64 {
+        let mut probes = 0;
         for &s in steps {
             match s {
-                Step::Update { key, v, valid } => {
+                Step::Update {
+                    key,
+                    v,
+                    valid,
+                    proven,
+                } => {
+                    probes += 1;
                     let off = t.entry(key);
-                    t.add(off, 0, v);
+                    match proven {
+                        true => t.add_proven(off, 0, v),
+                        false => t.add(off, 0, v),
+                    }
                     if key != NULL_KEY && valid != Some(0) {
                         let fresh = !t.is_valid(off);
                         let s = &mut t.states_mut()[off + 1];
@@ -403,6 +463,7 @@ mod tests {
                 }
             }
         }
+        probes
     }
 
     /// `iter` (sorted), `len` and the overflow flag.
@@ -415,8 +476,11 @@ mod tests {
     }
 
     /// Both representations, driven by the same random `entry` / `add` /
-    /// `set_valid` / `or_valid` / `delete` sequences on four partial tables
-    /// that are then merged, agree on `iter`, `len` and the overflow flag.
+    /// `add_proven` / `set_valid` / `or_valid` / `delete` sequences on four
+    /// partial tables that are then merged, agree on `iter`, `len` and the
+    /// overflow flag — and the lean path reports the counters the table
+    /// that counted per lane did: one probe per `entry`, the hash table's
+    /// lifetime inserts, its own bytes, nothing else.
     #[test]
     fn dense_and_hash_agree_under_random_operations() {
         const OPS: [MergeOp; 2] = [MergeOp::Add, MergeOp::Min];
@@ -446,11 +510,13 @@ mod tests {
                                 key: key(&mut rng),
                                 v: value(&mut rng),
                                 valid: Some(rng.gen_range(0..2u8)),
+                                proven: rng.gen_range(0..2u8) == 0,
                             },
                             _ => Step::Update {
                                 key: key(&mut rng),
                                 v: value(&mut rng),
                                 valid: None,
+                                proven: rng.gen_range(0..2u8) == 0,
                             },
                         })
                         .collect()
@@ -461,10 +527,18 @@ mod tests {
             for steps in &partials {
                 let mut h = AggTable::with_capacity(2, 4);
                 let mut d = DenseAggTable::new(2, min, max);
-                drive(&mut h, steps);
-                drive(&mut d, steps);
+                let probes = drive(&mut h, steps);
+                assert_eq!(drive(&mut d, steps), probes);
                 assert_eq!(snapshot(&h), snapshot(&d), "seed {seed}: partial");
                 assert_eq!(h.null_state(), d.null_state(), "seed {seed}");
+                let reported = HtCounters {
+                    probes,
+                    inserts: h.counters().inserts,
+                    bytes_allocated: d.size_bytes() as u64,
+                    ..HtCounters::default()
+                };
+                assert_eq!(h.counters().probes, probes, "seed {seed}");
+                assert_eq!(d.counters(), reported, "seed {seed}: counters");
                 hash.merge_from(&h, &OPS);
                 dense.merge_from(&d, &OPS);
             }
@@ -484,6 +558,7 @@ mod tests {
         let mut a = DenseAggTable::new(1, 0, 3);
         let off = a.entry(2);
         a.add(off, 0, i64::MAX);
+        a.set_valid(off);
         let b = a.clone();
         assert!(!a.overflow_detected());
         a.merge_from(&b, &[MergeOp::Add]);

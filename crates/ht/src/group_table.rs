@@ -14,16 +14,28 @@ use crate::agg_table::{AggTable, HtCounters, MergeOp};
 /// commutative and associative. The kernels are generic over it, so a
 /// pipeline is compiled once per representation and the per-lane loop never
 /// asks which one it has.
+///
+/// An **upsert** is [`GroupTable::entry`], the adds, then one of
+/// [`GroupTable::set_valid`] / [`GroupTable::or_valid`]: the valid update is
+/// what makes the key an entry of the table (a representation may record
+/// presence there rather than in `entry`), and a loop tells the table once
+/// per tile how many upserts it issued ([`GroupTable::note_probes`]).
 pub trait GroupTable {
     /// Find or insert `key`, returning its state offset.
     fn entry(&mut self, key: i64) -> usize;
     /// Wrapping-add `v` to aggregate slot `agg` of the entry at `offset`,
     /// recording wraparound in the sticky overflow flag.
     fn add(&mut self, offset: usize, agg: usize, v: i64);
+    /// [`GroupTable::add`] for a site a bounds certificate proved cannot
+    /// leave `i64`: the same wrapping add, with no flag to maintain.
+    fn add_proven(&mut self, offset: usize, agg: usize, v: i64);
     /// Mark the entry at `offset` valid.
     fn set_valid(&mut self, offset: usize);
     /// OR `flag` (0 or 1) into the valid flag of the entry at `offset`.
     fn or_valid(&mut self, offset: usize, flag: u8);
+    /// Count `n` [`GroupTable::entry`] calls in [`HtCounters::probes`]. A
+    /// table whose `entry` counts for itself ignores it.
+    fn note_probes(&mut self, n: usize);
     /// The valid flag of the entry at `offset`.
     fn is_valid(&self, offset: usize) -> bool;
     /// The flat state array, indexed by offsets from [`GroupTable::entry`].
@@ -59,6 +71,10 @@ impl GroupTable for AggTable {
         AggTable::add(self, offset, agg, v);
     }
     #[inline(always)]
+    fn add_proven(&mut self, offset: usize, agg: usize, v: i64) {
+        AggTable::add_proven(self, offset, agg, v);
+    }
+    #[inline(always)]
     fn set_valid(&mut self, offset: usize) {
         AggTable::set_valid(self, offset);
     }
@@ -66,6 +82,9 @@ impl GroupTable for AggTable {
     fn or_valid(&mut self, offset: usize, flag: u8) {
         AggTable::or_valid(self, offset, flag);
     }
+    /// [`AggTable::entry`] has the counters' cache line in hand anyway.
+    #[inline(always)]
+    fn note_probes(&mut self, _n: usize) {}
     #[inline(always)]
     fn is_valid(&self, offset: usize) -> bool {
         AggTable::is_valid(self, offset)

@@ -21,6 +21,16 @@
 //! wrap via [`BinOp::apply`]. Masked strategies aggregate filtered tuples
 //! too, so a detected overflow may be wasted-work noise — callers decide
 //! whether to re-run data-centric.
+//!
+//! Each strategy also has an **aggregate-list form** (`*_n`): `N` inputs —
+//! one slice per `sum`, a slice of ones for `count(*)` — added to the
+//! aggregate slots `first..first + N` of each lane's entry. `N` is a const,
+//! so the aggregate list is unrolled into the loop body rather than walked
+//! inside it, and `PROVEN` picks [`GroupTable::add_proven`] over
+//! [`GroupTable::add`] at compile time for accumulators a bounds
+//! certificate proved: per lane, such a loop computes an offset and
+//! performs its adds. A list longer than the arity a caller instantiates
+//! is several calls with successive `first`s.
 
 // Tile-loop kernels: index arithmetic is bounded by slice lengths
 // (debug_assert'd) and accumulators follow the paper's convention of
@@ -43,13 +53,16 @@ pub fn groupby_datacentric<K: AsI64, A: AsI64, B: AsI64, O: BinOp>(
 ) {
     assert_eq!(keys.len(), a.len());
     assert_eq!(keys.len(), b.len());
+    let mut probes = 0;
     for j in 0..keys.len() {
         if pred(j) {
             let off = ht.entry(keys[j].widen());
             ht.add(off, 0, O::apply(a[j].widen(), b[j].widen()));
             ht.set_valid(off);
+            probes += 1;
         }
     }
+    ht.note_probes(probes);
 }
 
 /// Hybrid group-by: lookups driven by a selection vector of global row ids.
@@ -63,6 +76,7 @@ pub fn groupby_gather<K: AsI64, A: AsI64, B: AsI64, O: BinOp>(
 ) {
     assert_eq!(keys.len(), a.len());
     assert_eq!(keys.len(), b.len());
+    ht.note_probes(idx.len());
     for &j in idx {
         let j = j as usize;
         let off = ht.entry(keys[j].widen());
@@ -85,6 +99,7 @@ pub fn groupby_value_masked<K: AsI64, A: AsI64, B: AsI64, O: BinOp>(
     assert_eq!(keys.len(), a.len());
     assert_eq!(keys.len(), b.len());
     assert_eq!(keys.len(), cmp.len());
+    ht.note_probes(keys.len());
     for j in 0..keys.len() {
         let off = ht.entry(keys[j].widen());
         ht.add(off, 0, O::apply(a[j].widen(), b[j].widen()) * cmp[j] as i64);
@@ -118,9 +133,103 @@ pub fn groupby_key_masked<A: AsI64, B: AsI64, O: BinOp>(
 ) {
     assert_eq!(masked_keys.len(), a.len());
     assert_eq!(masked_keys.len(), b.len());
+    ht.note_probes(masked_keys.len());
     for j in 0..masked_keys.len() {
         let off = ht.entry(masked_keys[j]);
         ht.add(off, 0, O::apply(a[j].widen(), b[j].widen()));
+        ht.set_valid(off);
+    }
+}
+
+/// Add `f(inputs[i][j])` to aggregate slot `first + i` of the entry at
+/// `off`, for each of the `N` inputs: the unrolled body of every `*_n`
+/// kernel (here and in [`crate::join`]).
+#[inline(always)]
+pub(crate) fn add_lane<V: AsI64, const N: usize, const PROVEN: bool>(
+    ht: &mut impl GroupTable,
+    off: usize,
+    first: usize,
+    inputs: &[&[V]; N],
+    j: usize,
+    f: impl Fn(i64) -> i64,
+) {
+    for (i, input) in inputs.iter().enumerate() {
+        let v = f(input[j].widen());
+        if PROVEN {
+            ht.add_proven(off, first + i, v);
+        } else {
+            ht.add(off, first + i, v);
+        }
+    }
+}
+
+/// `inputs`, each cut to the `n` lanes of the tile (so the lane loop's
+/// index is visibly in range of all of them).
+#[inline(always)]
+pub(crate) fn tile_inputs<V, const N: usize>(inputs: [&[V]; N], n: usize) -> [&[V]; N] {
+    inputs.map(|v| {
+        assert_eq!(v.len(), n);
+        v
+    })
+}
+
+/// [`groupby_gather`] over an aggregate list: the rows `idx` selects upsert
+/// their key and add `inputs[i]` to aggregate slot `first + i`.
+#[inline]
+pub fn groupby_gather_n<K: AsI64, V: AsI64, const N: usize, const PROVEN: bool>(
+    keys: &[K],
+    inputs: [&[V]; N],
+    idx: &[u32],
+    first: usize,
+    ht: &mut impl GroupTable,
+) {
+    let inputs = tile_inputs(inputs, keys.len());
+    ht.note_probes(idx.len());
+    for &j in idx {
+        let j = j as usize;
+        let off = ht.entry(keys[j].widen());
+        add_lane::<V, N, PROVEN>(ht, off, first, &inputs, j, |v| v);
+        ht.set_valid(off);
+    }
+}
+
+/// [`groupby_value_masked`] over an aggregate list: every lane upserts its
+/// real key and adds `inputs[i] * cmp` to aggregate slot `first + i` —
+/// `count(*)` is the input of ones, which the mask turns into itself.
+#[inline]
+pub fn groupby_value_masked_n<K: AsI64, V: AsI64, const N: usize, const PROVEN: bool>(
+    keys: &[K],
+    inputs: [&[V]; N],
+    cmp: &[u8],
+    first: usize,
+    ht: &mut impl GroupTable,
+) {
+    assert_eq!(keys.len(), cmp.len());
+    let inputs = tile_inputs(inputs, keys.len());
+    ht.note_probes(keys.len());
+    for (j, (key, &c)) in keys.iter().zip(cmp).enumerate() {
+        let off = ht.entry(key.widen());
+        // c is 0/1, so the product cannot overflow.
+        add_lane::<V, N, PROVEN>(ht, off, first, &inputs, j, |v| v * c as i64);
+        ht.or_valid(off, c);
+    }
+}
+
+/// [`groupby_key_masked`] over an aggregate list: every lane upserts its
+/// masked key and adds the unmasked `inputs[i]` to aggregate slot
+/// `first + i` (the throwaway entry collects the filtered lanes').
+#[inline]
+pub fn groupby_key_masked_n<V: AsI64, const N: usize, const PROVEN: bool>(
+    masked_keys: &[i64],
+    inputs: [&[V]; N],
+    first: usize,
+    ht: &mut impl GroupTable,
+) {
+    let inputs = tile_inputs(inputs, masked_keys.len());
+    ht.note_probes(masked_keys.len());
+    for (j, &key) in masked_keys.iter().enumerate() {
+        let off = ht.entry(key);
+        add_lane::<V, N, PROVEN>(ht, off, first, &inputs, j, |v| v);
         ht.set_valid(off);
     }
 }
@@ -144,6 +253,8 @@ mod tests {
     use super::*;
     use crate::agg::Mul;
     use crate::{predicate, selvec, tiles, TILE};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::BTreeMap;
     use swole_ht::{AggTable, DenseAggTable};
 
@@ -262,6 +373,123 @@ mod tests {
                 assert_eq!(collect_groups(ht), expected, "{name} lit={lit}");
             }
         }
+    }
+
+    /// Sorted `(key, state)` rows of the valid entries, all aggregate slots.
+    fn collect_states(ht: &impl GroupTable) -> Vec<(i64, Vec<i64>)> {
+        let valid = ht.iter().filter(|&(_, _, valid)| valid);
+        let mut rows: Vec<_> = valid.map(|(k, state, _)| (k, state.to_vec())).collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    /// Every aggregate-list kernel at arity `N`, checked and proven, into
+    /// aggregate slots `first..first + N` of `new()`'s table, against
+    /// `groupby_datacentric` run once per aggregate.
+    fn list_kernels_match_datacentric<T: GroupTable, const N: usize>(
+        seed: u64,
+        key_card: i32,
+        first: usize,
+        new: impl Fn() -> T,
+    ) {
+        use crate::join::eager_aggregate_n;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = rng.gen_range(0..3 * TILE);
+        let lit = [0, 1, 50, 99, 100][rng.gen_range(0..5usize)];
+        let keys: Vec<u32> = (0..n).map(|_| rng.gen_range(0..key_card) as u32).collect();
+        let x: Vec<i32> = (0..n).map(|_| rng.gen_range(0..100)).collect();
+        let ones = vec![1i32; n];
+        // `count(*)` is an input like any other: a column of ones.
+        let cols: Vec<Vec<i32>> = (0..N)
+            .map(|i| match (i + seed as usize) % 3 {
+                0 => ones.clone(),
+                _ => (0..n).map(|_| rng.gen_range(-1000..1000)).collect(),
+            })
+            .collect();
+        let reference = |pred: &dyn Fn(usize) -> bool| {
+            let mut want: BTreeMap<i64, Vec<i64>> = BTreeMap::new();
+            for (i, col) in cols.iter().enumerate() {
+                let mut ht = AggTable::with_capacity(1, 64);
+                groupby_datacentric::<_, _, _, Mul>(&keys, col, &ones, pred, &mut ht);
+                for (k, sum) in collect_groups(&ht) {
+                    let width = first + N;
+                    want.entry(k).or_insert_with(|| vec![0; width])[first + i] = sum;
+                }
+            }
+            want.into_iter().collect::<Vec<_>>()
+        };
+        let filtered = reference(&|j| x[j] < lit);
+        let every_row = reference(&|_| true);
+        let tile =
+            |s: usize, l: usize| -> [&[i32]; N] { std::array::from_fn(|i| &cols[i][s..s + l]) };
+        let (mut cmp, mut idx, mut mk) = ([0u8; TILE], [0u32; TILE], [0i64; TILE]);
+        macro_rules! check {
+            ($proven:literal) => {{
+                let (mut hy, mut vm, mut km, mut ea) = (new(), new(), new(), new());
+                for (s, l) in tiles(n) {
+                    predicate::cmp_lt(&x[s..s + l], lit, &mut cmp[..l]);
+                    // Tile-local offsets: the inputs are the tile's slices.
+                    let k = selvec::fill_nobranch(&cmp[..l], 0, &mut idx[..l]);
+                    let (ks, ins, c) = (&keys[s..s + l], tile(s, l), &cmp[..l]);
+                    groupby_gather_n::<_, _, N, $proven>(ks, ins, &idx[..k], first, &mut hy);
+                    groupby_value_masked_n::<_, _, N, $proven>(ks, ins, c, first, &mut vm);
+                    mask_keys(ks, c, &mut mk[..l]);
+                    groupby_key_masked_n::<_, N, $proven>(&mk[..l], ins, first, &mut km);
+                    eager_aggregate_n::<_, _, N, $proven>(ks, ins, first, &mut ea);
+                }
+                let label = format!("seed {seed} N={N} proven={}", $proven);
+                assert_eq!(collect_states(&hy), filtered, "gather, {label}");
+                assert_eq!(collect_states(&vm), filtered, "value masked, {label}");
+                assert_eq!(collect_states(&km), filtered, "key masked, {label}");
+                assert_eq!(collect_states(&ea), every_row, "eager, {label}");
+                for ht in [&hy, &vm, &km, &ea] {
+                    assert!(!ht.overflow_detected(), "{label}");
+                }
+                // One probe per upsert, whoever does the counting.
+                let qualifying = x.iter().filter(|&&v| v < lit).count() as u64;
+                let probes = [&hy, &vm, &km, &ea].map(|ht| ht.counters().probes);
+                assert_eq!(
+                    probes,
+                    [qualifying, n as u64, n as u64, n as u64],
+                    "{label}"
+                );
+            }};
+        }
+        check!(false);
+        check!(true);
+    }
+
+    #[test]
+    fn aggregate_list_kernels_match_datacentric_per_aggregate() {
+        let cases = if cfg!(miri) { 2 } else { 12 };
+        for seed in 0..cases {
+            let card = [3, 64, 1000][seed as usize % 3];
+            let dense = |n_aggs| move || DenseAggTable::new(n_aggs, 0, card as i64 - 1);
+            let hash = |n_aggs| move || AggTable::with_capacity(n_aggs, 8);
+            list_kernels_match_datacentric::<_, 1>(seed, card, 0, dense(1));
+            list_kernels_match_datacentric::<_, 2>(seed, card, 0, dense(2));
+            list_kernels_match_datacentric::<_, 3>(seed, card, 0, hash(3));
+            list_kernels_match_datacentric::<_, 4>(seed, card, 0, dense(4));
+            list_kernels_match_datacentric::<_, 4>(seed, card, 0, hash(4));
+            // A later pass of a longer list: slots 4.. of a 5- and a 6-wide
+            // entry.
+            list_kernels_match_datacentric::<_, 1>(seed, card, 4, dense(5));
+            list_kernels_match_datacentric::<_, 2>(seed, card, 4, hash(6));
+        }
+    }
+
+    /// The checked form raises the table's flag where a sum leaves `i64`;
+    /// the proven form wraps to the same state without it.
+    #[test]
+    fn checked_lists_detect_overflow_and_proven_lists_wrap() {
+        let (keys, big) = ([0u32, 0], [i64::MAX, 1]);
+        let mut checked = DenseAggTable::new(1, 0, 0);
+        let mut proven = checked.clone();
+        groupby_value_masked_n::<_, _, 1, false>(&keys, [&big], &[1, 1], 0, &mut checked);
+        groupby_value_masked_n::<_, _, 1, true>(&keys, [&big], &[1, 1], 0, &mut proven);
+        assert!(checked.overflow_detected() && !proven.overflow_detected());
+        assert_eq!(collect_groups(&checked), vec![(0, i64::MIN)]);
+        assert_eq!(collect_groups(&proven), vec![(0, i64::MIN)]);
     }
 
     #[test]

@@ -121,8 +121,9 @@ pub(crate) struct EngineInner {
     /// from [`Engine::handle`] (sessions get their own scope).
     cancel: Arc<CancelState>,
     /// Runtime report of the most recent `query` (outcome, fallback,
-    /// partial progress) — surfaced through [`Explain::runtime`].
-    last_run: Mutex<Vec<String>>,
+    /// partial progress) under the cache key of the statement that ran —
+    /// surfaced through [`Explain::runtime`] of that statement only.
+    last_run: Mutex<(String, Vec<String>)>,
     /// Bounded, cost-keyed physical-plan cache shared by the session.
     cache: PlanCache,
     /// Drain/abort bookkeeping behind [`Engine::shutdown`].
@@ -172,7 +173,7 @@ impl Engine {
                     .global_budget
                     .map(|budget| Arc::new(GlobalMemoryPool::new(budget, b.memory_policy))),
                 cancel: Arc::new(CancelState::default()),
-                last_run: Mutex::new(Vec::new()),
+                last_run: Mutex::new((String::new(), Vec::new())),
                 cache: PlanCache::new(b.plan_cache_bytes),
                 lifecycle: Lifecycle::new(),
             }),
@@ -312,8 +313,8 @@ impl Engine {
         let inner = &self.inner;
         let db = inner.read_db();
         Ok(match inner.peek(&db, plan) {
-            Some(cached) => inner.explain_planned(&db, &cached, true, None),
-            None => inner.explain_planned(&db, &inner.plan_fresh(&db, plan)?, false, None),
+            Some(cached) => inner.explain_planned(&db, plan, &cached, true, None),
+            None => inner.explain_planned(&db, plan, &inner.plan_fresh(&db, plan)?, false, None),
         })
     }
 
@@ -373,7 +374,9 @@ impl Engine {
             self.inner
                 .verify_and_certify(&db, plan, &physical, VerifyLevel::Full)?;
         let cached = self.inner.peek(&db, plan).is_some();
-        let mut ex = self.inner.explain_planned(&db, &physical, cached, None);
+        let mut ex = self
+            .inner
+            .explain_planned(&db, plan, &physical, cached, None);
         ex.verification = report.lines;
         ex.verification.extend(cert.lines);
         Ok(ex)
@@ -501,9 +504,13 @@ impl EngineInner {
         self.planner(db).plan(plan, PlanHints::default())
     }
 
-    fn record_run(&self, report: Vec<String>) {
+    fn record_run(&self, cache_key: &str, report: Vec<String>) {
         if let Ok(mut last) = self.last_run.lock() {
-            *last = report;
+            // The key's buffer is reused: a warm statement allocates nothing
+            // to say whose report this is.
+            last.0.clear();
+            last.0.push_str(cache_key);
+            last.1 = report;
         }
     }
 
@@ -718,7 +725,7 @@ impl EngineInner {
             match self.fallback_datacentric(db, plan, &ctx, level) {
                 Ok((mut res, op)) => {
                     report.push(ok.into());
-                    self.record_run(report);
+                    self.record_run(&cache_key, report);
                     // A failed attempt's counters are discarded: the
                     // interpreter's single operator *replaces* the
                     // operator list, so rows are never double-counted.
@@ -728,7 +735,7 @@ impl EngineInner {
                 }
                 Err(fe) => {
                     report.push(format!("data-centric fallback failed: {fe}"));
-                    self.record_run(report);
+                    self.record_run(&cache_key, report);
                     Err(fe)
                 }
             }
@@ -766,7 +773,7 @@ impl EngineInner {
                     "{strategy}: ok ({done}/{total} morsels, {} B charged)",
                     ctx.gauge.used()
                 ));
-                self.record_run(report);
+                self.record_run(&cache_key, report);
                 self.attach_metrics(&mut res, physical, ops, &run, 0);
                 // Drift check: feed the measured selectivity back to the
                 // cache so a materially mis-estimated entry re-plans.
@@ -792,7 +799,7 @@ impl EngineInner {
             Err(e) => {
                 report.push(format!("{strategy}: {e} ({done}/{total} morsels)"));
                 if !e.is_retryable() {
-                    self.record_run(report);
+                    self.record_run(&cache_key, report);
                     return Err(e);
                 }
                 if self.cache.breaker_fallback_ran(&cache_key) {
@@ -917,11 +924,19 @@ impl EngineInner {
     pub(crate) fn explain_planned(
         &self,
         db: &Database,
+        plan: &LogicalPlan,
         physical: &PhysicalPlan,
         cached: bool,
         analyze: Option<QueryMetrics>,
     ) -> Explain {
         let (join_order, join_tree) = join_tree(db, physical);
+        // The engine keeps one run report; it is this statement's only if
+        // this statement was the last to run.
+        let key = self.cache_key(plan);
+        let runtime = match self.last_run.lock() {
+            Ok(last) if last.0 == key => last.1.clone(),
+            _ => Vec::new(),
+        };
         let mut ex = Explain {
             shape: physical.describe(),
             strategy: physical.strategy.clone(),
@@ -930,7 +945,7 @@ impl EngineInner {
             plan_source: Some(if cached { "cached" } else { "fresh" }.to_string()),
             cost_terms: physical.cost_terms.clone(),
             decisions: physical.decisions.clone(),
-            runtime: self.last_run.lock().map(|r| r.clone()).unwrap_or_default(),
+            runtime,
             analyze,
             join_order,
             join_tree,

@@ -38,7 +38,8 @@ pub(crate) struct ExecOpts<'a> {
     pub morsel_rows: usize,
     pub level: MetricsLevel,
     /// The plan's certificate proves every arithmetic site overflow-safe, so
-    /// the scalar sinks may run the unchecked kernels.
+    /// the scalar sinks may run the unchecked kernels and the grouped ones
+    /// the adds that keep no overflow flag.
     pub overflow_proved: bool,
 }
 

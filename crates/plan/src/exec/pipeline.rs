@@ -101,7 +101,7 @@ pub(crate) fn exec_agg(
         let front = fused_probe.map_or(front, |_| FrontEnd::EveryLane);
         return drive(stage, front, ScalarSink { sinks, fused_probe }, opts, ctx);
     };
-    let (n_aggs, mode) = (shape.aggs.len(), shape.mode);
+    let (n_aggs, mode, proven) = (shape.aggs.len(), shape.mode, opts.overflow_proved);
     match group_table {
         GroupTableRepr::Hash => {
             let parent_rows = stage.edges.first().map(|e| e.parent_t.len());
@@ -112,6 +112,7 @@ pub(crate) fn exec_agg(
                 sink,
                 mode,
                 counting,
+                proven,
             };
             drive(stage, front, sink, opts, ctx)
         }
@@ -122,6 +123,7 @@ pub(crate) fn exec_agg(
                 sink,
                 mode,
                 counting,
+                proven,
             };
             drive(stage, front, sink, opts, ctx)
         }

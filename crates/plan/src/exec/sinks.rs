@@ -13,7 +13,7 @@ use crate::metrics::OpMetrics;
 use crate::physical::{AggMode, FrontEnd};
 use crate::result::QueryResult;
 use crate::tile::{
-    self, with_lane, FusedSum, GroupIn, GroupSink, Lane, Regs, ScalarSinks, TileProgram,
+    self, with_lane, FusedSum, GroupIn, GroupSink, Lane, ListUpsert, Regs, ScalarSinks, TileProgram,
 };
 use swole_cost::AggStrategy;
 use swole_ht::{GroupTable, MergeOp};
@@ -225,8 +225,10 @@ impl Sink for ScalarSink {
 /// The grouped sink: each worker upserts into a private group table `T`
 /// (the driver is compiled once per representation, so no lane asks which
 /// table it has) — through one `swole_kernels::groupby` / `join` kernel
-/// reading key and operands as column slices when the stage is a single sum,
-/// through the register-fed loops otherwise. Behind [`FrontEnd::Select`] it
+/// that reads the key as a column slice: the single-sum kernel (operands
+/// as column slices too), or the `_n` form compiled for the `sum` / `count`
+/// list (inputs from the value registers). Only a list with `min` / `max`
+/// takes the per-row selection-vector loop. Behind [`FrontEnd::Select`] it
 /// is the hybrid group-by and, narrowed through an edge, the groupjoin;
 /// behind [`FrontEnd::Mask`], value or key masking; behind
 /// [`FrontEnd::EveryLane`], eager aggregation, which consults its edge once,
@@ -238,6 +240,9 @@ pub(super) struct GroupedSink<F> {
     pub sink: GroupSink,
     pub mode: AggMode,
     pub counting: bool,
+    /// The certificate proved every accumulator: a compiled list runs the
+    /// adds that keep no overflow flag.
+    pub proven: bool,
 }
 
 pub(super) struct GroupAcc<T> {
@@ -273,11 +278,15 @@ where
     }
 
     fn selected(&self, t: Tile<'_>, acc: &mut GroupAcc<T>, regs: &Regs, k: usize) {
-        let (keys, ht) = (t.group_keys(), &mut acc.ht);
+        let (keys, ht, idx) = (t.group_keys(), &mut acc.ht, &regs.idx[..k]);
         match &self.sink {
             GroupSink::Kernel(sum) => t.bound.upsert_gather(regs, *sum, keys, t.at, k, ht),
+            GroupSink::List(list) => {
+                let kernel = ListUpsert::Gather { keys, idx };
+                regs.upsert_list(list, self.proven, t.at.1, kernel, ht)
+            }
             GroupSink::Registers(inputs) => {
-                with_lane!(keys, |keys| upsert_selected(ht, inputs, regs, keys, k))
+                with_lane!(keys, |keys| upsert_selected(ht, inputs, regs, keys, idx))
             }
         }
     }
@@ -300,17 +309,17 @@ where
         ) {
             (GroupSink::Kernel(sum), true) => bound.upsert_key_masked(regs, *sum, keys, at, ht),
             (GroupSink::Kernel(sum), false) => bound.upsert_value_masked(regs, *sum, keys, at, ht),
-            (GroupSink::Registers(inputs), true) => {
+            (GroupSink::List(list), true) => {
                 bound.mask_keys(regs, keys);
-                let cmp = bound.filter(regs, len);
-                upsert_every_lane(ht, inputs, regs, &regs.tmp[..len], cmp, true)
+                let masked = &regs.tmp[..len];
+                regs.upsert_list(list, self.proven, len, ListUpsert::KeyMasked { masked }, ht)
             }
-            (GroupSink::Registers(inputs), false) => {
+            (GroupSink::List(list), false) => {
                 let cmp = bound.filter(regs, len);
-                with_lane!(keys, |keys| {
-                    upsert_every_lane(ht, inputs, regs, keys, cmp, false)
-                })
+                let kernel = ListUpsert::ValueMasked { keys, cmp };
+                regs.upsert_list(list, self.proven, len, kernel, ht)
             }
+            (GroupSink::Registers(_), _) => unreachable!("min / max are planned hybrid"),
         }
         m
     }
@@ -319,14 +328,13 @@ where
         let fk = t
             .first_fk()
             .expect("eager aggregation keys by its edge's FK");
+        let ht = &mut acc.ht;
         match &self.sink {
-            GroupSink::Kernel(sum) => t.bound.upsert_eager(regs, *sum, fk, t.at, &mut acc.ht),
-            // The planner gives eager aggregation no probe-side filter: the
-            // mask is all ones.
-            GroupSink::Registers(inputs) => {
-                let cmp = t.bound.filter(regs, t.at.1);
-                upsert_every_lane(&mut acc.ht, inputs, regs, fk, cmp, false)
+            GroupSink::Kernel(sum) => t.bound.upsert_eager(regs, *sum, fk, t.at, ht),
+            GroupSink::List(list) => {
+                regs.upsert_list(list, self.proven, t.at.1, ListUpsert::Eager { fk }, ht)
             }
+            GroupSink::Registers(_) => unreachable!("min / max are planned hybrid"),
         }
     }
 
@@ -437,17 +445,19 @@ fn merge_ops(aggs: &[AggSpec]) -> Vec<MergeOp> {
         .collect()
 }
 
-/// The register-fed fallback of the selection-vector bodies (hybrid
-/// group-by, groupjoin): upsert the rows the first `k` tile-local offsets of
-/// `regs.idx` select. The one grouped loop with `min` / `max`.
+/// The one grouped loop that matches on its aggregates per row — a list
+/// with `min` / `max`, which the planner gives the selection-vector bodies
+/// only (hybrid group-by, groupjoin): upsert the rows the tile-local
+/// offsets `idx` select.
 fn upsert_selected<T: GroupTable, K: AsI64>(
     ht: &mut T,
     inputs: &[GroupIn],
     regs: &Regs,
     keys: &[K],
-    k: usize,
+    idx: &[u32],
 ) {
-    for &j in &regs.idx[..k] {
+    ht.note_probes(idx.len());
+    for &j in idx {
         let j = j as usize;
         let off = ht.entry(keys[j].widen());
         for (i, input) in inputs.iter().enumerate() {
@@ -474,39 +484,6 @@ fn upsert_selected<T: GroupTable, K: AsI64>(
             }
         }
         ht.set_valid(off);
-    }
-}
-
-/// The register-fed fallback of the every-lane bodies: each lane upserts
-/// its key. Value masking keeps the real key and multiplies the inputs by
-/// the lane's 0/1 mask; key masking (`key_masked`, the keys already masked)
-/// sends filtered-out lanes to the throwaway entry and adds unmasked values;
-/// eager aggregation is value masking under its all-ones mask. Sums and
-/// counts only: the planner gives these bodies no min/max.
-fn upsert_every_lane<T: GroupTable, K: AsI64>(
-    ht: &mut T,
-    inputs: &[GroupIn],
-    regs: &Regs,
-    keys: &[K],
-    cmp: &[u8],
-    key_masked: bool,
-) {
-    for (j, (&key, &c)) in keys.iter().zip(cmp).enumerate() {
-        let off = ht.entry(key.widen());
-        let m = if key_masked { 1 } else { c as i64 };
-        for (i, input) in inputs.iter().enumerate() {
-            let add = match *input {
-                // m is 0/1, so the product cannot overflow.
-                GroupIn::Sum(r) => regs.val(r)[j] * m,
-                GroupIn::Count => m,
-                GroupIn::Min(_) | GroupIn::Max(_) => unreachable!("planner invariant"),
-            };
-            // add() detects wraparound in the table's overflow flag.
-            ht.add(off, i, add);
-        }
-        // Branch-free: the throwaway entry's flag is ignored by the result
-        // iterator.
-        ht.or_valid(off, c);
     }
 }
 

@@ -54,9 +54,10 @@ pub struct Explain {
     pub cost_terms: Vec<(String, f64)>,
     /// The planner's decision trail, one line each.
     pub decisions: Vec<String>,
-    /// Runtime outcome of the session's most recent [`crate::Engine::query`]:
-    /// completion, partial progress at cancellation/deadline, or a recorded
-    /// fallback to the data-centric interpreter. Empty before any query.
+    /// Runtime outcome of the engine's most recent [`crate::Engine::query`],
+    /// when that query was this statement: completion, partial progress at
+    /// cancellation/deadline, or a recorded fallback to the data-centric
+    /// interpreter. Empty before any query and after another statement ran.
     pub runtime: Vec<String>,
     /// Per-operator execution metrics — populated by
     /// [`crate::Engine::explain_analyze`], `None` from plain [`crate::Engine::explain`].

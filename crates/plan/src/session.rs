@@ -231,6 +231,6 @@ impl Session {
         let (res, ran) =
             inner.query_leveled(&db, plan, &self.cancel, &merged, MetricsLevel::Timings)?;
         let cached = inner.peek(&db, plan).is_some();
-        Ok(inner.explain_planned(&db, &ran, cached, res.metrics))
+        Ok(inner.explain_planned(&db, plan, &ran, cached, res.metrics))
     }
 }

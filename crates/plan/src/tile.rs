@@ -230,8 +230,9 @@ impl TileProgram {
     /// slot of `key`, the group key a zero-edge grouped stage reads. Sum
     /// inputs stay [`Output::Op`]s where a sink fuses them — every scalar
     /// stage, and a grouped stage whose one aggregate is a sum
-    /// ([`group_sink`]); everything else is materialized for the
-    /// register-fed loops.
+    /// ([`group_sink`]); everything else is materialized in registers — the
+    /// inputs of a compiled `sum` / `count` list and of the `min` / `max`
+    /// loop.
     pub(crate) fn lower_agg(
         table: &Table,
         filter: Option<&Expr>,
@@ -1293,8 +1294,12 @@ impl BoundProgram {
 // Grouped and masked-probe sinks
 // ---------------------------------------------------------------------------
 
-/// One aggregate of a register-fed grouped stage with its input register
-/// resolved, so the per-row loop reads no `AggSpec`.
+/// The widest aggregate list one pass of a `*_n` upsert kernel is compiled
+/// for; a longer list runs as several passes of the same loop.
+pub(crate) const GROUP_ARITY: usize = 4;
+
+/// One aggregate of a grouped list with its input register resolved, so
+/// nothing at run time reads an `AggSpec`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum GroupIn {
     Sum(usize),
@@ -1311,20 +1316,29 @@ pub(crate) enum GroupSink {
     /// `join::eager_aggregate` upsert kernel reads key and operands as
     /// column slices at native width.
     Kernel(FusedSum),
-    /// The general fallback — several aggregates, `count`, `min` / `max`:
-    /// the inputs are materialized in value registers and one per-lane loop
-    /// upserts all of them.
+    /// Any other `sum` / `count` list, compiled: the `_n` form of the same
+    /// kernels, unrolled over the list — one pass per [`GROUP_ARITY`]
+    /// aggregates, a sum's input its value register, a count's a tile of
+    /// ones.
+    List(Vec<GroupIn>),
+    /// A list with `min` / `max` (hybrid only): one selection-vector loop
+    /// that matches on each aggregate per row.
     Registers(Vec<GroupIn>),
 }
 
 impl GroupSink {
-    /// The upsert kernel (or the fallback) as `EXPLAIN` names it. `gather`
-    /// is the selection-vector kernel both the hybrid group-by and the
-    /// groupjoin end in.
-    pub(crate) fn name(&self, kernel: &'static str) -> &'static str {
+    /// The upsert kernel as `EXPLAIN` names it — `gather` is the
+    /// selection-vector kernel both the hybrid group-by and the groupjoin
+    /// end in; a compiled list is the kernel's `_n` form with the arity of
+    /// each pass.
+    pub(crate) fn name(&self, kernel: &str) -> String {
         match self {
-            GroupSink::Kernel(_) => kernel,
-            GroupSink::Registers(_) => "register loop",
+            GroupSink::Kernel(_) => kernel.to_string(),
+            GroupSink::List(list) => {
+                let passes = list.chunks(GROUP_ARITY).map(|p| p.len().to_string());
+                format!("{kernel}_n<{}>", passes.collect::<Vec<_>>().join("+"))
+            }
+            GroupSink::Registers(_) => "register loop".to_string(),
         }
     }
 }
@@ -1334,17 +1348,19 @@ pub(crate) fn group_sink(prog: &TileProgram, aggs: &[AggSpec]) -> GroupSink {
     if let ([_], Some(Output::Op(sum))) = (aggs, prog.output(0)) {
         return GroupSink::Kernel(sum);
     }
-    GroupSink::Registers(
-        aggs.iter()
-            .enumerate()
-            .map(|(i, a)| match a.func {
-                AggFunc::Sum => GroupIn::Sum(prog.output_reg(i)),
-                AggFunc::Count => GroupIn::Count,
-                AggFunc::Min => GroupIn::Min(prog.output_reg(i)),
-                AggFunc::Max => GroupIn::Max(prog.output_reg(i)),
-            })
-            .collect(),
-    )
+    let input = |(i, a): (usize, &AggSpec)| match a.func {
+        AggFunc::Sum => GroupIn::Sum(prog.output_reg(i)),
+        AggFunc::Count => GroupIn::Count,
+        AggFunc::Min => GroupIn::Min(prog.output_reg(i)),
+        AggFunc::Max => GroupIn::Max(prog.output_reg(i)),
+    };
+    let inputs = aggs.iter().enumerate().map(input).collect();
+    let min_max = |a: &AggSpec| matches!(a.func, AggFunc::Min | AggFunc::Max);
+    if aggs.iter().any(min_max) {
+        GroupSink::Registers(inputs)
+    } else {
+        GroupSink::List(inputs)
+    }
 }
 
 impl ScalarSinks {
@@ -1464,6 +1480,87 @@ impl BoundProgram {
         with_fused!(self, r, sum, tile, |a, b, O| {
             join::eager_aggregate::<_, _, _, O>(fk, a, b, ht)
         });
+    }
+}
+
+/// One `_n` upsert kernel with everything but the aggregate list bound:
+/// what [`Regs::upsert_list`] runs once per pass, at the pass's arity and
+/// proof.
+#[derive(Clone, Copy)]
+pub(crate) enum ListUpsert<'a> {
+    /// Hybrid group-by / groupjoin (Fig. 4, Fig. 12): the rows `idx` selects.
+    Gather { keys: Lane<'a>, idx: &'a [u32] },
+    /// Value masking (Fig. 4 top): every lane, its inputs times `cmp`.
+    ValueMasked { keys: Lane<'a>, cmp: &'a [u8] },
+    /// Key masking (Fig. 4 bottom, Fig. 9): every lane by its masked key.
+    KeyMasked { masked: &'a [i64] },
+    /// Eager aggregation (§ III-E, Fig. 12): every lane by its FK, unmasked.
+    Eager { fk: &'a [u32] },
+}
+
+impl ListUpsert<'_> {
+    fn pass<const N: usize, const P: bool>(
+        self,
+        inputs: [&[i64]; N],
+        first: usize,
+        ht: &mut impl GroupTable,
+    ) {
+        match self {
+            ListUpsert::Gather { keys, idx } => with_lane!(keys, |keys| {
+                groupby::groupby_gather_n::<_, _, N, P>(keys, inputs, idx, first, ht)
+            }),
+            ListUpsert::ValueMasked { keys, cmp } => with_lane!(keys, |keys| {
+                groupby::groupby_value_masked_n::<_, _, N, P>(keys, inputs, cmp, first, ht)
+            }),
+            ListUpsert::KeyMasked { masked } => {
+                groupby::groupby_key_masked_n::<_, N, P>(masked, inputs, first, ht)
+            }
+            ListUpsert::Eager { fk } => {
+                join::eager_aggregate_n::<_, _, N, P>(fk, inputs, first, ht)
+            }
+        }
+    }
+}
+
+/// `count(*)` as an input like any other: a tile of ones.
+static ONES: [i64; TILE] = [1; TILE];
+
+impl Regs {
+    /// Run `kernel` over the `len` lanes of the tile just run, once per pass
+    /// of the compiled aggregate list `list`: pass `p` adds the inputs of
+    /// aggregates `p * GROUP_ARITY ..` to the slots of the same numbers.
+    /// `proven` picks the adds the certificate licensed. The only dispatch
+    /// is here, per pass per tile — on kernel, key width, arity and proof —
+    /// never per lane.
+    pub(crate) fn upsert_list(
+        &self,
+        list: &[GroupIn],
+        proven: bool,
+        len: usize,
+        kernel: ListUpsert<'_>,
+        ht: &mut impl GroupTable,
+    ) {
+        fn inputs<'r, const N: usize>(r: &'r Regs, pass: &[GroupIn], len: usize) -> [&'r [i64]; N] {
+            std::array::from_fn(|i| match pass[i] {
+                GroupIn::Sum(reg) => &r.vals[reg][..len],
+                GroupIn::Count => &ONES[..len],
+                GroupIn::Min(_) | GroupIn::Max(_) => unreachable!("a list is sums and counts"),
+            })
+        }
+        macro_rules! arity {
+            ($pass:expr, $first:expr, $($n:literal),*) => {
+                match ($pass.len(), proven) {
+                    $(
+                        ($n, true) => kernel.pass::<$n, true>(inputs(self, $pass, len), $first, ht),
+                        ($n, false) => kernel.pass::<$n, false>(inputs(self, $pass, len), $first, ht),
+                    )*
+                    (n, _) => unreachable!("a pass of {n} inputs"),
+                }
+            };
+        }
+        for (p, pass) in list.chunks(GROUP_ARITY).enumerate() {
+            arity!(pass, p * GROUP_ARITY, 1, 2, 3, 4);
+        }
     }
 }
 
@@ -1872,6 +1969,117 @@ mod tests {
         }
     }
 
+    /// The compiled `sum` / `count` lists — one to five aggregates, every
+    /// `_n` kernel, both table representations, checked and proven adds —
+    /// against a row-at-a-time fold of `eval_row`.
+    #[test]
+    fn compiled_lists_match_eval_row() {
+        use std::collections::BTreeMap;
+        use swole_ht::{AggTable, DenseAggTable};
+        let t = table(29);
+        let fk = t.column("u").and_then(|c| c.as_u32()).expect("u is u32");
+        type Groups = BTreeMap<i64, Vec<i64>>;
+        fn run<T: GroupTable>(
+            bound: &BoundProgram,
+            list: &[GroupIn],
+            fk: &[u32],
+            (which, proven): (usize, bool),
+            mut ht: T,
+        ) -> Groups {
+            let mut regs = Regs::new(bound.program());
+            for tile in swole_kernels::tiles(ROWS) {
+                let (start, len) = tile;
+                bound.run(&mut regs, start, len);
+                let keys = bound.key_lane(start, len);
+                let ht = &mut ht;
+                match which {
+                    0 => {
+                        let k = bound.select(&mut regs, len);
+                        let idx = &regs.idx[..k];
+                        regs.upsert_list(list, proven, len, ListUpsert::Gather { keys, idx }, ht);
+                    }
+                    1 => {
+                        let cmp = bound.filter(&regs, len);
+                        let kernel = ListUpsert::ValueMasked { keys, cmp };
+                        regs.upsert_list(list, proven, len, kernel, ht);
+                    }
+                    2 => {
+                        bound.mask_keys(&mut regs, keys);
+                        let masked = &regs.tmp[..len];
+                        regs.upsert_list(list, proven, len, ListUpsert::KeyMasked { masked }, ht);
+                    }
+                    _ => {
+                        let fk = &fk[start..start + len];
+                        regs.upsert_list(list, proven, len, ListUpsert::Eager { fk }, ht);
+                    }
+                }
+            }
+            let valid = ht.iter().filter(|&(_, _, valid)| valid);
+            valid.map(|(k, s, _)| (k, s.to_vec())).collect()
+        }
+        for seed in 0..40u64 {
+            let mut rng = SmallRng::seed_from_u64(7000 + seed);
+            let depth = rng.gen_range(0..3u32);
+            let filter = boolean(&mut rng, depth);
+            let n = rng.gen_range(1..=5usize);
+            let aggs: Vec<AggSpec> = (0..n)
+                .map(|i| match rng.gen_range(0..4u32) {
+                    0 => AggSpec::count("n"),
+                    // Repeats share a register.
+                    1 => AggSpec::sum(Expr::col(["c32", "nz"][i % 2]), "s"),
+                    2 => AggSpec::sum(col(&mut rng), "s"),
+                    _ => AggSpec::sum(Expr::Mul(bx(col(&mut rng)), bx(col(&mut rng))), "s"),
+                })
+                .collect();
+            let key = ["c8", "c16", "c32", "u", "d"][rng.gen_range(0..5usize)];
+            let prog = Arc::new(
+                TileProgram::lower_agg(&t, Some(&filter), Some(key), &aggs, true).unwrap(),
+            );
+            let GroupSink::List(list) = group_sink(&prog, &aggs) else {
+                assert!(
+                    n == 1 && aggs[0].func == AggFunc::Sum,
+                    "only one sum is no list"
+                );
+                continue;
+            };
+            let bound = prog.bind(&t).unwrap();
+            let key_of = |r: usize| Expr::col(key).eval_row(&t, r);
+            let (lo, hi) = (0..ROWS).fold((i64::MAX, i64::MIN), |(lo, hi), r| {
+                (lo.min(key_of(r)), hi.max(key_of(r)))
+            });
+            let fold = |rows: &mut dyn Iterator<Item = usize>, key_of: &dyn Fn(usize) -> i64| {
+                let mut want = Groups::new();
+                for r in rows {
+                    let state = want.entry(key_of(r)).or_insert_with(|| vec![0; n]);
+                    for (s, a) in state.iter_mut().zip(&aggs) {
+                        *s = s.wrapping_add(match a.func {
+                            AggFunc::Count => 1,
+                            _ => a.expr.eval_row(&t, r),
+                        });
+                    }
+                }
+                want
+            };
+            let qualifies = |r: &usize| filter.eval_row(&t, *r) != 0;
+            let want = fold(&mut (0..ROWS).filter(qualifies), &key_of);
+            let want_eager = fold(&mut (0..ROWS), &|r| fk[r] as i64);
+            for which in 0..4 {
+                for proven in [false, true] {
+                    let want = if which == 3 { &want_eager } else { &want };
+                    let dense = match which {
+                        3 => DenseAggTable::new(n, 0, 4999),
+                        _ => DenseAggTable::new(n, lo, hi),
+                    };
+                    let label = format!("seed {seed} sink {which} key {key} {list:?}");
+                    let hash = AggTable::with_capacity(n, 8);
+                    let how = (which, proven);
+                    assert_eq!(&run(&bound, &list, fk, how, hash), want, "hash {label}");
+                    assert_eq!(&run(&bound, &list, fk, how, dense), want, "dense {label}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn dictionary_match_tables_are_built_once_per_bind() {
         let t = table(3);
@@ -2063,20 +2271,21 @@ mod tests {
         let counted = [aggs[3].clone(), AggSpec::count("n")];
         assert_eq!(fused(&counted, true, false), None, "a count beside it");
 
-        // Grouped: one sum — fusable or not — takes an upsert kernel; several
-        // aggregates, count and min/max take the register loop.
+        // Grouped: one sum — fusable or not — takes the single-sum upsert
+        // kernel, any other sum / count list its compiled `_n` form, and
+        // only min / max the register loop.
         let grouped = |aggs: &[AggSpec]| {
             let prog = TileProgram::lower_agg(&t, Some(&filter), Some("u"), aggs, true).unwrap();
-            group_sink(&prog, aggs)
+            (group_sink(&prog, aggs), prog.n_vals)
         };
-        assert!(matches!(grouped(one), GroupSink::Kernel(_)));
+        assert!(matches!(grouped(one).0, GroupSink::Kernel(_)));
         let generic = [AggSpec::sum(
             Expr::Add(bx(Expr::col("c32")), bx(Expr::col("nz"))),
             "s",
         )];
         assert!(
             matches!(
-                grouped(&generic),
+                grouped(&generic).0,
                 GroupSink::Kernel(FusedSum {
                     op: FusedOp::Mul,
                     a: Src::Reg(_),
@@ -2086,19 +2295,40 @@ mod tests {
             "a non-fusable sum is its register times one"
         );
         // c32, nz and their product each have a register.
+        let list = |inputs: &[GroupIn]| GroupSink::List(inputs.to_vec());
         assert_eq!(
             grouped(&counted),
-            GroupSink::Registers(vec![GroupIn::Sum(2), GroupIn::Count]),
+            (list(&[GroupIn::Sum(2), GroupIn::Count]), 3)
         );
-        assert!(matches!(
+        // A count's input is the shared tile of ones: no register.
+        assert_eq!(
             grouped(&[AggSpec::count("n")]),
-            GroupSink::Registers(_)
-        ));
-        assert!(matches!(
-            grouped(&[AggSpec::min(Expr::col("c32"), "lo")]),
-            GroupSink::Registers(_)
-        ));
-        assert!(matches!(grouped(&aggs), GroupSink::Registers(_)));
+            (list(&[GroupIn::Count]), 0)
+        );
+        // Five aggregates are a pass of four and a pass of one.
+        let bare = |c: &str| AggSpec::sum(Expr::col(c), c);
+        let five = [
+            bare("c32"),
+            AggSpec::count("n"),
+            bare("nz"),
+            bare("c32"),
+            aggs[3].clone(),
+        ];
+        let (sink, n_vals) = grouped(&five);
+        assert!(matches!(&sink, GroupSink::List(l) if l.len() == 5 && l[3] == l[0]));
+        assert_eq!(n_vals, 3, "the repeated column is loaded once");
+        assert_eq!(sink.name("groupby_gather"), "groupby_gather_n<4+1>");
+        assert_eq!(
+            grouped(&counted).0.name("eager_aggregate"),
+            "eager_aggregate_n<2>"
+        );
+        let with_min = [AggSpec::min(Expr::col("c32"), "lo"), AggSpec::count("n")];
+        let (sink, _) = grouped(&with_min);
+        assert_eq!(
+            sink,
+            GroupSink::Registers(vec![GroupIn::Min(0), GroupIn::Count])
+        );
+        assert_eq!(sink.name("groupby_gather"), "register loop");
     }
 
     #[test]

@@ -335,3 +335,193 @@ fn filter_above_semijoin_is_probe_filter() {
     };
     check(test_db(12, 8_000, 64), &plan);
 }
+
+// ---------------------------------------------------------------------------
+// Compiled aggregate lists
+// ---------------------------------------------------------------------------
+
+/// `R` with a 3-code dictionary key, a 1 024-key integer key and an FK into
+/// `S`; `indexed` registers the FK index (without it a grouped join has no
+/// validated key domain and takes the hash table).
+fn lists_db(indexed: bool) -> Database {
+    let (n_r, n_s) = (20_000usize, 512usize);
+    let mut rng = SmallRng::seed_from_u64(0x115);
+    let flags = ["A", "N", "R"];
+    let mut col = |f: &mut dyn FnMut(&mut SmallRng) -> i64| -> Vec<i64> {
+        (0..n_r).map(|_| f(&mut rng)).collect()
+    };
+    let x = col(&mut |r| r.gen_range(0..100));
+    let a = col(&mut |r| r.gen_range(1..50));
+    let b = col(&mut |r| r.gen_range(-20..50));
+    let q = col(&mut |r| r.gen_range(1..=50));
+    let p = col(&mut |r| r.gen_range(-(1i64 << 40)..1 << 40));
+    let k = col(&mut |r| r.gen_range(0..1024));
+    let fk = col(&mut |r| r.gen_range(0..n_s as i64));
+    let flag = col(&mut |r| r.gen_range(0..3));
+    let y = (0..n_s).map(|_| rng.gen_range(0..100)).collect();
+    let mut db = Database::new();
+    db.add_table(
+        Table::new("R")
+            .with_column("x", ColumnData::I8(x.iter().map(|&v| v as i8).collect()))
+            .with_column("a", ColumnData::I32(a.iter().map(|&v| v as i32).collect()))
+            .with_column("b", ColumnData::I32(b.iter().map(|&v| v as i32).collect()))
+            .with_column("q", ColumnData::I8(q.iter().map(|&v| v as i8).collect()))
+            .with_column("p", ColumnData::I64(p))
+            .with_column("k", ColumnData::I32(k.iter().map(|&v| v as i32).collect()))
+            .with_column(
+                "fk",
+                ColumnData::U32(fk.iter().map(|&v| v as u32).collect()),
+            )
+            .with_column(
+                "flag",
+                ColumnData::Dict(DictColumn::encode(
+                    &flag.iter().map(|&f| flags[f as usize]).collect::<Vec<_>>(),
+                )),
+            ),
+    );
+    db.add_table(Table::new("S").with_column("y", ColumnData::I8(y)));
+    if indexed {
+        db.add_fk("R", "fk", "S").unwrap();
+    }
+    db
+}
+
+/// `sum` / `count` lists of one to five aggregates: count-only, the TPC-H
+/// Q1 shape, a product beside bare columns, duplicates, and five — one
+/// pass of four and one of one.
+fn agg_lists() -> Vec<Vec<AggSpec>> {
+    let (product, q, p) = (
+        Expr::col("a").mul(Expr::col("b")),
+        Expr::col("q"),
+        Expr::col("p"),
+    );
+    vec![
+        vec![AggSpec::count("n")],
+        vec![AggSpec::sum(q.clone(), "sq"), AggSpec::count("n")],
+        vec![
+            AggSpec::sum(product.clone(), "sab"),
+            AggSpec::sum(q.clone(), "sq"),
+            AggSpec::count("n"),
+        ],
+        vec![
+            AggSpec::sum(q.clone(), "sq"),
+            AggSpec::sum(q.clone(), "sq2"),
+            AggSpec::count("n"),
+            AggSpec::count("n2"),
+        ],
+        vec![
+            AggSpec::sum(product, "sab"),
+            AggSpec::sum(p, "sp"),
+            AggSpec::sum(q, "sq"),
+            AggSpec::count("n"),
+            AggSpec::sum(Expr::col("a"), "sa"),
+        ],
+    ]
+}
+
+/// Every compiled list loop against the interpreter, bit for bit: lists of
+/// 1–5 aggregates × key domain {3-code dictionary, 1 024-key integer, the
+/// hash table a planner without statistics or FK index falls back to} ×
+/// {hybrid, value masking, key masking, groupjoin, eager aggregation} ×
+/// threads {1, 2, 8} and a 4-worker pool.
+#[test]
+fn compiled_aggregate_lists_match_the_interpreter() {
+    use swole_cost::AggStrategy;
+    use swole_plan::StatsMode;
+    let scan = |key: &'static str| {
+        move |aggs: Vec<AggSpec>| {
+            QueryBuilder::scan("R")
+                .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(70)))
+                .aggregate(Some(key), aggs)
+        }
+    };
+    let join = |aggs: Vec<AggSpec>| {
+        QueryBuilder::scan("R")
+            .semijoin(
+                QueryBuilder::scan("S").filter(Expr::col("y").cmp(CmpOp::Lt, Expr::lit(40))),
+                "fk",
+            )
+            .aggregate(Some("fk"), aggs)
+    };
+    type Shape<'a> = (
+        &'a dyn Fn(Vec<AggSpec>) -> LogicalPlan,
+        StatsMode,
+        bool,
+        &'a str,
+    );
+    let (dict, int) = (scan("flag"), scan("k"));
+    let scans: [Shape<'_>; 3] = [
+        (&dict, StatsMode::OnLoad, true, "group table: dense [0..2]"),
+        (
+            &int,
+            StatsMode::OnLoad,
+            true,
+            "group table: dense [0..1023]",
+        ),
+        (&int, StatsMode::Off, true, "group table: hash ("),
+    ];
+    let joins: [Shape<'_>; 2] = [
+        (
+            &join,
+            StatsMode::OnLoad,
+            true,
+            "group table: dense [0..511]",
+        ),
+        (&join, StatsMode::OnLoad, false, "group table: hash ("),
+    ];
+    let agg_pins = [
+        (AggStrategy::Hybrid, "groupby_gather"),
+        (AggStrategy::ValueMasking, "groupby_value_masked"),
+        (AggStrategy::KeyMasking, "groupby_key_masked"),
+    ]
+    .map(|(s, kernel)| (StrategyOverrides::pin_agg(s), kernel));
+    let join_pins = [
+        (GroupJoinStrategy::GroupJoin, "groupby_gather"),
+        (GroupJoinStrategy::EagerAggregation, "eager_aggregate"),
+    ]
+    .map(|(s, kernel)| (StrategyOverrides::pin_groupjoin(s), kernel));
+    let cases = scans
+        .iter()
+        .flat_map(|shape| agg_pins.iter().map(move |pin| (shape, pin)))
+        .chain(
+            joins
+                .iter()
+                .flat_map(|shape| join_pins.iter().map(move |pin| (shape, pin))),
+        );
+    for (&(plan_of, stats, indexed, table), (pins, kernel)) in cases {
+        let build = |pool: bool, threads: usize| {
+            let b = Engine::builder(lists_db(indexed))
+                .tile_rows(2048)
+                .stats(stats)
+                .strategies(pins.clone());
+            match pool {
+                true => b.worker_pool(threads).build(),
+                false => b.threads(threads).build(),
+            }
+        };
+        let engines = [
+            build(false, 1),
+            build(false, 2),
+            build(false, 8),
+            build(true, 4),
+        ];
+        for aggs in agg_lists() {
+            let passes = match aggs.len() {
+                5 => "4+1".to_string(),
+                n => n.to_string(),
+            };
+            let plan = plan_of(aggs);
+            let expected = interp::run(&lists_db(indexed), &plan).expect("interp");
+            for engine in &engines {
+                let explain = engine.explain(&plan).expect("explain");
+                let sink = format!("sink: {kernel}_n<{passes}>");
+                assert!(explain.strategy.contains(&sink), "{explain}\nwants {sink}");
+                assert!(
+                    explain.decisions.iter().any(|d| d.starts_with(table)),
+                    "{explain}\nwants {table}"
+                );
+                assert_eq!(engine.query(&plan).expect("engine"), expected, "{explain}");
+            }
+        }
+    }
+}

@@ -541,7 +541,9 @@ impl WorkerPool {
                 // registered stages so every participant bails at its next
                 // boundary with a typed error. Cooperative — a morsel body
                 // that never returns would still wedge the join below.
-                clean = false;
+                // (Idle workers that merely have not woken to exit yet
+                // leave nothing to abort, and the drain clean.)
+                clean = reg.stages.is_empty();
                 for stage in &reg.stages {
                     stage.task.abort();
                 }

@@ -316,19 +316,145 @@ fn masked_probe_answers_the_same_fused_or_stepped_down() {
     }
 }
 
+/// `perf`'s `pairs::tpch_q1_lite`, line for line: predicate prepass, key
+/// masking onto the throwaway entry, unconditional aggregation of both
+/// states into an `AggTable`.
+fn tpch_q1_lite(db: &swole_tpch::TpchDb) -> Vec<Vec<i64>> {
+    use swole_kernels::groupby::mask_keys;
+    use swole_kernels::{predicate, tiles, TILE};
+    let l = &db.lineitem;
+    let cutoff = swole_tpch::q1_ship_cutoff().days();
+    let flags = l.return_flag.codes();
+    let mut ht = swole_ht::AggTable::with_capacity(2, l.return_flag.cardinality());
+    let (mut cmp, mut keys) = ([0u8; TILE], [0i64; TILE]);
+    for (start, len) in tiles(l.len()) {
+        predicate::cmp_le(&l.ship_date[start..start + len], cutoff, &mut cmp[..len]);
+        mask_keys(&flags[start..start + len], &cmp[..len], &mut keys[..len]);
+        for (&key, &qty) in keys[..len].iter().zip(&l.quantity[start..start + len]) {
+            let off = ht.entry(key);
+            ht.add(off, 0, qty as i64);
+            ht.add(off, 1, 1);
+            ht.set_valid(off);
+        }
+    }
+    let mut rows: Vec<Vec<i64>> = ht
+        .iter()
+        .filter(|(_, _, valid)| *valid)
+        .map(|(k, state, _)| vec![k, state[0], state[1]])
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// `perf`'s `pairs::tpch_q4_semijoin`: bitmap build over one quarter's
+/// orders, fully masked probe through the positional FK.
+fn tpch_q4_semijoin(db: &swole_tpch::TpchDb) -> Vec<Vec<i64>> {
+    let (l, o) = (&db.lineitem, &db.orders);
+    let (lo, hi) = (
+        swole_tpch::q4_date_lo().days(),
+        swole_tpch::q4_date_hi().days(),
+    );
+    let mut cmp = vec![0u8; o.len()];
+    swole_kernels::predicate::cmp_between(&o.order_date, lo, hi - 1, &mut cmp);
+    let bitmap = swole_bitmap::PositionalBitmap::from_predicate_bytes(&cmp);
+    let (mut sum, mut n) = (0i64, 0i64);
+    for (&key, &price) in l.order_key.iter().zip(&l.extended_price) {
+        let bit = bitmap.get_bit(key as usize) as i64;
+        sum += price * bit;
+        n += bit;
+    }
+    vec![vec![sum, n]]
+}
+
+/// The statements `perf` pairs with the two pipelines above, as it
+/// submits them.
+fn tpch_q1_sql() -> LogicalPlan {
+    let sql = format!(
+        "select l_returnflag, sum(l_quantity) as sum_qty, count(*) as n from lineitem \
+         where l_shipdate <= {} group by l_returnflag",
+        swole_tpch::q1_ship_cutoff().days()
+    );
+    swole::plan::parse_sql(&sql).expect("q1 parses").plan
+}
+
+fn tpch_q4_sql() -> LogicalPlan {
+    let sql = format!(
+        "select sum(lineitem.l_extendedprice) as s, count(*) as n \
+         from lineitem, orders where lineitem.l_orderkey = orders.rowid \
+         and orders.o_orderdate >= {} and orders.o_orderdate < {}",
+        swole_tpch::q4_date_lo().days(),
+        swole_tpch::q4_date_hi().days()
+    );
+    swole::plan::parse_sql(&sql).expect("q4 parses").plan
+}
+
+/// Engines over `tpch` as the planner configures itself — no pins — at
+/// 1/2/8 threads and on a 4-worker pool, with (proven accumulators) and
+/// without (checked) statistics.
+fn tpch_engines(tpch: &swole_tpch::TpchDb) -> Vec<(String, Engine)> {
+    let mut out = Vec::new();
+    for stats in [StatsMode::OnLoad, StatsMode::Off] {
+        for (pool, threads) in [(false, 1usize), (false, 2), (false, 8), (true, 4)] {
+            let b = Engine::builder(swole_tpch::catalog::to_database(tpch))
+                .tile_rows(2 * swole_kernels::TILE)
+                .stats(stats);
+            let engine = match pool {
+                true => b.worker_pool(threads).build(),
+                false => b.threads(threads).build(),
+            };
+            out.push((format!("x{threads} pool={pool} {stats:?}"), engine));
+        }
+    }
+    out
+}
+
+/// The benchmark's TPC-H Q1 rendition, as planned: key masking over the
+/// dense 3-code dictionary domain, both aggregates in one compiled pass —
+/// bit-identical with the yardstick `perf` divides it by.
+#[test]
+fn engine_matches_handcoded_tpch_q1_lite() {
+    let tpch = swole_tpch::generate(0.01, 11);
+    let (plan, expected) = (tpch_q1_sql(), tpch_q1_lite(&tpch));
+    assert_eq!(expected.len(), 3, "three return flags");
+    for (at, e) in tpch_engines(&tpch) {
+        let explain = e.explain(&plan).expect("q1 plans");
+        assert!(
+            explain.strategy.ends_with("_n<2>"),
+            "{at}: sum and count are one compiled list: {}",
+            explain.strategy
+        );
+        let dense = "group table: dense [0..2]";
+        assert!(
+            explain.decisions.iter().any(|d| d.starts_with(dense)),
+            "{at}: {explain}"
+        );
+        assert_eq!(e.query(&plan).expect("q1").rows, expected, "tpch q1 {at}");
+    }
+}
+
+/// The benchmark's TPC-H Q4 rendition: a bitmap build and a fully masked
+/// probe with two aggregates.
+#[test]
+fn engine_matches_handcoded_tpch_q4_semijoin() {
+    let tpch = swole_tpch::generate(0.01, 11);
+    let (plan, expected) = (tpch_q4_sql(), tpch_q4_semijoin(&tpch));
+    for (at, e) in tpch_engines(&tpch) {
+        let explain = e.explain(&plan).expect("q4 plans");
+        assert!(explain.strategy.contains("masked probe"), "{at}: {explain}");
+        assert_eq!(e.query(&plan).expect("q4").rows, expected, "tpch q4 {at}");
+    }
+}
+
 /// The grouped and masked-probe sinks against the pipelines `perf` times
-/// them against, bit for bit, at 1/2/8 threads: micro Q2 on a second key
-/// whose 256 K-value domain is wide enough to miss the cache (and, with
-/// statistics, dense), and the benchmark's TPC-H Q1-lite (two aggregates:
-/// the register loop) and Q4 (sum and count: the three-pass masked probe).
+/// them against, bit for bit, at 1/2/8 threads under every scan-aggregation
+/// pin: micro Q2 on a second key whose 256 K-value domain is wide enough to
+/// miss the cache (and, with statistics, dense), and the benchmark's TPC-H
+/// Q1-lite (sum and count: a compiled list) and Q4 (sum and count: the
+/// three-pass masked probe).
 #[test]
 fn grouped_and_probe_sinks_match_the_benchmarks_hand_coded_pipelines() {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use swole_bitmap::PositionalBitmap;
-    use swole_ht::AggTable;
-    use swole_kernels::groupby::mask_keys;
-    use swole_kernels::{predicate, tiles, TILE};
 
     const C2_CARDINALITY: usize = 256 << 10;
     let db = generate(MicroParams {
@@ -366,64 +492,8 @@ fn grouped_and_probe_sinks_match_the_benchmarks_hand_coded_pipelines() {
     );
 
     let tpch = swole_tpch::generate(0.004, 7);
-    let l = &tpch.lineitem;
-    // perf's `tpch_q1_lite`: prepass, key masking onto the throwaway entry,
-    // unconditional aggregation of both states.
-    let q1_expected: Vec<Vec<i64>> = {
-        let cutoff = swole_tpch::q1_ship_cutoff().days();
-        let flags = l.return_flag.codes();
-        let mut ht = AggTable::with_capacity(2, l.return_flag.cardinality());
-        let (mut cmp, mut keys) = ([0u8; TILE], [0i64; TILE]);
-        for (start, len) in tiles(l.len()) {
-            predicate::cmp_le(&l.ship_date[start..start + len], cutoff, &mut cmp[..len]);
-            mask_keys(&flags[start..start + len], &cmp[..len], &mut keys[..len]);
-            for (&key, &qty) in keys[..len].iter().zip(&l.quantity[start..start + len]) {
-                let off = ht.entry(key);
-                ht.add(off, 0, qty as i64);
-                ht.add(off, 1, 1);
-                ht.set_valid(off);
-            }
-        }
-        let mut rows: Vec<Vec<i64>> = ht
-            .iter()
-            .filter(|(_, _, valid)| *valid)
-            .map(|(k, state, _)| vec![k, state[0], state[1]])
-            .collect();
-        rows.sort();
-        rows
-    };
-    let q1 = swole::plan::parse_sql(&format!(
-        "select l_returnflag, sum(l_quantity) as sum_qty, count(*) as n from lineitem \
-         where l_shipdate <= {} group by l_returnflag",
-        swole_tpch::q1_ship_cutoff().days()
-    ))
-    .expect("q1 parses")
-    .plan;
-    // perf's `tpch_q4_semijoin`: bitmap build, fully masked probe.
-    let (lo, hi) = (
-        swole_tpch::q4_date_lo().days(),
-        swole_tpch::q4_date_hi().days(),
-    );
-    let q4_expected = {
-        let o = &tpch.orders;
-        let mut cmp = vec![0u8; o.len()];
-        predicate::cmp_between(&o.order_date, lo, hi - 1, &mut cmp);
-        let bitmap = PositionalBitmap::from_predicate_bytes(&cmp);
-        let (mut sum, mut n) = (0i64, 0i64);
-        for (&key, &price) in l.order_key.iter().zip(&l.extended_price) {
-            let bit = bitmap.get_bit(key as usize) as i64;
-            sum += price * bit;
-            n += bit;
-        }
-        vec![vec![sum, n]]
-    };
-    let q4 = swole::plan::parse_sql(&format!(
-        "select sum(lineitem.l_extendedprice) as s, count(*) as n \
-         from lineitem, orders where lineitem.l_orderkey = orders.rowid \
-         and orders.o_orderdate >= {lo} and orders.o_orderdate < {hi}"
-    ))
-    .expect("q4 parses")
-    .plan;
+    let (q1, q1_expected) = (tpch_q1_sql(), tpch_q1_lite(&tpch));
+    let (q4, q4_expected) = (tpch_q4_sql(), tpch_q4_semijoin(&tpch));
 
     for threads in [1usize, 2, 8] {
         for stats in [StatsMode::OnLoad, StatsMode::Off] {

@@ -233,3 +233,93 @@ fn genuine_overflow_wraps_identically_to_interpreter() {
         huge.wrapping_add(huge).wrapping_add(2)
     );
 }
+
+/// A compiled `sum` / `count` list whose accumulators the certificate
+/// cannot prove (values near `i64::MAX / rows`) runs the checked adds: a
+/// wrap — spurious, on key masking's throwaway entry, or genuine — surfaces
+/// as `PlanError::Overflow` and the statement answers through the
+/// interpreter; the same list over small values is proven and runs once.
+#[test]
+fn unproven_list_accumulators_still_detect_overflow_and_fall_back() {
+    let h = i64::MAX / 2 + 1;
+    let db = |a: Vec<i64>| {
+        let mut db = Database::new();
+        db.add_table(
+            Table::new("R")
+                .with_column("x", ColumnData::I8(vec![0, 99, 99, 99, 99, 0]))
+                .with_column("a", ColumnData::I64(a))
+                .with_column("c", ColumnData::I16(vec![0, 1, 0, 1, 0, 1])),
+        );
+        db
+    };
+    let list = vec![AggSpec::sum(Expr::col("a"), "s"), AggSpec::count("n")];
+    let filtered = QueryBuilder::scan("R")
+        .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(10)))
+        .aggregate(Some("c"), list.clone());
+    let every_row = QueryBuilder::scan("R").aggregate(Some("c"), list);
+    let fell_back = |e: &Engine, plan: &LogicalPlan| {
+        let report = e.explain(plan).expect("explains").runtime;
+        let overflowed = report.iter().any(|l| l.contains("overflow"));
+        let ok = "fell back to data-centric interpreter: ok";
+        assert_eq!(
+            overflowed,
+            report.iter().any(|l| l.contains(ok)),
+            "{report:?}"
+        );
+        overflowed
+    };
+    for strategy in [
+        AggStrategy::Hybrid,
+        AggStrategy::ValueMasking,
+        AggStrategy::KeyMasking,
+    ] {
+        let engine = |a: Vec<i64>| {
+            Engine::builder(db(a))
+                .threads(1)
+                .metrics(MetricsLevel::Counters)
+                .strategies(StrategyOverrides::pin_agg(strategy))
+                .build()
+        };
+        // Huge values on the filtered rows only: the qualifying sums are
+        // small, but `|a| * rows` is past `i64` — unproven. Only key masking
+        // adds them (to the throwaway entry), so only it wraps.
+        let e = engine(vec![5, h, h, h, h, 7]);
+        let sink = e.explain(&filtered).expect("plans").strategy;
+        assert!(sink.ends_with("_n<2>"), "a compiled list: {sink}");
+        assert!(!e
+            .certificate(&filtered)
+            .expect("certifies")
+            .all_sites_overflow_safe());
+        let got = e.query(&filtered).expect("answers either way");
+        assert_eq!(got.rows, vec![vec![0, 5, 1], vec![1, 7, 1]], "{strategy:?}");
+        let spurious = strategy == AggStrategy::KeyMasking;
+        assert_eq!(fell_back(&e, &filtered), spurious, "{strategy:?}");
+        assert_eq!(got.metrics().expect("metered").retries, spurious as u32);
+        let direct = e.execute(&e.plan(&filtered).expect("plans"));
+        assert_eq!(
+            matches!(direct, Err(PlanError::Overflow(_))),
+            spurious,
+            "{direct:?}"
+        );
+
+        // Genuine: group 0's own sum (5 + h + h) leaves `i64` under every
+        // strategy; the interpreter wraps to the same value.
+        let truth = interp::run(&e.database(), &every_row).expect("interp runs");
+        assert_eq!(truth.rows[0][1], h.wrapping_mul(2).wrapping_add(5));
+        assert_eq!(e.query(&every_row).expect("recovers").rows, truth.rows);
+        assert!(fell_back(&e, &every_row), "{strategy:?}");
+        let direct = e.execute(&e.plan(&every_row).expect("plans"));
+        assert!(matches!(direct, Err(PlanError::Overflow(_))), "{direct:?}");
+
+        // Small values: every site proven, the wrapping adds run, no retry.
+        let e = engine(vec![5, 9, 9, 9, 9, 7]);
+        assert!(e
+            .certificate(&filtered)
+            .expect("certifies")
+            .all_sites_overflow_safe());
+        let got = e.query(&filtered).expect("runs");
+        assert_eq!(got.rows, vec![vec![0, 5, 1], vec![1, 7, 1]]);
+        assert!(!fell_back(&e, &filtered));
+        assert_eq!(got.metrics().expect("metered").retries, 0);
+    }
+}

@@ -368,7 +368,10 @@ fn pinned_strategy_shows_up_in_explain() {
         .strategies(StrategyOverrides::pin_agg(AggStrategy::ValueMasking))
         .build();
     let report = engine.explain(&groupby_plan()).expect("plans");
-    assert_eq!(report.strategy, "value-masking, sink: register loop");
+    assert_eq!(
+        report.strategy,
+        "value-masking, sink: groupby_value_masked_n<2>"
+    );
     assert_eq!(report.threads, 2);
     assert!(
         report.decisions.iter().any(|d| d.contains("pinned")),
@@ -447,8 +450,8 @@ fn engines(db: fn() -> Database, pins: &StrategyOverrides, stats: StatsMode) -> 
 /// it can be pinned to, at 1/2/8 threads, scoped and pooled, answers and
 /// counts the same whether its workers fill hash tables (`StatsMode::Off`:
 /// no key domain) or dense arrays (`OnLoad`: exact min/max) — through the
-/// kernel sinks (one sum) and the register loop (several aggregates,
-/// min/max) alike.
+/// single-sum kernels, the compiled lists (sum and count) and the register
+/// loop (min/max) alike.
 #[test]
 fn dense_and_hash_group_tables_agree_on_results_and_counters() {
     let min_max = vec![

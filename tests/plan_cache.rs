@@ -559,3 +559,51 @@ fn an_ad_hoc_text_is_one_lookup_and_an_explicit_prepare_plans_at_once() {
         "all of it on one entry"
     );
 }
+
+/// The engine keeps one run report, so `EXPLAIN` shows it only for the
+/// statement it is about: interleaved EXPLAINs of two statements each print
+/// their own `last run`, or none once the other statement has run since.
+#[test]
+fn last_run_is_reported_for_the_statement_that_ran_only() {
+    let engine = Engine::builder(simple_db()).build();
+    let scalar = sum_where_x_lt(30);
+    let grouped = QueryBuilder::scan("R").aggregate(
+        Some("r_a"),
+        vec![AggSpec::sum(Expr::col("r_x"), "s"), AggSpec::count("n")],
+    );
+    let last_run = |plan: &LogicalPlan| engine.explain(plan).expect("explains").runtime;
+    assert!(last_run(&scalar).is_empty(), "nothing ran yet");
+
+    engine.query(&scalar).expect("runs");
+    let own = last_run(&scalar);
+    assert!(own.last().is_some_and(|l| l.contains(": ok (")), "{own:?}");
+    assert!(
+        last_run(&grouped).is_empty(),
+        "the scalar statement's run is not the grouped statement's"
+    );
+    assert_eq!(last_run(&scalar), own, "explaining another changes nothing");
+
+    engine.query(&grouped).expect("runs");
+    let grouped_run = last_run(&grouped);
+    let strategy = engine.explain(&grouped).expect("explains").strategy;
+    assert!(
+        grouped_run
+            .last()
+            .is_some_and(|l| l.starts_with(&format!("{strategy}: ok"))),
+        "{grouped_run:?} under {strategy}"
+    );
+    assert!(
+        last_run(&scalar).is_empty(),
+        "superseded by the grouped run"
+    );
+    // EXPLAIN ANALYZE runs the statement, so it always has its own report,
+    // and EXPLAIN VERIFY renders the same one.
+    let analyzed = engine.explain_analyze(&scalar).expect("runs");
+    assert_eq!(analyzed.runtime, own);
+    assert_eq!(engine.explain_verify(&scalar).expect("ok").runtime, own);
+    assert!(engine
+        .explain_verify(&grouped)
+        .expect("ok")
+        .runtime
+        .is_empty());
+}
