@@ -109,6 +109,60 @@ pub fn semijoin_sum_bitmap_masked<A: AsI64, B: AsI64, O: BinOp>(
     sum
 }
 
+/// The fully masked bitmap probe for a `sum(a OP b)` beside any number of
+/// `count(*)`s — and for a lone sum whose accumulator nothing proved: the
+/// loop of [`semijoin_sum_bitmap_masked`] that also counts the lanes it
+/// keeps. Per lane `bit = cmp[j] & bitmap[fk_pos[j]]`, `count += bit`,
+/// `sum += (a OP b) * bit`; returns `(sum, count, overflow)`.
+///
+/// `CHECKED` reports what [`crate::agg::sum_op_masked_checked`] reports over
+/// the folded mask: an operator application that wrapped on a qualifying
+/// lane, or a running sum that wrapped. A wrap on a masked-out lane is
+/// wasted work and cannot affect the result, so it is ignored. Unchecked,
+/// the sum wraps and `overflow` is `false`.
+#[inline]
+pub fn semijoin_sum_count_bitmap_masked<A: AsI64, B: AsI64, O: BinOp, const CHECKED: bool>(
+    fk_pos: &[u32],
+    a: &[A],
+    b: &[B],
+    cmp: &[u8],
+    bitmap: &PositionalBitmap,
+) -> (i64, usize, bool) {
+    assert_eq!(fk_pos.len(), a.len());
+    assert_eq!(fk_pos.len(), b.len());
+    assert_eq!(fk_pos.len(), cmp.len());
+    let (mut sum, mut count, mut overflow) = (0i64, 0u64, false);
+    for j in 0..fk_pos.len() {
+        let bit = cmp[j] as u64 & bitmap.get_bit(fk_pos[j] as usize);
+        count += bit;
+        if CHECKED {
+            let (v, op_wrapped) = O::apply_checked(a[j].widen(), b[j].widen());
+            let (s, sum_wrapped) = sum.overflowing_add(v * bit as i64);
+            sum = s;
+            overflow |= (op_wrapped & (bit != 0)) | sum_wrapped;
+        } else {
+            sum = sum.wrapping_add(O::apply(a[j].widen(), b[j].widen()) * bit as i64);
+        }
+    }
+    (sum, count as usize, overflow)
+}
+
+/// [`semijoin_sum_count_bitmap_masked`] with no sum: the lanes a fully
+/// masked probe keeps, for a list of `count(*)`s only.
+#[inline]
+pub fn semijoin_count_bitmap_masked(
+    fk_pos: &[u32],
+    cmp: &[u8],
+    bitmap: &PositionalBitmap,
+) -> usize {
+    assert_eq!(fk_pos.len(), cmp.len());
+    let mut count = 0u64;
+    for (&pos, &c) in fk_pos.iter().zip(cmp) {
+        count += c as u64 & bitmap.get_bit(pos as usize);
+    }
+    count as usize
+}
+
 /// Bitmap semijoin probe through a selection vector: used when the
 /// probe-side predicate is selective enough that the value-masking cost
 /// model prefers early filtering of the probe side.
@@ -293,6 +347,121 @@ mod tests {
                 semijoin_sum_bitmap_gather::<_, _, Mul>(&d.r_fk, &d.r_a, &d.r_b, &idx_r[..k], &bm);
             assert_eq!(gathered, expected, "bitmap-gather {sel_r}/{sel_s}");
         }
+    }
+
+    /// The fully masked probe the data-centric way: branch per lane on the
+    /// predicate and the parent's bit, and accumulate over the qualifying
+    /// lanes only, checking every add — `(sum, count, overflow)`.
+    fn reference_probe<A: AsI64, B: AsI64, O: BinOp>(
+        fk: &[u32],
+        a: &[A],
+        b: &[B],
+        cmp: &[u8],
+        bm: &PositionalBitmap,
+    ) -> (i64, usize, bool) {
+        let (mut sum, mut count, mut overflow) = (0i64, 0, false);
+        for j in 0..fk.len() {
+            if cmp[j] != 0 && bm.get_bit(fk[j] as usize) != 0 {
+                let (v, op_wrapped) = O::apply_checked(a[j].widen(), b[j].widen());
+                let (s, sum_wrapped) = sum.overflowing_add(v);
+                sum = s;
+                count += 1;
+                overflow |= op_wrapped | sum_wrapped;
+            }
+        }
+        (sum, count, overflow)
+    }
+
+    /// Both forms of the sum-and-count probe, and the count-only one,
+    /// against [`reference_probe`]; the lone-sum kernel too where nothing
+    /// wraps.
+    fn check_probe<A: AsI64, B: AsI64, O: BinOp>(
+        label: &str,
+        fk: &[u32],
+        a: &[A],
+        b: &[B],
+        cmp: &[u8],
+        bm: &PositionalBitmap,
+    ) {
+        let label = format!("{label} {}", O::NAME);
+        let want = reference_probe::<_, _, O>(fk, a, b, cmp, bm);
+        let checked = semijoin_sum_count_bitmap_masked::<_, _, O, true>(fk, a, b, cmp, bm);
+        assert_eq!(checked, want, "checked, {label}");
+        let unchecked = semijoin_sum_count_bitmap_masked::<_, _, O, false>(fk, a, b, cmp, bm);
+        assert_eq!(unchecked, (want.0, want.1, false), "unchecked, {label}");
+        assert_eq!(semijoin_count_bitmap_masked(fk, cmp, bm), want.1, "{label}");
+        if !want.2 {
+            let sum = semijoin_sum_bitmap_masked::<_, _, O>(fk, a, b, cmp, bm);
+            assert_eq!(sum, want.0, "lone sum, {label}");
+        }
+    }
+
+    /// Random FK, predicate and bitmap streams at every density, narrow and
+    /// wide operands (the wide ones wrap on some lanes and in the running
+    /// sum), `*` and `/`.
+    #[test]
+    fn sum_count_probe_matches_datacentric() {
+        use crate::agg::Div;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let cases = if cfg!(miri) { 4 } else { 48 };
+        for seed in 0..cases {
+            let mut rng = SmallRng::seed_from_u64(0x5e31 + seed);
+            let (n, n_s) = (rng.gen_range(0..3 * crate::TILE), rng.gen_range(1..500u32));
+            let densities = [0.0, 0.05, 0.5, 0.95, 1.0];
+            let mut bytes = |len: usize| {
+                let p = densities[rng.gen_range(0..densities.len())];
+                (0..len).map(|_| rng.gen_bool(p) as u8).collect::<Vec<u8>>()
+            };
+            let (cmp, parent) = (bytes(n), bytes(n_s as usize));
+            let bm = PositionalBitmap::from_predicate_bytes(&parent);
+            let fk: Vec<u32> = (0..n).map(|_| rng.gen_range(0..n_s)).collect();
+            let narrow: Vec<i32> = (0..n).map(|_| rng.gen_range(-1000..1000)).collect();
+            let divisor: Vec<i8> = (0..n)
+                .map(|_| [-3, -1, 1, 2, 7][rng.gen_range(0..5usize)])
+                .collect();
+            let limit = i64::MAX >> rng.gen_range(0..16u32);
+            let wide: Vec<i64> = (0..n).map(|_| rng.gen_range(-limit..limit)).collect();
+            let label = format!("seed {seed}, {n} lanes");
+            check_probe::<_, _, Mul>(&label, &fk, &narrow, &divisor, &cmp, &bm);
+            check_probe::<_, _, Div>(&label, &fk, &narrow, &divisor, &cmp, &bm);
+            check_probe::<_, _, Mul>(&label, &fk, &wide, &narrow, &cmp, &bm);
+            check_probe::<_, _, Div>(&label, &fk, &wide, &divisor, &cmp, &bm);
+        }
+    }
+
+    /// The checked probe reports what `agg::sum_op_masked_checked` reports
+    /// over the folded mask (see `masked_checked_agrees_and_detects_overflow`).
+    #[test]
+    fn sum_count_probe_detects_overflow_on_qualifying_lanes_only() {
+        use crate::agg::Div;
+        let bm = PositionalBitmap::from_predicate_bytes(&[1, 0]);
+        let (big, two, one) = ([i64::MAX, 1, i64::MAX], [2i64, 1, 2], [1i64; 3]);
+        let mul = |fk: &[u32], b: &[i64], cmp: &[u8]| {
+            semijoin_sum_count_bitmap_masked::<_, _, Mul, true>(fk, &big, b, cmp, &bm)
+        };
+        // A product that wraps on a qualifying lane is detected...
+        assert!(mul(&[0, 0, 1], &two, &[1, 1, 0]).2);
+        // ...one the predicate or the parent's bit masks out is not...
+        assert_eq!(mul(&[0, 0, 1], &two, &[0, 1, 1]), (1, 1, false));
+        // ...and neither is a running sum that wraps missed.
+        assert_eq!(mul(&[0, 0, 0], &one, &[1, 1, 0]), (i64::MIN, 2, true));
+        // Unchecked: the same wrapped sum, nothing reported.
+        let unchecked = semijoin_sum_count_bitmap_masked::<_, _, Mul, false>(
+            &[0, 0, 0],
+            &big,
+            &one,
+            &[1, 1, 0],
+            &bm,
+        );
+        assert_eq!(unchecked, (i64::MIN, 2, false));
+        // `i64::MIN / -1` wraps too.
+        let (min, minus_one) = ([i64::MIN], [-1i64]);
+        let div = |cmp: &[u8]| {
+            semijoin_sum_count_bitmap_masked::<_, _, Div, true>(&[0], &min, &minus_one, cmp, &bm)
+        };
+        assert_eq!(div(&[1]), (i64::MIN, 1, true));
+        assert_eq!(div(&[0]), (0, 0, false));
     }
 
     /// Reference groupjoin: sum(a*b) per fk whose S row passes the pred.

@@ -7,7 +7,8 @@
 //!  front end                      per edge                    sink
 //!  Select     filter → idx        narrow idx to the hits      selected(k)
 //!  Mask       filter mask         AND the bitmap bit in       masked()
-//!  EveryLane  —                   —                           every_lane()
+//!  EveryLane  —                   the sink's: in its pass,    every_lane()
+//!                                 or after the merge
 //! ```
 //!
 //! A plain scan is the zero-edge case of every row. The loop is compiled
@@ -95,8 +96,8 @@ pub(crate) fn exec_agg(
         let masked = front == FrontEnd::Mask;
         let sinks = scalar_sinks(&shape.program, &shape.aggs, masked, !opts.overflow_proved);
         let fused_probe = sinks
-            .fused_probe()
-            .filter(|_| masked && stage.edges.len() == 1 && !counting);
+            .fused_probe(counting)
+            .filter(|_| masked && stage.edges.len() == 1);
         // The fused pass does its own restricting.
         let front = fused_probe.map_or(front, |_| FrontEnd::EveryLane);
         return drive(stage, front, ScalarSink { sinks, fused_probe }, opts, ctx);
@@ -244,6 +245,17 @@ fn run<const FRONT: u8, S: Sink>(
                     }
                     let m = sink.masked(t, &mut w.acc, &mut w.regs);
                     (len, m, (len * sides.len()) as u64)
+                } else if let Some(q) = sink.every_lane(t, &mut w.acc, &w.regs) {
+                    // The fused masked probe restricted the tile through its
+                    // one edge and counted the survivors in the same pass.
+                    if counting {
+                        // As behind `Mask`: the edge reached the filter's
+                        // rows, though every lane probed the bitmap.
+                        let reached = predicate::mask_count(bound.filter(&w.regs, len));
+                        w.edge[0].0 += reached as u64;
+                        w.edge[0].1 += q as u64;
+                    }
+                    (len, q, len as u64)
                 } else {
                     let mut q = 0;
                     if counting {
@@ -260,7 +272,6 @@ fn run<const FRONT: u8, S: Sink>(
                             q += alive as usize;
                         }
                     }
-                    sink.every_lane(t, &mut w.acc, &w.regs);
                     (len, q, 0)
                 };
                 if counting {

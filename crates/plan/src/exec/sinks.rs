@@ -13,7 +13,8 @@ use crate::metrics::OpMetrics;
 use crate::physical::{AggMode, FrontEnd};
 use crate::result::QueryResult;
 use crate::tile::{
-    self, with_lane, FusedSum, GroupIn, GroupSink, Lane, ListUpsert, Regs, ScalarSinks, TileProgram,
+    self, with_lane, FusedProbe, GroupIn, GroupSink, Lane, ListUpsert, Regs, ScalarSinks,
+    TileProgram,
 };
 use swole_cost::AggStrategy;
 use swole_ht::{GroupTable, MergeOp};
@@ -41,8 +42,10 @@ pub(super) trait Sink: Send + Sync + 'static {
     fn masked(&self, t: Tile<'_>, acc: &mut Self::Acc, regs: &mut Regs) -> usize;
 
     /// [`FrontEnd::EveryLane`]: fold every lane of a tile the edges have not
-    /// restricted; the sink settles with them itself.
-    fn every_lane(&self, t: Tile<'_>, acc: &mut Self::Acc, regs: &Regs);
+    /// restricted; the sink settles with them itself — in the same pass,
+    /// returning the lanes that qualified if it counted them (the fused
+    /// masked probe), or after the merge (eager aggregation, `None`).
+    fn every_lane(&self, t: Tile<'_>, acc: &mut Self::Acc, regs: &Regs) -> Option<usize>;
 
     /// Account one tile: `reached` lanes got past the filter (selection
     /// vector) or were aggregated (the other front ends), `qualifying` of
@@ -85,11 +88,10 @@ fn no_partials() -> PlanError {
 /// `swole_kernels::agg` loops selected for the aggregate list.
 pub(super) struct ScalarSink {
     pub sinks: ScalarSinks,
-    /// The one sum of a masked one-edge probe that takes the fused kernel
-    /// ([`ScalarSinks::fused_probe`]) — behind [`FrontEnd::EveryLane`]; `None`
-    /// on every other stage, and when counters are on — they need the folded
-    /// mask the fused pass skips.
-    pub fused_probe: Option<FusedSum>,
+    /// The list of a masked one-edge probe that runs as one pass
+    /// ([`ScalarSinks::fused_probe`]) — behind [`FrontEnd::EveryLane`];
+    /// `None` on every other stage.
+    pub fused_probe: Option<FusedProbe>,
 }
 
 pub(super) struct ScalarAcc {
@@ -148,17 +150,37 @@ impl Sink for ScalarSink {
 
     /// The fused masked probe: the accumulate pass multiplies the edge's
     /// bitmap bit in itself instead of having it ANDed into the mask first.
-    fn every_lane(&self, t: Tile<'_>, acc: &mut ScalarAcc, regs: &Regs) {
-        let (Some(sum), [(BuildSide::Bitmap(bm), _)], Some(fk)) =
+    fn every_lane(&self, t: Tile<'_>, acc: &mut ScalarAcc, regs: &Regs) -> Option<usize> {
+        let (Some(probe), [(BuildSide::Bitmap(bm), _)], Some(fk)) =
             (self.fused_probe, t.sides, t.first_fk())
         else {
             unreachable!("only a fused probe sends a scalar sink every lane")
         };
-        let v = t.bound.probe_masked(regs, sum, fk, bm, t.at);
-        acc.acc[0] = acc.acc[0].wrapping_add(v);
-        // Lanes aggregated, not lanes qualifying: all the merge asks is
-        // whether any were, and a sum over none is 0 either way.
-        acc.matched += t.at.1;
+        let sum = match probe {
+            FusedProbe::Sum(sum) => {
+                let v = t.bound.probe_masked(regs, sum, fk, bm, t.at);
+                acc.acc[0] = acc.acc[0].wrapping_add(v);
+                // Lanes aggregated, not lanes qualifying: all the merge asks
+                // is whether any were, and a sum over none is 0 either way.
+                acc.matched += t.at.1;
+                return None;
+            }
+            FusedProbe::SumCount(sum) => sum,
+        };
+        let checked = self.sinks.checked;
+        let (s, n, wrapped) = t.bound.probe_sum_count(regs, sum, checked, fk, bm, t.at);
+        for (slot, sink) in acc.acc.iter_mut().zip(&self.sinks.sinks) {
+            let v = match sink {
+                tile::Sink::Count => n as i64,
+                _ => s,
+            };
+            let (v, slot_wrapped) = slot.overflowing_add(v);
+            *slot = v;
+            acc.overflow |= checked & slot_wrapped;
+        }
+        acc.overflow |= wrapped;
+        acc.matched += n;
+        Some(n)
     }
 
     fn count(&self, ctr: &mut AccessCounters, reached: usize, qualifying: usize, probes: u64) {
@@ -324,7 +346,7 @@ where
         m
     }
 
-    fn every_lane(&self, t: Tile<'_>, acc: &mut GroupAcc<T>, regs: &Regs) {
+    fn every_lane(&self, t: Tile<'_>, acc: &mut GroupAcc<T>, regs: &Regs) -> Option<usize> {
         let fk = t
             .first_fk()
             .expect("eager aggregation keys by its edge's FK");
@@ -336,6 +358,7 @@ where
             }
             GroupSink::Registers(_) => unreachable!("min / max are planned hybrid"),
         }
+        None
     }
 
     fn count(&self, ctr: &mut AccessCounters, reached: usize, qualifying: usize, _probes: u64) {

@@ -452,14 +452,15 @@ impl AggShape {
                 format!("{}{}", s.name(), sink(kernel))
             }
             AggMode::Probe { masked: false } => join(""),
-            // The planned sink: at run time an unproven accumulator, or
-            // counters, step it down to AND-into-mask + `sum_op_masked`.
+            // The one-pass loop, named for a proven run; a lone sum that is
+            // unproven or counted runs the counting loop's checked or plain
+            // form instead. Two or more sums fold the bit into the mask.
             AggMode::Probe { masked: true } => {
                 let sinks = scalar_sinks(&self.program, &self.aggs, true, false);
-                join(match sinks.fused_probe() {
-                    Some(_) => ", masked probe, sink: semijoin_sum_bitmap_masked",
-                    None => ", masked probe",
-                })
+                match sinks.fused_probe(false) {
+                    Some(p) => join(&format!(", masked probe, sink: {}", p.name())),
+                    None => join(", masked probe"),
+                }
             }
             AggMode::Join(s) => {
                 let kernel = match s {

@@ -9,7 +9,7 @@
 //! shared across aggregates (the served-path form of access merging,
 //! § III-C); top-level `col OP col` sums are left unevaluated so the scalar
 //! sinks can hand the column slices to the measured `swole_kernels::agg`
-//! loops, the masked probe to `join::semijoin_sum_bitmap_masked` and the
+//! loops, the masked probe to `join::semijoin_sum{,_count}_bitmap_masked` and the
 //! grouped sinks — which also read the group key at native width, never
 //! from a register — to the `groupby` / `join` upsert kernels. Binding a
 //! program to a pinned table ([`TileProgram::bind`])
@@ -1363,19 +1363,63 @@ pub(crate) fn group_sink(prog: &TileProgram, aggs: &[AggSpec]) -> GroupSink {
     }
 }
 
-impl ScalarSinks {
-    /// The one sum a fully masked probe hands, with its edge's bitmap, to
-    /// `join::semijoin_sum_bitmap_masked` — one pass that multiplies the
-    /// bitmap bit in while it accumulates, instead of ANDing the bit into
-    /// the mask and then running `agg::sum_op_masked`. Only a single plain
-    /// sum whose accumulator the certificate proved: the kernel has no
-    /// overflow-detecting twin, and several aggregates share the folded mask
-    /// more cheaply than each would fetch the bits again.
-    pub(crate) fn fused_probe(&self) -> Option<FusedSum> {
-        match self.sinks[..] {
-            [Sink::Sum(sum)] if !self.checked => Some(sum),
-            _ => None,
+/// The aggregate list of a fully masked one-edge probe, resolved for the one
+/// pass (§ III-D) that multiplies the edge's bitmap bit in while it
+/// accumulates, instead of ANDing the bit into the filter mask and then
+/// running the masked sinks over it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FusedProbe {
+    /// A lone `sum` whose accumulator the certificate proved, on a run that
+    /// does not count the edge's survivors: `join::semijoin_sum_bitmap_masked`.
+    Sum(FusedSum),
+    /// At most one `sum` beside any number of `count(*)`s:
+    /// `join::semijoin_sum_count_bitmap_masked`, checked unless the
+    /// accumulators are proven — `semijoin_count_bitmap_masked` without a
+    /// sum.
+    SumCount(Option<FusedSum>),
+}
+
+impl FusedProbe {
+    /// The kernel as `EXPLAIN` names it.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            FusedProbe::Sum(_) => "semijoin_sum_bitmap_masked",
+            FusedProbe::SumCount(Some(_)) => "semijoin_sum_count_bitmap_masked",
+            FusedProbe::SumCount(None) => "semijoin_count_bitmap_masked",
         }
+    }
+}
+
+impl ScalarSinks {
+    /// How a fully masked one-edge probe runs this list in one pass: any
+    /// list of at most one `sum` and any number of `count(*)`s. A list of
+    /// two or more sums is `None` and keeps the fold — each sum would fetch
+    /// the bits again, and they share the folded mask more cheaply. A lone
+    /// proven sum keeps the kernel that counts nothing unless the run is
+    /// `counted`, i.e. reports the edge's survivors.
+    pub(crate) fn fused_probe(&self, counted: bool) -> Option<FusedProbe> {
+        let mut sum = None;
+        for sink in &self.sinks {
+            let s = match *sink {
+                Sink::Count => continue,
+                Sink::Sum(s) => s,
+                // Access merging folds the mask into `x`; one pass reads the
+                // operands as they are.
+                Sink::SumMerged { x, other } => FusedSum {
+                    op: FusedOp::Mul,
+                    a: Src::Col(x),
+                    b: Src::Col(other.unwrap_or(x)),
+                },
+                Sink::Min(_) | Sink::Max(_) => return None,
+            };
+            if sum.replace(s).is_some() {
+                return None;
+            }
+        }
+        Some(match (sum, &self.sinks[..]) {
+            (Some(sum), [_]) if !self.checked && !counted => FusedProbe::Sum(sum),
+            (sum, _) => FusedProbe::SumCount(sum),
+        })
     }
 }
 
@@ -1414,6 +1458,33 @@ impl BoundProgram {
         let cmp = self.filter(r, tile.1);
         with_fused!(self, r, sum, tile, |a, b, O| {
             join::semijoin_sum_bitmap_masked::<_, _, O>(fk, a, b, cmp, bitmap)
+        })
+    }
+
+    /// The same pass for a list with counts, or an unproven sum: the lanes
+    /// the filter mask and the bitmap keep, the `sum` over them if the list
+    /// has one, and — `checked` — whether it wrapped on one of them.
+    pub(crate) fn probe_sum_count(
+        &self,
+        r: &Regs,
+        sum: Option<FusedSum>,
+        checked: bool,
+        fk: &[u32],
+        bitmap: &PositionalBitmap,
+        tile: (usize, usize),
+    ) -> (i64, usize, bool) {
+        let cmp = self.filter(r, tile.1);
+        let Some(sum) = sum else {
+            return (
+                0,
+                join::semijoin_count_bitmap_masked(fk, cmp, bitmap),
+                false,
+            );
+        };
+        with_fused!(self, r, sum, tile, |a, b, O| if checked {
+            join::semijoin_sum_count_bitmap_masked::<_, _, O, true>(fk, a, b, cmp, bitmap)
+        } else {
+            join::semijoin_sum_count_bitmap_masked::<_, _, O, false>(fk, a, b, cmp, bitmap)
         })
     }
 
@@ -1947,25 +2018,44 @@ mod tests {
                 assert_eq!(&run(&bound, sum, fk, which, dense), want, "dense {label}");
             }
 
-            // The fused probe: one pass, against AND-into-mask then the
-            // masked sum.
+            // The fused probe, both loops, checked and not, with and without
+            // the sum: one pass, against AND-into-mask then the masked sinks.
             let sinks = scalar_sinks(&prog, &aggs, true, false);
-            if let Some(sum) = sinks.fused_probe() {
-                let mut regs = Regs::new(&prog);
-                let (mut fused, mut three_pass) = (0i64, vec![0i64]);
-                for tile in swole_kernels::tiles(ROWS) {
-                    let (start, len) = tile;
-                    let fk = &fk[start..start + len];
-                    bound.run(&mut regs, start, len);
-                    let v = bound.probe_masked(&regs, sum, fk, &bitmap, tile);
-                    fused = fused.wrapping_add(v);
-                    for (c, &p) in bound.filter_mut(&mut regs, len).iter_mut().zip(fk) {
-                        *c &= bitmap.get_bit(p as usize) as u8;
-                    }
-                    bound.accumulate_masked(&mut regs, &sinks, tile, &mut three_pass, &mut false);
+            let Some(FusedProbe::Sum(sum)) = sinks.fused_probe(false) else {
+                panic!("a lone proven sum keeps its kernel");
+            };
+            let with_count = ScalarSinks {
+                sinks: vec![Sink::Sum(sum), Sink::Count],
+                checked: false,
+            };
+            let mut regs = Regs::new(&prog);
+            let (mut fused, mut three_pass) = ([0i64; 4], vec![0i64; 2]);
+            let mut counted = [0usize; 3];
+            for tile in swole_kernels::tiles(ROWS) {
+                let (start, len) = tile;
+                let fk = &fk[start..start + len];
+                bound.run(&mut regs, start, len);
+                let v = bound.probe_masked(&regs, sum, fk, &bitmap, tile);
+                fused[0] = fused[0].wrapping_add(v);
+                for (i, (sum, checked)) in [(Some(sum), false), (Some(sum), true), (None, false)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let (v, n, _) = bound.probe_sum_count(&regs, sum, checked, fk, &bitmap, tile);
+                    fused[i + 1] = fused[i + 1].wrapping_add(v);
+                    counted[i] += n;
                 }
-                assert_eq!(fused, three_pass[0], "seed {seed} probe {input:?}");
+                for (c, &p) in bound.filter_mut(&mut regs, len).iter_mut().zip(fk) {
+                    *c &= bitmap.get_bit(p as usize) as u8;
+                }
+                bound.accumulate_masked(&mut regs, &with_count, tile, &mut three_pass, &mut false);
             }
+            let [sum, n] = three_pass[..] else {
+                unreachable!()
+            };
+            let label = format!("seed {seed} probe {input:?}");
+            assert_eq!(fused, [sum, sum, sum, 0], "{label}");
+            assert_eq!(counted.map(|n| n as i64), [n; 3], "{label}");
         }
     }
 
@@ -2258,18 +2348,42 @@ mod tests {
                 .iter()
                 .all(|s| matches!(s, Sink::Sum(_))));
         }
-        // The fused masked probe takes exactly one plain, proven sum.
-        let one = &aggs[3..];
-        let fused = |aggs: &[AggSpec], masked, checked| {
+        // The fused masked probe takes any list of at most one sum: a lone
+        // proven sum, on a run that counts nothing, its own kernel; anything
+        // else the counting one.
+        let (one, n) = (&aggs[3..], AggSpec::count("n"));
+        let fused = |aggs: &[AggSpec], checked, counted| {
             let prog = TileProgram::lower_agg(&t, Some(&filter), None, aggs, false).unwrap();
-            scalar_sinks(&prog, aggs, masked, checked).fused_probe()
+            scalar_sinks(&prog, aggs, true, checked).fused_probe(counted)
         };
-        assert!(fused(one, true, false).is_some());
-        assert_eq!(fused(one, true, true), None, "unproven accumulator");
-        assert_eq!(fused(&aggs[2..], true, false), None, "two sums");
-        assert_eq!(fused(&aggs[..1], true, false), None, "merged access");
-        let counted = [aggs[3].clone(), AggSpec::count("n")];
-        assert_eq!(fused(&counted, true, false), None, "a count beside it");
+        let Some(FusedProbe::Sum(sum)) = fused(one, false, false) else {
+            panic!("a lone proven sum keeps its kernel");
+        };
+        let sum_count = Some(FusedProbe::SumCount(Some(sum)));
+        assert_eq!(fused(one, true, false), sum_count, "unproven accumulator");
+        assert_eq!(fused(one, false, true), sum_count, "counters on");
+        let counted = [one[0].clone(), n.clone()];
+        assert_eq!(
+            fused(&counted, false, false),
+            sum_count,
+            "a count beside it"
+        );
+        let counts = [n.clone(), n.clone()];
+        assert_eq!(
+            fused(&counts, true, false),
+            Some(FusedProbe::SumCount(None))
+        );
+        assert_eq!(fused(&aggs[2..], false, false), None, "two sums");
+        let x_times_a = FusedSum {
+            op: FusedOp::Mul,
+            a: Src::Col(x),
+            b: Src::Col(a),
+        };
+        assert_eq!(
+            fused(&[aggs[1].clone(), n], false, false),
+            Some(FusedProbe::SumCount(Some(x_times_a))),
+            "merged access reads the operands as they are"
+        );
 
         // Grouped: one sum — fusable or not — takes the single-sum upsert
         // kernel, any other sum / count list its compiled `_n` form, and

@@ -6,7 +6,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use swole_cost::GroupJoinStrategy;
 use swole_plan::{
-    interp, AggSpec, CmpOp, Database, Engine, Expr, LogicalPlan, PlanError, QueryBuilder,
+    interp, AggFunc, AggSpec, CmpOp, Database, Engine, Expr, LogicalPlan, PlanError, QueryBuilder,
     StrategyOverrides,
 };
 use swole_storage::{ColumnData, DictColumn, Table};
@@ -521,6 +521,95 @@ fn compiled_aggregate_lists_match_the_interpreter() {
                     "{explain}\nwants {table}"
                 );
                 assert_eq!(engine.query(&plan).expect("engine"), expected, "{explain}");
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One-pass masked probes
+// ---------------------------------------------------------------------------
+
+/// Every masked-probe list of at most one sum runs as one pass, proven or
+/// checked, with counters on or off, and answers as the interpreter does,
+/// bit for bit: lists `[sum]`, `[sum, count]`, `[count, sum]`, `[count]`,
+/// `[count, count]` and `[sum, sum]` (which still folds the bit into the
+/// mask) × with and without a probe-side filter × `*` and `/` over narrow
+/// (`i32` / `i8`) and wide (`i64`) operands × sums proven (statistics on) or
+/// not (off) × threads {1, 2, 8} and a 4-worker pool × `MetricsLevel`
+/// Off and Counters. Under counters every list over the same probe reports
+/// the same edge and aggregation counters as the fold does.
+#[test]
+fn masked_probe_lists_run_in_one_pass_and_match_the_interpreter() {
+    use swole_plan::{MetricsLevel, StatsMode};
+    let div = |a: Expr, b: Expr| Expr::Div(Box::new(a), Box::new(b));
+    let sums = [
+        Expr::col("a").mul(Expr::col("b")),
+        div(Expr::col("a"), Expr::col("q")),
+        Expr::col("p").mul(Expr::col("q")),
+        div(Expr::col("p"), Expr::col("q")),
+    ];
+    let lists = |e: &Expr| {
+        let s = |name: &str| AggSpec::sum(e.clone(), name);
+        let n = |name: &str| AggSpec::count(name);
+        let (sum_count, count) = (
+            "sink: semijoin_sum_count_bitmap_masked)",
+            "sink: semijoin_count_bitmap_masked)",
+        );
+        [
+            (vec![s("s")], "sink: semijoin_sum_bitmap_masked)"),
+            (vec![s("s"), n("n")], sum_count),
+            (vec![n("n"), s("s")], sum_count),
+            (vec![n("n")], count),
+            (vec![n("n"), n("n2")], count),
+            (vec![s("s"), s("s2")], "masked probe)"),
+        ]
+    };
+    let probe = |filtered: bool, aggs: Vec<AggSpec>| {
+        let fact = QueryBuilder::scan("R");
+        let fact = match filtered {
+            true => fact.filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(70))),
+            false => fact,
+        };
+        let parent = QueryBuilder::scan("S").filter(Expr::col("y").cmp(CmpOp::Lt, Expr::lit(40)));
+        fact.semijoin(parent, "fk").aggregate(None, aggs)
+    };
+    let oracle = lists_db(true);
+    for stats in [StatsMode::OnLoad, StatsMode::Off] {
+        for metrics in [MetricsLevel::Off, MetricsLevel::Counters] {
+            let engines = [(false, 1), (false, 2), (false, 8), (true, 4)].map(|(pool, threads)| {
+                let b = Engine::builder(lists_db(true))
+                    .tile_rows(2048)
+                    .stats(stats)
+                    .metrics(metrics);
+                match pool {
+                    true => b.worker_pool(threads).build(),
+                    false => b.threads(threads).build(),
+                }
+            });
+            for filtered in [false, true] {
+                for sum in &sums {
+                    let mut counters = None;
+                    for (aggs, sink) in lists(sum) {
+                        // A count needs no statistics to be proven.
+                        let sums = aggs.iter().any(|a| a.func == AggFunc::Sum);
+                        let proven = stats == StatsMode::OnLoad || !sums;
+                        let plan = probe(filtered, aggs);
+                        let expected = interp::run(&oracle, &plan).expect("interp");
+                        for engine in &engines {
+                            let explain = engine.explain(&plan).expect("explain");
+                            assert!(explain.strategy.ends_with(sink), "{explain}\nwants {sink}");
+                            let cert = engine.certificate(&plan).expect("certifies");
+                            assert_eq!(cert.all_sites_overflow_safe(), proven, "{explain}");
+                            let got = engine.query(&plan).expect("engine");
+                            assert_eq!(got.rows, expected.rows, "{explain}");
+                            let Some(m) = got.metrics() else { continue };
+                            let op = |name: &str| m.op(name).expect(name).access;
+                            let seen = (op("multijoin-probe(S)"), op("multijoin-agg(R)"));
+                            assert_eq!(*counters.get_or_insert(seen), seen, "{explain}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -1,0 +1,186 @@
+#!/usr/bin/env bash
+# Paired benchmark protocol: the working tree's `perf` against a parent
+# revision's, run alternately with the same seed per pair.
+#
+#   scripts/bench_pairs.sh <parent-rev> [--pairs N] [--seconds S] [--smoke] [--out DIR] [workload...]
+#
+# 1. Builds `perf` (the benchmark package under crates/bench/src/bin/perf)
+#    from the working tree, and from <parent-rev> checked out with
+#    `git worktree` under a temporary directory (`mktemp -d`, so $TMPDIR
+#    decides where), each into its own target directory. Only perf's stdout
+#    is read: nothing under crates/bench/src/bin/perf and not BENCHMARK.json
+#    is touched.
+# 2. For pair i = 1..N (default 10) and each workload (default: every one
+#    BENCHMARK.json declares) runs both binaries once with `--seed i
+#    --trace 0` and `--seconds S` (default: BENCHMARK.json's run_seconds),
+#    the parent first in odd pairs and the change first in even ones.
+# 3. Keeps every run's detail and result lines, one JSON object per run, in
+#    DIR/runs.jsonl (default DIR: target/bench-pairs/<parent>-<time>).
+# 4. Prints, per workload and end-to-end metric, parent -> change median
+#    [quartiles], the pairs the change won (by the metric's `better`) and
+#    the median per-pair difference; then per statement class the median
+#    `engine_over_handcoded` of each side (`engine_p50_ms` for a class
+#    without a hand-coded pair) and the pairs the change won.
+#
+# Layout caveat (ROADMAP item 1): `perf` is a package of its own, its path
+# dependencies hash their absolute paths into symbol names, and so the
+# function order -- and with it the alignment of a few hot loops, such as
+# `selvec::fill_nobranch` inlined into `scan_micro`'s hybrid statements --
+# changes with the checkout directory. The two binaries here are built in
+# different directories, as they are when the benchmark runs on two fresh
+# checkouts: a 30-50 % move of one of those statements with no change to
+# its code is that coin, not the change. Judge pairs, not one side's runs.
+#
+# `--smoke` passes perf's --smoke (tiny sizes, 0.4 s a run unless --seconds
+# is given): one pair against HEAD checks the protocol end to end.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+usage() {
+    sed -n '2,/^set -e/{/^set -e/d;s/^# \{0,1\}//;p}' "$0" >&2
+    exit 2
+}
+
+[ $# -ge 1 ] || usage
+case $1 in -*) usage ;; esac
+parent=$(git rev-parse --verify "$1^{commit}")
+shift
+pairs=10 seconds='' smoke='' out=''
+workloads=()
+while [ $# -gt 0 ]; do
+    case $1 in
+        --pairs) pairs=$2; shift 2 ;;
+        --seconds) seconds=$2; shift 2 ;;
+        --smoke) smoke=--smoke; shift ;;
+        --out) out=$2; shift 2 ;;
+        -*) echo "bench_pairs: unknown flag $1" >&2; exit 2 ;;
+        *) workloads+=("$1"); shift ;;
+    esac
+done
+bench() { python3 -c "import json, sys; b = json.load(open('BENCHMARK.json')); $1"; }
+if [ ${#workloads[@]} -eq 0 ]; then
+    mapfile -t workloads < <(bench 'print(*(w["name"] for w in b["workloads"]), sep="\n")')
+fi
+if [ -z "$seconds" ] && [ -z "$smoke" ]; then
+    seconds=$(bench 'print(b["run_seconds"])')
+fi
+out=${out:-target/bench-pairs/${parent:0:7}-$(date +%Y%m%d-%H%M%S)}
+mkdir -p "$out"
+runs="$out/runs.jsonl"
+: >"$runs"
+
+tmp=$(mktemp -d)
+cleanup() {
+    git worktree remove --force "$tmp/parent" >/dev/null 2>&1 || true
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
+git worktree add --detach --quiet "$tmp/parent" "$parent"
+
+manifest=crates/bench/src/bin/perf/Cargo.toml
+declare -A root=([parent]="$tmp/parent" [change]="$PWD")
+for side in parent change; do
+    echo "bench_pairs: building $side perf" >&2
+    cargo build --release --quiet --manifest-path "${root[$side]}/$manifest"
+done
+
+# One run: the last two stdout lines are perf's detail and result.
+run() {
+    local side=$1 pair=$2 workload=$3 status=0 lines
+    local args=(--workload "$workload" --seed "$pair" --trace 0 ${smoke:+"$smoke"})
+    [ -z "$seconds" ] || args+=(--seconds "$seconds")
+    lines=$(cd "${root[$side]}" &&
+        crates/bench/src/bin/perf/target/release/perf "${args[@]}" | tail -n 2) || status=$?
+    [ "$status" -eq 0 ] || echo "bench_pairs: $side $workload seed $pair exited $status" >&2
+    [ "$(printf '%s\n' "$lines" | wc -l)" -eq 2 ] || return 0
+    printf '{"pair":%d,"side":"%s","workload":"%s","status":%d,"detail":%s,"result":%s}\n' \
+        "$pair" "$side" "$workload" "$status" "$(head -n 1 <<<"$lines")" \
+        "$(tail -n 1 <<<"$lines")" >>"$runs"
+}
+
+for pair in $(seq 1 "$pairs"); do
+    order=(parent change)
+    [ $((pair % 2)) -eq 1 ] || order=(change parent)
+    for workload in "${workloads[@]}"; do
+        for side in "${order[@]}"; do
+            echo "bench_pairs: pair $pair/$pairs $workload $side" >&2
+            run "$side" "$pair" "$workload"
+        done
+    done
+done
+
+python3 - "$runs" BENCHMARK.json <<'EOF'
+import json
+import statistics
+import sys
+from collections import defaultdict
+
+runs_path, bench_path = sys.argv[1:3]
+spec = json.load(open(bench_path))
+better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+by = defaultdict(dict)  # (workload, pair) -> side -> run
+workloads = []
+for line in open(runs_path):
+    r = json.loads(line)
+    by[(r["workload"], r["pair"])][r["side"]] = r
+    if r["workload"] not in workloads:
+        workloads.append(r["workload"])
+
+
+def quartiles(v):
+    """Python's exclusive quartiles, as perf and the benchmark judge spread."""
+    return [v[0]] * 3 if len(v) == 1 else statistics.quantiles(v, n=4)
+
+
+def span(v):
+    q1, med, q3 = quartiles(v)
+    return f"{med:.4g} [{q1:.4g}-{q3:.4g}]"
+
+
+def wins(par, chg, lower):
+    return sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
+
+
+print(f"{'workload':<15} {'metric':<22} {'parent':>26} -> {'change':<26} {'won':>5} {'median diff/pair':>22}")
+for w in workloads:
+    pairs = sorted(p for (ww, p) in by if ww == w and len(by[(ww, p)]) == 2)
+    if not pairs:
+        print(f"{w:<15} no complete pair")
+        continue
+    side = lambda s: [by[(w, p)][s] for p in pairs]
+    for metric, direction in better.items():
+        value = lambda r: r["result"]["metrics"][metric]["value"]
+        par, chg = [value(r) for r in side("parent")], [value(r) for r in side("change")]
+        diff = statistics.median(c - p for p, c in zip(par, chg))
+        rel = statistics.median((c - p) / p * 100 for p, c in zip(par, chg) if p)
+        won = wins(par, chg, direction == "lower")
+        print(
+            f"{w:<15} {metric:<22} {span(par):>26} -> {span(chg):<26} "
+            f"{won:>2}/{len(pairs):<2} {diff:>+10.4g} ({rel:+.1f} %)"
+        )
+    for s in ("parent", "change"):
+        attempted = sum(r["result"]["attempted"] for r in side(s))
+        failed = sum(r["result"]["failed"] for r in side(s))
+        print(f"{'':<15} {s} failed {failed:g} of {attempted:g} statements")
+    classes = [c["name"] for c in side("parent")[0]["detail"]["statements"]]
+    for name in classes:
+        def of(s, key):
+            out = []
+            for r in side(s):
+                row = next((c for c in r["detail"]["statements"] if c["name"] == name), None)
+                if row is not None and row.get(key) is not None:
+                    out.append(row[key])
+            return out
+        key = "engine_over_handcoded"
+        par, chg = of("parent", key), of("change", key)
+        if not par or len(par) != len(chg):
+            key = "engine_p50_ms"
+            par, chg = of("parent", key), of("change", key)
+        if not par or len(par) != len(chg):
+            continue
+        print(
+            f"  {w + ' ' + name:<35} {key:<22} {statistics.median(par):>8.4g} -> "
+            f"{statistics.median(chg):<8.4g} won {wins(par, chg, True)}/{len(par)}"
+        )
+EOF
+echo "bench_pairs: every run's JSON is in $runs" >&2

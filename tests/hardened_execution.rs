@@ -323,3 +323,83 @@ fn unproven_list_accumulators_still_detect_overflow_and_fall_back() {
         assert_eq!(got.metrics().expect("metered").retries, 0);
     }
 }
+
+/// A masked probe of a sum and a count whose accumulator the certificate
+/// cannot prove runs the checked one-pass loop. A wrap on qualifying lanes
+/// surfaces as `PlanError::Overflow` and the statement answers through the
+/// interpreter; a product that wraps only on lanes the predicate or the
+/// parent's bit masks out is wasted work, ignored — the contract of
+/// `agg::sum_op_masked_checked` over the folded mask — and the engine
+/// answers on its first attempt.
+#[test]
+fn unproven_probe_sum_count_detects_overflow_on_qualifying_lanes_only() {
+    let h = i64::MAX / 2 + 1;
+    // Rows 0, 3 and 5 qualify; row 1 fails the predicate, row 2 the
+    // parent's filter, row 4 both.
+    let db = |a: Vec<i64>, m: Vec<i64>| {
+        let mut db = Database::new();
+        db.add_table(
+            Table::new("R")
+                .with_column("x", ColumnData::I8(vec![0, 99, 0, 0, 99, 0]))
+                .with_column("a", ColumnData::I64(a))
+                .with_column("m", ColumnData::I64(m))
+                .with_column("fk", ColumnData::U32(vec![0, 0, 1, 0, 1, 0])),
+        );
+        db.add_table(Table::new("S").with_column("y", ColumnData::I8(vec![0, 99])));
+        db.add_fk("R", "fk", "S").expect("valid FK");
+        db
+    };
+    let plan = QueryBuilder::scan("R")
+        .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(10)))
+        .semijoin(
+            QueryBuilder::scan("S").filter(Expr::col("y").cmp(CmpOp::Lt, Expr::lit(10))),
+            "fk",
+        )
+        .aggregate(
+            None,
+            vec![
+                AggSpec::sum(Expr::col("a").mul(Expr::col("m")), "s"),
+                AggSpec::count("n"),
+            ],
+        );
+    let bitmap = SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional);
+    for threads in THREADS {
+        let engine = |a, m| {
+            let e = Engine::builder(db(a, m))
+                .threads(threads)
+                .metrics(MetricsLevel::Counters)
+                .strategies(StrategyOverrides::pin_semijoin(bitmap))
+                .build();
+            let sink = e.explain(&plan).expect("plans").strategy;
+            assert!(
+                sink.ends_with("masked probe, sink: semijoin_sum_count_bitmap_masked)"),
+                "{sink}"
+            );
+            let cert = e.certificate(&plan).expect("certifies");
+            assert!(!cert.all_sites_overflow_safe(), "x{threads}");
+            e
+        };
+
+        // Spurious: `h * 2` wraps on the three masked-out rows only.
+        let e = engine(vec![5, h, h, 7, h, 9], vec![1, 2, 2, 1, 2, 1]);
+        let direct = e.execute(&e.plan(&plan).expect("plans"));
+        assert_eq!(direct.expect("no overflow").rows, vec![vec![21, 3]]);
+        let got = e.query(&plan).expect("runs");
+        assert_eq!(got.rows, vec![vec![21, 3]], "x{threads}");
+        assert_eq!(got.metrics().expect("metered").retries, 0, "x{threads}");
+
+        // Genuine: the qualifying sum `h + h + 2` leaves `i64`; the
+        // interpreter wraps to the same value.
+        let e = engine(vec![h, 1, 1, h, 1, 2], vec![1; 6]);
+        let direct = e.execute(&e.plan(&plan).expect("plans"));
+        assert!(matches!(direct, Err(PlanError::Overflow(_))), "{direct:?}");
+        let truth = interp::run(&e.database(), &plan).expect("interp runs");
+        assert_eq!(truth.rows, vec![vec![h.wrapping_mul(2).wrapping_add(2), 3]]);
+        let got = e.query(&plan).expect("recovers");
+        assert_eq!(got.rows, truth.rows, "x{threads}");
+        assert_eq!(got.metrics().expect("metered").retries, 1, "x{threads}");
+        let report = e.explain(&plan).expect("explains").runtime;
+        let ok = "fell back to data-centric interpreter: ok";
+        assert!(report.iter().any(|l| l.contains(ok)), "{report:?}");
+    }
+}
