@@ -8,7 +8,8 @@
 //!
 //! Output: `figure,series,x,runtime_ms` rows on stdout (progress on
 //! stderr). `x` is the selectivity (%) for the microbenchmarks, the query
-//! name for Fig. 6 and the group count for the `4g` sweep. Scale via `SWOLE_R_ROWS` / `SWOLE_S_SMALL` /
+//! name for Fig. 6, the group count for the `4g` sweep and `<G>@<σ>` for the
+//! `4r` regret grid (whose `regret:…` rows hold a ratio, not ms). Scale via `SWOLE_R_ROWS` / `SWOLE_S_SMALL` /
 //! `SWOLE_S_LARGE` / `SWOLE_SF` (see `swole-bench` docs).
 
 use swole_bench::{median_ms, r_rows, s_large, s_small, tpch_sf};
@@ -203,12 +204,103 @@ fn group_count_sweep(runs: usize) {
     }
 }
 
+/// The planner's regret over the dense-table slice of the grouped scan:
+/// G ∈ {3, 16, 1 024, 256 Ki} × {`sum(a*b)`, `sum(a), count(*)`} × σ ∈ {5,
+/// 20, 40, 60, 80, 95} %, on one thread. Per cell the three strategies run
+/// pinned and the plan runs unpinned, interleaved run by run, and all four
+/// results are asserted equal. `x` is `<G>@<σ>`; the series are
+/// `engine:<strategy>:a<n>`, `engine:chosen:a<n>` and
+/// `regret:a<n>:<chosen strategy>`, whose value is the pinned time of the
+/// chosen strategy over the fastest pinned time (the unpinned plan runs the
+/// same loop; its own time is the `chosen` row).
+fn regret_sweep(runs: usize) {
+    const STRATEGIES: [AggStrategy; 3] = [
+        AggStrategy::Hybrid,
+        AggStrategy::ValueMasking,
+        AggStrategy::KeyMasking,
+    ];
+    for card in [3usize, 16, 1 << 10, 256 << 10] {
+        eprintln!("fig 4r: planner regret (G = {card})");
+        let db = micro_db(s_small(), card);
+        let r = &db.r;
+        let catalog = || {
+            let mut out = Database::new();
+            out.add_table(
+                Table::new("R")
+                    .with_column("a", ColumnData::I32(r.a.clone()))
+                    .with_column("b", ColumnData::I32(r.b.clone()))
+                    .with_column("c", ColumnData::I32(r.c.clone()))
+                    .with_column("x", ColumnData::I8(r.x.clone())),
+            );
+            out
+        };
+        let engine = |pins| {
+            Engine::builder(catalog())
+                .threads(1)
+                .strategies(pins)
+                .build()
+        };
+        let chosen = engine(StrategyOverrides::default());
+        let pinned = STRATEGIES.map(|s| engine(StrategyOverrides::pin_agg(s)));
+        let (a, b) = (Expr::col("a"), Expr::col("b"));
+        let lists = [
+            vec![AggSpec::sum(a.clone().mul(b), "sab")],
+            vec![AggSpec::sum(a, "sa"), AggSpec::count("n")],
+        ];
+        for aggs in &lists {
+            for sel in [5i64, 20, 40, 60, 80, 95] {
+                let plan = QueryBuilder::scan("R")
+                    .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(sel)))
+                    .aggregate(Some("c"), aggs.clone());
+                let pick = chosen.plan(&plan).expect("the sweep's plans plan");
+                let pick = pick.agg_strategy().expect("a scan aggregation");
+                let rows = |e: &Engine| e.query(&plan).expect("the sweep's plans run").rows;
+                let expected = rows(&chosen);
+                for (s, e) in STRATEGIES.iter().zip(&pinned) {
+                    assert_eq!(rows(e), expected, "{} G={card} σ={sel}", s.name());
+                }
+                // One run of every variant per round, so a change of host
+                // speed lands on all four alike.
+                let mut times: [Vec<f64>; 4] = Default::default();
+                for _ in 0..runs {
+                    for (t, e) in times.iter_mut().zip(pinned.iter().chain([&chosen])) {
+                        t.push(median_ms(1, || rows(e)));
+                    }
+                }
+                let ms = times.map(|mut t| {
+                    t.sort_by(f64::total_cmp);
+                    t[t.len() / 2]
+                });
+                let (x, n) = (format!("{card}@{sel}"), aggs.len());
+                for (s, t) in STRATEGIES.iter().zip(&ms) {
+                    emit("4r", &format!("engine:{}:a{n}", s.name()), &x, *t);
+                }
+                emit("4r", &format!("engine:chosen:a{n}"), &x, ms[3]);
+                let best = ms[..3].iter().copied().fold(f64::INFINITY, f64::min);
+                let at = STRATEGIES
+                    .iter()
+                    .position(|&s| s == pick)
+                    .expect("pinnable");
+                emit(
+                    "4r",
+                    &format!("regret:a{n}:{}", pick.name()),
+                    &x,
+                    ms[at] / best,
+                );
+            }
+        }
+    }
+}
+
 fn main() {
     let opts = parse_args();
     println!("figure,series,x,runtime_ms");
 
     if wanted(&opts, "4g") {
         group_count_sweep(opts.runs);
+    }
+    if wanted(&opts, "4r") {
+        regret_sweep(opts.runs);
     }
 
     // ---- Fig. 8: micro Q1, value masking --------------------------------

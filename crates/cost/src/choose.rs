@@ -5,6 +5,8 @@
 //! callers (the planner's `EXPLAIN`, the `advisor` example) can show *why*
 //! a strategy was picked.
 
+use std::fmt;
+
 use crate::{model, CostParams};
 
 /// Aggregation strategies the chooser can pick between (§§ III-A, III-B).
@@ -79,25 +81,91 @@ pub struct AggChoice {
     pub explanation: String,
 }
 
-/// Choose among hybrid / value masking / key masking for an aggregation.
-pub fn choose_agg(p: &CostParams, prof: &AggProfile) -> AggChoice {
-    let rows = prof.rows as f64;
-    let (ht_lookup, ht_bytes) = match prof.group_keys {
-        Some(keys) => {
-            let bytes = CostParams::agg_table_bytes(keys, prof.n_aggs);
-            (p.ht_lookup(bytes), bytes)
+/// The group table a grouped aggregation upserts into, as the chooser
+/// prices it (a scalar aggregate has none, and ignores this).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GroupTableCost {
+    /// The open-addressing hash table of § III-B, sized from the profile's
+    /// keys by [`CostParams::agg_table_bytes`]: the paper's model.
+    Hash,
+    /// An array of `bytes` indexed by the key itself, over a key domain the
+    /// catalog gives exactly (priced by [`CostParams::dense_upsert`]).
+    Dense {
+        /// Size of the array, as the executor allocates it per worker.
+        bytes: usize,
+    },
+}
+
+/// The group table a decision's explanation names, written into it
+/// without a string of its own.
+#[derive(Clone, Copy)]
+enum TableNote {
+    Scalar,
+    Hash(usize),
+    Dense(usize),
+}
+
+impl fmt::Display for TableNote {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            TableNote::Scalar => Ok(()),
+            TableNote::Hash(bytes) => write!(f, "ht={}KB", bytes / 1024),
+            TableNote::Dense(bytes) => write!(f, "dense {bytes} B"),
         }
-        None => (0.0, 0),
-    };
-    let cost_hybrid =
-        model::est_hybrid(p, rows, prof.selectivity, prof.comp, prof.n_cols, ht_lookup);
+    }
+}
+
+/// Choose among hybrid / value masking / key masking for an aggregation,
+/// a grouped one priced on the paper's hash table
+/// ([`GroupTableCost::Hash`]).
+pub fn choose_agg(p: &CostParams, prof: &AggProfile) -> AggChoice {
+    choose_agg_on(p, prof, GroupTableCost::Hash)
+}
+
+/// [`choose_agg`] for a grouped aggregation that upserts into `table`.
+///
+/// On a dense array every strategy's upsert is priced at
+/// [`CostParams::dense_upsert`], and key masking is priced as value
+/// masking: § III-B's saving is that masked lanes hit a cached throwaway
+/// entry instead of missing on a large hash table, but an array indexed by
+/// the key has no miss to save, and its masked lanes all upsert one slot —
+/// a serial chain. Every lane upserts under both, so key masking is never
+/// cheaper, and a tie goes to value masking.
+fn choose_agg_on(p: &CostParams, prof: &AggProfile, table: GroupTableCost) -> AggChoice {
+    let (rows, sel, comp, n_cols) = (prof.rows as f64, prof.selectivity, prof.comp, prof.n_cols);
     // Value masking masks every individual aggregate value; its effective
     // comp grows with the number of aggregates (§ IV-A Q1).
-    let vm_comp = prof.comp + prof.n_aggs.saturating_sub(1) as f64;
-    let cost_vm = model::est_value_masking(p, rows, vm_comp, prof.n_cols, ht_lookup);
-    let cost_km = prof.group_keys.map(|_| {
-        model::est_key_masking(p, rows, prof.selectivity, prof.comp, prof.n_cols, ht_lookup)
-    });
+    let vm_comp = comp + prof.n_aggs.saturating_sub(1) as f64;
+    let (cost_hybrid, cost_vm, cost_km, note) = match (prof.group_keys, table) {
+        (Some(_), GroupTableCost::Dense { bytes }) => {
+            let upsert = p.dense_upsert(bytes);
+            let cost_vm = model::est_value_masking(p, rows, vm_comp, n_cols, upsert);
+            (
+                model::est_hybrid(p, rows, sel, comp, n_cols, upsert),
+                cost_vm,
+                Some(cost_vm),
+                TableNote::Dense(bytes),
+            )
+        }
+        (Some(keys), GroupTableCost::Hash) => {
+            let ht_bytes = CostParams::agg_table_bytes(keys, prof.n_aggs);
+            let ht_lookup = p.ht_lookup(ht_bytes);
+            (
+                model::est_hybrid(p, rows, sel, comp, n_cols, ht_lookup),
+                model::est_value_masking(p, rows, vm_comp, n_cols, ht_lookup),
+                Some(model::est_key_masking(
+                    p, rows, sel, comp, n_cols, ht_lookup,
+                )),
+                TableNote::Hash(ht_bytes),
+            )
+        }
+        (None, _) => (
+            model::est_hybrid(p, rows, sel, comp, n_cols, 0.0),
+            model::est_value_masking(p, rows, vm_comp, n_cols, 0.0),
+            None,
+            TableNote::Scalar,
+        ),
+    };
 
     let mut best = (AggStrategy::Hybrid, cost_hybrid);
     if cost_vm < best.1 {
@@ -108,27 +176,27 @@ pub fn choose_agg(p: &CostParams, prof: &AggProfile) -> AggChoice {
             best = (AggStrategy::KeyMasking, km);
         }
     }
-    let explanation = match best.0 {
-        AggStrategy::Hybrid => format!(
-            "hybrid: early filtering pays off (sel={:.0}%, comp={:.1} cyc{})",
-            prof.selectivity * 100.0,
-            prof.comp,
-            if ht_bytes > 0 {
-                format!(", ht={}KB", ht_bytes / 1024)
-            } else {
-                String::new()
-            }
+    let (sel_pct, wasted_pct) = (sel * 100.0, (1.0 - sel) * 100.0);
+    let explanation = match (best.0, note) {
+        (AggStrategy::Hybrid, TableNote::Scalar) => {
+            format!("hybrid: early filtering pays off (sel={sel_pct:.0}%, comp={comp:.1} cyc)")
+        }
+        (AggStrategy::Hybrid, _) => format!(
+            "hybrid: early filtering pays off (sel={sel_pct:.0}%, comp={comp:.1} cyc, {note})"
         ),
-        AggStrategy::ValueMasking => format!(
+        // The paper's line names no hash table; a dense one is named.
+        (AggStrategy::ValueMasking, TableNote::Dense(_)) => format!(
             "value-masking: aggregation is memory-bound; sequential access beats \
-             filtering despite {:.0}% wasted work",
-            (1.0 - prof.selectivity) * 100.0
+             filtering despite {wasted_pct:.0}% wasted work ({note})"
         ),
-        AggStrategy::KeyMasking => format!(
+        (AggStrategy::ValueMasking, _) => format!(
+            "value-masking: aggregation is memory-bound; sequential access beats \
+             filtering despite {wasted_pct:.0}% wasted work"
+        ),
+        (AggStrategy::KeyMasking, _) => format!(
             "key-masking: masked keys hit the cached throwaway entry instead of \
-             {} unconditional value maskings (ht={}KB)",
+             {} unconditional value maskings ({note})",
             prof.n_aggs,
-            ht_bytes / 1024
         ),
     };
     AggChoice {
@@ -476,8 +544,17 @@ pub fn sort_cost(p: &CostParams, rows: usize, keys: usize) -> f64 {
 /// change. That stability is deliberate: a chooser that flipped strategies
 /// with the thread count would make parallel speedups incomparable across
 /// strategies.
-pub fn choose_agg_mt(p: &CostParams, prof: &AggProfile, threads: usize) -> AggChoice {
-    let mut c = choose_agg(p, prof);
+///
+/// A grouped aggregation is priced on the `table` the plan runs on (see
+/// [`GroupTableCost`]); with [`GroupTableCost::Hash`] and one thread this
+/// is exactly [`choose_agg`].
+pub fn choose_agg_mt(
+    p: &CostParams,
+    prof: &AggProfile,
+    threads: usize,
+    table: GroupTableCost,
+) -> AggChoice {
+    let mut c = choose_agg_on(p, prof, table);
     if threads > 1 {
         let t = threads as f64;
         let overhead = p.parallel_overhead(threads, prof.group_keys.unwrap_or(1));
@@ -1108,19 +1185,22 @@ mod tests {
             group_keys: Some(1000),
             n_aggs: 1,
         };
-        let seq = choose_agg(&p(), &prof);
-        for threads in [1usize, 2, 4, 8, 64] {
-            let mt = choose_agg_mt(&p(), &prof, threads);
-            assert_eq!(mt.strategy, seq.strategy, "threads={threads}");
-            if threads > 1 {
-                assert!(
-                    mt.cost_value_masking < seq.cost_value_masking,
-                    "big scans must get cheaper with threads"
-                );
+        for table in [GroupTableCost::Hash, GroupTableCost::Dense { bytes: 9009 }] {
+            let seq = choose_agg_mt(&p(), &prof, 1, table);
+            for threads in [1usize, 2, 4, 8, 64] {
+                let mt = choose_agg_mt(&p(), &prof, threads, table);
+                assert_eq!(mt.strategy, seq.strategy, "threads={threads}");
+                if threads > 1 {
+                    assert!(
+                        mt.cost_value_masking < seq.cost_value_masking,
+                        "big scans must get cheaper with threads"
+                    );
+                }
             }
         }
-        // One thread is exactly the sequential model.
-        assert_eq!(choose_agg_mt(&p(), &prof, 1).cost_hybrid, seq.cost_hybrid);
+        // On the hash table, one thread is exactly the sequential model.
+        let mt = choose_agg_mt(&p(), &prof, 1, GroupTableCost::Hash);
+        assert_eq!(mt.cost_hybrid, choose_agg(&p(), &prof).cost_hybrid);
     }
 
     #[test]

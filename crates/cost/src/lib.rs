@@ -28,8 +28,8 @@ mod params;
 
 pub use choose::{
     choose_join_order, join_order_cost, AggChoice, AggProfile, AggStrategy, BitmapBuild,
-    GroupJoinChoice, GroupJoinProfile, GroupJoinStrategy, JoinEdgeProfile, JoinGraphProfile,
-    JoinOrderChoice, JoinOrderMethod, SemiJoinChoice, SemiJoinProfile, SemiJoinStrategy,
-    WindowChoice, WindowProfile, WindowStrategy, JOIN_DP_LIMIT,
+    GroupJoinChoice, GroupJoinProfile, GroupJoinStrategy, GroupTableCost, JoinEdgeProfile,
+    JoinGraphProfile, JoinOrderChoice, JoinOrderMethod, SemiJoinChoice, SemiJoinProfile,
+    SemiJoinStrategy, WindowChoice, WindowProfile, WindowStrategy, JOIN_DP_LIMIT,
 };
 pub use params::CostParams;

@@ -71,6 +71,15 @@ impl CostParams {
         self.ht_lookup_by_level[level]
     }
 
+    /// Cycles for one upsert into a dense group array of `table_bytes`
+    /// (indexed by the key, no probe): the array's cache tier, but never
+    /// below the L2 tier. Consecutive upserts into the few hot slots of a
+    /// small domain form a chain through store-to-load forwarding, so an
+    /// L1-resident array is no cheaper than an L2-resident one.
+    pub fn dense_upsert(&self, table_bytes: usize) -> f64 {
+        self.ht_lookup(table_bytes).max(self.ht_lookup_by_level[1])
+    }
+
     /// Cycles for one insert into a structure of `table_bytes`.
     pub fn ht_insert(&self, table_bytes: usize) -> f64 {
         self.ht_lookup(table_bytes) * self.ht_insert_factor

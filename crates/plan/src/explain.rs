@@ -6,7 +6,7 @@ use std::fmt;
 
 use crate::catalog::Database;
 use crate::metrics::{OpMetrics, QueryMetrics};
-use crate::physical::{AggMode, AggShape, CostProfile, JoinEdge, PhysicalPlan, Shape};
+use crate::physical::{AggMode, CostProfile, JoinEdge, PhysicalPlan, Shape};
 use swole_cost::choose::{choose_agg_mt, choose_groupjoin_mt};
 use swole_cost::{join_order_cost, observed, AggProfile, CostParams, GroupJoinProfile};
 
@@ -207,13 +207,15 @@ pub(crate) fn cost_comparison(
             .find(|o| o.name == name)
             .filter(|o| o.access.rows_in > 0)
     };
-    let Shape::Agg(AggShape { edges, mode, .. }) = &plan.shape else {
+    let Shape::Agg(shape) = &plan.shape else {
         return (None, None);
     };
-    match (&plan.estimates.profile, mode) {
+    match (&plan.estimates.profile, shape.mode) {
         (CostProfile::Agg(profile), AggMode::By(strategy)) => {
+            // Priced on the table the planner priced, as the planner did.
+            let table = shape.group_table.cost(shape.aggs.len());
             let score = |p: &AggProfile| {
-                observed::agg_cost_for(&choose_agg_mt(params, p, threads), *strategy)
+                observed::agg_cost_for(&choose_agg_mt(params, p, threads, table), strategy)
             };
             let predicted = score(profile);
             let Some(op) = ops.first() else {
@@ -228,7 +230,7 @@ pub(crate) fn cost_comparison(
         }
         (CostProfile::GroupJoin(profile), AggMode::Join(strategy)) => {
             let score = |p: &GroupJoinProfile| {
-                observed::groupjoin_cost_for(&choose_groupjoin_mt(params, p, threads), *strategy)
+                observed::groupjoin_cost_for(&choose_groupjoin_mt(params, p, threads), strategy)
             };
             let predicted = score(profile);
             // The first operator is the one edge's build.
@@ -240,7 +242,7 @@ pub(crate) fn cost_comparison(
                 .observed_selectivity()
                 .unwrap_or(seen.s_selectivity);
             seen.join_match_prob = seen.s_selectivity;
-            if let Some(op) = edges.first().and_then(|e| edge_probe(&e.parent)) {
+            if let Some(op) = shape.edges.first().and_then(|e| edge_probe(&e.parent)) {
                 seen.r_selectivity = op.access.rows_in as f64 / seen.r_rows.max(1) as f64;
             }
             (Some(predicted), Some(score(&seen)))

@@ -7,9 +7,10 @@ use crate::expr::Expr;
 use crate::logical::{AggSpec, FrameSpec, SortKey, WindowFnSpec};
 use crate::tile::{scalar_sinks, GroupSink, TileProgram};
 use swole_cost::{
-    AggProfile, AggStrategy, GroupJoinProfile, GroupJoinStrategy, JoinGraphProfile,
+    AggProfile, AggStrategy, GroupJoinProfile, GroupJoinStrategy, GroupTableCost, JoinGraphProfile,
     JoinOrderMethod, SemiJoinStrategy, WindowStrategy,
 };
+use swole_ht::DenseAggTable;
 
 /// A result-level post-operator applied after the core pipeline: `ORDER BY`
 /// and `LIMIT` run over the materialized result rows, never over base tables.
@@ -246,6 +247,22 @@ impl GroupTableRepr {
                 GroupTableRepr::Hash
             }
             repr => repr,
+        }
+    }
+
+    /// The table as the aggregation chooser prices it, holding `n_aggs`
+    /// values per key: a dense array by the bytes the executor allocates
+    /// per worker.
+    pub(crate) fn cost(self, n_aggs: usize) -> GroupTableCost {
+        match self {
+            GroupTableRepr::Dense { min, max, .. } => {
+                DenseAggTable::slots_for(min, max).map_or(GroupTableCost::Hash, |slots| {
+                    GroupTableCost::Dense {
+                        bytes: DenseAggTable::bytes_for(slots, n_aggs),
+                    }
+                })
+            }
+            GroupTableRepr::Hash => GroupTableCost::Hash,
         }
     }
 }

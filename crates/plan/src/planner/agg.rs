@@ -1,7 +1,8 @@
-//! The aggregation arm: validation, the scan aggregation's strategy
-//! decision, the statistics shortcut, and the tail every aggregation shares
-//! (group table, tile program, grouped sink). The decisions of an
-//! aggregation over join edges are [`super::join`]'s.
+//! The aggregation arm: validation, the group table, the scan
+//! aggregation's strategy decision (priced on that table), the statistics
+//! shortcut, and the tail every aggregation shares (tile program, grouped
+//! sink). The decisions of an aggregation over join edges are
+//! [`super::join`]'s.
 
 use std::sync::Arc;
 
@@ -11,7 +12,7 @@ use crate::error::PlanError;
 use crate::expr::{AggFunc, Expr};
 use crate::logical::{AggSpec, LogicalPlan};
 use crate::physical::{
-    AggMode, AggShape, CostProfile, Estimates, GroupTableRepr, PhysicalPlan, Shape,
+    AggMode, AggShape, CostProfile, Estimates, GroupTableRepr, JoinEdge, PhysicalPlan, Shape,
 };
 use crate::stats;
 use crate::tile::{group_sink, TileProgram};
@@ -19,6 +20,17 @@ use swole_cost::choose::choose_agg_mt;
 use swole_cost::{AggProfile, AggStrategy, JoinOrderMethod};
 use swole_ht::{AggTable, DenseAggTable};
 use swole_storage::{ColumnData, Table};
+
+/// What a decision half of [`Planner::plan_agg`] settles: the edges in
+/// probe order, how that order was found, the mode, the estimates it priced
+/// with and the group table.
+pub(super) type Decided = (
+    Vec<JoinEdge>,
+    JoinOrderMethod,
+    AggMode,
+    Estimates,
+    GroupTableRepr,
+);
 
 /// A validated aggregation as the decision halves of [`Planner::plan_agg`]
 /// read it, with the trail they append to.
@@ -35,11 +47,11 @@ pub(super) struct AggQuery<'a> {
 
 impl Planner<'_> {
     /// Plan an aggregation over a scan restricted by zero or more FK join
-    /// edges. The cost question depends on the edge count — which
-    /// scan-aggregation strategy ([`Self::decide_scan_agg`]), or which probe
-    /// order, membership structures and sink ([`Self::decide_join_agg`]) —
-    /// but validation before it and the tail after it (group table, tile
-    /// program, grouped sink) do not.
+    /// edges. The cost question depends on the edge count — which group
+    /// table and scan-aggregation strategy ([`Self::decide_scan_agg`]), or
+    /// which probe order, membership structures, sink and group table
+    /// ([`Self::decide_join_agg`]) — but validation before it and the tail
+    /// after it (tile program, grouped sink) do not.
     pub(super) fn plan_agg(
         &self,
         input: &LogicalPlan,
@@ -89,12 +101,9 @@ impl Planner<'_> {
             decisions: Vec::new(),
             cost_terms: Vec::new(),
         };
-        let (edges, order_method, mode, estimates) = if raw_edges.is_empty() {
-            let (strategy, estimates) = self.decide_scan_agg(&mut q)?;
-            let mode = AggMode::By(strategy);
-            (Vec::new(), JoinOrderMethod::Dp, mode, estimates)
-        } else {
-            self.decide_join_agg(&mut q, raw_edges)?
+        let (edges, order_method, mode, estimates, group_table) = match raw_edges.is_empty() {
+            true => self.decide_scan_agg(&mut q)?,
+            false => self.decide_join_agg(&mut q, raw_edges)?,
         };
         let AggQuery {
             mut decisions,
@@ -107,45 +116,6 @@ impl Planner<'_> {
         let shortcut = match (edges.is_empty(), &filter, group_by) {
             (true, None, None) => self.stats_shortcut(&table_name, aggs, &mut decisions),
             _ => None,
-        };
-        let group_table = if let Some(g) = group_by {
-            let generation = table.generation();
-            let (domain, domain_generation, fk_parent_rows) = match edges.first() {
-                // Dictionary codes are `0..cardinality`; any other column's
-                // domain is the exact min/max of a fresh statistics snapshot.
-                None => {
-                    let domain = match table.column(g) {
-                        Some(ColumnData::Dict(d)) => Ok((0, d.cardinality() as i64 - 1)),
-                        _ => self
-                            .stats
-                            .for_table(db, &table_name)
-                            .filter(|s| s.fresh_for(generation))
-                            .and_then(|s| s.column(g).map(|c| (c.min, c.max)))
-                            .ok_or("no fresh statistics give the key domain"),
-                    };
-                    (domain, generation, None)
-                }
-                // FK keys are parent positions — exactly `0..parent rows`
-                // when a registered index has validated every one of them.
-                Some(edge) => {
-                    let parent_t = db.table(&edge.parent)?;
-                    let domain = db
-                        .fk_index(&table_name, g, &edge.parent)
-                        .map(|idx| (0, idx.parent_len() as i64 - 1))
-                        .ok_or("no FK index validates the key domain");
-                    (domain, parent_t.generation(), Some(parent_t.len()))
-                }
-            };
-            choose_group_table(
-                domain,
-                (generation, domain_generation),
-                fk_parent_rows,
-                estimates.result_rows,
-                aggs.len(),
-                &mut decisions,
-            )
-        } else {
-            GroupTableRepr::Hash
         };
         // A grouped join's key is the FK slice its edge is probed through,
         // so the program lowers none.
@@ -181,8 +151,9 @@ impl Planner<'_> {
 
     /// The scan aggregation's one decision (§ III-A, III-B): hybrid, value
     /// masking or key masking, by the cost model unless min/max force hybrid
-    /// or the session pins a strategy.
-    fn decide_scan_agg(&self, q: &mut AggQuery<'_>) -> Result<(AggStrategy, Estimates), PlanError> {
+    /// or the session pins a strategy. A grouped one decides its group table
+    /// first, and the chooser prices the upserts on that table.
+    fn decide_scan_agg(&self, q: &mut AggQuery<'_>) -> Result<Decided, PlanError> {
         let AggQuery {
             table,
             group_by,
@@ -190,13 +161,17 @@ impl Planner<'_> {
             has_minmax,
             ..
         } = *q;
+        let group_keys = group_by.map(|g| stats::estimate_distinct(table, g));
+        let group_table = match group_by.zip(group_keys) {
+            Some((g, keys)) => self.group_table(q, g, None, keys)?,
+            None => GroupTableRepr::Hash,
+        };
         let drift = SigmaOverrides {
             drift: q.hints.selectivity,
             adaptive: false,
         };
         let filter_selectivity = self.selectivity(table, q.filter, drift, "σ", &mut q.decisions);
         let selectivity = filter_selectivity.unwrap_or(1.0);
-        let group_keys = group_by.map(|g| stats::estimate_distinct(table, g));
         let (comp, n_cols) = agg_comp_cols(aggs, group_by);
         let profile = AggProfile {
             rows: table.len(),
@@ -206,7 +181,12 @@ impl Planner<'_> {
             group_keys,
             n_aggs: aggs.len(),
         };
-        let choice = choose_agg_mt(self.params, &profile, self.threads);
+        let choice = choose_agg_mt(
+            self.params,
+            &profile,
+            self.threads,
+            group_table.cost(aggs.len()),
+        );
         let mut priced = vec![
             (AggStrategy::Hybrid, choice.cost_hybrid),
             (AggStrategy::ValueMasking, choice.cost_value_masking),
@@ -246,7 +226,63 @@ impl Planner<'_> {
                 CostProfile::Agg(profile)
             },
         };
-        Ok((strategy, estimates))
+        let mode = AggMode::By(strategy);
+        Ok((
+            Vec::new(),
+            JoinOrderMethod::Dp,
+            mode,
+            estimates,
+            group_table,
+        ))
+    }
+
+    /// The group table of a grouped stage keyed by `g` — over the scanned
+    /// table, or the FK of the join's one `edge` — holding an estimated
+    /// `keys` groups: the key domain the catalog gives, then
+    /// [`choose_group_table`].
+    pub(super) fn group_table(
+        &self,
+        q: &mut AggQuery<'_>,
+        g: &str,
+        edge: Option<&JoinEdge>,
+        keys: usize,
+    ) -> Result<GroupTableRepr, PlanError> {
+        let (db, table) = (self.db, q.table);
+        let generation = table.generation();
+        let (domain, domain_generation, fk_parent_rows) = match edge {
+            // Dictionary codes are `0..cardinality`; any other column's
+            // domain is the exact min/max of a fresh statistics snapshot.
+            None => {
+                let domain = match table.column(g) {
+                    Some(ColumnData::Dict(d)) => Ok((0, d.cardinality() as i64 - 1)),
+                    _ => self
+                        .stats
+                        .for_table(db, table.name())
+                        .filter(|s| s.fresh_for(generation))
+                        .and_then(|s| s.column(g).map(|c| (c.min, c.max)))
+                        .ok_or("no fresh statistics give the key domain"),
+                };
+                (domain, generation, None)
+            }
+            // FK keys are parent positions — exactly `0..parent rows` when a
+            // registered index has validated every one of them.
+            Some(edge) => {
+                let parent_t = db.table(&edge.parent)?;
+                let domain = db
+                    .fk_index(table.name(), g, &edge.parent)
+                    .map(|idx| (0, idx.parent_len() as i64 - 1))
+                    .ok_or("no FK index validates the key domain");
+                (domain, parent_t.generation(), Some(parent_t.len()))
+            }
+        };
+        Ok(choose_group_table(
+            domain,
+            (generation, domain_generation),
+            fk_parent_rows,
+            keys,
+            q.aggs.len(),
+            &mut q.decisions,
+        ))
     }
 
     /// The one result row of an aggregate list answerable from catalog

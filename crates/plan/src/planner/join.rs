@@ -4,13 +4,13 @@
 
 use std::sync::Arc;
 
-use super::agg::{agg_comp_cols, AggQuery};
+use super::agg::{agg_comp_cols, AggQuery, Decided};
 use super::{settle, Decision, Planner, SigmaOverrides};
 use crate::error::PlanError;
 use crate::exec::FkSource;
 use crate::expr::Expr;
 use crate::logical::LogicalPlan;
-use crate::physical::{AggMode, CostProfile, Estimates, JoinEdge};
+use crate::physical::{AggMode, CostProfile, Estimates, GroupTableRepr, JoinEdge};
 use crate::tile::TileProgram;
 use swole_bitmap::PositionalBitmap;
 use swole_cost::choose::{choose_groupjoin_mt, choose_semijoin};
@@ -113,12 +113,13 @@ impl Planner<'_> {
     /// edge's membership structure with the semijoin cost model, and decide
     /// the sink: a scalar aggregation (masked probe or not), or — grouped by
     /// the FK of the join's one edge — the groupjoin or its
-    /// eager-aggregation rewrite (§ III-E).
+    /// eager-aggregation rewrite (§ III-E), then its group table (the
+    /// groupjoin chooser prices tables of its own).
     pub(super) fn decide_join_agg(
         &self,
         q: &mut AggQuery<'_>,
         raw_edges: Vec<RawEdge>,
-    ) -> Result<(Vec<JoinEdge>, JoinOrderMethod, AggMode, Estimates), PlanError> {
+    ) -> Result<Decided, PlanError> {
         let (fact_t, fact, aggs) = (q.table, q.table.name(), q.aggs);
         let single_edge = matches!(&raw_edges[..], [e] if e.children.is_empty());
         // The plan cache's drift feedback is the observed selectivity of the
@@ -217,7 +218,8 @@ impl Planner<'_> {
                     ..profile
                 }),
             };
-            return Ok((edges, method, AggMode::Probe { masked }, estimates));
+            let mode = AggMode::Probe { masked };
+            return Ok((edges, method, mode, estimates, GroupTableRepr::Hash));
         };
         let edge = &edges[0];
         let parent_rows = self.db.table(&edge.parent)?.len();
@@ -242,7 +244,9 @@ impl Planner<'_> {
             result_rows: parent_rows,
             profile: CostProfile::GroupJoin(gj_profile),
         };
-        Ok((edges, method, AggMode::Join(strategy), estimates))
+        let group_table = self.group_table(q, g, Some(&edges[0]), parent_rows)?;
+        let mode = AggMode::Join(strategy);
+        Ok((edges, method, mode, estimates, group_table))
     }
 
     /// The grouped sink's one decision: the groupjoin or its eager-aggregation

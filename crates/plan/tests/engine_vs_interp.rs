@@ -526,6 +526,51 @@ fn compiled_aggregate_lists_match_the_interpreter() {
     }
 }
 
+/// Unpinned grouped scans over a dense group table, as the planner prices
+/// them: σ ∈ {5, 40, 60, 95} % × G ∈ {3 (dictionary), 1 024 (integer)} ×
+/// {`sum(a*b)`, `sum(a), count(*)`} × threads {1, 2, 8} and a 4-worker pool.
+/// Each picks what `swole-cost`'s measured grid (`dense_table_decisions`)
+/// expects there — never key masking — and answers as the interpreter
+/// does, bit for bit.
+#[test]
+fn unpinned_dense_group_tables_pick_the_measured_strategy_and_match() {
+    use swole_cost::AggStrategy::{Hybrid, ValueMasking};
+    let (a, b) = (Expr::col("a"), Expr::col("b"));
+    let lists = [
+        vec![AggSpec::sum(a.clone().mul(b), "sab")],
+        vec![AggSpec::sum(a, "sa"), AggSpec::count("n")],
+    ];
+    let engines = [(false, 1), (false, 2), (false, 8), (true, 4)].map(|(pool, threads)| {
+        let b = Engine::builder(lists_db(true)).tile_rows(2048);
+        match pool {
+            true => b.worker_pool(threads).build(),
+            false => b.threads(threads).build(),
+        }
+    });
+    let oracle = lists_db(true);
+    for (key, domain) in [("flag", "dense [0..2]"), ("k", "dense [0..1023]")] {
+        for aggs in &lists {
+            for (sel, want) in [(5, Hybrid), (40, Hybrid), (60, Hybrid), (95, ValueMasking)] {
+                let plan = QueryBuilder::scan("R")
+                    .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(sel)))
+                    .aggregate(Some(key), aggs.clone());
+                let expected = interp::run(&oracle, &plan).expect("interp");
+                for engine in &engines {
+                    let explain = engine.explain(&plan).expect("explain");
+                    let table = format!("group table: {domain}");
+                    assert!(
+                        explain.decisions.iter().any(|d| d.starts_with(&table)),
+                        "{explain}\nwants {table}"
+                    );
+                    let physical = engine.plan(&plan).expect("plans");
+                    assert_eq!(physical.agg_strategy(), Some(want), "{explain}");
+                    assert_eq!(engine.query(&plan).expect("engine"), expected, "{explain}");
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // One-pass masked probes
 // ---------------------------------------------------------------------------
