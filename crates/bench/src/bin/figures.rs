@@ -8,14 +8,16 @@
 //!
 //! Output: `figure,series,x,runtime_ms` rows on stdout (progress on
 //! stderr). `x` is the selectivity (%) for the microbenchmarks, the query
-//! name for Fig. 6, the group count for the `4g` sweep and `<G>@<σ>` for the
-//! `4r` regret grid (whose `regret:…` rows hold a ratio, not ms). Scale via `SWOLE_R_ROWS` / `SWOLE_S_SMALL` /
-//! `SWOLE_S_LARGE` / `SWOLE_SF` (see `swole-bench` docs).
+//! name for Fig. 6, the group count for the `4g` sweep, `<G>@<σ>` for the
+//! `4r` regret grid (whose `regret:…` rows hold a ratio, not ms) and σ (%)
+//! for the `4s` density sweep (whose `…/…` row is a ratio). Scale via
+//! `SWOLE_R_ROWS` / `SWOLE_S_SMALL` / `SWOLE_S_LARGE` / `SWOLE_SF` (see
+//! `swole-bench` docs).
 
 use swole_bench::{median_ms, r_rows, s_large, s_small, tpch_sf};
 use swole_cost::{AggStrategy, BitmapBuild, CostParams};
 use swole_ht::{AggTable, GroupTable};
-use swole_kernels::agg::{Div, Mul};
+use swole_kernels::agg::{self, Div, Mul};
 use swole_kernels::{groupby, predicate, selvec, tiles, TILE};
 use swole_micro::{generate, q1, q2, q3, q4, q5, MicroParams, RTable};
 use swole_plan::{AggSpec, CmpOp, Database, Engine, Expr, QueryBuilder, StrategyOverrides};
@@ -292,6 +294,112 @@ fn regret_sweep(runs: usize) {
     }
 }
 
+/// The density sweep behind `selvec::SPARSE_ONE_IN`, on one thread. Per σ:
+/// the compactions of one mask of `r_rows()` lanes, tile by tile — the
+/// served choice (`fill_adaptive`), `fill_sparse`, `fill_nobranch` and
+/// `fill_branch` — then the engine's hybrid scan `sum(a * b) … where x < σ`
+/// against that scan hand-coded with `fill_nobranch` and with
+/// `fill_adaptive`. Each round runs every variant once and the results are
+/// asserted equal. `x` is σ in %; the series are `kernel:<fill>`,
+/// `scan:<side>` and `kernel:adaptive/nobranch`, a ratio.
+fn density_sweep(runs: usize) {
+    use rand::{Rng, SeedableRng};
+    let n = r_rows();
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(0xD5);
+    let a: Vec<i32> = (0..n).map(|_| rng.gen_range(1..=50)).collect();
+    let b: Vec<i32> = (0..n).map(|_| rng.gen_range(1..=50)).collect();
+    // Per mille, so that σ reaches below 1 %.
+    let x: Vec<i16> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
+    let mut catalog = Database::new();
+    catalog.add_table(
+        Table::new("R")
+            .with_column("a", ColumnData::I32(a.clone()))
+            .with_column("b", ColumnData::I32(b.clone()))
+            .with_column("x", ColumnData::I16(x.clone())),
+    );
+    let engine = Engine::builder(catalog)
+        .threads(1)
+        .strategies(StrategyOverrides::pin_agg(AggStrategy::Hybrid))
+        .build();
+    type Fill<'f> = &'f dyn Fn(&[u8], u32, &mut [u32]) -> usize;
+    // The served choice carries one tile's density to the next, as a
+    // worker's register file does.
+    let sparse = std::cell::Cell::new(false);
+    let adaptive = |cmp: &[u8], base: u32, idx: &mut [u32]| {
+        let mut s = sparse.get();
+        let k = selvec::fill_adaptive(cmp, base, idx, &mut s);
+        sparse.set(s);
+        k
+    };
+    let fills: [(&str, Fill<'_>); 4] = [
+        ("adaptive", &adaptive),
+        ("sparse", &selvec::fill_sparse),
+        ("nobranch", &selvec::fill_nobranch),
+        ("branch", &selvec::fill_branch),
+    ];
+    for per_mille in [1i16, 5, 10, 20, 50, 100, 200, 350, 500, 800, 990] {
+        eprintln!(
+            "fig 4s: tile compaction (σ = {} %)",
+            f64::from(per_mille) / 10.0
+        );
+        let cmp: Vec<u8> = x.iter().map(|&v| (v < per_mille) as u8).collect();
+        let compact = |fill: Fill| {
+            let mut idx = [0u32; TILE];
+            tiles(n)
+                .map(|(s, l)| fill(&cmp[s..s + l], 0, &mut idx))
+                .sum::<usize>()
+        };
+        let scan = |fill: Fill| {
+            let (mut cmp, mut idx, mut sum) = ([0u8; TILE], [0u32; TILE], 0i64);
+            for (s, l) in tiles(n) {
+                predicate::cmp_lt(&x[s..s + l], per_mille, &mut cmp[..l]);
+                let k = fill(&cmp[..l], 0, &mut idx);
+                let (a, b) = (&a[s..s + l], &b[s..s + l]);
+                sum = sum.wrapping_add(agg::sum_op_gather::<_, _, Mul>(a, b, &idx[..k]));
+            }
+            vec![vec![sum]]
+        };
+        let plan = QueryBuilder::scan("R")
+            .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(i64::from(per_mille))))
+            .aggregate(
+                None,
+                vec![AggSpec::sum(Expr::col("a").mul(Expr::col("b")), "s")],
+            );
+        let planned = || engine.query(&plan).expect("the sweep's plans run").rows;
+        let want = compact(&selvec::fill_branch);
+        for (name, fill) in fills {
+            assert_eq!(compact(fill), want, "{name} σ={per_mille}‰");
+        }
+        assert_eq!(planned(), scan(&selvec::fill_nobranch), "σ={per_mille}‰");
+        assert_eq!(
+            scan(&adaptive),
+            scan(&selvec::fill_nobranch),
+            "σ={per_mille}‰"
+        );
+        let mut times: [Vec<f64>; 7] = Default::default();
+        for _ in 0..runs {
+            for (t, (_, fill)) in times.iter_mut().zip(fills) {
+                t.push(median_ms(1, || compact(fill)));
+            }
+            times[4].push(median_ms(1, planned));
+            times[5].push(median_ms(1, || scan(&selvec::fill_nobranch)));
+            times[6].push(median_ms(1, || scan(&adaptive)));
+        }
+        let ms = times.map(|mut t| {
+            t.sort_by(f64::total_cmp);
+            t[t.len() / 2]
+        });
+        let x = format!("{}", f64::from(per_mille) / 10.0);
+        for ((name, _), t) in fills.iter().zip(&ms) {
+            emit("4s", &format!("kernel:{name}"), &x, *t);
+        }
+        emit("4s", "scan:engine", &x, ms[4]);
+        emit("4s", "scan:handcoded-nobranch", &x, ms[5]);
+        emit("4s", "scan:handcoded-adaptive", &x, ms[6]);
+        emit("4s", "kernel:adaptive/nobranch", &x, ms[0] / ms[2]);
+    }
+}
+
 fn main() {
     let opts = parse_args();
     println!("figure,series,x,runtime_ms");
@@ -301,6 +409,9 @@ fn main() {
     }
     if wanted(&opts, "4r") {
         regret_sweep(opts.runs);
+    }
+    if wanted(&opts, "4s") {
+        density_sweep(opts.runs);
     }
 
     // ---- Fig. 8: micro Q1, value masking --------------------------------

@@ -101,29 +101,12 @@ impl PositionalBitmap {
         bm
     }
 
-    /// Parallel unconditional build: like
-    /// [`from_predicate_bytes`](Self::from_predicate_bytes) but packing
-    /// disjoint 64-bit-aligned spans of `cmp` into their word ranges on
-    /// `threads` scoped workers. Falls back to the sequential build for one
-    /// thread or small inputs. Bit-for-bit identical to the sequential
-    /// build at any thread count (each word is written by exactly one
-    /// worker).
-    pub fn from_predicate_bytes_parallel(cmp: &[u8], threads: usize) -> PositionalBitmap {
-        let n_words = cmp.len().div_ceil(64);
-        // Below ~1M rows the spawn cost dominates the pack loop.
-        if threads <= 1 || n_words < threads || cmp.len() < (1 << 20) {
-            return PositionalBitmap::from_predicate_bytes(cmp);
-        }
-        let mut bm = PositionalBitmap::new(cmp.len());
-        let words_per_worker = n_words.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (chunk_idx, words) in bm.words.chunks_mut(words_per_worker).enumerate() {
-                let byte_start = chunk_idx * words_per_worker * 64;
-                let bytes = &cmp[byte_start..cmp.len().min(byte_start + words.len() * 64)];
-                scope.spawn(move || pack_words(bytes, words));
-            }
-        });
-        bm
+    /// A bitmap over positions `0..len` from its words, written elsewhere
+    /// (bit `j` of word `w` is position `64 w + j`; bits past `len` clear).
+    pub fn from_words(len: usize, words: Vec<u64>) -> PositionalBitmap {
+        assert_eq!(words.len(), len.div_ceil(64), "one word per 64 positions");
+        debug_assert!(len.is_multiple_of(64) || words.last().is_some_and(|w| w >> (len % 64) == 0));
+        PositionalBitmap { words, len }
     }
 
     /// Build by setting bits through a selection vector (build variant (2)
@@ -200,8 +183,8 @@ impl PositionalBitmap {
     }
 }
 
-/// Pack one predicate byte per bit into `words` (the sequential and
-/// parallel unconditional builds share this inner loop).
+/// Pack one predicate byte per bit into `words` (the unconditional build's
+/// inner loop).
 fn pack_words(cmp: &[u8], words: &mut [u64]) {
     for (chunk, w) in cmp.chunks(64).zip(words.iter_mut()) {
         let mut packed = 0u64;
@@ -272,24 +255,6 @@ mod tests {
         // Double negate restores.
         bm.negate();
         assert_eq!(bm.iter_ones().collect::<Vec<_>>(), vec![0, 65]);
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        // Above the small-input cutoff so the parallel path actually runs.
-        let n = (1 << 20) + 777;
-        let cmp: Vec<u8> = (0..n).map(|i| (i % 7 == 0 || i % 11 == 3) as u8).collect();
-        let seq = PositionalBitmap::from_predicate_bytes(&cmp);
-        for threads in [1, 2, 3, 8] {
-            let par = PositionalBitmap::from_predicate_bytes_parallel(&cmp, threads);
-            assert_eq!(par, seq, "threads={threads}");
-        }
-        // Small inputs take the sequential fallback and still match.
-        let small: Vec<u8> = (0..100).map(|i| (i % 2) as u8).collect();
-        assert_eq!(
-            PositionalBitmap::from_predicate_bytes_parallel(&small, 8),
-            PositionalBitmap::from_predicate_bytes(&small),
-        );
     }
 
     #[test]

@@ -155,17 +155,6 @@ pub fn groupjoin_probe_signature(strategy: GroupJoinStrategy) -> AccessSig {
     }
 }
 
-/// Signature of the groupjoin build stage (qualifying-mask materialization).
-#[must_use]
-pub fn groupjoin_build_signature() -> AccessSig {
-    AccessSig {
-        predicate: Some(Access::Sequential),
-        agg_input: None,
-        group_key: None,
-        structure: None,
-    }
-}
-
 /// Signature of a window operator under `strategy`.
 ///
 /// The filter prepass is a sequential mask evaluation either way, and the

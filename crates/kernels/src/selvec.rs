@@ -5,7 +5,8 @@
 //! variants exist because (per Ross \[31\], cited in § II-A) the predicated
 //! no-branch form avoids branch mispredictions at intermediate
 //! selectivities while a branching form can win at the extremes — the
-//! `ablations` bench measures the trade-off.
+//! `ablations` bench measures the trade-off. The engine runs
+//! [`fill_adaptive`], which walks the packed mask's bits on sparse tiles.
 
 // Tile-loop kernels: index arithmetic is bounded by slice lengths
 // (debug_assert'd) and accumulators follow the paper's convention of
@@ -40,6 +41,72 @@ pub fn fill_branch(cmp: &[u8], base: u32, idx: &mut [u32]) -> usize {
         }
     }
     k
+}
+
+/// Sparse construction: pack each 64 lanes into a word ([`mask_word`]) and
+/// store the offset of each set bit (`trailing_zeros`, then clear the lowest
+/// bit). Four stores per word whatever it holds leave no exit to mispredict
+/// in a sparse word; `idx` past the returned count is unspecified. Never
+/// inlined, so the engine and `figures --fig 4s` run one copy of the loop.
+#[inline(never)]
+pub fn fill_sparse(cmp: &[u8], base: u32, idx: &mut [u32]) -> usize {
+    debug_assert!(idx.len() >= cmp.len());
+    let mut k = 0usize;
+    for (w, lanes) in cmp.chunks(64).enumerate() {
+        let (mut word, at) = (mask_word(lanes), base + (w * 64) as u32);
+        let (n, mut j) = (word.count_ones() as usize, k);
+        if let Some(four) = idx.get_mut(k..k + 4) {
+            for slot in four {
+                *slot = at + word.trailing_zeros();
+                word &= word.wrapping_sub(1);
+            }
+            j += 4;
+        }
+        while word != 0 {
+            idx[j] = at + word.trailing_zeros();
+            j += 1;
+            word &= word - 1;
+        }
+        k += n;
+    }
+    k
+}
+
+/// A tile is sparse when fewer than one lane in `SPARSE_ONE_IN` qualifies:
+/// there [`fill_sparse`] beats [`fill_nobranch`] (`figures --fig 4s`).
+pub const SPARSE_ONE_IN: usize = 10;
+
+/// The compaction the engine serves: [`fill_sparse`] when the previous tile
+/// was sparse, [`fill_nobranch`] otherwise. `sparse` carries one tile's
+/// density to the next: a dense tile pays one compare, not a second pass.
+#[inline]
+pub fn fill_adaptive(cmp: &[u8], base: u32, idx: &mut [u32], sparse: &mut bool) -> usize {
+    let k = match *sparse {
+        true => fill_sparse(cmp, base, idx),
+        false => fill_nobranch(cmp, base, idx),
+    };
+    *sparse = k * SPARSE_ONE_IN < cmp.len();
+    k
+}
+
+/// Pack up to 64 mask lanes into one bitmap word, lane `j` into bit `j`,
+/// eight per multiply: as a little-endian `u64`, eight 0/1 lanes sit on bits
+/// `0, 8, …, 56`, and `× 0x0102…80` moves lane `i` to bit `56 + i` with no
+/// two partial products sharing a bit, so nothing carries into the top byte.
+#[inline]
+pub fn mask_word(lanes: &[u8]) -> u64 {
+    debug_assert!(lanes.len() <= 64, "one word holds 64 lanes");
+    debug_assert!(lanes.iter().all(|&c| c <= 1), "a mask holds 0 / 1");
+    let gather =
+        |eight: [u8; 8]| u64::from_le_bytes(eight).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+    let (chunks, mut eight) = (lanes.chunks_exact(8), [0u8; 8]);
+    let tail = chunks.remainder();
+    eight[..tail.len()].copy_from_slice(tail);
+    // No tail gathers to 0, which the shift by 64 (taken mod 64) keeps 0.
+    let word = gather(eight).wrapping_shl((lanes.len() - tail.len()) as u32);
+    chunks.enumerate().fold(word, |word, (i, eight)| {
+        word | gather(eight.try_into().expect("chunks of 8")) << (8 * i)
+    })
 }
 
 /// ROF-style construction (§ II-A.3): append into a caller-owned vector that
@@ -99,6 +166,39 @@ mod tests {
             let ka = fill_nobranch(&cmp, 0, &mut a);
             let kb = fill_branch(&cmp, 0, &mut b);
             assert_eq!(&a[..ka], &b[..kb]);
+        }
+    }
+
+    /// Every length of a tile and every tail — not a multiple of 8 lanes,
+    /// not of 64 — at densities from none to all: the packer builds the
+    /// bitmap `from_predicate_bytes` does, and the sparse and served
+    /// compactions the selection `fill_nobranch` does.
+    #[test]
+    fn packer_and_compactions_match_the_references() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use swole_bitmap::PositionalBitmap;
+        let mut rng = SmallRng::seed_from_u64(0x5E1);
+        for sigma in [0.0, 0.001, 0.01, 0.1, 0.5, 1.0] {
+            for len in 0..=1024usize {
+                let cmp: Vec<u8> = (0..len).map(|_| rng.gen_bool(sigma) as u8).collect();
+                let words = cmp.chunks(64).map(mask_word).collect();
+                assert_eq!(
+                    PositionalBitmap::from_words(len, words),
+                    PositionalBitmap::from_predicate_bytes(&cmp),
+                    "σ={sigma} len={len}"
+                );
+                let mut want = vec![0u32; len];
+                let k = fill_nobranch(&cmp, 7, &mut want);
+                let mut got = vec![0u32; len];
+                let ks = fill_sparse(&cmp, 7, &mut got);
+                assert_eq!(&got[..ks], &want[..k], "σ={sigma} len={len}");
+                for mut sparse in [false, true] {
+                    let kk = fill_adaptive(&cmp, 7, &mut got, &mut sparse);
+                    assert_eq!(&got[..kk], &want[..k], "σ={sigma} len={len}");
+                    assert_eq!(sparse, k * SPARSE_ONE_IN < len);
+                }
+            }
         }
     }
 

@@ -868,7 +868,6 @@ impl EngineInner {
     ) -> Run<'a> {
         let opts = ExecOpts {
             executor: &self.executor,
-            threads: self.threads,
             morsel_rows: self.morsel_rows,
             level,
             overflow_proved: cert.all_sites_overflow_safe(),

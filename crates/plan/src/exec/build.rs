@@ -1,20 +1,23 @@
-//! Build sides: each join edge's membership structure, materialized from
-//! its parent's qualifying mask before any probe morsel is claimed.
+//! Build sides: each join edge's membership structure, written from the
+//! tile loop that evaluates its parent's filter — a tile's mask packed into
+//! bitmap words, or its selection set bit by bit (§ III-D's variants (1)
+//! and (2)) or inserted into the key set. Nothing the size of the parent is
+//! materialized; morsels are whole tiles, so no word has two writers.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use super::{stitch, BoundEdge, ExecOpts, ScanAcc};
+use super::{BoundEdge, ExecOpts};
 use crate::error::PlanError;
 use crate::metrics::OpMetrics;
 use crate::physical::JoinEdge;
-use crate::tile::TileProgram;
+use crate::tile::Regs;
 use swole_bitmap::PositionalBitmap;
 use swole_cost::{BitmapBuild, SemiJoinStrategy};
 use swole_ht::KeySet;
-use swole_kernels::{predicate, selvec, tiles, tiles_in};
-use swole_runtime::ExecCtx;
-use swole_storage::Table;
+use swole_kernels::{selvec, tiles_in, TILE};
+use swole_runtime::{charge_or_panic, ExecCtx};
 
 /// The semijoin build side, shared read-only across probe workers.
 pub(super) enum BuildSide {
@@ -22,77 +25,11 @@ pub(super) enum BuildSide {
     Bitmap(PositionalBitmap),
 }
 
-/// Evaluate the build-side predicate mask over the whole build table on
-/// morsel workers.
-fn build_mask(
-    build: &Arc<Table>,
-    program: &Arc<TileProgram>,
-    opts: ExecOpts<'_>,
-    ctx: &Arc<ExecCtx>,
-) -> Result<Vec<u8>, PlanError> {
-    let n = build.len();
-    ctx.gauge.try_charge(n)?;
-    let bound = program.bind(build)?;
-    let init = {
-        let ctx = Arc::clone(ctx);
-        let program = Arc::clone(program);
-        move || ScanAcc::<u8>::new(&ctx.gauge, &program)
-    };
-    let body = move |w: &mut ScanAcc<u8>, m_start: usize, m_len: usize| {
-        w.segs.push((m_start, w.out.len(), m_len));
-        for (start, len) in tiles_in(m_start, m_len) {
-            bound.run(&mut w.regs, start, len);
-            w.out.extend_from_slice(bound.filter(&w.regs, len));
-        }
-    };
-    let partials = opts
-        .executor
-        .run_morsels(ctx, n, opts.morsel_rows, init, body)?;
-    Ok(stitch(&partials, n))
-}
-
-/// Materialize a membership structure over `n` build positions from their
-/// qualifying mask, charging each pullup temporary (key-set storage,
-/// selection vector, bitmap words) to the gauge before it is built.
-fn build_side_from_mask(
-    mask: &[u8],
-    strategy: SemiJoinStrategy,
-    opts: ExecOpts<'_>,
-    ctx: &Arc<ExecCtx>,
-) -> Result<BuildSide, PlanError> {
-    let n = mask.len();
-    let bitmap_bytes = PositionalBitmap::bytes_for(n);
-    Ok(match strategy {
-        SemiJoinStrategy::Hash => {
-            let mut set = KeySet::for_build(n);
-            let before = set.size_bytes();
-            ctx.gauge.try_charge(before)?;
-            for (pos, &c) in mask.iter().enumerate() {
-                if c != 0 {
-                    set.insert(pos as i64);
-                }
-            }
-            if set.size_bytes() > before {
-                ctx.gauge.try_charge(set.size_bytes() - before)?;
-            }
-            BuildSide::Set(set)
-        }
-        SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional) => {
-            ctx.gauge.try_charge(bitmap_bytes)?;
-            BuildSide::Bitmap(PositionalBitmap::from_predicate_bytes_parallel(
-                mask,
-                opts.threads,
-            ))
-        }
-        SemiJoinStrategy::PositionalBitmap(BitmapBuild::SelectionVector) => {
-            let mut sel = Vec::new();
-            for (start, len) in tiles(n) {
-                selvec::append_nobranch(&mask[start..start + len], start as u32, &mut sel);
-            }
-            ctx.gauge.try_charge(sel.len() * 4 + bitmap_bytes)?;
-            BuildSide::Bitmap(PositionalBitmap::from_selection(n, &sel))
-        }
-    })
+/// What a build's workers write into: the bitmap's words, each worker
+/// those of its own morsels, or the key set, locked once per tile.
+enum Target {
+    Words(Vec<AtomicU64>),
+    Set(Mutex<KeySet>),
 }
 
 impl BuildSide {
@@ -105,85 +42,132 @@ impl BuildSide {
         }
     }
 
-    /// Record the structure's footprint on its build operator.
-    fn describe(&self, op: &mut OpMetrics) {
+    /// Record the qualifying positions on the build's op and, for a direct
+    /// edge, the structure's footprint (a chain edge's is always a bitmap).
+    fn describe(&self, op: &mut OpMetrics, chain: bool) {
         match self {
             BuildSide::Set(set) => {
-                op.ht.inserts = set.len() as u64;
+                (op.access.rows_out, op.ht.inserts) = (set.len() as u64, set.len() as u64);
                 op.ht.bytes_allocated = set.size_bytes() as u64;
             }
+            BuildSide::Bitmap(bm) if chain => op.access.rows_out = bm.count_ones() as u64,
             BuildSide::Bitmap(bm) => {
-                op.bitmap_bits_set = bm.count_ones() as u64;
+                op.access.rows_out = bm.count_ones() as u64;
+                op.bitmap_bits_set = op.access.rows_out;
                 op.bitmap_words = bm.word_count() as u64;
             }
         }
     }
 }
 
-/// Narrow the first `k` tile-local offsets of `idx` to the rows whose FK
-/// position hits `side`, compacting in place (the write cursor trails the
-/// read cursor, so no unread slot is overwritten). Returns the survivors.
-#[inline]
-pub(super) fn narrow_selection(idx: &mut [u32], k: usize, fk: &[u32], side: &BuildSide) -> usize {
-    let mut kk = 0usize;
-    for t in 0..k {
-        let j = idx[t];
-        idx[kk] = j;
-        kk += side.hit(fk[j as usize] as usize);
-    }
-    kk
-}
-
-/// Qualifying mask of a join edge's parent: the parent's own filter ANDed
-/// with every nested child edge's mask, folded through the child's FK
-/// gather. Pushes one `multijoin-build(<parent>)` op for this edge, then
-/// the nested edges' ops in order.
-fn edge_parent_mask(
-    e: &BoundEdge<'_>,
-    opts: ExecOpts<'_>,
-    ctx: &Arc<ExecCtx>,
-    ops: &mut Vec<OpMetrics>,
-) -> Result<Vec<u8>, PlanError> {
-    let t0 = opts.level.timing().then(Instant::now);
-    let mut mask = build_mask(&e.parent_t, &e.edge.parent_program, opts, ctx)?;
-    let mut nested_ops = Vec::new();
-    for c in &e.children {
-        let child_mask = edge_parent_mask(c, opts, ctx, &mut nested_ops)?;
-        let fk = c.fk.slice();
-        // The fold runs over the parent (dimension) table, which the cost
-        // model already priced into the edge's build cost.
-        for (i, m) in mask.iter_mut().enumerate() {
-            *m &= child_mask[fk[i] as usize];
-        }
-    }
-    if opts.level.counting() {
-        let mut op = OpMetrics::named(JoinEdge::build_op(&e.edge.parent));
-        op.access.rows_in = e.parent_t.len() as u64;
-        if e.edge.parent_program.has_filter() {
-            op.access.predicate_evals = e.parent_t.len() as u64;
-        }
-        op.access.rows_out = predicate::mask_count(&mask) as u64;
-        op.wall_nanos = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-        ops.push(op);
-        ops.append(&mut nested_ops);
-    }
-    Ok(mask)
-}
-
-/// Materialize one direct edge's membership structure from its (fully
-/// chain-restricted) parent mask. Enriches the edge's own build op with the
-/// structure's footprint.
+/// Build edge `e`'s membership structure on morsel workers: its planned
+/// one, or a packed bitmap for a `chain` edge. Each tile runs the parent's
+/// filter, ANDs every chain edge's bit in through its FK (built first, as
+/// the masked probe does), then packs the mask (`Unconditional`), sets the
+/// bits of its selection (`SelectionVector`) or inserts the selection
+/// (`Hash`). Charges the structure when it is allocated and the key set's
+/// growth after. Adds this edge's `multijoin-build(<parent>)` op, then its
+/// chain edges', to `ops`; each op's wall is its own loop's.
 pub(super) fn build_edge_side(
     e: &BoundEdge<'_>,
+    chain: bool,
     opts: ExecOpts<'_>,
     ctx: &Arc<ExecCtx>,
     ops: &mut Vec<OpMetrics>,
 ) -> Result<BuildSide, PlanError> {
-    let self_op_at = ops.len();
-    let mask = edge_parent_mask(e, opts, ctx, ops)?;
-    let side = build_side_from_mask(&mask, e.edge.strategy, opts, ctx)?;
-    if let Some(op) = ops.get_mut(self_op_at) {
-        side.describe(op);
+    let (at, mut chains) = (ops.len(), Vec::with_capacity(e.children.len()));
+    for c in &e.children {
+        let side = build_edge_side(c, true, opts, ctx, ops)?;
+        chains.push((side, c.fk.clone()));
+    }
+    let t0 = opts.level.timing().then(Instant::now);
+    let n = e.parent_t.len();
+    let strategy = e.edge.build(chain);
+    let (target, bytes) = match strategy {
+        SemiJoinStrategy::Hash => {
+            let set = KeySet::for_build(n);
+            let bytes = set.size_bytes();
+            (Target::Set(Mutex::new(set)), bytes)
+        }
+        SemiJoinStrategy::PositionalBitmap(_) => {
+            let words = (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+            (Target::Words(words), PositionalBitmap::bytes_for(n))
+        }
+    };
+    ctx.gauge.try_charge(bytes)?;
+    let program = &e.edge.parent_program;
+    let shared = Arc::new((program.bind(&e.parent_t)?, chains, target));
+    let init = {
+        let (ctx, program) = (Arc::clone(ctx), Arc::clone(program));
+        move || {
+            charge_or_panic(&ctx.gauge, program.scratch_bytes());
+            Regs::new(&program)
+        }
+    };
+    let body = {
+        let shared = Arc::clone(&shared);
+        move |regs: &mut Regs, m_start: usize, m_len: usize| {
+            let (bound, chains, target) = &*shared;
+            for (start, len) in tiles_in(m_start, m_len) {
+                bound.run(regs, start, len);
+                let cmp = bound.filter_mut(regs, len);
+                for (side, fk) in chains {
+                    for (c, &pos) in cmp.iter_mut().zip(&fk.slice()[start..start + len]) {
+                        *c &= side.hit(pos as usize) as u8;
+                    }
+                }
+                let words = match target {
+                    Target::Words(words) => &words[start / 64..],
+                    Target::Set(set) => {
+                        let k = bound.select(regs, len);
+                        let mut set = set.lock().expect("no build worker panicked inserting");
+                        for &j in &regs.idx[..k] {
+                            set.insert((start + j as usize) as i64);
+                        }
+                        continue;
+                    }
+                };
+                if strategy == SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional) {
+                    for (w, lanes) in words.iter().zip(cmp.chunks(64)) {
+                        w.store(selvec::mask_word(lanes), Relaxed);
+                    }
+                } else {
+                    let (k, mut tile) = (bound.select(regs, len), [0u64; TILE / 64]);
+                    for &j in &regs.idx[..k] {
+                        tile[j as usize / 64] |= 1 << (j % 64);
+                    }
+                    for (w, &bits) in words.iter().zip(&tile[..len.div_ceil(64)]) {
+                        w.store(bits, Relaxed);
+                    }
+                }
+            }
+        }
+    };
+    // `Relaxed` stores: the words are read once every worker is done (joined,
+    // or its pool stage waited out), and `into_inner` acquires the last `Arc`.
+    opts.executor
+        .run_morsels(ctx, n, opts.morsel_rows, init, body)?;
+    let (_, _, target) = Arc::into_inner(shared).expect("the morsel workers are done");
+    let side = match target {
+        Target::Words(words) => {
+            let words = words.into_iter().map(AtomicU64::into_inner).collect();
+            BuildSide::Bitmap(PositionalBitmap::from_words(n, words))
+        }
+        Target::Set(set) => {
+            let set = set
+                .into_inner()
+                .expect("no build worker panicked inserting");
+            ctx.gauge.try_charge(set.size_bytes() - bytes)?;
+            BuildSide::Set(set)
+        }
+    };
+    if opts.level.counting() {
+        let mut op = OpMetrics::named(JoinEdge::build_op(&e.edge.parent));
+        op.access.rows_in = n as u64;
+        op.access.predicate_evals = if program.has_filter() { n as u64 } else { 0 };
+        side.describe(&mut op, chain);
+        op.wall_nanos = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
+        ops.insert(at, op);
     }
     Ok(side)
 }

@@ -16,9 +16,7 @@ use crate::error::PlanError;
 use crate::metrics::{MetricsLevel, OpMetrics};
 use crate::physical::{JoinEdge, PhysicalPlan, PostOp, Shape};
 use crate::result::QueryResult;
-use crate::tile::{Regs, TileProgram};
-use swole_kernels::AccessCounters;
-use swole_runtime::{charge_or_panic, ExecCtx, Executor, MemGauge};
+use swole_runtime::{ExecCtx, Executor};
 use swole_storage::{FkIndex, Table};
 
 mod build;
@@ -34,7 +32,6 @@ use window::exec_window;
 #[derive(Clone, Copy)]
 pub(crate) struct ExecOpts<'a> {
     pub executor: &'a Executor,
-    pub threads: usize,
     pub morsel_rows: usize,
     pub level: MetricsLevel,
     /// The plan's certificate proves every arithmetic site overflow-safe, so
@@ -185,49 +182,6 @@ pub(crate) fn execute_shape(
     }
 }
 
-/// Thread-local state of a whole-table filter scan: the stage's register
-/// file plus the worker's output, appended morsel by morsel, and where
-/// each claimed morsel's part of it starts.
-struct ScanAcc<T> {
-    regs: Regs,
-    out: Vec<T>,
-    /// `(morsel start row, offset into out, length)` per claimed morsel.
-    segs: Vec<(usize, usize, usize)>,
-    ctr: AccessCounters,
-}
-
-impl<T> ScanAcc<T> {
-    fn new(gauge: &MemGauge, program: &TileProgram) -> ScanAcc<T> {
-        charge_or_panic(gauge, program.scratch_bytes());
-        ScanAcc {
-            regs: Regs::new(program),
-            out: Vec::new(),
-            segs: Vec::new(),
-            ctr: AccessCounters::default(),
-        }
-    }
-}
-
-/// Stitch the workers' segments back into table order. The segments form
-/// an exact disjoint cover of the scanned table, so the result is
-/// identical to a sequential scan regardless of which worker claimed what.
-fn stitch<T: Copy>(partials: &[ScanAcc<T>], capacity: usize) -> Vec<T> {
-    let mut segs: Vec<(usize, &[T])> = partials
-        .iter()
-        .flat_map(|p| {
-            p.segs
-                .iter()
-                .map(|&(start, off, len)| (start, &p.out[off..off + len]))
-        })
-        .collect();
-    segs.sort_unstable_by_key(|(start, _)| *start);
-    let mut out = Vec::with_capacity(capacity);
-    for (_, seg) in segs {
-        out.extend_from_slice(seg);
-    }
-    out
-}
-
 /// What the post-operators leave of a result: the first `len` rows of
 /// `order` (row indices into the operators' input), or of the input order
 /// itself while no sort has run.
@@ -335,4 +289,120 @@ fn post_process(
     let kept = apply_post_ops(post, &res.columns, res.rows.len(), cell, ops, level, ctx)?;
     kept.apply(&mut res.rows);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::build::{build_edge_side, BuildSide};
+    use super::*;
+    use crate::expr::{CmpOp, Expr};
+    use crate::tile::TileProgram;
+    use swole_bitmap::PositionalBitmap;
+    use swole_cost::{BitmapBuild, SemiJoinStrategy};
+    use swole_kernels::{MORSEL_ROWS, TILE};
+    use swole_storage::ColumnData;
+
+    fn edge(t: &Table, lt: i64, fk_col: &str, strategy: SemiJoinStrategy) -> JoinEdge {
+        let filter =
+            Expr::col(t.column_names().next().expect("a column")).cmp(CmpOp::Lt, Expr::lit(lt));
+        JoinEdge {
+            parent: t.name().to_string(),
+            parent_program: Arc::new(TileProgram::lower(t, Some(&filter), &[]).expect("lowers")),
+            parent_filter: Some(filter),
+            fk_col: fk_col.to_string(),
+            strategy,
+            children: Vec::new(),
+            est_selectivity: 0.5,
+        }
+    }
+
+    /// Every build strategy, with and without a chain edge, sparse and
+    /// dense, is bit-identical to the structure built from the whole byte
+    /// mask, at threads {1, 2, 8} and on a 4-worker pool, with one or many
+    /// morsels per worker. The parent `P` has 64 Ki + 37 rows, so its last
+    /// morsel ends mid-word; its chain edge joins the 1 003-row `Q`.
+    #[test]
+    fn builds_from_the_tile_loop_match_the_byte_mask_reference() {
+        let (p_rows, q_rows) = (MORSEL_ROWS + 37, 1_003u64);
+        let mut state = 7u64;
+        let mut next = |m: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) % m
+        };
+        let v: Vec<i32> = (0..p_rows).map(|_| next(100) as i32).collect();
+        let fk: Vec<u32> = (0..p_rows).map(|_| next(q_rows) as u32).collect();
+        let w: Vec<i32> = (0..q_rows).map(|_| next(100) as i32).collect();
+        let p = Table::new("P")
+            .with_column("v", ColumnData::I32(v.clone()))
+            .with_column("q", ColumnData::U32(fk.clone()));
+        let q = Table::new("Q").with_column("w", ColumnData::I32(w.clone()));
+        let (p, q) = (Arc::new(p), Arc::new(q));
+        let pool = Executor::pool(4);
+        let scoped = [1, 2, 8].map(Executor::scoped);
+        let executors: Vec<&Executor> = scoped.iter().chain([&pool]).collect();
+        let strategies = [
+            SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional),
+            SemiJoinStrategy::PositionalBitmap(BitmapBuild::SelectionVector),
+            SemiJoinStrategy::Hash,
+        ];
+        for (lt, chained) in [(2, false), (2, true), (60, false), (60, true)] {
+            let mask: Vec<u8> = (0..v.len())
+                .map(|i| (v[i] < lt as i32 && (!chained || w[fk[i] as usize] < 50)) as u8)
+                .collect();
+            let want = PositionalBitmap::from_predicate_bytes(&mask);
+            for strategy in strategies {
+                let mut e = edge(&p, lt, "p", strategy);
+                if chained {
+                    let bitmap = SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional);
+                    e.children.push(edge(&q, 50, "q", bitmap));
+                }
+                let bound = BoundEdge {
+                    edge: &e,
+                    parent_t: Arc::clone(&p),
+                    fk: FkSource::Column(Arc::clone(&p), 1),
+                    children: e
+                        .children
+                        .iter()
+                        .map(|c| BoundEdge {
+                            edge: c,
+                            parent_t: Arc::clone(&q),
+                            fk: FkSource::Column(Arc::clone(&p), 1),
+                            children: Vec::new(),
+                        })
+                        .collect(),
+                };
+                for (executor, morsel_rows) in executors
+                    .iter()
+                    .flat_map(|e| [(e, MORSEL_ROWS), (e, 4 * TILE)])
+                {
+                    let opts = ExecOpts {
+                        executor,
+                        morsel_rows,
+                        level: MetricsLevel::Counters,
+                        overflow_proved: false,
+                    };
+                    let ctx = Arc::new(ExecCtx::unbounded());
+                    let mut ops = Vec::new();
+                    let side =
+                        build_edge_side(&bound, false, opts, &ctx, &mut ops).expect("builds");
+                    let at =
+                        format!("σ<{lt} chained={chained} {strategy:?} rows/morsel={morsel_rows}");
+                    match side {
+                        BuildSide::Bitmap(bm) => assert_eq!(bm, want, "{at}"),
+                        BuildSide::Set(set) => {
+                            assert_eq!(set.len(), want.count_ones(), "{at}");
+                            assert!(
+                                (0..mask.len()).all(|i| set.contains(i as i64) == want.get(i)),
+                                "{at}"
+                            );
+                        }
+                    }
+                    assert_eq!(ops[0].access.rows_out, want.count_ones() as u64, "{at}");
+                    assert_eq!(ops.len(), 1 + usize::from(chained), "{at}");
+                }
+            }
+        }
+    }
 }

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use super::build::{build_edge_side, narrow_selection, BuildSide};
+use super::build::{build_edge_side, BuildSide};
 use super::sinks::{GroupedSink, ScalarSink, Sink};
 use super::{BoundEdge, ExecOpts, FkSource};
 use crate::error::PlanError;
@@ -147,8 +147,22 @@ fn drive<S: Sink>(
     }
 }
 
-/// The driver. Builds one membership structure per direct edge (chains
-/// folded into the parent mask first), runs the morsel body on workers
+/// Narrow the first `k` tile-local offsets of `idx` to the rows whose FK
+/// position hits `side`, compacting in place (the write cursor trails the
+/// read cursor, so no unread slot is overwritten). Returns the survivors.
+#[inline]
+pub(super) fn narrow_selection(idx: &mut [u32], k: usize, fk: &[u32], side: &BuildSide) -> usize {
+    let mut kk = 0usize;
+    for t in 0..k {
+        let j = idx[t];
+        idx[kk] = j;
+        kk += side.hit(fk[j as usize] as usize);
+    }
+    kk
+}
+
+/// The driver. Builds one membership structure per direct edge (its chain
+/// edges' bitmaps ANDed into its tile masks), runs the morsel body on workers
 /// sharing them read-only, then reports the edges' probe cardinalities and
 /// lets the sink merge.
 fn run<const FRONT: u8, S: Sink>(
@@ -161,7 +175,8 @@ fn run<const FRONT: u8, S: Sink>(
     let mut op_list = Vec::new();
     let mut sides = Vec::with_capacity(stage.edges.len());
     for e in stage.edges {
-        sides.push((build_edge_side(e, opts, ctx, &mut op_list)?, e.fk.clone()));
+        let side = build_edge_side(e, false, opts, ctx, &mut op_list)?;
+        sides.push((side, e.fk.clone()));
     }
     let t0 = opts.level.timing().then(Instant::now);
     let shape = stage.shape;
@@ -285,7 +300,9 @@ fn run<const FRONT: u8, S: Sink>(
     let partials = opts
         .executor
         .run_morsels(ctx, n, opts.morsel_rows, init, body)?;
-    // The edges' probe ops, then the aggregation's, after the builds'.
+    // The edges' probe ops, then the aggregation's, after the builds'. The
+    // probes run inside the aggregation's loop, so its op alone carries
+    // the loop's wall.
     let first_op = op_list.len();
     if counting {
         for (ei, e) in stage.edges.iter().enumerate() {
@@ -295,6 +312,7 @@ fn run<const FRONT: u8, S: Sink>(
                 op.access.rows_out += p.edge[ei].1;
             }
             op.ht.probes = op.access.rows_in;
+            op.fused = true;
             op_list.push(op);
         }
         let mut agg = OpMetrics::named(shape.op_name());
@@ -306,9 +324,8 @@ fn run<const FRONT: u8, S: Sink>(
     let agg_op = op_list[first_op..].last_mut();
     let accs = partials.into_iter().map(|w| w.acc);
     let res = shared.sink.finish(&stage, &shared.sides, accs, agg_op)?;
-    let wall_nanos = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-    for op in &mut op_list[first_op..] {
-        op.wall_nanos = wall_nanos;
+    if let (Some(agg), Some(t0)) = (op_list[first_op..].last_mut(), t0) {
+        agg.wall_nanos = t0.elapsed().as_nanos() as u64;
     }
     Ok((res, op_list))
 }

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use super::{apply_post_ops, stitch, ExecOpts, ScanAcc};
+use super::{apply_post_ops, ExecOpts};
 use crate::error::PlanError;
 use crate::logical::{FrameSpec, WindowFunc};
 use crate::metrics::OpMetrics;
@@ -12,9 +12,48 @@ use crate::physical::{PostOp, WindowShape};
 use crate::result::QueryResult;
 use crate::tile::{Regs, TileProgram};
 use swole_cost::WindowStrategy;
-use swole_kernels::{selvec, tiles, tiles_in};
-use swole_runtime::ExecCtx;
+use swole_kernels::{tiles, tiles_in, AccessCounters};
+use swole_runtime::{charge_or_panic, ExecCtx, MemGauge};
 use swole_storage::Table;
+
+/// Thread-local state of the filter scan: the scan's register file plus
+/// the worker's qualifying row ids, appended morsel by morsel, and where
+/// each claimed morsel's part of them starts.
+struct ScanAcc {
+    regs: Regs,
+    out: Vec<u32>,
+    /// `(morsel start row, offset into out, length)` per claimed morsel.
+    segs: Vec<(usize, usize, usize)>,
+    ctr: AccessCounters,
+}
+
+impl ScanAcc {
+    fn new(gauge: &MemGauge, program: &TileProgram) -> ScanAcc {
+        charge_or_panic(gauge, program.scratch_bytes());
+        ScanAcc {
+            regs: Regs::new(program),
+            out: Vec::new(),
+            segs: Vec::new(),
+            ctr: AccessCounters::default(),
+        }
+    }
+}
+
+/// Stitch the workers' segments back into table order. The segments form
+/// an exact disjoint cover of the qualifying rows, so the result is
+/// identical to a sequential scan regardless of which worker claimed what.
+fn stitch(partials: &[ScanAcc]) -> Vec<u32> {
+    let mut segs: Vec<(usize, &[u32])> = partials
+        .iter()
+        .flat_map(|p| {
+            p.segs
+                .iter()
+                .map(|&(start, off, len)| (start, &p.out[off..off + len]))
+        })
+        .collect();
+    segs.sort_unstable_by_key(|(start, _)| *start);
+    segs.iter().flat_map(|(_, seg)| *seg).copied().collect()
+}
 
 /// Materialize every output of `program` for the (ascending) qualifying
 /// row ids, one pass over the tiles that hold any, through the same tile
@@ -95,9 +134,9 @@ pub(crate) fn exec_window(
     let init = {
         let ctx = Arc::clone(ctx);
         let program = Arc::clone(scan_program);
-        move || ScanAcc::<u32>::new(&ctx.gauge, &program)
+        move || ScanAcc::new(&ctx.gauge, &program)
     };
-    let body = move |w: &mut ScanAcc<u32>, m_start: usize, m_len: usize| {
+    let body = move |w: &mut ScanAcc, m_start: usize, m_len: usize| {
         if counting {
             w.ctr.morsels += 1;
             w.ctr.rows_in += m_len as u64;
@@ -108,7 +147,9 @@ pub(crate) fn exec_window(
         let off = w.out.len();
         for (start, len) in tiles_in(m_start, m_len) {
             bound.run(&mut w.regs, start, len);
-            selvec::append_nobranch(bound.filter(&w.regs, len), start as u32, &mut w.out);
+            let k = bound.select(&mut w.regs, len);
+            w.out
+                .extend(w.regs.idx[..k].iter().map(|&j| start as u32 + j));
         }
         let found = w.out.len() - off;
         if counting {
@@ -125,7 +166,7 @@ pub(crate) fn exec_window(
             op.access.merge(&p.ctr);
         }
     }
-    let row_ids: Vec<u32> = stitch(&partials, 0);
+    let row_ids: Vec<u32> = stitch(&partials);
     drop(partials);
     let m = row_ids.len();
 

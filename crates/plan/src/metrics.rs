@@ -92,8 +92,12 @@ pub struct OpMetrics {
     /// 64-bit words backing that bitmap.
     pub bitmap_words: u64,
     /// Wall-clock nanoseconds for this operator phase
-    /// ([`MetricsLevel::Timings`] only, else 0).
+    /// ([`MetricsLevel::Timings`] only, else 0). A statement's operator
+    /// walls are disjoint: they sum to at most [`QueryMetrics::elapsed_nanos`].
     pub wall_nanos: u64,
+    /// A join edge's probe, run inside its aggregation's loop: the
+    /// aggregation's wall holds its time.
+    pub fused: bool,
 }
 
 impl OpMetrics {
@@ -289,6 +293,8 @@ impl fmt::Display for QueryMetrics {
             }
             if o.wall_nanos > 0 {
                 write!(f, "\n      wall: {} ns", o.wall_nanos)?;
+            } else if o.fused && self.level.timing() {
+                write!(f, "\n      wall: in the aggregation's")?;
             }
         }
         if let Some(p) = self.predicted_cost {

@@ -7,8 +7,8 @@ use crate::expr::Expr;
 use crate::logical::{AggSpec, FrameSpec, SortKey, WindowFnSpec};
 use crate::tile::{scalar_sinks, GroupSink, TileProgram};
 use swole_cost::{
-    AggProfile, AggStrategy, GroupJoinProfile, GroupJoinStrategy, GroupTableCost, JoinGraphProfile,
-    JoinOrderMethod, SemiJoinStrategy, WindowStrategy,
+    AggProfile, AggStrategy, BitmapBuild, GroupJoinProfile, GroupJoinStrategy, GroupTableCost,
+    JoinGraphProfile, JoinOrderMethod, SemiJoinStrategy, WindowStrategy,
 };
 use swole_ht::DenseAggTable;
 
@@ -433,6 +433,16 @@ impl JoinEdge {
     /// Name of the operator that probes the edge into `parent`.
     pub(crate) fn probe_op(parent: &str) -> String {
         format!("multijoin-probe({parent})")
+    }
+
+    /// The structure this edge's build writes: the planned one for an edge
+    /// the probe reads, a packed bitmap for a chain edge (whose bit its
+    /// child's build ANDs into the child's tile masks).
+    pub(crate) fn build(&self, chain: bool) -> SemiJoinStrategy {
+        match chain {
+            true => SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional),
+            false => self.strategy,
+        }
     }
 }
 

@@ -768,6 +768,8 @@ pub(crate) struct Regs {
     vals: Vec<Vec<i64>>,
     /// Tile selection vector.
     pub(crate) idx: Vec<u32>,
+    /// Whether the last tile compacted into `idx` was sparse.
+    sparse: bool,
     /// Spare value buffer.
     pub(crate) tmp: Vec<i64>,
 }
@@ -786,6 +788,7 @@ impl Regs {
             masks,
             vals,
             idx: vec![0u32; TILE],
+            sparse: false,
             tmp: vec![0i64; TILE],
         }
     }
@@ -1069,9 +1072,10 @@ impl BoundProgram {
     }
 
     /// Compact the filter mask of the tile just run into `r.idx` as
-    /// tile-local offsets; returns the qualifying count.
+    /// tile-local offsets ([`selvec::fill_adaptive`]); returns the count.
     pub(crate) fn select(&self, r: &mut Regs, len: usize) -> usize {
-        selvec::fill_nobranch(&r.masks[self.prog.filter][..len], 0, &mut r.idx)
+        let cmp = &r.masks[self.prog.filter][..len];
+        selvec::fill_adaptive(cmp, 0, &mut r.idx, &mut r.sparse)
     }
 
     /// The group key of rows `[start, start + len)` at native width.

@@ -28,7 +28,7 @@ use crate::logical::AggSpec;
 use crate::physical::{
     AggMode, AggShape, FrontEnd, GroupTableRepr, JoinEdge, PhysicalPlan, PostOp, Shape, WindowShape,
 };
-use swole_cost::{AggStrategy, SemiJoinStrategy};
+use swole_cost::{AggStrategy, BitmapBuild, SemiJoinStrategy};
 use swole_ht::DenseAggTable;
 
 /// Lower `plan` and verify it at `level`. `Off` is a no-op by construction
@@ -303,13 +303,15 @@ fn fk_decl(db: &Database, probe: &str, fk_col: &str, build: &str) -> Result<FkDe
     })
 }
 
-/// Lower one join edge's build side, post-order (chain children first, so
-/// every `ValueMask` import resolves against an earlier export).
+/// Lower one join edge's build side, post-order (chain edges first, so
+/// every bitmap import resolves against an earlier export).
 ///
-/// Direct fact edges are semijoin builds: qualifying mask, then the
-/// membership structure the probe imports. Nested chain edges export only
-/// their qualifying `ValueMask` — execution folds it into the parent's mask
-/// through the parent's FK column.
+/// Every edge is a semijoin build written from its tile loop: the parent's
+/// filter into a tile-scoped mask, each chain edge's bitmap ANDed in
+/// through its FK, then the membership structure the next operator
+/// imports — the planned one for a direct edge, a packed bitmap for a
+/// chain edge. The selection-vector and hash builds compact the tile mask
+/// into a tile-scoped selection vector first.
 fn lower_join_build(
     db: &Database,
     child: &str,
@@ -337,7 +339,7 @@ fn lower_join_build(
     op.exprs.extend(predicate(&e.parent_filter));
     for c in &e.children {
         op.imports.push(Import {
-            kind: ArtifactKind::ValueMask,
+            kind: ArtifactKind::PositionalBitmap,
             table: c.parent.clone(),
             via_fk: Some(FkRef {
                 child: e.parent.clone(),
@@ -346,42 +348,24 @@ fn lower_join_build(
             }),
         });
     }
+    let strategy = e.build(!direct);
+    op.strategy = Some(StrategyRef::SemiJoinBuild(strategy));
     op.scratch_bytes = e.parent_program.scratch_bytes();
-    op.allocs.push(charged("build-mask"));
     op.allocs.push(charged("worker-scratch"));
-    if direct {
-        op.strategy = Some(StrategyRef::SemiJoinBuild(e.strategy));
+    op.locals
+        .push(tile_artifact(ArtifactKind::ValueMask, &e.parent));
+    if strategy != SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional) {
         op.locals
-            .push(plan_artifact(ArtifactKind::ValueMask, &e.parent, rows));
-        match e.strategy {
-            SemiJoinStrategy::Hash => {
-                op.exports
-                    .push(plan_artifact(ArtifactKind::KeySet, &e.parent, rows));
-                op.allocs.push(charged("key-set"));
-            }
-            SemiJoinStrategy::PositionalBitmap(bmb) => {
-                if bmb == swole_cost::BitmapBuild::SelectionVector {
-                    op.locals.push(plan_artifact(
-                        ArtifactKind::SelectionVector,
-                        &e.parent,
-                        rows,
-                    ));
-                    op.allocs.push(charged("selection-vector"));
-                }
-                op.exports.push(plan_artifact(
-                    ArtifactKind::PositionalBitmap,
-                    &e.parent,
-                    rows,
-                ));
-                op.allocs.push(charged("positional-bitmap"));
-            }
-        }
-    } else {
-        // Chain edge: the mask itself crosses the operator boundary.
-        op.strategy = Some(StrategyRef::GroupJoinBuild);
-        op.exports
-            .push(plan_artifact(ArtifactKind::ValueMask, &e.parent, rows));
+            .push(tile_artifact(ArtifactKind::SelectionVector, &e.parent));
     }
+    let (kind, site) = match strategy {
+        SemiJoinStrategy::Hash => (ArtifactKind::KeySet, "key-set"),
+        SemiJoinStrategy::PositionalBitmap(_) => {
+            (ArtifactKind::PositionalBitmap, "positional-bitmap")
+        }
+    };
+    op.exports.push(plan_artifact(kind, &e.parent, rows));
+    op.allocs.push(charged(site));
     ops.push(op);
     Ok(())
 }

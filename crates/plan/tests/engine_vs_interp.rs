@@ -659,3 +659,105 @@ fn masked_probe_lists_run_in_one_pass_and_match_the_interpreter() {
         }
     }
 }
+
+/// `R → S → T`: an FK chain whose middle table spans three 2 Ki-row morsels,
+/// the last ending mid-word.
+fn chain_db() -> Database {
+    let (n_r, n_s, n_t) = (20_000usize, 2 * 2048 + 37, 500usize);
+    let mut rng = SmallRng::seed_from_u64(0xC4A1);
+    let mut db = Database::new();
+    db.add_table(
+        Table::new("R")
+            .with_column(
+                "x",
+                ColumnData::I8((0..n_r).map(|_| rng.gen_range(0..100)).collect()),
+            )
+            .with_column(
+                "a",
+                ColumnData::I32((0..n_r).map(|_| rng.gen_range(1..50)).collect()),
+            )
+            .with_column(
+                "fk",
+                ColumnData::U32((0..n_r).map(|_| rng.gen_range(0..n_s as u32)).collect()),
+            ),
+    );
+    db.add_table(
+        Table::new("S")
+            .with_column(
+                "y",
+                ColumnData::I8((0..n_s).map(|_| rng.gen_range(0..100)).collect()),
+            )
+            .with_column(
+                "tk",
+                ColumnData::U32((0..n_s).map(|_| rng.gen_range(0..n_t as u32)).collect()),
+            ),
+    );
+    db.add_table(Table::new("T").with_column(
+        "z",
+        ColumnData::I8((0..n_t).map(|_| rng.gen_range(0..100)).collect()),
+    ));
+    db.add_fk("R", "fk", "S").unwrap();
+    db.add_fk("S", "tk", "T").unwrap();
+    db
+}
+
+/// Build sides written from the tile loop: a one-edge join and a chain
+/// (`R → S → T`), sparse and dense, under the planner's build and each one
+/// pinned — both bitmap variants and the key set — scalar, and grouped by
+/// the FK over the one edge, match the interpreter at threads {1, 2, 8}
+/// and on a 4-worker pool.
+#[test]
+fn chain_and_hash_builds_match_the_interpreter() {
+    use swole_cost::{BitmapBuild, SemiJoinStrategy};
+    let oracle = chain_db();
+    let pins = [
+        None,
+        Some(SemiJoinStrategy::PositionalBitmap(
+            BitmapBuild::Unconditional,
+        )),
+        Some(SemiJoinStrategy::PositionalBitmap(
+            BitmapBuild::SelectionVector,
+        )),
+        Some(SemiJoinStrategy::Hash),
+    ];
+    let lt = |c: &str, v: i64| Expr::col(c).cmp(CmpOp::Lt, Expr::lit(v));
+    for pin in pins {
+        let engines = [(false, 1), (false, 2), (false, 8), (true, 4)].map(|(pool, threads)| {
+            let b = Engine::builder(chain_db()).tile_rows(2048);
+            let b = match pin {
+                Some(s) => b.strategies(StrategyOverrides::pin_semijoin(s)),
+                None => b,
+            };
+            match pool {
+                true => b.worker_pool(threads).build(),
+                false => b.threads(threads).build(),
+            }
+        });
+        for (s_lt, chained) in [(3, false), (3, true), (60, false), (60, true)] {
+            let parent = QueryBuilder::scan("S").filter(lt("y", s_lt));
+            let parent = match chained {
+                true => parent.semijoin(QueryBuilder::scan("T").filter(lt("z", 50)), "tk"),
+                false => parent,
+            };
+            let aggs = vec![AggSpec::sum(Expr::col("a"), "s"), AggSpec::count("n")];
+            // Neither side groups over a multi-way join.
+            let groups: &[Option<&str>] = if chained {
+                &[None]
+            } else {
+                &[None, Some("fk")]
+            };
+            for &group in groups {
+                let plan = QueryBuilder::scan("R")
+                    .filter(lt("x", 70))
+                    .semijoin(parent.clone(), "fk")
+                    .aggregate(group, aggs.clone());
+                let expected = interp::run(&oracle, &plan).expect("interp");
+                for engine in &engines {
+                    let explain = engine.explain(&plan).expect("explain");
+                    let got = engine.query(&plan).expect("engine");
+                    assert_eq!(got, expected, "{explain}");
+                }
+            }
+        }
+    }
+}

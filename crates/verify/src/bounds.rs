@@ -37,7 +37,7 @@
 use std::fmt;
 
 use swole_bitmap::PositionalBitmap;
-use swole_cost::{BitmapBuild, SemiJoinStrategy};
+use swole_cost::SemiJoinStrategy;
 use swole_ht::{AggTable, DenseAggTable, KeySet};
 
 use crate::ir::{
@@ -532,32 +532,18 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
                 }
                 last_out = b.out_rows_bound;
             }
-            Some(StrategyRef::SemiJoinBuild(s)) => {
-                // Qualifying mask over the whole build domain, plus the
-                // membership structure the probe imports.
-                b.plan_bytes_bound = rows;
-                match s {
-                    SemiJoinStrategy::Hash => {
-                        b.ht_bytes_bound = KeySet::build_bytes_bound(op.rows) as u64;
-                    }
-                    SemiJoinStrategy::PositionalBitmap(bmb) => {
-                        if *bmb == BitmapBuild::SelectionVector {
-                            b.plan_bytes_bound =
-                                b.plan_bytes_bound.saturating_add(rows.saturating_mul(4));
-                        }
-                        b.plan_bytes_bound = b
-                            .plan_bytes_bound
-                            .saturating_add(PositionalBitmap::bytes_for(op.rows) as u64);
-                    }
-                }
+            // The membership structure the probe imports, written from the
+            // build's tile loop: its masks and selection vectors are tile
+            // scratch.
+            Some(StrategyRef::SemiJoinBuild(SemiJoinStrategy::Hash)) => {
+                b.ht_bytes_bound = KeySet::build_bytes_bound(op.rows) as u64;
+            }
+            Some(StrategyRef::SemiJoinBuild(SemiJoinStrategy::PositionalBitmap(_))) => {
+                b.plan_bytes_bound = PositionalBitmap::bytes_for(op.rows) as u64;
             }
             Some(StrategyRef::SemiJoinProbe { .. }) => {
                 b.out_rows_bound = 1;
                 last_out = b.out_rows_bound;
-            }
-            Some(StrategyRef::GroupJoinBuild) => {
-                // Chain-edge build: only the qualifying mask.
-                b.plan_bytes_bound = rows;
             }
             Some(StrategyRef::GroupJoin(_)) => {
                 let key = group_key_column(op);
@@ -853,8 +839,9 @@ mod tests {
         };
         let cert = certify(&p, &BoundsCtx::without_stats(4));
         let b = &cert.per_op_bounds[0];
-        // Mask byte per row + final key-set capacity (pow2 >= 2n+2) * 8.
-        assert_eq!(b.plan_bytes_bound, rows as u64);
+        // A hash build charges its key set alone: the final capacity
+        // (pow2 >= 2n+2) * 8.
+        assert_eq!(b.plan_bytes_bound, 0);
         assert_eq!(b.ht_bytes_bound, KeySet::build_bytes_bound(rows) as u64);
         assert!(b.ht_bytes_bound >= (2 * rows as u64) * 8);
     }

@@ -266,10 +266,6 @@ pub enum StrategyRef {
     },
     /// Probe side of a groupjoin (or its eager-aggregation alternative).
     GroupJoin(GroupJoinStrategy),
-    /// A build that materializes only its qualifying mask: a chain edge's,
-    /// folded into its child's mask (a groupjoin's own edge is a
-    /// [`StrategyRef::SemiJoinBuild`] like any direct edge's).
-    GroupJoinBuild,
     /// Window operator over sorted qualifying rows.
     Window {
         /// Chosen frame-state strategy.

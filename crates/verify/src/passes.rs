@@ -380,13 +380,6 @@ pub fn modelled_signature(strategy: &StrategyRef) -> AccessSig {
             group_key: None,
             structure: Some(Access::Gather),
         },
-        // A mask-only build materializes the qualifying mask sequentially.
-        StrategyRef::GroupJoinBuild => AccessSig {
-            predicate: Some(Access::Sequential),
-            agg_input: None,
-            group_key: None,
-            structure: None,
-        },
         // Window frames: the sequential frame scan walks the sorted run once
         // with running accumulators (sequential function-input reads), while
         // conditional re-evaluation re-reads each output row's frame through
@@ -435,9 +428,7 @@ pub fn expected_cost_term(strategy: &StrategyRef) -> Option<&'static str> {
         StrategyRef::Limit => Some("limit.rows"),
         // Semijoin build/probe costs are folded into the chooser profile and
         // carry no plan-level term today.
-        StrategyRef::SemiJoinBuild(_)
-        | StrategyRef::SemiJoinProbe { .. }
-        | StrategyRef::GroupJoinBuild => None,
+        StrategyRef::SemiJoinBuild(_) | StrategyRef::SemiJoinProbe { .. } => None,
     }
 }
 
@@ -450,7 +441,6 @@ fn derived_signature(strategy: &StrategyRef) -> AccessSig {
             probe_masked,
         } => access::semijoin_probe_signature(*strategy, *probe_masked),
         StrategyRef::GroupJoin(g) => access::groupjoin_probe_signature(*g),
-        StrategyRef::GroupJoinBuild => access::groupjoin_build_signature(),
         StrategyRef::Window { strategy } => access::window_signature(*strategy),
         StrategyRef::Sort => access::sort_signature(),
         StrategyRef::Limit => access::limit_signature(),
@@ -521,7 +511,6 @@ fn strategy_label(strategy: &StrategyRef) -> &'static str {
         StrategyRef::Agg { strategy, .. } => strategy.name(),
         StrategyRef::SemiJoinBuild(s) | StrategyRef::SemiJoinProbe { strategy: s, .. } => s.name(),
         StrategyRef::GroupJoin(g) => g.name(),
-        StrategyRef::GroupJoinBuild => "groupjoin-build",
         StrategyRef::Window { strategy } => strategy.name(),
         StrategyRef::Sort => "sort",
         StrategyRef::Limit => "limit",
@@ -986,7 +975,6 @@ mod tests {
         }
         refs.push(StrategyRef::GroupJoin(GroupJoinStrategy::GroupJoin));
         refs.push(StrategyRef::GroupJoin(GroupJoinStrategy::EagerAggregation));
-        refs.push(StrategyRef::GroupJoinBuild);
         for w in [
             WindowStrategy::SequentialFrameScan,
             WindowStrategy::ConditionalReeval,

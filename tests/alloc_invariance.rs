@@ -298,6 +298,8 @@ fn hot_statements_allocate_no_more_than_at_the_parent_commit() {
         // the sequential engine builds — no stage, no type-erased task, no
         // free list of accumulators.
         let on_pool = warm(&pooled, kind, marker, &plan);
+        // Compared across commits with `-- --nocapture`.
+        println!("{kind}: {now} allocations (query), {now_sql} (query_sql), {on_pool} (pool)");
         assert!(
             on_pool <= now,
             "{kind}: {on_pool} allocations submitting to a pool, {now} on one thread"

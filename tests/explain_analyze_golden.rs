@@ -93,14 +93,16 @@ fn q1_lite_groupby_golden() {
 fn multijoin_star_chain_golden() {
     assert_golden(
         "multijoin_explain_analyze",
-        "explain analyze select sum(lineitem.l_quantity) as q, count(*) as n \
-         from lineitem, orders, part, supplier, customer \
-         where lineitem.l_orderkey = orders.rowid and lineitem.l_partkey = part.rowid \
-           and lineitem.l_suppkey = supplier.rowid and orders.o_custkey = customer.rowid \
-           and orders.o_orderdate < 9204 and part.p_size < 30 \
-           and supplier.s_nationkey < 15 and customer.c_nationkey < 12",
+        &format!("explain analyze {MULTIJOIN_SQL}"),
     );
 }
+
+const MULTIJOIN_SQL: &str = "select sum(lineitem.l_quantity) as q, count(*) as n \
+     from lineitem, orders, part, supplier, customer \
+     where lineitem.l_orderkey = orders.rowid and lineitem.l_partkey = part.rowid \
+       and lineitem.l_suppkey = supplier.rowid and orders.o_custkey = customer.rowid \
+       and orders.o_orderdate < 9204 and part.p_size < 30 \
+       and supplier.s_nationkey < 15 and customer.c_nationkey < 12";
 
 /// Two-table semijoin (micro Q4 shape): a one-edge join reports like any
 /// other — `multijoin-build` / `-probe` / `-agg` operators, the edge's
@@ -110,12 +112,14 @@ fn multijoin_star_chain_golden() {
 fn semijoin_one_edge_golden() {
     assert_golden(
         "semijoin_explain_analyze",
-        "explain analyze select sum(lineitem.l_extendedprice * lineitem.l_discount) as s \
-         from lineitem, orders \
-         where lineitem.l_orderkey = orders.rowid \
-           and lineitem.l_quantity < 25 and orders.o_orderdate < 9204",
+        &format!("explain analyze {SEMIJOIN_SQL}"),
     );
 }
+
+const SEMIJOIN_SQL: &str = "select sum(lineitem.l_extendedprice * lineitem.l_discount) as s \
+     from lineitem, orders \
+     where lineitem.l_orderkey = orders.rowid \
+       and lineitem.l_quantity < 25 and orders.o_orderdate < 9204";
 
 /// FK groupjoin (micro Q5 shape): a grouped one-edge join reports the same
 /// `multijoin-build` / `-probe` / `-agg` operators and the edge's estimated
@@ -195,5 +199,33 @@ fn window_counters_are_thread_invariant() {
             counters, baseline,
             "stage counters drifted between 1 and {threads} thread(s)"
         );
+    }
+}
+
+/// A statement's operator walls are disjoint, so they add up to at most its
+/// elapsed time: a join's probes report theirs inside the aggregation's,
+/// and a chain edge's build is not inside its parent's. A scan, a one-edge
+/// join, a chain and a window, at 1 and 2 threads.
+#[test]
+fn operator_walls_add_up_to_at_most_the_elapsed_time() {
+    let tpch = swole_tpch::generate(0.004, 99);
+    let scan = "select sum(l_quantity) as q from lineitem where l_quantity < 25";
+    for threads in [1usize, 2] {
+        let engine = Engine::builder(to_database(&tpch))
+            .threads(threads)
+            .metrics(MetricsLevel::Timings)
+            .build();
+        for sql in [scan, SEMIJOIN_SQL, MULTIJOIN_SQL, WINDOW_SQL] {
+            let plan = parse_sql(sql).expect("parses").plan;
+            let res = engine.query(&plan).expect("runs");
+            let m = res.metrics().expect("timed");
+            let walls: u64 = m.operators.iter().map(|o| o.wall_nanos).sum();
+            assert!(walls > 0, "{sql}: no operator wall at {threads} thread(s)");
+            assert!(
+                walls <= m.elapsed_nanos,
+                "{sql}: operator walls {walls} ns > elapsed {} ns at {threads} thread(s)",
+                m.elapsed_nanos
+            );
+        }
     }
 }
