@@ -296,8 +296,8 @@ fn regret_sweep(runs: usize) {
 
 /// The density sweep behind `selvec::SPARSE_ONE_IN`, on one thread. Per σ:
 /// the compactions of one mask of `r_rows()` lanes, tile by tile — the
-/// served choice (`fill_adaptive`), `fill_sparse`, `fill_nobranch` and
-/// `fill_branch` — then the engine's hybrid scan `sum(a * b) … where x < σ`
+/// served choice (`fill_adaptive`), `fill_sparse`, `fill_dense`,
+/// `fill_nobranch` and `fill_branch` — then the engine's hybrid scan `sum(a * b) … where x < σ`
 /// against that scan hand-coded with `fill_nobranch` and with
 /// `fill_adaptive`. Each round runs every variant once and the results are
 /// asserted equal. `x` is σ in %; the series are `kernel:<fill>`,
@@ -331,9 +331,10 @@ fn density_sweep(runs: usize) {
         sparse.set(s);
         k
     };
-    let fills: [(&str, Fill<'_>); 4] = [
+    let fills: [(&str, Fill<'_>); 5] = [
         ("adaptive", &adaptive),
         ("sparse", &selvec::fill_sparse),
+        ("dense", &selvec::fill_dense),
         ("nobranch", &selvec::fill_nobranch),
         ("branch", &selvec::fill_branch),
     ];
@@ -376,14 +377,14 @@ fn density_sweep(runs: usize) {
             scan(&selvec::fill_nobranch),
             "σ={per_mille}‰"
         );
-        let mut times: [Vec<f64>; 7] = Default::default();
+        let mut times: [Vec<f64>; 8] = Default::default();
         for _ in 0..runs {
             for (t, (_, fill)) in times.iter_mut().zip(fills) {
                 t.push(median_ms(1, || compact(fill)));
             }
-            times[4].push(median_ms(1, planned));
-            times[5].push(median_ms(1, || scan(&selvec::fill_nobranch)));
-            times[6].push(median_ms(1, || scan(&adaptive)));
+            times[5].push(median_ms(1, planned));
+            times[6].push(median_ms(1, || scan(&selvec::fill_nobranch)));
+            times[7].push(median_ms(1, || scan(&adaptive)));
         }
         let ms = times.map(|mut t| {
             t.sort_by(f64::total_cmp);
@@ -393,16 +394,92 @@ fn density_sweep(runs: usize) {
         for ((name, _), t) in fills.iter().zip(&ms) {
             emit("4s", &format!("kernel:{name}"), &x, *t);
         }
-        emit("4s", "scan:engine", &x, ms[4]);
-        emit("4s", "scan:handcoded-nobranch", &x, ms[5]);
-        emit("4s", "scan:handcoded-adaptive", &x, ms[6]);
-        emit("4s", "kernel:adaptive/nobranch", &x, ms[0] / ms[2]);
+        emit("4s", "scan:engine", &x, ms[5]);
+        emit("4s", "scan:handcoded-nobranch", &x, ms[6]);
+        emit("4s", "scan:handcoded-adaptive", &x, ms[7]);
+        emit("4s", "kernel:adaptive/nobranch", &x, ms[0] / ms[3]);
+    }
+}
+
+/// Lane width of the served value-masking loops, on one thread, over
+/// `scan_micro`'s data (a, b ∈ [1, 50], σ = 25 %) at 16 Ki rows (cache
+/// resident) and at 4 Mi rows: `sum(a * b)` by value masking
+/// (`masked:*`) and by access merging (`merged:*`) in `i64` lanes and in
+/// the certificate-licensed `i32` ones, the masked probe
+/// (`join::semijoin_sum_bitmap_masked`, `i64`) and a plain read of the same
+/// `a`, `b` and mask bytes (`stream`, the DRAM floor). Every loop runs tile
+/// by tile, as the engine calls it, and the sums are asserted equal. `x` is
+/// the row count; each value is ms per 4 Mi rows.
+fn lane_width_sweep(runs: usize) {
+    use rand::{Rng, SeedableRng};
+    use swole_bitmap::PositionalBitmap;
+    use swole_kernels::join;
+    const PER: usize = 4 << 20;
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(0x4A);
+    for n in [16 << 10, PER] {
+        eprintln!("fig 4w: lane width ({n} rows)");
+        let a: Vec<i32> = (0..n).map(|_| rng.gen_range(1..=50)).collect();
+        let b: Vec<i32> = (0..n).map(|_| rng.gen_range(1..=50)).collect();
+        let cmp: Vec<u8> = (0..n).map(|_| rng.gen_bool(0.25) as u8).collect();
+        let fk: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1024)).collect();
+        let bitmap = PositionalBitmap::from_predicate_bytes(&[1u8; 1024]);
+        let over_tiles = |f: &dyn Fn(usize, usize) -> i64| {
+            // Cache-resident sizes repeat until 4 Mi rows have streamed by.
+            let sum = (0..PER / n).map(|_| tiles(n).map(|(s, l)| f(s, l)).sum::<i64>());
+            sum.last().unwrap_or(0)
+        };
+        let mut tmp = vec![0i64; TILE];
+        let tmp = std::cell::RefCell::new(&mut tmp[..]);
+        type Loop<'l> = &'l dyn Fn(usize, usize) -> i64;
+        let loops: [(&str, Loop<'_>); 6] = [
+            ("masked:i64", &|s, l| {
+                agg::sum_op_masked::<_, _, Mul>(&a[s..s + l], &b[s..s + l], &cmp[s..s + l])
+            }),
+            ("masked:i32", &|s, l| {
+                agg::sum_op_masked_i32::<_, _, Mul>(&a[s..s + l], &b[s..s + l], &cmp[s..s + l])
+            }),
+            ("merged:i64", &|s, l| {
+                let tmp = &mut tmp.borrow_mut()[..l];
+                agg::mask_values(&a[s..s + l], &cmp[s..s + l], tmp);
+                agg::sum_product_tmp(&b[s..s + l], tmp)
+            }),
+            ("merged:i32", &|s, l| {
+                agg::sum_merged_i32(&a[s..s + l], &b[s..s + l], &cmp[s..s + l])
+            }),
+            ("probe:i64", &|s, l| {
+                let (a, b, c) = (&a[s..s + l], &b[s..s + l], &cmp[s..s + l]);
+                join::semijoin_sum_bitmap_masked::<_, _, Mul>(&fk[s..s + l], a, b, c, &bitmap)
+            }),
+            ("stream", &|s, l| {
+                let lanes = a[s..s + l].iter().zip(&b[s..s + l]).zip(&cmp[s..s + l]);
+                let x = lanes.fold(0i32, |x, ((&a, &b), &c)| x ^ a ^ b ^ i32::from(c));
+                i64::from(x)
+            }),
+        ];
+        let want = over_tiles(loops[0].1);
+        for (name, f) in &loops[..5] {
+            assert_eq!(over_tiles(*f), want, "{name} at {n} rows");
+        }
+        let mut times: [Vec<f64>; 6] = Default::default();
+        for _ in 0..runs {
+            for (t, (_, f)) in times.iter_mut().zip(&loops) {
+                t.push(median_ms(1, || over_tiles(*f)));
+            }
+        }
+        for ((name, _), mut t) in loops.iter().zip(times) {
+            t.sort_by(f64::total_cmp);
+            emit("4w", name, &n.to_string(), t[t.len() / 2]);
+        }
     }
 }
 
 fn main() {
     let opts = parse_args();
     println!("figure,series,x,runtime_ms");
+
+    if wanted(&opts, "4w") {
+        lane_width_sweep(opts.runs);
+    }
 
     if wanted(&opts, "4g") {
         group_count_sweep(opts.runs);

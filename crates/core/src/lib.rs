@@ -97,10 +97,10 @@ pub mod prelude {
     pub use swole_plan::{
         AdmissionConfig, AdmissionError, AggFunc, AggSpec, BoundStatement, CmpOp, ColumnStats,
         Database, Engine, EngineBuilder, ExecHandle, Explain, Expr, FrameSpec, JoinEdgeExplain,
-        LogicalPlan, MemoryPolicy, MemoryPoolStats, MetricsLevel, OpBounds, ParamSlot, Params,
-        PlanCacheStats, PlanCertificate, PlanError, PreparedStatement, Priority, QueryBuilder,
-        QueryMetrics, QueryOptions, QueryResult, Session, ShutdownReport, SortKey, StatsMode,
-        StrategyOverrides, TableStats, Value, VerifyError, VerifyErrorKind, VerifyLevel,
+        LogicalPlan, MemoryPolicy, MemoryPoolStats, MetricsLevel, OpBounds, OverflowProof,
+        ParamSlot, Params, PlanCacheStats, PlanCertificate, PlanError, PreparedStatement, Priority,
+        QueryBuilder, QueryMetrics, QueryOptions, QueryResult, Session, ShutdownReport, SortKey,
+        StatsMode, StrategyOverrides, TableStats, Value, VerifyError, VerifyErrorKind, VerifyLevel,
         VerifyReport, WindowFnSpec, WindowFunc,
     };
     pub use swole_storage::{ColumnData, Date, Decimal, DictColumn, Table};

@@ -16,7 +16,7 @@
 // engine, not per lane; dev/test profiles carry overflow checks).
 #![allow(clippy::arithmetic_side_effects)]
 
-use crate::AsI64;
+use crate::{AsI64, TILE};
 
 /// A binary arithmetic operator applied inside an aggregate expression
 /// (the `[OP]` substitution parameter of microbenchmark Q1).
@@ -30,6 +30,8 @@ pub trait BinOp {
     fn apply(a: i64, b: i64) -> i64;
     /// Apply the operator, reporting whether the result wrapped.
     fn apply_checked(a: i64, b: i64) -> (i64, bool);
+    /// Apply the operator in `i32` lanes (wrapping), for inputs proven to fit.
+    fn apply_i32(a: i32, b: i32) -> i32;
     /// Name used by codegen / reporting.
     const NAME: &'static str;
     /// `true` if the operation is expensive enough to be compute-bound
@@ -47,6 +49,10 @@ impl BinOp for Mul {
     #[inline(always)]
     fn apply_checked(a: i64, b: i64) -> (i64, bool) {
         a.overflowing_mul(b)
+    }
+    #[inline(always)]
+    fn apply_i32(a: i32, b: i32) -> i32 {
+        a.wrapping_mul(b)
     }
     const NAME: &'static str = "*";
     const COMPUTE_BOUND: bool = false;
@@ -68,6 +74,10 @@ impl BinOp for Div {
     #[inline(always)]
     fn apply_checked(a: i64, b: i64) -> (i64, bool) {
         a.overflowing_div(b)
+    }
+    #[inline(always)]
+    fn apply_i32(a: i32, b: i32) -> i32 {
+        a.wrapping_div(b)
     }
     const NAME: &'static str = "/";
     const COMPUTE_BOUND: bool = true;
@@ -201,6 +211,43 @@ pub fn sum_square_tmp(tmp: &[i64]) -> i64 {
         sum = sum.wrapping_add(t.wrapping_mul(t));
     }
     sum
+}
+
+/// `Σ f(a[j], b[j], −cmp[j])` over lanes narrowed to `i32` (exact, by the
+/// caller's proof), one `i32` partial per [`TILE`] lanes widened once.
+#[inline(always)]
+fn sum_i32_tiles<A: AsI64, B: AsI64>(
+    a: &[A],
+    b: &[B],
+    cmp: &[u8],
+    f: impl Fn(i32, i32, i32) -> i32,
+) -> i64 {
+    assert_eq!(a.len(), b.len());
+    assert_eq!(a.len(), cmp.len());
+    let tiles = a.chunks(TILE).zip(b.chunks(TILE)).zip(cmp.chunks(TILE));
+    tiles.fold(0i64, |sum, ((a, b), cmp)| {
+        let lanes = a.iter().zip(b).zip(cmp);
+        let part = lanes.fold(0i32, |p, ((&x, &y), &c)| {
+            p.wrapping_add(f(x.widen() as i32, y.widen() as i32, -i32::from(c)))
+        });
+        sum.wrapping_add(i64::from(part))
+    })
+}
+
+/// **Value masking in `i32` lanes**, `part += (a OP b) & −cmp`: for inputs
+/// whose every operand, `a OP b` and tile sum the caller has proven to fit
+/// an `i32` (the bounds certificate's `i32` tile verdict). Without packed
+/// 64-bit multiplies the `i64` form is compute-bound; this one streams.
+#[inline]
+pub fn sum_op_masked_i32<A: AsI64, B: AsI64, O: BinOp>(a: &[A], b: &[B], cmp: &[u8]) -> i64 {
+    sum_i32_tiles(a, b, cmp, |a, b, keep| O::apply_i32(a, b) & keep)
+}
+
+/// **Access merging in `i32` lanes**, one loop: `part += (x & −cmp) · y`
+/// (`y = x` for `sum(x * x)`), under [`sum_op_masked_i32`]'s proof.
+#[inline]
+pub fn sum_merged_i32<X: AsI64, Y: AsI64>(x: &[X], y: &[Y], cmp: &[u8]) -> i64 {
+    sum_i32_tiles(x, y, cmp, |x, y, keep| (x & keep).wrapping_mul(y))
 }
 
 #[cfg(test)]
@@ -359,6 +406,65 @@ mod tests {
         // ...and neither is a wrapping running sum missed.
         let one = [1i64, 1];
         assert!(sum_op_gather_checked::<_, _, Mul>(&[i64::MAX, 1], &one, &[0, 1]).1);
+    }
+
+    /// The `i32` lane forms against the data-centric loop at every length of
+    /// a tile and across tiles, with lanes of every width — an `i64`
+    /// register's included — negative operands and never-zero divisors, at
+    /// magnitudes up to the proof's limit: `TILE · 1448² ≤ i32::MAX`.
+    #[test]
+    fn i32_lanes_match_the_datacentric_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        const M: i64 = 1448;
+        assert!(TILE as i64 * M * M <= i64::from(i32::MAX));
+        let mut rng = SmallRng::seed_from_u64(0x132);
+        let n = 2 * TILE + 5;
+        let mut lanes = |lo: i64, hi: i64| -> Vec<i64> {
+            let nonzero = |v: i64| if v == 0 { 1 } else { v };
+            (0..n).map(|_| nonzero(rng.gen_range(lo..=hi))).collect()
+        };
+        let i8s: Vec<i8> = lanes(-128, 127).iter().map(|&v| v as i8).collect();
+        let i16s: Vec<i16> = lanes(-M, M).iter().map(|&v| v as i16).collect();
+        let i32s: Vec<i32> = lanes(-M, M).iter().map(|&v| v as i32).collect();
+        let u32s: Vec<u32> = lanes(1, M).iter().map(|&v| v as u32).collect();
+        let i64s = lanes(-M, M);
+        let cmp: Vec<u8> = lanes(0, 3).iter().map(|&v| (v & 1) as u8).collect();
+        fn check<A: AsI64, B: AsI64>(a: &[A], b: &[B], cmp: &[u8]) {
+            for len in (0..=TILE).chain([a.len()]) {
+                let (a, b, cmp) = (&a[..len], &b[..len], &cmp[..len]);
+                let want = |op| match op {
+                    '*' => sum_op_datacentric::<_, _, Mul>(a, b, |j| cmp[j] != 0),
+                    _ => sum_op_datacentric::<_, _, Div>(a, b, |j| cmp[j] != 0),
+                };
+                assert_eq!(
+                    sum_op_masked_i32::<_, _, Mul>(a, b, cmp),
+                    want('*'),
+                    "{len}"
+                );
+                assert_eq!(
+                    sum_op_masked_i32::<_, _, Div>(a, b, cmp),
+                    want('/'),
+                    "{len}"
+                );
+                assert_eq!(sum_merged_i32(a, b, cmp), want('*'), "merged {len}");
+            }
+        }
+        check(&i8s, &i16s, &cmp);
+        check(&i16s, &i32s, &cmp);
+        check(&i32s, &u32s, &cmp);
+        check(&u32s, &i64s, &cmp);
+        check(&i64s, &i8s, &cmp);
+        check(&i32s, &i32s, &cmp);
+        // A whole tile at the limit, both signs, every lane kept.
+        let ones = [1u8; TILE];
+        for (x, y) in [(M, M), (-M, M)] {
+            let (x, y) = ([x; TILE], [y; TILE]);
+            let want = sum_op_datacentric::<_, _, Mul>(&x, &y, |_| true);
+            assert_eq!(want.abs(), TILE as i64 * M * M);
+            assert_eq!(sum_op_masked_i32::<_, _, Mul>(&x, &y, &ones), want);
+            assert_eq!(sum_merged_i32(&x, &y, &ones), want);
+        }
     }
 
     #[test]

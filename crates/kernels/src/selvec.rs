@@ -5,8 +5,9 @@
 //! variants exist because (per Ross \[31\], cited in § II-A) the predicated
 //! no-branch form avoids branch mispredictions at intermediate
 //! selectivities while a branching form can win at the extremes — the
-//! `ablations` bench measures the trade-off. The engine runs
-//! [`fill_adaptive`], which walks the packed mask's bits on sparse tiles.
+//! `ablations` bench measures the trade-off. The engine runs neither: it
+//! runs [`fill_adaptive`], which compacts eight packed lanes a step on dense
+//! tiles and walks the packed mask's bits on sparse ones.
 
 // Tile-loop kernels: index arithmetic is bounded by slice lengths
 // (debug_assert'd) and accumulators follow the paper's convention of
@@ -72,18 +73,67 @@ pub fn fill_sparse(cmp: &[u8], base: u32, idx: &mut [u32]) -> usize {
     k
 }
 
+/// Per byte: the positions of its set bits, lowest first, then (slot 8)
+/// how many there are.
+static BYTE_OFFSETS: [[u8; 9]; 256] = {
+    let (mut t, mut at) = ([[0u8; 9]; 256], 0);
+    while at < 256 * 8 {
+        let (b, bit) = (at / 8, at % 8);
+        if (b >> bit) & 1 == 1 {
+            t[b][t[b][8] as usize] = bit as u8;
+            t[b][8] += 1;
+        }
+        at += 1;
+    }
+    t
+};
+
+/// Dense construction, eight lanes a step: pack eight mask lanes into a
+/// byte ([`mask_word`]'s multiply), store that byte's eight offsets from a
+/// 256 × 8 table whatever it holds, and advance by its count. A group with
+/// no room left for eight stores stores only its count, so `idx` needs no
+/// slack past `cmp.len()`; `idx` past the returned count is unspecified.
+#[inline(never)]
+pub fn fill_dense(cmp: &[u8], base: u32, idx: &mut [u32]) -> usize {
+    debug_assert!(idx.len() >= cmp.len());
+    let mut k = 0usize;
+    let mut step = |eight: [u8; 8], at: u32| {
+        let offs = &BYTE_OFFSETS[pack8(eight) as usize];
+        let n = usize::from(offs[8]);
+        let dst = match idx.get_mut(k..k + 8) {
+            Some(eight) => eight,
+            None => &mut idx[k..k + n],
+        };
+        for (d, &o) in dst.iter_mut().zip(offs) {
+            *d = at + u32::from(o);
+        }
+        k += n;
+    };
+    let chunks = cmp.chunks_exact(8);
+    let (tail, mut eight) = (chunks.remainder(), [0u8; 8]);
+    let tail_at = base + (cmp.len() - tail.len()) as u32;
+    for (at, lanes) in (base..).step_by(8).zip(chunks) {
+        step(lanes.try_into().expect("chunks of 8"), at);
+    }
+    if !tail.is_empty() {
+        eight[..tail.len()].copy_from_slice(tail);
+        step(eight, tail_at);
+    }
+    k
+}
+
 /// A tile is sparse when fewer than one lane in `SPARSE_ONE_IN` qualifies:
-/// there [`fill_sparse`] beats [`fill_nobranch`] (`figures --fig 4s`).
-pub const SPARSE_ONE_IN: usize = 10;
+/// there [`fill_sparse`] beats [`fill_dense`] (`figures --fig 4s`).
+pub const SPARSE_ONE_IN: usize = 16;
 
 /// The compaction the engine serves: [`fill_sparse`] when the previous tile
-/// was sparse, [`fill_nobranch`] otherwise. `sparse` carries one tile's
+/// was sparse, [`fill_dense`] otherwise. `sparse` carries one tile's
 /// density to the next: a dense tile pays one compare, not a second pass.
 #[inline]
 pub fn fill_adaptive(cmp: &[u8], base: u32, idx: &mut [u32], sparse: &mut bool) -> usize {
     let k = match *sparse {
         true => fill_sparse(cmp, base, idx),
-        false => fill_nobranch(cmp, base, idx),
+        false => fill_dense(cmp, base, idx),
     };
     *sparse = k * SPARSE_ONE_IN < cmp.len();
     k
@@ -97,16 +147,20 @@ pub fn fill_adaptive(cmp: &[u8], base: u32, idx: &mut [u32], sparse: &mut bool) 
 pub fn mask_word(lanes: &[u8]) -> u64 {
     debug_assert!(lanes.len() <= 64, "one word holds 64 lanes");
     debug_assert!(lanes.iter().all(|&c| c <= 1), "a mask holds 0 / 1");
-    let gather =
-        |eight: [u8; 8]| u64::from_le_bytes(eight).wrapping_mul(0x0102_0408_1020_4080) >> 56;
     let (chunks, mut eight) = (lanes.chunks_exact(8), [0u8; 8]);
     let tail = chunks.remainder();
     eight[..tail.len()].copy_from_slice(tail);
     // No tail gathers to 0, which the shift by 64 (taken mod 64) keeps 0.
-    let word = gather(eight).wrapping_shl((lanes.len() - tail.len()) as u32);
+    let word = pack8(eight).wrapping_shl((lanes.len() - tail.len()) as u32);
     chunks.enumerate().fold(word, |word, (i, eight)| {
-        word | gather(eight.try_into().expect("chunks of 8")) << (8 * i)
+        word | pack8(eight.try_into().expect("chunks of 8")) << (8 * i)
     })
+}
+
+/// Eight 0/1 lanes packed into the low byte, lane `i` into bit `i`.
+#[inline(always)]
+fn pack8(eight: [u8; 8]) -> u64 {
+    u64::from_le_bytes(eight).wrapping_mul(0x0102_0408_1020_4080) >> 56
 }
 
 /// ROF-style construction (§ II-A.3): append into a caller-owned vector that
@@ -171,7 +225,7 @@ mod tests {
 
     /// Every length of a tile and every tail — not a multiple of 8 lanes,
     /// not of 64 — at densities from none to all: the packer builds the
-    /// bitmap `from_predicate_bytes` does, and the sparse and served
+    /// bitmap `from_predicate_bytes` does, and the sparse, dense and served
     /// compactions the selection `fill_nobranch` does.
     #[test]
     fn packer_and_compactions_match_the_references() {
@@ -190,9 +244,12 @@ mod tests {
                 );
                 let mut want = vec![0u32; len];
                 let k = fill_nobranch(&cmp, 7, &mut want);
+                // No slack past `len`: the last groups store only their count.
                 let mut got = vec![0u32; len];
                 let ks = fill_sparse(&cmp, 7, &mut got);
                 assert_eq!(&got[..ks], &want[..k], "σ={sigma} len={len}");
+                let kd = fill_dense(&cmp, 7, &mut got);
+                assert_eq!(&got[..kd], &want[..k], "σ={sigma} len={len}");
                 for mut sparse in [false, true] {
                     let kk = fill_adaptive(&cmp, 7, &mut got, &mut sparse);
                     assert_eq!(&got[..kk], &want[..k], "σ={sigma} len={len}");

@@ -870,7 +870,7 @@ impl EngineInner {
             executor: &self.executor,
             morsel_rows: self.morsel_rows,
             level,
-            overflow_proved: cert.all_sites_overflow_safe(),
+            overflow: cert.overflow_proof,
         };
         Run {
             opts,

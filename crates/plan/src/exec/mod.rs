@@ -18,6 +18,7 @@ use crate::physical::{JoinEdge, PhysicalPlan, PostOp, Shape};
 use crate::result::QueryResult;
 use swole_runtime::{ExecCtx, Executor};
 use swole_storage::{FkIndex, Table};
+use swole_verify::OverflowProof;
 
 mod build;
 mod pipeline;
@@ -34,10 +35,9 @@ pub(crate) struct ExecOpts<'a> {
     pub executor: &'a Executor,
     pub morsel_rows: usize,
     pub level: MetricsLevel,
-    /// The plan's certificate proves every arithmetic site overflow-safe, so
-    /// the scalar sinks may run the unchecked kernels and the grouped ones
-    /// the adds that keep no overflow flag.
-    pub overflow_proved: bool,
+    /// The plan certificate's proof: from `I64` on, the unchecked kernels
+    /// and flagless adds; at `I32Tile`, scalar masked sums in `i32` lanes.
+    pub overflow: OverflowProof,
 }
 
 /// The positional FK mapping, pinned as owned data so shared-pool worker
@@ -381,7 +381,7 @@ mod tests {
                         executor,
                         morsel_rows,
                         level: MetricsLevel::Counters,
-                        overflow_proved: false,
+                        overflow: OverflowProof::Unproven,
                     };
                     let ctx = Arc::new(ExecCtx::unbounded());
                     let mut ops = Vec::new();

@@ -30,6 +30,7 @@ use swole_ht::{AggTable, DenseAggTable};
 use swole_kernels::{predicate, tiles_in, AccessCounters};
 use swole_runtime::ExecCtx;
 use swole_storage::Table;
+use swole_verify::OverflowProof;
 
 /// One aggregation as the driver runs it: the planned shape with its table
 /// and direct edges (in probe order) pinned.
@@ -94,7 +95,7 @@ pub(crate) fn exec_agg(
     let counting = opts.level.counting();
     let Some(sink) = shape.group_sink.clone() else {
         let masked = front == FrontEnd::Mask;
-        let sinks = scalar_sinks(&shape.program, &shape.aggs, masked, !opts.overflow_proved);
+        let sinks = scalar_sinks(&shape.program, &shape.aggs, masked, opts.overflow);
         let fused_probe = sinks
             .fused_probe(counting)
             .filter(|_| masked && stage.edges.len() == 1);
@@ -102,7 +103,8 @@ pub(crate) fn exec_agg(
         let front = fused_probe.map_or(front, |_| FrontEnd::EveryLane);
         return drive(stage, front, ScalarSink { sinks, fused_probe }, opts, ctx);
     };
-    let (n_aggs, mode, proven) = (shape.aggs.len(), shape.mode, opts.overflow_proved);
+    let (n_aggs, mode) = (shape.aggs.len(), shape.mode);
+    let proven = opts.overflow >= OverflowProof::I64;
     match group_table {
         GroupTableRepr::Hash => {
             let parent_rows = stage.edges.first().map(|e| e.parent_t.len());

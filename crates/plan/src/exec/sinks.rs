@@ -167,7 +167,7 @@ impl Sink for ScalarSink {
             }
             FusedProbe::SumCount(sum) => sum,
         };
-        let checked = self.sinks.checked;
+        let checked = self.sinks.proof == swole_verify::OverflowProof::Unproven;
         let (s, n, wrapped) = t.bound.probe_sum_count(regs, sum, checked, fk, bm, t.at);
         for (slot, sink) in acc.acc.iter_mut().zip(&self.sinks.sinks) {
             let v = match sink {

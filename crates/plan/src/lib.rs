@@ -77,6 +77,7 @@ pub use swole_runtime::{
     AdmissionConfig, AdmissionError, ExecHandle, MemGauge, MemoryPolicy, MemoryPoolStats, Priority,
 };
 pub use swole_verify::{
-    OpBounds, PlanCertificate, VerifyError, VerifyErrorKind, VerifyLevel, VerifyReport,
+    OpBounds, OverflowProof, PlanCertificate, VerifyError, VerifyErrorKind, VerifyLevel,
+    VerifyReport,
 };
 pub use value::{Params, Value};

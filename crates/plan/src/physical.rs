@@ -11,6 +11,7 @@ use swole_cost::{
     JoinGraphProfile, JoinOrderMethod, SemiJoinStrategy, WindowStrategy,
 };
 use swole_ht::DenseAggTable;
+use swole_verify::OverflowProof;
 
 /// A result-level post-operator applied after the core pipeline: `ORDER BY`
 /// and `LIMIT` run over the materialized result rows, never over base tables.
@@ -483,7 +484,7 @@ impl AggShape {
             // unproven or counted runs the counting loop's checked or plain
             // form instead. Two or more sums fold the bit into the mask.
             AggMode::Probe { masked: true } => {
-                let sinks = scalar_sinks(&self.program, &self.aggs, true, false);
+                let sinks = scalar_sinks(&self.program, &self.aggs, true, OverflowProof::I64);
                 match sinks.fused_probe(false) {
                     Some(p) => join(&format!(", masked probe, sink: {}", p.name())),
                     None => join(", masked probe"),

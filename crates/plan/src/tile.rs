@@ -25,6 +25,7 @@ use swole_ht::GroupTable;
 use swole_kernels::agg::{self, BinOp, Div, Mul};
 use swole_kernels::{groupby, join, predicate, selvec, AsI64, TILE};
 use swole_storage::{like_match, ColumnData, DataType, Table};
+use swole_verify::OverflowProof;
 
 use crate::error::PlanError;
 use crate::expr::{AggFunc, CmpOp, Expr};
@@ -1137,15 +1138,15 @@ pub(crate) enum Sink {
     Max(usize),
 }
 
-/// The sinks of a scalar aggregate list, one per aggregate, and whether
-/// they run the overflow-detecting kernels.
+/// The sinks of a scalar aggregate list, one per aggregate, and what the
+/// certificate proved about their sums.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ScalarSinks {
     pub(crate) sinks: Vec<Sink>,
-    /// The certificate did not prove the accumulator sites overflow-safe:
-    /// run the `*_checked` kernels, so a wrap surfaces as the typed
-    /// `Overflow` the interpreter retry keys on.
-    pub(crate) checked: bool,
+    /// `Unproven`: run the `*_checked` kernels, so a wrap surfaces as the
+    /// typed `Overflow` the interpreter retry keys on. `I32Tile`: the
+    /// masked sums run in `i32` lanes.
+    pub(crate) proof: OverflowProof,
 }
 
 /// Select the sinks for a scalar aggregate list. `masked` is value masking
@@ -1155,8 +1156,9 @@ pub(crate) fn scalar_sinks(
     prog: &TileProgram,
     aggs: &[AggSpec],
     masked: bool,
-    checked: bool,
+    proof: OverflowProof,
 ) -> ScalarSinks {
+    let checked = proof == OverflowProof::Unproven;
     let sinks = aggs
         .iter()
         .enumerate()
@@ -1185,14 +1187,14 @@ pub(crate) fn scalar_sinks(
             }
         })
         .collect();
-    ScalarSinks { sinks, checked }
+    ScalarSinks { sinks, proof }
 }
 
-fn sum_masked<O: BinOp>(a: Lane<'_>, b: Lane<'_>, cmp: &[u8], checked: bool) -> (i64, bool) {
-    with_lane!(a, |a| with_lane!(b, |b| if checked {
-        agg::sum_op_masked_checked::<_, _, O>(a, b, cmp)
-    } else {
-        (agg::sum_op_masked::<_, _, O>(a, b, cmp), false)
+fn sum_masked<O: BinOp>(a: Lane<'_>, b: Lane<'_>, cmp: &[u8], proof: OverflowProof) -> (i64, bool) {
+    with_lane!(a, |a| with_lane!(b, |b| match proof {
+        OverflowProof::Unproven => agg::sum_op_masked_checked::<_, _, O>(a, b, cmp),
+        OverflowProof::I64 => (agg::sum_op_masked::<_, _, O>(a, b, cmp), false),
+        OverflowProof::I32Tile => (agg::sum_op_masked_i32::<_, _, O>(a, b, cmp), false),
     }))
 }
 
@@ -1212,23 +1214,31 @@ impl BoundProgram {
     pub(crate) fn accumulate_masked(
         &self,
         r: &mut Regs,
-        &ScalarSinks { ref sinks, checked }: &ScalarSinks,
+        sinks: &ScalarSinks,
         (start, len): (usize, usize),
         acc: &mut [i64],
         overflow: &mut bool,
     ) -> usize {
+        let (proof, checked) = (sinks.proof, sinks.proof == OverflowProof::Unproven);
         let mut tmp = std::mem::take(&mut r.tmp);
         let cmp = self.filter(r, len);
         let m = predicate::mask_count(cmp);
-        for (slot, sink) in acc.iter_mut().zip(sinks) {
+        for (slot, sink) in acc.iter_mut().zip(&sinks.sinks) {
             let (v, wrapped) = match *sink {
                 Sink::Count => (m as i64, false),
                 Sink::Sum(FusedSum { op, a, b }) => {
                     let (a, b) = (self.src(r, a, start, len), self.src(r, b, start, len));
                     match op {
-                        FusedOp::Mul => sum_masked::<Mul>(a, b, cmp, checked),
-                        FusedOp::Div => sum_masked::<Div>(a, b, cmp, checked),
+                        FusedOp::Mul => sum_masked::<Mul>(a, b, cmp, proof),
+                        FusedOp::Div => sum_masked::<Div>(a, b, cmp, proof),
                     }
+                }
+                Sink::SumMerged { x, other } if proof == OverflowProof::I32Tile => {
+                    let y = self.lane(other.unwrap_or(x), start, len);
+                    let sum = with_lane!(self.lane(x, start, len), |x| with_lane!(y, |y| {
+                        agg::sum_merged_i32(x, y, cmp)
+                    }));
+                    (sum, false)
                 }
                 Sink::SumMerged { x, other } => {
                     let tmp = &mut tmp[..len];
@@ -1258,14 +1268,14 @@ impl BoundProgram {
     pub(crate) fn accumulate_gather(
         &self,
         r: &Regs,
-        &ScalarSinks { ref sinks, checked }: &ScalarSinks,
+        sinks: &ScalarSinks,
         (start, len): (usize, usize),
         k: usize,
         acc: &mut [i64],
         overflow: &mut bool,
     ) {
-        let idx = &r.idx[..k];
-        for (slot, sink) in acc.iter_mut().zip(sinks) {
+        let (idx, checked) = (&r.idx[..k], sinks.proof == OverflowProof::Unproven);
+        for (slot, sink) in acc.iter_mut().zip(&sinks.sinks) {
             let (v, wrapped) = match *sink {
                 Sink::Count => (k as i64, false),
                 Sink::Sum(FusedSum { op, a, b }) => {
@@ -1421,7 +1431,9 @@ impl ScalarSinks {
             }
         }
         Some(match (sum, &self.sinks[..]) {
-            (Some(sum), [_]) if !self.checked && !counted => FusedProbe::Sum(sum),
+            (Some(sum), [_]) if self.proof >= OverflowProof::I64 && !counted => {
+                FusedProbe::Sum(sum)
+            }
             (sum, _) => FusedProbe::SumCount(sum),
         })
     }
@@ -1899,9 +1911,9 @@ mod tests {
             let prog =
                 Arc::new(TileProgram::lower_agg(&t, Some(&filter), None, &aggs, false).unwrap());
             let bound = prog.bind(&t).unwrap();
-            for checked in [false, true] {
+            for proof in [OverflowProof::I64, OverflowProof::Unproven] {
                 // Gather: every aggregate, min/max included.
-                let sinks = scalar_sinks(&prog, &aggs, false, checked);
+                let sinks = scalar_sinks(&prog, &aggs, false, proof);
                 let mut regs = Regs::new(&prog);
                 let (mut acc, mut overflow) = (identities.to_vec(), false);
                 for tile in swole_kernels::tiles(ROWS) {
@@ -1909,10 +1921,10 @@ mod tests {
                     let k = bound.select(&mut regs, tile.1);
                     bound.accumulate_gather(&regs, &sinks, tile, k, &mut acc, &mut overflow);
                 }
-                assert_eq!(acc, want, "gather seed {seed} checked {checked} {aggs:?}");
+                assert_eq!(acc, want, "gather seed {seed} {proof:?} {aggs:?}");
                 // Masked: sums and counts only (the planner's invariant).
                 let sums = &aggs[..4];
-                let sinks = scalar_sinks(&prog, sums, true, checked);
+                let sinks = scalar_sinks(&prog, sums, true, proof);
                 let (mut acc, mut overflow) = (vec![0i64; 4], false);
                 let mut matched = 0;
                 for tile in swole_kernels::tiles(ROWS) {
@@ -1920,14 +1932,47 @@ mod tests {
                     matched +=
                         bound.accumulate_masked(&mut regs, &sinks, tile, &mut acc, &mut overflow);
                 }
-                assert_eq!(
-                    acc,
-                    want[..4],
-                    "masked seed {seed} checked {checked} {aggs:?}"
-                );
+                assert_eq!(acc, want[..4], "masked seed {seed} {proof:?} {aggs:?}");
                 assert_eq!(matched, qualifying.len());
             }
         }
+    }
+
+    /// Under an `i32` tile proof the masked sinks — value masking and the
+    /// one-loop merged access — sum what the `i64` ones do on inputs that
+    /// fit: `i8` / `i16` / `i32` operands, a never-zero divisor and an
+    /// input read from an `i64` register.
+    #[test]
+    fn i32_tile_sinks_match_the_i64_ones() {
+        let t = table(13);
+        let filter = Expr::col("c8").cmp(CmpOp::Lt, Expr::lit(20));
+        let (c8, c16, nz) = (Expr::col("c8"), Expr::col("c16"), Expr::col("nz"));
+        let aggs = [
+            AggSpec::sum(c8.clone().mul(c16.clone()), "merged"),
+            AggSpec::sum(c8.clone().mul(c8.clone()), "square"),
+            AggSpec::sum(c16.clone().mul(nz.clone()), "product"),
+            AggSpec::sum(Expr::Div(bx(c16.clone()), bx(nz)), "quotient"),
+            AggSpec::sum(Expr::Add(bx(c8), bx(c16)), "register"),
+            AggSpec::count("n"),
+        ];
+        let prog = Arc::new(TileProgram::lower_agg(&t, Some(&filter), None, &aggs, false).unwrap());
+        let bound = prog.bind(&t).unwrap();
+        let run = |proof| {
+            let sinks = scalar_sinks(&prog, &aggs, true, proof);
+            let (mut regs, mut acc, mut overflow) = (Regs::new(&prog), vec![0; 6], false);
+            for tile in swole_kernels::tiles(ROWS) {
+                bound.run(&mut regs, tile.0, tile.1);
+                bound.accumulate_masked(&mut regs, &sinks, tile, &mut acc, &mut overflow);
+            }
+            assert!(!overflow);
+            (acc, sinks.sinks)
+        };
+        let (narrow, sinks) = run(OverflowProof::I32Tile);
+        assert!(matches!(
+            sinks[..2],
+            [Sink::SumMerged { .. }, Sink::SumMerged { .. }]
+        ));
+        assert_eq!(narrow, run(OverflowProof::I64).0);
     }
 
     /// The grouped sinks — every upsert kernel, over both table
@@ -2024,13 +2069,13 @@ mod tests {
 
             // The fused probe, both loops, checked and not, with and without
             // the sum: one pass, against AND-into-mask then the masked sinks.
-            let sinks = scalar_sinks(&prog, &aggs, true, false);
+            let sinks = scalar_sinks(&prog, &aggs, true, OverflowProof::I64);
             let Some(FusedProbe::Sum(sum)) = sinks.fused_probe(false) else {
                 panic!("a lone proven sum keeps its kernel");
             };
             let with_count = ScalarSinks {
                 sinks: vec![Sink::Sum(sum), Sink::Count],
-                checked: false,
+                proof: OverflowProof::I64,
             };
             let mut regs = Regs::new(&prog);
             let (mut fused, mut three_pass) = ([0i64; 4], vec![0i64; 2]);
@@ -2285,7 +2330,7 @@ mod tests {
         };
         assert_eq!(prog.output(0), Some(Output::Op(sum)));
         assert_eq!(
-            scalar_sinks(&prog, &aggs, true, false).sinks,
+            scalar_sinks(&prog, &aggs, true, OverflowProof::I64).sinks,
             vec![Sink::Sum(sum)]
         );
     }
@@ -2340,14 +2385,19 @@ mod tests {
         let prog = TileProgram::lower_agg(&t, Some(&filter), None, &aggs, false).unwrap();
         let (x, a) = (0, 1);
         // Value masking with a proven accumulator merges the shared access.
-        let merged = scalar_sinks(&prog, &aggs, true, false).sinks;
+        let merged = scalar_sinks(&prog, &aggs, true, OverflowProof::I64).sinks;
+        assert_eq!(
+            scalar_sinks(&prog, &aggs, true, OverflowProof::I32Tile).sinks,
+            merged
+        );
         assert_eq!(merged[0], Sink::SumMerged { x, other: Some(a) });
         assert_eq!(merged[1], Sink::SumMerged { x, other: Some(a) });
         assert_eq!(merged[2], Sink::SumMerged { x, other: None });
         assert!(matches!(merged[3], Sink::Sum(_)), "nothing shared");
         // Unproven, or hybrid: the plain kernels on both columns.
-        for (masked, checked) in [(true, true), (false, false), (false, true)] {
-            assert!(scalar_sinks(&prog, &aggs, masked, checked)
+        let (unproven, i64_proof) = (OverflowProof::Unproven, OverflowProof::I64);
+        for (masked, proof) in [(true, unproven), (false, i64_proof), (false, unproven)] {
+            assert!(scalar_sinks(&prog, &aggs, masked, proof)
                 .sinks
                 .iter()
                 .all(|s| matches!(s, Sink::Sum(_))));
@@ -2356,9 +2406,10 @@ mod tests {
         // proven sum, on a run that counts nothing, its own kernel; anything
         // else the counting one.
         let (one, n) = (&aggs[3..], AggSpec::count("n"));
-        let fused = |aggs: &[AggSpec], checked, counted| {
+        let fused = |aggs: &[AggSpec], checked: bool, counted| {
             let prog = TileProgram::lower_agg(&t, Some(&filter), None, aggs, false).unwrap();
-            scalar_sinks(&prog, aggs, true, checked).fused_probe(counted)
+            let proof = [OverflowProof::I64, OverflowProof::Unproven][usize::from(checked)];
+            scalar_sinks(&prog, aggs, true, proof).fused_probe(counted)
         };
         let Some(FusedProbe::Sum(sum)) = fused(one, false, false) else {
             panic!("a lone proven sum keeps its kernel");
@@ -2458,7 +2509,8 @@ mod tests {
         let want = i64::MAX.wrapping_mul(2).wrapping_add(2).wrapping_add(10);
         for masked in [true, false] {
             for checked in [true, false] {
-                let sinks = scalar_sinks(&prog, &aggs, masked, checked);
+                let proof = [OverflowProof::I64, OverflowProof::Unproven][usize::from(checked)];
+                let sinks = scalar_sinks(&prog, &aggs, masked, proof);
                 let mut regs = Regs::new(&prog);
                 let (mut acc, mut overflow) = (vec![0i64], false);
                 bound.run(&mut regs, 0, 3);

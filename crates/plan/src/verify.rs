@@ -102,8 +102,8 @@ fn program_for_with(
     Ok(program)
 }
 
-/// A table declaration from the live catalog, with storage types collapsed
-/// to the verifier's view (all signed widths are `Int`).
+/// A table declaration from the live catalog, with storage types mapped to
+/// the verifier's view (signed widths keep their width).
 fn table_decl(db: &Database, name: &str) -> Result<TableDecl, PlanError> {
     let t = db.table(name)?;
     let columns = t
@@ -113,7 +113,10 @@ fn table_decl(db: &Database, name: &str) -> Result<TableDecl, PlanError> {
             ty: match t.column(c).map(|col| col.data_type()) {
                 Some(DataType::U32) => ColType::U32,
                 Some(DataType::Dict) => ColType::Dict,
-                _ => ColType::Int,
+                Some(DataType::I8) => ColType::Int(8),
+                Some(DataType::I16) => ColType::Int(16),
+                Some(DataType::I32) => ColType::Int(32),
+                Some(DataType::I64) | None => ColType::Int(64),
             },
         })
         .collect();

@@ -660,6 +660,68 @@ fn masked_probe_lists_run_in_one_pass_and_match_the_interpreter() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Sums in i32 lanes
+// ---------------------------------------------------------------------------
+
+/// Value-masking plans whose sums the certificate proves into `i32` tiles —
+/// a product, a quotient, access merging over the filter's `x` (a shared
+/// product and a square) — answer as the interpreter does, bit for bit, at
+/// threads {1, 2, 8} and on a 4-worker pool. A list mixing one of them with
+/// an `i64` column is proven `I64` only and runs every sum in `i64` lanes.
+#[test]
+fn i32_tile_sums_match_the_interpreter() {
+    use swole_cost::AggStrategy;
+    use swole_plan::OverflowProof::{I32Tile, I64};
+    let [x, a, b, q] = ["x", "a", "b", "q"].map(Expr::col);
+    let div = Expr::Div(Box::new(a.clone()), Box::new(q));
+    let lists = [
+        (vec![AggSpec::sum(a.clone().mul(b), "sab")], I32Tile),
+        (vec![AggSpec::sum(div, "saq"), AggSpec::count("n")], I32Tile),
+        (
+            vec![
+                AggSpec::sum(x.clone().mul(a.clone()), "sxa"),
+                AggSpec::sum(x.clone().mul(x.clone()), "sxx"),
+            ],
+            I32Tile,
+        ),
+        (
+            vec![
+                AggSpec::sum(x.mul(a), "sxa"),
+                AggSpec::sum(Expr::col("p"), "sp"),
+            ],
+            I64,
+        ),
+    ];
+    let engines = [(false, 1), (false, 2), (false, 8), (true, 4)].map(|(pool, threads)| {
+        let b = Engine::builder(lists_db(true))
+            .tile_rows(2048)
+            .strategies(StrategyOverrides::pin_agg(AggStrategy::ValueMasking));
+        match pool {
+            true => b.worker_pool(threads).build(),
+            false => b.threads(threads).build(),
+        }
+    });
+    let oracle = lists_db(true);
+    for (aggs, proof) in lists {
+        let plan = QueryBuilder::scan("R")
+            .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(70)))
+            .aggregate(None, aggs);
+        let expected = interp::run(&oracle, &plan).expect("interp");
+        for engine in &engines {
+            let explain = engine.explain(&plan).expect("explain");
+            let cert = engine.certificate(&plan).expect("certifies");
+            assert_eq!(cert.overflow_proof, proof, "{explain}");
+            let named = cert
+                .lines
+                .iter()
+                .any(|l| l.contains(", i32 tile (|input| <= "));
+            assert_eq!(named, proof == I32Tile, "{:?}", cert.lines);
+            assert_eq!(engine.query(&plan).expect("engine"), expected, "{explain}");
+        }
+    }
+}
+
 /// `R → S → T`: an FK chain whose middle table spans three 2 Ki-row morsels,
 /// the last ending mid-word.
 fn chain_db() -> Database {

@@ -24,6 +24,8 @@
 //!   `i64` range) and the site recorded as not provably overflow-safe.
 //!   Aggregate inputs additionally model the accumulator: a sum over at most
 //!   `rows` values of magnitude `m` is provably safe iff `rows · m ≤ i64::MAX`.
+//!   The verdicts fold into one [`OverflowProof`], which also says when an
+//!   `i32` tile partial cannot overflow (`tile · m ≤ i32::MAX`).
 //!
 //! Soundness argument: every byte bound here mirrors a charge site in the
 //! engine (`crates/plan/src/engine.rs`) with the operator's row count, worker
@@ -34,7 +36,7 @@
 //! no second copy to drift. Charges are never released mid-query, so the sum
 //! of per-operator bounds dominates the gauge peak.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 use swole_bitmap::PositionalBitmap;
 use swole_cost::SemiJoinStrategy;
@@ -143,6 +145,24 @@ pub struct OpBounds {
     pub arith_sites: u32,
     /// Of those, sites the interval analysis proves cannot overflow `i64`.
     pub overflow_safe_sites: u32,
+    /// What the analysis proves about the operator's sums.
+    pub overflow_proof: OverflowProof,
+    /// The largest magnitude an aggregate input can take (`None`: no input).
+    pub max_input: Option<u64>,
+}
+
+/// What the value-range analysis proves about a plan's sums, weakest
+/// first — the accumulate loops the executor may run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum OverflowProof {
+    /// Some arithmetic site may overflow `i64`: the checked kernels.
+    Unproven,
+    /// Every site fits `i64`: adds that keep no overflow flag.
+    I64,
+    /// Also, every aggregate input fits an `i32` tile: the input and each
+    /// of its operands and intermediate values fit `i32`, and
+    /// `tile · max|input| ≤ i32::MAX`, so a tile's sum of it does too.
+    I32Tile,
 }
 
 impl OpBounds {
@@ -169,7 +189,11 @@ impl fmt::Display for OpBounds {
             self.ht_bytes_bound,
             self.overflow_safe_sites,
             self.arith_sites,
-        )
+        )?;
+        match (self.overflow_proof, self.max_input) {
+            (OverflowProof::I32Tile, Some(m)) => write!(f, ", i32 tile (|input| <= {m})"),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -192,6 +216,8 @@ pub struct PlanCertificate {
     pub arith_sites: u32,
     /// Sites proven unable to overflow `i64`.
     pub overflow_safe_sites: u32,
+    /// The weakest of the operators' proofs: what the whole plan may run.
+    pub overflow_proof: OverflowProof,
     /// Worker count the bounds were computed for.
     pub workers: u64,
     /// `(table, generation)` pairs of the statistics snapshots consulted —
@@ -323,22 +349,24 @@ fn arith(op: ArithOp, a: Iv, b: Iv) -> (Iv, bool) {
     }
 }
 
-/// Tally of arithmetic sites walked and how many were proven safe.
+/// Tally of arithmetic sites walked and how many were proven safe, and the
+/// largest magnitude any value node took.
 #[derive(Debug, Clone, Copy, Default)]
 struct SiteTally {
     sites: u32,
     safe: u32,
+    widest: i128,
 }
 
 /// Evaluate `expr` to an interval, recording an overflow verdict per
-/// arithmetic node into `tally`.
+/// arithmetic node, and every node's magnitude, into `tally`.
 fn eval_expr(
     expr: &VExpr,
     decl: Option<&TableDecl>,
     profile: Option<&TableProfile>,
     tally: &mut SiteTally,
 ) -> Iv {
-    match expr {
+    let iv = match expr {
         VExpr::Lit(v) => Iv::point(*v),
         VExpr::Param(_) => TOP,
         VExpr::Col(name) => column_interval(name, decl, profile),
@@ -380,13 +408,16 @@ fn eval_expr(
                 let (next, step_safe) = arith(*op, acc, rhs);
                 acc = next;
                 safe &= step_safe;
+                tally.widest = tally.widest.max(acc.max_abs());
             }
             if safe {
                 tally.safe += 1;
             }
             acc
         }
-    }
+    };
+    tally.widest = tally.widest.max(iv.max_abs());
+    iv
 }
 
 fn column_interval(name: &str, decl: Option<&TableDecl>, profile: Option<&TableProfile>) -> Iv {
@@ -394,6 +425,10 @@ fn column_interval(name: &str, decl: Option<&TableDecl>, profile: Option<&TableP
         return Iv::range(c.min, c.max);
     }
     match decl.and_then(|d| d.col_type(name)) {
+        Some(ColType::Int(bits)) if (1..64).contains(&bits) => Iv {
+            lo: -(1i128 << (bits - 1)),
+            hi: (1i128 << (bits - 1)) - 1,
+        },
         Some(ColType::U32) => Iv {
             lo: 0,
             hi: u32::MAX as i128,
@@ -460,31 +495,40 @@ fn n_aggs_of(op: &Op) -> u64 {
 }
 
 /// Value-range analysis for one operator: walk every bound expression,
-/// then model each aggregate input's accumulator (a sum of at most
-/// `rows` addends).
+/// then model each aggregate input's accumulator (a sum of at most `rows`
+/// addends, and of at most `tile` in an `i32` tile partial). Returns the
+/// sites, the operator's proof and its largest input magnitude.
 fn analyze_overflow(
     op: &Op,
     decl: Option<&TableDecl>,
     profile: Option<&TableProfile>,
-) -> SiteTally {
+    tile: usize,
+) -> (SiteTally, OverflowProof, Option<u64>) {
     let mut tally = SiteTally::default();
+    let (mut i32_tiles, mut max_input) = (true, None);
     for BoundExpr { role, expr } in &op.exprs {
+        tally.widest = 0;
         let iv = eval_expr(expr, decl, profile, &mut tally);
         if matches!(role, ExprRole::AggInput) {
             // Accumulator site: SUM over up to `rows` values. Safe iff the
             // worst-case magnitude times the row bound stays within i64.
             tally.sites += 1;
-            let rows = op.rows as i128;
-            if iv
-                .max_abs()
-                .checked_mul(rows)
-                .is_some_and(|total| total <= I64_HI)
-            {
+            let (m, rows) = (iv.max_abs(), op.rows as i128);
+            if m.checked_mul(rows).is_some_and(|total| total <= I64_HI) {
                 tally.safe += 1;
             }
+            // `widest` covers the input's operands and intermediates too.
+            let i32_hi = i32::MAX as i128;
+            i32_tiles &= tally.widest <= i32_hi && m.saturating_mul(tile as i128) <= i32_hi;
+            max_input = max_input.max(Some(u64::try_from(m).unwrap_or(u64::MAX)));
         }
     }
-    tally
+    let proof = match (tally.safe == tally.sites, i32_tiles) {
+        (false, _) => OverflowProof::Unproven,
+        (true, false) => OverflowProof::I64,
+        (true, true) => OverflowProof::I32Tile,
+    };
+    (tally, proof, max_input)
 }
 
 /// Derive the certificate for a lowered program.
@@ -504,6 +548,8 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
         let profile = ctx.profile(&op.table);
         let rows = op.rows as u64;
         let n_aggs = n_aggs_of(op);
+        let (tally, overflow_proof, max_input) =
+            analyze_overflow(op, decl, profile, program.tile_rows);
         let mut b = OpBounds {
             op: op.name.clone(),
             path: op.path.clone(),
@@ -514,12 +560,11 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
             // lowering carries its size from the tile program itself.
             worker_bytes_bound: workers.saturating_mul(op.scratch_bytes as u64),
             ht_bytes_bound: 0,
-            arith_sites: 0,
-            overflow_safe_sites: 0,
+            arith_sites: tally.sites,
+            overflow_safe_sites: tally.safe,
+            overflow_proof,
+            max_input,
         };
-        let tally = analyze_overflow(op, decl, profile);
-        b.arith_sites = tally.sites;
-        b.overflow_safe_sites = tally.safe;
         match &op.strategy {
             Some(StrategyRef::Agg { grouped, .. }) => {
                 if *grouped {
@@ -590,6 +635,7 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
     let peak = primary.saturating_add(ctx.fallback_bytes);
     let arith_sites = per_op.iter().map(|b| b.arith_sites).sum();
     let overflow_safe_sites = per_op.iter().map(|b| b.overflow_safe_sites).sum();
+    let overflow_proof = per_op.iter().map(|b| b.overflow_proof).min();
     let stats_generations: Vec<(String, u64)> = program
         .tables
         .iter()
@@ -606,7 +652,13 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
             "bounds: {overflow_safe_sites}/{arith_sites} arithmetic site(s) proven overflow-safe"
         ),
     ];
-    lines.extend(per_op.iter().map(|b| format!("bounds[{b}]")));
+    // Sized up front, so how often a line reallocates does not depend on
+    // how many digits its numbers have.
+    lines.extend(per_op.iter().map(|b| {
+        let mut line = String::with_capacity(256);
+        write!(line, "bounds[{b}]").expect("writing to a String cannot fail");
+        line
+    }));
     PlanCertificate {
         peak_bytes_bound: peak,
         primary_bytes_bound: primary,
@@ -614,6 +666,7 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
         per_op_bounds: per_op,
         arith_sites,
         overflow_safe_sites,
+        overflow_proof: overflow_proof.unwrap_or(OverflowProof::I32Tile),
         workers,
         stats_generations,
         lines,
@@ -680,7 +733,7 @@ mod tests {
             tables: vec![table(
                 "t",
                 rows,
-                &[("v", ColType::Int), ("g", ColType::Int)],
+                &[("v", ColType::Int(64)), ("g", ColType::Int(64))],
             )],
             fks: Vec::new(),
             ops: vec![op],
@@ -790,6 +843,73 @@ mod tests {
         assert_eq!(blind.overflow_safe_sites, 0);
     }
 
+    /// One scalar `sum(x * y)` over a table of `x`, `y` of type `ty`.
+    fn product_sum(ty: ColType, rows: usize) -> Program {
+        let mut op = Op::new("scan-agg(t)", "/scan-agg", "t", rows);
+        op.exprs.push(BoundExpr {
+            role: ExprRole::AggInput,
+            expr: VExpr::Arith(
+                ArithOp::Mul,
+                vec![VExpr::Col("x".into()), VExpr::Col("y".into())],
+            ),
+        });
+        Program {
+            tables: vec![table("t", rows, &[("x", ty), ("y", ty)])],
+            fks: Vec::new(),
+            ops: vec![op],
+            tile_rows: TILE,
+        }
+    }
+
+    /// Without statistics a column is its type's range: two `i8`s prove a
+    /// product sum into `i32` tiles, two `i64`s nothing.
+    #[test]
+    fn a_column_without_statistics_is_its_types_range() {
+        let blind = BoundsCtx::without_stats(1);
+        let narrow = certify(&product_sum(ColType::Int(8), 100_000), &blind);
+        assert!(narrow.all_sites_overflow_safe());
+        assert_eq!(narrow.overflow_proof, OverflowProof::I32Tile);
+        assert_eq!(narrow.per_op_bounds[0].max_input, Some(128 * 128));
+        assert!(narrow.lines[2].ends_with(", i32 tile (|input| <= 16384)]"));
+        // 32768² · 1024 escapes an i32 tile, not i64 over 100k rows.
+        let mid = certify(&product_sum(ColType::Int(16), 100_000), &blind);
+        assert_eq!(mid.overflow_proof, OverflowProof::I64);
+        assert!(!mid.lines[2].contains("i32 tile"));
+        let wide = certify(&product_sum(ColType::Int(64), 100_000), &blind);
+        assert_eq!(wide.overflow_proof, OverflowProof::Unproven);
+        assert_eq!(wide.overflow_safe_sites, 0);
+    }
+
+    /// The `i32` tile verdict at its boundary: the largest product whose
+    /// tile sum fits (`⌊i32::MAX / TILE⌋`), and one more.
+    #[test]
+    fn the_i32_tile_verdict_holds_exactly_up_to_its_bound() {
+        let limit = i64::from(i32::MAX) / TILE as i64;
+        for (x, y, proof) in [
+            (49, limit / 49, OverflowProof::I32Tile),
+            (2048, (limit + 1) / 2048, OverflowProof::I64),
+        ] {
+            let column = |name: &str, v: i64| ColumnProfile {
+                name: name.into(),
+                min: -v,
+                max: v,
+                ndv: None,
+            };
+            let ctx = BoundsCtx {
+                workers: 1,
+                profiles: vec![TableProfile {
+                    table: "t".into(),
+                    generation: 1,
+                    columns: vec![column("x", x), column("y", y)],
+                }],
+                fallback_bytes: 0,
+            };
+            let cert = certify(&product_sum(ColType::Int(64), 10_000), &ctx);
+            assert_eq!(cert.overflow_proof, proof, "{x} x {y}");
+        }
+        assert_eq!(49 * (limit / 49), limit, "the bound itself is a product");
+    }
+
     #[test]
     fn interval_arithmetic_widens_on_i64_escape() {
         let mut tally = SiteTally::default();
@@ -810,7 +930,7 @@ mod tests {
     #[test]
     fn division_by_interval_containing_zero_is_never_safe() {
         let mut tally = SiteTally::default();
-        let decl = table("t", 10, &[("d", ColType::Int)]);
+        let decl = table("t", 10, &[("d", ColType::Int(64))]);
         let profile = TableProfile {
             table: "t".into(),
             generation: 0,
@@ -832,7 +952,7 @@ mod tests {
         let mut build = Op::new("multijoin-build(s)", "/multijoin-agg/build", "s", rows);
         build.strategy = Some(StrategyRef::SemiJoinBuild(SemiJoinStrategy::Hash));
         let p = Program {
-            tables: vec![table("s", rows, &[("k", ColType::Int)])],
+            tables: vec![table("s", rows, &[("k", ColType::Int(64))])],
             fks: Vec::new(),
             ops: vec![build],
             tile_rows: TILE,
@@ -867,9 +987,9 @@ mod tests {
                 table(
                     "c",
                     probe_rows,
-                    &[("v", ColType::Int), ("fk", ColType::U32)],
+                    &[("v", ColType::Int(64)), ("fk", ColType::U32)],
                 ),
-                table("par", build_rows, &[("x", ColType::Int)]),
+                table("par", build_rows, &[("x", ColType::Int(64))]),
             ],
             fks: vec![FkDecl {
                 child: "c".into(),

@@ -16,9 +16,9 @@ use swole_cost::{AggStrategy, GroupJoinStrategy, SemiJoinStrategy, WindowStrateg
 /// physical types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColType {
-    /// Any signed integer width (i8/i16/i32/i64), including decimals and
-    /// dates stored as scaled/epoch integers.
-    Int,
+    /// A signed integer of the given width in bits (8, 16, 32 or 64),
+    /// including decimals and dates stored as scaled/epoch integers.
+    Int(u32),
     /// Unsigned 32-bit (raw FK key columns).
     U32,
     /// Dictionary-encoded string codes.
@@ -28,7 +28,7 @@ pub enum ColType {
 impl fmt::Display for ColType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
-            ColType::Int => "int",
+            ColType::Int(_) => "int",
             ColType::U32 => "u32",
             ColType::Dict => "dict",
         };

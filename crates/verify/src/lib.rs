@@ -37,7 +37,9 @@ pub mod bounds;
 pub mod ir;
 pub mod passes;
 
-pub use bounds::{certify, BoundsCtx, ColumnProfile, OpBounds, PlanCertificate, TableProfile};
+pub use bounds::{
+    certify, BoundsCtx, ColumnProfile, OpBounds, OverflowProof, PlanCertificate, TableProfile,
+};
 
 use std::fmt;
 

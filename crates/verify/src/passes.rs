@@ -679,14 +679,14 @@ mod tests {
                     "lineitem",
                     probe_rows,
                     &[
-                        ("l_quantity", ColType::Int),
-                        ("l_extendedprice", ColType::Int),
-                        ("l_discount", ColType::Int),
+                        ("l_quantity", ColType::Int(64)),
+                        ("l_extendedprice", ColType::Int(64)),
+                        ("l_discount", ColType::Int(64)),
                         ("l_suppkey", ColType::U32),
                         ("l_comment", ColType::Dict),
                     ],
                 ),
-                table("supplier", build_rows, &[("s_nationkey", ColType::Int)]),
+                table("supplier", build_rows, &[("s_nationkey", ColType::Int(64))]),
             ],
             fks: vec![FkDecl {
                 child: "lineitem".into(),

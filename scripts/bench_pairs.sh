@@ -2,7 +2,7 @@
 # Paired benchmark protocol: the working tree's `perf` against a parent
 # revision's, run alternately with the same seed per pair.
 #
-#   scripts/bench_pairs.sh <parent-rev> [--pairs N] [--seconds S] [--smoke] [--out DIR] [workload...]
+#   scripts/bench_pairs.sh <parent-rev> [--aa] [--pairs N] [--seconds S] [--smoke] [--out DIR] [workload...]
 #
 # 1. Builds `perf` (the benchmark package under crates/bench/src/bin/perf)
 #    from the working tree, and from <parent-rev> checked out with
@@ -31,6 +31,11 @@
 # checkouts: a 30-50 % move of one of those statements with no change to
 # its code is that coin, not the change. Judge pairs, not one side's runs.
 #
+# `--aa` runs <parent-rev> against itself: the "change" side is a second
+# worktree of <parent-rev>, in another directory. Same source, same table:
+# what it shows is what the harness and the layout coin move on their own,
+# the spread a change's pairs must be read against.
+#
 # `--smoke` passes perf's --smoke (tiny sizes, 0.4 s a run unless --seconds
 # is given): one pair against HEAD checks the protocol end to end.
 set -euo pipefail
@@ -45,13 +50,14 @@ usage() {
 case $1 in -*) usage ;; esac
 parent=$(git rev-parse --verify "$1^{commit}")
 shift
-pairs=10 seconds='' smoke='' out=''
+pairs=10 seconds='' smoke='' out='' aa=''
 workloads=()
 while [ $# -gt 0 ]; do
     case $1 in
         --pairs) pairs=$2; shift 2 ;;
         --seconds) seconds=$2; shift 2 ;;
         --smoke) smoke=--smoke; shift ;;
+        --aa) aa=1; shift ;;
         --out) out=$2; shift 2 ;;
         -*) echo "bench_pairs: unknown flag $1" >&2; exit 2 ;;
         *) workloads+=("$1"); shift ;;
@@ -64,21 +70,27 @@ fi
 if [ -z "$seconds" ] && [ -z "$smoke" ]; then
     seconds=$(bench 'print(b["run_seconds"])')
 fi
-out=${out:-target/bench-pairs/${parent:0:7}-$(date +%Y%m%d-%H%M%S)}
+out=${out:-target/bench-pairs/${parent:0:7}${aa:+-aa}-$(date +%Y%m%d-%H%M%S)}
 mkdir -p "$out"
 runs="$out/runs.jsonl"
 : >"$runs"
 
 tmp=$(mktemp -d)
 cleanup() {
-    git worktree remove --force "$tmp/parent" >/dev/null 2>&1 || true
+    for side in parent change; do
+        git worktree remove --force "$tmp/$side" >/dev/null 2>&1 || true
+    done
     rm -rf "$tmp"
 }
 trap cleanup EXIT
 git worktree add --detach --quiet "$tmp/parent" "$parent"
+declare -A root=([parent]="$tmp/parent" [change]="$PWD")
+if [ -n "$aa" ]; then
+    git worktree add --detach --quiet "$tmp/change" "$parent"
+    root[change]="$tmp/change"
+fi
 
 manifest=crates/bench/src/bin/perf/Cargo.toml
-declare -A root=([parent]="$tmp/parent" [change]="$PWD")
 for side in parent change; do
     echo "bench_pairs: building $side perf" >&2
     cargo build --release --quiet --manifest-path "${root[$side]}/$manifest"

@@ -291,6 +291,85 @@ fn overflow_proofs_follow_the_data() {
     assert_eq!(m.retries, 1, "primary path should have overflowed");
 }
 
+/// Without statistics a column is its storage type's range, not ⊤: a
+/// product of two `i8` columns is proven overflow-safe — into `i32` tiles —
+/// while a sum over an `i64` column stays unproven.
+#[test]
+fn without_statistics_a_column_is_its_types_range() {
+    let n = 5_000usize;
+    let mut db = Database::new();
+    db.add_table(
+        Table::new("R")
+            .with_column(
+                "r_x",
+                ColumnData::I8((0..n).map(|i| (i % 100) as i8).collect()),
+            )
+            .with_column(
+                "r_y",
+                ColumnData::I8((0..n).map(|i| (i % 7) as i8).collect()),
+            )
+            .with_column("r_w", ColumnData::I64((0..n).map(|i| i as i64).collect())),
+    );
+    let engine = Engine::builder(db).stats(StatsMode::Off).build();
+    let cert = |sql: &str| engine.certificate(&parse_sql(sql).expect("parses").plan);
+    let narrow = cert("select sum(r_x * r_y) as s from R").expect("certifies");
+    assert!(narrow.all_sites_overflow_safe(), "{:?}", narrow.lines);
+    assert_eq!(narrow.overflow_proof, OverflowProof::I32Tile);
+    let wide = cert("select sum(r_w) as s from R").expect("certifies");
+    assert_eq!(wide.overflow_proof, OverflowProof::Unproven);
+    assert!(!wide.all_sites_overflow_safe());
+}
+
+/// The `i32` tile proof at its boundary, end to end: a table whose largest
+/// `|a·b|` is the largest a tile of 1 024 can sum within `i32`
+/// (`⌊i32::MAX / 1 024⌋ = 49 · 42 799`) gets it; one whose largest product
+/// is one more (`2 048 · 1 024`) does not. Either way every value-masking
+/// run, at one and four threads, answers as the interpreter does.
+#[test]
+fn the_i32_tile_proof_holds_up_to_its_bound() {
+    for (a, b, proof) in [
+        (49, 42_799, OverflowProof::I32Tile),
+        (2_048, 1_024, OverflowProof::I64),
+    ] {
+        assert_eq!(a * b <= i32::MAX / 1024, proof == OverflowProof::I32Tile);
+        let n = 8_192usize;
+        // Every lane holds the extreme product, so a whole tile sums it.
+        let db = || {
+            let mut db = Database::new();
+            db.add_table(
+                Table::new("E")
+                    .with_column("a", ColumnData::I32(vec![a; n]))
+                    .with_column(
+                        "b",
+                        ColumnData::I32((0..n).map(|i| [b, -b][i % 2]).collect()),
+                    )
+                    .with_column(
+                        "x",
+                        ColumnData::I8((0..n).map(|i| (i % 100) as i8).collect()),
+                    ),
+            );
+            db
+        };
+        let plan = parse_sql("select sum(a * b) as s, sum(a * a) as q from E where x < 99")
+            .expect("parses")
+            .plan;
+        let want = swole::plan::interp::run(&db(), &plan).expect("interpreter");
+        for threads in [1, 4] {
+            let engine = Engine::builder(db())
+                .threads(threads)
+                .strategies(StrategyOverrides::pin_agg(AggStrategy::ValueMasking))
+                .build();
+            let cert = engine.certificate(&plan).expect("certifies");
+            assert_eq!(cert.overflow_proof, proof, "{a} x {b}: {:?}", cert.lines);
+            assert_eq!(
+                engine.query(&plan).expect("runs").rows,
+                want.rows,
+                "{a} x {b}"
+            );
+        }
+    }
+}
+
 /// The certificate is derived at every verification level — including
 /// `Off` — so admission enforcement does not depend on the session's
 /// verify setting (release builds default to `Off`).

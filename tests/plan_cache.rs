@@ -607,3 +607,57 @@ fn last_run_is_reported_for_the_statement_that_ran_only() {
         .runtime
         .is_empty());
 }
+
+/// `W(a, b, x)`: 10 000 rows, `a` and `b` in `1..=50` times `scale`.
+fn scaled(scale: i32) -> Table {
+    let n = 10_000usize;
+    let col = |f: fn(usize) -> i32| ColumnData::I32((0..n).map(|i| f(i) * scale).collect());
+    Table::new("W")
+        .with_column("a", col(|i| (i % 50) as i32 + 1))
+        .with_column("b", col(|i| (i * 7 % 50) as i32 + 1))
+        .with_column(
+            "x",
+            ColumnData::I8((0..n).map(|i| (i * 13 % 100) as i8).collect()),
+        )
+}
+
+/// A cached statement whose sums the certificate proved into `i32` tiles,
+/// after a reload whose products overflow an `i32` tile (5 000² · 1 024):
+/// the next run re-certifies, runs `i64` lanes and answers as the
+/// interpreter does — through `query_sql` and through `prepare_sql` +
+/// execute, on scoped threads and on the pool.
+#[test]
+fn a_reload_past_the_i32_tile_proof_recertifies() {
+    let sql = "select sum(a * b) as s, sum(x * a) as m, count(*) as n from W where x < 60";
+    let plan = swole::plan::parse_sql(sql).expect("parses").plan;
+    for pool in [false, true] {
+        let mut db = Database::new();
+        db.add_table(scaled(1));
+        let b =
+            Engine::builder(db).strategies(StrategyOverrides::pin_agg(AggStrategy::ValueMasking));
+        let engine = match pool {
+            true => b.worker_pool(2).build(),
+            false => b.threads(2).build(),
+        };
+        let prepared = engine.prepare_sql(sql).expect("prepares");
+        for (scale, proof) in [(1, OverflowProof::I32Tile), (100, OverflowProof::I64)] {
+            if scale != 1 {
+                engine.load_table(scaled(scale));
+            }
+            let want = swole::plan::interp::run(&engine.database(), &plan).expect("interpreter");
+            let cert = engine.certificate(&plan).expect("certifies");
+            assert_eq!(cert.overflow_proof, proof, "scale {scale} pool {pool}");
+            let got = engine
+                .session()
+                .query_sql(sql, &Params::new())
+                .expect("runs");
+            assert_eq!(got.rows, want.rows, "query_sql, scale {scale} pool {pool}");
+            let got = prepared.bind(&Params::new()).and_then(|b| b.execute());
+            assert_eq!(
+                got.expect("runs").rows,
+                want.rows,
+                "prepared, scale {scale}"
+            );
+        }
+    }
+}
