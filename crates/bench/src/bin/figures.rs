@@ -16,9 +16,10 @@
 
 use swole_bench::{median_ms, r_rows, s_large, s_small, tpch_sf};
 use swole_cost::{AggStrategy, BitmapBuild, CostParams};
-use swole_ht::{AggTable, GroupTable};
+use swole_ht::{AggTable, GroupTable, MergeOp};
 use swole_kernels::agg::{self, Div, Mul};
-use swole_kernels::{groupby, predicate, selvec, tiles, TILE};
+use swole_kernels::groupby::{self, Folds, Lanes};
+use swole_kernels::{predicate, selvec, tiles, TILE};
 use swole_micro::{generate, q1, q2, q3, q4, q5, MicroParams, RTable};
 use swole_plan::{AggSpec, CmpOp, Database, Engine, Expr, QueryBuilder, StrategyOverrides};
 use swole_storage::{ColumnData, Table};
@@ -96,9 +97,10 @@ fn micro_db(s_rows: usize, card: usize) -> swole_micro::MicroDb {
 const SWEEP_SEL: i8 = 50;
 
 /// The hand-coded side of the `4g` sweep: the paper's grouped loops over an
-/// `N`-aggregate list — predicate prepass, then the strategy's upsert
-/// kernel into an `AggTable` with the checked adds, as a pipeline written
-/// by hand (no certificate, no catalog) runs them. Sorted rows.
+/// `N`-aggregate list — predicate prepass, then the strategy's instance of
+/// the upsert family into an `AggTable` with the checked adds, as a
+/// pipeline written by hand (no certificate, no catalog) runs them. Sorted
+/// rows.
 fn groupby_handcoded<const N: usize>(
     strategy: AggStrategy,
     r: &RTable,
@@ -113,18 +115,44 @@ fn groupby_handcoded<const N: usize>(
         match strategy {
             AggStrategy::Hybrid => {
                 let k = selvec::fill_nobranch(&cmp[..l], 0, &mut idx[..l]);
-                groupby::groupby_gather_n::<_, _, N, false>(c, ins, &idx[..k], 0, &mut ht);
+                groupby::upsert::<_, _, _, false>(c, Lanes::Selected(&idx[..k]), &ins, 0, &mut ht);
             }
             AggStrategy::ValueMasking => {
-                groupby::groupby_value_masked_n::<_, _, N, false>(c, ins, &cmp[..l], 0, &mut ht);
+                groupby::upsert::<_, _, _, false>(c, Lanes::Masked(&cmp[..l]), &ins, 0, &mut ht);
             }
             AggStrategy::KeyMasking => {
                 groupby::mask_keys(c, &cmp[..l], &mut keys[..l]);
-                groupby::groupby_key_masked_n::<_, N, false>(&keys[..l], ins, 0, &mut ht);
+                groupby::upsert::<_, _, _, false>(&keys[..l], Lanes::Every, &ins, 0, &mut ht);
             }
         }
     }
-    let valid = GroupTable::iter(&ht).filter(|&(_, _, valid)| valid);
+    sorted_rows(&ht)
+}
+
+/// The hand-coded side of the `4g` sweep's `min` / `max` series:
+/// `min(a), max(b), sum(a), count(*)` through the hybrid gather of the
+/// family's folding instance, over whole `i64` columns by global row id.
+fn minmax_handcoded(r: &RTable, cols: &[Vec<i64>; 2], card: usize) -> Vec<Vec<i64>> {
+    let slots = [
+        (MergeOp::Min, Some(0)),
+        (MergeOp::Max, Some(1)),
+        (MergeOp::Add, Some(0)),
+        (MergeOp::Add, None),
+    ];
+    let inputs = Folds(&slots, cols);
+    let mut ht = AggTable::with_capacity(slots.len(), card);
+    let (mut cmp, mut idx) = ([0u8; TILE], [0u32; TILE]);
+    for (s, l) in tiles(r.len()) {
+        predicate::cmp_lt(&r.x[s..s + l], SWEEP_SEL, &mut cmp[..l]);
+        let k = selvec::fill_nobranch(&cmp[..l], s as u32, &mut idx[..l]);
+        groupby::upsert::<_, _, _, false>(&r.c, Lanes::Selected(&idx[..k]), &inputs, 0, &mut ht);
+    }
+    sorted_rows(&ht)
+}
+
+/// The valid entries of a finished table as sorted `[key, state..]` rows.
+fn sorted_rows(ht: &AggTable) -> Vec<Vec<i64>> {
+    let valid = GroupTable::iter(ht).filter(|&(_, _, valid)| valid);
     let mut rows: Vec<Vec<i64>> = valid
         .map(|(k, state, _)| std::iter::once(k).chain(state.iter().copied()).collect())
         .collect();
@@ -135,8 +163,10 @@ fn groupby_handcoded<const N: usize>(
 /// Fig. 4 as a sweep over the group count: the three grouped strategies at
 /// a fixed 50 % selectivity, G ∈ {2, 3, 4, 16, 1 024, 256 Ki} ×
 /// {1, 2, 4} aggregates, engine-planned (the strategy pinned, everything
-/// else — group table, sink, proof — the planner's) against hand-coded.
-/// `x` is G; the series is `<side>:<strategy>:a<aggregates>`.
+/// else — group table, sink, proof — the planner's) against hand-coded,
+/// plus a `min` / `max` list under the hybrid pin (the one grouped loop
+/// that folds). `x` is G; the series is `<side>:<strategy>:a<aggregates>`
+/// and `<side>:hybrid:minmax`.
 fn group_count_sweep(runs: usize) {
     let ones = vec![1i32; r_rows()];
     for card in [2usize, 3, 4, 16, 1 << 10, 256 << 10] {
@@ -203,6 +233,35 @@ fn group_count_sweep(runs: usize) {
                 );
             }
         }
+        let engine = Engine::builder(catalog())
+            .threads(1)
+            .strategies(StrategyOverrides::pin_agg(AggStrategy::Hybrid))
+            .build();
+        let (a, b) = (Expr::col("a"), Expr::col("b"));
+        let plan = QueryBuilder::scan("R")
+            .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(SWEEP_SEL as i64)))
+            .aggregate(
+                Some("c"),
+                vec![
+                    AggSpec::min(a.clone(), "lo"),
+                    AggSpec::max(b, "hi"),
+                    AggSpec::sum(a, "sa"),
+                    AggSpec::count("n"),
+                ],
+            );
+        let widen = |v: &[i32]| v.iter().map(|&x| x as i64).collect::<Vec<_>>();
+        let cols = [widen(&r.a), widen(&r.b)];
+        let handcoded = || minmax_handcoded(r, &cols, card);
+        let planned = || engine.query(&plan).expect("the sweep's plans run").rows;
+        assert_eq!(planned(), handcoded(), "min / max G={card}");
+        let x = card.to_string();
+        emit("4g", "engine:hybrid:minmax", &x, median_ms(runs, planned));
+        emit(
+            "4g",
+            "handcoded:hybrid:minmax",
+            &x,
+            median_ms(runs, handcoded),
+        );
     }
 }
 

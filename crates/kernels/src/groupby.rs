@@ -11,26 +11,21 @@
 //!   filtered tuples hit the single throwaway entry (cached when the
 //!   predicate often fails), and the value needs no masking.
 //!
-//! The kernels are generic over the [`GroupTable`] they upsert into — the
-//! hash [`swole_ht::AggTable`] or the dense array — so each is compiled once
-//! per representation and no lane asks which it has. All accumulation goes
-//! through [`GroupTable::add`], which uses explicit wrapping arithmetic
-//! (identical results in debug and release) and records wraparound in the
-//! table's sticky overflow flag ([`GroupTable::overflow_detected`]); the
-//! operator applications themselves
-//! wrap via [`BinOp::apply`]. Masked strategies aggregate filtered tuples
-//! too, so a detected overflow may be wasted-work noise — callers decide
-//! whether to re-run data-centric.
+//! Past the baseline, these and eager aggregation (§ III-E) are one loop,
+//! [`upsert`], varied along one axis: which lanes upsert and with what mask
+//! ([`Lanes`]). What it adds is the second axis ([`Inputs`]): one fused
+//! `a OP b` over native-width column slices ([`Fused`]), `N` value slices
+//! (`count(*)` a slice of ones), or a list with `min` / `max` ([`Folds`]).
+//! `const PROVEN` picks [`GroupTable::add_proven`] for accumulators a bounds
+//! certificate proved; the paper's named kernels are checked instances.
 //!
-//! Each strategy also has an **aggregate-list form** (`*_n`): `N` inputs —
-//! one slice per `sum`, a slice of ones for `count(*)` — added to the
-//! aggregate slots `first..first + N` of each lane's entry. `N` is a const,
-//! so the aggregate list is unrolled into the loop body rather than walked
-//! inside it, and `PROVEN` picks [`GroupTable::add_proven`] over
-//! [`GroupTable::add`] at compile time for accumulators a bounds
-//! certificate proved: per lane, such a loop computes an offset and
-//! performs its adds. A list longer than the arity a caller instantiates
-//! is several calls with successive `first`s.
+//! The loop is generic over the [`GroupTable`] it upserts into — the hash
+//! [`swole_ht::AggTable`] or the dense array — so no lane asks which it
+//! has. Every add wraps (identical results in debug and release); the
+//! checked one records wraparound in the table's sticky overflow flag.
+//! Masked strategies aggregate filtered tuples too, so a detected overflow
+//! may be wasted-work noise — callers decide whether to re-run
+//! data-centric.
 
 // Tile-loop kernels: index arithmetic is bounded by slice lengths
 // (debug_assert'd) and accumulators follow the paper's convention of
@@ -38,9 +33,11 @@
 // engine, not per lane; dev/test profiles carry overflow checks).
 #![allow(clippy::arithmetic_side_effects)]
 
+use std::marker::PhantomData;
+
 use crate::agg::BinOp;
 use crate::AsI64;
-use swole_ht::{GroupTable, NULL_KEY};
+use swole_ht::{GroupTable, MergeOp, NULL_KEY};
 
 /// Data-centric group-by: branch per tuple, lookup only for qualifying rows.
 #[inline]
@@ -65,7 +62,150 @@ pub fn groupby_datacentric<K: AsI64, A: AsI64, B: AsI64, O: BinOp>(
     ht.note_probes(probes);
 }
 
-/// Hybrid group-by: lookups driven by a selection vector of global row ids.
+/// Which lanes of the key slice upsert, and under what mask.
+#[derive(Debug, Clone, Copy)]
+pub enum Lanes<'a> {
+    /// Every lane: eager aggregation by FK, key masking by masked key.
+    Every,
+    /// Every lane, values times `cmp`, valid flag ORed with it: value masking.
+    Masked(&'a [u8]),
+    /// The lanes `idx` selects: the hybrid gather and the groupjoin.
+    Selected(&'a [u32]),
+}
+
+/// What one upsert folds into the aggregate slots `first..` of its entry.
+pub trait Inputs<T: GroupTable> {
+    /// Assert that every input holds the key slice's `n` lanes.
+    fn check(&self, n: usize);
+    /// Fold lane `j`, each value times `c` (value masking's mask, else 1),
+    /// into the entry at `off` before its valid update; `P`: proven adds.
+    fn upsert<const P: bool>(&self, ht: &mut T, off: usize, first: usize, j: usize, c: i64);
+}
+
+#[inline(always)]
+fn add<const P: bool>(ht: &mut impl GroupTable, off: usize, slot: usize, v: i64) {
+    match P {
+        true => ht.add_proven(off, slot, v),
+        false => ht.add(off, slot, v),
+    }
+}
+
+/// One `sum(a OP b)` over two column slices at native width.
+#[derive(Debug)]
+pub struct Fused<'a, A, B, O>(pub &'a [A], pub &'a [B], pub PhantomData<O>);
+
+impl<T: GroupTable, A: AsI64, B: AsI64, O: BinOp> Inputs<T> for Fused<'_, A, B, O> {
+    #[inline(always)]
+    fn check(&self, n: usize) {
+        assert_eq!((self.0.len(), self.1.len()), (n, n));
+    }
+    #[inline(always)]
+    fn upsert<const P: bool>(&self, ht: &mut T, off: usize, first: usize, j: usize, c: i64) {
+        let v = O::apply(self.0[j].widen(), self.1[j].widen());
+        add::<P>(ht, off, first, v * c);
+    }
+}
+
+/// `N` sums, one slice each: unrolled into the lane body, not walked in it.
+/// A longer list is several calls with successive `first`s.
+impl<T: GroupTable, V: AsI64, const N: usize> Inputs<T> for [&[V]; N] {
+    #[inline(always)]
+    fn check(&self, n: usize) {
+        self.iter().for_each(|input| assert_eq!(input.len(), n));
+    }
+    #[inline(always)]
+    fn upsert<const P: bool>(&self, ht: &mut T, off: usize, first: usize, j: usize, c: i64) {
+        for (i, input) in self.iter().enumerate() {
+            // c is 0/1, so the product cannot overflow.
+            add::<P>(ht, off, first + i, input[j].widen() * c);
+        }
+    }
+}
+
+/// A [`Folds`] slot: its combine and its column (`None`: a 1 per lane).
+pub type Slot = (MergeOp, Option<usize>);
+
+/// A list with `min` / `max`, slot `first + i` combining the column
+/// `slots[i]` names under its op, in one pass that matches per slot. A
+/// `min` / `max` takes its entry's first real value as is — the entry is
+/// fresh while its valid flag is clear — so the list cannot be split into
+/// passes: the first would set the flag the others read.
+#[derive(Debug)]
+pub struct Folds<'a, C>(pub &'a [Slot], pub &'a [C]);
+
+impl<T: GroupTable, C: AsRef<[i64]>> Inputs<T> for Folds<'_, C> {
+    fn check(&self, n: usize) {
+        let inputs = self.0.iter().filter_map(|s| s.1);
+        inputs.for_each(|col| assert!(self.1[col].as_ref().len() >= n));
+    }
+    #[inline(always)]
+    fn upsert<const P: bool>(&self, ht: &mut T, off: usize, first: usize, j: usize, c: i64) {
+        // The valid flags are an array of their own: only a list that
+        // folds reads one per lane.
+        let fresh = !ht.is_valid(off);
+        for (i, &(op, input)) in self.0.iter().enumerate() {
+            let v = input.map_or(1, |col| self.1[col].as_ref()[j]);
+            if op == MergeOp::Add {
+                add::<P>(ht, off, first + i, v * c);
+            } else if c != 0 {
+                let state = &mut ht.states_mut()[off + first + i];
+                *state = match op {
+                    _ if fresh => v,
+                    MergeOp::Min => (*state).min(v),
+                    _ => (*state).max(v),
+                };
+            }
+        }
+    }
+}
+
+/// The grouped upsert loop: each of `lanes` finds or inserts its key,
+/// folds its `inputs` into slots `first..` of the entry and updates the
+/// valid flag. `keys` and every input hold the same lanes: a tile's, or
+/// whole columns that global row ids select from.
+#[inline]
+#[allow(clippy::needless_range_loop)] // indexed over lengths asserted equal
+pub fn upsert<K: AsI64, T: GroupTable, I: Inputs<T>, const PROVEN: bool>(
+    keys: &[K],
+    lanes: Lanes<'_>,
+    inputs: &I,
+    first: usize,
+    ht: &mut T,
+) {
+    let n = keys.len();
+    inputs.check(n);
+    match lanes {
+        Lanes::Every => {
+            ht.note_probes(n);
+            for j in 0..n {
+                let off = ht.entry(keys[j].widen());
+                inputs.upsert::<PROVEN>(ht, off, first, j, 1);
+                ht.set_valid(off);
+            }
+        }
+        Lanes::Masked(cmp) => {
+            assert_eq!(cmp.len(), n);
+            ht.note_probes(n);
+            for j in 0..n {
+                let off = ht.entry(keys[j].widen());
+                inputs.upsert::<PROVEN>(ht, off, first, j, cmp[j] as i64);
+                ht.or_valid(off, cmp[j]);
+            }
+        }
+        Lanes::Selected(idx) => {
+            ht.note_probes(idx.len());
+            for &j in idx {
+                let j = j as usize;
+                let off = ht.entry(keys[j].widen());
+                inputs.upsert::<PROVEN>(ht, off, first, j, 1);
+                ht.set_valid(off);
+            }
+        }
+    }
+}
+
+/// Hybrid group-by: lookups driven by a selection vector of row ids into
+/// `keys`, `a` and `b`.
 #[inline]
 pub fn groupby_gather<K: AsI64, A: AsI64, B: AsI64, O: BinOp>(
     keys: &[K],
@@ -74,15 +214,8 @@ pub fn groupby_gather<K: AsI64, A: AsI64, B: AsI64, O: BinOp>(
     idx: &[u32],
     ht: &mut impl GroupTable,
 ) {
-    assert_eq!(keys.len(), a.len());
-    assert_eq!(keys.len(), b.len());
-    ht.note_probes(idx.len());
-    for &j in idx {
-        let j = j as usize;
-        let off = ht.entry(keys[j].widen());
-        ht.add(off, 0, O::apply(a[j].widen(), b[j].widen()));
-        ht.set_valid(off);
-    }
+    let inputs = Fused::<_, _, O>(a, b, PhantomData);
+    upsert::<_, _, _, false>(keys, Lanes::Selected(idx), &inputs, 0, ht);
 }
 
 /// **Value masking** group-by (Fig. 4 top): every tuple — qualifying or not
@@ -96,15 +229,8 @@ pub fn groupby_value_masked<K: AsI64, A: AsI64, B: AsI64, O: BinOp>(
     cmp: &[u8],
     ht: &mut impl GroupTable,
 ) {
-    assert_eq!(keys.len(), a.len());
-    assert_eq!(keys.len(), b.len());
-    assert_eq!(keys.len(), cmp.len());
-    ht.note_probes(keys.len());
-    for j in 0..keys.len() {
-        let off = ht.entry(keys[j].widen());
-        ht.add(off, 0, O::apply(a[j].widen(), b[j].widen()) * cmp[j] as i64);
-        ht.or_valid(off, cmp[j]);
-    }
+    let inputs = Fused::<_, _, O>(a, b, PhantomData);
+    upsert::<_, _, _, false>(keys, Lanes::Masked(cmp), &inputs, 0, ht);
 }
 
 /// **Key masking**, first loop (Fig. 4 bottom): store the real key where the
@@ -131,107 +257,8 @@ pub fn groupby_key_masked<A: AsI64, B: AsI64, O: BinOp>(
     b: &[B],
     ht: &mut impl GroupTable,
 ) {
-    assert_eq!(masked_keys.len(), a.len());
-    assert_eq!(masked_keys.len(), b.len());
-    ht.note_probes(masked_keys.len());
-    for j in 0..masked_keys.len() {
-        let off = ht.entry(masked_keys[j]);
-        ht.add(off, 0, O::apply(a[j].widen(), b[j].widen()));
-        ht.set_valid(off);
-    }
-}
-
-/// Add `f(inputs[i][j])` to aggregate slot `first + i` of the entry at
-/// `off`, for each of the `N` inputs: the unrolled body of every `*_n`
-/// kernel (here and in [`crate::join`]).
-#[inline(always)]
-pub(crate) fn add_lane<V: AsI64, const N: usize, const PROVEN: bool>(
-    ht: &mut impl GroupTable,
-    off: usize,
-    first: usize,
-    inputs: &[&[V]; N],
-    j: usize,
-    f: impl Fn(i64) -> i64,
-) {
-    for (i, input) in inputs.iter().enumerate() {
-        let v = f(input[j].widen());
-        if PROVEN {
-            ht.add_proven(off, first + i, v);
-        } else {
-            ht.add(off, first + i, v);
-        }
-    }
-}
-
-/// `inputs`, each cut to the `n` lanes of the tile (so the lane loop's
-/// index is visibly in range of all of them).
-#[inline(always)]
-pub(crate) fn tile_inputs<V, const N: usize>(inputs: [&[V]; N], n: usize) -> [&[V]; N] {
-    inputs.map(|v| {
-        assert_eq!(v.len(), n);
-        v
-    })
-}
-
-/// [`groupby_gather`] over an aggregate list: the rows `idx` selects upsert
-/// their key and add `inputs[i]` to aggregate slot `first + i`.
-#[inline]
-pub fn groupby_gather_n<K: AsI64, V: AsI64, const N: usize, const PROVEN: bool>(
-    keys: &[K],
-    inputs: [&[V]; N],
-    idx: &[u32],
-    first: usize,
-    ht: &mut impl GroupTable,
-) {
-    let inputs = tile_inputs(inputs, keys.len());
-    ht.note_probes(idx.len());
-    for &j in idx {
-        let j = j as usize;
-        let off = ht.entry(keys[j].widen());
-        add_lane::<V, N, PROVEN>(ht, off, first, &inputs, j, |v| v);
-        ht.set_valid(off);
-    }
-}
-
-/// [`groupby_value_masked`] over an aggregate list: every lane upserts its
-/// real key and adds `inputs[i] * cmp` to aggregate slot `first + i` —
-/// `count(*)` is the input of ones, which the mask turns into itself.
-#[inline]
-pub fn groupby_value_masked_n<K: AsI64, V: AsI64, const N: usize, const PROVEN: bool>(
-    keys: &[K],
-    inputs: [&[V]; N],
-    cmp: &[u8],
-    first: usize,
-    ht: &mut impl GroupTable,
-) {
-    assert_eq!(keys.len(), cmp.len());
-    let inputs = tile_inputs(inputs, keys.len());
-    ht.note_probes(keys.len());
-    for (j, (key, &c)) in keys.iter().zip(cmp).enumerate() {
-        let off = ht.entry(key.widen());
-        // c is 0/1, so the product cannot overflow.
-        add_lane::<V, N, PROVEN>(ht, off, first, &inputs, j, |v| v * c as i64);
-        ht.or_valid(off, c);
-    }
-}
-
-/// [`groupby_key_masked`] over an aggregate list: every lane upserts its
-/// masked key and adds the unmasked `inputs[i]` to aggregate slot
-/// `first + i` (the throwaway entry collects the filtered lanes').
-#[inline]
-pub fn groupby_key_masked_n<V: AsI64, const N: usize, const PROVEN: bool>(
-    masked_keys: &[i64],
-    inputs: [&[V]; N],
-    first: usize,
-    ht: &mut impl GroupTable,
-) {
-    let inputs = tile_inputs(inputs, masked_keys.len());
-    ht.note_probes(masked_keys.len());
-    for (j, &key) in masked_keys.iter().enumerate() {
-        let off = ht.entry(key);
-        add_lane::<V, N, PROVEN>(ht, off, first, &inputs, j, |v| v);
-        ht.set_valid(off);
-    }
+    let inputs = Fused::<_, _, O>(a, b, PhantomData);
+    upsert::<_, _, _, false>(masked_keys, Lanes::Every, &inputs, 0, ht);
 }
 
 /// Collect a finished group-by table into sorted `(key, sum)` rows,
@@ -251,7 +278,7 @@ pub fn collect_groups(ht: &impl GroupTable) -> Vec<(i64, i64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::Mul;
+    use crate::agg::{Div, Mul};
     use crate::{predicate, selvec, tiles, TILE};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -383,98 +410,234 @@ mod tests {
         rows
     }
 
-    /// Every aggregate-list kernel at arity `N`, checked and proven, into
-    /// aggregate slots `first..first + N` of `new()`'s table, against
-    /// `groupby_datacentric` run once per aggregate.
-    fn list_kernels_match_datacentric<T: GroupTable, const N: usize>(
-        seed: u64,
-        key_card: i32,
-        first: usize,
-        new: impl Fn() -> T,
-    ) {
-        use crate::join::eager_aggregate_n;
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let n = rng.gen_range(0..3 * TILE);
-        let lit = [0, 1, 50, 99, 100][rng.gen_range(0..5usize)];
-        let keys: Vec<u32> = (0..n).map(|_| rng.gen_range(0..key_card) as u32).collect();
-        let x: Vec<i32> = (0..n).map(|_| rng.gen_range(0..100)).collect();
-        let ones = vec![1i32; n];
-        // `count(*)` is an input like any other: a column of ones.
-        let cols: Vec<Vec<i32>> = (0..N)
-            .map(|i| match (i + seed as usize) % 3 {
-                0 => ones.clone(),
-                _ => (0..n).map(|_| rng.gen_range(-1000..1000)).collect(),
-            })
-            .collect();
-        let reference = |pred: &dyn Fn(usize) -> bool| {
+    /// One tile of random data: keys in `0..card`, a filter mask and the
+    /// selection vector it compacts to, and `i64` columns (negative values
+    /// included; `nonzero` has no zero, for divisors).
+    struct Case {
+        n: usize,
+        card: u32,
+        keys: Vec<u32>,
+        cmp: Vec<u8>,
+        idx: Vec<u32>,
+        vals: Vec<i64>,
+        nonzero: Vec<i64>,
+    }
+
+    impl Case {
+        fn new(n: usize) -> Case {
+            let mut rng = SmallRng::seed_from_u64(n as u64);
+            let card = [1, 3, 64, 1000][n / 4 % 4];
+            let lit = [0, 1, 50, 99, 100][rng.gen_range(0..5usize)];
+            let keys: Vec<u32> = (0..n).map(|_| rng.gen_range(0..card)).collect();
+            let cmp: Vec<u8> = (0..n)
+                .map(|_| (rng.gen_range(0..100) < lit) as u8)
+                .collect();
+            let mut idx = vec![0u32; n];
+            let k = selvec::fill_nobranch(&cmp, 0, &mut idx);
+            idx.truncate(k);
+            let vals = (0..n).map(|_| rng.gen_range(-100..100)).collect();
+            let nonzero = (0..n)
+                .map(|_| [-1i64, 1][rng.gen_range(0..2usize)] * rng.gen_range(1..100i64))
+                .collect();
+            Case {
+                n,
+                card,
+                keys,
+                cmp,
+                idx,
+                vals,
+                nonzero,
+            }
+        }
+
+        /// The keys with the lanes the filter rejects sent to the throwaway.
+        fn masked_keys(&self) -> Vec<i64> {
+            let mut mk = vec![0i64; self.n];
+            mask_keys(&self.keys, &self.cmp, &mut mk);
+            mk
+        }
+
+        /// The groups `groupby_datacentric` builds over the rows the filter
+        /// keeps (`every`: all rows) for each of `sums` — a `sum(col * 1)`
+        /// — written to slot `first + i` of `first + sums.len()`.
+        fn reference(&self, every: bool, first: usize, sums: &[&[i64]]) -> Vec<(i64, Vec<i64>)> {
+            let ones = vec![1i64; self.n];
             let mut want: BTreeMap<i64, Vec<i64>> = BTreeMap::new();
-            for (i, col) in cols.iter().enumerate() {
+            for (i, col) in sums.iter().enumerate() {
                 let mut ht = AggTable::with_capacity(1, 64);
-                groupby_datacentric::<_, _, _, Mul>(&keys, col, &ones, pred, &mut ht);
+                let pred = |j: usize| every || self.cmp[j] != 0;
+                groupby_datacentric::<_, _, _, Mul>(&self.keys, col, &ones, pred, &mut ht);
                 for (k, sum) in collect_groups(&ht) {
-                    let width = first + N;
+                    let width = first + sums.len();
                     want.entry(k).or_insert_with(|| vec![0; width])[first + i] = sum;
                 }
             }
-            want.into_iter().collect::<Vec<_>>()
-        };
-        let filtered = reference(&|j| x[j] < lit);
-        let every_row = reference(&|_| true);
-        let tile =
-            |s: usize, l: usize| -> [&[i32]; N] { std::array::from_fn(|i| &cols[i][s..s + l]) };
-        let (mut cmp, mut idx, mut mk) = ([0u8; TILE], [0u32; TILE], [0i64; TILE]);
-        macro_rules! check {
-            ($proven:literal) => {{
-                let (mut hy, mut vm, mut km, mut ea) = (new(), new(), new(), new());
-                for (s, l) in tiles(n) {
-                    predicate::cmp_lt(&x[s..s + l], lit, &mut cmp[..l]);
-                    // Tile-local offsets: the inputs are the tile's slices.
-                    let k = selvec::fill_nobranch(&cmp[..l], 0, &mut idx[..l]);
-                    let (ks, ins, c) = (&keys[s..s + l], tile(s, l), &cmp[..l]);
-                    groupby_gather_n::<_, _, N, $proven>(ks, ins, &idx[..k], first, &mut hy);
-                    groupby_value_masked_n::<_, _, N, $proven>(ks, ins, c, first, &mut vm);
-                    mask_keys(ks, c, &mut mk[..l]);
-                    groupby_key_masked_n::<_, N, $proven>(&mk[..l], ins, first, &mut km);
-                    eager_aggregate_n::<_, _, N, $proven>(ks, ins, first, &mut ea);
-                }
-                let label = format!("seed {seed} N={N} proven={}", $proven);
-                assert_eq!(collect_states(&hy), filtered, "gather, {label}");
-                assert_eq!(collect_states(&vm), filtered, "value masked, {label}");
-                assert_eq!(collect_states(&km), filtered, "key masked, {label}");
-                assert_eq!(collect_states(&ea), every_row, "eager, {label}");
-                for ht in [&hy, &vm, &km, &ea] {
-                    assert!(!ht.overflow_detected(), "{label}");
-                }
-                // One probe per upsert, whoever does the counting.
-                let qualifying = x.iter().filter(|&&v| v < lit).count() as u64;
-                let probes = [&hy, &vm, &km, &ea].map(|ht| ht.counters().probes);
-                assert_eq!(
-                    probes,
-                    [qualifying, n as u64, n as u64, n as u64],
-                    "{label}"
-                );
-            }};
+            Vec::from_iter(want)
         }
-        check!(false);
-        check!(true);
     }
 
+    /// Run `inputs` through every lane kind of the family — the hybrid
+    /// gather, value masking, key masking and eager aggregation — into
+    /// copies of `table`, and compare each copy's valid groups with
+    /// `filtered` (the first three) or `every_row` (eager), its probe count
+    /// with the upserts issued, and its overflow flag with `false`.
+    fn check_lanes<T: GroupTable + Clone, I: Inputs<T>, const P: bool>(
+        case: &Case,
+        inputs: &I,
+        first: usize,
+        table: &T,
+        want: [&[(i64, Vec<i64>)]; 2],
+        label: &str,
+    ) {
+        let (keys, mk) = (&case.keys[..], case.masked_keys());
+        let mut tables = [(); 4].map(|_| table.clone());
+        let [hy, vm, km, ea] = &mut tables;
+        upsert::<_, _, _, P>(keys, Lanes::Selected(&case.idx), inputs, first, hy);
+        upsert::<_, _, _, P>(keys, Lanes::Masked(&case.cmp), inputs, first, vm);
+        upsert::<_, _, _, P>(&mk, Lanes::Every, inputs, first, km);
+        upsert::<_, _, _, P>(keys, Lanes::Every, inputs, first, ea);
+        let probes = [case.idx.len(), case.n, case.n, case.n];
+        let names = ["gather", "value masked", "key masked", "eager"];
+        for (i, ht) in tables.iter().enumerate() {
+            let label = format!("{}, {label}, proven={P}", names[i]);
+            assert_eq!(collect_states(ht), want[i / 3], "{label}");
+            assert!(!ht.overflow_detected(), "{label}");
+            assert_eq!(ht.counters().probes, probes[i] as u64, "{label}");
+        }
+    }
+
+    /// [`check_lanes`] over `width` slots from `first`, on the table and
+    /// with the add the length picks.
+    fn check_family<I: Inputs<DenseAggTable> + Inputs<AggTable>>(
+        case: &Case,
+        inputs: &I,
+        (first, width): (usize, usize),
+        want: [&[(i64, Vec<i64>)]; 2],
+        label: &str,
+    ) {
+        let dense = DenseAggTable::new(first + width, 0, case.card as i64 - 1);
+        let hash = AggTable::with_capacity(first + width, 8);
+        match case.n % 4 {
+            0 => check_lanes::<_, _, false>(case, inputs, first, &dense, want, label),
+            1 => check_lanes::<_, _, false>(case, inputs, first, &hash, want, label),
+            2 => check_lanes::<_, _, true>(case, inputs, first, &dense, want, label),
+            _ => check_lanes::<_, _, true>(case, inputs, first, &hash, want, label),
+        }
+    }
+
+    /// Converts a column to a narrower operand type (every value fits).
+    fn narrow<T: TryFrom<i64>>(v: &[i64]) -> Vec<T>
+    where
+        T::Error: std::fmt::Debug,
+    {
+        v.iter().map(|&x| T::try_from(x).unwrap()).collect()
+    }
+
+    /// Run `$body` with `$c` bound to `$v` converted to operand type `$k`
+    /// of i8 / i16 / i32 / u32 / i64 (u32 takes absolute values).
+    macro_rules! with_type {
+        ($k:expr, $v:expr, |$c:ident| $body:expr) => {{
+            let v: &[i64] = $v;
+            match $k % 5 {
+                0 => {
+                    let $c: Vec<i8> = narrow(v);
+                    $body
+                }
+                1 => {
+                    let $c: Vec<i16> = narrow(v);
+                    $body
+                }
+                2 => {
+                    let $c: Vec<i32> = narrow(v);
+                    $body
+                }
+                3 => {
+                    let abs: Vec<i64> = v.iter().map(|x| x.abs()).collect();
+                    let $c: Vec<u32> = narrow(&abs);
+                    $body
+                }
+                _ => {
+                    let $c: Vec<i64> = v.to_vec();
+                    $body
+                }
+            }
+        }};
+    }
+
+    /// `sum(a OP b)` as the fused input, `a` and `b` of the operand types
+    /// `ta` / `tb`: against `groupby_datacentric` with the same operator.
+    fn fused_case<A: AsI64, B: AsI64, O: BinOp>(case: &Case, a: &[A], b: &[B], label: &str) {
+        let reference = |every: bool| {
+            let mut ht = AggTable::with_capacity(1, 64);
+            let pred = |j: usize| every || case.cmp[j] != 0;
+            groupby_datacentric::<_, _, _, O>(&case.keys, a, b, pred, &mut ht);
+            collect_states(&ht)
+        };
+        let (filtered, every_row) = (reference(false), reference(true));
+        let inputs = Fused::<_, _, O>(a, b, PhantomData);
+        check_family(case, &inputs, (0, 1), [&filtered, &every_row], label);
+    }
+
+    /// The upsert family against the data-centric reference at every tile
+    /// length 0..=TILE: each lane kind × inputs of every kind — `sum(a *
+    /// b)` and `sum(a / b)` over i8 / i16 / i32 / u32 / i64 operands (the
+    /// pair varies with the length; divisors never zero), 1–4 value slices
+    /// with counts among them written from a later slot, and a list with
+    /// `min` / `max` folds — × checked and proven × both tables, the last
+    /// two rotating with the length.
     #[test]
-    fn aggregate_list_kernels_match_datacentric_per_aggregate() {
-        let cases = if cfg!(miri) { 2 } else { 12 };
-        for seed in 0..cases {
-            let card = [3, 64, 1000][seed as usize % 3];
-            let dense = |n_aggs| move || DenseAggTable::new(n_aggs, 0, card as i64 - 1);
-            let hash = |n_aggs| move || AggTable::with_capacity(n_aggs, 8);
-            list_kernels_match_datacentric::<_, 1>(seed, card, 0, dense(1));
-            list_kernels_match_datacentric::<_, 2>(seed, card, 0, dense(2));
-            list_kernels_match_datacentric::<_, 3>(seed, card, 0, hash(3));
-            list_kernels_match_datacentric::<_, 4>(seed, card, 0, dense(4));
-            list_kernels_match_datacentric::<_, 4>(seed, card, 0, hash(4));
-            // A later pass of a longer list: slots 4.. of a 5- and a 6-wide
-            // entry.
-            list_kernels_match_datacentric::<_, 1>(seed, card, 4, dense(5));
-            list_kernels_match_datacentric::<_, 2>(seed, card, 4, hash(6));
+    fn the_family_matches_datacentric_at_every_tile_length() {
+        let step = if cfg!(miri) { 127 } else { 1 };
+        for n in (0..=TILE).step_by(step) {
+            let case = Case::new(n);
+            let (ta, tb) = (n % 5, n / 5 % 5);
+            with_type!(ta, &case.vals, |a| with_type!(tb, &case.nonzero, |b| {
+                fused_case::<_, _, Mul>(&case, &a, &b, &format!("n={n} a*b"));
+                fused_case::<_, _, Div>(&case, &a, &b, &format!("n={n} a/b"));
+            }));
+
+            // Value slices: a sum column, then a count (ones), alternating.
+            let ones = vec![1i64; n];
+            let cols = [&case.vals[..], &ones, &case.nonzero, &ones];
+            let first = n % 3;
+            macro_rules! slices {
+                ($($n:literal),*) => {$({
+                    let inputs: [&[i64]; $n] = std::array::from_fn(|i| cols[i]);
+                    let want = [false, true].map(|every| case.reference(every, first, &inputs));
+                    let label = format!("n={n} N={}", $n);
+                    check_family(&case, &inputs, (first, $n), [&want[0], &want[1]], &label);
+                })*};
+            }
+            slices!(1, 2, 3, 4);
+
+            // A folding list: min, sum, max, count over the two columns.
+            let fold_cols = [&case.vals[..], &case.nonzero[..]];
+            let slots = [
+                (MergeOp::Min, Some(0)),
+                (MergeOp::Add, Some(1)),
+                (MergeOp::Max, Some(1)),
+                (MergeOp::Add, None),
+            ];
+            let reference = |every: bool| {
+                let mut want: BTreeMap<i64, Vec<i64>> = BTreeMap::new();
+                for j in (0..n).filter(|&j| every || case.cmp[j] != 0) {
+                    let (v, w) = (case.vals[j], case.nonzero[j]);
+                    let state = want.entry(case.keys[j] as i64).or_insert_with(|| {
+                        let mut fresh = vec![0; first + slots.len()];
+                        (fresh[first], fresh[first + 2]) = (v, w);
+                        fresh
+                    });
+                    state[first] = state[first].min(v);
+                    state[first + 1] += w;
+                    state[first + 2] = state[first + 2].max(w);
+                    state[first + 3] += 1;
+                }
+                Vec::from_iter(want)
+            };
+            let folds = Folds(&slots, &fold_cols);
+            let want = [false, true].map(reference);
+            let label = format!("n={n} folds");
+            check_family(&case, &folds, (first, 4), [&want[0], &want[1]], &label);
         }
     }
 
@@ -482,11 +645,11 @@ mod tests {
     /// the proven form wraps to the same state without it.
     #[test]
     fn checked_lists_detect_overflow_and_proven_lists_wrap() {
-        let (keys, big) = ([0u32, 0], [i64::MAX, 1]);
+        let (keys, big, cmp) = ([0u32, 0], [i64::MAX, 1], [1, 1]);
         let mut checked = DenseAggTable::new(1, 0, 0);
         let mut proven = checked.clone();
-        groupby_value_masked_n::<_, _, 1, false>(&keys, [&big], &[1, 1], 0, &mut checked);
-        groupby_value_masked_n::<_, _, 1, true>(&keys, [&big], &[1, 1], 0, &mut proven);
+        upsert::<_, _, _, false>(&keys, Lanes::Masked(&cmp), &[&big[..]], 0, &mut checked);
+        upsert::<_, _, _, true>(&keys, Lanes::Masked(&cmp), &[&big[..]], 0, &mut proven);
         assert!(checked.overflow_detected() && !proven.overflow_detected());
         assert_eq!(collect_groups(&checked), vec![(0, i64::MIN)]);
         assert_eq!(collect_groups(&proven), vec![(0, i64::MIN)]);

@@ -13,7 +13,9 @@
 #![allow(clippy::arithmetic_side_effects)]
 
 use crate::agg::BinOp;
-use crate::groupby::{add_lane, tile_inputs};
+use std::marker::PhantomData;
+
+use crate::groupby::{upsert, Fused, Lanes};
 use crate::AsI64;
 use swole_bitmap::PositionalBitmap;
 use swole_ht::{AggTable, GroupTable, KeySet};
@@ -215,33 +217,8 @@ pub fn eager_aggregate<K: AsI64, A: AsI64, B: AsI64, O: BinOp>(
     b: &[B],
     ht: &mut impl GroupTable,
 ) {
-    assert_eq!(fk.len(), a.len());
-    assert_eq!(fk.len(), b.len());
-    ht.note_probes(fk.len());
-    for j in 0..fk.len() {
-        let off = ht.entry(fk[j].widen());
-        ht.add(off, 0, O::apply(a[j].widen(), b[j].widen()));
-        ht.set_valid(off);
-    }
-}
-
-/// [`eager_aggregate`] over an aggregate list (see [`crate::groupby`]):
-/// every lane upserts its FK and adds `inputs[i]` to aggregate slot
-/// `first + i`.
-#[inline]
-pub fn eager_aggregate_n<K: AsI64, V: AsI64, const N: usize, const PROVEN: bool>(
-    fk: &[K],
-    inputs: [&[V]; N],
-    first: usize,
-    ht: &mut impl GroupTable,
-) {
-    let inputs = tile_inputs(inputs, fk.len());
-    ht.note_probes(fk.len());
-    for (j, key) in fk.iter().enumerate() {
-        let off = ht.entry(key.widen());
-        add_lane::<V, N, PROVEN>(ht, off, first, &inputs, j, |v| v);
-        ht.set_valid(off);
-    }
+    let inputs = Fused::<_, _, O>(a, b, PhantomData);
+    upsert::<_, _, _, false>(fk, Lanes::Every, &inputs, 0, ht);
 }
 
 /// **Eager aggregation**, deletion phase: scan the former build side and

@@ -717,7 +717,8 @@ impl EngineInner {
         let (_permit, ctx) = self.admit(&gate, cancel, &r, deadline_at, &cert)?;
         let physical = &*planned;
         let run = self.run(&ctx, level, &cert);
-        let strategy = &physical.strategy;
+        // The sink the executor dispatches, which may not be the plan's.
+        let strategy = physical.run_strategy(cert.overflow_proof, level.counting());
         let mut report = Vec::new();
         // Finish the statement under the data-centric interpreter, after
         // `retries` failed attempts; `ok` is the run report's last line.

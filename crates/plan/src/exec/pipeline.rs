@@ -25,7 +25,7 @@ use crate::error::PlanError;
 use crate::metrics::OpMetrics;
 use crate::physical::{AggShape, FrontEnd, GroupTableRepr, JoinEdge};
 use crate::result::QueryResult;
-use crate::tile::{scalar_sinks, BoundProgram, Regs};
+use crate::tile::{BoundProgram, Regs};
 use swole_ht::{AggTable, DenseAggTable};
 use swole_kernels::{predicate, tiles_in, AccessCounters};
 use swole_runtime::ExecCtx;
@@ -94,11 +94,7 @@ pub(crate) fn exec_agg(
     let front = shape.mode.front_end(shape.group.is_some());
     let counting = opts.level.counting();
     let Some(sink) = shape.group_sink.clone() else {
-        let masked = front == FrontEnd::Mask;
-        let sinks = scalar_sinks(&shape.program, &shape.aggs, masked, opts.overflow);
-        let fused_probe = sinks
-            .fused_probe(counting)
-            .filter(|_| masked && stage.edges.len() == 1);
+        let (sinks, fused_probe) = shape.scalar_sinks(opts.overflow, counting);
         // The fused pass does its own restricting.
         let front = fused_probe.map_or(front, |_| FrontEnd::EveryLane);
         return drive(stage, front, ScalarSink { sinks, fused_probe }, opts, ctx);

@@ -12,13 +12,11 @@ use crate::logical::AggSpec;
 use crate::metrics::OpMetrics;
 use crate::physical::{AggMode, FrontEnd};
 use crate::result::QueryResult;
-use crate::tile::{
-    self, with_lane, FusedProbe, GroupIn, GroupSink, Lane, ListUpsert, Regs, ScalarSinks,
-    TileProgram,
-};
+use crate::tile::{self, FusedProbe, GroupSink, Lane, Regs, ScalarSinks, TileProgram};
 use swole_cost::AggStrategy;
 use swole_ht::{GroupTable, MergeOp};
-use swole_kernels::{predicate, AccessCounters, AsI64};
+use swole_kernels::groupby::Lanes;
+use swole_kernels::{predicate, AccessCounters};
 use swole_runtime::{charge_or_panic, MemGauge};
 
 /// Where the driver's front end delivers a tile's rows: one method per
@@ -245,16 +243,14 @@ impl Sink for ScalarSink {
 // ---------------------------------------------------------------------------
 
 /// The grouped sink: each worker upserts into a private group table `T`
-/// (the driver is compiled once per representation, so no lane asks which
-/// table it has) — through one `swole_kernels::groupby` / `join` kernel
-/// that reads the key as a column slice: the single-sum kernel (operands
-/// as column slices too), or the `_n` form compiled for the `sum` / `count`
-/// list (inputs from the value registers). Only a list with `min` / `max`
-/// takes the per-row selection-vector loop. Behind [`FrontEnd::Select`] it
-/// is the hybrid group-by and, narrowed through an edge, the groupjoin;
-/// behind [`FrontEnd::Mask`], value or key masking; behind
-/// [`FrontEnd::EveryLane`], eager aggregation, which consults its edge once,
-/// after the merge, to delete the keys whose parent does not qualify.
+/// (the driver is compiled once per representation) through the
+/// `swole_kernels::groupby::upsert` instance its [`GroupSink`] names. The
+/// front end picks the lanes: behind [`FrontEnd::Select`] the selected ones
+/// — the hybrid group-by and, narrowed through an edge, the groupjoin;
+/// behind [`FrontEnd::Mask`], value masking (every lane under the mask) or
+/// key masking (every lane by its masked key); behind
+/// [`FrontEnd::EveryLane`], eager aggregation (every lane by its FK), which
+/// deletes the keys whose parent does not qualify after the merge.
 pub(super) struct GroupedSink<F> {
     pub new_table: F,
     /// Whether `new_table` makes dense tables (for the metrics).
@@ -262,8 +258,8 @@ pub(super) struct GroupedSink<F> {
     pub sink: GroupSink,
     pub mode: AggMode,
     pub counting: bool,
-    /// The certificate proved every accumulator: a compiled list runs the
-    /// adds that keep no overflow flag.
+    /// The certificate proved every accumulator: the upserts run the adds
+    /// that keep no overflow flag.
     pub proven: bool,
 }
 
@@ -300,22 +296,13 @@ where
     }
 
     fn selected(&self, t: Tile<'_>, acc: &mut GroupAcc<T>, regs: &Regs, k: usize) {
-        let (keys, ht, idx) = (t.group_keys(), &mut acc.ht, &regs.idx[..k]);
-        match &self.sink {
-            GroupSink::Kernel(sum) => t.bound.upsert_gather(regs, *sum, keys, t.at, k, ht),
-            GroupSink::List(list) => {
-                let kernel = ListUpsert::Gather { keys, idx };
-                regs.upsert_list(list, self.proven, t.at.1, kernel, ht)
-            }
-            GroupSink::Registers(inputs) => {
-                with_lane!(keys, |keys| upsert_selected(ht, inputs, regs, keys, idx))
-            }
-        }
+        let (sink, lanes) = ((&self.sink, self.proven), Lanes::Selected(&regs.idx[..k]));
+        t.bound
+            .upsert(regs, sink, t.group_keys(), lanes, t.at, &mut acc.ht);
     }
 
     fn masked(&self, t: Tile<'_>, acc: &mut GroupAcc<T>, regs: &mut Regs) -> usize {
-        let (Tile { bound, at, .. }, len) = (t, t.at.1);
-        let (keys, ht) = (t.group_keys(), &mut acc.ht);
+        let (bound, len) = (t.bound, t.at.1);
         // The one counter the masked kernels do not already produce (the
         // budgeted extra mask_count per tile).
         let m = match self.counting {
@@ -325,39 +312,23 @@ where
         // Key masking sends filtered-out lanes to the throwaway entry and
         // adds unmasked values; value masking keeps the key and multiplies
         // by the mask.
-        match (
-            &self.sink,
-            self.mode == AggMode::By(AggStrategy::KeyMasking),
-        ) {
-            (GroupSink::Kernel(sum), true) => bound.upsert_key_masked(regs, *sum, keys, at, ht),
-            (GroupSink::Kernel(sum), false) => bound.upsert_value_masked(regs, *sum, keys, at, ht),
-            (GroupSink::List(list), true) => {
-                bound.mask_keys(regs, keys);
-                let masked = &regs.tmp[..len];
-                regs.upsert_list(list, self.proven, len, ListUpsert::KeyMasked { masked }, ht)
+        let (keys, lanes) = match self.mode == AggMode::By(AggStrategy::KeyMasking) {
+            true => {
+                bound.mask_keys(regs, t.group_keys());
+                (Lane::I64(&regs.tmp[..len]), Lanes::Every)
             }
-            (GroupSink::List(list), false) => {
-                let cmp = bound.filter(regs, len);
-                let kernel = ListUpsert::ValueMasked { keys, cmp };
-                regs.upsert_list(list, self.proven, len, kernel, ht)
-            }
-            (GroupSink::Registers(_), _) => unreachable!("min / max are planned hybrid"),
-        }
+            false => (t.group_keys(), Lanes::Masked(bound.filter(regs, len))),
+        };
+        let sink = (&self.sink, self.proven);
+        bound.upsert(regs, sink, keys, lanes, t.at, &mut acc.ht);
         m
     }
 
     fn every_lane(&self, t: Tile<'_>, acc: &mut GroupAcc<T>, regs: &Regs) -> Option<usize> {
-        let fk = t
-            .first_fk()
-            .expect("eager aggregation keys by its edge's FK");
-        let ht = &mut acc.ht;
-        match &self.sink {
-            GroupSink::Kernel(sum) => t.bound.upsert_eager(regs, *sum, fk, t.at, ht),
-            GroupSink::List(list) => {
-                regs.upsert_list(list, self.proven, t.at.1, ListUpsert::Eager { fk }, ht)
-            }
-            GroupSink::Registers(_) => unreachable!("min / max are planned hybrid"),
-        }
+        let keys = Lane::U32(t.first_fk().expect("eager aggregation keys by its FK"));
+        let sink = (&self.sink, self.proven);
+        t.bound
+            .upsert(regs, sink, keys, Lanes::Every, t.at, &mut acc.ht);
         None
     }
 
@@ -466,48 +437,6 @@ fn merge_ops(aggs: &[AggSpec]) -> Vec<MergeOp> {
             AggFunc::Max => MergeOp::Max,
         })
         .collect()
-}
-
-/// The one grouped loop that matches on its aggregates per row — a list
-/// with `min` / `max`, which the planner gives the selection-vector bodies
-/// only (hybrid group-by, groupjoin): upsert the rows the tile-local
-/// offsets `idx` select.
-fn upsert_selected<T: GroupTable, K: AsI64>(
-    ht: &mut T,
-    inputs: &[GroupIn],
-    regs: &Regs,
-    keys: &[K],
-    idx: &[u32],
-) {
-    ht.note_probes(idx.len());
-    for &j in idx {
-        let j = j as usize;
-        let off = ht.entry(keys[j].widen());
-        for (i, input) in inputs.iter().enumerate() {
-            match *input {
-                // add() detects wraparound in the table's overflow flag.
-                GroupIn::Sum(r) => ht.add(off, i, regs.val(r)[j]),
-                GroupIn::Count => ht.add(off, i, 1),
-                // Only min/max ask whether the entry is fresh: the valid
-                // flags are an array of their own, and reading one per lane
-                // is a cache miss a large table's sums and counts would pay
-                // for nothing.
-                GroupIn::Min(r) => {
-                    let v = regs.val(r)[j];
-                    let fresh = !ht.is_valid(off);
-                    let s = &mut ht.states_mut()[off + i];
-                    *s = if fresh { v } else { (*s).min(v) };
-                }
-                GroupIn::Max(r) => {
-                    let v = regs.val(r)[j];
-                    let fresh = !ht.is_valid(off);
-                    let s = &mut ht.states_mut()[off + i];
-                    *s = if fresh { v } else { (*s).max(v) };
-                }
-            }
-        }
-        ht.set_valid(off);
-    }
 }
 
 fn rows_from_table(

@@ -1,11 +1,12 @@
 //! Physical plans: the shapes the executor runs plus the decisions the
 //! planner made, with their cost-model evidence.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::expr::Expr;
 use crate::logical::{AggSpec, FrameSpec, SortKey, WindowFnSpec};
-use crate::tile::{scalar_sinks, GroupSink, TileProgram};
+use crate::tile::{scalar_sinks, FusedProbe, GroupSink, ScalarSinks, TileProgram};
 use swole_cost::{
     AggProfile, AggStrategy, BitmapBuild, GroupJoinProfile, GroupJoinStrategy, GroupTableCost,
     JoinGraphProfile, JoinOrderMethod, SemiJoinStrategy, WindowStrategy,
@@ -29,7 +30,7 @@ pub(crate) enum PostOp {
 pub struct PhysicalPlan {
     pub(crate) shape: Shape,
     /// Short name of the access strategy driving the shape's loop body,
-    /// rendered once at plan time: `EXPLAIN` and every run report read it.
+    /// rendered once at plan time: `EXPLAIN` reads it.
     pub(crate) strategy: String,
     /// Result-level post-operators (`ORDER BY`, `LIMIT`) in application order.
     pub(crate) post: Vec<PostOp>,
@@ -90,13 +91,22 @@ impl PhysicalPlan {
         estimates: Estimates,
     ) -> PhysicalPlan {
         PhysicalPlan {
-            strategy: shape.strategy_name(),
+            strategy: shape.strategy_name(OverflowProof::I64, false),
             shape,
             post: Vec::new(),
             decisions,
             cost_terms,
             shortcut,
             estimates,
+        }
+    }
+
+    /// The strategy a run under `proof`, `counting` or not, dispatches —
+    /// `strategy` but for a masked probe's sink — for its report.
+    pub(crate) fn run_strategy(&self, proof: OverflowProof, counting: bool) -> Cow<'_, str> {
+        match proof >= OverflowProof::I64 && !counting {
+            true => Cow::Borrowed(&self.strategy),
+            false => Cow::Owned(self.shape.strategy_name(proof, counting)),
         }
     }
 
@@ -374,10 +384,11 @@ pub(crate) struct WindowShape {
 }
 
 impl Shape {
-    /// Short name of the access strategy driving this shape's loop body.
-    fn strategy_name(&self) -> String {
+    /// Short name of the access strategy driving this shape's loop body,
+    /// for a run under `proof`, `counting` or not (the plan's: `I64`, no).
+    fn strategy_name(&self, proof: OverflowProof, counting: bool) -> String {
         match self {
-            Shape::Agg(a) => a.strategy_name(),
+            Shape::Agg(a) => a.strategy_name(proof, counting),
             Shape::WindowScan(w) if w.funcs.is_empty() => "projection".to_string(),
             Shape::WindowScan(w) => w.strategy.name().to_string(),
         }
@@ -447,6 +458,9 @@ impl JoinEdge {
     }
 }
 
+/// A scalar stage's sinks and the one-pass probe it takes, if any.
+type ScalarRun = (ScalarSinks, Option<FusedProbe>);
+
 impl AggShape {
     /// Name of the aggregating operator, as the metrics and the verifier
     /// know it: a function of edge count and key only.
@@ -458,7 +472,17 @@ impl AggShape {
         }
     }
 
-    fn strategy_name(&self) -> String {
+    /// What a scalar stage run under `proof`, `counting` the edge's
+    /// survivors or not, dispatches: its sinks, and a masked one-edge
+    /// probe's one pass ([`ScalarSinks::fused_probe`]) if it takes it.
+    pub(crate) fn scalar_sinks(&self, proof: OverflowProof, counting: bool) -> ScalarRun {
+        let masked = self.mode.front_end(false) == FrontEnd::Mask;
+        let sinks = scalar_sinks(&self.program, &self.aggs, masked, proof);
+        let probe = sinks.fused_probe(counting);
+        (sinks, probe.filter(|_| masked && self.edges.len() == 1))
+    }
+
+    fn strategy_name(&self, proof: OverflowProof, counting: bool) -> String {
         let sink = |kernel| match &self.group_sink {
             Some(s) => format!(", sink: {}", s.name(kernel)),
             None => String::new(),
@@ -480,16 +504,11 @@ impl AggShape {
                 format!("{}{}", s.name(), sink(kernel))
             }
             AggMode::Probe { masked: false } => join(""),
-            // The one-pass loop, named for a proven run; a lone sum that is
-            // unproven or counted runs the counting loop's checked or plain
-            // form instead. Two or more sums fold the bit into the mask.
-            AggMode::Probe { masked: true } => {
-                let sinks = scalar_sinks(&self.program, &self.aggs, true, OverflowProof::I64);
-                match sinks.fused_probe(false) {
-                    Some(p) => join(&format!(", masked probe, sink: {}", p.name())),
-                    None => join(", masked probe"),
-                }
-            }
+            // Two or more sums fold the bit into the mask instead.
+            AggMode::Probe { masked: true } => match self.scalar_sinks(proof, counting).1 {
+                Some(p) => join(&format!(", masked probe, sink: {}", p.name())),
+                None => join(", masked probe"),
+            },
             AggMode::Join(s) => {
                 let kernel = match s {
                     GroupJoinStrategy::GroupJoin => "groupby_gather",

@@ -11,19 +11,21 @@
 //! sinks can hand the column slices to the measured `swole_kernels::agg`
 //! loops, the masked probe to `join::semijoin_sum{,_count}_bitmap_masked` and the
 //! grouped sinks — which also read the group key at native width, never
-//! from a register — to the `groupby` / `join` upsert kernels. Binding a
+//! from a register — to the `groupby::upsert` kernel. Binding a
 //! program to a pinned table ([`TileProgram::bind`])
 //! resolves column positions and evaluates every dictionary predicate once
 //! per query; running it ([`BoundProgram::run`]) against a per-worker
 //! [`Regs`] file allocates nothing, looks nothing up by name and never
 //! recurses. [`crate::Expr::eval_row`] stays the interpreter oracle.
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use swole_bitmap::PositionalBitmap;
-use swole_ht::GroupTable;
+use swole_ht::{GroupTable, MergeOp};
 use swole_kernels::agg::{self, BinOp, Div, Mul};
-use swole_kernels::{groupby, join, predicate, selvec, AsI64, TILE};
+use swole_kernels::groupby::{self, Folds, Inputs, Lanes, Slot};
+use swole_kernels::{join, predicate, selvec, AsI64, TILE};
 use swole_storage::{like_match, ColumnData, DataType, Table};
 use swole_verify::OverflowProof;
 
@@ -822,7 +824,6 @@ macro_rules! with_lane {
         }
     };
 }
-pub(crate) use with_lane;
 
 /// A value operand resolved for one tile.
 #[derive(Clone, Copy)]
@@ -1308,73 +1309,57 @@ impl BoundProgram {
 // Grouped and masked-probe sinks
 // ---------------------------------------------------------------------------
 
-/// The widest aggregate list one pass of a `*_n` upsert kernel is compiled
-/// for; a longer list runs as several passes of the same loop.
+/// The widest sum / count list one unrolled pass of the upsert family is
+/// compiled for; a longer list runs as several passes of the same loop.
 pub(crate) const GROUP_ARITY: usize = 4;
 
-/// One aggregate of a grouped list with its input register resolved, so
-/// nothing at run time reads an `AggSpec`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum GroupIn {
-    Sum(usize),
-    Count,
-    Min(usize),
-    Max(usize),
-}
-
-/// The terminal loop of a grouped stage, selected once per query from the
-/// aggregate shape ([`TileProgram::lower_agg`] lowered the inputs for it).
+/// The inputs of a grouped stage's `groupby::upsert`, selected once per
+/// query from the aggregate shape ([`TileProgram::lower_agg`] lowered them
+/// for it); the lanes are the strategy's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum GroupSink {
-    /// The stage's one `sum(a OP b)`: a `swole_kernels::groupby` /
-    /// `join::eager_aggregate` upsert kernel reads key and operands as
-    /// column slices at native width.
-    Kernel(FusedSum),
-    /// Any other `sum` / `count` list, compiled: the `_n` form of the same
-    /// kernels, unrolled over the list — one pass per [`GROUP_ARITY`]
-    /// aggregates, a sum's input its value register, a count's a tile of
-    /// ones.
-    List(Vec<GroupIn>),
-    /// A list with `min` / `max` (hybrid only): one selection-vector loop
-    /// that matches on each aggregate per row.
-    Registers(Vec<GroupIn>),
+    /// The stage's one `sum(a OP b)`, key and operands read as column
+    /// slices at native width.
+    Fused(FusedSum),
+    /// Any other list, each aggregate's input its value register (a
+    /// count's a tile of ones): sums and counts in unrolled passes of
+    /// [`GROUP_ARITY`], a list with `min` / `max` in one pass that folds.
+    List(Vec<Slot>),
 }
 
 impl GroupSink {
-    /// The upsert kernel as `EXPLAIN` names it — `gather` is the
-    /// selection-vector kernel both the hybrid group-by and the groupjoin
-    /// end in; a compiled list is the kernel's `_n` form with the arity of
+    /// The upsert instance as `EXPLAIN` names it: the lanes' kernel (the
+    /// hybrid group-by and the groupjoin both `gather`), and the slots of
     /// each pass.
     pub(crate) fn name(&self, kernel: &str) -> String {
         match self {
-            GroupSink::Kernel(_) => kernel.to_string(),
+            GroupSink::Fused(_) => format!("{kernel}<1>"),
+            GroupSink::List(list) if folds(list) => format!("{kernel}<fold {}>", list.len()),
             GroupSink::List(list) => {
                 let passes = list.chunks(GROUP_ARITY).map(|p| p.len().to_string());
-                format!("{kernel}_n<{}>", passes.collect::<Vec<_>>().join("+"))
+                format!("{kernel}<{}>", passes.collect::<Vec<_>>().join("+"))
             }
-            GroupSink::Registers(_) => "register loop".to_string(),
         }
     }
+}
+
+/// Whether a list has a `min` / `max`, and so runs as one folding pass.
+fn folds(list: &[Slot]) -> bool {
+    list.iter().any(|&(op, _)| op != MergeOp::Add)
 }
 
 /// Select the sink of a grouped stage over `aggs`.
 pub(crate) fn group_sink(prog: &TileProgram, aggs: &[AggSpec]) -> GroupSink {
     if let ([_], Some(Output::Op(sum))) = (aggs, prog.output(0)) {
-        return GroupSink::Kernel(sum);
+        return GroupSink::Fused(sum);
     }
-    let input = |(i, a): (usize, &AggSpec)| match a.func {
-        AggFunc::Sum => GroupIn::Sum(prog.output_reg(i)),
-        AggFunc::Count => GroupIn::Count,
-        AggFunc::Min => GroupIn::Min(prog.output_reg(i)),
-        AggFunc::Max => GroupIn::Max(prog.output_reg(i)),
+    let slot = |(i, a): (usize, &AggSpec)| match a.func {
+        AggFunc::Sum => (MergeOp::Add, Some(prog.output_reg(i))),
+        AggFunc::Count => (MergeOp::Add, None),
+        AggFunc::Min => (MergeOp::Min, Some(prog.output_reg(i))),
+        AggFunc::Max => (MergeOp::Max, Some(prog.output_reg(i))),
     };
-    let inputs = aggs.iter().enumerate().map(input).collect();
-    let min_max = |a: &AggSpec| matches!(a.func, AggFunc::Min | AggFunc::Max);
-    if aggs.iter().any(min_max) {
-        GroupSink::Registers(inputs)
-    } else {
-        GroupSink::List(inputs)
-    }
+    GroupSink::List(aggs.iter().enumerate().map(slot).collect())
 }
 
 /// The aggregate list of a fully masked one-edge probe, resolved for the one
@@ -1504,151 +1489,66 @@ impl BoundProgram {
         })
     }
 
-    /// Hybrid group-by / groupjoin (Fig. 4, Fig. 12): upsert the rows the
-    /// first `k` tile-local offsets of `r.idx` select.
-    pub(crate) fn upsert_gather<T: GroupTable>(
+    /// Upsert `lanes` of the tile just run into `ht` through the
+    /// `groupby::upsert` instance that `sink`, `proven` and the native
+    /// widths of `keys` and the operands name — a sum / count list in
+    /// passes of [`GROUP_ARITY`] slots. The one dispatch of a grouped
+    /// stage: once per tile (per pass), never per lane.
+    pub(crate) fn upsert<T: GroupTable>(
         &self,
         r: &Regs,
-        sum: FusedSum,
+        (sink, proven): (&GroupSink, bool),
         keys: Lane<'_>,
-        tile: (usize, usize),
-        k: usize,
-        ht: &mut T,
-    ) {
-        let idx = &r.idx[..k];
-        with_lane!(keys, |keys| with_fused!(self, r, sum, tile, |a, b, O| {
-            groupby::groupby_gather::<_, _, _, O>(keys, a, b, idx, ht)
-        }));
-    }
-
-    /// Value masking (Fig. 4 top): every lane upserts its real key, the
-    /// value multiplied by the filter mask.
-    pub(crate) fn upsert_value_masked<T: GroupTable>(
-        &self,
-        r: &Regs,
-        sum: FusedSum,
-        keys: Lane<'_>,
+        lanes: Lanes<'_>,
         tile: (usize, usize),
         ht: &mut T,
     ) {
-        let cmp = self.filter(r, tile.1);
-        with_lane!(keys, |keys| with_fused!(self, r, sum, tile, |a, b, O| {
-            groupby::groupby_value_masked::<_, _, _, O>(keys, a, b, cmp, ht)
-        }));
-    }
-
-    /// Key masking (Fig. 4 bottom, Fig. 9): mask the keys into `r.tmp`,
-    /// then every lane upserts its masked key with the unmasked value.
-    pub(crate) fn upsert_key_masked<T: GroupTable>(
-        &self,
-        r: &mut Regs,
-        sum: FusedSum,
-        keys: Lane<'_>,
-        tile: (usize, usize),
-        ht: &mut T,
-    ) {
-        self.mask_keys(r, keys);
-        let masked = &r.tmp[..tile.1];
-        with_fused!(self, r, sum, tile, |a, b, O| {
-            groupby::groupby_key_masked::<_, _, O>(masked, a, b, ht)
-        });
-    }
-
-    /// Eager aggregation (§ III-E, Fig. 12): every lane upserts its FK,
-    /// unmasked; the caller deletes the non-qualifying keys after the merge.
-    pub(crate) fn upsert_eager<T: GroupTable>(
-        &self,
-        r: &Regs,
-        sum: FusedSum,
-        fk: &[u32],
-        tile: (usize, usize),
-        ht: &mut T,
-    ) {
-        with_fused!(self, r, sum, tile, |a, b, O| {
-            join::eager_aggregate::<_, _, _, O>(fk, a, b, ht)
-        });
+        with_lane!(keys, |keys| match sink {
+            GroupSink::Fused(sum) => with_fused!(self, r, *sum, tile, |a, b, O| {
+                let inputs = groupby::Fused::<_, _, O>(a, b, PhantomData);
+                upsert(keys, lanes, &inputs, (0, proven), ht)
+            }),
+            GroupSink::List(list) if folds(list) => {
+                let inputs = Folds(list, &r.vals);
+                upsert(keys, lanes, &inputs, (0, proven), ht)
+            }
+            GroupSink::List(list) => {
+                for (p, pass) in list.chunks(GROUP_ARITY).enumerate() {
+                    let (at, len) = ((p * GROUP_ARITY, proven), tile.1);
+                    match pass.len() {
+                        1 => upsert(keys, lanes, &inputs::<1>(r, pass, len), at, ht),
+                        2 => upsert(keys, lanes, &inputs::<2>(r, pass, len), at, ht),
+                        3 => upsert(keys, lanes, &inputs::<3>(r, pass, len), at, ht),
+                        4 => upsert(keys, lanes, &inputs::<4>(r, pass, len), at, ht),
+                        n => unreachable!("a pass of {n} inputs"),
+                    }
+                }
+            }
+        })
     }
 }
 
-/// One `_n` upsert kernel with everything but the aggregate list bound:
-/// what [`Regs::upsert_list`] runs once per pass, at the pass's arity and
-/// proof.
-#[derive(Clone, Copy)]
-pub(crate) enum ListUpsert<'a> {
-    /// Hybrid group-by / groupjoin (Fig. 4, Fig. 12): the rows `idx` selects.
-    Gather { keys: Lane<'a>, idx: &'a [u32] },
-    /// Value masking (Fig. 4 top): every lane, its inputs times `cmp`.
-    ValueMasked { keys: Lane<'a>, cmp: &'a [u8] },
-    /// Key masking (Fig. 4 bottom, Fig. 9): every lane by its masked key.
-    KeyMasked { masked: &'a [i64] },
-    /// Eager aggregation (§ III-E, Fig. 12): every lane by its FK, unmasked.
-    Eager { fk: &'a [u32] },
-}
-
-impl ListUpsert<'_> {
-    fn pass<const N: usize, const P: bool>(
-        self,
-        inputs: [&[i64]; N],
-        first: usize,
-        ht: &mut impl GroupTable,
-    ) {
-        match self {
-            ListUpsert::Gather { keys, idx } => with_lane!(keys, |keys| {
-                groupby::groupby_gather_n::<_, _, N, P>(keys, inputs, idx, first, ht)
-            }),
-            ListUpsert::ValueMasked { keys, cmp } => with_lane!(keys, |keys| {
-                groupby::groupby_value_masked_n::<_, _, N, P>(keys, inputs, cmp, first, ht)
-            }),
-            ListUpsert::KeyMasked { masked } => {
-                groupby::groupby_key_masked_n::<_, N, P>(masked, inputs, first, ht)
-            }
-            ListUpsert::Eager { fk } => {
-                join::eager_aggregate_n::<_, _, N, P>(fk, inputs, first, ht)
-            }
-        }
+/// `groupby::upsert` into the slots from `first`, the adds `proven` picks.
+fn upsert<K: AsI64, T: GroupTable>(
+    keys: &[K],
+    lanes: Lanes<'_>,
+    inputs: &impl Inputs<T>,
+    (first, proven): (usize, bool),
+    ht: &mut T,
+) {
+    match proven {
+        true => groupby::upsert::<_, _, _, true>(keys, lanes, inputs, first, ht),
+        false => groupby::upsert::<_, _, _, false>(keys, lanes, inputs, first, ht),
     }
 }
 
 /// `count(*)` as an input like any other: a tile of ones.
 static ONES: [i64; TILE] = [1; TILE];
 
-impl Regs {
-    /// Run `kernel` over the `len` lanes of the tile just run, once per pass
-    /// of the compiled aggregate list `list`: pass `p` adds the inputs of
-    /// aggregates `p * GROUP_ARITY ..` to the slots of the same numbers.
-    /// `proven` picks the adds the certificate licensed. The only dispatch
-    /// is here, per pass per tile — on kernel, key width, arity and proof —
-    /// never per lane.
-    pub(crate) fn upsert_list(
-        &self,
-        list: &[GroupIn],
-        proven: bool,
-        len: usize,
-        kernel: ListUpsert<'_>,
-        ht: &mut impl GroupTable,
-    ) {
-        fn inputs<'r, const N: usize>(r: &'r Regs, pass: &[GroupIn], len: usize) -> [&'r [i64]; N] {
-            std::array::from_fn(|i| match pass[i] {
-                GroupIn::Sum(reg) => &r.vals[reg][..len],
-                GroupIn::Count => &ONES[..len],
-                GroupIn::Min(_) | GroupIn::Max(_) => unreachable!("a list is sums and counts"),
-            })
-        }
-        macro_rules! arity {
-            ($pass:expr, $first:expr, $($n:literal),*) => {
-                match ($pass.len(), proven) {
-                    $(
-                        ($n, true) => kernel.pass::<$n, true>(inputs(self, $pass, len), $first, ht),
-                        ($n, false) => kernel.pass::<$n, false>(inputs(self, $pass, len), $first, ht),
-                    )*
-                    (n, _) => unreachable!("a pass of {n} inputs"),
-                }
-            };
-        }
-        for (p, pass) in list.chunks(GROUP_ARITY).enumerate() {
-            arity!(pass, p * GROUP_ARITY, 1, 2, 3, 4);
-        }
-    }
+/// The inputs of one pass of a sum / count list over the `len` lanes of the
+/// tile just run.
+fn inputs<'r, const N: usize>(r: &'r Regs, pass: &[Slot], len: usize) -> [&'r [i64]; N] {
+    std::array::from_fn(|i| pass[i].1.map_or(&ONES[..len], |reg| &r.vals[reg][..len]))
 }
 
 #[cfg(test)]
@@ -1657,6 +1557,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::cell::Cell;
+    use std::collections::BTreeMap;
     use swole_storage::DictColumn;
 
     thread_local! {
@@ -1975,13 +1876,47 @@ mod tests {
         assert_eq!(narrow, run(OverflowProof::I64).0);
     }
 
-    /// The grouped sinks — every upsert kernel, over both table
-    /// representations, keys of every width — against a row-at-a-time fold
-    /// of `eval_row`, and the fused masked probe against the three-pass
-    /// path it replaces.
+    /// Run `sink` over every tile of the table into `ht` behind the lanes
+    /// `which` picks — 0 the hybrid gather, 1 value masking, 2 key masking,
+    /// 3 eager aggregation by `fk` — and return the valid groups.
+    fn upsert_groups<T: GroupTable>(
+        bound: &BoundProgram,
+        (sink, proven): (&GroupSink, bool),
+        fk: &[u32],
+        which: usize,
+        mut ht: T,
+    ) -> BTreeMap<i64, Vec<i64>> {
+        let mut regs = Regs::new(bound.program());
+        for tile in swole_kernels::tiles(ROWS) {
+            let (start, len) = tile;
+            bound.run(&mut regs, start, len);
+            let keys = bound.key_lane(start, len);
+            let mut go = |regs: &Regs, keys, lanes| {
+                bound.upsert(regs, (sink, proven), keys, lanes, tile, &mut ht);
+            };
+            match which {
+                0 => {
+                    let k = bound.select(&mut regs, len);
+                    go(&regs, keys, Lanes::Selected(&regs.idx[..k]));
+                }
+                1 => go(&regs, keys, Lanes::Masked(bound.filter(&regs, len))),
+                2 => {
+                    bound.mask_keys(&mut regs, keys);
+                    go(&regs, Lane::I64(&regs.tmp[..len]), Lanes::Every);
+                }
+                _ => go(&regs, Lane::U32(&fk[start..start + len]), Lanes::Every),
+            }
+        }
+        let valid = ht.iter().filter(|&(_, _, valid)| valid);
+        valid.map(|(k, s, _)| (k, s.to_vec())).collect()
+    }
+
+    /// The fused-input upsert — behind every front end, over both table
+    /// representations, keys of every width, checked and proven — against
+    /// a row-at-a-time fold of `eval_row`, and the fused masked probe
+    /// against the three-pass path it replaces.
     #[test]
     fn grouped_and_probe_sinks_match_eval_row() {
-        use std::collections::BTreeMap;
         use swole_ht::{AggTable, DenseAggTable};
         let t = table(23);
         // FK positions for the eager sink and the probe: `u` is `0..5000`.
@@ -1990,10 +1925,6 @@ mod tests {
             5000,
             &(0..5000u32).filter(|p| p % 3 != 0).collect::<Vec<_>>(),
         );
-        fn groups(ht: &impl GroupTable) -> BTreeMap<i64, i64> {
-            let valid = ht.iter().filter(|&(_, _, valid)| valid);
-            valid.map(|(k, s, _)| (k, s[0])).collect()
-        }
         for seed in 0..60u64 {
             let mut rng = SmallRng::seed_from_u64(4000 + seed);
             let depth = rng.gen_range(0..3u32);
@@ -2009,9 +1940,8 @@ mod tests {
             let prog = Arc::new(
                 TileProgram::lower_agg(&t, Some(&filter), Some(key), &aggs, true).unwrap(),
             );
-            let GroupSink::Kernel(sum) = group_sink(&prog, &aggs) else {
-                panic!("one sum takes a kernel sink");
-            };
+            let sink = group_sink(&prog, &aggs);
+            assert!(matches!(sink, GroupSink::Fused(_)), "one sum is fused");
             let bound = prog.bind(&t).unwrap();
             let key_of = |r: usize| Expr::col(key).eval_row(&t, r);
             let (lo, hi) = (0..ROWS).fold((i64::MAX, i64::MIN), |(lo, hi), r| {
@@ -2020,40 +1950,14 @@ mod tests {
             let fold = |rows: &mut dyn Iterator<Item = usize>, key_of: &dyn Fn(usize) -> i64| {
                 let mut want = BTreeMap::new();
                 for r in rows {
-                    let e = want.entry(key_of(r)).or_insert(0i64);
-                    *e = e.wrapping_add(input.eval_row(&t, r));
+                    let e = want.entry(key_of(r)).or_insert(vec![0i64]);
+                    e[0] = e[0].wrapping_add(input.eval_row(&t, r));
                 }
                 want
             };
             let qualifies = |r: &usize| filter.eval_row(&t, *r) != 0;
             let want = fold(&mut (0..ROWS).filter(qualifies), &key_of);
             let want_eager = fold(&mut (0..ROWS), &|r| fk[r] as i64);
-
-            // One run per (sink, representation); `which` picks the sink.
-            fn run<T: GroupTable>(
-                bound: &BoundProgram,
-                sum: FusedSum,
-                fk: &[u32],
-                which: usize,
-                mut ht: T,
-            ) -> BTreeMap<i64, i64> {
-                let mut regs = Regs::new(bound.program());
-                for tile in swole_kernels::tiles(ROWS) {
-                    let (start, len) = tile;
-                    bound.run(&mut regs, start, len);
-                    let keys = bound.key_lane(start, len);
-                    match which {
-                        0 => {
-                            let k = bound.select(&mut regs, len);
-                            bound.upsert_gather(&regs, sum, keys, tile, k, &mut ht);
-                        }
-                        1 => bound.upsert_value_masked(&regs, sum, keys, tile, &mut ht),
-                        2 => bound.upsert_key_masked(&mut regs, sum, keys, tile, &mut ht),
-                        _ => bound.upsert_eager(&regs, sum, &fk[start..start + len], tile, &mut ht),
-                    }
-                }
-                groups(&ht)
-            }
             for which in 0..4 {
                 let want = if which == 3 { &want_eager } else { &want };
                 let dense = if which == 3 {
@@ -2061,10 +1965,13 @@ mod tests {
                 } else {
                     DenseAggTable::new(1, lo, hi)
                 };
-                let label = format!("seed {seed} sink {which} key {key} {input:?}");
+                let proven = seed % 2 == 1;
+                let label = format!("seed {seed} lanes {which} key {key} {input:?}");
                 let hash = AggTable::with_capacity(1, 8);
-                assert_eq!(&run(&bound, sum, fk, which, hash), want, "hash {label}");
-                assert_eq!(&run(&bound, sum, fk, which, dense), want, "dense {label}");
+                let run = |ht| upsert_groups(&bound, (&sink, proven), fk, which, ht);
+                assert_eq!(&run(hash), want, "hash {label}");
+                let dense = upsert_groups(&bound, (&sink, proven), fk, which, dense);
+                assert_eq!(&dense, want, "dense {label}");
             }
 
             // The fused probe, both loops, checked and not, with and without
@@ -2108,62 +2015,26 @@ mod tests {
         }
     }
 
-    /// The compiled `sum` / `count` lists — one to five aggregates, every
-    /// `_n` kernel, both table representations, checked and proven adds —
-    /// against a row-at-a-time fold of `eval_row`.
+    /// The list inputs — one to five aggregates: `sum` / `count` lists in
+    /// unrolled passes, lists with `min` / `max` in one folding pass —
+    /// behind every front end, both table representations, checked and
+    /// proven adds, against a row-at-a-time fold of `eval_row`.
     #[test]
     fn compiled_lists_match_eval_row() {
-        use std::collections::BTreeMap;
         use swole_ht::{AggTable, DenseAggTable};
         let t = table(29);
         let fk = t.column("u").and_then(|c| c.as_u32()).expect("u is u32");
         type Groups = BTreeMap<i64, Vec<i64>>;
-        fn run<T: GroupTable>(
-            bound: &BoundProgram,
-            list: &[GroupIn],
-            fk: &[u32],
-            (which, proven): (usize, bool),
-            mut ht: T,
-        ) -> Groups {
-            let mut regs = Regs::new(bound.program());
-            for tile in swole_kernels::tiles(ROWS) {
-                let (start, len) = tile;
-                bound.run(&mut regs, start, len);
-                let keys = bound.key_lane(start, len);
-                let ht = &mut ht;
-                match which {
-                    0 => {
-                        let k = bound.select(&mut regs, len);
-                        let idx = &regs.idx[..k];
-                        regs.upsert_list(list, proven, len, ListUpsert::Gather { keys, idx }, ht);
-                    }
-                    1 => {
-                        let cmp = bound.filter(&regs, len);
-                        let kernel = ListUpsert::ValueMasked { keys, cmp };
-                        regs.upsert_list(list, proven, len, kernel, ht);
-                    }
-                    2 => {
-                        bound.mask_keys(&mut regs, keys);
-                        let masked = &regs.tmp[..len];
-                        regs.upsert_list(list, proven, len, ListUpsert::KeyMasked { masked }, ht);
-                    }
-                    _ => {
-                        let fk = &fk[start..start + len];
-                        regs.upsert_list(list, proven, len, ListUpsert::Eager { fk }, ht);
-                    }
-                }
-            }
-            let valid = ht.iter().filter(|&(_, _, valid)| valid);
-            valid.map(|(k, s, _)| (k, s.to_vec())).collect()
-        }
         for seed in 0..40u64 {
             let mut rng = SmallRng::seed_from_u64(7000 + seed);
             let depth = rng.gen_range(0..3u32);
             let filter = boolean(&mut rng, depth);
             let n = rng.gen_range(1..=5usize);
             let aggs: Vec<AggSpec> = (0..n)
-                .map(|i| match rng.gen_range(0..4u32) {
+                .map(|i| match rng.gen_range(0..6u32) {
                     0 => AggSpec::count("n"),
+                    4 => AggSpec::min(col(&mut rng), "lo"),
+                    5 => AggSpec::max(Expr::Mul(bx(col(&mut rng)), bx(col(&mut rng))), "hi"),
                     // Repeats share a register.
                     1 => AggSpec::sum(Expr::col(["c32", "nz"][i % 2]), "s"),
                     2 => AggSpec::sum(col(&mut rng), "s"),
@@ -2174,7 +2045,8 @@ mod tests {
             let prog = Arc::new(
                 TileProgram::lower_agg(&t, Some(&filter), Some(key), &aggs, true).unwrap(),
             );
-            let GroupSink::List(list) = group_sink(&prog, &aggs) else {
+            let sink = group_sink(&prog, &aggs);
+            let GroupSink::List(list) = &sink else {
                 assert!(
                     n == 1 && aggs[0].func == AggFunc::Sum,
                     "only one sum is no list"
@@ -2189,12 +2061,17 @@ mod tests {
             let fold = |rows: &mut dyn Iterator<Item = usize>, key_of: &dyn Fn(usize) -> i64| {
                 let mut want = Groups::new();
                 for r in rows {
+                    let fresh = !want.contains_key(&key_of(r));
                     let state = want.entry(key_of(r)).or_insert_with(|| vec![0; n]);
                     for (s, a) in state.iter_mut().zip(&aggs) {
-                        *s = s.wrapping_add(match a.func {
-                            AggFunc::Count => 1,
-                            _ => a.expr.eval_row(&t, r),
-                        });
+                        let v = a.expr.eval_row(&t, r);
+                        *s = match a.func {
+                            AggFunc::Count => *s + 1,
+                            AggFunc::Sum => s.wrapping_add(v),
+                            _ if fresh => v,
+                            AggFunc::Min => (*s).min(v),
+                            AggFunc::Max => (*s).max(v),
+                        };
                     }
                 }
                 want
@@ -2209,11 +2086,13 @@ mod tests {
                         3 => DenseAggTable::new(n, 0, 4999),
                         _ => DenseAggTable::new(n, lo, hi),
                     };
-                    let label = format!("seed {seed} sink {which} key {key} {list:?}");
+                    let label = format!("seed {seed} lanes {which} key {key} {list:?}");
                     let hash = AggTable::with_capacity(n, 8);
-                    let how = (which, proven);
-                    assert_eq!(&run(&bound, &list, fk, how, hash), want, "hash {label}");
-                    assert_eq!(&run(&bound, &list, fk, how, dense), want, "dense {label}");
+                    let sink = (&sink, proven);
+                    let got = upsert_groups(&bound, sink, fk, which, hash);
+                    assert_eq!(&got, want, "hash {label}");
+                    let got = upsert_groups(&bound, sink, fk, which, dense);
+                    assert_eq!(&got, want, "dense {label}");
                 }
             }
         }
@@ -2354,7 +2233,7 @@ mod tests {
         assert_eq!((prog.n_masks, prog.n_vals), (3, 0));
         assert_eq!(
             group_sink(&prog, &aggs),
-            GroupSink::Kernel(FusedSum {
+            GroupSink::Fused(FusedSum {
                 op: FusedOp::Mul,
                 a: Src::Col(2),
                 b: Src::Col(3),
@@ -2440,14 +2319,13 @@ mod tests {
             "merged access reads the operands as they are"
         );
 
-        // Grouped: one sum — fusable or not — takes the single-sum upsert
-        // kernel, any other sum / count list its compiled `_n` form, and
-        // only min / max the register loop.
+        // Grouped: one sum — fusable or not — is the fused input, any other
+        // list its registers: sums and counts in passes, min / max folding.
         let grouped = |aggs: &[AggSpec]| {
             let prog = TileProgram::lower_agg(&t, Some(&filter), Some("u"), aggs, true).unwrap();
             (group_sink(&prog, aggs), prog.n_vals)
         };
-        assert!(matches!(grouped(one).0, GroupSink::Kernel(_)));
+        assert!(matches!(grouped(one).0, GroupSink::Fused(_)));
         let generic = [AggSpec::sum(
             Expr::Add(bx(Expr::col("c32")), bx(Expr::col("nz"))),
             "s",
@@ -2455,7 +2333,7 @@ mod tests {
         assert!(
             matches!(
                 grouped(&generic).0,
-                GroupSink::Kernel(FusedSum {
+                GroupSink::Fused(FusedSum {
                     op: FusedOp::Mul,
                     a: Src::Reg(_),
                     b: Src::Reg(_)
@@ -2464,16 +2342,11 @@ mod tests {
             "a non-fusable sum is its register times one"
         );
         // c32, nz and their product each have a register.
-        let list = |inputs: &[GroupIn]| GroupSink::List(inputs.to_vec());
-        assert_eq!(
-            grouped(&counted),
-            (list(&[GroupIn::Sum(2), GroupIn::Count]), 3)
-        );
+        let list = |slots: &[Slot]| GroupSink::List(slots.to_vec());
+        let (sum, count) = (|r| (MergeOp::Add, Some(r)), (MergeOp::Add, None));
+        assert_eq!(grouped(&counted), (list(&[sum(2), count]), 3));
         // A count's input is the shared tile of ones: no register.
-        assert_eq!(
-            grouped(&[AggSpec::count("n")]),
-            (list(&[GroupIn::Count]), 0)
-        );
+        assert_eq!(grouped(&[AggSpec::count("n")]), (list(&[count]), 0));
         // Five aggregates are a pass of four and a pass of one.
         let bare = |c: &str| AggSpec::sum(Expr::col(c), c);
         let five = [
@@ -2486,18 +2359,16 @@ mod tests {
         let (sink, n_vals) = grouped(&five);
         assert!(matches!(&sink, GroupSink::List(l) if l.len() == 5 && l[3] == l[0]));
         assert_eq!(n_vals, 3, "the repeated column is loaded once");
-        assert_eq!(sink.name("groupby_gather"), "groupby_gather_n<4+1>");
+        assert_eq!(sink.name("groupby_gather"), "groupby_gather<4+1>");
         assert_eq!(
             grouped(&counted).0.name("eager_aggregate"),
-            "eager_aggregate_n<2>"
+            "eager_aggregate<2>"
         );
+        assert_eq!(grouped(one).0.name("groupby_gather"), "groupby_gather<1>");
         let with_min = [AggSpec::min(Expr::col("c32"), "lo"), AggSpec::count("n")];
         let (sink, _) = grouped(&with_min);
-        assert_eq!(
-            sink,
-            GroupSink::Registers(vec![GroupIn::Min(0), GroupIn::Count])
-        );
-        assert_eq!(sink.name("groupby_gather"), "register loop");
+        assert_eq!(sink, list(&[(MergeOp::Min, Some(0)), count]));
+        assert_eq!(sink.name("groupby_gather"), "groupby_gather<fold 2>");
     }
 
     #[test]

@@ -11,6 +11,12 @@
 # its own row (`bench/perf`): `bench` shows only lines a PR may change.
 # After the table, every file over 1000 such lines is listed with its count,
 # so "no file over N lines" is read off the same artefact as the crate totals.
+#
+#   scripts/loc.sh         the working tree's table
+#   scripts/loc.sh <rev>   each crate at <rev> → the working tree, and the
+#                          delta (<rev> is read through `git archive` into a
+#                          temporary directory; the working tree is read as
+#                          it is, uncommitted changes included)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,17 +38,39 @@ count() {
     done < <(find "$1" -name '*.rs' -not -path '*/target/*' -not -path "${2:-}/*" -print0)
 }
 
-total=0
-row() {
-    count "$2" "${3:-}"
-    printf '%-16s %6d\n' "$1" "$n"
-    total=$((total + n))
-}
+# Prints `<row> <lines>` for every crate of the tree rooted at $1, then
+# `bench/perf` and `total`.
+rows() (
+    cd "$1"
+    total=0
+    for crate in crates/*/; do
+        [ -d "${crate}src" ] || continue
+        count "${crate}src" "$perf"
+        echo "$(basename "$crate") $n"
+        total=$((total + n))
+    done
+    count "$perf/src"
+    echo "bench/perf $n"
+    echo "total $((total + n))"
+)
+
+if [ $# -eq 0 ]; then
+    rows . | while read -r name lines; do
+        printf '%-16s %6d\n' "$name" "$lines"
+    done
+else
+    base=$(mktemp -d)
+    trap 'rm -rf "$base"' EXIT
+    git archive "$1" | tar -x -C "$base"
+    printf '%-16s %6s → %6s %7s\n' crate "$1" tree delta
+    # Rows in the working tree's order; a crate <rev> lacks counts 0 there.
+    awk 'NR == FNR { old[$1] = $2; next }
+         { printf "%-16s %6d → %6d %+7d\n", $1, old[$1], $2, $2 - old[$1] }' \
+        <(rows "$base") <(rows .)
+fi
+# The subshells above kept their own `big`: list the working tree's here.
 for crate in crates/*/; do
-    [ -d "${crate}src" ] || continue
-    row "$(basename "$crate")" "${crate}src" "$perf"
+    if [ -d "${crate}src" ]; then count "${crate}src"; fi
 done
-row bench/perf "$perf/src"
-printf '%-16s %6d\n' total "$total"
 printf '\nfiles over 1000 non-test lines:\n'
 printf '%s\n' "${big[@]:-(none)}" | sort

@@ -370,7 +370,7 @@ fn pinned_strategy_shows_up_in_explain() {
     let report = engine.explain(&groupby_plan()).expect("plans");
     assert_eq!(
         report.strategy,
-        "value-masking, sink: groupby_value_masked_n<2>"
+        "value-masking, sink: groupby_value_masked<2>"
     );
     assert_eq!(report.threads, 2);
     assert!(
