@@ -18,7 +18,7 @@ use swole_bench::{median_ms, r_rows, s_large, s_small, tpch_sf};
 use swole_cost::{AggStrategy, BitmapBuild, CostParams};
 use swole_ht::{AggTable, GroupTable, MergeOp};
 use swole_kernels::agg::{self, Div, Mul};
-use swole_kernels::groupby::{self, Folds, Lanes};
+use swole_kernels::groupby::{self, Folds, Fused, Lanes};
 use swole_kernels::{predicate, selvec, tiles, TILE};
 use swole_micro::{generate, q1, q2, q3, q4, q5, MicroParams, RTable};
 use swole_plan::{AggSpec, CmpOp, Database, Engine, Expr, QueryBuilder, StrategyOverrides};
@@ -462,13 +462,16 @@ fn density_sweep(runs: usize) {
 
 /// Lane width of the served value-masking loops, on one thread, over
 /// `scan_micro`'s data (a, b ∈ [1, 50], σ = 25 %) at 16 Ki rows (cache
-/// resident) and at 4 Mi rows: `sum(a * b)` by value masking
-/// (`masked:*`) and by access merging (`merged:*`) in `i64` lanes and in
-/// the certificate-licensed `i32` ones, the masked probe
-/// (`join::semijoin_sum_bitmap_masked`, `i64`) and a plain read of the same
-/// `a`, `b` and mask bytes (`stream`, the DRAM floor). Every loop runs tile
-/// by tile, as the engine calls it, and the sums are asserted equal. `x` is
-/// the row count; each value is ms per 4 Mi rows.
+/// resident) and at 4 Mi rows: `sum(a * b)` as `agg::fold`'s masked
+/// instance in `i64` lanes and in the certificate-licensed `i32` ones
+/// (`masked:*`, which serve access merging too), the yardstick's two-loop
+/// access merging (`merged:i64`, `mask_values` + `sum_product_tmp`), the
+/// masked probe — the fold with a bitmap membership — without and with
+/// its count (`probe:i64`, `probe:count`, the pass TPC-H Q3 / Q4 run) and
+/// a plain read of the same `a`, `b` and mask bytes (`stream`, the DRAM
+/// floor). Every loop runs tile by tile, as the engine calls it, and the
+/// sums are asserted equal. `x` is the row count; each value is ms per
+/// 4 Mi rows.
 fn lane_width_sweep(runs: usize) {
     use rand::{Rng, SeedableRng};
     use swole_bitmap::PositionalBitmap;
@@ -490,24 +493,31 @@ fn lane_width_sweep(runs: usize) {
         let mut tmp = vec![0i64; TILE];
         let tmp = std::cell::RefCell::new(&mut tmp[..]);
         type Loop<'l> = &'l dyn Fn(usize, usize) -> i64;
+        let fused = |s: usize, l: usize| {
+            Fused::<_, _, Mul>(&a[s..s + l], &b[s..s + l], std::marker::PhantomData)
+        };
         let loops: [(&str, Loop<'_>); 6] = [
             ("masked:i64", &|s, l| {
                 agg::sum_op_masked::<_, _, Mul>(&a[s..s + l], &b[s..s + l], &cmp[s..s + l])
             }),
             ("masked:i32", &|s, l| {
-                agg::sum_op_masked_i32::<_, _, Mul>(&a[s..s + l], &b[s..s + l], &cmp[s..s + l])
+                let lanes = Lanes::Masked(&cmp[s..s + l]);
+                agg::fold::<_, _, agg::I32Tile, false>(lanes, (), &fused(s, l)).value
             }),
             ("merged:i64", &|s, l| {
                 let tmp = &mut tmp.borrow_mut()[..l];
                 agg::mask_values(&a[s..s + l], &cmp[s..s + l], tmp);
                 agg::sum_product_tmp(&b[s..s + l], tmp)
             }),
-            ("merged:i32", &|s, l| {
-                agg::sum_merged_i32(&a[s..s + l], &b[s..s + l], &cmp[s..s + l])
-            }),
             ("probe:i64", &|s, l| {
                 let (a, b, c) = (&a[s..s + l], &b[s..s + l], &cmp[s..s + l]);
                 join::semijoin_sum_bitmap_masked::<_, _, Mul>(&fk[s..s + l], a, b, c, &bitmap)
+            }),
+            ("probe:count", &|s, l| {
+                let (lanes, member) = (Lanes::Masked(&cmp[s..s + l]), (&fk[s..s + l], &bitmap));
+                let f = agg::fold::<_, _, agg::Wrapping, true>(lanes, member, &fused(s, l));
+                std::hint::black_box(f.count);
+                f.value
             }),
             ("stream", &|s, l| {
                 let lanes = a[s..s + l].iter().zip(&b[s..s + l]).zip(&cmp[s..s + l]);

@@ -9,6 +9,15 @@
 //!   multiply by the 0/1 predicate result;
 //! * **access merging** (§ III-C) — fuse the predicate result into the value
 //!   of the shared attribute so it is read once.
+//!
+//! Past the baseline, these and the positional-bitmap probe (§ III-D) are
+//! one loop, [`fold`], the scalar counterpart of [`crate::groupby::upsert`]:
+//! generic over its lanes (a mask or a selection vector), its membership
+//! ([`Member`]: none, or an edge's bitmap), its inputs ([`Fold`]), whether
+//! it counts the lanes it keeps, and its overflow [`Mode`]. The named
+//! kernels (`sum_op_masked`, `sum_op_gather`, the `join` bitmap probes) are
+//! its wrapping instances; the two-loop access merging below
+//! ([`mask_values`] + [`sum_product_tmp`]) stays as the yardstick's form.
 
 // Tile-loop kernels: index arithmetic is bounded by slice lengths
 // (debug_assert'd) and accumulators follow the paper's convention of
@@ -16,7 +25,11 @@
 // engine, not per lane; dev/test profiles carry overflow checks).
 #![allow(clippy::arithmetic_side_effects)]
 
+use std::marker::PhantomData;
+
+use crate::groupby::{Fused, Lanes};
 use crate::{AsI64, TILE};
+use swole_bitmap::PositionalBitmap;
 
 /// A binary arithmetic operator applied inside an aggregate expression
 /// (the `[OP]` substitution parameter of microbenchmark Q1).
@@ -103,78 +116,247 @@ pub fn sum_op_datacentric<A: AsI64, B: AsI64, O: BinOp>(
 
 /// Hybrid aggregation: gather the aggregation inputs through a selection
 /// vector of global row ids (the third inner loop of Fig. 1's hybrid
-/// fragment) — a conditional-read access pattern.
+/// fragment) — a conditional-read access pattern. [`fold`]'s wrapping
+/// `Selected` instance.
 #[inline]
 pub fn sum_op_gather<A: AsI64, B: AsI64, O: BinOp>(a: &[A], b: &[B], idx: &[u32]) -> i64 {
-    assert_eq!(a.len(), b.len());
-    let mut sum = 0i64;
-    for &j in idx {
-        let j = j as usize;
-        sum = sum.wrapping_add(O::apply(a[j].widen(), b[j].widen()));
-    }
-    sum
-}
-
-/// Hybrid gather with overflow detection: identical accumulation to
-/// [`sum_op_gather`], but reports whether any gathered tuple's operator
-/// application, or the running sum, wrapped around `i64`.
-#[inline]
-pub fn sum_op_gather_checked<A: AsI64, B: AsI64, O: BinOp>(
-    a: &[A],
-    b: &[B],
-    idx: &[u32],
-) -> (i64, bool) {
-    assert_eq!(a.len(), b.len());
-    let mut sum = 0i64;
-    let mut overflow = false;
-    for &j in idx {
-        let j = j as usize;
-        let (v, op_wrapped) = O::apply_checked(a[j].widen(), b[j].widen());
-        let (s, sum_wrapped) = sum.overflowing_add(v);
-        sum = s;
-        overflow |= op_wrapped | sum_wrapped;
-    }
-    (sum, overflow)
+    let inputs = Fused::<_, _, O>(a, b, PhantomData);
+    fold::<_, _, Wrapping, false>(Lanes::Selected(idx), (), &inputs).value
 }
 
 /// **Value masking** (Fig. 3): unconditionally read the aggregation inputs
 /// sequentially and multiply the result by the 0/1 predicate outcome —
-/// `sum += (a[i+j] OP b[i+j]) * cmp[j]`.
+/// `sum += (a[i+j] OP b[i+j]) * cmp[j]`. [`fold`]'s wrapping `Masked`
+/// instance.
 #[inline]
 pub fn sum_op_masked<A: AsI64, B: AsI64, O: BinOp>(a: &[A], b: &[B], cmp: &[u8]) -> i64 {
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), cmp.len());
-    let mut sum = 0i64;
-    for j in 0..a.len() {
-        // The 0/1 mask product cannot overflow; the op and the running sum
-        // wrap explicitly.
-        sum = sum.wrapping_add(O::apply(a[j].widen(), b[j].widen()) * cmp[j] as i64);
-    }
-    sum
+    let inputs = Fused::<_, _, O>(a, b, PhantomData);
+    fold::<_, _, Wrapping, false>(Lanes::Masked(cmp), (), &inputs).value
 }
 
-/// Value masking with overflow detection: identical accumulation to
-/// [`sum_op_masked`], but reports whether any *qualifying* tuple's operator
-/// application, or the running sum, wrapped around `i64`. Wraparound in
-/// masked-out (wasted-work) tuples is ignored — it cannot affect the
-/// result.
-#[inline]
-pub fn sum_op_masked_checked<A: AsI64, B: AsI64, O: BinOp>(
-    a: &[A],
-    b: &[B],
-    cmp: &[u8],
-) -> (i64, bool) {
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), cmp.len());
-    let mut sum = 0i64;
-    let mut overflow = false;
-    for j in 0..a.len() {
-        let (v, op_wrapped) = O::apply_checked(a[j].widen(), b[j].widen());
-        let (s, sum_wrapped) = sum.overflowing_add(v * cmp[j] as i64);
-        sum = s;
-        overflow |= (op_wrapped & (cmp[j] != 0)) | sum_wrapped;
+/// The running state of a [`fold`]: the `i64` sum (or `min` / `max`), the
+/// `i32` partial of the [`I32Tile`] mode and the checked mode's flag.
+#[derive(Debug, Clone, Copy)]
+pub struct Acc {
+    sum: i64,
+    part: i32,
+    overflow: bool,
+}
+
+/// The overflow mode of a [`fold`]: how a kept lane's `a OP b` joins the
+/// sum. `keep` is 1 for a kept lane and 0 for one the mask or the
+/// membership dropped, whose value is wasted work (§ III-A).
+pub trait Mode {
+    /// The most lanes one call may fold.
+    const LANES: usize = usize::MAX;
+    /// Add `(a OP b) · keep` to `acc`.
+    fn add<O: BinOp>(acc: &mut Acc, a: impl AsI64, b: impl AsI64, keep: u8);
+}
+
+/// Report a wrap of a kept lane's `a OP b` or of the running sum; a wrap on
+/// a dropped lane cannot affect the result and is ignored. For accumulators
+/// no certificate proved: the engine retries data-centric on a report.
+#[derive(Debug)]
+pub struct Checked;
+
+impl Mode for Checked {
+    #[inline(always)]
+    fn add<O: BinOp>(acc: &mut Acc, a: impl AsI64, b: impl AsI64, keep: u8) {
+        let (v, op_wrapped) = O::apply_checked(a.widen(), b.widen());
+        // The 0/1 product cannot overflow.
+        let (sum, sum_wrapped) = acc.sum.overflowing_add(v * keep as i64);
+        acc.sum = sum;
+        acc.overflow |= (op_wrapped & (keep != 0)) | sum_wrapped;
     }
-    (sum, overflow)
+}
+
+/// Wrap silently in `i64`: the yardstick's convention, and the engine's for
+/// an accumulator its certificate proved.
+#[derive(Debug)]
+pub struct Wrapping;
+
+impl Mode for Wrapping {
+    #[inline(always)]
+    fn add<O: BinOp>(acc: &mut Acc, a: impl AsI64, b: impl AsI64, keep: u8) {
+        acc.sum = acc
+            .sum
+            .wrapping_add(O::apply(a.widen(), b.widen()) * keep as i64);
+    }
+}
+
+/// `part += (a OP b) & −keep` in `i32` lanes, widened once per call, which
+/// holds at most one [`TILE`]: for inputs whose every operand, `a OP b` and
+/// tile sum the caller has proven to fit an `i32` (the bounds certificate's
+/// `i32` tile verdict). Without packed 64-bit multiplies the `i64` form is
+/// compute-bound; this one streams.
+#[derive(Debug)]
+pub struct I32Tile;
+
+impl Mode for I32Tile {
+    const LANES: usize = TILE;
+    #[inline(always)]
+    fn add<O: BinOp>(acc: &mut Acc, a: impl AsI64, b: impl AsI64, keep: u8) {
+        let v = O::apply_i32(a.widen() as i32, b.widen() as i32);
+        acc.part = acc.part.wrapping_add(v & -i32::from(keep));
+    }
+}
+
+/// What a [`fold`] folds per kept lane.
+pub trait Fold {
+    /// The value of a fold that keeps no lane.
+    fn identity(&self) -> i64 {
+        0
+    }
+    /// The lanes every input holds, if it has any.
+    fn lanes(&self) -> Option<usize> {
+        None
+    }
+    /// Assert that every input holds `n` lanes.
+    fn check(&self, _n: usize) {}
+    /// Fold lane `j` into `acc` (`keep`: 1 or 0) under the mode `M`.
+    fn lane<M: Mode>(&self, _acc: &mut Acc, _j: usize, _keep: u8) {}
+}
+
+/// No input: a pass that only counts the lanes it keeps.
+impl Fold for () {}
+
+/// One `sum(a OP b)` over two slices at native width.
+impl<A: AsI64, B: AsI64, O: BinOp> Fold for Fused<'_, A, B, O> {
+    #[inline(always)]
+    fn lanes(&self) -> Option<usize> {
+        Some(self.0.len())
+    }
+    #[inline(always)]
+    fn check(&self, n: usize) {
+        assert_eq!((self.0.len(), self.1.len()), (n, n));
+    }
+    #[inline(always)]
+    fn lane<M: Mode>(&self, acc: &mut Acc, j: usize, keep: u8) {
+        M::add::<O>(acc, self.0[j], self.1[j], keep);
+    }
+}
+
+/// `min` (`MAX` false) or `max` over a value register; no mode applies.
+#[derive(Debug)]
+pub struct Extreme<'a, const MAX: bool>(pub &'a [i64]);
+
+impl<const MAX: bool> Fold for Extreme<'_, MAX> {
+    fn identity(&self) -> i64 {
+        [i64::MAX, i64::MIN][MAX as usize]
+    }
+    #[inline(always)]
+    fn lanes(&self) -> Option<usize> {
+        Some(self.0.len())
+    }
+    #[inline(always)]
+    fn check(&self, n: usize) {
+        assert_eq!(self.0.len(), n);
+    }
+    #[inline(always)]
+    fn lane<M: Mode>(&self, acc: &mut Acc, j: usize, keep: u8) {
+        let v = self.0[j];
+        if keep != 0 {
+            acc.sum = if MAX { acc.sum.max(v) } else { acc.sum.min(v) };
+        }
+    }
+}
+
+/// Which lanes of a [`fold`] belong to the result besides those its
+/// [`Lanes`] keep: all of them (`()`), or those whose bit is set in one
+/// edge's positional bitmap at the lane's FK position (§ III-D).
+pub trait Member {
+    /// Assert that the membership holds `n` lanes.
+    fn check(&self, _n: usize) {}
+    /// Lane `j`'s keep, given the keep `c` its lanes gave it.
+    fn keep(&self, j: usize, c: u8) -> u8;
+}
+
+impl Member for () {
+    #[inline(always)]
+    fn keep(&self, _j: usize, c: u8) -> u8 {
+        // The mask byte itself, not ANDed with a constant 1: the masked
+        // instances stay the value-masking loop of Fig. 3.
+        c
+    }
+}
+
+impl Member for (&[u32], &PositionalBitmap) {
+    #[inline(always)]
+    fn check(&self, n: usize) {
+        assert_eq!(self.0.len(), n);
+    }
+    #[inline(always)]
+    fn keep(&self, j: usize, c: u8) -> u8 {
+        c & self.1.get_bit(self.0[j] as usize) as u8
+    }
+}
+
+/// What a [`fold`] returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Folded {
+    /// The sum, `min` or `max` over the kept lanes (the identity if none).
+    pub value: i64,
+    /// The lanes kept, if the fold counted them (`COUNT`), else 0.
+    pub count: usize,
+    /// A checked fold's report of a wrap.
+    pub overflow: bool,
+}
+
+/// **The scalar aggregation loop** — value masking (`Lanes::Masked`), the
+/// hybrid gather (`Lanes::Selected`), the positional-bitmap probe (with a
+/// [`Member`]) and access merging (the masked [`Fused`] instance over the
+/// predicate's column) are its instances: each lane the `lanes` and the
+/// `member` keep folds its `inputs` under the overflow mode `M`, and
+/// `COUNT` counts the kept lanes in the same pass. A mask's lanes are the
+/// inputs' lanes; `idx` indexes them (tile-local offsets, or global row ids
+/// into whole columns).
+#[inline]
+pub fn fold<I: Fold, R: Member, M: Mode, const COUNT: bool>(
+    lanes: Lanes<'_>,
+    member: R,
+    inputs: &I,
+) -> Folded {
+    let mut acc = Acc {
+        sum: inputs.identity(),
+        part: 0,
+        overflow: false,
+    };
+    let mut count = 0u64;
+    let mut lane = |j: usize, c: u8| {
+        let keep = member.keep(j, c);
+        if COUNT {
+            count += keep as u64;
+        }
+        inputs.lane::<M>(&mut acc, j, keep);
+    };
+    match lanes {
+        Lanes::Masked(cmp) => {
+            let n = cmp.len();
+            assert!(n <= M::LANES);
+            inputs.check(n);
+            member.check(n);
+            for (j, &c) in cmp.iter().enumerate() {
+                lane(j, c);
+            }
+        }
+        Lanes::Selected(idx) => {
+            assert!(idx.len() <= M::LANES);
+            // Equal lengths let one bounds check per lane cover every slice.
+            if let Some(n) = inputs.lanes() {
+                inputs.check(n);
+                member.check(n);
+            }
+            for &j in idx {
+                lane(j as usize, 1);
+            }
+        }
+        Lanes::Every => unreachable!("a scalar fold keeps lanes by a mask or a selection"),
+    }
+    Folded {
+        value: acc.sum.wrapping_add(i64::from(acc.part)),
+        count: count as usize,
+        overflow: acc.overflow,
+    }
 }
 
 /// **Access merging**, first loop (Fig. 5 bottom): fuse the predicate result
@@ -211,43 +393,6 @@ pub fn sum_square_tmp(tmp: &[i64]) -> i64 {
         sum = sum.wrapping_add(t.wrapping_mul(t));
     }
     sum
-}
-
-/// `Σ f(a[j], b[j], −cmp[j])` over lanes narrowed to `i32` (exact, by the
-/// caller's proof), one `i32` partial per [`TILE`] lanes widened once.
-#[inline(always)]
-fn sum_i32_tiles<A: AsI64, B: AsI64>(
-    a: &[A],
-    b: &[B],
-    cmp: &[u8],
-    f: impl Fn(i32, i32, i32) -> i32,
-) -> i64 {
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), cmp.len());
-    let tiles = a.chunks(TILE).zip(b.chunks(TILE)).zip(cmp.chunks(TILE));
-    tiles.fold(0i64, |sum, ((a, b), cmp)| {
-        let lanes = a.iter().zip(b).zip(cmp);
-        let part = lanes.fold(0i32, |p, ((&x, &y), &c)| {
-            p.wrapping_add(f(x.widen() as i32, y.widen() as i32, -i32::from(c)))
-        });
-        sum.wrapping_add(i64::from(part))
-    })
-}
-
-/// **Value masking in `i32` lanes**, `part += (a OP b) & −cmp`: for inputs
-/// whose every operand, `a OP b` and tile sum the caller has proven to fit
-/// an `i32` (the bounds certificate's `i32` tile verdict). Without packed
-/// 64-bit multiplies the `i64` form is compute-bound; this one streams.
-#[inline]
-pub fn sum_op_masked_i32<A: AsI64, B: AsI64, O: BinOp>(a: &[A], b: &[B], cmp: &[u8]) -> i64 {
-    sum_i32_tiles(a, b, cmp, |a, b, keep| O::apply_i32(a, b) & keep)
-}
-
-/// **Access merging in `i32` lanes**, one loop: `part += (x & −cmp) · y`
-/// (`y = x` for `sum(x * x)`), under [`sum_op_masked_i32`]'s proof.
-#[inline]
-pub fn sum_merged_i32<X: AsI64, Y: AsI64>(x: &[X], y: &[Y], cmp: &[u8]) -> i64 {
-    sum_i32_tiles(x, y, cmp, |x, y, keep| (x & keep).wrapping_mul(y))
 }
 
 #[cfg(test)]
@@ -364,22 +509,36 @@ mod tests {
         assert_eq!(merged_lt(&x, 20), merged);
     }
 
+    /// The checked masked instance.
+    fn masked_checked<A: AsI64, B: AsI64>(a: &[A], b: &[B], cmp: &[u8]) -> (i64, bool) {
+        let inputs = Fused::<_, _, Mul>(a, b, PhantomData);
+        let f = fold::<_, _, Checked, false>(Lanes::Masked(cmp), (), &inputs);
+        (f.value, f.overflow)
+    }
+
+    /// The checked gather instance.
+    fn gather_checked<A: AsI64, B: AsI64>(a: &[A], b: &[B], idx: &[u32]) -> (i64, bool) {
+        let inputs = Fused::<_, _, Mul>(a, b, PhantomData);
+        let f = fold::<_, _, Checked, false>(Lanes::Selected(idx), (), &inputs);
+        (f.value, f.overflow)
+    }
+
     #[test]
     fn masked_checked_agrees_and_detects_overflow() {
         // Agrees with the unchecked kernel when nothing overflows.
         let (x, a, b) = mk_data(1000);
         let mut cmp = vec![0u8; x.len()];
         predicate::cmp_lt(&x, 42, &mut cmp);
-        let (sum, ovf) = sum_op_masked_checked::<_, _, Mul>(&a, &b, &cmp);
+        let (sum, ovf) = masked_checked(&a, &b, &cmp);
         assert!(!ovf);
         assert_eq!(sum, sum_op_masked::<_, _, Mul>(&a, &b, &cmp));
         // Overflow in a qualifying tuple is detected...
         let big = [i64::MAX, 1];
         let two = [2i64, 1];
-        let (_, ovf) = sum_op_masked_checked::<_, _, Mul>(&big, &two, &[1, 1]);
+        let (_, ovf) = masked_checked(&big, &two, &[1, 1]);
         assert!(ovf);
         // ...but wasted-work overflow in a masked-out tuple is not.
-        let (sum, ovf) = sum_op_masked_checked::<_, _, Mul>(&big, &two, &[0, 1]);
+        let (sum, ovf) = masked_checked(&big, &two, &[0, 1]);
         assert!(!ovf);
         assert_eq!(sum, 1);
     }
@@ -391,79 +550,299 @@ mod tests {
         predicate::cmp_lt(&x, 42, &mut cmp);
         let mut idx = vec![0u32; x.len()];
         let k = selvec::fill_nobranch(&cmp, 0, &mut idx);
-        let (sum, ovf) = sum_op_gather_checked::<_, _, Mul>(&a, &b, &idx[..k]);
+        let (sum, ovf) = gather_checked(&a, &b, &idx[..k]);
         assert!(!ovf);
         assert_eq!(sum, sum_op_gather::<_, _, Mul>(&a, &b, &idx[..k]));
         // A wrapping product in a gathered tuple is detected...
         let big = [i64::MAX, 1];
         let two = [2i64, 1];
-        assert!(sum_op_gather_checked::<_, _, Mul>(&big, &two, &[0, 1]).1);
+        assert!(gather_checked(&big, &two, &[0, 1]).1);
         // ...one the selection vector skips is not...
-        assert_eq!(
-            sum_op_gather_checked::<_, _, Mul>(&big, &two, &[1]),
-            (1, false)
-        );
+        assert_eq!(gather_checked(&big, &two, &[1]), (1, false));
         // ...and neither is a wrapping running sum missed.
         let one = [1i64, 1];
-        assert!(sum_op_gather_checked::<_, _, Mul>(&[i64::MAX, 1], &one, &[0, 1]).1);
+        assert!(gather_checked(&[i64::MAX, 1], &one, &[0, 1]).1);
     }
 
-    /// The `i32` lane forms against the data-centric loop at every length of
-    /// a tile and across tiles, with lanes of every width — an `i64`
-    /// register's included — negative operands and never-zero divisors, at
-    /// magnitudes up to the proof's limit: `TILE · 1448² ≤ i32::MAX`.
-    #[test]
-    fn i32_lanes_match_the_datacentric_reference() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        const M: i64 = 1448;
-        assert!(TILE as i64 * M * M <= i64::from(i32::MAX));
-        let mut rng = SmallRng::seed_from_u64(0x132);
-        let n = 2 * TILE + 5;
-        let mut lanes = |lo: i64, hi: i64| -> Vec<i64> {
-            let nonzero = |v: i64| if v == 0 { 1 } else { v };
-            (0..n).map(|_| nonzero(rng.gen_range(lo..=hi))).collect()
-        };
-        let i8s: Vec<i8> = lanes(-128, 127).iter().map(|&v| v as i8).collect();
-        let i16s: Vec<i16> = lanes(-M, M).iter().map(|&v| v as i16).collect();
-        let i32s: Vec<i32> = lanes(-M, M).iter().map(|&v| v as i32).collect();
-        let u32s: Vec<u32> = lanes(1, M).iter().map(|&v| v as u32).collect();
-        let i64s = lanes(-M, M);
-        let cmp: Vec<u8> = lanes(0, 3).iter().map(|&v| (v & 1) as u8).collect();
-        fn check<A: AsI64, B: AsI64>(a: &[A], b: &[B], cmp: &[u8]) {
-            for len in (0..=TILE).chain([a.len()]) {
-                let (a, b, cmp) = (&a[..len], &b[..len], &cmp[..len]);
-                let want = |op| match op {
-                    '*' => sum_op_datacentric::<_, _, Mul>(a, b, |j| cmp[j] != 0),
-                    _ => sum_op_datacentric::<_, _, Div>(a, b, |j| cmp[j] != 0),
-                };
-                assert_eq!(
-                    sum_op_masked_i32::<_, _, Mul>(a, b, cmp),
-                    want('*'),
-                    "{len}"
-                );
-                assert_eq!(
-                    sum_op_masked_i32::<_, _, Div>(a, b, cmp),
-                    want('/'),
-                    "{len}"
-                );
-                assert_eq!(sum_merged_i32(a, b, cmp), want('*'), "merged {len}");
+    /// Converts a column to a narrower operand type (every value fits).
+    fn narrow<T: TryFrom<i64>>(v: &[i64]) -> Vec<T>
+    where
+        T::Error: std::fmt::Debug,
+    {
+        v.iter().map(|&x| T::try_from(x).unwrap()).collect()
+    }
+
+    /// Run `$body` with `$c` bound to `$v` converted to operand type `$k`
+    /// of i8 / i16 / i32 / u32 / i64 (u32 takes absolute values).
+    macro_rules! with_type {
+        ($k:expr, $v:expr, |$c:ident| $body:expr) => {{
+            let v: &[i64] = $v;
+            match $k % 5 {
+                0 => {
+                    let $c: Vec<i8> = narrow(v);
+                    $body
+                }
+                1 => {
+                    let $c: Vec<i16> = narrow(v);
+                    $body
+                }
+                2 => {
+                    let $c: Vec<i32> = narrow(v);
+                    $body
+                }
+                3 => {
+                    let abs: Vec<i64> = v.iter().map(|x| x.abs()).collect();
+                    let $c: Vec<u32> = narrow(&abs);
+                    $body
+                }
+                _ => {
+                    let $c: Vec<i64> = v.to_vec();
+                    $body
+                }
+            }
+        }};
+    }
+
+    /// One tile of random lanes: a filter mask at one of five densities,
+    /// the selection vector it compacts to, an edge's bitmap and FK
+    /// positions, narrow values (negative ones included), never-zero
+    /// divisors, never-zero values up to the `i32` proof's limit
+    /// (`TILE · 1448² ≤ i32::MAX`) and wide values whose products and sums
+    /// wrap.
+    struct Case {
+        cmp: Vec<u8>,
+        idx: Vec<u32>,
+        fk: Vec<u32>,
+        bitmap: PositionalBitmap,
+        vals: Vec<i64>,
+        nonzero: Vec<i64>,
+        limit: Vec<i64>,
+        wide: Vec<i64>,
+    }
+
+    impl Case {
+        fn new(n: usize) -> Case {
+            use rand::rngs::SmallRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = SmallRng::seed_from_u64(0xF01D + n as u64);
+            let densities = [0.0, 0.05, 0.5, 0.95, 1.0];
+            let mut bytes = |len: usize| {
+                let p = densities[rng.gen_range(0..densities.len())];
+                (0..len).map(|_| rng.gen_bool(p) as u8).collect::<Vec<u8>>()
+            };
+            let (cmp, parent) = (bytes(n), bytes(n % 499 + 1));
+            let mut idx = vec![0u32; n];
+            let k = selvec::fill_nobranch(&cmp, 0, &mut idx);
+            idx.truncate(k);
+            let limit = i64::MAX >> rng.gen_range(0..16u32);
+            Case {
+                cmp,
+                idx,
+                fk: (0..n)
+                    .map(|_| rng.gen_range(0..parent.len() as u32))
+                    .collect(),
+                bitmap: PositionalBitmap::from_predicate_bytes(&parent),
+                vals: (0..n).map(|_| rng.gen_range(-100..100)).collect(),
+                nonzero: (0..n)
+                    .map(|_| [-1i64, 1][rng.gen_range(0..2usize)] * rng.gen_range(1..100i64))
+                    .collect(),
+                limit: (0..n)
+                    .map(|_| [-1i64, 1][rng.gen_range(0..2usize)] * rng.gen_range(1..=1448i64))
+                    .collect(),
+                wide: (0..n).map(|_| rng.gen_range(-limit..=limit)).collect(),
             }
         }
-        check(&i8s, &i16s, &cmp);
-        check(&i16s, &i32s, &cmp);
-        check(&i32s, &u32s, &cmp);
-        check(&u32s, &i64s, &cmp);
-        check(&i64s, &i8s, &cmp);
-        check(&i32s, &i32s, &cmp);
-        // A whole tile at the limit, both signs, every lane kept.
+    }
+
+    /// What every instance of one input over one set of kept lanes must
+    /// return: the wrapping sum (or the `min` / `max`), the lanes kept and
+    /// whether a checked sum wraps.
+    #[derive(Debug, Clone, Copy)]
+    struct Want {
+        value: i64,
+        count: usize,
+        overflow: bool,
+    }
+
+    /// `sum(a OP b)` over the lanes `keep` keeps: `sum_op_datacentric`'s
+    /// sum, and whether a checked data-centric fold wraps.
+    fn kept_sum<A: AsI64, B: AsI64, O: BinOp>(
+        a: &[A],
+        b: &[B],
+        keep: &dyn Fn(usize) -> bool,
+    ) -> Want {
+        let (mut sum, mut overflow, mut count) = (0i64, false, 0);
+        for j in (0..a.len()).filter(|&j| keep(j)) {
+            let (v, op_wrapped) = O::apply_checked(a[j].widen(), b[j].widen());
+            let (s, sum_wrapped) = sum.overflowing_add(v);
+            (sum, overflow, count) = (s, overflow | op_wrapped | sum_wrapped, count + 1);
+        }
+        let value = sum_op_datacentric::<_, _, O>(a, b, keep);
+        assert_eq!(value, sum);
+        Want {
+            value,
+            count,
+            overflow,
+        }
+    }
+
+    /// `inputs` through every mode — `i32` lanes only where `narrow` says
+    /// the proof holds — with `COUNT` off and on, against `want`.
+    fn check_modes<I: Fold, R: Member + Copy>(
+        lanes: Lanes<'_>,
+        member: R,
+        inputs: &I,
+        want: Want,
+        narrow: bool,
+        label: &str,
+    ) {
+        let folded = |count, overflow| Folded {
+            value: want.value,
+            count,
+            overflow,
+        };
+        let (n, ovf) = (want.count, want.overflow);
+        let f = fold::<_, _, Wrapping, false>(lanes, member, inputs);
+        assert_eq!(f, folded(0, false), "{label}, i64");
+        let f = fold::<_, _, Wrapping, true>(lanes, member, inputs);
+        assert_eq!(f, folded(n, false), "{label}, i64 counting");
+        let f = fold::<_, _, Checked, false>(lanes, member, inputs);
+        assert_eq!(f, folded(0, ovf), "{label}, checked");
+        let f = fold::<_, _, Checked, true>(lanes, member, inputs);
+        assert_eq!(f, folded(n, ovf), "{label}, checked counting");
+        if narrow {
+            let f = fold::<_, _, I32Tile, false>(lanes, member, inputs);
+            assert_eq!(f, folded(0, false), "{label}, i32");
+            let f = fold::<_, _, I32Tile, true>(lanes, member, inputs);
+            assert_eq!(f, folded(n, false), "{label}, i32 counting");
+        }
+    }
+
+    /// [`check_modes`] behind both lane kinds, with no membership and with
+    /// the case's bitmap; `want` gives the result over the lanes kept.
+    fn check_all<I: Fold>(
+        case: &Case,
+        inputs: &I,
+        want: impl Fn(&dyn Fn(usize) -> bool) -> Want,
+        narrow: bool,
+        label: &str,
+    ) {
+        let bit = |j: usize| case.bitmap.get_bit(case.fk[j] as usize) != 0;
+        for bitmap in [false, true] {
+            let want = want(&|j| case.cmp[j] != 0 && (!bitmap || bit(j)));
+            let lanes = [
+                (Lanes::Masked(&case.cmp), "masked"),
+                (Lanes::Selected(&case.idx), "selected"),
+            ];
+            for (lanes, name) in lanes {
+                let label = format!("n={} {label}, {name}, bitmap {bitmap}", case.cmp.len());
+                match bitmap {
+                    false => check_modes(lanes, (), inputs, want, narrow, &label),
+                    true => {
+                        let member = (&case.fk[..], &case.bitmap);
+                        check_modes(lanes, member, inputs, want, narrow, &label);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The scalar fold against the data-centric reference at every tile
+    /// length 0..=TILE: masked and selected lanes × no membership and a
+    /// bitmap × `sum(a * b)` and `sum(a / b)` over i8 / i16 / i32 / u32 /
+    /// i64 operands (the pair rotates with the length; negative values,
+    /// never-zero divisors) and over wide `i64` values that wrap, a
+    /// count-only pass, `min` and `max` — × checked, wrapping and, where
+    /// its proof holds, `i32` lanes × `COUNT` off and on. The checked
+    /// mode reports a wrap on a kept lane and ignores one the mask or the
+    /// bit dropped.
+    #[test]
+    fn fold_matches_datacentric_at_every_tile_length() {
+        let step = if cfg!(miri) { 127 } else { 1 };
+        for n in (0..=TILE).step_by(step) {
+            let case = Case::new(n);
+            let (ta, tb) = (n % 5, n / 5 % 5);
+            with_type!(ta, &case.vals, |a| with_type!(tb, &case.nonzero, |b| {
+                let (a, b) = (&a[..], &b[..]);
+                let mul = Fused::<_, _, Mul>(a, b, PhantomData);
+                check_all(&case, &mul, |k| kept_sum::<_, _, Mul>(a, b, k), true, "a*b");
+                let div = Fused::<_, _, Div>(a, b, PhantomData);
+                check_all(&case, &div, |k| kept_sum::<_, _, Div>(a, b, k), true, "a/b");
+            }));
+            // Up to the `i32` proof's limit, an `i16` by an `i32` or `i64`.
+            let (x, y) = (narrow::<i16>(&case.limit), &case.limit[..]);
+            let y32 = narrow::<i32>(y);
+            let mul = Fused::<_, _, Mul>(&x[..], &y32[..], PhantomData);
+            check_all(
+                &case,
+                &mul,
+                |k| kept_sum::<_, _, Mul>(&x, &y32, k),
+                true,
+                "limit*y",
+            );
+            let div = Fused::<_, _, Div>(y, &x[..], PhantomData);
+            check_all(
+                &case,
+                &div,
+                |k| kept_sum::<_, _, Div>(y, &x, k),
+                true,
+                "limit/y",
+            );
+            let (w, b) = (&case.wide[..], &case.nonzero[..]);
+            let mul = Fused::<_, _, Mul>(w, b, PhantomData);
+            check_all(
+                &case,
+                &mul,
+                |k| kept_sum::<_, _, Mul>(w, b, k),
+                false,
+                "wide*b",
+            );
+            let div = Fused::<_, _, Div>(w, b, PhantomData);
+            check_all(
+                &case,
+                &div,
+                |k| kept_sum::<_, _, Div>(w, b, k),
+                false,
+                "wide/b",
+            );
+            let kept = |k: &dyn Fn(usize) -> bool| (0..n).filter(|&j| k(j)).collect::<Vec<_>>();
+            let count = |k: &dyn Fn(usize) -> bool| Want {
+                value: 0,
+                count: kept(k).len(),
+                overflow: false,
+            };
+            check_all(&case, &(), count, true, "count");
+            let min = |k: &dyn Fn(usize) -> bool| Want {
+                value: kept(k)
+                    .iter()
+                    .map(|&j| case.vals[j])
+                    .min()
+                    .unwrap_or(i64::MAX),
+                ..count(k)
+            };
+            check_all(&case, &Extreme::<false>(&case.vals), min, true, "min");
+            let max = |k: &dyn Fn(usize) -> bool| Want {
+                value: kept(k)
+                    .iter()
+                    .map(|&j| case.vals[j])
+                    .max()
+                    .unwrap_or(i64::MIN),
+                ..count(k)
+            };
+            check_all(&case, &Extreme::<true>(&case.vals), max, true, "max");
+        }
+        // A whole tile at the `i32` proof's limit, `TILE · 1448² ≤
+        // i32::MAX`, both signs, every lane kept.
+        const M: i64 = 1448;
+        assert!(TILE as i64 * M * M <= i64::from(i32::MAX));
         let ones = [1u8; TILE];
         for (x, y) in [(M, M), (-M, M)] {
             let (x, y) = ([x; TILE], [y; TILE]);
             let want = sum_op_datacentric::<_, _, Mul>(&x, &y, |_| true);
             assert_eq!(want.abs(), TILE as i64 * M * M);
-            assert_eq!(sum_op_masked_i32::<_, _, Mul>(&x, &y, &ones), want);
-            assert_eq!(sum_merged_i32(&x, &y, &ones), want);
+            let inputs = Fused::<_, _, Mul>(&x, &y, PhantomData);
+            let f = fold::<_, _, I32Tile, false>(Lanes::Masked(&ones), (), &inputs);
+            assert_eq!(f.value, want);
         }
     }
 

@@ -6,9 +6,9 @@
 //! ```text
 //!  front end                      per edge                    sink
 //!  Select     filter → idx        narrow idx to the hits      selected(k)
-//!  Mask       filter mask         AND the bitmap bit in       masked()
-//!  EveryLane  —                   the sink's: in its pass,    every_lane()
-//!                                 or after the merge
+//!  Mask       filter mask         the sink's membership,      masked()
+//!                                 in its pass
+//!  EveryLane  —                   the sink's, after the merge every_lane()
 //! ```
 //!
 //! A plain scan is the zero-edge case of every row. The loop is compiled
@@ -25,7 +25,7 @@ use crate::error::PlanError;
 use crate::metrics::OpMetrics;
 use crate::physical::{AggShape, FrontEnd, GroupTableRepr, JoinEdge};
 use crate::result::QueryResult;
-use crate::tile::{BoundProgram, Regs};
+use crate::tile::{scalar_sinks, BoundProgram, Regs, ScalarSinks};
 use swole_ht::{AggTable, DenseAggTable};
 use swole_kernels::{predicate, tiles_in, AccessCounters};
 use swole_runtime::ExecCtx;
@@ -94,10 +94,12 @@ pub(crate) fn exec_agg(
     let front = shape.mode.front_end(shape.group.is_some());
     let counting = opts.level.counting();
     let Some(sink) = shape.group_sink.clone() else {
-        let (sinks, fused_probe) = shape.scalar_sinks(opts.overflow, counting);
-        // The fused pass does its own restricting.
-        let front = fused_probe.map_or(front, |_| FrontEnd::EveryLane);
-        return drive(stage, front, ScalarSink { sinks, fused_probe }, opts, ctx);
+        let sinks = ScalarSinks {
+            sinks: scalar_sinks(&shape.program, &shape.aggs),
+            proof: opts.overflow,
+            counted: counting,
+        };
+        return drive(stage, front, ScalarSink { sinks }, opts, ctx);
     };
     let (n_aggs, mode) = (shape.aggs.len(), shape.mode);
     let proven = opts.overflow >= OverflowProof::I64;
@@ -234,42 +236,17 @@ fn run<const FRONT: u8, S: Sink>(
                     sink.selected(t, &mut w.acc, &w.regs, k);
                     (filtered, k, probes)
                 } else if FRONT == MASK {
-                    // Qualifying lanes so far (tracked only when counting).
-                    let mut k = if counting && !sides.is_empty() {
-                        predicate::mask_count(bound.filter(&w.regs, len)) as u64
-                    } else {
-                        0
-                    };
-                    for (ei, (side, fk)) in sides.iter().enumerate() {
-                        let BuildSide::Bitmap(bm) = side else {
-                            unreachable!("a masked probe is planned over bitmap edges only")
-                        };
-                        let cmp = bound.filter_mut(&mut w.regs, len);
-                        for (c, &pos) in cmp.iter_mut().zip(&fk.slice()[start..start + len]) {
-                            *c &= bm.get_bit(pos as usize) as u8;
-                        }
-                        if counting {
-                            // The edge's cardinalities are the qualifying
-                            // rows, though every lane probes the bitmap.
-                            w.edge[ei].0 += k;
-                            k = predicate::mask_count(cmp) as u64;
-                            w.edge[ei].1 += k;
-                        }
-                    }
                     let m = sink.masked(t, &mut w.acc, &mut w.regs);
-                    (len, m, (len * sides.len()) as u64)
-                } else if let Some(q) = sink.every_lane(t, &mut w.acc, &w.regs) {
-                    // The fused masked probe restricted the tile through its
-                    // one edge and counted the survivors in the same pass.
-                    if counting {
-                        // As behind `Mask`: the edge reached the filter's
-                        // rows, though every lane probed the bitmap.
+                    if counting && !sides.is_empty() {
+                        // The edge's cardinalities are the qualifying rows,
+                        // though every lane probes the bitmap.
                         let reached = predicate::mask_count(bound.filter(&w.regs, len));
                         w.edge[0].0 += reached as u64;
-                        w.edge[0].1 += q as u64;
+                        w.edge[0].1 += m as u64;
                     }
-                    (len, q, len as u64)
+                    (len, m, (len * sides.len()) as u64)
                 } else {
+                    sink.every_lane(t, &mut w.acc, &w.regs);
                     let mut q = 0;
                     if counting {
                         // Eager aggregation settles with the edge after the

@@ -12,7 +12,7 @@ use crate::logical::AggSpec;
 use crate::metrics::OpMetrics;
 use crate::physical::{AggMode, FrontEnd};
 use crate::result::QueryResult;
-use crate::tile::{self, FusedProbe, GroupSink, Lane, Regs, ScalarSinks, TileProgram};
+use crate::tile::{self, GroupSink, Lane, Regs, ScalarSinks, TileProgram};
 use swole_cost::AggStrategy;
 use swole_ht::{GroupTable, MergeOp};
 use swole_kernels::groupby::Lanes;
@@ -34,16 +34,18 @@ pub(super) trait Sink: Send + Sync + 'static {
     /// of `regs.idx` select, already narrowed through every edge.
     fn selected(&self, t: Tile<'_>, acc: &mut Self::Acc, regs: &Regs, k: usize);
 
-    /// [`FrontEnd::Mask`]: fold every lane under the tile's filter mask, the
-    /// edges' bits already ANDed in. Returns the qualifying lanes (which the
-    /// grouped sink, whose kernels do not need them, counts only if asked).
+    /// [`FrontEnd::Mask`]: fold every lane under the tile's filter mask —
+    /// and under a masked probe's one edge, which the scalar sink hands its
+    /// kernel as membership. Returns the qualifying lanes (which the sinks
+    /// count only if asked or their kernels need them).
     fn masked(&self, t: Tile<'_>, acc: &mut Self::Acc, regs: &mut Regs) -> usize;
 
     /// [`FrontEnd::EveryLane`]: fold every lane of a tile the edges have not
-    /// restricted; the sink settles with them itself — in the same pass,
-    /// returning the lanes that qualified if it counted them (the fused
-    /// masked probe), or after the merge (eager aggregation, `None`).
-    fn every_lane(&self, t: Tile<'_>, acc: &mut Self::Acc, regs: &Regs) -> Option<usize>;
+    /// restricted; the sink settles with them after the merge (eager
+    /// aggregation, the one sink behind this front end).
+    fn every_lane(&self, _t: Tile<'_>, _acc: &mut Self::Acc, _regs: &Regs) {
+        unreachable!("only eager aggregation folds every lane")
+    }
 
     /// Account one tile: `reached` lanes got past the filter (selection
     /// vector) or were aggregated (the other front ends), `qualifying` of
@@ -83,13 +85,9 @@ fn no_partials() -> PlanError {
 // ---------------------------------------------------------------------------
 
 /// The scalar sink: one accumulator slot per aggregate, fed by the
-/// `swole_kernels::agg` loops selected for the aggregate list.
+/// `swole_kernels::agg::fold` instances selected for the aggregate list.
 pub(super) struct ScalarSink {
     pub sinks: ScalarSinks,
-    /// The list of a masked one-edge probe that runs as one pass
-    /// ([`ScalarSinks::fused_probe`]) — behind [`FrontEnd::EveryLane`];
-    /// `None` on every other stage.
-    pub fused_probe: Option<FusedProbe>,
 }
 
 pub(super) struct ScalarAcc {
@@ -128,57 +126,34 @@ impl Sink for ScalarSink {
     fn selected(&self, t: Tile<'_>, acc: &mut ScalarAcc, regs: &Regs, k: usize) {
         // Survivors are fully narrowed before accumulation, so min/max see
         // only real qualifying rows.
+        let lanes = (Lanes::Selected(&regs.idx[..k]), None);
         let ScalarAcc {
             acc,
-            overflow,
             matched,
+            overflow,
         } = acc;
-        t.bound
-            .accumulate_gather(regs, &self.sinks, t.at, k, acc, overflow);
-        *matched += k;
+        *matched += t
+            .bound
+            .accumulate(regs, &self.sinks, lanes, t.at, acc, overflow);
     }
 
     fn masked(&self, t: Tile<'_>, acc: &mut ScalarAcc, regs: &mut Regs) -> usize {
+        let member = match (t.sides, t.first_fk()) {
+            ([], _) => None,
+            ([(BuildSide::Bitmap(bm), _)], Some(fk)) => Some((fk, bm)),
+            _ => unreachable!("a masked probe is planned over one bitmap edge"),
+        };
+        let lanes = (Lanes::Masked(t.bound.filter(regs, t.at.1)), member);
+        let ScalarAcc {
+            acc,
+            matched,
+            overflow,
+        } = acc;
         let m = t
             .bound
-            .accumulate_masked(regs, &self.sinks, t.at, &mut acc.acc, &mut acc.overflow);
-        acc.matched += m;
+            .accumulate(regs, &self.sinks, lanes, t.at, acc, overflow);
+        *matched += m;
         m
-    }
-
-    /// The fused masked probe: the accumulate pass multiplies the edge's
-    /// bitmap bit in itself instead of having it ANDed into the mask first.
-    fn every_lane(&self, t: Tile<'_>, acc: &mut ScalarAcc, regs: &Regs) -> Option<usize> {
-        let (Some(probe), [(BuildSide::Bitmap(bm), _)], Some(fk)) =
-            (self.fused_probe, t.sides, t.first_fk())
-        else {
-            unreachable!("only a fused probe sends a scalar sink every lane")
-        };
-        let sum = match probe {
-            FusedProbe::Sum(sum) => {
-                let v = t.bound.probe_masked(regs, sum, fk, bm, t.at);
-                acc.acc[0] = acc.acc[0].wrapping_add(v);
-                // Lanes aggregated, not lanes qualifying: all the merge asks
-                // is whether any were, and a sum over none is 0 either way.
-                acc.matched += t.at.1;
-                return None;
-            }
-            FusedProbe::SumCount(sum) => sum,
-        };
-        let checked = self.sinks.proof == swole_verify::OverflowProof::Unproven;
-        let (s, n, wrapped) = t.bound.probe_sum_count(regs, sum, checked, fk, bm, t.at);
-        for (slot, sink) in acc.acc.iter_mut().zip(&self.sinks.sinks) {
-            let v = match sink {
-                tile::Sink::Count => n as i64,
-                _ => s,
-            };
-            let (v, slot_wrapped) = slot.overflowing_add(v);
-            *slot = v;
-            acc.overflow |= checked & slot_wrapped;
-        }
-        acc.overflow |= wrapped;
-        acc.matched += n;
-        Some(n)
     }
 
     fn count(&self, ctr: &mut AccessCounters, reached: usize, qualifying: usize, probes: u64) {
@@ -324,12 +299,11 @@ where
         m
     }
 
-    fn every_lane(&self, t: Tile<'_>, acc: &mut GroupAcc<T>, regs: &Regs) -> Option<usize> {
+    fn every_lane(&self, t: Tile<'_>, acc: &mut GroupAcc<T>, regs: &Regs) {
         let keys = Lane::U32(t.first_fk().expect("eager aggregation keys by its FK"));
         let sink = (&self.sink, self.proven);
         t.bound
             .upsert(regs, sink, keys, Lanes::Every, t.at, &mut acc.ht);
-        None
     }
 
     fn count(&self, ctr: &mut AccessCounters, reached: usize, qualifying: usize, _probes: u64) {

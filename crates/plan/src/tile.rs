@@ -8,11 +8,11 @@
 //! `swole_kernels::predicate`; common sub-expressions and column loads are
 //! shared across aggregates (the served-path form of access merging,
 //! § III-C); top-level `col OP col` sums are left unevaluated so the scalar
-//! sinks can hand the column slices to the measured `swole_kernels::agg`
-//! loops, the masked probe to `join::semijoin_sum{,_count}_bitmap_masked` and the
-//! grouped sinks — which also read the group key at native width, never
-//! from a register — to the `groupby::upsert` kernel. Binding a
-//! program to a pinned table ([`TileProgram::bind`])
+//! sinks — the masked probe's included — can hand the column slices to the
+//! `swole_kernels::agg::fold` kernel and the grouped sinks — which also
+//! read the group key at native width, never from a register — to the
+//! `groupby::upsert` kernel. Binding a program to a pinned table
+//! ([`TileProgram::bind`])
 //! resolves column positions and evaluates every dictionary predicate once
 //! per query; running it ([`BoundProgram::run`]) against a per-worker
 //! [`Regs`] file allocates nothing, looks nothing up by name and never
@@ -23,9 +23,9 @@ use std::sync::Arc;
 
 use swole_bitmap::PositionalBitmap;
 use swole_ht::{GroupTable, MergeOp};
-use swole_kernels::agg::{self, BinOp, Div, Mul};
+use swole_kernels::agg::{self, Div, Mul};
 use swole_kernels::groupby::{self, Folds, Inputs, Lanes, Slot};
-use swole_kernels::{join, predicate, selvec, AsI64, TILE};
+use swole_kernels::{predicate, selvec, AsI64, TILE};
 use swole_storage::{like_match, ColumnData, DataType, Table};
 use swole_verify::OverflowProof;
 
@@ -181,8 +181,6 @@ pub(crate) struct TileProgram {
     /// Mask register holding the filter result (all ones without a filter).
     filter: usize,
     has_filter: bool,
-    /// Column slots the filter reads, for the merged-access sink.
-    filter_cols: Vec<usize>,
     outputs: Vec<Option<Output>>,
     /// Column slot of the group key, which the grouped sinks read at native
     /// width. `None` for an ungrouped stage — and for a grouped join, whose
@@ -211,8 +209,6 @@ impl TileProgram {
             Some(f) => lw.mask(f)?,
             None => lw.node(Node::ConstMask(true)),
         };
-        let mut filter_cols = Vec::new();
-        lw.collect_cols(filter_node, &mut filter_cols);
         let mut outs = Vec::with_capacity(wants.len());
         for w in wants {
             outs.push(match w {
@@ -225,7 +221,7 @@ impl TileProgram {
             });
         }
         let key = key.map(|k| lw.col(k)).transpose()?;
-        Ok(lw.finish(filter_node, filter.is_some(), filter_cols, outs, key))
+        Ok(lw.finish(filter_node, filter.is_some(), outs, key))
     }
 
     /// Lower an aggregation stage: the filter, the aggregates' inputs
@@ -371,27 +367,6 @@ impl Node {
 
     fn is_const(&self) -> bool {
         matches!(self, Node::ConstMask(_) | Node::ConstVal(_))
-    }
-
-    /// Node operands, possibly with repeats.
-    fn operands(&self) -> impl Iterator<Item = usize> {
-        let of = |v: &VVal| match v {
-            VVal::Node(n) => Some(*n),
-            VVal::Lit(_) => None,
-        };
-        let slots = match self {
-            Node::CmpColLit(..)
-            | Node::DictMatch(_)
-            | Node::ConstMask(_)
-            | Node::Load(_)
-            | Node::ConstVal(_) => [None; 3],
-            Node::CmpVal(_, a, b) => [Some(*a), of(b), None],
-            Node::NonZero(a) | Node::Not(a) | Node::MaskToVal(a) => [Some(*a), None, None],
-            Node::And(a, b) | Node::Or(a, b) => [Some(*a), Some(*b), None],
-            Node::Arith(_, a, b) => [of(a), of(b), None],
-            Node::Blend(m, a, b) => [Some(*m), of(a), of(b)],
-        };
-        slots.into_iter().flatten()
     }
 }
 
@@ -625,22 +600,6 @@ impl<'a> Lowerer<'a> {
         })
     }
 
-    fn collect_cols(&self, node: usize, out: &mut Vec<usize>) {
-        let col = match &self.nodes[node] {
-            Node::CmpColLit(_, c, _) | Node::Load(c) => Some(*c),
-            Node::DictMatch(d) => Some(self.dicts[*d].col),
-            _ => None,
-        };
-        if let Some(c) = col {
-            if !out.contains(&c) {
-                out.push(c);
-            }
-        }
-        for n in self.nodes[node].operands() {
-            self.collect_cols(n, out);
-        }
-    }
-
     /// Give every node a register of its own, in its class, and emit the
     /// instruction list. Nodes are interned after their operands, so node
     /// order is evaluation order.
@@ -648,7 +607,6 @@ impl<'a> Lowerer<'a> {
         self,
         filter: usize,
         has_filter: bool,
-        filter_cols: Vec<usize>,
         outs: Vec<Option<VOut>>,
         key: Option<usize>,
     ) -> TileProgram {
@@ -713,7 +671,7 @@ impl<'a> Lowerer<'a> {
             }
             phys.push(dst);
         }
-        // A join stage folds its membership bit into the filter mask after
+        // A build folds its chain edges' bits into the filter mask after
         // the program ran, so that mask must be a register an instruction
         // rewrites every tile — never a shared constant.
         let mut filter_reg = phys[filter];
@@ -752,7 +710,6 @@ impl<'a> Lowerer<'a> {
             const_vals,
             filter: filter_reg,
             has_filter,
-            filter_cols,
             outputs,
             key,
         }
@@ -1100,8 +1057,8 @@ impl BoundProgram {
         ));
     }
 
-    /// The filter mask of the tile just run, for a stage that folds a join
-    /// bit into it before accumulating (the next run rewrites it).
+    /// The filter mask of the tile just run, for a build that folds its
+    /// chain edges' bits into it (the next run rewrites it).
     pub(crate) fn filter_mut<'r>(&self, r: &'r mut Regs, len: usize) -> &'r mut [u8] {
         &mut r.masks[self.prog.filter][..len]
     }
@@ -1118,195 +1075,196 @@ impl BoundProgram {
 // Scalar-aggregation sinks
 // ---------------------------------------------------------------------------
 
-/// The terminal loop of one scalar aggregate, selected once per query from
-/// `(strategy, aggregate shape, overflow proof)`.
+/// The terminal fold of one scalar aggregate, selected once per query from
+/// the aggregate shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Sink {
-    /// `count(*)`: the tile's qualifying count.
+    /// `count(*)`: the tile's kept lanes.
     Count,
-    /// `sum(a OP b)` through `agg::sum_op_masked` / `agg::sum_op_gather`
-    /// (or their `_checked` forms).
+    /// `sum(a OP b)` over the operands at native width.
     Sum(FusedSum),
-    /// Access merging (§ III-C, Fig. 5 bottom): `x` is shared with the
-    /// filter, so `tmp = x * cmp` then `sum += other * tmp` (`other` absent
-    /// for `sum(x * x)`). Value masking with a proven-safe accumulator only.
-    SumMerged {
-        x: usize,
-        other: Option<usize>,
-    },
-    /// `min` / `max` over a value register through the selection vector.
+    /// `min` / `max` over a value register.
     Min(usize),
     Max(usize),
 }
 
-/// The sinks of a scalar aggregate list, one per aggregate, and what the
-/// certificate proved about their sums.
+/// The sinks of a scalar aggregate list, one per aggregate, and how a run
+/// folds them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ScalarSinks {
     pub(crate) sinks: Vec<Sink>,
-    /// `Unproven`: run the `*_checked` kernels, so a wrap surfaces as the
-    /// typed `Overflow` the interpreter retry keys on. `I32Tile`: the
-    /// masked sums run in `i32` lanes.
+    /// The certificate's verdict on the sums: `Unproven` runs the checked
+    /// mode, so a wrap surfaces as the typed `Overflow` the interpreter
+    /// retry keys on; `I32Tile` runs the masked sums of a stage with no
+    /// edge in `i32` lanes.
     pub(crate) proof: OverflowProof,
+    /// Whether the run counts the lanes it keeps (its metrics do).
+    pub(crate) counted: bool,
 }
 
-/// Select the sinks for a scalar aggregate list. `masked` is value masking
-/// (every lane aggregated, multiplied by the mask); otherwise the hybrid
-/// selection-vector gather.
-pub(crate) fn scalar_sinks(
-    prog: &TileProgram,
-    aggs: &[AggSpec],
-    masked: bool,
-    proof: OverflowProof,
-) -> ScalarSinks {
-    let checked = proof == OverflowProof::Unproven;
-    let sinks = aggs
-        .iter()
-        .enumerate()
-        .map(|(i, a)| match (a.func, prog.output(i)) {
-            (AggFunc::Count, _) => Sink::Count,
-            (AggFunc::Min, _) => Sink::Min(prog.output_reg(i)),
-            (AggFunc::Max, _) => Sink::Max(prog.output_reg(i)),
-            (AggFunc::Sum, Some(Output::Op(sum))) => {
-                let shared = |s: Src| matches!(s, Src::Col(c) if prog.filter_cols.contains(&c));
-                let FusedSum { op, a, b } = sum;
-                match (op, a, b) {
-                    (FusedOp::Mul, Src::Col(x), Src::Col(y)) if masked && !checked && shared(a) => {
-                        Sink::SumMerged {
-                            x,
-                            other: (x != y).then_some(y),
-                        }
-                    }
-                    (FusedOp::Mul, Src::Col(y), Src::Col(x)) if masked && !checked && shared(b) => {
-                        Sink::SumMerged { x, other: Some(y) }
-                    }
-                    _ => Sink::Sum(sum),
-                }
+/// Select the sinks for a scalar aggregate list.
+pub(crate) fn scalar_sinks(prog: &TileProgram, aggs: &[AggSpec]) -> Vec<Sink> {
+    let sink = |(i, a): (usize, &AggSpec)| match (a.func, prog.output(i)) {
+        (AggFunc::Count, _) => Sink::Count,
+        (AggFunc::Min, _) => Sink::Min(prog.output_reg(i)),
+        (AggFunc::Max, _) => Sink::Max(prog.output_reg(i)),
+        (AggFunc::Sum, Some(Output::Op(sum))) => Sink::Sum(sum),
+        (AggFunc::Sum, other) => unreachable!("scalar sums lower to fused outputs, got {other:?}"),
+    };
+    aggs.iter().enumerate().map(sink).collect()
+}
+
+/// Run `$body` with `$a` / `$b` bound to the operand slices of `$sum` over
+/// `$tile` at native width and `$O` to its operator type.
+macro_rules! with_fused {
+    ($bound:expr, $r:expr, $sum:expr, $tile:expr, |$a:ident, $b:ident, $O:ident| $body:expr) => {{
+        let (sum, (start, len)): (FusedSum, (usize, usize)) = ($sum, $tile);
+        let a = $bound.src($r, sum.a, start, len);
+        let b = $bound.src($r, sum.b, start, len);
+        with_lane!(a, |$a| with_lane!(b, |$b| match sum.op {
+            FusedOp::Mul => {
+                type $O = Mul;
+                $body
             }
-            (AggFunc::Sum, other) => {
-                unreachable!("scalar sums lower to fused outputs, got {other:?}")
+            FusedOp::Div => {
+                type $O = Div;
+                $body
             }
-        })
-        .collect();
-    ScalarSinks { sinks, proof }
+        }))
+    }};
 }
 
-fn sum_masked<O: BinOp>(a: Lane<'_>, b: Lane<'_>, cmp: &[u8], proof: OverflowProof) -> (i64, bool) {
-    with_lane!(a, |a| with_lane!(b, |b| match proof {
-        OverflowProof::Unproven => agg::sum_op_masked_checked::<_, _, O>(a, b, cmp),
-        OverflowProof::I64 => (agg::sum_op_masked::<_, _, O>(a, b, cmp), false),
-        OverflowProof::I32Tile => (agg::sum_op_masked_i32::<_, _, O>(a, b, cmp), false),
-    }))
+/// Which lanes of a scalar stage belong to the result besides those its
+/// filter keeps: all, or — a masked probe — those whose bit is set in its
+/// one edge's bitmap at the lane's FK position (§ III-D).
+pub(crate) type Member<'a> = Option<(&'a [u32], &'a PositionalBitmap)>;
+
+/// The `agg::fold` instance `member`, `mode` and `count` name. Without a
+/// membership the caller counts the mask or the selection itself, and
+/// `count` is ignored.
+fn fold<I: agg::Fold>(
+    lanes: Lanes<'_>,
+    member: Member<'_>,
+    inputs: &I,
+    (mode, count): (OverflowProof, bool),
+) -> agg::Folded {
+    use agg::{Checked, I32Tile, Wrapping};
+    use OverflowProof as P;
+    match (member, mode, count) {
+        (None, P::Unproven, _) => instance::<_, _, Checked, false>(lanes, (), inputs),
+        (None, P::I64, _) => instance::<_, _, Wrapping, false>(lanes, (), inputs),
+        (None, P::I32Tile, _) => instance::<_, _, I32Tile, false>(lanes, (), inputs),
+        (Some(m), P::Unproven, false) => instance::<_, _, Checked, false>(lanes, m, inputs),
+        (Some(m), P::Unproven, true) => instance::<_, _, Checked, true>(lanes, m, inputs),
+        (Some(m), _, false) => instance::<_, _, Wrapping, false>(lanes, m, inputs),
+        (Some(m), _, true) => instance::<_, _, Wrapping, true>(lanes, m, inputs),
+    }
 }
 
-fn sum_gather<O: BinOp>(a: Lane<'_>, b: Lane<'_>, idx: &[u32], checked: bool) -> (i64, bool) {
-    with_lane!(a, |a| with_lane!(b, |b| if checked {
-        agg::sum_op_gather_checked::<_, _, O>(a, b, idx)
-    } else {
-        (agg::sum_op_gather::<_, _, O>(a, b, idx), false)
-    }))
+/// One `agg::fold` instance as a function of its own, called once per tile
+/// and slot. Inlined into `accumulate` beside every other instance, the
+/// masked probe ran about 20 % slower (`perf`'s `hash_micro` `q4_s50_s50`
+/// and TPC-H Q4 engine times over ten pairs).
+#[inline(never)]
+fn instance<I: agg::Fold, R: agg::Member, M: agg::Mode, const COUNT: bool>(
+    lanes: Lanes<'_>,
+    member: R,
+    inputs: &I,
+) -> agg::Folded {
+    agg::fold::<I, R, M, COUNT>(lanes, member, inputs)
 }
 
 impl BoundProgram {
-    /// Value masking: fold the tile just run into `acc`, one slot per
-    /// sink, every lane aggregated and multiplied by the filter mask.
-    /// Returns the qualifying count; `overflow` is raised when a checked
-    /// kernel or a slot's running sum wrapped.
-    pub(crate) fn accumulate_masked(
-        &self,
-        r: &mut Regs,
-        sinks: &ScalarSinks,
-        (start, len): (usize, usize),
-        acc: &mut [i64],
-        overflow: &mut bool,
-    ) -> usize {
-        let (proof, checked) = (sinks.proof, sinks.proof == OverflowProof::Unproven);
-        let mut tmp = std::mem::take(&mut r.tmp);
-        let cmp = self.filter(r, len);
-        let m = predicate::mask_count(cmp);
-        for (slot, sink) in acc.iter_mut().zip(&sinks.sinks) {
-            let (v, wrapped) = match *sink {
-                Sink::Count => (m as i64, false),
-                Sink::Sum(FusedSum { op, a, b }) => {
-                    let (a, b) = (self.src(r, a, start, len), self.src(r, b, start, len));
-                    match op {
-                        FusedOp::Mul => sum_masked::<Mul>(a, b, cmp, proof),
-                        FusedOp::Div => sum_masked::<Div>(a, b, cmp, proof),
-                    }
-                }
-                Sink::SumMerged { x, other } if proof == OverflowProof::I32Tile => {
-                    let y = self.lane(other.unwrap_or(x), start, len);
-                    let sum = with_lane!(self.lane(x, start, len), |x| with_lane!(y, |y| {
-                        agg::sum_merged_i32(x, y, cmp)
-                    }));
-                    (sum, false)
-                }
-                Sink::SumMerged { x, other } => {
-                    let tmp = &mut tmp[..len];
-                    with_lane!(self.lane(x, start, len), |x| agg::mask_values(x, cmp, tmp));
-                    let sum = match other {
-                        Some(o) => {
-                            with_lane!(self.lane(o, start, len), |o| agg::sum_product_tmp(o, tmp))
-                        }
-                        None => agg::sum_square_tmp(tmp),
-                    };
-                    (sum, false)
-                }
-                // The planner never sends min/max down the masked path.
-                Sink::Min(_) | Sink::Max(_) => unreachable!("planner invariant"),
-            };
-            let (s, sum_wrapped) = slot.overflowing_add(v);
-            *slot = s;
-            *overflow |= wrapped | (checked & sum_wrapped);
-        }
-        r.tmp = tmp;
-        m
-    }
-
-    /// Hybrid: gather each sink's inputs of the tile just run through the
-    /// first `k` tile-local offsets of the selection vector `r.idx` and fold
-    /// them into `acc`.
-    pub(crate) fn accumulate_gather(
+    /// Fold `lanes` of the tile just run — kept only where `member` keeps
+    /// them too — into `acc`, one slot per sink, each through the
+    /// `agg::fold` instance its sink, the proof and its operands' native
+    /// widths name: the one dispatch of a scalar stage, once per tile and
+    /// slot, never per lane. `overflow` is raised when a checked fold or a
+    /// slot's running sum wrapped.
+    ///
+    /// Returns the lanes kept — with a membership, counted by the first
+    /// pass that folds if the run or a `count(*)` asks, else the lanes
+    /// folded.
+    pub(crate) fn accumulate(
         &self,
         r: &Regs,
         sinks: &ScalarSinks,
-        (start, len): (usize, usize),
-        k: usize,
+        (lanes, member): (Lanes<'_>, Member<'_>),
+        tile: (usize, usize),
         acc: &mut [i64],
         overflow: &mut bool,
-    ) {
-        let (idx, checked) = (&r.idx[..k], sinks.proof == OverflowProof::Unproven);
+    ) -> usize {
+        let checked = sinks.proof == OverflowProof::Unproven;
+        // `i32` lanes serve the masked sums of a stage with no edge.
+        let mode = match (sinks.proof, lanes, member) {
+            (OverflowProof::I32Tile, Lanes::Masked(_), None) => OverflowProof::I32Tile,
+            (OverflowProof::I32Tile, ..) => OverflowProof::I64,
+            (proof, ..) => proof,
+        };
+        let mut kept = match (lanes, member) {
+            (Lanes::Masked(cmp), None) => Some(predicate::mask_count(cmp)),
+            (Lanes::Selected(idx), None) => Some(idx.len()),
+            _ => None,
+        };
+        let count = sinks.counted || sinks.sinks.contains(&Sink::Count);
+        let add = |slot: &mut i64, v: i64| {
+            let (s, wrapped) = slot.overflowing_add(v);
+            *slot = s;
+            checked & wrapped
+        };
         for (slot, sink) in acc.iter_mut().zip(&sinks.sinks) {
-            let (v, wrapped) = match *sink {
-                Sink::Count => (k as i64, false),
-                Sink::Sum(FusedSum { op, a, b }) => {
-                    let (a, b) = (self.src(r, a, start, len), self.src(r, b, start, len));
-                    match op {
-                        FusedOp::Mul => sum_gather::<Mul>(a, b, idx, checked),
-                        FusedOp::Div => sum_gather::<Div>(a, b, idx, checked),
-                    }
-                }
+            let vals = |reg: usize| &r.vals[reg][..tile.1];
+            let counts = count && kept.is_none();
+            let f = match *sink {
+                Sink::Count => continue,
+                Sink::Sum(sum) => with_fused!(self, r, sum, tile, |a, b, O| {
+                    let inputs = groupby::Fused::<_, _, O>(a, b, PhantomData);
+                    fold(lanes, member, &inputs, (mode, counts))
+                }),
                 Sink::Min(reg) => {
-                    let v = &r.vals[reg][..len];
-                    *slot = idx.iter().fold(*slot, |m, &j| m.min(v[j as usize]));
+                    let v = fold(
+                        lanes,
+                        member,
+                        &agg::Extreme::<false>(vals(reg)),
+                        (mode, false),
+                    );
+                    *slot = (*slot).min(v.value);
                     continue;
                 }
                 Sink::Max(reg) => {
-                    let v = &r.vals[reg][..len];
-                    *slot = idx.iter().fold(*slot, |m, &j| m.max(v[j as usize]));
+                    let v = fold(
+                        lanes,
+                        member,
+                        &agg::Extreme::<true>(vals(reg)),
+                        (mode, false),
+                    );
+                    *slot = (*slot).max(v.value);
                     continue;
                 }
-                Sink::SumMerged { .. } => unreachable!("merged access is a masked sink"),
             };
-            let (s, sum_wrapped) = slot.overflowing_add(v);
-            *slot = s;
-            *overflow |= wrapped | (checked & sum_wrapped);
+            if counts {
+                kept = Some(f.count);
+            }
+            *overflow |= f.overflow | add(slot, f.value);
         }
+        let kept = match kept {
+            Some(k) => k,
+            None if count => fold(lanes, member, &(), (mode, true)).count,
+            None => tile.1,
+        };
+        for (slot, _) in acc
+            .iter_mut()
+            .zip(&sinks.sinks)
+            .filter(|s| *s.1 == Sink::Count)
+        {
+            *overflow |= add(slot, kept as i64);
+        }
+        kept
     }
 }
 
 // ---------------------------------------------------------------------------
-// Grouped and masked-probe sinks
+// Grouped sinks
 // ---------------------------------------------------------------------------
 
 /// The widest sum / count list one unrolled pass of the upsert family is
@@ -1362,133 +1320,7 @@ pub(crate) fn group_sink(prog: &TileProgram, aggs: &[AggSpec]) -> GroupSink {
     GroupSink::List(aggs.iter().enumerate().map(slot).collect())
 }
 
-/// The aggregate list of a fully masked one-edge probe, resolved for the one
-/// pass (§ III-D) that multiplies the edge's bitmap bit in while it
-/// accumulates, instead of ANDing the bit into the filter mask and then
-/// running the masked sinks over it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FusedProbe {
-    /// A lone `sum` whose accumulator the certificate proved, on a run that
-    /// does not count the edge's survivors: `join::semijoin_sum_bitmap_masked`.
-    Sum(FusedSum),
-    /// At most one `sum` beside any number of `count(*)`s:
-    /// `join::semijoin_sum_count_bitmap_masked`, checked unless the
-    /// accumulators are proven — `semijoin_count_bitmap_masked` without a
-    /// sum.
-    SumCount(Option<FusedSum>),
-}
-
-impl FusedProbe {
-    /// The kernel as `EXPLAIN` names it.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            FusedProbe::Sum(_) => "semijoin_sum_bitmap_masked",
-            FusedProbe::SumCount(Some(_)) => "semijoin_sum_count_bitmap_masked",
-            FusedProbe::SumCount(None) => "semijoin_count_bitmap_masked",
-        }
-    }
-}
-
-impl ScalarSinks {
-    /// How a fully masked one-edge probe runs this list in one pass: any
-    /// list of at most one `sum` and any number of `count(*)`s. A list of
-    /// two or more sums is `None` and keeps the fold — each sum would fetch
-    /// the bits again, and they share the folded mask more cheaply. A lone
-    /// proven sum keeps the kernel that counts nothing unless the run is
-    /// `counted`, i.e. reports the edge's survivors.
-    pub(crate) fn fused_probe(&self, counted: bool) -> Option<FusedProbe> {
-        let mut sum = None;
-        for sink in &self.sinks {
-            let s = match *sink {
-                Sink::Count => continue,
-                Sink::Sum(s) => s,
-                // Access merging folds the mask into `x`; one pass reads the
-                // operands as they are.
-                Sink::SumMerged { x, other } => FusedSum {
-                    op: FusedOp::Mul,
-                    a: Src::Col(x),
-                    b: Src::Col(other.unwrap_or(x)),
-                },
-                Sink::Min(_) | Sink::Max(_) => return None,
-            };
-            if sum.replace(s).is_some() {
-                return None;
-            }
-        }
-        Some(match (sum, &self.sinks[..]) {
-            (Some(sum), [_]) if self.proof >= OverflowProof::I64 && !counted => {
-                FusedProbe::Sum(sum)
-            }
-            (sum, _) => FusedProbe::SumCount(sum),
-        })
-    }
-}
-
-/// Run `$body` with `$a` / `$b` bound to the operand slices of `$sum` over
-/// `$tile` at native width and `$O` to its operator type.
-macro_rules! with_fused {
-    ($bound:expr, $r:expr, $sum:expr, $tile:expr, |$a:ident, $b:ident, $O:ident| $body:expr) => {{
-        let (sum, (start, len)): (FusedSum, (usize, usize)) = ($sum, $tile);
-        let a = $bound.src($r, sum.a, start, len);
-        let b = $bound.src($r, sum.b, start, len);
-        with_lane!(a, |$a| with_lane!(b, |$b| match sum.op {
-            FusedOp::Mul => {
-                type $O = Mul;
-                $body
-            }
-            FusedOp::Div => {
-                type $O = Div;
-                $body
-            }
-        }))
-    }};
-}
-
 impl BoundProgram {
-    /// The fused masked probe (§ III-D): `sum` over the tile just run, each
-    /// lane multiplied by the filter mask and by the bitmap bit its FK
-    /// position selects. Wrapping, like every unchecked sink.
-    pub(crate) fn probe_masked(
-        &self,
-        r: &Regs,
-        sum: FusedSum,
-        fk: &[u32],
-        bitmap: &PositionalBitmap,
-        tile: (usize, usize),
-    ) -> i64 {
-        let cmp = self.filter(r, tile.1);
-        with_fused!(self, r, sum, tile, |a, b, O| {
-            join::semijoin_sum_bitmap_masked::<_, _, O>(fk, a, b, cmp, bitmap)
-        })
-    }
-
-    /// The same pass for a list with counts, or an unproven sum: the lanes
-    /// the filter mask and the bitmap keep, the `sum` over them if the list
-    /// has one, and — `checked` — whether it wrapped on one of them.
-    pub(crate) fn probe_sum_count(
-        &self,
-        r: &Regs,
-        sum: Option<FusedSum>,
-        checked: bool,
-        fk: &[u32],
-        bitmap: &PositionalBitmap,
-        tile: (usize, usize),
-    ) -> (i64, usize, bool) {
-        let cmp = self.filter(r, tile.1);
-        let Some(sum) = sum else {
-            return (
-                0,
-                join::semijoin_count_bitmap_masked(fk, cmp, bitmap),
-                false,
-            );
-        };
-        with_fused!(self, r, sum, tile, |a, b, O| if checked {
-            join::semijoin_sum_count_bitmap_masked::<_, _, O, true>(fk, a, b, cmp, bitmap)
-        } else {
-            join::semijoin_sum_count_bitmap_masked::<_, _, O, false>(fk, a, b, cmp, bitmap)
-        })
-    }
-
     /// Upsert `lanes` of the tile just run into `ht` through the
     /// `groupby::upsert` instance that `sink`, `proven` and the native
     /// widths of `keys` and the operands name — a sum / count list in
@@ -1766,6 +1598,17 @@ mod tests {
         }
     }
 
+    /// The sinks of `aggs` under `proof`, on a run that counts nothing.
+    fn scalar(prog: &TileProgram, aggs: &[AggSpec], proof: OverflowProof) -> ScalarSinks {
+        let sinks = scalar_sinks(prog, aggs);
+        let counted = false;
+        ScalarSinks {
+            sinks,
+            proof,
+            counted,
+        }
+    }
+
     /// The sums the scalar sinks produce, masked and gathered, checked and
     /// not, against a row-at-a-time fold of `eval_row`.
     #[test]
@@ -1814,24 +1657,25 @@ mod tests {
             let bound = prog.bind(&t).unwrap();
             for proof in [OverflowProof::I64, OverflowProof::Unproven] {
                 // Gather: every aggregate, min/max included.
-                let sinks = scalar_sinks(&prog, &aggs, false, proof);
+                let sinks = scalar(&prog, &aggs, proof);
                 let mut regs = Regs::new(&prog);
                 let (mut acc, mut overflow) = (identities.to_vec(), false);
                 for tile in swole_kernels::tiles(ROWS) {
                     bound.run(&mut regs, tile.0, tile.1);
                     let k = bound.select(&mut regs, tile.1);
-                    bound.accumulate_gather(&regs, &sinks, tile, k, &mut acc, &mut overflow);
+                    let lanes = (Lanes::Selected(&regs.idx[..k]), None);
+                    bound.accumulate(&regs, &sinks, lanes, tile, &mut acc, &mut overflow);
                 }
                 assert_eq!(acc, want, "gather seed {seed} {proof:?} {aggs:?}");
                 // Masked: sums and counts only (the planner's invariant).
-                let sums = &aggs[..4];
-                let sinks = scalar_sinks(&prog, sums, true, proof);
+                let sinks = scalar(&prog, &aggs[..4], proof);
                 let (mut acc, mut overflow) = (vec![0i64; 4], false);
                 let mut matched = 0;
                 for tile in swole_kernels::tiles(ROWS) {
                     bound.run(&mut regs, tile.0, tile.1);
+                    let lanes = (Lanes::Masked(bound.filter(&regs, tile.1)), None);
                     matched +=
-                        bound.accumulate_masked(&mut regs, &sinks, tile, &mut acc, &mut overflow);
+                        bound.accumulate(&regs, &sinks, lanes, tile, &mut acc, &mut overflow);
                 }
                 assert_eq!(acc, want[..4], "masked seed {seed} {proof:?} {aggs:?}");
                 assert_eq!(matched, qualifying.len());
@@ -1839,10 +1683,10 @@ mod tests {
         }
     }
 
-    /// Under an `i32` tile proof the masked sinks — value masking and the
-    /// one-loop merged access — sum what the `i64` ones do on inputs that
-    /// fit: `i8` / `i16` / `i32` operands, a never-zero divisor and an
-    /// input read from an `i64` register.
+    /// Under an `i32` tile proof the masked sinks — value masking, access
+    /// merging among it — sum what the `i64` ones do on inputs that fit:
+    /// `i8` / `i16` / `i32` operands, a never-zero divisor and an input read
+    /// from an `i64` register.
     #[test]
     fn i32_tile_sinks_match_the_i64_ones() {
         let t = table(13);
@@ -1859,21 +1703,17 @@ mod tests {
         let prog = Arc::new(TileProgram::lower_agg(&t, Some(&filter), None, &aggs, false).unwrap());
         let bound = prog.bind(&t).unwrap();
         let run = |proof| {
-            let sinks = scalar_sinks(&prog, &aggs, true, proof);
+            let sinks = scalar(&prog, &aggs, proof);
             let (mut regs, mut acc, mut overflow) = (Regs::new(&prog), vec![0; 6], false);
             for tile in swole_kernels::tiles(ROWS) {
                 bound.run(&mut regs, tile.0, tile.1);
-                bound.accumulate_masked(&mut regs, &sinks, tile, &mut acc, &mut overflow);
+                let lanes = (Lanes::Masked(bound.filter(&regs, tile.1)), None);
+                bound.accumulate(&regs, &sinks, lanes, tile, &mut acc, &mut overflow);
             }
             assert!(!overflow);
-            (acc, sinks.sinks)
+            acc
         };
-        let (narrow, sinks) = run(OverflowProof::I32Tile);
-        assert!(matches!(
-            sinks[..2],
-            [Sink::SumMerged { .. }, Sink::SumMerged { .. }]
-        ));
-        assert_eq!(narrow, run(OverflowProof::I64).0);
+        assert_eq!(run(OverflowProof::I32Tile), run(OverflowProof::I64));
     }
 
     /// Run `sink` over every tile of the table into `ht` behind the lanes
@@ -1974,44 +1814,62 @@ mod tests {
                 assert_eq!(&dense, want, "dense {label}");
             }
 
-            // The fused probe, both loops, checked and not, with and without
-            // the sum: one pass, against AND-into-mask then the masked sinks.
-            let sinks = scalar_sinks(&prog, &aggs, true, OverflowProof::I64);
-            let Some(FusedProbe::Sum(sum)) = sinks.fused_probe(false) else {
-                panic!("a lone proven sum keeps its kernel");
+            // The masked probe, the edge's bitmap the fold's membership — a
+            // lone sum, a sum and a count, a count alone, two sums; checked
+            // and not, counted and not — against ANDing the bits into the
+            // mask and folding that with no membership.
+            let Sink::Sum(sum) = scalar_sinks(&prog, &aggs)[0] else {
+                panic!("a sum sinks a sum");
             };
-            let with_count = ScalarSinks {
-                sinks: vec![Sink::Sum(sum), Sink::Count],
-                proof: OverflowProof::I64,
-            };
-            let mut regs = Regs::new(&prog);
-            let (mut fused, mut three_pass) = ([0i64; 4], vec![0i64; 2]);
-            let mut counted = [0usize; 3];
+            let lists = [
+                vec![Sink::Sum(sum)],
+                vec![Sink::Sum(sum), Sink::Count],
+                vec![Sink::Count],
+                vec![Sink::Sum(sum), Sink::Sum(sum)],
+            ];
+            let (unproven, i64_proof) = (OverflowProof::Unproven, OverflowProof::I64);
+            let modes = [(unproven, false), (i64_proof, false), (i64_proof, true)];
+            let runs: Vec<ScalarSinks> = lists
+                .iter()
+                .flat_map(|l| modes.map(|(proof, counted)| (l.clone(), proof, counted)))
+                .map(|(sinks, proof, counted)| ScalarSinks {
+                    sinks,
+                    proof,
+                    counted,
+                })
+                .collect();
+            let mut probed: Vec<Vec<i64>> = runs.iter().map(|s| vec![0; s.sinks.len()]).collect();
+            let mut kept = vec![0usize; runs.len()];
+            let folded = runs[4].clone(); // [sum, count], proven, uncounted
+            let (mut regs, mut want) = (Regs::new(&prog), vec![0i64; 2]);
             for tile in swole_kernels::tiles(ROWS) {
                 let (start, len) = tile;
                 let fk = &fk[start..start + len];
                 bound.run(&mut regs, start, len);
-                let v = bound.probe_masked(&regs, sum, fk, &bitmap, tile);
-                fused[0] = fused[0].wrapping_add(v);
-                for (i, (sum, checked)) in [(Some(sum), false), (Some(sum), true), (None, false)]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let (v, n, _) = bound.probe_sum_count(&regs, sum, checked, fk, &bitmap, tile);
-                    fused[i + 1] = fused[i + 1].wrapping_add(v);
-                    counted[i] += n;
+                for (i, sinks) in runs.iter().enumerate() {
+                    let lanes = (Lanes::Masked(bound.filter(&regs, len)), Some((fk, &bitmap)));
+                    let acc = &mut probed[i];
+                    kept[i] += bound.accumulate(&regs, sinks, lanes, tile, acc, &mut false);
                 }
                 for (c, &p) in bound.filter_mut(&mut regs, len).iter_mut().zip(fk) {
                     *c &= bitmap.get_bit(p as usize) as u8;
                 }
-                bound.accumulate_masked(&mut regs, &with_count, tile, &mut three_pass, &mut false);
+                let lanes = (Lanes::Masked(bound.filter(&regs, len)), None);
+                bound.accumulate(&regs, &folded, lanes, tile, &mut want, &mut false);
             }
-            let [sum, n] = three_pass[..] else {
-                unreachable!()
-            };
-            let label = format!("seed {seed} probe {input:?}");
-            assert_eq!(fused, [sum, sum, sum, 0], "{label}");
-            assert_eq!(counted.map(|n| n as i64), [n; 3], "{label}");
+            let [sum, n] = want[..] else { unreachable!() };
+            for (i, run) in runs.iter().enumerate() {
+                let label = format!("seed {seed} probe {run:?} {input:?}");
+                let slot = |s: &Sink| if *s == Sink::Count { n } else { sum };
+                assert_eq!(
+                    probed[i],
+                    run.sinks.iter().map(slot).collect::<Vec<_>>(),
+                    "{label}"
+                );
+                let counts = run.counted || run.sinks.contains(&Sink::Count);
+                let lanes = if counts { n as usize } else { ROWS };
+                assert_eq!(kept[i], lanes, "{label}");
+            }
         }
     }
 
@@ -2208,10 +2066,7 @@ mod tests {
             b: Src::Col(3),
         };
         assert_eq!(prog.output(0), Some(Output::Op(sum)));
-        assert_eq!(
-            scalar_sinks(&prog, &aggs, true, OverflowProof::I64).sinks,
-            vec![Sink::Sum(sum)]
-        );
+        assert_eq!(scalar_sinks(&prog, &aggs), vec![Sink::Sum(sum)]);
     }
 
     /// The grouped twin: micro Q2 is the same three-instruction prepass, no
@@ -2263,61 +2118,20 @@ mod tests {
         ];
         let prog = TileProgram::lower_agg(&t, Some(&filter), None, &aggs, false).unwrap();
         let (x, a) = (0, 1);
-        // Value masking with a proven accumulator merges the shared access.
-        let merged = scalar_sinks(&prog, &aggs, true, OverflowProof::I64).sinks;
-        assert_eq!(
-            scalar_sinks(&prog, &aggs, true, OverflowProof::I32Tile).sinks,
-            merged
-        );
-        assert_eq!(merged[0], Sink::SumMerged { x, other: Some(a) });
-        assert_eq!(merged[1], Sink::SumMerged { x, other: Some(a) });
-        assert_eq!(merged[2], Sink::SumMerged { x, other: None });
-        assert!(matches!(merged[3], Sink::Sum(_)), "nothing shared");
-        // Unproven, or hybrid: the plain kernels on both columns.
-        let (unproven, i64_proof) = (OverflowProof::Unproven, OverflowProof::I64);
-        for (masked, proof) in [(true, unproven), (false, i64_proof), (false, unproven)] {
-            assert!(scalar_sinks(&prog, &aggs, masked, proof)
-                .sinks
-                .iter()
-                .all(|s| matches!(s, Sink::Sum(_))));
-        }
-        // The fused masked probe takes any list of at most one sum: a lone
-        // proven sum, on a run that counts nothing, its own kernel; anything
-        // else the counting one.
+        // Every sum is the fold's fused input, its operands as written —
+        // access merging is the masked instance over the filter's column —
+        // whatever the strategy or the proof.
+        let fused = |a, b| {
+            Sink::Sum(FusedSum {
+                op: FusedOp::Mul,
+                a: Src::Col(a),
+                b: Src::Col(b),
+            })
+        };
+        let sinks = [fused(x, a), fused(a, x), fused(x, x), fused(a, 2)];
+        assert_eq!(scalar_sinks(&prog, &aggs), sinks);
         let (one, n) = (&aggs[3..], AggSpec::count("n"));
-        let fused = |aggs: &[AggSpec], checked: bool, counted| {
-            let prog = TileProgram::lower_agg(&t, Some(&filter), None, aggs, false).unwrap();
-            let proof = [OverflowProof::I64, OverflowProof::Unproven][usize::from(checked)];
-            scalar_sinks(&prog, aggs, true, proof).fused_probe(counted)
-        };
-        let Some(FusedProbe::Sum(sum)) = fused(one, false, false) else {
-            panic!("a lone proven sum keeps its kernel");
-        };
-        let sum_count = Some(FusedProbe::SumCount(Some(sum)));
-        assert_eq!(fused(one, true, false), sum_count, "unproven accumulator");
-        assert_eq!(fused(one, false, true), sum_count, "counters on");
         let counted = [one[0].clone(), n.clone()];
-        assert_eq!(
-            fused(&counted, false, false),
-            sum_count,
-            "a count beside it"
-        );
-        let counts = [n.clone(), n.clone()];
-        assert_eq!(
-            fused(&counts, true, false),
-            Some(FusedProbe::SumCount(None))
-        );
-        assert_eq!(fused(&aggs[2..], false, false), None, "two sums");
-        let x_times_a = FusedSum {
-            op: FusedOp::Mul,
-            a: Src::Col(x),
-            b: Src::Col(a),
-        };
-        assert_eq!(
-            fused(&[aggs[1].clone(), n], false, false),
-            Some(FusedProbe::SumCount(Some(x_times_a))),
-            "merged access reads the operands as they are"
-        );
 
         // Grouped: one sum — fusable or not — is the fused input, any other
         // list its registers: sums and counts in passes, min / max folding.
@@ -2381,16 +2195,23 @@ mod tests {
         for masked in [true, false] {
             for checked in [true, false] {
                 let proof = [OverflowProof::I64, OverflowProof::Unproven][usize::from(checked)];
-                let sinks = scalar_sinks(&prog, &aggs, masked, proof);
+                let sinks = scalar(&prog, &aggs, proof);
                 let mut regs = Regs::new(&prog);
                 let (mut acc, mut overflow) = (vec![0i64], false);
                 bound.run(&mut regs, 0, 3);
-                if masked {
-                    bound.accumulate_masked(&mut regs, &sinks, (0, 3), &mut acc, &mut overflow);
-                } else {
-                    let k = bound.select(&mut regs, 3);
-                    bound.accumulate_gather(&regs, &sinks, (0, 3), k, &mut acc, &mut overflow);
-                }
+                let k = bound.select(&mut regs, 3);
+                let lanes = match masked {
+                    true => Lanes::Masked(bound.filter(&regs, 3)),
+                    false => Lanes::Selected(&regs.idx[..k]),
+                };
+                bound.accumulate(
+                    &regs,
+                    &sinks,
+                    (lanes, None),
+                    (0, 3),
+                    &mut acc,
+                    &mut overflow,
+                );
                 assert_eq!(acc[0], want, "wrapping result either way");
                 assert_eq!(overflow, checked, "masked {masked}");
             }

@@ -596,8 +596,7 @@ fn unpinned_dense_group_tables_pick_the_measured_strategy_and_match() {
 /// Every masked-probe list of at most one sum runs as one pass, proven or
 /// checked, with counters on or off, and answers as the interpreter does,
 /// bit for bit: lists `[sum]`, `[sum, count]`, `[count, sum]`, `[count]`,
-/// `[count, count]` and `[sum, sum]` (which still folds the bit into the
-/// mask) × with and without a probe-side filter × `*` and `/` over narrow
+/// `[count, count]` and `[sum, sum]` (one pass per sum) × with and without a probe-side filter × `*` and `/` over narrow
 /// (`i32` / `i8`) and wide (`i64`) operands × sums proven (statistics on) or
 /// not (off) × threads {1, 2, 8} and a 4-worker pool × `MetricsLevel`
 /// Off and Counters. Under counters every list over the same probe reports
@@ -615,17 +614,17 @@ fn masked_probe_lists_run_in_one_pass_and_match_the_interpreter() {
     let lists = |e: &Expr| {
         let s = |name: &str| AggSpec::sum(e.clone(), name);
         let n = |name: &str| AggSpec::count(name);
-        let (sum_count, count) = (
-            "sink: semijoin_sum_count_bitmap_masked)",
-            "sink: semijoin_count_bitmap_masked)",
+        let (one, two) = (
+            "sink: fold_masked_bitmap<1>)",
+            "sink: fold_masked_bitmap<2>)",
         );
         [
-            (vec![s("s")], "sink: semijoin_sum_bitmap_masked)"),
-            (vec![s("s"), n("n")], sum_count),
-            (vec![n("n"), s("s")], sum_count),
-            (vec![n("n")], count),
-            (vec![n("n"), n("n2")], count),
-            (vec![s("s"), s("s2")], "masked probe)"),
+            (vec![s("s")], one),
+            (vec![s("s"), n("n")], two),
+            (vec![n("n"), s("s")], two),
+            (vec![n("n")], one),
+            (vec![n("n"), n("n2")], two),
+            (vec![s("s"), s("s2")], two),
         ]
     };
     let probe = |filtered: bool, aggs: Vec<AggSpec>| {

@@ -278,39 +278,39 @@ fn q4(sel1: i8, sel2: i8) -> LogicalPlan {
         )
 }
 
-/// `~ last run:` names the masked-probe loop the executor dispatched, while
-/// `strategy:` stays the plan's (the loop of a proven run that counts
-/// nothing): a plain run takes it, `EXPLAIN ANALYZE` counts the edge's
-/// survivors and an unproven certificate checks the sum — both in the
-/// counting loop.
+/// `~ last run:` names the masked-probe loop the executor dispatched, and
+/// that is `strategy:`'s: the sink's name does not depend on the proof or on
+/// whether the run counts — a plain run, `EXPLAIN ANALYZE` (which counts the
+/// edge's survivors) and an unproven certificate (which checks the sum).
 #[test]
 fn the_run_report_names_the_probe_that_ran() {
     let db = micro();
-    let (plan, proven) = (q4(50, 50), "sink: semijoin_sum_bitmap_masked)");
-    let last_run = |stats, analyze| {
+    let plan = q4(50, 50);
+    for (stats, analyze) in [
+        (StatsMode::OnLoad, false),
+        (StatsMode::OnLoad, true),
+        (StatsMode::Off, false),
+    ] {
         let e = Engine::builder(as_database(&db))
             .threads(1)
             .stats(stats)
             .build();
-        assert!(e.explain(&plan).expect("plans").strategy.ends_with(proven));
         let report = match analyze {
             true => e.explain_analyze(&plan),
             false => e.query(&plan).and_then(|_| e.explain(&plan)),
         };
-        report.expect("runs").runtime.join("\n")
-    };
-    let counting = "sink: semijoin_sum_count_bitmap_masked)";
-    assert!(last_run(StatsMode::OnLoad, false).contains(proven));
-    assert!(last_run(StatsMode::OnLoad, true).contains(counting));
-    assert!(last_run(StatsMode::Off, false).contains(counting));
+        let report = report.expect("runs");
+        let ran = report.runtime.last().expect("the run is recorded");
+        let strategy = ran.rsplit_once(": ok").map(|(s, _)| s);
+        assert_eq!(strategy, Some(&report.strategy[..]), "{stats:?} {analyze}");
+    }
 }
 
-/// The masked probe of a lone sum is one pass either way: the
-/// `semijoin_sum_bitmap_masked` kernel when the certificate proves the
-/// accumulator and no counters are wanted, its counting twin
-/// `semijoin_sum_count_bitmap_masked` — checked when unproven — otherwise.
-/// All four combinations — statistics on or off decides the proof — must
-/// return the hand-coded pipeline's answer.
+/// The masked probe of a lone sum is one pass either way: the scalar fold
+/// with the edge's bitmap as its membership, wrapping when the certificate
+/// proves the accumulator and checked otherwise, counting the lanes it
+/// keeps when counters are wanted. All four combinations — statistics on or
+/// off decides the proof — must return the hand-coded pipeline's answer.
 #[test]
 fn masked_probe_answers_the_same_proven_or_checked() {
     let db = micro();
@@ -327,9 +327,7 @@ fn masked_probe_answers_the_same_proven_or_checked() {
                     let plan = q4(sel1, sel2);
                     let explain = e.explain(&plan).expect("plans");
                     assert!(
-                        explain
-                            .strategy
-                            .ends_with("sink: semijoin_sum_bitmap_masked)"),
+                        explain.strategy.ends_with("sink: fold_masked_bitmap<1>)"),
                         "{}",
                         explain.strategy
                     );
@@ -497,7 +495,7 @@ fn engine_matches_handcoded_tpch_q1_lite() {
 }
 
 /// The sum-and-count masked probe, as `EXPLAIN` names it.
-const SUM_COUNT_PROBE: &str = "masked probe, sink: semijoin_sum_count_bitmap_masked)";
+const SUM_COUNT_PROBE: &str = "masked probe, sink: fold_masked_bitmap<2>)";
 
 /// The benchmark's TPC-H Q4 rendition: a bitmap build and a fully masked
 /// probe with two aggregates, one pass.

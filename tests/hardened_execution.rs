@@ -329,8 +329,8 @@ fn unproven_list_accumulators_still_detect_overflow_and_fall_back() {
 /// surfaces as `PlanError::Overflow` and the statement answers through the
 /// interpreter; a product that wraps only on lanes the predicate or the
 /// parent's bit masks out is wasted work, ignored — the contract of
-/// `agg::sum_op_masked_checked` over the folded mask — and the engine
-/// answers on its first attempt.
+/// `agg::fold`'s checked mode, whether the mask or the bit dropped the
+/// lane — and the engine answers on its first attempt.
 #[test]
 fn unproven_probe_sum_count_detects_overflow_on_qualifying_lanes_only() {
     let h = i64::MAX / 2 + 1;
@@ -372,7 +372,7 @@ fn unproven_probe_sum_count_detects_overflow_on_qualifying_lanes_only() {
                 .build();
             let sink = e.explain(&plan).expect("plans").strategy;
             assert!(
-                sink.ends_with("masked probe, sink: semijoin_sum_count_bitmap_masked)"),
+                sink.ends_with("masked probe, sink: fold_masked_bitmap<2>)"),
                 "{sink}"
             );
             let cert = e.certificate(&plan).expect("certifies");
