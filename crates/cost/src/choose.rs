@@ -10,7 +10,7 @@ use std::fmt;
 use crate::{model, CostParams};
 
 /// Aggregation strategies the chooser can pick between (§§ III-A, III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggStrategy {
     /// Prepass + selection vector + conditional aggregation (the fallback
     /// when pullups don't pay: "we can simply fall back to generating code
@@ -209,7 +209,7 @@ fn choose_agg_on(p: &CostParams, prof: &AggProfile, table: GroupTableCost) -> Ag
 }
 
 /// How the build side of a positional bitmap is written (§ III-D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BitmapBuild {
     /// Unconditionally assign the predicate result bit per tuple.
     Unconditional,
@@ -218,7 +218,7 @@ pub enum BitmapBuild {
 }
 
 /// Semijoin strategies (§ III-D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SemiJoinStrategy {
     /// Build + probe a hash key set (the baseline).
     Hash,
@@ -290,7 +290,7 @@ pub fn choose_semijoin(p: &CostParams, prof: &SemiJoinProfile) -> SemiJoinChoice
 }
 
 /// Groupjoin strategies (§ III-E).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GroupJoinStrategy {
     /// Traditional groupjoin: filtered build, per-probe lookup.
     GroupJoin,
@@ -415,7 +415,7 @@ pub fn choose_groupjoin(p: &CostParams, prof: &GroupJoinProfile) -> GroupJoinCho
 /// to window frames: a running accumulator touches each input value exactly
 /// once in sorted (sequential) order, while re-evaluation walks every frame
 /// row again for every output row (conditional, frame-dependent access).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WindowStrategy {
     /// One sequential pass per partition: accumulate on entry, and for
     /// bounded `ROWS k PRECEDING` frames subtract the evicted value —

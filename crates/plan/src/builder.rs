@@ -19,7 +19,7 @@ use swole_verify::VerifyLevel;
 /// Fig. 2 choosers — and the join-order enumerator — in charge; a set
 /// field pins that decision for every query of the session. Set through
 /// [`EngineBuilder::strategies`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct StrategyOverrides {
     /// Pin the scan-aggregation strategy. Pinning a masked strategy while
     /// the aggregate list contains min/max fails at plan time (those
@@ -93,22 +93,6 @@ impl StrategyOverrides {
     ) -> StrategyOverrides {
         self.build_sides.push((table.into(), s));
         self
-    }
-
-    /// Cache-key suffix for the pins that change plan structure: two
-    /// queries differing only in join-order/build-side pins must not share
-    /// a cached plan.
-    pub(crate) fn fingerprint_suffix(&self) -> String {
-        let mut out = String::new();
-        if let Some(order) = &self.join_order {
-            out.push_str(":jo[");
-            out.push_str(&order.join(","));
-            out.push(']');
-        }
-        for (t, s) in &self.build_sides {
-            out.push_str(&format!(":bs[{t}={s:?}]"));
-        }
-        out
     }
 }
 

@@ -3,20 +3,29 @@
 //! Planning is not free: the planner samples base tables to estimate
 //! selectivities and group counts before pricing strategies, so repeating a
 //! query re-pays the sampling pass every time. The cache memoizes the chosen
-//! [`PhysicalPlan`] keyed on the logical plan plus the strategy-relevant
-//! execution parameters (thread count), under a byte budget enforced with
-//! the same [`MemGauge`] machinery that hardens execution. The key renders
-//! the plan as given: a plan is canonical by construction — the SQL binder
-//! and [`crate::QueryBuilder::filter`] put one conjunction in one `Filter` —
-//! so nothing is normalised per statement, and a hand-built `Filter` chain
+//! [`PhysicalPlan`] under a 64-bit fingerprint of the logical plan plus the
+//! strategy-relevant execution parameters (thread count, strategy pins),
+//! under a byte budget enforced with the same [`MemGauge`] machinery that
+//! hardens execution. A fingerprint match is confirmed with `==` on the
+//! stored logical plan, so a hash collision cannot make two statements share
+//! an entry. A plan is canonical by construction — the SQL binder and
+//! [`crate::QueryBuilder::filter`] put one conjunction in one `Filter` — so
+//! nothing is normalised per statement, and a hand-built `Filter` chain
 //! costs its own entry and nothing else.
 //!
-//! Entries are invalidated two ways:
+//! An entry also keeps the SQL texts that parsed to its plan: parsing is
+//! syntactic, so a text maps to one logical plan forever, and a warm text is
+//! found by its bytes without being parsed again.
+//!
+//! Entries are invalidated three ways:
 //!
 //! - **Generation counters** — every table carries a load generation that
 //!   [`crate::Database::load_table`] bumps. A cached plan remembers the
 //!   generations of the tables it touches; a mismatch at lookup drops the
 //!   entry (the data changed, so the sampled statistics are void).
+//! - **The FK epoch** — registering or dropping an FK index changes which
+//!   join strategies the planner may pick, so a plan with a join edge
+//!   remembers the catalog's FK epoch too.
 //! - **Observed drift** — after a metered execution the engine compares the
 //!   planner's estimated selectivity against the measured one (the same
 //!   observed-vs-predicted signal `EXPLAIN ANALYZE` reports). Past the
@@ -25,10 +34,13 @@
 //!   load cannot make the cache thrash between plan and re-plan.
 
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 use swole_verify::{PlanCertificate, VerifyLevel};
 
+use crate::catalog::Database;
+use crate::logical::LogicalPlan;
 use crate::physical::PhysicalPlan;
 use swole_runtime::MemGauge;
 
@@ -94,14 +106,35 @@ pub struct FallbackBreakerStats {
     pub short_circuits: u64,
 }
 
+/// The 64-bit hash of `value`: a plan's fingerprint, a text's key.
+/// Deterministic (fixed keys), so two engines fingerprint alike.
+pub(crate) fn hash_of(value: &(impl Hash + ?Sized)) -> u64 {
+    let mut h = DefaultHasher::new();
+    value.hash(&mut h);
+    h.finish()
+}
+
+/// A SQL text an entry's plan was parsed from, with its hash.
+type Text = (u64, Box<str>);
+
 /// One cached plan.
 struct CacheEntry {
-    key: String,
+    fingerprint: u64,
+    /// The plan the entry was planned from: what confirms a fingerprint
+    /// match, and what a warm text runs (its fallback included).
+    logical: Arc<LogicalPlan>,
     plan: Arc<PhysicalPlan>,
+    /// The texts that parsed to `logical`.
+    texts: Vec<Text>,
     /// `(table, generation)` for every table the plan reads.
     generations: Vec<(String, u64)>,
+    /// The catalog's FK epoch at planning, for a plan with a join edge.
+    fk_epoch: Option<u64>,
     /// Bytes charged against the cache gauge for this entry.
     bytes: usize,
+    /// The cache's use clock at this entry's insert or latest hit; the
+    /// lowest is evicted first.
+    used: u64,
     /// `Some(observed)` once drift marked the entry stale; the next lookup
     /// evicts it and hands the observed selectivity to the re-plan.
     stale: Option<f64>,
@@ -113,7 +146,27 @@ struct CacheEntry {
     /// as `generations` — the generation check that invalidates the plan
     /// therefore invalidates its certificate with it (the stale-stats
     /// soundness edge).
-    certificate: Option<Arc<PlanCertificate>>,
+    certificate: Arc<PlanCertificate>,
+}
+
+impl CacheEntry {
+    /// Whether the catalog still is what the entry was planned against.
+    /// Compares in place: nothing is allocated to check.
+    fn current(&self, db: &Database) -> bool {
+        self.generations
+            .iter()
+            .all(|(table, g)| db.generation(table).unwrap_or(0) == *g)
+            && self.fk_epoch.is_none_or(|e| e == db.fk_epoch())
+    }
+
+    /// Current, and not marked stale by drift: a lookup would hit it.
+    fn usable(&self, db: &Database) -> bool {
+        self.current(db) && self.stale.is_none()
+    }
+
+    fn holds(&self, hash: u64, text: &str) -> bool {
+        self.texts.iter().any(|(h, t)| *h == hash && **t == *text)
+    }
 }
 
 /// Counters behind [`PlanCacheStats`].
@@ -135,8 +188,8 @@ pub struct PlanCacheStats {
     pub misses: u64,
     /// Entries dropped to make room under the byte budget.
     pub evictions: u64,
-    /// Entries dropped because a table generation changed or observed
-    /// selectivity drifted past the threshold.
+    /// Entries dropped because a table generation or the FK epoch changed,
+    /// or observed selectivity drifted past the threshold.
     pub invalidations: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -144,19 +197,39 @@ pub struct PlanCacheStats {
     pub bytes: usize,
 }
 
+/// A valid entry: its fingerprint, its plans, the strongest verification
+/// level the plan has already passed, and its admission certificate (valid
+/// because the validity check just passed).
+pub(crate) struct Hit {
+    pub(crate) fingerprint: u64,
+    pub(crate) logical: Arc<LogicalPlan>,
+    pub(crate) plan: Arc<PhysicalPlan>,
+    pub(crate) verified: VerifyLevel,
+    pub(crate) certificate: Arc<PlanCertificate>,
+}
+
 /// Result of a cache probe.
 pub(crate) enum CacheLookup {
-    /// A valid entry: reuse its plan. Carries the strongest verification
-    /// level the plan has already passed and the cached admission
-    /// certificate (valid because the generation check just passed).
-    Hit(Arc<PhysicalPlan>, VerifyLevel, Option<Arc<PlanCertificate>>),
-    /// No usable entry; plan fresh. `drift_hint` carries the observed
-    /// selectivity when the miss was caused by drift invalidation, so the
-    /// re-plan can substitute measurement for estimation.
+    /// A valid entry: reuse its plan.
+    Hit(Hit),
+    /// No usable entry; plan fresh.
     Miss {
-        /// Observed selectivity from the drift-invalidated entry, if any.
+        /// Observed selectivity from the drift-invalidated entry, if any,
+        /// so the re-plan can substitute measurement for estimation.
         drift_hint: Option<f64>,
+        /// The invalidated entry's plan and texts, for its replacement.
+        invalidated: Option<(Arc<LogicalPlan>, Vec<Text>)>,
     },
+}
+
+/// Result of a probe by text ([`PlanCache::lookup_text`]).
+pub(crate) enum TextLookup {
+    /// A valid entry holds the text.
+    Hit(Hit),
+    /// The entry holding the text is no longer valid; this is its plan.
+    Invalid(Arc<LogicalPlan>),
+    /// No entry holds the text.
+    Unknown,
 }
 
 /// The bounded LRU plan cache. One per [`crate::Engine`]; shared by all
@@ -165,14 +238,13 @@ pub(crate) struct PlanCache {
     /// Byte budget, enforced with the hardened-execution gauge (quiet
     /// charges: cache bookkeeping must not consume injected faults).
     gauge: MemGauge,
-    /// `entries` is LRU-ordered: front = least recent, back = most recent.
     inner: Mutex<Inner>,
     enabled: bool,
     /// Fallback circuit breakers, keyed by plan fingerprint. Independent
     /// of the plan entries (and of `enabled`): breaker state must survive
     /// cache eviction, or an evicted-but-broken plan would re-pay the
     /// doomed primary on every execution.
-    breakers: Mutex<HashMap<String, BreakerState>>,
+    breakers: Mutex<HashMap<u64, BreakerState>>,
     short_circuits: std::sync::atomic::AtomicU64,
 }
 
@@ -180,6 +252,8 @@ pub(crate) struct PlanCache {
 struct Inner {
     entries: Vec<CacheEntry>,
     counters: Counters,
+    /// Ticks once per hit or insert.
+    clock: u64,
 }
 
 impl std::fmt::Debug for PlanCache {
@@ -210,128 +284,200 @@ impl PlanCache {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Probe for `key`, validating table generations. A hit moves the entry
-    /// to the back of the LRU order.
-    pub(crate) fn lookup(&self, key: &str, generations: &[(String, u64)]) -> CacheLookup {
+    /// Probe for `plan` under `fingerprint`, validating the entry against
+    /// `db`. A hit remembers `text`, a text that parsed to `plan`, on the
+    /// entry.
+    pub(crate) fn lookup(
+        &self,
+        fingerprint: u64,
+        plan: &LogicalPlan,
+        text: Option<(u64, &str)>,
+        db: &Database,
+    ) -> CacheLookup {
+        let miss = CacheLookup::Miss {
+            drift_hint: None,
+            invalidated: None,
+        };
         if !self.enabled {
-            return CacheLookup::Miss { drift_hint: None };
+            return miss;
         }
         let mut inner = self.lock();
-        let Some(idx) = inner.entries.iter().position(|e| e.key == key) else {
+        let found = (inner.entries.iter())
+            .position(|e| e.fingerprint == fingerprint && *e.logical == *plan);
+        let Some(idx) = found else {
             inner.counters.misses += 1;
-            return CacheLookup::Miss { drift_hint: None };
+            return miss;
         };
-        let entry = &inner.entries[idx];
-        if entry.generations != generations {
-            let dead = inner.entries.remove(idx);
-            self.gauge.release(dead.bytes);
-            inner.counters.invalidations += 1;
-            inner.counters.misses += 1;
-            return CacheLookup::Miss { drift_hint: None };
-        }
-        if let Some(observed) = entry.stale {
-            let dead = inner.entries.remove(idx);
+        let current = inner.entries[idx].current(db);
+        if !current || inner.entries[idx].stale.is_some() {
+            let dead = inner.entries.swap_remove(idx);
             self.gauge.release(dead.bytes);
             inner.counters.invalidations += 1;
             inner.counters.misses += 1;
             return CacheLookup::Miss {
-                drift_hint: Some(observed),
+                // Changed data voids the observation along with the plan.
+                drift_hint: dead.stale.filter(|_| current),
+                invalidated: Some((dead.logical, dead.texts)),
             };
         }
-        let entry = inner.entries.remove(idx);
-        let plan = Arc::clone(&entry.plan);
-        let verified = entry.verified;
-        let certificate = entry.certificate.clone();
-        inner.entries.push(entry);
+        let hit = Self::hit(&mut inner, idx);
+        if let Some((hash, text)) = text {
+            self.remember(&mut inner, idx, hash, text);
+        }
+        CacheLookup::Hit(hit)
+    }
+
+    /// Probe for the entry holding `text`, by its bytes: no parse, no
+    /// fingerprint. Counts a hit only for a valid entry; an invalid one is
+    /// [`PlanCache::lookup`]'s to count and drop.
+    pub(crate) fn lookup_text(&self, hash: u64, text: &str, db: &Database) -> TextLookup {
+        let mut inner = self.lock();
+        let Some(idx) = inner.entries.iter().position(|e| e.holds(hash, text)) else {
+            return TextLookup::Unknown;
+        };
+        let entry = &inner.entries[idx];
+        if !entry.usable(db) {
+            return TextLookup::Invalid(Arc::clone(&entry.logical));
+        }
+        TextLookup::Hit(Self::hit(&mut inner, idx))
+    }
+
+    /// Count a hit on the valid entry at `idx` and stamp its use.
+    fn hit(inner: &mut Inner, idx: usize) -> Hit {
         inner.counters.hits += 1;
-        CacheLookup::Hit(plan, verified, certificate)
+        inner.clock += 1;
+        let entry = &mut inner.entries[idx];
+        entry.used = inner.clock;
+        Hit {
+            fingerprint: entry.fingerprint,
+            logical: Arc::clone(&entry.logical),
+            plan: Arc::clone(&entry.plan),
+            verified: entry.verified,
+            certificate: Arc::clone(&entry.certificate),
+        }
+    }
+
+    /// Keep `text` on the entry at `idx`, charged to it.
+    fn remember(&self, inner: &mut Inner, idx: usize, hash: u64, text: &str) {
+        if inner.entries[idx].holds(hash, text) {
+            return;
+        }
+        let mut entry = inner.entries.swap_remove(idx);
+        self.gauge.release(entry.bytes);
+        entry.texts.push((hash, text.into()));
+        entry.bytes += text.len();
+        self.keep(inner, entry);
+    }
+
+    /// Charge `entry` and keep it, evicting the least recently used entries
+    /// until it fits. An entry bigger than the whole budget is not kept.
+    fn keep(&self, inner: &mut Inner, entry: CacheEntry) {
+        while self.gauge.try_charge_quiet(entry.bytes).is_err() {
+            let oldest = (0..inner.entries.len()).min_by_key(|&i| inner.entries[i].used);
+            let Some(oldest) = oldest else {
+                return;
+            };
+            let dead = inner.entries.swap_remove(oldest);
+            self.gauge.release(dead.bytes);
+            inner.counters.evictions += 1;
+        }
+        inner.entries.push(entry);
     }
 
     /// Non-mutating probe: the plan `lookup` would hit, if it would. Used by
     /// `EXPLAIN` to report `plan: cached` — and to show that plan — without
-    /// perturbing LRU order or counters.
+    /// perturbing use order or counters.
     pub(crate) fn peek(
         &self,
-        key: &str,
-        generations: &[(String, u64)],
+        fingerprint: u64,
+        plan: &LogicalPlan,
+        db: &Database,
     ) -> Option<Arc<PhysicalPlan>> {
-        if !self.enabled {
-            return None;
-        }
         let inner = self.lock();
-        inner
-            .entries
-            .iter()
-            .find(|e| e.key == key && e.generations == generations && e.stale.is_none())
+        (inner.entries.iter())
+            .find(|e| e.fingerprint == fingerprint && *e.logical == *plan)
+            .filter(|e| e.usable(db))
             .map(|e| Arc::clone(&e.plan))
     }
 
-    /// Insert a freshly planned entry, evicting least-recently-used entries
-    /// until it fits the byte budget. An entry bigger than the whole budget
-    /// is silently not cached.
+    /// Insert a freshly planned entry for `logical`, valid for `db` as it is
+    /// now (see [`PlanCache::keep`]).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn insert(
         &self,
-        key: String,
+        fingerprint: u64,
+        logical: Arc<LogicalPlan>,
         plan: Arc<PhysicalPlan>,
-        generations: Vec<(String, u64)>,
+        texts: Vec<Text>,
+        db: &Database,
         verified: VerifyLevel,
-        certificate: Option<Arc<PlanCertificate>>,
+        certificate: Arc<PlanCertificate>,
     ) {
         if !self.enabled {
             return;
         }
-        let bytes = entry_bytes(&key, &plan)
-            + certificate
-                .as_ref()
-                .map_or(0, |c| 64 + c.per_op_bounds.len() * 96);
+        let bytes = entry_bytes(&logical, &plan, &texts, &certificate);
+        let generations = table_generations(db, &logical);
+        let mut join = false;
+        logical.visit(&mut |node| join |= matches!(node, LogicalPlan::SemiJoin { .. }));
+        let fk_epoch = join.then(|| db.fk_epoch());
         let mut inner = self.lock();
-        // Replace any existing entry for the key (e.g. a racing clone of the
+        // Replace any existing entry for the plan (e.g. a racing clone of the
         // engine planned the same statement).
-        if let Some(idx) = inner.entries.iter().position(|e| e.key == key) {
-            let dead = inner.entries.remove(idx);
+        let found = (inner.entries.iter())
+            .position(|e| e.fingerprint == fingerprint && e.logical == logical);
+        if let Some(idx) = found {
+            let dead = inner.entries.swap_remove(idx);
             self.gauge.release(dead.bytes);
         }
-        while self.gauge.try_charge_quiet(bytes).is_err() {
-            if inner.entries.is_empty() {
-                return; // larger than the whole budget: skip caching
-            }
-            let dead = inner.entries.remove(0);
-            self.gauge.release(dead.bytes);
-            inner.counters.evictions += 1;
-        }
-        inner.entries.push(CacheEntry {
-            key,
+        inner.clock += 1;
+        let used = inner.clock;
+        let entry = CacheEntry {
+            fingerprint,
+            logical,
             plan,
+            texts,
             generations,
+            fk_epoch,
             bytes,
+            used,
             stale: None,
             verified,
             certificate,
-        });
+        };
+        self.keep(&mut inner, entry);
     }
 
-    /// Record that the plan cached under `key` has now passed verification
-    /// at `level`. Levels only ratchet upward.
-    pub(crate) fn note_verified(&self, key: &str, level: VerifyLevel) {
-        if !self.enabled {
-            return;
-        }
-        let mut inner = self.lock();
-        if let Some(entry) = inner.entries.iter_mut().find(|e| e.key == key) {
+    /// The resident entry `plan` is, under `fingerprint`.
+    fn entry_of<'a>(
+        inner: &'a mut Inner,
+        fingerprint: u64,
+        plan: &Arc<PhysicalPlan>,
+    ) -> Option<&'a mut CacheEntry> {
+        (inner.entries.iter_mut())
+            .find(|e| e.fingerprint == fingerprint && Arc::ptr_eq(&e.plan, plan))
+    }
+
+    /// Record that `plan`, cached under `fingerprint`, has now passed
+    /// verification at `level`. Levels only ratchet upward.
+    pub(crate) fn note_verified(
+        &self,
+        fingerprint: u64,
+        plan: &Arc<PhysicalPlan>,
+        level: VerifyLevel,
+    ) {
+        if let Some(entry) = Self::entry_of(&mut self.lock(), fingerprint, plan) {
             entry.verified = entry.verified.max(level);
         }
     }
 
-    /// Feed a measured selectivity back into the cache. If it diverges from
-    /// the σ the entry's plan was priced with past the drift thresholds, the
-    /// entry is marked stale; the next lookup misses and re-plans with
-    /// `observed` as a hint.
-    pub(crate) fn observe(&self, key: &str, observed: f64) {
-        if !self.enabled {
-            return;
-        }
+    /// Feed a measured selectivity of `plan`, cached under `fingerprint`,
+    /// back into the cache. If it diverges from the σ the plan was priced
+    /// with past the drift thresholds, the entry is marked stale; the next
+    /// lookup misses and re-plans with `observed` as a hint.
+    pub(crate) fn observe(&self, fingerprint: u64, plan: &Arc<PhysicalPlan>, observed: f64) {
         let mut inner = self.lock();
-        let Some(entry) = inner.entries.iter_mut().find(|e| e.key == key) else {
+        let Some(entry) = Self::entry_of(&mut inner, fingerprint, plan) else {
             return;
         };
         let Some(estimated) = entry.plan.estimates.selectivity else {
@@ -349,17 +495,12 @@ impl PlanCache {
         }
     }
 
-    /// Consult the fallback circuit for `key` before running its primary
-    /// strategy. An untracked (never-fallen-back) fingerprint is `Closed`
-    /// without allocating an entry.
-    pub(crate) fn breaker_check(&self, key: &str) -> BreakerDecision {
+    /// Consult the fallback circuit for `fingerprint` before running its
+    /// primary strategy. An untracked (never-fallen-back) fingerprint is
+    /// `Closed` without allocating an entry.
+    pub(crate) fn breaker_check(&self, fingerprint: u64) -> BreakerDecision {
         let mut map = self.breakers.lock().unwrap_or_else(|e| e.into_inner());
-        // Empty until some statement has fallen back: do not hash the
-        // several-hundred-byte key to learn that.
-        if map.is_empty() {
-            return BreakerDecision::Closed;
-        }
-        let Some(st) = map.get_mut(key) else {
+        let Some(st) = map.get_mut(&fingerprint) else {
             return BreakerDecision::Closed;
         };
         if !st.open {
@@ -375,24 +516,22 @@ impl PlanCache {
         }
     }
 
-    /// The primary strategy succeeded for `key`: close (and forget) its
-    /// circuit. A successful half-open probe lands here too.
-    pub(crate) fn breaker_primary_ok(&self, key: &str) {
+    /// The primary strategy succeeded for `fingerprint`: close (and forget)
+    /// its circuit. A successful half-open probe lands here too.
+    pub(crate) fn breaker_primary_ok(&self, fingerprint: u64) {
         let mut map = self.breakers.lock().unwrap_or_else(|e| e.into_inner());
-        if !map.is_empty() {
-            map.remove(key);
-        }
+        map.remove(&fingerprint);
     }
 
     /// The query fell back to the interpreter (the primary failed a
     /// retryable runtime precondition). Returns `true` when this consecutive
     /// failure is the one that opened the circuit.
-    pub(crate) fn breaker_fallback_ran(&self, key: &str) -> bool {
+    pub(crate) fn breaker_fallback_ran(&self, fingerprint: u64) -> bool {
         let mut map = self.breakers.lock().unwrap_or_else(|e| e.into_inner());
-        if !map.contains_key(key) && map.len() >= BREAKER_MAX_TRACKED {
+        if !map.contains_key(&fingerprint) && map.len() >= BREAKER_MAX_TRACKED {
             map.retain(|_, st| st.open);
         }
-        let st = map.entry(key.to_string()).or_default();
+        let st = map.entry(fingerprint).or_default();
         st.consecutive_fallbacks += 1;
         if !st.open && st.consecutive_fallbacks >= BREAKER_OPEN_AFTER {
             st.open = true;
@@ -426,12 +565,39 @@ impl PlanCache {
     }
 }
 
-/// Estimated resident size of a cache entry. The plan's `Debug` rendering
-/// tracks its structural size (shape, decision strings, cost terms, the
-/// estimates it was priced with) closely enough for budget accounting,
-/// without a hand-maintained `size_of` walk.
-fn entry_bytes(key: &str, plan: &PhysicalPlan) -> usize {
-    key.len() + format!("{plan:?}").len() + 128
+/// Estimated resident size of a cache entry. The plans' `Debug` renderings
+/// track their structural size (shape, decision strings, cost terms, the
+/// estimates the plan was priced with) closely enough for budget
+/// accounting, without a hand-maintained `size_of` walk; a text counts its
+/// bytes.
+fn entry_bytes(
+    logical: &LogicalPlan,
+    plan: &PhysicalPlan,
+    texts: &[Text],
+    certificate: &PlanCertificate,
+) -> usize {
+    let texts: usize = texts.iter().map(|(_, t)| t.len()).sum();
+    format!("{logical:?}").len()
+        + format!("{plan:?}").len()
+        + texts
+        + 128
+        + 64
+        + certificate.per_op_bounds.len() * 96
+}
+
+/// The generation counter of every table a plan reads (depth-first, each
+/// table once — a statement names a handful, so duplicates are found by
+/// scanning), for an entry's validity check.
+fn table_generations(db: &Database, plan: &LogicalPlan) -> Vec<(String, u64)> {
+    let mut out: Vec<(String, u64)> = Vec::new();
+    plan.visit(&mut |node| {
+        if let LogicalPlan::Scan { table } = node {
+            if !out.iter().any(|(seen, _)| seen == table) {
+                out.push((table.clone(), db.generation(table).unwrap_or(0)));
+            }
+        }
+    });
+    out
 }
 
 #[cfg(test)]
@@ -442,6 +608,26 @@ mod tests {
     };
     use crate::tile::TileProgram;
     use swole_cost::{AggStrategy, JoinOrderMethod};
+    use swole_storage::Table;
+    use swole_verify::OverflowProof;
+
+    fn db() -> Database {
+        let mut db = Database::new();
+        db.add_table(Table::new("T"));
+        db
+    }
+
+    fn scan() -> LogicalPlan {
+        LogicalPlan::Scan { table: "T".into() }
+    }
+
+    /// A plan other than [`scan`] (and its own fingerprint's).
+    fn limit(n: usize) -> LogicalPlan {
+        LogicalPlan::Limit {
+            input: Box::new(scan()),
+            n,
+        }
+    }
 
     fn plan() -> Arc<PhysicalPlan> {
         plan_estimating(None)
@@ -460,8 +646,7 @@ mod tests {
                 group_sink: None,
                 group_table: GroupTableRepr::Hash,
                 program: Arc::new(
-                    TileProgram::lower(&swole_storage::Table::new("T"), None, &[])
-                        .expect("empty program lowers"),
+                    TileProgram::lower(&Table::new("T"), None, &[]).expect("empty program lowers"),
                 ),
             }),
             vec!["test".into()],
@@ -475,51 +660,88 @@ mod tests {
         ))
     }
 
-    fn gens(g: u64) -> Vec<(String, u64)> {
-        vec![("T".to_string(), g)]
+    fn certificate() -> Arc<PlanCertificate> {
+        Arc::new(PlanCertificate {
+            peak_bytes_bound: 0,
+            primary_bytes_bound: 0,
+            fallback_bytes: 0,
+            per_op_bounds: Vec::new(),
+            arith_sites: 0,
+            overflow_safe_sites: 0,
+            overflow_proof: OverflowProof::Unproven,
+            workers: 1,
+            stats_generations: Vec::new(),
+            lines: Vec::new(),
+        })
+    }
+
+    /// Insert `physical` for `logical` under its own fingerprint.
+    fn put(cache: &PlanCache, db: &Database, logical: &LogicalPlan, physical: Arc<PhysicalPlan>) {
+        let fp = hash_of(logical);
+        let texts = Vec::new();
+        let logical = Arc::new(logical.clone());
+        cache.insert(
+            fp,
+            logical,
+            physical,
+            texts,
+            db,
+            VerifyLevel::Off,
+            certificate(),
+        );
+    }
+
+    fn get(cache: &PlanCache, db: &Database, logical: &LogicalPlan) -> CacheLookup {
+        cache.lookup(hash_of(logical), logical, None, db)
     }
 
     #[test]
     fn hit_after_insert_miss_before() {
-        let cache = PlanCache::new(1 << 20);
+        let (cache, db) = (PlanCache::new(1 << 20), db());
         assert!(matches!(
-            cache.lookup("q1", &gens(0)),
-            CacheLookup::Miss { drift_hint: None }
+            get(&cache, &db, &scan()),
+            CacheLookup::Miss {
+                drift_hint: None,
+                invalidated: None
+            }
         ));
-        cache.insert("q1".into(), plan(), gens(0), VerifyLevel::Off, None);
-        assert!(matches!(cache.lookup("q1", &gens(0)), CacheLookup::Hit(..)));
+        put(&cache, &db, &scan(), plan());
+        assert!(matches!(get(&cache, &db, &scan()), CacheLookup::Hit(..)));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
 
     #[test]
     fn generation_mismatch_invalidates() {
-        let cache = PlanCache::new(1 << 20);
-        cache.insert("q1".into(), plan(), gens(0), VerifyLevel::Off, None);
-        assert!(matches!(
-            cache.lookup("q1", &gens(1)),
-            CacheLookup::Miss { drift_hint: None }
-        ));
+        let (cache, mut db) = (PlanCache::new(1 << 20), db());
+        put(&cache, &db, &scan(), plan());
+        db.load_table(Table::new("T"));
+        match get(&cache, &db, &scan()) {
+            CacheLookup::Miss {
+                drift_hint: None,
+                invalidated: Some((logical, _)),
+            } => assert_eq!(*logical, scan()),
+            _ => panic!("expected an invalidation"),
+        }
         assert_eq!(cache.stats().invalidations, 1);
         assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]
     fn drift_marks_stale_and_hints_replan() {
-        let cache = PlanCache::new(1 << 20);
-        cache.insert(
-            "q1".into(),
-            plan_estimating(Some(0.5)),
-            gens(0),
-            VerifyLevel::Off,
-            None,
-        );
-        cache.observe("q1", 0.49); // within threshold: still a hit
-        assert!(matches!(cache.lookup("q1", &gens(0)), CacheLookup::Hit(..)));
-        cache.observe("q1", 0.05); // way off: stale
-        match cache.lookup("q1", &gens(0)) {
+        let (cache, db) = (PlanCache::new(1 << 20), db());
+        let priced = plan_estimating(Some(0.5));
+        put(&cache, &db, &scan(), Arc::clone(&priced));
+        let fp = hash_of(&scan());
+        cache.observe(fp, &priced, 0.49); // within threshold: still a hit
+        assert!(matches!(get(&cache, &db, &scan()), CacheLookup::Hit(..)));
+        cache.observe(fp, &plan(), 0.05); // another plan's run: no effect
+        assert!(matches!(get(&cache, &db, &scan()), CacheLookup::Hit(..)));
+        cache.observe(fp, &priced, 0.05); // way off: stale
+        match get(&cache, &db, &scan()) {
             CacheLookup::Miss {
                 drift_hint: Some(h),
+                ..
             } => assert!((h - 0.05).abs() < 1e-12),
             _ => panic!("expected drift miss"),
         }
@@ -528,44 +750,146 @@ mod tests {
 
     #[test]
     fn lru_eviction_under_tiny_budget() {
-        let one = entry_bytes("a", &plan());
+        let one = entry_bytes(&limit(1), &plan(), &[], &certificate());
+        let db = db();
         let cache = PlanCache::new(one + one / 2); // room for one entry only
-        cache.insert("a".into(), plan(), gens(0), VerifyLevel::Off, None);
-        cache.insert("b".into(), plan(), gens(0), VerifyLevel::Off, None);
+        put(&cache, &db, &limit(1), plan());
+        put(&cache, &db, &limit(2), plan());
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.evictions, 1);
         assert!(matches!(
-            cache.lookup("a", &gens(0)),
+            get(&cache, &db, &limit(1)),
             CacheLookup::Miss { .. }
         ));
-        assert!(matches!(cache.lookup("b", &gens(0)), CacheLookup::Hit(..)));
+        assert!(matches!(get(&cache, &db, &limit(2)), CacheLookup::Hit(..)));
+    }
+
+    /// A hit, not an insert order, is what keeps an entry: the entry used
+    /// last survives the next insert.
+    #[test]
+    fn a_hit_keeps_its_entry_from_eviction() {
+        let one = entry_bytes(&limit(1), &plan(), &[], &certificate());
+        let db = db();
+        let cache = PlanCache::new(2 * one + one / 2); // room for two
+        put(&cache, &db, &limit(1), plan());
+        put(&cache, &db, &limit(2), plan());
+        assert!(matches!(get(&cache, &db, &limit(1)), CacheLookup::Hit(..)));
+        put(&cache, &db, &limit(3), plan());
+        assert!(matches!(get(&cache, &db, &limit(1)), CacheLookup::Hit(..)));
+        assert!(matches!(
+            get(&cache, &db, &limit(2)),
+            CacheLookup::Miss { .. }
+        ));
     }
 
     #[test]
     fn zero_budget_disables() {
-        let cache = PlanCache::new(0);
-        cache.insert("a".into(), plan(), gens(0), VerifyLevel::Off, None);
+        let (cache, db) = (PlanCache::new(0), db());
+        put(&cache, &db, &scan(), plan());
         assert!(matches!(
-            cache.lookup("a", &gens(0)),
+            get(&cache, &db, &scan()),
             CacheLookup::Miss { .. }
         ));
         assert_eq!(cache.stats().entries, 0);
-        assert!(cache.peek("a", &gens(0)).is_none());
+        assert!(cache.peek(hash_of(&scan()), &scan(), &db).is_none());
+    }
+
+    /// The fingerprint only finds candidates; the stored plan decides. Two
+    /// plans forced under one `u64` are two entries, each found by its own
+    /// plan.
+    #[test]
+    fn two_plans_under_one_fingerprint_are_found_by_their_own_plan() {
+        let (cache, db) = (PlanCache::new(1 << 20), db());
+        let (a, b) = (plan(), plan());
+        for (logical, physical) in [(limit(1), &a), (limit(2), &b)] {
+            let logical = Arc::new(logical);
+            let physical = Arc::clone(physical);
+            cache.insert(
+                7,
+                logical,
+                physical,
+                Vec::new(),
+                &db,
+                VerifyLevel::Off,
+                certificate(),
+            );
+        }
+        assert_eq!(cache.stats().entries, 2);
+        for (logical, physical) in [(limit(1), &a), (limit(2), &b)] {
+            match cache.lookup(7, &logical, None, &db) {
+                CacheLookup::Hit(hit) => {
+                    assert!(Arc::ptr_eq(&hit.plan, physical));
+                    assert_eq!(*hit.logical, logical);
+                }
+                CacheLookup::Miss { .. } => panic!("{logical:?} is cached"),
+            }
+        }
+        assert!(matches!(
+            cache.lookup(7, &limit(3), None, &db),
+            CacheLookup::Miss { .. }
+        ));
+    }
+
+    /// A text rides on the entry its plan hit, is then found by its bytes
+    /// alone, and is handed to the replacement when the entry dies.
+    #[test]
+    fn a_text_is_found_by_its_bytes_until_its_entry_dies() {
+        let (cache, mut db) = (PlanCache::new(1 << 20), db());
+        let text = "select * from T";
+        let hash = hash_of(text);
+        assert!(matches!(
+            cache.lookup_text(hash, text, &db),
+            TextLookup::Unknown
+        ));
+        put(&cache, &db, &scan(), plan());
+        let before = cache.stats().bytes;
+        let fp = hash_of(&scan());
+        assert!(matches!(
+            cache.lookup(fp, &scan(), Some((hash, text)), &db),
+            CacheLookup::Hit(..)
+        ));
+        assert_eq!(
+            cache.stats().bytes,
+            before + text.len(),
+            "the text is charged"
+        );
+        match cache.lookup_text(hash, text, &db) {
+            TextLookup::Hit(hit) => assert_eq!(hit.fingerprint, fp),
+            _ => panic!("the text is held"),
+        }
+        assert!(matches!(
+            cache.lookup_text(hash, "select * from  T", &db),
+            TextLookup::Unknown
+        ));
+        db.load_table(Table::new("T"));
+        assert!(matches!(
+            cache.lookup_text(hash, text, &db),
+            TextLookup::Invalid(..)
+        ));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 0), "{stats:?}");
+        match cache.lookup(fp, &scan(), None, &db) {
+            CacheLookup::Miss {
+                invalidated: Some((_, texts)),
+                ..
+            } => assert_eq!(texts, vec![(hash, text.into())]),
+            _ => panic!("expected an invalidation"),
+        }
     }
 
     #[test]
     fn breaker_opens_after_consecutive_fallbacks_probes_and_closes() {
         let cache = PlanCache::new(1 << 20);
-        assert_eq!(cache.breaker_check("q"), BreakerDecision::Closed);
+        assert_eq!(cache.breaker_check(1), BreakerDecision::Closed);
         for _ in 0..BREAKER_OPEN_AFTER - 1 {
-            assert!(!cache.breaker_fallback_ran("q"));
-            assert_eq!(cache.breaker_check("q"), BreakerDecision::Closed);
+            assert!(!cache.breaker_fallback_ran(1));
+            assert_eq!(cache.breaker_check(1), BreakerDecision::Closed);
         }
-        assert!(cache.breaker_fallback_ran("q"), "third failure opens");
+        assert!(cache.breaker_fallback_ran(1), "third failure opens");
         let mut probes = 0;
         for i in 1..=(2 * BREAKER_PROBE_EVERY) {
-            match cache.breaker_check("q") {
+            match cache.breaker_check(1) {
                 BreakerDecision::Probe => {
                     probes += 1;
                     assert_eq!(i % BREAKER_PROBE_EVERY, 0);
@@ -579,32 +903,30 @@ mod tests {
         assert_eq!(stats.open_circuits, 1);
         assert_eq!(stats.short_circuits, 2 * BREAKER_PROBE_EVERY - 2);
         // A primary success (e.g. a half-open probe) closes the circuit.
-        cache.breaker_primary_ok("q");
-        assert_eq!(cache.breaker_check("q"), BreakerDecision::Closed);
+        cache.breaker_primary_ok(1);
+        assert_eq!(cache.breaker_check(1), BreakerDecision::Closed);
         assert_eq!(cache.breaker_stats().open_circuits, 0);
         // Other fingerprints were never affected.
-        assert_eq!(cache.breaker_check("other"), BreakerDecision::Closed);
+        assert_eq!(cache.breaker_check(2), BreakerDecision::Closed);
     }
 
     #[test]
     fn peek_does_not_perturb() {
-        let cache = PlanCache::new(1 << 20);
+        let (cache, mut db) = (PlanCache::new(1 << 20), db());
         let cached = plan();
-        cache.insert(
-            "a".into(),
-            Arc::clone(&cached),
-            gens(0),
-            VerifyLevel::Off,
-            None,
-        );
-        let peeked = cache.peek("a", &gens(0)).expect("the entry is valid");
+        put(&cache, &db, &scan(), Arc::clone(&cached));
+        let fp = hash_of(&scan());
+        let peeked = cache.peek(fp, &scan(), &db).expect("the entry is valid");
         assert!(
             Arc::ptr_eq(&peeked, &cached),
             "peek hands out the entry's plan"
         );
-        assert!(cache.peek("a", &gens(9)).is_none());
-        assert!(cache.peek("zzz", &gens(0)).is_none());
+        assert!(cache.peek(fp, &limit(1), &db).is_none());
+        assert!(cache.peek(fp + 1, &scan(), &db).is_none());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (0, 0));
+        db.load_table(Table::new("T"));
+        assert!(cache.peek(fp, &scan(), &db).is_none());
+        assert_eq!(cache.stats().entries, 1, "peek drops nothing");
     }
 }

@@ -17,6 +17,10 @@ use swole_storage::{FkIndex, Table};
 pub struct Database {
     tables: Vec<Arc<Table>>,
     fks: Vec<FkEntry>,
+    /// Bumped whenever the set of registered FK indexes changes: the
+    /// planner reads it (a positional bitmap needs the index), so a cached
+    /// plan with a join edge is only as current as this epoch.
+    fk_epoch: u64,
 }
 
 #[derive(Debug)]
@@ -80,6 +84,7 @@ impl Database {
             parent: parent.to_string(),
             index: Arc::new(FkIndex::from_dense(positions, parent_len)),
         });
+        self.fk_epoch += 1;
         Ok(self)
     }
 
@@ -100,7 +105,11 @@ impl Database {
                 // Replace the Arc, never the pointee: in-flight queries
                 // (and pool workers) keep reading their pinned snapshot.
                 *slot = Arc::new(table);
+                let registered = self.fks.len();
                 self.fks.retain(|f| f.child != name && f.parent != name);
+                if self.fks.len() < registered {
+                    self.fk_epoch += 1;
+                }
                 generation
             }
             None => {
@@ -118,6 +127,12 @@ impl Database {
             .iter()
             .find(|t| t.name() == name)
             .map(|t| t.generation())
+    }
+
+    /// How many times the set of registered FK indexes has changed
+    /// ([`Database::add_fk`], or a reload dropping an index).
+    pub(crate) fn fk_epoch(&self) -> u64 {
+        self.fk_epoch
     }
 
     /// Look up a table.

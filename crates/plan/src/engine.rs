@@ -11,20 +11,22 @@
 //! statement hands back is [`crate::result`].
 //!
 //! A statement has one plan. `query_leveled` hands back the plan it executed,
-//! which is what `EXPLAIN ANALYZE` renders; plain `EXPLAIN` renders the cached
-//! plan when the next execution would hit it and plans fresh only otherwise.
-//! The doors that always plan from scratch — [`Engine::plan`],
-//! [`Engine::verify_plan`], [`Engine::explain_verify`],
-//! [`Engine::certificate`] and `EXPLAIN` on a miss — share
-//! [`EngineInner::plan_fresh`]; only [`EngineInner::plan_cached`] honours the
-//! cache and its drift hint.
+//! which is what `EXPLAIN ANALYZE` renders; plain `EXPLAIN` and `EXPLAIN
+//! VERIFY` render the cached plan when the next execution would hit it and
+//! plan fresh only otherwise. The doors that always plan from scratch —
+//! [`Engine::plan`], [`Engine::verify_plan`], [`Engine::certificate`] and
+//! the EXPLAINs on a miss — share [`EngineInner::plan_fresh`]; only
+//! [`EngineInner::plan_cached`] honours the cache and its drift hint.
 
 use std::ops::Deref;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
 use crate::builder::{EngineBuilder, StrategyOverrides};
-use crate::cache::{BreakerDecision, CacheLookup, FallbackBreakerStats, PlanCache, PlanCacheStats};
+use crate::cache::{
+    hash_of, BreakerDecision, CacheLookup, FallbackBreakerStats, Hit, PlanCache, PlanCacheStats,
+    TextLookup,
+};
 use crate::catalog::Database;
 use crate::error::PlanError;
 use crate::exec::{execute_shape, ExecOpts};
@@ -68,6 +70,54 @@ struct ResolvedOpts {
     metrics: MetricsLevel,
     verify: VerifyLevel,
     priority: Priority,
+}
+
+/// What a statement is run from: a logical plan, or an ad-hoc SQL text run
+/// without parameters, which a warm cache answers without parsing it.
+#[derive(Clone, Copy)]
+pub(crate) enum Statement<'a> {
+    Plan(&'a LogicalPlan),
+    Text(&'a str),
+}
+
+/// A statement's plans as [`EngineInner::plan_cached`] resolved them, with
+/// the fingerprint they are cached under and the admission certificate.
+struct Planned {
+    fingerprint: u64,
+    logical: Arc<LogicalPlan>,
+    physical: Arc<PhysicalPlan>,
+    cert: Arc<PlanCertificate>,
+}
+
+/// The runtime report of the most recent statement, under its plan's
+/// fingerprint: what went wrong, line by line, and for a primary run that
+/// succeeded, its figures — kept as values, rendered only when an `EXPLAIN`
+/// asks.
+#[derive(Default)]
+struct LastRun {
+    fingerprint: Option<u64>,
+    lines: Vec<String>,
+    ok: Option<RunOk>,
+}
+
+/// A primary run that succeeded: the plan it ran, morsels done of total,
+/// and the bytes its gauge was charged.
+struct RunOk {
+    plan: Arc<PhysicalPlan>,
+    done: usize,
+    total: usize,
+    charged: usize,
+}
+
+impl RunOk {
+    /// The run's line in the report.
+    fn line(&self) -> String {
+        let (strategy, done, total) = (&self.plan.strategy, self.done, self.total);
+        format!(
+            "{strategy}: ok ({done}/{total} morsels, {} B charged)",
+            self.charged
+        )
+    }
 }
 
 /// What the attempts of one statement share: how its operators execute and
@@ -121,9 +171,9 @@ pub(crate) struct EngineInner {
     /// from [`Engine::handle`] (sessions get their own scope).
     cancel: Arc<CancelState>,
     /// Runtime report of the most recent `query` (outcome, fallback,
-    /// partial progress) under the cache key of the statement that ran —
+    /// partial progress) under the fingerprint of the statement that ran —
     /// surfaced through [`Explain::runtime`] of that statement only.
-    last_run: Mutex<(String, Vec<String>)>,
+    last_run: Mutex<LastRun>,
     /// Bounded, cost-keyed physical-plan cache shared by the session.
     cache: PlanCache,
     /// Drain/abort bookkeeping behind [`Engine::shutdown`].
@@ -173,7 +223,7 @@ impl Engine {
                     .global_budget
                     .map(|budget| Arc::new(GlobalMemoryPool::new(budget, b.memory_policy))),
                 cancel: Arc::new(CancelState::default()),
-                last_run: Mutex::new((String::new(), Vec::new())),
+                last_run: Mutex::new(LastRun::default()),
                 cache: PlanCache::new(b.plan_cache_bytes),
                 lifecycle: Lifecycle::new(),
             }),
@@ -219,7 +269,9 @@ impl Engine {
     }
 
     /// Register a foreign-key index through [`Database::add_fk`] (needed
-    /// again after [`Engine::load_table`] replaced either side's table).
+    /// again after [`Engine::load_table`] replaced either side's table). It
+    /// invalidates every cached plan with a join edge: the index changes
+    /// which strategies the planner may pick.
     pub fn register_fk(&self, child: &str, fk_col: &str, parent: &str) -> Result<(), PlanError> {
         let mut db = self.inner.db.write().unwrap_or_else(|e| e.into_inner());
         db.add_fk(child, fk_col, parent).map(|_| ())
@@ -310,12 +362,11 @@ impl Engine {
     /// the cache (`plan: cached`), one planned from scratch, as that
     /// execution's would be, when not (`plan: fresh`).
     pub fn explain(&self, plan: &LogicalPlan) -> Result<Explain, PlanError> {
-        let inner = &self.inner;
-        let db = inner.read_db();
-        Ok(match inner.peek(&db, plan) {
-            Some(cached) => inner.explain_planned(&db, plan, &cached, true, None),
-            None => inner.explain_planned(&db, plan, &inner.plan_fresh(&db, plan)?, false, None),
-        })
+        let db = self.inner.read_db();
+        let (physical, cached) = self.inner.next_plan(&db, plan)?;
+        Ok(self
+            .inner
+            .explain_planned(&db, plan, &physical, cached, None))
     }
 
     /// EXPLAIN ANALYZE: execute the query once at (at least)
@@ -362,18 +413,18 @@ impl Engine {
         crate::verify::verify_physical(&db, &physical, VerifyLevel::Full)
     }
 
-    /// EXPLAIN VERIFY: the decision report of [`Engine::explain`] with the
-    /// `verification` section populated by a [`VerifyLevel::Full`] pass
-    /// over the composed plan (one summary line per pass) followed by the
-    /// plan's admission-certificate bound lines (peak memory, overflow-safe
-    /// arithmetic sites, and a per-operator bound breakdown).
+    /// EXPLAIN VERIFY: the decision report of [`Engine::explain`] — of the
+    /// plan the next execution would run — with the `verification` section
+    /// populated by a [`VerifyLevel::Full`] pass over that plan (one summary
+    /// line per pass) followed by its admission-certificate bound lines
+    /// (peak memory, overflow-safe arithmetic sites, and a per-operator
+    /// bound breakdown).
     pub fn explain_verify(&self, plan: &LogicalPlan) -> Result<Explain, PlanError> {
         let db = self.inner.read_db();
-        let physical = self.inner.plan_fresh(&db, plan)?;
+        let (physical, cached) = self.inner.next_plan(&db, plan)?;
         let (report, cert) =
             self.inner
                 .verify_and_certify(&db, plan, &physical, VerifyLevel::Full)?;
-        let cached = self.inner.peek(&db, plan).is_some();
         let mut ex = self
             .inner
             .explain_planned(&db, plan, &physical, cached, None);
@@ -504,20 +555,43 @@ impl EngineInner {
         self.planner(db).plan(plan, PlanHints::default())
     }
 
-    fn record_run(&self, cache_key: &str, report: Vec<String>) {
+    /// The plan the next execution of `plan` would run, and whether it
+    /// comes from the cache.
+    fn next_plan(
+        &self,
+        db: &Database,
+        plan: &LogicalPlan,
+    ) -> Result<(Arc<PhysicalPlan>, bool), PlanError> {
+        Ok(match self.peek(db, plan) {
+            Some(cached) => (cached, true),
+            None => (Arc::new(self.plan_fresh(db, plan)?), false),
+        })
+    }
+
+    fn record_run(&self, fingerprint: u64, lines: Vec<String>, ok: Option<RunOk>) {
         if let Ok(mut last) = self.last_run.lock() {
-            // The key's buffer is reused: a warm statement allocates nothing
-            // to say whose report this is.
-            last.0.clear();
-            last.0.push_str(cache_key);
-            last.1 = report;
+            *last = LastRun {
+                fingerprint: Some(fingerprint),
+                lines,
+                ok,
+            };
         }
+    }
+
+    /// The cache fingerprint of `plan` on this engine: its thread count
+    /// (it feeds the multi-threaded groupjoin chooser, so plans picked at
+    /// different parallelism must not alias), its strategy pins, and the
+    /// plan — canonical as built: the SQL binder and
+    /// [`crate::QueryBuilder::filter`] put one conjunction in one `Filter`.
+    fn fingerprint(&self, plan: &LogicalPlan) -> u64 {
+        hash_of(&(self.threads, &self.strategies, plan))
     }
 
     /// Plan through the session's cache: hits reuse the stored physical
     /// plan; misses plan fresh (honouring a drift hint, if the miss came
-    /// from drift invalidation) and insert. Returns the plan, its cache
-    /// key, and the plan's admission certificate.
+    /// from drift invalidation) and insert. A text is looked up by its
+    /// bytes first and parsed only when no entry holds it; a text that
+    /// fails to parse is never cached.
     ///
     /// Every plan is certified regardless of the session's verify level:
     /// the certificate gates admission, not verification. Certificates are
@@ -527,46 +601,90 @@ impl EngineInner {
     fn plan_cached(
         &self,
         db: &Database,
-        plan: &LogicalPlan,
+        stmt: Statement<'_>,
         verify: VerifyLevel,
-    ) -> Result<(Arc<PhysicalPlan>, String, Arc<PlanCertificate>), PlanError> {
-        let key = self.cache_key(plan);
-        let gens = table_generations(db, plan);
-        match self.cache.lookup(&key, &gens) {
-            CacheLookup::Hit(physical, verified, certificate) => {
-                // The cached verdict travels with the plan: re-verify only
-                // when this call demands a stricter level than the one the
-                // entry was already checked at.
-                if verified < verify {
-                    crate::verify::verify_physical(db, &physical, verify)?;
-                    self.cache.note_verified(&key, verify);
-                }
-                let cert = match certificate {
-                    Some(c) => c,
-                    None => self.certificate_for(db, &physical, Some(plan))?,
-                };
-                Ok((physical, key, cert))
-            }
-            CacheLookup::Miss { drift_hint } => {
-                let hints = PlanHints {
-                    selectivity: drift_hint,
-                };
-                let physical = Arc::new(self.planner(db).plan(plan, hints)?);
-                let cert = if verify > VerifyLevel::Off {
-                    Arc::new(self.verify_and_certify(db, plan, &physical, verify)?.1)
-                } else {
-                    self.certificate_for(db, &physical, Some(plan))?
-                };
-                self.cache.insert(
-                    key.clone(),
-                    Arc::clone(&physical),
-                    gens,
-                    verify,
-                    Some(Arc::clone(&cert)),
-                );
-                Ok((physical, key, cert))
+    ) -> Result<Planned, PlanError> {
+        let sql = match stmt {
+            Statement::Plan(plan) => return self.plan_through(db, plan, None, verify),
+            Statement::Text(sql) => sql,
+        };
+        let hash = hash_of(sql);
+        let logical = match self.cache.lookup_text(hash, sql, db) {
+            TextLookup::Hit(hit) => return self.reuse(db, hit, verify),
+            TextLookup::Invalid(logical) => logical,
+            TextLookup::Unknown => Arc::new(crate::prepared::parse_unbound(sql)?),
+        };
+        self.plan_through(db, &logical, Some((&logical, hash, sql)), verify)
+    }
+
+    /// [`Self::plan_cached`] of a logical plan; `text` is the shared plan
+    /// and the text (with its hash) it was parsed from.
+    fn plan_through(
+        &self,
+        db: &Database,
+        plan: &LogicalPlan,
+        text: Option<(&Arc<LogicalPlan>, u64, &str)>,
+        verify: VerifyLevel,
+    ) -> Result<Planned, PlanError> {
+        let fingerprint = self.fingerprint(plan);
+        let source = text.map(|(_, hash, sql)| (hash, sql));
+        let (drift_hint, invalidated) = match self.cache.lookup(fingerprint, plan, source, db) {
+            CacheLookup::Hit(hit) => return self.reuse(db, hit, verify),
+            CacheLookup::Miss {
+                drift_hint,
+                invalidated,
+            } => (drift_hint, invalidated),
+        };
+        let hints = PlanHints {
+            selectivity: drift_hint,
+        };
+        let physical = Arc::new(self.planner(db).plan(plan, hints)?);
+        let cert = if verify > VerifyLevel::Off {
+            Arc::new(self.verify_and_certify(db, plan, &physical, verify)?.1)
+        } else {
+            self.certificate_for(db, &physical, Some(plan))?
+        };
+        let (logical, mut texts) = match (invalidated, text) {
+            (Some(dead), _) => dead,
+            (None, Some((logical, ..))) => (Arc::clone(logical), Vec::new()),
+            (None, None) => (Arc::new(plan.clone()), Vec::new()),
+        };
+        if let Some((hash, sql)) = source {
+            if !texts.iter().any(|(h, t)| *h == hash && **t == *sql) {
+                texts.push((hash, sql.into()));
             }
         }
+        self.cache.insert(
+            fingerprint,
+            Arc::clone(&logical),
+            Arc::clone(&physical),
+            texts,
+            db,
+            verify,
+            Arc::clone(&cert),
+        );
+        Ok(Planned {
+            fingerprint,
+            logical,
+            physical,
+            cert,
+        })
+    }
+
+    /// A cache hit's plans. The cached verdict travels with the plan:
+    /// re-verify only when this call demands a stricter level than the one
+    /// the entry was already checked at.
+    fn reuse(&self, db: &Database, hit: Hit, verify: VerifyLevel) -> Result<Planned, PlanError> {
+        if hit.verified < verify {
+            crate::verify::verify_physical(db, &hit.plan, verify)?;
+            self.cache.note_verified(hit.fingerprint, &hit.plan, verify);
+        }
+        Ok(Planned {
+            fingerprint: hit.fingerprint,
+            logical: hit.logical,
+            physical: hit.plan,
+            cert: hit.certificate,
+        })
     }
 
     /// Plan `plan` into the cache without running it: an explicit `prepare`
@@ -577,7 +695,7 @@ impl EngineInner {
         opts: &QueryOptions,
     ) -> Result<(), PlanError> {
         let db = self.read_db();
-        self.plan_cached(&db, plan, self.resolve(opts).verify)
+        self.plan_cached(&db, Statement::Plan(plan), self.resolve(opts).verify)
             .map(drop)
     }
 
@@ -680,26 +798,15 @@ impl EngineInner {
         Ok(())
     }
 
-    /// Plan-cache key: the thread count (it feeds the multi-threaded
-    /// groupjoin chooser, so plans picked at different parallelism must not
-    /// alias), the logical plan's debug rendering — canonical as built: the
-    /// SQL binder and [`crate::QueryBuilder::filter`] put one conjunction in
-    /// one `Filter` — and any structural strategy pins (join order, per-edge
-    /// build sides) that change what the planner would produce.
-    fn cache_key(&self, plan: &LogicalPlan) -> String {
-        let pins = self.strategies.fingerprint_suffix();
-        format!("t{}:{plan:?}{pins}", self.threads)
-    }
-
     /// One statement, start to finish, under `cancel` and the resolved
-    /// `opts`; [`Session`]'s `query_with` and `explain_analyze_with` are its
+    /// `opts`; [`Session`]'s `run` and `explain_analyze_with` are its
     /// only callers, the latter raising the metrics level to at least `floor`.
     /// Hands back the plan it executed with the result: a statement has one
     /// plan, and `EXPLAIN ANALYZE` reports that one.
     pub(crate) fn query_leveled(
         &self,
         db: &Database,
-        plan: &LogicalPlan,
+        stmt: Statement<'_>,
         cancel: &Arc<CancelState>,
         opts: &QueryOptions,
         floor: MetricsLevel,
@@ -713,9 +820,14 @@ impl EngineInner {
         // the queue counts against it, and an expired waiter is rejected
         // without ever holding a slot.
         let deadline_at = r.limits.deadline.map(|d| Instant::now() + d);
-        let (planned, cache_key, cert) = self.plan_cached(db, plan, r.verify)?;
+        let Planned {
+            fingerprint,
+            logical,
+            physical: planned,
+            cert,
+        } = self.plan_cached(db, stmt, r.verify)?;
         let (_permit, ctx) = self.admit(&gate, cancel, &r, deadline_at, &cert)?;
-        let physical = &*planned;
+        let (plan, physical) = (&*logical, &*planned);
         let run = self.run(&ctx, level, &cert);
         let strategy = &physical.strategy;
         let mut report = Vec::new();
@@ -725,7 +837,7 @@ impl EngineInner {
             match self.fallback_datacentric(db, plan, &ctx, level) {
                 Ok((mut res, op)) => {
                     report.push(ok.into());
-                    self.record_run(&cache_key, report);
+                    self.record_run(fingerprint, report, None);
                     // A failed attempt's counters are discarded: the
                     // interpreter's single operator *replaces* the
                     // operator list, so rows are never double-counted.
@@ -735,7 +847,7 @@ impl EngineInner {
                 }
                 Err(fe) => {
                     report.push(format!("data-centric fallback failed: {fe}"));
-                    self.record_run(&cache_key, report);
+                    self.record_run(fingerprint, report, None);
                     Err(fe)
                 }
             }
@@ -744,7 +856,7 @@ impl EngineInner {
         // its primary strategy [`BREAKER_OPEN_AFTER`] times in a row, skip
         // the doomed attempt and go straight to the interpreter so the
         // class stops paying double execution cost.
-        let breaker = self.cache.breaker_check(&cache_key);
+        let breaker = self.cache.breaker_check(fingerprint);
         if breaker == BreakerDecision::Open {
             report.push(format!("{strategy}: skipped, fallback circuit open"));
             return fall_back(report, "data-centric interpreter: ok", 0).map(|res| (res, planned));
@@ -768,12 +880,14 @@ impl EngineInner {
         let (done, total) = ctx.progress();
         match primary {
             Ok((mut res, ops)) => {
-                self.cache.breaker_primary_ok(&cache_key);
-                report.push(format!(
-                    "{strategy}: ok ({done}/{total} morsels, {} B charged)",
-                    ctx.gauge.used()
-                ));
-                self.record_run(&cache_key, report);
+                self.cache.breaker_primary_ok(fingerprint);
+                let ok = RunOk {
+                    plan: Arc::clone(&planned),
+                    done,
+                    total,
+                    charged: ctx.gauge.used(),
+                };
+                self.record_run(fingerprint, report, Some(ok));
                 self.attach_metrics(&mut res, physical, ops, &run, 0);
                 // Drift check: feed the measured selectivity back to the
                 // cache so a materially mis-estimated entry re-plans.
@@ -784,7 +898,7 @@ impl EngineInner {
                         .and_then(|m| m.operators.first())
                         .and_then(|o| o.observed_selectivity())
                     {
-                        self.cache.observe(&cache_key, obs);
+                        self.cache.observe(fingerprint, &planned, obs);
                         // Adaptive statistics: the measured selectivity also
                         // updates the catalog snapshot of the plan's primary
                         // filtered table, so *future* plans (not just this
@@ -799,10 +913,10 @@ impl EngineInner {
             Err(e) => {
                 report.push(format!("{strategy}: {e} ({done}/{total} morsels)"));
                 if !e.is_retryable() {
-                    self.record_run(&cache_key, report);
+                    self.record_run(fingerprint, report, None);
                     return Err(e);
                 }
-                if self.cache.breaker_fallback_ran(&cache_key) {
+                if self.cache.breaker_fallback_ran(fingerprint) {
                     report.push("fallback circuit opened for this plan".into());
                 }
                 fall_back(report, "fell back to data-centric interpreter: ok", 1)
@@ -910,10 +1024,9 @@ impl EngineInner {
     }
 
     /// The plan the cache would serve `plan` from, if it holds a valid one
-    /// (a probe that perturbs neither LRU order nor counters).
+    /// (a probe that perturbs neither use order nor counters).
     pub(crate) fn peek(&self, db: &Database, plan: &LogicalPlan) -> Option<Arc<PhysicalPlan>> {
-        self.cache
-            .peek(&self.cache_key(plan), &table_generations(db, plan))
+        self.cache.peek(self.fingerprint(plan), plan, db)
     }
 
     /// The EXPLAIN report of `physical`; `cached` says whether the next
@@ -931,9 +1044,12 @@ impl EngineInner {
         let (join_order, join_tree) = join_tree(db, physical);
         // The engine keeps one run report; it is this statement's only if
         // this statement was the last to run.
-        let key = self.cache_key(plan);
+        let fingerprint = Some(self.fingerprint(plan));
         let runtime = match self.last_run.lock() {
-            Ok(last) if last.0 == key => last.1.clone(),
+            Ok(last) if last.fingerprint == fingerprint => {
+                let ok = last.ok.as_ref().map(RunOk::line);
+                last.lines.iter().cloned().chain(ok).collect()
+            }
             _ => Vec::new(),
         };
         let mut ex = Explain {
@@ -966,19 +1082,4 @@ fn fallback_bytes(db: &Database, plan: &LogicalPlan) -> u64 {
         }
     });
     rows.saturating_mul(8) as u64
-}
-
-/// Snapshot the generation counter of every table a plan reads (depth-first,
-/// each table once — a statement names a handful, so duplicates are found by
-/// scanning), for the plan cache's staleness check.
-fn table_generations(db: &Database, plan: &LogicalPlan) -> Vec<(String, u64)> {
-    let mut out: Vec<(String, u64)> = Vec::new();
-    plan.visit(&mut |node| {
-        if let LogicalPlan::Scan { table } = node {
-            if !out.iter().any(|(seen, _)| seen == table) {
-                out.push((table.clone(), db.generation(table).unwrap_or(0)));
-            }
-        }
-    });
-    out
 }

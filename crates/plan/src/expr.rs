@@ -9,7 +9,7 @@ use crate::error::PlanError;
 use swole_storage::{like_match, ColumnData, Table};
 
 /// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `<`
     Lt,
@@ -43,7 +43,7 @@ impl CmpOp {
 /// `Sum`/`Count` compose with value masking (a masked contribution is 0);
 /// `Min`/`Max` "may require minor additional bookkeeping" (§ III-A), which
 /// the planner realises by forcing the hybrid path for them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// `sum(expr)`
     Sum,
@@ -56,7 +56,7 @@ pub enum AggFunc {
 }
 
 /// A scalar expression over one table's columns.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// Column reference.
     Col(String),

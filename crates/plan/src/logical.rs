@@ -3,7 +3,7 @@
 use crate::expr::{AggFunc, Expr};
 
 /// One aggregate in a query's select list.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AggSpec {
     /// Aggregate function.
     pub func: AggFunc,
@@ -52,7 +52,7 @@ impl AggSpec {
 }
 
 /// One sort key in an `ORDER BY` clause or window ordering.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SortKey {
     /// Column the key orders by (an output column for `ORDER BY`, a base
     /// column for window orderings).
@@ -80,7 +80,7 @@ impl SortKey {
 }
 
 /// A window function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WindowFunc {
     /// 1-based position within the partition in window order.
     RowNumber,
@@ -94,7 +94,7 @@ pub enum WindowFunc {
 }
 
 /// One window function in a query's select list.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct WindowFnSpec {
     /// Window function.
     pub func: WindowFunc,
@@ -147,7 +147,7 @@ impl WindowFnSpec {
 /// Frames are ROWS-based (positional), never RANGE-based: with no window
 /// `ORDER BY` the frame is the whole partition; with an `ORDER BY` it
 /// defaults to `UNBOUNDED PRECEDING .. CURRENT ROW`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameSpec {
     /// Every row of the partition (no window `ORDER BY`).
     WholePartition,
@@ -158,7 +158,7 @@ pub enum FrameSpec {
 }
 
 /// A logical query plan (relational-algebra tree).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LogicalPlan {
     /// Base-table scan.
     Scan {

@@ -26,7 +26,7 @@
 //! # Ok::<(), swole_plan::PlanError>(())
 //! ```
 
-use crate::engine::Engine;
+use crate::engine::{Engine, Statement};
 use crate::error::PlanError;
 use crate::explain::Explain;
 use crate::expr::{CmpOp, Expr};
@@ -110,14 +110,16 @@ impl Session {
     /// Run an ad-hoc SQL text: parse, check `params` against its
     /// placeholders, substitute them, [`Session::query`]. Unlike the
     /// explicit [`Session::prepare_sql`] this plans nothing ahead of the
-    /// run, so a text costs one plan-cache lookup, and a text without
-    /// placeholders is not even copied.
+    /// run, so a text costs one plan-cache lookup. A text run without
+    /// parameters is looked up by its bytes before anything is parsed: the
+    /// cache entry keeps the texts that reached it, so a warm text is one
+    /// hash and one lookup.
     pub fn query_sql(&self, sql: &str, params: &Params) -> Result<QueryResult, PlanError> {
+        if params.is_empty() {
+            return self.run(Statement::Text(sql), &QueryOptions::default());
+        }
         let template = parse_statement(sql)?;
         let expects = param_count(&template)?;
-        if expects == 0 && params.is_empty() {
-            return self.query(&template);
-        }
         self.query(&bind_plan(&template, expects, params)?)
     }
 }
@@ -207,6 +209,16 @@ fn parse_statement(sql: &str) -> Result<LogicalPlan, PlanError> {
     Ok(parsed.plan)
 }
 
+/// The plan of a text run without parameters: its template, which must then
+/// have no placeholders.
+pub(crate) fn parse_unbound(sql: &str) -> Result<LogicalPlan, PlanError> {
+    let template = parse_statement(sql)?;
+    match param_count(&template)? {
+        0 => Ok(template),
+        expects => Err(arity_mismatch(expects, 0)),
+    }
+}
+
 /// How many placeholders a template expects: one more than the highest
 /// ordinal it mentions (filters, aggregate and window-function inputs
 /// alike), every ordinal below which must be mentioned too.
@@ -241,13 +253,17 @@ fn bind_plan(
     params: &Params,
 ) -> Result<LogicalPlan, PlanError> {
     if params.len() != expects {
-        return Err(PlanError::BindMismatch(format!(
-            "statement expects {expects} parameter(s), got {}",
-            params.len()
-        )));
+        return Err(arity_mismatch(expects, params.len()));
     }
     let vals = params.values();
     template.try_map(&mut |e| subst_expr(e, vals))
+}
+
+/// Binding `got` values to a template with `expects` placeholders.
+fn arity_mismatch(expects: usize, got: usize) -> PlanError {
+    PlanError::BindMismatch(format!(
+        "statement expects {expects} parameter(s), got {got}"
+    ))
 }
 
 /// Substitute placeholders inside one expression.

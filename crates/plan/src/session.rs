@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::engine::Engine;
+use crate::engine::{Engine, Statement};
 use crate::error::PlanError;
 use crate::explain::Explain;
 use crate::logical::LogicalPlan;
@@ -181,18 +181,27 @@ impl Session {
     }
 
     /// [`Session::query`] with per-call overrides (fields left `None`
-    /// fall back to the session defaults, then the engine's). Every
-    /// statement — the engine's, a bound statement's, an ad-hoc SQL text's —
-    /// runs here, on one plan-cache lookup.
+    /// fall back to the session defaults, then the engine's).
     pub fn query_with(
         &self,
         plan: &LogicalPlan,
         opts: &QueryOptions,
     ) -> Result<QueryResult, PlanError> {
+        self.run(Statement::Plan(plan), opts)
+    }
+
+    /// [`Session::query_with`] of a plan or of an ad-hoc text. Every
+    /// statement — the engine's, a bound statement's, an ad-hoc SQL text's —
+    /// runs here, on one plan-cache lookup.
+    pub(crate) fn run(
+        &self,
+        stmt: Statement<'_>,
+        opts: &QueryOptions,
+    ) -> Result<QueryResult, PlanError> {
         let merged = opts.or(&self.defaults);
         let inner = self.engine.inner();
         let db = inner.read_db();
-        let ran = inner.query_leveled(&db, plan, &self.cancel, &merged, MetricsLevel::Off);
+        let ran = inner.query_leveled(&db, stmt, &self.cancel, &merged, MetricsLevel::Off);
         ran.map(|(res, _)| res)
     }
 
@@ -228,8 +237,9 @@ impl Session {
         let merged = opts.or(&self.defaults);
         let inner = self.engine.inner();
         let db = inner.read_db();
+        let stmt = Statement::Plan(plan);
         let (res, ran) =
-            inner.query_leveled(&db, plan, &self.cancel, &merged, MetricsLevel::Timings)?;
+            inner.query_leveled(&db, stmt, &self.cancel, &merged, MetricsLevel::Timings)?;
         let cached = inner.peek(&db, plan).is_some();
         Ok(inner.explain_planned(&db, plan, &ran, cached, res.metrics))
     }

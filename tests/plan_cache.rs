@@ -362,6 +362,10 @@ fn assert_explain_describes_the_replanned_run(engine: &Engine, plan: &LogicalPla
     }
     let plain = engine.explain(plan).expect("plans");
     assert_eq!(plain.to_string(), head.to_string());
+    // EXPLAIN VERIFY checks and shows that same plan, not a fresh one.
+    let verified = engine.explain_verify(plan).expect("verifies");
+    assert_eq!(verified.strategy, plain.strategy);
+    assert_eq!(verified.plan_source.as_deref(), Some("cached"));
 }
 
 #[test]
@@ -660,4 +664,151 @@ fn a_reload_past_the_i32_tile_proof_recertifies() {
             );
         }
     }
+}
+
+/// `R(r_a, r_x)` as [`simple_db`] builds it, every `r_a` times `scale`.
+fn simple_r(scale: i32) -> Table {
+    let n = 10_000usize;
+    Table::new("R")
+        .with_column(
+            "r_a",
+            ColumnData::I32((0..n).map(|i| scale * (i % 50) as i32).collect()),
+        )
+        .with_column(
+            "r_x",
+            ColumnData::I8((0..n).map(|i| (i * 13 % 100) as i8).collect()),
+        )
+}
+
+/// A warm text is found by its bytes, but still only while its entry is
+/// valid: after a reload it re-plans, and answers from the new rows.
+#[test]
+fn a_warm_text_replans_after_a_reload_and_reads_the_new_rows() {
+    let engine = Engine::builder(simple_db()).build();
+    let session = engine.session();
+    let sql = "select sum(r_a) as s from R where r_x < 30";
+    let run = || session.query_sql(sql, &Params::new()).expect("runs");
+    let before = run();
+    assert_eq!(run(), before);
+    engine.load_table(simple_r(2));
+    let after = run();
+    assert_eq!(
+        after.try_scalar("s").unwrap(),
+        2 * before.try_scalar("s").unwrap()
+    );
+    assert_eq!(run(), after);
+    let stats = engine.plan_cache_stats();
+    assert_eq!(
+        (stats.hits, stats.misses, stats.invalidations, stats.entries),
+        (2, 2, 1, 1),
+        "{stats:?}"
+    );
+}
+
+/// Texts that bind to one plan share its entry: the second spelling is
+/// parsed once, hits, and is then warm by its own bytes.
+#[test]
+fn texts_that_bind_to_one_plan_share_one_entry() {
+    let engine = Engine::builder(simple_db()).build();
+    let session = engine.session();
+    let texts = [
+        "select sum(r_a) as s from R where r_x < 30",
+        "select  sum(R.r_a) as s\n  from R where R.r_x < 30",
+        "select sum(r_a) as s from R where R.r_x < 30",
+    ];
+    let first = session.query_sql(texts[0], &Params::new()).expect("runs");
+    for sql in texts.iter().cycle().take(9) {
+        assert_eq!(session.query_sql(sql, &Params::new()).expect("runs"), first);
+    }
+    let stats = engine.plan_cache_stats();
+    assert_eq!(
+        (stats.misses, stats.hits, stats.entries),
+        (1, 9, 1),
+        "{stats:?}"
+    );
+}
+
+/// A text that does not parse is never cached: every call parses it again,
+/// fails at the same position, and leaves the cache as it found it.
+#[test]
+fn an_unparseable_text_fails_alike_every_time_and_caches_nothing() {
+    let engine = Engine::builder(simple_db()).build();
+    let session = engine.session();
+    session
+        .query_sql("select sum(r_a) as s from R where r_x < 30", &Params::new())
+        .expect("runs");
+    let stats = engine.plan_cache_stats();
+    let bad = "select sum(r_a) as s from R wher r_x < 30";
+    let position = |_| match session.query_sql(bad, &Params::new()) {
+        Err(PlanError::Sql { position, .. }) => position,
+        other => panic!("expected a syntax error, got {other:?}"),
+    };
+    let positions: Vec<usize> = (0..3).map(position).collect();
+    assert_eq!(positions, vec![positions[0]; 3]);
+    assert_eq!(engine.plan_cache_stats(), stats);
+}
+
+/// `R ⋈ S` over `R.r_fk`, with no FK index registered yet.
+fn join_db() -> Database {
+    let (n_r, n_s) = (20_000usize, 1_000usize);
+    let mut db = Database::new();
+    db.add_table(
+        Table::new("R")
+            .with_column(
+                "r_a",
+                ColumnData::I32((0..n_r).map(|i| (i % 10) as i32).collect()),
+            )
+            .with_column(
+                "r_x",
+                ColumnData::I8((0..n_r).map(|i| (i * 13 % 100) as i8).collect()),
+            )
+            .with_column(
+                "r_fk",
+                ColumnData::U32((0..n_r).map(|i| (i * 7 % n_s) as u32).collect()),
+            ),
+    );
+    db.add_table(Table::new("S").with_column(
+        "s_x",
+        ColumnData::I8((0..n_s).map(|i| (i % 100) as i8).collect()),
+    ));
+    db
+}
+
+/// Registering an FK index changes which build sides the planner may
+/// pick, so it invalidates every cached plan with a join edge, and only
+/// those: the join re-plans onto the positional bitmap, the scan still
+/// hits.
+#[test]
+fn registering_an_fk_replans_cached_joins_only() {
+    let engine = Engine::builder(join_db()).build();
+    let session = engine.session();
+    let join = "select sum(R.r_a) as s from R, S where R.r_fk = S.rowid and S.s_x < 50";
+    let scan = "select sum(r_a) as s from R where r_x < 30";
+    let plan = swole::plan::parse_sql(join).expect("parses").plan;
+    let shape = || {
+        let ex = engine.explain(&plan).expect("plans");
+        (ex.plan_source.unwrap(), ex.shape)
+    };
+    let joined = session.query_sql(join, &Params::new()).expect("runs");
+    session.query_sql(scan, &Params::new()).expect("runs");
+    let (source, hashed) = shape();
+    assert_eq!(source, "cached");
+    assert!(hashed.contains("S[hash]"), "{hashed}");
+
+    engine.register_fk("R", "r_fk", "S").expect("registers");
+    let (source, fresh) = shape();
+    assert_eq!(source, "fresh", "the cached hash build is stale");
+    assert!(fresh.contains("S[positional-bitmap]"), "{fresh}");
+    assert_eq!(
+        session.query_sql(join, &Params::new()).expect("runs"),
+        joined
+    );
+    session.query_sql(scan, &Params::new()).expect("runs");
+    assert_eq!(shape(), ("cached".to_string(), fresh));
+    let stats = engine.plan_cache_stats();
+    assert_eq!(
+        (stats.misses, stats.hits, stats.invalidations),
+        (3, 1, 1),
+        "{stats:?}"
+    );
 }
