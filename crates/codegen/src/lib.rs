@@ -12,14 +12,15 @@
 //! * section III-D — positional-bitmap semijoin (before/after rewrite)
 //! * section III-E — groupjoin vs eager aggregation (before/after rewrite)
 //!
-//! The execution engine does not compile this text (see DESIGN.md section 2:
-//! the kernels in `swole-kernels` are the compiled form); the emitters exist
+//! The crate holds the emitters only. The execution engine does not compile
+//! this text (see DESIGN.md section 2: the kernels in `swole-kernels` are the
+//! compiled form), and the access signatures the verifier checks are read
+//! off the loop each stage dispatches, in `swole-plan`; the emitters exist
 //! so the reproduction keeps the paper's artifact — code — first-class.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod access;
 mod emit;
 mod spec;
 

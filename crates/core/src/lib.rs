@@ -62,7 +62,7 @@
 //! | [`bitmap`] | `swole-bitmap` | dense + compressed positional bitmaps |
 //! | [`kernels`] | `swole-kernels` | the generated-code loop bodies for every strategy |
 //! | [`cost`] | `swole-cost` | the paper's cost models, calibration, the Fig. 2 chooser |
-//! | [`codegen`] | `swole-codegen` | C source emitters matching Figs. 1/3/4/5 |
+//! | [`codegen`] | `swole-codegen` | C source emitters matching Figs. 1/3/4/5 (the emitters only) |
 //! | [`plan`] | `swole-plan` | expressions, logical plans, the access-aware engine |
 //!
 //! Workload substrates (`swole-tpch`, `swole-micro`) and the benchmark

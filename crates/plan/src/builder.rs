@@ -26,7 +26,8 @@ pub struct StrategyOverrides {
     /// require hybrid).
     pub agg: Option<AggStrategy>,
     /// Pin the semijoin build/probe strategy. In a multi-way join this pins
-    /// every edge's membership structure; per-edge pins
+    /// every direct edge's membership structure (a chain edge always builds
+    /// the packed bitmap its child's build ANDs in); per-edge pins
     /// ([`StrategyOverrides::build_side`]) take precedence.
     pub semijoin: Option<SemiJoinStrategy>,
     /// Pin the groupjoin strategy.
@@ -38,8 +39,8 @@ pub struct StrategyOverrides {
     /// of the query's join graph exactly once; plans that don't match fail
     /// at plan time.
     pub join_order: Option<Vec<String>>,
-    /// Per-edge build-side pins for multi-way joins: for the edge whose
-    /// build side is the named table, use the given membership structure
+    /// Per-edge build-side pins for multi-way joins: for the direct edge
+    /// whose build side is the named table, use the given membership structure
     /// instead of the cost model's per-edge choice.
     pub build_sides: Vec<(String, SemiJoinStrategy)>,
 }

@@ -604,7 +604,7 @@ fn table_generations(db: &Database, plan: &LogicalPlan) -> Vec<(String, u64)> {
 mod tests {
     use super::*;
     use crate::physical::{
-        AggMode, AggShape, CostProfile, Estimates, GroupTableRepr, PhysicalPlan, Shape,
+        AggMode, AggShape, CostProfile, Estimates, GroupTableRepr, Instance, PhysicalPlan, Shape,
     };
     use crate::tile::TileProgram;
     use swole_cost::{AggStrategy, JoinOrderMethod};
@@ -634,6 +634,10 @@ mod tests {
     }
 
     fn plan_estimating(selectivity: Option<f64>) -> Arc<PhysicalPlan> {
+        let mode = AggMode::By(AggStrategy::Hybrid);
+        let program = Arc::new(
+            TileProgram::lower(&Table::new("T"), None, &[]).expect("empty program lowers"),
+        );
         Arc::new(PhysicalPlan::new(
             Shape::Agg(AggShape {
                 table: "T".into(),
@@ -642,12 +646,10 @@ mod tests {
                 order_method: JoinOrderMethod::Dp,
                 group: None,
                 aggs: Vec::new(),
-                mode: AggMode::By(AggStrategy::Hybrid),
-                group_sink: None,
+                mode,
+                instance: Instance::lower(mode, false, &program, &[]),
                 group_table: GroupTableRepr::Hash,
-                program: Arc::new(
-                    TileProgram::lower(&Table::new("T"), None, &[]).expect("empty program lowers"),
-                ),
+                program,
             }),
             vec!["test".into()],
             Vec::new(),

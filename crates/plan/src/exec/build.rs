@@ -18,6 +18,7 @@ use swole_cost::{BitmapBuild, SemiJoinStrategy};
 use swole_ht::KeySet;
 use swole_kernels::{selvec, tiles_in, TILE};
 use swole_runtime::{charge_or_panic, ExecCtx};
+use swole_verify::ir::{Access, AccessSig};
 
 /// The semijoin build side, shared read-only across probe workers.
 pub(super) enum BuildSide {
@@ -60,10 +61,26 @@ impl BuildSide {
     }
 }
 
-/// Build edge `e`'s membership structure on morsel workers: its planned
-/// one, or a packed bitmap for a `chain` edge. Each tile runs the parent's
-/// filter, ANDs every chain edge's bit in through its FK (built first, as
-/// the masked probe does), then packs the mask (`Unconditional`), sets the
+/// How a build under `strategy` reads its parent and writes its structure:
+/// the filter in order, then the key set's hashed placement (a gather), each
+/// tile's mask packed in order, or the bits of its selection alone.
+pub(crate) fn build_access(strategy: SemiJoinStrategy) -> AccessSig {
+    AccessSig {
+        predicate: Some(Access::Sequential),
+        agg_input: None,
+        group_key: None,
+        structure: Some(match strategy {
+            SemiJoinStrategy::Hash => Access::Gather,
+            SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional) => Access::Sequential,
+            SemiJoinStrategy::PositionalBitmap(BitmapBuild::SelectionVector) => Access::Conditional,
+        }),
+    }
+}
+
+/// Build edge `e`'s planned membership structure on morsel workers (a
+/// packed bitmap for a `chain` edge). Each tile runs the parent's filter,
+/// ANDs every chain edge's bit in through its FK (built first, as the
+/// masked probe does), then packs the mask (`Unconditional`), sets the
 /// bits of its selection (`SelectionVector`) or inserts the selection
 /// (`Hash`). Charges the structure when it is allocated and the key set's
 /// growth after. Adds this edge's `multijoin-build(<parent>)` op, then its
@@ -82,7 +99,7 @@ pub(super) fn build_edge_side(
     }
     let t0 = opts.level.timing().then(Instant::now);
     let n = e.parent_t.len();
-    let strategy = e.edge.build(chain);
+    let strategy = e.edge.strategy;
     let (target, bytes) = match strategy {
         SemiJoinStrategy::Hash => {
             let set = KeySet::for_build(n);

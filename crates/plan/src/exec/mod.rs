@@ -18,6 +18,7 @@ use crate::physical::{JoinEdge, PhysicalPlan, PostOp, Shape};
 use crate::result::QueryResult;
 use swole_runtime::{ExecCtx, Executor};
 use swole_storage::{FkIndex, Table};
+use swole_verify::ir::{Access, AccessSig};
 use swole_verify::OverflowProof;
 
 mod build;
@@ -25,9 +26,11 @@ mod pipeline;
 mod sinks;
 mod window;
 
+pub(crate) use build::build_access;
 use pipeline::{exec_agg, AggStage};
 pub(crate) use sinks::scalar_scratch_bytes;
 use window::exec_window;
+pub(crate) use window::window_access;
 
 /// Execution options threaded into every operator.
 #[derive(Clone, Copy)]
@@ -275,6 +278,18 @@ pub(crate) fn apply_post_ops(
         }
     }
     Ok(kept)
+}
+
+/// How a post-operator reads the result rows: the sort re-reads them through
+/// its permutation (conditional, order-dependent positions), the limit
+/// truncates a prefix and reads nothing.
+pub(crate) fn post_access(p: &PostOp) -> AccessSig {
+    AccessSig {
+        predicate: None,
+        agg_input: None,
+        group_key: matches!(p, PostOp::Sort { .. }).then_some(Access::Conditional),
+        structure: None,
+    }
 }
 
 /// [`apply_post_ops`] on a result whose rows are already assembled.

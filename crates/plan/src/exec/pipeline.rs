@@ -1,14 +1,15 @@
 //! The aggregation pipeline: one morsel driver for every technique of the
 //! paper (§ III-A – III-E). Each tile runs the stage's program (the
-//! predicate prepass and the aggregate inputs), the front end restricts it
-//! through the join edges, and the sink folds what is left:
+//! predicate prepass and the aggregate inputs), the lanes of the stage's
+//! [`crate::physical::Instance`] restrict it through the join edges, and the sink folds what
+//! is left:
 //!
 //! ```text
-//!  front end                      per edge                    sink
-//!  Select     filter → idx        narrow idx to the hits      selected(k)
-//!  Mask       filter mask         the sink's membership,      masked()
-//!                                 in its pass
-//!  EveryLane  —                   the sink's, after the merge every_lane()
+//!  lanes      front end           per edge                    sink
+//!  Selected   filter → idx        narrow idx to the hits      selected(k)
+//!  Masked,    filter mask         the sink's membership,      masked()
+//!  KeyMasked                      in its pass
+//!  Every      —                   the sink's, after the merge every_lane()
 //! ```
 //!
 //! A plain scan is the zero-edge case of every row. The loop is compiled
@@ -23,9 +24,9 @@ use super::sinks::{GroupedSink, ScalarSink, Sink};
 use super::{BoundEdge, ExecOpts, FkSource};
 use crate::error::PlanError;
 use crate::metrics::OpMetrics;
-use crate::physical::{AggShape, FrontEnd, GroupTableRepr, JoinEdge};
+use crate::physical::{AggShape, GroupTableRepr, JoinEdge, Lanes, Sinks};
 use crate::result::QueryResult;
-use crate::tile::{scalar_sinks, BoundProgram, Regs, ScalarSinks};
+use crate::tile::{BoundProgram, Regs, ScalarSinks};
 use swole_ht::{AggTable, DenseAggTable};
 use swole_kernels::{predicate, tiles_in, AccessCounters};
 use swole_runtime::ExecCtx;
@@ -41,10 +42,11 @@ pub(crate) struct AggStage<'a> {
     pub edges: &'a [BoundEdge<'a>],
 }
 
-/// [`FrontEnd`] as the driver's const parameter.
-const SELECT: u8 = FrontEnd::Select as u8;
-const MASK: u8 = FrontEnd::Mask as u8;
-const EVERY_LANE: u8 = FrontEnd::EveryLane as u8;
+/// The driver's front end, its const parameter: the instance's [`Lanes`],
+/// key-masked lanes behind the mask's.
+const SELECT: u8 = Lanes::Selected as u8;
+const MASK: u8 = Lanes::Masked as u8;
+const EVERY_LANE: u8 = Lanes::Every as u8;
 
 /// Each direct edge's membership structure with the FK that addresses it,
 /// in probe order.
@@ -79,11 +81,12 @@ struct Worker<A> {
     edge: Vec<(u64, u64)>,
 }
 
-/// Execute an aggregation: pick the sink and the group-table representation
-/// (`group_table`, already resolved against the pinned tables' generations),
-/// then run the driver compiled for them. The surviving row *set* per tile
-/// is order-independent (each edge is a pure membership filter), so results
-/// are bit-identical across probe orders and thread counts.
+/// Execute an aggregation: the stage's [`crate::physical::Instance`] over the group-table
+/// representation (`group_table`, already resolved against the pinned
+/// tables' generations), through the driver compiled for them. The
+/// surviving row *set* per tile is order-independent (each edge is a pure
+/// membership filter), so results are bit-identical across probe orders
+/// and thread counts.
 pub(crate) fn exec_agg(
     stage: AggStage<'_>,
     group_table: GroupTableRepr,
@@ -91,17 +94,20 @@ pub(crate) fn exec_agg(
     ctx: &Arc<ExecCtx>,
 ) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
     let shape = stage.shape;
-    let front = shape.mode.front_end(shape.group.is_some());
+    let (lanes, member) = (shape.instance.lanes, shape.instance.member);
     let counting = opts.level.counting();
-    let Some(sink) = shape.group_sink.clone() else {
-        let sinks = ScalarSinks {
-            sinks: scalar_sinks(&shape.program, &shape.aggs),
-            proof: opts.overflow,
-            counted: counting,
-        };
-        return drive(stage, front, ScalarSink { sinks }, opts, ctx);
+    let sink = match &shape.instance.sink {
+        Sinks::Scalar(sinks) => {
+            let sinks = ScalarSinks {
+                sinks: Arc::clone(sinks),
+                proof: opts.overflow,
+                counted: counting,
+            };
+            return drive(stage, ScalarSink { sinks, member }, opts, ctx);
+        }
+        Sinks::Grouped(sink) => Arc::clone(sink),
     };
-    let (n_aggs, mode) = (shape.aggs.len(), shape.mode);
+    let n_aggs = shape.aggs.len();
     let proven = opts.overflow >= OverflowProof::I64;
     match group_table {
         GroupTableRepr::Hash => {
@@ -111,39 +117,38 @@ pub(crate) fn exec_agg(
                 new_table: move || AggTable::with_capacity(n_aggs, capacity),
                 dense: false,
                 sink,
-                mode,
+                lanes,
                 counting,
                 proven,
             };
-            drive(stage, front, sink, opts, ctx)
+            drive(stage, sink, opts, ctx)
         }
         GroupTableRepr::Dense { min, max, .. } => {
             let sink = GroupedSink {
                 new_table: move || DenseAggTable::new(n_aggs, min, max),
                 dense: true,
                 sink,
-                mode,
+                lanes,
                 counting,
                 proven,
             };
-            drive(stage, front, sink, opts, ctx)
+            drive(stage, sink, opts, ctx)
         }
     }
 }
 
-/// The one strategy dispatch of the query: each arm runs a driver compiled
-/// for its front end.
+/// The one strategy dispatch of the query: the driver compiled for the
+/// instance's lanes.
 fn drive<S: Sink>(
     stage: AggStage<'_>,
-    front: FrontEnd,
     sink: S,
     opts: ExecOpts<'_>,
     ctx: &Arc<ExecCtx>,
 ) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
-    match front {
-        FrontEnd::Select => run::<SELECT, S>(stage, sink, opts, ctx),
-        FrontEnd::Mask => run::<MASK, S>(stage, sink, opts, ctx),
-        FrontEnd::EveryLane => run::<EVERY_LANE, S>(stage, sink, opts, ctx),
+    match stage.shape.instance.lanes {
+        Lanes::Selected => run::<SELECT, S>(stage, sink, opts, ctx),
+        Lanes::Masked | Lanes::KeyMasked => run::<MASK, S>(stage, sink, opts, ctx),
+        Lanes::Every => run::<EVERY_LANE, S>(stage, sink, opts, ctx),
     }
 }
 

@@ -10,10 +10,9 @@ use crate::error::PlanError;
 use crate::expr::AggFunc;
 use crate::logical::AggSpec;
 use crate::metrics::OpMetrics;
-use crate::physical::{AggMode, FrontEnd};
+use crate::physical::{self, Membership};
 use crate::result::QueryResult;
 use crate::tile::{self, GroupSink, Lane, Regs, ScalarSinks, TileProgram};
-use swole_cost::AggStrategy;
 use swole_ht::{GroupTable, MergeOp};
 use swole_kernels::groupby::Lanes;
 use swole_kernels::{predicate, AccessCounters};
@@ -30,18 +29,19 @@ pub(super) trait Sink: Send + Sync + 'static {
     /// of the worker that holds it — before either is touched.
     fn worker(&self, gauge: &MemGauge, program: &TileProgram, n_edges: usize) -> Self::Acc;
 
-    /// [`FrontEnd::Select`]: fold the rows the first `k` tile-local offsets
-    /// of `regs.idx` select, already narrowed through every edge.
+    /// [`physical::Lanes::Selected`]: fold the rows the first `k` tile-local
+    /// offsets of `regs.idx` select, already narrowed through every edge.
     fn selected(&self, t: Tile<'_>, acc: &mut Self::Acc, regs: &Regs, k: usize);
 
-    /// [`FrontEnd::Mask`]: fold every lane under the tile's filter mask —
-    /// and under a masked probe's one edge, which the scalar sink hands its
-    /// kernel as membership. Returns the qualifying lanes (which the sinks
-    /// count only if asked or their kernels need them).
+    /// [`physical::Lanes::Masked`] and [`physical::Lanes::KeyMasked`]: fold
+    /// every lane under the tile's filter mask — and under a masked probe's
+    /// one edge, which the scalar sink hands its kernel as membership.
+    /// Returns the qualifying lanes (which the sinks count only if asked or
+    /// their kernels need them).
     fn masked(&self, t: Tile<'_>, acc: &mut Self::Acc, regs: &mut Regs) -> usize;
 
-    /// [`FrontEnd::EveryLane`]: fold every lane of a tile the edges have not
-    /// restricted; the sink settles with them after the merge (eager
+    /// [`physical::Lanes::Every`]: fold every lane of a tile the edges have
+    /// not restricted; the sink settles with them after the merge (eager
     /// aggregation, the one sink behind this front end).
     fn every_lane(&self, _t: Tile<'_>, _acc: &mut Self::Acc, _regs: &Regs) {
         unreachable!("only eager aggregation folds every lane")
@@ -85,9 +85,11 @@ fn no_partials() -> PlanError {
 // ---------------------------------------------------------------------------
 
 /// The scalar sink: one accumulator slot per aggregate, fed by the
-/// `swole_kernels::agg::fold` instances selected for the aggregate list.
+/// `swole_kernels::agg::fold` instances selected for the aggregate list,
+/// under the stage's membership.
 pub(super) struct ScalarSink {
     pub sinks: ScalarSinks,
+    pub member: Membership,
 }
 
 pub(super) struct ScalarAcc {
@@ -138,9 +140,9 @@ impl Sink for ScalarSink {
     }
 
     fn masked(&self, t: Tile<'_>, acc: &mut ScalarAcc, regs: &mut Regs) -> usize {
-        let member = match (t.sides, t.first_fk()) {
-            ([], _) => None,
-            ([(BuildSide::Bitmap(bm), _)], Some(fk)) => Some((fk, bm)),
+        let member = match (self.member, t.sides, t.first_fk()) {
+            (Membership::None, ..) => None,
+            (Membership::Bitmap, [(BuildSide::Bitmap(bm), _)], Some(fk)) => Some((fk, bm)),
             _ => unreachable!("a masked probe is planned over one bitmap edge"),
         };
         let lanes = (Lanes::Masked(t.bound.filter(regs, t.at.1)), member);
@@ -219,19 +221,18 @@ impl Sink for ScalarSink {
 
 /// The grouped sink: each worker upserts into a private group table `T`
 /// (the driver is compiled once per representation) through the
-/// `swole_kernels::groupby::upsert` instance its [`GroupSink`] names. The
-/// front end picks the lanes: behind [`FrontEnd::Select`] the selected ones
-/// — the hybrid group-by and, narrowed through an edge, the groupjoin;
-/// behind [`FrontEnd::Mask`], value masking (every lane under the mask) or
-/// key masking (every lane by its masked key); behind
-/// [`FrontEnd::EveryLane`], eager aggregation (every lane by its FK), which
-/// deletes the keys whose parent does not qualify after the merge.
+/// `swole_kernels::groupby::upsert` instance its [`GroupSink`] names, over
+/// the stage's lanes: the selected ones — the hybrid group-by and, narrowed
+/// through an edge, the groupjoin; every lane under the mask (value
+/// masking) or by its masked key (key masking); or every lane by its FK
+/// (eager aggregation), which deletes the keys whose parent does not
+/// qualify after the merge.
 pub(super) struct GroupedSink<F> {
     pub new_table: F,
     /// Whether `new_table` makes dense tables (for the metrics).
     pub dense: bool,
-    pub sink: GroupSink,
-    pub mode: AggMode,
+    pub sink: Arc<GroupSink>,
+    pub lanes: physical::Lanes,
     pub counting: bool,
     /// The certificate proved every accumulator: the upserts run the adds
     /// that keep no overflow flag.
@@ -271,7 +272,7 @@ where
     }
 
     fn selected(&self, t: Tile<'_>, acc: &mut GroupAcc<T>, regs: &Regs, k: usize) {
-        let (sink, lanes) = ((&self.sink, self.proven), Lanes::Selected(&regs.idx[..k]));
+        let (sink, lanes) = ((&*self.sink, self.proven), Lanes::Selected(&regs.idx[..k]));
         t.bound
             .upsert(regs, sink, t.group_keys(), lanes, t.at, &mut acc.ht);
     }
@@ -287,21 +288,21 @@ where
         // Key masking sends filtered-out lanes to the throwaway entry and
         // adds unmasked values; value masking keeps the key and multiplies
         // by the mask.
-        let (keys, lanes) = match self.mode == AggMode::By(AggStrategy::KeyMasking) {
+        let (keys, lanes) = match self.lanes == physical::Lanes::KeyMasked {
             true => {
                 bound.mask_keys(regs, t.group_keys());
                 (Lane::I64(&regs.tmp[..len]), Lanes::Every)
             }
             false => (t.group_keys(), Lanes::Masked(bound.filter(regs, len))),
         };
-        let sink = (&self.sink, self.proven);
+        let sink = (&*self.sink, self.proven);
         bound.upsert(regs, sink, keys, lanes, t.at, &mut acc.ht);
         m
     }
 
     fn every_lane(&self, t: Tile<'_>, acc: &mut GroupAcc<T>, regs: &Regs) {
         let keys = Lane::U32(t.first_fk().expect("eager aggregation keys by its FK"));
-        let sink = (&self.sink, self.proven);
+        let sink = (&*self.sink, self.proven);
         t.bound
             .upsert(regs, sink, keys, Lanes::Every, t.at, &mut acc.ht);
     }
@@ -310,9 +311,9 @@ where
         // This sink's probes are its table upserts: the selected rows, or
         // every lane — of which those the mask cancels, or whose group eager
         // aggregation then deletes (§ III-E), are wasted.
-        let upserts = match self.mode.front_end(true) {
-            FrontEnd::Select => qualifying,
-            FrontEnd::Mask | FrontEnd::EveryLane => reached,
+        let upserts = match self.lanes {
+            physical::Lanes::Selected => qualifying,
+            _ => reached,
         };
         ctr.rows_out += qualifying as u64;
         ctr.wasted_lanes += (upserts - qualifying) as u64;
@@ -356,11 +357,9 @@ where
             snapshot(&p.ht);
             ht.merge_from(&p.ht, &ops);
         }
-        if let (FrontEnd::EveryLane, Some((side, _)), Some(edge)) = (
-            self.mode.front_end(true),
-            sides.first(),
-            stage.edges.first(),
-        ) {
+        if let (physical::Lanes::Every, Some((side, _)), Some(edge)) =
+            (self.lanes, sides.first(), stage.edges.first())
+        {
             // Inverted predicate deletes non-qualifying keys (§ III-E) — after
             // the merge, so the reconciliation happens exactly once.
             for pos in 0..edge.parent_t.len() {

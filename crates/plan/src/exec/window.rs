@@ -15,6 +15,7 @@ use swole_cost::WindowStrategy;
 use swole_kernels::{tiles, tiles_in, AccessCounters};
 use swole_runtime::{charge_or_panic, ExecCtx, MemGauge};
 use swole_storage::Table;
+use swole_verify::ir::{Access, AccessSig};
 
 /// Thread-local state of the filter scan: the scan's register file plus
 /// the worker's qualifying row ids, appended morsel by morsel, and where
@@ -36,6 +37,23 @@ impl ScanAcc {
             segs: Vec::new(),
             ctr: AccessCounters::default(),
         }
+    }
+}
+
+/// How the window pipeline reads its streams under `strategy`: the filter
+/// in order, the partition and order keys through the sorted selection
+/// vector (compared on run edges only), and the frame inputs once each as
+/// the frame slides (the sequential frame scan) or re-read for every output
+/// row (re-evaluation).
+pub(crate) fn window_access(strategy: WindowStrategy) -> AccessSig {
+    AccessSig {
+        predicate: Some(Access::Sequential),
+        agg_input: Some(match strategy {
+            WindowStrategy::SequentialFrameScan => Access::Sequential,
+            WindowStrategy::ConditionalReeval => Access::Conditional,
+        }),
+        group_key: Some(Access::Conditional),
+        structure: None,
     }
 }
 

@@ -1,16 +1,18 @@
 //! Physical plans: the shapes the executor runs plus the decisions the
 //! planner made, with their cost-model evidence.
 
+use std::fmt;
 use std::sync::Arc;
 
 use crate::expr::Expr;
 use crate::logical::{AggSpec, FrameSpec, SortKey, WindowFnSpec};
-use crate::tile::{GroupSink, TileProgram};
+use crate::tile::{group_sink, scalar_sinks, GroupSink, Sink, TileProgram};
 use swole_cost::{
-    AggProfile, AggStrategy, BitmapBuild, GroupJoinProfile, GroupJoinStrategy, GroupTableCost,
-    JoinGraphProfile, JoinOrderMethod, SemiJoinStrategy, WindowStrategy,
+    AggProfile, AggStrategy, GroupJoinProfile, GroupJoinStrategy, GroupTableCost, JoinGraphProfile,
+    JoinOrderMethod, SemiJoinStrategy, WindowStrategy,
 };
 use swole_ht::DenseAggTable;
+use swole_verify::ir::{Access, AccessSig};
 
 /// A result-level post-operator applied after the core pipeline: `ORDER BY`
 /// and `LIMIT` run over the materialized result rows, never over base tables.
@@ -209,7 +211,9 @@ pub(crate) struct JoinEdge {
     pub parent_program: Arc<TileProgram>,
     /// FK column on the child pointing into `parent`.
     pub fk_col: String,
-    /// Membership structure the build side materializes.
+    /// Membership structure the build side materializes: the planned one
+    /// for a direct edge; for a chain edge, whose bit its child's build ANDs
+    /// into the child's tile masks, a packed bitmap.
     pub strategy: SemiJoinStrategy,
     /// Edges restricting `parent` itself (chain joins), in canonical order.
     pub children: Vec<JoinEdge>,
@@ -284,32 +288,136 @@ pub(crate) enum AggMode {
     Join(GroupJoinStrategy),
 }
 
-/// How a tile's rows reach the aggregation's sink — the half of the loop
-/// every technique shares, and what the morsel driver is compiled for.
+/// Which lanes of a tile reach an aggregating stage's sink — the half of
+/// the loop every technique shares, and what the morsel driver is compiled
+/// for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FrontEnd {
+pub(crate) enum Lanes {
     /// Compact the filter mask into a selection vector, then narrow it
     /// through each edge.
-    Select,
-    /// Keep the filter mask and AND each (bitmap) edge's bit into it: every
-    /// lane reaches the sink, cancelled by its mask.
-    Mask,
-    /// No restriction at all: the sink sees every lane unmasked and settles
-    /// with the edge once, after the merge.
-    EveryLane,
+    Selected,
+    /// Every lane under the filter mask (and a masked probe's membership).
+    Masked,
+    /// Every lane, by its masked key: a lane the filter drops upserts into
+    /// the throwaway entry (grouped key masking).
+    KeyMasked,
+    /// Every lane, unrestricted: the sink settles with the edge once, after
+    /// the merge (eager aggregation).
+    Every,
 }
 
-impl AggMode {
-    pub(crate) fn front_end(self, grouped: bool) -> FrontEnd {
-        match self {
+/// Which lanes belong to the result besides those the lanes keep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Membership {
+    /// All of them.
+    None,
+    /// Those whose bit is set in a masked probe's one bitmap edge, at the
+    /// lane's FK position (§ III-D).
+    Bitmap,
+}
+
+/// The terminal loop of an aggregating stage: one fold per aggregate, or
+/// the grouped stage's upsert. Shared with every run of the cached plan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Sinks {
+    Scalar(Arc<[Sink]>),
+    Grouped(Arc<GroupSink>),
+}
+
+/// What an aggregating stage runs, built once at plan time from the priced
+/// [`AggMode`]: the executor dispatches on it, `EXPLAIN` prints it and
+/// verification checks its [`Instance::access`] against the priced
+/// strategy. The overflow mode and whether a run counts are the run's.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Instance {
+    pub lanes: Lanes,
+    pub member: Membership,
+    pub sink: Sinks,
+}
+
+impl Instance {
+    /// The instance that runs `mode` over `program`'s aggregate list.
+    pub(crate) fn lower(
+        mode: AggMode,
+        grouped: bool,
+        program: &TileProgram,
+        aggs: &[AggSpec],
+    ) -> Instance {
+        let lanes = match mode {
             AggMode::By(AggStrategy::Hybrid)
             | AggMode::Probe { masked: false }
-            | AggMode::Join(GroupJoinStrategy::GroupJoin) => FrontEnd::Select,
+            | AggMode::Join(GroupJoinStrategy::GroupJoin) => Lanes::Selected,
             // A scalar aggregation has no key to mask; hybrid covers key
             // masking too.
-            AggMode::By(AggStrategy::KeyMasking) if !grouped => FrontEnd::Select,
-            AggMode::By(_) | AggMode::Probe { masked: true } => FrontEnd::Mask,
-            AggMode::Join(GroupJoinStrategy::EagerAggregation) => FrontEnd::EveryLane,
+            AggMode::By(AggStrategy::KeyMasking) if !grouped => Lanes::Selected,
+            AggMode::By(AggStrategy::KeyMasking) => Lanes::KeyMasked,
+            AggMode::By(AggStrategy::ValueMasking) | AggMode::Probe { masked: true } => {
+                Lanes::Masked
+            }
+            AggMode::Join(GroupJoinStrategy::EagerAggregation) => Lanes::Every,
+        };
+        let member = match mode {
+            AggMode::Probe { masked: true } => Membership::Bitmap,
+            _ => Membership::None,
+        };
+        let sink = match grouped {
+            true => Sinks::Grouped(Arc::new(group_sink(program, aggs))),
+            false => Sinks::Scalar(scalar_sinks(program, aggs).into()),
+        };
+        Instance {
+            lanes,
+            member,
+            sink,
+        }
+    }
+
+    /// How the loop reads each attribute stream of a stage that is
+    /// `joined` through FK edges or scans alone: the run side of
+    /// verification's access-signature pass.
+    pub(crate) fn access(&self, joined: bool) -> AccessSig {
+        use Access::{Conditional, Gather, Sequential};
+        // Selected lanes read the inputs through the selection vector; the
+        // other lane sets read every lane in order, the mask, the masked key
+        // or the edge riding along.
+        let input = match self.lanes {
+            Lanes::Selected => Conditional,
+            Lanes::Masked | Lanes::KeyMasked | Lanes::Every => Sequential,
+        };
+        let grouped = matches!(self.sink, Sinks::Grouped(_));
+        AccessSig {
+            // A grouped join's loop is keyed by the FK it gathers through.
+            predicate: (!(joined && grouped)).then_some(Sequential),
+            agg_input: Some(input),
+            group_key: (grouped && !joined).then_some(input),
+            // A gather per lane into each edge's membership structure (or,
+            // grouped, the group entry).
+            structure: joined.then_some(Gather),
+        }
+    }
+}
+
+impl fmt::Display for Instance {
+    /// The instance as `EXPLAIN`'s strategy line names it: a membership,
+    /// then `, sink: ` and the kernel with its slots — nothing for a scalar
+    /// fold without a membership, whose instances differ only in what a
+    /// run picks.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match (&self.sink, self.member) {
+            (Sinks::Grouped(sink), _) => {
+                let kernel = match self.lanes {
+                    Lanes::Selected => "groupby_gather",
+                    Lanes::Masked => "groupby_value_masked",
+                    Lanes::KeyMasked => "groupby_key_masked",
+                    Lanes::Every => "eager_aggregate",
+                };
+                write!(f, ", sink: {}", sink.name(kernel))
+            }
+            (Sinks::Scalar(sinks), Membership::Bitmap) => write!(
+                f,
+                ", masked probe, sink: fold_masked_bitmap<{}>",
+                sinks.len()
+            ),
+            (Sinks::Scalar(_), Membership::None) => Ok(()),
         }
     }
 }
@@ -340,10 +448,10 @@ pub(crate) struct AggShape {
     /// a scalar aggregation.
     pub group: Option<String>,
     pub aggs: Vec<AggSpec>,
+    /// The strategy priced.
     pub mode: AggMode,
-    /// The terminal loop of a grouped aggregation, chosen here once (a
-    /// scalar one's depends on the certificate, at run time).
-    pub group_sink: Option<GroupSink>,
+    /// The loop that runs it.
+    pub instance: Instance,
     /// The group table of a grouped aggregation.
     pub group_table: GroupTableRepr,
     /// `filter`, the aggregate inputs and (without edges) `group` lowered
@@ -434,16 +542,6 @@ impl JoinEdge {
     pub(crate) fn probe_op(parent: &str) -> String {
         format!("multijoin-probe({parent})")
     }
-
-    /// The structure this edge's build writes: the planned one for an edge
-    /// the probe reads, a packed bitmap for a chain edge (whose bit its
-    /// child's build ANDs into the child's tile masks).
-    pub(crate) fn build(&self, chain: bool) -> SemiJoinStrategy {
-        match chain {
-            true => SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional),
-            false => self.strategy,
-        }
-    }
 }
 
 impl AggShape {
@@ -458,40 +556,18 @@ impl AggShape {
     }
 
     fn strategy_name(&self) -> String {
-        let sink = |kernel| match &self.group_sink {
-            Some(s) => format!(", sink: {}", s.name(kernel)),
-            None => String::new(),
-        };
-        let join = |rest: &str| {
+        let join = |priced: &str| {
             format!(
-                "multi-join ({} edges, order: {}{rest})",
+                "multi-join ({} edges, order: {}{priced}{})",
                 count_edges(&self.edges),
-                self.order_method.name()
+                self.order_method.name(),
+                self.instance
             )
         };
         match self.mode {
-            AggMode::By(s) => {
-                let kernel = match s {
-                    AggStrategy::Hybrid => "groupby_gather",
-                    AggStrategy::ValueMasking => "groupby_value_masked",
-                    AggStrategy::KeyMasking => "groupby_key_masked",
-                };
-                format!("{}{}", s.name(), sink(kernel))
-            }
-            AggMode::Probe { masked: false } => join(""),
-            // The scalar fold's lanes and membership, and its slots: the
-            // overflow mode and whether a run counts are the run's.
-            AggMode::Probe { masked: true } => join(&format!(
-                ", masked probe, sink: fold_masked_bitmap<{}>",
-                self.aggs.len()
-            )),
-            AggMode::Join(s) => {
-                let kernel = match s {
-                    GroupJoinStrategy::GroupJoin => "groupby_gather",
-                    GroupJoinStrategy::EagerAggregation => "eager_aggregate",
-                };
-                join(&format!(", {}{}", s.name(), sink(kernel)))
-            }
+            AggMode::By(s) => format!("{}{}", s.name(), self.instance),
+            AggMode::Probe { .. } => join(""),
+            AggMode::Join(s) => join(&format!(", {}", s.name())),
         }
     }
 

@@ -1,7 +1,7 @@
 //! The aggregation arm: validation, the group table, the scan
 //! aggregation's strategy decision (priced on that table), the statistics
-//! shortcut, and the tail every aggregation shares (tile program, grouped
-//! sink). The decisions of an aggregation over join edges are
+//! shortcut, and the tail every aggregation shares (tile program, the
+//! instance that runs). The decisions of an aggregation over join edges are
 //! [`super::join`]'s.
 
 use std::sync::Arc;
@@ -12,10 +12,11 @@ use crate::error::PlanError;
 use crate::expr::{AggFunc, Expr};
 use crate::logical::{AggSpec, LogicalPlan};
 use crate::physical::{
-    AggMode, AggShape, CostProfile, Estimates, GroupTableRepr, JoinEdge, PhysicalPlan, Shape,
+    AggMode, AggShape, CostProfile, Estimates, GroupTableRepr, Instance, JoinEdge, PhysicalPlan,
+    Shape,
 };
 use crate::stats;
-use crate::tile::{group_sink, TileProgram};
+use crate::tile::TileProgram;
 use swole_cost::choose::choose_agg_mt;
 use swole_cost::{AggProfile, AggStrategy, JoinOrderMethod};
 use swole_ht::{AggTable, DenseAggTable};
@@ -51,7 +52,7 @@ impl Planner<'_> {
     /// table and scan-aggregation strategy ([`Self::decide_scan_agg`]), or
     /// which probe order, membership structures, sink and group table
     /// ([`Self::decide_join_agg`]) — but validation before it and the tail
-    /// after it (tile program, grouped sink) do not.
+    /// after it (tile program, the [`Instance`] that runs) do not.
     pub(super) fn plan_agg(
         &self,
         input: &LogicalPlan,
@@ -128,7 +129,7 @@ impl Planner<'_> {
             aggs,
             grouped,
         )?);
-        let group_sink = grouped.then(|| group_sink(&program, aggs));
+        let instance = Instance::lower(mode, grouped, &program, aggs);
         Ok(PhysicalPlan::new(
             Shape::Agg(AggShape {
                 table: table_name,
@@ -138,7 +139,7 @@ impl Planner<'_> {
                 group: group_by.map(str::to_string),
                 aggs: aggs.to_vec(),
                 mode,
-                group_sink,
+                instance,
                 group_table,
                 program,
             }),

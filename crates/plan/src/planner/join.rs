@@ -15,8 +15,8 @@ use crate::tile::TileProgram;
 use swole_bitmap::PositionalBitmap;
 use swole_cost::choose::{choose_groupjoin_mt, choose_semijoin};
 use swole_cost::{
-    choose_join_order, join_order_cost, GroupJoinProfile, GroupJoinStrategy, JoinEdgeProfile,
-    JoinGraphProfile, JoinOrderMethod, SemiJoinProfile, SemiJoinStrategy,
+    choose_join_order, join_order_cost, BitmapBuild, GroupJoinProfile, GroupJoinStrategy,
+    JoinEdgeProfile, JoinGraphProfile, JoinOrderMethod, SemiJoinProfile, SemiJoinStrategy,
 };
 use swole_storage::Table;
 
@@ -127,7 +127,7 @@ impl Planner<'_> {
         let drift = q.hints.selectivity.filter(|_| single_edge);
         let mut edges = Vec::with_capacity(raw_edges.len());
         for e in raw_edges {
-            edges.push(self.lower_join_edge(fact, e, drift, &mut q.decisions)?);
+            edges.push(self.lower_join_edge(fact, e, drift, false, &mut q.decisions)?);
         }
         // The fact's own filter is always priced at the sample's estimate.
         let sampled = SigmaOverrides::default();
@@ -283,12 +283,15 @@ impl Planner<'_> {
     /// filter, estimate the fraction of probe rows surviving the edge (own
     /// filter × nested children; `drift`, the selectivity the plan cache
     /// observed for this edge's build, overrides the estimate, then adaptive
-    /// statistics when available), and choose the membership structure.
+    /// statistics when available), and choose the membership structure — a
+    /// packed bitmap for a `chain` edge, which restricts a parent, not the
+    /// fact.
     fn lower_join_edge(
         &self,
         child: &str,
         e: RawEdge,
         drift: Option<f64>,
+        chain: bool,
         decisions: &mut Vec<String>,
     ) -> Result<JoinEdge, PlanError> {
         let db = self.db;
@@ -299,7 +302,7 @@ impl Planner<'_> {
         FkSource::resolve(db, child, &e.fk_col, &e.parent)?;
         let mut children = Vec::with_capacity(e.children.len());
         for c in e.children {
-            children.push(self.lower_join_edge(&e.parent, c, None, decisions)?);
+            children.push(self.lower_join_edge(&e.parent, c, None, true, decisions)?);
         }
         let observed = SigmaOverrides {
             drift,
@@ -328,7 +331,11 @@ impl Planner<'_> {
                 has_fk_index,
             },
         );
-        let strategy = if let Some((_, pin)) = self
+        let strategy = if chain {
+            // A chain edge's bit is ANDed into its child's tile masks, which
+            // only a packed bitmap serves; the session pins direct edges.
+            SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional)
+        } else if let Some((_, pin)) = self
             .strategies
             .build_sides
             .iter()

@@ -1092,7 +1092,7 @@ pub(crate) enum Sink {
 /// folds them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ScalarSinks {
-    pub(crate) sinks: Vec<Sink>,
+    pub(crate) sinks: Arc<[Sink]>,
     /// The certificate's verdict on the sums: `Unproven` runs the checked
     /// mode, so a wrap surfaces as the typed `Overflow` the interpreter
     /// retry keys on; `I32Tile` runs the masked sums of a stage with no
@@ -1212,7 +1212,7 @@ impl BoundProgram {
             *slot = s;
             checked & wrapped
         };
-        for (slot, sink) in acc.iter_mut().zip(&sinks.sinks) {
+        for (slot, sink) in acc.iter_mut().zip(sinks.sinks.iter()) {
             let vals = |reg: usize| &r.vals[reg][..tile.1];
             let counts = count && kept.is_none();
             let f = match *sink {
@@ -1254,7 +1254,7 @@ impl BoundProgram {
         };
         for (slot, _) in acc
             .iter_mut()
-            .zip(&sinks.sinks)
+            .zip(sinks.sinks.iter())
             .filter(|s| *s.1 == Sink::Count)
         {
             *overflow |= add(slot, kept as i64);
@@ -1603,7 +1603,7 @@ mod tests {
         let sinks = scalar_sinks(prog, aggs);
         let counted = false;
         ScalarSinks {
-            sinks,
+            sinks: sinks.into(),
             proof,
             counted,
         }
@@ -1833,7 +1833,7 @@ mod tests {
                 .iter()
                 .flat_map(|l| modes.map(|(proof, counted)| (l.clone(), proof, counted)))
                 .map(|(sinks, proof, counted)| ScalarSinks {
-                    sinks,
+                    sinks: sinks.into(),
                     proof,
                     counted,
                 })

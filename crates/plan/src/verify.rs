@@ -15,20 +15,21 @@
 use swole_kernels::TILE;
 use swole_storage::DataType;
 use swole_verify::ir::{
-    Alloc, ArithOp, Artifact, ArtifactKind, BoundExpr, ColType, ColumnDecl, ExprRole, FkDecl,
-    FkRef, Import, Op, Program, Scope, StrategyRef, TableDecl, VExpr,
+    Alloc, ArithOp, Artifact, ArtifactKind, BoundExpr, ColType, ColumnDecl, Committed, ExprRole,
+    FkDecl, FkRef, Import, Op, Program, Scope, StrategyRef, TableDecl, VExpr,
 };
 use swole_verify::{VerifyLevel, VerifyReport};
 
 use crate::catalog::Database;
 use crate::error::PlanError;
+use crate::exec::{build_access, post_access, window_access};
 use crate::expr::Expr;
 use crate::faults;
 use crate::logical::AggSpec;
 use crate::physical::{
-    AggMode, AggShape, FrontEnd, GroupTableRepr, JoinEdge, PhysicalPlan, PostOp, Shape, WindowShape,
+    AggMode, AggShape, GroupTableRepr, JoinEdge, Lanes, PhysicalPlan, PostOp, Shape, WindowShape,
 };
-use swole_cost::{AggStrategy, BitmapBuild, SemiJoinStrategy};
+use swole_cost::{BitmapBuild, SemiJoinStrategy};
 use swole_ht::DenseAggTable;
 
 /// Lower `plan` and verify it at `level`. `Off` is a no-op by construction
@@ -77,21 +78,23 @@ fn program_for_with(
     if let Some(base) = program.tables.first() {
         let (tname, trows) = (base.name.clone(), base.rows);
         for p in &plan.post {
-            match p {
-                PostOp::Sort { .. } => {
-                    let mut op = Op::new(&format!("sort({tname})"), "/post/sort", &tname, trows);
-                    op.strategy = Some(StrategyRef::Sort);
-                    op.cost_terms = vec!["sort.rows".to_string()];
-                    op.allocs.push(charged("sort-selection-vector"));
-                    program.ops.push(op);
-                }
-                PostOp::Limit { .. } => {
-                    let mut op = Op::new(&format!("limit({tname})"), "/post/limit", &tname, trows);
-                    op.strategy = Some(StrategyRef::Limit);
-                    op.cost_terms = vec!["limit.rows".to_string()];
-                    program.ops.push(op);
-                }
+            let (name, priced) = match p {
+                PostOp::Sort { .. } => ("sort", StrategyRef::Sort),
+                PostOp::Limit { .. } => ("limit", StrategyRef::Limit),
+            };
+            let mut op = Op::new(
+                &format!("{name}({tname})"),
+                &format!("/post/{name}"),
+                &tname,
+                trows,
+            );
+            op.cost_terms = vec![format!("{name}.rows")];
+            if priced == StrategyRef::Sort {
+                op.allocs.push(charged("sort-selection-vector"));
             }
+            let runs = post_access(p);
+            op.strategy = Some(Committed { priced, runs });
+            program.ops.push(op);
         }
     }
     if fault_uncharged {
@@ -264,8 +267,11 @@ fn lower_window_scan(
             expr: VExpr::Col(c.to_string()),
         });
     }
-    op.strategy = Some(StrategyRef::Window {
-        strategy: shape.strategy,
+    op.strategy = Some(Committed {
+        priced: StrategyRef::Window {
+            strategy: shape.strategy,
+        },
+        runs: window_access(shape.strategy),
     });
     // Workers charge the scan's register file; the submitter charges the
     // gather pass's once. Declaring the sum per worker dominates both.
@@ -312,20 +318,18 @@ fn fk_decl(db: &Database, probe: &str, fk_col: &str, build: &str) -> Result<FkDe
 /// Every edge is a semijoin build written from its tile loop: the parent's
 /// filter into a tile-scoped mask, each chain edge's bitmap ANDed in
 /// through its FK, then the membership structure the next operator
-/// imports — the planned one for a direct edge, a packed bitmap for a
-/// chain edge. The selection-vector and hash builds compact the tile mask
+/// imports. The selection-vector and hash builds compact the tile mask
 /// into a tile-scoped selection vector first.
 fn lower_join_build(
     db: &Database,
     child: &str,
     e: &JoinEdge,
-    direct: bool,
     tables: &mut Vec<TableDecl>,
     fks: &mut Vec<FkDecl>,
     ops: &mut Vec<Op>,
 ) -> Result<(), PlanError> {
     for c in &e.children {
-        lower_join_build(db, &e.parent, c, false, tables, fks, ops)?;
+        lower_join_build(db, &e.parent, c, tables, fks, ops)?;
     }
     let decl = table_decl(db, &e.parent)?;
     let rows = decl.rows;
@@ -351,8 +355,11 @@ fn lower_join_build(
             }),
         });
     }
-    let strategy = e.build(!direct);
-    op.strategy = Some(StrategyRef::SemiJoinBuild(strategy));
+    let strategy = e.strategy;
+    op.strategy = Some(Committed {
+        priced: StrategyRef::SemiJoinBuild(strategy),
+        runs: build_access(strategy),
+    });
     op.scratch_bytes = e.parent_program.scratch_bytes();
     op.allocs.push(charged("worker-scratch"));
     op.locals
@@ -383,17 +390,18 @@ fn lower_agg(db: &Database, plan: &PhysicalPlan, shape: &AggShape) -> Result<Pro
         edges,
         aggs,
         mode,
+        instance,
         program,
         ..
     } = shape;
-    let (group, mode) = (shape.group.as_deref(), *mode);
+    let group = shape.group.as_deref();
     let decl = table_decl(db, table)?;
     let rows = decl.rows;
     let mut tables = vec![decl];
     let mut fks = Vec::new();
     let mut ops = Vec::new();
     for e in edges {
-        lower_join_build(db, table, e, true, &mut tables, &mut fks, &mut ops)?;
+        lower_join_build(db, table, e, &mut tables, &mut fks, &mut ops)?;
     }
     let grouped = group.is_some();
     let path = if edges.is_empty() {
@@ -404,7 +412,7 @@ fn lower_agg(db: &Database, plan: &PhysicalPlan, shape: &AggShape) -> Result<Pro
     let mut op = Op::new(&shape.op_name(), path, table, rows);
     op.exprs.extend(predicate(&shape.filter));
     op.exprs.extend(agg_inputs(aggs));
-    op.strategy = Some(match mode {
+    let priced = match *mode {
         AggMode::By(strategy) => StrategyRef::Agg { strategy, grouped },
         // The probe either folds the bitmap bit into the tile mask or narrows
         // a tile selection vector edge-by-edge; its access signature is the
@@ -418,7 +426,11 @@ fn lower_agg(db: &Database, plan: &PhysicalPlan, shape: &AggShape) -> Result<Pro
             probe_masked: masked,
         },
         AggMode::Join(strategy) => StrategyRef::GroupJoin(strategy),
-    });
+    };
+    // What the cost model priced, and the loop the executor dispatches:
+    // pass 3 checks the one against the other.
+    let runs = instance.access(!edges.is_empty());
+    op.strategy = Some(Committed { priced, runs });
     op.allocs.push(charged("worker-scratch"));
     if let Some(g) = group {
         // Each worker fills a private group table.
@@ -449,17 +461,18 @@ fn lower_agg(db: &Database, plan: &PhysicalPlan, shape: &AggShape) -> Result<Pro
             }),
         });
     }
-    // Every front end evaluates the predicate into the tile-scoped `cmp`
-    // mask; `Select` compacts it into a tile selection vector (which each
-    // edge then narrows), grouped key masking folds it into the tile key
+    // Every instance evaluates the predicate into the tile-scoped `cmp`
+    // mask; selected lanes compact it into a tile selection vector (which
+    // each edge then narrows), key-masked lanes fold it into the tile key
     // buffer.
     op.locals
         .push(tile_artifact(ArtifactKind::ValueMask, table));
-    if mode.front_end(grouped) == FrontEnd::Select {
-        op.locals
-            .push(tile_artifact(ArtifactKind::SelectionVector, table));
-    } else if grouped && mode == AggMode::By(AggStrategy::KeyMasking) {
-        op.locals.push(tile_artifact(ArtifactKind::KeyMask, table));
+    match instance.lanes {
+        Lanes::Selected => op
+            .locals
+            .push(tile_artifact(ArtifactKind::SelectionVector, table)),
+        Lanes::KeyMasked => op.locals.push(tile_artifact(ArtifactKind::KeyMask, table)),
+        Lanes::Masked | Lanes::Every => {}
     }
     ops.push(op);
     Ok(Program {
@@ -468,4 +481,59 @@ fn lower_agg(db: &Database, plan: &PhysicalPlan, shape: &AggShape) -> Result<Pro
         ops,
         tile_rows: TILE,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::StrategyOverrides;
+    use crate::expr::CmpOp;
+    use crate::logical::QueryBuilder;
+    use crate::Engine;
+    use swole_cost::AggStrategy;
+    use swole_storage::{ColumnData, Table};
+    use swole_verify::VerifyErrorKind;
+
+    fn db() -> Database {
+        let mut db = Database::new();
+        db.add_table(
+            Table::new("R")
+                .with_column("x", ColumnData::I32((0..4_000).map(|i| i % 100).collect()))
+                .with_column("a", ColumnData::I32((0..4_000).map(|i| i % 10).collect())),
+        );
+        db
+    }
+
+    /// Pass 3 checks the loop that runs, not the strategy priced: a hybrid
+    /// scalar aggregate whose instance is switched to masked lanes reads
+    /// its input in order where the hybrid's model reads it through the
+    /// selection vector.
+    #[test]
+    fn a_stage_running_another_instance_than_priced_fails_pass_3() {
+        let query = QueryBuilder::scan("R")
+            .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(50)))
+            .aggregate(None, vec![AggSpec::sum(Expr::col("a"), "s")]);
+        let engine = Engine::builder(db())
+            .strategies(StrategyOverrides::pin_agg(AggStrategy::Hybrid))
+            .build();
+        let mut plan = engine.plan(&query).expect("plans");
+        let db = db();
+        assert!(verify_physical(&db, &plan, VerifyLevel::Full).is_ok());
+        let Shape::Agg(shape) = &mut plan.shape else {
+            panic!("a scan aggregation");
+        };
+        assert_eq!(shape.instance.lanes, Lanes::Selected);
+        shape.instance.lanes = Lanes::Masked;
+        let e = match verify_physical(&db, &plan, VerifyLevel::Full) {
+            Err(PlanError::Verification(e)) => e,
+            other => panic!("pass 3 let a masked run of a hybrid plan through: {other:?}"),
+        };
+        assert!(
+            matches!(
+                e.kind,
+                VerifyErrorKind::SignatureMismatch { ref attribute, .. } if attribute == "aggregate input"
+            ),
+            "{e}"
+        );
+    }
 }

@@ -565,7 +565,7 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
             overflow_proof,
             max_input,
         };
-        match &op.strategy {
+        match op.strategy.as_ref().map(|c| &c.priced) {
             Some(StrategyRef::Agg { grouped, .. }) => {
                 if *grouped {
                     let keys = group_keys_bound(ctx, &op.table, group_key_column(op), rows);
@@ -676,7 +676,7 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{Alloc, Artifact, ArtifactKind, ColumnDecl, FkDecl, Scope};
+    use crate::ir::{Alloc, Artifact, ArtifactKind, ColumnDecl, Committed, FkDecl, Scope};
     use swole_cost::AggStrategy;
 
     const TILE: usize = 1024;
@@ -709,10 +709,10 @@ mod tests {
             role: ExprRole::GroupKey,
             expr: VExpr::Col("g".into()),
         });
-        op.strategy = Some(StrategyRef::Agg {
+        op.strategy = Some(Committed::as_modelled(StrategyRef::Agg {
             strategy: AggStrategy::Hybrid,
             grouped: true,
-        });
+        }));
         op.n_aggs = Some(1);
         op.scratch_bytes = 3 * TILE * 8;
         op.locals.push(Artifact {
@@ -950,7 +950,9 @@ mod tests {
     fn semijoin_hash_build_bound_covers_grown_key_set() {
         let rows = 5_000usize;
         let mut build = Op::new("multijoin-build(s)", "/multijoin-agg/build", "s", rows);
-        build.strategy = Some(StrategyRef::SemiJoinBuild(SemiJoinStrategy::Hash));
+        build.strategy = Some(Committed::as_modelled(StrategyRef::SemiJoinBuild(
+            SemiJoinStrategy::Hash,
+        )));
         let p = Program {
             tables: vec![table("s", rows, &[("k", ColType::Int(64))])],
             fks: Vec::new(),
@@ -978,9 +980,9 @@ mod tests {
             role: ExprRole::GroupKey,
             expr: VExpr::Col("fk".into()),
         });
-        op.strategy = Some(StrategyRef::GroupJoin(
+        op.strategy = Some(Committed::as_modelled(StrategyRef::GroupJoin(
             swole_cost::GroupJoinStrategy::GroupJoin,
-        ));
+        )));
         op.n_aggs = Some(1);
         let p = Program {
             tables: vec![
@@ -1010,7 +1012,7 @@ mod tests {
     fn sort_bound_follows_core_output_cardinality() {
         let mut p = grouped_agg_program(100_000);
         let mut sort = Op::new("sort(t)", "/post/sort", "t", 100_000);
-        sort.strategy = Some(StrategyRef::Sort);
+        sort.strategy = Some(Committed::as_modelled(StrategyRef::Sort));
         p.ops.push(sort);
         let cert = certify(
             &p,

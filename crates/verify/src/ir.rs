@@ -3,13 +3,13 @@
 //! The engine lowers a composed physical plan into a [`Program`]: the tables
 //! and foreign keys it touches, plus one [`Op`] per pipeline stage carrying
 //! its expressions, the pullup artifacts it produces/consumes, the strategy it
-//! committed to, and its allocation sites. The IR is deliberately independent
+//! committed to with the access signature of the loop that runs it, and its
+//! allocation sites. The IR is deliberately independent
 //! of the planner's internal `Shape` so ill-formed programs can be constructed
 //! directly in tests.
 
 use std::fmt;
 
-use swole_codegen::access::AccessSig;
 use swole_cost::{AggStrategy, GroupJoinStrategy, SemiJoinStrategy, WindowStrategy};
 
 /// Verifier-visible column type, collapsed from the storage layer's
@@ -244,6 +244,45 @@ pub struct Alloc {
     pub charged: bool,
 }
 
+/// How a loop touches one attribute stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// Every position in order: `a[i+j]` under a dense loop.
+    Sequential,
+    /// Data-dependent positions: `bitmap_get(bm, fk_index[i])`,
+    /// `ht_find(ht, fk[i])`.
+    Gather,
+    /// Only selected positions, via branch or selection vector:
+    /// `a[idx[j]]`, `if (...) sum += a[i]`.
+    Conditional,
+}
+
+impl fmt::Display for Access {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            Access::Sequential => "sequential",
+            Access::Gather => "gather",
+            Access::Conditional => "conditional",
+        };
+        f.write_str(s)
+    }
+}
+
+/// Per-operator access signature: one [`Access`] per attribute stream the
+/// loop reads or writes, `None` where the stream does not exist for the
+/// shape (e.g. no group key in a scalar aggregate).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AccessSig {
+    /// Predicate input columns.
+    pub predicate: Option<Access>,
+    /// Aggregate input columns.
+    pub agg_input: Option<Access>,
+    /// Group-key column.
+    pub group_key: Option<Access>,
+    /// Auxiliary structure (hash table, bitmap, aggregate table) accesses.
+    pub structure: Option<Access>,
+}
+
 /// Which composed-kernel strategy an operator committed to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StrategyRef {
@@ -277,6 +316,17 @@ pub enum StrategyRef {
     Limit,
 }
 
+/// A strategy an operator committed to: the one the cost model priced, and
+/// the access signature of the loop the executor dispatches for it. Pass 3
+/// checks that the two agree.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Committed {
+    /// The strategy the plan priced.
+    pub priced: StrategyRef,
+    /// How the loop that runs reads each attribute stream.
+    pub runs: AccessSig,
+}
+
 /// One pipeline stage of the plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Op {
@@ -290,12 +340,9 @@ pub struct Op {
     pub rows: usize,
     /// Expressions evaluated by the operator, tagged with their role.
     pub exprs: Vec<BoundExpr>,
-    /// Strategy the operator committed to, if it composes kernels.
-    pub strategy: Option<StrategyRef>,
-    /// Declared access signature override. `None` means "as the cost model
-    /// assumes for the strategy's cost term" — the normal lowering; tests use
-    /// `Some` to simulate a drifted declaration.
-    pub declared: Option<AccessSig>,
+    /// Strategy the operator committed to, if it composes kernels, with the
+    /// signature of the loop that runs it.
+    pub strategy: Option<Committed>,
     /// Cost terms the plan carries for this operator (may be empty for
     /// operators the model does not price, e.g. forced min/max strategies).
     pub cost_terms: Vec<String>,
@@ -339,7 +386,6 @@ impl Op {
             rows,
             exprs: Vec::new(),
             strategy: None,
-            declared: None,
             cost_terms: Vec::new(),
             locals: Vec::new(),
             exports: Vec::new(),
@@ -379,5 +425,14 @@ impl Program {
         self.fks
             .iter()
             .find(|f| f.child == child && f.fk_col == fk_col && f.parent == parent)
+    }
+}
+
+#[cfg(test)]
+impl Committed {
+    /// `priced`, run by the loop the cost model assumes for it.
+    pub(crate) fn as_modelled(priced: StrategyRef) -> Committed {
+        let runs = crate::passes::modelled_signature(&priced);
+        Committed { priced, runs }
     }
 }

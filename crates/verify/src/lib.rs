@@ -12,10 +12,11 @@
 //!    sized to the correct table/FK domain, and never escape the tile/morsel
 //!    scope they were built in.
 //! 3. **Access-pattern signatures** ([`passes::check_signatures`]) — the
-//!    per-attribute sequential/gather/conditional signature derived from the
-//!    composed kernel spec ([`swole_codegen::access`]) must agree with the
-//!    pattern the cost model assumed when pricing the strategy, and the plan
-//!    must carry the cost term that priced it.
+//!    per-attribute sequential/gather/conditional signature of the loop the
+//!    executor dispatches ([`ir::Committed::runs`]) must agree with the
+//!    pattern the cost model assumed when pricing the strategy
+//!    ([`passes::modelled_signature`]), and the plan must carry the cost term
+//!    that priced it.
 //! 4. **Resource accounting** ([`passes::check_resources`]) — every allocation
 //!    site reachable from the plan charges the memory gauge, and every
 //!    heap-materialized artifact has a covering allocation site.
@@ -57,8 +58,8 @@ pub enum VerifyLevel {
     Off,
     /// Passes 1–2: schema/type soundness and artifact domain discipline.
     Structural,
-    /// All four passes, including access-signature and resource-accounting
-    /// cross-checks against the cost model and codegen spec.
+    /// All four passes, including the access-signature cross-check of the
+    /// dispatched loops against the cost model, and resource accounting.
     Full,
 }
 
@@ -172,18 +173,18 @@ pub enum VerifyErrorKind {
         /// Parent (build-side) table.
         parent: String,
     },
-    /// The access signature derived from the composed kernel spec disagrees
-    /// with the pattern the strategy declared / the cost model assumed.
+    /// The loop the executor dispatches reads an attribute stream otherwise
+    /// than the cost model assumed when pricing the strategy.
     SignatureMismatch {
         /// Operator name.
         op: String,
         /// Which attribute stream disagreed (predicate, aggregate input,
         /// group key, or structure).
         attribute: String,
-        /// Pattern the strategy/cost model declared.
-        declared: String,
-        /// Pattern derived from the kernel spec.
-        derived: String,
+        /// Pattern the cost model priced.
+        modelled: String,
+        /// Pattern the dispatched loop reads.
+        runs: String,
     },
     /// The plan does not carry the cost term that priced the chosen strategy.
     CostTermMismatch {
@@ -232,9 +233,9 @@ impl fmt::Display for VerifyErrorKind {
             VerifyErrorKind::MissingFk { child, fk_col, parent } => {
                 write!(f, "no foreign key {child}.{fk_col} -> {parent} in catalog")
             }
-            VerifyErrorKind::SignatureMismatch { op, attribute, declared, derived } => write!(
+            VerifyErrorKind::SignatureMismatch { op, attribute, modelled, runs } => write!(
                 f,
-                "{op}: {attribute} access declared {declared} but kernel spec derives {derived}"
+                "{op}: {attribute} access priced {modelled} but the dispatched loop reads it {runs}"
             ),
             VerifyErrorKind::CostTermMismatch { op, strategy, expected_term } => write!(
                 f,
@@ -258,6 +259,9 @@ pub struct VerifyReport {
     pub exprs: usize,
     /// Artifacts whose domains pass 2 validated.
     pub artifacts: usize,
+    /// Operators whose dispatched loop pass 3 checked against the priced
+    /// strategy (0 below `Full`).
+    pub signatures: usize,
     /// Allocation sites pass 4 confirmed gauge-charged (0 below `Full`).
     pub allocs: usize,
     /// Human-readable per-pass summary lines.
@@ -275,6 +279,7 @@ pub fn verify(program: &Program, level: VerifyLevel) -> Result<VerifyReport, Ver
         ops: program.ops.len(),
         exprs: 0,
         artifacts: 0,
+        signatures: 0,
         allocs: 0,
         lines: Vec::new(),
     };
@@ -298,8 +303,9 @@ pub fn verify(program: &Program, level: VerifyLevel) -> Result<VerifyReport, Ver
     ));
     if level == VerifyLevel::Full {
         let sigs = passes::check_signatures(program)?;
+        report.signatures = sigs.checked;
         report.lines.push(format!(
-            "pass 3 signatures: {} strategy signature(s) match kernel spec + cost terms",
+            "pass 3 signatures: {} dispatched loop(s) match their priced strategy + cost terms",
             sigs.checked
         ));
         let res = passes::check_resources(program)?;

@@ -2,15 +2,18 @@
 //!
 //! Each pass takes a lowered [`Program`] and returns a small summary on
 //! success or the first [`VerifyError`] in operator order. Pass 3 is where
-//! "access-aware" becomes checkable: the signature derived from the composed
-//! kernel spec (`swole_codegen::access`) is compared against an independent
-//! encoding of what the cost model assumed when pricing the strategy
-//! ([`modelled_signature`]), so drift in either layer is caught.
+//! "access-aware" becomes checkable: the signature of the loop the executor
+//! dispatches ([`Committed::runs`], which the engine reads off the stage it
+//! built) is compared against an independent encoding of what the cost model
+//! assumed when pricing the strategy ([`modelled_signature`]), so a stage
+//! that runs another loop than the one priced is caught.
 
-use swole_codegen::access::{self, Access, AccessSig};
 use swole_cost::{AggStrategy, GroupJoinStrategy, WindowStrategy};
 
-use crate::ir::{Artifact, ArtifactKind, ExprRole, Op, Program, Scope, StrategyRef, VExpr};
+use crate::ir::{
+    Access, AccessSig, Artifact, ArtifactKind, Committed, ExprRole, Op, Program, Scope,
+    StrategyRef, VExpr,
+};
 use crate::{VerifyError, VerifyErrorKind};
 
 /// Pass 1 summary.
@@ -306,8 +309,8 @@ fn check_local(program: &Program, op: &Op, artifact: &Artifact) -> Result<(), Ve
 
 /// The access signature the cost model assumes for a strategy — an
 /// independent encoding of the patterns each pricing formula charges for
-/// (`swole_cost::model`). Pass 3 compares this against the signature derived
-/// from the composed kernel spec; if either layer drifts, verification fails.
+/// (`swole_cost::model`). Pass 3 compares this against the signature of the
+/// loop that runs; if they differ, verification fails.
 #[must_use]
 pub fn modelled_signature(strategy: &StrategyRef) -> AccessSig {
     match strategy {
@@ -432,21 +435,6 @@ pub fn expected_cost_term(strategy: &StrategyRef) -> Option<&'static str> {
     }
 }
 
-fn derived_signature(strategy: &StrategyRef) -> AccessSig {
-    match strategy {
-        StrategyRef::Agg { strategy, grouped } => access::agg_signature(*strategy, *grouped),
-        StrategyRef::SemiJoinBuild(s) => access::semijoin_build_signature(*s),
-        StrategyRef::SemiJoinProbe {
-            strategy,
-            probe_masked,
-        } => access::semijoin_probe_signature(*strategy, *probe_masked),
-        StrategyRef::GroupJoin(g) => access::groupjoin_probe_signature(*g),
-        StrategyRef::Window { strategy } => access::window_signature(*strategy),
-        StrategyRef::Sort => access::sort_signature(),
-        StrategyRef::Limit => access::limit_signature(),
-    }
-}
-
 fn fmt_access(a: Option<Access>) -> String {
     match a {
         None => "none".to_string(),
@@ -456,46 +444,42 @@ fn fmt_access(a: Option<Access>) -> String {
 
 /// Pass 3: access-pattern signatures.
 ///
-/// For each operator with a committed strategy, the signature derived from
-/// the composed kernel spec must match the declared one (the cost-model
-/// assumption by default, or an explicit [`Op::declared`] override), and the
-/// plan must carry the cost term that priced the strategy.
+/// For each operator with a committed strategy, the signature of the loop
+/// that runs ([`Committed::runs`]) must match the one the cost model assumes
+/// for the priced strategy, and the plan must carry the cost term that
+/// priced it.
 pub fn check_signatures(program: &Program) -> Result<SignatureSummary, VerifyError> {
     let mut summary = SignatureSummary { checked: 0 };
     for op in &program.ops {
-        let Some(strategy) = &op.strategy else {
+        let Some(Committed { priced, runs }) = &op.strategy else {
             continue;
         };
-        let derived = derived_signature(strategy);
-        let declared = op
-            .declared
-            .clone()
-            .unwrap_or_else(|| modelled_signature(strategy));
-        for (attribute, d, k) in [
-            ("predicate", declared.predicate, derived.predicate),
-            ("aggregate input", declared.agg_input, derived.agg_input),
-            ("group key", declared.group_key, derived.group_key),
-            ("structure", declared.structure, derived.structure),
+        let modelled = modelled_signature(priced);
+        for (attribute, m, r) in [
+            ("predicate", modelled.predicate, runs.predicate),
+            ("aggregate input", modelled.agg_input, runs.agg_input),
+            ("group key", modelled.group_key, runs.group_key),
+            ("structure", modelled.structure, runs.structure),
         ] {
-            if d != k {
+            if m != r {
                 return Err(err(
                     &op.path,
                     VerifyErrorKind::SignatureMismatch {
                         op: op.name.clone(),
                         attribute: attribute.to_string(),
-                        declared: fmt_access(d),
-                        derived: fmt_access(k),
+                        modelled: fmt_access(m),
+                        runs: fmt_access(r),
                     },
                 ));
             }
         }
-        if let Some(term) = expected_cost_term(strategy) {
+        if let Some(term) = expected_cost_term(priced) {
             if !op.cost_terms.is_empty() && !op.cost_terms.iter().any(|t| t == term) {
                 return Err(err(
                     &op.path,
                     VerifyErrorKind::CostTermMismatch {
                         op: op.name.clone(),
-                        strategy: strategy_label(strategy).to_string(),
+                        strategy: strategy_label(priced).to_string(),
                         expected_term: term.to_string(),
                     },
                 ));
@@ -605,9 +589,9 @@ mod tests {
             role: ExprRole::Predicate,
             expr: VExpr::Cmp(vec![VExpr::Col("s_nationkey".into()), VExpr::Lit(15)]),
         });
-        build.strategy = Some(StrategyRef::SemiJoinBuild(
+        build.strategy = Some(Committed::as_modelled(StrategyRef::SemiJoinBuild(
             SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional),
-        ));
+        )));
         build.locals.push(Artifact {
             kind: ArtifactKind::ValueMask,
             table: "supplier".into(),
@@ -649,10 +633,10 @@ mod tests {
                 ],
             ),
         });
-        probe.strategy = Some(StrategyRef::SemiJoinProbe {
+        probe.strategy = Some(Committed::as_modelled(StrategyRef::SemiJoinProbe {
             strategy: SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional),
             probe_masked: true,
-        });
+        }));
         probe.imports.push(Import {
             kind: ArtifactKind::PositionalBitmap,
             table: "supplier".into(),
@@ -869,11 +853,11 @@ mod tests {
     #[test]
     fn rejects_drifted_declared_signature() {
         let mut p = semijoin_program();
-        // Declare the masked probe as if it aggregated conditionally — the
-        // kernel spec derives sequential (masked multiply), so they disagree.
-        let mut declared = modelled_signature(p.ops[1].strategy.as_ref().unwrap());
-        declared.agg_input = Some(Access::Conditional);
-        p.ops[1].declared = Some(declared);
+        // The masked probe's loop reads its aggregate input conditionally, as
+        // a selection vector would — the priced strategy models a masked
+        // (sequential) read, so they disagree.
+        let runs = &mut p.ops[1].strategy.as_mut().unwrap().runs;
+        runs.agg_input = Some(Access::Conditional);
         let e = verify(&p, VerifyLevel::Full).unwrap_err();
         assert!(matches!(
             e.kind,
@@ -891,10 +875,10 @@ mod tests {
             role: ExprRole::AggInput,
             expr: VExpr::Col("l_quantity".into()),
         });
-        agg.strategy = Some(StrategyRef::Agg {
+        agg.strategy = Some(Committed::as_modelled(StrategyRef::Agg {
             strategy: AggStrategy::Hybrid,
             grouped: false,
-        });
+        }));
         agg.cost_terms = vec!["agg.value-masking".into()]; // wrong term for the committed strategy
         agg.locals.push(Artifact {
             kind: ArtifactKind::SelectionVector,
@@ -943,52 +927,5 @@ mod tests {
             matches!(e.kind, VerifyErrorKind::UnchargedAllocation { ref site, .. }
             if site.contains("scratch"))
         );
-    }
-
-    #[test]
-    fn modelled_and_derived_signatures_agree_for_all_strategies() {
-        let mut refs: Vec<StrategyRef> = Vec::new();
-        for s in [
-            AggStrategy::Hybrid,
-            AggStrategy::ValueMasking,
-            AggStrategy::KeyMasking,
-        ] {
-            for grouped in [false, true] {
-                refs.push(StrategyRef::Agg {
-                    strategy: s,
-                    grouped,
-                });
-            }
-        }
-        for s in [
-            SemiJoinStrategy::Hash,
-            SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional),
-            SemiJoinStrategy::PositionalBitmap(BitmapBuild::SelectionVector),
-        ] {
-            refs.push(StrategyRef::SemiJoinBuild(s));
-            for probe_masked in [false, true] {
-                refs.push(StrategyRef::SemiJoinProbe {
-                    strategy: s,
-                    probe_masked,
-                });
-            }
-        }
-        refs.push(StrategyRef::GroupJoin(GroupJoinStrategy::GroupJoin));
-        refs.push(StrategyRef::GroupJoin(GroupJoinStrategy::EagerAggregation));
-        for w in [
-            WindowStrategy::SequentialFrameScan,
-            WindowStrategy::ConditionalReeval,
-        ] {
-            refs.push(StrategyRef::Window { strategy: w });
-        }
-        refs.push(StrategyRef::Sort);
-        refs.push(StrategyRef::Limit);
-        for r in refs {
-            assert_eq!(
-                modelled_signature(&r),
-                derived_signature(&r),
-                "cost-model assumption drifted from kernel spec for {r:?}"
-            );
-        }
     }
 }

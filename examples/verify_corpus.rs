@@ -377,6 +377,16 @@ fn verify_corpus(
             }
         };
         match engine.verify_plan(&plan) {
+            // Every operator of an engine plan commits a strategy, so pass 3
+            // checks each one's dispatched loop against the strategy priced.
+            Ok(report) if report.signatures != report.ops => {
+                println!(
+                    "FAIL {corpus}/{name} t={threads} regime={regime_name}: pass 3 checked {} of {} ops",
+                    report.signatures, report.ops,
+                );
+                failures += 1;
+                continue;
+            }
             Ok(report) => {
                 assert_eq!(report.level, VerifyLevel::Full);
                 println!(

@@ -104,6 +104,44 @@ const MULTIJOIN_SQL: &str = "select sum(lineitem.l_quantity) as q, count(*) as n
        and orders.o_orderdate < 9204 and part.p_size < 30 \
        and supplier.s_nationkey < 15 and customer.c_nationkey < 12";
 
+/// A chain edge builds the one structure its child's build can AND into its
+/// tile masks — a packed bitmap — under every semijoin pin, and EXPLAIN,
+/// the executor and the verifier all say so: the pin moves the direct edges
+/// only, and the answer is the unpinned one.
+#[test]
+fn a_chain_edge_reports_the_bitmap_it_builds_under_every_pin() {
+    let tpch = swole_tpch::generate(0.004, 99);
+    let plan = parse_sql(MULTIJOIN_SQL).expect("parses").plan;
+    let unpinned = engine().query(&plan).expect("runs").rows;
+    for pin in [
+        SemiJoinStrategy::Hash,
+        SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional),
+        SemiJoinStrategy::PositionalBitmap(BitmapBuild::SelectionVector),
+    ] {
+        let engine = Engine::builder(to_database(&tpch))
+            .threads(1)
+            .metrics(MetricsLevel::Timings)
+            .strategies(StrategyOverrides::pin_semijoin(pin))
+            .build();
+        let report = engine.explain_analyze(&plan).expect("runs").to_string();
+        for chain in [
+            format!(
+                "orders[{}](o_custkey -> customer[positional-bitmap])",
+                pin.name()
+            ),
+            "edge o_custkey -> customer [positional-bitmap]".to_string(),
+        ] {
+            assert!(
+                report.contains(&chain),
+                "{pin:?}: no `{chain}` in\n{report}"
+            );
+        }
+        assert_eq!(engine.query(&plan).expect("runs").rows, unpinned, "{pin:?}");
+        let verified = engine.verify_plan(&plan).expect("verifies");
+        assert_eq!(verified.signatures, verified.ops, "{pin:?}");
+    }
+}
+
 /// Two-table semijoin (micro Q4 shape): a one-edge join reports like any
 /// other — `multijoin-build` / `-probe` / `-agg` operators, the edge's
 /// estimated vs observed cardinality and a re-scored `join.order` cost —

@@ -177,8 +177,64 @@ fn randomized_planner_output_passes_full_verification() {
     }
 }
 
+/// R → S → T: `R.fk` into S and, a chain, `S.tfk` into T.
+fn chain_db() -> Database {
+    let n = 3000;
+    let mut db = Database::new();
+    db.add_table(
+        Table::new("R")
+            .with_column(
+                "x",
+                ColumnData::I8((0..n).map(|i| (i % 100) as i8).collect()),
+            )
+            .with_column("a", ColumnData::I32((0..n).map(|i| i % 50).collect()))
+            .with_column(
+                "fk",
+                ColumnData::U32((0..n).map(|i| (i % 64) as u32).collect()),
+            ),
+    );
+    db.add_table(
+        Table::new("S")
+            .with_column(
+                "y",
+                ColumnData::I8((0..64).map(|i| (i * 3 % 100) as i8).collect()),
+            )
+            .with_column("tfk", ColumnData::U32((0..64).map(|i| i % 16).collect())),
+    );
+    db.add_table(Table::new("T").with_column(
+        "z",
+        ColumnData::I8((0..16).map(|i| (i * 7 % 100) as i8).collect()),
+    ));
+    db.add_fk("R", "fk", "S").expect("valid by construction");
+    db.add_fk("S", "tfk", "T").expect("valid by construction");
+    db
+}
+
+/// Under `pins`, `plan` runs the instance its `strategy:` line names with
+/// `runs` (and its shape names with `shape`), and verifies at `Full` with
+/// pass 3 checking every operator: each one commits a strategy, so each
+/// one's dispatched loop is checked against the strategy priced.
+fn verifies_running(
+    db: Database,
+    pins: StrategyOverrides,
+    plan: &LogicalPlan,
+    (runs, shape): (&str, &str),
+) -> VerifyReport {
+    let engine = Engine::builder(db).strategies(pins).build();
+    let explain = engine.explain(plan).expect("plans");
+    assert!(explain.strategy.contains(runs), "{runs}: runs {explain}");
+    assert!(explain.shape.contains(shape), "{runs}: shape {explain}");
+    let report = engine
+        .verify_plan(plan)
+        .unwrap_or_else(|e| panic!("{runs}: {e}"));
+    assert_eq!(report.level, VerifyLevel::Full, "{runs}");
+    assert_eq!(report.signatures, report.ops, "{runs}: {:?}", report.lines);
+    report
+}
+
 /// Pinned strategies cover every access-signature row the verifier models;
-/// all of them must verify on all shapes they apply to.
+/// all of them must verify on all shapes they apply to, each running the
+/// instance it names.
 #[test]
 fn every_pinned_strategy_verifies() {
     // Verifying a plan consumes an armed `inject_uncharged_alloc` fault,
@@ -188,77 +244,101 @@ fn every_pinned_strategy_verifies() {
         let mut rng = SmallRng::seed_from_u64(77);
         random_db(&mut rng)
     };
+    let lt = |c: &str, v: i64| Expr::col(c).cmp(CmpOp::Lt, Expr::lit(v));
+    let sum_a = || vec![AggSpec::sum(Expr::col("a"), "s")];
     let scalar = QueryBuilder::scan("R")
-        .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(50)))
-        .aggregate(None, vec![AggSpec::sum(Expr::col("a"), "s")]);
+        .filter(lt("x", 50))
+        .aggregate(None, sum_a());
     let grouped = QueryBuilder::scan("R")
-        .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(50)))
-        .aggregate(Some("c"), vec![AggSpec::sum(Expr::col("a"), "s")]);
-    for strategy in [
-        AggStrategy::Hybrid,
-        AggStrategy::ValueMasking,
-        AggStrategy::KeyMasking,
+        .filter(lt("x", 50))
+        .aggregate(Some("c"), sum_a());
+    // Scalar key masking has no key to mask: it runs the hybrid's selected
+    // lanes, which only pass 3 tells from the masked ones.
+    for (strategy, scalar_runs, grouped_runs) in [
+        (
+            AggStrategy::Hybrid,
+            "hybrid",
+            "hybrid, sink: groupby_gather<",
+        ),
+        (
+            AggStrategy::ValueMasking,
+            "value-masking",
+            "value-masking, sink: groupby_value_masked<",
+        ),
+        (
+            AggStrategy::KeyMasking,
+            "key-masking",
+            "key-masking, sink: groupby_key_masked<",
+        ),
     ] {
-        for plan in [&scalar, &grouped] {
-            let engine = Engine::builder(mk_db())
-                .strategies(StrategyOverrides::pin_agg(strategy))
-                .build();
-            engine
-                .verify_plan(plan)
-                .unwrap_or_else(|e| panic!("agg {strategy:?}: {e}"));
-        }
+        let pins = || StrategyOverrides::pin_agg(strategy);
+        verifies_running(mk_db(), pins(), &scalar, (scalar_runs, "Scan R"));
+        verifies_running(mk_db(), pins(), &grouped, (grouped_runs, "group by c"));
     }
 
-    let semijoin = QueryBuilder::scan("R")
-        .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(50)))
-        .semijoin(
-            QueryBuilder::scan("S").filter(Expr::col("y").cmp(CmpOp::Lt, Expr::lit(50))),
-            "fk",
-        )
-        .aggregate(None, vec![AggSpec::sum(Expr::col("a"), "s")]);
+    // The fact filter decides the probe over a bitmap: the masked probe
+    // (σ 0.5) or the selection-vector probe (σ 0.05); a key set is always
+    // probed through the selection vector.
+    let semijoin = |cut| {
+        QueryBuilder::scan("R")
+            .filter(lt("x", cut))
+            .semijoin(QueryBuilder::scan("S").filter(lt("y", 50)), "fk")
+            .aggregate(None, sum_a())
+    };
     for strategy in [
         SemiJoinStrategy::Hash,
         SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional),
         SemiJoinStrategy::PositionalBitmap(BitmapBuild::SelectionVector),
     ] {
-        let engine = Engine::builder(mk_db())
-            .strategies(StrategyOverrides::pin_semijoin(strategy))
-            .build();
-        engine
-            .verify_plan(&semijoin)
-            .unwrap_or_else(|e| panic!("semijoin {strategy:?}: {e}"));
+        let pins = || StrategyOverrides::pin_semijoin(strategy);
+        let edge = format!("S[{}]", strategy.name());
+        let masked = match strategy {
+            SemiJoinStrategy::Hash => "multi-join (1 edges, order: dp)",
+            SemiJoinStrategy::PositionalBitmap(_) => "masked probe, sink: fold_masked_bitmap<1>",
+        };
+        verifies_running(mk_db(), pins(), &semijoin(50), (masked, &edge));
+        let selected = "multi-join (1 edges, order: dp)";
+        verifies_running(mk_db(), pins(), &semijoin(5), (selected, &edge));
+
+        // A chain edge builds the packed bitmap its child's build ANDs in,
+        // whatever the pin.
+        let chain = QueryBuilder::scan("R")
+            .filter(lt("x", 50))
+            .semijoin(
+                QueryBuilder::scan("S")
+                    .filter(lt("y", 50))
+                    .semijoin(QueryBuilder::scan("T").filter(lt("z", 50)), "tfk"),
+                "fk",
+            )
+            .aggregate(None, sum_a());
+        let shape = format!("{edge}(tfk -> T[positional-bitmap])");
+        verifies_running(chain_db(), pins(), &chain, ("multi-join (2 edges", &shape));
     }
 
     let groupjoin = QueryBuilder::scan("R")
-        .semijoin(
-            QueryBuilder::scan("S").filter(Expr::col("y").cmp(CmpOp::Lt, Expr::lit(50))),
-            "fk",
-        )
-        .aggregate(Some("fk"), vec![AggSpec::sum(Expr::col("a"), "s")]);
-    for strategy in [
-        GroupJoinStrategy::GroupJoin,
-        GroupJoinStrategy::EagerAggregation,
+        .semijoin(QueryBuilder::scan("S").filter(lt("y", 50)), "fk")
+        .aggregate(Some("fk"), sum_a());
+    for (strategy, runs) in [
+        (
+            GroupJoinStrategy::GroupJoin,
+            "groupjoin, sink: groupby_gather<",
+        ),
+        (
+            GroupJoinStrategy::EagerAggregation,
+            "eager-aggregation, sink: eager_aggregate<",
+        ),
     ] {
-        let engine = Engine::builder(mk_db())
-            .strategies(StrategyOverrides::pin_groupjoin(strategy))
-            .build();
-        engine
-            .verify_plan(&groupjoin)
-            .unwrap_or_else(|e| panic!("groupjoin {strategy:?}: {e}"));
+        let pins = StrategyOverrides::pin_groupjoin(strategy);
+        verifies_running(mk_db(), pins, &groupjoin, (runs, "group by fk"));
     }
     // A probe-side filter and min/max force the groupjoin strategy: the
     // grouped probe then carries a predicate and a tile selection vector.
     let forced = QueryBuilder::scan("R")
-        .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(50)))
-        .semijoin(
-            QueryBuilder::scan("S").filter(Expr::col("y").cmp(CmpOp::Lt, Expr::lit(50))),
-            "fk",
-        )
+        .filter(lt("x", 50))
+        .semijoin(QueryBuilder::scan("S").filter(lt("y", 50)), "fk")
         .aggregate(Some("fk"), vec![AggSpec::max(Expr::col("a"), "hi")]);
-    let report = Engine::builder(mk_db())
-        .build()
-        .verify_plan(&forced)
-        .unwrap_or_else(|e| panic!("forced groupjoin: {e}"));
+    let runs = ("groupjoin, sink: groupby_gather<fold 1>", "group by fk");
+    let report = verifies_running(mk_db(), StrategyOverrides::default(), &forced, runs);
     assert_eq!(report.ops, 2, "one edge build, one grouped probe");
 }
 
