@@ -62,8 +62,7 @@
 //! | [`bitmap`] | `swole-bitmap` | dense + compressed positional bitmaps |
 //! | [`kernels`] | `swole-kernels` | the generated-code loop bodies for every strategy |
 //! | [`cost`] | `swole-cost` | the paper's cost models, calibration, the Fig. 2 chooser |
-//! | [`codegen`] | `swole-codegen` | C source emitters matching Figs. 1/3/4/5 (the emitters only) |
-//! | [`plan`] | `swole-plan` | expressions, logical plans, the access-aware engine |
+//! | [`plan`] | `swole-plan` | expressions, logical plans, the access-aware engine; `EXPLAIN CODE` prints each stage's loop as the C of Figs. 1/3/4/5 |
 //!
 //! Workload substrates (`swole-tpch`, `swole-micro`) and the benchmark
 //! harness (`swole-bench`) regenerate every table and figure of the paper's
@@ -72,7 +71,6 @@
 #![warn(missing_docs)]
 
 pub use swole_bitmap as bitmap;
-pub use swole_codegen as codegen;
 pub use swole_cost as cost;
 pub use swole_ht as ht;
 pub use swole_kernels as kernels;

@@ -45,7 +45,7 @@ pub trait BinOp {
     fn apply_checked(a: i64, b: i64) -> (i64, bool);
     /// Apply the operator in `i32` lanes (wrapping), for inputs proven to fit.
     fn apply_i32(a: i32, b: i32) -> i32;
-    /// Name used by codegen / reporting.
+    /// Name used in reporting.
     const NAME: &'static str;
     /// `true` if the operation is expensive enough to be compute-bound
     /// (drives the `comp` term of the cost models).

@@ -5,8 +5,8 @@
 //! a per-query pipeline *is* the "code generation" step of this
 //! reproduction (see DESIGN.md § 2 for the substitution rationale): Rust
 //! generics + inlining give the same specialised machine loops the paper
-//! obtains by emitting C, while `swole-codegen` renders the equivalent C
-//! text for inspection.
+//! obtains by emitting C, while `swole-plan`'s `EXPLAIN CODE` prints the
+//! loop each stage runs as the equivalent C text for inspection.
 //!
 //! Kernel families and the strategies they realise:
 //!

@@ -433,6 +433,22 @@ impl Engine {
         Ok(ex)
     }
 
+    /// EXPLAIN CODE: the decision report of [`Engine::explain`] — of the
+    /// plan the next execution would run — with the `code` section holding
+    /// each stage's loop as the paper's C-like code, printed from the tile
+    /// program, the instance and the join edges the executor dispatches on,
+    /// its sums in the mode the plan's certificate picks.
+    pub fn explain_code(&self, plan: &LogicalPlan) -> Result<Explain, PlanError> {
+        let db = self.inner.read_db();
+        let (physical, cached) = self.inner.next_plan(&db, plan)?;
+        let cert = self.inner.certificate_for(&db, &physical, None)?;
+        let mut ex = self
+            .inner
+            .explain_planned(&db, plan, &physical, cached, None);
+        ex.code = crate::code::render(&physical, cert.overflow_proof);
+        Ok(ex)
+    }
+
     /// The admission certificate the engine would enforce for this query:
     /// statically proven upper bounds on peak gauge memory, per-operator
     /// output cardinality and bytes, and which arithmetic sites the value
@@ -1065,6 +1081,7 @@ impl EngineInner {
             join_order,
             join_tree,
             verification: Vec::new(),
+            code: Vec::new(),
         };
         ex.fill_join_observed();
         ex

@@ -65,6 +65,10 @@ pub struct Explain {
     /// Static-verification pass summary — populated by
     /// [`crate::Engine::explain_verify`], empty from plain [`crate::Engine::explain`].
     pub verification: Vec<String>,
+    /// The loop of every stage as the paper's C-like code, one line each —
+    /// populated by [`crate::Engine::explain_code`], empty from plain
+    /// [`crate::Engine::explain`].
+    pub code: Vec<String>,
     /// How a multi-way join's probe order was determined (`dp`, `greedy`,
     /// or `pinned`); `None` for other shapes.
     pub join_order: Option<String>,
@@ -139,6 +143,12 @@ impl fmt::Display for Explain {
         }
         for v in &self.verification {
             write!(f, "\n  verify: {v}")?;
+        }
+        if !self.code.is_empty() {
+            write!(f, "\n  code:")?;
+        }
+        for line in &self.code {
+            write!(f, "\n    {line}")?;
         }
         Ok(())
     }

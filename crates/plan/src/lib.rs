@@ -13,7 +13,8 @@
 //! 4. execute tile-at-a-time through the `swole-kernels` loop bodies.
 //!
 //! [`Engine::explain`] shows the chosen techniques with the cost-model
-//! evidence; [`interp`] provides a deliberately naive row-at-a-time
+//! evidence, [`Engine::explain_code`] the loop each stage runs as the
+//! paper's C-like code; [`interp`] provides a deliberately naive row-at-a-time
 //! interpreter used by the test suite to cross-check every result.
 //!
 //! The plan shapes supported are exactly the ones the paper optimizes:
@@ -34,6 +35,7 @@
 mod builder;
 mod cache;
 mod catalog;
+mod code;
 mod engine;
 mod error;
 mod exec;

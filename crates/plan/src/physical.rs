@@ -13,6 +13,7 @@ use swole_cost::{
 };
 use swole_ht::DenseAggTable;
 use swole_verify::ir::{Access, AccessSig};
+use swole_verify::OverflowProof;
 
 /// A result-level post-operator applied after the core pipeline: `ORDER BY`
 /// and `LIMIT` run over the materialized result rows, never over base tables.
@@ -314,6 +315,16 @@ pub(crate) enum Membership {
     /// Those whose bit is set in a masked probe's one bitmap edge, at the
     /// lane's FK position (§ III-D).
     Bitmap,
+}
+
+/// The overflow mode a scalar stage's sums fold in under the certificate's
+/// `proof`: `i32` lanes serve only the masked sums of a stage without a
+/// membership; every other instance widens them to `i64`.
+pub(crate) fn fold_mode(proof: OverflowProof, masked: bool, member: bool) -> OverflowProof {
+    match proof {
+        OverflowProof::I32Tile if !masked || member => OverflowProof::I64,
+        proof => proof,
+    }
 }
 
 /// The terminal loop of an aggregating stage: one fold per aggregate, or

@@ -193,7 +193,8 @@ impl BoundStatement {
 }
 
 /// Parse one SQL statement into its plan template, rejecting `EXPLAIN`
-/// prefixes.
+/// prefixes — the one message for both doors, running a text and preparing
+/// it.
 fn parse_statement(sql: &str) -> Result<LogicalPlan, PlanError> {
     let parsed = crate::sql::parse(sql).map_err(|e| PlanError::Sql {
         message: e.message,
@@ -201,8 +202,9 @@ fn parse_statement(sql: &str) -> Result<LogicalPlan, PlanError> {
     })?;
     if parsed.explain.is_some() {
         return Err(PlanError::Unsupported(
-            "EXPLAIN cannot be prepared — prepare the bare query and call \
-             explain() on the bound statement"
+            "EXPLAIN is not a statement to run or prepare — parse or prepare \
+             the bare query and pass its plan to Engine::explain, \
+             explain_analyze, explain_verify or explain_code"
                 .into(),
         ));
     }

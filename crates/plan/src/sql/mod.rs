@@ -18,7 +18,7 @@
 //! Supported grammar (case-insensitive keywords):
 //!
 //! ```text
-//! stmt    := [EXPLAIN [ANALYZE | VERIFY]] query
+//! stmt    := [EXPLAIN [ANALYZE | VERIFY | CODE]] query
 //! query   := SELECT items FROM table (',' table)* [WHERE conj] [GROUP BY col]
 //!            [ORDER BY sort] [LIMIT n]
 //! items   := item (',' item)*
@@ -56,10 +56,11 @@
 //! fk` selects the groupjoin shape; over any join a qualified `GROUP BY` key
 //! must name the fact table.
 //!
-//! An `EXPLAIN [ANALYZE | VERIFY]` prefix does not change the bound plan;
-//! it sets [`ParsedQuery::explain`] so the caller can route the plan to
-//! [`crate::Engine::explain`], [`crate::Engine::explain_analyze`], or
-//! [`crate::Engine::explain_verify`] instead of executing it.
+//! An `EXPLAIN [ANALYZE | VERIFY | CODE]` prefix does not change the bound
+//! plan; it sets [`ParsedQuery::explain`] so the caller can route the plan
+//! to [`crate::Engine::explain`], [`crate::Engine::explain_analyze`],
+//! [`crate::Engine::explain_verify`] or [`crate::Engine::explain_code`]
+//! instead of executing it.
 
 mod bind;
 mod lexer;
@@ -76,7 +77,8 @@ pub struct ParsedQuery {
     /// The bound logical plan (feed it to [`crate::Engine::query`], or to
     /// [`crate::Engine::prepare`] when it has placeholders).
     pub plan: LogicalPlan,
-    /// `Some` when the query was prefixed with `EXPLAIN [ANALYZE]`.
+    /// `Some` when the query was prefixed with `EXPLAIN [ANALYZE | VERIFY |
+    /// CODE]`.
     pub explain: Option<ExplainMode>,
     /// Placeholder occurrences in appearance order; empty for a fully
     /// literal query. The number of distinct `index` values is the

@@ -18,6 +18,9 @@ pub enum ExplainMode {
     /// `EXPLAIN VERIFY ...`: plan plus a full static-verification pass
     /// ([`crate::Engine::explain_verify`]).
     Verify,
+    /// `EXPLAIN CODE ...`: plan plus each stage's loop as C-like code
+    /// ([`crate::Engine::explain_code`]).
+    Code,
 }
 
 /// One placeholder occurrence in the SQL text.
@@ -54,6 +57,8 @@ pub(super) fn parse_statement(input: &str) -> Result<Statement, SqlError> {
             Some(ExplainMode::Analyze)
         } else if p.eat_keyword("VERIFY") {
             Some(ExplainMode::Verify)
+        } else if p.eat_word_ci("CODE") {
+            Some(ExplainMode::Code)
         } else {
             Some(ExplainMode::Plan)
         }
@@ -215,6 +220,14 @@ impl Parser {
         } else {
             false
         }
+    }
+
+    /// Consume the word `w` in any case: a word that is no keyword, so
+    /// it stays free as an identifier everywhere else.
+    fn eat_word_ci(&mut self, w: &str) -> bool {
+        let hit = matches!(self.peek(), Some(TokenKind::Word(x)) if x.eq_ignore_ascii_case(w));
+        self.cursor += hit as usize;
+        hit
     }
 
     fn expect_keyword(&mut self, kw: &str) -> Result<(), SqlError> {

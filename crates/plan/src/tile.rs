@@ -32,6 +32,7 @@ use swole_verify::OverflowProof;
 use crate::error::PlanError;
 use crate::expr::{AggFunc, CmpOp, Expr};
 use crate::logical::AggSpec;
+use crate::physical;
 
 /// Arithmetic operator of an [`Instr::Arith`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,21 +147,21 @@ pub(crate) enum Instr {
 }
 
 #[derive(Debug)]
-struct ColSlot {
-    name: String,
+pub(crate) struct ColSlot {
+    pub(crate) name: String,
     ty: DataType,
 }
 
 #[derive(Debug, PartialEq)]
-enum DictMatcher {
+pub(crate) enum DictMatcher {
     Like(String),
     In(Vec<String>),
 }
 
 #[derive(Debug, PartialEq)]
-struct DictPred {
-    col: usize,
-    matcher: DictMatcher,
+pub(crate) struct DictPred {
+    pub(crate) col: usize,
+    pub(crate) matcher: DictMatcher,
 }
 
 /// A lowered pipeline stage. Immutable and table-independent apart from
@@ -170,22 +171,22 @@ struct DictPred {
 /// (instruction list, column names and LIKE / IN patterns).
 #[derive(Debug)]
 pub(crate) struct TileProgram {
-    cols: Vec<ColSlot>,
-    dicts: Vec<DictPred>,
-    instrs: Vec<Instr>,
+    pub(crate) cols: Vec<ColSlot>,
+    pub(crate) dicts: Vec<DictPred>,
+    pub(crate) instrs: Vec<Instr>,
     n_masks: usize,
     n_vals: usize,
     /// Registers filled once per worker and never written by an instruction.
-    const_masks: Vec<(usize, u8)>,
-    const_vals: Vec<(usize, i64)>,
+    pub(crate) const_masks: Vec<(usize, u8)>,
+    pub(crate) const_vals: Vec<(usize, i64)>,
     /// Mask register holding the filter result (all ones without a filter).
-    filter: usize,
+    pub(crate) filter: usize,
     has_filter: bool,
     outputs: Vec<Option<Output>>,
     /// Column slot of the group key, which the grouped sinks read at native
     /// width. `None` for an ungrouped stage — and for a grouped join, whose
     /// key is the FK slice its edge is probed through.
-    key: Option<usize>,
+    pub(crate) key: Option<usize>,
 }
 
 impl TileProgram {
@@ -1195,12 +1196,8 @@ impl BoundProgram {
         overflow: &mut bool,
     ) -> usize {
         let checked = sinks.proof == OverflowProof::Unproven;
-        // `i32` lanes serve the masked sums of a stage with no edge.
-        let mode = match (sinks.proof, lanes, member) {
-            (OverflowProof::I32Tile, Lanes::Masked(_), None) => OverflowProof::I32Tile,
-            (OverflowProof::I32Tile, ..) => OverflowProof::I64,
-            (proof, ..) => proof,
-        };
+        let masked = matches!(lanes, Lanes::Masked(_));
+        let mode = physical::fold_mode(sinks.proof, masked, member.is_some());
         let mut kept = match (lanes, member) {
             (Lanes::Masked(cmp), None) => Some(predicate::mask_count(cmp)),
             (Lanes::Selected(idx), None) => Some(idx.len()),
@@ -1302,7 +1299,7 @@ impl GroupSink {
 }
 
 /// Whether a list has a `min` / `max`, and so runs as one folding pass.
-fn folds(list: &[Slot]) -> bool {
+pub(crate) fn folds(list: &[Slot]) -> bool {
     list.iter().any(|&(op, _)| op != MergeOp::Add)
 }
 

@@ -52,6 +52,10 @@ fn main() {
         // the composed plan and report what each checked.
         "explain verify select sum(R.r_a * R.r_b) as s from R, S \
          where R.r_fk = S.rowid and R.r_x < 50 and S.s_x < 50",
+        // EXPLAIN CODE: print each stage's loop as the paper's C-like code,
+        // from the program, instance and join edges the executor runs.
+        "explain code select sum(R.r_a * R.r_b) as s from R, S \
+         where R.r_fk = S.rowid and R.r_x < 50 and S.s_x < 50",
     ];
 
     for sql in queries {
@@ -74,6 +78,13 @@ fn main() {
             }
             Some(ExplainMode::Verify) => {
                 match engine.explain_verify(&plan) {
+                    Ok(report) => println!("{}\n", textwrap(&report.to_string())),
+                    Err(e) => println!("  plan error: {e}\n"),
+                }
+                continue;
+            }
+            Some(ExplainMode::Code) => {
+                match engine.explain_code(&plan) {
                     Ok(report) => println!("{}\n", textwrap(&report.to_string())),
                     Err(e) => println!("  plan error: {e}\n"),
                 }

@@ -15,8 +15,12 @@
 //! cargo run --release --example verify_corpus
 //! ```
 //!
-//! Exits non-zero if any plan fails verification or certification —
-//! `scripts/verify_corpus.sh` wires this into CI as the corpus gate.
+//! Every plan is also rendered through `EXPLAIN CODE`, which must print a
+//! non-empty loop for each.
+//!
+//! Exits non-zero if any plan fails verification, certification or
+//! rendering — `scripts/verify_corpus.sh` wires this into CI as the corpus
+//! gate.
 
 use swole::plan::parse_sql;
 use swole::prelude::*;
@@ -427,6 +431,19 @@ fn verify_corpus(
                 failures += 1;
             }
         }
+        // Every plan renders as code: a panic aborts the run, an empty
+        // section fails it.
+        match engine.explain_code(&plan) {
+            Ok(ex) if !ex.code.is_empty() => {}
+            Ok(_) => {
+                println!("FAIL {corpus}/{name} t={threads} regime={regime_name}: no code");
+                failures += 1;
+            }
+            Err(e) => {
+                println!("FAIL {corpus}/{name} t={threads} regime={regime_name}: code: {e}");
+                failures += 1;
+            }
+        }
     }
     failures
 }
@@ -515,7 +532,7 @@ fn main() {
     }
     assert_eq!(bounds.len(), plans, "every verified plan must certify");
     println!(
-        "verify_corpus: all {plans} plans verified at {:?} and certified bounded (report: {report_path}) across {} thread counts x {} strategy regimes + {} join-order regimes",
+        "verify_corpus: all {plans} plans verified at {:?}, certified bounded and rendered (report: {report_path}) across {} thread counts x {} strategy regimes + {} join-order regimes",
         VerifyLevel::Full,
         THREAD_COUNTS.len(),
         REGIMES.len(),

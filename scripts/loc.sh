@@ -63,9 +63,14 @@ else
     trap 'rm -rf "$base"' EXIT
     git archive "$1" | tar -x -C "$base"
     printf '%-16s %6s → %6s %7s\n' crate "$1" tree delta
-    # Rows in the working tree's order; a crate <rev> lacks counts 0 there.
+    # Rows in the working tree's order; a crate <rev> lacks counts 0 there,
+    # and a crate the tree lacks follows the crates, at 0 in the tree.
     awk 'NR == FNR { old[$1] = $2; next }
-         { printf "%-16s %6d → %6d %+7d\n", $1, old[$1], $2, $2 - old[$1] }' \
+         $1 == "bench/perf" {
+             for (c in old) if (!(c in seen) && c != "bench/perf" && c != "total")
+                 printf "%-16s %6d → %6d %+7d\n", c, old[c], 0, -old[c]
+         }
+         { seen[$1] = 1; printf "%-16s %6d → %6d %+7d\n", $1, old[$1], $2, $2 - old[$1] }' \
         <(rows "$base") <(rows .)
 fi
 # The subshells above kept their own `big`: list the working tree's here.

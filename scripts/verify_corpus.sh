@@ -10,7 +10,11 @@
 # bounds-report.json (override with BOUNDS_REPORT) for CI to upload as a
 # diffable artifact.
 #
-# Exits non-zero if any plan fails verification or certification. CI runs
+# Every plan is also rendered through EXPLAIN CODE, which must print a
+# non-empty loop.
+#
+# Exits non-zero if any plan fails verification, certification or
+# rendering. CI runs
 # this as the corpus gate; locally it is the quickest way to smoke-test a
 # planner or verifier change against every shape the engine can produce.
 set -euo pipefail

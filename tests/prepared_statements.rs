@@ -155,10 +155,36 @@ fn bind_mismatches_are_typed_errors() {
         stmt.bind(&Params::new().int(1).str("AIR")),
         Err(PlanError::BindMismatch(_))
     ));
-    // EXPLAIN cannot be prepared.
-    assert!(engine
-        .prepare_sql("explain select sum(r_a) as s from R where r_x < ?")
-        .is_err());
+    // EXPLAIN can be neither prepared nor run as a text, and both doors
+    // say so with one message that names the four explain calls.
+    let explain_err = |res: Result<_, PlanError>| match res {
+        Err(PlanError::Unsupported(msg)) => msg,
+        other => panic!("EXPLAIN text accepted: {other:?}"),
+    };
+    let prepared = explain_err(
+        engine
+            .prepare_sql("explain select sum(r_a) as s from R where r_x < ?")
+            .map(|_| ()),
+    );
+    let run = explain_err(
+        engine
+            .session()
+            .query_sql(
+                "explain select sum(r_a) as s from R where r_x < 13",
+                &Params::new(),
+            )
+            .map(|_| ()),
+    );
+    assert_eq!(prepared, run);
+    for call in [
+        "explain",
+        "explain_analyze",
+        "explain_verify",
+        "explain_code",
+    ] {
+        assert!(run.contains(call), "{call} not named: {run}");
+    }
+    assert!(!run.contains("cannot be prepared"), "{run}");
 }
 
 #[test]

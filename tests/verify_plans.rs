@@ -214,11 +214,17 @@ fn chain_db() -> Database {
 /// `runs` (and its shape names with `shape`), and verifies at `Full` with
 /// pass 3 checking every operator: each one commits a strategy, so each
 /// one's dispatched loop is checked against the strategy priced.
+///
+/// `EXPLAIN CODE` must then show the access pattern of the stage's run
+/// signature: the aggregating stage's loop by its `lanes`, and each edge's
+/// structure — a bitmap probed by `bitmap_get`, a key set filled by
+/// `ht_insert` and probed by `ht_find`.
 fn verifies_running(
     db: Database,
     pins: StrategyOverrides,
     plan: &LogicalPlan,
     (runs, shape): (&str, &str),
+    lanes: Lanes,
 ) -> VerifyReport {
     let engine = Engine::builder(db).strategies(pins).build();
     let explain = engine.explain(plan).expect("plans");
@@ -229,7 +235,43 @@ fn verifies_running(
         .unwrap_or_else(|e| panic!("{runs}: {e}"));
     assert_eq!(report.level, VerifyLevel::Full, "{runs}");
     assert_eq!(report.signatures, report.ops, "{runs}: {:?}", report.lines);
+
+    let code = engine.explain_code(plan).expect("renders").code;
+    let text = code.join("\n");
+    let at = code
+        .iter()
+        .position(|l| l.contains("agg("))
+        .expect("a stage");
+    let stage = code[at..].join("\n");
+    let masked = stage.contains("* cmp[j]") || stage.contains("* (cmp[j] & bitmap_get(");
+    let (gather, post_merge) = (stage.contains("[i+idx[j]]"), stage.contains("ht_delete("));
+    let seen = (gather, masked, stage.contains("NULL_KEY"), post_merge);
+    let expected = match lanes {
+        Lanes::Selected => (true, false, false, false),
+        Lanes::Masked => (false, true, false, false),
+        // The key is routed, the value not masked.
+        Lanes::KeyMasked => (false, false, true, false),
+        Lanes::Every => (false, false, false, true),
+    };
+    assert_eq!(seen, expected, "{runs}: {lanes:?} lanes as\n{text}");
+    assert_eq!(stage.contains("idx"), gather, "{runs}:\n{text}");
+    if shape.contains("[positional-bitmap]") {
+        assert!(text.contains("bitmap_get("), "{runs}: membership\n{text}");
+    }
+    if shape.contains("[hash]") {
+        let hashed = text.contains("ht_insert(") && text.contains("ht_find(");
+        assert!(hashed, "{runs}: key set\n{text}");
+    }
     report
+}
+
+/// The lanes of an aggregating stage, as its run signature names them.
+#[derive(Debug, Clone, Copy)]
+enum Lanes {
+    Selected,
+    Masked,
+    KeyMasked,
+    Every,
 }
 
 /// Pinned strategies cover every access-signature row the verifier models;
@@ -254,26 +296,31 @@ fn every_pinned_strategy_verifies() {
         .aggregate(Some("c"), sum_a());
     // Scalar key masking has no key to mask: it runs the hybrid's selected
     // lanes, which only pass 3 tells from the masked ones.
-    for (strategy, scalar_runs, grouped_runs) in [
+    for (strategy, scalar_runs, grouped_runs, (scalar_lanes, grouped_lanes)) in [
         (
             AggStrategy::Hybrid,
             "hybrid",
             "hybrid, sink: groupby_gather<",
+            (Lanes::Selected, Lanes::Selected),
         ),
         (
             AggStrategy::ValueMasking,
             "value-masking",
             "value-masking, sink: groupby_value_masked<",
+            (Lanes::Masked, Lanes::Masked),
         ),
         (
             AggStrategy::KeyMasking,
             "key-masking",
             "key-masking, sink: groupby_key_masked<",
+            (Lanes::Selected, Lanes::KeyMasked),
         ),
     ] {
         let pins = || StrategyOverrides::pin_agg(strategy);
-        verifies_running(mk_db(), pins(), &scalar, (scalar_runs, "Scan R"));
-        verifies_running(mk_db(), pins(), &grouped, (grouped_runs, "group by c"));
+        let runs = (scalar_runs, "Scan R");
+        verifies_running(mk_db(), pins(), &scalar, runs, scalar_lanes);
+        let runs = (grouped_runs, "group by c");
+        verifies_running(mk_db(), pins(), &grouped, runs, grouped_lanes);
     }
 
     // The fact filter decides the probe over a bitmap: the masked probe
@@ -293,12 +340,15 @@ fn every_pinned_strategy_verifies() {
         let pins = || StrategyOverrides::pin_semijoin(strategy);
         let edge = format!("S[{}]", strategy.name());
         let masked = match strategy {
-            SemiJoinStrategy::Hash => "multi-join (1 edges, order: dp)",
-            SemiJoinStrategy::PositionalBitmap(_) => "masked probe, sink: fold_masked_bitmap<1>",
+            SemiJoinStrategy::Hash => ("multi-join (1 edges, order: dp)", Lanes::Selected),
+            SemiJoinStrategy::PositionalBitmap(_) => {
+                ("masked probe, sink: fold_masked_bitmap<1>", Lanes::Masked)
+            }
         };
-        verifies_running(mk_db(), pins(), &semijoin(50), (masked, &edge));
-        let selected = "multi-join (1 edges, order: dp)";
-        verifies_running(mk_db(), pins(), &semijoin(5), (selected, &edge));
+        let runs = (masked.0, edge.as_str());
+        verifies_running(mk_db(), pins(), &semijoin(50), runs, masked.1);
+        let runs = ("multi-join (1 edges, order: dp)", edge.as_str());
+        verifies_running(mk_db(), pins(), &semijoin(5), runs, Lanes::Selected);
 
         // A chain edge builds the packed bitmap its child's build ANDs in,
         // whatever the pin.
@@ -312,24 +362,27 @@ fn every_pinned_strategy_verifies() {
             )
             .aggregate(None, sum_a());
         let shape = format!("{edge}(tfk -> T[positional-bitmap])");
-        verifies_running(chain_db(), pins(), &chain, ("multi-join (2 edges", &shape));
+        let runs = ("multi-join (2 edges", shape.as_str());
+        verifies_running(chain_db(), pins(), &chain, runs, Lanes::Selected);
     }
 
     let groupjoin = QueryBuilder::scan("R")
         .semijoin(QueryBuilder::scan("S").filter(lt("y", 50)), "fk")
         .aggregate(Some("fk"), sum_a());
-    for (strategy, runs) in [
+    for (strategy, runs, lanes) in [
         (
             GroupJoinStrategy::GroupJoin,
             "groupjoin, sink: groupby_gather<",
+            Lanes::Selected,
         ),
         (
             GroupJoinStrategy::EagerAggregation,
             "eager-aggregation, sink: eager_aggregate<",
+            Lanes::Every,
         ),
     ] {
         let pins = StrategyOverrides::pin_groupjoin(strategy);
-        verifies_running(mk_db(), pins, &groupjoin, (runs, "group by fk"));
+        verifies_running(mk_db(), pins, &groupjoin, (runs, "group by fk"), lanes);
     }
     // A probe-side filter and min/max force the groupjoin strategy: the
     // grouped probe then carries a predicate and a tile selection vector.
@@ -338,7 +391,8 @@ fn every_pinned_strategy_verifies() {
         .semijoin(QueryBuilder::scan("S").filter(lt("y", 50)), "fk")
         .aggregate(Some("fk"), vec![AggSpec::max(Expr::col("a"), "hi")]);
     let runs = ("groupjoin, sink: groupby_gather<fold 1>", "group by fk");
-    let report = verifies_running(mk_db(), StrategyOverrides::default(), &forced, runs);
+    let pins = StrategyOverrides::default();
+    let report = verifies_running(mk_db(), pins, &forced, runs, Lanes::Selected);
     assert_eq!(report.ops, 2, "one edge build, one grouped probe");
 }
 
