@@ -5,10 +5,10 @@
 //! `tests/conformance/` at the repository root and runs every record five
 //! ways over one deterministic fixture catalog:
 //!
-//! 1. compiled engine, scoped executor, 1 thread,
-//! 2. compiled engine, scoped executor, 2 threads,
-//! 3. compiled engine, scoped executor, 8 threads,
-//! 4. compiled engine, shared worker pool,
+//! 1. compiled engine, 1 thread (every stage inline),
+//! 2. compiled engine, 2 threads (a 2-worker pool),
+//! 3. compiled engine, 4 threads (a 4-worker pool),
+//! 4. compiled engine, 8 threads (an 8-worker pool),
 //! 5. the row-at-a-time interpreter oracle ([`swole_plan::interp`]).
 //!
 //! All engine runs execute with [`VerifyLevel::Full`], so every corpus
@@ -519,24 +519,19 @@ impl Harness {
     /// (integer keys stay on the hash table; FK and dictionary keys still
     /// go dense) is how the corpus covers both.
     pub fn with_stats(stats: StatsMode) -> Harness {
-        let scoped = |threads: usize| {
+        let engine = |threads: usize| {
             Engine::builder(fixture_db())
                 .threads(threads)
                 .verify(VerifyLevel::Full)
                 .stats(stats)
                 .build()
         };
-        let pool = Engine::builder(fixture_db())
-            .worker_pool(4)
-            .verify(VerifyLevel::Full)
-            .stats(stats)
-            .build();
         Harness {
             engines: vec![
-                ("engine-t1", scoped(1)),
-                ("engine-t2", scoped(2)),
-                ("engine-t8", scoped(8)),
-                ("pool-w4", pool),
+                ("engine-t1", engine(1)),
+                ("engine-t2", engine(2)),
+                ("engine-t4", engine(4)),
+                ("engine-t8", engine(8)),
             ],
             oracle_db: fixture_db(),
         }

@@ -98,8 +98,8 @@ impl StrategyOverrides {
 }
 
 /// Builder for [`Engine`] sessions: database, cost parameters, parallelism
-/// (scoped threads or a shared worker pool), memory hierarchy, admission
-/// control, and per-query option defaults.
+/// (the worker pool's size), memory hierarchy, admission control, and
+/// per-query option defaults.
 ///
 /// ```
 /// # use swole_plan::{Database, Engine};
@@ -116,7 +116,6 @@ pub struct EngineBuilder {
     pub(crate) defaults: QueryOptions,
     pub(crate) plan_cache_bytes: usize,
     pub(crate) strategies: StrategyOverrides,
-    pub(crate) worker_pool: Option<usize>,
     pub(crate) global_budget: Option<usize>,
     pub(crate) memory_policy: MemoryPolicy,
     pub(crate) admission: Option<AdmissionConfig>,
@@ -133,7 +132,6 @@ impl EngineBuilder {
             defaults: QueryOptions::default(),
             plan_cache_bytes: DEFAULT_PLAN_CACHE_BYTES,
             strategies: StrategyOverrides::default(),
-            worker_pool: None,
             global_budget: None,
             memory_policy: MemoryPolicy::default(),
             admission: None,
@@ -147,10 +145,18 @@ impl EngineBuilder {
         self
     }
 
-    /// Number of worker threads for execution (default 1 = sequential).
-    /// `0` means "use all available hardware parallelism". Without
-    /// [`EngineBuilder::worker_pool`], each query spawns this many scoped
-    /// workers for its own lifetime.
+    /// Number of threads for execution and planning (default 1 =
+    /// sequential, every stage inline on the querying thread). `0` means
+    /// "use all available hardware parallelism". Above one, the engine
+    /// keeps a pool of this many persistent `swole-pool-*` workers for its
+    /// whole life, and every query of the session runs its stages on it,
+    /// the querying thread working beside the workers. Concurrent queries
+    /// multiplex over the pool morsel-by-morsel (higher
+    /// [`crate::Priority`] classes are drained first), so N clients share
+    /// the machine instead of oversubscribing it N-fold. Results are
+    /// bit-identical at every thread count: morsel boundaries are the same
+    /// and every merge is commutative and associative. A stage of at most
+    /// one morsel runs inline on the pool too.
     pub fn threads(mut self, threads: usize) -> EngineBuilder {
         self.threads = if threads == 0 {
             std::thread::available_parallelism()
@@ -162,20 +168,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Execute every query of this session on one fixed pool of `workers`
-    /// persistent threads instead of per-query scoped workers. Concurrent
-    /// queries multiplex over the pool morsel-by-morsel (higher
-    /// [`crate::Priority`] classes are drained first), so N clients share the
-    /// machine instead of oversubscribing it N-fold. Results stay
-    /// bit-identical to scoped execution: morsel boundaries are identical
-    /// and every merge is commutative and associative. Also sets the
-    /// session's planning parallelism ([`EngineBuilder::threads`]) to
-    /// `workers`.
-    pub fn worker_pool(mut self, workers: usize) -> EngineBuilder {
-        let workers = workers.max(1);
-        self.worker_pool = Some(workers);
-        self.threads = workers;
-        self
+    /// The same as [`EngineBuilder::threads`]`(workers)`: every
+    /// multi-thread engine runs on its worker pool. Kept for callers that
+    /// still name the pool.
+    pub fn worker_pool(self, workers: usize) -> EngineBuilder {
+        self.threads(workers)
     }
 
     /// Rows per parallel work unit (morsel), rounded up to whole

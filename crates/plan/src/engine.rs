@@ -133,8 +133,9 @@ struct Run<'a> {
 /// The access-aware query engine: owns a [`Database`] and cost parameters,
 /// plans logical queries through the paper's choosers (thread-aware when
 /// the session is parallel), and executes them with the `swole-kernels`
-/// loop bodies on morsel-driven workers — per-query scoped threads by
-/// default, or one fixed shared pool with [`EngineBuilder::worker_pool`].
+/// loop bodies on morsel-driven workers — inline on the querying thread at
+/// one thread, on the engine's worker pool at [`EngineBuilder::threads`]
+/// above one.
 ///
 /// An `Engine` is a cheaply cloneable handle (`Arc` internals): clones
 /// share the database, the plan cache, the worker pool, the cancellation
@@ -161,7 +162,7 @@ pub(crate) struct EngineInner {
     /// Catalog statistics per table, kept as the builder's
     /// [`stats::StatsMode`] says.
     stats: StatsCatalog,
-    /// Where morsels run: per-query scoped workers or the shared pool.
+    /// Where morsels run: inline, or on the engine's worker pool.
     pub(crate) executor: Executor,
     /// Concurrency limiter; `None` admits everything immediately.
     pub(crate) admission: Option<Arc<AdmissionController>>,
@@ -202,10 +203,6 @@ impl Engine {
 
     /// [`EngineBuilder::build`]: assemble the shared state.
     pub(crate) fn new(b: EngineBuilder) -> Engine {
-        let executor = match b.worker_pool {
-            Some(w) => Executor::pool(w),
-            None => Executor::scoped(b.threads),
-        };
         Engine {
             inner: Arc::new(EngineInner {
                 stats: StatsCatalog::new(b.stats_mode, &b.db),
@@ -215,7 +212,7 @@ impl Engine {
                 morsel_rows: b.morsel_rows,
                 defaults: b.defaults,
                 strategies: b.strategies,
-                executor,
+                executor: Executor::new(b.threads),
                 admission: b
                     .admission
                     .map(|cfg| Arc::new(AdmissionController::new(cfg))),
@@ -277,7 +274,9 @@ impl Engine {
         db.add_fk(child, fk_col, parent).map(|_| ())
     }
 
-    /// Worker threads this session executes with.
+    /// Threads this session executes with: `1` runs every stage inline,
+    /// more runs them on a pool of this many workers beside the querying
+    /// thread.
     pub fn threads(&self) -> usize {
         self.inner.threads
     }
@@ -285,13 +284,6 @@ impl Engine {
     /// Rows per parallel work unit (always a whole number of tiles).
     pub fn morsel_rows(&self) -> usize {
         self.inner.morsel_rows
-    }
-
-    /// `true` when this engine executes on a shared worker pool
-    /// ([`EngineBuilder::worker_pool`]) instead of per-query scoped
-    /// threads.
-    pub fn uses_worker_pool(&self) -> bool {
-        self.inner.executor.is_pool()
     }
 
     /// A cancellation token for the engine-wide scope. Clone it to other
@@ -748,7 +740,8 @@ impl EngineInner {
     }
 
     /// Assemble the abstract-interpretation context for the bounds pass:
-    /// the worker count the plan will actually run at, plus a statistics
+    /// the most partials a stage of the plan can hold at once (the
+    /// executor's [`Executor::max_partials`]), plus a statistics
     /// profile (generation-fresh min/max and exact distinct counts) for
     /// every table the lowered program references. With statistics off the
     /// pass falls back to column-type domains.
@@ -758,11 +751,7 @@ impl EngineInner {
         program: &swole_verify::ir::Program,
         fallback_bytes: u64,
     ) -> BoundsCtx {
-        let workers = match &self.executor {
-            Executor::Scoped { threads } => *threads,
-            Executor::Pool(pool) => pool.workers(),
-        };
-        let mut ctx = BoundsCtx::without_stats(workers);
+        let mut ctx = BoundsCtx::without_stats(self.executor.max_partials());
         ctx.fallback_bytes = fallback_bytes;
         for table in &program.tables {
             let Some(s) = self.stats.for_table(db, &table.name) else {

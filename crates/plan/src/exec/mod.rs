@@ -333,9 +333,9 @@ mod tests {
 
     /// Every build strategy, with and without a chain edge, sparse and
     /// dense, is bit-identical to the structure built from the whole byte
-    /// mask, at threads {1, 2, 8} and on a 4-worker pool, with one or many
-    /// morsels per worker. The parent `P` has 64 Ki + 37 rows, so its last
-    /// morsel ends mid-word; its chain edge joins the 1 003-row `Q`.
+    /// mask, at threads {1, 2, 8}, with one or many morsels per worker. The
+    /// parent `P` has 64 Ki + 37 rows, so its last morsel ends mid-word; its
+    /// chain edge joins the 1 003-row `Q`.
     #[test]
     fn builds_from_the_tile_loop_match_the_byte_mask_reference() {
         let (p_rows, q_rows) = (MORSEL_ROWS + 37, 1_003u64);
@@ -354,9 +354,7 @@ mod tests {
             .with_column("q", ColumnData::U32(fk.clone()));
         let q = Table::new("Q").with_column("w", ColumnData::I32(w.clone()));
         let (p, q) = (Arc::new(p), Arc::new(q));
-        let pool = Executor::pool(4);
-        let scoped = [1, 2, 8].map(Executor::scoped);
-        let executors: Vec<&Executor> = scoped.iter().chain([&pool]).collect();
+        let executors = [1, 2, 8].map(Executor::new);
         let strategies = [
             SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional),
             SemiJoinStrategy::PositionalBitmap(BitmapBuild::SelectionVector),

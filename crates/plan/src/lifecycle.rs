@@ -123,8 +123,9 @@ impl Engine {
         st.live.len()
     }
 
-    /// Worker threads of the shared pool still running (`0` for scoped
-    /// sessions and after [`Engine::shutdown`]).
+    /// Worker threads of the engine's pool still running (`0` for a
+    /// one-thread engine, which has no pool, and after
+    /// [`Engine::shutdown`]).
     pub fn live_pool_workers(&self) -> usize {
         self.inner().executor.live_workers()
     }

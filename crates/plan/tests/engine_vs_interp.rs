@@ -431,7 +431,7 @@ fn agg_lists() -> Vec<Vec<AggSpec>> {
 /// list × key domain {3-code dictionary, 1 024-key integer, the
 /// hash table a planner without statistics or FK index falls back to} ×
 /// {hybrid, value masking, key masking, groupjoin, eager aggregation} ×
-/// threads {1, 2, 8} and a 4-worker pool.
+/// threads {1, 2, 8}.
 #[test]
 fn compiled_aggregate_lists_match_the_interpreter() {
     use swole_cost::AggStrategy;
@@ -497,22 +497,14 @@ fn compiled_aggregate_lists_match_the_interpreter() {
                 .flat_map(|shape| join_pins.iter().map(move |pin| (shape, pin))),
         );
     for (&(plan_of, stats, indexed, table), (pins, kernel)) in cases {
-        let build = |pool: bool, threads: usize| {
-            let b = Engine::builder(lists_db(indexed))
+        let engines = [1, 2, 8].map(|threads| {
+            Engine::builder(lists_db(indexed))
                 .tile_rows(2048)
                 .stats(stats)
-                .strategies(pins.clone());
-            match pool {
-                true => b.worker_pool(threads).build(),
-                false => b.threads(threads).build(),
-            }
-        };
-        let engines = [
-            build(false, 1),
-            build(false, 2),
-            build(false, 8),
-            build(true, 4),
-        ];
+                .strategies(pins.clone())
+                .threads(threads)
+                .build()
+        });
         for aggs in agg_lists() {
             // A list with min / max folds in one pass, behind the selection
             // vector only: the other pins refuse it.
@@ -546,7 +538,7 @@ fn compiled_aggregate_lists_match_the_interpreter() {
 
 /// Unpinned grouped scans over a dense group table, as the planner prices
 /// them: σ ∈ {5, 40, 60, 95} % × G ∈ {3 (dictionary), 1 024 (integer)} ×
-/// {`sum(a*b)`, `sum(a), count(*)`} × threads {1, 2, 8} and a 4-worker pool.
+/// {`sum(a*b)`, `sum(a), count(*)`} × threads {1, 2, 8}.
 /// Each picks what `swole-cost`'s measured grid (`dense_table_decisions`)
 /// expects there — never key masking — and answers as the interpreter
 /// does, bit for bit.
@@ -558,12 +550,11 @@ fn unpinned_dense_group_tables_pick_the_measured_strategy_and_match() {
         vec![AggSpec::sum(a.clone().mul(b), "sab")],
         vec![AggSpec::sum(a, "sa"), AggSpec::count("n")],
     ];
-    let engines = [(false, 1), (false, 2), (false, 8), (true, 4)].map(|(pool, threads)| {
-        let b = Engine::builder(lists_db(true)).tile_rows(2048);
-        match pool {
-            true => b.worker_pool(threads).build(),
-            false => b.threads(threads).build(),
-        }
+    let engines = [1, 2, 8].map(|threads| {
+        Engine::builder(lists_db(true))
+            .tile_rows(2048)
+            .threads(threads)
+            .build()
     });
     let oracle = lists_db(true);
     for (key, domain) in [("flag", "dense [0..2]"), ("k", "dense [0..1023]")] {
@@ -598,9 +589,9 @@ fn unpinned_dense_group_tables_pick_the_measured_strategy_and_match() {
 /// bit for bit: lists `[sum]`, `[sum, count]`, `[count, sum]`, `[count]`,
 /// `[count, count]` and `[sum, sum]` (one pass per sum) × with and without a probe-side filter × `*` and `/` over narrow
 /// (`i32` / `i8`) and wide (`i64`) operands × sums proven (statistics on) or
-/// not (off) × threads {1, 2, 8} and a 4-worker pool × `MetricsLevel`
-/// Off and Counters. Under counters every list over the same probe reports
-/// the same edge and aggregation counters as the fold does.
+/// not (off) × threads {1, 2, 8} × `MetricsLevel` Off and Counters. Under
+/// counters every list over the same probe reports the same edge and
+/// aggregation counters as the fold does.
 #[test]
 fn masked_probe_lists_run_in_one_pass_and_match_the_interpreter() {
     use swole_plan::{MetricsLevel, StatsMode};
@@ -639,15 +630,13 @@ fn masked_probe_lists_run_in_one_pass_and_match_the_interpreter() {
     let oracle = lists_db(true);
     for stats in [StatsMode::OnLoad, StatsMode::Off] {
         for metrics in [MetricsLevel::Off, MetricsLevel::Counters] {
-            let engines = [(false, 1), (false, 2), (false, 8), (true, 4)].map(|(pool, threads)| {
-                let b = Engine::builder(lists_db(true))
+            let engines = [1, 2, 8].map(|threads| {
+                Engine::builder(lists_db(true))
                     .tile_rows(2048)
                     .stats(stats)
-                    .metrics(metrics);
-                match pool {
-                    true => b.worker_pool(threads).build(),
-                    false => b.threads(threads).build(),
-                }
+                    .metrics(metrics)
+                    .threads(threads)
+                    .build()
             });
             for filtered in [false, true] {
                 for sum in &sums {
@@ -684,8 +673,8 @@ fn masked_probe_lists_run_in_one_pass_and_match_the_interpreter() {
 /// Value-masking plans whose sums the certificate proves into `i32` tiles —
 /// a product, a quotient, access merging over the filter's `x` (a shared
 /// product and a square) — answer as the interpreter does, bit for bit, at
-/// threads {1, 2, 8} and on a 4-worker pool. A list mixing one of them with
-/// an `i64` column is proven `I64` only and runs every sum in `i64` lanes.
+/// threads {1, 2, 8}. A list mixing one of them with an `i64` column is
+/// proven `I64` only and runs every sum in `i64` lanes.
 #[test]
 fn i32_tile_sums_match_the_interpreter() {
     use swole_cost::AggStrategy;
@@ -710,14 +699,12 @@ fn i32_tile_sums_match_the_interpreter() {
             I64,
         ),
     ];
-    let engines = [(false, 1), (false, 2), (false, 8), (true, 4)].map(|(pool, threads)| {
-        let b = Engine::builder(lists_db(true))
+    let engines = [1, 2, 8].map(|threads| {
+        Engine::builder(lists_db(true))
             .tile_rows(2048)
-            .strategies(StrategyOverrides::pin_agg(AggStrategy::ValueMasking));
-        match pool {
-            true => b.worker_pool(threads).build(),
-            false => b.threads(threads).build(),
-        }
+            .strategies(StrategyOverrides::pin_agg(AggStrategy::ValueMasking))
+            .threads(threads)
+            .build()
     });
     let oracle = lists_db(true);
     for (aggs, proof) in lists {
@@ -783,8 +770,7 @@ fn chain_db() -> Database {
 /// Build sides written from the tile loop: a one-edge join and a chain
 /// (`R → S → T`), sparse and dense, under the planner's build and each one
 /// pinned — both bitmap variants and the key set — scalar, and grouped by
-/// the FK over the one edge, match the interpreter at threads {1, 2, 8}
-/// and on a 4-worker pool.
+/// the FK over the one edge, match the interpreter at threads {1, 2, 8}.
 #[test]
 fn chain_and_hash_builds_match_the_interpreter() {
     use swole_cost::{BitmapBuild, SemiJoinStrategy};
@@ -801,15 +787,11 @@ fn chain_and_hash_builds_match_the_interpreter() {
     ];
     let lt = |c: &str, v: i64| Expr::col(c).cmp(CmpOp::Lt, Expr::lit(v));
     for pin in pins {
-        let engines = [(false, 1), (false, 2), (false, 8), (true, 4)].map(|(pool, threads)| {
-            let b = Engine::builder(chain_db()).tile_rows(2048);
-            let b = match pin {
-                Some(s) => b.strategies(StrategyOverrides::pin_semijoin(s)),
-                None => b,
-            };
-            match pool {
-                true => b.worker_pool(threads).build(),
-                false => b.threads(threads).build(),
+        let engines = [1, 2, 8].map(|threads| {
+            let b = Engine::builder(chain_db()).tile_rows(2048).threads(threads);
+            match pin {
+                Some(s) => b.strategies(StrategyOverrides::pin_semijoin(s)).build(),
+                None => b.build(),
             }
         });
         for (s_lt, chained) in [(3, false), (3, true), (60, false), (60, true)] {

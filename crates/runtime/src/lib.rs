@@ -6,22 +6,21 @@
 //! (scan + fold bodies over tile-aligned morsels) and hands them to an
 //! [`Executor`]; this crate decides which threads run them.
 //!
-//! Two executors share one worker contract:
+//! An [`Executor`] runs a stage one of two ways under one worker contract:
 //!
-//! - [`Executor::Scoped`] — the original per-query model: `threads` scoped
-//!   workers are spawned for the stage and join before it returns. Zero
-//!   cross-query state; `threads == 1` runs inline on the caller.
-//! - [`Executor::Pool`] — a fixed [`WorkerPool`] multiplexing morsels from
-//!   N concurrent queries. Each stage keeps its own `MorselQueue` (so
-//!   tile partitioning — and therefore results — are bit-identical to solo
-//!   execution); pool workers round-robin across registered stages by
-//!   [`Priority`] class, claiming one morsel per visit. The submitting
-//!   thread participates too, so a query always makes progress even when
-//!   every pool worker is busy elsewhere.
+//! - [`Executor::Inline`] — at one thread, every morsel on the caller.
+//! - [`Executor::Pool`] — above one, a fixed [`WorkerPool`] of persistent
+//!   threads multiplexing morsels from N concurrent queries. Each stage keeps its own `MorselQueue` (so tile partitioning
+//!   — and therefore results — are bit-identical to inline execution);
+//!   pool workers round-robin across registered stages by [`Priority`]
+//!   class, claiming one morsel per visit. The submitting thread
+//!   participates too, so a query always makes progress even when every
+//!   pool worker is busy elsewhere. A stage of at most one morsel runs
+//!   inline on the pool too.
 //!
-//! `MorselQueue` is internal; stages only exist behind the executors.
+//! `MorselQueue` is internal; stages only exist behind the executor.
 //!
-//! Around the executors sit the three resource-control layers a
+//! Around the executor sit the three resource-control layers a
 //! multi-query server needs:
 //!
 //! - [`MemGauge`] / [`GlobalMemoryPool`] — hierarchical memory accounting:

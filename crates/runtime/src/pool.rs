@@ -1,44 +1,43 @@
-//! Morsel-driven executors: per-query scoped workers and the shared pool.
+//! Morsel-driven execution: inline on the calling thread, or on a shared
+//! worker pool.
 //!
-//! Both executors partition each scan into tile-aligned morsels claimed
+//! An [`Executor`] partitions each scan into tile-aligned morsels claimed
 //! from a shared atomic counter — classic morsel-driven scheduling: cheap
-//! dynamic load balancing, no work queues — and fold rows into
+//! dynamic load balancing, no work queues — and folds rows into
 //! **thread-local** accumulators (scalar slots, hash tables, bitmaps). The
-//! caller merges the per-worker partials; because every merge (i64 add,
-//! min, max, bitmap OR) is commutative and associative, and group-by
-//! output is sorted, results are bit-identical at any thread count *and*
-//! at any pool concurrency.
+//! caller merges the partials; because every merge (i64 add, min, max,
+//! bitmap OR) is commutative and associative, and group-by output is
+//! sorted, results are bit-identical at any thread count *and* at any pool
+//! concurrency.
 //!
-//! [`Executor::Scoped`] is the original model: `threads` workers on
-//! `std::thread::scope`, joined before the stage returns; `threads == 1`
-//! runs the worker body inline on the caller's thread, so single-thread
-//! execution has no parallel tax.
-//!
-//! [`Executor::Pool`] multiplexes morsels from N concurrent queries over a
-//! fixed [`WorkerPool`]. Each stage keeps its own private [`MorselQueue`]
-//! (identical partitioning to solo execution); pool workers round-robin
+//! [`Executor::Inline`] runs every morsel on the submitting thread, so
+//! single-thread execution has no parallel tax. [`Executor::Pool`]
+//! multiplexes morsels from N concurrent queries over a fixed
+//! [`WorkerPool`]. Each stage keeps its own private [`MorselQueue`]
+//! (identical partitioning to inline execution); pool workers round-robin
 //! across registered stages within the highest present [`Priority`] class,
 //! claiming **one morsel per visit** so a long scan cannot monopolize the
 //! pool. Accumulators live in a per-stage free list: a worker checks one
 //! out per morsel and returns it afterwards, so the number of partials
-//! stays bounded by the number of threads that ever touched the stage.
-//! The submitting thread participates in its own stage, which both bounds
-//! latency under load and guarantees progress if the pool is saturated.
+//! stays bounded by the number of threads that ever touched the stage —
+//! the pool's workers plus the submitting thread, which participates in
+//! its own stage. That both bounds latency under load and guarantees
+//! progress if the pool is saturated.
 //!
 //! The pool is for stages that have morsels to share. A stage whose queue
 //! holds at most one morsel has nothing a second thread could take, so
 //! [`Executor::run_morsels`] runs it to completion on the submitting thread
-//! through the scoped executor's worker loop — the same `catch_unwind`
-//! isolation, boundary checks and fault hook, one partial — and builds no
-//! `Stage`. Registration bought such a statement nothing and cost it a
-//! type-erased `Arc`, the registry mutex twice, a `notify_all` that woke
-//! every sleeping worker to find the queue dry, a condvar wait and the
-//! `strong_count` spin below: 19 µs against 4.4 µs for the smallest
-//! statement on the 2-vCPU benchmark host (`runtime.pool.min_query_us`).
-//! The rule is keyed on the count the queue already computes, so there is
-//! no threshold to tune and no caller can tell. Engine shutdown and
-//! cancellation reach an inline stage through its [`ExecCtx`], which the
-//! engine's lifecycle registry holds, not through the pool's stage registry.
+//! through the inline runner — the same `catch_unwind` isolation, boundary
+//! checks and fault hook, one partial — and builds no `Stage`.
+//! Registration bought such a statement nothing and cost it a type-erased
+//! `Arc`, the registry mutex twice, a `notify_all` that woke every sleeping
+//! worker to find the queue dry, a condvar wait and the `strong_count`
+//! spin below: 19 µs against 4.4 µs for the smallest statement on the
+//! 2-vCPU benchmark host (`runtime.pool.min_query_us`). The rule is keyed
+//! on the count the queue already computes, so there is no threshold to
+//! tune and no caller can tell. Engine shutdown and cancellation reach an
+//! inline stage through its [`ExecCtx`], which the engine's lifecycle
+//! registry holds, not through the pool's stage registry.
 //!
 //! **Hardening:** every morsel body (and accumulator init) runs under
 //! `catch_unwind`. A panic trips the stage's [`ExecCtx`], sibling claims
@@ -58,8 +57,8 @@
 //! Every atomic in this module is annotated at its use site; the summary:
 //!
 //! - **Accumulator/partial data** is never published through an atomic at
-//!   all: it moves through `Mutex<Vec<T>>` (`Stage::free`), and scoped
-//!   workers hand theirs over via `join()`. The atomics below only gate
+//!   all: it moves through `Mutex<Vec<T>>` (`Stage::free`), and the
+//!   inline runner never leaves its thread. The atomics below only gate
 //!   *control flow*, which is why most of them can be `Relaxed`.
 //! - `MorselQueue::next` — `Relaxed`. A pure claim ticket: `fetch_add` is
 //!   atomic at any ordering, so ranges are disjoint; no worker reads data
@@ -128,47 +127,31 @@ impl MorselQueue {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Scoped executor (per-query worker threads)
-// ---------------------------------------------------------------------------
-
-/// How a scoped worker left its claim loop.
-enum Exit<T> {
-    /// Queue exhausted; the worker's partial accumulator.
-    Done(T),
-    /// The worker itself hit a failure (panic, cancellation, deadline,
-    /// budget charge).
-    Interrupt(RuntimeError),
-    /// A sibling tripped the context; this worker stopped early and its
-    /// partial is meaningless.
-    Stopped,
-}
-
-/// Why the claim loop stopped before the queue was exhausted.
-enum Stop {
-    Interrupt(RuntimeError),
-    Sibling,
-}
-
-/// One scoped worker: pass the cooperative check, init an accumulator, then
-/// claim morsels until the queue is dry, the context trips, or a check
-/// fails. The check comes before `init`, as in `Stage::step`, so a
-/// statement that is already cancelled or expired charges no worker scratch
-/// and reports that — not the `BudgetExceeded` a tight budget would raise
-/// from `init`. The whole loop — including `init`, so budget charges for
-/// worker scratch are covered — runs under `catch_unwind`.
-fn run_worker<T, I, B>(ctx: &ExecCtx, queue: &MorselQueue, init: &I, body: &B) -> Exit<T>
+/// Run every morsel on the calling thread into one accumulator: pass the
+/// cooperative check, init the accumulator, then claim morsels until the
+/// queue is dry, the context trips, or a check fails. The check comes
+/// before `init`, as in `Stage::step`, so a statement that is already
+/// cancelled or expired charges no worker scratch and reports that — not
+/// the `BudgetExceeded` a tight budget would raise from `init`. The whole
+/// loop — including `init`, so budget charges for worker scratch are
+/// covered — runs under `catch_unwind`.
+fn run_inline<T, I, B>(
+    ctx: &ExecCtx,
+    queue: &MorselQueue,
+    init: &I,
+    body: &B,
+) -> Result<Vec<T>, RuntimeError>
 where
     I: Fn() -> T,
     B: Fn(&mut T, usize, usize),
 {
-    let boundary = || -> Result<(), Stop> {
-        if ctx.tripped() {
-            return Err(Stop::Sibling);
-        }
-        ctx.check().map_err(Stop::Interrupt)
+    // A context tripped by a failure in an earlier phase of the same query
+    // stops the stage with `Stopped`.
+    let boundary = || match ctx.tripped() {
+        true => Err(RuntimeError::Stopped),
+        false => ctx.check(),
     };
-    let caught = catch_unwind(AssertUnwindSafe(|| -> Result<T, Stop> {
+    let run = catch_unwind(AssertUnwindSafe(|| {
         boundary()?;
         let mut local = init();
         while let Some((start, len, index)) = queue.claim() {
@@ -177,66 +160,13 @@ where
             ctx.morsel_done();
             boundary()?;
         }
-        Ok(local)
-    }));
-    match caught {
-        Ok(Ok(local)) => Exit::Done(local),
-        Ok(Err(Stop::Interrupt(e))) => {
-            ctx.trip();
-            Exit::Interrupt(e)
-        }
-        Ok(Err(Stop::Sibling)) => Exit::Stopped,
-        Err(payload) => {
-            ctx.trip();
-            Exit::Interrupt(panic_payload_error(payload))
-        }
+        Ok(vec![local])
+    }))
+    .unwrap_or_else(|payload| Err(panic_payload_error(payload)));
+    if run.is_err() {
+        ctx.trip();
     }
-}
-
-fn run_scoped<T, I, B>(
-    ctx: &ExecCtx,
-    threads: usize,
-    queue: &MorselQueue,
-    init: &I,
-    body: &B,
-) -> Result<Vec<T>, RuntimeError>
-where
-    T: Send,
-    I: Fn() -> T + Sync,
-    B: Fn(&mut T, usize, usize) + Sync,
-{
-    let exits: Vec<Exit<T>> = if threads <= 1 {
-        vec![run_worker(ctx, queue, init, body)]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| scope.spawn(move || run_worker(ctx, queue, init, body)))
-                .collect();
-            handles
-                .into_iter()
-                // The worker caught its own panics, so join never fails.
-                .map(|h| h.join().unwrap_or(Exit::Stopped))
-                .collect()
-        })
-    };
-    let mut partials = Vec::with_capacity(exits.len());
-    let mut errors = Vec::new();
-    let mut stopped = false;
-    for exit in exits {
-        match exit {
-            Exit::Done(t) => partials.push(t),
-            Exit::Interrupt(e) => errors.push(e),
-            Exit::Stopped => stopped = true,
-        }
-    }
-    if !errors.is_empty() {
-        return Err(pick_error(errors));
-    }
-    if stopped {
-        // Tripped by a failure in an earlier phase of the same query.
-        return Err(RuntimeError::Stopped);
-    }
-    Ok(partials)
+    run
 }
 
 // ---------------------------------------------------------------------------
@@ -639,22 +569,20 @@ fn pick_stage(reg: &mut Registry) -> Option<(u64, Arc<dyn StageTask>)> {
 
 /// Where a query's morsels run.
 pub enum Executor {
-    /// Per-query scoped workers: `threads` threads spawned per stage and
-    /// joined before it returns (`<= 1` runs inline on the caller).
-    Scoped {
-        /// Worker threads per stage.
-        threads: usize,
-    },
+    /// Every morsel on the thread that submits the stage.
+    Inline,
     /// A fixed shared pool multiplexing morsels from all concurrent
-    /// queries.
+    /// queries, the submitting thread working beside it.
     Pool(WorkerPool),
 }
 
 impl Executor {
-    /// The scoped (per-query threads) executor.
-    pub fn scoped(threads: usize) -> Executor {
-        Executor::Scoped {
-            threads: threads.max(1),
+    /// The executor for `threads`-way execution: inline at one thread, a
+    /// pool of `threads` persistent workers above.
+    pub fn new(threads: usize) -> Executor {
+        match threads {
+            0 | 1 => Executor::Inline,
+            n => Executor::pool(n),
         }
     }
 
@@ -663,35 +591,39 @@ impl Executor {
         Executor::Pool(WorkerPool::new(workers))
     }
 
-    /// `true` when queries share a fixed worker pool.
-    pub fn is_pool(&self) -> bool {
-        matches!(self, Executor::Pool(_))
+    /// The most partials one stage can hand back, hence the most
+    /// accumulators alive at once: one inline; on the pool, one per worker
+    /// plus the submitting thread's.
+    pub fn max_partials(&self) -> usize {
+        match self {
+            Executor::Inline => 1,
+            Executor::Pool(pool) => pool.workers() + 1,
+        }
     }
 
-    /// Stop and join any persistent worker threads. A no-op (`true`) for
-    /// the scoped executor, whose workers never outlive a stage; see
-    /// [`WorkerPool::shutdown`] for pool semantics.
+    /// Stop and join any persistent worker threads. A no-op (`true`)
+    /// inline; see [`WorkerPool::shutdown`] for pool semantics.
     pub fn shutdown(&self, deadline: Option<Instant>) -> bool {
         match self {
-            Executor::Scoped { .. } => true,
+            Executor::Inline => true,
             Executor::Pool(pool) => pool.shutdown(deadline),
         }
     }
 
-    /// Persistent worker threads still running (`0` for scoped executors
-    /// and for pools after a completed shutdown).
+    /// Persistent worker threads still running (`0` inline and for pools
+    /// after a completed shutdown).
     pub fn live_workers(&self) -> usize {
         match self {
-            Executor::Scoped { .. } => 0,
+            Executor::Inline => 0,
             Executor::Pool(pool) => pool.live_workers(),
         }
     }
 
     /// Run `body` over every morsel of `0..n_rows`, folding into
-    /// `init()`-built accumulators. Returns all per-worker accumulators
-    /// (at least one, even for zero-row inputs) for the caller's merge
-    /// phase, or the highest-priority failure if any worker was
-    /// interrupted.
+    /// `init()`-built accumulators. Returns all per-thread accumulators
+    /// (at least one, even for zero-row inputs, and at most
+    /// [`Executor::max_partials`]) for the caller's merge phase, or the
+    /// highest-priority failure if any thread was interrupted.
     ///
     /// On the pool, a stage of at most one morsel runs on the calling
     /// thread and is never registered (see the module docs); morsel
@@ -715,10 +647,9 @@ impl Executor {
         let queue = MorselQueue::new(n_rows, morsel_rows);
         ctx.add_morsels_total(queue.total());
         match self {
-            Executor::Scoped { threads } => run_scoped(ctx, *threads, &queue, &init, &body),
             // At most one morsel: nothing to share, so nothing to register.
-            Executor::Pool(_) if queue.total() <= 1 => run_scoped(ctx, 1, &queue, &init, &body),
-            Executor::Pool(pool) => run_pooled(pool, ctx, queue, init, body),
+            Executor::Pool(pool) if queue.total() > 1 => run_pooled(pool, ctx, queue, init, body),
+            _ => run_inline(ctx, &queue, &init, &body),
         }
     }
 }
@@ -772,11 +703,7 @@ mod tests {
     use crate::ExecHandle;
 
     fn executors() -> Vec<(&'static str, Executor)> {
-        vec![
-            ("scoped-1", Executor::scoped(1)),
-            ("scoped-4", Executor::scoped(4)),
-            ("pool-3", Executor::pool(3)),
-        ]
+        vec![("inline", Executor::Inline), ("pool-3", Executor::pool(3))]
     }
 
     #[test]
@@ -884,8 +811,7 @@ mod tests {
     #[test]
     fn pre_cancelled_context_under_a_tight_budget_is_cancelled_everywhere() {
         let cases = [
-            ("scoped-1", Executor::scoped(1), 8),
-            ("scoped-4", Executor::scoped(4), 8),
+            ("inline", Executor::Inline, 8),
             ("pool-2, one morsel", Executor::pool(2), 1),
             ("pool-2, eight morsels", Executor::pool(2), 8),
         ];
@@ -918,8 +844,8 @@ mod tests {
     }
 
     /// The inline rule: a stage of at most one morsel runs where it was
-    /// submitted, on the pool as on `scoped(1)`, and hands back one partial
-    /// — the `init()` one when there are no rows at all.
+    /// submitted, on the pool as inline, and hands back one partial — the
+    /// `init()` one when there are no rows at all.
     #[test]
     fn one_morsel_stage_runs_on_the_calling_thread() {
         let me = std::thread::current().id();
@@ -931,15 +857,11 @@ mod tests {
                         ran.push((std::thread::current().id(), len))
                     })
                     .expect("no faults armed");
-                // A scoped team of several still spawns them all, and each
-                // hands back its `init()`.
-                if !matches!(exec, Executor::Scoped { threads } if threads > 1) {
-                    assert_eq!(partials.len(), 1, "exec={name} n={n}");
-                    assert!(
-                        partials[0].iter().all(|&(id, _)| id == me),
-                        "exec={name} n={n}"
-                    );
-                }
+                assert_eq!(partials.len(), 1, "exec={name} n={n}");
+                assert!(
+                    partials[0].iter().all(|&(id, _)| id == me),
+                    "exec={name} n={n}"
+                );
                 let lens: Vec<usize> = partials.iter().flatten().map(|&(_, l)| l).collect();
                 assert_eq!(lens, if n == 0 { vec![] } else { vec![n] }, "exec={name}");
                 assert_eq!(ctx.progress(), (lens.len(), lens.len()), "exec={name}");
@@ -979,6 +901,38 @@ mod tests {
             assert_eq!(partials.into_iter().sum::<usize>(), 8 * TILE, "exec={name}");
             assert_eq!(exec.live_workers(), workers, "exec={name}");
         }
+    }
+
+    /// The submitting thread checks out an accumulator of its own, so a
+    /// pool of one worker can hand back two partials: the barrier in the
+    /// first morsel of each accumulator only opens once the worker and the
+    /// submitter hold one each at the same time.
+    #[test]
+    fn pool_partials_count_the_submitting_thread() {
+        let exec = Executor::pool(1);
+        assert_eq!(exec.max_partials(), 2);
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let ctx = Arc::new(ExecCtx::unbounded());
+        let partials = exec
+            .run_morsels(
+                &ctx,
+                4 * TILE,
+                TILE,
+                || (true, 0usize),
+                move |(first, rows): &mut (bool, usize), _, len| {
+                    if std::mem::take(first) {
+                        barrier.wait();
+                    }
+                    *rows += len;
+                },
+            )
+            .expect("no faults armed");
+        assert_eq!(partials.len(), exec.max_partials());
+        assert_eq!(
+            partials.iter().map(|&(_, rows)| rows).sum::<usize>(),
+            4 * TILE
+        );
+        assert_eq!(Executor::Inline.max_partials(), 1);
     }
 
     #[test]

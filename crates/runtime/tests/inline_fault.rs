@@ -9,11 +9,7 @@ use swole_runtime::{faults, ExecCtx, Executor, RuntimeError};
 
 #[test]
 fn injected_panic_at_morsel_zero_fires_on_an_inline_stage() {
-    let execs = [
-        ("scoped-1", Executor::scoped(1)),
-        ("scoped-4", Executor::scoped(4)),
-        ("pool-3", Executor::pool(3)),
-    ];
+    let execs = [("inline", Executor::Inline), ("pool-3", Executor::pool(3))];
     for (name, exec) in execs {
         let workers = exec.live_workers();
         let run = |rows| {

@@ -87,8 +87,8 @@ impl TableProfile {
 /// Everything the bounds pass needs beyond the [`Program`] itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BoundsCtx {
-    /// Maximum workers that can run the plan's morsels concurrently
-    /// (scoped executor: the per-query thread count; pool: the pool size).
+    /// Most accumulators a stage can hold at once: 1 inline; on a worker
+    /// pool, its workers plus the submitting thread, which works it too.
     pub workers: usize,
     /// Fresh statistics profiles for the program's tables. Tables without a
     /// profile fall back to their declared domains (type ranges, row counts).

@@ -68,10 +68,19 @@ fn check_corpus(engine: &Engine, config: &str) -> usize {
     checked
 }
 
+/// At 1, 2 and 8 threads. The certificate counts every accumulator a stage
+/// can hold at once: one inline, and on the pool one per worker plus the
+/// querying thread's.
 #[test]
-fn corpus_peaks_never_exceed_bounds_scoped_threads() {
+fn corpus_peaks_never_exceed_bounds_at_1_2_8_threads() {
+    let plan = parse_sql("select r_c, sum(r_a * r_b) as s from R group by r_c")
+        .expect("parses")
+        .plan;
     for threads in [1usize, 2, 8] {
         let engine = Engine::builder(fixture_db()).threads(threads).build();
+        let partials = if threads == 1 { 1 } else { threads + 1 };
+        let cert = engine.certificate(&plan).expect("certifies");
+        assert_eq!(cert.workers, partials as u64, "threads={threads}");
         let checked = check_corpus(&engine, &format!("threads={threads}"));
         assert!(checked >= 100, "threads={threads}: only {checked} checked");
     }
@@ -79,9 +88,9 @@ fn corpus_peaks_never_exceed_bounds_scoped_threads() {
 
 #[test]
 fn corpus_peaks_never_exceed_bounds_worker_pool() {
-    let engine = Engine::builder(fixture_db()).worker_pool(4).build();
-    let checked = check_corpus(&engine, "pool-w4");
-    assert!(checked >= 100, "pool-w4: only {checked} checked");
+    let engine = Engine::builder(fixture_db()).threads(4).build();
+    let checked = check_corpus(&engine, "threads=4");
+    assert!(checked >= 100, "threads=4: only {checked} checked");
 }
 
 /// TPC-H renditions: bounds are sound *and* within the documented
@@ -153,7 +162,7 @@ fn tpch_bounds_sound_and_tight() {
 #[test]
 fn infeasible_plan_rejected_before_any_worker_starts() {
     let engine = Engine::builder(fixture_db())
-        .worker_pool(4)
+        .threads(4)
         .global_memory_budget(2048)
         .build();
     let plan = parse_sql("select r_c, sum(r_a * r_b) as s from R group by r_c")

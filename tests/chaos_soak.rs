@@ -2,9 +2,9 @@
 //!
 //! Each soak iteration arms a [`ChaosSchedule`] — an LCG-derived sequence
 //! of worker panics, allocation failures, admission stalls, and clock-skew
-//! jumps — and runs the standard workload at {1, 2, 8} threads on both the
-//! scoped executor and the shared worker pool. The contract under chaos is
-//! the hardened-execution contract:
+//! jumps — and runs the standard workload at {1, 2, 8} threads: inline at
+//! one, on the engine's worker pool above. The contract under chaos is the
+//! hardened-execution contract:
 //!
 //! 1. every query either returns rows **bit-identical** to the interpreter
 //!    ground truth or a **typed** runtime error — never a wrong answer,
@@ -25,8 +25,8 @@ use swole::plan::faults::{self, ChaosSchedule};
 use swole::plan::interp;
 use swole::prelude::*;
 
-/// Seeds per executor/thread-count combination. The fixed CI matrix runs
-/// exactly these; the nightly job layers random seeds on top.
+/// Seeds per thread count. The fixed CI matrix runs exactly these; the
+/// nightly job layers random seeds on top.
 const SEEDS: u64 = 32;
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -144,21 +144,18 @@ fn live_pool_thread_names() -> Vec<String> {
         .collect()
 }
 
-/// One engine per (executor, threads) cell of the soak matrix. Admission
-/// and a global memory budget are always on so the leak assertions have
-/// gauges to read; the stall window is generous enough that only injected
-/// clock skew can trip it.
-fn soak_engine(pool: bool, threads: usize) -> Engine {
-    let b = Engine::builder(make_db(512))
+/// One engine per thread count of the soak matrix. Admission and a global
+/// memory budget are always on so the leak assertions have gauges to read;
+/// the stall window is generous enough that only injected clock skew can
+/// trip it.
+fn soak_engine(threads: usize) -> Engine {
+    Engine::builder(make_db(512))
         .tile_rows(MORSEL)
         .admission(AdmissionConfig::new(2))
         .global_memory_budget(64 << 20)
-        .stall_window(Duration::from_secs(10));
-    if pool {
-        b.worker_pool(threads).build()
-    } else {
-        b.threads(threads).build()
-    }
+        .stall_window(Duration::from_secs(10))
+        .threads(threads)
+        .build()
 }
 
 #[test]
@@ -181,51 +178,45 @@ fn seeded_chaos_schedules_never_corrupt_or_leak() {
         .and_then(|s| s.parse().ok());
     let seeds: Vec<u64> = (0..SEEDS).chain(extra_seed).collect();
 
-    for pool in [false, true] {
-        for &threads in &THREADS {
-            for &seed in &seeds {
-                let schedule = ChaosSchedule::from_seed(seed);
-                let tag = format!(
-                    "seed={seed} threads={threads} executor={} events={:?}",
-                    if pool { "pool" } else { "scoped" },
-                    schedule.events
-                );
-                let e = soak_engine(pool, threads);
-                let guard = schedule.inject();
-                for (plan, truth) in plans.iter().zip(&truths) {
-                    match e.query(plan) {
-                        Ok(got) => assert_eq!(got.rows, truth.rows, "wrong rows under {tag}"),
-                        Err(err) => assert!(
-                            is_typed_runtime_error(&err),
-                            "untyped error {err:?} under {tag}"
-                        ),
-                    }
+    for &threads in &THREADS {
+        for &seed in &seeds {
+            let schedule = ChaosSchedule::from_seed(seed);
+            let tag = format!("seed={seed} threads={threads} events={:?}", schedule.events);
+            let e = soak_engine(threads);
+            let guard = schedule.inject();
+            for (plan, truth) in plans.iter().zip(&truths) {
+                match e.query(plan) {
+                    Ok(got) => assert_eq!(got.rows, truth.rows, "wrong rows under {tag}"),
+                    Err(err) => assert!(
+                        is_typed_runtime_error(&err),
+                        "untyped error {err:?} under {tag}"
+                    ),
                 }
-                drop(guard);
-                assert!(!faults::schedule_active(), "guard drop disarms: {tag}");
-
-                // Leak audit: every permit, gauge charge, and lifecycle
-                // slot must be back by the time the queries returned.
-                assert_eq!(e.queries_in_flight(), 0, "lifecycle slot leaked: {tag}");
-                assert_eq!(
-                    e.admission_in_flight(),
-                    Some((0, 0)),
-                    "admission permit leaked: {tag}"
-                );
-                let mem = e.global_memory_stats().expect("global pool configured");
-                assert_eq!(
-                    (mem.used, mem.active),
-                    (0, 0),
-                    "memory charge leaked: {tag} ({mem:?})"
-                );
-
-                let report = e.shutdown(Some(Duration::from_secs(10)));
-                assert!(
-                    report.clean && report.aborted == 0,
-                    "shutdown not clean: {report:?} under {tag}"
-                );
-                assert_eq!(e.live_pool_workers(), 0, "pool thread survived: {tag}");
             }
+            drop(guard);
+            assert!(!faults::schedule_active(), "guard drop disarms: {tag}");
+
+            // Leak audit: every permit, gauge charge, and lifecycle
+            // slot must be back by the time the queries returned.
+            assert_eq!(e.queries_in_flight(), 0, "lifecycle slot leaked: {tag}");
+            assert_eq!(
+                e.admission_in_flight(),
+                Some((0, 0)),
+                "admission permit leaked: {tag}"
+            );
+            let mem = e.global_memory_stats().expect("global pool configured");
+            assert_eq!(
+                (mem.used, mem.active),
+                (0, 0),
+                "memory charge leaked: {tag} ({mem:?})"
+            );
+
+            let report = e.shutdown(Some(Duration::from_secs(10)));
+            assert!(
+                report.clean && report.aborted == 0,
+                "shutdown not clean: {report:?} under {tag}"
+            );
+            assert_eq!(e.live_pool_workers(), 0, "pool thread survived: {tag}");
         }
     }
     assert_eq!(
@@ -287,7 +278,7 @@ fn dropped_schedule_leaves_engine_pristine() {
     let _s = serial();
     faults::disarm_all();
     let plan = groupby_plan();
-    let e = soak_engine(true, 4);
+    let e = soak_engine(4);
     let truth = interp::run(&e.database(), &plan).expect("interpreter ground truth");
 
     // Arm a schedule, let it wreak havoc, drop it mid-flight of nothing:

@@ -162,10 +162,10 @@ fn hammer_shared_pool_bit_identical_and_cache_consistent() {
     let n_plans = workload().len() as u64;
     for (clients, rounds) in [(8usize, 12usize), (64, 3)] {
         let engine = Engine::builder(make_db(SEED, N_R, N_S))
-            .worker_pool(2)
+            .threads(2)
             .tile_rows(2048)
             .build();
-        assert!(engine.uses_worker_pool());
+        assert_eq!(engine.live_pool_workers(), 2);
         hammer(&engine, clients, rounds, &refs);
         // Cache-stat conservation under concurrency: every lookup (one per
         // zero-param prepare, one per execute) lands as exactly one hit or
@@ -180,19 +180,6 @@ fn hammer_shared_pool_bit_identical_and_cache_consistent() {
         assert!(stats.misses >= n_plans, "clients={clients}: {stats:?}");
         assert!(stats.hits > 0, "clients={clients}: {stats:?}");
     }
-}
-
-#[test]
-fn hammer_scoped_executor_bit_identical() {
-    // Same storm without the shared pool: per-query scoped threads must be
-    // just as exact when many sessions overlap.
-    let refs = references();
-    let engine = Engine::builder(make_db(SEED, N_R, N_S))
-        .threads(2)
-        .tile_rows(2048)
-        .build();
-    assert!(!engine.uses_worker_pool());
-    hammer(&engine, 8, 8, &refs);
 }
 
 #[test]
@@ -241,9 +228,7 @@ fn cancel_reaches_one_morsel_statements_on_the_pool() {
     let refs = references();
     let plans = workload();
     // The default morsel (64 tiles) holds all of R, and all of S.
-    let engine = Engine::builder(make_db(SEED, N_R, N_S))
-        .worker_pool(2)
-        .build();
+    let engine = Engine::builder(make_db(SEED, N_R, N_S)).threads(2).build();
     assert!(N_R <= engine.morsel_rows());
     let victim = engine.session();
     let handle = victim.handle();
@@ -355,7 +340,7 @@ fn global_budget_never_exceeded_and_drains() {
     let refs = references();
     for policy in [MemoryPolicy::Greedy, MemoryPolicy::FairShare] {
         let engine = Engine::builder(make_db(SEED, N_R, N_S))
-            .worker_pool(2)
+            .threads(2)
             .tile_rows(2048)
             .global_memory_budget(budget)
             .memory_policy(policy)

@@ -451,20 +451,18 @@ fn tpch_q4_sql() -> LogicalPlan {
 }
 
 /// Engines over `tpch` as the planner configures itself — no pins — at
-/// 1/2/8 threads and on a 4-worker pool, with (proven accumulators) and
-/// without (checked) statistics.
+/// 1/2/8 threads, with (proven accumulators) and without (checked)
+/// statistics.
 fn tpch_engines(tpch: &swole_tpch::TpchDb) -> Vec<(String, Engine)> {
     let mut out = Vec::new();
     for stats in [StatsMode::OnLoad, StatsMode::Off] {
-        for (pool, threads) in [(false, 1usize), (false, 2), (false, 8), (true, 4)] {
-            let b = Engine::builder(swole_tpch::catalog::to_database(tpch))
+        for threads in [1, 2, 8] {
+            let engine = Engine::builder(swole_tpch::catalog::to_database(tpch))
                 .tile_rows(2 * swole_kernels::TILE)
-                .stats(stats);
-            let engine = match pool {
-                true => b.worker_pool(threads).build(),
-                false => b.threads(threads).build(),
-            };
-            out.push((format!("x{threads} pool={pool} {stats:?}"), engine));
+                .stats(stats)
+                .threads(threads)
+                .build();
+            out.push((format!("x{threads} {stats:?}"), engine));
         }
     }
     out

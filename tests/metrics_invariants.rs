@@ -249,28 +249,19 @@ fn scalar_and_grouped_joins_report_the_same_edge() {
         ..StrategyOverrides::default()
     };
     for threads in THREADS {
-        for pool in [false, true] {
-            let edge = |plan: &LogicalPlan| {
-                let m = run_counters(plan, threads, |b| {
-                    let b = b.strategies(pins.clone());
-                    if pool {
-                        b.worker_pool(threads)
-                    } else {
-                        b
-                    }
-                });
-                let probe = m.op("multijoin-probe(S)").expect("edge probe op present");
-                (probe.access.rows_in, probe.access.rows_out, probe.ht.probes)
-            };
-            let (rows_in, rows_out, probes) = edge(&scalar);
-            assert!(rows_in < 50_000 && rows_out > 0 && rows_out < rows_in);
-            assert_eq!(probes, rows_in);
-            assert_eq!(
-                edge(&grouped),
-                (rows_in, rows_out, probes),
-                "threads={threads}, pool={pool}"
-            );
-        }
+        let edge = |plan: &LogicalPlan| {
+            let m = run_counters(plan, threads, |b| b.strategies(pins.clone()));
+            let probe = m.op("multijoin-probe(S)").expect("edge probe op present");
+            (probe.access.rows_in, probe.access.rows_out, probe.ht.probes)
+        };
+        let (rows_in, rows_out, probes) = edge(&scalar);
+        assert!(rows_in < 50_000 && rows_out > 0 && rows_out < rows_in);
+        assert_eq!(probes, rows_in);
+        assert_eq!(
+            edge(&grouped),
+            (rows_in, rows_out, probes),
+            "threads={threads}"
+        );
     }
 }
 

@@ -279,7 +279,7 @@ fn groupjoin_both_strategies_all_thread_counts() {
 /// one: with no build filter every parent qualifies, so neither groupjoin
 /// strategy drops a row or a key and both must match `group by fk` over the
 /// bare scan (every lane selected, upserted unmasked) — result and
-/// probe-side counters — on scoped workers and on the pool.
+/// probe-side counters — at every thread count.
 fn assert_grouped_one_edge_matches_zero_edge(strategy: GroupJoinStrategy) {
     let aggs = || {
         vec![
@@ -297,34 +297,29 @@ fn assert_grouped_one_edge_matches_zero_edge(strategy: GroupJoinStrategy) {
         ..StrategyOverrides::default()
     };
     for threads in THREADS {
-        for pool in [false, true] {
-            let label = format!("{strategy:?}, threads={threads}, pool={pool}");
-            let builder = Engine::builder(make_db(42, 50_000, 512))
-                .tile_rows(2048)
-                .metrics(MetricsLevel::Counters)
-                .strategies(pins.clone());
-            let engine = if pool {
-                builder.worker_pool(threads).build()
-            } else {
-                builder.threads(threads).build()
-            };
-            let planned = engine.plan(&one_edge).expect("plans");
-            assert_eq!(planned.groupjoin_strategy(), Some(strategy), "{label}");
-            let zero = engine.query(&zero_edge).expect("group-by runs");
-            let one = engine.query(&one_edge).expect("groupjoin runs");
-            assert_eq!(zero, one, "{label}");
-            let last_op = |r: &QueryResult| {
-                let ops = &r.metrics().expect("counters recorded").operators;
-                ops.last().expect("an operator ran").clone()
-            };
-            let (z, o) = (last_op(&zero), last_op(&one));
-            assert_eq!(
-                (z.name.as_str(), o.name.as_str()),
-                ("groupby-agg(R)", "multijoin-agg(R)")
-            );
-            assert_eq!(z.access, o.access, "{label}");
-            assert_eq!(z.ht.inserts, o.ht.inserts, "{label}");
-        }
+        let label = format!("{strategy:?}, threads={threads}");
+        let engine = Engine::builder(make_db(42, 50_000, 512))
+            .tile_rows(2048)
+            .metrics(MetricsLevel::Counters)
+            .strategies(pins.clone())
+            .threads(threads)
+            .build();
+        let planned = engine.plan(&one_edge).expect("plans");
+        assert_eq!(planned.groupjoin_strategy(), Some(strategy), "{label}");
+        let zero = engine.query(&zero_edge).expect("group-by runs");
+        let one = engine.query(&one_edge).expect("groupjoin runs");
+        assert_eq!(zero, one, "{label}");
+        let last_op = |r: &QueryResult| {
+            let ops = &r.metrics().expect("counters recorded").operators;
+            ops.last().expect("an operator ran").clone()
+        };
+        let (z, o) = (last_op(&zero), last_op(&one));
+        assert_eq!(
+            (z.name.as_str(), o.name.as_str()),
+            ("groupby-agg(R)", "multijoin-agg(R)")
+        );
+        assert_eq!(z.access, o.access, "{label}");
+        assert_eq!(z.ht.inserts, o.ht.inserts, "{label}");
     }
 }
 
@@ -428,30 +423,26 @@ fn grouped_counters(res: &QueryResult) -> (swole::kernels::AccessCounters, u64, 
 }
 
 fn engines(db: fn() -> Database, pins: &StrategyOverrides, stats: StatsMode) -> Vec<Engine> {
-    let mut out = Vec::new();
-    for threads in THREADS {
-        for pool in [false, true] {
-            let builder = Engine::builder(db())
+    THREADS
+        .iter()
+        .map(|&threads| {
+            Engine::builder(db())
                 .tile_rows(2048)
                 .metrics(MetricsLevel::Counters)
                 .stats(stats)
-                .strategies(pins.clone());
-            out.push(if pool {
-                builder.worker_pool(threads).build()
-            } else {
-                builder.threads(threads).build()
-            });
-        }
-    }
-    out
+                .strategies(pins.clone())
+                .threads(threads)
+                .build()
+        })
+        .collect()
 }
 
 /// Hash ≡ dense: every integer-keyed grouped shape, under every strategy
-/// it can be pinned to, at 1/2/8 threads, scoped and pooled, answers and
-/// counts the same whether its workers fill hash tables (`StatsMode::Off`:
-/// no key domain) or dense arrays (`OnLoad`: exact min/max) — through the
-/// single-sum kernels, the compiled lists (sum and count) and the register
-/// loop (min/max) alike.
+/// it can be pinned to, at 1/2/8 threads, answers and counts the same
+/// whether its workers fill hash tables (`StatsMode::Off`: no key domain)
+/// or dense arrays (`OnLoad`: exact min/max) — through the single-sum
+/// kernels, the compiled lists (sum and count) and the register loop
+/// (min/max) alike.
 #[test]
 fn dense_and_hash_group_tables_agree_on_results_and_counters() {
     let min_max = vec![
@@ -509,7 +500,7 @@ fn dense_and_hash_group_tables_agree_on_results_and_counters() {
                 let (d_access, d_keys, d_dense) = grouped_counters(&on_dense);
                 assert_eq!((h_dense, d_dense), (false, true), "{label}");
                 assert_eq!((h_access, h_keys), (d_access, d_keys), "{label}");
-                // ... and the same at every thread count, scoped or pooled.
+                // ... and the same at every thread count.
                 let first = *counters.get_or_insert((d_access, d_keys));
                 assert_eq!((d_access, d_keys), first, "{label}");
             }

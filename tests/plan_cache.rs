@@ -629,40 +629,36 @@ fn scaled(scale: i32) -> Table {
 /// after a reload whose products overflow an `i32` tile (5 000² · 1 024):
 /// the next run re-certifies, runs `i64` lanes and answers as the
 /// interpreter does — through `query_sql` and through `prepare_sql` +
-/// execute, on scoped threads and on the pool.
+/// execute, on the worker pool.
 #[test]
 fn a_reload_past_the_i32_tile_proof_recertifies() {
     let sql = "select sum(a * b) as s, sum(x * a) as m, count(*) as n from W where x < 60";
     let plan = swole::plan::parse_sql(sql).expect("parses").plan;
-    for pool in [false, true] {
-        let mut db = Database::new();
-        db.add_table(scaled(1));
-        let b =
-            Engine::builder(db).strategies(StrategyOverrides::pin_agg(AggStrategy::ValueMasking));
-        let engine = match pool {
-            true => b.worker_pool(2).build(),
-            false => b.threads(2).build(),
-        };
-        let prepared = engine.prepare_sql(sql).expect("prepares");
-        for (scale, proof) in [(1, OverflowProof::I32Tile), (100, OverflowProof::I64)] {
-            if scale != 1 {
-                engine.load_table(scaled(scale));
-            }
-            let want = swole::plan::interp::run(&engine.database(), &plan).expect("interpreter");
-            let cert = engine.certificate(&plan).expect("certifies");
-            assert_eq!(cert.overflow_proof, proof, "scale {scale} pool {pool}");
-            let got = engine
-                .session()
-                .query_sql(sql, &Params::new())
-                .expect("runs");
-            assert_eq!(got.rows, want.rows, "query_sql, scale {scale} pool {pool}");
-            let got = prepared.bind(&Params::new()).and_then(|b| b.execute());
-            assert_eq!(
-                got.expect("runs").rows,
-                want.rows,
-                "prepared, scale {scale}"
-            );
+    let mut db = Database::new();
+    db.add_table(scaled(1));
+    let engine = Engine::builder(db)
+        .strategies(StrategyOverrides::pin_agg(AggStrategy::ValueMasking))
+        .threads(2)
+        .build();
+    let prepared = engine.prepare_sql(sql).expect("prepares");
+    for (scale, proof) in [(1, OverflowProof::I32Tile), (100, OverflowProof::I64)] {
+        if scale != 1 {
+            engine.load_table(scaled(scale));
         }
+        let want = swole::plan::interp::run(&engine.database(), &plan).expect("interpreter");
+        let cert = engine.certificate(&plan).expect("certifies");
+        assert_eq!(cert.overflow_proof, proof, "scale {scale}");
+        let got = engine
+            .session()
+            .query_sql(sql, &Params::new())
+            .expect("runs");
+        assert_eq!(got.rows, want.rows, "query_sql, scale {scale}");
+        let got = prepared.bind(&Params::new()).and_then(|b| b.execute());
+        assert_eq!(
+            got.expect("runs").rows,
+            want.rows,
+            "prepared, scale {scale}"
+        );
     }
 }
 

@@ -116,11 +116,14 @@ fn graceful_shutdown_drains_hammering_clients() {
     faults::disarm_all();
     const CLIENTS: usize = 8;
     let e = Engine::builder(make_db(N_ROWS, 512))
-        .worker_pool(4)
+        .threads(4)
         .tile_rows(MORSEL)
         .admission(AdmissionConfig::new(2))
         .global_memory_budget(64 << 20)
         .build();
+    // A multi-thread engine owns its pool workers from the moment it is
+    // built.
+    assert_eq!(e.live_pool_workers(), 4);
     let plan = groupby_plan();
     let truth = interp::run(&e.database(), &plan).expect("interpreter ground truth");
 
@@ -287,7 +290,7 @@ fn deadline_shutdown_reaches_inline_one_morsel_statements() {
     const CLIENTS: usize = 4;
     // The default morsel (64 tiles) holds all of R.
     let e = Engine::builder(make_db(N_ROWS, 512))
-        .worker_pool(2)
+        .threads(2)
         .global_memory_budget(64 << 20)
         .build();
     assert!(N_ROWS <= e.morsel_rows());
@@ -348,40 +351,45 @@ fn deadline_shutdown_reaches_inline_one_morsel_statements() {
     assert_eq!(e.live_pool_workers(), 0);
 }
 
+/// Dropping the last handle joins every pool worker, whether the builder
+/// asked for threads or, by the older name, for a worker pool.
 #[test]
 #[cfg_attr(miri, ignore = "relies on wall-clock progress timing")]
 fn engine_drop_routes_through_graceful_drain() {
     let _s = serial();
     faults::disarm_all();
-    let e = Engine::builder(make_db(N_ROWS, 512))
-        .worker_pool(4)
-        .tile_rows(MORSEL)
-        .admission(AdmissionConfig::new(2))
-        .build();
-    let plan = groupby_plan();
-    e.query(&plan).expect("warm the pool");
-    assert_eq!(e.live_pool_workers(), 4);
-    // The submitting thread may have finished the warm query before any
-    // worker was first scheduled, so wait for a name to show.
-    assert!(
-        !pool_thread_names_when(|names| !names.is_empty()).is_empty(),
-        "pool threads visible while the engine lives"
-    );
-    // Dropping the last handle must run the drain tail: admission closes
-    // and every pool worker is joined — no detached threads left behind.
-    let clone = e.clone();
-    drop(e);
-    assert_eq!(
-        clone.live_pool_workers(),
-        4,
-        "a surviving clone keeps the pool alive"
-    );
-    drop(clone);
-    assert_eq!(
-        pool_thread_names_when(|names| names.is_empty()),
-        Vec::<String>::new(),
-        "Drop must join every swole-pool-* thread"
-    );
+    let four: [fn(EngineBuilder) -> EngineBuilder; 2] = [|b| b.threads(4), |b| b.worker_pool(4)];
+    for (i, configure) in four.into_iter().enumerate() {
+        let e = configure(Engine::builder(make_db(N_ROWS, 512)))
+            .tile_rows(MORSEL)
+            .admission(AdmissionConfig::new(2))
+            .build();
+        assert_eq!(e.live_pool_workers(), 4, "builder #{i}");
+        let plan = groupby_plan();
+        e.query(&plan).expect("warm the pool");
+        // The submitting thread may have finished the warm query before any
+        // worker was first scheduled, so wait for a name to show.
+        assert!(
+            !pool_thread_names_when(|names| !names.is_empty()).is_empty(),
+            "builder #{i}: pool threads visible while the engine lives"
+        );
+        // Dropping the last handle must run the drain tail: admission
+        // closes and every pool worker is joined — no detached threads left
+        // behind.
+        let clone = e.clone();
+        drop(e);
+        assert_eq!(
+            clone.live_pool_workers(),
+            4,
+            "builder #{i}: a surviving clone keeps the pool alive"
+        );
+        drop(clone);
+        assert_eq!(
+            pool_thread_names_when(|names| names.is_empty()),
+            Vec::<String>::new(),
+            "builder #{i}: Drop must join every swole-pool-* thread"
+        );
+    }
 }
 
 #[test]
