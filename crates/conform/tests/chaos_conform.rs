@@ -1,29 +1,17 @@
 //! Chaos × conformance: a slice of the corpus under seeded fault
 //! schedules.
 //!
-//! Eight corpus scripts run under four [`ChaosSchedule`] seeds against a
-//! chaos-armed engine. The contract is the hardened-execution contract:
+//! Eight corpus scripts run under four seeded [`FaultPlan`]s, each armed
+//! on a fresh engine of its own. The contract is the hardened-execution contract:
 //! every query either returns rows **bit-identical** to the interpreter
 //! oracle truth (computed before arming) or fails with a **typed**
 //! runtime error — never a wrong answer, never a process abort.
-//!
-//! Fault hooks are process-global; this file is its own test binary, so
-//! it serializes arming with a local mutex rather than sharing one with
-//! the root-level fault suites (separate processes cannot interfere).
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use swole_conform::{corpus_files, fixture_db, parse_script, RecordKind};
-use swole_plan::faults::{self, ChaosSchedule};
+use swole_plan::faults::FaultPlan;
 use swole_plan::{interp, parse_sql, Engine, LogicalPlan, PlanError, QueryResult};
-
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 fn is_typed_runtime_error(err: &PlanError) -> bool {
     matches!(
@@ -90,9 +78,6 @@ fn chaos_plans() -> Vec<(String, LogicalPlan)> {
 #[test]
 #[cfg_attr(miri, ignore = "spawns OS threads and measures wall-clock time")]
 fn corpus_slice_under_chaos_is_bit_identical_or_typed() {
-    let _s = serial();
-    faults::disarm_all();
-
     let plans = chaos_plans();
     let db = fixture_db();
     let truths: Vec<QueryResult> = plans
@@ -104,13 +89,13 @@ fn corpus_slice_under_chaos_is_bit_identical_or_typed() {
     drop(db);
 
     for &seed in &CHAOS_SEEDS {
-        let schedule = ChaosSchedule::from_seed(seed);
+        let schedule = FaultPlan::from_seed(seed);
         let tag = format!("seed={seed} events={:?}", schedule.events);
         let engine = Engine::builder(fixture_db())
             .threads(2)
             .global_memory_budget(64 << 20)
             .build();
-        let guard = schedule.inject();
+        let guard = engine.inject_faults(schedule);
         for ((name, plan), truth) in plans.iter().zip(&truths) {
             match engine.query(plan) {
                 Ok(got) => assert_eq!(
@@ -124,7 +109,7 @@ fn corpus_slice_under_chaos_is_bit_identical_or_typed() {
             }
         }
         drop(guard);
-        assert!(!faults::schedule_active(), "guard drop disarms ({tag})");
+        assert!(!engine.faults_armed(), "guard drop disarms ({tag})");
         let report = engine.shutdown(Some(Duration::from_secs(10)));
         assert!(
             report.clean && report.aborted == 0,

@@ -236,7 +236,8 @@ pub(crate) enum TextLookup {
 /// clones of the engine and all prepared statements.
 pub(crate) struct PlanCache {
     /// Byte budget, enforced with the hardened-execution gauge (quiet
-    /// charges: cache bookkeeping must not consume injected faults).
+    /// charges: a charge that does not fit is rolled back, and eviction
+    /// makes room).
     gauge: MemGauge,
     inner: Mutex<Inner>,
     enabled: bool,

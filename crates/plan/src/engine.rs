@@ -40,11 +40,13 @@ use crate::result::QueryResult;
 use crate::session::{QueryOptions, Session};
 use crate::stats::{self, StatsCatalog};
 use swole_cost::CostParams;
+use swole_runtime::faults::{self, FaultGuard, FaultPlan, FaultSlot};
 use swole_runtime::{
     AdmissionController, AdmissionError, AdmissionPermit, CancelState, ExecCtx, ExecHandle,
     Executor, GlobalMemoryPool, MemoryPoolStats, Priority,
 };
 use swole_storage::Table;
+use swole_verify::ir::Program;
 use swole_verify::{
     BoundsCtx, ColumnProfile, PlanCertificate, TableProfile, VerifyLevel, VerifyReport,
 };
@@ -179,6 +181,8 @@ pub(crate) struct EngineInner {
     cache: PlanCache,
     /// Drain/abort bookkeeping behind [`Engine::shutdown`].
     pub(crate) lifecycle: Lifecycle,
+    /// The fault plan armed by [`Engine::inject_faults`], if any.
+    faults: Arc<FaultSlot>,
 }
 
 /// The last engine handle going away routes through the graceful-drain
@@ -223,6 +227,7 @@ impl Engine {
                 last_run: Mutex::new(LastRun::default()),
                 cache: PlanCache::new(b.plan_cache_bytes),
                 lifecycle: Lifecycle::new(),
+                faults: Arc::default(),
             }),
         }
     }
@@ -402,7 +407,7 @@ impl Engine {
     pub fn verify_plan(&self, plan: &LogicalPlan) -> Result<VerifyReport, PlanError> {
         let db = self.inner.read_db();
         let physical = self.inner.plan_fresh(&db, plan)?;
-        crate::verify::verify_physical(&db, &physical, VerifyLevel::Full)
+        Ok(self.inner.verify(&db, &physical, VerifyLevel::Full)?.1)
     }
 
     /// EXPLAIN VERIFY: the decision report of [`Engine::explain`] — of the
@@ -475,6 +480,19 @@ impl Engine {
         self.root().execute_with(plan, opts)
     }
 
+    /// Arm `plan` on this engine — its clones, sessions and prepared
+    /// statements included — and on no other. Statements admitted while
+    /// the returned guard lives carry the plan's state; dropping the guard
+    /// disarms it. Arming again replaces the armed plan.
+    pub fn inject_faults(&self, plan: FaultPlan) -> FaultGuard {
+        self.inner.faults.arm(plan)
+    }
+
+    /// `true` while a plan from [`Engine::inject_faults`] is armed.
+    pub fn faults_armed(&self) -> bool {
+        self.inner.faults.current().is_some()
+    }
+
     /// The session statements issued on the engine itself run in: the
     /// engine-wide cancellation scope, no defaults beyond the builder's.
     pub(crate) fn root(&self) -> Session {
@@ -523,11 +541,19 @@ impl EngineInner {
         cert: &PlanCertificate,
     ) -> Result<(Option<AdmissionPermit>, Arc<ExecCtx>), PlanError> {
         self.check_budget_feasible(r.limits.memory_budget, cert)?;
+        let armed = self.faults.current();
         let permit = match &self.admission {
-            Some(ctl) => Some(
-                ctl.admit(r.priority, deadline_at)
-                    .map_err(PlanError::Admission)?,
-            ),
+            Some(ctl) => {
+                // A scheduled stall sleeps before the controller's lock.
+                if let Some(f) = &armed {
+                    f.stall_admission();
+                }
+                let now = || faults::now(armed.as_deref());
+                Some(
+                    ctl.admit(r.priority, deadline_at, now)
+                        .map_err(PlanError::Admission)?,
+                )
+            }
             None => None,
         };
         let ctx = ExecCtx::new(
@@ -537,7 +563,8 @@ impl EngineInner {
             self.global.clone(),
             r.priority,
         );
-        let ctx = Arc::new(ctx.with_stall_window(r.limits.stall_window));
+        let ctx = ctx.with_stall_window(r.limits.stall_window);
+        let ctx = Arc::new(ctx.with_faults(armed));
         gate.attach(&ctx);
         Ok((permit, ctx))
     }
@@ -684,7 +711,7 @@ impl EngineInner {
     /// the entry was already checked at.
     fn reuse(&self, db: &Database, hit: Hit, verify: VerifyLevel) -> Result<Planned, PlanError> {
         if hit.verified < verify {
-            crate::verify::verify_physical(db, &hit.plan, verify)?;
+            self.verify(db, &hit.plan, verify)?;
             self.cache.note_verified(hit.fingerprint, &hit.plan, verify);
         }
         Ok(Planned {
@@ -707,9 +734,29 @@ impl EngineInner {
             .map(drop)
     }
 
+    /// Lower `physical` and verify it at `level`: the engine's one consumer
+    /// of an armed [`faults::FaultEvent::UnchargedAlloc`], which makes the
+    /// program's first allocation site skip its charge.
+    fn verify(
+        &self,
+        db: &Database,
+        physical: &PhysicalPlan,
+        level: VerifyLevel,
+    ) -> Result<(Program, VerifyReport), PlanError> {
+        let mut program = crate::verify::program_for(db, physical)?;
+        let uncharged = self
+            .faults
+            .current()
+            .is_some_and(|f| f.fire_uncharged_alloc());
+        if let Some(alloc) = program.ops.first_mut().and_then(|op| op.allocs.first_mut()) {
+            alloc.charged &= !uncharged;
+        }
+        let report = swole_verify::verify(&program, level).map_err(PlanError::Verification)?;
+        Ok((program, report))
+    }
+
     /// Lower `physical` exactly once and run verification at `level` and the
-    /// bounds pass over the same program: the one-shot uncharged-allocation
-    /// fault must flow into the program the verifier actually judges.
+    /// bounds pass over the same program.
     fn verify_and_certify(
         &self,
         db: &Database,
@@ -717,23 +764,21 @@ impl EngineInner {
         physical: &PhysicalPlan,
         level: VerifyLevel,
     ) -> Result<(VerifyReport, PlanCertificate), PlanError> {
-        let program = crate::verify::program_for(db, physical)?;
-        let report = swole_verify::verify(&program, level).map_err(PlanError::Verification)?;
+        let (program, report) = self.verify(db, physical, level)?;
         let ctx = self.bounds_ctx_for(db, &program, fallback_bytes(db, logical));
         Ok((report, swole_verify::certify(&program, &ctx)))
     }
 
-    /// Derive the admission certificate for a composed plan via a
-    /// certification-only lowering (non-consuming with respect to the
-    /// uncharged-allocation verification fault). The bound reserves what a
-    /// data-centric fallback over `logical` would charge (`None`: no fallback).
+    /// Derive the admission certificate for a composed plan. The bound
+    /// reserves what a data-centric fallback over `logical` would charge
+    /// (`None`: no fallback).
     fn certificate_for(
         &self,
         db: &Database,
         physical: &PhysicalPlan,
         logical: Option<&LogicalPlan>,
     ) -> Result<Arc<PlanCertificate>, PlanError> {
-        let program = crate::verify::program_for_certification(db, physical)?;
+        let program = crate::verify::program_for(db, physical)?;
         let reserve = logical.map_or(0, |plan| fallback_bytes(db, plan));
         let ctx = self.bounds_ctx_for(db, &program, reserve);
         Ok(Arc::new(swole_verify::certify(&program, &ctx)))
@@ -745,12 +790,7 @@ impl EngineInner {
     /// profile (generation-fresh min/max and exact distinct counts) for
     /// every table the lowered program references. With statistics off the
     /// pass falls back to column-type domains.
-    fn bounds_ctx_for(
-        &self,
-        db: &Database,
-        program: &swole_verify::ir::Program,
-        fallback_bytes: u64,
-    ) -> BoundsCtx {
+    fn bounds_ctx_for(&self, db: &Database, program: &Program, fallback_bytes: u64) -> BoundsCtx {
         let mut ctx = BoundsCtx::without_stats(self.executor.max_partials());
         ctx.fallback_bytes = fallback_bytes;
         for table in &program.tables {

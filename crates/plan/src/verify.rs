@@ -7,10 +7,6 @@
 //! (which artifacts each stage materializes, at what scope and domain, and
 //! which allocation sites charge the [`crate::MemGauge`]), so the verifier's
 //! verdict is about the real composed kernels, not a parallel description.
-//!
-//! The lowering consults [`crate::faults::take_uncharged_alloc`]: an armed
-//! uncharged-allocation fault presents the first allocation site as not
-//! charging the gauge, which a `VerifyLevel::Full` pass must reject.
 
 use swole_kernels::TILE;
 use swole_storage::DataType;
@@ -18,13 +14,11 @@ use swole_verify::ir::{
     Alloc, ArithOp, Artifact, ArtifactKind, BoundExpr, ColType, ColumnDecl, Committed, ExprRole,
     FkDecl, FkRef, Import, Op, Program, Scope, StrategyRef, TableDecl, VExpr,
 };
-use swole_verify::{VerifyLevel, VerifyReport};
 
 use crate::catalog::Database;
 use crate::error::PlanError;
 use crate::exec::{build_access, post_access, window_access};
 use crate::expr::Expr;
-use crate::faults;
 use crate::logical::AggSpec;
 use crate::physical::{
     AggMode, AggShape, GroupTableRepr, JoinEdge, Lanes, PhysicalPlan, PostOp, Shape, WindowShape,
@@ -32,42 +26,8 @@ use crate::physical::{
 use swole_cost::{BitmapBuild, SemiJoinStrategy};
 use swole_ht::DenseAggTable;
 
-/// Lower `plan` and verify it at `level`. `Off` is a no-op by construction
-/// in the engine (callers guard it), but is honoured here too.
-pub(crate) fn verify_physical(
-    db: &Database,
-    plan: &PhysicalPlan,
-    level: VerifyLevel,
-) -> Result<VerifyReport, PlanError> {
-    let program = program_for(db, plan)?;
-    swole_verify::verify(&program, level).map_err(PlanError::Verification)
-}
-
-/// Lower a composed physical plan into the verification IR (consuming an
-/// armed uncharged-allocation fault, which verification is expected to
-/// catch). Use [`program_for_certification`] for bounds-only lowerings.
+/// Lower a composed physical plan into the verification IR.
 pub(crate) fn program_for(db: &Database, plan: &PhysicalPlan) -> Result<Program, PlanError> {
-    program_for_with(db, plan, true)
-}
-
-/// Lower a plan for certification only. Does *not* consume an armed
-/// uncharged-allocation fault: a `VerifyLevel::Off` session certifies every
-/// plan for admission, but must stay invisible to the fault — the fault is
-/// a verification probe, and tests rely on an Off-level query leaving it
-/// armed for a later explicit `verify_plan` call.
-pub(crate) fn program_for_certification(
-    db: &Database,
-    plan: &PhysicalPlan,
-) -> Result<Program, PlanError> {
-    program_for_with(db, plan, false)
-}
-
-fn program_for_with(
-    db: &Database,
-    plan: &PhysicalPlan,
-    consume_fault: bool,
-) -> Result<Program, PlanError> {
-    let fault_uncharged = consume_fault && faults::take_uncharged_alloc();
     let mut program = match &plan.shape {
         Shape::Agg(shape) => lower_agg(db, plan, shape)?,
         Shape::WindowScan(shape) => lower_window_scan(db, plan, shape)?,
@@ -95,11 +55,6 @@ fn program_for_with(
             let runs = post_access(p);
             op.strategy = Some(Committed { priced, runs });
             program.ops.push(op);
-        }
-    }
-    if fault_uncharged {
-        if let Some(alloc) = program.ops.first_mut().and_then(|op| op.allocs.first_mut()) {
-            alloc.charged = false;
         }
     }
     Ok(program)
@@ -492,7 +447,7 @@ mod tests {
     use crate::Engine;
     use swole_cost::AggStrategy;
     use swole_storage::{ColumnData, Table};
-    use swole_verify::VerifyErrorKind;
+    use swole_verify::{VerifyErrorKind, VerifyLevel};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -518,14 +473,18 @@ mod tests {
             .build();
         let mut plan = engine.plan(&query).expect("plans");
         let db = db();
-        assert!(verify_physical(&db, &plan, VerifyLevel::Full).is_ok());
+        let verify = |plan: &PhysicalPlan| {
+            let program = program_for(&db, plan).expect("lowers");
+            swole_verify::verify(&program, VerifyLevel::Full)
+        };
+        assert!(verify(&plan).is_ok());
         let Shape::Agg(shape) = &mut plan.shape else {
             panic!("a scan aggregation");
         };
         assert_eq!(shape.instance.lanes, Lanes::Selected);
         shape.instance.lanes = Lanes::Masked;
-        let e = match verify_physical(&db, &plan, VerifyLevel::Full) {
-            Err(PlanError::Verification(e)) => e,
+        let e = match verify(&plan) {
+            Err(e) => e,
             other => panic!("pass 3 let a masked run of a hybrid plan through: {other:?}"),
         };
         assert!(

@@ -29,8 +29,6 @@ use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::faults;
-
 /// Sliding window of recent service times backing the P99 estimate.
 const SERVICE_WINDOW: usize = 64;
 
@@ -319,18 +317,14 @@ impl AdmissionController {
     /// queue is full, when the shed policy predicts a hopeless wait, or
     /// when `deadline` expires before a slot frees up — a query that
     /// cannot start before its deadline is rejected rather than admitted
-    /// to die.
+    /// to die. `deadline` is read on the clock `now`: the engine's
+    /// deadline clock, which an armed fault plan may skew.
     pub fn admit(
         self: &Arc<Self>,
         priority: Priority,
         deadline: Option<Instant>,
+        now: impl Fn() -> Instant,
     ) -> Result<AdmissionPermit, AdmissionError> {
-        // Chaos hook: a scheduled admission stall sleeps *before* taking
-        // the state lock, so it delays this arrival without blocking
-        // permit releases or sibling admissions.
-        if let Some(stall) = faults::take_admission_stall() {
-            std::thread::sleep(stall);
-        }
         let mut st = self.state.lock().expect("admission state");
         if st.closed {
             return Err(AdmissionError::Shutdown);
@@ -339,7 +333,7 @@ impl AdmissionController {
             st.running += 1;
             return Ok(self.permit());
         }
-        if deadline.is_some_and(|d| faults::now() >= d) {
+        if deadline.is_some_and(|d| now() >= d) {
             return Err(AdmissionError::DeadlineBeforeStart);
         }
         if st.queued.len() >= self.cfg.queue_depth {
@@ -384,14 +378,14 @@ impl AdmissionController {
             }
             st = match deadline {
                 Some(d) => {
-                    let now = faults::now();
-                    if now >= d {
+                    let t = now();
+                    if t >= d {
                         st.remove(seq);
                         // Our departure may unblock a lower-priority head.
                         self.cv.notify_all();
                         return Err(AdmissionError::DeadlineBeforeStart);
                     }
-                    let (guard, _) = self.cv.wait_timeout(st, d - now).expect("admission state");
+                    let (guard, _) = self.cv.wait_timeout(st, d - t).expect("admission state");
                     guard
                 }
                 None => self.cv.wait(st).expect("admission state"),
@@ -444,9 +438,11 @@ mod tests {
         let ctrl = Arc::new(AdmissionController::new(
             AdmissionConfig::new(1).queue_depth(0),
         ));
-        let held = ctrl.admit(Priority::Normal, None).expect("first in");
+        let held = ctrl
+            .admit(Priority::Normal, None, Instant::now)
+            .expect("first in");
         let err = ctrl
-            .admit(Priority::Normal, None)
+            .admit(Priority::Normal, None, Instant::now)
             .expect_err("no slot, no queue");
         assert_eq!(
             err,
@@ -456,7 +452,9 @@ mod tests {
             }
         );
         drop(held);
-        let _second = ctrl.admit(Priority::Normal, None).expect("slot freed");
+        let _second = ctrl
+            .admit(Priority::Normal, None, Instant::now)
+            .expect("slot freed");
     }
 
     #[test]
@@ -464,10 +462,12 @@ mod tests {
         let ctrl = Arc::new(AdmissionController::new(
             AdmissionConfig::new(1).queue_depth(8),
         ));
-        let _held = ctrl.admit(Priority::Normal, None).expect("first in");
+        let _held = ctrl
+            .admit(Priority::Normal, None, Instant::now)
+            .expect("first in");
         let past = Instant::now() - Duration::from_millis(1);
         let err = ctrl
-            .admit(Priority::Normal, Some(past))
+            .admit(Priority::Normal, Some(past), Instant::now)
             .expect_err("deadline already gone");
         assert_eq!(err, AdmissionError::DeadlineBeforeStart);
         assert_eq!(ctrl.in_flight(), (1, 0), "rejected query must not linger");
@@ -479,10 +479,12 @@ mod tests {
         let ctrl = Arc::new(AdmissionController::new(
             AdmissionConfig::new(1).queue_depth(8),
         ));
-        let _held = ctrl.admit(Priority::Normal, None).expect("first in");
+        let _held = ctrl
+            .admit(Priority::Normal, None, Instant::now)
+            .expect("first in");
         let soon = Instant::now() + Duration::from_millis(20);
         let err = ctrl
-            .admit(Priority::Normal, Some(soon))
+            .admit(Priority::Normal, Some(soon), Instant::now)
             .expect_err("slot never frees");
         assert_eq!(err, AdmissionError::DeadlineBeforeStart);
         assert_eq!(ctrl.in_flight(), (1, 0));
@@ -494,13 +496,17 @@ mod tests {
         let ctrl = Arc::new(AdmissionController::new(
             AdmissionConfig::new(1).queue_depth(8),
         ));
-        let held = ctrl.admit(Priority::Normal, None).expect("first in");
+        let held = ctrl
+            .admit(Priority::Normal, None, Instant::now)
+            .expect("first in");
         let order = Arc::new(Mutex::new(Vec::new()));
         let spawn = |prio: Priority, tag: &'static str| {
             let ctrl = Arc::clone(&ctrl);
             let order = Arc::clone(&order);
             std::thread::spawn(move || {
-                let permit = ctrl.admit(prio, None).expect("eventually admitted");
+                let permit = ctrl
+                    .admit(prio, None, Instant::now)
+                    .expect("eventually admitted");
                 order.lock().expect("order").push(tag);
                 // Hold briefly so admission order is observable.
                 std::thread::sleep(Duration::from_millis(5));
@@ -527,14 +533,18 @@ mod tests {
         let ctrl = Arc::new(AdmissionController::new(
             AdmissionConfig::new(1).queue_depth(8),
         ));
-        let held = ctrl.admit(Priority::Normal, None).expect("first in");
+        let held = ctrl
+            .admit(Priority::Normal, None, Instant::now)
+            .expect("first in");
         let order = Arc::new(Mutex::new(Vec::new()));
         let mut waiters = Vec::new();
         for tag in 0..4usize {
             let ctrl2 = Arc::clone(&ctrl);
             let order = Arc::clone(&order);
             waiters.push(std::thread::spawn(move || {
-                let permit = ctrl2.admit(Priority::Normal, None).expect("admitted");
+                let permit = ctrl2
+                    .admit(Priority::Normal, None, Instant::now)
+                    .expect("admitted");
                 order.lock().expect("order").push(tag);
                 drop(permit);
             }));
@@ -561,13 +571,15 @@ mod tests {
         let ctrl = Arc::new(AdmissionController::new(
             AdmissionConfig::new(1).queue_depth(32).aging_limit(AGING),
         ));
-        let held = ctrl.admit(Priority::High, None).expect("first in");
+        let held = ctrl
+            .admit(Priority::High, None, Instant::now)
+            .expect("first in");
         let order = Arc::new(Mutex::new(Vec::new()));
         let spawn = |prio: Priority, tag: &'static str| {
             let ctrl = Arc::clone(&ctrl);
             let order = Arc::clone(&order);
             std::thread::spawn(move || {
-                let permit = ctrl.admit(prio, None).expect("admitted");
+                let permit = ctrl.admit(prio, None, Instant::now).expect("admitted");
                 order.lock().expect("order").push(tag);
                 drop(permit);
             })
@@ -610,14 +622,18 @@ mod tests {
         ));
         // Cold controller: no service history, so a busy slot queues
         // rather than sheds. Prime ~10ms of observed service time.
-        let priming = ctrl.admit(Priority::Normal, None).expect("primes");
+        let priming = ctrl
+            .admit(Priority::Normal, None, Instant::now)
+            .expect("primes");
         std::thread::sleep(Duration::from_millis(10));
         drop(priming);
         assert!(ctrl.observed_p99().expect("recorded") >= Duration::from_millis(10));
 
-        let held = ctrl.admit(Priority::Normal, None).expect("slot free");
+        let held = ctrl
+            .admit(Priority::Normal, None, Instant::now)
+            .expect("slot free");
         let err = ctrl
-            .admit(Priority::Normal, None)
+            .admit(Priority::Normal, None, Instant::now)
             .expect_err("predicted wait >> shed threshold");
         match err {
             AdmissionError::Overloaded {
@@ -633,7 +649,7 @@ mod tests {
         assert_eq!(ctrl.in_flight(), (1, 0));
         drop(held);
         let _ok = ctrl
-            .admit(Priority::Normal, None)
+            .admit(Priority::Normal, None, Instant::now)
             .expect("free slot admits regardless of history");
     }
 
@@ -642,10 +658,12 @@ mod tests {
         let ctrl = Arc::new(AdmissionController::new(
             AdmissionConfig::new(1).queue_depth(8),
         ));
-        let held = ctrl.admit(Priority::Normal, None).expect("first in");
+        let held = ctrl
+            .admit(Priority::Normal, None, Instant::now)
+            .expect("first in");
         let waiter = {
             let ctrl = Arc::clone(&ctrl);
-            std::thread::spawn(move || ctrl.admit(Priority::Normal, None))
+            std::thread::spawn(move || ctrl.admit(Priority::Normal, None, Instant::now))
         };
         while ctrl.in_flight().1 < 1 {
             std::thread::yield_now();
@@ -660,7 +678,7 @@ mod tests {
         );
         assert!(
             matches!(
-                ctrl.admit(Priority::High, None),
+                ctrl.admit(Priority::High, None, Instant::now),
                 Err(AdmissionError::Shutdown)
             ),
             "new arrivals must be rejected once closed"

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use crate::admission::Priority;
 use crate::error::RuntimeError;
-use crate::faults;
+use crate::faults::{self, ArmedPlan, FaultEvent};
 use crate::gauge::{GlobalMemoryPool, MemGauge};
 
 /// Shared cancellation flag behind [`ExecHandle`]. One `CancelState` scopes
@@ -73,6 +73,9 @@ pub struct ExecCtx {
     cancel: Arc<CancelState>,
     /// Absolute deadline on the (possibly fault-skewed) deadline clock.
     deadline: Option<Instant>,
+    /// The fault plan armed on the engine when the query was admitted, if
+    /// any; the gauge holds the same state.
+    faults: Option<Arc<ArmedPlan>>,
     /// The query's memory gauge.
     pub gauge: MemGauge,
     priority: Priority,
@@ -114,6 +117,7 @@ impl ExecCtx {
         ExecCtx {
             cancel,
             deadline,
+            faults: None,
             gauge: MemGauge::hierarchical(budget, global.clone()),
             priority,
             global,
@@ -135,6 +139,44 @@ impl ExecCtx {
     pub fn with_stall_window(mut self, window: Option<Duration>) -> ExecCtx {
         self.stall_window = window;
         self
+    }
+
+    /// Run the query under an armed fault plan's state (`None`: nothing
+    /// armed). Call before sharing the context, like
+    /// [`ExecCtx::with_stall_window`].
+    pub fn with_faults(mut self, faults: Option<Arc<ArmedPlan>>) -> ExecCtx {
+        self.gauge.faults.clone_from(&faults);
+        self.faults = faults;
+        self
+    }
+
+    /// The deadline clock: wall time plus any skew the armed plan applied.
+    pub fn now(&self) -> Instant {
+        faults::now(self.faults.as_deref())
+    }
+
+    /// The fault hook at a claimed morsel: panic if the armed plan says so,
+    /// or hold the claiming worker until the query is aborted or cancelled
+    /// and fail the morsel with that typed error.
+    pub(crate) fn fault_at_morsel(&self, index: usize) -> Result<(), RuntimeError> {
+        match self
+            .faults
+            .as_ref()
+            .and_then(|f| f.take_morsel_fault(index))
+        {
+            None => Ok(()),
+            Some(FaultEvent::WorkerPanic { .. }) => {
+                panic!("injected fault: worker panic at morsel {index}")
+            }
+            Some(_) => {
+                while !self.aborted.load(Ordering::Relaxed)
+                    && !self.cancel.cancelled.load(Ordering::Relaxed)
+                {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                self.check()
+            }
+        }
     }
 
     /// A context with no handle, deadline, or budget (tests, benches).
@@ -167,7 +209,7 @@ impl ExecCtx {
             });
         }
         if let Some(window) = self.stall_window {
-            let elapsed = faults::now().saturating_duration_since(self.started);
+            let elapsed = self.now().saturating_duration_since(self.started);
             let last = self.last_progress_ms.load(Ordering::Relaxed);
             let idle_ms = (elapsed.as_millis() as u64).saturating_sub(last);
             if idle_ms > window.as_millis() as u64 {
@@ -179,7 +221,7 @@ impl ExecCtx {
             }
         }
         if let Some(deadline) = self.deadline {
-            if faults::now() >= deadline {
+            if self.now() >= deadline {
                 return Err(RuntimeError::DeadlineExceeded {
                     morsels_done: self.morsels_done.load(Ordering::Relaxed),
                     morsels_total: self.morsels_total.load(Ordering::Relaxed),
@@ -209,17 +251,19 @@ impl ExecCtx {
 
     /// Record one fully processed morsel. This is the watchdog heartbeat:
     /// the stall clock restarts from here. The heartbeat is recorded
-    /// *before* the chaos harness is notified, so a scheduled clock-skew
+    /// *before* the armed fault plan counts the morsel, so a clock-skew
     /// event fires strictly after it — making watchdog trips under chaos
     /// deterministic.
     pub fn morsel_done(&self) {
         self.morsels_done.fetch_add(1, Ordering::Relaxed);
         if self.stall_window.is_some() {
-            let elapsed = faults::now().saturating_duration_since(self.started);
+            let elapsed = self.now().saturating_duration_since(self.started);
             self.last_progress_ms
                 .fetch_max(elapsed.as_millis() as u64, Ordering::Relaxed);
         }
-        faults::note_morsel_done();
+        if let Some(faults) = &self.faults {
+            faults.morsel_done();
+        }
     }
 
     /// Add `n` morsels to the scheduled total (once per stage).

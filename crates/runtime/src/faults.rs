@@ -1,117 +1,76 @@
-//! Fault-injection harness for hardening tests.
+//! Fault injection for hardening tests: one [`FaultPlan`] armed on one
+//! engine.
 //!
-//! The hooks here let tests force the failures the execution-hardening
-//! layer exists to contain — a worker panic at a chosen morsel index, an
-//! allocation failure at a chosen memory charge, or clock skew that makes
-//! deadlines fire early — without conditional compilation. Every hook is a
-//! process-global that is **disarmed by default** and costs one relaxed
-//! atomic load on the hot path, so the harness is always compiled in and
-//! release binaries behave identically unless a test arms it.
+//! A plan is a list of [`FaultEvent`]s. An engine arms it on a
+//! [`FaultSlot`] of its own (`Engine::inject_faults` in `swole-plan`), and
+//! every statement it admits while the plan is armed carries the plan's
+//! state, an [`ArmedPlan`], in its [`crate::ExecCtx`]: a fault armed on one
+//! engine never fires in another. With nothing armed a statement pays one
+//! relaxed load and its context holds `None`, so the hooks are always
+//! compiled in. Dropping the [`FaultGuard`] disarms the slot, and every
+//! event fires once, so the retry under the data-centric fallback does not
+//! re-trip the fault that caused it.
 //!
-//! Arming returns a [`FaultGuard`]; dropping the guard disarms every hook,
-//! so a panicking test cannot leak a fault into its neighbours. Panic and
-//! allocation faults are additionally *one-shot*: they disarm themselves
-//! the moment they fire, so the engine's retry-under-fallback path does not
-//! re-trip the same fault.
-//!
-//! Because the hooks are process-global, tests that arm them must not run
-//! concurrently with each other; serialize them with a `Mutex` (see
-//! `tests/fault_injection.rs` in the workspace root).
-//!
-//! ## Chaos schedules
-//!
-//! The one-shot hooks compose into [`ChaosSchedule`]s: deterministic,
-//! LCG-seeded *sequences* of faults — several worker panics, allocation
-//! failures at chosen charge indices, admission stalls, and clock-skew
-//! jumps fired after chosen morsel counts — armed all at once with
-//! [`ChaosSchedule::inject`]. The same seed always produces the same event
-//! list, and every event keys off a deterministic index (morsel index =
-//! `start / step`, process-wide charge count, process-wide morsel count),
-//! so a failing soak run is replayable from its printed seed alone. The
-//! hot path stays one relaxed atomic load: schedule state is only
-//! consulted while [`schedule_active`] is set.
+//! Every trigger keys off a deterministic index — morsel index =
+//! `start / step` (the same rows at any thread count), charges and
+//! completed morsels counted from arming — so a soak run under
+//! [`FaultPlan::from_seed`] is replayable from its printed seed alone.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Morsel index at which a worker panic fires (`-1` = disarmed).
-static PANIC_AT_MORSEL: AtomicI64 = AtomicI64::new(-1);
-/// One-shot flag making the next plan lowered for static verification report
-/// an allocation site that skips its memory charge.
-static UNCHARGED_ALLOC: AtomicBool = AtomicBool::new(false);
-/// Countdown of memory charges until one fails (`-1` = disarmed; the charge
-/// observing `0` fails and disarms the hook).
-static ALLOC_FAIL_COUNTDOWN: AtomicI64 = AtomicI64::new(-1);
-/// Milliseconds added to every deadline-clock read (`0` = no skew).
-static CLOCK_SKEW_MS: AtomicU64 = AtomicU64::new(0);
-/// Fast-path flag: `true` while a [`ChaosSchedule`] is armed, so the
-/// per-morsel and per-charge hooks only take the schedule lock when a soak
-/// test is actually running.
-static SCHEDULE_ACTIVE: AtomicBool = AtomicBool::new(false);
-/// The armed chaos schedule's mutable state (consumed events are removed).
-static SCHEDULE: Mutex<Option<ScheduleState>> = Mutex::new(None);
-
-/// One fault in a [`ChaosSchedule`].
+/// One fault in a [`FaultPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosEvent {
-    /// Panic the worker that claims morsel `morsel` (one-shot per event;
-    /// a schedule may carry several at different indices).
+pub enum FaultEvent {
+    /// Panic the worker that claims morsel `morsel`.
     WorkerPanic {
         /// Zero-based morsel index, in claim order within a stage.
         morsel: usize,
     },
-    /// Fail the `charge`-th memory charge (zero-based, counted process-wide
-    /// from the moment the schedule is armed).
+    /// Fail the `charge`-th memory charge (zero-based, counted from arming
+    /// over every statement of the engine).
     AllocFailure {
         /// Zero-based charge index.
         charge: usize,
     },
-    /// After `after_morsels` morsels have completed process-wide, skew the
-    /// deadline clock forward by `ms` milliseconds (cumulative with any
-    /// other skew).
+    /// Skew the deadline clock forward by `ms` milliseconds (cumulative
+    /// with any other skew): at arming when `after_morsels` is `None`,
+    /// else once more than `after_morsels` morsels have completed since.
     ClockSkew {
-        /// Process-wide completed-morsel count that triggers the skew.
-        after_morsels: usize,
+        /// Completed-morsel count past which the skew applies.
+        after_morsels: Option<usize>,
         /// Milliseconds to add to the deadline clock.
         ms: u64,
     },
     /// Stall the next admission attempt by `ms` milliseconds before it
-    /// reaches the controller (one-shot per event).
+    /// reaches the controller.
     AdmissionStall {
         /// Milliseconds the admitting thread sleeps.
         ms: u64,
     },
+    /// Present the first allocation site of the next plan lowered for
+    /// verification as not charging the memory gauge, which a full
+    /// verification pass must reject.
+    UnchargedAlloc,
+    /// Park the worker that claims morsel `morsel` until its context is
+    /// aborted or cancelled, then fail the morsel with that typed error: a
+    /// test decides that a statement is mid-flight instead of racing it.
+    /// [`FaultPlan::from_seed`] never emits it.
+    Hold {
+        /// Zero-based morsel index, in claim order within a stage.
+        morsel: usize,
+    },
 }
 
-/// Mutable view of an armed schedule; events are removed as they fire.
-#[derive(Default)]
-struct ScheduleState {
-    /// Morsel indices that panic (one entry consumed per firing).
-    panics: Vec<usize>,
-    /// Charge indices that fail, against `charges_seen`.
-    alloc_failures: Vec<usize>,
-    /// `(after_morsels, ms)` skew triggers, against `morsels_seen`.
-    skews: Vec<(usize, u64)>,
-    /// Pending admission-stall durations, consumed FIFO.
-    admission_stalls: Vec<u64>,
-    /// Memory charges observed since arming.
-    charges_seen: usize,
-    /// Morsels completed since arming.
-    morsels_seen: usize,
-}
-
-/// A deterministic, seeded sequence of faults. Generate one with
-/// [`ChaosSchedule::from_seed`] (same seed ⇒ same events, forever) or
-/// build the event list by hand, then arm it with
-/// [`ChaosSchedule::inject`]. Like the one-shot hooks, schedules are
-/// process-global: tests arming them must serialize.
+/// A list of faults to arm on one engine: derived from a seed, one event
+/// from the constructors below, or built by hand.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosSchedule {
-    /// The seed this schedule was generated from (0 for hand-built ones).
+pub struct FaultPlan {
+    /// The seed this plan was generated from (0 for hand-built ones).
     pub seed: u64,
     /// The faults, in generation order.
-    pub events: Vec<ChaosEvent>,
+    pub events: Vec<FaultEvent>,
 }
 
 /// Multiplier/increment from Knuth's MMIX LCG — full 2^64 period, and the
@@ -123,218 +82,289 @@ fn lcg_next(state: &mut u64) -> u64 {
     *state
 }
 
-impl ChaosSchedule {
-    /// Derive a schedule of 2–5 faults from `seed`. Indices are kept small
-    /// (morsels < 48, charges < 24, skew ≤ 8 s, stalls ≤ 20 ms) so every
-    /// event has a real chance to fire against the soak workload; which
-    /// kinds appear, and where, is entirely seed-driven.
-    pub fn from_seed(seed: u64) -> ChaosSchedule {
+impl FaultPlan {
+    /// Derive a plan of 2–5 faults from `seed` (same seed ⇒ same events,
+    /// forever). Indices are kept small (morsels < 48, charges < 24, skew
+    /// ≤ 8 s, stalls ≤ 20 ms) so every event has a real chance to fire
+    /// against the soak workload; which kinds appear, and where, is
+    /// entirely seed-driven.
+    pub fn from_seed(seed: u64) -> FaultPlan {
         let mut s = seed ^ 0x9e37_79b9_7f4a_7c15;
         let n_events = 2 + (lcg_next(&mut s) % 4) as usize;
         let events = (0..n_events)
             .map(|_| match lcg_next(&mut s) % 4 {
-                0 => ChaosEvent::WorkerPanic {
+                0 => FaultEvent::WorkerPanic {
                     morsel: (lcg_next(&mut s) % 48) as usize,
                 },
-                1 => ChaosEvent::AllocFailure {
+                1 => FaultEvent::AllocFailure {
                     charge: (lcg_next(&mut s) % 24) as usize,
                 },
-                2 => ChaosEvent::ClockSkew {
-                    after_morsels: (lcg_next(&mut s) % 64) as usize,
+                2 => FaultEvent::ClockSkew {
+                    after_morsels: Some((lcg_next(&mut s) % 64) as usize),
                     ms: 1000 + lcg_next(&mut s) % 7000,
                 },
-                _ => ChaosEvent::AdmissionStall {
+                _ => FaultEvent::AdmissionStall {
                     ms: 1 + lcg_next(&mut s) % 20,
                 },
             })
             .collect();
-        ChaosSchedule { seed, events }
+        FaultPlan { seed, events }
     }
 
-    /// Arm every event of this schedule at once. The returned guard disarms
-    /// the whole harness (schedule and one-shot hooks) on drop.
-    pub fn inject(&self) -> FaultGuard {
-        let mut state = ScheduleState::default();
-        for ev in &self.events {
-            match *ev {
-                ChaosEvent::WorkerPanic { morsel } => state.panics.push(morsel),
-                ChaosEvent::AllocFailure { charge } => state.alloc_failures.push(charge),
-                ChaosEvent::ClockSkew { after_morsels, ms } => {
-                    state.skews.push((after_morsels, ms));
-                }
-                ChaosEvent::AdmissionStall { ms } => state.admission_stalls.push(ms),
-            }
+    fn one(event: FaultEvent) -> FaultPlan {
+        FaultPlan {
+            seed: 0,
+            events: vec![event],
         }
-        *SCHEDULE.lock().expect("chaos schedule") = Some(state);
-        SCHEDULE_ACTIVE.store(true, Ordering::SeqCst);
-        FaultGuard { _priv: () }
+    }
+
+    /// A worker panic at morsel `index`.
+    pub fn panic_at_morsel(index: usize) -> FaultPlan {
+        FaultPlan::one(FaultEvent::WorkerPanic { morsel: index })
+    }
+
+    /// The `nth` memory charge after arming fails with
+    /// [`crate::RuntimeError::BudgetExceeded`], whatever the budget.
+    pub fn alloc_failure_at_charge(nth: usize) -> FaultPlan {
+        FaultPlan::one(FaultEvent::AllocFailure { charge: nth })
+    }
+
+    /// The deadline clock skewed forward by `by` from arming on.
+    pub fn clock_skew(by: Duration) -> FaultPlan {
+        FaultPlan::one(FaultEvent::ClockSkew {
+            after_morsels: None,
+            ms: by.as_millis() as u64,
+        })
+    }
+
+    /// The next plan lowered for verification skips one memory charge.
+    pub fn uncharged_alloc() -> FaultPlan {
+        FaultPlan::one(FaultEvent::UnchargedAlloc)
     }
 }
 
-/// `true` while a [`ChaosSchedule`] is armed.
-pub fn schedule_active() -> bool {
-    SCHEDULE_ACTIVE.load(Ordering::Relaxed)
+/// An armed plan's mutable state, shared by `Arc` between the engine's
+/// slot and every context admitted while it is armed.
+#[derive(Debug)]
+pub struct ArmedPlan(Mutex<ArmedState>);
+
+#[derive(Debug)]
+struct ArmedState {
+    /// The events that have not fired, in generation order.
+    events: Vec<FaultEvent>,
+    charges_seen: usize,
+    morsels_seen: usize,
+    skew_ms: u64,
 }
 
-/// RAII guard returned by the `inject_*` functions; disarms **all** fault
-/// hooks when dropped.
-#[must_use = "faults stay armed only while the guard is alive"]
+impl ArmedState {
+    /// Take the first event `pick` accepts.
+    fn take(&mut self, pick: impl Fn(&FaultEvent) -> bool) -> Option<FaultEvent> {
+        let pos = self.events.iter().position(pick)?;
+        Some(self.events.remove(pos))
+    }
+
+    /// Apply every skew whose trigger has passed.
+    fn apply_skews(&mut self) {
+        let seen = self.morsels_seen;
+        while let Some(FaultEvent::ClockSkew { ms, .. }) = self.take(|e| {
+            matches!(e, FaultEvent::ClockSkew { after_morsels, .. }
+                if after_morsels.is_none_or(|k| k < seen))
+        }) {
+            self.skew_ms += ms;
+        }
+    }
+}
+
+impl ArmedPlan {
+    fn lock(&self) -> MutexGuard<'_, ArmedState> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The deadline clock: wall time plus the skew applied so far.
+    pub fn now(&self) -> Instant {
+        Instant::now() + Duration::from_millis(self.lock().skew_ms)
+    }
+
+    /// Sleep through the next admission stall, if one is left.
+    pub fn stall_admission(&self) {
+        let stall = self
+            .lock()
+            .take(|e| matches!(e, FaultEvent::AdmissionStall { .. }));
+        if let Some(FaultEvent::AdmissionStall { ms }) = stall {
+            std::thread::sleep(Duration::from_millis(ms));
+        }
+    }
+
+    /// `true` once, if the plan holds an [`FaultEvent::UnchargedAlloc`].
+    pub fn fire_uncharged_alloc(&self) -> bool {
+        let mut state = self.lock();
+        state.take(|e| *e == FaultEvent::UnchargedAlloc).is_some()
+    }
+
+    /// The panic or hold armed for morsel `index`, if any.
+    pub(crate) fn take_morsel_fault(&self, index: usize) -> Option<FaultEvent> {
+        self.lock().take(|e| {
+            matches!(e, FaultEvent::WorkerPanic { morsel } | FaultEvent::Hold { morsel }
+                if *morsel == index)
+        })
+    }
+
+    /// Count one memory charge; `true` if the plan fails this one.
+    pub(crate) fn charge_fails(&self) -> bool {
+        let mut state = self.lock();
+        let charge = state.charges_seen;
+        state.charges_seen += 1;
+        let failure = FaultEvent::AllocFailure { charge };
+        state.take(|e| *e == failure).is_some()
+    }
+
+    /// Count one completed morsel and apply the skews it triggers.
+    pub(crate) fn morsel_done(&self) {
+        let mut state = self.lock();
+        state.morsels_seen += 1;
+        state.apply_skews();
+    }
+}
+
+/// The deadline clock under `armed`: wall time when nothing is armed.
+pub fn now(armed: Option<&ArmedPlan>) -> Instant {
+    armed.map_or_else(Instant::now, ArmedPlan::now)
+}
+
+/// Where an engine's plan is armed.
+#[derive(Debug, Default)]
+pub struct FaultSlot {
+    armed: AtomicBool,
+    plan: Mutex<Option<Arc<ArmedPlan>>>,
+}
+
+impl FaultSlot {
+    fn lock(&self) -> MutexGuard<'_, Option<Arc<ArmedPlan>>> {
+        self.plan.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Arm `plan` here, replacing any plan armed before, until the
+    /// returned guard drops.
+    pub fn arm(self: &Arc<Self>, plan: FaultPlan) -> FaultGuard {
+        let mut state = ArmedState {
+            events: plan.events,
+            charges_seen: 0,
+            morsels_seen: 0,
+            skew_ms: 0,
+        };
+        state.apply_skews();
+        let armed = Arc::new(ArmedPlan(Mutex::new(state)));
+        *self.lock() = Some(Arc::clone(&armed));
+        self.armed.store(true, Ordering::SeqCst);
+        FaultGuard {
+            slot: Arc::clone(self),
+            armed,
+        }
+    }
+
+    /// The armed plan's state; `None`, after one relaxed load, when
+    /// nothing is armed.
+    pub fn current(&self) -> Option<Arc<ArmedPlan>> {
+        if !self.armed.load(Ordering::Relaxed) {
+            return None;
+        }
+        self.lock().clone()
+    }
+}
+
+/// Disarms its plan on drop. Statements admitted while the plan was armed
+/// keep its state until they finish.
+#[must_use = "a plan stays armed only while its guard is alive"]
 pub struct FaultGuard {
-    _priv: (),
+    slot: Arc<FaultSlot>,
+    armed: Arc<ArmedPlan>,
 }
 
 impl Drop for FaultGuard {
     fn drop(&mut self) {
-        disarm_all();
-    }
-}
-
-/// Disarm every fault hook immediately (also done by [`FaultGuard::drop`]).
-pub fn disarm_all() {
-    PANIC_AT_MORSEL.store(-1, Ordering::SeqCst);
-    ALLOC_FAIL_COUNTDOWN.store(-1, Ordering::SeqCst);
-    CLOCK_SKEW_MS.store(0, Ordering::SeqCst);
-    UNCHARGED_ALLOC.store(false, Ordering::SeqCst);
-    SCHEDULE_ACTIVE.store(false, Ordering::SeqCst);
-    *SCHEDULE.lock().expect("chaos schedule") = None;
-}
-
-/// Arm a one-shot worker panic at morsel `index` (zero-based, in claim
-/// order). Morsel indices are derived from row offsets, so the same index
-/// denotes the same rows at any thread count — and on the shared pool.
-pub fn inject_panic_at_morsel(index: usize) -> FaultGuard {
-    PANIC_AT_MORSEL.store(index as i64, Ordering::SeqCst);
-    FaultGuard { _priv: () }
-}
-
-/// Arm a one-shot allocation failure: the `nth` memory charge (zero-based)
-/// made through a [`crate::MemGauge`] after this call reports
-/// [`crate::RuntimeError::BudgetExceeded`] regardless of the actual budget.
-pub fn inject_alloc_failure_at_charge(nth: usize) -> FaultGuard {
-    ALLOC_FAIL_COUNTDOWN.store(nth as i64, Ordering::SeqCst);
-    FaultGuard { _priv: () }
-}
-
-/// Arm a one-shot uncharged-allocation fault: the next plan lowered for
-/// static verification presents one allocation site as *not* charging the
-/// memory gauge, so a full verification pass must reject it. Exercises the
-/// verifier's resource-accounting pass end-to-end through the engine.
-pub fn inject_uncharged_alloc() -> FaultGuard {
-    UNCHARGED_ALLOC.store(true, Ordering::SeqCst);
-    FaultGuard { _priv: () }
-}
-
-/// Plan-time hook: `true` exactly once after [`inject_uncharged_alloc`].
-/// Consulted by the plan layer when lowering a plan for static
-/// verification; not a hot-path hook.
-pub fn take_uncharged_alloc() -> bool {
-    UNCHARGED_ALLOC.swap(false, Ordering::SeqCst)
-}
-
-/// Skew the deadline clock forward by `by`, making in-flight deadlines
-/// appear already elapsed. Stays armed until the guard drops.
-pub fn inject_clock_skew(by: Duration) -> FaultGuard {
-    CLOCK_SKEW_MS.store(by.as_millis() as u64, Ordering::SeqCst);
-    FaultGuard { _priv: () }
-}
-
-/// Hot-path hook: panic if a one-shot panic (or a schedule event) is armed
-/// for this morsel.
-pub(crate) fn maybe_panic_at_morsel(index: usize) {
-    let target = PANIC_AT_MORSEL.load(Ordering::Relaxed);
-    if target >= 0
-        && target as usize == index
-        && PANIC_AT_MORSEL
-            .compare_exchange(target, -1, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-    {
-        panic!("injected fault: worker panic at morsel {index}");
-    }
-    if SCHEDULE_ACTIVE.load(Ordering::Relaxed) {
-        let mut fire = false;
-        if let Some(state) = SCHEDULE.lock().expect("chaos schedule").as_mut() {
-            if let Some(pos) = state.panics.iter().position(|&m| m == index) {
-                state.panics.swap_remove(pos);
-                fire = true;
-            }
-        }
-        if fire {
-            panic!("injected fault: scheduled worker panic at morsel {index}");
+        let mut plan = self.slot.lock();
+        if plan.as_ref().is_some_and(|p| Arc::ptr_eq(p, &self.armed)) {
+            *plan = None;
+            self.slot.armed.store(false, Ordering::SeqCst);
         }
     }
 }
 
-/// Hot-path hook: `true` exactly once, on the charge the countdown reaches
-/// (or on a charge index named by an armed schedule).
-pub(crate) fn charge_should_fail() -> bool {
-    if SCHEDULE_ACTIVE.load(Ordering::Relaxed) {
-        if let Some(state) = SCHEDULE.lock().expect("chaos schedule").as_mut() {
-            let seen = state.charges_seen;
-            state.charges_seen += 1;
-            if let Some(pos) = state.alloc_failures.iter().position(|&c| c == seen) {
-                state.alloc_failures.swap_remove(pos);
-                return true;
-            }
-        }
-    }
-    if ALLOC_FAIL_COUNTDOWN.load(Ordering::Relaxed) < 0 {
-        return false;
-    }
-    ALLOC_FAIL_COUNTDOWN
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
-            if v < 0 {
-                None
-            } else {
-                Some(v - 1)
-            }
-        })
-        .map(|prev| prev == 0)
-        .unwrap_or(false)
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Progress hook: called once per completed morsel so schedule clock-skew
-/// events can fire at deterministic morsel counts. No-op (one relaxed
-/// load) unless a schedule is armed.
-pub(crate) fn note_morsel_done() {
-    if !SCHEDULE_ACTIVE.load(Ordering::Relaxed) {
-        return;
+    /// The seeded plans are pinned: a nightly `CHAOS_SEED` replays the
+    /// events it printed, whatever the harness is called.
+    #[test]
+    fn seeded_plans_are_pinned() {
+        use FaultEvent::*;
+        assert_eq!(
+            FaultPlan::from_seed(3).events,
+            [
+                WorkerPanic { morsel: 23 },
+                ClockSkew {
+                    after_morsels: Some(49),
+                    ms: 7108
+                },
+                AdmissionStall { ms: 15 },
+            ]
+        );
+        assert_eq!(
+            FaultPlan::from_seed(0x5eed).events,
+            [
+                ClockSkew {
+                    after_morsels: Some(49),
+                    ms: 3604
+                },
+                AdmissionStall { ms: 15 },
+                AllocFailure { charge: 16 },
+                AdmissionStall { ms: 11 },
+                AllocFailure { charge: 20 },
+            ]
+        );
     }
-    if let Some(state) = SCHEDULE.lock().expect("chaos schedule").as_mut() {
-        state.morsels_seen += 1;
-        let seen = state.morsels_seen;
-        let mut i = 0;
-        while i < state.skews.len() {
-            if state.skews[i].0 < seen {
-                let (_, ms) = state.skews.swap_remove(i);
-                CLOCK_SKEW_MS.fetch_add(ms, Ordering::SeqCst);
-            } else {
-                i += 1;
-            }
-        }
-    }
-}
 
-/// Admission hook: take the next scheduled stall duration, if any. The
-/// caller sleeps *outside* the admission lock so a stalled arrival cannot
-/// block permit releases.
-pub(crate) fn take_admission_stall() -> Option<Duration> {
-    if !SCHEDULE_ACTIVE.load(Ordering::Relaxed) {
-        return None;
+    #[test]
+    fn skews_apply_at_arming_or_past_their_morsel_count() {
+        let slot = Arc::new(FaultSlot::default());
+        let _guard = slot.arm(FaultPlan {
+            seed: 0,
+            events: vec![
+                FaultEvent::ClockSkew {
+                    after_morsels: Some(1),
+                    ms: 3_600_000,
+                },
+                FaultEvent::ClockSkew {
+                    after_morsels: None,
+                    ms: 7_200_000,
+                },
+            ],
+        });
+        let armed = slot.current().expect("armed");
+        let skew = |armed: &ArmedPlan| armed.lock().skew_ms;
+        assert_eq!(skew(&armed), 7_200_000);
+        armed.morsel_done();
+        assert_eq!(skew(&armed), 7_200_000);
+        armed.morsel_done();
+        assert_eq!(skew(&armed), 10_800_000);
+        assert!(armed.now() > Instant::now() + Duration::from_secs(10_000));
     }
-    SCHEDULE
-        .lock()
-        .expect("chaos schedule")
-        .as_mut()
-        .and_then(|state| {
-            if state.admission_stalls.is_empty() {
-                None
-            } else {
-                Some(Duration::from_millis(state.admission_stalls.remove(0)))
-            }
-        })
-}
 
-/// The deadline clock: wall time plus any injected skew.
-pub(crate) fn now() -> Instant {
-    Instant::now() + Duration::from_millis(CLOCK_SKEW_MS.load(Ordering::Relaxed))
+    #[test]
+    fn a_guard_disarms_only_its_own_plan() {
+        let slot = Arc::new(FaultSlot::default());
+        assert!(slot.current().is_none());
+        let first = slot.arm(FaultPlan::uncharged_alloc());
+        let second = slot.arm(FaultPlan::alloc_failure_at_charge(1));
+        drop(first);
+        let armed = slot.current().expect("the second plan stays armed");
+        assert!(!armed.fire_uncharged_alloc());
+        assert!(!armed.charge_fails());
+        assert!(armed.charge_fails(), "charge 1 fails");
+        assert!(!armed.charge_fails(), "once");
+        drop(second);
+        assert!(slot.current().is_none());
+    }
 }

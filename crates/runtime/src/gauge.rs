@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::error::RuntimeError;
-use crate::faults;
+use crate::faults::ArmedPlan;
 
 /// How concurrent queries divide the global memory budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -170,6 +170,8 @@ pub struct MemGauge {
     /// Bytes successfully forwarded to `global` (released on drop by the
     /// owning [`crate::ExecCtx`]).
     parent_charged: AtomicUsize,
+    /// The owning context's armed fault plan, which may fail a charge.
+    pub(crate) faults: Option<Arc<ArmedPlan>>,
 }
 
 impl MemGauge {
@@ -185,14 +187,15 @@ impl MemGauge {
             budget: budget.unwrap_or(usize::MAX),
             global,
             parent_charged: AtomicUsize::new(0),
+            faults: None,
         }
     }
 
     /// Charge `bytes` against the budget (and the global pool, if
     /// attached). Fails if either budget would be exceeded, or if the
-    /// fault harness has an allocation failure armed for this charge.
+    /// armed fault plan fails this charge.
     pub fn try_charge(&self, bytes: usize) -> Result<(), RuntimeError> {
-        if faults::charge_should_fail() {
+        if self.faults.as_ref().is_some_and(|f| f.charge_fails()) {
             return Err(RuntimeError::BudgetExceeded {
                 requested: bytes,
                 used: self.used(),
@@ -214,13 +217,11 @@ impl MemGauge {
         Ok(())
     }
 
-    /// Charge `bytes` without consulting the fault-injection harness,
-    /// rolling the charge back on failure.
+    /// Charge `bytes`, rolling the charge back on failure.
     ///
     /// Long-lived gauges (the plan cache's byte budget) account bytes for
-    /// the session's lifetime, not one query; an armed allocation fault is
-    /// aimed at execution-path charges and must not be consumed by cache
-    /// bookkeeping.
+    /// the session's lifetime, not one query, and evict until a charge
+    /// fits: a failed attempt must leave nothing charged.
     pub fn try_charge_quiet(&self, bytes: usize) -> Result<(), RuntimeError> {
         if let Some(global) = &self.global {
             global.try_charge(bytes, self.used().saturating_add(bytes))?;

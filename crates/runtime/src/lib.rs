@@ -32,9 +32,10 @@
 //! - [`ExecCtx`] / [`ExecHandle`] — per-query cancellation, deadlines, and
 //!   progress, observed cooperatively at morsel boundaries.
 //!
-//! The [`faults`] module hosts the process-global fault-injection harness
-//! the hardening tests use to force panics, allocation failures, and clock
-//! skew through all of the above.
+//! The [`faults`] module hosts the fault plans the hardening tests arm on
+//! one engine to force panics, allocation failures, clock skew, admission
+//! stalls and held workers through all of the above; each statement's
+//! [`ExecCtx`] carries the armed plan's state, or nothing.
 
 #![warn(missing_docs)]
 

@@ -45,7 +45,7 @@
 //! [`RuntimeError`] — the process (and the pool's worker threads) keep
 //! running. The same morsel boundary is the cooperative
 //! cancellation/deadline check, and the claimed morsel index feeds the
-//! fault-injection harness.
+//! context's armed fault plan, if any.
 //!
 //! **Lifecycle:** [`WorkerPool::shutdown`] stops the workers and *joins*
 //! them — no detached `swole-pool-*` thread survives a drain. Dropping the
@@ -87,7 +87,6 @@ use std::time::Instant;
 use crate::admission::Priority;
 use crate::ctx::{panic_payload_error, ExecCtx};
 use crate::error::{pick_error, RuntimeError};
-use crate::faults;
 use swole_kernels::TILE;
 
 /// A shared dispenser of tile-aligned morsel bounds over `0..n_rows`.
@@ -155,7 +154,7 @@ where
         boundary()?;
         let mut local = init();
         while let Some((start, len, index)) = queue.claim() {
-            faults::maybe_panic_at_morsel(index);
+            ctx.fault_at_morsel(index)?;
             body(&mut local, start, len);
             ctx.morsel_done();
             boundary()?;
@@ -312,20 +311,22 @@ where
             return false;
         };
         let run = catch_unwind(AssertUnwindSafe(|| {
-            faults::maybe_panic_at_morsel(index);
+            self.ctx.fault_at_morsel(index)?;
             let mut acc = self.checkout();
             (self.body)(&mut acc, start, len);
             self.ctx.morsel_done();
             self.free.lock().expect("stage free list").push(acc);
-        }));
+            Ok(())
+        }))
+        .unwrap_or_else(|payload| Err(panic_payload_error(payload)));
         self.outstanding.fetch_sub(1, Ordering::AcqRel);
         match run {
             Ok(()) => {
                 self.maybe_finish();
                 true
             }
-            Err(payload) => {
-                self.fail(panic_payload_error(payload));
+            Err(e) => {
+                self.fail(e);
                 false
             }
         }
@@ -700,6 +701,7 @@ where
 mod tests {
     use super::*;
     use crate::ctx::CancelState;
+    use crate::faults::{FaultPlan, FaultSlot};
     use crate::ExecHandle;
 
     fn executors() -> Vec<(&'static str, Executor)> {
@@ -899,6 +901,34 @@ mod tests {
                 .run_morsels(&ctx, 8 * TILE, TILE, || 0usize, |acc, _, len| *acc += len)
                 .expect("the failure stayed with its stage");
             assert_eq!(partials.into_iter().sum::<usize>(), 8 * TILE, "exec={name}");
+            assert_eq!(exec.live_workers(), workers, "exec={name}");
+        }
+    }
+
+    /// A panic armed at morsel 0 fires on a stage that runs inline, inline
+    /// or on the pool, once; the same executor then serves the next stages.
+    #[test]
+    fn injected_panic_at_morsel_zero_fires_on_an_inline_stage() {
+        for (name, exec) in executors() {
+            let workers = exec.live_workers();
+            let slot = Arc::new(FaultSlot::default());
+            let run = |rows| {
+                let ctx = Arc::new(ExecCtx::unbounded().with_faults(slot.current()));
+                let out = exec.run_morsels(&ctx, rows, TILE, || 0usize, |acc, _, len| *acc += len);
+                (out.map(|p| p.into_iter().sum::<usize>()), ctx.tripped())
+            };
+            let guard = slot.arm(FaultPlan::panic_at_morsel(0));
+            match run(TILE) {
+                (Err(RuntimeError::Panic(msg)), true) => {
+                    assert!(msg.contains("injected fault"), "exec={name}: {msg}")
+                }
+                other => panic!("exec={name}: the armed fault did not fire: {other:?}"),
+            }
+            // One-shot, and contained: the same executor runs the next stages.
+            assert_eq!(run(TILE), (Ok(TILE), false), "exec={name}");
+            drop(guard);
+            assert_eq!(run(TILE), (Ok(TILE), false), "exec={name}");
+            assert_eq!(run(8 * TILE), (Ok(8 * TILE), false), "exec={name}");
             assert_eq!(exec.live_workers(), workers, "exec={name}");
         }
     }

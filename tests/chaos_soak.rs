@@ -1,27 +1,27 @@
 //! Chaos soak: seeded fault schedules against every executor shape.
 //!
-//! Each soak iteration arms a [`ChaosSchedule`] — an LCG-derived sequence
-//! of worker panics, allocation failures, admission stalls, and clock-skew
-//! jumps — and runs the standard workload at {1, 2, 8} threads: inline at
+//! Each soak iteration arms a seeded [`FaultPlan`] — an LCG-derived
+//! sequence of worker panics, allocation failures, admission stalls, and
+//! clock-skew jumps — on a fresh engine and runs the standard workload at {1, 2, 8} threads: inline at
 //! one, on the engine's worker pool above. The contract under chaos is the
 //! hardened-execution contract:
 //!
 //! 1. every query either returns rows **bit-identical** to the interpreter
 //!    ground truth or a **typed** runtime error — never a wrong answer,
 //!    never a process abort;
-//! 2. nothing leaks: after the schedule drops, admission shows zero
+//! 2. nothing leaks: after the plan's guard drops, admission shows zero
 //!    running/queued, the global memory pool shows zero bytes charged and
-//!    zero registered queries, and shutdown joins every pool worker;
+//!    zero registered queries, and shutdown joins every pool worker
+//!    (`tests/pool_threads.rs` checks the OS threads themselves);
 //! 3. a failing run is replayable from its printed seed alone (asserted
 //!    directly for the single-threaded executor, where even the error
 //!    text must be identical across replays).
 //!
-//! Fault hooks are process-global, so every test here serializes on the
-//! same mutex as the rest of the suite's fault tests.
+//! A plan fires only on the engine it is armed on, so these tests run in
+//! parallel.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
-use swole::plan::faults::{self, ChaosSchedule};
+use swole::plan::faults::FaultPlan;
 use swole::plan::interp;
 use swole::prelude::*;
 
@@ -33,13 +33,6 @@ const THREADS: [usize; 3] = [1, 2, 8];
 /// Rows per morsel (pinned via `tile_rows`) and total rows: 8 morsels.
 const MORSEL: usize = 1024;
 const N_ROWS: usize = 8 * MORSEL;
-
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Deterministic R(x, a, b, c, fk) → S(y) database, sized for 8 morsels.
 fn make_db(n_s: usize) -> Database {
@@ -129,21 +122,6 @@ fn is_typed_runtime_error(err: &PlanError) -> bool {
     )
 }
 
-/// Names of live threads spawned by the shared worker pool, read from the
-/// kernel's per-task `comm` (Linux only; empty elsewhere, which degrades
-/// the thread-leak assertion to a no-op rather than a false failure).
-fn live_pool_thread_names() -> Vec<String> {
-    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
-        return Vec::new();
-    };
-    tasks
-        .filter_map(|t| t.ok())
-        .filter_map(|t| std::fs::read_to_string(t.path().join("comm")).ok())
-        .map(|name| name.trim().to_string())
-        .filter(|name| name.starts_with("swole-pool"))
-        .collect()
-}
-
 /// One engine per thread count of the soak matrix. Admission and a global
 /// memory budget are always on so the leak assertions have gauges to read;
 /// the stall window is generous enough that only injected clock skew can
@@ -161,8 +139,6 @@ fn soak_engine(threads: usize) -> Engine {
 #[test]
 #[cfg_attr(miri, ignore = "spawns OS threads and measures wall-clock time")]
 fn seeded_chaos_schedules_never_corrupt_or_leak() {
-    let _s = serial();
-    faults::disarm_all();
     let plans = [groupby_plan(), scalar_plan(), semijoin_plan()];
     let db = make_db(512);
     let truths: Vec<QueryResult> = plans
@@ -180,10 +156,10 @@ fn seeded_chaos_schedules_never_corrupt_or_leak() {
 
     for &threads in &THREADS {
         for &seed in &seeds {
-            let schedule = ChaosSchedule::from_seed(seed);
+            let schedule = FaultPlan::from_seed(seed);
             let tag = format!("seed={seed} threads={threads} events={:?}", schedule.events);
             let e = soak_engine(threads);
-            let guard = schedule.inject();
+            let guard = e.inject_faults(schedule);
             for (plan, truth) in plans.iter().zip(&truths) {
                 match e.query(plan) {
                     Ok(got) => assert_eq!(got.rows, truth.rows, "wrong rows under {tag}"),
@@ -194,7 +170,7 @@ fn seeded_chaos_schedules_never_corrupt_or_leak() {
                 }
             }
             drop(guard);
-            assert!(!faults::schedule_active(), "guard drop disarms: {tag}");
+            assert!(!e.faults_armed(), "guard drop disarms: {tag}");
 
             // Leak audit: every permit, gauge charge, and lifecycle
             // slot must be back by the time the queries returned.
@@ -219,18 +195,11 @@ fn seeded_chaos_schedules_never_corrupt_or_leak() {
             assert_eq!(e.live_pool_workers(), 0, "pool thread survived: {tag}");
         }
     }
-    assert_eq!(
-        live_pool_thread_names(),
-        Vec::<String>::new(),
-        "no swole-pool-* OS thread may outlive its engine"
-    );
 }
 
 #[test]
 #[cfg_attr(miri, ignore = "spawns OS threads and measures wall-clock time")]
 fn chaos_replay_single_thread_is_bit_identical() {
-    let _s = serial();
-    faults::disarm_all();
     let plans = [groupby_plan(), scalar_plan(), semijoin_plan()];
 
     // Single-threaded execution makes the whole fault interleaving
@@ -247,7 +216,7 @@ fn chaos_replay_single_thread_is_bit_identical() {
             .admission(AdmissionConfig::new(2))
             .global_memory_budget(64 << 20)
             .build();
-        let guard = ChaosSchedule::from_seed(seed).inject();
+        let guard = e.inject_faults(FaultPlan::from_seed(seed));
         let outcomes = plans
             .iter()
             .map(|plan| match e.query(plan) {
@@ -262,8 +231,8 @@ fn chaos_replay_single_thread_is_bit_identical() {
 
     for seed in [3u64, 7, 11, 23, 31] {
         assert_eq!(
-            ChaosSchedule::from_seed(seed).events,
-            ChaosSchedule::from_seed(seed).events,
+            FaultPlan::from_seed(seed).events,
+            FaultPlan::from_seed(seed).events,
             "seed derivation must be pure"
         );
         let first = run_once(seed);
@@ -275,18 +244,16 @@ fn chaos_replay_single_thread_is_bit_identical() {
 #[test]
 #[cfg_attr(miri, ignore = "spawns OS threads and measures wall-clock time")]
 fn dropped_schedule_leaves_engine_pristine() {
-    let _s = serial();
-    faults::disarm_all();
     let plan = groupby_plan();
     let e = soak_engine(4);
     let truth = interp::run(&e.database(), &plan).expect("interpreter ground truth");
 
-    // Arm a schedule, let it wreak havoc, drop it mid-flight of nothing:
+    // Arm a seeded plan, let it wreak havoc, drop it mid-flight of nothing:
     // the very next query must run clean and bit-identical.
-    let guard = ChaosSchedule::from_seed(0xdead_beef).inject();
+    let guard = e.inject_faults(FaultPlan::from_seed(0xdead_beef));
     let _ = e.query(&plan);
     drop(guard);
-    assert!(!faults::schedule_active());
+    assert!(!e.faults_armed());
     let got = e.query(&plan).expect("clean run after guard drop");
     assert_eq!(got.rows, truth.rows);
     let report = e.shutdown(None);

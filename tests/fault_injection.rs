@@ -1,18 +1,18 @@
 //! Fault-injection suite: the engine must never abort the process.
 //!
-//! Every test arms a hook from `swole::plan::faults` — a worker panic at a
-//! chosen morsel, an allocation failure at a chosen memory charge, or
-//! deadline-clock skew — and asserts that the query either completes
-//! (possibly via the recorded data-centric fallback, bit-identical to the
-//! interpreter ground truth) or returns a typed [`PlanError`].
+//! Every test arms a `swole::plan::faults::FaultPlan` on its own engine —
+//! a worker panic at a chosen morsel, an allocation failure at a chosen
+//! memory charge, or deadline-clock skew — and asserts that the query
+//! either completes (possibly via the recorded data-centric fallback,
+//! bit-identical to the interpreter ground truth) or returns a typed
+//! [`PlanError`].
 //!
-//! The hooks are process-global, so tests here serialize on a mutex; the
-//! harness itself is one-shot and RAII-disarmed, so a failing test cannot
-//! leak a fault into its neighbours.
+//! A plan fires only on the engine it is armed on, once per event, and is
+//! disarmed when its guard drops, so these tests run in parallel.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
-use swole::plan::{faults, interp};
+use swole::plan::faults::FaultPlan;
+use swole::plan::interp;
 use swole::prelude::*;
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -20,13 +20,6 @@ const THREADS: [usize; 3] = [1, 2, 8];
 /// Rows per morsel (pinned via `tile_rows`) and total rows: 8 morsels.
 const MORSEL: usize = 1024;
 const N_ROWS: usize = 8 * MORSEL;
-
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Deterministic R(x, a, b, c, fk) → S(y) database, sized for 8 morsels.
 fn make_db(n_s: usize) -> Database {
@@ -107,12 +100,11 @@ fn semijoin_plan() -> LogicalPlan {
 
 #[test]
 fn worker_panic_falls_back_bit_identical() {
-    let _s = serial();
     for threads in THREADS {
         let e = engine(threads);
         for plan in [groupby_plan(), scalar_plan(), semijoin_plan()] {
             let truth = interp::run(&e.database(), &plan).expect("interp runs");
-            let guard = faults::inject_panic_at_morsel(3);
+            let guard = e.inject_faults(FaultPlan::panic_at_morsel(3));
             let got = e.query(&plan).expect("query recovers via fallback");
             drop(guard);
             assert_eq!(got.rows, truth.rows, "threads={threads}");
@@ -133,12 +125,11 @@ fn worker_panic_falls_back_bit_identical() {
 
 #[test]
 fn panic_at_every_morsel_never_aborts() {
-    let _s = serial();
     let e = engine(4);
     let plan = groupby_plan();
     let truth = interp::run(&e.database(), &plan).expect("interp runs");
     for morsel in 0..(N_ROWS / MORSEL) {
-        let guard = faults::inject_panic_at_morsel(morsel);
+        let guard = e.inject_faults(FaultPlan::panic_at_morsel(morsel));
         let got = e.query(&plan).expect("query recovers via fallback");
         drop(guard);
         assert_eq!(got.rows, truth.rows, "morsel={morsel}");
@@ -147,13 +138,12 @@ fn panic_at_every_morsel_never_aborts() {
 
 #[test]
 fn alloc_failure_falls_back_bit_identical() {
-    let _s = serial();
     for threads in THREADS {
         for nth in [0usize, 1, 2] {
             let e = engine(threads);
             for plan in [groupby_plan(), semijoin_plan()] {
                 let truth = interp::run(&e.database(), &plan).expect("interp runs");
-                let guard = faults::inject_alloc_failure_at_charge(nth);
+                let guard = e.inject_faults(FaultPlan::alloc_failure_at_charge(nth));
                 let got = e.query(&plan).expect("query recovers via fallback");
                 drop(guard);
                 assert_eq!(got.rows, truth.rows, "threads={threads} nth={nth}");
@@ -164,14 +154,13 @@ fn alloc_failure_falls_back_bit_identical() {
 
 #[test]
 fn clock_skew_expires_deadline_without_retry() {
-    let _s = serial();
     let e = Engine::builder(make_db(512))
         .threads(2)
         .tile_rows(MORSEL)
         .deadline(Duration::from_secs(3600))
         .build();
     let plan = groupby_plan();
-    let guard = faults::inject_clock_skew(Duration::from_secs(7200));
+    let guard = e.inject_faults(FaultPlan::clock_skew(Duration::from_secs(7200)));
     let err = e
         .query(&plan)
         .expect_err("skewed clock expires the deadline");
@@ -196,7 +185,6 @@ fn fallback_reports_complete_metrics() {
     // A fallback run must still produce a full EXPLAIN ANALYZE story: one
     // retry, the interpreter's counters *replacing* the failed attempt's
     // (rows are never double-counted), and the same result rows.
-    let _s = serial();
     for threads in THREADS {
         let e = Engine::builder(make_db(512))
             .threads(threads)
@@ -210,7 +198,7 @@ fn fallback_reports_complete_metrics() {
             .zip(scans)
         {
             let (truth, truth_op) = interp::run_metered(&e.database(), &plan).expect("interp runs");
-            let guard = faults::inject_panic_at_morsel(3);
+            let guard = e.inject_faults(FaultPlan::panic_at_morsel(3));
             let got = e.query(&plan).expect("query recovers via fallback");
             drop(guard);
             assert_eq!(got.rows, truth.rows, "threads={threads}");
@@ -237,8 +225,6 @@ fn fallback_reports_complete_metrics() {
 
 #[test]
 fn clean_run_reports_zero_retries() {
-    let _s = serial();
-    faults::disarm_all();
     let e = Engine::builder(make_db(512))
         .threads(2)
         .tile_rows(MORSEL)
@@ -257,8 +243,6 @@ fn clean_run_reports_zero_retries() {
 
 #[test]
 fn disarmed_hooks_are_free_of_side_effects() {
-    let _s = serial();
-    faults::disarm_all();
     let e = engine(2);
     let plan = scalar_plan();
     let truth = interp::run(&e.database(), &plan).expect("interp runs");
@@ -270,5 +254,40 @@ fn disarmed_hooks_are_free_of_side_effects() {
             .iter()
             .any(|l| l.contains(": ok") && l.contains("B charged")),
         "clean run recorded: {report:?}"
+    );
+}
+
+/// A plan armed on engine A fires on A only: engine B, over the same
+/// database and running the same plan meanwhile, takes no fault and no
+/// retry.
+#[test]
+fn faults_stay_on_their_engine() {
+    let a = engine(2);
+    let b = Engine::builder(make_db(512))
+        .threads(2)
+        .tile_rows(MORSEL)
+        .metrics(MetricsLevel::Counters)
+        .build();
+    let plan = groupby_plan();
+    let guard = a.inject_faults(FaultPlan::panic_at_morsel(0));
+    let got = b.query(&plan).expect("B runs");
+    let report = b.explain(&plan).expect("explains").runtime;
+    assert!(
+        !report.iter().any(|l| l.contains("injected fault")),
+        "a fault armed on A fired on B: {report:?}"
+    );
+    assert_eq!(got.metrics().expect("counters recorded").retries, 0);
+    a.query(&plan).expect("A recovers via fallback");
+    drop(guard);
+    let report = a.explain(&plan).expect("explains").runtime;
+    assert!(
+        report.iter().any(|l| l.contains("injected fault")),
+        "primary failure recorded on A: {report:?}"
+    );
+    assert!(
+        report
+            .iter()
+            .any(|l| l.contains("fell back to data-centric interpreter: ok")),
+        "fallback recorded on A: {report:?}"
     );
 }

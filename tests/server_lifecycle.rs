@@ -8,26 +8,20 @@
 //! structured retry hint, and a persistently failing plan class
 //! short-circuited past its doomed primary strategy.
 //!
-//! Several tests arm process-global fault hooks or scan `/proc` for pool
-//! threads, so everything here serializes on one mutex.
+//! Faults are armed on each test's own engine, so these tests run in
+//! parallel. The scan of `/proc` for leftover pool threads lives in
+//! `tests/pool_threads.rs`, a binary of its own.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
-use swole::plan::faults::{self, ChaosEvent, ChaosSchedule};
+use swole::plan::faults::{FaultEvent, FaultPlan};
 use swole::plan::interp;
 use swole::prelude::*;
 
 /// Rows per morsel (pinned via `tile_rows`) and total rows: 8 morsels.
 const MORSEL: usize = 1024;
 const N_ROWS: usize = 8 * MORSEL;
-
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Deterministic R(x, a, b, c, fk) → S(y) database with `n_rows` rows of R.
 fn make_db(n_rows: usize, n_s: usize) -> Database {
@@ -81,39 +75,9 @@ fn groupby_plan() -> LogicalPlan {
         )
 }
 
-/// Names of live `swole-pool-*` threads (Linux `/proc` scan; empty
-/// elsewhere, degrading the assertion to a no-op).
-fn live_pool_thread_names() -> Vec<String> {
-    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
-        return Vec::new();
-    };
-    tasks
-        .filter_map(|t| t.ok())
-        .filter_map(|t| std::fs::read_to_string(t.path().join("comm")).ok())
-        .map(|name| name.trim().to_string())
-        .filter(|name| name.starts_with("swole-pool"))
-        .collect()
-}
-
-/// [`live_pool_thread_names`] once `settled` holds, or after 10 s. `/proc`
-/// lags both ends of a thread's life: the kernel names a task when it
-/// first runs, and a joined task lingers until it is reaped.
-fn pool_thread_names_when(settled: impl Fn(&[String]) -> bool) -> Vec<String> {
-    let t0 = std::time::Instant::now();
-    loop {
-        let names = live_pool_thread_names();
-        if settled(&names) || t0.elapsed() > Duration::from_secs(10) {
-            return names;
-        }
-        std::thread::yield_now();
-    }
-}
-
 #[test]
 #[cfg_attr(miri, ignore = "spawns OS threads and measures wall-clock time")]
 fn graceful_shutdown_drains_hammering_clients() {
-    let _s = serial();
-    faults::disarm_all();
     const CLIENTS: usize = 8;
     let e = Engine::builder(make_db(N_ROWS, 512))
         .threads(4)
@@ -181,10 +145,6 @@ fn graceful_shutdown_drains_hammering_clients() {
     let mem = e.global_memory_stats().expect("global pool configured");
     assert_eq!((mem.used, mem.active), (0, 0), "{mem:?}");
     assert_eq!(e.live_pool_workers(), 0);
-    assert_eq!(
-        pool_thread_names_when(|names| names.is_empty()),
-        Vec::<String>::new()
-    );
     let again = e.shutdown(Some(Duration::from_secs(1)));
     assert!(again.clean && again.drained == 0 && again.aborted == 0);
 
@@ -197,84 +157,60 @@ fn graceful_shutdown_drains_hammering_clients() {
 }
 
 #[test]
-#[cfg_attr(miri, ignore = "spawns OS threads and measures wall-clock time")]
+#[cfg_attr(miri, ignore = "spawns OS threads")]
 fn shutdown_deadline_hard_aborts_inflight_query() {
-    let _s = serial();
-    faults::disarm_all();
-    // A deliberately long query: one thread grinding 4 Ki morsels, so the
-    // zero-length drain deadline expires mid-flight. The row count is
-    // fixed and the budget is the plan's own admission bound at that
-    // size (about 108 B/row while the group count is not known exactly),
-    // so admission never depends on how fast the scan runs.
-    const ABORT_ROWS: usize = 4096 * MORSEL;
-    let plan = groupby_plan();
-    let budget = Engine::builder(make_db(ABORT_ROWS, 512))
+    // The worker that claims morsel 1 of the 8 is held until its query is
+    // aborted, so the zero-length drain deadline always finds the query
+    // mid-flight: whether it is aborted or drained is chosen, not raced.
+    let e = Engine::builder(make_db(N_ROWS, 512))
         .threads(1)
         .tile_rows(MORSEL)
-        .build()
-        .certificate(&plan)
-        .expect("group-by plan certifies")
-        .peak_bytes_bound as usize;
-    for attempt in 0..20 {
-        let e = Engine::builder(make_db(ABORT_ROWS, 512))
-            .threads(1)
-            .tile_rows(MORSEL)
-            .global_memory_budget(budget)
-            .build();
-        let worker = {
-            let e = e.clone();
-            let plan = plan.clone();
-            std::thread::spawn(move || e.query(&plan))
-        };
-        // Wait for execution proper, not a guessed planning time: the
-        // worker's scratch charge shows on the pool once the ExecCtx is
-        // attached and the first morsel claimed.
-        let charged = || {
-            e.global_memory_stats()
-                .expect("global pool configured")
-                .used
-        };
-        while charged() == 0 && !worker.is_finished() {
-            std::thread::yield_now();
-        }
-        let report = e.shutdown(Some(Duration::ZERO));
-        let result = worker.join().expect("client thread");
-        assert_eq!(e.queries_in_flight(), 0);
-        let mem = e.global_memory_stats().expect("global pool configured");
-        assert_eq!(
-            (mem.used, mem.active),
-            (0, 0),
-            "abort leaked memory charges: {mem:?}"
-        );
-        if report.aborted == 1 {
-            assert!(!report.clean, "an abort is never a clean shutdown");
-            assert_eq!(report.drained, 0);
-            match result {
-                Err(PlanError::Shutdown {
-                    morsels_done,
-                    morsels_total,
-                }) => {
-                    assert!(
-                        morsels_done < morsels_total,
-                        "abort must interrupt, not trail, the query \
-                         ({morsels_done}/{morsels_total})"
-                    );
-                }
-                other => panic!("aborted query must surface PlanError::Shutdown: {other:?}"),
-            }
-            return;
-        }
-        // Lost the race: the query drained before the abort could land —
-        // or had already left the engine when `shutdown` looked, which
-        // makes the shutdown a clean no-op with nothing to drain.
-        assert!(result.is_ok(), "drained query still succeeds: {result:?}");
-        if report.drained == 0 {
-            assert!(report.clean, "attempt {attempt}: {report:?}");
-        } else {
-            assert_eq!(report.drained, 1, "attempt {attempt}: {report:?}");
-        }
+        .global_memory_budget(64 << 20)
+        .build();
+    let _hold = e.inject_faults(FaultPlan {
+        seed: 0,
+        events: vec![FaultEvent::Hold { morsel: 1 }],
+    });
+    let worker = {
+        let e = e.clone();
+        std::thread::spawn(move || e.query(&groupby_plan()))
+    };
+    // Wait for execution proper, not a guessed planning time: the
+    // worker's scratch charge shows on the pool once the ExecCtx is
+    // attached.
+    let charged = || {
+        e.global_memory_stats()
+            .expect("global pool configured")
+            .used
+    };
+    while charged() == 0 && !worker.is_finished() {
+        std::thread::yield_now();
     }
-    panic!("zero-deadline shutdown never aborted the in-flight query in 20 attempts");
+    let report = e.shutdown(Some(Duration::ZERO));
+    let result = worker.join().expect("client thread");
+    assert_eq!(e.queries_in_flight(), 0);
+    let mem = e.global_memory_stats().expect("global pool configured");
+    assert_eq!(
+        (mem.used, mem.active),
+        (0, 0),
+        "abort leaked memory charges: {mem:?}"
+    );
+    assert_eq!(report.aborted, 1, "{report:?}");
+    assert!(!report.clean, "an abort is never a clean shutdown");
+    assert_eq!(report.drained, 0);
+    match result {
+        Err(PlanError::Shutdown {
+            morsels_done,
+            morsels_total,
+        }) => {
+            assert!(
+                morsels_done < morsels_total,
+                "abort must interrupt, not trail, the query \
+                 ({morsels_done}/{morsels_total})"
+            );
+        }
+        other => panic!("aborted query must surface PlanError::Shutdown: {other:?}"),
+    }
 }
 
 /// A one-morsel statement on the pool runs on its client's thread and never
@@ -285,8 +221,6 @@ fn shutdown_deadline_hard_aborts_inflight_query() {
 #[test]
 #[cfg_attr(miri, ignore = "spawns OS threads and measures wall-clock time")]
 fn deadline_shutdown_reaches_inline_one_morsel_statements() {
-    let _s = serial();
-    faults::disarm_all();
     const CLIENTS: usize = 4;
     // The default morsel (64 tiles) holds all of R.
     let e = Engine::builder(make_db(N_ROWS, 512))
@@ -351,72 +285,31 @@ fn deadline_shutdown_reaches_inline_one_morsel_statements() {
     assert_eq!(e.live_pool_workers(), 0);
 }
 
-/// Dropping the last handle joins every pool worker, whether the builder
-/// asked for threads or, by the older name, for a worker pool.
-#[test]
-#[cfg_attr(miri, ignore = "relies on wall-clock progress timing")]
-fn engine_drop_routes_through_graceful_drain() {
-    let _s = serial();
-    faults::disarm_all();
-    let four: [fn(EngineBuilder) -> EngineBuilder; 2] = [|b| b.threads(4), |b| b.worker_pool(4)];
-    for (i, configure) in four.into_iter().enumerate() {
-        let e = configure(Engine::builder(make_db(N_ROWS, 512)))
-            .tile_rows(MORSEL)
-            .admission(AdmissionConfig::new(2))
-            .build();
-        assert_eq!(e.live_pool_workers(), 4, "builder #{i}");
-        let plan = groupby_plan();
-        e.query(&plan).expect("warm the pool");
-        // The submitting thread may have finished the warm query before any
-        // worker was first scheduled, so wait for a name to show.
-        assert!(
-            !pool_thread_names_when(|names| !names.is_empty()).is_empty(),
-            "builder #{i}: pool threads visible while the engine lives"
-        );
-        // Dropping the last handle must run the drain tail: admission
-        // closes and every pool worker is joined — no detached threads left
-        // behind.
-        let clone = e.clone();
-        drop(e);
-        assert_eq!(
-            clone.live_pool_workers(),
-            4,
-            "builder #{i}: a surviving clone keeps the pool alive"
-        );
-        drop(clone);
-        assert_eq!(
-            pool_thread_names_when(|names| names.is_empty()),
-            Vec::<String>::new(),
-            "builder #{i}: Drop must join every swole-pool-* thread"
-        );
-    }
-}
-
 #[test]
 #[cfg_attr(miri, ignore = "relies on wall-clock progress timing")]
 fn watchdog_cancels_stalled_query_with_typed_error() {
-    let _s = serial();
-    faults::disarm_all();
+    // One thread: the check that follows the skew comes before any other
+    // morsel can complete (a completion after the jump is progress on the
+    // skewed clock, which a second worker could slip in first).
     let e = Engine::builder(make_db(N_ROWS, 512))
-        .threads(2)
+        .threads(1)
         .tile_rows(MORSEL)
         .stall_window(Duration::from_secs(30))
         .build();
     let plan = groupby_plan();
     let truth = interp::run(&e.database(), &plan).expect("interpreter ground truth");
 
-    // Morsel-progress heartbeats are recorded *before* the chaos hook
-    // fires, so a scheduled clock-skew jump lands strictly after the last
-    // heartbeat: the next progress check sees a 10-minute gap against a
-    // 30-second window and cancels the query as stalled.
-    let schedule = ChaosSchedule {
+    // Morsel-progress heartbeats are recorded *before* the armed plan
+    // counts the morsel, so a scheduled clock-skew jump lands strictly
+    // after the last heartbeat: the next progress check sees a 10-minute
+    // gap against a 30-second window and cancels the query as stalled.
+    let guard = e.inject_faults(FaultPlan {
         seed: 0,
-        events: vec![ChaosEvent::ClockSkew {
-            after_morsels: 2,
+        events: vec![FaultEvent::ClockSkew {
+            after_morsels: Some(2),
             ms: 600_000,
         }],
-    };
-    let guard = schedule.inject();
+    });
     let err = e.query(&plan).expect_err("skewed clock trips the watchdog");
     drop(guard);
     match err {
@@ -454,8 +347,6 @@ fn watchdog_cancels_stalled_query_with_typed_error() {
 #[test]
 #[cfg_attr(miri, ignore = "spawns OS threads and measures wall-clock time")]
 fn overload_sheds_with_structured_retry_hint() {
-    let _s = serial();
-    faults::disarm_all();
     const CLIENTS: usize = 4;
     const ROUNDS: usize = 32;
     // One execution slot and a zero-tolerance shed threshold: once the
@@ -518,8 +409,6 @@ fn overload_sheds_with_structured_retry_hint() {
 #[test]
 #[cfg_attr(miri, ignore = "relies on wall-clock progress timing")]
 fn breaker_short_circuits_persistently_failing_plan() {
-    let _s = serial();
-    faults::disarm_all();
     let e = Engine::builder(make_db(N_ROWS, 512))
         .threads(2)
         .tile_rows(MORSEL)
@@ -530,7 +419,7 @@ fn breaker_short_circuits_persistently_failing_plan() {
     // Three consecutive primary failures (fresh injected panic each run,
     // every one recovered through the interpreter) open the circuit.
     for i in 0..3 {
-        let guard = faults::inject_panic_at_morsel(0);
+        let guard = e.inject_faults(FaultPlan::panic_at_morsel(0));
         let got = e.query(&plan).expect("fallback recovers");
         drop(guard);
         assert_eq!(got.rows, truth.rows, "fallback run {i}");

@@ -7,26 +7,17 @@
 //! covered by hand-built programs in `swole-verify`'s unit tests; here the
 //! engine-facing wiring is exercised: the `EngineBuilder::verify` level,
 //! verdict caching alongside the plan cache, the `EXPLAIN VERIFY` SQL
-//! prefix, and the injected resource-accounting fault.
-//!
-//! Fault-arming tests share process-global hooks and are serialized with a
-//! mutex (same discipline as `tests/fault_injection.rs`).
-
-use std::sync::{Mutex, MutexGuard, OnceLock};
+//! prefix, and the injected resource-accounting fault — a
+//! `FaultPlan::uncharged_alloc` armed on the test's own engine, so these
+//! tests run in parallel.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use swole::plan::{faults, parse_sql, ExplainMode, VerifyErrorKind, VerifyLevel};
+use swole::plan::faults::FaultPlan;
+use swole::plan::{parse_sql, ExplainMode, VerifyErrorKind, VerifyLevel};
 use swole::prelude::*;
 
 const CASES: u64 = 48;
-
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 /// Random database: R(x, a, b, c, fk) and S(y), sizes and domains drawn
 /// from the seeded generator.
@@ -156,9 +147,6 @@ fn random_plan(rng: &mut SmallRng) -> LogicalPlan {
 /// verification pass — at every thread count the corpus script also uses.
 #[test]
 fn randomized_planner_output_passes_full_verification() {
-    // Verifying a plan consumes an armed `inject_uncharged_alloc` fault,
-    // so this must not interleave with the tests that arm one.
-    let _guard = serial();
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0x5EED_0000 + seed);
         let _schema_draw = random_db(&mut rng); // advance the stream
@@ -279,9 +267,6 @@ enum Lanes {
 /// instance it names.
 #[test]
 fn every_pinned_strategy_verifies() {
-    // Verifying a plan consumes an armed `inject_uncharged_alloc` fault,
-    // so this must not interleave with the tests that arm one.
-    let _guard = serial();
     let mk_db = || {
         let mut rng = SmallRng::seed_from_u64(77);
         random_db(&mut rng)
@@ -400,9 +385,6 @@ fn every_pinned_strategy_verifies() {
 /// [`Engine::explain_verify`] and renders one line per pass.
 #[test]
 fn explain_verify_renders_pass_lines() {
-    // Verifying a plan consumes an armed `inject_uncharged_alloc` fault,
-    // so this must not interleave with the tests that arm one.
-    let _guard = serial();
     let mut rng = SmallRng::seed_from_u64(11);
     let db = random_db(&mut rng);
     let engine = Engine::builder(db).threads(2).build();
@@ -441,7 +423,6 @@ fn explain_verify_renders_pass_lines() {
 /// under `VerifyLevel::Full` — the query never starts executing.
 #[test]
 fn uncharged_allocation_is_rejected_at_plan_time() {
-    let _guard = serial();
     let mut rng = SmallRng::seed_from_u64(21);
     let engine = Engine::builder(random_db(&mut rng))
         .verify(VerifyLevel::Full)
@@ -449,7 +430,7 @@ fn uncharged_allocation_is_rejected_at_plan_time() {
     let plan = QueryBuilder::scan("R")
         .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(50)))
         .aggregate(None, vec![AggSpec::sum(Expr::col("a"), "s")]);
-    let _fault = faults::inject_uncharged_alloc();
+    let _fault = engine.inject_faults(FaultPlan::uncharged_alloc());
     let err = engine.query(&plan).expect_err("must fail verification");
     match err {
         PlanError::Verification(v) => {
@@ -467,7 +448,6 @@ fn uncharged_allocation_is_rejected_at_plan_time() {
 /// query must not re-lower (the still-armed fault would fail it if it did).
 #[test]
 fn cached_verdict_is_not_reverified() {
-    let _guard = serial();
     let mut rng = SmallRng::seed_from_u64(22);
     let engine = Engine::builder(random_db(&mut rng))
         .verify(VerifyLevel::Full)
@@ -476,7 +456,7 @@ fn cached_verdict_is_not_reverified() {
         .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(50)))
         .aggregate(None, vec![AggSpec::sum(Expr::col("a"), "s")]);
     let first = engine.query(&plan).expect("clean first run verifies");
-    let _fault = faults::inject_uncharged_alloc();
+    let _fault = engine.inject_faults(FaultPlan::uncharged_alloc());
     let second = engine
         .query(&plan)
         .expect("cache hit reuses the cached verdict without re-lowering");
@@ -486,6 +466,7 @@ fn cached_verdict_is_not_reverified() {
     let fresh = Engine::builder(random_db(&mut rng))
         .verify(VerifyLevel::Full)
         .build();
+    let _fresh_fault = fresh.inject_faults(FaultPlan::uncharged_alloc());
     assert!(matches!(
         fresh.query(&plan),
         Err(PlanError::Verification(_))
@@ -496,7 +477,6 @@ fn cached_verdict_is_not_reverified() {
 /// an armed fault is simply never consulted.
 #[test]
 fn off_level_never_lowers() {
-    let _guard = serial();
     let mut rng = SmallRng::seed_from_u64(23);
     let engine = Engine::builder(random_db(&mut rng))
         .verify(VerifyLevel::Off)
@@ -504,7 +484,7 @@ fn off_level_never_lowers() {
     let plan = QueryBuilder::scan("R")
         .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(50)))
         .aggregate(None, vec![AggSpec::sum(Expr::col("a"), "s")]);
-    let _fault = faults::inject_uncharged_alloc();
+    let _fault = engine.inject_faults(FaultPlan::uncharged_alloc());
     engine.query(&plan).expect("Off-level session executes");
     // The explicit verify_plan API still verifies at Full on demand (and
     // consumes the armed fault).
@@ -518,7 +498,6 @@ fn off_level_never_lowers() {
 /// (the verdict ratchets upward, it never silently downgrades).
 #[test]
 fn stricter_session_reverifies_cached_plan() {
-    let _guard = serial();
     let mut rng = SmallRng::seed_from_u64(24);
     let db = random_db(&mut rng);
     let plan = QueryBuilder::scan("R")
@@ -529,7 +508,7 @@ fn stricter_session_reverifies_cached_plan() {
     engine.query(&plan).expect("structural run");
     // The fault only trips pass 4 (Full); the Structural verdict means a
     // Full-level clone must re-lower and hit it.
-    let _fault = faults::inject_uncharged_alloc();
+    let _fault = engine.inject_faults(FaultPlan::uncharged_alloc());
     engine
         .query(&plan)
         .expect("repeat at Structural: cached verdict");
