@@ -109,7 +109,6 @@ fn corpus_slice_under_chaos_is_bit_identical_or_typed() {
             }
         }
         drop(guard);
-        assert!(!engine.faults_armed(), "guard drop disarms ({tag})");
         let report = engine.shutdown(Some(Duration::from_secs(10)));
         assert!(
             report.clean && report.aborted == 0,

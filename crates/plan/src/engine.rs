@@ -40,7 +40,7 @@ use crate::result::QueryResult;
 use crate::session::{QueryOptions, Session};
 use crate::stats::{self, StatsCatalog};
 use swole_cost::CostParams;
-use swole_runtime::faults::{self, FaultGuard, FaultPlan, FaultSlot};
+use swole_runtime::faults::{FaultGuard, FaultPlan, FaultSlot};
 use swole_runtime::{
     AdmissionController, AdmissionError, AdmissionPermit, CancelState, ExecCtx, ExecHandle,
     Executor, GlobalMemoryPool, MemoryPoolStats, Priority,
@@ -488,11 +488,6 @@ impl Engine {
         self.inner.faults.arm(plan)
     }
 
-    /// `true` while a plan from [`Engine::inject_faults`] is armed.
-    pub fn faults_armed(&self) -> bool {
-        self.inner.faults.current().is_some()
-    }
-
     /// The session statements issued on the engine itself run in: the
     /// engine-wide cancellation scope, no defaults beyond the builder's.
     pub(crate) fn root(&self) -> Session {
@@ -544,13 +539,18 @@ impl EngineInner {
         let armed = self.faults.current();
         let permit = match &self.admission {
             Some(ctl) => {
-                // A scheduled stall sleeps before the controller's lock.
+                // A scheduled stall sleeps before the controller's lock, and
+                // the controller waits on wall time: the deadline moves back
+                // by the skew applied so far (not by one applied while the
+                // statement waits).
+                let mut deadline = deadline_at;
                 if let Some(f) = &armed {
                     f.stall_admission();
+                    let skew = f.now().saturating_duration_since(Instant::now());
+                    deadline = deadline.map(|d| d.checked_sub(skew).unwrap_or_else(Instant::now));
                 }
-                let now = || faults::now(armed.as_deref());
                 Some(
-                    ctl.admit(r.priority, deadline_at, now)
+                    ctl.admit(r.priority, deadline)
                         .map_err(PlanError::Admission)?,
                 )
             }
@@ -735,8 +735,8 @@ impl EngineInner {
     }
 
     /// Lower `physical` and verify it at `level`: the engine's one consumer
-    /// of an armed [`faults::FaultEvent::UnchargedAlloc`], which makes the
-    /// program's first allocation site skip its charge.
+    /// of an armed [`swole_runtime::faults::FaultEvent::UnchargedAlloc`],
+    /// which makes the program's first allocation site skip its charge.
     fn verify(
         &self,
         db: &Database,

@@ -315,15 +315,13 @@ impl AdmissionController {
     /// (and no higher-claim query is queued); otherwise joins the bounded
     /// wait queue. Fails fast when the controller is closed, when the
     /// queue is full, when the shed policy predicts a hopeless wait, or
-    /// when `deadline` expires before a slot frees up — a query that
-    /// cannot start before its deadline is rejected rather than admitted
-    /// to die. `deadline` is read on the clock `now`: the engine's
-    /// deadline clock, which an armed fault plan may skew.
+    /// when `deadline` (wall time) expires before a slot frees up — a
+    /// query that cannot start before its deadline is rejected rather than
+    /// admitted to die.
     pub fn admit(
         self: &Arc<Self>,
         priority: Priority,
         deadline: Option<Instant>,
-        now: impl Fn() -> Instant,
     ) -> Result<AdmissionPermit, AdmissionError> {
         let mut st = self.state.lock().expect("admission state");
         if st.closed {
@@ -333,7 +331,7 @@ impl AdmissionController {
             st.running += 1;
             return Ok(self.permit());
         }
-        if deadline.is_some_and(|d| now() >= d) {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(AdmissionError::DeadlineBeforeStart);
         }
         if st.queued.len() >= self.cfg.queue_depth {
@@ -378,14 +376,14 @@ impl AdmissionController {
             }
             st = match deadline {
                 Some(d) => {
-                    let t = now();
-                    if t >= d {
+                    let now = Instant::now();
+                    if now >= d {
                         st.remove(seq);
                         // Our departure may unblock a lower-priority head.
                         self.cv.notify_all();
                         return Err(AdmissionError::DeadlineBeforeStart);
                     }
-                    let (guard, _) = self.cv.wait_timeout(st, d - t).expect("admission state");
+                    let (guard, _) = self.cv.wait_timeout(st, d - now).expect("admission state");
                     guard
                 }
                 None => self.cv.wait(st).expect("admission state"),
@@ -438,11 +436,9 @@ mod tests {
         let ctrl = Arc::new(AdmissionController::new(
             AdmissionConfig::new(1).queue_depth(0),
         ));
-        let held = ctrl
-            .admit(Priority::Normal, None, Instant::now)
-            .expect("first in");
+        let held = ctrl.admit(Priority::Normal, None).expect("first in");
         let err = ctrl
-            .admit(Priority::Normal, None, Instant::now)
+            .admit(Priority::Normal, None)
             .expect_err("no slot, no queue");
         assert_eq!(
             err,
@@ -452,9 +448,7 @@ mod tests {
             }
         );
         drop(held);
-        let _second = ctrl
-            .admit(Priority::Normal, None, Instant::now)
-            .expect("slot freed");
+        let _second = ctrl.admit(Priority::Normal, None).expect("slot freed");
     }
 
     #[test]
@@ -462,12 +456,10 @@ mod tests {
         let ctrl = Arc::new(AdmissionController::new(
             AdmissionConfig::new(1).queue_depth(8),
         ));
-        let _held = ctrl
-            .admit(Priority::Normal, None, Instant::now)
-            .expect("first in");
+        let _held = ctrl.admit(Priority::Normal, None).expect("first in");
         let past = Instant::now() - Duration::from_millis(1);
         let err = ctrl
-            .admit(Priority::Normal, Some(past), Instant::now)
+            .admit(Priority::Normal, Some(past))
             .expect_err("deadline already gone");
         assert_eq!(err, AdmissionError::DeadlineBeforeStart);
         assert_eq!(ctrl.in_flight(), (1, 0), "rejected query must not linger");
@@ -479,12 +471,10 @@ mod tests {
         let ctrl = Arc::new(AdmissionController::new(
             AdmissionConfig::new(1).queue_depth(8),
         ));
-        let _held = ctrl
-            .admit(Priority::Normal, None, Instant::now)
-            .expect("first in");
+        let _held = ctrl.admit(Priority::Normal, None).expect("first in");
         let soon = Instant::now() + Duration::from_millis(20);
         let err = ctrl
-            .admit(Priority::Normal, Some(soon), Instant::now)
+            .admit(Priority::Normal, Some(soon))
             .expect_err("slot never frees");
         assert_eq!(err, AdmissionError::DeadlineBeforeStart);
         assert_eq!(ctrl.in_flight(), (1, 0));
@@ -496,17 +486,13 @@ mod tests {
         let ctrl = Arc::new(AdmissionController::new(
             AdmissionConfig::new(1).queue_depth(8),
         ));
-        let held = ctrl
-            .admit(Priority::Normal, None, Instant::now)
-            .expect("first in");
+        let held = ctrl.admit(Priority::Normal, None).expect("first in");
         let order = Arc::new(Mutex::new(Vec::new()));
         let spawn = |prio: Priority, tag: &'static str| {
             let ctrl = Arc::clone(&ctrl);
             let order = Arc::clone(&order);
             std::thread::spawn(move || {
-                let permit = ctrl
-                    .admit(prio, None, Instant::now)
-                    .expect("eventually admitted");
+                let permit = ctrl.admit(prio, None).expect("eventually admitted");
                 order.lock().expect("order").push(tag);
                 // Hold briefly so admission order is observable.
                 std::thread::sleep(Duration::from_millis(5));
@@ -533,18 +519,14 @@ mod tests {
         let ctrl = Arc::new(AdmissionController::new(
             AdmissionConfig::new(1).queue_depth(8),
         ));
-        let held = ctrl
-            .admit(Priority::Normal, None, Instant::now)
-            .expect("first in");
+        let held = ctrl.admit(Priority::Normal, None).expect("first in");
         let order = Arc::new(Mutex::new(Vec::new()));
         let mut waiters = Vec::new();
         for tag in 0..4usize {
             let ctrl2 = Arc::clone(&ctrl);
             let order = Arc::clone(&order);
             waiters.push(std::thread::spawn(move || {
-                let permit = ctrl2
-                    .admit(Priority::Normal, None, Instant::now)
-                    .expect("admitted");
+                let permit = ctrl2.admit(Priority::Normal, None).expect("admitted");
                 order.lock().expect("order").push(tag);
                 drop(permit);
             }));
@@ -571,15 +553,13 @@ mod tests {
         let ctrl = Arc::new(AdmissionController::new(
             AdmissionConfig::new(1).queue_depth(32).aging_limit(AGING),
         ));
-        let held = ctrl
-            .admit(Priority::High, None, Instant::now)
-            .expect("first in");
+        let held = ctrl.admit(Priority::High, None).expect("first in");
         let order = Arc::new(Mutex::new(Vec::new()));
         let spawn = |prio: Priority, tag: &'static str| {
             let ctrl = Arc::clone(&ctrl);
             let order = Arc::clone(&order);
             std::thread::spawn(move || {
-                let permit = ctrl.admit(prio, None, Instant::now).expect("admitted");
+                let permit = ctrl.admit(prio, None).expect("admitted");
                 order.lock().expect("order").push(tag);
                 drop(permit);
             })
@@ -622,18 +602,14 @@ mod tests {
         ));
         // Cold controller: no service history, so a busy slot queues
         // rather than sheds. Prime ~10ms of observed service time.
-        let priming = ctrl
-            .admit(Priority::Normal, None, Instant::now)
-            .expect("primes");
+        let priming = ctrl.admit(Priority::Normal, None).expect("primes");
         std::thread::sleep(Duration::from_millis(10));
         drop(priming);
         assert!(ctrl.observed_p99().expect("recorded") >= Duration::from_millis(10));
 
-        let held = ctrl
-            .admit(Priority::Normal, None, Instant::now)
-            .expect("slot free");
+        let held = ctrl.admit(Priority::Normal, None).expect("slot free");
         let err = ctrl
-            .admit(Priority::Normal, None, Instant::now)
+            .admit(Priority::Normal, None)
             .expect_err("predicted wait >> shed threshold");
         match err {
             AdmissionError::Overloaded {
@@ -649,7 +625,7 @@ mod tests {
         assert_eq!(ctrl.in_flight(), (1, 0));
         drop(held);
         let _ok = ctrl
-            .admit(Priority::Normal, None, Instant::now)
+            .admit(Priority::Normal, None)
             .expect("free slot admits regardless of history");
     }
 
@@ -658,12 +634,10 @@ mod tests {
         let ctrl = Arc::new(AdmissionController::new(
             AdmissionConfig::new(1).queue_depth(8),
         ));
-        let held = ctrl
-            .admit(Priority::Normal, None, Instant::now)
-            .expect("first in");
+        let held = ctrl.admit(Priority::Normal, None).expect("first in");
         let waiter = {
             let ctrl = Arc::clone(&ctrl);
-            std::thread::spawn(move || ctrl.admit(Priority::Normal, None, Instant::now))
+            std::thread::spawn(move || ctrl.admit(Priority::Normal, None))
         };
         while ctrl.in_flight().1 < 1 {
             std::thread::yield_now();
@@ -678,7 +652,7 @@ mod tests {
         );
         assert!(
             matches!(
-                ctrl.admit(Priority::High, None, Instant::now),
+                ctrl.admit(Priority::High, None),
                 Err(AdmissionError::Shutdown)
             ),
             "new arrivals must be rejected once closed"

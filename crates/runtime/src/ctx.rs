@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use crate::admission::Priority;
 use crate::error::RuntimeError;
-use crate::faults::{self, ArmedPlan, FaultEvent};
+use crate::faults::{ArmedPlan, FaultEvent};
 use crate::gauge::{GlobalMemoryPool, MemGauge};
 
 /// Shared cancellation flag behind [`ExecHandle`]. One `CancelState` scopes
@@ -92,11 +92,11 @@ pub struct ExecCtx {
     /// cooperative check fails with [`RuntimeError::Stalled`]. `None`
     /// disables the watchdog (the default).
     stall_window: Option<Duration>,
-    /// When the context was created, on the unskewed clock; the heartbeat
-    /// below is measured from here.
+    /// When the context was created, on wall time; the heartbeat below is
+    /// measured from here.
     started: Instant,
-    /// Watchdog heartbeat: milliseconds from `started` (on the possibly
-    /// fault-skewed deadline clock) at which the last morsel completed.
+    /// Watchdog heartbeat: milliseconds of wall time from `started` at
+    /// which the last morsel completed.
     last_progress_ms: AtomicU64,
 }
 
@@ -133,8 +133,9 @@ impl ExecCtx {
 
     /// Arm the per-query watchdog: if no morsel completes within `window`,
     /// the next cooperative check fails with [`RuntimeError::Stalled`].
-    /// The stall clock is the fault-skewable deadline clock, so injected
-    /// clock skew exercises the watchdog deterministically. Call before
+    /// The check reads the fault-skewable deadline clock (see
+    /// [`ExecCtx::morsel_done`]), so injected clock skew exercises the
+    /// watchdog deterministically at any thread count. Call before
     /// sharing the context (typically right after [`ExecCtx::new`]).
     pub fn with_stall_window(mut self, window: Option<Duration>) -> ExecCtx {
         self.stall_window = window;
@@ -152,12 +153,14 @@ impl ExecCtx {
 
     /// The deadline clock: wall time plus any skew the armed plan applied.
     pub fn now(&self) -> Instant {
-        faults::now(self.faults.as_deref())
+        self.faults
+            .as_deref()
+            .map_or_else(Instant::now, ArmedPlan::now)
     }
 
     /// The fault hook at a claimed morsel: panic if the armed plan says so,
-    /// or hold the claiming worker until the query is aborted or cancelled
-    /// and fail the morsel with that typed error.
+    /// or hold the claiming worker until its query stops and fail the
+    /// morsel with that typed error (a hold nothing ends in 10 s panics).
     pub(crate) fn fault_at_morsel(&self, index: usize) -> Result<(), RuntimeError> {
         match self
             .faults
@@ -169,12 +172,15 @@ impl ExecCtx {
                 panic!("injected fault: worker panic at morsel {index}")
             }
             Some(_) => {
-                while !self.aborted.load(Ordering::Relaxed)
-                    && !self.cancel.cancelled.load(Ordering::Relaxed)
-                {
+                let held = Instant::now();
+                while self.check().is_ok() && !self.tripped() {
+                    assert!(
+                        held.elapsed() < Duration::from_secs(10),
+                        "injected fault: hold never released"
+                    );
                     std::thread::sleep(Duration::from_millis(1));
                 }
-                self.check()
+                self.check().and(Err(RuntimeError::Stopped))
             }
         }
     }
@@ -250,16 +256,16 @@ impl ExecCtx {
     }
 
     /// Record one fully processed morsel. This is the watchdog heartbeat:
-    /// the stall clock restarts from here. The heartbeat is recorded
-    /// *before* the armed fault plan counts the morsel, so a clock-skew
-    /// event fires strictly after it — making watchdog trips under chaos
-    /// deterministic.
+    /// the stall clock restarts from here. The heartbeat is wall time and
+    /// the check reads the deadline clock, so an injected skew counts as
+    /// time in which no morsel completed: a skew past the window stalls
+    /// the query at the next check, whichever worker completes a morsel
+    /// first — deterministic at any thread count.
     pub fn morsel_done(&self) {
         self.morsels_done.fetch_add(1, Ordering::Relaxed);
         if self.stall_window.is_some() {
-            let elapsed = self.now().saturating_duration_since(self.started);
-            self.last_progress_ms
-                .fetch_max(elapsed.as_millis() as u64, Ordering::Relaxed);
+            let elapsed = self.started.elapsed().as_millis() as u64;
+            self.last_progress_ms.fetch_max(elapsed, Ordering::Relaxed);
         }
         if let Some(faults) = &self.faults {
             faults.morsel_done();
@@ -319,4 +325,76 @@ pub fn panic_payload_error(payload: Box<dyn std::any::Any + Send>) -> RuntimeErr
         "worker panicked with a non-string payload".to_string()
     };
     RuntimeError::Panic(msg)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::faults::{FaultPlan, FaultSlot};
+
+    fn armed(event: FaultEvent) -> (Arc<FaultSlot>, crate::faults::FaultGuard) {
+        let slot = Arc::new(FaultSlot::default());
+        let guard = slot.arm(FaultPlan {
+            seed: 0,
+            events: vec![event],
+        });
+        (slot, guard)
+    }
+
+    /// The interleaving that made a skewed watchdog trip depend on thread
+    /// timing, replayed on one thread: the third morsel's completion
+    /// triggers a 10-minute jump, and another worker's morsel completes on
+    /// the skewed clock before the next check. The query still stalls.
+    #[test]
+    fn a_skew_past_the_window_stalls_whatever_completes_after_it() {
+        let (slot, _guard) = armed(FaultEvent::ClockSkew {
+            after_morsels: Some(2),
+            ms: 600_000,
+        });
+        let ctx = ExecCtx::unbounded()
+            .with_stall_window(Some(Duration::from_secs(30)))
+            .with_faults(slot.current());
+        ctx.add_morsels_total(8);
+        for _ in 0..3 {
+            ctx.check().expect("no stall before the jump");
+            ctx.morsel_done();
+        }
+        ctx.morsel_done();
+        match ctx.check() {
+            Err(RuntimeError::Stalled {
+                morsels_done: 4,
+                morsels_total: 8,
+                window_ms: 30_000,
+            }) => {}
+            other => panic!("expected a stall at 4/8: {other:?}"),
+        }
+    }
+
+    /// A held morsel is released by whatever stops its query, and fails
+    /// with that stop's typed error.
+    #[test]
+    fn a_hold_ends_when_its_query_stops() {
+        for stop in ["abort", "cancel", "trip"] {
+            let (slot, _guard) = armed(FaultEvent::Hold { morsel: 1 });
+            let ctx = ExecCtx::unbounded().with_faults(slot.current());
+            assert!(ctx.fault_at_morsel(0).is_ok(), "{stop}: morsel 0 runs");
+            match stop {
+                "abort" => ctx.abort(),
+                "cancel" => ctx.cancel.cancelled.store(true, Ordering::SeqCst),
+                _ => ctx.trip(),
+            }
+            let err = ctx
+                .fault_at_morsel(1)
+                .expect_err("the hold fails its morsel");
+            assert!(
+                matches!(
+                    (stop, &err),
+                    ("abort", RuntimeError::Shutdown { .. })
+                        | ("cancel", RuntimeError::Cancelled { .. })
+                        | ("trip", RuntimeError::Stopped)
+                ),
+                "{stop}: {err:?}"
+            );
+        }
+    }
 }

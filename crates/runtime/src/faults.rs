@@ -53,10 +53,12 @@ pub enum FaultEvent {
     /// verification as not charging the memory gauge, which a full
     /// verification pass must reject.
     UnchargedAlloc,
-    /// Park the worker that claims morsel `morsel` until its context is
-    /// aborted or cancelled, then fail the morsel with that typed error: a
-    /// test decides that a statement is mid-flight instead of racing it.
-    /// [`FaultPlan::from_seed`] never emits it.
+    /// Park the worker that claims morsel `morsel` until its query stops
+    /// (aborted, cancelled, stalled, past its deadline, or failed in a
+    /// sibling worker), then fail the morsel with that typed error: a test
+    /// decides that a statement is mid-flight instead of racing it. A hold
+    /// nothing releases within 10 s panics. [`FaultPlan::from_seed`] never
+    /// emits it.
     Hold {
         /// Zero-based morsel index, in claim order within a stage.
         morsel: usize,
@@ -225,11 +227,6 @@ impl ArmedPlan {
         state.morsels_seen += 1;
         state.apply_skews();
     }
-}
-
-/// The deadline clock under `armed`: wall time when nothing is armed.
-pub fn now(armed: Option<&ArmedPlan>) -> Instant {
-    armed.map_or_else(Instant::now, ArmedPlan::now)
 }
 
 /// Where an engine's plan is armed.

@@ -4,46 +4,13 @@
 //! which lists the threads of every engine in the process. This binary
 //! holds this one test, so no other test's engine is alive while it looks.
 
+mod soak;
+
+use soak::{groupby_plan, make_db, run_seeded_soak, MORSEL};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
-use swole::plan::faults::FaultPlan;
 use swole::prelude::*;
-
-/// Rows per morsel (pinned via `tile_rows`) and total rows: 8 morsels.
-const MORSEL: usize = 1024;
-const N_ROWS: usize = 8 * MORSEL;
-
-/// Deterministic R(x, a, b, c) database.
-fn make_db() -> Database {
-    let mut state = 0x0007_11fe_5eed_u64;
-    let mut next = move |m: u64| {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) % m
-    };
-    let mut col = |m: u64| ColumnData::I32((0..N_ROWS).map(|_| next(m) as i32).collect());
-    let mut db = Database::new();
-    db.add_table(
-        Table::new("R")
-            .with_column("x", col(100))
-            .with_column("a", col(50))
-            .with_column("b", col(50))
-            .with_column("c", col(16)),
-    );
-    db
-}
-
-fn groupby_plan() -> LogicalPlan {
-    QueryBuilder::scan("R")
-        .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(60)))
-        .aggregate(
-            Some("c"),
-            vec![
-                AggSpec::sum(Expr::col("a").mul(Expr::col("b")), "s"),
-                AggSpec::count("n"),
-            ],
-        )
-}
 
 /// Names of live `swole-pool-*` threads (Linux `/proc` scan; empty
 /// elsewhere, degrading the assertions to no-ops).
@@ -73,15 +40,25 @@ fn pool_thread_names_when(settled: impl Fn(&[String]) -> bool) -> Vec<String> {
     }
 }
 
+/// No `swole-pool-*` thread is left once every engine is gone.
+fn assert_no_pool_threads(after: &str) {
+    assert_eq!(
+        pool_thread_names_when(|names| names.is_empty()),
+        Vec::<String>::new(),
+        "{after}: every swole-pool-* thread must be joined"
+    );
+}
+
 /// Dropping the last handle joins every pool worker, whether the builder
-/// asked for threads or, by the older name, for a worker pool; and so
-/// does a graceful shutdown of an engine a seeded fault plan was armed on.
+/// asked for threads or, by the older name, for a worker pool; so does a
+/// graceful shutdown while clients hammer the engine, and so does every
+/// cell of the seeded chaos soak.
 #[test]
 #[cfg_attr(miri, ignore = "relies on wall-clock progress timing")]
 fn no_pool_thread_outlives_its_engine() {
     let four: [fn(EngineBuilder) -> EngineBuilder; 2] = [|b| b.threads(4), |b| b.worker_pool(4)];
     for (i, configure) in four.into_iter().enumerate() {
-        let e = configure(Engine::builder(make_db()))
+        let e = configure(Engine::builder(make_db(512)))
             .tile_rows(MORSEL)
             .admission(AdmissionConfig::new(2))
             .build();
@@ -105,33 +82,41 @@ fn no_pool_thread_outlives_its_engine() {
             "builder #{i}: a surviving clone keeps the pool alive"
         );
         drop(clone);
-        assert_eq!(
-            pool_thread_names_when(|names| names.is_empty()),
-            Vec::<String>::new(),
-            "builder #{i}: Drop must join every swole-pool-* thread"
-        );
+        assert_no_pool_threads(&format!("builder #{i}: drop"));
     }
 
-    for threads in [2, 8] {
-        for seed in 0..4 {
-            let e = Engine::builder(make_db())
-                .tile_rows(MORSEL)
-                .admission(AdmissionConfig::new(2))
-                .global_memory_budget(64 << 20)
-                .threads(threads)
-                .build();
-            let guard = e.inject_faults(FaultPlan::from_seed(seed));
-            for _ in 0..3 {
-                let _ = e.query(&groupby_plan());
-            }
-            drop(guard);
-            let report = e.shutdown(Some(Duration::from_secs(10)));
-            assert!(report.clean, "seed={seed} threads={threads}: {report:?}");
-            assert_eq!(
-                pool_thread_names_when(|names| names.is_empty()),
-                Vec::<String>::new(),
-                "seed={seed} threads={threads}: shutdown must join every swole-pool-* thread"
-            );
-        }
+    // A graceful drain with statements in flight: clients hammer the
+    // engine until shutdown turns them away.
+    const CLIENTS: usize = 8;
+    let e = Engine::builder(make_db(512))
+        .threads(4)
+        .tile_rows(MORSEL)
+        .admission(AdmissionConfig::new(2))
+        .global_memory_budget(64 << 20)
+        .build();
+    let ok_runs = Arc::new(AtomicUsize::new(0));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let e = e.clone();
+            let ok_runs = ok_runs.clone();
+            std::thread::spawn(move || {
+                while e.query(&groupby_plan()).is_ok() {
+                    ok_runs.fetch_add(1, Ordering::Relaxed);
+                }
+            })
+        })
+        .collect();
+    while ok_runs.load(Ordering::Relaxed) < CLIENTS {
+        std::thread::yield_now();
     }
+    let report = e.shutdown(Some(Duration::from_secs(30)));
+    assert!(report.clean, "{report:?}");
+    for client in clients {
+        client.join().expect("client thread");
+    }
+    drop(e);
+    assert_no_pool_threads("a drain under 8 hammering clients");
+
+    run_seeded_soak();
+    assert_no_pool_threads("the seeded chaos soak");
 }

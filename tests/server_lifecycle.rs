@@ -288,60 +288,61 @@ fn deadline_shutdown_reaches_inline_one_morsel_statements() {
 #[test]
 #[cfg_attr(miri, ignore = "relies on wall-clock progress timing")]
 fn watchdog_cancels_stalled_query_with_typed_error() {
-    // One thread: the check that follows the skew comes before any other
-    // morsel can complete (a completion after the jump is progress on the
-    // skewed clock, which a second worker could slip in first).
-    let e = Engine::builder(make_db(N_ROWS, 512))
-        .threads(1)
-        .tile_rows(MORSEL)
-        .stall_window(Duration::from_secs(30))
-        .build();
-    let plan = groupby_plan();
-    let truth = interp::run(&e.database(), &plan).expect("interpreter ground truth");
+    for threads in [1, 2] {
+        let e = Engine::builder(make_db(N_ROWS, 512))
+            .threads(threads)
+            .tile_rows(MORSEL)
+            .stall_window(Duration::from_secs(30))
+            .build();
+        let plan = groupby_plan();
+        let truth = interp::run(&e.database(), &plan).expect("interpreter ground truth");
 
-    // Morsel-progress heartbeats are recorded *before* the armed plan
-    // counts the morsel, so a scheduled clock-skew jump lands strictly
-    // after the last heartbeat: the next progress check sees a 10-minute
-    // gap against a 30-second window and cancels the query as stalled.
-    let guard = e.inject_faults(FaultPlan {
-        seed: 0,
-        events: vec![FaultEvent::ClockSkew {
-            after_morsels: Some(2),
-            ms: 600_000,
-        }],
-    });
-    let err = e.query(&plan).expect_err("skewed clock trips the watchdog");
-    drop(guard);
-    match err {
-        PlanError::Stalled {
-            morsels_done,
-            morsels_total,
-            window_ms,
-        } => {
-            assert_eq!(window_ms, 30_000);
-            assert!(
-                morsels_done >= 1 && morsels_done < morsels_total,
-                "stall interrupts mid-query: {morsels_done}/{morsels_total}"
-            );
+        // Morsel-progress heartbeats are recorded *before* the armed plan
+        // counts the morsel, and the worker that completes the third morsel
+        // judges the clock-skew jump it triggers against that heartbeat: a
+        // 10-minute gap against a 30-second window stalls the query, however
+        // many other workers complete a morsel on the skewed clock first.
+        let guard = e.inject_faults(FaultPlan {
+            seed: 0,
+            events: vec![FaultEvent::ClockSkew {
+                after_morsels: Some(2),
+                ms: 600_000,
+            }],
+        });
+        let err = e.query(&plan).expect_err("skewed clock trips the watchdog");
+        drop(guard);
+        match err {
+            PlanError::Stalled {
+                morsels_done,
+                morsels_total,
+                window_ms,
+            } => {
+                assert_eq!(window_ms, 30_000);
+                assert!(
+                    morsels_done >= 1 && morsels_done < morsels_total,
+                    "threads={threads}: stall interrupts mid-query: \
+                     {morsels_done}/{morsels_total}"
+                );
+            }
+            other => panic!("threads={threads}: expected PlanError::Stalled, got {other:?}"),
         }
-        other => panic!("expected PlanError::Stalled, got {other:?}"),
+
+        // A stalled plan would stall again: no fallback attempt, and the
+        // outcome is on the EXPLAIN ANALYZE record.
+        let report = e.explain(&plan).expect("explains").runtime;
+        assert!(
+            report.iter().any(|l| l.contains("stalled")),
+            "threads={threads}: stall recorded: {report:?}"
+        );
+        assert!(
+            !report.iter().any(|l| l.contains("fell back")),
+            "threads={threads}: stall must not trigger fallback: {report:?}"
+        );
+
+        // The engine survives its wedged query; the same session runs clean.
+        assert_eq!(e.query(&plan).expect("clean rerun").rows, truth.rows);
+        assert_eq!(e.queries_in_flight(), 0);
     }
-
-    // A stalled plan would stall again: no fallback attempt, and the
-    // outcome is on the EXPLAIN ANALYZE record.
-    let report = e.explain(&plan).expect("explains").runtime;
-    assert!(
-        report.iter().any(|l| l.contains("stalled")),
-        "stall recorded: {report:?}"
-    );
-    assert!(
-        !report.iter().any(|l| l.contains("fell back")),
-        "stall must not trigger fallback: {report:?}"
-    );
-
-    // The engine survives its wedged query; the same session runs clean.
-    assert_eq!(e.query(&plan).expect("clean rerun").rows, truth.rows);
-    assert_eq!(e.queries_in_flight(), 0);
 }
 
 #[test]
