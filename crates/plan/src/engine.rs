@@ -262,7 +262,7 @@ impl Engine {
     pub fn table_stats(&self, table: &str) -> Result<Option<stats::TableStats>, PlanError> {
         let db = self.inner.read_db();
         db.table(table)?;
-        Ok(self.inner.stats.for_table(&db, table))
+        Ok(self.inner.stats.for_table(&db, table).map(|s| (*s).clone()))
     }
 
     /// How this session collects and maintains catalog statistics.
@@ -993,9 +993,8 @@ impl EngineInner {
 
     /// Retry a failed query under the data-centric strategy: the
     /// row-at-a-time interpreter, which allocates no pullup temporaries.
-    /// Its principal footprint — a qualifying-row-id vector — is charged
-    /// against the same gauge, so a budgeted session cannot dodge its
-    /// budget by failing over.
+    /// [`fallback_bytes`] is charged against the same gauge, so a budgeted
+    /// session cannot dodge its budget by failing over.
     fn fallback_datacentric(
         &self,
         db: &Database,
@@ -1117,9 +1116,11 @@ impl EngineInner {
     }
 }
 
-/// What the data-centric fallback charges for its row-id vector, 8 bytes
-/// per base-table row scanned. A certificate's peak bound reserves it: gauge
-/// charges are held to completion, so a failed primary can coexist with it.
+/// What the data-centric fallback charges: 8 bytes per base-table row
+/// scanned, the row-id vector a window retry sorts (an aggregate retry
+/// streams its rows and builds none, but is charged the same). A
+/// certificate's peak bound reserves it: gauge charges are held to
+/// completion, so a failed primary can coexist with it.
 fn fallback_bytes(db: &Database, plan: &LogicalPlan) -> u64 {
     let mut rows = 0usize;
     plan.visit(&mut |node| {

@@ -1,9 +1,14 @@
-//! Expressions and their row-wise evaluation.
+//! Expressions and their row-at-a-time evaluation.
 //!
 //! The engine does not walk these trees while it scans: the planner lowers
-//! them once into flat tile programs (`crate::tile`). The row-wise evaluator
-//! here backs the naive reference interpreter and statistics sampling, and
-//! is the oracle the tile programs are tested against.
+//! them once into flat tile programs (`crate::tile`). Everything else that
+//! evaluates an expression — the reference interpreter, the planner's
+//! statistics samples, the tile programs' tests — compiles it once per
+//! statement with [`Expr::compile`]: every column is resolved to its typed
+//! slice and every `LIKE` / `IN` to a per-code match table, and the
+//! [`RowExpr`] it returns evaluates one row at a time with no lookup by
+//! name. It shares no code with the tile programs, so it stays their
+//! oracle.
 
 use crate::error::PlanError;
 use swole_storage::{like_match, ColumnData, Table};
@@ -288,51 +293,120 @@ impl Expr {
         self.children().try_for_each(|c| c.validate_dicts(table))
     }
 
-    /// Row-wise evaluation (interpreter / sampling). Booleans are 0/1.
-    pub fn eval_row(&self, table: &Table, row: usize) -> i64 {
-        match self {
-            Expr::Col(name) => table.column_required(name).get_i64(row),
-            Expr::Lit(v) => *v,
-            // Unreachable after validation; evaluate defensively as 0.
-            Expr::Param(_) => 0,
-            Expr::Cmp(op, a, b) => op.apply(a.eval_row(table, row), b.eval_row(table, row)) as i64,
-            // Explicit wrapping arithmetic: identical results in debug and
-            // release builds (division by zero still panics; the engine's
-            // isolation domain converts that into a typed error).
-            Expr::Add(a, b) => a.eval_row(table, row).wrapping_add(b.eval_row(table, row)),
-            Expr::Sub(a, b) => a.eval_row(table, row).wrapping_sub(b.eval_row(table, row)),
-            Expr::Mul(a, b) => a.eval_row(table, row).wrapping_mul(b.eval_row(table, row)),
-            Expr::Div(a, b) => a.eval_row(table, row).wrapping_div(b.eval_row(table, row)),
-            Expr::And(a, b) => (a.eval_row(table, row) != 0 && b.eval_row(table, row) != 0) as i64,
-            Expr::Or(a, b) => (a.eval_row(table, row) != 0 || b.eval_row(table, row) != 0) as i64,
-            Expr::Not(a) => (a.eval_row(table, row) == 0) as i64,
-            Expr::Like { col, pattern } => {
-                let dict = table
-                    .column_required(col)
-                    .as_dict()
-                    .expect("validated dictionary column");
-                like_match(pattern, dict.value(row)) as i64
-            }
-            Expr::InList { col, values } => {
-                let dict = table
-                    .column_required(col)
-                    .as_dict()
-                    .expect("validated dictionary column");
-                values.iter().any(|v| v == dict.value(row)) as i64
-            }
-            Expr::Case {
-                when,
-                then,
-                otherwise,
-            } => {
-                if when.eval_row(table, row) != 0 {
-                    then.eval_row(table, row)
-                } else {
-                    otherwise.eval_row(table, row)
-                }
-            }
+    /// Compile this expression against `table` for row-at-a-time
+    /// evaluation: [`Expr::validate`] it, then resolve every column to its
+    /// typed slice and every `LIKE` / `IN` to a match table over its
+    /// dictionary, once. The evaluator then finds nothing by name.
+    pub fn compile<'t>(&self, table: &'t Table) -> Result<RowExpr<'t>, PlanError> {
+        self.validate(table)?;
+        Ok(RowExpr(row_fn(self, table)))
+    }
+}
+
+/// One row's value of a compiled expression.
+type RowFn<'t> = Box<dyn Fn(usize) -> i64 + 't>;
+
+/// An [`Expr`] compiled against one table by [`Expr::compile`]: a tree of
+/// closures, one per node, over the table's typed columns. It backs the
+/// reference interpreter and the planner's statistics samples, and shares
+/// no code with the tile programs (`crate::tile`), so it stays an
+/// independent oracle for them.
+pub struct RowExpr<'t>(RowFn<'t>);
+
+impl RowExpr<'_> {
+    /// The expression's value at `row`; booleans are 0/1.
+    pub fn eval(&self, row: usize) -> i64 {
+        (self.0)(row)
+    }
+}
+
+fn row_fn<'t>(e: &Expr, t: &'t Table) -> RowFn<'t> {
+    match e {
+        Expr::Col(c) => map_col(t.column_required(c), |x| x),
+        Expr::Lit(v) => {
+            let v = *v;
+            Box::new(move |_| v)
+        }
+        // Rejected by validation.
+        Expr::Param(_) => Box::new(|_| 0),
+        Expr::Cmp(op, a, b) => {
+            let op = *op;
+            binary(a, b, t, move |x, y| op.apply(x, y) as i64)
+        }
+        // Explicit wrapping arithmetic: identical results in debug and
+        // release builds (division by zero still panics; the engine's
+        // isolation domain converts that into a typed error).
+        Expr::Add(a, b) => binary(a, b, t, i64::wrapping_add),
+        Expr::Sub(a, b) => binary(a, b, t, i64::wrapping_sub),
+        Expr::Mul(a, b) => binary(a, b, t, i64::wrapping_mul),
+        Expr::Div(a, b) => binary(a, b, t, i64::wrapping_div),
+        // `AND`, `OR` and `CASE` evaluate an operand only when it decides
+        // the value, so a guarded division never runs on the rows it guards.
+        Expr::And(a, b) => {
+            let (a, b) = (row_fn(a, t), row_fn(b, t));
+            Box::new(move |r| (a(r) != 0 && b(r) != 0) as i64)
+        }
+        Expr::Or(a, b) => {
+            let (a, b) = (row_fn(a, t), row_fn(b, t));
+            Box::new(move |r| (a(r) != 0 || b(r) != 0) as i64)
+        }
+        Expr::Not(a) => {
+            let a = row_fn(a, t);
+            Box::new(move |r| (a(r) == 0) as i64)
+        }
+        Expr::Like { col, pattern } => dict_match(t, col, |v| like_match(pattern, v)),
+        Expr::InList { col, values } => dict_match(t, col, |v| values.iter().any(|s| s == v)),
+        Expr::Case {
+            when,
+            then,
+            otherwise,
+        } => {
+            let (w, a, b) = (row_fn(when, t), row_fn(then, t), row_fn(otherwise, t));
+            Box::new(move |r| if w(r) != 0 { a(r) } else { b(r) })
         }
     }
+}
+
+/// `f` of two operands. A column against a literal — `x < 5`, `a * 2`, the
+/// commonest shape — reads the column and applies `f` in one closure.
+fn binary<'t>(a: &Expr, b: &Expr, t: &'t Table, f: impl Fn(i64, i64) -> i64 + 't) -> RowFn<'t> {
+    match (a, b) {
+        (Expr::Col(c), Expr::Lit(y)) => {
+            let y = *y;
+            map_col(t.column_required(c), move |x| f(x, y))
+        }
+        _ => {
+            let (a, b) = (row_fn(a, t), row_fn(b, t));
+            Box::new(move |r| f(a(r), b(r)))
+        }
+    }
+}
+
+/// `then` of a column's value, read from its typed slice (a dictionary
+/// column's value is its code).
+fn map_col<'t>(col: &'t ColumnData, then: impl Fn(i64) -> i64 + 't) -> RowFn<'t> {
+    fn typed<'t, T: Copy + Into<i64>>(v: &'t [T], then: impl Fn(i64) -> i64 + 't) -> RowFn<'t> {
+        Box::new(move |r| then(v[r].into()))
+    }
+    match col {
+        ColumnData::I8(v) => typed(v, then),
+        ColumnData::I16(v) => typed(v, then),
+        ColumnData::I32(v) => typed(v, then),
+        ColumnData::I64(v) => typed(v, then),
+        ColumnData::U32(v) => typed(v, then),
+        ColumnData::Dict(d) => typed(d.codes(), then),
+    }
+}
+
+/// 0/1: whether the row's string in dictionary column `col` satisfies
+/// `pred`, which runs once per dictionary entry.
+fn dict_match<'t>(t: &'t Table, col: &str, pred: impl Fn(&str) -> bool) -> RowFn<'t> {
+    let dict = t
+        .column_required(col)
+        .as_dict()
+        .expect("validated dictionary column");
+    let (codes, hit) = (dict.codes(), dict.matching_codes(pred));
+    Box::new(move |r| hit[codes[r] as usize] as i64)
 }
 
 #[cfg(test)]
@@ -353,7 +427,8 @@ mod tests {
     }
 
     fn values_of(e: &Expr, t: &Table) -> Vec<i64> {
-        (0..t.len()).map(|row| e.eval_row(t, row)).collect()
+        let e = e.compile(t).expect("valid");
+        (0..t.len()).map(|row| e.eval(row)).collect()
     }
 
     #[test]

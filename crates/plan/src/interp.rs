@@ -4,11 +4,18 @@
 //! Volcano-style row iteration, `BTreeMap` grouping — and the same result
 //! conventions. The test suite cross-checks every engine result against it
 //! (the role HyPer plays as a sanity baseline in the paper's evaluation).
+//!
+//! Naive is not the same as slow per row: every expression is compiled once
+//! per statement ([`Expr::compile`]: columns resolved to typed slices,
+//! `LIKE` / `IN` to match tables), and scan → filter → semijoin rows stream
+//! into the aggregate one at a time, with no vector of row ids (a window
+//! keeps one, because it sorts). The compiled rows share no code with the
+//! engine's tile programs, so the interpreter stays an independent oracle.
 
 use crate::catalog::Database;
 use crate::error::PlanError;
-use crate::expr::{AggFunc, Expr};
-use crate::logical::{AggSpec, FrameSpec, LogicalPlan, SortKey, WindowFunc};
+use crate::expr::{AggFunc, Expr, RowExpr};
+use crate::logical::{FrameSpec, LogicalPlan, SortKey, WindowFunc};
 use crate::metrics::OpMetrics;
 use crate::result::QueryResult;
 use std::collections::BTreeMap;
@@ -109,31 +116,38 @@ fn run_core(
     if aggs.is_empty() {
         return Err(PlanError::Unsupported("empty aggregate list".into()));
     }
-    let base = input.base_table();
-    let table = db.table(base)?;
-    for a in aggs {
-        a.expr.validate(table)?;
-    }
-    let rows = qualifying_rows(db, input, op)?;
-    op.access.rows_out = rows.len() as u64;
+    let table = db.table(input.base_table())?;
+    let exprs = aggs
+        .iter()
+        .map(|a| a.expr.compile(table))
+        .collect::<Result<Vec<_>, _>>()?;
+    let rows = Rows::compile(db, input, op)?;
+    let fold = |acc: &mut [i64], row: usize| {
+        // Wrapping accumulation matches the engine's kernels exactly, so
+        // fallback results stay bit-identical even on wraparound inputs.
+        for ((acc, a), e) in acc.iter_mut().zip(aggs).zip(&exprs) {
+            *acc = match a.func {
+                AggFunc::Count => acc.wrapping_add(1),
+                AggFunc::Sum => acc.wrapping_add(e.eval(row)),
+                AggFunc::Min => (*acc).min(e.eval(row)),
+                AggFunc::Max => (*acc).max(e.eval(row)),
+            };
+        }
+    };
+    let identities: Vec<i64> = aggs
+        .iter()
+        .map(|a| match a.func {
+            AggFunc::Min => i64::MAX,
+            AggFunc::Max => i64::MIN,
+            AggFunc::Sum | AggFunc::Count => 0,
+        })
+        .collect();
     match group_by {
         None => {
-            let mut acc = vec![0i64; aggs.len()];
-            for (i, a) in aggs.iter().enumerate() {
-                if a.func == AggFunc::Min {
-                    acc[i] = i64::MAX;
-                }
-                if a.func == AggFunc::Max {
-                    acc[i] = i64::MIN;
-                }
-            }
-            for &row in &rows {
-                for (i, a) in aggs.iter().enumerate() {
-                    accumulate(&mut acc[i], a, table, row);
-                }
-            }
-            if rows.is_empty() {
-                acc = vec![0; aggs.len()];
+            let mut acc = identities;
+            op.access.rows_out = rows.for_each(op, |row| fold(&mut acc, row));
+            if op.access.rows_out == 0 {
+                acc.fill(0);
             }
             Ok(QueryResult {
                 columns: aggs.iter().map(|a| a.name.clone()).collect(),
@@ -153,32 +167,19 @@ fn run_core(
                     "group by {g} over a multi-way join"
                 )));
             }
-            let key_col = table.column(g).ok_or_else(|| PlanError::UnknownColumn {
-                table: base.to_string(),
-                column: g.clone(),
-            })?;
+            let key = Expr::col(g).compile(table)?;
             let mut groups: BTreeMap<i64, Vec<i64>> = BTreeMap::new();
-            for &row in &rows {
-                let key = key_col.get_i64(row);
-                let acc = groups.entry(key).or_insert_with(|| {
-                    aggs.iter()
-                        .map(|a| match a.func {
-                            AggFunc::Min => i64::MAX,
-                            AggFunc::Max => i64::MIN,
-                            _ => 0,
-                        })
-                        .collect()
-                });
-                for (i, a) in aggs.iter().enumerate() {
-                    accumulate(&mut acc[i], a, table, row);
-                }
-            }
+            op.access.rows_out = rows.for_each(op, |row| {
+                let acc = groups.entry(key.eval(row));
+                fold(acc.or_insert_with(|| identities.clone()), row);
+            });
             let mut columns = vec![g.clone()];
             columns.extend(aggs.iter().map(|a| a.name.clone()));
             Ok(QueryResult {
                 columns,
                 metrics: None,
-                key_dict: key_col
+                key_dict: table
+                    .column_required(g)
                     .as_dict()
                     .map(|d| std::sync::Arc::new(d.dictionary().to_vec())),
                 rows: groups
@@ -239,30 +240,24 @@ fn run_window(
             )));
         }
     }
-    for f in funcs {
-        if let Some(e) = &f.expr {
-            e.validate(table)?;
-        }
-    }
-    let rows = qualifying_rows(db, input, op)?;
-    op.access.rows_out = rows.len() as u64;
+    let func_exprs = funcs
+        .iter()
+        .map(|f| f.expr.as_ref().map(|e| e.compile(table)).transpose())
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut rows = Vec::new();
+    op.access.rows_out = Rows::compile(db, input, op)?.for_each(op, |r| rows.push(r));
     let m = rows.len();
-    let eval_col = |name: &str| -> Vec<i64> {
-        let e = Expr::col(name);
-        rows.iter().map(|&r| e.eval_row(table, r)).collect()
-    };
+    let eval = |e: &RowExpr<'_>| -> Vec<i64> { rows.iter().map(|&r| e.eval(r)).collect() };
+    let eval_col = |name: &str| eval(&Expr::col(name).compile(table).expect("checked column"));
     let part: Vec<i64> = match partition_by {
         Some(p) => eval_col(p),
         None => vec![0; m],
     };
     let ord: Vec<Vec<i64>> = order_by.iter().map(|k| eval_col(&k.column)).collect();
     let sel_cols: Vec<Vec<i64>> = select.iter().map(|c| eval_col(c)).collect();
-    let inputs: Vec<Vec<i64>> = funcs
+    let inputs: Vec<Vec<i64>> = func_exprs
         .iter()
-        .map(|f| match &f.expr {
-            Some(e) => rows.iter().map(|&r| e.eval_row(table, r)).collect(),
-            None => vec![1; m],
-        })
+        .map(|e| e.as_ref().map_or_else(|| vec![1; m], eval))
         .collect();
     // Window order: (partition, order keys, base row id) — the same total
     // order the engine sorts by.
@@ -358,77 +353,112 @@ fn run_window(
     })
 }
 
-fn accumulate(acc: &mut i64, spec: &AggSpec, table: &swole_storage::Table, row: usize) {
-    // Wrapping accumulation matches the engine's kernels exactly, so
-    // fallback results stay bit-identical even on wraparound inputs.
-    match spec.func {
-        AggFunc::Count => *acc = acc.wrapping_add(1),
-        AggFunc::Sum => *acc = acc.wrapping_add(spec.expr.eval_row(table, row)),
-        AggFunc::Min => *acc = (*acc).min(spec.expr.eval_row(table, row)),
-        AggFunc::Max => *acc = (*acc).max(spec.expr.eval_row(table, row)),
+/// The rows of the plan's base table that survive all filters and
+/// semijoins, compiled once per statement: each filter against the table,
+/// each semijoin's build side run to a membership flag per parent row.
+struct Rows<'a> {
+    /// Rows of the base table.
+    len: usize,
+    /// Innermost first, the order the plan applies them.
+    steps: Vec<Step<'a>>,
+}
+
+enum Step<'a> {
+    Filter(RowExpr<'a>),
+    SemiJoin { fk: &'a [u32], parent: Vec<bool> },
+}
+
+impl Step<'_> {
+    fn keeps(&self, row: usize) -> bool {
+        match self {
+            Step::Filter(e) => e.eval(row) != 0,
+            Step::SemiJoin { fk, parent } => parent.get(fk[row] as usize) == Some(&true),
+        }
     }
 }
 
-/// Rows of the plan's base table that survive all filters and semijoins.
-/// Counter adds are unconditional — the interpreter is the slow path by
-/// design, so a handful of `u64` adds per plan node is noise.
-fn qualifying_rows(
-    db: &Database,
-    plan: &LogicalPlan,
-    op: &mut OpMetrics,
-) -> Result<Vec<usize>, PlanError> {
-    match plan {
-        LogicalPlan::Scan { table } => {
-            let n = db.table(table)?.len();
-            op.access.rows_in += n as u64;
-            Ok((0..n).collect())
+impl<'a> Rows<'a> {
+    /// Compile the scan → filter → semijoin chain `plan`, running every
+    /// semijoin's build side. Its errors are the statement's, in the order
+    /// a recursive walk meets them.
+    fn compile(
+        db: &'a Database,
+        plan: &LogicalPlan,
+        op: &mut OpMetrics,
+    ) -> Result<Self, PlanError> {
+        match plan {
+            LogicalPlan::Scan { table } => Ok(Rows {
+                len: db.table(table)?.len(),
+                steps: Vec::new(),
+            }),
+            LogicalPlan::Filter { input, predicate } => {
+                let table = db.table(input.base_table())?;
+                let step = Step::Filter(predicate.compile(table)?);
+                let mut rows = Rows::compile(db, input, op)?;
+                rows.steps.push(step);
+                Ok(rows)
+            }
+            LogicalPlan::SemiJoin {
+                input,
+                build,
+                fk_col,
+            } => {
+                let child = db.table(input.base_table())?;
+                let parent_name = build.base_table();
+                let surviving = Rows::compile(db, build, op)?;
+                let mut parent = vec![false; surviving.len];
+                surviving.for_each(op, |r| parent[r] = true);
+                let fk = match db.fk_index(input.base_table(), fk_col, parent_name) {
+                    Some(idx) => idx.positions(),
+                    None => child
+                        .column(fk_col)
+                        .ok_or_else(|| PlanError::UnknownColumn {
+                            table: input.base_table().to_string(),
+                            column: fk_col.clone(),
+                        })?
+                        .as_u32()
+                        .ok_or_else(|| PlanError::MissingFkIndex {
+                            child: input.base_table().to_string(),
+                            fk_column: fk_col.clone(),
+                        })?,
+                };
+                let mut rows = Rows::compile(db, input, op)?;
+                rows.steps.push(Step::SemiJoin { fk, parent });
+                Ok(rows)
+            }
+            LogicalPlan::Aggregate { .. }
+            | LogicalPlan::Window { .. }
+            | LogicalPlan::OrderBy { .. }
+            | LogicalPlan::Limit { .. } => Err(PlanError::Unsupported(
+                "nested aggregation or window".into(),
+            )),
         }
-        LogicalPlan::Filter { input, predicate } => {
-            let table = db.table(input.base_table())?;
-            predicate.validate(table)?;
-            let rows = qualifying_rows(db, input, op)?;
-            op.access.predicate_evals += rows.len() as u64;
-            Ok(rows
-                .into_iter()
-                .filter(|&r| predicate.eval_row(table, r) != 0)
-                .collect())
+    }
+
+    /// Call `f` with every surviving row, in row order, and return how
+    /// many there were. Every row reaching a filter is one predicate
+    /// evaluation and every row reaching a semijoin one membership probe,
+    /// as when each step filtered a vector of row ids.
+    fn for_each(&self, op: &mut OpMetrics, mut f: impl FnMut(usize)) -> u64 {
+        let mut reached = vec![0u64; self.steps.len()];
+        let mut out = 0;
+        'rows: for row in 0..self.len {
+            for (step, n) in self.steps.iter().zip(&mut reached) {
+                *n += 1;
+                if !step.keeps(row) {
+                    continue 'rows;
+                }
+            }
+            out += 1;
+            f(row);
         }
-        LogicalPlan::SemiJoin {
-            input,
-            build,
-            fk_col,
-        } => {
-            let child = db.table(input.base_table())?;
-            let parent_name = build.base_table();
-            let surviving = qualifying_rows(db, build, op)?;
-            let parent_set: std::collections::HashSet<usize> = surviving.into_iter().collect();
-            let fk = match db.fk_index(input.base_table(), fk_col, parent_name) {
-                Some(idx) => idx.positions().to_vec(),
-                None => child
-                    .column(fk_col)
-                    .ok_or_else(|| PlanError::UnknownColumn {
-                        table: input.base_table().to_string(),
-                        column: fk_col.clone(),
-                    })?
-                    .as_u32()
-                    .ok_or_else(|| PlanError::MissingFkIndex {
-                        child: input.base_table().to_string(),
-                        fk_column: fk_col.clone(),
-                    })?
-                    .to_vec(),
-            };
-            let rows = qualifying_rows(db, input, op)?;
-            op.access.ht_probes += rows.len() as u64;
-            Ok(rows
-                .into_iter()
-                .filter(|&r| parent_set.contains(&(fk[r] as usize)))
-                .collect())
+        op.access.rows_in += self.len as u64;
+        for (step, n) in self.steps.iter().zip(reached) {
+            match step {
+                Step::Filter(_) => op.access.predicate_evals += n,
+                Step::SemiJoin { .. } => op.access.ht_probes += n,
+            }
         }
-        LogicalPlan::Aggregate { .. }
-        | LogicalPlan::Window { .. }
-        | LogicalPlan::OrderBy { .. }
-        | LogicalPlan::Limit { .. } => Err(PlanError::Unsupported(
-            "nested aggregation or window".into(),
-        )),
+        out
     }
 }

@@ -15,7 +15,6 @@ use crate::physical::{
     AggMode, AggShape, CostProfile, Estimates, GroupTableRepr, Instance, JoinEdge, PhysicalPlan,
     Shape,
 };
-use crate::stats;
 use crate::tile::TileProgram;
 use swole_cost::choose::choose_agg_mt;
 use swole_cost::{AggProfile, AggStrategy, JoinOrderMethod};
@@ -162,7 +161,7 @@ impl Planner<'_> {
             has_minmax,
             ..
         } = *q;
-        let group_keys = group_by.map(|g| stats::estimate_distinct(table, g));
+        let group_keys = group_by.map(|g| self.sampled_distinct(table, g));
         let group_table = match group_by.zip(group_keys) {
             Some((g, keys)) => self.group_table(q, g, None, keys)?,
             None => GroupTableRepr::Hash,

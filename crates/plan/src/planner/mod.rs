@@ -278,6 +278,16 @@ impl Planner<'_> {
             None => sampled,
         })
     }
+
+    /// [`stats::estimate_distinct`] of `table.column` — a grouped stage's
+    /// groups, a window's partitions — as the table's statistics snapshot
+    /// holds it, sampled now only when statistics are off.
+    fn sampled_distinct(&self, table: &Table, column: &str) -> usize {
+        self.stats
+            .for_table(self.db, table.name())
+            .and_then(|s| s.column(column).map(|c| c.sampled_ndv))
+            .unwrap_or_else(|| stats::estimate_distinct(table, column))
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,6 @@ use crate::error::PlanError;
 use crate::expr::Expr;
 use crate::logical::{FrameSpec, LogicalPlan};
 use crate::physical::{CostProfile, Estimates, PhysicalPlan, Shape, WindowShape};
-use crate::stats;
 use crate::tile::{TileProgram, Want};
 use swole_cost::choose::{choose_window, sort_cost};
 use swole_cost::{WindowProfile, WindowStrategy};
@@ -94,7 +93,7 @@ impl Planner<'_> {
                 rows: table.len(),
                 selectivity,
                 partitions: partition_by
-                    .map(|p| stats::estimate_distinct(table, p))
+                    .map(|p| self.sampled_distinct(table, p))
                     .unwrap_or(1)
                     .max(1),
                 frame_rows: match *frame {

@@ -6,7 +6,7 @@
 //! sampling) so plans are reproducible.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 use crate::catalog::Database;
 use crate::expr::Expr;
@@ -57,6 +57,10 @@ pub struct ColumnStats {
     /// `true` when `ndv` was computed by full scan (small tables and
     /// dictionary columns), `false` when extrapolated from a sample.
     pub ndv_exact: bool,
+    /// [`estimate_distinct`] of the column: the planner's group and
+    /// partition counts. Equal to `ndv` when that is not exact; sampled
+    /// once per table generation instead of once per plan.
+    pub sampled_ndv: usize,
     /// Dictionary size for dictionary-encoded columns, `None` otherwise.
     pub dict_cardinality: Option<usize>,
 }
@@ -100,7 +104,7 @@ impl TableStats {
 #[derive(Debug)]
 pub(crate) struct StatsCatalog {
     mode: StatsMode,
-    tables: RwLock<HashMap<String, TableStats>>,
+    tables: RwLock<HashMap<String, Arc<TableStats>>>,
 }
 
 impl StatsCatalog {
@@ -124,7 +128,7 @@ impl StatsCatalog {
     /// Replace `table`'s snapshot after it was (re)loaded.
     pub(crate) fn reload(&self, table: &Table) {
         if self.mode != StatsMode::Off {
-            let fresh = collect_table_stats(table);
+            let fresh = Arc::new(collect_table_stats(table));
             let mut map = self.tables.write().unwrap_or_else(|e| e.into_inner());
             map.insert(table.name().to_string(), fresh);
         }
@@ -132,8 +136,8 @@ impl StatsCatalog {
 
     /// Current snapshot for `name`, refreshed if the table's generation
     /// moved past the snapshot's. `None` when statistics are off or the
-    /// table is unknown.
-    pub(crate) fn for_table(&self, db: &Database, name: &str) -> Option<TableStats> {
+    /// table is unknown. Shared, not copied: a plan reads it several times.
+    pub(crate) fn for_table(&self, db: &Database, name: &str) -> Option<Arc<TableStats>> {
         if self.mode == StatsMode::Off {
             return None;
         }
@@ -146,7 +150,7 @@ impl StatsCatalog {
                 }
             }
         }
-        let fresh = collect_table_stats(db.table(name).ok()?);
+        let fresh = Arc::new(collect_table_stats(db.table(name).ok()?));
         let mut map = self.tables.write().unwrap_or_else(|e| e.into_inner());
         let entry = map.entry(name.to_string()).or_insert_with(|| fresh.clone());
         if !entry.fresh_for(generation) {
@@ -163,7 +167,7 @@ impl StatsCatalog {
         }
         let mut map = self.tables.write().unwrap_or_else(|e| e.into_inner());
         if let Some(s) = map.get_mut(name) {
-            s.observed_selectivity = Some(observed);
+            Arc::make_mut(s).observed_selectivity = Some(observed);
         }
     }
 }
@@ -187,6 +191,7 @@ pub fn collect_table_stats(table: &Table) -> TableStats {
             min = 0;
             max = 0;
         }
+        let sampled_ndv = estimate_distinct(table, name);
         let (ndv, ndv_exact) = match dict_cardinality {
             Some(card) => (card, true),
             None if n <= NDV_EXACT_LIMIT => {
@@ -196,7 +201,7 @@ pub fn collect_table_stats(table: &Table) -> TableStats {
                 }
                 (seen.len(), true)
             }
-            None => (estimate_distinct(table, name), false),
+            None => (sampled_ndv, false),
         };
         columns.insert(
             name.to_string(),
@@ -205,6 +210,7 @@ pub fn collect_table_stats(table: &Table) -> TableStats {
                 max,
                 ndv,
                 ndv_exact,
+                sampled_ndv,
                 dict_cardinality,
             },
         );
@@ -217,23 +223,20 @@ pub fn collect_table_stats(table: &Table) -> TableStats {
     }
 }
 
-/// Estimate the selectivity of `predicate` over `table` by evaluating it on
-/// an evenly-strided sample. Returns a value in `[0, 1]`; an empty table
-/// estimates 0.
+/// Estimate the selectivity of `predicate` over `table` by evaluating it,
+/// compiled once, on a deterministic sample. Returns a value in `[0, 1]`;
+/// an empty table estimates 0.
+///
+/// # Panics
+/// If `predicate` does not [`Expr::validate`] against `table`.
 pub fn estimate_selectivity(table: &Table, predicate: &Expr) -> f64 {
     let n = table.len();
     if n == 0 {
         return 0.0;
     }
-    let mut sampled = 0usize;
-    let mut hits = 0usize;
-    for row in sample_rows(n) {
-        if predicate.eval_row(table, row) != 0 {
-            hits += 1;
-        }
-        sampled += 1;
-    }
-    hits as f64 / sampled as f64
+    let predicate = predicate.compile(table).expect("validated predicate");
+    let hits = sample_rows(n).filter(|&r| predicate.eval(r) != 0).count();
+    hits as f64 / SAMPLE_SIZE.min(n) as f64
 }
 
 /// Deterministic pseudo-random sample of up to [`SAMPLE_SIZE`] row ids.
@@ -266,12 +269,8 @@ pub fn estimate_distinct(table: &Table, column: &str) -> usize {
     if n == 0 {
         return 0;
     }
-    let mut seen = std::collections::HashSet::new();
-    let mut sampled = 0usize;
-    for row in sample_rows(n) {
-        seen.insert(col.get_i64(row));
-        sampled += 1;
-    }
+    let sampled = SAMPLE_SIZE.min(n);
+    let seen: std::collections::HashSet<i64> = sample_rows(n).map(|r| col.get_i64(r)).collect();
     let d = seen.len();
     if d * 2 < sampled {
         // Saturated: low cardinality.
@@ -368,7 +367,138 @@ mod tests {
         assert_eq!((x.min, x.max), (0, 99_999));
         assert!(!x.ndv_exact);
         assert!(x.ndv > 50_000, "ndv={}", x.ndv);
+        assert_eq!(x.sampled_ndv, x.ndv);
     }
+
+    /// 50 000 seeded rows, one column of every storage type: more rows
+    /// than one sample, few enough that every `ndv` is exact.
+    fn seeded_table() -> Table {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        use swole_storage::DictColumn;
+        const N: usize = 50_000;
+        let mut rng = SmallRng::seed_from_u64(36);
+        let mut col = |f: &mut dyn FnMut(&mut SmallRng) -> i64| -> Vec<i64> {
+            (0..N).map(|_| f(&mut rng)).collect()
+        };
+        let a = col(&mut |r| r.gen_range(-50i64..50));
+        let b = col(&mut |r| r.gen_range(0i64..1000));
+        let c = col(&mut |r| r.gen_range(-1_000_000i64..1_000_000));
+        let d = col(&mut |r| r.gen_range(0i64..10));
+        let e = col(&mut |r| r.gen_range(0i64..40_000));
+        let s = col(&mut |r| r.gen_range(0i64..5));
+        let words = [
+            "PROMO BRUSHED",
+            "STANDARD",
+            "PROMO PLATED",
+            "ECONOMY",
+            "LARGE",
+        ];
+        Table::new("t")
+            .with_column("a", ColumnData::I8(a.iter().map(|&v| v as i8).collect()))
+            .with_column("b", ColumnData::I16(b.iter().map(|&v| v as i16).collect()))
+            .with_column("c", ColumnData::I32(c.iter().map(|&v| v as i32).collect()))
+            .with_column("d", ColumnData::I64(d))
+            .with_column("e", ColumnData::U32(e.iter().map(|&v| v as u32).collect()))
+            .with_column(
+                "s",
+                ColumnData::Dict(DictColumn::encode(
+                    &s.iter().map(|&v| words[v as usize]).collect::<Vec<_>>(),
+                )),
+            )
+    }
+
+    /// The planner's choices rest on these numbers: the sampled σ of every
+    /// expression kind over every column type, and the sampled distinct
+    /// counts, pinned bit for bit to what the row-wise evaluator the
+    /// compiled one replaced computed.
+    #[test]
+    fn estimates_are_pinned() {
+        use crate::expr::CmpOp::*;
+        let t = seeded_table();
+        let c = Expr::col;
+        let bx = Box::new;
+        let like = |p: &str| Expr::Like {
+            col: "s".into(),
+            pattern: p.into(),
+        };
+        let not = |e: Expr| Expr::Not(bx(e));
+        let div = |a: Expr, b: Expr| Expr::Div(bx(a), bx(b));
+        let add = |a: Expr, b: Expr| Expr::Add(bx(a), bx(b));
+        let sub = |a: Expr, b: Expr| Expr::Sub(bx(a), bx(b));
+        let cases: [(Expr, f64); 10] = [
+            (c("a").cmp(Lt, Expr::lit(0)), PINNED_SIGMA[0]),
+            (
+                c("b")
+                    .cmp(Ge, Expr::lit(500))
+                    .and(c("d").cmp(Eq, Expr::lit(3))),
+                PINNED_SIGMA[1],
+            ),
+            (like("PROMO%"), PINNED_SIGMA[2]),
+            (
+                Expr::InList {
+                    col: "s".into(),
+                    values: vec!["STANDARD".into(), "LARGE".into(), "NONE".into()],
+                },
+                PINNED_SIGMA[3],
+            ),
+            (not(c("c").cmp(Gt, Expr::lit(0))), PINNED_SIGMA[4]),
+            (
+                c("a")
+                    .cmp(Gt, Expr::lit(40))
+                    .or(c("e").cmp(Lt, Expr::lit(1000))),
+                PINNED_SIGMA[5],
+            ),
+            (
+                Expr::Case {
+                    when: bx(c("d").cmp(Lt, Expr::lit(5))),
+                    then: bx(c("b")),
+                    otherwise: bx(c("c")),
+                }
+                .cmp(Gt, Expr::lit(300)),
+                PINNED_SIGMA[6],
+            ),
+            (
+                div(c("c"), add(c("d"), Expr::lit(1))).cmp(Gt, Expr::lit(1000)),
+                PINNED_SIGMA[7],
+            ),
+            (
+                div(sub(c("a").mul(c("b")), c("c")), Expr::lit(7)).cmp(Le, c("e")),
+                PINNED_SIGMA[8],
+            ),
+            (
+                not(like("%PLATED").or(c("d").cmp(Eq, Expr::lit(9))))
+                    .and(c("b").cmp(Lt, Expr::lit(700)))
+                    .and(c("s").cmp(Ne, Expr::lit(3))),
+                PINNED_SIGMA[9],
+            ),
+        ];
+        for (i, (pred, want)) in cases.iter().enumerate() {
+            let got = estimate_selectivity(&t, pred);
+            assert_eq!(got.to_bits(), want.to_bits(), "σ #{i} {pred:?}: {got:?}");
+        }
+        let stats = collect_table_stats(&t);
+        for (name, want) in ["a", "b", "c", "d", "e", "s"].iter().zip(PINNED_DISTINCT) {
+            assert_eq!(estimate_distinct(&t, name), want, "distinct {name}");
+            let col = stats.column(name).unwrap();
+            assert_eq!(col.sampled_ndv, want, "snapshot of {name}");
+            assert!(col.ndv_exact, "{name}: every ndv here is exact");
+        }
+    }
+
+    /// Computed by the row-wise evaluator at the parent commit.
+    const PINNED_SIGMA: [f64; 10] = [
+        0.5107421875,
+        0.04638671875,
+        0.41162109375,
+        0.39892578125,
+        0.49560546875,
+        0.10595703125,
+        0.595703125,
+        0.50244140625,
+        0.5703125,
+        0.494140625,
+    ];
+    const PINNED_DISTINCT: [usize; 6] = [100, 862, 49_976, 10, 48_608, 5];
 
     #[test]
     fn empty_table_stats_are_sane() {

@@ -16,7 +16,8 @@
 //! resolves column positions and evaluates every dictionary predicate once
 //! per query; running it ([`BoundProgram::run`]) against a per-worker
 //! [`Regs`] file allocates nothing, looks nothing up by name and never
-//! recurses. [`crate::Expr::eval_row`] stays the interpreter oracle.
+//! recurses. [`crate::Expr::compile`]'s row evaluator stays the interpreter
+//! oracle.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -561,7 +562,7 @@ impl<'a> Lowerer<'a> {
         };
         let (mut a, b) = (self.value(a)?, self.value(b)?);
         // Literal arithmetic is not folded: it must wrap — or panic on a
-        // zero divisor — inside the tile loop, exactly like `eval_row`.
+        // zero divisor — inside the tile loop, exactly like the row evaluator.
         if let (VVal::Lit(x), VVal::Lit(_)) = (a, b) {
             a = VVal::Node(self.node(Node::ConstVal(x)));
         }
@@ -1568,11 +1569,16 @@ mod tests {
             let prog = Arc::new(TileProgram::lower(&t, Some(&filter), &wants).expect("lowers"));
             let bound = prog.bind(&t).expect("binds");
             let mut regs = Regs::new(&prog);
+            let want_filter = filter.compile(&t).expect("valid");
+            let want_values: Vec<_> = values
+                .iter()
+                .map(|e| e.compile(&t).expect("valid"))
+                .collect();
             // One register file across all tiles, as a worker runs it.
             for &(start, len) in &TILES {
                 bound.run(&mut regs, start, len);
                 for (j, &m) in bound.filter(&regs, len).iter().enumerate() {
-                    let want = filter.eval_row(&t, start + j) != 0;
+                    let want = want_filter.eval(start + j) != 0;
                     assert_eq!(
                         m,
                         want as u8,
@@ -1585,7 +1591,7 @@ mod tests {
                     for (j, &v) in got.iter().enumerate() {
                         assert_eq!(
                             v,
-                            e.eval_row(&t, start + j),
+                            want_values[i].eval(start + j),
                             "seed {seed} value {e:?} row {}",
                             start + j
                         );
@@ -1607,7 +1613,7 @@ mod tests {
     }
 
     /// The sums the scalar sinks produce, masked and gathered, checked and
-    /// not, against a row-at-a-time fold of `eval_row`.
+    /// not, against a row-at-a-time fold of the row evaluator.
     #[test]
     fn scalar_sinks_match_eval_row() {
         let t = table(11);
@@ -1634,12 +1640,13 @@ mod tests {
             aggs.push(AggSpec::count("n"));
             aggs.push(AggSpec::min(inputs[0].clone(), "lo"));
             aggs.push(AggSpec::max(inputs[1].clone(), "hi"));
-            let qualifying: Vec<usize> =
-                (0..ROWS).filter(|&r| filter.eval_row(&t, r) != 0).collect();
+            let keep = filter.compile(&t).expect("valid");
+            let qualifying: Vec<usize> = (0..ROWS).filter(|&r| keep.eval(r) != 0).collect();
             let want: Vec<i64> = aggs
                 .iter()
                 .map(|a| {
-                    let vals = qualifying.iter().map(|&r| a.expr.eval_row(&t, r));
+                    let e = a.expr.compile(&t).expect("valid");
+                    let vals = qualifying.iter().map(|&r| e.eval(r));
                     match a.func {
                         AggFunc::Sum => vals.fold(0i64, i64::wrapping_add),
                         AggFunc::Count => qualifying.len() as i64,
@@ -1750,7 +1757,7 @@ mod tests {
 
     /// The fused-input upsert — behind every front end, over both table
     /// representations, keys of every width, checked and proven — against
-    /// a row-at-a-time fold of `eval_row`, and the fused masked probe
+    /// a row-at-a-time fold of the row evaluator, and the fused masked probe
     /// against the three-pass path it replaces.
     #[test]
     fn grouped_and_probe_sinks_match_eval_row() {
@@ -1773,6 +1780,7 @@ mod tests {
                 _ => value(&mut rng, 2),
             };
             let aggs = [AggSpec::sum(input.clone(), "s")];
+            let input_of = input.compile(&t).expect("valid");
             let key = ["c8", "c16", "c32", "u", "d"][rng.gen_range(0..5usize)];
             let prog = Arc::new(
                 TileProgram::lower_agg(&t, Some(&filter), Some(key), &aggs, true).unwrap(),
@@ -1780,7 +1788,8 @@ mod tests {
             let sink = group_sink(&prog, &aggs);
             assert!(matches!(sink, GroupSink::Fused(_)), "one sum is fused");
             let bound = prog.bind(&t).unwrap();
-            let key_of = |r: usize| Expr::col(key).eval_row(&t, r);
+            let key_col = Expr::col(key).compile(&t).expect("valid");
+            let key_of = |r: usize| key_col.eval(r);
             let (lo, hi) = (0..ROWS).fold((i64::MAX, i64::MIN), |(lo, hi), r| {
                 (lo.min(key_of(r)), hi.max(key_of(r)))
             });
@@ -1788,11 +1797,12 @@ mod tests {
                 let mut want = BTreeMap::new();
                 for r in rows {
                     let e = want.entry(key_of(r)).or_insert(vec![0i64]);
-                    e[0] = e[0].wrapping_add(input.eval_row(&t, r));
+                    e[0] = e[0].wrapping_add(input_of.eval(r));
                 }
                 want
             };
-            let qualifies = |r: &usize| filter.eval_row(&t, *r) != 0;
+            let keep = filter.compile(&t).expect("valid");
+            let qualifies = |r: &usize| keep.eval(*r) != 0;
             let want = fold(&mut (0..ROWS).filter(qualifies), &key_of);
             let want_eager = fold(&mut (0..ROWS), &|r| fk[r] as i64);
             for which in 0..4 {
@@ -1873,7 +1883,7 @@ mod tests {
     /// The list inputs — one to five aggregates: `sum` / `count` lists in
     /// unrolled passes, lists with `min` / `max` in one folding pass —
     /// behind every front end, both table representations, checked and
-    /// proven adds, against a row-at-a-time fold of `eval_row`.
+    /// proven adds, against a row-at-a-time fold of the row evaluator.
     #[test]
     fn compiled_lists_match_eval_row() {
         use swole_ht::{AggTable, DenseAggTable};
@@ -1909,7 +1919,12 @@ mod tests {
                 continue;
             };
             let bound = prog.bind(&t).unwrap();
-            let key_of = |r: usize| Expr::col(key).eval_row(&t, r);
+            let inputs: Vec<_> = aggs
+                .iter()
+                .map(|a| a.expr.compile(&t).expect("valid"))
+                .collect();
+            let key_col = Expr::col(key).compile(&t).expect("valid");
+            let key_of = |r: usize| key_col.eval(r);
             let (lo, hi) = (0..ROWS).fold((i64::MAX, i64::MIN), |(lo, hi), r| {
                 (lo.min(key_of(r)), hi.max(key_of(r)))
             });
@@ -1918,8 +1933,8 @@ mod tests {
                 for r in rows {
                     let fresh = !want.contains_key(&key_of(r));
                     let state = want.entry(key_of(r)).or_insert_with(|| vec![0; n]);
-                    for (s, a) in state.iter_mut().zip(&aggs) {
-                        let v = a.expr.eval_row(&t, r);
+                    for ((s, a), e) in state.iter_mut().zip(&aggs).zip(&inputs) {
+                        let v = e.eval(r);
                         *s = match a.func {
                             AggFunc::Count => *s + 1,
                             AggFunc::Sum => s.wrapping_add(v),
@@ -1931,7 +1946,8 @@ mod tests {
                 }
                 want
             };
-            let qualifies = |r: &usize| filter.eval_row(&t, *r) != 0;
+            let keep = filter.compile(&t).expect("valid");
+            let qualifies = |r: &usize| keep.eval(*r) != 0;
             let want = fold(&mut (0..ROWS).filter(qualifies), &key_of);
             let want_eager = fold(&mut (0..ROWS), &|r| fk[r] as i64);
             for which in 0..4 {
@@ -1973,7 +1989,8 @@ mod tests {
             bound.run(&mut regs, start, len);
             hits += predicate::mask_count(bound.filter(&regs, len));
         }
-        let want = (0..ROWS).filter(|&r| filter.eval_row(&t, r) != 0).count();
+        let keep = filter.compile(&t).expect("valid");
+        let want = (0..ROWS).filter(|&r| keep.eval(r) != 0).count();
         assert_eq!(hits, want);
         // Three tiles, two dictionary predicates: two tables, not six.
         assert_eq!(MATCH_TABLES_BUILT.with(Cell::get), 2);

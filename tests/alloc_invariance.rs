@@ -5,6 +5,10 @@
 //! (register file in the morsel `init`, match tables at bind time), so a
 //! 400-tile table costs exactly the allocations a 4-tile table does.
 //!
+//! The reference interpreter streams too: the bytes it allocates for a
+//! filtered sum, with or without an FK semijoin, do not grow with the rows
+//! it scans.
+//!
 //! And per-statement overhead does not creep: one warm, one-morsel
 //! statement of each hot kind allocates no more than the counts recorded in
 //! [`HOT_STATEMENTS`], no more as an ad-hoc text than as a logical plan, and
@@ -27,6 +31,7 @@ use swole::prelude::*;
 use swole_kernels::TILE;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
 
 /// Held by the test that is counting.
 static COUNTER: Mutex<()> = Mutex::new(());
@@ -38,11 +43,12 @@ thread_local! {
 
 struct CountingAlloc;
 
-fn note() {
+fn note(bytes: usize) {
     // `try_with`: the allocator also runs while a thread's locals are torn
     // down, when the flag is gone and nothing is being measured.
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(bytes, Ordering::Relaxed);
     }
 }
 
@@ -51,19 +57,19 @@ fn note() {
 // touches no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size);
         // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -78,11 +84,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    counted_during(&ALLOCATIONS, f)
+}
+
+/// Bytes requested by allocations and reallocations while `f` runs.
+fn bytes_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    counted_during(&BYTES, f)
+}
+
+fn counted_during<T>(counter: &AtomicUsize, f: impl FnOnce() -> T) -> (usize, T) {
+    let before = counter.load(Ordering::Relaxed);
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+    (counter.load(Ordering::Relaxed) - before, out)
 }
 
 /// R(x, y, a, b, g, d) with `tiles` full tiles; every column cycles
@@ -179,6 +194,41 @@ fn execute_allocations_do_not_scale_with_table_size() {
     }
 }
 
+/// The interpreter streams scan → filter → semijoin rows into the
+/// aggregate: over 1 Mi rows it allocates the bytes it does over 64 Ki, no
+/// vector of row ids (8 MiB at 1 Mi rows) and no copy of the FK column.
+#[test]
+fn interpreter_bytes_do_not_scale_with_table_size() {
+    let _turn = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    let filtered = QueryBuilder::scan("R")
+        .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(50)))
+        .aggregate(None, vec![AggSpec::sum(Expr::col("a"), "s")]);
+    let semijoin = QueryBuilder::scan("R")
+        .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(50)))
+        .semijoin(
+            QueryBuilder::scan("S").filter(Expr::col("y").cmp(CmpOp::Lt, Expr::lit(50))),
+            "fk",
+        )
+        .aggregate(None, vec![AggSpec::sum(Expr::col("a"), "s")]);
+    let (small, large) = (fk_database(64), fk_database(1024));
+    for (name, plan) in [("filtered sum", &filtered), ("semijoin sum", &semijoin)] {
+        let bytes = |db: &Database| {
+            let (n, res) = bytes_during(|| swole::plan::interp::run(db, plan));
+            assert!(
+                res.expect("interprets").rows[0][0] > 0,
+                "{name}: rows qualify"
+            );
+            n
+        };
+        let (few, many) = (bytes(&small), bytes(&large));
+        assert!(few > 0, "{name}: the counter is live");
+        assert_eq!(
+            few, many,
+            "{name}: 64 Ki rows took {few} bytes, 1 Mi rows {many}"
+        );
+    }
+}
+
 /// `ORDER BY … LIMIT n` over a window assembles the `n` rows it returns, not
 /// one row vector per window row to sort and drop: the post-operators run on
 /// the window's columns. Tens of thousands of small frees left in the
@@ -248,9 +298,14 @@ const HOT_STATEMENTS: [(&str, &str, &str, usize, usize); 4] = [
 /// R ⋈ S with four tiles of R: every stage of every hot statement is one
 /// morsel.
 fn one_morsel_database() -> Database {
-    let n = 4 * TILE;
+    fk_database(4)
+}
+
+/// R, with `tiles` full tiles, ⋈ S(y) of 64 rows through `R.fk`.
+fn fk_database(tiles: usize) -> Database {
+    let n = tiles * TILE;
     let mut db = Database::new();
-    db.add_table(r_table(4).with_column(
+    db.add_table(r_table(tiles).with_column(
         "fk",
         ColumnData::U32((0..n).map(|i| (i % 64) as u32).collect()),
     ));

@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use swole::plan::faults::{FaultEvent, FaultPlan};
 use swole::plan::interp;
 use swole::prelude::*;
 
@@ -276,12 +277,10 @@ fn cancel_reaches_one_morsel_statements_on_the_pool() {
 
 #[test]
 fn admission_rejects_typed_and_drains() {
-    // One execution slot, no wait queue: whenever two queries genuinely
-    // overlap, the loser gets a typed QueueFull rejection. Repeat the
-    // paired race until an overlap happens (single round on any normal
-    // machine; bounded retries keep it deterministic on loaded CI). The
-    // table is large enough that one query outlasts the skew between two
-    // threads leaving a barrier even at the optimized scan rate.
+    // One execution slot, no wait queue: a query that arrives while another
+    // runs gets a typed QueueFull rejection. The running query's worker is
+    // held at morsel 1 until its session cancels it, so the overlap is
+    // chosen, not raced.
     let engine = Engine::builder(make_db(11, 1 << 20, 256))
         .threads(1)
         .tile_rows(2048)
@@ -290,42 +289,29 @@ fn admission_rejects_typed_and_drains() {
     let plan = groupby_plan();
     let solo = engine.query(&plan).expect("solo run admits");
 
-    let mut saw_rejection = false;
-    for _round in 0..20 {
-        if saw_rejection {
-            break;
-        }
-        let barrier = Barrier::new(2);
-        let results: Vec<Result<QueryResult, PlanError>> = thread::scope(|s| {
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let (engine, plan, barrier) = (&engine, &plan, &barrier);
-                    s.spawn(move || {
-                        barrier.wait();
-                        engine.query(plan)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for r in results {
-            match r {
-                Ok(res) => assert_eq!(res, solo, "admitted queries stay exact"),
-                Err(PlanError::Admission(AdmissionError::QueueFull {
-                    max_concurrent,
-                    queue_depth,
-                })) => {
-                    assert_eq!((max_concurrent, queue_depth), (1, 0));
-                    saw_rejection = true;
-                }
-                Err(e) => panic!("only QueueFull is acceptable here, got {e:?}"),
-            }
-        }
+    let hold = engine.inject_faults(FaultPlan {
+        seed: 0,
+        events: vec![FaultEvent::Hold { morsel: 1 }],
+    });
+    let holder = engine.session();
+    let held = {
+        let (session, plan) = (holder.clone(), plan.clone());
+        thread::spawn(move || session.query(&plan))
+    };
+    while engine.admission_in_flight() != Some((1, 0)) {
+        thread::yield_now();
     }
-    assert!(
-        saw_rejection,
-        "20 paired races never overlapped on one execution slot"
-    );
+    match engine.query(&plan) {
+        Err(PlanError::Admission(AdmissionError::QueueFull {
+            max_concurrent,
+            queue_depth,
+        })) => assert_eq!((max_concurrent, queue_depth), (1, 0)),
+        other => panic!("only QueueFull is acceptable here, got {other:?}"),
+    }
+    holder.handle().cancel();
+    let held = held.join().expect("holder thread");
+    assert!(matches!(held, Err(PlanError::Cancelled { .. })), "{held:?}");
+    drop(hold);
     // Rejections and completions both release their slots.
     assert_eq!(engine.admission_in_flight(), Some((0, 0)));
     assert_eq!(

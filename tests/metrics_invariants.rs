@@ -296,6 +296,31 @@ fn strategies_agree_on_rows_out() {
     }
 }
 
+/// The interpreter's counters on a filter + semijoin plan, against a count
+/// made straight from the columns: every row of each table reaches its
+/// filter once, every row of R that passes `x < 80` probes S once.
+#[test]
+fn interpreter_counts_evaluations_and_probes() {
+    let (n_r, n_s) = (50_000, 512);
+    let db = make_db(42, n_r, n_s);
+    let (_, op) = interp::run_metered(&db, &semijoin_plan()).expect("interp");
+    let col = |t: &str, c: &str| db.table(t).unwrap().column(c).unwrap();
+    let x = col("R", "x").as_i8().unwrap();
+    let fk = col("R", "fk").as_u32().unwrap();
+    let y = col("S", "y").as_i8().unwrap();
+    let probes = x.iter().filter(|&&v| v < 80).count() as u64;
+    let rows_out = (0..n_r)
+        .filter(|&i| x[i] < 80 && y[fk[i] as usize] < 50)
+        .count() as u64;
+    assert!(0 < rows_out && rows_out < probes && probes < n_r as u64);
+    let a = &op.access;
+    assert_eq!(a.rows_in, (n_r + n_s) as u64);
+    assert_eq!(a.predicate_evals, (n_r + n_s) as u64);
+    assert_eq!(a.ht_probes, probes);
+    assert_eq!(a.rows_out, rows_out);
+    assert_eq!(a.wasted_lanes, 0);
+}
+
 #[test]
 fn wasted_lanes_iff_pullup() {
     // Hybrid filters before aggregating: no lane ever carries a

@@ -367,32 +367,55 @@ fn overload_sheds_with_structured_retry_hint() {
     for _ in 0..4 {
         e.query(&plan).expect("warmup");
     }
+    // `true` for a shed, `false` for rows, a panic for anything else.
+    let shed = |r: Result<QueryResult, PlanError>| match r {
+        Ok(_) => false,
+        Err(PlanError::Admission(AdmissionError::Overloaded { retry_after_ms, .. })) => {
+            // The structured backoff contract: clients always get a usable
+            // (≥ 1 ms) retry hint, even for sub-millisecond service times.
+            assert!(retry_after_ms >= 1);
+            true
+        }
+        Err(other) => panic!("unexpected error under overload: {other:?}"),
+    };
 
+    // A query whose worker is held at morsel 1 keeps the slot busy until
+    // its session cancels it: every arrival meanwhile must be shed, by
+    // construction rather than by a race.
+    let hold = e.inject_faults(FaultPlan {
+        seed: 0,
+        events: vec![FaultEvent::Hold { morsel: 1 }],
+    });
+    let holder = e.session();
+    let held = {
+        let (session, plan) = (holder.clone(), plan.clone());
+        std::thread::spawn(move || session.query(&plan))
+    };
+    while e.admission_in_flight() != Some((1, 0)) {
+        std::thread::yield_now();
+    }
+    for _ in 0..CLIENTS {
+        assert!(
+            shed(e.query(&plan)),
+            "an arrival at a busy slot with a zero shed threshold is shed"
+        );
+    }
+    holder.handle().cancel();
+    let held = held.join().expect("holder thread");
+    assert!(matches!(held, Err(PlanError::Cancelled { .. })), "{held:?}");
+    drop(hold);
+
+    // Then real contention: clients see rows or a structured shed.
     let start = Arc::new(Barrier::new(CLIENTS));
-    let shed = Arc::new(AtomicUsize::new(0));
     let handles: Vec<_> = (0..CLIENTS)
         .map(|_| {
             let e = e.clone();
             let plan = plan.clone();
             let start = start.clone();
-            let shed = shed.clone();
             std::thread::spawn(move || {
                 start.wait();
                 for _ in 0..ROUNDS {
-                    match e.query(&plan) {
-                        Ok(_) => {}
-                        Err(PlanError::Admission(AdmissionError::Overloaded {
-                            retry_after_ms,
-                            ..
-                        })) => {
-                            // The structured backoff contract: clients
-                            // always get a usable (≥ 1 ms) retry hint,
-                            // even for sub-millisecond service times.
-                            assert!(retry_after_ms >= 1);
-                            shed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(other) => panic!("unexpected error under overload: {other:?}"),
-                    }
+                    shed(e.query(&plan));
                 }
             })
         })
@@ -400,10 +423,6 @@ fn overload_sheds_with_structured_retry_hint() {
     for h in handles {
         h.join().expect("client thread");
     }
-    assert!(
-        shed.load(Ordering::Relaxed) > 0,
-        "4 clients on 1 slot with a zero shed threshold must shed"
-    );
     assert_eq!(e.admission_in_flight(), Some((0, 0)));
 }
 
