@@ -308,3 +308,18 @@ impl EngineBuilder {
         Engine::new(self)
     }
 }
+
+/// What an [`Engine`] was built with.
+impl Engine {
+    /// Threads this session executes with: `1` runs every stage inline,
+    /// more runs them on a pool of this many workers beside the querying
+    /// thread.
+    pub fn threads(&self) -> usize {
+        self.inner.threads
+    }
+
+    /// Rows per parallel work unit (always a whole number of tiles).
+    pub fn morsel_rows(&self) -> usize {
+        self.inner.morsel_rows
+    }
+}

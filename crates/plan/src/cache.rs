@@ -117,14 +117,31 @@ pub(crate) fn hash_of(value: &(impl Hash + ?Sized)) -> u64 {
 /// A SQL text an entry's plan was parsed from, with its hash.
 type Text = (u64, Box<str>);
 
-/// One cached plan.
-struct CacheEntry {
-    fingerprint: u64,
+/// A statement's plans through the plan and certify phases: what an entry
+/// keeps and a hit hands back, and what a run is admitted from.
+#[derive(Clone)]
+pub(crate) struct Planned {
+    /// The key the entry is found under.
+    pub(crate) fingerprint: u64,
     /// The plan the entry was planned from: what confirms a fingerprint
     /// match, and what a warm text runs (its fallback included).
-    logical: Arc<LogicalPlan>,
-    plan: Arc<PhysicalPlan>,
-    /// The texts that parsed to `logical`.
+    pub(crate) logical: Arc<LogicalPlan>,
+    pub(crate) physical: Arc<PhysicalPlan>,
+    /// Strongest [`VerifyLevel`] the plan has passed. Verification runs
+    /// once per fingerprint: a hit at or below this level skips it, a hit
+    /// above re-verifies and upgrades via [`PlanCache::note_verified`].
+    pub(crate) verified: VerifyLevel,
+    /// Admission certificate derived from the same statistics generations
+    /// as the entry's — the generation check that invalidates the plan
+    /// therefore invalidates its certificate with it (the stale-stats
+    /// soundness edge).
+    pub(crate) cert: Arc<PlanCertificate>,
+}
+
+/// One cached plan.
+struct CacheEntry {
+    planned: Planned,
+    /// The texts that parsed to the entry's logical plan.
     texts: Vec<Text>,
     /// `(table, generation)` for every table the plan reads.
     generations: Vec<(String, u64)>,
@@ -138,15 +155,6 @@ struct CacheEntry {
     /// `Some(observed)` once drift marked the entry stale; the next lookup
     /// evicts it and hands the observed selectivity to the re-plan.
     stale: Option<f64>,
-    /// Strongest [`VerifyLevel`] this plan has passed. Verification runs
-    /// once per fingerprint: a hit at or below this level skips it, a hit
-    /// above re-verifies and upgrades via [`PlanCache::note_verified`].
-    verified: VerifyLevel,
-    /// Admission certificate derived from the same statistics generations
-    /// as `generations` — the generation check that invalidates the plan
-    /// therefore invalidates its certificate with it (the stale-stats
-    /// soundness edge).
-    certificate: Arc<PlanCertificate>,
 }
 
 impl CacheEntry {
@@ -167,15 +175,11 @@ impl CacheEntry {
     fn holds(&self, hash: u64, text: &str) -> bool {
         self.texts.iter().any(|(h, t)| *h == hash && **t == *text)
     }
-}
 
-/// Counters behind [`PlanCacheStats`].
-#[derive(Debug, Default, Clone)]
-struct Counters {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    invalidations: u64,
+    /// Whether the entry keeps `plan` under `fingerprint`.
+    fn is(&self, fingerprint: u64, plan: &LogicalPlan) -> bool {
+        self.planned.fingerprint == fingerprint && *self.planned.logical == *plan
+    }
 }
 
 /// A point-in-time snapshot of plan-cache activity, from
@@ -197,21 +201,11 @@ pub struct PlanCacheStats {
     pub bytes: usize,
 }
 
-/// A valid entry: its fingerprint, its plans, the strongest verification
-/// level the plan has already passed, and its admission certificate (valid
-/// because the validity check just passed).
-pub(crate) struct Hit {
-    pub(crate) fingerprint: u64,
-    pub(crate) logical: Arc<LogicalPlan>,
-    pub(crate) plan: Arc<PhysicalPlan>,
-    pub(crate) verified: VerifyLevel,
-    pub(crate) certificate: Arc<PlanCertificate>,
-}
-
 /// Result of a cache probe.
 pub(crate) enum CacheLookup {
-    /// A valid entry: reuse its plan.
-    Hit(Hit),
+    /// A valid entry (its certificate valid because the validity check
+    /// just passed): reuse its plan.
+    Hit(Planned),
     /// No usable entry; plan fresh.
     Miss {
         /// Observed selectivity from the drift-invalidated entry, if any,
@@ -225,7 +219,7 @@ pub(crate) enum CacheLookup {
 /// Result of a probe by text ([`PlanCache::lookup_text`]).
 pub(crate) enum TextLookup {
     /// A valid entry holds the text.
-    Hit(Hit),
+    Hit(Planned),
     /// The entry holding the text is no longer valid; this is its plan.
     Invalid(Arc<LogicalPlan>),
     /// No entry holds the text.
@@ -252,20 +246,10 @@ pub(crate) struct PlanCache {
 #[derive(Default)]
 struct Inner {
     entries: Vec<CacheEntry>,
-    counters: Counters,
+    /// The counters of [`PlanCache::stats`] (residency is read there).
+    counters: PlanCacheStats,
     /// Ticks once per hit or insert.
     clock: u64,
-}
-
-impl std::fmt::Debug for PlanCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
-        f.debug_struct("PlanCache")
-            .field("enabled", &self.enabled)
-            .field("entries", &stats.entries)
-            .field("bytes", &stats.bytes)
-            .finish()
-    }
 }
 
 impl PlanCache {
@@ -303,9 +287,7 @@ impl PlanCache {
             return miss;
         }
         let mut inner = self.lock();
-        let found = (inner.entries.iter())
-            .position(|e| e.fingerprint == fingerprint && *e.logical == *plan);
-        let Some(idx) = found else {
+        let Some(idx) = inner.entries.iter().position(|e| e.is(fingerprint, plan)) else {
             inner.counters.misses += 1;
             return miss;
         };
@@ -318,7 +300,7 @@ impl PlanCache {
             return CacheLookup::Miss {
                 // Changed data voids the observation along with the plan.
                 drift_hint: dead.stale.filter(|_| current),
-                invalidated: Some((dead.logical, dead.texts)),
+                invalidated: Some((dead.planned.logical, dead.texts)),
             };
         }
         let hit = Self::hit(&mut inner, idx);
@@ -338,24 +320,18 @@ impl PlanCache {
         };
         let entry = &inner.entries[idx];
         if !entry.usable(db) {
-            return TextLookup::Invalid(Arc::clone(&entry.logical));
+            return TextLookup::Invalid(Arc::clone(&entry.planned.logical));
         }
         TextLookup::Hit(Self::hit(&mut inner, idx))
     }
 
     /// Count a hit on the valid entry at `idx` and stamp its use.
-    fn hit(inner: &mut Inner, idx: usize) -> Hit {
+    fn hit(inner: &mut Inner, idx: usize) -> Planned {
         inner.counters.hits += 1;
         inner.clock += 1;
         let entry = &mut inner.entries[idx];
         entry.used = inner.clock;
-        Hit {
-            fingerprint: entry.fingerprint,
-            logical: Arc::clone(&entry.logical),
-            plan: Arc::clone(&entry.plan),
-            verified: entry.verified,
-            certificate: Arc::clone(&entry.certificate),
-        }
+        entry.planned.clone()
     }
 
     /// Keep `text` on the entry at `idx`, charged to it.
@@ -385,66 +361,50 @@ impl PlanCache {
         inner.entries.push(entry);
     }
 
-    /// Non-mutating probe: the plan `lookup` would hit, if it would. Used by
-    /// `EXPLAIN` to report `plan: cached` — and to show that plan — without
-    /// perturbing use order or counters.
-    pub(crate) fn peek(
-        &self,
-        fingerprint: u64,
-        plan: &LogicalPlan,
-        db: &Database,
-    ) -> Option<Arc<PhysicalPlan>> {
+    /// What [`PlanCache::lookup`] would find, without counting, stamping or
+    /// dropping anything: a hit on a valid entry, or a miss with the drift
+    /// hint the lookup would hand its re-plan. Used by `EXPLAIN` to show
+    /// the plan the next run would execute.
+    pub(crate) fn peek(&self, fingerprint: u64, plan: &LogicalPlan, db: &Database) -> CacheLookup {
         let inner = self.lock();
-        (inner.entries.iter())
-            .find(|e| e.fingerprint == fingerprint && *e.logical == *plan)
-            .filter(|e| e.usable(db))
-            .map(|e| Arc::clone(&e.plan))
+        let entry = inner.entries.iter().find(|e| e.is(fingerprint, plan));
+        match entry {
+            Some(e) if e.usable(db) => CacheLookup::Hit(e.planned.clone()),
+            _ => CacheLookup::Miss {
+                drift_hint: entry.and_then(|e| e.stale.filter(|_| e.current(db))),
+                invalidated: None,
+            },
+        }
     }
 
-    /// Insert a freshly planned entry for `logical`, valid for `db` as it is
-    /// now (see [`PlanCache::keep`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn insert(
-        &self,
-        fingerprint: u64,
-        logical: Arc<LogicalPlan>,
-        plan: Arc<PhysicalPlan>,
-        texts: Vec<Text>,
-        db: &Database,
-        verified: VerifyLevel,
-        certificate: Arc<PlanCertificate>,
-    ) {
+    /// Insert `planned`, reached by `texts`, valid for `db` as it is now
+    /// (see [`PlanCache::keep`]).
+    pub(crate) fn insert(&self, planned: &Planned, texts: Vec<Text>, db: &Database) {
         if !self.enabled {
             return;
         }
-        let bytes = entry_bytes(&logical, &plan, &texts, &certificate);
-        let generations = table_generations(db, &logical);
+        let logical = &planned.logical;
+        let bytes = entry_bytes(logical, &planned.physical, &texts, &planned.cert);
+        let generations = table_generations(db, logical);
         let mut join = false;
         logical.visit(&mut |node| join |= matches!(node, LogicalPlan::SemiJoin { .. }));
         let fk_epoch = join.then(|| db.fk_epoch());
         let mut inner = self.lock();
         // Replace any existing entry for the plan (e.g. a racing clone of the
         // engine planned the same statement).
-        let found = (inner.entries.iter())
-            .position(|e| e.fingerprint == fingerprint && e.logical == logical);
-        if let Some(idx) = found {
+        if let Some(idx) = (inner.entries.iter()).position(|e| e.is(planned.fingerprint, logical)) {
             let dead = inner.entries.swap_remove(idx);
             self.gauge.release(dead.bytes);
         }
         inner.clock += 1;
-        let used = inner.clock;
         let entry = CacheEntry {
-            fingerprint,
-            logical,
-            plan,
+            planned: planned.clone(),
             texts,
             generations,
             fk_epoch,
             bytes,
-            used,
+            used: inner.clock,
             stale: None,
-            verified,
-            certificate,
         };
         self.keep(&mut inner, entry);
     }
@@ -455,20 +415,17 @@ impl PlanCache {
         fingerprint: u64,
         plan: &Arc<PhysicalPlan>,
     ) -> Option<&'a mut CacheEntry> {
-        (inner.entries.iter_mut())
-            .find(|e| e.fingerprint == fingerprint && Arc::ptr_eq(&e.plan, plan))
+        (inner.entries.iter_mut()).find(|e| {
+            e.planned.fingerprint == fingerprint && Arc::ptr_eq(&e.planned.physical, plan)
+        })
     }
 
-    /// Record that `plan`, cached under `fingerprint`, has now passed
-    /// verification at `level`. Levels only ratchet upward.
-    pub(crate) fn note_verified(
-        &self,
-        fingerprint: u64,
-        plan: &Arc<PhysicalPlan>,
-        level: VerifyLevel,
-    ) {
-        if let Some(entry) = Self::entry_of(&mut self.lock(), fingerprint, plan) {
-            entry.verified = entry.verified.max(level);
+    /// Record that `planned`, a hit, has now passed verification at
+    /// `level`. Levels only ratchet upward.
+    pub(crate) fn note_verified(&self, planned: &Planned, level: VerifyLevel) {
+        let mut inner = self.lock();
+        if let Some(entry) = Self::entry_of(&mut inner, planned.fingerprint, &planned.physical) {
+            entry.planned.verified = entry.planned.verified.max(level);
         }
     }
 
@@ -481,7 +438,7 @@ impl PlanCache {
         let Some(entry) = Self::entry_of(&mut inner, fingerprint, plan) else {
             return;
         };
-        let Some(estimated) = entry.plan.estimates.selectivity else {
+        let Some(estimated) = entry.planned.physical.estimates.selectivity else {
             return;
         };
         let abs = (estimated - observed).abs();
@@ -556,12 +513,9 @@ impl PlanCache {
     pub(crate) fn stats(&self) -> PlanCacheStats {
         let inner = self.lock();
         PlanCacheStats {
-            hits: inner.counters.hits,
-            misses: inner.counters.misses,
-            evictions: inner.counters.evictions,
-            invalidations: inner.counters.invalidations,
             entries: inner.entries.len(),
             bytes: self.gauge.used(),
+            ..inner.counters.clone()
         }
     }
 }
@@ -678,20 +632,21 @@ mod tests {
         })
     }
 
+    /// `physical` planned for `logical`, under `fingerprint`.
+    fn planned(fingerprint: u64, logical: &LogicalPlan, physical: &Arc<PhysicalPlan>) -> Planned {
+        Planned {
+            fingerprint,
+            logical: Arc::new(logical.clone()),
+            physical: Arc::clone(physical),
+            verified: VerifyLevel::Off,
+            cert: certificate(),
+        }
+    }
+
     /// Insert `physical` for `logical` under its own fingerprint.
     fn put(cache: &PlanCache, db: &Database, logical: &LogicalPlan, physical: Arc<PhysicalPlan>) {
-        let fp = hash_of(logical);
-        let texts = Vec::new();
-        let logical = Arc::new(logical.clone());
-        cache.insert(
-            fp,
-            logical,
-            physical,
-            texts,
-            db,
-            VerifyLevel::Off,
-            certificate(),
-        );
+        let planned = planned(hash_of(logical), logical, &physical);
+        cache.insert(&planned, Vec::new(), db);
     }
 
     fn get(cache: &PlanCache, db: &Database, logical: &LogicalPlan) -> CacheLookup {
@@ -795,7 +750,10 @@ mod tests {
             CacheLookup::Miss { .. }
         ));
         assert_eq!(cache.stats().entries, 0);
-        assert!(cache.peek(hash_of(&scan()), &scan(), &db).is_none());
+        assert!(matches!(
+            cache.peek(hash_of(&scan()), &scan(), &db),
+            CacheLookup::Miss { .. }
+        ));
     }
 
     /// The fingerprint only finds candidates; the stored plan decides. Two
@@ -806,23 +764,13 @@ mod tests {
         let (cache, db) = (PlanCache::new(1 << 20), db());
         let (a, b) = (plan(), plan());
         for (logical, physical) in [(limit(1), &a), (limit(2), &b)] {
-            let logical = Arc::new(logical);
-            let physical = Arc::clone(physical);
-            cache.insert(
-                7,
-                logical,
-                physical,
-                Vec::new(),
-                &db,
-                VerifyLevel::Off,
-                certificate(),
-            );
+            cache.insert(&planned(7, &logical, physical), Vec::new(), &db);
         }
         assert_eq!(cache.stats().entries, 2);
         for (logical, physical) in [(limit(1), &a), (limit(2), &b)] {
             match cache.lookup(7, &logical, None, &db) {
                 CacheLookup::Hit(hit) => {
-                    assert!(Arc::ptr_eq(&hit.plan, physical));
+                    assert!(Arc::ptr_eq(&hit.physical, physical));
                     assert_eq!(*hit.logical, logical);
                 }
                 CacheLookup::Miss { .. } => panic!("{logical:?} is cached"),
@@ -916,20 +864,41 @@ mod tests {
     #[test]
     fn peek_does_not_perturb() {
         let (cache, mut db) = (PlanCache::new(1 << 20), db());
-        let cached = plan();
+        let cached = plan_estimating(Some(0.5));
         put(&cache, &db, &scan(), Arc::clone(&cached));
         let fp = hash_of(&scan());
-        let peeked = cache.peek(fp, &scan(), &db).expect("the entry is valid");
-        assert!(
-            Arc::ptr_eq(&peeked, &cached),
-            "peek hands out the entry's plan"
-        );
-        assert!(cache.peek(fp, &limit(1), &db).is_none());
-        assert!(cache.peek(fp + 1, &scan(), &db).is_none());
+        let miss = |lookup| {
+            matches!(
+                lookup,
+                CacheLookup::Miss {
+                    drift_hint: None,
+                    ..
+                }
+            )
+        };
+        match cache.peek(fp, &scan(), &db) {
+            CacheLookup::Hit(hit) => assert!(
+                Arc::ptr_eq(&hit.physical, &cached),
+                "peek hands out the entry's plan"
+            ),
+            CacheLookup::Miss { .. } => panic!("the entry is valid"),
+        }
+        assert!(miss(cache.peek(fp, &limit(1), &db)));
+        assert!(miss(cache.peek(fp + 1, &scan(), &db)));
+        // A stale entry is a miss with the hint the lookup would hand on.
+        cache.observe(fp, &cached, 0.05);
+        match cache.peek(fp, &scan(), &db) {
+            CacheLookup::Miss {
+                drift_hint: Some(h),
+                ..
+            } => assert!((h - 0.05).abs() < 1e-12),
+            _ => panic!("expected a drift miss"),
+        }
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (0, 0));
+        // Changed data voids the observation along with the plan.
         db.load_table(Table::new("T"));
-        assert!(cache.peek(fp, &scan(), &db).is_none());
+        assert!(miss(cache.peek(fp, &scan(), &db)));
         assert_eq!(cache.stats().entries, 1, "peek drops nothing");
     }
 }

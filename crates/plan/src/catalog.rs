@@ -1,8 +1,11 @@
 //! The catalog: named tables plus registered foreign-key indexes.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
+use crate::engine::Engine;
 use crate::error::PlanError;
+use crate::stats;
 use swole_storage::{FkIndex, Table};
 
 /// An in-memory database: tables and the foreign-key (positional) indexes
@@ -180,6 +183,55 @@ impl Database {
     /// All table names.
     pub fn table_names(&self) -> impl Iterator<Item = &str> {
         self.tables.iter().map(|t| t.name())
+    }
+}
+
+/// The catalog doors of an [`Engine`]: reads under the shared lock, reloads
+/// and FK registrations under the exclusive one.
+impl Engine {
+    /// Read access to the underlying database. The guard holds a shared
+    /// lock: queries from other engine clones proceed concurrently, but
+    /// [`Engine::load_table`] blocks until the guard drops.
+    pub fn database(&self) -> impl Deref<Target = Database> + '_ {
+        self.inner.read_db()
+    }
+
+    /// Load (or reload) a table through [`Database::load_table`], bumping
+    /// its generation counter — which invalidates every cached plan that
+    /// reads the table. Returns the new generation. In-flight queries keep
+    /// reading the snapshot they pinned at execution start.
+    pub fn load_table(&self, table: Table) -> u64 {
+        let (name, inner) = (table.name().to_string(), &self.inner);
+        let mut db = inner.db.write().unwrap_or_else(|e| e.into_inner());
+        let generation = db.load_table(table);
+        inner.stats.reload(db.table(&name).expect("just loaded"));
+        generation
+    }
+
+    /// The session's statistics snapshot for `table`: row count, per-column
+    /// min/max/NDV, dictionary cardinalities, and — under
+    /// [`stats::StatsMode::Adaptive`] — the most recent observed filter
+    /// selectivity. Refreshes lazily when the table's generation counter
+    /// moved since collection. Errors with [`PlanError::UnknownTable`] for
+    /// unregistered tables; returns `None` under [`stats::StatsMode::Off`].
+    pub fn table_stats(&self, table: &str) -> Result<Option<stats::TableStats>, PlanError> {
+        let db = self.inner.read_db();
+        db.table(table)?;
+        Ok(self.inner.stats.for_table(&db, table).map(|s| (*s).clone()))
+    }
+
+    /// How this session collects and maintains catalog statistics.
+    pub fn stats_mode(&self) -> stats::StatsMode {
+        self.inner.stats.mode()
+    }
+
+    /// Register a foreign-key index through [`Database::add_fk`] (needed
+    /// again after [`Engine::load_table`] replaced either side's table). It
+    /// invalidates every cached plan with a join edge: the index changes
+    /// which strategies the planner may pick.
+    pub fn register_fk(&self, child: &str, fk_col: &str, parent: &str) -> Result<(), PlanError> {
+        let mut db = self.inner.db.write().unwrap_or_else(|e| e.into_inner());
+        db.add_fk(child, fk_col, parent).map(|_| ())
     }
 }
 

@@ -205,7 +205,7 @@ impl Sink for ScalarSink {
         // column's statistics bound `|value| * rows` within i64, the site is
         // counted in `PlanCertificate::overflow_safe_sites`, the stage ran the
         // unchecked kernels and this branch is statically unreachable —
-        // `query_leveled` debug-asserts that.
+        // `EngineInner::primary` debug-asserts that.
         if overflow {
             let op = stage.shape.op_name();
             return Err(PlanError::Overflow(format!("scalar aggregation in {op}")));

@@ -3,12 +3,18 @@
 //! compared. See [`Explain`].
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::catalog::Database;
+use crate::engine::{Engine, EngineInner, Mode};
+use crate::error::PlanError;
+use crate::logical::LogicalPlan;
 use crate::metrics::{OpMetrics, QueryMetrics};
 use crate::physical::{AggMode, CostProfile, JoinEdge, PhysicalPlan, Shape};
+use crate::session::QueryOptions;
 use swole_cost::choose::{choose_agg_mt, choose_groupjoin_mt};
 use swole_cost::{join_order_cost, observed, AggProfile, CostParams, GroupJoinProfile};
+use swole_verify::VerifyLevel;
 
 /// One edge of a multi-way join as `EXPLAIN` renders it: the build-side
 /// table, the FK that reaches it, nesting depth (0 = direct fact edge),
@@ -78,12 +84,163 @@ pub struct Explain {
     pub join_tree: Vec<JoinEdgeExplain>,
 }
 
+/// The runtime report of the most recent statement, under its plan's
+/// fingerprint: what went wrong, line by line, and for a primary run that
+/// succeeded, its figures — kept as values, rendered only when an `EXPLAIN`
+/// asks.
+#[derive(Default)]
+pub(crate) struct LastRun {
+    pub(crate) fingerprint: Option<u64>,
+    pub(crate) lines: Vec<String>,
+    pub(crate) ok: Option<RunOk>,
+}
+
+/// A primary run that succeeded: the plan it ran, morsels done of total,
+/// and the bytes its gauge was charged.
+pub(crate) struct RunOk {
+    pub(crate) plan: Arc<PhysicalPlan>,
+    pub(crate) done: usize,
+    pub(crate) total: usize,
+    pub(crate) charged: usize,
+}
+
+impl LastRun {
+    /// The report's lines, if the statement under `fingerprint` ran last.
+    pub(crate) fn lines_of(&self, fingerprint: u64) -> Vec<String> {
+        if self.fingerprint != Some(fingerprint) {
+            return Vec::new();
+        }
+        let ok = self.ok.as_ref().map(|ok| {
+            let (strategy, done, total) = (&ok.plan.strategy, ok.done, ok.total);
+            format!(
+                "{strategy}: ok ({done}/{total} morsels, {} B charged)",
+                ok.charged
+            )
+        });
+        self.lines.iter().cloned().chain(ok).collect()
+    }
+}
+
+/// The EXPLAIN doors: each stops after the plan phase in its next mode —
+/// the plan the next execution would run — or, for `EXPLAIN VERIFY` and
+/// `EXPLAIN CODE`, after certifying it; `EXPLAIN ANALYZE` runs every phase.
+impl Engine {
+    /// EXPLAIN: the structured decision report of the plan the next
+    /// execution would run — the cached plan when that execution would hit
+    /// the cache (`plan: cached`), otherwise the plan its miss would make,
+    /// a drift re-plan's observed selectivity included (`plan: fresh`).
+    pub fn explain(&self, plan: &LogicalPlan) -> Result<Explain, PlanError> {
+        self.explain_next(plan, None)
+    }
+
+    /// EXPLAIN ANALYZE: execute the query once at (at least)
+    /// [`crate::MetricsLevel::Timings`] and return the decision report of the plan
+    /// that ran — after a drift re-plan, the re-planned one — with the
+    /// `analyze` section populated from the run: per-operator access
+    /// counters, hash-table behaviour, wall times, and the cost model's
+    /// prediction re-scored against what execution observed.
+    pub fn explain_analyze(&self, plan: &LogicalPlan) -> Result<Explain, PlanError> {
+        self.explain_analyze_with(plan, &QueryOptions::default())
+    }
+
+    /// [`Engine::explain_analyze`] with per-call option overrides.
+    pub fn explain_analyze_with(
+        &self,
+        plan: &LogicalPlan,
+        opts: &QueryOptions,
+    ) -> Result<Explain, PlanError> {
+        self.root().explain_analyze_with(plan, opts)
+    }
+
+    /// EXPLAIN VERIFY: the decision report of [`Engine::explain`] — of the
+    /// plan the next execution would run — with the `verification` section
+    /// populated by a [`VerifyLevel::Full`] pass over that plan (one summary
+    /// line per pass) followed by its admission-certificate bound lines
+    /// (peak memory, overflow-safe arithmetic sites, and a per-operator
+    /// bound breakdown).
+    pub fn explain_verify(&self, plan: &LogicalPlan) -> Result<Explain, PlanError> {
+        self.explain_next(plan, Some(VerifyLevel::Full))
+    }
+
+    /// EXPLAIN CODE: the decision report of [`Engine::explain`] — of the
+    /// plan the next execution would run — with the `code` section holding
+    /// each stage's loop as the paper's C-like code, printed from the tile
+    /// program, the instance and the join edges the executor dispatches on,
+    /// its sums in the mode the plan's certificate picks.
+    pub fn explain_code(&self, plan: &LogicalPlan) -> Result<Explain, PlanError> {
+        self.explain_next(plan, Some(VerifyLevel::Off))
+    }
+
+    /// The report of the plan the next execution would run; certified at
+    /// `verify` for `EXPLAIN VERIFY` (`Full`) and `EXPLAIN CODE` (`Off`).
+    fn explain_next(
+        &self,
+        plan: &LogicalPlan,
+        verify: Option<VerifyLevel>,
+    ) -> Result<Explain, PlanError> {
+        let db = self.inner.read_db();
+        let (physical, cached) = self.inner.plan_next(&db, plan, Mode::Next)?;
+        let mut ex = self
+            .inner
+            .explain_planned(&db, plan, &physical, cached, None);
+        if let Some(level) = verify {
+            let certified = self.inner.certify(&db, &physical, level)?;
+            let cert = certified.certificate(Some(plan));
+            if level == VerifyLevel::Off {
+                ex.code = crate::code::render(&physical, cert.overflow_proof);
+            } else {
+                ex.verification = certified.report.lines;
+                ex.verification.extend(cert.lines);
+            }
+        }
+        Ok(ex)
+    }
+}
+
+impl EngineInner {
+    /// The EXPLAIN report of `physical`, planned for `plan`; `cached` says
+    /// whether the next execution would take it from the cache, `analyze`
+    /// holds the metrics of the run that executed it. The engine keeps one
+    /// run report, shown only if this statement was the last to run.
+    pub(crate) fn explain_planned(
+        &self,
+        db: &Database,
+        plan: &LogicalPlan,
+        physical: &PhysicalPlan,
+        cached: bool,
+        analyze: Option<QueryMetrics>,
+    ) -> Explain {
+        let runtime = match self.last_run.lock() {
+            Ok(last) => last.lines_of(self.fingerprint(plan)),
+            Err(_) => Vec::new(),
+        };
+        let (join_order, join_tree) = join_tree(db, physical);
+        let mut ex = Explain {
+            shape: physical.describe(),
+            strategy: physical.strategy.clone(),
+            threads: self.threads,
+            morsel_rows: self.morsel_rows,
+            plan_source: Some(if cached { "cached" } else { "fresh" }.to_string()),
+            cost_terms: physical.cost_terms.clone(),
+            decisions: physical.decisions.clone(),
+            runtime,
+            analyze,
+            join_order,
+            join_tree,
+            verification: Vec::new(),
+            code: Vec::new(),
+        };
+        ex.fill_join_observed();
+        ex
+    }
+}
+
 impl Explain {
     /// Fill `observed_rows` on the join tree from an `EXPLAIN ANALYZE`
     /// metrics snapshot: each probe-side edge reports an operator named
     /// `multijoin-probe(<parent>)` whose `rows_out` is the edge's actual
     /// surviving cardinality.
-    pub(crate) fn fill_join_observed(&mut self) {
+    fn fill_join_observed(&mut self) {
         let Some(m) = &self.analyze else { return };
         for e in &mut self.join_tree {
             // Nested chain edges have no probe op — their observed
@@ -158,10 +315,7 @@ impl fmt::Display for Explain {
 /// one entry per edge with its estimated cardinality. Direct edges
 /// estimate surviving *fact* rows cumulatively along the probe order;
 /// nested (chain) edges estimate their parent table's qualifying rows.
-pub(crate) fn join_tree(
-    db: &Database,
-    plan: &PhysicalPlan,
-) -> (Option<String>, Vec<JoinEdgeExplain>) {
+fn join_tree(db: &Database, plan: &PhysicalPlan) -> (Option<String>, Vec<JoinEdgeExplain>) {
     let Some(join) = plan.join() else {
         return (None, Vec::new());
     };

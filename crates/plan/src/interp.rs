@@ -25,6 +25,21 @@ pub fn run(db: &Database, plan: &LogicalPlan) -> Result<QueryResult, PlanError> 
     run_metered(db, plan).map(|(res, _)| res)
 }
 
+/// What the data-centric fallback charges: 8 bytes per base-table row
+/// scanned, the row-id vector a window retry sorts (an aggregate retry
+/// streams its rows and builds none, but is charged the same). A
+/// certificate's peak bound reserves it: gauge charges are held to
+/// completion, so a failed primary can coexist with it.
+pub(crate) fn fallback_bytes(db: &Database, plan: &LogicalPlan) -> u64 {
+    let mut rows = 0usize;
+    plan.visit(&mut |node| {
+        if let LogicalPlan::Scan { table } = node {
+            rows = rows.saturating_add(db.table(table).map(|t| t.len()).unwrap_or(0));
+        }
+    });
+    rows.saturating_mul(8) as u64
+}
+
 /// Execute `plan` naively, also reporting the interpreter's access
 /// counters as a single operator (used when the engine falls back to the
 /// data-centric strategy at `MetricsLevel::Counters`+). The interpreter

@@ -1,12 +1,14 @@
 //! The engine's lifecycle: the gate that knows which queries are in flight,
-//! and [`Engine::shutdown`]'s drain-then-abort over it.
+//! [`Engine::shutdown`]'s drain-then-abort over it, and the accessors that
+//! say what the engine is doing now.
 
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
-use crate::engine::Engine;
+use crate::cache::{FallbackBreakerStats, PlanCacheStats};
+use crate::engine::{Engine, EngineInner};
 use crate::error::PlanError;
-use swole_runtime::{AdmissionError, ExecCtx};
+use swole_runtime::{AdmissionError, ExecCtx, MemoryPoolStats};
 
 /// Engine lifecycle phases. `Running` admits queries; `Draining` and
 /// `Stopped` reject them at the front door with a typed shutdown error.
@@ -66,6 +68,20 @@ impl Lifecycle {
     }
 }
 
+/// The last engine handle going away routes through the graceful-drain
+/// tail: close admission, join the pool workers. No query can still be in
+/// flight — every execution path holds an `Arc<EngineInner>` clone — so
+/// this never blocks on a drain, only on workers finishing their current
+/// morsel.
+impl Drop for EngineInner {
+    fn drop(&mut self) {
+        if let Some(ctl) = &self.admission {
+            ctl.close();
+        }
+        self.executor.shutdown(None);
+    }
+}
+
 /// RAII presence of one query in the lifecycle registry.
 pub(crate) struct QueryGuard<'a> {
     lifecycle: &'a Lifecycle,
@@ -114,20 +130,39 @@ impl Engine {
     /// executing), as tracked by the lifecycle gate. `0` on an idle or
     /// stopped engine.
     pub fn queries_in_flight(&self) -> usize {
-        let st = self
-            .inner()
-            .lifecycle
-            .state
-            .lock()
-            .expect("engine lifecycle");
+        let st = self.inner.lifecycle.state.lock().expect("engine lifecycle");
         st.live.len()
+    }
+
+    /// Activity counters of the session's plan cache.
+    pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        self.inner.cache.stats()
+    }
+
+    /// Activity of the interpreter-fallback circuit breaker: how many plan
+    /// classes are currently short-circuited past their primary strategy,
+    /// and how many executions have skipped it.
+    pub fn fallback_breaker_stats(&self) -> FallbackBreakerStats {
+        self.inner.cache.breaker_stats()
+    }
+
+    /// Live usage of the engine-wide memory pool, when
+    /// [`crate::EngineBuilder::global_memory_budget`] configured one.
+    pub fn global_memory_stats(&self) -> Option<MemoryPoolStats> {
+        self.inner.global.as_ref().map(|g| g.stats())
+    }
+
+    /// `(running, queued)` under admission control, when
+    /// [`crate::EngineBuilder::admission`] configured it.
+    pub fn admission_in_flight(&self) -> Option<(usize, usize)> {
+        self.inner.admission.as_ref().map(|a| a.in_flight())
     }
 
     /// Worker threads of the engine's pool still running (`0` for a
     /// one-thread engine, which has no pool, and after
     /// [`Engine::shutdown`]).
     pub fn live_pool_workers(&self) -> usize {
-        self.inner().executor.live_workers()
+        self.inner.executor.live_workers()
     }
 
     /// Gracefully shut the engine down: stop admitting queries, drain the
@@ -148,7 +183,7 @@ impl Engine {
     /// stopped state. Clones of this engine share the shutdown — it is an
     /// engine-wide, not per-handle, transition.
     pub fn shutdown(&self, deadline: Option<Duration>) -> ShutdownReport {
-        let inner = self.inner();
+        let inner = &self.inner;
         let t0 = Instant::now();
         let deadline_at = deadline.map(|d| t0 + d);
         {

@@ -98,7 +98,9 @@ impl Session {
         let param_count = param_count(&template)?;
         if param_count == 0 {
             // No placeholders: plan now, so the first execute() is a hit.
-            self.engine().inner().plan_now(&template, self.defaults())?;
+            let inner = &self.engine().inner;
+            let verify = inner.verify_level(self.defaults());
+            inner.plan(&inner.read_db(), Statement::Plan(&template), verify)?;
         }
         Ok(PreparedStatement {
             session: self.clone(),

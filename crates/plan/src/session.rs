@@ -4,6 +4,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::cache::CacheLookup;
 use crate::engine::{Engine, Statement};
 use crate::error::PlanError;
 use crate::explain::Explain;
@@ -137,6 +138,17 @@ impl Engine {
     pub fn session(&self) -> Session {
         Session::over(self.clone(), Arc::new(CancelState::default()))
     }
+
+    /// A cancellation token for the engine-wide scope. Clone it to other
+    /// threads; [`ExecHandle::cancel`] stops in-flight (and future) queries
+    /// at their next morsel boundary with [`PlanError::Cancelled`]. Call
+    /// [`ExecHandle::reset`] to accept queries again. Cancellation is
+    /// sticky *per scope*: this handle governs queries issued directly on
+    /// the engine, while each [`Engine::session`] has an independent scope
+    /// reachable through [`crate::Session::handle`].
+    pub fn handle(&self) -> ExecHandle {
+        ExecHandle::new(self.inner.cancel.clone())
+    }
 }
 
 impl Session {
@@ -199,7 +211,7 @@ impl Session {
         opts: &QueryOptions,
     ) -> Result<QueryResult, PlanError> {
         let merged = opts.or(&self.defaults);
-        let inner = self.engine.inner();
+        let inner = &self.engine.inner;
         let db = inner.read_db();
         let ran = inner.query_leveled(&db, stmt, &self.cancel, &merged, MetricsLevel::Off);
         ran.map(|(res, _)| res)
@@ -217,7 +229,7 @@ impl Session {
         opts: &QueryOptions,
     ) -> Result<QueryResult, PlanError> {
         let merged = opts.or(&self.defaults);
-        let inner = self.engine.inner();
+        let inner = &self.engine.inner;
         let db = inner.read_db();
         inner.execute_physical(&db, plan, &self.cancel, &merged)
     }
@@ -235,12 +247,15 @@ impl Session {
         opts: &QueryOptions,
     ) -> Result<Explain, PlanError> {
         let merged = opts.or(&self.defaults);
-        let inner = self.engine.inner();
+        let inner = &self.engine.inner;
         let db = inner.read_db();
         let stmt = Statement::Plan(plan);
         let (res, ran) =
             inner.query_leveled(&db, stmt, &self.cancel, &merged, MetricsLevel::Timings)?;
-        let cached = inner.peek(&db, plan).is_some();
-        Ok(inner.explain_planned(&db, plan, &ran, cached, res.metrics))
+        // Whether the next execution would take this plan from the cache:
+        // the run may have marked its entry stale, or not kept it at all.
+        let next = inner.cache.peek(ran.fingerprint, plan, &db);
+        let cached = matches!(next, CacheLookup::Hit(_));
+        Ok(inner.explain_planned(&db, plan, &ran.physical, cached, res.metrics))
     }
 }

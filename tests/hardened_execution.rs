@@ -157,6 +157,46 @@ fn cancel_from_another_thread_and_reset() {
     assert_eq!(e.query(&plan).expect("runs after reset").rows, truth.rows);
 }
 
+/// The physical door takes the statement's own gate and admission: its
+/// plan's certificate, with no fallback reserve since nothing retries a
+/// physical plan, is what a budget must fit; a cancelled session's scope
+/// stops it; and a shut-down engine refuses it.
+#[test]
+fn execute_shares_the_statement_gate_and_admission() {
+    let e = Engine::builder(make_db())
+        .threads(2)
+        .tile_rows(MORSEL)
+        .build();
+    let plan = groupby_plan();
+    let physical = e.plan(&plan).expect("plans");
+    let cert = e.certificate(&plan).expect("certifies");
+    let bound = cert.peak_bytes_bound - cert.fallback_bytes;
+    let budget = |bytes: u64| QueryOptions::new().memory_budget(bytes as usize);
+    match e.execute_with(&physical, &budget(bound - 1)) {
+        Err(PlanError::Admission(AdmissionError::BudgetInfeasible {
+            bound: refused,
+            budget,
+        })) => assert_eq!((refused, budget), (bound, bound - 1)),
+        other => panic!("expected BudgetInfeasible at {bound} B, got {other:?}"),
+    }
+    let truth = interp::run(&e.database(), &plan).expect("interp runs");
+    let ran = e.execute_with(&physical, &budget(bound));
+    assert_eq!(ran.expect("the bound fits").rows, truth.rows);
+
+    let session = e.session();
+    session.handle().cancel();
+    match session.execute(&physical) {
+        Err(PlanError::Cancelled { .. }) => {}
+        other => panic!("expected Cancelled, got {other:?}"),
+    }
+
+    e.shutdown(None);
+    match e.execute(&physical) {
+        Err(PlanError::Admission(AdmissionError::Shutdown)) => {}
+        other => panic!("expected Shutdown, got {other:?}"),
+    }
+}
+
 #[test]
 fn execute_propagates_plan_errors_without_panicking() {
     // Satellite: `expect("planned table")` is gone — a physical plan

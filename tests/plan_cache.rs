@@ -368,8 +368,8 @@ fn assert_explain_describes_the_replanned_run(engine: &Engine, plan: &LogicalPla
     assert_eq!(verified.plan_source.as_deref(), Some("cached"));
 }
 
-#[test]
-fn drift_between_sample_and_reality_triggers_replan() {
+/// A table whose filter fools the sampler, and a scalar sum over it.
+fn scalar_drift() -> (Database, LogicalPlan) {
     let n = 50_000usize;
     let mut db = Database::new();
     db.add_table(
@@ -380,22 +380,12 @@ fn drift_between_sample_and_reality_triggers_replan() {
             )
             .with_column("r_x", sampler_fooling_column(n)),
     );
-    let engine = Engine::builder(db).metrics(MetricsLevel::Counters).build();
-    let plan = sum_where_x_lt(50);
-    assert_drift_replans_once(&engine, &plan);
-    assert_explain_describes_the_replanned_run(&engine, &plan);
-    assert_eq!(
-        engine.explain(&plan).expect("plans").strategy,
-        "hybrid",
-        "at the observed σ the scan is hybrid, not the sample's value masking"
-    );
+    (db, sum_where_x_lt(50))
 }
 
-/// The same feedback through a two-table semijoin: the drifted filter is
-/// the build side's, observed by the edge's build operator, and the re-plan
-/// overrides that edge's σ.
-#[test]
-fn drifted_semijoin_build_filter_triggers_replan() {
+/// A fact table semijoined with a build side whose filter fools the
+/// sampler, and a sum over the fact rows that survive.
+fn semijoin_drift() -> (Database, LogicalPlan) {
     let (n_r, n_s) = (20_000usize, 50_000usize);
     let mut db = Database::new();
     db.add_table(
@@ -411,15 +401,75 @@ fn drifted_semijoin_build_filter_triggers_replan() {
     );
     db.add_table(Table::new("S").with_column("s_x", sampler_fooling_column(n_s)));
     db.add_fk("R", "r_fk", "S").expect("valid by construction");
-    let engine = Engine::builder(db).metrics(MetricsLevel::Counters).build();
     let plan = QueryBuilder::scan("R")
         .semijoin(
             QueryBuilder::scan("S").filter(Expr::col("s_x").cmp(CmpOp::Lt, Expr::lit(50))),
             "r_fk",
         )
         .aggregate(None, vec![AggSpec::sum(Expr::col("r_a"), "s")]);
+    (db, plan)
+}
+
+#[test]
+fn drift_between_sample_and_reality_triggers_replan() {
+    let (db, plan) = scalar_drift();
+    let engine = Engine::builder(db).metrics(MetricsLevel::Counters).build();
     assert_drift_replans_once(&engine, &plan);
     assert_explain_describes_the_replanned_run(&engine, &plan);
+    assert_eq!(
+        engine.explain(&plan).expect("plans").strategy,
+        "hybrid",
+        "at the observed σ the scan is hybrid, not the sample's value masking"
+    );
+}
+
+/// The same feedback through a two-table semijoin: the drifted filter is
+/// the build side's, observed by the edge's build operator, and the re-plan
+/// overrides that edge's σ.
+#[test]
+fn drifted_semijoin_build_filter_triggers_replan() {
+    let (db, plan) = semijoin_drift();
+    let engine = Engine::builder(db).metrics(MetricsLevel::Counters).build();
+    assert_drift_replans_once(&engine, &plan);
+    assert_explain_describes_the_replanned_run(&engine, &plan);
+}
+
+/// Between the run that marks an entry stale and the run that re-plans it,
+/// every EXPLAIN shows the plan that next run executes: the re-plan with
+/// the observed selectivity, not the sampler's estimate — and without
+/// counting a lookup or dropping the stale entry.
+#[test]
+fn explain_between_a_drift_mark_and_the_replan_shows_the_next_run() {
+    for (db, plan) in [scalar_drift(), semijoin_drift()] {
+        let engine = Engine::builder(db).metrics(MetricsLevel::Counters).build();
+        engine.query(&plan).expect("runs and marks the entry stale");
+        let stats = engine.plan_cache_stats();
+        let next = engine.explain(&plan).expect("plans");
+        assert_eq!(next.plan_source.as_deref(), Some("fresh"));
+        for other in [
+            engine.explain_verify(&plan).expect("verifies"),
+            engine.explain_code(&plan).expect("renders"),
+        ] {
+            assert_eq!(other.strategy, next.strategy);
+            assert_eq!(other.decisions, next.decisions);
+        }
+        assert_eq!(engine.plan_cache_stats(), stats, "EXPLAIN counts nothing");
+        let ran = engine.explain_analyze(&plan).expect("runs");
+        assert_eq!(
+            next.strategy, ran.strategy,
+            "EXPLAIN showed `{}`, the next run executed `{}`",
+            next.strategy, ran.strategy
+        );
+        assert_eq!(next.decisions, ran.decisions);
+        assert!(
+            next.decisions
+                .iter()
+                .any(|d| d.ends_with("(observed after drift)")),
+            "EXPLAIN re-plans with the drift hint: {:?}",
+            next.decisions
+        );
+        assert_eq!(engine.plan_cache_stats().invalidations, 1);
+    }
 }
 
 #[test]
