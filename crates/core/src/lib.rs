@@ -80,11 +80,11 @@ pub use swole_storage as storage;
 pub use swole_cost::CostParams;
 pub use swole_plan::{
     AdmissionConfig, AdmissionError, AggFunc, AggSpec, BoundStatement, CmpOp, Database, Engine,
-    EngineBuilder, ExecHandle, Explain, Expr, FrameSpec, LogicalPlan, MemoryPolicy,
-    MemoryPoolStats, MetricsLevel, OpMetrics, ParamSlot, Params, PlanCacheStats, PlanError,
-    PreparedStatement, Priority, QueryBuilder, QueryMetrics, QueryOptions, QueryResult, Session,
-    ShutdownReport, SortKey, StrategyOverrides, Value, VerifyError, VerifyErrorKind, VerifyLevel,
-    VerifyReport, WindowFnSpec, WindowFunc,
+    EngineBuilder, ExecHandle, Explain, Expr, FrameSpec, LogicalPlan, MemoryPoolStats,
+    MetricsLevel, OpMetrics, ParamSlot, Params, PlanCacheStats, PlanError, PreparedStatement,
+    Priority, QueryBuilder, QueryMetrics, QueryOptions, QueryResult, Session, ShutdownReport,
+    SortKey, StrategyOverrides, Value, VerifyError, VerifyErrorKind, VerifyLevel, VerifyReport,
+    WindowFnSpec, WindowFunc,
 };
 
 /// Everything a typical user needs.
@@ -95,10 +95,10 @@ pub mod prelude {
     pub use swole_plan::{
         AdmissionConfig, AdmissionError, AggFunc, AggSpec, BoundStatement, CmpOp, ColumnStats,
         Database, Engine, EngineBuilder, ExecHandle, Explain, Expr, FrameSpec, JoinEdgeExplain,
-        LogicalPlan, MemoryPolicy, MemoryPoolStats, MetricsLevel, OpBounds, OverflowProof,
-        ParamSlot, Params, PlanCacheStats, PlanCertificate, PlanError, PreparedStatement, Priority,
-        QueryBuilder, QueryMetrics, QueryOptions, QueryResult, Session, ShutdownReport, SortKey,
-        StatsMode, StrategyOverrides, TableStats, Value, VerifyError, VerifyErrorKind, VerifyLevel,
+        LogicalPlan, MemoryPoolStats, MetricsLevel, OpBounds, OverflowProof, ParamSlot, Params,
+        PlanCacheStats, PlanCertificate, PlanError, PreparedStatement, Priority, QueryBuilder,
+        QueryMetrics, QueryOptions, QueryResult, Session, ShutdownReport, SortKey, StatsMode,
+        StrategyOverrides, TableStats, Value, VerifyError, VerifyErrorKind, VerifyLevel,
         VerifyReport, WindowFnSpec, WindowFunc,
     };
     pub use swole_storage::{ColumnData, Date, Decimal, DictColumn, Table};

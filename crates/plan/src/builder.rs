@@ -11,7 +11,7 @@ use crate::session::QueryOptions;
 use crate::stats;
 use swole_cost::{AggStrategy, CostParams, GroupJoinStrategy, SemiJoinStrategy, WindowStrategy};
 use swole_kernels::{MORSEL_ROWS, TILE};
-use swole_runtime::{AdmissionConfig, MemoryPolicy};
+use swole_runtime::AdmissionConfig;
 use swole_verify::VerifyLevel;
 
 /// Strategy pins that override the cost model, for equivalence tests and
@@ -98,7 +98,7 @@ impl StrategyOverrides {
 }
 
 /// Builder for [`Engine`] sessions: database, cost parameters, parallelism
-/// (the worker pool's size), memory hierarchy, admission control, and
+/// (the worker pool's size), memory budgets, admission control, and
 /// per-query option defaults.
 ///
 /// ```
@@ -117,7 +117,6 @@ pub struct EngineBuilder {
     pub(crate) plan_cache_bytes: usize,
     pub(crate) strategies: StrategyOverrides,
     pub(crate) global_budget: Option<usize>,
-    pub(crate) memory_policy: MemoryPolicy,
     pub(crate) admission: Option<AdmissionConfig>,
     pub(crate) stats_mode: stats::StatsMode,
 }
@@ -133,7 +132,6 @@ impl EngineBuilder {
             plan_cache_bytes: DEFAULT_PLAN_CACHE_BYTES,
             strategies: StrategyOverrides::default(),
             global_budget: None,
-            memory_policy: MemoryPolicy::default(),
             admission: None,
             stats_mode: stats::StatsMode::default(),
         }
@@ -193,32 +191,25 @@ impl EngineBuilder {
         self
     }
 
-    /// Per-query memory budget in bytes, enforced by a [`crate::MemGauge`]
-    /// charged at every allocation site that scales with input (masks,
-    /// bitmaps, key sets, hash-table growth, worker scratch). A charge that
-    /// would exceed the budget returns [`crate::PlanError::BudgetExceeded`]
-    /// *before* allocating. Overridable per call through
-    /// [`QueryOptions::memory_budget`].
+    /// Per-query memory budget in bytes: a plan whose certified peak
+    /// exceeds it is rejected with [`crate::AdmissionError::BudgetInfeasible`]
+    /// before it takes an admission slot. (What runs is held to its peak
+    /// by its [`crate::MemGauge`] with or without a budget.) Overridable
+    /// per call through [`QueryOptions::memory_budget`].
     pub fn memory_budget(mut self, bytes: usize) -> EngineBuilder {
         self.defaults.memory_budget = Some(bytes);
         self
     }
 
     /// Engine-wide memory budget in bytes shared by every concurrent
-    /// query. Each query's gauge forwards its charges to this pool
-    /// (global-first, so the engine total can never exceed the budget);
-    /// how the pool arbitrates between queries is set by
-    /// [`EngineBuilder::memory_policy`]. A charge the pool refuses fails
-    /// that query with [`crate::PlanError::BudgetExceeded`].
+    /// query. After its admission slot, each query reserves its certified
+    /// peak from it, waiting in arrival order until it fits (failing with
+    /// [`crate::AdmissionError::DeadlineBeforeStart`] when its deadline
+    /// passes first, [`crate::AdmissionError::Shutdown`] on shutdown), so a
+    /// neighbour can never fail a query mid-run. A peak over the whole
+    /// budget is [`crate::AdmissionError::BudgetInfeasible`].
     pub fn global_memory_budget(mut self, bytes: usize) -> EngineBuilder {
         self.global_budget = Some(bytes);
-        self
-    }
-
-    /// Arbitration policy for [`EngineBuilder::global_memory_budget`]
-    /// (default [`MemoryPolicy::Greedy`]).
-    pub fn memory_policy(mut self, policy: MemoryPolicy) -> EngineBuilder {
-        self.memory_policy = policy;
         self
     }
 
@@ -275,11 +266,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Byte budget for the session's plan cache (default 64 KiB). Cached
-    /// physical plans are byte-accounted against this budget with the same
-    /// [`crate::MemGauge`] machinery that enforces query memory budgets,
-    /// and the least recently used entries are evicted to make room. `0`
-    /// disables plan caching entirely — every query plans from scratch.
+    /// Byte budget for the session's plan cache (default 64 KiB). Each
+    /// cached plan counts its estimated size against it, and the least
+    /// recently used entries are evicted to make room. `0` disables plan
+    /// caching entirely — every query plans from scratch.
     pub fn plan_cache_bytes(mut self, bytes: usize) -> EngineBuilder {
         self.plan_cache_bytes = bytes;
         self

@@ -5,10 +5,10 @@
 //! query re-pays the sampling pass every time. The cache memoizes the chosen
 //! [`PhysicalPlan`] under a 64-bit fingerprint of the logical plan plus the
 //! strategy-relevant execution parameters (thread count, strategy pins),
-//! under a byte budget enforced with the same [`MemGauge`] machinery that
-//! hardens execution. A fingerprint match is confirmed with `==` on the
-//! stored logical plan, so a hash collision cannot make two statements share
-//! an entry. A plan is canonical by construction — the SQL binder and
+//! under a byte budget counted under the cache's lock, where every insert
+//! and eviction already happens. A fingerprint match is confirmed with `==`
+//! on the stored logical plan, so a hash collision cannot make two
+//! statements share an entry. A plan is canonical by construction — the SQL binder and
 //! [`crate::QueryBuilder::filter`] put one conjunction in one `Filter` — so
 //! nothing is normalised per statement, and a hand-built `Filter` chain
 //! costs its own entry and nothing else.
@@ -42,7 +42,6 @@ use swole_verify::{PlanCertificate, VerifyLevel};
 use crate::catalog::Database;
 use crate::logical::LogicalPlan;
 use crate::physical::PhysicalPlan;
-use swole_runtime::MemGauge;
 
 /// Relative-error threshold past which an observed selectivity invalidates
 /// a cached plan (|predicted − observed| / observed). Generous on purpose:
@@ -147,7 +146,7 @@ struct CacheEntry {
     generations: Vec<(String, u64)>,
     /// The catalog's FK epoch at planning, for a plan with a join edge.
     fk_epoch: Option<u64>,
-    /// Bytes charged against the cache gauge for this entry.
+    /// Bytes this entry counts against the cache budget.
     bytes: usize,
     /// The cache's use clock at this entry's insert or latest hit; the
     /// lowest is evicted first.
@@ -197,7 +196,7 @@ pub struct PlanCacheStats {
     pub invalidations: u64,
     /// Entries currently resident.
     pub entries: usize,
-    /// Bytes currently charged against the cache budget.
+    /// Bytes the resident entries count against the cache budget.
     pub bytes: usize,
 }
 
@@ -229,16 +228,14 @@ pub(crate) enum TextLookup {
 /// The bounded LRU plan cache. One per [`crate::Engine`]; shared by all
 /// clones of the engine and all prepared statements.
 pub(crate) struct PlanCache {
-    /// Byte budget, enforced with the hardened-execution gauge (quiet
-    /// charges: a charge that does not fit is rolled back, and eviction
-    /// makes room).
-    gauge: MemGauge,
+    /// Byte budget of the resident entries; eviction makes room. `0`
+    /// disables caching.
+    budget: usize,
     inner: Mutex<Inner>,
-    enabled: bool,
     /// Fallback circuit breakers, keyed by plan fingerprint. Independent
-    /// of the plan entries (and of `enabled`): breaker state must survive
-    /// cache eviction, or an evicted-but-broken plan would re-pay the
-    /// doomed primary on every execution.
+    /// of the plan entries (and of whether caching is on): breaker state
+    /// must survive cache eviction, or an evicted-but-broken plan would
+    /// re-pay the doomed primary on every execution.
     breakers: Mutex<HashMap<u64, BreakerState>>,
     short_circuits: std::sync::atomic::AtomicU64,
 }
@@ -246,7 +243,8 @@ pub(crate) struct PlanCache {
 #[derive(Default)]
 struct Inner {
     entries: Vec<CacheEntry>,
-    /// The counters of [`PlanCache::stats`] (residency is read there).
+    /// The counters of [`PlanCache::stats`], resident bytes included (the
+    /// entry count is read there).
     counters: PlanCacheStats,
     /// Ticks once per hit or insert.
     clock: u64,
@@ -257,9 +255,8 @@ impl PlanCache {
     /// (every lookup misses, inserts are dropped).
     pub(crate) fn new(budget_bytes: usize) -> PlanCache {
         PlanCache {
-            gauge: MemGauge::new(Some(budget_bytes.max(1))),
+            budget: budget_bytes,
             inner: Mutex::new(Inner::default()),
-            enabled: budget_bytes > 0,
             breakers: Mutex::new(HashMap::new()),
             short_circuits: std::sync::atomic::AtomicU64::new(0),
         }
@@ -283,7 +280,7 @@ impl PlanCache {
             drift_hint: None,
             invalidated: None,
         };
-        if !self.enabled {
+        if self.budget == 0 {
             return miss;
         }
         let mut inner = self.lock();
@@ -293,8 +290,7 @@ impl PlanCache {
         };
         let current = inner.entries[idx].current(db);
         if !current || inner.entries[idx].stale.is_some() {
-            let dead = inner.entries.swap_remove(idx);
-            self.gauge.release(dead.bytes);
+            let dead = Self::remove(&mut inner, idx);
             inner.counters.invalidations += 1;
             inner.counters.misses += 1;
             return CacheLookup::Miss {
@@ -334,31 +330,37 @@ impl PlanCache {
         entry.planned.clone()
     }
 
-    /// Keep `text` on the entry at `idx`, charged to it.
+    /// Keep `text` on the entry at `idx`, counted to it.
     fn remember(&self, inner: &mut Inner, idx: usize, hash: u64, text: &str) {
         if inner.entries[idx].holds(hash, text) {
             return;
         }
-        let mut entry = inner.entries.swap_remove(idx);
-        self.gauge.release(entry.bytes);
+        let mut entry = Self::remove(inner, idx);
         entry.texts.push((hash, text.into()));
         entry.bytes += text.len();
         self.keep(inner, entry);
     }
 
-    /// Charge `entry` and keep it, evicting the least recently used entries
-    /// until it fits. An entry bigger than the whole budget is not kept.
+    /// Keep `entry`, evicting the least recently used entries until it
+    /// fits. An entry bigger than the whole budget is not kept.
     fn keep(&self, inner: &mut Inner, entry: CacheEntry) {
-        while self.gauge.try_charge_quiet(entry.bytes).is_err() {
+        while inner.counters.bytes + entry.bytes > self.budget {
             let oldest = (0..inner.entries.len()).min_by_key(|&i| inner.entries[i].used);
             let Some(oldest) = oldest else {
                 return;
             };
-            let dead = inner.entries.swap_remove(oldest);
-            self.gauge.release(dead.bytes);
+            Self::remove(inner, oldest);
             inner.counters.evictions += 1;
         }
+        inner.counters.bytes += entry.bytes;
         inner.entries.push(entry);
+    }
+
+    /// Take the entry at `idx` out, with its bytes.
+    fn remove(inner: &mut Inner, idx: usize) -> CacheEntry {
+        let dead = inner.entries.swap_remove(idx);
+        inner.counters.bytes -= dead.bytes;
+        dead
     }
 
     /// What [`PlanCache::lookup`] would find, without counting, stamping or
@@ -380,7 +382,7 @@ impl PlanCache {
     /// Insert `planned`, reached by `texts`, valid for `db` as it is now
     /// (see [`PlanCache::keep`]).
     pub(crate) fn insert(&self, planned: &Planned, texts: Vec<Text>, db: &Database) {
-        if !self.enabled {
+        if self.budget == 0 {
             return;
         }
         let logical = &planned.logical;
@@ -393,8 +395,7 @@ impl PlanCache {
         // Replace any existing entry for the plan (e.g. a racing clone of the
         // engine planned the same statement).
         if let Some(idx) = (inner.entries.iter()).position(|e| e.is(planned.fingerprint, logical)) {
-            let dead = inner.entries.swap_remove(idx);
-            self.gauge.release(dead.bytes);
+            Self::remove(&mut inner, idx);
         }
         inner.clock += 1;
         let entry = CacheEntry {
@@ -514,7 +515,6 @@ impl PlanCache {
         let inner = self.lock();
         PlanCacheStats {
             entries: inner.entries.len(),
-            bytes: self.gauge.used(),
             ..inner.counters.clone()
         }
     }

@@ -38,7 +38,7 @@ use swole_cost::CostParams;
 use swole_runtime::faults::{FaultGuard, FaultPlan, FaultSlot};
 use swole_runtime::{
     AdmissionController, AdmissionError, AdmissionPermit, CancelState, ExecCtx, Executor,
-    GlobalMemoryPool,
+    GlobalMemoryPool, Reservation,
 };
 use swole_verify::ir::Program;
 use swole_verify::{
@@ -88,10 +88,13 @@ pub(crate) struct Certified<'a> {
 }
 
 /// The admit phase's value: a statement inside the lifecycle gate, holding
-/// its admission slot and its execution context — through any retry, so a
-/// retry neither doubles the slot nor escapes the gauge. `opts` meters at
-/// the statement's level and runs the kernels the certificate licenses.
+/// its admission slot, its memory reservation and its execution context —
+/// through any retry, so a retry neither doubles the slot nor escapes the
+/// gauge. `opts` meters at the statement's level and runs the kernels the
+/// certificate licenses.
 struct Admitted<'a> {
+    /// The certified peak held in the global pool, returned first.
+    _reservation: Option<Reservation>,
     _gate: QueryGuard<'a>,
     _permit: Option<AdmissionPermit>,
     ctx: Arc<ExecCtx>,
@@ -147,7 +150,8 @@ pub(crate) struct EngineInner {
     pub(crate) executor: Executor,
     /// Concurrency limiter; `None` admits everything immediately.
     pub(crate) admission: Option<Arc<AdmissionController>>,
-    /// Engine-wide memory budget every query's gauge draws from.
+    /// Engine-wide memory budget every query reserves its certified peak
+    /// from.
     pub(crate) global: Option<Arc<GlobalMemoryPool>>,
     /// Engine-wide cancellation scope, shared with every [`swole_runtime::ExecHandle`]
     /// from [`Engine::handle`] (sessions get their own scope).
@@ -187,7 +191,7 @@ impl Engine {
                     .map(|cfg| Arc::new(AdmissionController::new(cfg))),
                 global: b
                     .global_budget
-                    .map(|budget| Arc::new(GlobalMemoryPool::new(budget, b.memory_policy))),
+                    .map(|bytes| Arc::new(GlobalMemoryPool::new(bytes))),
                 cancel: Arc::new(CancelState::default()),
                 last_run: Mutex::new(LastRun::default()),
                 cache: PlanCache::new(b.plan_cache_bytes),
@@ -203,12 +207,12 @@ impl Engine {
     /// cached query (same logical plan, same thread count, unchanged
     /// table generations, no observed drift) skips sampling and strategy
     /// choice entirely. The chosen SWOLE strategy runs first. If it fails a
-    /// *runtime* precondition — a worker panic, the memory budget exhausted
-    /// by pullup temporaries, or `i64` overflow detected in a masked
-    /// aggregate — the query is retried once through the data-centric
-    /// row-at-a-time interpreter ([`crate::interp`]), charged against the
-    /// same memory gauge. Cancellation, deadline expiry, and admission
-    /// rejection are not retried. The outcome (including any fallback) is
+    /// *runtime* precondition — a worker panic, a failed memory charge, or
+    /// `i64` overflow detected in a masked aggregate — the query is retried
+    /// once through the data-centric row-at-a-time interpreter
+    /// ([`crate::interp`]), in the same reservation once the failed
+    /// attempt's charges are dropped. Cancellation, deadline expiry, and
+    /// admission rejection are not retried. The outcome (including any fallback) is
     /// recorded and surfaced via [`crate::Explain::runtime`] on the next
     /// [`Engine::explain`] call.
     pub fn query(&self, plan: &LogicalPlan) -> Result<QueryResult, PlanError> {
@@ -464,8 +468,10 @@ impl EngineInner {
     /// the tighter of the per-query budget and the whole global pool (a
     /// plan that fits the pool is feasible, if it must wait) is rejected
     /// before the statement takes a slot; then admission control (a no-op
-    /// without a controller), and the context, registered with the gate,
-    /// metering at `floor` or above.
+    /// without a controller); then the context, its gauge limited to the
+    /// bound, registered with the gate and metering at `floor` or above;
+    /// and last the bound's reservation from the global pool (none without
+    /// one), which waits in arrival order until it fits.
     fn admit<'a, P>(
         &'a self,
         cancel: &Arc<CancelState>,
@@ -486,27 +492,36 @@ impl EngineInner {
         }
         let priority = o.priority.unwrap_or_default();
         let armed = self.faults.current();
-        let permit = match &self.admission {
-            Some(ctl) => {
-                // A scheduled stall sleeps before the controller's lock, and
-                // the controller waits on wall time: the deadline moves back
-                // by the skew applied so far (not by one applied while the
-                // statement waits).
-                let mut deadline = deadline_at;
+        // Both waits below are on wall time: the deadline moves back by the
+        // skew applied so far (not by one applied while the statement
+        // waits).
+        let wall_deadline = || match &armed {
+            Some(f) => {
+                let skew = f.now().saturating_duration_since(Instant::now());
+                deadline_at.map(|d| d.checked_sub(skew).unwrap_or_else(Instant::now))
+            }
+            None => deadline_at,
+        };
+        let permit = (self.admission.as_ref())
+            .map(|ctl| {
+                // A scheduled stall sleeps before the controller's lock.
                 if let Some(f) = &armed {
                     f.stall_admission();
-                    let skew = f.now().saturating_duration_since(Instant::now());
-                    deadline = deadline.map(|d| d.checked_sub(skew).unwrap_or_else(Instant::now));
                 }
-                let permit = ctl.admit(priority, deadline);
-                Some(permit.map_err(PlanError::Admission)?)
-            }
-            None => None,
-        };
-        let (budget, global) = (o.memory_budget, self.global.clone());
-        let ctx = ExecCtx::new(Arc::clone(cancel), deadline_at, budget, global, priority);
-        let ctx = Arc::new(ctx.with_stall_window(o.stall_window).with_faults(armed));
+                ctl.admit(priority, wall_deadline())
+            })
+            .transpose()
+            .map_err(PlanError::Admission)?;
+        let limit = usize::try_from(bound).unwrap_or(usize::MAX);
+        let ctx = ExecCtx::new(Arc::clone(cancel), deadline_at, Some(limit), priority)
+            .with_stall_window(o.stall_window)
+            .with_faults(armed.clone());
+        let ctx = Arc::new(ctx);
         gate.attach(&ctx);
+        let reservation = (self.global.as_ref())
+            .map(|pool| pool.reserve(limit, wall_deadline()))
+            .transpose()
+            .map_err(PlanError::Admission)?;
         let level = o.metrics.unwrap_or(MetricsLevel::Off).max(floor);
         let opts = ExecOpts {
             executor: &self.executor,
@@ -515,6 +530,7 @@ impl EngineInner {
             overflow: cert.overflow_proof,
         };
         let admitted = Admitted {
+            _reservation: reservation,
             _gate: gate,
             _permit: permit,
             ctx,
@@ -580,13 +596,21 @@ impl EngineInner {
         // Value-range payoff: when the certificate proves every arithmetic
         // site overflow-safe (accumulator magnitude x row count fits i64),
         // a runtime overflow would be a soundness bug in the bounds pass,
-        // not a data error — debug builds trap the contradiction here.
+        // not a data error — debug builds trap the contradiction here. So
+        // is a charge past the certified peak (one a fault fails is not
+        // counted).
         if let Err(e) = &primary {
             debug_assert!(
                 !(matches!(e, PlanError::Overflow(_)) && a.cert.all_sites_overflow_safe()),
                 "certificate proved all {} arithmetic site(s) overflow-safe, \
                  yet execution overflowed: {e}",
                 a.cert.arith_sites,
+            );
+            debug_assert!(
+                a.ctx.gauge.used() as u64 <= a.cert.peak_bytes_bound,
+                "certificate bounded the query at {} B, yet execution charged {} B: {e}",
+                a.cert.peak_bytes_bound,
+                a.ctx.gauge.used(),
             );
         }
         primary
@@ -630,8 +654,8 @@ impl EngineInner {
 
     /// The data-centric retry, after `retries` failed attempts: the
     /// row-at-a-time interpreter, which allocates no pullup temporaries.
-    /// [`interp::fallback_bytes`] is charged against the same gauge, so a budgeted
-    /// session cannot dodge its budget by failing over.
+    /// The failed attempt's structures are gone, so its charges are dropped
+    /// and the certificate's `fallback_bytes` charged in their place.
     fn retry(
         &self,
         db: &Database,
@@ -642,9 +666,9 @@ impl EngineInner {
     ) -> Ran {
         let interpret = || -> Result<_, PlanError> {
             a.ctx.check()?;
-            a.ctx
-                .gauge
-                .try_charge(interp::fallback_bytes(db, plan) as usize)?;
+            a.ctx.gauge.restart();
+            let reserve = usize::try_from(a.cert.fallback_bytes).unwrap_or(usize::MAX);
+            a.ctx.gauge.try_charge(reserve)?;
             let t0 = a.opts.level.timing().then(Instant::now);
             let (res, mut op) = isolate(|| interp::run_metered(db, plan))?;
             op.wall_nanos = t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
@@ -684,7 +708,7 @@ impl EngineInner {
             Ran::Primary(res, ops) => {
                 self.cache.breaker_primary_ok(fingerprint);
                 let (done, total) = a.ctx.progress();
-                let charged = a.ctx.gauge.used();
+                let charged = a.ctx.gauge.peak();
                 let plan = Arc::clone(physical);
                 ok = Some(RunOk {
                     plan,
@@ -744,7 +768,7 @@ impl EngineInner {
             estimated_selectivity: physical.estimates.selectivity,
             operators,
             retries,
-            bytes_charged: a.ctx.gauge.used() as u64,
+            bytes_charged: a.ctx.gauge.peak() as u64,
             bytes_bound: Some(a.cert.peak_bytes_bound),
             elapsed_nanos: a.t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
             predicted_cost,
@@ -755,17 +779,20 @@ impl EngineInner {
 
 impl Certified<'_> {
     /// The admission certificate of the certified program, its bound
-    /// reserving what a data-centric retry of `retried` would charge
-    /// (`None`: nothing retries the plan). The bounds pass reads the most partials a stage of the plan
-    /// can hold at once (the executor's [`Executor::max_partials`]) and a
-    /// statistics profile (generation-fresh min/max and exact distinct
-    /// counts) of every table the program references; with statistics off
-    /// it falls back to column-type domains.
+    /// reserving what a data-centric retry of `retried` holds
+    /// ([`interp::fallback_bytes`]; `None`: nothing retries the plan). The
+    /// bounds pass reads the most partials a stage of many morsels can hold
+    /// at once (the executor's [`Executor::max_partials`]), the morsel size
+    /// that says how many a stage has, and a statistics profile
+    /// (generation-fresh min/max and exact distinct counts) of every table
+    /// the program references; with statistics off it falls back to
+    /// column-type domains.
     pub(crate) fn certificate(&self, retried: Option<&LogicalPlan>) -> PlanCertificate {
-        let mut ctx = BoundsCtx::without_stats(self.engine.executor.max_partials());
-        ctx.fallback_bytes = retried.map_or(0, |plan| interp::fallback_bytes(self.db, plan));
+        let engine = self.engine;
+        let mut ctx = BoundsCtx::without_stats(engine.executor.max_partials(usize::MAX));
+        ctx.morsel_rows = engine.morsel_rows;
         for table in &self.program.tables {
-            let Some(s) = self.engine.stats.for_table(self.db, &table.name) else {
+            let Some(s) = engine.stats.for_table(self.db, &table.name) else {
                 continue;
             };
             let columns = s
@@ -784,6 +811,7 @@ impl Certified<'_> {
                 columns,
             });
         }
+        ctx.fallback_bytes = retried.map_or(0, |plan| interp::fallback_bytes(self.db, plan, &ctx));
         swole_verify::certify(&self.program, &ctx)
     }
 }

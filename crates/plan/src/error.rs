@@ -66,14 +66,15 @@ pub enum PlanError {
         /// Morsels the execution had scheduled in total.
         morsels_total: usize,
     },
-    /// A memory charge would push the query past the session budget
-    /// ([`crate::EngineBuilder::memory_budget`]).
+    /// A memory charge would push the query past its certified peak, the
+    /// limit of its gauge — a bounds-pass soundness bug — or an armed fault
+    /// failed it.
     BudgetExceeded {
         /// Bytes the failing allocation site asked for.
         requested: usize,
         /// Bytes already charged when the request was made.
         used: usize,
-        /// The session budget in bytes (0 for an injected allocation
+        /// The query's limit in bytes (0 for an injected allocation
         /// failure).
         budget: usize,
     },

@@ -15,29 +15,119 @@
 use crate::catalog::Database;
 use crate::error::PlanError;
 use crate::expr::{AggFunc, Expr, RowExpr};
-use crate::logical::{FrameSpec, LogicalPlan, SortKey, WindowFunc};
+use crate::logical::{FrameSpec, LogicalPlan, WindowFunc};
 use crate::metrics::OpMetrics;
 use crate::result::QueryResult;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use swole_storage::Table;
+use swole_verify::BoundsCtx;
 
 /// Execute `plan` naively.
 pub fn run(db: &Database, plan: &LogicalPlan) -> Result<QueryResult, PlanError> {
     run_metered(db, plan).map(|(res, _)| res)
 }
 
-/// What the data-centric fallback charges: 8 bytes per base-table row
-/// scanned, the row-id vector a window retry sorts (an aggregate retry
-/// streams its rows and builds none, but is charged the same). A
-/// certificate's peak bound reserves it: gauge charges are held to
-/// completion, so a failed primary can coexist with it.
-pub(crate) fn fallback_bytes(db: &Database, plan: &LogicalPlan) -> u64 {
-    let mut rows = 0usize;
-    plan.visit(&mut |node| {
-        if let LogicalPlan::Scan { table } = node {
-            rows = rows.saturating_add(db.table(table).map(|t| t.len()).unwrap_or(0));
+/// What the interpreter holds however big its tables are: the result's
+/// column names and first rows, the filter and semijoin steps, the
+/// counters, a B-tree's first nodes.
+const FIXED_BYTES: u64 = 4096;
+
+/// One compiled expression node: a boxed closure over its column or its
+/// operands.
+const NODE_BYTES: u64 = 64;
+
+/// A group's bytes besides its accumulators: the B-tree entry (a leaf holds
+/// ≥ 5 of its 11 slots: ≤ 74 B, + ≤ 19 B of interior nodes) and the result
+/// row (its slot, its key and the spare slot of its first growth).
+const GROUP_BYTES: u64 = 128;
+
+/// What a data-centric retry of `plan` holds at its peak, by plan kind, on
+/// top of [`FIXED_BYTES`], its compiled expressions and its semijoins' flag
+/// per parent row: nothing more for a scalar aggregate, which streams its
+/// rows into one accumulator list; the group state for a grouped one, over
+/// the bounds pass's key bound (`bounds`' statistics; an FK key also has at
+/// most its parent's row count); and for a window, the per-row vectors it
+/// sorts and evaluates, over every scanned row. A dictionary column's
+/// strings count where the result or a match table copies them.
+pub(crate) fn fallback_bytes(db: &Database, plan: &LogicalPlan, bounds: &BoundsCtx) -> u64 {
+    let table = |name: &str| db.table(name).ok();
+    let rows = |name: &str| table(name).map_or(0, |t| t.len() as u64);
+    let base = plan.base_table();
+    let compiled = |e: &Expr, name: &str| table(name).map_or(0, |t| expr_bytes(e, t));
+    let dict = |col: &str| table(base).map_or(0, |t| dict_bytes(t, col));
+    let (mut bytes, mut per_row, mut key_rows) = (FIXED_BYTES, 0, rows(base));
+    let (mut key, mut window) = (None, false);
+    plan.visit(&mut |node| match node {
+        // A stable sort's scratch: at most a row slot per row.
+        LogicalPlan::OrderBy { .. } => per_row += 24,
+        LogicalPlan::Filter { input, predicate } => {
+            bytes += compiled(predicate, input.base_table());
         }
+        LogicalPlan::SemiJoin { build, fk_col, .. } => {
+            // A row that passed has a parent row, so its FK takes at most as
+            // many values as the parent has rows.
+            let parents = rows(build.base_table());
+            bytes += parents;
+            if key == Some(fk_col.as_str()) {
+                key_rows = key_rows.min(parents);
+            }
+        }
+        LogicalPlan::Aggregate { group_by, aggs, .. } => {
+            bytes += aggs.iter().map(|a| compiled(&a.expr, base)).sum::<u64>();
+            bytes += group_by.as_deref().map_or(0, dict);
+            per_row += GROUP_BYTES + 16 * aggs.len() as u64;
+            key = group_by.as_deref();
+        }
+        LogicalPlan::Window {
+            order_by,
+            funcs,
+            select,
+            ..
+        } => {
+            let inputs = funcs.iter().filter_map(|f| f.expr.as_ref());
+            bytes += inputs.map(|e| compiled(e, base)).sum::<u64>();
+            bytes += select.first().map_or(0, |c| dict(c));
+            // The row ids (grown by doubling: 16 B), the partition key, the
+            // permutation and the result row's slot; a vector per order
+            // key; a result cell per projected column; per function its
+            // input and its result cell.
+            let (k, s, f) = (order_by.len(), select.len(), funcs.len());
+            per_row += 56 + 8 * k as u64 + 8 * s as u64 + 16 * f as u64;
+            window = true;
+        }
+        LogicalPlan::Scan { .. } | LogicalPlan::Limit { .. } => {}
     });
-    rows.saturating_mul(8) as u64
+    let held = match key {
+        Some(g) => bounds.key_bound(base, Some(g), key_rows),
+        None if window => rows(base),
+        None => 0,
+    };
+    bytes.saturating_add(held.saturating_mul(per_row))
+}
+
+/// The compiled nodes of `e` over `table`, with the match table of each
+/// `LIKE` / `IN`.
+fn expr_bytes(e: &Expr, table: &Table) -> u64 {
+    let own = match e {
+        Expr::Like { col, .. } | Expr::InList { col, .. } => dict_bytes(table, col),
+        _ => 0,
+    };
+    e.children()
+        .fold(NODE_BYTES + own, |acc, c| acc + expr_bytes(c, table))
+}
+
+/// A copy of `col`'s dictionary, when it has one: a `String` and its bytes
+/// per entry (which also covers a flag per entry).
+fn dict_bytes(table: &Table, col: &str) -> u64 {
+    let dict = table.column(col).and_then(|c| c.as_dict());
+    dict.map_or(0, |d| {
+        16 + d
+            .dictionary()
+            .iter()
+            .map(|w| 24 + w.len() as u64)
+            .sum::<u64>()
+    })
 }
 
 /// Execute `plan` naively, also reporting the interpreter's access
@@ -49,65 +139,42 @@ pub fn run_metered(
     db: &Database,
     plan: &LogicalPlan,
 ) -> Result<(QueryResult, OpMetrics), PlanError> {
-    let mut op = OpMetrics::named("data-centric interpreter");
-    // Peel ORDER BY / LIMIT wrappers, innermost-first after the reverse.
-    let mut node = plan;
-    let mut post = Vec::new();
-    loop {
-        match node {
-            LogicalPlan::Limit { input, n } => {
-                post.push(Post::Limit(*n));
-                node = input;
-            }
-            LogicalPlan::OrderBy { input, keys } => {
-                if keys.is_empty() {
-                    return Err(PlanError::Unsupported(
-                        "ORDER BY needs at least one key".into(),
-                    ));
-                }
-                post.push(Post::Sort(keys.clone()));
-                node = input;
-            }
-            _ => break,
+    // ORDER BY / LIMIT wrappers apply to their input's result, mirroring
+    // the engine's `PostOp` handling so fallback results stay bit-identical.
+    match plan {
+        LogicalPlan::Limit { input, n } => {
+            let (mut res, op) = run_metered(db, input)?;
+            res.rows.truncate(*n);
+            Ok((res, op))
         }
-    }
-    post.reverse();
-    let mut res = run_core(db, node, &mut op)?;
-    for p in &post {
-        match p {
-            Post::Sort(keys) => {
-                let mut key_idx = Vec::with_capacity(keys.len());
-                for k in keys {
-                    key_idx.push((res.column_index(&k.column)?, k.desc));
-                }
-                let mut perm: Vec<u32> = (0..res.rows.len() as u32).collect();
-                perm.sort_by(|&a, &b| {
-                    let (ra, rb) = (&res.rows[a as usize], &res.rows[b as usize]);
-                    for &(i, desc) in &key_idx {
-                        let ord = ra[i].cmp(&rb[i]);
-                        let ord = if desc { ord.reverse() } else { ord };
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
-                        }
+        LogicalPlan::OrderBy { input, keys } => {
+            if keys.is_empty() {
+                return Err(PlanError::Unsupported(
+                    "ORDER BY needs at least one key".into(),
+                ));
+            }
+            let (mut res, op) = run_metered(db, input)?;
+            let key_idx = (keys.iter())
+                .map(|k| Ok((res.column_index(&k.column)?, k.desc)))
+                .collect::<Result<Vec<_>, PlanError>>()?;
+            // Stable, so ties keep their pre-sort position.
+            res.rows.sort_by(|ra, rb| {
+                for &(i, desc) in &key_idx {
+                    let ord = ra[i].cmp(&rb[i]);
+                    let ord = if desc { ord.reverse() } else { ord };
+                    if ord != Ordering::Equal {
+                        return ord;
                     }
-                    a.cmp(&b) // deterministic tie-break: pre-sort position
-                });
-                res.rows = perm
-                    .into_iter()
-                    .map(|i| std::mem::take(&mut res.rows[i as usize]))
-                    .collect();
-            }
-            Post::Limit(n) => res.rows.truncate(*n),
+                }
+                Ordering::Equal
+            });
+            Ok((res, op))
+        }
+        _ => {
+            let mut op = OpMetrics::named("data-centric interpreter");
+            Ok((run_core(db, plan, &mut op)?, op))
         }
     }
-    Ok((res, op))
-}
-
-/// Result-level post-operators peeled off the top of the plan, mirroring
-/// the engine's `PostOp` handling so fallback results stay bit-identical.
-enum Post {
-    Sort(Vec<SortKey>),
-    Limit(usize),
 }
 
 fn run_core(
@@ -269,7 +336,6 @@ fn run_window(
         None => vec![0; m],
     };
     let ord: Vec<Vec<i64>> = order_by.iter().map(|k| eval_col(&k.column)).collect();
-    let sel_cols: Vec<Vec<i64>> = select.iter().map(|c| eval_col(c)).collect();
     let inputs: Vec<Vec<i64>> = func_exprs
         .iter()
         .map(|e| e.as_ref().map_or_else(|| vec![1; m], eval))
@@ -279,7 +345,7 @@ fn run_window(
     let mut perm: Vec<usize> = (0..m).collect();
     perm.sort_by(|&a, &b| {
         let mut o = part[a].cmp(&part[b]);
-        if o != std::cmp::Ordering::Equal {
+        if o != Ordering::Equal {
             return o;
         }
         for (k, key) in order_by.iter().zip(&ord) {
@@ -287,13 +353,26 @@ fn run_window(
             if k.desc {
                 o = o.reverse();
             }
-            if o != std::cmp::Ordering::Equal {
+            if o != Ordering::Equal {
                 return o;
             }
         }
         rows[a].cmp(&rows[b])
     });
-    let mut outputs: Vec<Vec<i64>> = funcs.iter().map(|_| vec![0i64; m]).collect();
+    // The result rows in window order: the projected columns, then a slot
+    // per function.
+    let (s, width) = (select.len(), select.len() + funcs.len());
+    let sel = (select.iter())
+        .map(|c| Expr::col(c).compile(table))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut out_rows: Vec<Vec<i64>> = (perm.iter())
+        .map(|&src| {
+            let mut row = Vec::with_capacity(width);
+            row.extend(sel.iter().map(|e| e.eval(rows[src])));
+            row.resize(width, 0);
+            row
+        })
+        .collect();
     let mut run_start = 0;
     while run_start < m {
         let mut run_end = run_start + 1;
@@ -305,7 +384,7 @@ fn run_window(
             match f.func {
                 WindowFunc::RowNumber => {
                     for i in 0..len {
-                        outputs[fi][run_start + i] = (i + 1) as i64;
+                        out_rows[run_start + i][s + fi] = (i + 1) as i64;
                     }
                 }
                 WindowFunc::Rank => {
@@ -318,7 +397,7 @@ fn run_window(
                         if i > 0 && !peer {
                             rank = (i + 1) as i64;
                         }
-                        outputs[fi][run_start + i] = rank;
+                        out_rows[run_start + i][s + fi] = rank;
                     }
                 }
                 WindowFunc::Sum | WindowFunc::Count => {
@@ -335,24 +414,12 @@ fn run_window(
                                 _ => 1,
                             });
                         }
-                        outputs[fi][run_start + i] = acc;
+                        out_rows[run_start + i][s + fi] = acc;
                     }
                 }
             }
         }
         run_start = run_end;
-    }
-    let mut out_rows = Vec::with_capacity(m);
-    for i in 0..m {
-        let src = perm[i];
-        let mut row = Vec::with_capacity(select.len() + funcs.len());
-        for c in &sel_cols {
-            row.push(c[src]);
-        }
-        for o in &outputs {
-            row.push(o[i]);
-        }
-        out_rows.push(row);
     }
     let mut columns: Vec<String> = select.clone();
     columns.extend(funcs.iter().map(|f| f.name.clone()));

@@ -77,7 +77,7 @@ pub use sql::{parse as parse_sql, ExplainMode, ParamSlot, SqlError};
 pub use stats::{ColumnStats, StatsMode, TableStats};
 pub use swole_runtime::faults;
 pub use swole_runtime::{
-    AdmissionConfig, AdmissionError, ExecHandle, MemGauge, MemoryPolicy, MemoryPoolStats, Priority,
+    AdmissionConfig, AdmissionError, ExecHandle, MemGauge, MemoryPoolStats, Priority,
 };
 pub use swole_verify::{
     OpBounds, OverflowProof, PlanCertificate, VerifyError, VerifyErrorKind, VerifyLevel,

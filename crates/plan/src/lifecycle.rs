@@ -146,7 +146,7 @@ impl Engine {
         self.inner.cache.breaker_stats()
     }
 
-    /// Live usage of the engine-wide memory pool, when
+    /// Live reservations of the engine-wide memory pool, when
     /// [`crate::EngineBuilder::global_memory_budget`] configured one.
     pub fn global_memory_stats(&self) -> Option<MemoryPoolStats> {
         self.inner.global.as_ref().map(|g| g.stats())
@@ -171,9 +171,10 @@ impl Engine {
     /// The sequence: (1) the lifecycle gate flips to draining, so new
     /// arrivals on *any* façade (engine, session, prepared statement) fail
     /// with [`PlanError::Admission`]/[`AdmissionError::Shutdown`]; (2) the
-    /// admission queue is closed, flushing waiters with the same typed
-    /// error; (3) in-flight queries run to completion — or, once
-    /// `deadline` passes, are hard-aborted and surface
+    /// admission queue and the memory pool's reservation queue are closed,
+    /// flushing their waiters with the same typed error; (3) in-flight
+    /// queries run to completion — or, once `deadline` passes, are
+    /// hard-aborted and surface
     /// [`PlanError::Shutdown`] with partial-progress counts (`None` waits
     /// indefinitely); (4) pool workers are joined, so no `swole-pool-*`
     /// thread survives. Every aborted query still releases its admission
@@ -198,10 +199,14 @@ impl Engine {
             }
             st.phase = Phase::Draining;
         }
-        // Flush queued waiters with the typed shutdown rejection; their
-        // lifecycle guards drop as they exit, which counts them drained.
+        // Flush queued waiters — for a slot or for memory — with the typed
+        // shutdown rejection; their lifecycle guards drop as they exit,
+        // which counts them drained.
         if let Some(ctl) = &inner.admission {
             ctl.close();
+        }
+        if let Some(pool) = &inner.global {
+            pool.close();
         }
         let mut aborted = 0usize;
         let mut st = inner.lifecycle.state.lock().expect("engine lifecycle");

@@ -32,8 +32,8 @@ pub struct QueryOptions {
     /// Wall-clock deadline for this query, measured from submission —
     /// queue time under admission control counts against it.
     pub deadline: Option<Duration>,
-    /// Per-query memory budget in bytes (its charges still also draw from
-    /// the engine-wide pool, when one is configured).
+    /// Per-query memory budget in bytes: a plan whose certified peak
+    /// exceeds it is rejected at admission.
     pub memory_budget: Option<usize>,
     /// Metrics collection level for this query.
     pub metrics: Option<MetricsLevel>,

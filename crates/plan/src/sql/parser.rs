@@ -464,8 +464,13 @@ impl Parser {
         }
     }
 
+    /// A column, `name` or `table.name`; a word before `(` calls a function
+    /// the grammar lacks (known ones are parsed first), reported at it.
     fn parse_qualified(&mut self) -> Result<(Option<String>, String), SqlError> {
-        let first = self.expect_ident()?;
+        let (pos, first) = (self.pos(), self.expect_ident()?);
+        if self.peek() == Some(&TokenKind::Symbol(Sym::LParen)) {
+            return Err(SqlError::at(pos, format!("unknown function {first}")));
+        }
         if self.eat_symbol(Sym::Dot) {
             let second = self.expect_ident()?;
             Ok((Some(first), second))
@@ -683,6 +688,33 @@ impl Parser {
                 Ok(PExpr::Col { table, name })
             }
             _ => self.err("expected expression"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::parse;
+
+    /// A call of a function the grammar lacks fails at the function's name
+    /// and says which it is, wherever a column could stand.
+    #[test]
+    fn an_unknown_function_is_named_at_its_position() {
+        for (sql, name) in [
+            (
+                "select l_returnflag, sum(l_quantity) as sum_qty, avg(l_quantity) as avg_qty \
+                 from lineitem where l_shipdate <= 10000 group by l_returnflag",
+                "avg",
+            ),
+            ("select sum(abs(x)) as s from t", "abs"),
+            ("select sum(x) as s from t where lower(y) < 3", "lower"),
+        ] {
+            let err = parse(sql).expect_err("an unknown function fails");
+            assert_eq!(err.position, sql.find(name).expect("named"), "{sql}: {err}");
+            assert!(
+                err.message.contains(&format!("unknown function {name}")),
+                "{sql}: {err}"
+            );
         }
     }
 }

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use crate::admission::Priority;
 use crate::error::RuntimeError;
 use crate::faults::{ArmedPlan, FaultEvent};
-use crate::gauge::{GlobalMemoryPool, MemGauge};
+use crate::gauge::MemGauge;
 
 /// Shared cancellation flag behind [`ExecHandle`]. One `CancelState` scopes
 /// cancellation: every query started under the same state observes the
@@ -64,11 +64,8 @@ impl ExecHandle {
     }
 }
 
-/// Per-query execution context: cancellation, deadline, budget, progress.
-///
-/// Registers with the global memory pool (if any) on creation and returns
-/// its held bytes on drop, so pool accounting is correct even when a query
-/// errors out mid-flight.
+/// Per-query execution context: cancellation, deadline, memory limit,
+/// progress.
 pub struct ExecCtx {
     cancel: Arc<CancelState>,
     /// Absolute deadline on the (possibly fault-skewed) deadline clock.
@@ -79,7 +76,6 @@ pub struct ExecCtx {
     /// The query's memory gauge.
     pub gauge: MemGauge,
     priority: Priority,
-    global: Option<Arc<GlobalMemoryPool>>,
     /// Set when any worker panics; siblings exit at their next boundary.
     tripped: AtomicBool,
     /// Set by [`ExecCtx::abort`] when engine shutdown hard-aborts the
@@ -103,24 +99,19 @@ pub struct ExecCtx {
 impl ExecCtx {
     /// A context for one query. `deadline` is absolute; compute it from
     /// the query's timeout *before* admission so time spent queued counts
-    /// against it.
+    /// against it. `limit` bounds what the gauge may charge.
     pub fn new(
         cancel: Arc<CancelState>,
         deadline: Option<Instant>,
-        budget: Option<usize>,
-        global: Option<Arc<GlobalMemoryPool>>,
+        limit: Option<usize>,
         priority: Priority,
     ) -> ExecCtx {
-        if let Some(pool) = &global {
-            pool.register();
-        }
         ExecCtx {
             cancel,
             deadline,
             faults: None,
-            gauge: MemGauge::hierarchical(budget, global.clone()),
+            gauge: MemGauge::new(limit),
             priority,
-            global,
             tripped: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
             morsels_done: AtomicUsize::new(0),
@@ -185,11 +176,11 @@ impl ExecCtx {
         }
     }
 
-    /// A context with no handle, deadline, or budget (tests, benches).
+    /// A context with no handle, deadline, or memory limit (tests,
+    /// benches).
     pub fn unbounded() -> ExecCtx {
         ExecCtx::new(
             Arc::new(CancelState::default()),
-            None,
             None,
             None,
             Priority::Normal,
@@ -288,14 +279,6 @@ impl ExecCtx {
     /// The query's admission/scheduling priority class.
     pub fn priority(&self) -> Priority {
         self.priority
-    }
-}
-
-impl Drop for ExecCtx {
-    fn drop(&mut self) {
-        if let Some(pool) = &self.global {
-            pool.unregister(self.gauge.parent_charged());
-        }
     }
 }
 

@@ -23,9 +23,10 @@
 //! Around the executor sit the three resource-control layers a
 //! multi-query server needs:
 //!
-//! - [`MemGauge`] / [`GlobalMemoryPool`] — hierarchical memory accounting:
-//!   per-query gauges draw from one global byte budget under a
-//!   [`MemoryPolicy`] (Greedy or FairShare), failing fast with a typed
+//! - [`GlobalMemoryPool`] / [`MemGauge`] — memory: each query reserves its
+//!   certified peak from one global byte budget, waiting in arrival order
+//!   until it fits, and its gauge counts execution's charges against that
+//!   reservation, failing fast with a typed
 //!   [`RuntimeError::BudgetExceeded`] instead of OOM-killing the process.
 //! - [`AdmissionController`] — a bounded wait queue in front of execution
 //!   with priority classes and deadline-aware rejection.
@@ -51,5 +52,5 @@ pub use admission::{
 };
 pub use ctx::{charge_or_panic, panic_payload_error, CancelState, ExecCtx, ExecHandle};
 pub use error::RuntimeError;
-pub use gauge::{GlobalMemoryPool, MemGauge, MemoryPolicy, MemoryPoolStats};
+pub use gauge::{GlobalMemoryPool, MemGauge, MemoryPoolStats, Reservation};
 pub use pool::{Executor, WorkerPool};

@@ -592,13 +592,16 @@ impl Executor {
         Executor::Pool(WorkerPool::new(workers))
     }
 
-    /// The most partials one stage can hand back, hence the most
-    /// accumulators alive at once: one inline; on the pool, one per worker
-    /// plus the submitting thread's.
-    pub fn max_partials(&self) -> usize {
+    /// The most partials a stage of `morsels` morsels can hand back, hence
+    /// the most accumulators alive at once: one inline, and one for a stage
+    /// of at most one morsel, which runs inline on the pool too. Otherwise
+    /// a thread checks an accumulator out only once it has claimed a
+    /// morsel, so at most one per morsel and one per worker plus the
+    /// submitting thread's.
+    pub fn max_partials(&self, morsels: usize) -> usize {
         match self {
-            Executor::Inline => 1,
-            Executor::Pool(pool) => pool.workers() + 1,
+            Executor::Pool(pool) if morsels > 1 => morsels.min(pool.workers() + 1),
+            _ => 1,
         }
     }
 
@@ -623,8 +626,9 @@ impl Executor {
     /// Run `body` over every morsel of `0..n_rows`, folding into
     /// `init()`-built accumulators. Returns all per-thread accumulators
     /// (at least one, even for zero-row inputs, and at most
-    /// [`Executor::max_partials`]) for the caller's merge phase, or the
-    /// highest-priority failure if any thread was interrupted.
+    /// [`Executor::max_partials`] of the stage's morsels) for the caller's
+    /// merge phase, or the highest-priority failure if any thread was
+    /// interrupted.
     ///
     /// On the pool, a stage of at most one morsel runs on the calling
     /// thread and is never registered (see the module docs); morsel
@@ -677,10 +681,10 @@ where
     // A pool worker may still hold a transient clone of the stage from its
     // last visit (it drops it right after removing the stage from the
     // registry). Wait it out before returning: the stage owns the query's
-    // `ExecCtx`, and resource release (global-memory charges, pool
-    // registration) must be observable the moment this call returns, not
-    // a beat later. The visits left are claim-nothing exits, so this spin
-    // is microseconds at worst.
+    // partials, and a failed attempt's structures must be gone the moment
+    // this call returns — the retry's memory is reserved in their place.
+    // The visits left are claim-nothing exits, so this spin is
+    // microseconds at worst.
     while Arc::strong_count(&stage) > 1 {
         std::thread::yield_now();
     }
@@ -796,7 +800,7 @@ mod tests {
         for (name, exec) in executors() {
             let cancel = Arc::new(CancelState::default());
             ExecHandle::new(Arc::clone(&cancel)).cancel();
-            let ctx = Arc::new(ExecCtx::new(cancel, None, None, None, Priority::Normal));
+            let ctx = Arc::new(ExecCtx::new(cancel, None, None, Priority::Normal));
             let err = exec
                 .run_morsels(&ctx, 4 * TILE, TILE, || (), |_, _, _| {})
                 .expect_err("pre-cancelled ctx must refuse work");
@@ -820,7 +824,7 @@ mod tests {
         for (name, exec, morsels) in cases {
             let cancel = Arc::new(CancelState::default());
             ExecHandle::new(Arc::clone(&cancel)).cancel();
-            let ctx = Arc::new(ExecCtx::new(cancel, None, Some(1), None, Priority::Normal));
+            let ctx = Arc::new(ExecCtx::new(cancel, None, Some(1), Priority::Normal));
             let scratch = Arc::clone(&ctx);
             let err = exec
                 .run_morsels(
@@ -940,7 +944,8 @@ mod tests {
     #[test]
     fn pool_partials_count_the_submitting_thread() {
         let exec = Executor::pool(1);
-        assert_eq!(exec.max_partials(), 2);
+        assert_eq!(exec.max_partials(4), 2);
+        assert_eq!(exec.max_partials(1), 1, "one morsel runs inline");
         let barrier = Arc::new(std::sync::Barrier::new(2));
         let ctx = Arc::new(ExecCtx::unbounded());
         let partials = exec
@@ -957,12 +962,13 @@ mod tests {
                 },
             )
             .expect("no faults armed");
-        assert_eq!(partials.len(), exec.max_partials());
+        assert_eq!(partials.len(), exec.max_partials(4));
         assert_eq!(
             partials.iter().map(|&(_, rows)| rows).sum::<usize>(),
             4 * TILE
         );
-        assert_eq!(Executor::Inline.max_partials(), 1);
+        assert_eq!(Executor::Inline.max_partials(4), 1);
+        assert_eq!(Executor::pool(8).max_partials(3), 3, "one per morsel");
     }
 
     #[test]

@@ -28,13 +28,16 @@
 //!   `i32` tile partial cannot overflow (`tile · m ≤ i32::MAX`).
 //!
 //! Soundness argument: every byte bound here mirrors a charge site in the
-//! engine (`crates/plan/src/engine.rs`) with the operator's row count, worker
+//! engine (`crates/plan/src/exec`) with the operator's row count, partial
 //! count, and hash-table growth discipline substituted by their maxima. The
 //! structure sizes are the sizing functions the structures' own constructors
 //! call (`AggTable::grown_bytes`, `DenseAggTable::bytes_for`,
 //! `KeySet::build_bytes_bound`, `PositionalBitmap::bytes_for`), so there is
-//! no second copy to drift. Charges are never released mid-query, so the sum
-//! of per-operator bounds dominates the gauge peak.
+//! no second copy to drift. An attempt's charges are held until it returns,
+//! so the sum of per-operator bounds dominates the primary attempt's gauge
+//! peak; a failed attempt's are dropped before the data-centric retry
+//! charges its reserve, so the query's peak is the larger of the two — the
+//! figure admission reserves and the gauge is limited to.
 
 use std::fmt::{self, Write};
 
@@ -87,26 +90,33 @@ impl TableProfile {
 /// Everything the bounds pass needs beyond the [`Program`] itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BoundsCtx {
-    /// Most accumulators a stage can hold at once: 1 inline; on a worker
-    /// pool, its workers plus the submitting thread, which works it too.
+    /// Most accumulators a stage of many morsels can hold at once: 1
+    /// inline; on a worker pool, its workers plus the submitting thread,
+    /// which works it too.
     pub workers: usize,
+    /// Rows per morsel (rounded up to whole tiles, as the executor does).
+    /// A stage of one morsel runs inline and holds one accumulator; one of
+    /// `m` morsels at most `min(m, workers)`.
+    pub morsel_rows: usize,
     /// Fresh statistics profiles for the program's tables. Tables without a
     /// profile fall back to their declared domains (type ranges, row counts).
     pub profiles: Vec<TableProfile>,
-    /// Bytes the data-centric fallback interpreter would charge on a retry
-    /// (the engine charges `plan_rows * 8` up front; charges from the failed
-    /// primary attempt are *not* released first, so the peak bound must
-    /// reserve for both).
+    /// Bytes the data-centric retry holds at its peak (0: nothing retries
+    /// the plan). The engine drops the failed primary attempt's charges
+    /// before the retry charges this, so the peak bound is the larger of
+    /// the two, not their sum.
     pub fallback_bytes: u64,
 }
 
 impl BoundsCtx {
     /// A context with no statistics: every bound falls back to table
-    /// domains and type ranges.
+    /// domains and type ranges. Morsels are one tile, so every stage of
+    /// more than one tile may hold all `workers` accumulators.
     #[must_use]
     pub fn without_stats(workers: usize) -> BoundsCtx {
         BoundsCtx {
             workers,
+            morsel_rows: 1,
             profiles: Vec::new(),
             fallback_bytes: 0,
         }
@@ -114,6 +124,28 @@ impl BoundsCtx {
 
     fn profile(&self, table: &str) -> Option<&TableProfile> {
         self.profiles.iter().find(|p| p.table == table)
+    }
+
+    /// The most accumulators a stage over `rows` rows holds at once, for
+    /// tiles of `tile` rows: what `Executor::max_partials` says of its
+    /// morsel count.
+    fn partials(&self, rows: u64, tile: usize) -> u64 {
+        let step = self.morsel_rows.div_ceil(tile).max(1) * tile;
+        rows.div_ceil(step as u64)
+            .clamp(1, self.workers.max(1) as u64)
+    }
+
+    /// The grouped-key cardinality bound over `rows` rows of `table`: at
+    /// most the row count (every row its own group), and when a fresh
+    /// profile knows `key`, at most its exact distinct count and the width
+    /// of its exact `[min, max]` range.
+    #[must_use]
+    pub fn key_bound(&self, table: &str, key: Option<&str>, rows: u64) -> u64 {
+        let Some(c) = key.and_then(|k| self.profile(table)?.column(k)) else {
+            return rows;
+        };
+        let width = u64::try_from(i128::from(c.max) - i128::from(c.min) + 1).unwrap_or(u64::MAX);
+        rows.min(width).min(c.ndv.unwrap_or(u64::MAX))
     }
 }
 
@@ -135,11 +167,12 @@ pub struct OpBounds {
     /// Bytes charged once per plan (masks, bitmaps, selection vectors,
     /// materialized window columns, sort permutations).
     pub plan_bytes_bound: u64,
-    /// Bytes charged per worker (tile scratch), already multiplied by the
-    /// worker count.
+    /// Bytes charged per accumulator (tile scratch), already multiplied by
+    /// the most accumulators the operator's stage holds.
     pub worker_bytes_bound: u64,
     /// Hash-table bytes including the growth discipline's worst case
-    /// (initial capacity doubled until the key bound fits), across workers.
+    /// (initial capacity doubled until the key bound fits), across the
+    /// stage's accumulators.
     pub ht_bytes_bound: u64,
     /// Arithmetic sites (operators + aggregate accumulators) examined.
     pub arith_sites: u32,
@@ -202,13 +235,14 @@ impl fmt::Display for OpBounds {
 /// verdicts of the value-range analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanCertificate {
-    /// Peak bytes the query can charge, including the data-centric fallback
-    /// reserve (a failed primary attempt's charges are not released before
-    /// the fallback charges its own).
+    /// Peak bytes the query can charge: the larger of the primary attempt's
+    /// bound and the data-centric retry's reserve (a failed primary's
+    /// charges are dropped before the retry). Admission reserves it, and
+    /// the query's gauge is limited to it.
     pub peak_bytes_bound: u64,
     /// Peak bytes of the primary (composed-kernel) attempt alone.
     pub primary_bytes_bound: u64,
-    /// Fallback interpreter reserve folded into `peak_bytes_bound`.
+    /// The data-centric retry's reserve (0: nothing retries the plan).
     pub fallback_bytes: u64,
     /// Per-operator breakdown, in execution order.
     pub per_op_bounds: Vec<OpBounds>,
@@ -218,7 +252,8 @@ pub struct PlanCertificate {
     pub overflow_safe_sites: u32,
     /// The weakest of the operators' proofs: what the whole plan may run.
     pub overflow_proof: OverflowProof,
-    /// Worker count the bounds were computed for.
+    /// Most accumulators a stage of many morsels holds, as the bounds were
+    /// computed for (a stage of fewer morsels is counted with fewer).
     pub workers: u64,
     /// `(table, generation)` pairs of the statistics snapshots consulted —
     /// the certificate is valid only while every listed generation is
@@ -457,21 +492,6 @@ fn group_table_bytes(op: &Op, fk_parent_rows: Option<u64>, keys: u64, n_aggs: u6
 // The pass
 // ---------------------------------------------------------------------------
 
-/// Exact distinct-count bound for `table.column`, when a fresh profile
-/// knows one.
-fn exact_ndv(ctx: &BoundsCtx, table: &str, column: &str) -> Option<u64> {
-    ctx.profile(table)?.column(column)?.ndv
-}
-
-/// The grouped-key cardinality bound: exact NDV when fresh statistics know
-/// it, otherwise the scanned row count (every row its own group).
-fn group_keys_bound(ctx: &BoundsCtx, table: &str, key: Option<&str>, rows: u64) -> u64 {
-    match key.and_then(|k| exact_ndv(ctx, table, k)) {
-        Some(ndv) => ndv.min(rows),
-        None => rows,
-    }
-}
-
 fn group_key_column(op: &Op) -> Option<&str> {
     op.exprs.iter().find_map(|b| match (&b.role, &b.expr) {
         (ExprRole::GroupKey, VExpr::Col(c)) => Some(c.as_str()),
@@ -548,6 +568,7 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
         let profile = ctx.profile(&op.table);
         let rows = op.rows as u64;
         let n_aggs = n_aggs_of(op);
+        let partials = ctx.partials(rows, program.tile_rows);
         let (tally, overflow_proof, max_input) =
             analyze_overflow(op, decl, profile, program.tile_rows);
         let mut b = OpBounds {
@@ -556,9 +577,9 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
             rows_scanned: rows,
             out_rows_bound: rows,
             plan_bytes_bound: 0,
-            // Every morsel stage charges one register file per worker; the
-            // lowering carries its size from the tile program itself.
-            worker_bytes_bound: workers.saturating_mul(op.scratch_bytes as u64),
+            // Every morsel stage charges one register file per accumulator;
+            // the lowering carries its size from the tile program itself.
+            worker_bytes_bound: partials.saturating_mul(op.scratch_bytes as u64),
             ht_bytes_bound: 0,
             arith_sites: tally.sites,
             overflow_safe_sites: tally.safe,
@@ -568,10 +589,10 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
         match op.strategy.as_ref().map(|c| &c.priced) {
             Some(StrategyRef::Agg { grouped, .. }) => {
                 if *grouped {
-                    let keys = group_keys_bound(ctx, &op.table, group_key_column(op), rows);
+                    let keys = ctx.key_bound(&op.table, group_key_column(op), rows);
                     b.out_rows_bound = keys;
                     b.ht_bytes_bound =
-                        workers.saturating_mul(group_table_bytes(op, None, keys, n_aggs));
+                        partials.saturating_mul(group_table_bytes(op, None, keys, n_aggs));
                 } else {
                     b.out_rows_bound = 1;
                 }
@@ -600,13 +621,10 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
                             .find(|f| f.child == op.table && f.fk_col == k)
                     })
                     .map_or(rows, |f| f.parent_rows as u64);
-                let keys = match key.and_then(|k| exact_ndv(ctx, &op.table, k)) {
-                    Some(ndv) => ndv.min(parent_rows),
-                    None => parent_rows,
-                };
+                let keys = ctx.key_bound(&op.table, key, parent_rows);
                 b.out_rows_bound = keys;
                 b.ht_bytes_bound =
-                    workers.saturating_mul(group_table_bytes(op, Some(parent_rows), keys, n_aggs));
+                    partials.saturating_mul(group_table_bytes(op, Some(parent_rows), keys, n_aggs));
                 last_out = b.out_rows_bound;
             }
             Some(StrategyRef::Window { .. }) => {
@@ -632,7 +650,7 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
     let primary = per_op
         .iter()
         .fold(0u64, |acc, b| acc.saturating_add(b.bytes_bound()));
-    let peak = primary.saturating_add(ctx.fallback_bytes);
+    let peak = primary.max(ctx.fallback_bytes);
     let arith_sites = per_op.iter().map(|b| b.arith_sites).sum();
     let overflow_safe_sites = per_op.iter().map(|b| b.overflow_safe_sites).sum();
     let overflow_proof = per_op.iter().map(|b| b.overflow_proof).min();
@@ -644,7 +662,7 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
     let mut lines = vec![
         format!(
             "bounds: peak <= {peak} B across {} operator(s) at {workers} worker(s) \
-             (primary {primary} B + fallback reserve {} B)",
+             (the larger of primary {primary} B and fallback reserve {} B)",
             per_op.len(),
             ctx.fallback_bytes
         ),
@@ -769,9 +787,8 @@ mod tests {
         let tight = certify(
             &p,
             &BoundsCtx {
-                workers: 2,
                 profiles: vec![profile_with_ndv(8)],
-                fallback_bytes: 0,
+                ..BoundsCtx::without_stats(2)
             },
         );
         assert!(loose.is_bounded() && tight.is_bounded());
@@ -830,9 +847,8 @@ mod tests {
         let cert = certify(
             &p,
             &BoundsCtx {
-                workers: 1,
                 profiles: vec![profile_with_ndv(8)],
-                fallback_bytes: 0,
+                ..BoundsCtx::without_stats(1)
             },
         );
         assert_eq!(cert.arith_sites, 1, "one accumulator site");
@@ -896,13 +912,12 @@ mod tests {
                 ndv: None,
             };
             let ctx = BoundsCtx {
-                workers: 1,
                 profiles: vec![TableProfile {
                     table: "t".into(),
                     generation: 1,
                     columns: vec![column("x", x), column("y", y)],
                 }],
-                fallback_bytes: 0,
+                ..BoundsCtx::without_stats(1)
             };
             let cert = certify(&product_sum(ColType::Int(64), 10_000), &ctx);
             assert_eq!(cert.overflow_proof, proof, "{x} x {y}");
@@ -1017,9 +1032,8 @@ mod tests {
         let cert = certify(
             &p,
             &BoundsCtx {
-                workers: 1,
                 profiles: vec![profile_with_ndv(8)],
-                fallback_bytes: 0,
+                ..BoundsCtx::without_stats(1)
             },
         );
         // The sort permutation covers at most the 8 group rows, not the
@@ -1028,20 +1042,42 @@ mod tests {
         assert_eq!(cert.per_op_bounds[1].plan_bytes_bound, 8 * 4);
     }
 
+    /// A failed primary's charges are dropped before the retry, so the
+    /// peak is the larger of the two, whichever it is.
     #[test]
-    fn fallback_reserve_is_added_to_peak() {
+    fn peak_is_the_larger_of_primary_and_fallback_reserve() {
         let p = grouped_agg_program(1_000);
-        let without = certify(&p, &BoundsCtx::without_stats(1));
-        let with = certify(
-            &p,
-            &BoundsCtx {
-                workers: 1,
-                profiles: Vec::new(),
-                fallback_bytes: 8_000,
-            },
-        );
-        assert_eq!(with.peak_bytes_bound, without.peak_bytes_bound + 8_000);
-        assert_eq!(with.primary_bytes_bound, without.primary_bytes_bound);
+        let primary = certify(&p, &BoundsCtx::without_stats(1)).primary_bytes_bound;
+        for reserve in [primary / 2, primary * 2] {
+            let cert = certify(
+                &p,
+                &BoundsCtx {
+                    fallback_bytes: reserve,
+                    ..BoundsCtx::without_stats(1)
+                },
+            );
+            assert_eq!(cert.peak_bytes_bound, primary.max(reserve));
+            assert_eq!(cert.primary_bytes_bound, primary);
+            assert_eq!(cert.fallback_bytes, reserve);
+        }
+    }
+
+    /// A stage of one morsel runs inline with one accumulator; one of `m`
+    /// morsels holds at most `m`, and never more than the workers.
+    #[test]
+    fn partials_follow_the_stages_morsel_count() {
+        let p = grouped_agg_program(10_000);
+        let scratch = p.ops[0].scratch_bytes as u64;
+        for (morsel_rows, partials) in [(16 * TILE, 1), (4 * TILE, 3), (TILE, 8)] {
+            let ctx = BoundsCtx {
+                morsel_rows,
+                ..BoundsCtx::without_stats(8)
+            };
+            let cert = certify(&p, &ctx);
+            let b = &cert.per_op_bounds[0];
+            assert_eq!(b.worker_bytes_bound, partials * scratch, "{morsel_rows}");
+            assert_eq!(cert.workers, 8);
+        }
     }
 
     #[test]

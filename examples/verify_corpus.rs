@@ -6,10 +6,12 @@
 //!
 //! Every plan is additionally run through the bounds regime: the
 //! abstract-interpretation pass must produce a [`PlanCertificate`] with a
-//! finite (non-`unbounded`) peak-memory verdict for all of them. The
-//! per-plan bounds land in a diffable `bounds-report.json` (path
-//! overridable via `BOUNDS_REPORT`), which CI uploads as an artifact so a
-//! planner or verifier change that loosens any bound shows up as a diff.
+//! finite (non-`unbounded`) peak-memory verdict for all of them, and the
+//! plan is run, its observed gauge peak never above that bound. The
+//! per-plan bounds, with what was observed beside them, land in a diffable
+//! `bounds-report.json` (path overridable via `BOUNDS_REPORT`), which CI
+//! uploads as an artifact so a planner or verifier change that loosens any
+//! bound shows up as a diff.
 //!
 //! ```text
 //! cargo run --release --example verify_corpus
@@ -18,9 +20,9 @@
 //! Every plan is also rendered through `EXPLAIN CODE`, which must print a
 //! non-empty loop for each.
 //!
-//! Exits non-zero if any plan fails verification, certification or
-//! rendering — `scripts/verify_corpus.sh` wires this into CI as the corpus
-//! gate.
+//! Exits non-zero if any plan fails verification, certification, its run
+//! (an error, or an observed peak above its bound) or rendering —
+//! `scripts/verify_corpus.sh` wires this into CI as the corpus gate.
 
 use swole::plan::parse_sql;
 use swole::prelude::*;
@@ -326,6 +328,8 @@ struct BoundsRow {
     regime: String,
     ops: usize,
     peak_bytes_bound: u64,
+    /// The gauge peak of one run of the plan.
+    observed_bytes: u64,
     primary_bytes_bound: u64,
     fallback_bytes: u64,
     arith_sites: u32,
@@ -336,14 +340,16 @@ impl BoundsRow {
     fn to_json(&self) -> String {
         format!(
             "{{\"corpus\":\"{}\",\"query\":\"{}\",\"threads\":{},\"regime\":\"{}\",\
-             \"ops\":{},\"peak_bytes_bound\":{},\"primary_bytes_bound\":{},\
-             \"fallback_bytes\":{},\"arith_sites\":{},\"overflow_safe_sites\":{}}}",
+             \"ops\":{},\"peak_bytes_bound\":{},\"observed_bytes\":{},\
+             \"primary_bytes_bound\":{},\"fallback_bytes\":{},\"arith_sites\":{},\
+             \"overflow_safe_sites\":{}}}",
             self.corpus,
             self.query,
             self.threads,
             self.regime,
             self.ops,
             self.peak_bytes_bound,
+            self.observed_bytes,
             self.primary_bytes_bound,
             self.fallback_bytes,
             self.arith_sites,
@@ -370,6 +376,7 @@ fn verify_corpus(
         .strategies(overrides)
         .build();
 
+    let metered = QueryOptions::new().metrics(MetricsLevel::Counters);
     let mut failures = 0;
     for (name, sql) in queries {
         let plan = match parse_sql(sql) {
@@ -406,20 +413,42 @@ fn verify_corpus(
             }
         }
         // Bounds regime: every verified plan must also certify with a
-        // finite peak bound — an `unbounded` verdict is a corpus failure.
+        // finite peak bound — an `unbounded` verdict is a corpus failure —
+        // and a run of it must charge no more than that bound.
         match engine.certificate(&plan) {
-            Ok(cert) if cert.is_bounded() => bounds.push(BoundsRow {
-                corpus: corpus.to_string(),
-                query: name.clone(),
-                threads,
-                regime: regime_name.to_string(),
-                ops: cert.per_op_bounds.len(),
-                peak_bytes_bound: cert.peak_bytes_bound,
-                primary_bytes_bound: cert.primary_bytes_bound,
-                fallback_bytes: cert.fallback_bytes,
-                arith_sites: cert.arith_sites,
-                overflow_safe_sites: cert.overflow_safe_sites,
-            }),
+            Ok(cert) if cert.is_bounded() => {
+                let run = engine.query_with(&plan, &metered);
+                let observed = run.as_ref().ok().and_then(|r| r.metrics());
+                let observed = observed.map_or(0, |m| m.bytes_charged);
+                match run {
+                    Err(e) => {
+                        println!("FAIL {corpus}/{name} t={threads} regime={regime_name}: run: {e}");
+                        failures += 1;
+                    }
+                    Ok(_) if observed > cert.peak_bytes_bound => {
+                        println!(
+                            "FAIL {corpus}/{name} t={threads} regime={regime_name}: \
+                             observed {observed} B above the bound {} B",
+                            cert.peak_bytes_bound
+                        );
+                        failures += 1;
+                    }
+                    Ok(_) => {}
+                }
+                bounds.push(BoundsRow {
+                    corpus: corpus.to_string(),
+                    query: name.clone(),
+                    threads,
+                    regime: regime_name.to_string(),
+                    ops: cert.per_op_bounds.len(),
+                    peak_bytes_bound: cert.peak_bytes_bound,
+                    observed_bytes: observed,
+                    primary_bytes_bound: cert.primary_bytes_bound,
+                    fallback_bytes: cert.fallback_bytes,
+                    arith_sites: cert.arith_sites,
+                    overflow_safe_sites: cert.overflow_safe_sites,
+                });
+            }
             Ok(_) => {
                 println!(
                     "FAIL {corpus}/{name} t={threads} regime={regime_name}: unbounded verdict"
@@ -532,7 +561,7 @@ fn main() {
     }
     assert_eq!(bounds.len(), plans, "every verified plan must certify");
     println!(
-        "verify_corpus: all {plans} plans verified at {:?}, certified bounded and rendered (report: {report_path}) across {} thread counts x {} strategy regimes + {} join-order regimes",
+        "verify_corpus: all {plans} plans verified at {:?}, certified bounded, run within their bounds and rendered (report: {report_path}) across {} thread counts x {} strategy regimes + {} join-order regimes",
         VerifyLevel::Full,
         THREAD_COUNTS.len(),
         REGIMES.len(),

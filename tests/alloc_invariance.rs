@@ -7,7 +7,8 @@
 //!
 //! The reference interpreter streams too: the bytes it allocates for a
 //! filtered sum, with or without an FK semijoin, do not grow with the rows
-//! it scans.
+//! it scans. And the reserve a certificate keeps for it is sound: the bytes
+//! it holds live at once never exceed its `fallback_bytes`.
 //!
 //! And per-statement overhead does not creep: one warm, one-morsel
 //! statement of each hot kind allocates no more than the counts recorded in
@@ -23,7 +24,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use swole::plan::physical::PhysicalPlan;
@@ -32,6 +33,11 @@ use swole_kernels::TILE;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
+/// Bytes allocated and not yet freed on counting threads, and their
+/// high-water mark (frees of bytes allocated before counting began can take
+/// `LIVE` below zero, so both are signed).
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+static LIVE_PEAK: AtomicIsize = AtomicIsize::new(0);
 
 /// Held by the test that is counting.
 static COUNTER: Mutex<()> = Mutex::new(());
@@ -43,12 +49,25 @@ thread_local! {
 
 struct CountingAlloc;
 
-fn note(bytes: usize) {
+/// Whether the running thread is being counted.
+fn counting() -> bool {
     // `try_with`: the allocator also runs while a thread's locals are torn
     // down, when the flag is gone and nothing is being measured.
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
+
+fn note(bytes: usize) {
+    if counting() {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(bytes, Ordering::Relaxed);
+    }
+}
+
+/// Move the live bytes by `delta` on a counting thread.
+fn live(delta: isize) {
+    if counting() {
+        let now = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+        LIVE_PEAK.fetch_max(now, Ordering::Relaxed);
     }
 }
 
@@ -58,23 +77,27 @@ fn note(bytes: usize) {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        live(layout.size() as isize);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        live(layout.size() as isize);
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
+        live(new_size as isize - layout.size() as isize);
         // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as isize));
         // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -90,6 +113,14 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
 /// Bytes requested by allocations and reallocations while `f` runs.
 fn bytes_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
     counted_during(&BYTES, f)
+}
+
+/// The most bytes `f` holds allocated at once, what it returns included.
+fn live_peak_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    LIVE.store(0, Ordering::Relaxed);
+    LIVE_PEAK.store(0, Ordering::Relaxed);
+    let (_, out) = counted_during(&ALLOCATIONS, f);
+    (LIVE_PEAK.load(Ordering::Relaxed) as usize, out)
 }
 
 fn counted_during<T>(counter: &AtomicUsize, f: impl FnOnce() -> T) -> (usize, T) {
@@ -227,6 +258,54 @@ fn interpreter_bytes_do_not_scale_with_table_size() {
             "{name}: 64 Ki rows took {few} bytes, 1 Mi rows {many}"
         );
     }
+}
+
+/// The certificate's reserve for a data-centric retry covers what the
+/// interpreter really holds, by plan kind — a constant for a scalar
+/// aggregate, the group state for a grouped one, the per-row vectors for a
+/// window — over 64 Ki rows.
+#[test]
+fn the_fallback_reserve_covers_what_the_interpreter_holds() {
+    let _turn = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    let engine = Engine::builder(distinct_database(64)).threads(1).build();
+    for (name, sql) in [
+        (
+            "filtered scalar sum",
+            "select sum(a) as s from R where x < 50",
+        ),
+        (
+            "16-group group by",
+            "select g, sum(a * b) as s, count(*) as n from R where x < 50 group by g",
+        ),
+        (
+            "64 Ki-group group by",
+            "select k, sum(a) as s, min(b) as lo from R group by k",
+        ),
+        (
+            "partitioned window",
+            "select a, sum(b) over (partition by g order by b) as s from R where x < 50",
+        ),
+    ] {
+        let plan = swole::plan::parse_sql(sql).expect("parses").plan;
+        let reserve = engine.certificate(&plan).expect("certifies").fallback_bytes;
+        let db = engine.database();
+        let (held, res) = live_peak_during(|| swole::plan::interp::run(&db, &plan));
+        assert!(!res.expect("interprets").rows.is_empty(), "{name}");
+        assert!(held > 0, "{name}: the counter is live");
+        println!("{name}: {held} B held, {reserve} B reserved");
+        assert!(
+            held as u64 <= reserve,
+            "{name}: the interpreter held {held} B, the certificate reserved {reserve} B"
+        );
+    }
+}
+
+/// `R` of [`r_table`] with a column `k` that is distinct on every row.
+fn distinct_database(tiles: usize) -> Database {
+    let n = tiles * TILE;
+    let mut db = Database::new();
+    db.add_table(r_table(tiles).with_column("k", ColumnData::I32((0..n as i32).collect())));
+    db
 }
 
 /// `ORDER BY … LIMIT n` over a window assembles the `n` rows it returns, not

@@ -324,26 +324,110 @@ fn admission_rejects_typed_and_drains() {
 fn global_budget_never_exceeded_and_drains() {
     let budget = 32 << 20;
     let refs = references();
-    for policy in [MemoryPolicy::Greedy, MemoryPolicy::FairShare] {
-        let engine = Engine::builder(make_db(SEED, N_R, N_S))
-            .threads(2)
+    let engine = Engine::builder(make_db(SEED, N_R, N_S))
+        .threads(2)
+        .tile_rows(2048)
+        .global_memory_budget(budget)
+        .build();
+    hammer(&engine, 8, 8, &refs);
+    let stats = engine
+        .global_memory_stats()
+        .expect("global pool configured");
+    assert!(
+        stats.peak <= budget,
+        "peak {} exceeded budget {budget}",
+        stats.peak
+    );
+    assert!(stats.peak > 0, "queries reserved nothing");
+    assert_eq!(stats.used, 0, "reservations must drain: {stats:?}");
+    assert_eq!(stats.active, 0, "reservations must be returned");
+}
+
+/// The certificate is the reservation: under a global budget that fits one
+/// statement's certified peak but not two, a second statement waits — in
+/// the memory pool, not failing — while the first is held at a morsel. It
+/// runs bit-identical once the first lets go; a deadline that passes while
+/// it waits rejects it before it starts; and shutdown wakes it with the
+/// typed shutdown rejection. Every reservation is returned.
+#[test]
+fn a_reservation_waits_until_the_budget_fits_it() {
+    let db = || make_db(13, 1 << 16, 256);
+    let plan = groupby_plan();
+    let one = Engine::builder(db()).threads(1).tile_rows(2048).build();
+    let peak = one.certificate(&plan).expect("certifies").peak_bytes_bound as usize;
+    let solo = one.query(&plan).expect("runs alone");
+    for case in ["released", "deadline", "shutdown"] {
+        let engine = Engine::builder(db())
+            .threads(1)
             .tile_rows(2048)
-            .global_memory_budget(budget)
-            .memory_policy(policy)
+            .global_memory_budget(peak + peak / 2)
             .build();
-        hammer(&engine, 8, 8, &refs);
-        let stats = engine
-            .global_memory_stats()
-            .expect("global pool configured");
-        assert_eq!(stats.policy, policy);
-        assert!(
-            stats.peak <= budget,
-            "{policy:?}: peak {} exceeded budget {budget}",
-            stats.peak
+        let pool = || {
+            engine
+                .global_memory_stats()
+                .expect("global pool configured")
+        };
+        let hold = engine.inject_faults(FaultPlan {
+            seed: 0,
+            events: vec![FaultEvent::Hold { morsel: 1 }],
+        });
+        let holder = engine.session();
+        let (held, waiter) = thread::scope(|s| {
+            let held = s.spawn(|| holder.query(&plan));
+            while pool().active == 0 {
+                thread::yield_now();
+            }
+            assert_eq!(pool().used, peak, "{case}: the holder reserved its peak");
+            let waiter = s.spawn(|| match case {
+                "deadline" => {
+                    let soon = QueryOptions::new().deadline(Duration::from_millis(50));
+                    engine.query_with(&plan, &soon)
+                }
+                _ => engine.query(&plan),
+            });
+            if case != "deadline" {
+                while pool().waiting == 0 {
+                    thread::yield_now();
+                }
+                assert_eq!((pool().active, pool().used), (1, peak), "{case}");
+            }
+            match case {
+                "shutdown" => {
+                    engine.shutdown(Some(Duration::ZERO));
+                }
+                "deadline" => {
+                    while !waiter.is_finished() {
+                        thread::yield_now();
+                    }
+                    holder.handle().cancel();
+                }
+                _ => holder.handle().cancel(),
+            }
+            let held = held.join().expect("holder thread");
+            (held, waiter.join().expect("waiter thread"))
+        });
+        drop(hold);
+        match (case, held, waiter) {
+            ("released", Err(PlanError::Cancelled { .. }), Ok(got)) => assert_eq!(got, solo),
+            (
+                "deadline",
+                Err(PlanError::Cancelled { .. }),
+                Err(PlanError::Admission(AdmissionError::DeadlineBeforeStart)),
+            ) => {}
+            (
+                "shutdown",
+                Err(PlanError::Shutdown { .. }),
+                Err(PlanError::Admission(AdmissionError::Shutdown)),
+            ) => {}
+            (case, held, waiter) => panic!("{case}: holder {held:?}, waiter {waiter:?}"),
+        }
+        let stats = pool();
+        assert_eq!(
+            (stats.used, stats.active, stats.waiting),
+            (0, 0, 0),
+            "{case}: {stats:?}"
         );
-        assert!(stats.peak > 0, "{policy:?}: queries charged nothing");
-        assert_eq!(stats.used, 0, "{policy:?}: charges must drain: {stats:?}");
-        assert_eq!(stats.active, 0, "{policy:?}: gauges must unregister");
+        assert!(stats.peak <= peak + peak / 2, "{case}: {stats:?}");
     }
 }
 

@@ -152,6 +152,56 @@ fn alloc_failure_falls_back_bit_identical() {
     }
 }
 
+/// A failed primary's charges are dropped before the data-centric retry,
+/// so the retry runs inside the query's one reservation: under a global
+/// budget the pool holds exactly the certified peak while the query runs,
+/// the rows stay bit-identical, and the metrics report the larger of the
+/// two attempts' peaks.
+#[test]
+fn the_retry_runs_inside_the_reservation_of_the_failed_attempt() {
+    for threads in THREADS {
+        for nth in [0usize, 1, 2] {
+            for (name, plan) in [("groupby", groupby_plan()), ("semijoin", semijoin_plan())] {
+                let e = Engine::builder(make_db(512))
+                    .threads(threads)
+                    .tile_rows(MORSEL)
+                    .global_memory_budget(64 << 20)
+                    .metrics(MetricsLevel::Counters)
+                    .build();
+                let at = format!("{name} threads={threads} nth={nth}");
+                let truth = interp::run(&e.database(), &plan).expect("interp runs");
+                let cert = e.certificate(&plan).expect("certifies");
+                let guard = e.inject_faults(FaultPlan::alloc_failure_at_charge(nth));
+                let got = e.query(&plan).expect("query recovers via fallback");
+                drop(guard);
+                assert_eq!(got.rows, truth.rows, "{at}");
+                let m = got.metrics().expect("counters requested");
+                assert_eq!(m.bytes_bound, Some(cert.peak_bytes_bound), "{at}");
+                let pool = e.global_memory_stats().expect("global pool configured");
+                assert_eq!(pool.peak as u64, cert.peak_bytes_bound, "{at}: {pool:?}");
+                assert_eq!((pool.used, pool.active), (0, 0), "{at}: {pool:?}");
+                assert!(m.bytes_charged <= cert.peak_bytes_bound, "{at}");
+                // The first charge always fails; a later one only when the
+                // query makes that many (a one-thread group-by makes one).
+                assert!(m.retries == 1 || nth > 0, "{at}");
+                if m.retries == 0 {
+                    continue;
+                }
+                assert!(m.bytes_charged >= cert.fallback_bytes, "{at}");
+                // On one thread the failure falls on the same charge each
+                // run: the first leaves the retry's reserve alone, a later
+                // one of the semijoin's the primary's larger build before it.
+                if threads == 1 && nth == 0 {
+                    assert_eq!(m.bytes_charged, cert.fallback_bytes, "{at}");
+                }
+                if threads == 1 && nth > 0 && name == "semijoin" {
+                    assert!(m.bytes_charged > cert.fallback_bytes, "{at}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn clock_skew_expires_deadline_without_retry() {
     let e = Engine::builder(make_db(512))

@@ -170,7 +170,7 @@ fn execute_shares_the_statement_gate_and_admission() {
     let plan = groupby_plan();
     let physical = e.plan(&plan).expect("plans");
     let cert = e.certificate(&plan).expect("certifies");
-    let bound = cert.peak_bytes_bound - cert.fallback_bytes;
+    let bound = cert.primary_bytes_bound;
     let budget = |bytes: u64| QueryOptions::new().memory_budget(bytes as usize);
     match e.execute_with(&physical, &budget(bound - 1)) {
         Err(PlanError::Admission(AdmissionError::BudgetInfeasible {
