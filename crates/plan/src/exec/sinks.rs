@@ -393,7 +393,7 @@ where
             .table
             .column(key)
             .and_then(|c| c.as_dict())
-            .map(|d| Arc::new(d.dictionary().to_vec()));
+            .map(|d| d.shared_dictionary());
         Ok(rows_from_table(key, aggs, &ht, key_dict))
     }
 }

@@ -360,7 +360,7 @@ pub(crate) fn exec_window(
         .first()
         .and_then(|c| table.column(c))
         .and_then(|c| c.as_dict())
-        .map(|d| Arc::new(d.dictionary().to_vec()));
+        .map(|d| d.shared_dictionary());
     Ok((
         QueryResult {
             columns,

@@ -1,9 +1,11 @@
 //! A deliberately naive row-at-a-time reference interpreter.
 //!
 //! Executes the same [`LogicalPlan`]s as the engine with zero cleverness —
-//! Volcano-style row iteration, `BTreeMap` grouping — and the same result
-//! conventions. The test suite cross-checks every engine result against it
-//! (the role HyPer plays as a sanity baseline in the paper's evaluation).
+//! Volcano-style row iteration, grouping through a hash index into one flat
+//! accumulator array that is sorted by key once, at the end — and the same
+//! result conventions. The test suite cross-checks every engine result
+//! against it (the role HyPer plays as a sanity baseline in the paper's
+//! evaluation).
 //!
 //! Naive is not the same as slow per row: every expression is compiled once
 //! per statement ([`Expr::compile`]: columns resolved to typed slices,
@@ -19,7 +21,7 @@ use crate::logical::{FrameSpec, LogicalPlan, WindowFunc};
 use crate::metrics::OpMetrics;
 use crate::result::QueryResult;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use swole_storage::Table;
 use swole_verify::BoundsCtx;
 
@@ -30,32 +32,40 @@ pub fn run(db: &Database, plan: &LogicalPlan) -> Result<QueryResult, PlanError> 
 
 /// What the interpreter holds however big its tables are: the result's
 /// column names and first rows, the filter and semijoin steps, the
-/// counters, a B-tree's first nodes.
+/// counters, the group table's first buckets and slots.
 const FIXED_BYTES: u64 = 4096;
 
 /// One compiled expression node: a boxed closure over its column or its
 /// operands.
 const NODE_BYTES: u64 = 64;
 
-/// A group's bytes besides its accumulators: the B-tree entry (a leaf holds
-/// ≥ 5 of its 11 slots: ≤ 74 B, + ≤ 19 B of interior nodes) and the result
-/// row (its slot, its key and the spare slot of its first growth).
-const GROUP_BYTES: u64 = 128;
+/// A group's bytes besides its accumulators, at the group table's worst
+/// point. The hash index holds 16 B of key and slot plus a control byte
+/// per bucket and doubles at 7/8 load: ≤ 39 B a key after a resize, ≤ 59 B
+/// while it moves into twice its buckets. The key vector and the flat
+/// accumulator array hold ≤ 2 slots of 8 B per group, 3 while one doubles.
+/// So with `a` accumulators a group costs ≤ 75 + 16a B while the index
+/// resizes, ≤ 63 + 24a B while a vector doubles, and ≤ 52 + 24a B while the
+/// rows are emitted (the index gone, the sort order's 4 B and the result
+/// row's slot, key and accumulators added): ≤ 67 + 24a B for any `a ≥ 1`.
+const GROUP_BYTES: u64 = 67;
+
+/// An accumulator's bytes per group: see [`GROUP_BYTES`].
+const AGG_BYTES: u64 = 24;
 
 /// What a data-centric retry of `plan` holds at its peak, by plan kind, on
 /// top of [`FIXED_BYTES`], its compiled expressions and its semijoins' flag
 /// per parent row: nothing more for a scalar aggregate, which streams its
-/// rows into one accumulator list; the group state for a grouped one, over
+/// rows into one accumulator list; the group table for a grouped one, over
 /// the bounds pass's key bound (`bounds`' statistics; an FK key also has at
 /// most its parent's row count); and for a window, the per-row vectors it
-/// sorts and evaluates, over every scanned row. A dictionary column's
-/// strings count where the result or a match table copies them.
+/// sorts and evaluates, over every scanned row. A result shares its
+/// dictionary with the table, so no string is copied.
 pub(crate) fn fallback_bytes(db: &Database, plan: &LogicalPlan, bounds: &BoundsCtx) -> u64 {
     let table = |name: &str| db.table(name).ok();
     let rows = |name: &str| table(name).map_or(0, |t| t.len() as u64);
     let base = plan.base_table();
     let compiled = |e: &Expr, name: &str| table(name).map_or(0, |t| expr_bytes(e, t));
-    let dict = |col: &str| table(base).map_or(0, |t| dict_bytes(t, col));
     let (mut bytes, mut per_row, mut key_rows) = (FIXED_BYTES, 0, rows(base));
     let (mut key, mut window) = (None, false);
     plan.visit(&mut |node| match node {
@@ -75,8 +85,7 @@ pub(crate) fn fallback_bytes(db: &Database, plan: &LogicalPlan, bounds: &BoundsC
         }
         LogicalPlan::Aggregate { group_by, aggs, .. } => {
             bytes += aggs.iter().map(|a| compiled(&a.expr, base)).sum::<u64>();
-            bytes += group_by.as_deref().map_or(0, dict);
-            per_row += GROUP_BYTES + 16 * aggs.len() as u64;
+            per_row += GROUP_BYTES + AGG_BYTES * aggs.len() as u64;
             key = group_by.as_deref();
         }
         LogicalPlan::Window {
@@ -87,7 +96,6 @@ pub(crate) fn fallback_bytes(db: &Database, plan: &LogicalPlan, bounds: &BoundsC
         } => {
             let inputs = funcs.iter().filter_map(|f| f.expr.as_ref());
             bytes += inputs.map(|e| compiled(e, base)).sum::<u64>();
-            bytes += select.first().map_or(0, |c| dict(c));
             // The row ids (grown by doubling: 16 B), the partition key, the
             // permutation and the result row's slot; a vector per order
             // key; a result cell per projected column; per function its
@@ -107,27 +115,16 @@ pub(crate) fn fallback_bytes(db: &Database, plan: &LogicalPlan, bounds: &BoundsC
 }
 
 /// The compiled nodes of `e` over `table`, with the match table of each
-/// `LIKE` / `IN`.
+/// `LIKE` / `IN`: a flag per dictionary entry.
 fn expr_bytes(e: &Expr, table: &Table) -> u64 {
     let own = match e {
-        Expr::Like { col, .. } | Expr::InList { col, .. } => dict_bytes(table, col),
+        Expr::Like { col, .. } | Expr::InList { col, .. } => (table.column(col))
+            .and_then(|c| c.as_dict())
+            .map_or(0, |d| d.cardinality() as u64),
         _ => 0,
     };
     e.children()
         .fold(NODE_BYTES + own, |acc, c| acc + expr_bytes(c, table))
-}
-
-/// A copy of `col`'s dictionary, when it has one: a `String` and its bytes
-/// per entry (which also covers a flag per entry).
-fn dict_bytes(table: &Table, col: &str) -> u64 {
-    let dict = table.column(col).and_then(|c| c.as_dict());
-    dict.map_or(0, |d| {
-        16 + d
-            .dictionary()
-            .iter()
-            .map(|w| 24 + w.len() as u64)
-            .sum::<u64>()
-    })
 }
 
 /// Execute `plan` naively, also reporting the interpreter's access
@@ -250,11 +247,26 @@ fn run_core(
                 )));
             }
             let key = Expr::col(g).compile(table)?;
-            let mut groups: BTreeMap<i64, Vec<i64>> = BTreeMap::new();
+            // One group table: a hash index from key to slot, the keys in
+            // first-seen order and every group's accumulators in one flat
+            // array, a row of `width` per slot.
+            let width = identities.len();
+            let mut slots: HashMap<i64, u32> = HashMap::new();
+            let (mut keys, mut accs) = (Vec::new(), Vec::new());
             op.access.rows_out = rows.for_each(op, |row| {
-                let acc = groups.entry(key.eval(row));
-                fold(acc.or_insert_with(|| identities.clone()), row);
+                let k = key.eval(row);
+                let slot = *slots.entry(k).or_insert_with(|| {
+                    keys.push(k);
+                    accs.extend_from_slice(&identities);
+                    (keys.len() - 1) as u32
+                }) as usize;
+                fold(&mut accs[slot * width..][..width], row);
             });
+            // Gone before the rows are built, as `GROUP_BYTES` prices it.
+            drop(slots);
+            // The order is used once, to emit the groups by ascending key.
+            let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+            order.sort_unstable_by_key(|&s| keys[s as usize]);
             let mut columns = vec![g.clone()];
             columns.extend(aggs.iter().map(|a| a.name.clone()));
             Ok(QueryResult {
@@ -263,12 +275,14 @@ fn run_core(
                 key_dict: table
                     .column_required(g)
                     .as_dict()
-                    .map(|d| std::sync::Arc::new(d.dictionary().to_vec())),
-                rows: groups
-                    .into_iter()
-                    .map(|(k, acc)| {
-                        let mut row = vec![k];
-                        row.extend(acc);
+                    .map(|d| d.shared_dictionary()),
+                rows: order
+                    .iter()
+                    .map(|&s| {
+                        let s = s as usize;
+                        let mut row = Vec::with_capacity(1 + width);
+                        row.push(keys[s]);
+                        row.extend_from_slice(&accs[s * width..][..width]);
                         row
                     })
                     .collect(),
@@ -431,7 +445,7 @@ fn run_window(
             .first()
             .and_then(|c| table.column(c))
             .and_then(|c| c.as_dict())
-            .map(|d| std::sync::Arc::new(d.dictionary().to_vec())),
+            .map(|d| d.shared_dictionary()),
     })
 }
 
@@ -542,5 +556,190 @@ impl<'a> Rows<'a> {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::expr::CmpOp;
+    use crate::logical::{AggSpec, QueryBuilder};
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+    use swole_storage::{ColumnData, DictColumn};
+
+    const ROWS: usize = 200_000;
+    const PARENTS: usize = 1000;
+    const WORDS: [&str; 5] = ["PROMO A", "STD", "PROMO B", "ECO", "LUX"];
+
+    /// The columns of R(k, v, x, d, fk) → P(y), kept to fold them without
+    /// the interpreter. `k` draws from 128 Ki keys spread over the whole
+    /// `i64` range (`i64::MIN`, `i64::MAX` and negative keys among them),
+    /// each at least once; `v` is full-range, so sums wrap.
+    struct Data {
+        k: Vec<i64>,
+        v: Vec<i64>,
+        x: Vec<i8>,
+        d: Vec<u32>,
+        fk: Vec<u32>,
+        y: Vec<i8>,
+    }
+
+    fn data() -> Data {
+        let mut state = 0x5eed_01d5_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state
+        };
+        let mut pool: Vec<i64> = (0..1 << 17).map(|_| next() as i64).collect();
+        pool[..4].copy_from_slice(&[i64::MIN, i64::MAX, -1, 0]);
+        let k = (0..ROWS)
+            .map(|i| {
+                pool.get(i)
+                    .copied()
+                    .unwrap_or_else(|| pool[(next() >> 47) as usize])
+            })
+            .collect();
+        let mut col = |n: u64| -> Vec<u64> { (0..ROWS).map(|_| (next() >> 32) % n).collect() };
+        let (x, d, fk) = (col(128), col(WORDS.len() as u64), col(PARENTS as u64));
+        let v = (0..ROWS).map(|_| next() as i64).collect();
+        let y = (0..PARENTS).map(|_| (next() >> 57) as i8).collect();
+        Data {
+            k,
+            v,
+            x: x.into_iter().map(|x| x as i8).collect(),
+            d: d.into_iter().map(|d| d as u32).collect(),
+            fk: fk.into_iter().map(|f| f as u32).collect(),
+            y,
+        }
+    }
+
+    fn database(data: &Data) -> Database {
+        let words: Vec<String> = WORDS.iter().map(|w| w.to_string()).collect();
+        let mut db = Database::new();
+        db.add_table(
+            Table::new("R")
+                .with_column("k", ColumnData::I64(data.k.clone()))
+                .with_column("v", ColumnData::I64(data.v.clone()))
+                .with_column("x", ColumnData::I8(data.x.clone()))
+                .with_column(
+                    "d",
+                    ColumnData::Dict(DictColumn::from_parts(data.d.clone(), words)),
+                )
+                .with_column("fk", ColumnData::U32(data.fk.clone())),
+        );
+        db.add_table(Table::new("P").with_column("y", ColumnData::I8(data.y.clone())));
+        db
+    }
+
+    fn aggs() -> Vec<AggSpec> {
+        vec![
+            AggSpec::sum(Expr::col("v"), "s"),
+            AggSpec::count("n"),
+            AggSpec::min(Expr::col("v"), "lo"),
+            AggSpec::max(Expr::col("v"), "hi"),
+        ]
+    }
+
+    /// The grouped rows and the four access counters (`rows_in`,
+    /// `predicate_evals`, `ht_probes`, `rows_out`) of R filtered to
+    /// `x < x_lt`, semijoined to P's rows with `y < y_lt` when given,
+    /// grouped by `key`, folded into a `BTreeMap` row by row.
+    fn fold(
+        data: &Data,
+        key: impl Fn(usize) -> i64,
+        x_lt: i8,
+        y_lt: Option<i8>,
+    ) -> (Vec<Vec<i64>>, [u64; 4]) {
+        let mut groups: BTreeMap<i64, [i64; 4]> = BTreeMap::new();
+        // Every scanned row, of R and of a semijoin's P, reaches one filter.
+        let scanned = (ROWS + y_lt.map_or(0, |_| PARENTS)) as u64;
+        let (mut probes, mut out) = (0, 0);
+        for row in 0..ROWS {
+            if data.x[row] >= x_lt {
+                continue;
+            }
+            if let Some(y_lt) = y_lt {
+                probes += 1;
+                if data.y[data.fk[row] as usize] >= y_lt {
+                    continue;
+                }
+            }
+            out += 1;
+            let v = data.v[row];
+            let acc = groups.entry(key(row)).or_insert([0, 0, i64::MAX, i64::MIN]);
+            *acc = [
+                acc[0].wrapping_add(v),
+                acc[1] + 1,
+                acc[2].min(v),
+                acc[3].max(v),
+            ];
+        }
+        let rows = groups
+            .into_iter()
+            .map(|(k, acc)| [k].into_iter().chain(acc).collect())
+            .collect();
+        (rows, [scanned, scanned, probes, out])
+    }
+
+    fn counters(op: &OpMetrics) -> [u64; 4] {
+        let a = &op.access;
+        [a.rows_in, a.predicate_evals, a.ht_probes, a.rows_out]
+    }
+
+    #[test]
+    fn grouped_rows_match_an_independent_fold() {
+        let data = data();
+        let db = database(&data);
+        let x_lt = |n| Expr::col("x").cmp(CmpOp::Lt, Expr::lit(n));
+        let wide = QueryBuilder::scan("R")
+            .filter(x_lt(100))
+            .aggregate(Some("k"), aggs());
+        let dict = QueryBuilder::scan("R")
+            .filter(x_lt(64))
+            .semijoin(
+                QueryBuilder::scan("P").filter(Expr::col("y").cmp(CmpOp::Lt, Expr::lit(50))),
+                "fk",
+            )
+            .aggregate(Some("d"), aggs());
+        let none = QueryBuilder::scan("R")
+            .filter(x_lt(0))
+            .aggregate(Some("k"), aggs());
+        let key = |r: usize| data.k[r];
+        let code = |r: usize| data.d[r] as i64;
+        let cases = [
+            ("wide keys", wide, fold(&data, key, 100, None)),
+            ("dictionary key", dict, fold(&data, code, 64, Some(50))),
+            ("no rows", none, fold(&data, key, 0, None)),
+        ];
+        for (name, plan, (want, want_counters)) in cases {
+            let (res, op) = run_metered(&db, &plan).expect("interprets");
+            assert_eq!(res.rows, want, "{name}");
+            assert!(
+                res.rows.windows(2).all(|w| w[0][0] < w[1][0]),
+                "{name}: ascending keys"
+            );
+            assert_eq!(counters(&op), want_counters, "{name}");
+            match name {
+                "wide keys" => {
+                    assert!(
+                        res.rows.len() > 100_000,
+                        "{name}: {} groups",
+                        res.rows.len()
+                    );
+                    let keys = [i64::MIN, -1, i64::MAX].map(|k| want.iter().any(|r| r[0] == k));
+                    assert_eq!(keys, [true; 3], "{name}: extreme and negative keys");
+                }
+                "dictionary key" => {
+                    let table = db.table("R").expect("R");
+                    let d = table.column_required("d").as_dict().expect("dictionary");
+                    let shared = res.key_dict.as_ref().expect("decodes its keys");
+                    assert!(Arc::ptr_eq(shared, &d.shared_dictionary()), "{name}");
+                }
+                _ => assert!(res.rows.is_empty(), "{name}"),
+            }
+        }
     }
 }

@@ -1,5 +1,7 @@
 //! Dictionary-encoded string columns.
 
+use std::sync::Arc;
+
 /// A dictionary-encoded string column.
 ///
 /// Low-cardinality string columns (e.g. `l_returnflag`, `l_shipmode`,
@@ -13,7 +15,9 @@
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DictColumn {
     codes: Vec<u32>,
-    values: Vec<String>,
+    /// Shared with every result keyed by this column, so a result carries
+    /// the dictionary without copying its strings.
+    values: Arc<Vec<String>>,
 }
 
 impl DictColumn {
@@ -27,7 +31,10 @@ impl DictColumn {
     pub fn from_parts(codes: Vec<u32>, values: Vec<String>) -> DictColumn {
         let n = values.len() as u32;
         assert!(codes.iter().all(|&c| c < n), "dictionary code out of range");
-        DictColumn { codes, values }
+        DictColumn {
+            codes,
+            values: Arc::new(values),
+        }
     }
 
     /// Encode a slice of strings, building the dictionary in first-seen
@@ -47,8 +54,9 @@ impl DictColumn {
         let code = match self.values.iter().position(|v| v == value) {
             Some(i) => i as u32,
             None => {
-                self.values.push(value.to_owned());
-                (self.values.len() - 1) as u32
+                let values = Arc::make_mut(&mut self.values);
+                values.push(value.to_owned());
+                (values.len() - 1) as u32
             }
         };
         self.codes.push(code);
@@ -87,6 +95,12 @@ impl DictColumn {
     /// Borrow the dictionary.
     pub fn dictionary(&self) -> &[String] {
         &self.values
+    }
+
+    /// The dictionary itself, shared: what a result keyed by this column
+    /// decodes its codes with.
+    pub fn shared_dictionary(&self) -> Arc<Vec<String>> {
+        Arc::clone(&self.values)
     }
 
     /// Look up the code of a string, if present.

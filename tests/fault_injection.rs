@@ -21,7 +21,7 @@ const THREADS: [usize; 3] = [1, 2, 8];
 const MORSEL: usize = 1024;
 const N_ROWS: usize = 8 * MORSEL;
 
-/// Deterministic R(x, a, b, c, fk) → S(y) database, sized for 8 morsels.
+/// Deterministic R(x, a, b, c, fk, w) → S(y) database, sized for 8 morsels.
 fn make_db(n_s: usize) -> Database {
     let mut state = 0x0005_001e_5eed_u64;
     let mut next = move |m: u64| {
@@ -52,6 +52,14 @@ fn make_db(n_s: usize) -> Database {
             .with_column(
                 "fk",
                 ColumnData::U32((0..N_ROWS).map(|_| next(n_s as u64) as u32).collect()),
+            )
+            .with_column(
+                "w",
+                ColumnData::I64(
+                    (0..N_ROWS as i64)
+                        .map(|i| (i % 4096) * 1_000_003 - 2_000_000_000)
+                        .collect(),
+                ),
             ),
     );
     db.add_table(Table::new("S").with_column(
@@ -77,6 +85,19 @@ fn groupby_plan() -> LogicalPlan {
                 AggSpec::sum(Expr::col("a").mul(Expr::col("b")), "s"),
                 AggSpec::count("n"),
             ],
+        )
+}
+
+/// A group-by over the 4 Ki sparse keys of `w`, which the first four
+/// morsels bring in 1 Ki at a time: its hash table grows at more than one
+/// morsel boundary, each growth a gauge charge of its own, so even one
+/// thread makes at least three.
+fn wide_groupby_plan() -> LogicalPlan {
+    QueryBuilder::scan("R")
+        .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(90)))
+        .aggregate(
+            Some("w"),
+            vec![AggSpec::sum(Expr::col("a"), "s"), AggSpec::count("n")],
         )
 }
 
@@ -140,13 +161,22 @@ fn panic_at_every_morsel_never_aborts() {
 fn alloc_failure_falls_back_bit_identical() {
     for threads in THREADS {
         for nth in [0usize, 1, 2] {
-            let e = engine(threads);
-            for plan in [groupby_plan(), semijoin_plan()] {
+            let e = Engine::builder(make_db(512))
+                .threads(threads)
+                .tile_rows(MORSEL)
+                .metrics(MetricsLevel::Counters)
+                .build();
+            for plan in [wide_groupby_plan(), semijoin_plan()] {
+                let at = format!("threads={threads} nth={nth}");
                 let truth = interp::run(&e.database(), &plan).expect("interp runs");
                 let guard = e.inject_faults(FaultPlan::alloc_failure_at_charge(nth));
                 let got = e.query(&plan).expect("query recovers via fallback");
                 drop(guard);
-                assert_eq!(got.rows, truth.rows, "threads={threads} nth={nth}");
+                assert_eq!(got.rows, truth.rows, "{at}");
+                // Every case reaches its failing charge, so the rows above
+                // are the data-centric retry's.
+                let m = got.metrics().expect("counters requested");
+                assert_eq!(m.retries, 1, "{at}");
             }
         }
     }
