@@ -209,7 +209,7 @@ impl Engine {
     /// choice entirely. The chosen SWOLE strategy runs first. If it fails a
     /// *runtime* precondition — a worker panic, a failed memory charge, or
     /// `i64` overflow detected in a masked aggregate — the query is retried
-    /// once through the data-centric row-at-a-time interpreter
+    /// once through the data-centric block-at-a-time interpreter
     /// ([`crate::interp`]), in the same reservation once the failed
     /// attempt's charges are dropped. Cancellation, deadline expiry, and
     /// admission rejection are not retried. The outcome (including any fallback) is
@@ -653,7 +653,7 @@ impl EngineInner {
     }
 
     /// The data-centric retry, after `retries` failed attempts: the
-    /// row-at-a-time interpreter, which allocates no pullup temporaries.
+    /// block-at-a-time interpreter, which allocates no pullup temporaries.
     /// The failed attempt's structures are gone, so its charges are dropped
     /// and the certificate's `fallback_bytes` charged in their place.
     fn retry(

@@ -1,4 +1,4 @@
-//! Expressions and their row-at-a-time evaluation.
+//! Expressions and their block-at-a-time evaluation.
 //!
 //! The engine does not walk these trees while it scans: the planner lowers
 //! them once into flat tile programs (`crate::tile`). Everything else that
@@ -6,11 +6,14 @@
 //! statistics samples, the tile programs' tests — compiles it once per
 //! statement with [`Expr::compile`]: every column is resolved to its typed
 //! slice and every `LIKE` / `IN` to a per-code match table, and the
-//! [`RowExpr`] it returns evaluates one row at a time with no lookup by
-//! name. It shares no code with the tile programs, so it stays their
-//! oracle.
+//! [`BlockExpr`] it returns evaluates a block of [`BLOCK`] row ids at a
+//! time with no lookup by name, one dispatch per node and block. Its reads
+//! stay data-centric: `AND`, `OR` and `CASE` split the block branch-free
+//! and run an operand only on the rows it decides. It shares no code with
+//! the tile programs, so it stays their oracle.
 
 use crate::error::PlanError;
+use std::ops::Range;
 use swole_storage::{like_match, ColumnData, Table};
 
 /// Comparison operators.
@@ -293,120 +296,451 @@ impl Expr {
         self.children().try_for_each(|c| c.validate_dicts(table))
     }
 
-    /// Compile this expression against `table` for row-at-a-time
+    /// Compile this expression against `table` for block-at-a-time
     /// evaluation: [`Expr::validate`] it, then resolve every column to its
     /// typed slice and every `LIKE` / `IN` to a match table over its
     /// dictionary, once. The evaluator then finds nothing by name.
-    pub fn compile<'t>(&self, table: &'t Table) -> Result<RowExpr<'t>, PlanError> {
+    pub fn compile<'t>(&self, table: &'t Table) -> Result<BlockExpr<'t>, PlanError> {
         self.validate(table)?;
-        Ok(RowExpr(row_fn(self, table)))
+        let (vals, ids) = self.scratch();
+        Ok(BlockExpr {
+            root: node(self, table),
+            vals: vec![0; vals * BLOCK],
+            ids: vec![0; ids * BLOCK],
+        })
+    }
+
+    /// The bytes [`Expr::compile`]'s evaluator holds for this expression
+    /// over `table`: at most a node per operator and operand, the match
+    /// table of each `LIKE` / `IN`, a flag per dictionary entry, and the
+    /// scratch blocks its operator nodes hold at most at once.
+    pub(crate) fn compiled_bytes(&self, table: &Table) -> u64 {
+        fn nodes(e: &Expr, table: &Table) -> u64 {
+            let own = match e {
+                Expr::Like { col, .. } | Expr::InList { col, .. } => (table.column(col))
+                    .and_then(|c| c.as_dict())
+                    .map_or(0, |d| d.cardinality() as u64),
+                _ => 0,
+            };
+            e.children()
+                .fold(NODE_BYTES + own, |acc, c| acc + nodes(c, table))
+        }
+        let (vals, ids) = self.scratch();
+        nodes(self, table) + vals as u64 * VALUE_BLOCK_BYTES + ids as u64 * ID_BLOCK_BYTES
+    }
+
+    /// The most scratch the compiled evaluator of this expression holds at
+    /// once, in value blocks and id blocks: an operand that runs after its
+    /// node has taken its own blocks runs on top of them, one that runs
+    /// before reuses them.
+    fn scratch(&self) -> (usize, usize) {
+        let max = |(a, b): (usize, usize), (c, d): (usize, usize)| (a.max(c), b.max(d));
+        let over = |(v, i): (usize, usize), (own_v, own_i)| (v + own_v, i + own_i);
+        match self {
+            Expr::Col(_)
+            | Expr::Lit(_)
+            | Expr::Param(_)
+            | Expr::Like { .. }
+            | Expr::InList { .. } => (0, 0),
+            Expr::Not(a) => a.scratch(),
+            Expr::Cmp(_, a, b)
+            | Expr::Add(a, b)
+            | Expr::Sub(a, b)
+            | Expr::Mul(a, b)
+            | Expr::Div(a, b) => match fused(a, b) {
+                Some(_) => (0, 0),
+                None => max(a.scratch(), over(b.scratch(), (1, 0))),
+            },
+            Expr::And(a, b) | Expr::Or(a, b) => max(a.scratch(), over(b.scratch(), Part::BLOCKS)),
+            Expr::Case {
+                when,
+                then,
+                otherwise,
+            } => {
+                let branches = max(then.scratch(), otherwise.scratch());
+                max(when.scratch(), over(branches, Part::BLOCKS))
+            }
+        }
     }
 }
 
-/// One row's value of a compiled expression.
-type RowFn<'t> = Box<dyn Fn(usize) -> i64 + 't>;
+/// A column against a literal, the operands a binary node reads in one
+/// loop: the column's name and the literal.
+fn fused<'e>(a: &'e Expr, b: &Expr) -> Option<(&'e str, i64)> {
+    match (a, b) {
+        (Expr::Col(c), Expr::Lit(y)) => Some((c, *y)),
+        _ => None,
+    }
+}
+
+/// The rows a compiled expression evaluates at a time: every node of a
+/// [`BlockExpr`] runs its loop over a block of this many row ids.
+pub const BLOCK: usize = 256;
+
+/// A block of values: a node's operand values, or a step's.
+pub(crate) const VALUE_BLOCK_BYTES: u64 = (BLOCK * size_of::<i64>()) as u64;
+
+/// A block of row ids.
+pub(crate) const ID_BLOCK_BYTES: u64 = (BLOCK * size_of::<u32>()) as u64;
 
 /// An [`Expr`] compiled against one table by [`Expr::compile`]: a tree of
-/// closures, one per node, over the table's typed columns. It backs the
-/// reference interpreter and the planner's statistics samples, and shares
-/// no code with the tile programs (`crate::tile`), so it stays an
-/// independent oracle for them.
-pub struct RowExpr<'t>(RowFn<'t>);
+/// nodes over the table's typed columns that evaluates a block of row ids
+/// at a time, so a node dispatches once per block and its loop over the
+/// block dispatches on nothing. It backs the reference interpreter and the
+/// planner's statistics samples, and shares no code with the tile programs
+/// (`crate::tile`), so it stays an independent oracle for them.
+///
+/// Its reads are still data-centric: `AND`, `OR` and `CASE` evaluate an
+/// operand only on the rows where it decides the value, so a guarded
+/// division never runs on a row it guards.
+pub struct BlockExpr<'t> {
+    root: Node<'t>,
+    /// The nodes' scratch, value blocks and id blocks, used as a stack: a
+    /// running node takes its blocks off the top and hands its operands
+    /// the rest, and frees them when it returns.
+    vals: Vec<i64>,
+    ids: Vec<u32>,
+}
 
-impl RowExpr<'_> {
-    /// The expression's value at `row`; booleans are 0/1.
-    pub fn eval(&self, row: usize) -> i64 {
-        (self.0)(row)
+impl BlockExpr<'_> {
+    /// The expression's value at each row of `rows`, into `out` (as long
+    /// as `rows`); booleans are 0/1. Runs [`BLOCK`] rows at a time.
+    ///
+    /// # Panics
+    /// If `out` is not as long as `rows`, or a row id is out of the table.
+    pub fn eval(&mut self, rows: &[u32], out: &mut [i64]) {
+        assert_eq!(rows.len(), out.len(), "a value per row");
+        for (ids, out) in rows.chunks(BLOCK).zip(out.chunks_mut(BLOCK)) {
+            let scratch = Scratch {
+                vals: &mut self.vals,
+                ids: &mut self.ids,
+            };
+            self.root.eval(ids, out, scratch);
+        }
     }
 }
 
-fn row_fn<'t>(e: &Expr, t: &'t Table) -> RowFn<'t> {
+/// The operators of two values.
+#[derive(Clone, Copy)]
+enum BinOp {
+    Cmp(CmpOp),
+    Add,
+    Sub,
+    Mul,
+    Div,
+}
+
+/// `$body` with `$f` bound to the function of operator `$op`, so the loop
+/// over a block in `$body` is compiled once per operator and dispatches
+/// on nothing. Explicit wrapping arithmetic: identical results in debug
+/// and release builds (division by zero still panics; the engine's
+/// isolation domain converts that into a typed error).
+macro_rules! with_op {
+    ($op:expr, $f:ident => $body:expr) => {
+        match $op {
+            BinOp::Add => with_op!(@ $f = i64::wrapping_add, $body),
+            BinOp::Sub => with_op!(@ $f = i64::wrapping_sub, $body),
+            BinOp::Mul => with_op!(@ $f = i64::wrapping_mul, $body),
+            BinOp::Div => with_op!(@ $f = i64::wrapping_div, $body),
+            BinOp::Cmp(CmpOp::Lt) => with_op!(@ $f = |x: i64, y: i64| (x < y) as i64, $body),
+            BinOp::Cmp(CmpOp::Le) => with_op!(@ $f = |x: i64, y: i64| (x <= y) as i64, $body),
+            BinOp::Cmp(CmpOp::Gt) => with_op!(@ $f = |x: i64, y: i64| (x > y) as i64, $body),
+            BinOp::Cmp(CmpOp::Ge) => with_op!(@ $f = |x: i64, y: i64| (x >= y) as i64, $body),
+            BinOp::Cmp(CmpOp::Eq) => with_op!(@ $f = |x: i64, y: i64| (x == y) as i64, $body),
+            BinOp::Cmp(CmpOp::Ne) => with_op!(@ $f = |x: i64, y: i64| (x != y) as i64, $body),
+        }
+    };
+    (@ $f:ident = $g:expr, $body:expr) => {{
+        let $f = $g;
+        $body
+    }};
+}
+
+enum Node<'t> {
+    Lit(i64),
+    /// A column's value, or `op` of it and a literal (`x < 5`, `a * 2`, the
+    /// commonest shape) in the same loop.
+    Col {
+        col: &'t ColumnData,
+        op: Option<(BinOp, i64)>,
+    },
+    /// `b` is evaluated into a value block of scratch, then combined into
+    /// `a`'s values.
+    Binary {
+        op: BinOp,
+        a: Box<Node<'t>>,
+        b: Box<Node<'t>>,
+    },
+    Not(Box<Node<'t>>),
+    /// A `LIKE` / `IN`: whether each row's dictionary code is a hit.
+    Match {
+        codes: &'t [u32],
+        hit: Vec<bool>,
+    },
+    /// `a AND b` (`or`: `a OR b`): `b` runs only on the rows `a` leaves
+    /// undecided.
+    Logic {
+        or: bool,
+        a: Box<Node<'t>>,
+        b: Box<Node<'t>>,
+    },
+    Case {
+        when: Box<Node<'t>>,
+        then: Box<Node<'t>>,
+        otherwise: Box<Node<'t>>,
+    },
+}
+
+/// A node's bytes: it is boxed under its parent.
+const NODE_BYTES: u64 = size_of::<Node<'static>>() as u64;
+
+impl Node<'_> {
+    /// Values of the rows `ids` (at most [`BLOCK`]) into `out`, on the
+    /// scratch `s`.
+    fn eval(&self, ids: &[u32], out: &mut [i64], mut s: Scratch<'_>) {
+        match self {
+            Node::Lit(v) => out.fill(*v),
+            Node::Col { col, op: None } => gather(col, ids, out, |x| x),
+            Node::Col {
+                col,
+                op: Some((op, y)),
+            } => with_op!(op, f => gather(col, ids, out, |x| f(x, *y))),
+            Node::Binary { op, a, b } => {
+                a.eval(ids, out, s.reborrow());
+                let (right, s) = s.values();
+                let right = &mut right[..ids.len()];
+                b.eval(ids, right, s);
+                with_op!(op, f => out.iter_mut().zip(&*right).for_each(|(x, &y)| *x = f(*x, y)));
+            }
+            Node::Not(a) => {
+                a.eval(ids, out, s);
+                out.iter_mut().for_each(|v| *v = (*v == 0) as i64);
+            }
+            Node::Match { codes, hit } => {
+                for (o, &r) in out.iter_mut().zip(ids) {
+                    *o = hit[codes[r as usize] as usize] as i64;
+                }
+            }
+            Node::Logic { or, a, b } => {
+                a.eval(ids, out, s.reborrow());
+                let held = truth(out);
+                // `AND` runs `b` where `a` holds, `OR` where it fails; a
+                // block that `a` decides whole needs no split.
+                let undecided = if *or { ids.len() - held } else { held };
+                if undecided == ids.len() {
+                    b.eval(ids, out, s);
+                    truth(out);
+                } else if undecided > 0 {
+                    let (mut part, s) = s.part();
+                    part.split(ids, out);
+                    let rows = if *or { held..ids.len() } else { 0..held };
+                    part.eval(b, rows, out, |v| (v != 0) as i64, s);
+                }
+            }
+            Node::Case {
+                when,
+                then,
+                otherwise,
+            } => {
+                when.eval(ids, out, s.reborrow());
+                let held = out.iter().filter(|&&v| v != 0).count();
+                if held == ids.len() {
+                    then.eval(ids, out, s);
+                } else if held == 0 {
+                    otherwise.eval(ids, out, s);
+                } else {
+                    let (mut part, mut s) = s.part();
+                    part.split(ids, out);
+                    part.eval(then, 0..held, out, |v| v, s.reborrow());
+                    part.eval(otherwise, held..ids.len(), out, |v| v, s);
+                }
+            }
+        }
+    }
+}
+
+/// Turn `vals` into booleans, 0/1, and count the ones.
+fn truth(vals: &mut [i64]) -> usize {
+    vals.iter_mut().fold(0, |n, v| {
+        *v = (*v != 0) as i64;
+        n + *v as usize
+    })
+}
+
+/// The scratch not taken by the running node and the nodes above it.
+struct Scratch<'s> {
+    vals: &'s mut [i64],
+    ids: &'s mut [u32],
+}
+
+impl<'s> Scratch<'s> {
+    fn reborrow(&mut self) -> Scratch<'_> {
+        Scratch {
+            vals: self.vals,
+            ids: self.ids,
+        }
+    }
+
+    /// A value block off the top, and the scratch under it.
+    fn values(self) -> (&'s mut [i64], Scratch<'s>) {
+        let (block, vals) = self.vals.split_at_mut(BLOCK);
+        (
+            block,
+            Scratch {
+                vals,
+                ids: self.ids,
+            },
+        )
+    }
+
+    /// A [`Part`] off the top, and the scratch under it.
+    fn part(self) -> (Part<'s>, Scratch<'s>) {
+        let (vals, s) = self.values();
+        let (ids, rest) = s.ids.split_at_mut(2 * BLOCK);
+        let (pos, ids) = ids.split_at_mut(BLOCK);
+        let s = Scratch {
+            vals: s.vals,
+            ids: rest,
+        };
+        (Part { pos, ids, vals }, s)
+    }
+}
+
+/// A block's rows split by a condition, for the operands of `AND`, `OR`
+/// and `CASE` that run on some of them: each row's position in the block
+/// and its id, the rows where the condition holds at the front, and a
+/// value per row for the operand evaluated over them.
+struct Part<'s> {
+    pos: &'s mut [u32],
+    ids: &'s mut [u32],
+    vals: &'s mut [i64],
+}
+
+impl Part<'_> {
+    /// Its scratch: a value block and two id blocks.
+    const BLOCKS: (usize, usize) = (1, 2);
+
+    /// Split the block `ids` by `cond` without a branch: the rows where it
+    /// is nonzero to the front, the others behind them (in reverse
+    /// order). Each row is written at both ends of the part not yet
+    /// filled and kept at the end its condition picks; the other write
+    /// lands where a later row, or nothing, goes.
+    fn split(&mut self, ids: &[u32], cond: &[i64]) {
+        let (mut front, mut back) = (0, ids.len());
+        for (i, (&id, &c)) in ids.iter().zip(cond).enumerate() {
+            let held = (c != 0) as usize;
+            self.pos[front] = i as u32;
+            self.ids[front] = id;
+            self.pos[back - 1] = i as u32;
+            self.ids[back - 1] = id;
+            front += held;
+            back -= 1 - held;
+        }
+    }
+
+    /// Evaluate `e` on the split rows in `range` and write `f` of each
+    /// value to the row's position in `out`.
+    fn eval(
+        &mut self,
+        e: &Node<'_>,
+        range: Range<usize>,
+        out: &mut [i64],
+        f: impl Fn(i64) -> i64,
+        s: Scratch<'_>,
+    ) {
+        let vals = &mut self.vals[range.clone()];
+        e.eval(&self.ids[range.clone()], vals, s);
+        for (&p, &v) in self.pos[range].iter().zip(&*vals) {
+            out[p as usize] = f(v);
+        }
+    }
+}
+
+/// `f` of each row's value of `col`, read from its typed slice (a
+/// dictionary column's value is its code), into `out`.
+fn gather(col: &ColumnData, ids: &[u32], out: &mut [i64], f: impl Fn(i64) -> i64) {
+    fn typed<T: Copy + Into<i64>>(v: &[T], ids: &[u32], out: &mut [i64], f: impl Fn(i64) -> i64) {
+        for (o, &r) in out.iter_mut().zip(ids) {
+            *o = f(v[r as usize].into());
+        }
+    }
+    match col {
+        ColumnData::I8(v) => typed(v, ids, out, f),
+        ColumnData::I16(v) => typed(v, ids, out, f),
+        ColumnData::I32(v) => typed(v, ids, out, f),
+        ColumnData::I64(v) => typed(v, ids, out, f),
+        ColumnData::U32(v) => typed(v, ids, out, f),
+        ColumnData::Dict(d) => typed(d.codes(), ids, out, f),
+    }
+}
+
+fn node<'t>(e: &Expr, t: &'t Table) -> Node<'t> {
+    let bx = |e: &Expr| Box::new(node(e, t));
+    let col = |c: &str| t.column_required(c);
+    let binary = |op: BinOp, a: &Expr, b: &Expr| match fused(a, b) {
+        Some((c, y)) => Node::Col {
+            col: col(c),
+            op: Some((op, y)),
+        },
+        None => Node::Binary {
+            op,
+            a: bx(a),
+            b: bx(b),
+        },
+    };
     match e {
-        Expr::Col(c) => map_col(t.column_required(c), |x| x),
-        Expr::Lit(v) => {
-            let v = *v;
-            Box::new(move |_| v)
-        }
+        Expr::Col(c) => Node::Col {
+            col: col(c),
+            op: None,
+        },
+        Expr::Lit(v) => Node::Lit(*v),
         // Rejected by validation.
-        Expr::Param(_) => Box::new(|_| 0),
-        Expr::Cmp(op, a, b) => {
-            let op = *op;
-            binary(a, b, t, move |x, y| op.apply(x, y) as i64)
-        }
-        // Explicit wrapping arithmetic: identical results in debug and
-        // release builds (division by zero still panics; the engine's
-        // isolation domain converts that into a typed error).
-        Expr::Add(a, b) => binary(a, b, t, i64::wrapping_add),
-        Expr::Sub(a, b) => binary(a, b, t, i64::wrapping_sub),
-        Expr::Mul(a, b) => binary(a, b, t, i64::wrapping_mul),
-        Expr::Div(a, b) => binary(a, b, t, i64::wrapping_div),
-        // `AND`, `OR` and `CASE` evaluate an operand only when it decides
-        // the value, so a guarded division never runs on the rows it guards.
-        Expr::And(a, b) => {
-            let (a, b) = (row_fn(a, t), row_fn(b, t));
-            Box::new(move |r| (a(r) != 0 && b(r) != 0) as i64)
-        }
-        Expr::Or(a, b) => {
-            let (a, b) = (row_fn(a, t), row_fn(b, t));
-            Box::new(move |r| (a(r) != 0 || b(r) != 0) as i64)
-        }
-        Expr::Not(a) => {
-            let a = row_fn(a, t);
-            Box::new(move |r| (a(r) == 0) as i64)
-        }
+        Expr::Param(_) => Node::Lit(0),
+        Expr::Cmp(op, a, b) => binary(BinOp::Cmp(*op), a, b),
+        Expr::Add(a, b) => binary(BinOp::Add, a, b),
+        Expr::Sub(a, b) => binary(BinOp::Sub, a, b),
+        Expr::Mul(a, b) => binary(BinOp::Mul, a, b),
+        Expr::Div(a, b) => binary(BinOp::Div, a, b),
+        Expr::And(a, b) | Expr::Or(a, b) => Node::Logic {
+            or: matches!(e, Expr::Or(..)),
+            a: bx(a),
+            b: bx(b),
+        },
+        Expr::Not(a) => Node::Not(bx(a)),
         Expr::Like { col, pattern } => dict_match(t, col, |v| like_match(pattern, v)),
         Expr::InList { col, values } => dict_match(t, col, |v| values.iter().any(|s| s == v)),
         Expr::Case {
             when,
             then,
             otherwise,
-        } => {
-            let (w, a, b) = (row_fn(when, t), row_fn(then, t), row_fn(otherwise, t));
-            Box::new(move |r| if w(r) != 0 { a(r) } else { b(r) })
-        }
+        } => Node::Case {
+            when: bx(when),
+            then: bx(then),
+            otherwise: bx(otherwise),
+        },
     }
 }
 
-/// `f` of two operands. A column against a literal — `x < 5`, `a * 2`, the
-/// commonest shape — reads the column and applies `f` in one closure.
-fn binary<'t>(a: &Expr, b: &Expr, t: &'t Table, f: impl Fn(i64, i64) -> i64 + 't) -> RowFn<'t> {
-    match (a, b) {
-        (Expr::Col(c), Expr::Lit(y)) => {
-            let y = *y;
-            map_col(t.column_required(c), move |x| f(x, y))
-        }
-        _ => {
-            let (a, b) = (row_fn(a, t), row_fn(b, t));
-            Box::new(move |r| f(a(r), b(r)))
-        }
-    }
-}
-
-/// `then` of a column's value, read from its typed slice (a dictionary
-/// column's value is its code).
-fn map_col<'t>(col: &'t ColumnData, then: impl Fn(i64) -> i64 + 't) -> RowFn<'t> {
-    fn typed<'t, T: Copy + Into<i64>>(v: &'t [T], then: impl Fn(i64) -> i64 + 't) -> RowFn<'t> {
-        Box::new(move |r| then(v[r].into()))
-    }
-    match col {
-        ColumnData::I8(v) => typed(v, then),
-        ColumnData::I16(v) => typed(v, then),
-        ColumnData::I32(v) => typed(v, then),
-        ColumnData::I64(v) => typed(v, then),
-        ColumnData::U32(v) => typed(v, then),
-        ColumnData::Dict(d) => typed(d.codes(), then),
-    }
-}
-
-/// 0/1: whether the row's string in dictionary column `col` satisfies
-/// `pred`, which runs once per dictionary entry.
-fn dict_match<'t>(t: &'t Table, col: &str, pred: impl Fn(&str) -> bool) -> RowFn<'t> {
+/// Whether the row's string in dictionary column `col` satisfies `pred`,
+/// which runs once per dictionary entry.
+fn dict_match<'t>(t: &'t Table, col: &str, pred: impl Fn(&str) -> bool) -> Node<'t> {
     let dict = t
         .column_required(col)
         .as_dict()
         .expect("validated dictionary column");
-    let (codes, hit) = (dict.codes(), dict.matching_codes(pred));
-    Box::new(move |r| hit[codes[r] as usize] as i64)
+    Node::Match {
+        codes: dict.codes(),
+        hit: dict.matching_codes(pred),
+    }
+}
+
+/// `e`'s value at every row of `t`, in row order.
+#[cfg(test)]
+pub(crate) fn values(e: &Expr, t: &Table) -> Vec<i64> {
+    let rows: Vec<u32> = (0..t.len() as u32).collect();
+    let mut out = vec![0; rows.len()];
+    e.compile(t).expect("valid").eval(&rows, &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -426,35 +760,30 @@ mod tests {
             )
     }
 
-    fn values_of(e: &Expr, t: &Table) -> Vec<i64> {
-        let e = e.compile(t).expect("valid");
-        (0..t.len()).map(|row| e.eval(row)).collect()
-    }
-
     #[test]
     fn comparisons_and_boolean_logic() {
         let t = table();
         let e = Expr::col("x").cmp(CmpOp::Lt, Expr::lit(13));
-        assert_eq!(values_of(&e, &t), vec![1, 1, 0, 0, 1]);
+        assert_eq!(values(&e, &t), vec![1, 1, 0, 0, 1]);
         let e2 = e.clone().and(Expr::col("x").cmp(CmpOp::Gt, Expr::lit(0)));
-        assert_eq!(values_of(&e2, &t), vec![1, 1, 0, 0, 0]);
+        assert_eq!(values(&e2, &t), vec![1, 1, 0, 0, 0]);
         let e3 = Expr::Not(Box::new(e2.clone()));
-        assert_eq!(values_of(&e3, &t), vec![0, 0, 1, 1, 1]);
+        assert_eq!(values(&e3, &t), vec![0, 0, 1, 1, 1]);
         let e4 = e2.or(Expr::col("x").cmp(CmpOp::Eq, Expr::lit(13)));
-        assert_eq!(values_of(&e4, &t), vec![1, 1, 1, 0, 0]);
+        assert_eq!(values(&e4, &t), vec![1, 1, 1, 0, 0]);
     }
 
     #[test]
     fn arithmetic_and_case() {
         let t = table();
         let e = Expr::col("a").mul(Expr::lit(2));
-        assert_eq!(values_of(&e, &t), vec![20, 40, 60, 80, 100]);
+        assert_eq!(values(&e, &t), vec![20, 40, 60, 80, 100]);
         let case = Expr::Case {
             when: Box::new(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(13))),
             then: Box::new(Expr::col("a")),
             otherwise: Box::new(Expr::lit(0)),
         };
-        assert_eq!(values_of(&case, &t), vec![10, 20, 0, 0, 50]);
+        assert_eq!(values(&case, &t), vec![10, 20, 0, 0, 50]);
     }
 
     #[test]
@@ -464,12 +793,12 @@ mod tests {
             col: "s".into(),
             pattern: "PROMO%".into(),
         };
-        assert_eq!(values_of(&like, &t), vec![1, 0, 1, 0, 0]);
+        assert_eq!(values(&like, &t), vec![1, 0, 1, 0, 0]);
         let inlist = Expr::InList {
             col: "s".into(),
             values: vec!["STD".into(), "X".into()],
         };
-        assert_eq!(values_of(&inlist, &t), vec![0, 1, 0, 1, 1]);
+        assert_eq!(values(&inlist, &t), vec![0, 1, 0, 1, 1]);
     }
 
     #[test]

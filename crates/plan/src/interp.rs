@@ -1,7 +1,7 @@
-//! A deliberately naive row-at-a-time reference interpreter.
+//! A deliberately naive reference interpreter, block at a time.
 //!
 //! Executes the same [`LogicalPlan`]s as the engine with zero cleverness —
-//! Volcano-style row iteration, grouping through a hash index into one flat
+//! Volcano-style iteration, grouping through a hash index into one flat
 //! accumulator array that is sorted by key once, at the end — and the same
 //! result conventions. The test suite cross-checks every engine result
 //! against it (the role HyPer plays as a sanity baseline in the paper's
@@ -9,20 +9,25 @@
 //!
 //! Naive is not the same as slow per row: every expression is compiled once
 //! per statement ([`Expr::compile`]: columns resolved to typed slices,
-//! `LIKE` / `IN` to match tables), and scan → filter → semijoin rows stream
-//! into the aggregate one at a time, with no vector of row ids (a window
-//! keeps one, because it sorts). The compiled rows share no code with the
-//! engine's tile programs, so the interpreter stays an independent oracle.
+//! `LIKE` / `IN` to match tables), and scan → filter → semijoin hands the
+//! aggregate blocks of surviving row ids ([`BLOCK`] at a time), each filter
+//! narrowing the block and each semijoin checking its flag per id, so an
+//! expression node dispatches once per block, not per row. No vector of
+//! row ids is kept (a window keeps one, because it sorts). Access stays
+//! data-centric: a step reads only the rows that reached it and an
+//! operand of `AND` / `OR` / `CASE` only the rows it decides, so no lane is
+//! wasted. The compiled blocks share no code with the engine's tile
+//! programs, so the interpreter stays an independent oracle.
 
 use crate::catalog::Database;
 use crate::error::PlanError;
-use crate::expr::{AggFunc, Expr, RowExpr};
+use crate::expr::{AggFunc, BlockExpr, Expr, BLOCK, ID_BLOCK_BYTES, VALUE_BLOCK_BYTES};
 use crate::logical::{FrameSpec, LogicalPlan, WindowFunc};
 use crate::metrics::OpMetrics;
 use crate::result::QueryResult;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use swole_storage::Table;
+use std::hash::{BuildHasherDefault, Hasher};
 use swole_verify::BoundsCtx;
 
 /// Execute `plan` naively.
@@ -30,14 +35,13 @@ pub fn run(db: &Database, plan: &LogicalPlan) -> Result<QueryResult, PlanError> 
     run_metered(db, plan).map(|(res, _)| res)
 }
 
-/// What the interpreter holds however big its tables are: the result's
-/// column names and first rows, the filter and semijoin steps, the
-/// counters, the group table's first buckets and slots.
-const FIXED_BYTES: u64 = 4096;
-
-/// One compiled expression node: a boxed closure over its column or its
-/// operands.
-const NODE_BYTES: u64 = 64;
+/// What the interpreter holds however big its tables are: 2 KiB for the
+/// result's column names and first rows, the filter and semijoin steps,
+/// the counters and the group table's first buckets (a filtered scalar sum
+/// holds under 1 KiB of them), and its blocks of [`BLOCK`] rows — the
+/// surviving row ids, a value block the filters, the group key and the
+/// aggregates take turns in, and a grouped run's slot per row.
+const FIXED_BYTES: u64 = 2048 + VALUE_BLOCK_BYTES + 2 * ID_BLOCK_BYTES;
 
 /// A group's bytes besides its accumulators, at the group table's worst
 /// point. The hash index holds 16 B of key and slot plus a control byte
@@ -56,16 +60,16 @@ const AGG_BYTES: u64 = 24;
 /// What a data-centric retry of `plan` holds at its peak, by plan kind, on
 /// top of [`FIXED_BYTES`], its compiled expressions and its semijoins' flag
 /// per parent row: nothing more for a scalar aggregate, which streams its
-/// rows into one accumulator list; the group table for a grouped one, over
-/// the bounds pass's key bound (`bounds`' statistics; an FK key also has at
-/// most its parent's row count); and for a window, the per-row vectors it
-/// sorts and evaluates, over every scanned row. A result shares its
-/// dictionary with the table, so no string is copied.
+/// blocks into one accumulator list; the group table for a grouped one,
+/// over the bounds pass's key bound (`bounds`' statistics; an FK key also
+/// has at most its parent's row count); and for a window, the per-row
+/// vectors it sorts and evaluates, over every scanned row. A result shares
+/// its dictionary with the table, so no string is copied.
 pub(crate) fn fallback_bytes(db: &Database, plan: &LogicalPlan, bounds: &BoundsCtx) -> u64 {
     let table = |name: &str| db.table(name).ok();
     let rows = |name: &str| table(name).map_or(0, |t| t.len() as u64);
     let base = plan.base_table();
-    let compiled = |e: &Expr, name: &str| table(name).map_or(0, |t| expr_bytes(e, t));
+    let compiled = |e: &Expr, name: &str| table(name).map_or(0, |t| e.compiled_bytes(t));
     let (mut bytes, mut per_row, mut key_rows) = (FIXED_BYTES, 0, rows(base));
     let (mut key, mut window) = (None, false);
     plan.visit(&mut |node| match node {
@@ -85,6 +89,9 @@ pub(crate) fn fallback_bytes(db: &Database, plan: &LogicalPlan, bounds: &BoundsC
         }
         LogicalPlan::Aggregate { group_by, aggs, .. } => {
             bytes += aggs.iter().map(|a| compiled(&a.expr, base)).sum::<u64>();
+            bytes += group_by
+                .as_ref()
+                .map_or(0, |g| compiled(&Expr::col(g), base));
             per_row += GROUP_BYTES + AGG_BYTES * aggs.len() as u64;
             key = group_by.as_deref();
         }
@@ -92,16 +99,23 @@ pub(crate) fn fallback_bytes(db: &Database, plan: &LogicalPlan, bounds: &BoundsC
             order_by,
             funcs,
             select,
+            partition_by,
             ..
         } => {
             let inputs = funcs.iter().filter_map(|f| f.expr.as_ref());
-            bytes += inputs.map(|e| compiled(e, base)).sum::<u64>();
-            // The row ids (grown by doubling: 16 B), the partition key, the
+            let columns = select.iter().chain(partition_by).map(Expr::col);
+            let columns = columns.chain(order_by.iter().map(|k| Expr::col(&k.column)));
+            bytes += inputs
+                .cloned()
+                .chain(columns)
+                .map(|e| compiled(&e, base))
+                .sum::<u64>();
+            // The row ids (grown by doubling: 8 B), the partition key, the
             // permutation and the result row's slot; a vector per order
             // key; a result cell per projected column; per function its
             // input and its result cell.
             let (k, s, f) = (order_by.len(), select.len(), funcs.len());
-            per_row += 56 + 8 * k as u64 + 8 * s as u64 + 16 * f as u64;
+            per_row += 48 + 8 * k as u64 + 8 * s as u64 + 16 * f as u64;
             window = true;
         }
         LogicalPlan::Scan { .. } | LogicalPlan::Limit { .. } => {}
@@ -114,24 +128,12 @@ pub(crate) fn fallback_bytes(db: &Database, plan: &LogicalPlan, bounds: &BoundsC
     bytes.saturating_add(held.saturating_mul(per_row))
 }
 
-/// The compiled nodes of `e` over `table`, with the match table of each
-/// `LIKE` / `IN`: a flag per dictionary entry.
-fn expr_bytes(e: &Expr, table: &Table) -> u64 {
-    let own = match e {
-        Expr::Like { col, .. } | Expr::InList { col, .. } => (table.column(col))
-            .and_then(|c| c.as_dict())
-            .map_or(0, |d| d.cardinality() as u64),
-        _ => 0,
-    };
-    e.children()
-        .fold(NODE_BYTES + own, |acc, c| acc + expr_bytes(c, table))
-}
-
 /// Execute `plan` naively, also reporting the interpreter's access
 /// counters as a single operator (used when the engine falls back to the
 /// data-centric strategy at `MetricsLevel::Counters`+). The interpreter
-/// reads attributes conditionally row-at-a-time, so `wasted_lanes` is
-/// always 0 and `ht_probes` counts the semijoin membership lookups.
+/// reads attributes conditionally, only for the rows that reach them, so
+/// `wasted_lanes` is always 0 and `ht_probes` counts the semijoin
+/// membership lookups.
 pub fn run_metered(
     db: &Database,
     plan: &LogicalPlan,
@@ -196,23 +198,11 @@ fn run_core(
         return Err(PlanError::Unsupported("empty aggregate list".into()));
     }
     let table = db.table(input.base_table())?;
-    let exprs = aggs
+    let mut exprs = aggs
         .iter()
         .map(|a| a.expr.compile(table))
         .collect::<Result<Vec<_>, _>>()?;
-    let rows = Rows::compile(db, input, op)?;
-    let fold = |acc: &mut [i64], row: usize| {
-        // Wrapping accumulation matches the engine's kernels exactly, so
-        // fallback results stay bit-identical even on wraparound inputs.
-        for ((acc, a), e) in acc.iter_mut().zip(aggs).zip(&exprs) {
-            *acc = match a.func {
-                AggFunc::Count => acc.wrapping_add(1),
-                AggFunc::Sum => acc.wrapping_add(e.eval(row)),
-                AggFunc::Min => (*acc).min(e.eval(row)),
-                AggFunc::Max => (*acc).max(e.eval(row)),
-            };
-        }
-    };
+    let mut rows = Rows::compile(db, input, op)?;
     let identities: Vec<i64> = aggs
         .iter()
         .map(|a| match a.func {
@@ -221,10 +211,22 @@ fn run_core(
             AggFunc::Sum | AggFunc::Count => 0,
         })
         .collect();
+    // Wrapping accumulation matches the engine's kernels exactly, so
+    // fallback results stay bit-identical even on wraparound inputs.
     match group_by {
         None => {
             let mut acc = identities;
-            op.access.rows_out = rows.for_each(op, |row| fold(&mut acc, row));
+            op.access.rows_out = rows.for_each(op, |ids, vals| {
+                for ((acc, a), e) in acc.iter_mut().zip(aggs).zip(&mut exprs) {
+                    let vals = inputs(a.func, e, ids, vals);
+                    *acc = match a.func {
+                        AggFunc::Count => acc.wrapping_add(vals.len() as i64),
+                        AggFunc::Sum => vals.iter().fold(*acc, |s, &v| s.wrapping_add(v)),
+                        AggFunc::Min => vals.iter().fold(*acc, |s, &v| s.min(v)),
+                        AggFunc::Max => vals.iter().fold(*acc, |s, &v| s.max(v)),
+                    };
+                }
+            });
             if op.access.rows_out == 0 {
                 acc.fill(0);
             }
@@ -246,24 +248,39 @@ fn run_core(
                     "group by {g} over a multi-way join"
                 )));
             }
-            let key = Expr::col(g).compile(table)?;
+            let mut key = Expr::col(g).compile(table)?;
             // One group table: a hash index from key to slot, the keys in
             // first-seen order and every group's accumulators in one flat
             // array, a row of `width` per slot.
             let width = identities.len();
-            let mut slots: HashMap<i64, u32> = HashMap::new();
+            let mut index: HashMap<i64, u32, BuildHasherDefault<Mix>> = HashMap::default();
             let (mut keys, mut accs) = (Vec::new(), Vec::new());
-            op.access.rows_out = rows.for_each(op, |row| {
-                let k = key.eval(row);
-                let slot = *slots.entry(k).or_insert_with(|| {
-                    keys.push(k);
-                    accs.extend_from_slice(&identities);
-                    (keys.len() - 1) as u32
-                }) as usize;
-                fold(&mut accs[slot * width..][..width], row);
+            let mut slots = vec![0u32; BLOCK];
+            op.access.rows_out = rows.for_each(op, |ids, vals| {
+                let (block_keys, slots) = (&mut vals[..ids.len()], &mut slots[..ids.len()]);
+                key.eval(ids, block_keys);
+                for (slot, &k) in slots.iter_mut().zip(&*block_keys) {
+                    *slot = *index.entry(k).or_insert_with(|| {
+                        keys.push(k);
+                        accs.extend_from_slice(&identities);
+                        (keys.len() - 1) as u32
+                    });
+                }
+                for (i, (a, e)) in aggs.iter().zip(&mut exprs).enumerate() {
+                    let vals = inputs(a.func, e, ids, vals);
+                    let (cells, slots) = (&mut accs[i..], &*slots);
+                    match a.func {
+                        AggFunc::Count => {
+                            fold_groups(cells, width, slots, vals, |acc, _| acc.wrapping_add(1))
+                        }
+                        AggFunc::Sum => fold_groups(cells, width, slots, vals, i64::wrapping_add),
+                        AggFunc::Min => fold_groups(cells, width, slots, vals, i64::min),
+                        AggFunc::Max => fold_groups(cells, width, slots, vals, i64::max),
+                    }
+                }
             });
             // Gone before the rows are built, as `GROUP_BYTES` prices it.
-            drop(slots);
+            drop(index);
             // The order is used once, to emit the groups by ascending key.
             let mut order: Vec<u32> = (0..keys.len() as u32).collect();
             order.sort_unstable_by_key(|&s| keys[s as usize]);
@@ -291,11 +308,66 @@ fn run_core(
     }
 }
 
+/// An aggregate's inputs over the block `ids`, in `vals`; a count's are
+/// never evaluated.
+fn inputs<'v>(func: AggFunc, e: &mut BlockExpr<'_>, ids: &[u32], vals: &'v mut [i64]) -> &'v [i64] {
+    let vals = &mut vals[..ids.len()];
+    if func != AggFunc::Count {
+        e.eval(ids, vals);
+    }
+    vals
+}
+
+/// Fold a block's values `vals` into their rows' accumulators by `f`: a
+/// row's slot `s` in `slots` picks `accs[s * width]`.
+fn fold_groups(
+    accs: &mut [i64],
+    width: usize,
+    slots: &[u32],
+    vals: &[i64],
+    f: impl Fn(i64, i64) -> i64,
+) {
+    for (&s, &v) in slots.iter().zip(vals) {
+        let acc = &mut accs[s as usize * width];
+        *acc = f(*acc, v);
+    }
+}
+
+/// The group index's hasher: `fmix64`, MurmurHash3's finaliser, of the
+/// key. A bijection of the 64-bit key that spreads every input bit over
+/// the output, fixed and std-only, so the index costs a few multiplies a
+/// key and not SipHash's rounds. Being fixed, it has no defence against
+/// keys crafted to collide; neither has the engine's own group table
+/// (`swole_ht`'s multiplicative hash), which sees the same keys first.
+#[derive(Default)]
+struct Mix(u64);
+
+impl Hasher for Mix {
+    fn write_i64(&mut self, k: i64) {
+        let mut h = k as u64;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        self.0 = h ^ (h >> 33);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_i64((self.0 ^ b as u64) as i64);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Naive window execution: sort the qualifying rows by (partition, order
-/// keys, row id), then re-scan every frame per output row with wrapping
-/// arithmetic. Wrapping addition is associative and its subtraction an
-/// exact inverse (mod 2^64), so this matches both engine frame strategies
-/// bit-for-bit.
+/// keys, row id), then take every frame of a `SUM` / `COUNT` as the
+/// difference of two wrapping prefix sums. Wrapping addition is
+/// associative and its subtraction an exact inverse (mod 2^64), so this
+/// matches both engine frame strategies bit-for-bit.
 fn run_window(
     db: &Database,
     plan: &LogicalPlan,
@@ -340,19 +412,24 @@ fn run_window(
         .iter()
         .map(|f| f.expr.as_ref().map(|e| e.compile(table)).transpose())
         .collect::<Result<Vec<_>, _>>()?;
-    let mut rows = Vec::new();
-    op.access.rows_out = Rows::compile(db, input, op)?.for_each(op, |r| rows.push(r));
+    let mut rows: Vec<u32> = Vec::new();
+    op.access.rows_out = Rows::compile(db, input, op)?.for_each(op, |ids, _| rows.extend(ids));
     let m = rows.len();
-    let eval = |e: &RowExpr<'_>| -> Vec<i64> { rows.iter().map(|&r| e.eval(r)).collect() };
-    let eval_col = |name: &str| eval(&Expr::col(name).compile(table).expect("checked column"));
+    let eval = |mut e: BlockExpr<'_>| -> Vec<i64> {
+        let mut out = vec![0; m];
+        e.eval(&rows, &mut out);
+        out
+    };
+    let col = |name: &str| Expr::col(name).compile(table).expect("checked column");
     let part: Vec<i64> = match partition_by {
-        Some(p) => eval_col(p),
+        Some(p) => eval(col(p)),
         None => vec![0; m],
     };
-    let ord: Vec<Vec<i64>> = order_by.iter().map(|k| eval_col(&k.column)).collect();
+    let ord: Vec<Vec<i64>> = order_by.iter().map(|k| eval(col(&k.column))).collect();
+    // A function without an argument reads no input.
     let inputs: Vec<Vec<i64>> = func_exprs
-        .iter()
-        .map(|e| e.as_ref().map_or_else(|| vec![1; m], eval))
+        .into_iter()
+        .map(|e| e.map_or_else(Vec::new, eval))
         .collect();
     // Window order: (partition, order keys, base row id) — the same total
     // order the engine sorts by.
@@ -374,31 +451,37 @@ fn run_window(
         rows[a].cmp(&rows[b])
     });
     // The result rows in window order: the projected columns, then a slot
-    // per function.
+    // per function; the projected columns are read a block of window rows
+    // at a time.
     let (s, width) = (select.len(), select.len() + funcs.len());
-    let sel = (select.iter())
-        .map(|c| Expr::col(c).compile(table))
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut out_rows: Vec<Vec<i64>> = (perm.iter())
-        .map(|&src| {
-            let mut row = Vec::with_capacity(width);
-            row.extend(sel.iter().map(|e| e.eval(rows[src])));
-            row.resize(width, 0);
-            row
-        })
-        .collect();
+    let mut sel: Vec<BlockExpr<'_>> = select.iter().map(|c| col(c)).collect();
+    let mut out_rows: Vec<Vec<i64>> = vec![vec![0; width]; m];
+    let (mut ids, mut vals) = ([0u32; BLOCK], [0i64; BLOCK]);
+    for (perm, out_rows) in perm.chunks(BLOCK).zip(out_rows.chunks_mut(BLOCK)) {
+        let (ids, vals) = (&mut ids[..perm.len()], &mut vals[..perm.len()]);
+        for (id, &src) in ids.iter_mut().zip(perm) {
+            *id = rows[src];
+        }
+        for (c, e) in sel.iter_mut().enumerate() {
+            e.eval(ids, vals);
+            for (row, &v) in out_rows.iter_mut().zip(&*vals) {
+                row[c] = v;
+            }
+        }
+    }
     let mut run_start = 0;
     while run_start < m {
         let mut run_end = run_start + 1;
         while run_end < m && part[perm[run_end]] == part[perm[run_start]] {
             run_end += 1;
         }
-        let len = run_end - run_start;
+        let (len, run) = (run_end - run_start, &mut out_rows[run_start..run_end]);
         for (fi, f) in funcs.iter().enumerate() {
+            let c = s + fi;
             match f.func {
                 WindowFunc::RowNumber => {
-                    for i in 0..len {
-                        out_rows[run_start + i][s + fi] = (i + 1) as i64;
+                    for (i, row) in run.iter_mut().enumerate() {
+                        row[c] = (i + 1) as i64;
                     }
                 }
                 WindowFunc::Rank => {
@@ -411,24 +494,32 @@ fn run_window(
                         if i > 0 && !peer {
                             rank = (i + 1) as i64;
                         }
-                        out_rows[run_start + i][s + fi] = rank;
+                        run[i][c] = rank;
                     }
                 }
                 WindowFunc::Sum | WindowFunc::Count => {
-                    for i in 0..len {
+                    // The inclusive prefix sums go into the cells; then,
+                    // right to left, each cell becomes its frame's sum,
+                    // the prefix at the frame's end less the one before
+                    // its start, which lies to the left and is still a
+                    // prefix.
+                    // A `COUNT`, or a function without an input, adds 1 a row.
+                    let (mut acc, input) = (0i64, &inputs[fi]);
+                    for (i, row) in run.iter_mut().enumerate() {
+                        acc = acc.wrapping_add(match f.func {
+                            WindowFunc::Sum if !input.is_empty() => input[perm[run_start + i]],
+                            _ => 1,
+                        });
+                        row[c] = acc;
+                    }
+                    for i in (0..len).rev() {
                         let (lo, hi) = match frame {
-                            FrameSpec::WholePartition => (0, len - 1),
-                            FrameSpec::UnboundedPreceding => (0, i),
-                            FrameSpec::Preceding(k) => (i.saturating_sub(*k), i),
+                            FrameSpec::WholePartition => (0, acc),
+                            FrameSpec::UnboundedPreceding => (0, run[i][c]),
+                            FrameSpec::Preceding(k) => (i.saturating_sub(*k), run[i][c]),
                         };
-                        let mut acc = 0i64;
-                        for j in lo..=hi {
-                            acc = acc.wrapping_add(match f.func {
-                                WindowFunc::Sum => inputs[fi][perm[run_start + j]],
-                                _ => 1,
-                            });
-                        }
-                        out_rows[run_start + i][s + fi] = acc;
+                        let before = if lo == 0 { 0 } else { run[lo - 1][c] };
+                        run[i][c] = hi.wrapping_sub(before);
                     }
                 }
             }
@@ -454,22 +545,40 @@ fn run_window(
 /// each semijoin's build side run to a membership flag per parent row.
 struct Rows<'a> {
     /// Rows of the base table.
-    len: usize,
+    len: u32,
     /// Innermost first, the order the plan applies them.
     steps: Vec<Step<'a>>,
 }
 
 enum Step<'a> {
-    Filter(RowExpr<'a>),
+    Filter(BlockExpr<'a>),
     SemiJoin { fk: &'a [u32], parent: Vec<bool> },
 }
 
 impl Step<'_> {
-    fn keeps(&self, row: usize) -> bool {
+    /// Narrow the block `ids` to the rows this step keeps, in order, at its
+    /// front, without a branch; `vals` is a filter's scratch. Returns how
+    /// many it keeps.
+    fn narrow(&mut self, ids: &mut [u32], vals: &mut [i64]) -> usize {
+        let mut kept = 0;
         match self {
-            Step::Filter(e) => e.eval(row) != 0,
-            Step::SemiJoin { fk, parent } => parent.get(fk[row] as usize) == Some(&true),
+            Step::Filter(e) => {
+                let vals = &mut vals[..ids.len()];
+                e.eval(ids, vals);
+                for (i, &v) in vals.iter().enumerate() {
+                    ids[kept] = ids[i];
+                    kept += (v != 0) as usize;
+                }
+            }
+            Step::SemiJoin { fk, parent } => {
+                for i in 0..ids.len() {
+                    let id = ids[i];
+                    ids[kept] = id;
+                    kept += (parent.get(fk[id as usize] as usize) == Some(&true)) as usize;
+                }
+            }
         }
+        kept
     }
 }
 
@@ -484,7 +593,8 @@ impl<'a> Rows<'a> {
     ) -> Result<Self, PlanError> {
         match plan {
             LogicalPlan::Scan { table } => Ok(Rows {
-                len: db.table(table)?.len(),
+                len: u32::try_from(db.table(table)?.len())
+                    .map_err(|_| PlanError::Unsupported(format!("{table} has over 2^32 rows")))?,
                 steps: Vec::new(),
             }),
             LogicalPlan::Filter { input, predicate } => {
@@ -501,9 +611,10 @@ impl<'a> Rows<'a> {
             } => {
                 let child = db.table(input.base_table())?;
                 let parent_name = build.base_table();
-                let surviving = Rows::compile(db, build, op)?;
-                let mut parent = vec![false; surviving.len];
-                surviving.for_each(op, |r| parent[r] = true);
+                let mut parent = vec![false; db.table(parent_name)?.len()];
+                Rows::compile(db, build, op)?.for_each(op, |ids, _| {
+                    ids.iter().for_each(|&r| parent[r as usize] = true)
+                });
                 let fk = match db.fk_index(input.base_table(), fk_col, parent_name) {
                     Some(idx) => idx.positions(),
                     None => child
@@ -531,24 +642,30 @@ impl<'a> Rows<'a> {
         }
     }
 
-    /// Call `f` with every surviving row, in row order, and return how
-    /// many there were. Every row reaching a filter is one predicate
-    /// evaluation and every row reaching a semijoin one membership probe,
-    /// as when each step filtered a vector of row ids.
-    fn for_each(&self, op: &mut OpMetrics, mut f: impl FnMut(usize)) -> u64 {
+    /// Call `f` with every block of surviving rows, in row order, and a
+    /// value block of scratch, and return how many rows there were. Every
+    /// row reaching a filter is one predicate evaluation and every row
+    /// reaching a semijoin one membership probe, as when each step
+    /// filtered a vector of row ids.
+    fn for_each(&mut self, op: &mut OpMetrics, mut f: impl FnMut(&[u32], &mut [i64])) -> u64 {
+        let (mut ids, mut vals) = (vec![0u32; BLOCK], vec![0i64; BLOCK]);
         let mut reached = vec![0u64; self.steps.len()];
         let mut out = 0;
-        'rows: for row in 0..self.len {
-            for (step, n) in self.steps.iter().zip(&mut reached) {
-                *n += 1;
-                if !step.keeps(row) {
-                    continue 'rows;
-                }
+        for start in (0..self.len).step_by(BLOCK) {
+            let mut n = BLOCK.min((self.len - start) as usize);
+            for (i, id) in ids[..n].iter_mut().enumerate() {
+                *id = start + i as u32;
             }
-            out += 1;
-            f(row);
+            for (step, reached) in self.steps.iter_mut().zip(&mut reached) {
+                *reached += n as u64;
+                n = step.narrow(&mut ids[..n], &mut vals);
+            }
+            if n > 0 {
+                out += n as u64;
+                f(&ids[..n], &mut vals);
+            }
         }
-        op.access.rows_in += self.len as u64;
+        op.access.rows_in += u64::from(self.len);
         for (step, n) in self.steps.iter().zip(reached) {
             match step {
                 Step::Filter(_) => op.access.predicate_evals += n,
@@ -566,7 +683,7 @@ mod tests {
     use crate::logical::{AggSpec, QueryBuilder};
     use std::collections::BTreeMap;
     use std::sync::Arc;
-    use swole_storage::{ColumnData, DictColumn};
+    use swole_storage::{ColumnData, DictColumn, Table};
 
     const ROWS: usize = 200_000;
     const PARENTS: usize = 1000;
@@ -739,6 +856,128 @@ mod tests {
                     assert!(Arc::ptr_eq(shared, &d.shared_dictionary()), "{name}");
                 }
                 _ => assert!(res.rows.is_empty(), "{name}"),
+            }
+        }
+    }
+
+    /// The block evaluator against an independent per-row fold: tables
+    /// around the block size; filters that keep no row, every row or every
+    /// other one, with a semijoin and without; guarded divisions over rows
+    /// where `b = 0`, which must never run; a nested `CASE` inside `SUM`.
+    /// The rows and the four counters must match, scalar and grouped.
+    #[test]
+    fn blocks_match_a_per_row_fold() {
+        use CmpOp::{Eq, Gt, Le, Lt, Ne};
+        const PARENT_ROWS: usize = 7;
+        let y: Vec<i8> = (0..PARENT_ROWS as i8).collect();
+        let col = |c: &str| Expr::col(c);
+        let lit = Expr::lit;
+        let div = || Expr::Div(Box::new(col("a")), Box::new(col("b")));
+        let b_ne_0 = || col("b").cmp(Ne, lit(0));
+        let case = |when, then, otherwise| Expr::Case {
+            when: Box::new(when),
+            then: Box::new(then),
+            otherwise: Box::new(otherwise),
+        };
+        let aggs = vec![
+            AggSpec::sum(case(b_ne_0(), div(), lit(0)), "q"),
+            AggSpec::sum(
+                case(
+                    col("odd").cmp(Eq, lit(1)),
+                    case(b_ne_0(), div(), col("a")),
+                    Expr::Sub(Box::new(lit(0)), Box::new(col("a"))),
+                ),
+                "nested",
+            ),
+            AggSpec::count("n"),
+            AggSpec::min(col("a"), "lo"),
+            AggSpec::max(col("a"), "hi"),
+        ];
+        for n in [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7] {
+            // `a` in [-100, 100], `b` cycling -1, 0, 1.
+            let a: Vec<i64> = (0..n as i64).map(|i| i * 7919 % 201 - 100).collect();
+            let b: Vec<i32> = (0..n as i32).map(|i| i % 3 - 1).collect();
+            let odd: Vec<i8> = (0..n).map(|i| (i % 2) as i8).collect();
+            let fk: Vec<u32> = (0..n as u32).map(|i| i * 5 % PARENT_ROWS as u32).collect();
+            let mut db = Database::new();
+            db.add_table(
+                Table::new("T")
+                    .with_column("a", ColumnData::I64(a.clone()))
+                    .with_column("b", ColumnData::I32(b.clone()))
+                    .with_column("odd", ColumnData::I8(odd.clone()))
+                    .with_column("fk", ColumnData::U32(fk.clone())),
+            );
+            db.add_table(Table::new("P").with_column("y", ColumnData::I8(y.clone())));
+            let quotient = |r: usize| a[r] / b[r] as i64;
+            type Keeps<'a> = &'a dyn Fn(usize) -> bool;
+            let filters: [(&str, Expr, Keeps<'_>); 5] = [
+                ("none", col("a").cmp(Gt, lit(100)), &|_| false),
+                ("all", col("a").cmp(Le, lit(100)), &|_| true),
+                ("every other", col("odd").cmp(Eq, lit(1)), &|r| odd[r] == 1),
+                (
+                    "b <> 0 and a / b > 1",
+                    b_ne_0().and(div().cmp(Gt, lit(1))),
+                    &|r| b[r] != 0 && quotient(r) > 1,
+                ),
+                (
+                    "b = 0 or a / b > 1",
+                    col("b").cmp(Eq, lit(0)).or(div().cmp(Gt, lit(1))),
+                    &|r| b[r] == 0 || quotient(r) > 1,
+                ),
+            ];
+            let values = |r: usize| {
+                let q = if b[r] != 0 { quotient(r) } else { 0 };
+                let nested = match (odd[r], b[r]) {
+                    (1, 0) => a[r],
+                    (1, _) => quotient(r),
+                    _ => -a[r],
+                };
+                [q, nested, 1, a[r], a[r]]
+            };
+            for (name, filter, keeps) in &filters {
+                for (semijoin, grouped) in
+                    [(false, false), (false, true), (true, false), (true, true)]
+                {
+                    let mut q = QueryBuilder::scan("T").filter(filter.clone());
+                    if semijoin {
+                        let parents = QueryBuilder::scan("P").filter(col("y").cmp(Lt, lit(3)));
+                        q = q.semijoin(parents, "fk");
+                    }
+                    let plan = q.aggregate(grouped.then_some("odd"), aggs.clone());
+                    let mut groups: BTreeMap<i64, [i64; 5]> = BTreeMap::new();
+                    let (mut probes, mut out) = (0, 0);
+                    for r in (0..n).filter(|&r| keeps(r)) {
+                        if semijoin {
+                            probes += 1;
+                            if y[fk[r] as usize] >= 3 {
+                                continue;
+                            }
+                        }
+                        out += 1;
+                        let key = if grouped { odd[r] as i64 } else { 0 };
+                        let acc = groups.entry(key).or_insert([0, 0, 0, i64::MAX, i64::MIN]);
+                        let v = values(r);
+                        *acc = [
+                            acc[0].wrapping_add(v[0]),
+                            acc[1].wrapping_add(v[1]),
+                            acc[2] + 1,
+                            acc[3].min(v[3]),
+                            acc[4].max(v[4]),
+                        ];
+                    }
+                    let want: Vec<Vec<i64>> = if grouped {
+                        let rows = groups.into_iter();
+                        rows.map(|(k, acc)| [k].into_iter().chain(acc).collect())
+                            .collect()
+                    } else {
+                        vec![groups.remove(&0).map_or(vec![0; 5], Vec::from)]
+                    };
+                    let scanned = (n + if semijoin { PARENT_ROWS } else { 0 }) as u64;
+                    let at = format!("{n} rows, {name}, semijoin {semijoin}, grouped {grouped}");
+                    let (res, op) = run_metered(&db, &plan).expect("interprets");
+                    assert_eq!(res.rows, want, "{at}");
+                    assert_eq!(counters(&op), [scanned, scanned, probes, out], "{at}");
+                }
             }
         }
     }

@@ -14,8 +14,9 @@
 //!
 //! [`Engine::explain`] shows the chosen techniques with the cost-model
 //! evidence, [`Engine::explain_code`] the loop each stage runs as the
-//! paper's C-like code; [`interp`] provides a deliberately naive row-at-a-time
-//! interpreter used by the test suite to cross-check every result.
+//! paper's C-like code; [`interp`] provides a deliberately naive
+//! block-at-a-time interpreter used by the test suite to cross-check every
+//! result.
 //!
 //! The plan shapes supported are exactly the ones the paper optimizes:
 //! scan → filter → (scalar | group-by) aggregation, FK semijoin +

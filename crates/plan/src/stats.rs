@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, RwLock};
 
 use crate::catalog::Database;
-use crate::expr::Expr;
+use crate::expr::{Expr, BLOCK};
 use swole_storage::Table;
 
 /// Rows examined per estimate.
@@ -224,8 +224,8 @@ pub fn collect_table_stats(table: &Table) -> TableStats {
 }
 
 /// Estimate the selectivity of `predicate` over `table` by evaluating it,
-/// compiled once, on a deterministic sample. Returns a value in `[0, 1]`;
-/// an empty table estimates 0.
+/// compiled once, on a deterministic sample, a block of row ids at a time.
+/// Returns a value in `[0, 1]`; an empty table estimates 0.
 ///
 /// # Panics
 /// If `predicate` does not [`Expr::validate`] against `table`.
@@ -234,8 +234,22 @@ pub fn estimate_selectivity(table: &Table, predicate: &Expr) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    let predicate = predicate.compile(table).expect("validated predicate");
-    let hits = sample_rows(n).filter(|&r| predicate.eval(r) != 0).count();
+    let mut predicate = predicate.compile(table).expect("validated predicate");
+    let mut sample = sample_rows(n).map(|r| r as u32);
+    let (mut rows, mut hit) = ([0u32; BLOCK], [0i64; BLOCK]);
+    let mut hits = 0;
+    loop {
+        let len = rows
+            .iter_mut()
+            .zip(&mut sample)
+            .map(|(r, s)| *r = s)
+            .count();
+        if len == 0 {
+            break;
+        }
+        predicate.eval(&rows[..len], &mut hit[..len]);
+        hits += hit[..len].iter().filter(|&&h| h != 0).count();
+    }
     hits as f64 / SAMPLE_SIZE.min(n) as f64
 }
 
@@ -244,14 +258,29 @@ pub fn estimate_selectivity(table: &Table, predicate: &Expr) -> f64 {
 /// Multiplicative (Fibonacci) hashing of the sample index decorrelates the
 /// sample from any periodic structure in the data — a fixed stride would
 /// alias badly with, e.g., a `i % k` key column.
+///
+/// Sample `k` is row `(k · φ mod 2^64) mod n`, kept incrementally rather
+/// than divided out per row: adding φ to the product adds `φ mod n` to the
+/// row, less `2^64 mod n` when the product wraps.
 fn sample_rows(n: usize) -> impl Iterator<Item = usize> {
-    let take = SAMPLE_SIZE.min(n);
+    const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
+    // `max(1)`: an empty table takes no sample, but still computes these.
+    let (take, m) = (SAMPLE_SIZE.min(n), (n as u64).max(1));
+    let (step, wrap) = (PHI % m, (u64::MAX % m + 1) % m);
+    let (mut product, mut row) = (0u64, 0u64);
     (0..take).map(move |k| {
         if n <= SAMPLE_SIZE {
-            k
-        } else {
-            ((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % n as u64) as usize
+            return k;
         }
+        let this = row;
+        let (next, wrapped) = product.overflowing_add(PHI);
+        product = next;
+        // Below 3n (no overflow for any table under 2^62 rows) before it
+        // is brought back into [0, n).
+        row += step + if wrapped { m - wrap } else { 0 };
+        row -= m * (row >= m) as u64;
+        row -= m * (row >= m) as u64;
+        this as usize
     })
 }
 
@@ -286,6 +315,21 @@ mod tests {
     use super::*;
     use crate::expr::CmpOp;
     use swole_storage::ColumnData;
+
+    /// The incremental sample is the product formula's, row for row.
+    #[test]
+    fn sample_rows_are_the_hashed_indexes() {
+        let sizes = [1, 2047, 2048, 2049, 65_536, 1_000_003, 3 << 30, 1 << 40];
+        for n in sizes {
+            let want: Vec<usize> = (0..SAMPLE_SIZE.min(n))
+                .map(|k| match n <= SAMPLE_SIZE {
+                    true => k,
+                    false => ((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % n as u64) as usize,
+                })
+                .collect();
+            assert_eq!(sample_rows(n).collect::<Vec<_>>(), want, "{n} rows");
+        }
+    }
 
     fn table(n: usize, card: i64) -> Table {
         Table::new("t").with_column(

@@ -16,8 +16,8 @@
 //! resolves column positions and evaluates every dictionary predicate once
 //! per query; running it ([`BoundProgram::run`]) against a per-worker
 //! [`Regs`] file allocates nothing, looks nothing up by name and never
-//! recurses. [`crate::Expr::compile`]'s row evaluator stays the interpreter
-//! oracle.
+//! recurses. [`crate::Expr::compile`]'s block evaluator, which shares no
+//! code with these programs, stays the interpreter oracle.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -562,7 +562,7 @@ impl<'a> Lowerer<'a> {
         };
         let (mut a, b) = (self.value(a)?, self.value(b)?);
         // Literal arithmetic is not folded: it must wrap — or panic on a
-        // zero divisor — inside the tile loop, exactly like the row evaluator.
+        // zero divisor — inside the tile loop, exactly like the block evaluator.
         if let (VVal::Lit(x), VVal::Lit(_)) = (a, b) {
             a = VVal::Node(self.node(Node::ConstVal(x)));
         }
@@ -1384,6 +1384,7 @@ fn inputs<'r, const N: usize>(r: &'r Regs, pass: &[Slot], len: usize) -> [&'r [i
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::cell::Cell;
@@ -1569,16 +1570,13 @@ mod tests {
             let prog = Arc::new(TileProgram::lower(&t, Some(&filter), &wants).expect("lowers"));
             let bound = prog.bind(&t).expect("binds");
             let mut regs = Regs::new(&prog);
-            let want_filter = filter.compile(&t).expect("valid");
-            let want_values: Vec<_> = values
-                .iter()
-                .map(|e| e.compile(&t).expect("valid"))
-                .collect();
+            let want_filter = expr::values(&filter, &t);
+            let want_values: Vec<_> = values.iter().map(|e| expr::values(e, &t)).collect();
             // One register file across all tiles, as a worker runs it.
             for &(start, len) in &TILES {
                 bound.run(&mut regs, start, len);
                 for (j, &m) in bound.filter(&regs, len).iter().enumerate() {
-                    let want = want_filter.eval(start + j) != 0;
+                    let want = want_filter[start + j] != 0;
                     assert_eq!(
                         m,
                         want as u8,
@@ -1591,7 +1589,7 @@ mod tests {
                     for (j, &v) in got.iter().enumerate() {
                         assert_eq!(
                             v,
-                            want_values[i].eval(start + j),
+                            want_values[i][start + j],
                             "seed {seed} value {e:?} row {}",
                             start + j
                         );
@@ -1613,7 +1611,7 @@ mod tests {
     }
 
     /// The sums the scalar sinks produce, masked and gathered, checked and
-    /// not, against a row-at-a-time fold of the row evaluator.
+    /// not, against a row-at-a-time fold of the block evaluator's values.
     #[test]
     fn scalar_sinks_match_eval_row() {
         let t = table(11);
@@ -1640,13 +1638,13 @@ mod tests {
             aggs.push(AggSpec::count("n"));
             aggs.push(AggSpec::min(inputs[0].clone(), "lo"));
             aggs.push(AggSpec::max(inputs[1].clone(), "hi"));
-            let keep = filter.compile(&t).expect("valid");
-            let qualifying: Vec<usize> = (0..ROWS).filter(|&r| keep.eval(r) != 0).collect();
+            let keep = expr::values(&filter, &t);
+            let qualifying: Vec<usize> = (0..ROWS).filter(|&r| keep[r] != 0).collect();
             let want: Vec<i64> = aggs
                 .iter()
                 .map(|a| {
-                    let e = a.expr.compile(&t).expect("valid");
-                    let vals = qualifying.iter().map(|&r| e.eval(r));
+                    let e = expr::values(&a.expr, &t);
+                    let vals = qualifying.iter().map(|&r| e[r]);
                     match a.func {
                         AggFunc::Sum => vals.fold(0i64, i64::wrapping_add),
                         AggFunc::Count => qualifying.len() as i64,
@@ -1757,7 +1755,7 @@ mod tests {
 
     /// The fused-input upsert — behind every front end, over both table
     /// representations, keys of every width, checked and proven — against
-    /// a row-at-a-time fold of the row evaluator, and the fused masked probe
+    /// a row-at-a-time fold of the block evaluator's values, and the fused masked probe
     /// against the three-pass path it replaces.
     #[test]
     fn grouped_and_probe_sinks_match_eval_row() {
@@ -1780,7 +1778,7 @@ mod tests {
                 _ => value(&mut rng, 2),
             };
             let aggs = [AggSpec::sum(input.clone(), "s")];
-            let input_of = input.compile(&t).expect("valid");
+            let input_of = expr::values(&input, &t);
             let key = ["c8", "c16", "c32", "u", "d"][rng.gen_range(0..5usize)];
             let prog = Arc::new(
                 TileProgram::lower_agg(&t, Some(&filter), Some(key), &aggs, true).unwrap(),
@@ -1788,8 +1786,8 @@ mod tests {
             let sink = group_sink(&prog, &aggs);
             assert!(matches!(sink, GroupSink::Fused(_)), "one sum is fused");
             let bound = prog.bind(&t).unwrap();
-            let key_col = Expr::col(key).compile(&t).expect("valid");
-            let key_of = |r: usize| key_col.eval(r);
+            let key_col = expr::values(&Expr::col(key), &t);
+            let key_of = |r: usize| key_col[r];
             let (lo, hi) = (0..ROWS).fold((i64::MAX, i64::MIN), |(lo, hi), r| {
                 (lo.min(key_of(r)), hi.max(key_of(r)))
             });
@@ -1797,12 +1795,12 @@ mod tests {
                 let mut want = BTreeMap::new();
                 for r in rows {
                     let e = want.entry(key_of(r)).or_insert(vec![0i64]);
-                    e[0] = e[0].wrapping_add(input_of.eval(r));
+                    e[0] = e[0].wrapping_add(input_of[r]);
                 }
                 want
             };
-            let keep = filter.compile(&t).expect("valid");
-            let qualifies = |r: &usize| keep.eval(*r) != 0;
+            let keep = expr::values(&filter, &t);
+            let qualifies = |r: &usize| keep[*r] != 0;
             let want = fold(&mut (0..ROWS).filter(qualifies), &key_of);
             let want_eager = fold(&mut (0..ROWS), &|r| fk[r] as i64);
             for which in 0..4 {
@@ -1883,7 +1881,7 @@ mod tests {
     /// The list inputs — one to five aggregates: `sum` / `count` lists in
     /// unrolled passes, lists with `min` / `max` in one folding pass —
     /// behind every front end, both table representations, checked and
-    /// proven adds, against a row-at-a-time fold of the row evaluator.
+    /// proven adds, against a row-at-a-time fold of the block evaluator's values.
     #[test]
     fn compiled_lists_match_eval_row() {
         use swole_ht::{AggTable, DenseAggTable};
@@ -1919,12 +1917,9 @@ mod tests {
                 continue;
             };
             let bound = prog.bind(&t).unwrap();
-            let inputs: Vec<_> = aggs
-                .iter()
-                .map(|a| a.expr.compile(&t).expect("valid"))
-                .collect();
-            let key_col = Expr::col(key).compile(&t).expect("valid");
-            let key_of = |r: usize| key_col.eval(r);
+            let inputs: Vec<_> = aggs.iter().map(|a| expr::values(&a.expr, &t)).collect();
+            let key_col = expr::values(&Expr::col(key), &t);
+            let key_of = |r: usize| key_col[r];
             let (lo, hi) = (0..ROWS).fold((i64::MAX, i64::MIN), |(lo, hi), r| {
                 (lo.min(key_of(r)), hi.max(key_of(r)))
             });
@@ -1934,7 +1929,7 @@ mod tests {
                     let fresh = !want.contains_key(&key_of(r));
                     let state = want.entry(key_of(r)).or_insert_with(|| vec![0; n]);
                     for ((s, a), e) in state.iter_mut().zip(&aggs).zip(&inputs) {
-                        let v = e.eval(r);
+                        let v = e[r];
                         *s = match a.func {
                             AggFunc::Count => *s + 1,
                             AggFunc::Sum => s.wrapping_add(v),
@@ -1946,8 +1941,8 @@ mod tests {
                 }
                 want
             };
-            let keep = filter.compile(&t).expect("valid");
-            let qualifies = |r: &usize| keep.eval(*r) != 0;
+            let keep = expr::values(&filter, &t);
+            let qualifies = |r: &usize| keep[*r] != 0;
             let want = fold(&mut (0..ROWS).filter(qualifies), &key_of);
             let want_eager = fold(&mut (0..ROWS), &|r| fk[r] as i64);
             for which in 0..4 {
@@ -1989,8 +1984,8 @@ mod tests {
             bound.run(&mut regs, start, len);
             hits += predicate::mask_count(bound.filter(&regs, len));
         }
-        let keep = filter.compile(&t).expect("valid");
-        let want = (0..ROWS).filter(|&r| keep.eval(r) != 0).count();
+        let keep = expr::values(&filter, &t);
+        let want = keep.iter().filter(|&&k| k != 0).count();
         assert_eq!(hits, want);
         // Three tiles, two dictionary predicates: two tables, not six.
         assert_eq!(MATCH_TABLES_BUILT.with(Cell::get), 2);

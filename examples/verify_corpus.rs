@@ -13,6 +13,11 @@
 //! uploads as an artifact so a planner or verifier change that loosens any
 //! bound shows up as a diff.
 //!
+//! The certificate's reserve for a data-centric retry is checked too: once
+//! per distinct plan the reference interpreter runs it under a counting
+//! global allocator, and the most bytes it holds at once land in the report
+//! as `fallback_observed_bytes`, never above the plan's `fallback_bytes`.
+//!
 //! ```text
 //! cargo run --release --example verify_corpus
 //! ```
@@ -21,13 +26,86 @@
 //! non-empty loop for each.
 //!
 //! Exits non-zero if any plan fails verification, certification, its run
-//! (an error, or an observed peak above its bound) or rendering —
+//! (an error, or an observed peak above its bound), its interpreter run
+//! (an error, or a peak above its reserve) or rendering —
 //! `scripts/verify_corpus.sh` wires this into CI as the corpus gate.
 
-use swole::plan::parse_sql;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicIsize, Ordering};
+
+use swole::plan::{interp, parse_sql};
 use swole::prelude::*;
 use swole_micro::{generate as micro_generate, MicroParams};
 use swole_tpch::catalog::to_database;
+
+/// Bytes allocated and not yet freed by the counting thread, and their
+/// high-water mark (a free of bytes allocated before counting began takes
+/// `LIVE` below zero, so both are signed).
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+static LIVE_PEAK: AtomicIsize = AtomicIsize::new(0);
+
+thread_local! {
+    /// Set on the thread whose allocations are being counted.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Move the live bytes by `delta` on the counting thread.
+fn live(delta: isize) {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down, when the flag is gone and nothing is being measured.
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let now = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+        LIVE_PEAK.fetch_max(now, Ordering::Relaxed);
+    }
+}
+
+/// The global allocator, counting the live bytes of one thread.
+struct CountingAlloc;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// `GlobalAlloc` contract is therefore this type's contract; the counter
+// touches no allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        live(layout.size() as isize);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        live(layout.size() as isize);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        live(new_size as isize - layout.size() as isize);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as isize));
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// The most bytes `f` holds allocated at once on this thread, what it
+/// returns included.
+fn live_peak_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    LIVE.store(0, Ordering::Relaxed);
+    LIVE_PEAK.store(0, Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (LIVE_PEAK.load(Ordering::Relaxed) as u64, out)
+}
 
 /// A strategy regime: which techniques (if any) are pinned on the builder.
 struct Regime {
@@ -332,6 +410,10 @@ struct BoundsRow {
     observed_bytes: u64,
     primary_bytes_bound: u64,
     fallback_bytes: u64,
+    /// The most bytes the reference interpreter holds at once running the
+    /// plan: what the data-centric retry that `fallback_bytes` reserves
+    /// for holds.
+    fallback_observed_bytes: u64,
     arith_sites: u32,
     overflow_safe_sites: u32,
 }
@@ -341,8 +423,8 @@ impl BoundsRow {
         format!(
             "{{\"corpus\":\"{}\",\"query\":\"{}\",\"threads\":{},\"regime\":\"{}\",\
              \"ops\":{},\"peak_bytes_bound\":{},\"observed_bytes\":{},\
-             \"primary_bytes_bound\":{},\"fallback_bytes\":{},\"arith_sites\":{},\
-             \"overflow_safe_sites\":{}}}",
+             \"primary_bytes_bound\":{},\"fallback_bytes\":{},\
+             \"fallback_observed_bytes\":{},\"arith_sites\":{},\"overflow_safe_sites\":{}}}",
             self.corpus,
             self.query,
             self.threads,
@@ -352,10 +434,21 @@ impl BoundsRow {
             self.observed_bytes,
             self.primary_bytes_bound,
             self.fallback_bytes,
+            self.fallback_observed_bytes,
             self.arith_sites,
             self.overflow_safe_sites,
         )
     }
+}
+
+/// What the runs of every corpus add up to.
+#[derive(Default)]
+struct Report {
+    /// One per certified plan.
+    bounds: Vec<BoundsRow>,
+    /// The interpreter's peak bytes per `corpus/query`: a plan's retry is
+    /// the same whatever the thread count or regime, so it runs once.
+    interp_peaks: HashMap<String, u64>,
 }
 
 /// Verify and certify every query of one corpus under one engine
@@ -368,7 +461,7 @@ fn verify_corpus(
     threads: usize,
     regime_name: &str,
     overrides: StrategyOverrides,
-    bounds: &mut Vec<BoundsRow>,
+    report: &mut Report,
 ) -> usize {
     let engine = Engine::builder(db)
         .threads(threads)
@@ -435,7 +528,25 @@ fn verify_corpus(
                     }
                     Ok(_) => {}
                 }
-                bounds.push(BoundsRow {
+                let key = format!("{corpus}/{name}");
+                let fallback_observed = *report.interp_peaks.entry(key).or_insert_with_key(|key| {
+                    let db = engine.database();
+                    let (peak, run) = live_peak_during(|| interp::run(&db, &plan));
+                    if let Err(e) = run {
+                        println!("FAIL {key}: interpreter: {e}");
+                        failures += 1;
+                    }
+                    peak
+                });
+                if fallback_observed > cert.fallback_bytes {
+                    println!(
+                        "FAIL {corpus}/{name} t={threads} regime={regime_name}: the interpreter \
+                         held {fallback_observed} B above the reserve {} B",
+                        cert.fallback_bytes
+                    );
+                    failures += 1;
+                }
+                report.bounds.push(BoundsRow {
                     corpus: corpus.to_string(),
                     query: name.clone(),
                     threads,
@@ -445,6 +556,7 @@ fn verify_corpus(
                     observed_bytes: observed,
                     primary_bytes_bound: cert.primary_bytes_bound,
                     fallback_bytes: cert.fallback_bytes,
+                    fallback_observed_bytes: fallback_observed,
                     arith_sites: cert.arith_sites,
                     overflow_safe_sites: cert.overflow_safe_sites,
                 });
@@ -490,7 +602,7 @@ fn main() {
         .collect();
     let mut failures = 0;
     let mut plans = 0;
-    let mut bounds: Vec<BoundsRow> = Vec::new();
+    let mut report = Report::default();
     for threads in THREAD_COUNTS {
         for regime in &REGIMES {
             failures += verify_corpus(
@@ -500,7 +612,7 @@ fn main() {
                 threads,
                 regime.name,
                 regime.overrides(),
-                &mut bounds,
+                &mut report,
             );
             failures += verify_corpus(
                 "tpch",
@@ -509,7 +621,7 @@ fn main() {
                 threads,
                 regime.name,
                 regime.overrides(),
-                &mut bounds,
+                &mut report,
             );
             failures += verify_corpus(
                 "multijoin",
@@ -518,7 +630,7 @@ fn main() {
                 threads,
                 regime.name,
                 regime.overrides(),
-                &mut bounds,
+                &mut report,
             );
             plans += micro_queries.len() + tpch_queries.len() + multijoin_queries.len();
         }
@@ -535,7 +647,7 @@ fn main() {
                 threads,
                 name,
                 overrides,
-                &mut bounds,
+                &mut report,
             );
             plans += star4_queries.len();
         }
@@ -547,6 +659,7 @@ fn main() {
     let report_path =
         std::env::var("BOUNDS_REPORT").unwrap_or_else(|_| "bounds-report.json".to_string());
     let mut json = String::from("[\n");
+    let bounds = &report.bounds;
     for (i, row) in bounds.iter().enumerate() {
         json.push_str("  ");
         json.push_str(&row.to_json());
@@ -561,7 +674,7 @@ fn main() {
     }
     assert_eq!(bounds.len(), plans, "every verified plan must certify");
     println!(
-        "verify_corpus: all {plans} plans verified at {:?}, certified bounded, run within their bounds and rendered (report: {report_path}) across {} thread counts x {} strategy regimes + {} join-order regimes",
+        "verify_corpus: all {plans} plans verified at {:?}, certified bounded, run within their bounds and their retry reserves, and rendered (report: {report_path}) across {} thread counts x {} strategy regimes + {} join-order regimes",
         VerifyLevel::Full,
         THREAD_COUNTS.len(),
         REGIMES.len(),

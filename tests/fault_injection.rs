@@ -191,7 +191,10 @@ fn alloc_failure_falls_back_bit_identical() {
 fn the_retry_runs_inside_the_reservation_of_the_failed_attempt() {
     for threads in THREADS {
         for nth in [0usize, 1, 2] {
-            for (name, plan) in [("groupby", groupby_plan()), ("semijoin", semijoin_plan())] {
+            for (name, plan) in [
+                ("groupby", wide_groupby_plan()),
+                ("semijoin", semijoin_plan()),
+            ] {
                 let e = Engine::builder(make_db(512))
                     .threads(threads)
                     .tile_rows(MORSEL)
@@ -211,12 +214,9 @@ fn the_retry_runs_inside_the_reservation_of_the_failed_attempt() {
                 assert_eq!(pool.peak as u64, cert.peak_bytes_bound, "{at}: {pool:?}");
                 assert_eq!((pool.used, pool.active), (0, 0), "{at}: {pool:?}");
                 assert!(m.bytes_charged <= cert.peak_bytes_bound, "{at}");
-                // The first charge always fails; a later one only when the
-                // query makes that many (a one-thread group-by makes one).
-                assert!(m.retries == 1 || nth > 0, "{at}");
-                if m.retries == 0 {
-                    continue;
-                }
+                // Both plans make at least three charges at every thread
+                // count, so the failure always falls and the query retries.
+                assert_eq!(m.retries, 1, "{at}");
                 assert!(m.bytes_charged >= cert.fallback_bytes, "{at}");
                 // On one thread the failure falls on the same charge each
                 // run: the first leaves the retry's reserve alone, a later
