@@ -98,9 +98,8 @@ const SWEEP_SEL: i8 = 50;
 
 /// The hand-coded side of the `4g` sweep: the paper's grouped loops over an
 /// `N`-aggregate list — predicate prepass, then the strategy's instance of
-/// the upsert family into an `AggTable` with the checked adds, as a
-/// pipeline written by hand (no certificate, no catalog) runs them. Sorted
-/// rows.
+/// the upsert family into an `AggTable`, as a pipeline written by hand (no
+/// certificate, no catalog) runs them. Sorted rows.
 fn groupby_handcoded<const N: usize>(
     strategy: AggStrategy,
     r: &RTable,
@@ -115,14 +114,14 @@ fn groupby_handcoded<const N: usize>(
         match strategy {
             AggStrategy::Hybrid => {
                 let k = selvec::fill_nobranch(&cmp[..l], 0, &mut idx[..l]);
-                groupby::upsert::<_, _, _, false>(c, Lanes::Selected(&idx[..k]), &ins, 0, &mut ht);
+                groupby::upsert(c, Lanes::Selected(&idx[..k]), &ins, 0, &mut ht);
             }
             AggStrategy::ValueMasking => {
-                groupby::upsert::<_, _, _, false>(c, Lanes::Masked(&cmp[..l]), &ins, 0, &mut ht);
+                groupby::upsert(c, Lanes::Masked(&cmp[..l]), &ins, 0, &mut ht);
             }
             AggStrategy::KeyMasking => {
                 groupby::mask_keys(c, &cmp[..l], &mut keys[..l]);
-                groupby::upsert::<_, _, _, false>(&keys[..l], Lanes::Every, &ins, 0, &mut ht);
+                groupby::upsert(&keys[..l], Lanes::Every, &ins, 0, &mut ht);
             }
         }
     }
@@ -145,7 +144,7 @@ fn minmax_handcoded(r: &RTable, cols: &[Vec<i64>; 2], card: usize) -> Vec<Vec<i6
     for (s, l) in tiles(r.len()) {
         predicate::cmp_lt(&r.x[s..s + l], SWEEP_SEL, &mut cmp[..l]);
         let k = selvec::fill_nobranch(&cmp[..l], s as u32, &mut idx[..l]);
-        groupby::upsert::<_, _, _, false>(&r.c, Lanes::Selected(&idx[..k]), &inputs, 0, &mut ht);
+        groupby::upsert(&r.c, Lanes::Selected(&idx[..k]), &inputs, 0, &mut ht);
     }
     sorted_rows(&ht)
 }

@@ -166,7 +166,7 @@ impl Lcg {
 }
 
 /// The conformance fixture catalog: the TPC-H tables at a tiny scale
-/// factor (dates, decimals, dictionary strings, FK indexes) plus four
+/// factor (dates, decimals, dictionary strings, FK indexes) plus these
 /// purpose-built tables:
 ///
 /// * `R` (5000 rows) / `S` (64 rows) — the microbenchmark shape: value
@@ -174,8 +174,13 @@ impl Lcg {
 ///   and `r_fk` with a registered FK index into `S`.
 /// * `T` (1200 rows) — `k` (dense unique), `v` (signed values), `g`
 ///   (8 groups), `h` (i16 coverage), `tag` (dictionary strings).
-/// * `big` (64 rows) — `m` near `i64::MAX / 64`, so `SUM(m)` overflows
+/// * `big` (64 rows) — `m` near `i64::MAX / 64`, so `SUM(m)` wraps
 ///   deterministically on every execution path.
+/// * `spike` (2048 rows) — `x = i % 100`; `m` is small where `x < 90` and
+///   near `i64::MAX / 2` where `x >= 90`, so the wasted work a masked
+///   strategy does on the rows a filter `x < 90` drops wraps, while the
+///   kept rows' sums do not; group key `g` (8 groups) and `fk` with a
+///   registered FK index into `S`.
 /// * `fact` (4000 rows) with dimensions `dim1` (16 rows), `dim2`
 ///   (200 rows), `dim3` (8 rows) and grandparent `dim4` (32 rows) — the
 ///   multi-way join fixture. `f_d1` is skewed (nine of ten rows land on
@@ -296,6 +301,35 @@ pub fn fixture_db() -> Database {
         .expect("fact.f_d3 -> dim3 registers");
     db.add_fk("dim2", "d2_fk", "dim4")
         .expect("dim2.d2_fk -> dim4 registers");
+
+    // Huge values on dropped rows only; computed, not drawn from the LCG,
+    // so every table above stays byte-stable.
+    let rows = || 0..2048i64;
+    let m = rows().map(|i| {
+        if i % 100 < 90 {
+            i % 7
+        } else {
+            i64::MAX / 2 + i
+        }
+    });
+    db.add_table(
+        Table::new("spike")
+            .with_column(
+                "x",
+                ColumnData::I8(rows().map(|i| (i % 100) as i8).collect()),
+            )
+            .with_column("m", ColumnData::I64(m.collect()))
+            .with_column(
+                "g",
+                ColumnData::I16(rows().map(|i| (i % 8) as i16).collect()),
+            )
+            .with_column(
+                "fk",
+                ColumnData::U32(rows().map(|i| (i % 64) as u32).collect()),
+            ),
+    );
+    db.add_fk("spike", "fk", "S")
+        .expect("spike.fk -> S registers");
     db
 }
 

@@ -23,7 +23,6 @@ fn is_typed_runtime_error(err: &PlanError) -> bool {
             | PlanError::DeadlineExceeded { .. }
             | PlanError::Cancelled { .. }
             | PlanError::Admission(_)
-            | PlanError::Overflow(_)
     )
 }
 

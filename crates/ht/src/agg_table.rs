@@ -116,9 +116,6 @@ pub struct AggTable {
     len: usize,
     tombstones: usize,
     policy: DeletePolicy,
-    /// Sticky flag set when any additive update or merge wrapped around
-    /// `i64` — see [`AggTable::overflow_detected`].
-    overflowed: bool,
     counters: HtCounters,
 }
 
@@ -137,7 +134,6 @@ impl AggTable {
             len: 0,
             tombstones: 0,
             policy: DeletePolicy::default(),
-            overflowed: false,
             counters: HtCounters::default(),
         };
         t.counters.bytes_allocated = t.size_bytes() as u64;
@@ -314,36 +310,15 @@ impl AggTable {
         &self.states
     }
 
-    /// Add `v` to aggregate slot `agg` of the entry at `offset`.
-    ///
-    /// Uses explicit wrapping arithmetic — identical semantics in debug and
-    /// release builds — and records wraparound in a sticky flag readable
-    /// via [`AggTable::overflow_detected`]. Callers decide whether a
-    /// detected overflow is real or wasted-work noise (masked strategies
-    /// aggregate filtered tuples too) and typically re-run data-centric.
+    /// Add `v` to aggregate slot `agg` of the entry at `offset`: one
+    /// explicit wrapping add, the same in debug and release builds. A sum
+    /// mod 2^64 does not depend on the order of its addends, so a masked
+    /// strategy's wasted work (`v · 0`, or an add to the throwaway entry)
+    /// cannot change a group's result.
     #[inline(always)]
     pub fn add(&mut self, offset: usize, agg: usize, v: i64) {
         debug_assert!(agg < self.n_aggs);
-        let (sum, wrapped) = self.states[offset + agg].overflowing_add(v);
-        self.states[offset + agg] = sum;
-        self.overflowed |= wrapped;
-    }
-
-    /// [`AggTable::add`] without the sticky flag, for an accumulator a
-    /// bounds certificate proved cannot leave `i64`. Still an explicit
-    /// wrapping add: a wrong proof gives a wrong sum, never a panic.
-    #[inline(always)]
-    pub fn add_proven(&mut self, offset: usize, agg: usize, v: i64) {
-        debug_assert!(agg < self.n_aggs);
         self.states[offset + agg] = self.states[offset + agg].wrapping_add(v);
-    }
-
-    /// `true` if any [`AggTable::add`] or [`AggTable::merge_from`] addition
-    /// has wrapped around `i64` since the table was created (the flag also
-    /// propagates from merged-in partials).
-    #[inline]
-    pub fn overflow_detected(&self) -> bool {
-        self.overflowed
     }
 
     /// OR `flag` (0 or 1) into the valid bit of the entry at `offset`.
@@ -503,7 +478,6 @@ impl AggTable {
     pub fn merge_from(&mut self, other: &AggTable, ops: &[MergeOp]) {
         assert_eq!(self.n_aggs, other.n_aggs, "incompatible layouts");
         assert_eq!(ops.len(), self.n_aggs, "one MergeOp per aggregate slot");
-        self.overflowed |= other.overflowed;
         for (slot, &k) in other.keys.iter().enumerate() {
             if k == EMPTY || k == TOMBSTONE {
                 continue;
@@ -512,10 +486,7 @@ impl AggTable {
             if k == NULL_KEY {
                 let dst = self.entry(NULL_KEY);
                 for i in 0..self.n_aggs {
-                    let (sum, wrapped) =
-                        self.states[dst + i].overflowing_add(other.states[src + i]);
-                    self.states[dst + i] = sum;
-                    self.overflowed |= wrapped;
+                    self.states[dst + i] = self.states[dst + i].wrapping_add(other.states[src + i]);
                 }
                 continue;
             }
@@ -530,16 +501,11 @@ impl AggTable {
                 continue;
             }
             let self_valid = self.is_valid(dst);
-            let mut wrapped_any = false;
             for (i, op) in ops.iter().enumerate() {
                 let theirs = other.states[src + i];
                 let s = &mut self.states[dst + i];
                 match op {
-                    MergeOp::Add => {
-                        let (sum, wrapped) = (*s).overflowing_add(theirs);
-                        *s = sum;
-                        wrapped_any |= wrapped;
-                    }
+                    MergeOp::Add => *s = (*s).wrapping_add(theirs),
                     MergeOp::Min | MergeOp::Max => {
                         // A min/max state is only meaningful once its entry
                         // has seen a real (unmasked) update.
@@ -555,7 +521,6 @@ impl AggTable {
                     }
                 }
             }
-            self.overflowed |= wrapped_any;
             self.or_valid(dst, other_valid);
         }
     }
@@ -859,29 +824,6 @@ mod tests {
         got.sort();
         want.sort();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn overflow_is_detected_and_sticky() {
-        let mut t = AggTable::with_capacity(1, 4);
-        let off = t.entry(1);
-        t.add(off, 0, i64::MAX);
-        assert!(!t.overflow_detected());
-        t.add(off, 0, 1);
-        assert!(t.overflow_detected(), "wraparound must set the flag");
-        assert_eq!(t.states()[off], i64::MIN, "wrapping semantics");
-        // The flag propagates into tables the partial is merged into.
-        let mut dst = AggTable::with_capacity(1, 4);
-        dst.merge_from(&t, &[MergeOp::Add]);
-        assert!(dst.overflow_detected());
-        // A merge whose addition itself wraps is also detected.
-        let mut a = AggTable::with_capacity(1, 4);
-        let off = a.entry(9);
-        a.add(off, 0, i64::MAX);
-        let b = a.clone();
-        assert!(!a.overflow_detected());
-        a.merge_from(&b, &[MergeOp::Add]);
-        assert!(a.overflow_detected());
     }
 
     #[test]

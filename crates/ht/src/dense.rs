@@ -26,8 +26,8 @@ const PRESENT: u8 = 2;
 /// find-or-insert is a subtraction — no hash, no probe sequence, no growth.
 /// Offset 0 is the **throwaway entry** for [`NULL_KEY`], as in
 /// [`crate::AggTable`], and every other part of that table's contract holds
-/// too: valid flags, deletion, commutative merges, the sticky overflow flag,
-/// `len` / `iter` over real keys only — `iter` in key order.
+/// too: valid flags, deletion, commutative wrapping merges, `len` / `iter`
+/// over real keys only — `iter` in key order.
 ///
 /// The flags are indexed by state offset (one byte per state word, the
 /// first of each entry used) so that the per-lane flag update needs no
@@ -53,7 +53,6 @@ pub struct DenseAggTable {
     n_aggs: usize,
     states: Vec<i64>,
     flags: Vec<u8>,
-    overflowed: bool,
     /// `probes` (as the upsert loops report them) and `bytes_allocated` as
     /// they stand; `inserts` holds only the keys since deleted —
     /// [`GroupTable::counters`] adds the present ones, so the find-or-insert
@@ -95,7 +94,6 @@ impl DenseAggTable {
             n_aggs,
             states: vec![0; words],
             flags: vec![0; words],
-            overflowed: false,
             counters: HtCounters::default(),
         };
         t.counters.bytes_allocated = t.size_bytes() as u64;
@@ -155,14 +153,6 @@ impl GroupTable for DenseAggTable {
     #[inline(always)]
     fn add(&mut self, offset: usize, agg: usize, v: i64) {
         debug_assert!(agg < self.n_aggs);
-        let (sum, wrapped) = self.states[offset + agg].overflowing_add(v);
-        self.states[offset + agg] = sum;
-        self.overflowed |= wrapped;
-    }
-
-    #[inline(always)]
-    fn add_proven(&mut self, offset: usize, agg: usize, v: i64) {
-        debug_assert!(agg < self.n_aggs);
         self.states[offset + agg] = self.states[offset + agg].wrapping_add(v);
     }
 
@@ -211,7 +201,6 @@ impl GroupTable for DenseAggTable {
             "incompatible layouts"
         );
         assert_eq!(ops.len(), self.n_aggs, "one MergeOp per aggregate slot");
-        self.overflowed |= other.overflowed;
         let n = self.n_aggs;
         for off in (0..self.flags.len()).step_by(n) {
             let theirs = other.flags[off];
@@ -241,11 +230,7 @@ impl GroupTable for DenseAggTable {
                             };
                         }
                     }
-                    _ => {
-                        let (sum, wrapped) = (*s).overflowing_add(v);
-                        *s = sum;
-                        self.overflowed |= wrapped;
-                    }
+                    _ => *s = (*s).wrapping_add(v),
                 }
             }
         }
@@ -273,10 +258,6 @@ impl GroupTable for DenseAggTable {
 
     fn size_bytes(&self) -> usize {
         DenseAggTable::bytes_for(self.slots, self.n_aggs)
-    }
-
-    fn overflow_detected(&self) -> bool {
-        self.overflowed
     }
 
     fn counters(&self) -> HtCounters {
@@ -409,13 +390,11 @@ mod tests {
     /// One step of the differential below.
     #[derive(Clone, Copy)]
     enum Step {
-        /// `entry`, `add` (or `add_proven`) to slot 0, min into slot 1, then
-        /// the valid update.
+        /// `entry`, `add` to slot 0, min into slot 1, then the valid update.
         Update {
             key: i64,
             v: i64,
             valid: Option<u8>,
-            proven: bool,
         },
         Delete(i64),
     }
@@ -436,18 +415,10 @@ mod tests {
         let mut probes = 0;
         for &s in steps {
             match s {
-                Step::Update {
-                    key,
-                    v,
-                    valid,
-                    proven,
-                } => {
+                Step::Update { key, v, valid } => {
                     probes += 1;
                     let off = t.entry(key);
-                    match proven {
-                        true => t.add_proven(off, 0, v),
-                        false => t.add(off, 0, v),
-                    }
+                    t.add(off, 0, v);
                     if key != NULL_KEY && valid != Some(0) {
                         let fresh = !t.is_valid(off);
                         let s = &mut t.states_mut()[off + 1];
@@ -466,19 +437,19 @@ mod tests {
         probes
     }
 
-    /// `iter` (sorted), `len` and the overflow flag.
-    type Snapshot = (Vec<(i64, Vec<i64>, bool)>, usize, bool);
+    /// `iter` (sorted) and `len`.
+    type Snapshot = (Vec<(i64, Vec<i64>, bool)>, usize);
 
     fn snapshot<T: GroupTable>(t: &T) -> Snapshot {
         let mut rows: Vec<_> = t.iter().map(|(k, s, v)| (k, s.to_vec(), v)).collect();
         rows.sort();
-        (rows, t.len(), t.overflow_detected())
+        (rows, t.len())
     }
 
     /// Both representations, driven by the same random `entry` / `add` /
-    /// `add_proven` / `set_valid` / `or_valid` / `delete` sequences on four
-    /// partial tables that are then merged, agree on `iter`, `len` and the
-    /// overflow flag — and the lean path reports the counters the table
+    /// `set_valid` / `or_valid` / `delete` sequences on four partial tables
+    /// that are then merged, agree on `iter` and `len` — wrapped sums
+    /// included — and the lean path reports the counters the table
     /// that counted per lane did: one probe per `entry`, the hash table's
     /// lifetime inserts, its own bytes, nothing else.
     #[test]
@@ -496,7 +467,7 @@ mod tests {
                 _ => rng.gen_range(min..=max),
             };
             let value = |rng: &mut SmallRng| match rng.gen_range(0..40u32) {
-                // Wrapping adds that raise the overflow flag.
+                // Adds and merges that wrap.
                 0 => i64::MAX,
                 1 => i64::MIN,
                 _ => rng.gen_range(-1000i64..1000),
@@ -510,13 +481,11 @@ mod tests {
                                 key: key(&mut rng),
                                 v: value(&mut rng),
                                 valid: Some(rng.gen_range(0..2u8)),
-                                proven: rng.gen_range(0..2u8) == 0,
                             },
                             _ => Step::Update {
                                 key: key(&mut rng),
                                 v: value(&mut rng),
                                 valid: None,
-                                proven: rng.gen_range(0..2u8) == 0,
                             },
                         })
                         .collect()
@@ -554,17 +523,20 @@ mod tests {
     }
 
     #[test]
-    fn merge_detects_wrapping_and_propagates_the_flag() {
+    fn merges_wrap() {
         let mut a = DenseAggTable::new(1, 0, 3);
         let off = a.entry(2);
         a.add(off, 0, i64::MAX);
         a.set_valid(off);
         let b = a.clone();
-        assert!(!a.overflow_detected());
         a.merge_from(&b, &[MergeOp::Add]);
-        assert!(a.overflow_detected());
+        assert_eq!(collect(&a), vec![(2, -2)], "i64::MAX + i64::MAX");
         let mut c = DenseAggTable::new(1, 0, 3);
         c.merge_from(&a, &[MergeOp::Add]);
-        assert!(c.overflow_detected(), "the flag travels with the partial");
+        assert_eq!(collect(&c), collect(&a), "an absent entry is copied");
+    }
+
+    fn collect(t: &DenseAggTable) -> Vec<(i64, i64)> {
+        t.iter().map(|(k, s, _)| (k, s[0])).collect()
     }
 }

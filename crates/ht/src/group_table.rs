@@ -10,8 +10,8 @@ use crate::agg_table::{AggTable, HtCounters, MergeOp};
 /// the [`crate::DenseAggTable`] for key domains known exactly — with one
 /// contract: [`crate::NULL_KEY`] maps to a throwaway entry that `len` and
 /// `iter` exclude, valid flags tell real updates from masked ones, additive
-/// updates and merges wrap and raise a sticky overflow flag, and merging is
-/// commutative and associative. The kernels are generic over it, so a
+/// updates and merges are one wrapping add each, and merging is commutative
+/// and associative. The kernels are generic over it, so a
 /// pipeline is compiled once per representation and the per-lane loop never
 /// asks which one it has.
 ///
@@ -23,12 +23,8 @@ use crate::agg_table::{AggTable, HtCounters, MergeOp};
 pub trait GroupTable {
     /// Find or insert `key`, returning its state offset.
     fn entry(&mut self, key: i64) -> usize;
-    /// Wrapping-add `v` to aggregate slot `agg` of the entry at `offset`,
-    /// recording wraparound in the sticky overflow flag.
+    /// Wrapping-add `v` to aggregate slot `agg` of the entry at `offset`.
     fn add(&mut self, offset: usize, agg: usize, v: i64);
-    /// [`GroupTable::add`] for a site a bounds certificate proved cannot
-    /// leave `i64`: the same wrapping add, with no flag to maintain.
-    fn add_proven(&mut self, offset: usize, agg: usize, v: i64);
     /// Mark the entry at `offset` valid.
     fn set_valid(&mut self, offset: usize);
     /// OR `flag` (0 or 1) into the valid flag of the entry at `offset`.
@@ -55,8 +51,6 @@ pub trait GroupTable {
     }
     /// Payload size in bytes.
     fn size_bytes(&self) -> usize;
-    /// `true` if any additive update or merge has wrapped around `i64`.
-    fn overflow_detected(&self) -> bool;
     /// Lifetime access counters.
     fn counters(&self) -> HtCounters;
 }
@@ -69,10 +63,6 @@ impl GroupTable for AggTable {
     #[inline(always)]
     fn add(&mut self, offset: usize, agg: usize, v: i64) {
         AggTable::add(self, offset, agg, v);
-    }
-    #[inline(always)]
-    fn add_proven(&mut self, offset: usize, agg: usize, v: i64) {
-        AggTable::add_proven(self, offset, agg, v);
     }
     #[inline(always)]
     fn set_valid(&mut self, offset: usize) {
@@ -107,9 +97,6 @@ impl GroupTable for AggTable {
     }
     fn size_bytes(&self) -> usize {
         AggTable::size_bytes(self)
-    }
-    fn overflow_detected(&self) -> bool {
-        AggTable::overflow_detected(self)
     }
     fn counters(&self) -> HtCounters {
         AggTable::counters(self)

@@ -14,15 +14,16 @@
 //! one loop, [`fold`], the scalar counterpart of [`crate::groupby::upsert`]:
 //! generic over its lanes (a mask or a selection vector), its membership
 //! ([`Member`]: none, or an edge's bitmap), its inputs ([`Fold`]), whether
-//! it counts the lanes it keeps, and its overflow [`Mode`]. The named
-//! kernels (`sum_op_masked`, `sum_op_gather`, the `join` bitmap probes) are
-//! its wrapping instances; the two-loop access merging below
+//! it counts the lanes it keeps, and the width its sums take ([`Mode`]).
+//! The named kernels (`sum_op_masked`, `sum_op_gather`, the `join` bitmap
+//! probes) are its `i64` instances; the two-loop access merging below
 //! ([`mask_values`] + [`sum_product_tmp`]) stays as the yardstick's form.
 
 // Tile-loop kernels: index arithmetic is bounded by slice lengths
-// (debug_assert'd) and accumulators follow the paper's convention of
-// unchecked 64-bit adds (overflow is detected once per tile by the
-// engine, not per lane; dev/test profiles carry overflow checks).
+// (debug_assert'd), and every sum is one explicit wrapping add: `+` mod
+// 2^64 does not depend on the order of the addends or on how partials
+// split, so the wasted work a pullup adds on a dropped lane (`v · 0`) can
+// never change a result, and nothing needs to detect a wrap.
 #![allow(clippy::arithmetic_side_effects)]
 
 use std::marker::PhantomData;
@@ -35,14 +36,10 @@ use swole_bitmap::PositionalBitmap;
 /// (the `[OP]` substitution parameter of microbenchmark Q1).
 ///
 /// All arithmetic is explicitly wrapping, so debug and release builds (and
-/// builds with `-C overflow-checks=on`) compute bit-identical results;
-/// [`BinOp::apply_checked`] additionally reports wraparound for the
-/// overflow-detecting kernel variants.
+/// builds with `-C overflow-checks=on`) compute bit-identical results.
 pub trait BinOp {
     /// Apply the operator to widened operands (wrapping on overflow).
     fn apply(a: i64, b: i64) -> i64;
-    /// Apply the operator, reporting whether the result wrapped.
-    fn apply_checked(a: i64, b: i64) -> (i64, bool);
     /// Apply the operator in `i32` lanes (wrapping), for inputs proven to fit.
     fn apply_i32(a: i32, b: i32) -> i32;
     /// Name used in reporting.
@@ -58,10 +55,6 @@ impl BinOp for Mul {
     #[inline(always)]
     fn apply(a: i64, b: i64) -> i64 {
         a.wrapping_mul(b)
-    }
-    #[inline(always)]
-    fn apply_checked(a: i64, b: i64) -> (i64, bool) {
-        a.overflowing_mul(b)
     }
     #[inline(always)]
     fn apply_i32(a: i32, b: i32) -> i32 {
@@ -83,10 +76,6 @@ impl BinOp for Div {
     #[inline(always)]
     fn apply(a: i64, b: i64) -> i64 {
         a.wrapping_div(b)
-    }
-    #[inline(always)]
-    fn apply_checked(a: i64, b: i64) -> (i64, bool) {
-        a.overflowing_div(b)
     }
     #[inline(always)]
     fn apply_i32(a: i32, b: i32) -> i32 {
@@ -134,16 +123,15 @@ pub fn sum_op_masked<A: AsI64, B: AsI64, O: BinOp>(a: &[A], b: &[B], cmp: &[u8])
     fold::<_, _, Wrapping, false>(Lanes::Masked(cmp), (), &inputs).value
 }
 
-/// The running state of a [`fold`]: the `i64` sum (or `min` / `max`), the
-/// `i32` partial of the [`I32Tile`] mode and the checked mode's flag.
+/// The running state of a [`fold`]: the `i64` sum (or `min` / `max`) and
+/// the `i32` partial of the [`I32Tile`] mode.
 #[derive(Debug, Clone, Copy)]
 pub struct Acc {
     sum: i64,
     part: i32,
-    overflow: bool,
 }
 
-/// The overflow mode of a [`fold`]: how a kept lane's `a OP b` joins the
+/// The width a [`fold`]'s sums take: how a kept lane's `a OP b` joins the
 /// sum. `keep` is 1 for a kept lane and 0 for one the mask or the
 /// membership dropped, whose value is wasted work (§ III-A).
 pub trait Mode {
@@ -153,25 +141,8 @@ pub trait Mode {
     fn add<O: BinOp>(acc: &mut Acc, a: impl AsI64, b: impl AsI64, keep: u8);
 }
 
-/// Report a wrap of a kept lane's `a OP b` or of the running sum; a wrap on
-/// a dropped lane cannot affect the result and is ignored. For accumulators
-/// no certificate proved: the engine retries data-centric on a report.
-#[derive(Debug)]
-pub struct Checked;
-
-impl Mode for Checked {
-    #[inline(always)]
-    fn add<O: BinOp>(acc: &mut Acc, a: impl AsI64, b: impl AsI64, keep: u8) {
-        let (v, op_wrapped) = O::apply_checked(a.widen(), b.widen());
-        // The 0/1 product cannot overflow.
-        let (sum, sum_wrapped) = acc.sum.overflowing_add(v * keep as i64);
-        acc.sum = sum;
-        acc.overflow |= (op_wrapped & (keep != 0)) | sum_wrapped;
-    }
-}
-
-/// Wrap silently in `i64`: the yardstick's convention, and the engine's for
-/// an accumulator its certificate proved.
+/// One wrapping add in `i64`: the engine's and the yardstick's sum. A wrap
+/// on a dropped lane adds `v · 0`, so it cannot reach the result.
 #[derive(Debug)]
 pub struct Wrapping;
 
@@ -298,15 +269,13 @@ pub struct Folded {
     pub value: i64,
     /// The lanes kept, if the fold counted them (`COUNT`), else 0.
     pub count: usize,
-    /// A checked fold's report of a wrap.
-    pub overflow: bool,
 }
 
 /// **The scalar aggregation loop** — value masking (`Lanes::Masked`), the
 /// hybrid gather (`Lanes::Selected`), the positional-bitmap probe (with a
 /// [`Member`]) and access merging (the masked [`Fused`] instance over the
 /// predicate's column) are its instances: each lane the `lanes` and the
-/// `member` keep folds its `inputs` under the overflow mode `M`, and
+/// `member` keep folds its `inputs` under the mode `M`, and
 /// `COUNT` counts the kept lanes in the same pass. A mask's lanes are the
 /// inputs' lanes; `idx` indexes them (tile-local offsets, or global row ids
 /// into whole columns).
@@ -319,7 +288,6 @@ pub fn fold<I: Fold, R: Member, M: Mode, const COUNT: bool>(
     let mut acc = Acc {
         sum: inputs.identity(),
         part: 0,
-        overflow: false,
     };
     let mut count = 0u64;
     let mut lane = |j: usize, c: u8| {
@@ -355,7 +323,6 @@ pub fn fold<I: Fold, R: Member, M: Mode, const COUNT: bool>(
     Folded {
         value: acc.sum.wrapping_add(i64::from(acc.part)),
         count: count as usize,
-        overflow: acc.overflow,
     }
 }
 
@@ -509,61 +476,6 @@ mod tests {
         assert_eq!(merged_lt(&x, 20), merged);
     }
 
-    /// The checked masked instance.
-    fn masked_checked<A: AsI64, B: AsI64>(a: &[A], b: &[B], cmp: &[u8]) -> (i64, bool) {
-        let inputs = Fused::<_, _, Mul>(a, b, PhantomData);
-        let f = fold::<_, _, Checked, false>(Lanes::Masked(cmp), (), &inputs);
-        (f.value, f.overflow)
-    }
-
-    /// The checked gather instance.
-    fn gather_checked<A: AsI64, B: AsI64>(a: &[A], b: &[B], idx: &[u32]) -> (i64, bool) {
-        let inputs = Fused::<_, _, Mul>(a, b, PhantomData);
-        let f = fold::<_, _, Checked, false>(Lanes::Selected(idx), (), &inputs);
-        (f.value, f.overflow)
-    }
-
-    #[test]
-    fn masked_checked_agrees_and_detects_overflow() {
-        // Agrees with the unchecked kernel when nothing overflows.
-        let (x, a, b) = mk_data(1000);
-        let mut cmp = vec![0u8; x.len()];
-        predicate::cmp_lt(&x, 42, &mut cmp);
-        let (sum, ovf) = masked_checked(&a, &b, &cmp);
-        assert!(!ovf);
-        assert_eq!(sum, sum_op_masked::<_, _, Mul>(&a, &b, &cmp));
-        // Overflow in a qualifying tuple is detected...
-        let big = [i64::MAX, 1];
-        let two = [2i64, 1];
-        let (_, ovf) = masked_checked(&big, &two, &[1, 1]);
-        assert!(ovf);
-        // ...but wasted-work overflow in a masked-out tuple is not.
-        let (sum, ovf) = masked_checked(&big, &two, &[0, 1]);
-        assert!(!ovf);
-        assert_eq!(sum, 1);
-    }
-
-    #[test]
-    fn gather_checked_agrees_and_detects_overflow() {
-        let (x, a, b) = mk_data(1000);
-        let mut cmp = vec![0u8; x.len()];
-        predicate::cmp_lt(&x, 42, &mut cmp);
-        let mut idx = vec![0u32; x.len()];
-        let k = selvec::fill_nobranch(&cmp, 0, &mut idx);
-        let (sum, ovf) = gather_checked(&a, &b, &idx[..k]);
-        assert!(!ovf);
-        assert_eq!(sum, sum_op_gather::<_, _, Mul>(&a, &b, &idx[..k]));
-        // A wrapping product in a gathered tuple is detected...
-        let big = [i64::MAX, 1];
-        let two = [2i64, 1];
-        assert!(gather_checked(&big, &two, &[0, 1]).1);
-        // ...one the selection vector skips is not...
-        assert_eq!(gather_checked(&big, &two, &[1]), (1, false));
-        // ...and neither is a wrapping running sum missed.
-        let one = [1i64, 1];
-        assert!(gather_checked(&[i64::MAX, 1], &one, &[0, 1]).1);
-    }
-
     /// Converts a column to a narrower operand type (every value fits).
     fn narrow<T: TryFrom<i64>>(v: &[i64]) -> Vec<T>
     where
@@ -655,38 +567,27 @@ mod tests {
     }
 
     /// What every instance of one input over one set of kept lanes must
-    /// return: the wrapping sum (or the `min` / `max`), the lanes kept and
-    /// whether a checked sum wraps.
+    /// return: the wrapping sum (or the `min` / `max`) and the lanes kept.
     #[derive(Debug, Clone, Copy)]
     struct Want {
         value: i64,
         count: usize,
-        overflow: bool,
     }
 
     /// `sum(a OP b)` over the lanes `keep` keeps: `sum_op_datacentric`'s
-    /// sum, and whether a checked data-centric fold wraps.
+    /// sum.
     fn kept_sum<A: AsI64, B: AsI64, O: BinOp>(
         a: &[A],
         b: &[B],
         keep: &dyn Fn(usize) -> bool,
     ) -> Want {
-        let (mut sum, mut overflow, mut count) = (0i64, false, 0);
-        for j in (0..a.len()).filter(|&j| keep(j)) {
-            let (v, op_wrapped) = O::apply_checked(a[j].widen(), b[j].widen());
-            let (s, sum_wrapped) = sum.overflowing_add(v);
-            (sum, overflow, count) = (s, overflow | op_wrapped | sum_wrapped, count + 1);
-        }
-        let value = sum_op_datacentric::<_, _, O>(a, b, keep);
-        assert_eq!(value, sum);
         Want {
-            value,
-            count,
-            overflow,
+            value: sum_op_datacentric::<_, _, O>(a, b, keep),
+            count: (0..a.len()).filter(|&j| keep(j)).count(),
         }
     }
 
-    /// `inputs` through every mode — `i32` lanes only where `narrow` says
+    /// `inputs` through both modes — `i32` lanes only where `narrow` says
     /// the proof holds — with `COUNT` off and on, against `want`.
     fn check_modes<I: Fold, R: Member + Copy>(
         lanes: Lanes<'_>,
@@ -696,25 +597,20 @@ mod tests {
         narrow: bool,
         label: &str,
     ) {
-        let folded = |count, overflow| Folded {
+        let folded = |count| Folded {
             value: want.value,
             count,
-            overflow,
         };
-        let (n, ovf) = (want.count, want.overflow);
+        let n = want.count;
         let f = fold::<_, _, Wrapping, false>(lanes, member, inputs);
-        assert_eq!(f, folded(0, false), "{label}, i64");
+        assert_eq!(f, folded(0), "{label}, i64");
         let f = fold::<_, _, Wrapping, true>(lanes, member, inputs);
-        assert_eq!(f, folded(n, false), "{label}, i64 counting");
-        let f = fold::<_, _, Checked, false>(lanes, member, inputs);
-        assert_eq!(f, folded(0, ovf), "{label}, checked");
-        let f = fold::<_, _, Checked, true>(lanes, member, inputs);
-        assert_eq!(f, folded(n, ovf), "{label}, checked counting");
+        assert_eq!(f, folded(n), "{label}, i64 counting");
         if narrow {
             let f = fold::<_, _, I32Tile, false>(lanes, member, inputs);
-            assert_eq!(f, folded(0, false), "{label}, i32");
+            assert_eq!(f, folded(0), "{label}, i32");
             let f = fold::<_, _, I32Tile, true>(lanes, member, inputs);
-            assert_eq!(f, folded(n, false), "{label}, i32 counting");
+            assert_eq!(f, folded(n), "{label}, i32 counting");
         }
     }
 
@@ -752,10 +648,9 @@ mod tests {
     /// bitmap × `sum(a * b)` and `sum(a / b)` over i8 / i16 / i32 / u32 /
     /// i64 operands (the pair rotates with the length; negative values,
     /// never-zero divisors) and over wide `i64` values that wrap, a
-    /// count-only pass, `min` and `max` — × checked, wrapping and, where
-    /// its proof holds, `i32` lanes × `COUNT` off and on. The checked
-    /// mode reports a wrap on a kept lane and ignores one the mask or the
-    /// bit dropped.
+    /// count-only pass, `min` and `max` — × `i64` lanes and, where its
+    /// proof holds, `i32` lanes × `COUNT` off and on. A wrap on a lane the
+    /// mask or the bit dropped never reaches the sum.
     #[test]
     fn fold_matches_datacentric_at_every_tile_length() {
         let step = if cfg!(miri) { 127 } else { 1 };
@@ -809,7 +704,6 @@ mod tests {
             let count = |k: &dyn Fn(usize) -> bool| Want {
                 value: 0,
                 count: kept(k).len(),
-                overflow: false,
             };
             check_all(&case, &(), count, true, "count");
             let min = |k: &dyn Fn(usize) -> bool| Want {

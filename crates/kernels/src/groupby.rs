@@ -16,21 +16,18 @@
 //! ([`Lanes`]). What it adds is the second axis ([`Inputs`]): one fused
 //! `a OP b` over native-width column slices ([`Fused`]), `N` value slices
 //! (`count(*)` a slice of ones), or a list with `min` / `max` ([`Folds`]).
-//! `const PROVEN` picks [`GroupTable::add_proven`] for accumulators a bounds
-//! certificate proved; the paper's named kernels are checked instances.
+//! The paper's named kernels are its instances.
 //!
 //! The loop is generic over the [`GroupTable`] it upserts into — the hash
 //! [`swole_ht::AggTable`] or the dense array — so no lane asks which it
-//! has. Every add wraps (identical results in debug and release); the
-//! checked one records wraparound in the table's sticky overflow flag.
-//! Masked strategies aggregate filtered tuples too, so a detected overflow
-//! may be wasted-work noise — callers decide whether to re-run
-//! data-centric.
+//! has. Every add is one wrapping add (identical results in debug and
+//! release). Masked strategies aggregate filtered tuples too — value
+//! masking adds `v · 0`, key masking adds to the throwaway entry — and
+//! neither can change a group's sum mod 2^64.
 
 // Tile-loop kernels: index arithmetic is bounded by slice lengths
-// (debug_assert'd) and accumulators follow the paper's convention of
-// unchecked 64-bit adds (overflow is detected once per tile by the
-// engine, not per lane; dev/test profiles carry overflow checks).
+// (debug_assert'd), and accumulators are the paper's 64-bit adds, each
+// one explicit wrapping add (dev/test profiles carry overflow checks).
 #![allow(clippy::arithmetic_side_effects)]
 
 use std::marker::PhantomData;
@@ -78,16 +75,8 @@ pub trait Inputs<T: GroupTable> {
     /// Assert that every input holds the key slice's `n` lanes.
     fn check(&self, n: usize);
     /// Fold lane `j`, each value times `c` (value masking's mask, else 1),
-    /// into the entry at `off` before its valid update; `P`: proven adds.
-    fn upsert<const P: bool>(&self, ht: &mut T, off: usize, first: usize, j: usize, c: i64);
-}
-
-#[inline(always)]
-fn add<const P: bool>(ht: &mut impl GroupTable, off: usize, slot: usize, v: i64) {
-    match P {
-        true => ht.add_proven(off, slot, v),
-        false => ht.add(off, slot, v),
-    }
+    /// into the entry at `off` before its valid update.
+    fn upsert(&self, ht: &mut T, off: usize, first: usize, j: usize, c: i64);
 }
 
 /// One `sum(a OP b)` over two column slices at native width.
@@ -100,9 +89,9 @@ impl<T: GroupTable, A: AsI64, B: AsI64, O: BinOp> Inputs<T> for Fused<'_, A, B, 
         assert_eq!((self.0.len(), self.1.len()), (n, n));
     }
     #[inline(always)]
-    fn upsert<const P: bool>(&self, ht: &mut T, off: usize, first: usize, j: usize, c: i64) {
+    fn upsert(&self, ht: &mut T, off: usize, first: usize, j: usize, c: i64) {
         let v = O::apply(self.0[j].widen(), self.1[j].widen());
-        add::<P>(ht, off, first, v * c);
+        ht.add(off, first, v * c);
     }
 }
 
@@ -114,10 +103,10 @@ impl<T: GroupTable, V: AsI64, const N: usize> Inputs<T> for [&[V]; N] {
         self.iter().for_each(|input| assert_eq!(input.len(), n));
     }
     #[inline(always)]
-    fn upsert<const P: bool>(&self, ht: &mut T, off: usize, first: usize, j: usize, c: i64) {
+    fn upsert(&self, ht: &mut T, off: usize, first: usize, j: usize, c: i64) {
         for (i, input) in self.iter().enumerate() {
             // c is 0/1, so the product cannot overflow.
-            add::<P>(ht, off, first + i, input[j].widen() * c);
+            ht.add(off, first + i, input[j].widen() * c);
         }
     }
 }
@@ -139,14 +128,14 @@ impl<T: GroupTable, C: AsRef<[i64]>> Inputs<T> for Folds<'_, C> {
         inputs.for_each(|col| assert!(self.1[col].as_ref().len() >= n));
     }
     #[inline(always)]
-    fn upsert<const P: bool>(&self, ht: &mut T, off: usize, first: usize, j: usize, c: i64) {
+    fn upsert(&self, ht: &mut T, off: usize, first: usize, j: usize, c: i64) {
         // The valid flags are an array of their own: only a list that
         // folds reads one per lane.
         let fresh = !ht.is_valid(off);
         for (i, &(op, input)) in self.0.iter().enumerate() {
             let v = input.map_or(1, |col| self.1[col].as_ref()[j]);
             if op == MergeOp::Add {
-                add::<P>(ht, off, first + i, v * c);
+                ht.add(off, first + i, v * c);
             } else if c != 0 {
                 let state = &mut ht.states_mut()[off + first + i];
                 *state = match op {
@@ -165,7 +154,7 @@ impl<T: GroupTable, C: AsRef<[i64]>> Inputs<T> for Folds<'_, C> {
 /// whole columns that global row ids select from.
 #[inline]
 #[allow(clippy::needless_range_loop)] // indexed over lengths asserted equal
-pub fn upsert<K: AsI64, T: GroupTable, I: Inputs<T>, const PROVEN: bool>(
+pub fn upsert<K: AsI64, T: GroupTable, I: Inputs<T>>(
     keys: &[K],
     lanes: Lanes<'_>,
     inputs: &I,
@@ -179,7 +168,7 @@ pub fn upsert<K: AsI64, T: GroupTable, I: Inputs<T>, const PROVEN: bool>(
             ht.note_probes(n);
             for j in 0..n {
                 let off = ht.entry(keys[j].widen());
-                inputs.upsert::<PROVEN>(ht, off, first, j, 1);
+                inputs.upsert(ht, off, first, j, 1);
                 ht.set_valid(off);
             }
         }
@@ -188,7 +177,7 @@ pub fn upsert<K: AsI64, T: GroupTable, I: Inputs<T>, const PROVEN: bool>(
             ht.note_probes(n);
             for j in 0..n {
                 let off = ht.entry(keys[j].widen());
-                inputs.upsert::<PROVEN>(ht, off, first, j, cmp[j] as i64);
+                inputs.upsert(ht, off, first, j, cmp[j] as i64);
                 ht.or_valid(off, cmp[j]);
             }
         }
@@ -197,7 +186,7 @@ pub fn upsert<K: AsI64, T: GroupTable, I: Inputs<T>, const PROVEN: bool>(
             for &j in idx {
                 let j = j as usize;
                 let off = ht.entry(keys[j].widen());
-                inputs.upsert::<PROVEN>(ht, off, first, j, 1);
+                inputs.upsert(ht, off, first, j, 1);
                 ht.set_valid(off);
             }
         }
@@ -215,7 +204,7 @@ pub fn groupby_gather<K: AsI64, A: AsI64, B: AsI64, O: BinOp>(
     ht: &mut impl GroupTable,
 ) {
     let inputs = Fused::<_, _, O>(a, b, PhantomData);
-    upsert::<_, _, _, false>(keys, Lanes::Selected(idx), &inputs, 0, ht);
+    upsert(keys, Lanes::Selected(idx), &inputs, 0, ht);
 }
 
 /// **Value masking** group-by (Fig. 4 top): every tuple — qualifying or not
@@ -230,7 +219,7 @@ pub fn groupby_value_masked<K: AsI64, A: AsI64, B: AsI64, O: BinOp>(
     ht: &mut impl GroupTable,
 ) {
     let inputs = Fused::<_, _, O>(a, b, PhantomData);
-    upsert::<_, _, _, false>(keys, Lanes::Masked(cmp), &inputs, 0, ht);
+    upsert(keys, Lanes::Masked(cmp), &inputs, 0, ht);
 }
 
 /// **Key masking**, first loop (Fig. 4 bottom): store the real key where the
@@ -258,7 +247,7 @@ pub fn groupby_key_masked<A: AsI64, B: AsI64, O: BinOp>(
     ht: &mut impl GroupTable,
 ) {
     let inputs = Fused::<_, _, O>(a, b, PhantomData);
-    upsert::<_, _, _, false>(masked_keys, Lanes::Every, &inputs, 0, ht);
+    upsert(masked_keys, Lanes::Every, &inputs, 0, ht);
 }
 
 /// Collect a finished group-by table into sorted `(key, sum)` rows,
@@ -479,9 +468,9 @@ mod tests {
     /// Run `inputs` through every lane kind of the family — the hybrid
     /// gather, value masking, key masking and eager aggregation — into
     /// copies of `table`, and compare each copy's valid groups with
-    /// `filtered` (the first three) or `every_row` (eager), its probe count
-    /// with the upserts issued, and its overflow flag with `false`.
-    fn check_lanes<T: GroupTable + Clone, I: Inputs<T>, const P: bool>(
+    /// `filtered` (the first three) or `every_row` (eager) and its probe
+    /// count with the upserts issued.
+    fn check_lanes<T: GroupTable + Clone, I: Inputs<T>>(
         case: &Case,
         inputs: &I,
         first: usize,
@@ -492,22 +481,21 @@ mod tests {
         let (keys, mk) = (&case.keys[..], case.masked_keys());
         let mut tables = [(); 4].map(|_| table.clone());
         let [hy, vm, km, ea] = &mut tables;
-        upsert::<_, _, _, P>(keys, Lanes::Selected(&case.idx), inputs, first, hy);
-        upsert::<_, _, _, P>(keys, Lanes::Masked(&case.cmp), inputs, first, vm);
-        upsert::<_, _, _, P>(&mk, Lanes::Every, inputs, first, km);
-        upsert::<_, _, _, P>(keys, Lanes::Every, inputs, first, ea);
+        upsert(keys, Lanes::Selected(&case.idx), inputs, first, hy);
+        upsert(keys, Lanes::Masked(&case.cmp), inputs, first, vm);
+        upsert(&mk, Lanes::Every, inputs, first, km);
+        upsert(keys, Lanes::Every, inputs, first, ea);
         let probes = [case.idx.len(), case.n, case.n, case.n];
         let names = ["gather", "value masked", "key masked", "eager"];
         for (i, ht) in tables.iter().enumerate() {
-            let label = format!("{}, {label}, proven={P}", names[i]);
+            let label = format!("{}, {label}", names[i]);
             assert_eq!(collect_states(ht), want[i / 3], "{label}");
-            assert!(!ht.overflow_detected(), "{label}");
             assert_eq!(ht.counters().probes, probes[i] as u64, "{label}");
         }
     }
 
-    /// [`check_lanes`] over `width` slots from `first`, on the table and
-    /// with the add the length picks.
+    /// [`check_lanes`] over `width` slots from `first`, on the table the
+    /// length picks.
     fn check_family<I: Inputs<DenseAggTable> + Inputs<AggTable>>(
         case: &Case,
         inputs: &I,
@@ -517,11 +505,9 @@ mod tests {
     ) {
         let dense = DenseAggTable::new(first + width, 0, case.card as i64 - 1);
         let hash = AggTable::with_capacity(first + width, 8);
-        match case.n % 4 {
-            0 => check_lanes::<_, _, false>(case, inputs, first, &dense, want, label),
-            1 => check_lanes::<_, _, false>(case, inputs, first, &hash, want, label),
-            2 => check_lanes::<_, _, true>(case, inputs, first, &dense, want, label),
-            _ => check_lanes::<_, _, true>(case, inputs, first, &hash, want, label),
+        match case.n % 2 {
+            0 => check_lanes(case, inputs, first, &dense, want, label),
+            _ => check_lanes(case, inputs, first, &hash, want, label),
         }
     }
 
@@ -583,8 +569,7 @@ mod tests {
     /// b)` and `sum(a / b)` over i8 / i16 / i32 / u32 / i64 operands (the
     /// pair varies with the length; divisors never zero), 1–4 value slices
     /// with counts among them written from a later slot, and a list with
-    /// `min` / `max` folds — × checked and proven × both tables, the last
-    /// two rotating with the length.
+    /// `min` / `max` folds — × both tables, rotating with the length.
     #[test]
     fn the_family_matches_datacentric_at_every_tile_length() {
         let step = if cfg!(miri) { 127 } else { 1 };
@@ -639,20 +624,6 @@ mod tests {
             let label = format!("n={n} folds");
             check_family(&case, &folds, (first, 4), [&want[0], &want[1]], &label);
         }
-    }
-
-    /// The checked form raises the table's flag where a sum leaves `i64`;
-    /// the proven form wraps to the same state without it.
-    #[test]
-    fn checked_lists_detect_overflow_and_proven_lists_wrap() {
-        let (keys, big, cmp) = ([0u32, 0], [i64::MAX, 1], [1, 1]);
-        let mut checked = DenseAggTable::new(1, 0, 0);
-        let mut proven = checked.clone();
-        upsert::<_, _, _, false>(&keys, Lanes::Masked(&cmp), &[&big[..]], 0, &mut checked);
-        upsert::<_, _, _, true>(&keys, Lanes::Masked(&cmp), &[&big[..]], 0, &mut proven);
-        assert!(checked.overflow_detected() && !proven.overflow_detected());
-        assert_eq!(collect_groups(&checked), vec![(0, i64::MIN)]);
-        assert_eq!(collect_groups(&proven), vec![(0, i64::MIN)]);
     }
 
     #[test]

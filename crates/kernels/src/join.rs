@@ -7,9 +7,8 @@
 //! build and probe sides entirely with **eager aggregation**.
 
 // Tile-loop kernels: index arithmetic is bounded by slice lengths
-// (debug_assert'd) and accumulators follow the paper's convention of
-// unchecked 64-bit adds (overflow is detected once per tile by the
-// engine, not per lane; dev/test profiles carry overflow checks).
+// (debug_assert'd), and accumulators are the paper's 64-bit adds, each
+// one explicit wrapping add (dev/test profiles carry overflow checks).
 #![allow(clippy::arithmetic_side_effects)]
 
 use crate::agg::{fold, BinOp, Wrapping};
@@ -152,7 +151,7 @@ pub fn eager_aggregate<K: AsI64, A: AsI64, B: AsI64, O: BinOp>(
     ht: &mut impl GroupTable,
 ) {
     let inputs = Fused::<_, _, O>(a, b, PhantomData);
-    upsert::<_, _, _, false>(fk, Lanes::Every, &inputs, 0, ht);
+    upsert(fk, Lanes::Every, &inputs, 0, ht);
 }
 
 /// **Eager aggregation**, deletion phase: scan the former build side and
@@ -258,43 +257,6 @@ mod tests {
                 semijoin_sum_bitmap_gather::<_, _, Mul>(&d.r_fk, &d.r_a, &d.r_b, &idx_r[..k], &bm);
             assert_eq!(gathered, expected, "bitmap-gather {sel_r}/{sel_s}");
         }
-    }
-
-    /// The checked probe reports what the checked masked sum reports over
-    /// the folded mask (see `agg`'s `masked_checked_agrees_and_detects_overflow`).
-    #[test]
-    fn sum_count_probe_detects_overflow_on_qualifying_lanes_only() {
-        use crate::agg::{Checked, Div, Folded};
-        let bm = PositionalBitmap::from_predicate_bytes(&[1, 0]);
-        let (big, two, one) = ([i64::MAX, 1, i64::MAX], [2i64, 1, 2], [1i64; 3]);
-        let folded = |value, count, overflow| Folded {
-            value,
-            count,
-            overflow,
-        };
-        let mul = |fk: &[u32], b: &[i64], cmp: &[u8]| {
-            let inputs = Fused::<_, _, Mul>(&big, b, PhantomData);
-            fold::<_, _, Checked, true>(Lanes::Masked(cmp), (fk, &bm), &inputs)
-        };
-        // A product that wraps on a qualifying lane is detected...
-        assert!(mul(&[0, 0, 1], &two, &[1, 1, 0]).overflow);
-        // ...one the predicate or the parent's bit masks out is not...
-        assert_eq!(mul(&[0, 0, 1], &two, &[0, 1, 1]), folded(1, 1, false));
-        // ...and neither is a running sum that wraps missed.
-        assert_eq!(mul(&[0, 0, 0], &one, &[1, 1, 0]), folded(i64::MIN, 2, true));
-        // Wrapping: the same sum, nothing reported.
-        let inputs = Fused::<_, _, Mul>(&big, &one, PhantomData);
-        let member = (&[0u32, 0, 0][..], &bm);
-        let wrapped = fold::<_, _, Wrapping, true>(Lanes::Masked(&[1, 1, 0]), member, &inputs);
-        assert_eq!(wrapped, folded(i64::MIN, 2, false));
-        // `i64::MIN / -1` wraps too.
-        let (min, minus_one) = ([i64::MIN], [-1i64]);
-        let div = |cmp: &[u8]| {
-            let inputs = Fused::<_, _, Div>(&min, &minus_one, PhantomData);
-            fold::<_, _, Checked, true>(Lanes::Masked(cmp), (&[0u32][..], &bm), &inputs)
-        };
-        assert_eq!(div(&[1]), folded(i64::MIN, 1, true));
-        assert_eq!(div(&[0]), folded(0, 0, false));
     }
 
     /// Every `i64` sum wraps, so that builds with and without overflow

@@ -10,9 +10,7 @@
 //! tiles and walks the packed mask's bits on sparse ones.
 
 // Tile-loop kernels: index arithmetic is bounded by slice lengths
-// (debug_assert'd) and accumulators follow the paper's convention of
-// unchecked 64-bit adds (overflow is detected once per tile by the
-// engine, not per lane; dev/test profiles carry overflow checks).
+// (debug_assert'd; dev/test profiles carry overflow checks).
 #![allow(clippy::arithmetic_side_effects)]
 
 /// No-branch (predicated) construction: `idx[k] = j; k += cmp[j]`.

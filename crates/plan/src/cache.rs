@@ -623,9 +623,7 @@ mod tests {
             primary_bytes_bound: 0,
             fallback_bytes: 0,
             per_op_bounds: Vec::new(),
-            arith_sites: 0,
-            overflow_safe_sites: 0,
-            overflow_proof: OverflowProof::Unproven,
+            overflow_proof: OverflowProof::I64,
             workers: 1,
             stats_generations: Vec::new(),
             lines: Vec::new(),

@@ -288,16 +288,14 @@ fn agg(out: &mut Code, s: &AggShape, proof: OverflowProof) {
     };
     out.line(0, format!("// {}: {lanes}{inst}", s.op_name()));
     let sinks = match &inst.sink {
-        Sinks::Grouped(sink) => return grouped(out, s, sink, proof),
+        Sinks::Grouped(sink) => return grouped(out, s, sink),
         Sinks::Scalar(sinks) => sinks,
     };
     let masked = inst.lanes != Lanes::Selected;
     let member = inst.member == Membership::Bitmap;
     let sums = sinks.iter().any(|s| matches!(s, Sink::Sum(_)));
-    match (sums, fold_mode(proof, masked, member)) {
-        (true, OverflowProof::I32Tile) => out.line(0, "// sums fold in i32 lanes per tile"),
-        (true, OverflowProof::Unproven) => out.line(0, "// sums take checked adds"),
-        _ => {}
+    if sums && fold_mode(proof, masked, member) == OverflowProof::I32Tile {
+        out.line(0, "// sums fold in i32 lanes per tile");
     }
     let slots: Vec<_> = sinks.iter().zip(&s.aggs).collect();
     for (sink, a) in &slots {
@@ -338,15 +336,12 @@ fn agg(out: &mut Code, s: &AggShape, proof: OverflowProof) {
 
 /// A grouped stage's table and upsert passes, then — eager aggregation —
 /// its settling with the edge after the merge.
-fn grouped(out: &mut Code, s: &AggShape, sink: &GroupSink, proof: OverflowProof) {
+fn grouped(out: &mut Code, s: &AggShape, sink: &GroupSink) {
     let table = match s.group_table {
         GroupTableRepr::Hash => "hash_table()".to_string(),
         GroupTableRepr::Dense { min, max, .. } => format!("dense_table({min}..={max})"),
     };
     out.line(0, format!("ht = {table};"));
-    if proof < OverflowProof::I64 {
-        out.line(0, "// adds are checked");
-    }
     let (lanes, names) = (s.instance.lanes, Names(&s.program));
     out.tiles(0, &s.table, &s.program, |out| {
         let at = front(out, s);

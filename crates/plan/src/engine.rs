@@ -207,8 +207,9 @@ impl Engine {
     /// cached query (same logical plan, same thread count, unchanged
     /// table generations, no observed drift) skips sampling and strategy
     /// choice entirely. The chosen SWOLE strategy runs first. If it fails a
-    /// *runtime* precondition — a worker panic, a failed memory charge, or
-    /// `i64` overflow detected in a masked aggregate — the query is retried
+    /// *runtime* precondition — a worker panic (a division by zero on a
+    /// lane a masked strategy evaluates anyway) or a failed memory charge —
+    /// the query is retried
     /// once through the data-centric block-at-a-time interpreter
     /// ([`crate::interp`]), in the same reservation once the failed
     /// attempt's charges are dropped. Cancellation, deadline expiry, and
@@ -260,8 +261,8 @@ impl Engine {
 
     /// The admission certificate of a plan made fresh for this query:
     /// statically proven upper bounds on peak gauge memory, per-operator
-    /// output cardinality and bytes, and which arithmetic sites the value
-    /// range analysis proves cannot overflow.
+    /// output cardinality and bytes, and whether the value range analysis
+    /// licenses `i32` tile sums.
     ///
     /// Plans fresh (without touching the cache) and certifies against the
     /// current statistics snapshot. That plan is the one a cold
@@ -593,19 +594,10 @@ impl EngineInner {
         a: &Admitted<'_>,
     ) -> Result<(QueryResult, Vec<OpMetrics>), PlanError> {
         let primary = isolate(|| execute_shape(db, physical, a.opts, &a.ctx));
-        // Value-range payoff: when the certificate proves every arithmetic
-        // site overflow-safe (accumulator magnitude x row count fits i64),
-        // a runtime overflow would be a soundness bug in the bounds pass,
-        // not a data error — debug builds trap the contradiction here. So
-        // is a charge past the certified peak (one a fault fails is not
-        // counted).
+        // A charge past the certified peak would be a soundness bug in the
+        // bounds pass, not a data error — debug builds trap the
+        // contradiction here (a charge a fault fails is not counted).
         if let Err(e) = &primary {
-            debug_assert!(
-                !(matches!(e, PlanError::Overflow(_)) && a.cert.all_sites_overflow_safe()),
-                "certificate proved all {} arithmetic site(s) overflow-safe, \
-                 yet execution overflowed: {e}",
-                a.cert.arith_sites,
-            );
             debug_assert!(
                 a.ctx.gauge.used() as u64 <= a.cert.peak_bytes_bound,
                 "certificate bounded the query at {} B, yet execution charged {} B: {e}",

@@ -107,10 +107,6 @@ pub enum PlanError {
     /// [`crate::EngineBuilder::admission`]). Not retryable — retrying
     /// through the fallback would bypass the very limit that rejected it.
     Admission(AdmissionError),
-    /// `i64` overflow was detected while aggregating. Pullup strategies do
-    /// wasted work on filtered tuples, so the overflow may be spurious; the
-    /// engine retries such queries under the data-centric strategy.
-    Overflow(String),
     /// Parameter binding failed: wrong number of values for a prepared
     /// statement's placeholders, a value of a type the slot cannot accept
     /// (e.g. a string in arithmetic), or executing a plan that still
@@ -131,17 +127,15 @@ pub enum PlanError {
 
 impl PlanError {
     /// `true` for runtime failures the engine may retry once under the
-    /// data-centric fallback strategy (worker panics, budget exhaustion,
-    /// detected overflow). Cancellation and deadline expiry are *not*
+    /// data-centric fallback strategy (worker panics, budget exhaustion).
+    /// Cancellation and deadline expiry are *not*
     /// retryable: the caller asked execution to stop. Neither are
     /// [`PlanError::Stalled`] (a stalled plan would stall again) or
     /// [`PlanError::Shutdown`] (the engine is going away).
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
-            PlanError::ExecutionFailed(_)
-                | PlanError::BudgetExceeded { .. }
-                | PlanError::Overflow(_)
+            PlanError::ExecutionFailed(_) | PlanError::BudgetExceeded { .. }
         )
     }
 }
@@ -211,7 +205,6 @@ impl fmt::Display for PlanError {
                  charged of a {budget} B budget"
             ),
             PlanError::Admission(err) => write!(f, "admission rejected: {err}"),
-            PlanError::Overflow(what) => write!(f, "i64 overflow detected: {what}"),
             PlanError::BindMismatch(what) => write!(f, "bind mismatch: {what}"),
             PlanError::Sql { message, position } => {
                 write!(f, "sql error at {position}: {message}")

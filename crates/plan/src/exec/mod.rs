@@ -38,8 +38,8 @@ pub(crate) struct ExecOpts<'a> {
     pub executor: &'a Executor,
     pub morsel_rows: usize,
     pub level: MetricsLevel,
-    /// The plan certificate's proof: from `I64` on, the unchecked kernels
-    /// and flagless adds; at `I32Tile`, scalar masked sums in `i32` lanes.
+    /// The plan certificate's proof: at `I32Tile`, scalar masked sums in
+    /// `i32` lanes.
     pub overflow: OverflowProof,
 }
 
@@ -394,7 +394,7 @@ mod tests {
                         executor,
                         morsel_rows,
                         level: MetricsLevel::Counters,
-                        overflow: OverflowProof::Unproven,
+                        overflow: OverflowProof::I64,
                     };
                     let ctx = Arc::new(ExecCtx::unbounded());
                     let mut ops = Vec::new();

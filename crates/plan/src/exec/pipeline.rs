@@ -31,7 +31,6 @@ use swole_ht::{AggTable, DenseAggTable};
 use swole_kernels::{predicate, tiles_in, AccessCounters};
 use swole_runtime::ExecCtx;
 use swole_storage::Table;
-use swole_verify::OverflowProof;
 
 /// One aggregation as the driver runs it: the planned shape with its table
 /// and direct edges (in probe order) pinned.
@@ -108,7 +107,6 @@ pub(crate) fn exec_agg(
         Sinks::Grouped(sink) => Arc::clone(sink),
     };
     let n_aggs = shape.aggs.len();
-    let proven = opts.overflow >= OverflowProof::I64;
     match group_table {
         GroupTableRepr::Hash => {
             let parent_rows = stage.edges.first().map(|e| e.parent_t.len());
@@ -119,7 +117,6 @@ pub(crate) fn exec_agg(
                 sink,
                 lanes,
                 counting,
-                proven,
             };
             drive(stage, sink, opts, ctx)
         }
@@ -130,7 +127,6 @@ pub(crate) fn exec_agg(
                 sink,
                 lanes,
                 counting,
-                proven,
             };
             drive(stage, sink, opts, ctx)
         }

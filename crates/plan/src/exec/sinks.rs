@@ -57,8 +57,7 @@ pub(super) trait Sink: Send + Sync + 'static {
     fn end_morsel(&self, _acc: &mut Self::Acc, _gauge: &MemGauge, _program: &TileProgram) {}
 
     /// Merge the workers' accumulators into the result, reporting what only
-    /// the sink knows on the aggregation's operator. A wrapped accumulator
-    /// is the typed [`PlanError::Overflow`] the interpreter retry keys on.
+    /// the sink knows on the aggregation's operator.
     fn finish(
         &self,
         stage: &AggStage<'_>,
@@ -95,9 +94,6 @@ pub(super) struct ScalarSink {
 pub(super) struct ScalarAcc {
     acc: Vec<i64>,
     matched: usize,
-    /// Set when a sum accumulation wrapped; surfaced as
-    /// [`PlanError::Overflow`] after the merge.
-    overflow: bool,
 }
 
 /// Bytes of one scalar-pipeline worker's scratch: the program's register
@@ -121,7 +117,6 @@ impl Sink for ScalarSink {
         ScalarAcc {
             acc: self.sinks.sinks.iter().map(identity).collect(),
             matched: 0,
-            overflow: false,
         }
     }
 
@@ -129,14 +124,8 @@ impl Sink for ScalarSink {
         // Survivors are fully narrowed before accumulation, so min/max see
         // only real qualifying rows.
         let lanes = (Lanes::Selected(&regs.idx[..k]), None);
-        let ScalarAcc {
-            acc,
-            matched,
-            overflow,
-        } = acc;
-        *matched += t
-            .bound
-            .accumulate(regs, &self.sinks, lanes, t.at, acc, overflow);
+        let ScalarAcc { acc, matched } = acc;
+        *matched += t.bound.accumulate(regs, &self.sinks, lanes, t.at, acc);
     }
 
     fn masked(&self, t: Tile<'_>, acc: &mut ScalarAcc, regs: &mut Regs) -> usize {
@@ -146,14 +135,8 @@ impl Sink for ScalarSink {
             _ => unreachable!("a masked probe is planned over one bitmap edge"),
         };
         let lanes = (Lanes::Masked(t.bound.filter(regs, t.at.1)), member);
-        let ScalarAcc {
-            acc,
-            matched,
-            overflow,
-        } = acc;
-        let m = t
-            .bound
-            .accumulate(regs, &self.sinks, lanes, t.at, acc, overflow);
+        let ScalarAcc { acc, matched } = acc;
+        let m = t.bound.accumulate(regs, &self.sinks, lanes, t.at, acc);
         *matched += m;
         m
     }
@@ -166,8 +149,8 @@ impl Sink for ScalarSink {
         ctr.ht_probes += probes;
     }
 
-    /// Fold the per-worker partials into one accumulator and their overflow
-    /// flags into one. Zero matches anywhere leaves min/max at their
+    /// Fold the per-worker partials into one accumulator, each sum one
+    /// wrapping add. Zero matches anywhere leaves min/max at their
     /// identities, which flatten to the documented all-zero row.
     fn finish(
         &self,
@@ -180,18 +163,12 @@ impl Sink for ScalarSink {
         let ScalarAcc {
             mut acc,
             mut matched,
-            mut overflow,
         } = partials.next().ok_or_else(no_partials)?;
         for p in partials {
             matched += p.matched;
-            overflow |= p.overflow;
             for (i, a) in aggs.iter().enumerate() {
                 match a.func {
-                    AggFunc::Sum | AggFunc::Count => {
-                        let (s, wrapped) = acc[i].overflowing_add(p.acc[i]);
-                        acc[i] = s;
-                        overflow |= wrapped;
-                    }
+                    AggFunc::Sum | AggFunc::Count => acc[i] = acc[i].wrapping_add(p.acc[i]),
                     AggFunc::Min => acc[i] = acc[i].min(p.acc[i]),
                     AggFunc::Max => acc[i] = acc[i].max(p.acc[i]),
                 }
@@ -199,16 +176,6 @@ impl Sink for ScalarSink {
         }
         if matched == 0 {
             acc.iter_mut().for_each(|v| *v = 0);
-        }
-        // Provably-safe site: the bounds pass's value-range analysis covers
-        // exactly this accumulator (`AggInput` lowering). When the input
-        // column's statistics bound `|value| * rows` within i64, the site is
-        // counted in `PlanCertificate::overflow_safe_sites`, the stage ran the
-        // unchecked kernels and this branch is statically unreachable —
-        // `EngineInner::primary` debug-asserts that.
-        if overflow {
-            let op = stage.shape.op_name();
-            return Err(PlanError::Overflow(format!("scalar aggregation in {op}")));
         }
         let columns = aggs.iter().map(|a| a.name.clone()).collect();
         Ok(QueryResult::new(columns, vec![acc]))
@@ -234,9 +201,6 @@ pub(super) struct GroupedSink<F> {
     pub sink: Arc<GroupSink>,
     pub lanes: physical::Lanes,
     pub counting: bool,
-    /// The certificate proved every accumulator: the upserts run the adds
-    /// that keep no overflow flag.
-    pub proven: bool,
 }
 
 pub(super) struct GroupAcc<T> {
@@ -272,9 +236,9 @@ where
     }
 
     fn selected(&self, t: Tile<'_>, acc: &mut GroupAcc<T>, regs: &Regs, k: usize) {
-        let (sink, lanes) = ((&*self.sink, self.proven), Lanes::Selected(&regs.idx[..k]));
+        let lanes = Lanes::Selected(&regs.idx[..k]);
         t.bound
-            .upsert(regs, sink, t.group_keys(), lanes, t.at, &mut acc.ht);
+            .upsert(regs, &self.sink, t.group_keys(), lanes, t.at, &mut acc.ht);
     }
 
     fn masked(&self, t: Tile<'_>, acc: &mut GroupAcc<T>, regs: &mut Regs) -> usize {
@@ -295,16 +259,14 @@ where
             }
             false => (t.group_keys(), Lanes::Masked(bound.filter(regs, len))),
         };
-        let sink = (&*self.sink, self.proven);
-        bound.upsert(regs, sink, keys, lanes, t.at, &mut acc.ht);
+        bound.upsert(regs, &self.sink, keys, lanes, t.at, &mut acc.ht);
         m
     }
 
     fn every_lane(&self, t: Tile<'_>, acc: &mut GroupAcc<T>, regs: &Regs) {
         let keys = Lane::U32(t.first_fk().expect("eager aggregation keys by its FK"));
-        let sink = (&*self.sink, self.proven);
         t.bound
-            .upsert(regs, sink, keys, Lanes::Every, t.at, &mut acc.ht);
+            .upsert(regs, &self.sink, keys, Lanes::Every, t.at, &mut acc.ht);
     }
 
     fn count(&self, ctr: &mut AccessCounters, reached: usize, qualifying: usize, _probes: u64) {
@@ -367,14 +329,6 @@ where
                     ht.delete(pos as i64);
                 }
             }
-        }
-        if ht.overflow_detected() {
-            // The masked strategies aggregate filtered-out tuples too (wasted
-            // work, § III-A), and eager aggregation sums groups it then deletes,
-            // so the wraparound may be spurious — the caller retries under the
-            // data-centric strategy.
-            let op = stage.shape.op_name();
-            return Err(PlanError::Overflow(format!("grouped aggregation in {op}")));
         }
         if let Some(op) = agg_op {
             op.ht_dense = self.dense;

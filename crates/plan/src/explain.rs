@@ -156,8 +156,7 @@ impl Engine {
     /// plan the next execution would run — with the `verification` section
     /// populated by a [`VerifyLevel::Full`] pass over that plan (one summary
     /// line per pass) followed by its admission-certificate bound lines
-    /// (peak memory, overflow-safe arithmetic sites, and a per-operator
-    /// bound breakdown).
+    /// (peak memory, and a per-operator bound breakdown).
     pub fn explain_verify(&self, plan: &LogicalPlan) -> Result<Explain, PlanError> {
         self.explain_next(plan, Some(VerifyLevel::Full))
     }

@@ -27,7 +27,7 @@
 //! session can set [`EngineBuilder::deadline`] and
 //! [`EngineBuilder::memory_budget`], in-flight queries can be cancelled
 //! through an [`ExecHandle`], and a pullup strategy that fails a runtime
-//! precondition (panic, budget, detected overflow) is retried once under
+//! precondition (panic, budget) is retried once under
 //! the data-centric interpreter — recorded in [`Explain`]. Tests inject
 //! such failures with a [`faults::FaultPlan`] armed on one engine by
 //! [`Engine::inject_faults`]; no other engine of the process sees it.

@@ -317,7 +317,7 @@ pub(crate) enum Membership {
     Bitmap,
 }
 
-/// The overflow mode a scalar stage's sums fold in under the certificate's
+/// The width a scalar stage's sums fold in under the certificate's
 /// `proof`: `i32` lanes serve only the masked sums of a stage without a
 /// membership; every other instance widens them to `i64`.
 pub(crate) fn fold_mode(proof: OverflowProof, masked: bool, member: bool) -> OverflowProof {
@@ -338,7 +338,7 @@ pub(crate) enum Sinks {
 /// What an aggregating stage runs, built once at plan time from the priced
 /// [`AggMode`]: the executor dispatches on it, `EXPLAIN` prints it and
 /// verification checks its [`Instance::access`] against the priced
-/// strategy. The overflow mode and whether a run counts are the run's.
+/// strategy. The width its sums take and whether a run counts are the run's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Instance {
     pub lanes: Lanes,

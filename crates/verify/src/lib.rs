@@ -27,9 +27,9 @@
 //!
 //! A fifth, certification pass ([`bounds`]) runs abstract interpretation over
 //! the same IR to derive a [`PlanCertificate`]: sound upper bounds on rows,
-//! bytes, and hash-table growth per operator, plus value-range proofs of
-//! which arithmetic sites cannot overflow. The engine enforces certificates
-//! at admission time.
+//! bytes, and hash-table growth per operator, plus the value-range proof
+//! that licenses `i32` tile sums. The engine enforces certificates at
+//! admission time.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -7,7 +7,10 @@
 //! Every plan is additionally run through the bounds regime: the
 //! abstract-interpretation pass must produce a [`PlanCertificate`] with a
 //! finite (non-`unbounded`) peak-memory verdict for all of them, and the
-//! plan is run, its observed gauge peak never above that bound. The
+//! plan is run, its observed gauge peak never above that bound, on its
+//! first attempt: nothing injects a fault here, so a plan the engine
+//! retries on the data-centric interpreter (`retries` in the report) fails
+//! the corpus. The
 //! per-plan bounds, with what was observed beside them, land in a diffable
 //! `bounds-report.json` (path overridable via `BOUNDS_REPORT`), which CI
 //! uploads as an artifact so a planner or verifier change that loosens any
@@ -26,7 +29,7 @@
 //! non-empty loop for each.
 //!
 //! Exits non-zero if any plan fails verification, certification, its run
-//! (an error, or an observed peak above its bound), its interpreter run
+//! (an error, a retry, or an observed peak above its bound), its interpreter run
 //! (an error, or a peak above its reserve) or rendering —
 //! `scripts/verify_corpus.sh` wires this into CI as the corpus gate.
 
@@ -414,8 +417,8 @@ struct BoundsRow {
     /// plan: what the data-centric retry that `fallback_bytes` reserves
     /// for holds.
     fallback_observed_bytes: u64,
-    arith_sites: u32,
-    overflow_safe_sites: u32,
+    /// The metered run's data-centric retries.
+    retries: u32,
 }
 
 impl BoundsRow {
@@ -424,7 +427,7 @@ impl BoundsRow {
             "{{\"corpus\":\"{}\",\"query\":\"{}\",\"threads\":{},\"regime\":\"{}\",\
              \"ops\":{},\"peak_bytes_bound\":{},\"observed_bytes\":{},\
              \"primary_bytes_bound\":{},\"fallback_bytes\":{},\
-             \"fallback_observed_bytes\":{},\"arith_sites\":{},\"overflow_safe_sites\":{}}}",
+             \"fallback_observed_bytes\":{},\"retries\":{}}}",
             self.corpus,
             self.query,
             self.threads,
@@ -435,8 +438,7 @@ impl BoundsRow {
             self.primary_bytes_bound,
             self.fallback_bytes,
             self.fallback_observed_bytes,
-            self.arith_sites,
-            self.overflow_safe_sites,
+            self.retries,
         )
     }
 }
@@ -511,11 +513,19 @@ fn verify_corpus(
         match engine.certificate(&plan) {
             Ok(cert) if cert.is_bounded() => {
                 let run = engine.query_with(&plan, &metered);
-                let observed = run.as_ref().ok().and_then(|r| r.metrics());
-                let observed = observed.map_or(0, |m| m.bytes_charged);
+                let metrics = run.as_ref().ok().and_then(|r| r.metrics());
+                let observed = metrics.map_or(0, |m| m.bytes_charged);
+                let retries = metrics.map_or(0, |m| m.retries);
                 match run {
                     Err(e) => {
                         println!("FAIL {corpus}/{name} t={threads} regime={regime_name}: run: {e}");
+                        failures += 1;
+                    }
+                    Ok(_) if retries > 0 => {
+                        println!(
+                            "FAIL {corpus}/{name} t={threads} regime={regime_name}: \
+                             retried {retries} time(s) with no fault injected"
+                        );
                         failures += 1;
                     }
                     Ok(_) if observed > cert.peak_bytes_bound => {
@@ -557,8 +567,7 @@ fn verify_corpus(
                     primary_bytes_bound: cert.primary_bytes_bound,
                     fallback_bytes: cert.fallback_bytes,
                     fallback_observed_bytes: fallback_observed,
-                    arith_sites: cert.arith_sites,
-                    overflow_safe_sites: cert.overflow_safe_sites,
+                    retries,
                 });
             }
             Ok(_) => {

@@ -7,7 +7,9 @@
 # Every plan is also run through the bounds regime: the abstract
 # interpreter must certify a finite peak-memory bound for all of them
 # (zero `unbounded` verdicts), and one run of each plan must charge no
-# more than its bound. Once per distinct plan the reference interpreter
+# more than its bound and answer on its first attempt (`retries` 0: no
+# fault is injected, so nothing should send a plan to the data-centric
+# interpreter). Once per distinct plan the reference interpreter
 # runs it under a counting allocator, and the most bytes it holds at once
 # (`fallback_observed_bytes`) must not exceed the certificate's reserve for
 # a data-centric retry (`fallback_bytes`). The per-plan bounds, each with
@@ -19,7 +21,7 @@
 # non-empty loop.
 #
 # Exits non-zero if any plan fails verification, certification, its run
-# (an error, or observed bytes above the bound), its interpreter run (an
+# (an error, a retry, or observed bytes above the bound), its interpreter run (an
 # error, or a peak above the reserve) or rendering. CI runs
 # this as the corpus gate; locally it is the quickest way to smoke-test a
 # planner or verifier change against every shape the engine can produce.

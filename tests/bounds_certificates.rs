@@ -7,8 +7,9 @@
 //! Also pins the admission-time payoff (an infeasible plan is rejected
 //! with `BudgetInfeasible` before any worker starts), the stale-statistics
 //! edge (a table reload recomputes the cached certificate), and the
-//! value-range analysis (overflow-safe proofs hold where statistics bound
-//! the data, and are correctly withheld where they do not).
+//! value-range analysis (`i32` tile proofs hold where statistics bound the
+//! data, and are correctly withheld where they do not — where a sum wraps
+//! as the interpreter's does, with no retry).
 
 use swole::plan::parse_sql;
 use swole::prelude::*;
@@ -43,7 +44,7 @@ fn corpus_sql() -> Vec<String> {
 
 /// Run every conformance-corpus query on one engine and check the
 /// soundness invariant `bytes_charged <= bytes_bound`. Returns how many
-/// queries were actually checked (erroring queries — overflow fixtures,
+/// queries were actually checked (erroring queries — budget rejections,
 /// statement-error records — are skipped).
 fn check_corpus(engine: &Engine, config: &str) -> usize {
     let opts = QueryOptions::new().metrics(MetricsLevel::Counters);
@@ -260,49 +261,46 @@ fn table_reload_recomputes_cached_certificate() {
     );
 }
 
-/// Value-range analysis: statistics-bounded columns prove aggregate
-/// accumulation overflow-safe; near-i64 data correctly withholds the
-/// proof (the `big` fixture overflows deterministically at runtime).
+/// Value-range analysis: a statistics-bounded column proves its sum into
+/// `i32` tiles; near-i64 data correctly withholds the proof (the `big`
+/// fixture's sum wraps deterministically), and its sum then wraps on the
+/// compiled path exactly as the interpreter's does, with no retry.
 #[test]
 fn overflow_proofs_follow_the_data() {
     let engine = Engine::builder(fixture_db()).threads(2).build();
-    // T.v is small and T has exact statistics: SUM(v) provably fits i64.
+    // T.v is small and T has exact statistics: a tile's SUM(v) fits i32.
     let safe = parse_sql("select sum(v) as s from T").expect("parses").plan;
     let cert = engine.certificate(&safe).expect("certifies");
-    assert!(cert.arith_sites > 0, "no arithmetic sites lowered");
-    assert!(
-        cert.all_sites_overflow_safe(),
-        "stats-bounded SUM should prove safe: {}/{} sites",
-        cert.overflow_safe_sites,
-        cert.arith_sites
+    assert_eq!(
+        cert.overflow_proof,
+        OverflowProof::I32Tile,
+        "{:?}",
+        cert.lines
     );
-    // big.m sits near i64::MAX/64 — the analysis must NOT claim safety,
-    // and execution indeed overflows.
-    let unsafe_plan = parse_sql("select sum(m) as s from big")
+    // big.m sits near i64::MAX/64 — the analysis must NOT claim i32 tiles.
+    let wide = parse_sql("select sum(m) as s from big")
         .expect("parses")
         .plan;
-    let cert = engine.certificate(&unsafe_plan).expect("certifies");
-    assert!(
-        !cert.all_sites_overflow_safe(),
-        "near-max data must withhold the overflow proof"
-    );
-    // And execution indeed overflows on the compiled path: the typed
-    // overflow error retries on the data-centric fallback (which
-    // accumulates with wrapping adds), so the run succeeds with exactly
-    // one retry on the books.
+    let cert = engine.certificate(&wide).expect("certifies");
+    assert_eq!(cert.overflow_proof, OverflowProof::I64, "{:?}", cert.lines);
+    // The sum wraps in the engine's wrapping adds as in the interpreter's,
+    // on the first attempt and through a direct execute alike.
+    let truth = swole::plan::interp::run(&engine.database(), &wide)
+        .expect("interp runs")
+        .rows;
+    assert_eq!(truth, vec![vec![-9_223_372_036_854_773_856]]);
     let opts = QueryOptions::new().metrics(MetricsLevel::Counters);
-    let m = engine
-        .query_with(&unsafe_plan, &opts)
-        .expect("wraps on the fallback")
-        .metrics()
-        .cloned()
-        .expect("counters requested");
-    assert_eq!(m.retries, 1, "primary path should have overflowed");
+    let got = engine.query_with(&wide, &opts).expect("wraps");
+    assert_eq!(got.rows, truth);
+    let m = got.metrics().cloned().expect("counters requested");
+    assert_eq!(m.retries, 0, "a wrapping sum needs no retry");
+    let direct = engine.execute(&engine.plan(&wide).expect("plans"));
+    assert_eq!(direct.expect("executes").rows, truth);
 }
 
 /// Without statistics a column is its storage type's range, not ⊤: a
-/// product of two `i8` columns is proven overflow-safe — into `i32` tiles —
-/// while a sum over an `i64` column stays unproven.
+/// product of two `i8` columns is proven into `i32` tiles, while a sum over
+/// an `i64` column stays in `i64`.
 #[test]
 fn without_statistics_a_column_is_its_types_range() {
     let n = 5_000usize;
@@ -322,11 +320,14 @@ fn without_statistics_a_column_is_its_types_range() {
     let engine = Engine::builder(db).stats(StatsMode::Off).build();
     let cert = |sql: &str| engine.certificate(&parse_sql(sql).expect("parses").plan);
     let narrow = cert("select sum(r_x * r_y) as s from R").expect("certifies");
-    assert!(narrow.all_sites_overflow_safe(), "{:?}", narrow.lines);
-    assert_eq!(narrow.overflow_proof, OverflowProof::I32Tile);
+    assert_eq!(
+        narrow.overflow_proof,
+        OverflowProof::I32Tile,
+        "{:?}",
+        narrow.lines
+    );
     let wide = cert("select sum(r_w) as s from R").expect("certifies");
-    assert_eq!(wide.overflow_proof, OverflowProof::Unproven);
-    assert!(!wide.all_sites_overflow_safe());
+    assert_eq!(wide.overflow_proof, OverflowProof::I64);
 }
 
 /// The `i32` tile proof at its boundary, end to end: a table whose largest

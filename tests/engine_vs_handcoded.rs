@@ -279,9 +279,9 @@ fn q4(sel1: i8, sel2: i8) -> LogicalPlan {
 }
 
 /// `~ last run:` names the masked-probe loop the executor dispatched, and
-/// that is `strategy:`'s: the sink's name does not depend on the proof or on
-/// whether the run counts — a plain run, `EXPLAIN ANALYZE` (which counts the
-/// edge's survivors) and an unproven certificate (which checks the sum).
+/// that is `strategy:`'s: the sink's name does not depend on the statistics
+/// or on whether the run counts — a plain run, `EXPLAIN ANALYZE` (which
+/// counts the edge's survivors) and a run without statistics.
 #[test]
 fn the_run_report_names_the_probe_that_ran() {
     let db = micro();
@@ -307,10 +307,10 @@ fn the_run_report_names_the_probe_that_ran() {
 }
 
 /// The masked probe of a lone sum is one pass either way: the scalar fold
-/// with the edge's bitmap as its membership, wrapping when the certificate
-/// proves the accumulator and checked otherwise, counting the lanes it
-/// keeps when counters are wanted. All four combinations — statistics on or
-/// off decides the proof — must return the hand-coded pipeline's answer.
+/// with the edge's bitmap as its membership, one wrapping add per lane,
+/// counting the lanes it keeps when counters are wanted. All four
+/// combinations of statistics and counters must return the hand-coded
+/// pipeline's answer.
 #[test]
 fn masked_probe_answers_the_same_proven_or_checked() {
     let db = micro();

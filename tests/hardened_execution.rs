@@ -1,12 +1,12 @@
-//! Deadlines, memory budgets, cancellation, and overflow degradation —
-//! the hardened-execution acceptance suite.
+//! Deadlines, memory budgets, cancellation, and wrapping sums — the
+//! hardened-execution acceptance suite.
 //!
 //! A 0ms deadline or a 1-byte budget must produce the corresponding typed
 //! error deterministically at any thread count; cancellation via
 //! [`ExecHandle`] must stop queries from another thread and be reversible
-//! with [`ExecHandle::reset`]; detected `i64` overflow under a masked
-//! strategy must degrade to the data-centric interpreter with the fallback
-//! recorded in EXPLAIN.
+//! with [`ExecHandle::reset`]; a sum that leaves `i64` — on lanes a masked
+//! strategy drops, or in the result itself — must answer the interpreter's
+//! wrapped rows on the engine's first attempt.
 
 use std::time::Duration;
 use swole::plan::interp;
@@ -211,13 +211,27 @@ fn execute_propagates_plan_errors_without_panicking() {
     ));
 }
 
+/// What a wrapping sum must leave alone: the statement answers
+/// `interp::run`'s wrapped rows, on its first attempt (no retry), and a
+/// direct [`Engine::execute`] of its plan — which never retries — answers
+/// the same. Returns those rows.
+fn wraps_like_the_interpreter(e: &Engine, plan: &LogicalPlan, label: &str) -> Vec<Vec<i64>> {
+    let truth = interp::run(&e.database(), plan).expect("interp runs").rows;
+    let opts = QueryOptions::new().metrics(MetricsLevel::Counters);
+    let got = e.query_with(plan, &opts).expect("runs");
+    assert_eq!(got.rows, truth, "{label}");
+    assert_eq!(got.metrics().expect("metered").retries, 0, "{label}");
+    let direct = e.execute(&e.plan(plan).expect("plans")).expect("executes");
+    assert_eq!(direct.rows, truth, "{label}");
+    truth
+}
+
+/// Key masking aggregates *every* tuple — filtered rows land on the
+/// throwaway entry with unmasked values. Huge values on filtered rows wrap
+/// the throwaway accumulator (wasted work), which is never emitted: the
+/// qualifying group's sum is exact on the first attempt.
 #[test]
-fn key_masking_overflow_degrades_to_data_centric() {
-    // Key masking aggregates *every* tuple — filtered rows land on the
-    // throwaway entry with unmasked values. Huge values on filtered rows
-    // wrap the throwaway accumulator (wasted work), the sticky overflow
-    // flag trips, and the engine must re-run data-centric where the true
-    // (qualifying-only) sum is exact.
+fn key_masking_wraps_only_the_throwaway_entry() {
     let huge = i64::MAX / 2;
     let mut db = Database::new();
     db.add_table(
@@ -233,27 +247,15 @@ fn key_masking_overflow_degrades_to_data_centric() {
     let plan = QueryBuilder::scan("R")
         .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(10)))
         .aggregate(Some("c"), vec![AggSpec::sum(Expr::col("a"), "s")]);
-    let got = e.query(&plan).expect("recovers via data-centric retry");
-    assert_eq!(got.rows, vec![vec![0, 5]]);
-    let report = e.explain(&plan).expect("explains").runtime;
-    assert!(
-        report.iter().any(|l| l.contains("overflow")),
-        "overflow recorded: {report:?}"
-    );
-    assert!(
-        report
-            .iter()
-            .any(|l| l.contains("fell back to data-centric interpreter: ok")),
-        "fallback recorded: {report:?}"
-    );
+    let rows = wraps_like_the_interpreter(&e, &plan, "key masking");
+    assert_eq!(rows, vec![vec![0, 5]]);
 }
 
 #[test]
 fn genuine_overflow_wraps_identically_to_interpreter() {
-    // When the *true* sum wraps, the masked strategy detects it, retries
-    // data-centric, and the interpreter's wrapping accumulation returns the
-    // same wrapped value — bit-identical, never a process abort (which is
-    // what debug builds would do with unchecked `+`).
+    // When the *true* sum wraps, the engine's wrapping adds return the
+    // interpreter's wrapped value — bit-identical, never a process abort
+    // (which is what debug builds would do with unchecked `+`).
     let huge = i64::MAX / 2 + 1;
     let mut db = Database::new();
     db.add_table(
@@ -265,22 +267,17 @@ fn genuine_overflow_wraps_identically_to_interpreter() {
     let plan = QueryBuilder::scan("R")
         .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(10)))
         .aggregate(None, vec![AggSpec::sum(Expr::col("a"), "s")]);
-    let truth = interp::run(&e.database(), &plan).expect("interp runs");
-    let got = e.query(&plan).expect("recovers via data-centric retry");
-    assert_eq!(got.rows, truth.rows);
-    assert_eq!(
-        got.try_scalar("s").unwrap(),
-        huge.wrapping_add(huge).wrapping_add(2)
-    );
+    let rows = wraps_like_the_interpreter(&e, &plan, "scalar");
+    assert_eq!(rows, vec![vec![huge.wrapping_add(huge).wrapping_add(2)]]);
 }
 
-/// A compiled `sum` / `count` list whose accumulators the certificate
-/// cannot prove (values near `i64::MAX / rows`) runs the checked adds: a
-/// wrap — spurious, on key masking's throwaway entry, or genuine — surfaces
-/// as `PlanError::Overflow` and the statement answers through the
-/// interpreter; the same list over small values is proven and runs once.
+/// A compiled `sum` / `count` list over values near `i64::MAX / rows`, under
+/// each grouped strategy: a wrap — spurious, on key masking's throwaway
+/// entry, or genuine, in a group's own sum — answers the interpreter's
+/// wrapped rows on the first attempt, as the same list over small values
+/// does.
 #[test]
-fn unproven_list_accumulators_still_detect_overflow_and_fall_back() {
+fn wide_list_accumulators_wrap_like_the_interpreter() {
     let h = i64::MAX / 2 + 1;
     let db = |a: Vec<i64>| {
         let mut db = Database::new();
@@ -297,17 +294,6 @@ fn unproven_list_accumulators_still_detect_overflow_and_fall_back() {
         .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(10)))
         .aggregate(Some("c"), list.clone());
     let every_row = QueryBuilder::scan("R").aggregate(Some("c"), list);
-    let fell_back = |e: &Engine, plan: &LogicalPlan| {
-        let report = e.explain(plan).expect("explains").runtime;
-        let overflowed = report.iter().any(|l| l.contains("overflow"));
-        let ok = "fell back to data-centric interpreter: ok";
-        assert_eq!(
-            overflowed,
-            report.iter().any(|l| l.contains(ok)),
-            "{report:?}"
-        );
-        overflowed
-    };
     for strategy in [
         AggStrategy::Hybrid,
         AggStrategy::ValueMasking,
@@ -320,59 +306,36 @@ fn unproven_list_accumulators_still_detect_overflow_and_fall_back() {
                 .strategies(StrategyOverrides::pin_agg(strategy))
                 .build()
         };
+        let label = format!("{strategy:?}");
         // Huge values on the filtered rows only: the qualifying sums are
-        // small, but `|a| * rows` is past `i64` — unproven. Only key masking
-        // adds them (to the throwaway entry), so only it wraps.
+        // small. Only key masking adds them (to the throwaway entry), so
+        // only it wraps.
         let e = engine(vec![5, h, h, h, h, 7]);
         let sink = e.explain(&filtered).expect("plans").strategy;
         assert!(sink.ends_with("<2>"), "a compiled list: {sink}");
-        assert!(!e
-            .certificate(&filtered)
-            .expect("certifies")
-            .all_sites_overflow_safe());
-        let got = e.query(&filtered).expect("answers either way");
-        assert_eq!(got.rows, vec![vec![0, 5, 1], vec![1, 7, 1]], "{strategy:?}");
-        let spurious = strategy == AggStrategy::KeyMasking;
-        assert_eq!(fell_back(&e, &filtered), spurious, "{strategy:?}");
-        assert_eq!(got.metrics().expect("metered").retries, spurious as u32);
-        let direct = e.execute(&e.plan(&filtered).expect("plans"));
-        assert_eq!(
-            matches!(direct, Err(PlanError::Overflow(_))),
-            spurious,
-            "{direct:?}"
-        );
+        let rows = wraps_like_the_interpreter(&e, &filtered, &label);
+        assert_eq!(rows, vec![vec![0, 5, 1], vec![1, 7, 1]], "{label}");
 
         // Genuine: group 0's own sum (5 + h + h) leaves `i64` under every
-        // strategy; the interpreter wraps to the same value.
-        let truth = interp::run(&e.database(), &every_row).expect("interp runs");
-        assert_eq!(truth.rows[0][1], h.wrapping_mul(2).wrapping_add(5));
-        assert_eq!(e.query(&every_row).expect("recovers").rows, truth.rows);
-        assert!(fell_back(&e, &every_row), "{strategy:?}");
-        let direct = e.execute(&e.plan(&every_row).expect("plans"));
-        assert!(matches!(direct, Err(PlanError::Overflow(_))), "{direct:?}");
+        // strategy.
+        let rows = wraps_like_the_interpreter(&e, &every_row, &label);
+        assert_eq!(rows[0][1], h.wrapping_mul(2).wrapping_add(5), "{label}");
 
-        // Small values: every site proven, the wrapping adds run, no retry.
+        // Small values: nothing wraps.
         let e = engine(vec![5, 9, 9, 9, 9, 7]);
-        assert!(e
-            .certificate(&filtered)
-            .expect("certifies")
-            .all_sites_overflow_safe());
-        let got = e.query(&filtered).expect("runs");
-        assert_eq!(got.rows, vec![vec![0, 5, 1], vec![1, 7, 1]]);
-        assert!(!fell_back(&e, &filtered));
-        assert_eq!(got.metrics().expect("metered").retries, 0);
+        let rows = wraps_like_the_interpreter(&e, &filtered, &label);
+        assert_eq!(rows, vec![vec![0, 5, 1], vec![1, 7, 1]], "{label}");
     }
 }
 
-/// A masked probe of a sum and a count whose accumulator the certificate
-/// cannot prove runs the checked one-pass loop. A wrap on qualifying lanes
-/// surfaces as `PlanError::Overflow` and the statement answers through the
-/// interpreter; a product that wraps only on lanes the predicate or the
-/// parent's bit masks out is wasted work, ignored — the contract of
-/// `agg::fold`'s checked mode, whether the mask or the bit dropped the
-/// lane — and the engine answers on its first attempt.
+/// A masked probe of a sum and a count over values near `i64::MAX / 2`,
+/// in the one-pass loop: a product that wraps only on lanes the predicate
+/// or the parent's bit masks out is wasted work that adds `v · 0`, and a
+/// qualifying sum that leaves `i64` wraps as the interpreter's does —
+/// either way on the first attempt, whether the mask or the bit dropped
+/// the lane.
 #[test]
-fn unproven_probe_sum_count_detects_overflow_on_qualifying_lanes_only() {
+fn wide_probe_sum_count_wraps_like_the_interpreter() {
     let h = i64::MAX / 2 + 1;
     // Rows 0, 3 and 5 qualify; row 1 fails the predicate, row 2 the
     // parent's filter, row 4 both.
@@ -415,31 +378,18 @@ fn unproven_probe_sum_count_detects_overflow_on_qualifying_lanes_only() {
                 sink.ends_with("masked probe, sink: fold_masked_bitmap<2>)"),
                 "{sink}"
             );
-            let cert = e.certificate(&plan).expect("certifies");
-            assert!(!cert.all_sites_overflow_safe(), "x{threads}");
             e
         };
+        let label = format!("x{threads}");
 
         // Spurious: `h * 2` wraps on the three masked-out rows only.
         let e = engine(vec![5, h, h, 7, h, 9], vec![1, 2, 2, 1, 2, 1]);
-        let direct = e.execute(&e.plan(&plan).expect("plans"));
-        assert_eq!(direct.expect("no overflow").rows, vec![vec![21, 3]]);
-        let got = e.query(&plan).expect("runs");
-        assert_eq!(got.rows, vec![vec![21, 3]], "x{threads}");
-        assert_eq!(got.metrics().expect("metered").retries, 0, "x{threads}");
+        let rows = wraps_like_the_interpreter(&e, &plan, &label);
+        assert_eq!(rows, vec![vec![21, 3]], "{label}");
 
-        // Genuine: the qualifying sum `h + h + 2` leaves `i64`; the
-        // interpreter wraps to the same value.
+        // Genuine: the qualifying sum `h + h + 2` leaves `i64`.
         let e = engine(vec![h, 1, 1, h, 1, 2], vec![1; 6]);
-        let direct = e.execute(&e.plan(&plan).expect("plans"));
-        assert!(matches!(direct, Err(PlanError::Overflow(_))), "{direct:?}");
-        let truth = interp::run(&e.database(), &plan).expect("interp runs");
-        assert_eq!(truth.rows, vec![vec![h.wrapping_mul(2).wrapping_add(2), 3]]);
-        let got = e.query(&plan).expect("recovers");
-        assert_eq!(got.rows, truth.rows, "x{threads}");
-        assert_eq!(got.metrics().expect("metered").retries, 1, "x{threads}");
-        let report = e.explain(&plan).expect("explains").runtime;
-        let ok = "fell back to data-centric interpreter: ok";
-        assert!(report.iter().any(|l| l.contains(ok)), "{report:?}");
+        let rows = wraps_like_the_interpreter(&e, &plan, &label);
+        assert_eq!(rows, vec![vec![h.wrapping_mul(2).wrapping_add(2), 3]]);
     }
 }

@@ -175,9 +175,11 @@ fn shutdown_deadline_hard_aborts_inflight_query() {
         let e = e.clone();
         std::thread::spawn(move || e.query(&groupby_plan()))
     };
-    // Wait for execution proper, not a guessed planning time: the
-    // worker's scratch charge shows on the pool once the ExecCtx is
-    // attached.
+    // Wait for admission: the statement's reservation shows on the pool
+    // once its ExecCtx is attached. The stage registers its morsels only
+    // after that, and an abort in between finds no morsel (0/0); the hold
+    // parks the statement at morsel 1 for up to 10 s, so a pause here only
+    // lets it get there and cannot let it finish.
     let charged = || {
         e.global_memory_stats()
             .expect("global pool configured")
@@ -186,6 +188,7 @@ fn shutdown_deadline_hard_aborts_inflight_query() {
     while charged() == 0 && !worker.is_finished() {
         std::thread::yield_now();
     }
+    std::thread::sleep(Duration::from_millis(200));
     let report = e.shutdown(Some(Duration::ZERO));
     let result = worker.join().expect("client thread");
     assert_eq!(e.queries_in_flight(), 0);

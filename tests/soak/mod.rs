@@ -100,7 +100,6 @@ pub fn is_typed_runtime_error(err: &PlanError) -> bool {
             | PlanError::DeadlineExceeded { .. }
             | PlanError::Cancelled { .. }
             | PlanError::Admission(_)
-            | PlanError::Overflow(_)
     )
 }
 

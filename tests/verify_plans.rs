@@ -404,14 +404,14 @@ fn explain_verify_renders_pass_lines() {
         );
     }
     // The admission certificate renders after the pass verdicts: the peak
-    // bound summary, the overflow-site tally, and per-operator bounds.
+    // bound summary and per-operator bounds.
     assert!(
         text.contains("bounds: peak <="),
         "missing certificate summary in:\n{text}"
     );
     assert!(
-        text.contains("arithmetic site(s) proven overflow-safe"),
-        "missing overflow tally in:\n{text}"
+        text.contains("bounds[/"),
+        "missing per-operator bounds in:\n{text}"
     );
     // Plain EXPLAIN stays untouched (golden tests depend on it).
     let plain = engine.explain(&parsed.plan).expect("explains");
