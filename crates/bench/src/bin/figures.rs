@@ -466,11 +466,16 @@ fn density_sweep(runs: usize) {
 /// (`masked:*`, which serve access merging too), the yardstick's two-loop
 /// access merging (`merged:i64`, `mask_values` + `sum_product_tmp`), the
 /// masked probe — the fold with a bitmap membership — without and with
-/// its count (`probe:i64`, `probe:count`, the pass TPC-H Q3 / Q4 run) and
-/// a plain read of the same `a`, `b` and mask bytes (`stream`, the DRAM
-/// floor). Every loop runs tile by tile, as the engine calls it, and the
-/// sums are asserted equal. `x` is the row count; each value is ms per
-/// 4 Mi rows.
+/// its count (`probe:i64`, `probe:count`, the pass TPC-H Q3 runs), the
+/// probe of a stage with no filter, which reads no mask (`probe:every`),
+/// TPC-H Q4's `sum(col), count(*)` probe as it runs — every lane, the
+/// one-slice input (`probe:one`) — and as it ran before: an all-ones mask
+/// and the column times a register of ones (`probe:ones`), and a plain
+/// read of the same `a`, `b` and mask bytes (`stream`, the DRAM floor).
+/// Every loop runs tile by tile, as the engine calls it, and the sums are
+/// asserted equal: the masked ones to each other, `probe:every` to the
+/// same fold under an all-ones mask, `probe:one` and `probe:ones` to the
+/// plain sum of `a`. `x` is the row count; each value is ms per 4 Mi rows.
 fn lane_width_sweep(runs: usize) {
     use rand::{Rng, SeedableRng};
     use swole_bitmap::PositionalBitmap;
@@ -484,6 +489,20 @@ fn lane_width_sweep(runs: usize) {
         let cmp: Vec<u8> = (0..n).map(|_| rng.gen_bool(0.25) as u8).collect();
         let fk: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1024)).collect();
         let bitmap = PositionalBitmap::from_predicate_bytes(&[1u8; 1024]);
+        // A stage with no filter: before, an all-ones mask and a register
+        // of ones multiplied into a sum of one column.
+        let (all, ones) = (vec![1u8; n], vec![1i64; n]);
+        let member = |s: usize, l: usize| (&fk[s..s + l], bitmap.bits());
+        /// A probe pass that counts, its count kept live.
+        fn probe<I: agg::Fold>(
+            lanes: Lanes<'_>,
+            member: (&[u32], swole_bitmap::Bits<'_>),
+            inputs: &I,
+        ) -> i64 {
+            let f = agg::fold::<_, _, agg::Wrapping, true>(lanes, member, inputs);
+            std::hint::black_box(f.count);
+            f.value
+        }
         let over_tiles = |f: &dyn Fn(usize, usize) -> i64| {
             // Cache-resident sizes repeat until 4 Mi rows have streamed by.
             let sum = (0..PER / n).map(|_| tiles(n).map(|(s, l)| f(s, l)).sum::<i64>());
@@ -495,7 +514,7 @@ fn lane_width_sweep(runs: usize) {
         let fused = |s: usize, l: usize| {
             Fused::<_, _, Mul>(&a[s..s + l], &b[s..s + l], std::marker::PhantomData)
         };
-        let loops: [(&str, Loop<'_>); 6] = [
+        let loops: [(&str, Loop<'_>); 9] = [
             ("masked:i64", &|s, l| {
                 agg::sum_op_masked::<_, _, Mul>(&a[s..s + l], &b[s..s + l], &cmp[s..s + l])
             }),
@@ -513,10 +532,18 @@ fn lane_width_sweep(runs: usize) {
                 join::semijoin_sum_bitmap_masked::<_, _, Mul>(&fk[s..s + l], a, b, c, &bitmap)
             }),
             ("probe:count", &|s, l| {
-                let (lanes, member) = (Lanes::Masked(&cmp[s..s + l]), (&fk[s..s + l], &bitmap));
-                let f = agg::fold::<_, _, agg::Wrapping, true>(lanes, member, &fused(s, l));
-                std::hint::black_box(f.count);
-                f.value
+                probe(Lanes::Masked(&cmp[s..s + l]), member(s, l), &fused(s, l))
+            }),
+            ("probe:every", &|s, l| {
+                probe(Lanes::Every, member(s, l), &fused(s, l))
+            }),
+            ("probe:one", &|s, l| {
+                probe(Lanes::Every, member(s, l), &[&a[s..s + l]])
+            }),
+            ("probe:ones", &|s, l| {
+                let (lanes, ones) = (Lanes::Masked(&all[s..s + l]), &ones[s..s + l]);
+                let inputs = Fused::<_, _, Mul>(&a[s..s + l], ones, std::marker::PhantomData);
+                probe(lanes, member(s, l), &inputs)
             }),
             ("stream", &|s, l| {
                 let lanes = a[s..s + l].iter().zip(&b[s..s + l]).zip(&cmp[s..s + l]);
@@ -524,11 +551,17 @@ fn lane_width_sweep(runs: usize) {
                 i64::from(x)
             }),
         ];
-        let want = over_tiles(loops[0].1);
-        for (name, f) in &loops[..5] {
+        let masked = over_tiles(loops[0].1);
+        let every = over_tiles(&|s, l| {
+            let lanes = Lanes::Masked(&all[s..s + l]);
+            agg::fold::<_, _, agg::Wrapping, false>(lanes, member(s, l), &fused(s, l)).value
+        });
+        let plain = over_tiles(&|s, l| a[s..s + l].iter().map(|&v| i64::from(v)).sum());
+        let wants = [[masked; 5].as_slice(), &[every, plain, plain]].concat();
+        for ((name, f), want) in loops.iter().zip(wants) {
             assert_eq!(over_tiles(*f), want, "{name} at {n} rows");
         }
-        let mut times: [Vec<f64>; 6] = Default::default();
+        let mut times: [Vec<f64>; 9] = Default::default();
         for _ in 0..runs {
             for (t, (_, f)) in times.iter_mut().zip(&loops) {
                 t.push(median_ms(1, || over_tiles(*f)));

@@ -6,6 +6,25 @@
 // overflow checks).
 #![allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 
+/// A [`PositionalBitmap`]'s words by value. A loop that probes one bit per
+/// lane through `&PositionalBitmap` loads the words' address from the
+/// bitmap on every lane wherever the compiler cannot prove the load safe
+/// to hoist; a copy of this view keeps it in a register.
+#[derive(Debug, Clone, Copy)]
+pub struct Bits<'a> {
+    words: &'a [u64],
+    len: usize,
+}
+
+impl Bits<'_> {
+    /// Branch-free probe returning the bit as 0/1.
+    #[inline(always)]
+    pub fn get_bit(self, pos: usize) -> u64 {
+        debug_assert!(pos < self.len);
+        (self.words[pos >> 6] >> (pos & 63)) & 1
+    }
+}
+
 /// A dense bitmap over row positions `0..len`.
 ///
 /// 100 M rows occupy ~12.5 MB (paper § III-D), so the probe side of a bitmap
@@ -89,8 +108,16 @@ impl PositionalBitmap {
     /// Branch-free probe returning the bit as 0/1 (feeds masking arithmetic).
     #[inline(always)]
     pub fn get_bit(&self, pos: usize) -> u64 {
-        debug_assert!(pos < self.len);
-        (self.words[pos >> 6] >> (pos & 63)) & 1
+        self.bits().get_bit(pos)
+    }
+
+    /// The bitmap as a probe loop reads it: [`Bits`], passed by value.
+    #[inline(always)]
+    pub fn bits(&self) -> Bits<'_> {
+        Bits {
+            words: &self.words,
+            len: self.len,
+        }
     }
 
     /// Build by assigning one predicate-result byte per position

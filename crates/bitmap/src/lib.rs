@@ -22,4 +22,4 @@ mod compressed;
 mod dense;
 
 pub use compressed::CompressedBitmap;
-pub use dense::PositionalBitmap;
+pub use dense::{Bits, PositionalBitmap};

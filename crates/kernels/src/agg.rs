@@ -12,9 +12,11 @@
 //!
 //! Past the baseline, these and the positional-bitmap probe (§ III-D) are
 //! one loop, [`fold`], the scalar counterpart of [`crate::groupby::upsert`]:
-//! generic over its lanes (a mask or a selection vector), its membership
-//! ([`Member`]: none, or an edge's bitmap), its inputs ([`Fold`]), whether
-//! it counts the lanes it keeps, and the width its sums take ([`Mode`]).
+//! generic over its lanes (a mask, a selection vector, or every lane of a
+//! stage with no filter), its membership ([`Member`]: none, or an edge's
+//! bitmap), its inputs ([`Fold`]: one slice, `a OP b`, `min` / `max`, or
+//! none), whether it counts the lanes it keeps, and the width its sums take
+//! ([`Mode`]).
 //! The named kernels (`sum_op_masked`, `sum_op_gather`, the `join` bitmap
 //! probes) are its `i64` instances; the two-loop access merging below
 //! ([`mask_values`] + [`sum_product_tmp`]) stays as the yardstick's form.
@@ -30,7 +32,7 @@ use std::marker::PhantomData;
 
 use crate::groupby::{Fused, Lanes};
 use crate::{AsI64, TILE};
-use swole_bitmap::PositionalBitmap;
+use swole_bitmap::Bits;
 
 /// A binary arithmetic operator applied inside an aggregate expression
 /// (the `[OP]` substitution parameter of microbenchmark Q1).
@@ -131,12 +133,15 @@ pub struct Acc {
     part: i32,
 }
 
-/// The width a [`fold`]'s sums take: how a kept lane's `a OP b` joins the
-/// sum. `keep` is 1 for a kept lane and 0 for one the mask or the
-/// membership dropped, whose value is wasted work (§ III-A).
+/// The width a [`fold`]'s sums take: how a kept lane's value — one
+/// operand, or `a OP b` — joins the sum. `keep` is 1 for a kept lane and 0
+/// for one the mask or the membership dropped, whose value is wasted work
+/// (§ III-A).
 pub trait Mode {
     /// The most lanes one call may fold.
     const LANES: usize = usize::MAX;
+    /// Add `a · keep` to `acc`.
+    fn add_one(acc: &mut Acc, a: impl AsI64, keep: u8);
     /// Add `(a OP b) · keep` to `acc`.
     fn add<O: BinOp>(acc: &mut Acc, a: impl AsI64, b: impl AsI64, keep: u8);
 }
@@ -148,6 +153,10 @@ pub struct Wrapping;
 
 impl Mode for Wrapping {
     #[inline(always)]
+    fn add_one(acc: &mut Acc, a: impl AsI64, keep: u8) {
+        acc.sum = acc.sum.wrapping_add(a.widen() * keep as i64);
+    }
+    #[inline(always)]
     fn add<O: BinOp>(acc: &mut Acc, a: impl AsI64, b: impl AsI64, keep: u8) {
         acc.sum = acc
             .sum
@@ -155,16 +164,20 @@ impl Mode for Wrapping {
     }
 }
 
-/// `part += (a OP b) & −keep` in `i32` lanes, widened once per call, which
-/// holds at most one [`TILE`]: for inputs whose every operand, `a OP b` and
-/// tile sum the caller has proven to fit an `i32` (the bounds certificate's
-/// `i32` tile verdict). Without packed 64-bit multiplies the `i64` form is
-/// compute-bound; this one streams.
+/// `part += v & −keep` in `i32` lanes (`v`: `a` or `a OP b`), widened once
+/// per call, which holds at most one [`TILE`]: for inputs whose every
+/// operand, `a OP b` and tile sum the caller has proven to fit an `i32` (the
+/// bounds certificate's `i32` tile verdict). Without packed 64-bit
+/// multiplies the `i64` form is compute-bound; this one streams.
 #[derive(Debug)]
 pub struct I32Tile;
 
 impl Mode for I32Tile {
     const LANES: usize = TILE;
+    #[inline(always)]
+    fn add_one(acc: &mut Acc, a: impl AsI64, keep: u8) {
+        acc.part = acc.part.wrapping_add(a.widen() as i32 & -i32::from(keep));
+    }
     #[inline(always)]
     fn add<O: BinOp>(acc: &mut Acc, a: impl AsI64, b: impl AsI64, keep: u8) {
         let v = O::apply_i32(a.widen() as i32, b.widen() as i32);
@@ -190,6 +203,23 @@ pub trait Fold {
 
 /// No input: a pass that only counts the lanes it keeps.
 impl Fold for () {}
+
+/// One `sum(a)` over one slice at native width: a column, or the register
+/// of an expression no sink fuses.
+impl<V: AsI64> Fold for [&[V]; 1] {
+    #[inline(always)]
+    fn lanes(&self) -> Option<usize> {
+        Some(self[0].len())
+    }
+    #[inline(always)]
+    fn check(&self, n: usize) {
+        assert_eq!(self[0].len(), n);
+    }
+    #[inline(always)]
+    fn lane<M: Mode>(&self, acc: &mut Acc, j: usize, keep: u8) {
+        M::add_one(acc, self[0][j], keep);
+    }
+}
 
 /// One `sum(a OP b)` over two slices at native width.
 impl<A: AsI64, B: AsI64, O: BinOp> Fold for Fused<'_, A, B, O> {
@@ -236,8 +266,11 @@ impl<const MAX: bool> Fold for Extreme<'_, MAX> {
 /// [`Lanes`] keep: all of them (`()`), or those whose bit is set in one
 /// edge's positional bitmap at the lane's FK position (§ III-D).
 pub trait Member {
-    /// Assert that the membership holds `n` lanes.
-    fn check(&self, _n: usize) {}
+    /// The lanes the membership holds, if it holds any: a count-only pass
+    /// over every lane has no other source of them.
+    fn lanes(&self) -> Option<usize> {
+        None
+    }
     /// Lane `j`'s keep, given the keep `c` its lanes gave it.
     fn keep(&self, j: usize, c: u8) -> u8;
 }
@@ -251,10 +284,10 @@ impl Member for () {
     }
 }
 
-impl Member for (&[u32], &PositionalBitmap) {
+impl Member for (&[u32], Bits<'_>) {
     #[inline(always)]
-    fn check(&self, n: usize) {
-        assert_eq!(self.0.len(), n);
+    fn lanes(&self) -> Option<usize> {
+        Some(self.0.len())
     }
     #[inline(always)]
     fn keep(&self, j: usize, c: u8) -> u8 {
@@ -278,7 +311,9 @@ pub struct Folded {
 /// `member` keep folds its `inputs` under the mode `M`, and
 /// `COUNT` counts the kept lanes in the same pass. A mask's lanes are the
 /// inputs' lanes; `idx` indexes them (tile-local offsets, or global row ids
-/// into whole columns).
+/// into whole columns). `Lanes::Every` — a stage with no filter — reads no
+/// mask: every lane of the inputs (or, with none, of the membership) is
+/// kept by the membership alone.
 #[inline]
 pub fn fold<I: Fold, R: Member, M: Mode, const COUNT: bool>(
     lanes: Lanes<'_>,
@@ -297,28 +332,40 @@ pub fn fold<I: Fold, R: Member, M: Mode, const COUNT: bool>(
         }
         inputs.lane::<M>(&mut acc, j, keep);
     };
+    // Equal lengths let one bounds check per lane cover every slice.
+    let check = |n: usize| {
+        inputs.check(n);
+        if let Some(m) = member.lanes() {
+            assert_eq!(m, n);
+        }
+    };
     match lanes {
         Lanes::Masked(cmp) => {
             let n = cmp.len();
             assert!(n <= M::LANES);
-            inputs.check(n);
-            member.check(n);
+            check(n);
             for (j, &c) in cmp.iter().enumerate() {
                 lane(j, c);
             }
         }
         Lanes::Selected(idx) => {
             assert!(idx.len() <= M::LANES);
-            // Equal lengths let one bounds check per lane cover every slice.
             if let Some(n) = inputs.lanes() {
-                inputs.check(n);
-                member.check(n);
+                check(n);
             }
             for &j in idx {
                 lane(j as usize, 1);
             }
         }
-        Lanes::Every => unreachable!("a scalar fold keeps lanes by a mask or a selection"),
+        Lanes::Every => {
+            let n = inputs.lanes().or(member.lanes());
+            let n = n.expect("every lane of an input or a membership");
+            assert!(n <= M::LANES);
+            check(n);
+            for j in 0..n {
+                lane(j, 1);
+            }
+        }
     }
     Folded {
         value: acc.sum.wrapping_add(i64::from(acc.part)),
@@ -366,6 +413,7 @@ pub fn sum_square_tmp(tmp: &[i64]) -> i64 {
 mod tests {
     use super::*;
     use crate::{predicate, selvec, tiles};
+    use swole_bitmap::PositionalBitmap;
 
     fn reference<O: BinOp>(x: &[i32], lit: i32, a: &[i32], b: &[i32]) -> i64 {
         (0..x.len())
@@ -614,8 +662,11 @@ mod tests {
         }
     }
 
-    /// [`check_modes`] behind both lane kinds, with no membership and with
-    /// the case's bitmap; `want` gives the result over the lanes kept.
+    /// [`check_modes`] behind every lane kind — the mask, the selection it
+    /// compacts to and every lane (a stage with no filter) — with no
+    /// membership and with the case's bitmap; `want` gives the result over
+    /// the lanes kept. A pass with no input over every lane takes its lanes
+    /// from the membership, so it runs with the bitmap only.
     fn check_all<I: Fold>(
         case: &Case,
         inputs: &I,
@@ -625,17 +676,22 @@ mod tests {
     ) {
         let bit = |j: usize| case.bitmap.get_bit(case.fk[j] as usize) != 0;
         for bitmap in [false, true] {
-            let want = want(&|j| case.cmp[j] != 0 && (!bitmap || bit(j)));
             let lanes = [
                 (Lanes::Masked(&case.cmp), "masked"),
                 (Lanes::Selected(&case.idx), "selected"),
+                (Lanes::Every, "every"),
             ];
             for (lanes, name) in lanes {
+                let every = matches!(lanes, Lanes::Every);
+                if every && !bitmap && inputs.lanes().is_none() {
+                    continue;
+                }
+                let want = want(&|j| (every || case.cmp[j] != 0) && (!bitmap || bit(j)));
                 let label = format!("n={} {label}, {name}, bitmap {bitmap}", case.cmp.len());
                 match bitmap {
                     false => check_modes(lanes, (), inputs, want, narrow, &label),
                     true => {
-                        let member = (&case.fk[..], &case.bitmap);
+                        let member = (&case.fk[..], case.bitmap.bits());
                         check_modes(lanes, member, inputs, want, narrow, &label);
                     }
                 }
@@ -644,13 +700,14 @@ mod tests {
     }
 
     /// The scalar fold against the data-centric reference at every tile
-    /// length 0..=TILE: masked and selected lanes × no membership and a
-    /// bitmap × `sum(a * b)` and `sum(a / b)` over i8 / i16 / i32 / u32 /
+    /// length 0..=TILE: masked, selected and every lane × no membership and
+    /// a bitmap × `sum(a * b)` and `sum(a / b)` over i8 / i16 / i32 / u32 /
     /// i64 operands (the pair rotates with the length; negative values,
-    /// never-zero divisors) and over wide `i64` values that wrap, a
-    /// count-only pass, `min` and `max` — × `i64` lanes and, where its
-    /// proof holds, `i32` lanes × `COUNT` off and on. A wrap on a lane the
-    /// mask or the bit dropped never reaches the sum.
+    /// never-zero divisors) and over wide `i64` values that wrap, the
+    /// one-slice `sum(a)` at every native width, a count-only pass, `min`
+    /// and `max` — × `i64` lanes and, where its proof holds, `i32` lanes ×
+    /// `COUNT` off and on. A wrap on a lane the mask or the bit dropped
+    /// never reaches the sum.
     #[test]
     fn fold_matches_datacentric_at_every_tile_length() {
         let step = if cfg!(miri) { 127 } else { 1 };
@@ -664,6 +721,17 @@ mod tests {
                 let div = Fused::<_, _, Div>(a, b, PhantomData);
                 check_all(&case, &div, |k| kept_sum::<_, _, Div>(a, b, k), true, "a/b");
             }));
+            // The one-slice input: every width in turn, at this length.
+            for t in 0..5 {
+                with_type!(t, &case.vals, |a| {
+                    let one =
+                        |k: &dyn Fn(usize) -> bool| kept_sum::<_, _, Mul>(&a, &[1i8; TILE][..n], k);
+                    check_all(&case, &[&a[..]], one, true, &format!("a, type {t}"));
+                });
+            }
+            let w = &case.wide[..];
+            let one = |k: &dyn Fn(usize) -> bool| kept_sum::<_, _, Mul>(w, &[1i8; TILE][..n], k);
+            check_all(&case, &[w], one, false, "wide");
             // Up to the `i32` proof's limit, an `i16` by an `i32` or `i64`.
             let (x, y) = (narrow::<i16>(&case.limit), &case.limit[..]);
             let y32 = narrow::<i32>(y);

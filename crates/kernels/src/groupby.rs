@@ -567,9 +567,10 @@ mod tests {
     /// The upsert family against the data-centric reference at every tile
     /// length 0..=TILE: each lane kind × inputs of every kind — `sum(a *
     /// b)` and `sum(a / b)` over i8 / i16 / i32 / u32 / i64 operands (the
-    /// pair varies with the length; divisors never zero), 1–4 value slices
-    /// with counts among them written from a later slot, and a list with
-    /// `min` / `max` folds — × both tables, rotating with the length.
+    /// pair varies with the length; divisors never zero), the one-slice
+    /// `sum(a)` at every native width, 1–4 value slices with counts among
+    /// them written from a later slot, and a list with `min` / `max` folds
+    /// — × both tables, rotating with the length.
     #[test]
     fn the_family_matches_datacentric_at_every_tile_length() {
         let step = if cfg!(miri) { 127 } else { 1 };
@@ -580,6 +581,16 @@ mod tests {
                 fused_case::<_, _, Mul>(&case, &a, &b, &format!("n={n} a*b"));
                 fused_case::<_, _, Div>(&case, &a, &b, &format!("n={n} a/b"));
             }));
+
+            // The one-slice input, `sum(a)` at native width: every width.
+            for t in 0..5 {
+                with_type!(t, &case.vals, |a| {
+                    let wide: Vec<i64> = a.iter().map(|v| v.widen()).collect();
+                    let want = [false, true].map(|every| case.reference(every, 0, &[&wide]));
+                    let label = format!("n={n} a, type {t}");
+                    check_family(&case, &[&a[..]], (0, 1), [&want[0], &want[1]], &label);
+                });
+            }
 
             // Value slices: a sum column, then a count (ones), alternating.
             let ones = vec![1i64; n];

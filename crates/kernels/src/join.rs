@@ -101,7 +101,7 @@ pub fn semijoin_sum_bitmap_masked<A: AsI64, B: AsI64, O: BinOp>(
     bitmap: &PositionalBitmap,
 ) -> i64 {
     let inputs = Fused::<_, _, O>(a, b, PhantomData);
-    fold::<_, _, Wrapping, false>(Lanes::Masked(cmp), (fk_pos, bitmap), &inputs).value
+    fold::<_, _, Wrapping, false>(Lanes::Masked(cmp), (fk_pos, bitmap.bits()), &inputs).value
 }
 
 /// Bitmap semijoin probe through a selection vector: used when the
@@ -117,7 +117,7 @@ pub fn semijoin_sum_bitmap_gather<A: AsI64, B: AsI64, O: BinOp>(
     bitmap: &PositionalBitmap,
 ) -> i64 {
     let inputs = Fused::<_, _, O>(a, b, PhantomData);
-    fold::<_, _, Wrapping, false>(Lanes::Selected(idx), (fk_pos, bitmap), &inputs).value
+    fold::<_, _, Wrapping, false>(Lanes::Selected(idx), (fk_pos, bitmap.bits()), &inputs).value
 }
 
 /// Baseline groupjoin probe (§ III-E, "original version"): the hash table

@@ -143,16 +143,16 @@ impl Names<'_> {
         }
     }
 
-    /// `a OP b` of a fused sum; a sum's `* 1` is left out.
+    /// `a` or `a OP b` of a fused sum.
     fn fused(&self, sum: FusedSum, at: At) -> String {
         let src = |s| match s {
             Src::Col(c) => self.col(c, at),
             Src::Reg(r) => self.reg(r, at),
         };
-        match (sum.op, src(sum.a), src(sum.b)) {
-            (FusedOp::Mul, a, b) if b == "1" => a,
-            (FusedOp::Mul, a, b) => format!("{a} * {b}"),
-            (FusedOp::Div, a, b) => format!("{a} / {b}"),
+        match sum {
+            FusedSum::One(a) => src(a),
+            FusedSum::Op(FusedOp::Mul, a, b) => format!("{} * {}", src(a), src(b)),
+            FusedSum::Op(FusedOp::Div, a, b) => format!("{} / {}", src(a), src(b)),
         }
     }
 
@@ -309,14 +309,19 @@ fn agg(out: &mut Code, s: &AggShape, proof: OverflowProof) {
     let names = Names(&s.program);
     out.tiles(0, &s.table, &s.program, |out| {
         let at = front(out, s);
-        // A masked lane is kept under the filter and the membership.
-        let keep = match (at == SEL, s.edges.first()) {
+        // A masked lane is kept under the filter and the membership; a
+        // stage with no filter reads no mask.
+        let filtered = s.program.has_filter();
+        let keep = match (at == SEL, s.edges.first().filter(|_| member)) {
             (true, _) => None,
-            (false, Some(e)) if member => Some(format!(
-                "(cmp[j] & {})",
-                hit(e, &format!("{}[i+j]", e.fk_col))
-            )),
-            (false, _) => Some("cmp[j]".to_string()),
+            (false, Some(e)) => {
+                let bit = hit(e, &format!("{}[i+j]", e.fk_col));
+                Some(match filtered {
+                    true => format!("(cmp[j] & {bit})"),
+                    false => bit,
+                })
+            }
+            (false, None) => filtered.then(|| "cmp[j]".to_string()),
         };
         for (sink, a) in slots {
             let (op, v) = match *sink {
@@ -479,13 +484,14 @@ mod tests {
     const FIG1: &str = "select sum(a) as s from R where x < 13";
     const FIG4: &str = "select c, sum(a) as s from R where x < 13 group by c";
     const FIG5: &str = "select sum(a * x) as s from R where x < 13";
-    const SEMIJOIN: &str = "select sum(R.a) as s from R, S where R.fk = S.rowid and S.x < 13";
+    const SEMIJOIN: &str = "select sum(R.a) as s from R, S \
+                            where R.fk = S.rowid and R.x < 50 and S.x < 13";
     const GROUPJOIN: &str = "select R.fk, sum(R.a) as s from R, S \
                              where R.fk = S.rowid and S.x < 13 group by R.fk";
 
     /// Operands are named from the program: a column at its row, `i+j` or
     /// through the selection vector; a register at its lane; a constant
-    /// register as its value, and a sum's `* 1` left out.
+    /// register as its value; a sum of one operand as that operand.
     #[test]
     fn index_expr_rewrites_identifiers() {
         let db = db();
@@ -502,6 +508,7 @@ mod tests {
             Want::Fused(&ax),
             Want::Fused(&Expr::col("a")),
             Want::Reg(&case),
+            Want::Fused(&Expr::lit(3)),
         ];
         let prog = TileProgram::lower(r, None, &wants).expect("lowers");
         let names = Names(&prog);
@@ -512,14 +519,15 @@ mod tests {
         assert_eq!(fused(0, LANE), "a[i+j] * x[i+j]");
         assert_eq!(fused(0, SEL), "a[i+idx[j]] * x[i+idx[j]]");
         assert_eq!(fused(1, SEL), "a[i+idx[j]]");
+        assert_eq!(fused(3, SEL), "3");
         let blend = prog.output_reg(2);
         assert_eq!(names.reg(blend, SEL), format!("v{blend}[idx[j]]"));
         let text: Vec<String> = prog.instrs.iter().map(|i| names.instr(i)).collect();
         // No filter: the constant mask is copied to the filter's register.
         let expected = [
             "m1[j] = x[i+j] > 5;",
-            "v1[j] = a[i+j];",
-            "v2[j] = m1[j] ? v1[j] : 0;",
+            "v0[j] = a[i+j];",
+            "v1[j] = m1[j] ? v0[j] : 0;",
             "cmp[j] = 1;",
         ];
         assert_eq!(text, expected);
@@ -615,6 +623,25 @@ mod tests {
         let h = code(semijoin(SemiJoinStrategy::Hash), SEMIJOIN);
         assert!(h.contains("ht_insert(ht_S, i+idx[j]);"), "{h}");
         assert!(h.contains("kk += ht_find(ht_S, fk[i+idx[j]]);"), "{h}");
+    }
+
+    /// TPC-H Q4's shape — a semijoin with no probe-side filter and a sum of
+    /// one column — reads no mask and multiplies by nothing but the bit:
+    /// the one-loop probe the hand-coded pipeline runs.
+    #[test]
+    fn unfiltered_bitmap_probe_reads_no_mask() {
+        let packed = BitmapBuild::Unconditional;
+        let sql = "select sum(R.a) as s, count(*) as n from R, S \
+                   where R.fk = S.rowid and S.x < 13";
+        let c = code(semijoin(SemiJoinStrategy::PositionalBitmap(packed)), sql);
+        assert!(c.contains("fold_masked_bitmap<2>"), "{c}");
+        assert!(c.contains("bitmap_assign(bm_S, i+j, cmp[j]);"), "{c}");
+        let probe = "s += (a[i+j]) * bitmap_get(bm_S, fk[i+j]);";
+        assert!(c.contains(probe), "{c}");
+        assert!(c.contains("n += bitmap_get(bm_S, fk[i+j]);"), "{c}");
+        assert!(!c.contains("cmp[j] &"), "no mask byte: {c}");
+        assert!(!c.contains("* 1"), "no register of ones: {c}");
+        assert!(!c.contains("if ("), "no branches: {c}");
     }
 
     /// A sum / count list upserts in passes of `GROUP_ARITY` slots, a list

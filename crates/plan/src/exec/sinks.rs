@@ -131,10 +131,10 @@ impl Sink for ScalarSink {
     fn masked(&self, t: Tile<'_>, acc: &mut ScalarAcc, regs: &mut Regs) -> usize {
         let member = match (self.member, t.sides, t.first_fk()) {
             (Membership::None, ..) => None,
-            (Membership::Bitmap, [(BuildSide::Bitmap(bm), _)], Some(fk)) => Some((fk, bm)),
+            (Membership::Bitmap, [(BuildSide::Bitmap(bm), _)], Some(fk)) => Some((fk, bm.bits())),
             _ => unreachable!("a masked probe is planned over one bitmap edge"),
         };
-        let lanes = (Lanes::Masked(t.bound.filter(regs, t.at.1)), member);
+        let lanes = (t.bound.masked_lanes(regs, t.at.1), member);
         let ScalarAcc { acc, matched } = acc;
         let m = t.bound.accumulate(regs, &self.sinks, lanes, t.at, acc);
         *matched += m;

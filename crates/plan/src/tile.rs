@@ -7,8 +7,9 @@
 //! straight on the column's native-width slice through
 //! `swole_kernels::predicate`; common sub-expressions and column loads are
 //! shared across aggregates (the served-path form of access merging,
-//! § III-C); top-level `col OP col` sums are left unevaluated so the scalar
-//! sinks — the masked probe's included — can hand the column slices to the
+//! § III-C); top-level `col OP col` sums — and a sum of one operand, a
+//! column or any other expression's register — are left unevaluated so the
+//! scalar sinks — the masked probe's included — can hand the slices to the
 //! `swole_kernels::agg::fold` kernel and the grouped sinks — which also
 //! read the group key at native width, never from a register — to the
 //! `groupby::upsert` kernel. Binding a program to a pinned table
@@ -22,7 +23,7 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use swole_bitmap::PositionalBitmap;
+use swole_bitmap::Bits;
 use swole_ht::{GroupTable, MergeOp};
 use swole_kernels::agg::{self, Div, Mul};
 use swole_kernels::groupby::{self, Folds, Lanes, Slot};
@@ -66,12 +67,13 @@ pub(crate) enum FusedOp {
     Div,
 }
 
-/// `a OP b`, left for a fused sink to evaluate while it accumulates.
+/// A sum's input, left for a fused sink to evaluate while it accumulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FusedSum {
-    pub(crate) op: FusedOp,
-    pub(crate) a: Src,
-    pub(crate) b: Src,
+pub(crate) enum FusedSum {
+    /// `sum(a)`: one operand, read once per lane.
+    One(Src),
+    /// `sum(a OP b)`.
+    Op(FusedOp, Src, Src),
 }
 
 /// One value output of a program.
@@ -91,8 +93,8 @@ pub(crate) enum Want<'a> {
     /// The expression's value in a register.
     Reg(&'a Expr),
     /// An [`Output::Op`] for a fused sum sink: `x * y` or `x / y` over
-    /// columns and literals stays unevaluated; any other expression (a bare
-    /// column included) is its value times a constant 1.
+    /// columns and literals stays unevaluated; any other expression is one
+    /// operand — a bare column, or the register holding its value.
     Fused(&'a Expr),
 }
 
@@ -375,7 +377,8 @@ impl Node {
 /// A lowered output before register assignment.
 enum VOut {
     Node(usize),
-    Op { op: FusedOp, a: VSrc, b: VSrc },
+    One(VSrc),
+    Op(FusedOp, VSrc, VSrc),
 }
 
 enum VSrc {
@@ -577,14 +580,13 @@ impl<'a> Lowerer<'a> {
     }
 
     /// `e` as a fused-sink input: its own two operands when the shape
-    /// allows, otherwise its materialized value times one.
+    /// allows, otherwise one operand — the column, or its value's register.
     fn fused(&mut self, e: &Expr) -> Result<VOut, PlanError> {
-        let one = Expr::Lit(1);
         let operand = |e: &Expr| matches!(e, Expr::Col(_) | Expr::Lit(_));
-        let (op, a, b) = match e {
-            Expr::Mul(a, b) if operand(a) && operand(b) => (FusedOp::Mul, &**a, &**b),
-            Expr::Div(a, b) if operand(a) && operand(b) => (FusedOp::Div, &**a, &**b),
-            _ => (FusedOp::Mul, e, &one),
+        let op = match e {
+            Expr::Mul(a, b) if operand(a) && operand(b) => Some((FusedOp::Mul, a, b)),
+            Expr::Div(a, b) if operand(a) && operand(b) => Some((FusedOp::Div, a, b)),
+            _ => None,
         };
         let mut src = |e: &Expr| -> Result<VSrc, PlanError> {
             Ok(match e {
@@ -595,10 +597,9 @@ impl<'a> Lowerer<'a> {
                 }
             })
         };
-        Ok(VOut::Op {
-            op,
-            a: src(a)?,
-            b: src(b)?,
+        Ok(match op {
+            Some((op, a, b)) => VOut::Op(op, src(a)?, src(b)?),
+            None => VOut::One(src(e)?),
         })
     }
 
@@ -694,11 +695,8 @@ impl<'a> Lowerer<'a> {
             .map(|o| {
                 o.as_ref().map(|o| match o {
                     VOut::Node(n) => Output::Reg(phys[*n]),
-                    VOut::Op { op, a, b } => Output::Op(FusedSum {
-                        op: *op,
-                        a: src(a),
-                        b: src(b),
-                    }),
+                    VOut::One(a) => Output::Op(FusedSum::One(src(a))),
+                    VOut::Op(op, a, b) => Output::Op(FusedSum::Op(*op, src(a), src(b))),
                 })
             })
             .collect();
@@ -1032,6 +1030,17 @@ impl BoundProgram {
         &r.masks[self.prog.filter][..len]
     }
 
+    /// The lanes a masked scalar stage folds the tile just run under: the
+    /// filter mask, or every lane — a stage with no filter reads no mask,
+    /// and a membership alone keeps a lane (a run's choice, like the width
+    /// its sums take).
+    pub(crate) fn masked_lanes<'r>(&self, r: &'r Regs, len: usize) -> Lanes<'r> {
+        match self.prog.has_filter {
+            true => Lanes::Masked(self.filter(r, len)),
+            false => Lanes::Every,
+        }
+    }
+
     /// Compact the filter mask of the tile just run into `r.idx` as
     /// tile-local offsets ([`selvec::fill_adaptive`]); returns the count.
     pub(crate) fn select(&self, r: &mut Regs, len: usize) -> usize {
@@ -1083,7 +1092,7 @@ impl BoundProgram {
 pub(crate) enum Sink {
     /// `count(*)`: the tile's kept lanes.
     Count,
-    /// `sum(a OP b)` over the operands at native width.
+    /// `sum(a)` or `sum(a OP b)` over the operands at native width.
     Sum(FusedSum),
     /// `min` / `max` over a value register.
     Min(usize),
@@ -1115,33 +1124,42 @@ pub(crate) fn scalar_sinks(prog: &TileProgram, aggs: &[AggSpec]) -> Vec<Sink> {
     aggs.iter().enumerate().map(sink).collect()
 }
 
-/// Run `$body` with `$a` / `$b` bound to the operand slices of `$sum` over
-/// `$tile` at native width and `$O` to its operator type.
+/// Run `$body` with `$i` bound to the kernels' input for `$sum` over
+/// `$tile`: the one-slice input of `sum(a)`, or the fused input of `sum(a
+/// OP b)`, its operands at native width.
 macro_rules! with_fused {
-    ($bound:expr, $r:expr, $sum:expr, $tile:expr, |$a:ident, $b:ident, $O:ident| $body:expr) => {{
+    ($bound:expr, $r:expr, $sum:expr, $tile:expr, |$i:ident| $body:expr) => {{
         let (sum, (start, len)): (FusedSum, (usize, usize)) = ($sum, $tile);
-        let a = $bound.src($r, sum.a, start, len);
-        let b = $bound.src($r, sum.b, start, len);
-        with_lane!(a, |$a| with_lane!(b, |$b| match sum.op {
-            FusedOp::Mul => {
-                type $O = Mul;
+        match sum {
+            FusedSum::One(a) => with_lane!($bound.src($r, a, start, len), |a| {
+                let $i = [a];
                 $body
+            }),
+            FusedSum::Op(op, a, b) => {
+                let (a, b) = ($bound.src($r, a, start, len), $bound.src($r, b, start, len));
+                with_lane!(a, |a| with_lane!(b, |b| match op {
+                    FusedOp::Mul => {
+                        let $i = groupby::Fused::<_, _, Mul>(a, b, PhantomData);
+                        $body
+                    }
+                    FusedOp::Div => {
+                        let $i = groupby::Fused::<_, _, Div>(a, b, PhantomData);
+                        $body
+                    }
+                }))
             }
-            FusedOp::Div => {
-                type $O = Div;
-                $body
-            }
-        }))
+        }
     }};
 }
 
 /// Which lanes of a scalar stage belong to the result besides those its
 /// filter keeps: all, or — a masked probe — those whose bit is set in its
-/// one edge's bitmap at the lane's FK position (§ III-D).
-pub(crate) type Member<'a> = Option<(&'a [u32], &'a PositionalBitmap)>;
+/// one edge's bitmap at the lane's FK position (§ III-D). Without a filter
+/// the lanes are `Lanes::Every` and the bit alone keeps a lane.
+pub(crate) type Member<'a> = Option<(&'a [u32], Bits<'a>)>;
 
 /// The `agg::fold` instance `member`, `mode` and `count` name. Without a
-/// membership the caller counts the mask or the selection itself, and
+/// membership the caller counts the mask, the selection or the tile itself, and
 /// `count` is ignored; with one the sums are `i64` (see
 /// `physical::fold_mode`).
 fn fold<I: agg::Fold>(
@@ -1190,11 +1208,12 @@ impl BoundProgram {
         tile: (usize, usize),
         acc: &mut [i64],
     ) -> usize {
-        let masked = matches!(lanes, Lanes::Masked(_));
+        let masked = !matches!(lanes, Lanes::Selected(_));
         let mode = physical::fold_mode(sinks.proof, masked, member.is_some());
         let mut kept = match (lanes, member) {
             (Lanes::Masked(cmp), None) => Some(predicate::mask_count(cmp)),
             (Lanes::Selected(idx), None) => Some(idx.len()),
+            (Lanes::Every, None) => Some(tile.1),
             _ => None,
         };
         let count = sinks.counted || sinks.sinks.contains(&Sink::Count);
@@ -1203,8 +1222,7 @@ impl BoundProgram {
             let counts = count && kept.is_none();
             let f = match *sink {
                 Sink::Count => continue,
-                Sink::Sum(sum) => with_fused!(self, r, sum, tile, |a, b, O| {
-                    let inputs = groupby::Fused::<_, _, O>(a, b, PhantomData);
+                Sink::Sum(sum) => with_fused!(self, r, sum, tile, |inputs| {
                     fold(lanes, member, &inputs, (mode, counts))
                 }),
                 Sink::Min(reg) => {
@@ -1262,8 +1280,9 @@ pub(crate) const GROUP_ARITY: usize = 4;
 /// for it); the lanes are the strategy's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum GroupSink {
-    /// The stage's one `sum(a OP b)`, key and operands read as column
-    /// slices at native width.
+    /// The stage's one `sum(a)` or `sum(a OP b)`, key and operands read as
+    /// column slices at native width (a sum of any other expression reads
+    /// its register).
     Fused(FusedSum),
     /// Any other list, each aggregate's input its value register (a
     /// count's a tile of ones): sums and counts in unrolled passes of
@@ -1322,8 +1341,7 @@ impl BoundProgram {
         ht: &mut T,
     ) {
         with_lane!(keys, |keys| match sink {
-            GroupSink::Fused(sum) => with_fused!(self, r, *sum, tile, |a, b, O| {
-                let inputs = groupby::Fused::<_, _, O>(a, b, PhantomData);
+            GroupSink::Fused(sum) => with_fused!(self, r, *sum, tile, |inputs| {
                 groupby::upsert(keys, lanes, &inputs, 0, ht)
             }),
             GroupSink::List(list) if folds(list) => {
@@ -1363,6 +1381,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use std::cell::Cell;
     use std::collections::BTreeMap;
+    use swole_bitmap::PositionalBitmap;
     use swole_storage::DictColumn;
 
     thread_local! {
@@ -1584,26 +1603,47 @@ mod tests {
         }
     }
 
+    /// A stage's filter: every fourth seed has none.
+    fn maybe_filter(rng: &mut SmallRng, seed: u64) -> Option<Expr> {
+        let depth = rng.gen_range(0..3u32);
+        let filter = boolean(rng, depth);
+        (!seed.is_multiple_of(4)).then_some(filter)
+    }
+
+    /// A sum's input: fusable `a OP b` shapes, and one operand — a column,
+    /// `a + b`, a `CASE` or any other expression.
+    fn sum_input(rng: &mut SmallRng) -> Expr {
+        match rng.gen_range(0..8u32) {
+            0 => Expr::Mul(bx(col(rng)), bx(col(rng))),
+            1 => Expr::Div(bx(col(rng)), bx(divisor(rng))),
+            2 => Expr::Mul(bx(lit(rng)), bx(col(rng))),
+            3 => col(rng),
+            4 => Expr::Mul(bx(Expr::col("c8")), bx(Expr::col("c8"))),
+            5 => Expr::Add(bx(col(rng)), bx(col(rng))),
+            6 => Expr::Case {
+                when: bx(boolean(rng, 0)),
+                then: bx(col(rng)),
+                otherwise: bx(value(rng, 1)),
+            },
+            _ => value(rng, 2),
+        }
+    }
+
+    /// The rows `filter` keeps (all of them without one).
+    fn kept_rows(filter: Option<&Expr>, t: &Table) -> Vec<i64> {
+        filter.map_or(vec![1; t.len()], |f| expr::values(f, t))
+    }
+
     /// The sums the scalar sinks produce, masked and gathered, against a
-    /// row-at-a-time fold of the block evaluator's values.
+    /// row-at-a-time fold of the block evaluator's values, with a filter
+    /// and without.
     #[test]
     fn scalar_sinks_match_eval_row() {
         let t = table(11);
         for seed in 0..200u64 {
             let mut rng = SmallRng::seed_from_u64(1000 + seed);
-            let depth = rng.gen_range(0..3u32);
-            let filter = boolean(&mut rng, depth);
-            // Fusable shapes and generic ones, mixed.
-            let inputs: Vec<Expr> = (0..3)
-                .map(|_| match rng.gen_range(0..6u32) {
-                    0 => Expr::Mul(bx(col(&mut rng)), bx(col(&mut rng))),
-                    1 => Expr::Div(bx(col(&mut rng)), bx(divisor(&mut rng))),
-                    2 => Expr::Mul(bx(lit(&mut rng)), bx(col(&mut rng))),
-                    3 => col(&mut rng),
-                    4 => Expr::Mul(bx(Expr::col("c8")), bx(Expr::col("c8"))),
-                    _ => value(&mut rng, 2),
-                })
-                .collect();
+            let filter = maybe_filter(&mut rng, seed);
+            let inputs: Vec<Expr> = (0..3).map(|_| sum_input(&mut rng)).collect();
             let mut aggs: Vec<AggSpec> = inputs
                 .iter()
                 .enumerate()
@@ -1612,7 +1652,7 @@ mod tests {
             aggs.push(AggSpec::count("n"));
             aggs.push(AggSpec::min(inputs[0].clone(), "lo"));
             aggs.push(AggSpec::max(inputs[1].clone(), "hi"));
-            let keep = expr::values(&filter, &t);
+            let keep = kept_rows(filter.as_ref(), &t);
             let qualifying: Vec<usize> = (0..ROWS).filter(|&r| keep[r] != 0).collect();
             let want: Vec<i64> = aggs
                 .iter()
@@ -1629,7 +1669,7 @@ mod tests {
                 .collect();
             let identities = [0, 0, 0, 0, i64::MAX, i64::MIN];
             let prog =
-                Arc::new(TileProgram::lower_agg(&t, Some(&filter), None, &aggs, false).unwrap());
+                Arc::new(TileProgram::lower_agg(&t, filter.as_ref(), None, &aggs, false).unwrap());
             let bound = prog.bind(&t).unwrap();
             // Gather: every aggregate, min/max included.
             let sinks = scalar(&prog, &aggs, OverflowProof::I64);
@@ -1648,7 +1688,7 @@ mod tests {
             let mut matched = 0;
             for tile in swole_kernels::tiles(ROWS) {
                 bound.run(&mut regs, tile.0, tile.1);
-                let lanes = (Lanes::Masked(bound.filter(&regs, tile.1)), None);
+                let lanes = (bound.masked_lanes(&regs, tile.1), None);
                 matched += bound.accumulate(&regs, &sinks, lanes, tile, &mut acc);
             }
             assert_eq!(acc, want[..4], "masked seed {seed} {aggs:?}");
@@ -1739,19 +1779,13 @@ mod tests {
         );
         for seed in 0..60u64 {
             let mut rng = SmallRng::seed_from_u64(4000 + seed);
-            let depth = rng.gen_range(0..3u32);
-            let filter = boolean(&mut rng, depth);
-            let input = match rng.gen_range(0..4u32) {
-                0 => Expr::Mul(bx(col(&mut rng)), bx(col(&mut rng))),
-                1 => Expr::Div(bx(col(&mut rng)), bx(divisor(&mut rng))),
-                2 => col(&mut rng),
-                _ => value(&mut rng, 2),
-            };
+            let filter = maybe_filter(&mut rng, seed);
+            let input = sum_input(&mut rng);
             let aggs = [AggSpec::sum(input.clone(), "s")];
             let input_of = expr::values(&input, &t);
             let key = ["c8", "c16", "c32", "u", "d"][rng.gen_range(0..5usize)];
             let prog = Arc::new(
-                TileProgram::lower_agg(&t, Some(&filter), Some(key), &aggs, true).unwrap(),
+                TileProgram::lower_agg(&t, filter.as_ref(), Some(key), &aggs, true).unwrap(),
             );
             let sink = group_sink(&prog, &aggs);
             assert!(matches!(sink, GroupSink::Fused(_)), "one sum is fused");
@@ -1769,7 +1803,7 @@ mod tests {
                 }
                 want
             };
-            let keep = expr::values(&filter, &t);
+            let keep = kept_rows(filter.as_ref(), &t);
             let qualifies = |r: &usize| keep[*r] != 0;
             let want = fold(&mut (0..ROWS).filter(qualifies), &key_of);
             let want_eager = fold(&mut (0..ROWS), &|r| fk[r] as i64);
@@ -1790,8 +1824,9 @@ mod tests {
 
             // The masked probe, the edge's bitmap the fold's membership — a
             // lone sum, a sum and a count, a count alone, two sums; counted
-            // and not — against ANDing the bits into the mask and folding
-            // that with no membership.
+            // and not; over every lane when the stage has no filter —
+            // against ANDing the bits into the mask and folding that with
+            // no membership.
             let Sink::Sum(sum) = scalar_sinks(&prog, &aggs)[0] else {
                 panic!("a sum sinks a sum");
             };
@@ -1819,7 +1854,7 @@ mod tests {
                 let fk = &fk[start..start + len];
                 bound.run(&mut regs, start, len);
                 for (i, sinks) in runs.iter().enumerate() {
-                    let lanes = (Lanes::Masked(bound.filter(&regs, len)), Some((fk, &bitmap)));
+                    let lanes = (bound.masked_lanes(&regs, len), Some((fk, bitmap.bits())));
                     let acc = &mut probed[i];
                     kept[i] += bound.accumulate(&regs, sinks, lanes, tile, acc);
                 }
@@ -2033,13 +2068,44 @@ mod tests {
         assert_eq!(prog.instrs.len(), 3);
         assert!(matches!(prog.instrs[2], Instr::And { .. }));
         assert_eq!((prog.n_masks, prog.n_vals), (3, 0));
-        let sum = FusedSum {
-            op: FusedOp::Mul,
-            a: Src::Col(2),
-            b: Src::Col(3),
-        };
+        let sum = FusedSum::Op(FusedOp::Mul, Src::Col(2), Src::Col(3));
         assert_eq!(prog.output(0), Some(Output::Op(sum)));
         assert_eq!(scalar_sinks(&prog, &aggs), vec![Sink::Sum(sum)]);
+    }
+
+    /// A sum of one operand has no second: a column is read by the sink at
+    /// native width and needs no register; `a + b` and a `CASE` are their
+    /// register. No register of ones is loaded, filled or paid for.
+    #[test]
+    fn a_sum_of_one_operand_is_its_one_source() {
+        let t = table(1);
+        let (c16, nz) = (Expr::col("c16"), Expr::col("nz"));
+        let case = Expr::Case {
+            when: bx(Expr::col("c8").cmp(CmpOp::Lt, Expr::lit(0))),
+            then: bx(c16.clone()),
+            otherwise: bx(Expr::lit(7)),
+        };
+        let aggs = [
+            AggSpec::sum(c16.clone(), "col"),
+            AggSpec::sum(Expr::Add(bx(c16.clone()), bx(nz)), "add"),
+            AggSpec::sum(case, "case"),
+            AggSpec::count("n"),
+        ];
+        let prog = TileProgram::lower_agg(&t, None, None, &aggs, false).unwrap();
+        let sinks = scalar_sinks(&prog, &aggs);
+        let [Sink::Sum(FusedSum::One(Src::Col(0))), Sink::Sum(FusedSum::One(Src::Reg(add))), Sink::Sum(FusedSum::One(Src::Reg(case))), Sink::Count] =
+            sinks[..]
+        else {
+            panic!("every sum is one source: {sinks:?}");
+        };
+        assert_ne!(add, case);
+        assert!(prog.const_vals.is_empty(), "{:?}", prog.const_vals);
+        // The Q4 shape: a bare column and no filter lowers to no value
+        // register at all — only the filter's constant mask copy.
+        let one = TileProgram::lower_agg(&t, None, None, &aggs[..1], false).unwrap();
+        assert_eq!((one.n_vals, one.instrs.len()), (0, 1));
+        let regs = Regs::new(&one);
+        assert!(regs.vals.is_empty());
     }
 
     /// The grouped twin: micro Q2 is the same three-instruction prepass, no
@@ -2061,11 +2127,7 @@ mod tests {
         assert_eq!((prog.n_masks, prog.n_vals), (3, 0));
         assert_eq!(
             group_sink(&prog, &aggs),
-            GroupSink::Fused(FusedSum {
-                op: FusedOp::Mul,
-                a: Src::Col(2),
-                b: Src::Col(3),
-            })
+            GroupSink::Fused(FusedSum::Op(FusedOp::Mul, Src::Col(2), Src::Col(3)))
         );
         assert_eq!(
             prog.key,
@@ -2094,13 +2156,7 @@ mod tests {
         // Every sum is the fold's fused input, its operands as written —
         // access merging is the masked instance over the filter's column —
         // whatever the strategy or the proof.
-        let fused = |a, b| {
-            Sink::Sum(FusedSum {
-                op: FusedOp::Mul,
-                a: Src::Col(a),
-                b: Src::Col(b),
-            })
-        };
+        let fused = |a, b| Sink::Sum(FusedSum::Op(FusedOp::Mul, Src::Col(a), Src::Col(b)));
         let sinks = [fused(x, a), fused(a, x), fused(x, x), fused(a, 2)];
         assert_eq!(scalar_sinks(&prog, &aggs), sinks);
         let (one, n) = (&aggs[3..], AggSpec::count("n"));
@@ -2117,16 +2173,10 @@ mod tests {
             Expr::Add(bx(Expr::col("c32")), bx(Expr::col("nz"))),
             "s",
         )];
-        assert!(
-            matches!(
-                grouped(&generic).0,
-                GroupSink::Fused(FusedSum {
-                    op: FusedOp::Mul,
-                    a: Src::Reg(_),
-                    b: Src::Reg(_)
-                })
-            ),
-            "a non-fusable sum is its register times one"
+        assert_eq!(
+            grouped(&generic),
+            (GroupSink::Fused(FusedSum::One(Src::Reg(2))), 3),
+            "a non-fusable sum is one operand, its register: no register of ones"
         );
         // c32, nz and their product each have a register.
         let list = |slots: &[Slot]| GroupSink::List(slots.to_vec());

@@ -13,9 +13,11 @@
 # runs it under a counting allocator, and the most bytes it holds at once
 # (`fallback_observed_bytes`) must not exceed the certificate's reserve for
 # a data-centric retry (`fallback_bytes`). The per-plan bounds, each with
-# the bytes its run charged (`observed_bytes`), are written to
+# the bytes its run charged (`observed_bytes`: at one thread only, `null`
+# above that, where it moves with how many pool workers took a morsel; the
+# console line prints it at every thread count), are written to
 # bounds-report.json (override with BOUNDS_REPORT) for CI to upload as a
-# diffable artifact.
+# diffable artifact: two runs of the same code write the same bytes.
 #
 # Every plan is also rendered through EXPLAIN CODE, which must print a
 # non-empty loop.
