@@ -470,12 +470,18 @@ fn density_sweep(runs: usize) {
 /// probe of a stage with no filter, which reads no mask (`probe:every`),
 /// TPC-H Q4's `sum(col), count(*)` probe as it runs — every lane, the
 /// one-slice input (`probe:one`) — and as it ran before: an all-ones mask
-/// and the column times a register of ones (`probe:ones`), and a plain
-/// read of the same `a`, `b` and mask bytes (`stream`, the DRAM floor).
+/// and the column times a register of ones (`probe:ones`), a plain read of
+/// the same `a`, `b` and mask bytes (`stream`, the DRAM floor), and the
+/// membership's two representations over a 1 Ki-row parent of which half
+/// qualifies: its bitmap in the fused `i64` loop the engine runs
+/// (`probe:bits`), its byte map in the same loop (`probe:bytes`) and in the
+/// two loops of the `i32` proof, the membership's then Fig. 3's
+/// (`probe:bytes-i32`).
 /// Every loop runs tile by tile, as the engine calls it, and the sums are
 /// asserted equal: the masked ones to each other, `probe:every` to the
 /// same fold under an all-ones mask, `probe:one` and `probe:ones` to the
-/// plain sum of `a`. `x` is the row count; each value is ms per 4 Mi rows.
+/// plain sum of `a`, the three membership rows to the bitmap's fold. `x`
+/// is the row count; each value is ms per 4 Mi rows.
 fn lane_width_sweep(runs: usize) {
     use rand::{Rng, SeedableRng};
     use swole_bitmap::PositionalBitmap;
@@ -489,6 +495,8 @@ fn lane_width_sweep(runs: usize) {
         let cmp: Vec<u8> = (0..n).map(|_| rng.gen_bool(0.25) as u8).collect();
         let fk: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1024)).collect();
         let bitmap = PositionalBitmap::from_predicate_bytes(&[1u8; 1024]);
+        let half: Vec<u8> = (0..1024).map(|_| rng.gen_bool(0.5) as u8).collect();
+        let half_bits = PositionalBitmap::from_predicate_bytes(&half);
         // A stage with no filter: before, an all-ones mask and a register
         // of ones multiplied into a sum of one column.
         let (all, ones) = (vec![1u8; n], vec![1i64; n]);
@@ -514,7 +522,7 @@ fn lane_width_sweep(runs: usize) {
         let fused = |s: usize, l: usize| {
             Fused::<_, _, Mul>(&a[s..s + l], &b[s..s + l], std::marker::PhantomData)
         };
-        let loops: [(&str, Loop<'_>); 9] = [
+        let loops: [(&str, Loop<'_>); 12] = [
             ("masked:i64", &|s, l| {
                 agg::sum_op_masked::<_, _, Mul>(&a[s..s + l], &b[s..s + l], &cmp[s..s + l])
             }),
@@ -545,6 +553,21 @@ fn lane_width_sweep(runs: usize) {
                 let inputs = Fused::<_, _, Mul>(&a[s..s + l], ones, std::marker::PhantomData);
                 probe(lanes, member(s, l), &inputs)
             }),
+            ("probe:bits", &|s, l| {
+                let (lanes, member) = (
+                    Lanes::Masked(&cmp[s..s + l]),
+                    (&fk[s..s + l], half_bits.bits()),
+                );
+                agg::fold::<_, _, agg::Wrapping, false>(lanes, member, &fused(s, l)).value
+            }),
+            ("probe:bytes", &|s, l| {
+                let (lanes, member) = (Lanes::Masked(&cmp[s..s + l]), (&fk[s..s + l], &half[..]));
+                agg::fold::<_, _, agg::Wrapping, false>(lanes, member, &fused(s, l)).value
+            }),
+            ("probe:bytes-i32", &|s, l| {
+                let (lanes, member) = (Lanes::Masked(&cmp[s..s + l]), (&fk[s..s + l], &half[..]));
+                agg::fold::<_, _, agg::I32Tile, false>(lanes, member, &fused(s, l)).value
+            }),
             ("stream", &|s, l| {
                 let lanes = a[s..s + l].iter().zip(&b[s..s + l]).zip(&cmp[s..s + l]);
                 let x = lanes.fold(0i32, |x, ((&a, &b), &c)| x ^ a ^ b ^ i32::from(c));
@@ -557,11 +580,12 @@ fn lane_width_sweep(runs: usize) {
             agg::fold::<_, _, agg::Wrapping, false>(lanes, member(s, l), &fused(s, l)).value
         });
         let plain = over_tiles(&|s, l| a[s..s + l].iter().map(|&v| i64::from(v)).sum());
-        let wants = [[masked; 5].as_slice(), &[every, plain, plain]].concat();
+        let bits = over_tiles(loops[8].1);
+        let wants = [[masked; 5].as_slice(), &[every, plain, plain], &[bits; 3]].concat();
         for ((name, f), want) in loops.iter().zip(wants) {
             assert_eq!(over_tiles(*f), want, "{name} at {n} rows");
         }
-        let mut times: [Vec<f64>; 9] = Default::default();
+        let mut times: [Vec<f64>; 12] = Default::default();
         for _ in 0..runs {
             for (t, (_, f)) in times.iter_mut().zip(&loops) {
                 t.push(median_ms(1, || over_tiles(*f)));

@@ -187,6 +187,11 @@ impl Lcg {
 ///   three dim1 keys), `f_d2`/`f_d3` are uniform, and `dim2.d2_fk`
 ///   chains into `dim4` so star, chain, and mixed join shapes all have
 ///   registered FK paths.
+/// * `probe` (8192 rows) — `p_v` (values), `p_x` (selection) and FKs into
+///   `S` (`p_s`) and `dim2` (`p_d2`), whose positional builds are byte maps
+///   (one byte per row fits the modelled L1), and into `wide` (`p_w`):
+///   40 Ki rows, above that budget, so its build is a packed bitmap.
+///   `wide.w_fk` chains into `dim4`.
 pub fn fixture_db() -> Database {
     let mut db = swole_tpch::catalog::to_database(&swole_tpch::generate(0.002, 42));
     let mut rng = Lcg(0x5eed_c0ff_ee00_0001);
@@ -330,6 +335,51 @@ pub fn fixture_db() -> Database {
     );
     db.add_fk("spike", "fk", "S")
         .expect("spike.fk -> S registers");
+
+    // Both positional representations: `probe` semijoins parents within
+    // the byte-map budget (`S`, `dim2`) and `wide`, above it. Computed, not
+    // drawn from the LCG, so every table above stays byte-stable.
+    let wide = || 0..40 * 1024u32;
+    db.add_table(
+        Table::new("wide")
+            .with_column(
+                "w_x",
+                ColumnData::I8(wide().map(|i| (i * 37 % 100) as i8).collect()),
+            )
+            .with_column(
+                "w_fk",
+                ColumnData::U32(wide().map(|i| i * 11 % 32).collect()),
+            ),
+    );
+    let rows = || 0..8192u32;
+    db.add_table(
+        Table::new("probe")
+            .with_column(
+                "p_v",
+                ColumnData::I32(rows().map(|i| (i * 7 % 100) as i32 - 20).collect()),
+            )
+            .with_column(
+                "p_x",
+                ColumnData::I8(rows().map(|i| (i * 13 % 100) as i8).collect()),
+            )
+            .with_column("p_s", ColumnData::U32(rows().map(|i| i * 5 % 64).collect()))
+            .with_column(
+                "p_d2",
+                ColumnData::U32(rows().map(|i| i * 3 % 200).collect()),
+            )
+            .with_column(
+                "p_w",
+                ColumnData::U32(rows().map(|i| i * 7919 % wide().end).collect()),
+            ),
+    );
+    db.add_fk("probe", "p_s", "S")
+        .expect("probe.p_s -> S registers");
+    db.add_fk("probe", "p_d2", "dim2")
+        .expect("probe.p_d2 -> dim2 registers");
+    db.add_fk("probe", "p_w", "wide")
+        .expect("probe.p_w -> wide registers");
+    db.add_fk("wide", "w_fk", "dim4")
+        .expect("wide.w_fk -> dim4 registers");
     db
 }
 

@@ -14,9 +14,9 @@
 //! one loop, [`fold`], the scalar counterpart of [`crate::groupby::upsert`]:
 //! generic over its lanes (a mask, a selection vector, or every lane of a
 //! stage with no filter), its membership ([`Member`]: none, or an edge's
-//! bitmap), its inputs ([`Fold`]: one slice, `a OP b`, `min` / `max`, or
-//! none), whether it counts the lanes it keeps, and the width its sums take
-//! ([`Mode`]).
+//! bitmap or byte map), its inputs ([`Fold`]: one slice, `a OP b`, `min` /
+//! `max`, or none), whether it counts the lanes it keeps, and the width its
+//! sums take ([`Mode`]).
 //! The named kernels (`sum_op_masked`, `sum_op_gather`, the `join` bitmap
 //! probes) are its `i64` instances; the two-loop access merging below
 //! ([`mask_values`] + [`sum_product_tmp`]) stays as the yardstick's form.
@@ -140,6 +140,9 @@ pub struct Acc {
 pub trait Mode {
     /// The most lanes one call may fold.
     const LANES: usize = usize::MAX;
+    /// Whether the masked loop streams: a membership that says so
+    /// ([`Member::SPLIT`]) is then folded as a pass of its own.
+    const STREAMS: bool = false;
     /// Add `a · keep` to `acc`.
     fn add_one(acc: &mut Acc, a: impl AsI64, keep: u8);
     /// Add `(a OP b) · keep` to `acc`.
@@ -174,6 +177,7 @@ pub struct I32Tile;
 
 impl Mode for I32Tile {
     const LANES: usize = TILE;
+    const STREAMS: bool = true;
     #[inline(always)]
     fn add_one(acc: &mut Acc, a: impl AsI64, keep: u8) {
         acc.part = acc.part.wrapping_add(a.widen() as i32 & -i32::from(keep));
@@ -264,8 +268,14 @@ impl<const MAX: bool> Fold for Extreme<'_, MAX> {
 
 /// Which lanes of a [`fold`] belong to the result besides those its
 /// [`Lanes`] keep: all of them (`()`), or those whose bit is set in one
-/// edge's positional bitmap at the lane's FK position (§ III-D).
+/// edge's positional bitmap at the lane's FK position (§ III-D), or whose
+/// byte is set in its byte map.
 pub trait Member {
+    /// Whether a masked fold in a mode whose loop streams
+    /// ([`Mode::STREAMS`]) writes every lane's keep into a tile of its own
+    /// first, then folds that tile as its mask: the two loops of a byte
+    /// map. A bitmap's bit stays in the fused loop, which measured faster.
+    const SPLIT: bool = false;
     /// The lanes the membership holds, if it holds any: a count-only pass
     /// over every lane has no other source of them.
     fn lanes(&self) -> Option<usize> {
@@ -295,6 +305,19 @@ impl Member for (&[u32], Bits<'_>) {
     }
 }
 
+/// A byte map: one 0/1 byte per parent row, read without bit extraction.
+impl Member for (&[u32], &[u8]) {
+    const SPLIT: bool = true;
+    #[inline(always)]
+    fn lanes(&self) -> Option<usize> {
+        Some(self.0.len())
+    }
+    #[inline(always)]
+    fn keep(&self, j: usize, c: u8) -> u8 {
+        c & self.1[self.0[j] as usize]
+    }
+}
+
 /// What a [`fold`] returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Folded {
@@ -313,7 +336,10 @@ pub struct Folded {
 /// inputs' lanes; `idx` indexes them (tile-local offsets, or global row ids
 /// into whole columns). `Lanes::Every` — a stage with no filter — reads no
 /// mask: every lane of the inputs (or, with none, of the membership) is
-/// kept by the membership alone.
+/// kept by the membership alone. A masked fold over a [`Member::SPLIT`]
+/// membership in a mode that streams runs two loops: the membership pass
+/// `keep[j] = cmp[j] & member[j]` into a tile-local buffer, then the
+/// value-masking loop of Fig. 3 under `keep`.
 #[inline]
 pub fn fold<I: Fold, R: Member, M: Mode, const COUNT: bool>(
     lanes: Lanes<'_>,
@@ -340,6 +366,16 @@ pub fn fold<I: Fold, R: Member, M: Mode, const COUNT: bool>(
         }
     };
     match lanes {
+        Lanes::Masked(cmp) if R::SPLIT && M::STREAMS => {
+            let n = cmp.len();
+            assert!(n <= M::LANES.min(TILE));
+            check(n);
+            let mut keep = [0u8; TILE];
+            for (j, (k, &c)) in keep[..n].iter_mut().zip(cmp).enumerate() {
+                *k = member.keep(j, c);
+            }
+            return fold::<I, (), M, COUNT>(Lanes::Masked(&keep[..n]), (), inputs);
+        }
         Lanes::Masked(cmp) => {
             let n = cmp.len();
             assert!(n <= M::LANES);
@@ -564,9 +600,10 @@ mod tests {
     }
 
     /// One tile of random lanes: a filter mask at one of five densities,
-    /// the selection vector it compacts to, an edge's bitmap and FK
-    /// positions, narrow values (negative ones included), never-zero
-    /// divisors, never-zero values up to the `i32` proof's limit
+    /// the selection vector it compacts to, an edge's bitmap, the byte map
+    /// of the same parent rows and FK positions, narrow values (negative
+    /// ones included), never-zero divisors, never-zero values up to the
+    /// `i32` proof's limit
     /// (`TILE · 1448² ≤ i32::MAX`) and wide values whose products and sums
     /// wrap.
     struct Case {
@@ -574,6 +611,7 @@ mod tests {
         idx: Vec<u32>,
         fk: Vec<u32>,
         bitmap: PositionalBitmap,
+        bytes: Vec<u8>,
         vals: Vec<i64>,
         nonzero: Vec<i64>,
         limit: Vec<i64>,
@@ -602,6 +640,7 @@ mod tests {
                     .map(|_| rng.gen_range(0..parent.len() as u32))
                     .collect(),
                 bitmap: PositionalBitmap::from_predicate_bytes(&parent),
+                bytes: parent,
                 vals: (0..n).map(|_| rng.gen_range(-100..100)).collect(),
                 nonzero: (0..n)
                     .map(|_| [-1i64, 1][rng.gen_range(0..2usize)] * rng.gen_range(1..100i64))
@@ -664,9 +703,10 @@ mod tests {
 
     /// [`check_modes`] behind every lane kind — the mask, the selection it
     /// compacts to and every lane (a stage with no filter) — with no
-    /// membership and with the case's bitmap; `want` gives the result over
-    /// the lanes kept. A pass with no input over every lane takes its lanes
-    /// from the membership, so it runs with the bitmap only.
+    /// membership, with the case's bitmap and with its byte map; `want`
+    /// gives the result over the lanes kept. A pass with no input over
+    /// every lane takes its lanes from the membership, so it runs with a
+    /// membership only.
     fn check_all<I: Fold>(
         case: &Case,
         inputs: &I,
@@ -675,23 +715,29 @@ mod tests {
         label: &str,
     ) {
         let bit = |j: usize| case.bitmap.get_bit(case.fk[j] as usize) != 0;
-        for bitmap in [false, true] {
+        for member in ["none", "bits", "bytes"] {
             let lanes = [
                 (Lanes::Masked(&case.cmp), "masked"),
                 (Lanes::Selected(&case.idx), "selected"),
                 (Lanes::Every, "every"),
             ];
+            let edge = member != "none";
             for (lanes, name) in lanes {
                 let every = matches!(lanes, Lanes::Every);
-                if every && !bitmap && inputs.lanes().is_none() {
+                if every && !edge && inputs.lanes().is_none() {
                     continue;
                 }
-                let want = want(&|j| (every || case.cmp[j] != 0) && (!bitmap || bit(j)));
-                let label = format!("n={} {label}, {name}, bitmap {bitmap}", case.cmp.len());
-                match bitmap {
-                    false => check_modes(lanes, (), inputs, want, narrow, &label),
-                    true => {
-                        let member = (&case.fk[..], case.bitmap.bits());
+                let want = want(&|j| (every || case.cmp[j] != 0) && (!edge || bit(j)));
+                let label = format!("n={} {label}, {name}, {member}", case.cmp.len());
+                let fk = &case.fk[..];
+                match member {
+                    "none" => check_modes(lanes, (), inputs, want, narrow, &label),
+                    "bits" => {
+                        let member = (fk, case.bitmap.bits());
+                        check_modes(lanes, member, inputs, want, narrow, &label);
+                    }
+                    _ => {
+                        let member = (fk, &case.bytes[..]);
                         check_modes(lanes, member, inputs, want, narrow, &label);
                     }
                 }
@@ -700,14 +746,15 @@ mod tests {
     }
 
     /// The scalar fold against the data-centric reference at every tile
-    /// length 0..=TILE: masked, selected and every lane × no membership and
-    /// a bitmap × `sum(a * b)` and `sum(a / b)` over i8 / i16 / i32 / u32 /
-    /// i64 operands (the pair rotates with the length; negative values,
+    /// length 0..=TILE: masked, selected and every lane × no membership, a
+    /// bitmap and a byte map (masked, two passes in `i32` lanes) ×
+    /// `sum(a * b)` and `sum(a / b)` over i8 / i16 / i32 / u32 / i64
+    /// operands (the pair rotates with the length; negative values,
     /// never-zero divisors) and over wide `i64` values that wrap, the
     /// one-slice `sum(a)` at every native width, a count-only pass, `min`
     /// and `max` — × `i64` lanes and, where its proof holds, `i32` lanes ×
-    /// `COUNT` off and on. A wrap on a lane the mask or the bit dropped
-    /// never reaches the sum.
+    /// `COUNT` off and on. A wrap on a lane the mask, the bit or the byte
+    /// dropped never reaches the sum.
     #[test]
     fn fold_matches_datacentric_at_every_tile_length() {
         let step = if cfg!(miri) { 127 } else { 1 };

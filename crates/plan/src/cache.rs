@@ -602,7 +602,7 @@ mod tests {
                 group: None,
                 aggs: Vec::new(),
                 mode,
-                instance: Instance::lower(mode, false, &program, &[]),
+                instance: Instance::lower(mode, false, false, &program, &[]),
                 group_table: GroupTableRepr::Hash,
                 program,
             }),

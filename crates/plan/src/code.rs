@@ -220,6 +220,7 @@ fn cmp(op: CmpOp) -> &'static str {
 fn hit(e: &JoinEdge, pos: &str) -> String {
     match e.strategy {
         SemiJoinStrategy::Hash => format!("ht_find(ht_{}, {pos})", e.parent),
+        SemiJoinStrategy::PositionalBitmap(_) if e.bytes => format!("bytes_{}[{pos}]", e.parent),
         SemiJoinStrategy::PositionalBitmap(_) => format!("bitmap_get(bm_{}, {pos})", e.parent),
     }
 }
@@ -229,6 +230,14 @@ fn build(out: &mut Code, d: usize, e: &JoinEdge) {
     let p = &e.parent;
     let (how, insert) = match e.strategy {
         SemiJoinStrategy::Hash => ("hash key set", format!("ht_insert(ht_{p}, i+idx[j]);")),
+        SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional) if e.bytes => (
+            "positional byte map, copied from the mask",
+            format!("bytes_{p}[i+j] = cmp[j];"),
+        ),
+        SemiJoinStrategy::PositionalBitmap(BitmapBuild::SelectionVector) if e.bytes => (
+            "positional byte map, set by selection",
+            format!("bytes_{p}[i+idx[j]] = 1;"),
+        ),
         SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional) => (
             "positional bitmap, packed from the mask",
             format!("bitmap_assign(bm_{p}, i+j, cmp[j]);"),
@@ -292,9 +301,10 @@ fn agg(out: &mut Code, s: &AggShape, proof: OverflowProof) {
         Sinks::Scalar(sinks) => sinks,
     };
     let masked = inst.lanes != Lanes::Selected;
-    let member = inst.member == Membership::Bitmap;
+    let member = inst.member != Membership::None;
+    let narrow = fold_mode(proof, masked, inst.member) == OverflowProof::I32Tile;
     let sums = sinks.iter().any(|s| matches!(s, Sink::Sum(_)));
-    if sums && fold_mode(proof, masked, member) == OverflowProof::I32Tile {
+    if sums && narrow {
         out.line(0, "// sums fold in i32 lanes per tile");
     }
     let slots: Vec<_> = sinks.iter().zip(&s.aggs).collect();
@@ -317,6 +327,12 @@ fn agg(out: &mut Code, s: &AggShape, proof: OverflowProof) {
             (false, Some(e)) => {
                 let bit = hit(e, &format!("{}[i+j]", e.fk_col));
                 Some(match filtered {
+                    // A byte map's masked probe in `i32` lanes: the
+                    // membership's loop, then Fig. 3's under its keep.
+                    true if narrow && e.bytes => {
+                        out.each(1, "len", &[format!("keep[j] = cmp[j] & {bit};")]);
+                        "keep[j]".to_string()
+                    }
                     true => format!("(cmp[j] & {bit})"),
                     false => bit,
                 })
@@ -451,8 +467,15 @@ mod tests {
     use swole_cost::{AggStrategy, BitmapBuild, GroupJoinStrategy, SemiJoinStrategy};
     use swole_storage::{ColumnData, Table};
 
-    /// The figures' `R(a, x, c, fk)` and `S(x)`, `R.fk` pointing into `S`.
+    /// The figures' `R(a, x, c, fk)` and `S(x)`, `R.fk` pointing into `S`:
+    /// 40 Ki `S` rows, above the byte-map budget, so its builds are the
+    /// paper's bitmaps.
     fn db() -> Database {
+        db_with(40 << 10)
+    }
+
+    /// [`db`] with `s_rows` rows in `S`.
+    fn db_with(s_rows: u32) -> Database {
         let n = 8_192u32;
         let mut db = Database::new();
         let col = |f: fn(u32) -> i32| ColumnData::I32((0..n).map(f).collect());
@@ -463,10 +486,10 @@ mod tests {
                 .with_column("c", col(|i| (i % 16) as i32))
                 .with_column(
                     "fk",
-                    ColumnData::U32((0..n).map(|i| i * 13 % 256).collect()),
+                    ColumnData::U32((0..n).map(|i| i * 13 % s_rows).collect()),
                 ),
         );
-        let s = ColumnData::I32((0..256).map(|i| i * 59 % 100).collect());
+        let s = ColumnData::I32((0..s_rows as i32).map(|i| i * 59 % 100).collect());
         db.add_table(Table::new("S").with_column("x", s));
         db.add_fk("R", "fk", "S").expect("R.fk indexes S");
         db
@@ -474,7 +497,12 @@ mod tests {
 
     /// `EXPLAIN CODE` of `sql` under `pins`, one string.
     fn code(pins: StrategyOverrides, sql: &str) -> String {
-        let engine = Engine::builder(db()).strategies(pins).build();
+        code_on(db(), pins, sql)
+    }
+
+    /// [`code`] over `db`.
+    fn code_on(db: Database, pins: StrategyOverrides, sql: &str) -> String {
+        let engine = Engine::builder(db).strategies(pins).build();
         let parsed = parse_sql(&format!("explain code {sql}")).expect("parses");
         assert_eq!(parsed.explain, Some(ExplainMode::Code));
         let c = engine.explain_code(&parsed.plan).expect("plans").code;
@@ -523,12 +551,11 @@ mod tests {
         let blend = prog.output_reg(2);
         assert_eq!(names.reg(blend, SEL), format!("v{blend}[idx[j]]"));
         let text: Vec<String> = prog.instrs.iter().map(|i| names.instr(i)).collect();
-        // No filter: the constant mask is copied to the filter's register.
+        // No filter: the constant mask is read where it is, not copied.
         let expected = [
             "m1[j] = x[i+j] > 5;",
             "v0[j] = a[i+j];",
             "v1[j] = m1[j] ? v0[j] : 0;",
-            "cmp[j] = 1;",
         ];
         assert_eq!(text, expected);
     }
@@ -625,6 +652,36 @@ mod tests {
         assert!(h.contains("kk += ht_find(ht_S, fk[i+idx[j]]);"), "{h}");
     }
 
+    /// A parent within the byte-map budget is built as one byte per row,
+    /// copied from the mask or set by selection, and probed with a byte
+    /// load: a masked probe in `i32` lanes runs the membership's loop into
+    /// `keep`, then Fig. 3's under it; every other lane set reads the byte.
+    #[test]
+    fn byte_map_semijoin_probes_in_two_loops() {
+        let small = || db_with(256);
+        let packed = SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional);
+        let c = code_on(small(), semijoin(packed), SEMIJOIN);
+        assert!(
+            c.contains("positional byte map, copied from the mask"),
+            "{c}"
+        );
+        assert!(c.contains("bytes_S[i+j] = cmp[j];"), "{c}");
+        assert!(c.contains("fold_masked_bytes<1>"), "{c}");
+        assert!(c.contains("// sums fold in i32 lanes per tile"), "{c}");
+        assert!(c.contains("keep[j] = cmp[j] & bytes_S[fk[i+j]];"), "{c}");
+        assert!(c.contains("s += (a[i+j]) * keep[j];"), "{c}");
+        assert!(!c.contains("bitmap"), "{c}");
+        let by_selection = SemiJoinStrategy::PositionalBitmap(BitmapBuild::SelectionVector);
+        let c = code_on(small(), semijoin(by_selection), SEMIJOIN);
+        assert!(c.contains("bytes_S[i+idx[j]] = 1;"), "{c}");
+        let sql = "select sum(R.a) as s from R, S where R.fk = S.rowid and S.x < 13";
+        let c = code_on(small(), semijoin(packed), sql);
+        assert!(c.contains("s += (a[i+j]) * bytes_S[fk[i+j]];"), "{c}");
+        let pin = StrategyOverrides::pin_groupjoin;
+        let c = code_on(small(), pin(GroupJoinStrategy::EagerAggregation), GROUPJOIN);
+        assert!(c.contains("if (!bytes_S[p])"), "{c}");
+    }
+
     /// TPC-H Q4's shape — a semijoin with no probe-side filter and a sum of
     /// one column — reads no mask and multiplies by nothing but the bit:
     /// the one-loop probe the hand-coded pipeline runs.
@@ -640,6 +697,7 @@ mod tests {
         assert!(c.contains(probe), "{c}");
         assert!(c.contains("n += bitmap_get(bm_S, fk[i+j]);"), "{c}");
         assert!(!c.contains("cmp[j] &"), "no mask byte: {c}");
+        assert!(!c.contains("cmp[j] = 1;"), "no constant mask copied: {c}");
         assert!(!c.contains("* 1"), "no register of ones: {c}");
         assert!(!c.contains("if ("), "no branches: {c}");
     }

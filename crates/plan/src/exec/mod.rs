@@ -317,25 +317,32 @@ mod tests {
     use swole_kernels::{MORSEL_ROWS, TILE};
     use swole_storage::ColumnData;
 
-    fn edge(t: &Table, lt: i64, fk_col: &str, strategy: SemiJoinStrategy) -> JoinEdge {
+    fn edge(
+        t: &Table,
+        lt: i64,
+        fk_col: &str,
+        (strategy, bytes): (SemiJoinStrategy, bool),
+    ) -> JoinEdge {
         let filter =
             Expr::col(t.column_names().next().expect("a column")).cmp(CmpOp::Lt, Expr::lit(lt));
         JoinEdge {
             parent: t.name().to_string(),
-            parent_program: Arc::new(TileProgram::lower(t, Some(&filter), &[]).expect("lowers")),
+            parent_program: Arc::new(TileProgram::lower_build(t, Some(&filter)).expect("lowers")),
             parent_filter: Some(filter),
             fk_col: fk_col.to_string(),
             strategy,
+            bytes,
             children: Vec::new(),
             est_selectivity: 0.5,
         }
     }
 
-    /// Every build strategy, with and without a chain edge, sparse and
-    /// dense, is bit-identical to the structure built from the whole byte
-    /// mask, at threads {1, 2, 8}, with one or many morsels per worker. The
-    /// parent `P` has 64 Ki + 37 rows, so its last morsel ends mid-word; its
-    /// chain edge joins the 1 003-row `Q`.
+    /// Every build strategy — both positional builds as a bitmap and as a
+    /// byte map — with and without a chain edge (of the same
+    /// representation), sparse and dense, is bit-identical to the structure
+    /// built from the whole byte mask, at threads {1, 2, 8}, with one or
+    /// many morsels per worker. The parent `P` has 64 Ki + 37 rows, so its
+    /// last morsel ends mid-word; its chain edge joins the 1 003-row `Q`.
     #[test]
     fn builds_from_the_tile_loop_match_the_byte_mask_reference() {
         let (p_rows, q_rows) = (MORSEL_ROWS + 37, 1_003u64);
@@ -356,9 +363,23 @@ mod tests {
         let (p, q) = (Arc::new(p), Arc::new(q));
         let executors = [1, 2, 8].map(Executor::new);
         let strategies = [
-            SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional),
-            SemiJoinStrategy::PositionalBitmap(BitmapBuild::SelectionVector),
-            SemiJoinStrategy::Hash,
+            (
+                SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional),
+                false,
+            ),
+            (
+                SemiJoinStrategy::PositionalBitmap(BitmapBuild::SelectionVector),
+                false,
+            ),
+            (
+                SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional),
+                true,
+            ),
+            (
+                SemiJoinStrategy::PositionalBitmap(BitmapBuild::SelectionVector),
+                true,
+            ),
+            (SemiJoinStrategy::Hash, false),
         ];
         for (lt, chained) in [(2, false), (2, true), (60, false), (60, true)] {
             let mask: Vec<u8> = (0..v.len())
@@ -369,7 +390,7 @@ mod tests {
                 let mut e = edge(&p, lt, "p", strategy);
                 if chained {
                     let bitmap = SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional);
-                    e.children.push(edge(&q, 50, "q", bitmap));
+                    e.children.push(edge(&q, 50, "q", (bitmap, strategy.1)));
                 }
                 let bound = BoundEdge {
                     edge: &e,
@@ -403,7 +424,14 @@ mod tests {
                     let at =
                         format!("σ<{lt} chained={chained} {strategy:?} rows/morsel={morsel_rows}");
                     match side {
-                        BuildSide::Bitmap(bm) => assert_eq!(bm, want, "{at}"),
+                        BuildSide::Bitmap(bm) => {
+                            assert!(!strategy.1, "{at}");
+                            assert_eq!(bm, want, "{at}");
+                        }
+                        BuildSide::Bytes(bytes) => {
+                            assert!(strategy.1, "{at}");
+                            assert_eq!(bytes, mask, "{at}");
+                        }
                         BuildSide::Set(set) => {
                             assert_eq!(set.len(), want.count_ones(), "{at}");
                             assert!(

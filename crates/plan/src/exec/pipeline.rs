@@ -148,20 +148,6 @@ fn drive<S: Sink>(
     }
 }
 
-/// Narrow the first `k` tile-local offsets of `idx` to the rows whose FK
-/// position hits `side`, compacting in place (the write cursor trails the
-/// read cursor, so no unread slot is overwritten). Returns the survivors.
-#[inline]
-pub(super) fn narrow_selection(idx: &mut [u32], k: usize, fk: &[u32], side: &BuildSide) -> usize {
-    let mut kk = 0usize;
-    for t in 0..k {
-        let j = idx[t];
-        idx[kk] = j;
-        kk += side.hit(fk[j as usize] as usize);
-    }
-    kk
-}
-
 /// The driver. Builds one membership structure per direct edge (its chain
 /// edges' bitmaps ANDed into its tile masks), runs the morsel body on workers
 /// sharing them read-only, then reports the edges' probe cardinalities and
@@ -227,7 +213,7 @@ fn run<const FRONT: u8, S: Sink>(
                         }
                         let reaching = k as u64;
                         let fk = &fk.slice()[start..start + len];
-                        k = narrow_selection(&mut w.regs.idx, k, fk, side);
+                        k = side.narrow(&mut w.regs.idx, k, fk);
                         if counting {
                             w.edge[ei].0 += reaching;
                             w.edge[ei].1 += k as u64;
@@ -240,8 +226,12 @@ fn run<const FRONT: u8, S: Sink>(
                     let m = sink.masked(t, &mut w.acc, &mut w.regs);
                     if counting && !sides.is_empty() {
                         // The edge's cardinalities are the qualifying rows,
-                        // though every lane probes the bitmap.
-                        let reached = predicate::mask_count(bound.filter(&w.regs, len));
+                        // though every lane probes the membership; without
+                        // a filter every lane qualifies.
+                        let reached = match has_filter {
+                            true => predicate::mask_count(bound.filter(&w.regs, len)),
+                            false => len,
+                        };
                         w.edge[0].0 += reached as u64;
                         w.edge[0].1 += m as u64;
                     }

@@ -12,7 +12,7 @@ use crate::logical::AggSpec;
 use crate::metrics::OpMetrics;
 use crate::physical::{self, Membership};
 use crate::result::QueryResult;
-use crate::tile::{self, GroupSink, Lane, Regs, ScalarSinks, TileProgram};
+use crate::tile::{self, GroupSink, Lane, Member, Regs, ScalarSinks, TileProgram};
 use swole_ht::{GroupTable, MergeOp};
 use swole_kernels::groupby::Lanes;
 use swole_kernels::{predicate, AccessCounters};
@@ -131,8 +131,13 @@ impl Sink for ScalarSink {
     fn masked(&self, t: Tile<'_>, acc: &mut ScalarAcc, regs: &mut Regs) -> usize {
         let member = match (self.member, t.sides, t.first_fk()) {
             (Membership::None, ..) => None,
-            (Membership::Bitmap, [(BuildSide::Bitmap(bm), _)], Some(fk)) => Some((fk, bm.bits())),
-            _ => unreachable!("a masked probe is planned over one bitmap edge"),
+            (Membership::Bitmap, [(BuildSide::Bitmap(bm), _)], Some(fk)) => {
+                Some(Member::Bits(fk, bm.bits()))
+            }
+            (Membership::Bytes, [(BuildSide::Bytes(bytes), _)], Some(fk)) => {
+                Some(Member::Bytes(fk, bytes))
+            }
+            _ => unreachable!("a masked probe is planned over one positional edge"),
         };
         let lanes = (t.bound.masked_lanes(regs, t.at.1), member);
         let ScalarAcc { acc, matched } = acc;
@@ -324,11 +329,9 @@ where
         {
             // Inverted predicate deletes non-qualifying keys (§ III-E) — after
             // the merge, so the reconciliation happens exactly once.
-            for pos in 0..edge.parent_t.len() {
-                if side.hit(pos) == 0 {
-                    ht.delete(pos as i64);
-                }
-            }
+            side.for_each_miss(edge.parent_t.len(), |pos| {
+                ht.delete(pos as i64);
+            });
         }
         if let Some(op) = agg_op {
             op.ht_dense = self.dense;

@@ -28,8 +28,8 @@ pub struct JoinEdgeExplain {
     /// Nesting depth: 0 for direct fact edges, 1+ for chain edges that
     /// restrict a parent.
     pub depth: usize,
-    /// Membership structure built for the edge (`key-set` or
-    /// `positional-bitmap`).
+    /// Membership structure built for the edge (`hash`,
+    /// `positional-bitmap` or `positional-bytes`).
     pub build_side: String,
     /// Estimated rows surviving the edge's membership test.
     pub est_rows: u64,
@@ -341,7 +341,7 @@ fn join_tree(db: &Database, plan: &PhysicalPlan) -> (Option<String>, Vec<JoinEdg
             parent: e.parent.clone(),
             fk_col: e.fk_col.clone(),
             depth: 0,
-            build_side: e.strategy.name().to_string(),
+            build_side: e.structure().to_string(),
             est_rows: alive.round() as u64,
             observed_rows: None,
         });
@@ -454,7 +454,7 @@ fn explain_nested_edges(
             parent: c.parent.clone(),
             fk_col: c.fk_col.clone(),
             depth,
-            build_side: c.strategy.name().to_string(),
+            build_side: c.structure().to_string(),
             est_rows: (parent_rows * c.est_selectivity).round() as u64,
             observed_rows: None,
         });

@@ -432,9 +432,10 @@ fn run_window(
         .map(|e| e.map_or_else(Vec::new, eval))
         .collect();
     // Window order: (partition, order keys, base row id) — the same total
-    // order the engine sorts by.
+    // order the engine sorts by. The row id makes every key distinct, so an
+    // unstable sort gives the one permutation a stable one would.
     let mut perm: Vec<usize> = (0..m).collect();
-    perm.sort_by(|&a, &b| {
+    perm.sort_unstable_by(|&a, &b| {
         let mut o = part[a].cmp(&part[b]);
         if o != Ordering::Equal {
             return o;

@@ -87,10 +87,13 @@ pub struct OpMetrics {
     /// than the hash table: every probe is then one array access, with no
     /// probe steps and no resizes.
     pub ht_dense: bool,
-    /// Bits set in a positional bitmap this operator built (0 otherwise).
+    /// Positions set in a positional bitmap or byte map this operator
+    /// built (0 otherwise).
     pub bitmap_bits_set: u64,
     /// 64-bit words backing that bitmap.
     pub bitmap_words: u64,
+    /// Bytes of that byte map, one per parent row.
+    pub byte_map_bytes: u64,
     /// Wall-clock nanoseconds for this operator phase
     /// ([`MetricsLevel::Timings`] only, else 0). A statement's operator
     /// walls are disjoint: they sum to at most [`QueryMetrics::elapsed_nanos`].
@@ -215,6 +218,7 @@ impl QueryMetrics {
                 ("ht_bytes_allocated", o.ht.bytes_allocated),
                 ("bitmap_bits_set", o.bitmap_bits_set),
                 ("bitmap_words", o.bitmap_words),
+                ("byte_map_bytes", o.byte_map_bytes),
                 ("wall_nanos", o.wall_nanos),
             ] {
                 s.push_str(",\"");
@@ -289,6 +293,13 @@ impl fmt::Display for QueryMetrics {
                     f,
                     "\n      bitmap: {} bits set, {} words",
                     o.bitmap_bits_set, o.bitmap_words
+                )?;
+            }
+            if o.byte_map_bytes > 0 {
+                write!(
+                    f,
+                    "\n      byte map: {} bytes set, {} bytes",
+                    o.bitmap_bits_set, o.byte_map_bytes
                 )?;
             }
             if o.wall_nanos > 0 {

@@ -8,8 +8,8 @@ use crate::expr::Expr;
 use crate::logical::{AggSpec, FrameSpec, SortKey, WindowFnSpec};
 use crate::tile::{group_sink, scalar_sinks, GroupSink, Sink, TileProgram};
 use swole_cost::{
-    AggProfile, AggStrategy, GroupJoinProfile, GroupJoinStrategy, GroupTableCost, JoinGraphProfile,
-    JoinOrderMethod, SemiJoinStrategy, WindowStrategy,
+    AggProfile, AggStrategy, CostParams, GroupJoinProfile, GroupJoinStrategy, GroupTableCost,
+    JoinGraphProfile, JoinOrderMethod, SemiJoinStrategy, WindowStrategy,
 };
 use swole_ht::DenseAggTable;
 use swole_verify::ir::{Access, AccessSig};
@@ -216,10 +216,24 @@ pub(crate) struct JoinEdge {
     /// for a direct edge; for a chain edge, whose bit its child's build ANDs
     /// into the child's tile masks, a packed bitmap.
     pub strategy: SemiJoinStrategy,
+    /// Whether a positional build side holds one byte per parent row
+    /// instead of one bit ([`byte_map_fits`], decided at plan time); false
+    /// for a key set. The build, the probe's dispatch, the certificate and
+    /// `EXPLAIN` all read it.
+    pub bytes: bool,
     /// Edges restricting `parent` itself (chain joins), in canonical order.
     pub children: Vec<JoinEdge>,
     /// Estimated fraction of probe rows surviving this edge.
     pub est_selectivity: f64,
+}
+
+/// Whether a positional build side over `parent_rows` rows is a byte map:
+/// one byte per row, when that fits the modelled L1
+/// (`params.cache_bytes[0]`). A probe then reads its membership with one
+/// byte load, not a bit extraction; a larger parent keeps the packed bitmap,
+/// whose eighth of the footprint is what keeps it in cache.
+pub(crate) fn byte_map_fits(parent_rows: usize, params: &CostParams) -> bool {
+    parent_rows <= params.cache_bytes[0]
 }
 
 /// The representation of a grouped stage's per-worker group table, decided
@@ -315,14 +329,19 @@ pub(crate) enum Membership {
     /// Those whose bit is set in a masked probe's one bitmap edge, at the
     /// lane's FK position (§ III-D).
     Bitmap,
+    /// Those whose byte is set in a masked probe's one byte-map edge.
+    Bytes,
 }
 
 /// The width a scalar stage's sums fold in under the certificate's
-/// `proof`: `i32` lanes serve only the masked sums of a stage without a
-/// membership; every other instance widens them to `i64`.
-pub(crate) fn fold_mode(proof: OverflowProof, masked: bool, member: bool) -> OverflowProof {
+/// `proof`: `i32` lanes serve the masked sums of a stage without a
+/// membership or with a byte map (whose masked probe folds in two loops,
+/// the membership's and Fig. 3's); every other instance widens them to
+/// `i64`. A bitmap's bit stays in the fused `i64` loop: the same two loops
+/// over bits ran `hash_micro`'s masked probe 30–40 % slower.
+pub(crate) fn fold_mode(proof: OverflowProof, masked: bool, member: Membership) -> OverflowProof {
     match proof {
-        OverflowProof::I32Tile if !masked || member => OverflowProof::I64,
+        OverflowProof::I32Tile if !masked || member == Membership::Bitmap => OverflowProof::I64,
         proof => proof,
     }
 }
@@ -347,10 +366,12 @@ pub(crate) struct Instance {
 }
 
 impl Instance {
-    /// The instance that runs `mode` over `program`'s aggregate list.
+    /// The instance that runs `mode` over `program`'s aggregate list; a
+    /// masked probe's membership is its edge's representation (`bytes`).
     pub(crate) fn lower(
         mode: AggMode,
         grouped: bool,
+        bytes: bool,
         program: &TileProgram,
         aggs: &[AggSpec],
     ) -> Instance {
@@ -368,6 +389,7 @@ impl Instance {
             AggMode::Join(GroupJoinStrategy::EagerAggregation) => Lanes::Every,
         };
         let member = match mode {
+            AggMode::Probe { masked: true } if bytes => Membership::Bytes,
             AggMode::Probe { masked: true } => Membership::Bitmap,
             _ => Membership::None,
         };
@@ -426,6 +448,11 @@ impl fmt::Display for Instance {
             (Sinks::Scalar(sinks), Membership::Bitmap) => write!(
                 f,
                 ", masked probe, sink: fold_masked_bitmap<{}>",
+                sinks.len()
+            ),
+            (Sinks::Scalar(sinks), Membership::Bytes) => write!(
+                f,
+                ", masked probe, sink: fold_masked_bytes<{}>",
                 sinks.len()
             ),
             (Sinks::Scalar(_), Membership::None) => Ok(()),
@@ -553,6 +580,15 @@ impl JoinEdge {
     pub(crate) fn probe_op(parent: &str) -> String {
         format!("multijoin-probe({parent})")
     }
+
+    /// The membership structure the build materializes, as `EXPLAIN`
+    /// names it: the strategy's, or `positional-bytes` for a byte map.
+    pub(crate) fn structure(&self) -> &'static str {
+        match self.bytes {
+            true => "positional-bytes",
+            false => self.strategy.name(),
+        }
+    }
 }
 
 impl AggShape {
@@ -640,7 +676,7 @@ pub(crate) fn count_edges(edges: &[JoinEdge]) -> usize {
 
 /// One edge as `fk -> parent[strategy]( <children> )`.
 fn render_edge(e: &JoinEdge) -> String {
-    let mut out = format!("{} -> {}[{}]", e.fk_col, e.parent, e.strategy.name());
+    let mut out = format!("{} -> {}[{}]", e.fk_col, e.parent, e.structure());
     if !e.children.is_empty() {
         out.push_str(&format!(
             "({})",

@@ -128,7 +128,8 @@ impl Planner<'_> {
             aggs,
             grouped,
         )?);
-        let instance = Instance::lower(mode, grouped, &program, aggs);
+        let bytes = edges.first().is_some_and(|e| e.bytes);
+        let instance = Instance::lower(mode, grouped, bytes, &program, aggs);
         Ok(PhysicalPlan::new(
             Shape::Agg(AggShape {
                 table: table_name,

@@ -10,7 +10,7 @@ use crate::error::PlanError;
 use crate::exec::FkSource;
 use crate::expr::Expr;
 use crate::logical::LogicalPlan;
-use crate::physical::{AggMode, CostProfile, Estimates, GroupTableRepr, JoinEdge};
+use crate::physical::{byte_map_fits, AggMode, CostProfile, Estimates, GroupTableRepr, JoinEdge};
 use crate::tile::TileProgram;
 use swole_bitmap::PositionalBitmap;
 use swole_cost::choose::{choose_groupjoin_mt, choose_semijoin};
@@ -353,13 +353,18 @@ impl Planner<'_> {
             "edge {child}.{} -> {} σ={est_selectivity:.2}: {}",
             e.fk_col, e.parent, choice.explanation
         ));
-        let parent_program = Arc::new(TileProgram::lower(parent_t, e.parent_filter.as_ref(), &[])?);
+        let parent_program = Arc::new(TileProgram::lower_build(
+            parent_t,
+            e.parent_filter.as_ref(),
+        )?);
+        let positional = matches!(strategy, SemiJoinStrategy::PositionalBitmap(_));
         Ok(JoinEdge {
             parent: e.parent,
             parent_filter: e.parent_filter,
             parent_program,
             fk_col: e.fk_col,
             strategy,
+            bytes: positional && byte_map_fits(parent_t.len(), self.params),
             children,
             est_selectivity,
         })

@@ -34,7 +34,7 @@ use swole_verify::OverflowProof;
 use crate::error::PlanError;
 use crate::expr::{AggFunc, CmpOp, Expr};
 use crate::logical::AggSpec;
-use crate::physical;
+use crate::physical::{self, Membership};
 
 /// Arithmetic operator of an [`Instr::Arith`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,7 +199,17 @@ impl TileProgram {
         filter: Option<&Expr>,
         wants: &[Want<'_>],
     ) -> Result<TileProgram, PlanError> {
-        TileProgram::lower_keyed(table, filter, wants, None)
+        TileProgram::lower_keyed(table, filter, wants, None, false)
+    }
+
+    /// Lower a semijoin build's `filter`: the build ANDs its chain edges'
+    /// membership into the filter mask in place, so that mask is a register
+    /// the program rewrites every tile even when it is constant.
+    pub(crate) fn lower_build(
+        table: &Table,
+        filter: Option<&Expr>,
+    ) -> Result<TileProgram, PlanError> {
+        TileProgram::lower_keyed(table, filter, &[], None, true)
     }
 
     fn lower_keyed(
@@ -207,6 +217,7 @@ impl TileProgram {
         filter: Option<&Expr>,
         wants: &[Want<'_>],
         key: Option<&str>,
+        build: bool,
     ) -> Result<TileProgram, PlanError> {
         let mut lw = Lowerer::new(table);
         let filter_node = match filter {
@@ -225,7 +236,7 @@ impl TileProgram {
             });
         }
         let key = key.map(|k| lw.col(k)).transpose()?;
-        Ok(lw.finish(filter_node, filter.is_some(), outs, key))
+        Ok(lw.finish(filter_node, filter.is_some(), outs, key, build))
     }
 
     /// Lower an aggregation stage: the filter, the aggregates' inputs
@@ -252,7 +263,7 @@ impl TileProgram {
                 _ => Want::Reg(&a.expr),
             })
             .collect();
-        TileProgram::lower_keyed(table, filter, &wants, key)
+        TileProgram::lower_keyed(table, filter, &wants, key, false)
     }
 
     /// Bytes of one worker's [`Regs`] file plus one accumulator slot per
@@ -612,6 +623,7 @@ impl<'a> Lowerer<'a> {
         has_filter: bool,
         outs: Vec<Option<VOut>>,
         key: Option<usize>,
+        build: bool,
     ) -> TileProgram {
         let mut phys = Vec::with_capacity(self.nodes.len());
         let (mut n_masks, mut n_vals) = (0usize, 0usize);
@@ -675,10 +687,11 @@ impl<'a> Lowerer<'a> {
             phys.push(dst);
         }
         // A build folds its chain edges' bits into the filter mask after
-        // the program ran, so that mask must be a register an instruction
-        // rewrites every tile — never a shared constant.
+        // the program ran, so its mask must be a register an instruction
+        // rewrites every tile — never a shared constant. Nothing writes
+        // any other stage's mask: a constant one is read where it is.
         let mut filter_reg = phys[filter];
-        if self.nodes[filter].is_const() {
+        if build && self.nodes[filter].is_const() {
             instrs.push(Instr::CopyMask {
                 src: filter_reg,
                 dst: n_masks,
@@ -1105,8 +1118,8 @@ pub(crate) enum Sink {
 pub(crate) struct ScalarSinks {
     pub(crate) sinks: Arc<[Sink]>,
     /// The certificate's verdict on the sums: `I32Tile` runs the masked
-    /// sums of a stage with no edge in `i32` lanes; every other sum is one
-    /// wrapping `i64` add.
+    /// sums of a stage with no edge or over a byte map in `i32` lanes;
+    /// every other sum is one wrapping `i64` add.
     pub(crate) proof: OverflowProof,
     /// Whether the run counts the lanes it keeps (its metrics do).
     pub(crate) counted: bool,
@@ -1152,28 +1165,61 @@ macro_rules! with_fused {
     }};
 }
 
-/// Which lanes of a scalar stage belong to the result besides those its
-/// filter keeps: all, or — a masked probe — those whose bit is set in its
-/// one edge's bitmap at the lane's FK position (§ III-D). Without a filter
-/// the lanes are `Lanes::Every` and the bit alone keeps a lane.
-pub(crate) type Member<'a> = Option<(&'a [u32], Bits<'a>)>;
+/// Which lanes of a masked probe belong to the result besides those its
+/// filter keeps: those whose bit is set in its one edge's bitmap at the
+/// lane's FK position (§ III-D), or whose byte is set in its byte map.
+/// Without a filter the lanes are `Lanes::Every` and the membership alone
+/// keeps a lane.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Member<'a> {
+    Bits(&'a [u32], Bits<'a>),
+    Bytes(&'a [u32], &'a [u8]),
+}
+
+impl Member<'_> {
+    /// The plan's name for `member`.
+    fn of(member: Option<Member<'_>>) -> Membership {
+        match member {
+            None => Membership::None,
+            Some(Member::Bits(..)) => Membership::Bitmap,
+            Some(Member::Bytes(..)) => Membership::Bytes,
+        }
+    }
+}
 
 /// The `agg::fold` instance `member`, `mode` and `count` name. Without a
 /// membership the caller counts the mask, the selection or the tile itself, and
-/// `count` is ignored; with one the sums are `i64` (see
+/// `count` is ignored; over a bitmap the sums are `i64` (see
 /// `physical::fold_mode`).
 fn fold<I: agg::Fold>(
     lanes: Lanes<'_>,
-    member: Member<'_>,
+    member: Option<Member<'_>>,
     inputs: &I,
     (mode, count): (OverflowProof, bool),
 ) -> agg::Folded {
     use agg::{I32Tile, Wrapping};
+    use OverflowProof::{I32Tile as I32, I64};
     match (member, mode, count) {
-        (None, OverflowProof::I64, _) => instance::<_, _, Wrapping, false>(lanes, (), inputs),
-        (None, OverflowProof::I32Tile, _) => instance::<_, _, I32Tile, false>(lanes, (), inputs),
-        (Some(m), _, false) => instance::<_, _, Wrapping, false>(lanes, m, inputs),
-        (Some(m), _, true) => instance::<_, _, Wrapping, true>(lanes, m, inputs),
+        (None, I64, _) => instance::<_, _, Wrapping, false>(lanes, (), inputs),
+        (None, I32, _) => instance::<_, _, I32Tile, false>(lanes, (), inputs),
+        (Some(Member::Bits(fk, b)), _, false) => {
+            instance::<_, _, Wrapping, false>(lanes, (fk, b), inputs)
+        }
+        (Some(Member::Bits(fk, b)), _, true) => {
+            instance::<_, _, Wrapping, true>(lanes, (fk, b), inputs)
+        }
+        (Some(Member::Bytes(fk, b)), I64, false) => {
+            instance::<_, _, Wrapping, false>(lanes, (fk, b), inputs)
+        }
+        (Some(Member::Bytes(fk, b)), I64, true) => {
+            instance::<_, _, Wrapping, true>(lanes, (fk, b), inputs)
+        }
+        (Some(Member::Bytes(fk, b)), I32, false) => {
+            instance::<_, _, I32Tile, false>(lanes, (fk, b), inputs)
+        }
+        (Some(Member::Bytes(fk, b)), I32, true) => {
+            instance::<_, _, I32Tile, true>(lanes, (fk, b), inputs)
+        }
     }
 }
 
@@ -1204,12 +1250,12 @@ impl BoundProgram {
         &self,
         r: &Regs,
         sinks: &ScalarSinks,
-        (lanes, member): (Lanes<'_>, Member<'_>),
+        (lanes, member): (Lanes<'_>, Option<Member<'_>>),
         tile: (usize, usize),
         acc: &mut [i64],
     ) -> usize {
         let masked = !matches!(lanes, Lanes::Selected(_));
-        let mode = physical::fold_mode(sinks.proof, masked, member.is_some());
+        let mode = physical::fold_mode(sinks.proof, masked, Member::of(member));
         let mut kept = match (lanes, member) {
             (Lanes::Masked(cmp), None) => Some(predicate::mask_count(cmp)),
             (Lanes::Selected(idx), None) => Some(idx.len()),
@@ -1765,8 +1811,9 @@ mod tests {
 
     /// The fused-input upsert — behind every front end, over both table
     /// representations and keys of every width — against a row-at-a-time
-    /// fold of the block evaluator's values, and the fused masked probe
-    /// against the three-pass path it replaces.
+    /// fold of the block evaluator's values, and the fused masked probe,
+    /// over a bitmap and a byte map, against the three-pass path it
+    /// replaces.
     #[test]
     fn grouped_and_probe_sinks_match_eval_row() {
         use swole_ht::{AggTable, DenseAggTable};
@@ -1777,6 +1824,7 @@ mod tests {
             5000,
             &(0..5000u32).filter(|p| p % 3 != 0).collect::<Vec<_>>(),
         );
+        let bytes: Vec<u8> = (0..5000).map(|p| bitmap.get_bit(p) as u8).collect();
         for seed in 0..60u64 {
             let mut rng = SmallRng::seed_from_u64(4000 + seed);
             let filter = maybe_filter(&mut rng, seed);
@@ -1822,11 +1870,12 @@ mod tests {
                 assert_eq!(&dense, want, "dense {label}");
             }
 
-            // The masked probe, the edge's bitmap the fold's membership — a
-            // lone sum, a sum and a count, a count alone, two sums; counted
-            // and not; over every lane when the stage has no filter —
-            // against ANDing the bits into the mask and folding that with
-            // no membership.
+            // The masked probe, the edge's bitmap or byte map the fold's
+            // membership — a lone sum, a sum and a count, a count alone,
+            // two sums; counted and not; over every lane when the stage has
+            // no filter; the byte map in `i64` and in `i32` lanes (its two
+            // passes) — against ANDing the membership into the mask and
+            // folding that with no membership in the same mode.
             let Sink::Sum(sum) = scalar_sinks(&prog, &aggs)[0] else {
                 panic!("a sum sinks a sum");
             };
@@ -1836,46 +1885,60 @@ mod tests {
                 vec![Sink::Count],
                 vec![Sink::Sum(sum), Sink::Sum(sum)],
             ];
-            let runs: Vec<ScalarSinks> = lists
-                .iter()
-                .flat_map(|l| [false, true].map(|counted| (l.clone(), counted)))
-                .map(|(sinks, counted)| ScalarSinks {
-                    sinks: sinks.into(),
-                    proof: OverflowProof::I64,
-                    counted,
-                })
-                .collect();
-            let mut probed: Vec<Vec<i64>> = runs.iter().map(|s| vec![0; s.sinks.len()]).collect();
-            let mut kept = vec![0usize; runs.len()];
-            let folded = runs[2].clone(); // [sum, count], uncounted
-            let (mut regs, mut want) = (Regs::new(&prog), vec![0i64; 2]);
-            for tile in swole_kernels::tiles(ROWS) {
-                let (start, len) = tile;
-                let fk = &fk[start..start + len];
-                bound.run(&mut regs, start, len);
-                for (i, sinks) in runs.iter().enumerate() {
-                    let lanes = (bound.masked_lanes(&regs, len), Some((fk, bitmap.bits())));
-                    let acc = &mut probed[i];
-                    kept[i] += bound.accumulate(&regs, sinks, lanes, tile, acc);
+            let members = [
+                ("bits", OverflowProof::I64),
+                ("bytes", OverflowProof::I64),
+                ("bytes", OverflowProof::I32Tile),
+            ];
+            for (member, proof) in members {
+                let runs: Vec<ScalarSinks> = lists
+                    .iter()
+                    .flat_map(|l| [false, true].map(|counted| (l.clone(), counted)))
+                    .map(|(sinks, counted)| ScalarSinks {
+                        sinks: sinks.into(),
+                        proof,
+                        counted,
+                    })
+                    .collect();
+                let mut probed: Vec<Vec<i64>> =
+                    runs.iter().map(|s| vec![0; s.sinks.len()]).collect();
+                let mut kept = vec![0usize; runs.len()];
+                let folded = runs[2].clone(); // [sum, count], uncounted
+                let (mut regs, mut want) = (Regs::new(&prog), vec![0i64; 2]);
+                let mut mask = [0u8; TILE];
+                for tile in swole_kernels::tiles(ROWS) {
+                    let (start, len) = tile;
+                    let fk = &fk[start..start + len];
+                    bound.run(&mut regs, start, len);
+                    let m = match member {
+                        "bits" => Member::Bits(fk, bitmap.bits()),
+                        _ => Member::Bytes(fk, &bytes),
+                    };
+                    for (i, sinks) in runs.iter().enumerate() {
+                        let lanes = (bound.masked_lanes(&regs, len), Some(m));
+                        let acc = &mut probed[i];
+                        kept[i] += bound.accumulate(&regs, sinks, lanes, tile, acc);
+                    }
+                    for (j, (c, &p)) in mask[..len].iter_mut().zip(fk).enumerate() {
+                        let filtered = !prog.has_filter() || bound.filter(&regs, len)[j] != 0;
+                        *c = u8::from(filtered) & bitmap.get_bit(p as usize) as u8;
+                    }
+                    let lanes = (Lanes::Masked(&mask[..len]), None);
+                    bound.accumulate(&regs, &folded, lanes, tile, &mut want);
                 }
-                for (c, &p) in bound.filter_mut(&mut regs, len).iter_mut().zip(fk) {
-                    *c &= bitmap.get_bit(p as usize) as u8;
+                let [sum, n] = want[..] else { unreachable!() };
+                for (i, run) in runs.iter().enumerate() {
+                    let label = format!("seed {seed} {member} probe {run:?} {input:?}");
+                    let slot = |s: &Sink| if *s == Sink::Count { n } else { sum };
+                    assert_eq!(
+                        probed[i],
+                        run.sinks.iter().map(slot).collect::<Vec<_>>(),
+                        "{label}"
+                    );
+                    let counts = run.counted || run.sinks.contains(&Sink::Count);
+                    let lanes = if counts { n as usize } else { ROWS };
+                    assert_eq!(kept[i], lanes, "{label}");
                 }
-                let lanes = (Lanes::Masked(bound.filter(&regs, len)), None);
-                bound.accumulate(&regs, &folded, lanes, tile, &mut want);
-            }
-            let [sum, n] = want[..] else { unreachable!() };
-            for (i, run) in runs.iter().enumerate() {
-                let label = format!("seed {seed} probe {run:?} {input:?}");
-                let slot = |s: &Sink| if *s == Sink::Count { n } else { sum };
-                assert_eq!(
-                    probed[i],
-                    run.sinks.iter().map(slot).collect::<Vec<_>>(),
-                    "{label}"
-                );
-                let counts = run.counted || run.sinks.contains(&Sink::Count);
-                let lanes = if counts { n as usize } else { ROWS };
-                assert_eq!(kept[i], lanes, "{label}");
             }
         }
     }
@@ -2101,9 +2164,10 @@ mod tests {
         assert_ne!(add, case);
         assert!(prog.const_vals.is_empty(), "{:?}", prog.const_vals);
         // The Q4 shape: a bare column and no filter lowers to no value
-        // register at all — only the filter's constant mask copy.
+        // register and no instruction at all — not even a copy of the
+        // constant mask, which only a build rewrites.
         let one = TileProgram::lower_agg(&t, None, None, &aggs[..1], false).unwrap();
-        assert_eq!((one.n_vals, one.instrs.len()), (0, 1));
+        assert_eq!((one.n_vals, one.instrs.len()), (0, 0));
         let regs = Regs::new(&one);
         assert!(regs.vals.is_empty());
     }
@@ -2250,11 +2314,20 @@ mod tests {
         assert!(prog.scratch_bytes() <= real + 8 * prog.outputs.len());
     }
 
+    /// A build's constant filter mask is copied into a register of its own
+    /// every tile; any other stage's is read where it is.
     #[test]
     fn the_filter_mask_is_rewritten_every_tile_even_when_constant() {
         let t = table(1);
         for filter in [None, Some(Expr::lit(1).cmp(CmpOp::Lt, Expr::lit(2)))] {
-            let prog = Arc::new(TileProgram::lower(&t, filter.as_ref(), &[]).unwrap());
+            let stage = TileProgram::lower(&t, filter.as_ref(), &[]).unwrap();
+            let copies = |p: &TileProgram| {
+                let copy = |i: &&Instr| matches!(i, Instr::CopyMask { .. });
+                p.instrs.iter().filter(copy).count()
+            };
+            assert_eq!(copies(&stage), 0, "{filter:?}");
+            let prog = Arc::new(TileProgram::lower_build(&t, filter.as_ref()).unwrap());
+            assert_eq!(copies(&prog), 1, "{filter:?}");
             let bound = prog.bind(&t).unwrap();
             let mut regs = Regs::new(&prog);
             bound.run(&mut regs, 0, TILE);

@@ -267,14 +267,23 @@ fn fk_decl(db: &Database, probe: &str, fk_col: &str, build: &str) -> Result<FkDe
     })
 }
 
+/// The artifact a positional edge's build exports: its byte map or its
+/// bitmap, sized by the bounds pass at what the build allocates.
+fn positional_kind(e: &JoinEdge) -> ArtifactKind {
+    match e.bytes {
+        true => ArtifactKind::PositionalBytes,
+        false => ArtifactKind::PositionalBitmap,
+    }
+}
+
 /// Lower one join edge's build side, post-order (chain edges first, so
 /// every bitmap import resolves against an earlier export).
 ///
 /// Every edge is a semijoin build written from its tile loop: the parent's
-/// filter into a tile-scoped mask, each chain edge's bitmap ANDed in
-/// through its FK, then the membership structure the next operator
-/// imports. The selection-vector and hash builds compact the tile mask
-/// into a tile-scoped selection vector first.
+/// filter into a tile-scoped mask, each chain edge's bitmap or byte map
+/// ANDed in through its FK, then the membership structure the next
+/// operator imports. The selection-vector and hash builds compact the tile
+/// mask into a tile-scoped selection vector first.
 fn lower_join_build(
     db: &Database,
     child: &str,
@@ -301,7 +310,7 @@ fn lower_join_build(
     op.exprs.extend(predicate(&e.parent_filter));
     for c in &e.children {
         op.imports.push(Import {
-            kind: ArtifactKind::PositionalBitmap,
+            kind: positional_kind(c),
             table: c.parent.clone(),
             via_fk: Some(FkRef {
                 child: e.parent.clone(),
@@ -323,11 +332,14 @@ fn lower_join_build(
         op.locals
             .push(tile_artifact(ArtifactKind::SelectionVector, &e.parent));
     }
-    let (kind, site) = match strategy {
-        SemiJoinStrategy::Hash => (ArtifactKind::KeySet, "key-set"),
-        SemiJoinStrategy::PositionalBitmap(_) => {
-            (ArtifactKind::PositionalBitmap, "positional-bitmap")
-        }
+    let kind = match strategy {
+        SemiJoinStrategy::Hash => ArtifactKind::KeySet,
+        SemiJoinStrategy::PositionalBitmap(_) => positional_kind(e),
+    };
+    let site = match kind {
+        ArtifactKind::KeySet => "key-set",
+        ArtifactKind::PositionalBytes => "positional-bytes",
+        _ => "positional-bitmap",
     };
     op.exports.push(plan_artifact(kind, &e.parent, rows));
     op.allocs.push(charged(site));
@@ -406,7 +418,7 @@ fn lower_agg(db: &Database, plan: &PhysicalPlan, shape: &AggShape) -> Result<Pro
         op.imports.push(Import {
             kind: match e.strategy {
                 SemiJoinStrategy::Hash => ArtifactKind::KeySet,
-                SemiJoinStrategy::PositionalBitmap(_) => ArtifactKind::PositionalBitmap,
+                SemiJoinStrategy::PositionalBitmap(_) => positional_kind(e),
             },
             table: e.parent.clone(),
             via_fk: Some(FkRef {

@@ -344,7 +344,13 @@ fn filter_above_semijoin_is_probe_filter() {
 /// `S`; `indexed` registers the FK index (without it a grouped join has no
 /// validated key domain and takes the hash table).
 fn lists_db(indexed: bool) -> Database {
-    let (n_r, n_s) = (20_000usize, 512usize);
+    lists_db_with(indexed, 512)
+}
+
+/// [`lists_db`] with `n_s` rows in `S`: 512 is within the byte-map budget,
+/// 40 Ki above it.
+fn lists_db_with(indexed: bool, n_s: usize) -> Database {
+    let n_r = 20_000usize;
     let mut rng = SmallRng::seed_from_u64(0x115);
     let flags = ["A", "N", "R"];
     let mut col = |f: &mut dyn FnMut(&mut SmallRng) -> i64| -> Vec<i64> {
@@ -590,7 +596,8 @@ fn unpinned_dense_group_tables_pick_the_measured_strategy_and_match() {
 /// count]` and `[sum, sum]` (one pass per sum) × with and without a
 /// probe-side filter × `*` and `/` over narrow (`i32` / `i8`) and wide
 /// (`i64`) operands × statistics on and off × threads {1, 2, 8} ×
-/// `MetricsLevel` Off and Counters. Under
+/// `MetricsLevel` Off and Counters × a parent within the byte-map budget
+/// (a byte map) and above it (a bitmap). Under
 /// counters every list over the same probe reports the same edge and
 /// aggregation counters as the fold does.
 #[test]
@@ -603,19 +610,19 @@ fn masked_probe_lists_run_in_one_pass_and_match_the_interpreter() {
         Expr::col("p").mul(Expr::col("q")),
         div(Expr::col("p"), Expr::col("q")),
     ];
-    let lists = |e: &Expr| {
+    let lists = |e: &Expr, member: &str| {
         let s = |name: &str| AggSpec::sum(e.clone(), name);
         let n = |name: &str| AggSpec::count(name);
         let (one, two) = (
-            "sink: fold_masked_bitmap<1>)",
-            "sink: fold_masked_bitmap<2>)",
+            format!("sink: fold_masked_{member}<1>)"),
+            format!("sink: fold_masked_{member}<2>)"),
         );
         [
-            (vec![s("s")], one),
-            (vec![s("s"), n("n")], two),
-            (vec![n("n"), s("s")], two),
+            (vec![s("s")], one.clone()),
+            (vec![s("s"), n("n")], two.clone()),
+            (vec![n("n"), s("s")], two.clone()),
             (vec![n("n")], one),
-            (vec![n("n"), n("n2")], two),
+            (vec![n("n"), n("n2")], two.clone()),
             (vec![s("s"), s("s2")], two),
         ]
     };
@@ -628,36 +635,81 @@ fn masked_probe_lists_run_in_one_pass_and_match_the_interpreter() {
         let parent = QueryBuilder::scan("S").filter(Expr::col("y").cmp(CmpOp::Lt, Expr::lit(40)));
         fact.semijoin(parent, "fk").aggregate(None, aggs)
     };
-    let oracle = lists_db(true);
-    for stats in [StatsMode::OnLoad, StatsMode::Off] {
-        for metrics in [MetricsLevel::Off, MetricsLevel::Counters] {
-            let engines = [1, 2, 8].map(|threads| {
-                Engine::builder(lists_db(true))
-                    .tile_rows(2048)
-                    .stats(stats)
-                    .metrics(metrics)
-                    .threads(threads)
-                    .build()
-            });
-            for filtered in [false, true] {
-                for sum in &sums {
-                    let mut counters = None;
-                    for (aggs, sink) in lists(sum) {
-                        let plan = probe(filtered, aggs);
-                        let expected = interp::run(&oracle, &plan).expect("interp");
-                        for engine in &engines {
-                            let explain = engine.explain(&plan).expect("explain");
-                            assert!(explain.strategy.ends_with(sink), "{explain}\nwants {sink}");
-                            let got = engine.query(&plan).expect("engine");
-                            assert_eq!(got.rows, expected.rows, "{explain}");
-                            let Some(m) = got.metrics() else { continue };
-                            let op = |name: &str| m.op(name).expect(name).access;
-                            let seen = (op("multijoin-probe(S)"), op("multijoin-agg(R)"));
-                            assert_eq!(*counters.get_or_insert(seen), seen, "{explain}");
+    for (n_s, member) in [(512, "bytes"), (40 << 10, "bitmap")] {
+        let oracle = lists_db_with(true, n_s);
+        for stats in [StatsMode::OnLoad, StatsMode::Off] {
+            for metrics in [MetricsLevel::Off, MetricsLevel::Counters] {
+                let engines = [1, 2, 8].map(|threads| {
+                    Engine::builder(lists_db_with(true, n_s))
+                        .tile_rows(2048)
+                        .stats(stats)
+                        .metrics(metrics)
+                        .threads(threads)
+                        .build()
+                });
+                for filtered in [false, true] {
+                    for sum in &sums {
+                        let mut counters = None;
+                        for (aggs, sink) in lists(sum, member) {
+                            let plan = probe(filtered, aggs);
+                            let expected = interp::run(&oracle, &plan).expect("interp");
+                            for engine in &engines {
+                                let explain = engine.explain(&plan).expect("explain");
+                                let ends = explain.strategy.ends_with(&sink);
+                                assert!(ends, "{explain}\nwants {sink}");
+                                let got = engine.query(&plan).expect("engine");
+                                assert_eq!(got.rows, expected.rows, "{explain}");
+                                let Some(m) = got.metrics() else { continue };
+                                let op = |name: &str| m.op(name).expect(name).access;
+                                let seen = (op("multijoin-probe(S)"), op("multijoin-agg(R)"));
+                                assert_eq!(*counters.get_or_insert(seen), seen, "{explain}");
+                            }
                         }
                     }
                 }
             }
+        }
+    }
+}
+
+/// A masked probe over a byte map answers as the interpreter does, bit for
+/// bit, at threads {1, 2, 8}: in `i32` lanes where the certificate proves
+/// the sums fit — the membership's loop into `keep`, then Fig. 3's — and
+/// in `i64` lanes where it does not (a wide `i64` operand).
+#[test]
+fn byte_map_probe_matches_the_interpreter_in_i32_and_i64_lanes() {
+    use swole_plan::OverflowProof::{I32Tile, I64};
+    let [a, b, p, q] = ["a", "b", "p", "q"].map(Expr::col);
+    let lists = [
+        (
+            vec![AggSpec::sum(a.mul(b), "sab"), AggSpec::count("n")],
+            I32Tile,
+        ),
+        (vec![AggSpec::sum(p.mul(q), "spq")], I64),
+    ];
+    let engines = [1, 2, 8].map(|threads| {
+        Engine::builder(lists_db(true))
+            .tile_rows(2048)
+            .threads(threads)
+            .build()
+    });
+    let oracle = lists_db(true);
+    for (aggs, proof) in lists {
+        let parent = QueryBuilder::scan("S").filter(Expr::col("y").cmp(CmpOp::Lt, Expr::lit(40)));
+        let plan = QueryBuilder::scan("R")
+            .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(70)))
+            .semijoin(parent, "fk")
+            .aggregate(None, aggs);
+        let expected = interp::run(&oracle, &plan).expect("interp");
+        for engine in &engines {
+            let explain = engine.explain(&plan).expect("explain");
+            assert!(explain.strategy.contains("fold_masked_bytes"), "{explain}");
+            let cert = engine.certificate(&plan).expect("certifies");
+            assert_eq!(cert.overflow_proof, proof, "{explain}");
+            let code = engine.explain_code(&plan).expect("code").code.join("\n");
+            let two_loops = code.contains("keep[j] = cmp[j] & bytes_S[fk[i+j]];");
+            assert_eq!(two_loops, proof == I32Tile, "{code}");
+            assert_eq!(engine.query(&plan).expect("engine"), expected, "{explain}");
         }
     }
 }

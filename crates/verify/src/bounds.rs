@@ -31,7 +31,8 @@
 //! count, and hash-table growth discipline substituted by their maxima. The
 //! structure sizes are the sizing functions the structures' own constructors
 //! call (`AggTable::grown_bytes`, `DenseAggTable::bytes_for`,
-//! `KeySet::build_bytes_bound`, `PositionalBitmap::bytes_for`), so there is
+//! `KeySet::build_bytes_bound`, `PositionalBitmap::bytes_for`; a byte map
+//! is one byte per row), so there is
 //! no second copy to drift. An attempt's charges are held until it returns,
 //! so the sum of per-operator bounds dominates the primary attempt's gauge
 //! peak; a failed attempt's are dropped before the data-centric retry
@@ -45,7 +46,7 @@ use swole_cost::SemiJoinStrategy;
 use swole_ht::{AggTable, DenseAggTable, KeySet};
 
 use crate::ir::{
-    ArithOp, BoundExpr, ColType, ExprRole, Op, Program, StrategyRef, TableDecl, VExpr,
+    ArithOp, ArtifactKind, BoundExpr, ColType, ExprRole, Op, Program, StrategyRef, TableDecl, VExpr,
 };
 
 // ---------------------------------------------------------------------------
@@ -558,7 +559,14 @@ pub fn certify(program: &Program, ctx: &BoundsCtx) -> PlanCertificate {
                 b.ht_bytes_bound = KeySet::build_bytes_bound(op.rows) as u64;
             }
             Some(StrategyRef::SemiJoinBuild(SemiJoinStrategy::PositionalBitmap(_))) => {
-                b.plan_bytes_bound = PositionalBitmap::bytes_for(op.rows) as u64;
+                let bytes = op
+                    .exports
+                    .iter()
+                    .any(|a| a.kind == ArtifactKind::PositionalBytes);
+                b.plan_bytes_bound = match bytes {
+                    true => op.rows,
+                    false => PositionalBitmap::bytes_for(op.rows),
+                } as u64;
             }
             Some(StrategyRef::SemiJoinProbe { .. }) => {
                 b.out_rows_bound = 1;

@@ -172,6 +172,9 @@ pub enum ArtifactKind {
     KeyMask,
     /// Bit-per-parent-row qualifying bitmap (positional semijoin).
     PositionalBitmap,
+    /// Byte-per-parent-row qualifying map (positional semijoin over a
+    /// parent small enough for one).
+    PositionalBytes,
     /// Hash set of qualifying build keys (hash semijoin).
     KeySet,
 }
@@ -183,6 +186,7 @@ impl fmt::Display for ArtifactKind {
             ArtifactKind::ValueMask => "value mask",
             ArtifactKind::KeyMask => "key mask",
             ArtifactKind::PositionalBitmap => "positional bitmap",
+            ArtifactKind::PositionalBytes => "positional byte map",
             ArtifactKind::KeySet => "key set",
         };
         f.write_str(s)

@@ -531,6 +531,7 @@ pub fn check_resources(program: &Program) -> Result<ResourceSummary, VerifyError
                 (Scope::Plan, ArtifactKind::SelectionVector) => "selection",
                 (Scope::Plan, ArtifactKind::ValueMask | ArtifactKind::KeyMask) => "mask",
                 (Scope::Plan, ArtifactKind::PositionalBitmap) => "bitmap",
+                (Scope::Plan, ArtifactKind::PositionalBytes) => "bytes",
                 (Scope::Plan, ArtifactKind::KeySet) => "key-set",
             };
             if !op.allocs.iter().any(|a| a.site.contains(needle)) {

@@ -12,8 +12,9 @@
 use swole::plan::{parse_sql, ExplainMode};
 use swole::prelude::*;
 
-/// The figures' `R(a, x, c, fk)` and `S(x)`, `R.fk` pointing into `S`.
-fn db() -> Database {
+/// The figures' `R(a, x, c, fk)` and `S(x)` of `s_rows` rows, `R.fk`
+/// pointing into `S`.
+fn db(s_rows: u32) -> Database {
     let n = 1u32 << 16;
     let col = |f: fn(u32) -> i32| ColumnData::I32((0..n).map(f).collect());
     let mut db = Database::new();
@@ -24,16 +25,24 @@ fn db() -> Database {
             .with_column("c", col(|i| (i % 16) as i32))
             .with_column(
                 "fk",
-                ColumnData::U32((0..n).map(|i| i * 13 % 1024).collect()),
+                ColumnData::U32((0..n).map(|i| i * 13 % s_rows).collect()),
             ),
     );
-    let s = ColumnData::I32((0..1024).map(|i| i * 59 % 100).collect());
+    let s = ColumnData::I32((0..s_rows as i32).map(|i| i * 59 % 100).collect());
     db.add_table(Table::new("S").with_column("x", s));
     db.add_fk("R", "fk", "S").expect("R.fk indexes S");
     db
 }
 
+/// Rows of the figures' `S`: above the byte-map budget, so its positional
+/// build is the paper's bitmap.
+const S_ROWS: u32 = 64 << 10;
+
 fn section(title: &str, pins: StrategyOverrides, sql: &str) {
+    section_on(title, S_ROWS, pins, sql);
+}
+
+fn section_on(title: &str, s_rows: u32, pins: StrategyOverrides, sql: &str) {
     println!(
         "----- {title} {}",
         "-".repeat(60usize.saturating_sub(title.len()))
@@ -42,7 +51,7 @@ fn section(title: &str, pins: StrategyOverrides, sql: &str) {
     println!("SQL> {text}");
     let parsed = parse_sql(&text).expect("the figure's SQL parses");
     assert_eq!(parsed.explain, Some(ExplainMode::Code));
-    let engine = Engine::builder(db()).strategies(pins).build();
+    let engine = Engine::builder(db(s_rows)).strategies(pins).build();
     let report = engine.explain_code(&parsed.plan).expect("plans");
     assert!(!report.code.is_empty(), "{title}: no code");
     println!("{}\n", report.code.join("\n"));
@@ -82,6 +91,15 @@ fn main() {
     );
     let packed = SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional);
     section("positional bitmap (SWOLE)", semijoin(packed), sj);
+    // A parent whose byte per row fits the modelled L1 is built as a byte
+    // map; a filtered probe over it folds in two loops under the i32 proof.
+    let masked = "select sum(R.a) as s from R, S where R.fk = S.rowid and R.x < 50 and S.x < 13";
+    section_on(
+        "positional byte map, S of 1 Ki rows",
+        1024,
+        semijoin(packed),
+        masked,
+    );
 
     let gj = "select R.fk, sum(R.a) as s from R, S \
               where R.fk = S.rowid and S.x < 13 group by R.fk";

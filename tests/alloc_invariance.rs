@@ -355,30 +355,30 @@ const HOT_STATEMENTS: [(&str, &str, &str, usize, usize); 4] = [
         "scalar scan",
         "(1 aggs) <- Filter <- Scan R",
         "select sum(a * b) as s from R where x < 50",
-        14,
-        14,
+        13,
+        13,
     ),
     (
         "group-by",
         "group by g) <- Filter <- Scan R",
         "select g, sum(a * b) as s from R where x < 50 group by g",
-        34,
-        34,
+        33,
+        33,
     ),
     (
         "masked one-edge probe",
-        "S[positional-bitmap]] (probe: masked)",
+        "S[positional-bytes]] (probe: masked)",
         "select sum(R.a * R.b) as s from R, S where R.fk = S.rowid and R.x < 50 and S.y < 50",
-        26,
-        26,
+        24,
+        24,
     ),
     (
         "groupjoin",
         "(group by fk) <- MultiJoin",
         "select R.fk, sum(R.a * R.b) as s from R, S where R.fk = S.rowid and S.y < 50 \
          group by R.fk",
-        81,
-        81,
+        78,
+        78,
     ),
 ];
 

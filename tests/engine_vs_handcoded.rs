@@ -306,11 +306,11 @@ fn the_run_report_names_the_probe_that_ran() {
     }
 }
 
-/// The masked probe of a lone sum is one pass either way: the scalar fold
-/// with the edge's bitmap as its membership, one wrapping add per lane,
-/// counting the lanes it keeps when counters are wanted. All four
-/// combinations of statistics and counters must return the hand-coded
-/// pipeline's answer.
+/// The masked probe of a lone sum is one fold either way: the scalar fold
+/// with the edge's byte map (the 256-row `S` is within the byte-map budget)
+/// as its membership, one wrapping add per lane, counting the lanes it
+/// keeps when counters are wanted. All four combinations of statistics and
+/// counters must return the hand-coded bitmap pipeline's answer.
 #[test]
 fn masked_probe_answers_the_same_proven_or_checked() {
     let db = micro();
@@ -327,7 +327,7 @@ fn masked_probe_answers_the_same_proven_or_checked() {
                     let plan = q4(sel1, sel2);
                     let explain = e.explain(&plan).expect("plans");
                     assert!(
-                        explain.strategy.ends_with("sink: fold_masked_bitmap<1>)"),
+                        explain.strategy.ends_with(&masked_probe(db.s.len(), 1)),
                         "{}",
                         explain.strategy
                     );
@@ -492,19 +492,26 @@ fn engine_matches_handcoded_tpch_q1_lite() {
     }
 }
 
-/// The sum-and-count masked probe, as `EXPLAIN` names it.
-const SUM_COUNT_PROBE: &str = "masked probe, sink: fold_masked_bitmap<2>)";
+/// The masked probe of `n` aggregates over a parent of `parent_rows`, as
+/// `EXPLAIN` names it: over a byte map when the parent's byte per row fits
+/// the modelled L1, else over the bitmap.
+fn masked_probe(parent_rows: usize, n: usize) -> String {
+    let fits = parent_rows <= CostParams::default().cache_bytes[0];
+    let member = if fits { "bytes" } else { "bitmap" };
+    format!("masked probe, sink: fold_masked_{member}<{n}>)")
+}
 
-/// The benchmark's TPC-H Q4 rendition: a bitmap build and a fully masked
-/// probe with two aggregates, one pass.
+/// The benchmark's TPC-H Q4 rendition: a positional build (at SF 0.01 a
+/// byte map) and a fully masked probe with two aggregates, one pass.
 #[test]
 fn engine_matches_handcoded_tpch_q4_semijoin() {
     let tpch = swole_tpch::generate(0.01, 11);
     let (plan, expected) = (tpch_q4_sql(), tpch_q4_semijoin(&tpch));
     for (at, e) in tpch_engines(&tpch) {
         let explain = e.explain(&plan).expect("q4 plans");
+        let orders = tpch.orders.len();
         assert!(
-            explain.strategy.ends_with(SUM_COUNT_PROBE),
+            explain.strategy.ends_with(&masked_probe(orders, 2)),
             "{at}: {explain}"
         );
         assert_eq!(e.query(&plan).expect("q4").rows, expected, "tpch q4 {at}");
@@ -521,8 +528,9 @@ fn engine_matches_handcoded_tpch_q3_masked_probe() {
     assert!(expected[0][1] > 0, "some lineitems qualify");
     for (at, e) in tpch_engines(&tpch) {
         let explain = e.explain(&plan).expect("q3 plans");
+        let orders = tpch.orders.len();
         assert!(
-            explain.strategy.ends_with(SUM_COUNT_PROBE),
+            explain.strategy.ends_with(&masked_probe(orders, 2)),
             "{at}: {explain}"
         );
         assert_eq!(e.query(&plan).expect("q3").rows, expected, "tpch q3 {at}");

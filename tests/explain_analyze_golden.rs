@@ -104,10 +104,12 @@ const MULTIJOIN_SQL: &str = "select sum(lineitem.l_quantity) as q, count(*) as n
        and orders.o_orderdate < 9204 and part.p_size < 30 \
        and supplier.s_nationkey < 15 and customer.c_nationkey < 12";
 
-/// A chain edge builds the one structure its child's build can AND into its
-/// tile masks — a packed bitmap — under every semijoin pin, and EXPLAIN,
-/// the executor and the verifier all say so: the pin moves the direct edges
-/// only, and the answer is the unpinned one.
+/// A chain edge builds the one kind of structure its child's build can AND
+/// into its tile masks — a positional one, here a byte map, the 600-row
+/// `customer` being within the byte-map budget — under every semijoin pin,
+/// and EXPLAIN, the executor and the verifier all say so: the pin moves the
+/// direct edges only (a positional pin over the 6 000-row `orders` builds
+/// its byte map too), and the answer is the unpinned one.
 #[test]
 fn a_chain_edge_reports_the_bitmap_it_builds_under_every_pin() {
     let tpch = swole_tpch::generate(0.004, 99);
@@ -124,12 +126,13 @@ fn a_chain_edge_reports_the_bitmap_it_builds_under_every_pin() {
             .strategies(StrategyOverrides::pin_semijoin(pin))
             .build();
         let report = engine.explain_analyze(&plan).expect("runs").to_string();
+        let direct = match pin {
+            SemiJoinStrategy::Hash => "hash",
+            SemiJoinStrategy::PositionalBitmap(_) => "positional-bytes",
+        };
         for chain in [
-            format!(
-                "orders[{}](o_custkey -> customer[positional-bitmap])",
-                pin.name()
-            ),
-            "edge o_custkey -> customer [positional-bitmap]".to_string(),
+            format!("orders[{direct}](o_custkey -> customer[positional-bytes])"),
+            "edge o_custkey -> customer [positional-bytes]".to_string(),
         ] {
             assert!(
                 report.contains(&chain),

@@ -332,8 +332,8 @@ fn wide_list_accumulators_wrap_like_the_interpreter() {
 /// in the one-pass loop: a product that wraps only on lanes the predicate
 /// or the parent's bit masks out is wasted work that adds `v · 0`, and a
 /// qualifying sum that leaves `i64` wraps as the interpreter's does —
-/// either way on the first attempt, whether the mask or the bit dropped
-/// the lane.
+/// either way on the first attempt, whether the mask or the parent's byte
+/// (a byte map: `S` has two rows) dropped the lane.
 #[test]
 fn wide_probe_sum_count_wraps_like_the_interpreter() {
     let h = i64::MAX / 2 + 1;
@@ -375,7 +375,7 @@ fn wide_probe_sum_count_wraps_like_the_interpreter() {
                 .build();
             let sink = e.explain(&plan).expect("plans").strategy;
             assert!(
-                sink.ends_with("masked probe, sink: fold_masked_bitmap<2>)"),
+                sink.ends_with("masked probe, sink: fold_masked_bytes<2>)"),
                 "{sink}"
             );
             e

@@ -272,7 +272,7 @@ fn cardinality_estimates_track_observations() {
                 edge.parent
             );
             assert!(
-                edge.build_side == "hash" || edge.build_side == "positional-bitmap",
+                ["hash", "positional-bitmap", "positional-bytes"].contains(&&edge.build_side[..]),
                 "{name}: edge {} has unexpected build side {}",
                 edge.parent,
                 edge.build_side

@@ -99,7 +99,7 @@ fn groupjoin_plan() -> LogicalPlan {
 /// except hash-table internals (`probe_steps`, `resizes`,
 /// `bytes_allocated`, per-worker `probes`) and wall time, which depend on
 /// the morsel partition.
-fn deterministic_view(op: &OpMetrics) -> (String, [u64; 9]) {
+fn deterministic_view(op: &OpMetrics) -> (String, [u64; 10]) {
     (
         op.name.clone(),
         [
@@ -112,6 +112,7 @@ fn deterministic_view(op: &OpMetrics) -> (String, [u64; 9]) {
             op.ht.inserts,
             op.bitmap_bits_set,
             op.bitmap_words,
+            op.byte_map_bytes,
         ],
     )
 }
@@ -121,7 +122,17 @@ fn run_counters(
     threads: usize,
     configure: impl Fn(EngineBuilder) -> EngineBuilder,
 ) -> QueryMetrics {
-    let engine = configure(Engine::builder(make_db(42, 50_000, 512)))
+    run_counters_on(make_db(42, 50_000, 512), plan, threads, configure)
+}
+
+/// [`run_counters`] over `db`.
+fn run_counters_on(
+    db: Database,
+    plan: &LogicalPlan,
+    threads: usize,
+    configure: impl Fn(EngineBuilder) -> EngineBuilder,
+) -> QueryMetrics {
+    let engine = configure(Engine::builder(db))
         .threads(threads)
         .tile_rows(2048)
         .metrics(MetricsLevel::Counters)
@@ -400,18 +411,34 @@ fn metrics_levels_gate_collection() {
     assert!(m.operators.iter().all(|o| o.wall_nanos > 0));
 }
 
+/// The build, the edge's probe and the aggregation report apart, over a
+/// parent within the byte-map budget (512 rows: its byte map's bytes) and
+/// above it (40 Ki rows: its bitmap's words).
 #[test]
 fn semijoin_build_and_probe_reported_separately() {
-    let m = run_counters(&semijoin_plan(), 2, |b| {
-        b.strategies(StrategyOverrides::pin_semijoin(
-            SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional),
-        ))
-    });
+    for n_s in [512, 40 << 10] {
+        let db = make_db(42, 50_000, n_s);
+        let m = run_counters_on(db, &semijoin_plan(), 2, |b| {
+            b.strategies(StrategyOverrides::pin_semijoin(
+                SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional),
+            ))
+        });
+        semijoin_reported_separately(&m, n_s);
+    }
+}
+
+fn semijoin_reported_separately(m: &QueryMetrics, n_s: usize) {
     let build = m.op("multijoin-build(S)").expect("build op present");
     let probe = m.op("multijoin-probe(S)").expect("edge probe op present");
     let agg = m.op("multijoin-agg(R)").expect("probe-side agg op present");
-    assert_eq!(build.access.rows_in, 512);
-    assert!(build.bitmap_words > 0, "bitmap build reports its words");
+    assert_eq!(build.access.rows_in, n_s as u64);
+    match n_s {
+        512 => assert_eq!(
+            build.byte_map_bytes, 512,
+            "a byte-map build reports its bytes"
+        ),
+        _ => assert!(build.bitmap_words > 0, "bitmap build reports its words"),
+    }
     assert_eq!(build.bitmap_bits_set, build.access.rows_out);
     assert_eq!(agg.access.rows_in, 50_000);
     assert!(agg.access.ht_probes > 0);

@@ -822,7 +822,7 @@ fn join_db() -> Database {
 
 /// Registering an FK index changes which build sides the planner may
 /// pick, so it invalidates every cached plan with a join edge, and only
-/// those: the join re-plans onto the positional bitmap, the scan still
+/// those: the join re-plans onto a positional byte map, the scan still
 /// hits.
 #[test]
 fn registering_an_fk_replans_cached_joins_only() {
@@ -844,7 +844,7 @@ fn registering_an_fk_replans_cached_joins_only() {
     engine.register_fk("R", "r_fk", "S").expect("registers");
     let (source, fresh) = shape();
     assert_eq!(source, "fresh", "the cached hash build is stale");
-    assert!(fresh.contains("S[positional-bitmap]"), "{fresh}");
+    assert!(fresh.contains("S[positional-bytes]"), "{fresh}");
     assert_eq!(
         session.query_sql(join, &Params::new()).expect("runs"),
         joined

@@ -205,8 +205,11 @@ fn chain_db() -> Database {
 ///
 /// `EXPLAIN CODE` must then show the access pattern of the stage's run
 /// signature: the aggregating stage's loop by its `lanes`, and each edge's
-/// structure — a bitmap probed by `bitmap_get`, a key set filled by
-/// `ht_insert` and probed by `ht_find`.
+/// structure — a bitmap probed by `bitmap_get`, a byte map read as
+/// `bytes_<parent>[…]`, a key set filled by `ht_insert` and probed by
+/// `ht_find`. A masked lane is kept by `cmp[j]`, by the membership ANDed
+/// in, or — a byte map's masked probe in `i32` lanes — by the `keep[j]`
+/// its membership loop wrote.
 fn verifies_running(
     db: Database,
     pins: StrategyOverrides,
@@ -231,7 +234,14 @@ fn verifies_running(
         .position(|l| l.contains("agg("))
         .expect("a stage");
     let stage = code[at..].join("\n");
-    let masked = stage.contains("* cmp[j]") || stage.contains("* (cmp[j] & bitmap_get(");
+    let masked = [
+        "* cmp[j]",
+        "* (cmp[j] & bitmap_get(",
+        "* (cmp[j] & bytes_",
+        "* keep[j]",
+    ]
+    .iter()
+    .any(|k| stage.contains(k));
     let (gather, post_merge) = (stage.contains("[i+idx[j]]"), stage.contains("ht_delete("));
     let seen = (gather, masked, stage.contains("NULL_KEY"), post_merge);
     let expected = match lanes {
@@ -245,6 +255,10 @@ fn verifies_running(
     assert_eq!(stage.contains("idx"), gather, "{runs}:\n{text}");
     if shape.contains("[positional-bitmap]") {
         assert!(text.contains("bitmap_get("), "{runs}: membership\n{text}");
+    }
+    if shape.contains("[positional-bytes]") {
+        assert!(text.contains("bytes_"), "{runs}: membership\n{text}");
+        assert!(!text.contains("bitmap_"), "{runs}: membership\n{text}");
     }
     if shape.contains("[hash]") {
         let hashed = text.contains("ht_insert(") && text.contains("ht_find(");
@@ -308,9 +322,10 @@ fn every_pinned_strategy_verifies() {
         verifies_running(mk_db(), pins(), &grouped, runs, grouped_lanes);
     }
 
-    // The fact filter decides the probe over a bitmap: the masked probe
-    // (σ 0.5) or the selection-vector probe (σ 0.05); a key set is always
-    // probed through the selection vector.
+    // The fact filter decides the probe over a positional structure — a
+    // byte map, `S` having under 200 rows: the masked probe (σ 0.5) or the
+    // selection-vector probe (σ 0.05); a key set is always probed through
+    // the selection vector.
     let semijoin = |cut| {
         QueryBuilder::scan("R")
             .filter(lt("x", cut))
@@ -323,20 +338,23 @@ fn every_pinned_strategy_verifies() {
         SemiJoinStrategy::PositionalBitmap(BitmapBuild::SelectionVector),
     ] {
         let pins = || StrategyOverrides::pin_semijoin(strategy);
-        let edge = format!("S[{}]", strategy.name());
-        let masked = match strategy {
-            SemiJoinStrategy::Hash => ("multi-join (1 edges, order: dp)", Lanes::Selected),
-            SemiJoinStrategy::PositionalBitmap(_) => {
-                ("masked probe, sink: fold_masked_bitmap<1>", Lanes::Masked)
-            }
+        let (edge, masked) = match strategy {
+            SemiJoinStrategy::Hash => (
+                "S[hash]",
+                ("multi-join (1 edges, order: dp)", Lanes::Selected),
+            ),
+            SemiJoinStrategy::PositionalBitmap(_) => (
+                "S[positional-bytes]",
+                ("masked probe, sink: fold_masked_bytes<1>", Lanes::Masked),
+            ),
         };
-        let runs = (masked.0, edge.as_str());
+        let runs = (masked.0, edge);
         verifies_running(mk_db(), pins(), &semijoin(50), runs, masked.1);
-        let runs = ("multi-join (1 edges, order: dp)", edge.as_str());
+        let runs = ("multi-join (1 edges, order: dp)", edge);
         verifies_running(mk_db(), pins(), &semijoin(5), runs, Lanes::Selected);
 
-        // A chain edge builds the packed bitmap its child's build ANDs in,
-        // whatever the pin.
+        // A chain edge builds the positional structure its child's build
+        // ANDs in, whatever the pin: a byte map of the 16-row `T`.
         let chain = QueryBuilder::scan("R")
             .filter(lt("x", 50))
             .semijoin(
@@ -346,7 +364,7 @@ fn every_pinned_strategy_verifies() {
                 "fk",
             )
             .aggregate(None, sum_a());
-        let shape = format!("{edge}(tfk -> T[positional-bitmap])");
+        let shape = format!("{edge}(tfk -> T[positional-bytes])");
         let runs = ("multi-join (2 edges", shape.as_str());
         verifies_running(chain_db(), pins(), &chain, runs, Lanes::Selected);
     }
