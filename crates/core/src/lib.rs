@@ -82,7 +82,7 @@ pub use swole_plan::{
     AdmissionConfig, AdmissionError, AggFunc, AggSpec, BoundStatement, CmpOp, Database, Engine,
     EngineBuilder, ExecHandle, Explain, Expr, FrameSpec, LogicalPlan, MemoryPoolStats,
     MetricsLevel, OpMetrics, ParamSlot, Params, PlanCacheStats, PlanError, PreparedStatement,
-    Priority, QueryBuilder, QueryMetrics, QueryOptions, QueryResult, Session, ShutdownReport,
+    Priority, QueryBuilder, QueryMetrics, QueryOptions, QueryResult, Rows, Session, ShutdownReport,
     SortKey, StrategyOverrides, Value, VerifyError, VerifyErrorKind, VerifyLevel, VerifyReport,
     WindowFnSpec, WindowFunc,
 };

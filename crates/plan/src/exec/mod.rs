@@ -15,7 +15,7 @@ use crate::catalog::Database;
 use crate::error::PlanError;
 use crate::metrics::{MetricsLevel, OpMetrics};
 use crate::physical::{JoinEdge, PhysicalPlan, PostOp, Shape};
-use crate::result::QueryResult;
+use crate::result::{QueryResult, Rows};
 use swole_runtime::{ExecCtx, Executor};
 use swole_storage::{FkIndex, Table};
 use swole_verify::ir::{Access, AccessSig};
@@ -148,7 +148,8 @@ pub(crate) fn execute_shape(
     if let Some(row) = &plan.shortcut {
         // Statistics-backed answer: the planner proved the result from
         // the catalog, so no table access happens at all.
-        let mut res = QueryResult::new(plan.shape.output_columns(), vec![row.clone()]);
+        let row = Rows::from_values(row.len(), row.clone());
+        let mut res = QueryResult::new(plan.shape.output_columns(), row);
         let mut ops = Vec::new();
         if level.counting() {
             let mut op = OpMetrics::named("stats-shortcut");
@@ -200,14 +201,11 @@ impl Kept {
     }
 
     /// Cut and reorder materialized `rows` to what is kept of them.
-    pub fn apply(self, rows: &mut Vec<Vec<i64>>) {
-        if let Some(order) = &self.order {
-            *rows = order[..self.len]
-                .iter()
-                .map(|&i| std::mem::take(&mut rows[i as usize]))
-                .collect();
+    pub fn apply(self, rows: &mut Rows) {
+        match &self.order {
+            Some(order) => *rows = rows.gather(&order[..self.len]),
+            None => rows.truncate(self.len),
         }
-        rows.truncate(self.len);
     }
 }
 

@@ -11,7 +11,7 @@ use crate::expr::AggFunc;
 use crate::logical::AggSpec;
 use crate::metrics::OpMetrics;
 use crate::physical::{self, Membership};
-use crate::result::QueryResult;
+use crate::result::{QueryResult, Rows};
 use crate::tile::{self, GroupSink, Lane, Member, Regs, ScalarSinks, TileProgram};
 use swole_ht::{GroupTable, MergeOp};
 use swole_kernels::groupby::Lanes;
@@ -183,7 +183,7 @@ impl Sink for ScalarSink {
             acc.iter_mut().for_each(|v| *v = 0);
         }
         let columns = aggs.iter().map(|a| a.name.clone()).collect();
-        Ok(QueryResult::new(columns, vec![acc]))
+        Ok(QueryResult::new(columns, Rows::from_values(acc.len(), acc)))
     }
 }
 
@@ -351,7 +351,7 @@ where
             .column(key)
             .and_then(|c| c.as_dict())
             .map(|d| d.shared_dictionary());
-        Ok(rows_from_table(key, aggs, &ht, key_dict))
+        Ok(rows_from_table(key, aggs, &ht, self.dense, key_dict))
     }
 }
 
@@ -369,27 +369,31 @@ fn merge_ops(aggs: &[AggSpec]) -> Vec<MergeOp> {
         .collect()
 }
 
+/// The result of a merged group table: a row per valid key, in key order,
+/// written once into one buffer. A dense table iterates in key order
+/// already; a hash table's entries are sorted by key first (keys are
+/// unique, so an unstable sort is deterministic).
 fn rows_from_table(
     key_name: &str,
     aggs: &[AggSpec],
     ht: &impl GroupTable,
+    dense: bool,
     key_dict: Option<Arc<Vec<String>>>,
 ) -> QueryResult {
     // Sized once for every stored key (valid or not): a filtered iterator
-    // has no lower size hint, and a large result would otherwise be copied
-    // through a run of doubling reallocations.
-    let mut rows: Vec<Vec<i64>> = Vec::with_capacity(ht.len());
-    rows.extend(
-        ht.iter()
-            .filter(|&(_, _, valid)| valid)
-            .map(|(key, state, _)| {
-                let mut row = Vec::with_capacity(1 + aggs.len());
-                row.push(key);
-                row.extend_from_slice(state);
-                row
-            }),
-    );
-    rows.sort_unstable();
+    // has no lower size hint.
+    let mut rows = Rows::with_capacity(1 + aggs.len(), ht.len());
+    let valid = ht.iter().filter(|&(_, _, valid)| valid);
+    if dense {
+        valid.for_each(|(key, state, _)| rows.push_keyed(key, state));
+    } else {
+        let mut entries: Vec<(i64, &[i64])> = Vec::with_capacity(ht.len());
+        entries.extend(valid.map(|(key, state, _)| (key, state)));
+        entries.sort_unstable_by_key(|&(key, _)| key);
+        entries
+            .into_iter()
+            .for_each(|(key, state)| rows.push_keyed(key, state));
+    }
     let mut columns = vec![key_name.to_string()];
     columns.extend(aggs.iter().map(|a| a.name.clone()));
     QueryResult {

@@ -9,7 +9,7 @@ use crate::error::PlanError;
 use crate::logical::{FrameSpec, WindowFunc};
 use crate::metrics::OpMetrics;
 use crate::physical::{PostOp, WindowShape};
-use crate::result::QueryResult;
+use crate::result::{QueryResult, Rows};
 use crate::tile::{Regs, TileProgram};
 use swole_cost::WindowStrategy;
 use swole_kernels::{tiles, tiles_in, AccessCounters};
@@ -344,12 +344,12 @@ pub(crate) fn exec_window(
     };
     let mut post_ops = Vec::new();
     let kept = apply_post_ops(post, &columns, m, cell, &mut post_ops, opts.level, ctx)?;
-    let rows = (0..kept.len)
-        .map(|r| {
-            let i = kept.source(r);
-            (0..columns.len()).map(|c| cell(i, c)).collect()
-        })
-        .collect();
+    let width = columns.len();
+    let mut values = Vec::with_capacity(kept.len * width);
+    for r in 0..kept.len {
+        let i = kept.source(r);
+        values.extend((0..width).map(|c| cell(i, c)));
+    }
     if let Some(op) = op.as_mut() {
         op.access.wasted_lanes += extra_touches;
         // The post-operators report their own time.
@@ -364,7 +364,7 @@ pub(crate) fn exec_window(
     Ok((
         QueryResult {
             columns,
-            rows,
+            rows: Rows::from_values(width, values),
             metrics: None,
             key_dict,
         },

@@ -24,7 +24,7 @@ use crate::error::PlanError;
 use crate::expr::{AggFunc, BlockExpr, Expr, BLOCK, ID_BLOCK_BYTES, VALUE_BLOCK_BYTES};
 use crate::logical::{FrameSpec, LogicalPlan, WindowFunc};
 use crate::metrics::OpMetrics;
-use crate::result::QueryResult;
+use crate::result::{QueryResult, Rows};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -49,9 +49,10 @@ const FIXED_BYTES: u64 = 2048 + VALUE_BLOCK_BYTES + 2 * ID_BLOCK_BYTES;
 /// while it moves into twice its buckets. The key vector and the flat
 /// accumulator array hold ≤ 2 slots of 8 B per group, 3 while one doubles.
 /// So with `a` accumulators a group costs ≤ 75 + 16a B while the index
-/// resizes, ≤ 63 + 24a B while a vector doubles, and ≤ 52 + 24a B while the
-/// rows are emitted (the index gone, the sort order's 4 B and the result
-/// row's slot, key and accumulators added): ≤ 67 + 24a B for any `a ≥ 1`.
+/// resizes, ≤ 63 + 24a B while a vector doubles, and ≤ 28 + 24a B while the
+/// rows are written (the index gone, the sort order's 4 B and the result's
+/// key and accumulators, in one buffer, added): ≤ 67 + 24a B for any
+/// `a ≥ 1`. Writing the rows is never the peak.
 const GROUP_BYTES: u64 = 67;
 
 /// An accumulator's bytes per group: see [`GROUP_BYTES`].
@@ -73,8 +74,9 @@ pub(crate) fn fallback_bytes(db: &Database, plan: &LogicalPlan, bounds: &BoundsC
     let (mut bytes, mut per_row, mut key_rows) = (FIXED_BYTES, 0, rows(base));
     let (mut key, mut window) = (None, false);
     plan.visit(&mut |node| match node {
-        // A stable sort's scratch: at most a row slot per row.
-        LogicalPlan::OrderBy { .. } => per_row += 24,
+        // `Rows::sort_by`: a 4 B row number per row, and the stable sort's
+        // scratch of at most as many; the rows move in place.
+        LogicalPlan::OrderBy { .. } => per_row += 8,
         LogicalPlan::Filter { input, predicate } => {
             bytes += compiled(predicate, input.base_table());
         }
@@ -110,12 +112,11 @@ pub(crate) fn fallback_bytes(db: &Database, plan: &LogicalPlan, bounds: &BoundsC
                 .chain(columns)
                 .map(|e| compiled(&e, base))
                 .sum::<u64>();
-            // The row ids (grown by doubling: 8 B), the partition key, the
-            // permutation and the result row's slot; a vector per order
-            // key; a result cell per projected column; per function its
-            // input and its result cell.
+            // The row ids (grown by doubling: 8 B), the partition key and
+            // the permutation; a vector per order key; a result cell per
+            // projected column; per function its input and its result cell.
             let (k, s, f) = (order_by.len(), select.len(), funcs.len());
-            per_row += 48 + 8 * k as u64 + 8 * s as u64 + 16 * f as u64;
+            per_row += 24 + 8 * k as u64 + 8 * s as u64 + 16 * f as u64;
             window = true;
         }
         LogicalPlan::Scan { .. } | LogicalPlan::Limit { .. } => {}
@@ -202,7 +203,7 @@ fn run_core(
         .iter()
         .map(|a| a.expr.compile(table))
         .collect::<Result<Vec<_>, _>>()?;
-    let mut rows = Rows::compile(db, input, op)?;
+    let mut rows = Survivors::compile(db, input, op)?;
     let identities: Vec<i64> = aggs
         .iter()
         .map(|a| match a.func {
@@ -232,7 +233,7 @@ fn run_core(
             }
             Ok(QueryResult {
                 columns: aggs.iter().map(|a| a.name.clone()).collect(),
-                rows: vec![acc],
+                rows: Rows::from_values(acc.len(), acc),
                 metrics: None,
                 key_dict: None,
             })
@@ -281,9 +282,14 @@ fn run_core(
             });
             // Gone before the rows are built, as `GROUP_BYTES` prices it.
             drop(index);
-            // The order is used once, to emit the groups by ascending key.
+            // The order is used once, to write the groups by ascending key.
             let mut order: Vec<u32> = (0..keys.len() as u32).collect();
             order.sort_unstable_by_key(|&s| keys[s as usize]);
+            let mut out = Rows::with_capacity(1 + width, keys.len());
+            for &s in &order {
+                let s = s as usize;
+                out.push_keyed(keys[s], &accs[s * width..][..width]);
+            }
             let mut columns = vec![g.clone()];
             columns.extend(aggs.iter().map(|a| a.name.clone()));
             Ok(QueryResult {
@@ -293,16 +299,7 @@ fn run_core(
                     .column_required(g)
                     .as_dict()
                     .map(|d| d.shared_dictionary()),
-                rows: order
-                    .iter()
-                    .map(|&s| {
-                        let s = s as usize;
-                        let mut row = Vec::with_capacity(1 + width);
-                        row.push(keys[s]);
-                        row.extend_from_slice(&accs[s * width..][..width]);
-                        row
-                    })
-                    .collect(),
+                rows: out,
             })
         }
     }
@@ -413,7 +410,7 @@ fn run_window(
         .map(|f| f.expr.as_ref().map(|e| e.compile(table)).transpose())
         .collect::<Result<Vec<_>, _>>()?;
     let mut rows: Vec<u32> = Vec::new();
-    op.access.rows_out = Rows::compile(db, input, op)?.for_each(op, |ids, _| rows.extend(ids));
+    op.access.rows_out = Survivors::compile(db, input, op)?.for_each(op, |ids, _| rows.extend(ids));
     let m = rows.len();
     let eval = |mut e: BlockExpr<'_>| -> Vec<i64> {
         let mut out = vec![0; m];
@@ -451,21 +448,24 @@ fn run_window(
         }
         rows[a].cmp(&rows[b])
     });
-    // The result rows in window order: the projected columns, then a slot
-    // per function; the projected columns are read a block of window rows
-    // at a time.
+    // The result rows in window order, in one buffer: the projected
+    // columns, then a cell per function; the projected columns are read a
+    // block of window rows at a time and written straight into their cells.
     let (s, width) = (select.len(), select.len() + funcs.len());
     let mut sel: Vec<BlockExpr<'_>> = select.iter().map(|c| col(c)).collect();
-    let mut out_rows: Vec<Vec<i64>> = vec![vec![0; width]; m];
+    let mut cells = vec![0; m * width];
     let (mut ids, mut vals) = ([0u32; BLOCK], [0i64; BLOCK]);
-    for (perm, out_rows) in perm.chunks(BLOCK).zip(out_rows.chunks_mut(BLOCK)) {
+    for (perm, block) in perm
+        .chunks(BLOCK)
+        .zip(cells.chunks_mut(BLOCK * width.max(1)))
+    {
         let (ids, vals) = (&mut ids[..perm.len()], &mut vals[..perm.len()]);
         for (id, &src) in ids.iter_mut().zip(perm) {
             *id = rows[src];
         }
         for (c, e) in sel.iter_mut().enumerate() {
             e.eval(ids, vals);
-            for (row, &v) in out_rows.iter_mut().zip(&*vals) {
+            for (row, &v) in block.chunks_exact_mut(width).zip(&*vals) {
                 row[c] = v;
             }
         }
@@ -476,13 +476,15 @@ fn run_window(
         while run_end < m && part[perm[run_end]] == part[perm[run_start]] {
             run_end += 1;
         }
-        let (len, run) = (run_end - run_start, &mut out_rows[run_start..run_end]);
+        let len = run_end - run_start;
+        let run = &mut cells[run_start * width..run_end * width];
         for (fi, f) in funcs.iter().enumerate() {
-            let c = s + fi;
+            // Row `i`'s cell of this function.
+            let at = |i: usize| i * width + s + fi;
             match f.func {
                 WindowFunc::RowNumber => {
-                    for (i, row) in run.iter_mut().enumerate() {
-                        row[c] = (i + 1) as i64;
+                    for i in 0..len {
+                        run[at(i)] = (i + 1) as i64;
                     }
                 }
                 WindowFunc::Rank => {
@@ -495,7 +497,7 @@ fn run_window(
                         if i > 0 && !peer {
                             rank = (i + 1) as i64;
                         }
-                        run[i][c] = rank;
+                        run[at(i)] = rank;
                     }
                 }
                 WindowFunc::Sum | WindowFunc::Count => {
@@ -506,21 +508,21 @@ fn run_window(
                     // prefix.
                     // A `COUNT`, or a function without an input, adds 1 a row.
                     let (mut acc, input) = (0i64, &inputs[fi]);
-                    for (i, row) in run.iter_mut().enumerate() {
+                    for i in 0..len {
                         acc = acc.wrapping_add(match f.func {
                             WindowFunc::Sum if !input.is_empty() => input[perm[run_start + i]],
                             _ => 1,
                         });
-                        row[c] = acc;
+                        run[at(i)] = acc;
                     }
                     for i in (0..len).rev() {
                         let (lo, hi) = match frame {
                             FrameSpec::WholePartition => (0, acc),
-                            FrameSpec::UnboundedPreceding => (0, run[i][c]),
-                            FrameSpec::Preceding(k) => (i.saturating_sub(*k), run[i][c]),
+                            FrameSpec::UnboundedPreceding => (0, run[at(i)]),
+                            FrameSpec::Preceding(k) => (i.saturating_sub(*k), run[at(i)]),
                         };
-                        let before = if lo == 0 { 0 } else { run[lo - 1][c] };
-                        run[i][c] = hi.wrapping_sub(before);
+                        let before = if lo == 0 { 0 } else { run[at(lo - 1)] };
+                        run[at(i)] = hi.wrapping_sub(before);
                     }
                 }
             }
@@ -531,7 +533,7 @@ fn run_window(
     columns.extend(funcs.iter().map(|f| f.name.clone()));
     Ok(QueryResult {
         columns,
-        rows: out_rows,
+        rows: Rows::from_values(width, cells),
         metrics: None,
         key_dict: select
             .first()
@@ -544,7 +546,7 @@ fn run_window(
 /// The rows of the plan's base table that survive all filters and
 /// semijoins, compiled once per statement: each filter against the table,
 /// each semijoin's build side run to a membership flag per parent row.
-struct Rows<'a> {
+struct Survivors<'a> {
     /// Rows of the base table.
     len: u32,
     /// Innermost first, the order the plan applies them.
@@ -583,7 +585,7 @@ impl Step<'_> {
     }
 }
 
-impl<'a> Rows<'a> {
+impl<'a> Survivors<'a> {
     /// Compile the scan → filter → semijoin chain `plan`, running every
     /// semijoin's build side. Its errors are the statement's, in the order
     /// a recursive walk meets them.
@@ -593,7 +595,7 @@ impl<'a> Rows<'a> {
         op: &mut OpMetrics,
     ) -> Result<Self, PlanError> {
         match plan {
-            LogicalPlan::Scan { table } => Ok(Rows {
+            LogicalPlan::Scan { table } => Ok(Survivors {
                 len: u32::try_from(db.table(table)?.len())
                     .map_err(|_| PlanError::Unsupported(format!("{table} has over 2^32 rows")))?,
                 steps: Vec::new(),
@@ -601,7 +603,7 @@ impl<'a> Rows<'a> {
             LogicalPlan::Filter { input, predicate } => {
                 let table = db.table(input.base_table())?;
                 let step = Step::Filter(predicate.compile(table)?);
-                let mut rows = Rows::compile(db, input, op)?;
+                let mut rows = Survivors::compile(db, input, op)?;
                 rows.steps.push(step);
                 Ok(rows)
             }
@@ -613,7 +615,7 @@ impl<'a> Rows<'a> {
                 let child = db.table(input.base_table())?;
                 let parent_name = build.base_table();
                 let mut parent = vec![false; db.table(parent_name)?.len()];
-                Rows::compile(db, build, op)?.for_each(op, |ids, _| {
+                Survivors::compile(db, build, op)?.for_each(op, |ids, _| {
                     ids.iter().for_each(|&r| parent[r as usize] = true)
                 });
                 let fk = match db.fk_index(input.base_table(), fk_col, parent_name) {
@@ -630,7 +632,7 @@ impl<'a> Rows<'a> {
                             fk_column: fk_col.clone(),
                         })?,
                 };
-                let mut rows = Rows::compile(db, input, op)?;
+                let mut rows = Survivors::compile(db, input, op)?;
                 rows.steps.push(Step::SemiJoin { fk, parent });
                 Ok(rows)
             }
@@ -836,7 +838,10 @@ mod tests {
             let (res, op) = run_metered(&db, &plan).expect("interprets");
             assert_eq!(res.rows, want, "{name}");
             assert!(
-                res.rows.windows(2).all(|w| w[0][0] < w[1][0]),
+                res.rows
+                    .iter()
+                    .zip(res.rows.iter().skip(1))
+                    .all(|(a, b)| a[0] < b[0]),
                 "{name}: ascending keys"
             );
             assert_eq!(counters(&op), want_counters, "{name}");

@@ -72,7 +72,7 @@ pub use logical::{
 };
 pub use metrics::{MetricsLevel, OpMetrics, QueryMetrics};
 pub use prepared::{BoundStatement, PreparedStatement};
-pub use result::QueryResult;
+pub use result::{QueryResult, Rows};
 pub use session::{QueryOptions, Session};
 pub use sql::{parse as parse_sql, ExplainMode, ParamSlot, SqlError};
 pub use stats::{ColumnStats, StatsMode, TableStats};

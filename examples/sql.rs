@@ -107,7 +107,7 @@ fn main() {
             }
         }
         let result = engine.query(&plan).expect("planned queries execute");
-        let preview: Vec<&Vec<i64>> = result.rows.iter().take(3).collect();
+        let preview: Vec<&[i64]> = result.rows.iter().take(3).collect();
         println!(
             "  -> {} row(s); first rows: {preview:?}\n",
             result.rows.len()

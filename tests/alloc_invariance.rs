@@ -340,6 +340,54 @@ fn a_window_top_n_allocates_for_the_rows_it_returns() {
     );
 }
 
+/// A result is one buffer, not a vector per row: one grouped statement
+/// takes as many allocations over 4 096 groups as over 64 on the engine,
+/// whose dense group table is sized once from the key domain. The
+/// interpreter's group table grows by doubling — its hash index, key
+/// vector and accumulator array — so there the two counts may differ by
+/// those doublings (at most three per doubling of the groups), never by a
+/// row.
+#[test]
+fn grouped_results_allocate_once() {
+    let _turn = COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    let sql = "select k, sum(a) as s, count(*) as n from R group by k";
+    let plan = swole::plan::parse_sql(sql).expect("parses").plan;
+    let (few, many) = (64usize, 4096usize);
+    let db = |groups: usize| {
+        let n = 8 * TILE;
+        let k = (0..n).map(|i| (i % groups) as i32).collect();
+        let mut db = Database::new();
+        db.add_table(r_table(8).with_column("k", ColumnData::I32(k)));
+        db
+    };
+    let mut engine_counts = Vec::new();
+    let mut interp_counts = Vec::new();
+    for groups in [few, many] {
+        let engine = Engine::builder(db(groups)).threads(1).build();
+        let physical = engine.plan(&plan).expect("plans");
+        assert_eq!(engine.execute(&physical).expect("runs").rows.len(), groups);
+        engine_counts.push(count(&engine, &physical));
+        let db = engine.database();
+        let (n, res) = allocations_during(|| swole::plan::interp::run(&db, &plan));
+        assert_eq!(res.expect("interprets").rows.len(), groups);
+        interp_counts.push(n);
+    }
+    // Compared across commits with `-- --nocapture`.
+    println!("grouped result, {few} / {many} groups: engine {engine_counts:?}, interpreter {interp_counts:?}");
+    assert_eq!(
+        engine_counts[0], engine_counts[1],
+        "engine: {few} groups took {} allocations, {many} groups {}",
+        engine_counts[0], engine_counts[1]
+    );
+    let doublings = (many / few).ilog2() as usize;
+    assert!(
+        interp_counts[1] <= interp_counts[0] + 3 * doublings,
+        "interpreter: {few} groups took {} allocations, {many} groups {}",
+        interp_counts[0],
+        interp_counts[1]
+    );
+}
+
 /// The hot statement kinds of a served workload, each with what marks its
 /// plan shape and the allocations one warm execution of it takes — through
 /// `Engine::query` (plan-cache hit included), and as the `sessions_mixed`
@@ -347,38 +395,40 @@ fn a_window_top_n_allocates_for_the_rows_it_returns() {
 /// parameters. The change that recorded them keyed the cache on a 64-bit
 /// fingerprint and let a warm text skip the parse (10 to 13 allocations a
 /// `query`, 55 to 119 a `query_sql`); a scalar run now also borrows its
-/// sink list from the cached plan instead of collecting a fresh one. Each
-/// is the count itself. A one-morsel statement is all overhead, which makes this the guard for
+/// sink list from the cached plan instead of collecting a fresh one, and a
+/// result is one buffer rather than a vector per row (the 16-group group-by
+/// fell from 33 to 17, the 64-group groupjoin from 78 to 28). Each is the
+/// count itself. A one-morsel statement is all overhead, which makes this the guard for
 /// that workload: the counts may fall, never rise.
 const HOT_STATEMENTS: [(&str, &str, &str, usize, usize); 4] = [
     (
         "scalar scan",
         "(1 aggs) <- Filter <- Scan R",
         "select sum(a * b) as s from R where x < 50",
-        13,
-        13,
+        12,
+        12,
     ),
     (
         "group-by",
         "group by g) <- Filter <- Scan R",
         "select g, sum(a * b) as s from R where x < 50 group by g",
-        33,
-        33,
+        17,
+        17,
     ),
     (
         "masked one-edge probe",
         "S[positional-bytes]] (probe: masked)",
         "select sum(R.a * R.b) as s from R, S where R.fk = S.rowid and R.x < 50 and S.y < 50",
-        24,
-        24,
+        23,
+        23,
     ),
     (
         "groupjoin",
         "(group by fk) <- MultiJoin",
         "select R.fk, sum(R.a * R.b) as s from R, S where R.fk = S.rowid and S.y < 50 \
          group by R.fk",
-        78,
-        78,
+        28,
+        28,
     ),
 ];
 

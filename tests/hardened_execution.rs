@@ -9,7 +9,7 @@
 //! wrapped rows on the engine's first attempt.
 
 use std::time::Duration;
-use swole::plan::interp;
+use swole::plan::{interp, Rows};
 use swole::prelude::*;
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -215,7 +215,7 @@ fn execute_propagates_plan_errors_without_panicking() {
 /// `interp::run`'s wrapped rows, on its first attempt (no retry), and a
 /// direct [`Engine::execute`] of its plan — which never retries — answers
 /// the same. Returns those rows.
-fn wraps_like_the_interpreter(e: &Engine, plan: &LogicalPlan, label: &str) -> Vec<Vec<i64>> {
+fn wraps_like_the_interpreter(e: &Engine, plan: &LogicalPlan, label: &str) -> Rows {
     let truth = interp::run(&e.database(), plan).expect("interp runs").rows;
     let opts = QueryOptions::new().metrics(MetricsLevel::Counters);
     let got = e.query_with(plan, &opts).expect("runs");
