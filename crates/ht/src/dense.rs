@@ -1,4 +1,11 @@
 //! Dense-array group table for key domains known exactly.
+//!
+//! The merged table is read once, by [`GroupTable::emit`], without a
+//! branch per slot: a byte-lane count of the valid flags (as
+//! `swole_kernels::predicate::mask_count`) sizes the buffer for one row
+//! more than that; every slot writes its row at the cursor, which advances
+//! by `valid & keep` (as `swole_kernels::selvec::fill_nobranch`). Nothing is
+//! deleted: a key the filter rejects is simply not emitted.
 
 // Indexing invariant: `states` and `flags` both hold `(slots + 1) * n_aggs`
 // elements. Every offset this table hands out is `slot * n_aggs` with
@@ -26,12 +33,13 @@ const PRESENT: u8 = 2;
 /// find-or-insert is a subtraction — no hash, no probe sequence, no growth.
 /// Offset 0 is the **throwaway entry** for [`NULL_KEY`], as in
 /// [`crate::AggTable`], and every other part of that table's contract holds
-/// too: valid flags, deletion, commutative wrapping merges, `len` / `iter`
-/// over real keys only — `iter` in key order.
+/// too: valid flags, commutative wrapping merges, `len` / `iter` / `emit`
+/// over real keys only — in key order.
 ///
 /// The flags are indexed by state offset (one byte per state word, the
-/// first of each entry used) so that the per-lane flag update needs no
-/// division by `n_aggs`.
+/// first of each entry used, the others always zero) so that the per-lane
+/// flag update needs no division by `n_aggs`. An entry no upsert reached
+/// holds zero states: nothing clears an entry once it is written.
 ///
 /// The upsert is **lean**: [`GroupTable::entry`] is offset arithmetic and
 /// nothing else, presence is recorded by the valid update that follows the
@@ -53,10 +61,9 @@ pub struct DenseAggTable {
     n_aggs: usize,
     states: Vec<i64>,
     flags: Vec<u8>,
-    /// `probes` (as the upsert loops report them) and `bytes_allocated` as
-    /// they stand; `inserts` holds only the keys since deleted —
-    /// [`GroupTable::counters`] adds the present ones, so the find-or-insert
-    /// path keeps no running count at all.
+    /// `probes` (as the upsert loops report them) and `bytes_allocated`;
+    /// `inserts` is never stored — [`GroupTable::counters`] counts the
+    /// present entries, so the find-or-insert path keeps no running count.
     counters: HtCounters,
 }
 
@@ -116,19 +123,30 @@ impl DenseAggTable {
         ((d + 1) & keep) as usize * self.n_aggs
     }
 
-    /// State offset of `key` if it is present.
-    fn find(&self, key: i64) -> Option<usize> {
-        let in_domain = (key.wrapping_sub(self.min) as u64) < self.slots as u64;
-        if key != NULL_KEY && !in_domain {
-            return None;
-        }
-        let off = self.offset_of(key);
-        (self.flags[off] != 0).then_some(off)
-    }
-
     /// The throwaway entry's accumulated state.
     pub fn null_state(&self) -> &[i64] {
         &self.states[..self.n_aggs]
+    }
+
+    /// [`GroupTable::emit`] for `N` states a row (0: `n_aggs` of them). A
+    /// constant width makes each row's copy a move instead of a call.
+    fn compact<const N: usize>(&self, keep: impl Fn(i64) -> u8) -> Vec<i64> {
+        let n = if N == 0 { self.n_aggs } else { N };
+        debug_assert_eq!(n, self.n_aggs);
+        let width = n + 1;
+        let mut rows = vec![0; (count_valid(&self.flags[n..]) + 1) * width];
+        let mut at = 0;
+        let entries = self.states[n..].chunks_exact(n);
+        for (i, (state, f)) in entries.zip(self.flags[n..].chunks_exact(n)).enumerate() {
+            // `i < slots`, so the key is inside the domain: no overflow.
+            let key = self.min + i as i64;
+            let row = &mut rows[at..at + width];
+            row[0] = key;
+            row[1..].copy_from_slice(state);
+            at += width * usize::from(f[0] & VALID & keep(key));
+        }
+        rows.truncate(at);
+        rows
     }
 
     /// Entries present, the throwaway included when `from_slot` is 0.
@@ -181,19 +199,10 @@ impl GroupTable for DenseAggTable {
         &mut self.states
     }
 
-    fn delete(&mut self, key: i64) -> bool {
-        let Some(off) = self.find(key) else {
-            return false;
-        };
-        self.states[off..off + self.n_aggs].fill(0);
-        self.flags[off] = 0;
-        self.counters.inserts += 1;
-        true
-    }
-
-    /// Element-wise: entries absent here are copied, entries present in
-    /// both combine per op exactly as [`crate::AggTable::merge_from`] does
-    /// (min/max consult the valid flags, the throwaway always adds).
+    /// [`crate::AggTable::merge_from`]'s result with no branch per entry. An
+    /// absent entry holds zero states, so a sum is one wrapping add (a list
+    /// of sums: one over the whole array); a min/max slot selects by the
+    /// valid flags, one pass per slot. The throwaway adds; the flags OR.
     fn merge_from(&mut self, other: &DenseAggTable, ops: &[MergeOp]) {
         assert_eq!(
             (self.min, self.slots, self.n_aggs),
@@ -202,37 +211,37 @@ impl GroupTable for DenseAggTable {
         );
         assert_eq!(ops.len(), self.n_aggs, "one MergeOp per aggregate slot");
         let n = self.n_aggs;
-        for off in (0..self.flags.len()).step_by(n) {
-            let theirs = other.flags[off];
-            if theirs == 0 {
+        let sums_only = ops.iter().all(|&op| op == MergeOp::Add);
+        // The whole array when every slot adds, the throwaway otherwise.
+        let adds = if sums_only { self.states.len() } else { n };
+        for (s, &v) in self.states[..adds].iter_mut().zip(&other.states) {
+            *s = s.wrapping_add(v);
+        }
+        let per_slot = if sums_only { &[][..] } else { ops };
+        for (i, &op) in per_slot.iter().enumerate() {
+            let states = self.states[n..].chunks_exact_mut(n);
+            let entries = states.zip(other.states[n..].chunks_exact(n));
+            if op == MergeOp::Add {
+                entries.for_each(|(s, o)| s[i] = s[i].wrapping_add(o[i]));
                 continue;
             }
-            let mine = self.flags[off];
-            self.flags[off] = mine | theirs;
-            if mine == 0 {
-                self.states[off..off + n].copy_from_slice(&other.states[off..off + n]);
-                continue;
+            let flags = self.flags[n..].chunks_exact(n);
+            let flags = flags.zip(other.flags[n..].chunks_exact(n));
+            for ((s, o), (mine, theirs)) in entries.zip(flags) {
+                // All ones where the entry had a real update.
+                let (had, got) = (-i64::from(mine[0] & VALID), -i64::from(theirs[0] & VALID));
+                let (x, v) = (s[i], o[i]);
+                let folded = if op == MergeOp::Min {
+                    x.min(v)
+                } else {
+                    x.max(v)
+                };
+                let pick = (folded & had) | (v & !had);
+                s[i] = (pick & got) | (x & !got);
             }
-            for (i, op) in ops.iter().enumerate() {
-                let v = other.states[off + i];
-                let s = &mut self.states[off + i];
-                match op {
-                    MergeOp::Min | MergeOp::Max if off != 0 => {
-                        // A min/max state is only meaningful once its entry
-                        // has seen a real (unmasked) update.
-                        if theirs & VALID != 0 {
-                            *s = if mine & VALID == 0 {
-                                v
-                            } else if *op == MergeOp::Min {
-                                (*s).min(v)
-                            } else {
-                                (*s).max(v)
-                            };
-                        }
-                    }
-                    _ => *s = (*s).wrapping_add(v),
-                }
-            }
+        }
+        for (f, &g) in self.flags.iter_mut().zip(&other.flags) {
+            *f |= g;
         }
     }
 
@@ -251,6 +260,14 @@ impl GroupTable for DenseAggTable {
             })
     }
 
+    /// Count, then compact without a branch (see the module docs).
+    fn emit(&self, keep: impl Fn(i64) -> u8) -> Vec<i64> {
+        match self.n_aggs {
+            1 => self.compact::<1>(keep),
+            _ => self.compact::<0>(keep),
+        }
+    }
+
     /// A scan of the flags, not a stored count (see `entry`).
     fn len(&self) -> usize {
         self.present(1)
@@ -262,10 +279,26 @@ impl GroupTable for DenseAggTable {
 
     fn counters(&self) -> HtCounters {
         HtCounters {
-            inserts: self.counters.inserts + self.present(0) as u64,
+            inserts: self.present(0) as u64,
             ..self.counters
         }
     }
+}
+
+/// Entries with a real update among `flags`: a byte-lane sum of the valid
+/// bits — 255 rounds of 0 / 1 fit a `u8` lane, which widens once a block.
+fn count_valid(flags: &[u8]) -> usize {
+    let block = |b: &[u8]| {
+        let mut lanes = [0u8; 32];
+        for round in b.chunks(32) {
+            lanes
+                .iter_mut()
+                .zip(round)
+                .for_each(|(l, &f)| *l += f & VALID);
+        }
+        lanes.into_iter().map(usize::from).sum::<usize>()
+    };
+    flags.chunks(255 * 32).map(block).sum()
 }
 
 #[cfg(test)]
@@ -298,11 +331,8 @@ mod tests {
             3,
             "the throwaway counts, as in the hash table"
         );
-        assert!(t.delete(4));
         upsert(&mut t, 4);
-        upsert(&mut t, 4);
-        assert_eq!(t.counters().inserts, 4, "lifetime inserts survive deletion");
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.counters().inserts, 3, "a key is inserted once");
         assert_eq!((t.counters().probe_steps, t.counters().resizes), (0, 0));
         // The lean contract: `entry` alone is arithmetic — the key becomes an
         // entry with the valid update, the probe is counted when reported.
@@ -328,28 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_clears_state_flag_and_throwaway() {
-        let mut t = DenseAggTable::new(2, 0, 0);
-        let off = t.entry(0);
-        t.add(off, 1, 9);
-        t.set_valid(off);
-        assert!(t.delete(0));
-        assert!(!t.delete(0), "double delete reports absence");
-        assert!(!t.delete(1), "outside the domain is absent, not a panic");
-        assert!(t.is_empty());
-        let off = t.entry(0);
-        assert_eq!(&t.states_mut()[off..off + 2], &[0, 0], "re-insert is fresh");
-        assert!(!t.is_valid(off));
-        let off = t.entry(NULL_KEY);
-        t.add(off, 0, 5);
-        t.or_valid(off, 0);
-        assert_eq!(t.null_state(), &[5, 0]);
-        assert!(t.delete(NULL_KEY));
-        assert!(!t.delete(NULL_KEY));
-        assert_eq!(t.null_state(), &[0, 0]);
-    }
-
-    #[test]
     fn domains_at_the_ends_of_i64() {
         let mut top = DenseAggTable::new(1, i64::MAX - 2, i64::MAX);
         let off = top.entry(i64::MAX);
@@ -357,12 +365,12 @@ mod tests {
         assert_eq!(off, 3);
         let keys: Vec<i64> = top.iter().map(|(k, _, _)| k).collect();
         assert_eq!(keys, vec![i64::MAX]);
-        assert!(!top.delete(i64::MIN), "far below the domain is just absent");
+        assert_eq!(top.emit(|_| 1), vec![i64::MAX, 0]);
         let mut bottom = DenseAggTable::new(1, NULL_KEY + 1, NULL_KEY + 2);
         assert_eq!(upsert(&mut bottom, NULL_KEY), 0);
         assert_eq!(upsert(&mut bottom, NULL_KEY + 1), 1);
-        assert!(!bottom.delete(i64::MAX));
         assert_eq!(bottom.len(), 1);
+        assert_eq!(bottom.emit(|_| 1), vec![NULL_KEY + 1, 0]);
     }
 
     #[test]
@@ -387,16 +395,14 @@ mod tests {
         DenseAggTable::new(1, 10, 20).entry(21);
     }
 
-    /// One step of the differential below.
+    /// One step of the differential below: `entry`, `add` to slot 0, min
+    /// into slot 1, then the valid update (`or_valid` with the flag, or
+    /// `set_valid`).
     #[derive(Clone, Copy)]
-    enum Step {
-        /// `entry`, `add` to slot 0, min into slot 1, then the valid update.
-        Update {
-            key: i64,
-            v: i64,
-            valid: Option<u8>,
-        },
-        Delete(i64),
+    struct Step {
+        key: i64,
+        v: i64,
+        valid: Option<u8>,
     }
 
     /// Run `steps`, reporting the probes once per "tile" of 16 steps as the
@@ -404,33 +410,19 @@ mod tests {
     fn drive<T: GroupTable>(t: &mut T, steps: &[Step]) -> u64 {
         let mut probes = 0;
         for tile in steps.chunks(16) {
-            let upserts = tile.iter().filter(|s| matches!(s, Step::Update { .. }));
-            t.note_probes(upserts.count());
-            probes += drive_tile(t, tile);
-        }
-        probes
-    }
-
-    fn drive_tile<T: GroupTable>(t: &mut T, steps: &[Step]) -> u64 {
-        let mut probes = 0;
-        for &s in steps {
-            match s {
-                Step::Update { key, v, valid } => {
-                    probes += 1;
-                    let off = t.entry(key);
-                    t.add(off, 0, v);
-                    if key != NULL_KEY && valid != Some(0) {
-                        let fresh = !t.is_valid(off);
-                        let s = &mut t.states_mut()[off + 1];
-                        *s = if fresh { v } else { (*s).min(v) };
-                    }
-                    match valid {
-                        Some(flag) => t.or_valid(off, flag),
-                        None => t.set_valid(off),
-                    }
+            t.note_probes(tile.len());
+            for &Step { key, v, valid } in tile {
+                probes += 1;
+                let off = t.entry(key);
+                t.add(off, 0, v);
+                if key != NULL_KEY && valid != Some(0) {
+                    let fresh = !t.is_valid(off);
+                    let s = &mut t.states_mut()[off + 1];
+                    *s = if fresh { v } else { (*s).min(v) };
                 }
-                Step::Delete(key) => {
-                    t.delete(key);
+                match valid {
+                    Some(flag) => t.or_valid(off, flag),
+                    None => t.set_valid(off),
                 }
             }
         }
@@ -447,14 +439,16 @@ mod tests {
     }
 
     /// Both representations, driven by the same random `entry` / `add` /
-    /// `set_valid` / `or_valid` / `delete` sequences on four partial tables
-    /// that are then merged, agree on `iter` and `len` — wrapped sums
-    /// included — and the lean path reports the counters the table
-    /// that counted per lane did: one probe per `entry`, the hash table's
-    /// lifetime inserts, its own bytes, nothing else.
+    /// `set_valid` / `or_valid` sequences on four partial tables that are
+    /// then merged (sums only, or with a min / max slot), agree on `iter`,
+    /// `len` and `emit` — wrapped sums included — and the lean path
+    /// reports the counters the table that counted per lane did: one probe
+    /// per `entry`, the hash table's lifetime inserts, its own bytes,
+    /// nothing else.
     #[test]
     fn dense_and_hash_agree_under_random_operations() {
-        const OPS: [MergeOp; 2] = [MergeOp::Add, MergeOp::Min];
+        use MergeOp::{Add, Max, Min};
+        const OPS: [[MergeOp; 2]; 3] = [[Add, Min], [Add, Add], [Add, Max]];
         // Negative min, min != 0, a single-key domain.
         let domains = [(-7i64, 12i64), (1000, 1063), (5, 5), (0, 300)];
         let cases = if cfg!(miri) { 4 } else { 64 };
@@ -475,22 +469,18 @@ mod tests {
             let partials: Vec<Vec<Step>> = (0..4)
                 .map(|_| {
                     (0..rng.gen_range(0..if cfg!(miri) { 40 } else { 400 }))
-                        .map(|_| match rng.gen_range(0..8u32) {
-                            0 => Step::Delete(key(&mut rng)),
-                            1..=3 => Step::Update {
-                                key: key(&mut rng),
-                                v: value(&mut rng),
-                                valid: Some(rng.gen_range(0..2u8)),
-                            },
-                            _ => Step::Update {
-                                key: key(&mut rng),
-                                v: value(&mut rng),
-                                valid: None,
+                        .map(|_| Step {
+                            key: key(&mut rng),
+                            v: value(&mut rng),
+                            valid: match rng.gen_range(0..7u32) {
+                                0..=2 => Some(rng.gen_range(0..2u8)),
+                                _ => None,
                             },
                         })
                         .collect()
                 })
                 .collect();
+            let ops = &OPS[seed as usize % OPS.len()];
             let mut hash = AggTable::with_capacity(2, 4);
             let mut dense = DenseAggTable::new(2, min, max);
             for steps in &partials {
@@ -508,17 +498,61 @@ mod tests {
                 };
                 assert_eq!(h.counters().probes, probes, "seed {seed}");
                 assert_eq!(d.counters(), reported, "seed {seed}: counters");
-                hash.merge_from(&h, &OPS);
-                dense.merge_from(&d, &OPS);
+                hash.merge_from(&h, ops);
+                dense.merge_from(&d, ops);
             }
             assert_eq!(snapshot(&hash), snapshot(&dense), "seed {seed}: merged");
             assert_eq!(hash.null_state(), dense.null_state(), "seed {seed}");
-            // Deleting after the merge, as eager aggregation does.
-            let doomed: Vec<i64> = (min..=max).filter(|k| k % 3 == 0).collect();
-            for &k in &doomed {
-                assert_eq!(hash.delete(k), dense.delete(k), "seed {seed} key {k}");
+            // Keeping two keys in three after the merge, as eager
+            // aggregation keeps the groups whose parent qualifies.
+            let keep = |k: i64| u8::from(k % 3 != 0);
+            assert_eq!(hash.emit(keep), dense.emit(keep), "seed {seed}: kept");
+        }
+    }
+
+    /// `emit` writes exactly what `iter` yields for the valid entries the
+    /// filter keeps, in the same order — on random tables with one to five
+    /// aggregates (the one-state width and the generic one) over domains that do not start at 0, entries that only
+    /// masked updates reached, and a throwaway entry holding state.
+    #[test]
+    fn emit_is_iter_filtered_by_valid_and_keep() {
+        let cases = if cfg!(miri) { 8 } else { 200 };
+        for seed in 0..cases {
+            let mut rng = SmallRng::seed_from_u64(0xE417 + seed);
+            let n_aggs = 1 + seed as usize % 5;
+            let min = rng.gen_range(-500i64..500);
+            let max = min + rng.gen_range(0..300i64);
+            let mut t = DenseAggTable::new(n_aggs, min, max);
+            for _ in 0..rng.gen_range(0..400) {
+                let key = match rng.gen_range(0..8u32) {
+                    0 => NULL_KEY,
+                    _ => rng.gen_range(min..=max),
+                };
+                let off = t.entry(key);
+                for agg in 0..n_aggs {
+                    t.add(off, agg, rng.gen_range(-9i64..=9));
+                }
+                match rng.gen_range(0..3u32) {
+                    0 => t.or_valid(off, 0),
+                    1 => t.or_valid(off, 1),
+                    _ => t.set_valid(off),
+                }
             }
-            assert_eq!(snapshot(&hash), snapshot(&dense), "seed {seed}: deleted");
+            let kept: Vec<bool> = (min..=max).map(|_| rng.gen_bool(0.5)).collect();
+            let keep = |k: i64| u8::from(kept[(k - min) as usize]);
+            let want: Vec<i64> = t
+                .iter()
+                .filter(|&(k, _, valid)| valid && keep(k) == 1)
+                .flat_map(|(k, state, _)| std::iter::once(k).chain(state.iter().copied()))
+                .collect();
+            assert_eq!(t.emit(keep), want, "seed {seed}: kept");
+            let every: Vec<i64> = t
+                .iter()
+                .filter(|&(_, _, valid)| valid)
+                .flat_map(|(k, state, _)| std::iter::once(k).chain(state.iter().copied()))
+                .collect();
+            assert_eq!(t.emit(|_| 1), every, "seed {seed}: every valid entry");
+            assert!(t.emit(|_| 0).is_empty(), "seed {seed}: none kept");
         }
     }
 

@@ -36,13 +36,31 @@ pub trait GroupTable {
     fn is_valid(&self, offset: usize) -> bool;
     /// The flat state array, indexed by offsets from [`GroupTable::entry`].
     fn states_mut(&mut self) -> &mut [i64];
-    /// Delete `key`, returning `true` if it was present.
-    fn delete(&mut self, key: i64) -> bool;
     /// Fold another partial table of the same layout into this one, slot
     /// `i` combining under `ops[i]`.
     fn merge_from(&mut self, other: &Self, ops: &[MergeOp]);
     /// Live real entries as `(key, state, valid)`.
     fn iter(&self) -> impl Iterator<Item = (i64, &[i64], bool)>;
+    /// The valid real entries whose key `keep` maps to 1 (of 0 / 1) as
+    /// rows — key, then states — row-major in key order: a merged table's
+    /// result, filtered as it is written, so nothing is ever deleted. By
+    /// default: filter, sort by key (unique, so an unstable sort is
+    /// deterministic), write once.
+    fn emit(&self, keep: impl Fn(i64) -> u8) -> Vec<i64> {
+        let kept = self
+            .iter()
+            .filter(|&(key, _, valid)| valid && keep(key) != 0);
+        let mut entries: Vec<(i64, &[i64])> = Vec::with_capacity(self.len());
+        entries.extend(kept.map(|(key, state, _)| (key, state)));
+        entries.sort_unstable_by_key(|&(key, _)| key);
+        let words = entries.iter().map(|(_, s)| s.len()).sum::<usize>();
+        let mut rows = Vec::with_capacity(words.saturating_add(entries.len()));
+        for (key, state) in entries {
+            rows.push(key);
+            rows.extend_from_slice(state);
+        }
+        rows
+    }
     /// Number of distinct real keys stored.
     fn len(&self) -> usize;
     /// `true` if no real keys are stored.
@@ -82,9 +100,6 @@ impl GroupTable for AggTable {
     #[inline(always)]
     fn states_mut(&mut self) -> &mut [i64] {
         AggTable::states_mut(self)
-    }
-    fn delete(&mut self, key: i64) -> bool {
-        AggTable::delete(self, key)
     }
     fn merge_from(&mut self, other: &AggTable, ops: &[MergeOp]) {
         AggTable::merge_from(self, other, ops);

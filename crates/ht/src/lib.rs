@@ -10,8 +10,10 @@
 //!   * per-entry **valid flags** so the value masking technique (§ III-B)
 //!     can "set a flag during insertion to differentiate between masked
 //!     entries and actual 0 values",
-//!   * **deletion** (backward-shift or tombstone) so eager aggregation
-//!     (§ III-E) can remove non-qualifying aggregates after the fact;
+//!   * **deletion** (backward-shift or tombstone), which the hand-coded
+//!     eager aggregation (§ III-E) uses to remove non-qualifying aggregates
+//!     after the fact — the engine instead leaves them out of
+//!     [`GroupTable::emit`];
 //! * [`DenseAggTable`] — the same contract ([`GroupTable`]) as a flat array
 //!   over a key domain the catalog knows exactly, with no hashing at all;
 //! * [`KeySet`] — a membership set used by the hash-based semijoin

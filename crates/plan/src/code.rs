@@ -401,11 +401,10 @@ fn grouped(out: &mut Code, s: &AggShape, sink: &GroupSink) {
         let p = &e.parent;
         out.line(
             0,
-            format!("// after the merge: drop the groups whose {p} row fails"),
+            format!("// after the merge: emit the groups whose {p} row qualifies"),
         );
         out.line(0, format!("for (p = 0; p < {p}; p++)"));
-        out.line(1, format!("if (!{})", hit(e, "p")));
-        out.line(2, "ht_delete(ht, p);");
+        out.line(1, format!("if (e->valid && {}) emit(p, e);", hit(e, "p")));
     }
 }
 
@@ -679,7 +678,7 @@ mod tests {
         assert!(c.contains("s += (a[i+j]) * bytes_S[fk[i+j]];"), "{c}");
         let pin = StrategyOverrides::pin_groupjoin;
         let c = code_on(small(), pin(GroupJoinStrategy::EagerAggregation), GROUPJOIN);
-        assert!(c.contains("if (!bytes_S[p])"), "{c}");
+        assert!(c.contains("if (e->valid && bytes_S[p]) emit(p, e);"), "{c}");
     }
 
     /// TPC-H Q4's shape — a semijoin with no probe-side filter and a sum of
@@ -724,19 +723,19 @@ mod tests {
     }
 
     /// Eager aggregation does not scan `S` under the inverted predicate:
-    /// the build keeps the predicate as written, and the groups whose bit
-    /// is clear are deleted once, after the workers' tables merge.
+    /// the build keeps the predicate as written, and once the workers'
+    /// tables merge, only the groups whose bit is set are emitted.
     #[test]
     fn eager_aggregation_inverts_predicate() {
         let pin = StrategyOverrides::pin_groupjoin;
         let c = code(pin(GroupJoinStrategy::EagerAggregation), GROUPJOIN);
         assert!(c.contains("cmp[j] = x[i+j] < 13;"), "{c}");
         assert!(c.contains("e = ht_lookup(ht, fk[i+j]);"), "every lane: {c}");
-        assert!(c.contains("if (!bitmap_get(bm_S, p))"), "{c}");
-        assert!(c.contains("ht_delete(ht, p);"), "{c}");
+        let emit = "if (e->valid && bitmap_get(bm_S, p)) emit(p, e);";
+        assert!(c.contains(emit), "{c}");
         let g = code(pin(GroupJoinStrategy::GroupJoin), GROUPJOIN);
         assert!(g.contains("cmp[j] = x[i+j] < 13;"), "{g}");
         assert!(g.contains("e = ht_lookup(ht, fk[i+idx[j]]);"), "{g}");
-        assert!(!g.contains("ht_delete"), "{g}");
+        assert!(!g.contains("emit("), "{g}");
     }
 }

@@ -18,7 +18,7 @@ use crate::physical::JoinEdge;
 use crate::tile::Regs;
 use swole_bitmap::PositionalBitmap;
 use swole_cost::{BitmapBuild, SemiJoinStrategy};
-use swole_ht::KeySet;
+use swole_ht::{GroupTable, KeySet};
 use swole_kernels::{selvec, tiles_in, TILE};
 use swole_runtime::{charge_or_panic, ExecCtx};
 use swole_verify::ir::{Access, AccessSig};
@@ -88,15 +88,11 @@ impl BuildSide {
         })
     }
 
-    /// Call `f` with each position of `0..n` that does not qualify.
-    pub(super) fn for_each_miss(&self, n: usize, mut f: impl FnMut(usize)) {
-        with_hit!(self, |hit| {
-            for pos in 0..n {
-                if hit(pos) == 0 {
-                    f(pos);
-                }
-            }
-        })
+    /// The rows of `ht` whose key — a position of this structure's parent —
+    /// qualifies: eager aggregation's result (§ III-E), the hit passed as
+    /// the emission's filter.
+    pub(super) fn emit_hits(&self, ht: &impl GroupTable) -> Vec<i64> {
+        with_hit!(self, |hit| ht.emit(|key| hit(key as usize)))
     }
 
     /// 1 when build position `pos` qualifies.

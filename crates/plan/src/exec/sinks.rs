@@ -197,8 +197,8 @@ impl Sink for ScalarSink {
 /// the stage's lanes: the selected ones — the hybrid group-by and, narrowed
 /// through an edge, the groupjoin; every lane under the mask (value
 /// masking) or by its masked key (key masking); or every lane by its FK
-/// (eager aggregation), which deletes the keys whose parent does not
-/// qualify after the merge.
+/// (eager aggregation), which emits after the merge only the keys whose
+/// parent qualifies.
 pub(super) struct GroupedSink<F> {
     pub new_table: F,
     /// Whether `new_table` makes dense tables (for the metrics).
@@ -324,34 +324,36 @@ where
             snapshot(&p.ht);
             ht.merge_from(&p.ht, &ops);
         }
-        if let (physical::Lanes::Every, Some((side, _)), Some(edge)) =
-            (self.lanes, sides.first(), stage.edges.first())
-        {
-            // Inverted predicate deletes non-qualifying keys (§ III-E) — after
-            // the merge, so the reconciliation happens exactly once.
-            side.for_each_miss(edge.parent_t.len(), |pos| {
-                ht.delete(pos as i64);
-            });
-        }
+        // Eager aggregation keeps the keys whose parent qualifies (§ III-E),
+        // reconciled once, after the merge; every other stage keeps every
+        // valid key.
+        let values = match (self.lanes, sides.first()) {
+            (physical::Lanes::Every, Some((side, _))) => side.emit_hits(&ht),
+            _ => ht.emit(|_| 1),
+        };
+        let key = stage.shape.group.as_deref();
+        let key = key.expect("a grouped sink has a key");
+        let mut columns = vec![key.to_string()];
+        columns.extend(aggs.iter().map(|a| a.name.clone()));
+        let rows = Rows::from_values(columns.len(), values);
         if let Some(op) = agg_op {
             op.ht_dense = self.dense;
             // Per-worker insert counts depend on the morsel partition (several
-            // workers insert the same key); the merged table's final key count
-            // — after any deletion — is the deterministic figure the analyze
-            // output reports.
-            op.ht.inserts = ht.len() as u64;
+            // workers insert the same key); the rows emitted are the
+            // deterministic figure the analyze output reports.
+            op.ht.inserts = rows.len() as u64;
         }
-        let key = stage
-            .shape
-            .group
-            .as_deref()
-            .expect("a grouped sink has a key");
         let key_dict = stage
             .table
             .column(key)
             .and_then(|c| c.as_dict())
             .map(|d| d.shared_dictionary());
-        Ok(rows_from_table(key, aggs, &ht, self.dense, key_dict))
+        Ok(QueryResult {
+            columns,
+            rows,
+            metrics: None,
+            key_dict,
+        })
     }
 }
 
@@ -367,39 +369,4 @@ fn merge_ops(aggs: &[AggSpec]) -> Vec<MergeOp> {
             AggFunc::Max => MergeOp::Max,
         })
         .collect()
-}
-
-/// The result of a merged group table: a row per valid key, in key order,
-/// written once into one buffer. A dense table iterates in key order
-/// already; a hash table's entries are sorted by key first (keys are
-/// unique, so an unstable sort is deterministic).
-fn rows_from_table(
-    key_name: &str,
-    aggs: &[AggSpec],
-    ht: &impl GroupTable,
-    dense: bool,
-    key_dict: Option<Arc<Vec<String>>>,
-) -> QueryResult {
-    // Sized once for every stored key (valid or not): a filtered iterator
-    // has no lower size hint.
-    let mut rows = Rows::with_capacity(1 + aggs.len(), ht.len());
-    let valid = ht.iter().filter(|&(_, _, valid)| valid);
-    if dense {
-        valid.for_each(|(key, state, _)| rows.push_keyed(key, state));
-    } else {
-        let mut entries: Vec<(i64, &[i64])> = Vec::with_capacity(ht.len());
-        entries.extend(valid.map(|(key, state, _)| (key, state)));
-        entries.sort_unstable_by_key(|&(key, _)| key);
-        entries
-            .into_iter()
-            .for_each(|(key, state)| rows.push_keyed(key, state));
-    }
-    let mut columns = vec![key_name.to_string()];
-    columns.extend(aggs.iter().map(|a| a.name.clone()));
-    QueryResult {
-        columns,
-        rows,
-        metrics: None,
-        key_dict,
-    }
 }

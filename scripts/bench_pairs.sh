@@ -2,7 +2,7 @@
 # Paired benchmark protocol: the working tree's `perf` against a parent
 # revision's, run alternately with the same seed per pair.
 #
-#   scripts/bench_pairs.sh <parent-rev> [--aa] [--pairs N] [--seconds S] [--smoke] [--out DIR] [workload...]
+#   scripts/bench_pairs.sh <parent-rev> [--aa] [--pairs N] [--seconds S] [--smoke] [--out DIR] [--record N] [workload...]
 #
 # 1. Builds `perf` (the benchmark package under crates/bench/src/bin/perf)
 #    from the working tree, and from <parent-rev> checked out with
@@ -38,6 +38,17 @@
 #
 # `--smoke` passes perf's --smoke (tiny sizes, 0.4 s a run unless --seconds
 # is given): one pair against HEAD checks the protocol end to end.
+#
+# `--record N` also writes what step 4 prints to BENCH_PR<N>.json at the
+# repo root: both revisions (the change side is HEAD, marked
+# "+working-tree" when the tree differs from it), the pairs, seeds and
+# seconds; per workload and end-to-end metric each side's median and
+# quartiles and the pairs the change won; per statement class each side's
+# median ratio. When another BENCH_PR*.json is there, the one with the
+# highest number below N, it prints how the change side's medians moved
+# since that record. The record holds no calibrated CostParams and no
+# bounds tightness: those come from a traced run (`--trace 1`), and every
+# run here is untraced.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,7 +61,7 @@ usage() {
 case $1 in -*) usage ;; esac
 parent=$(git rev-parse --verify "$1^{commit}")
 shift
-pairs=10 seconds='' smoke='' out='' aa=''
+pairs=10 seconds='' smoke='' out='' aa='' record=''
 workloads=()
 while [ $# -gt 0 ]; do
     case $1 in
@@ -59,6 +70,7 @@ while [ $# -gt 0 ]; do
         --smoke) smoke=--smoke; shift ;;
         --aa) aa=1; shift ;;
         --out) out=$2; shift 2 ;;
+        --record) record=$2; shift 2 ;;
         -*) echo "bench_pairs: unknown flag $1" >&2; exit 2 ;;
         *) workloads+=("$1"); shift ;;
     esac
@@ -121,14 +133,30 @@ for pair in $(seq 1 "$pairs"); do
     done
 done
 
-python3 - "$runs" BENCHMARK.json <<'EOF'
+change_rev=$(git rev-parse HEAD)
+if [ -n "$aa" ]; then
+    change_rev=$parent
+elif ! git diff --quiet HEAD; then
+    change_rev+=+working-tree
+fi
+python3 - "$runs" BENCHMARK.json "$record" "$parent" "$change_rev" "$pairs" "$seconds" <<'EOF'
+import glob
 import json
+import re
 import statistics
 import sys
 from collections import defaultdict
 
-runs_path, bench_path = sys.argv[1:3]
+runs_path, bench_path, record_n, parent_rev, change_rev, n_pairs, seconds = sys.argv[1:8]
 spec = json.load(open(bench_path))
+record = {
+    "parent": parent_rev,
+    "change": change_rev,
+    "pairs": int(n_pairs),
+    "seeds": list(range(1, int(n_pairs) + 1)),
+    "seconds": float(seconds) if seconds else "perf --smoke default",
+    "workloads": {},
+}
 better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 by = defaultdict(dict)  # (workload, pair) -> side -> run
 workloads = []
@@ -159,6 +187,7 @@ for w in workloads:
     if not pairs:
         print(f"{w:<15} no complete pair")
         continue
+    rec = record["workloads"][w] = {"metrics": {}, "classes": {}}
     side = lambda s: [by[(w, p)][s] for p in pairs]
     for metric, direction in better.items():
         value = lambda r: r["result"]["metrics"][metric]["value"]
@@ -166,6 +195,11 @@ for w in workloads:
         diff = statistics.median(c - p for p, c in zip(par, chg))
         rel = statistics.median((c - p) / p * 100 for p, c in zip(par, chg) if p)
         won = wins(par, chg, direction == "lower")
+        rec["metrics"][metric] = {
+            s: dict(zip(("q1", "median", "q3"), quartiles(v)))
+            for s, v in (("parent", par), ("change", chg))
+        }
+        rec["metrics"][metric] |= {"won": won, "pairs": len(pairs)}
         print(
             f"{w:<15} {metric:<22} {span(par):>26} -> {span(chg):<26} "
             f"{won:>2}/{len(pairs):<2} {diff:>+10.4g} ({rel:+.1f} %)"
@@ -173,6 +207,7 @@ for w in workloads:
     for s in ("parent", "change"):
         attempted = sum(r["result"]["attempted"] for r in side(s))
         failed = sum(r["result"]["failed"] for r in side(s))
+        rec[f"{s}_statements"] = {"failed": int(failed), "attempted": int(attempted)}
         print(f"{'':<15} {s} failed {failed:g} of {attempted:g} statements")
     classes = [c["name"] for c in side("parent")[0]["detail"]["statements"]]
     for name in classes:
@@ -190,9 +225,47 @@ for w in workloads:
             par, chg = of("parent", key), of("change", key)
         if not par or len(par) != len(chg):
             continue
+        rec["classes"][name] = {
+            "key": key,
+            "parent": statistics.median(par),
+            "change": statistics.median(chg),
+            "won": wins(par, chg, True),
+            "pairs": len(par),
+        }
         print(
             f"  {w + ' ' + name:<35} {key:<22} {statistics.median(par):>8.4g} -> "
             f"{statistics.median(chg):<8.4g} won {wins(par, chg, True)}/{len(par)}"
         )
+
+if record_n:
+    path = f"BENCH_PR{record_n}.json"
+    older = {
+        int(m.group(1)): f
+        for f in glob.glob("BENCH_PR*.json")
+        if (m := re.fullmatch(r"BENCH_PR(\d+)\.json", f)) and int(m.group(1)) < int(record_n)
+    }
+    with open(path, "w") as f:
+        json.dump(record, f, indent=1)
+        f.write("\n")
+    print(f"bench_pairs: wrote {path}", file=sys.stderr)
+    if older:
+        prev_path = older[max(older)]
+        prev = json.load(open(prev_path))
+        print(f"\nchange-side medians since {prev_path} ({prev['change']} -> {change_rev}):")
+        for w, now in record["workloads"].items():
+            then = prev["workloads"].get(w)
+            if then is None:
+                print(f"  {w:<33} not in {prev_path}")
+                continue
+            rows = [
+                (m, then["metrics"].get(m, {}).get("change", {}).get("median"), v["change"]["median"])
+                for m, v in now["metrics"].items()
+            ]
+            rows += [(c, then["classes"].get(c, {}).get("change"), v["change"]) for c, v in now["classes"].items()]
+            for name, a, b in rows:
+                if a is None:
+                    continue
+                rel = f"{(b - a) / a * 100:+.1f} %" if a else ""
+                print(f"  {w + ' ' + name:<33} {a:>10.4g} -> {b:<10.4g} {rel}")
 EOF
 echo "bench_pairs: every run's JSON is in $runs" >&2

@@ -99,25 +99,62 @@ fn engine_matches_handcoded_q4() {
     }
 }
 
+/// The planner's own plan, then eager aggregation pinned over each build
+/// side the edge can have — the key set, the byte map (a parent within the
+/// modelled L1) and the bitmap (one above it) — at 1, 2 and 8 threads. The
+/// engine keeps the groups whose `S` row qualifies as it emits the merged
+/// table; the hand-coded pipeline deletes the others and then iterates.
 #[test]
 fn engine_matches_handcoded_q5() {
-    let db = micro();
-    let engine = Engine::builder(as_database(&db)).threads(2).build();
-    for sel in [10i8, 50, 90] {
-        let plan = QueryBuilder::scan("R")
-            .semijoin(
-                QueryBuilder::scan("S")
-                    .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(sel as i64))),
-                "fk",
-            )
-            .aggregate(
-                Some("fk"),
-                vec![AggSpec::sum(Expr::col("a").mul(Expr::col("b")), "s")],
-            );
-        let got = engine.query(&plan).expect("engine runs");
-        let expected = collect_groups(&swole_micro::q5::eager_aggregation(&db.r, &db.s, sel));
-        let got_pairs: Vec<(i64, i64)> = got.rows.iter().map(|r| (r[0], r[1])).collect();
-        assert_eq!(got_pairs, expected, "sel={sel}");
+    let eager = |semijoin| StrategyOverrides {
+        semijoin: Some(semijoin),
+        groupjoin: Some(GroupJoinStrategy::EagerAggregation),
+        ..StrategyOverrides::default()
+    };
+    let positional = SemiJoinStrategy::PositionalBitmap(BitmapBuild::Unconditional);
+    let small = micro();
+    let large = generate(MicroParams {
+        r_rows: 25_000,
+        s_rows: 40_000,
+        r_c_cardinality: 64,
+        seed: 99,
+    });
+    let cases = [
+        (&small, StrategyOverrides::default(), None),
+        (&small, eager(SemiJoinStrategy::Hash), Some("[hash]")),
+        (&small, eager(positional), Some("[positional-bytes]")),
+        (&large, eager(positional), Some("[positional-bitmap]")),
+    ];
+    for (db, strategies, side) in cases {
+        for threads in [1usize, 2, 8] {
+            let e = Engine::builder(as_database(db))
+                .threads(threads)
+                .tile_rows(2 * swole_kernels::TILE)
+                .strategies(strategies.clone())
+                .build();
+            for sel in [0i8, 10, 50, 90, 100] {
+                let q5 = QueryBuilder::scan("R")
+                    .semijoin(
+                        QueryBuilder::scan("S")
+                            .filter(Expr::col("x").cmp(CmpOp::Lt, Expr::lit(sel as i64))),
+                        "fk",
+                    )
+                    .aggregate(
+                        Some("fk"),
+                        vec![AggSpec::sum(Expr::col("a").mul(Expr::col("b")), "s")],
+                    );
+                let at = format!("{side:?} sel={sel} x{threads}");
+                if let Some(side) = side {
+                    let shape = e.explain(&q5).expect("plans").shape;
+                    assert!(shape.contains(side), "{at}: {shape}");
+                    assert!(shape.contains("[eager-aggregation]"), "{at}: {shape}");
+                }
+                let got = e.query(&q5).expect("q5");
+                let got: Vec<(i64, i64)> = got.rows.iter().map(|r| (r[0], r[1])).collect();
+                let deleted = swole_micro::q5::eager_aggregation(&db.r, &db.s, sel);
+                assert_eq!(got, collect_groups(&deleted), "{at}");
+            }
+        }
     }
 }
 

@@ -242,7 +242,7 @@ fn verifies_running(
     ]
     .iter()
     .any(|k| stage.contains(k));
-    let (gather, post_merge) = (stage.contains("[i+idx[j]]"), stage.contains("ht_delete("));
+    let (gather, post_merge) = (stage.contains("[i+idx[j]]"), stage.contains("emit(p, e);"));
     let seen = (gather, masked, stage.contains("NULL_KEY"), post_merge);
     let expected = match lanes {
         Lanes::Selected => (true, false, false, false),
