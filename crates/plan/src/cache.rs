@@ -23,7 +23,7 @@
 //!   [`crate::Database::load_table`] bumps. A cached plan remembers the
 //!   generations of the tables it touches; a mismatch at lookup drops the
 //!   entry (the data changed, so the sampled statistics are void).
-//! - **The FK epoch** — registering or dropping an FK index changes which
+//! - **The FK epoch** — registering or dropping an FK changes which
 //!   join strategies the planner may pick, so a plan with a join edge
 //!   remembers the catalog's FK epoch too.
 //! - **Observed drift** — after a metered execution the engine compares the

@@ -1,4 +1,4 @@
-//! The catalog: named tables plus registered foreign-key indexes.
+//! The catalog: named tables plus registered foreign keys.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -6,32 +6,37 @@ use std::sync::Arc;
 use crate::engine::Engine;
 use crate::error::PlanError;
 use crate::stats;
-use swole_storage::{FkIndex, Table};
+use swole_storage::Table;
 
-/// An in-memory database: tables and the foreign-key (positional) indexes
-/// built for referential integrity — the indexes § III-D's positional
-/// bitmaps probe through.
+/// An in-memory database: tables and the foreign keys registered on them.
 ///
-/// Tables and indexes are `Arc`-owned: execution pins the ones a query
-/// touches, so shared-pool workers (whose closures outlive the submitting
-/// call stack) read immutable snapshots even if another session reloads a
-/// table mid-flight.
+/// A registered foreign key is a validated constraint on the child's `U32`
+/// column, not a second buffer: the column *is* the positional index
+/// § III-D's bitmaps probe through, so referential integrity costs one scan
+/// at registration and no bytes.
+///
+/// Tables are `Arc`-owned: execution pins the ones a query touches (FK
+/// columns included), so shared-pool workers (whose closures outlive the
+/// submitting call stack) read immutable snapshots even if another session
+/// reloads a table mid-flight.
 #[derive(Debug, Default)]
 pub struct Database {
     tables: Vec<Arc<Table>>,
     fks: Vec<FkEntry>,
-    /// Bumped whenever the set of registered FK indexes changes: the
-    /// planner reads it (a positional bitmap needs the index), so a cached
-    /// plan with a join edge is only as current as this epoch.
+    /// Bumped whenever the set of registered FKs changes: the planner reads
+    /// it (a positional bitmap needs a registered FK), so a cached plan with
+    /// a join edge is only as current as this epoch.
     fk_epoch: u64,
 }
 
+/// A registered FK: every value of `child.fk_col` is below `parent_rows`,
+/// the parent's row count when the column was checked.
 #[derive(Debug)]
 struct FkEntry {
     child: String,
     fk_col: String,
     parent: String,
-    index: Arc<FkIndex>,
+    parent_rows: usize,
 }
 
 impl Database {
@@ -51,10 +56,11 @@ impl Database {
         self
     }
 
-    /// Register the foreign-key index for `child.fk_col → parent`, where
-    /// the parent's primary key is its dense row id (the convention used by
-    /// every generated table in this repo). The FK column must be `U32`
-    /// positions into the parent.
+    /// Register the foreign key `child.fk_col → parent`, where the parent's
+    /// primary key is its dense row id (the convention used by every
+    /// generated table in this repo). The FK column must be `U32` positions
+    /// into the parent; one whose value is not a parent row fails with
+    /// [`PlanError::ReferentialIntegrity`] and registers nothing.
     pub fn add_fk(
         &mut self,
         child: &str,
@@ -69,23 +75,23 @@ impl Database {
                 table: child.to_string(),
                 column: fk_col.to_string(),
             })?;
-        let positions = col
-            .as_u32()
-            .ok_or_else(|| {
-                PlanError::InvalidExpr(format!(
-                    "FK column {child}.{fk_col} must be U32 parent positions"
-                ))
-            })?
-            .to_vec();
-        assert!(
-            positions.iter().all(|&p| (p as usize) < parent_len),
-            "referential integrity violated: {child}.{fk_col} → {parent}"
-        );
+        let positions = col.as_u32().ok_or_else(|| {
+            PlanError::InvalidExpr(format!(
+                "FK column {child}.{fk_col} must be U32 parent positions"
+            ))
+        })?;
+        if positions.iter().any(|&p| p as usize >= parent_len) {
+            return Err(PlanError::ReferentialIntegrity {
+                child: child.to_string(),
+                fk_column: fk_col.to_string(),
+                parent: parent.to_string(),
+            });
+        }
         self.fks.push(FkEntry {
             child: child.to_string(),
             fk_col: fk_col.to_string(),
             parent: parent.to_string(),
-            index: Arc::new(FkIndex::from_dense(positions, parent_len)),
+            parent_rows: parent_len,
         });
         self.fk_epoch += 1;
         Ok(self)
@@ -96,9 +102,9 @@ impl Database {
     /// If a table with the same name exists its contents are replaced and
     /// the new contents take `old generation + 1`; otherwise the table is
     /// added fresh at generation 0. Reloading drops every registered FK
-    /// index that involves the table (the positional index was built from
-    /// the old contents) — re-register with [`Database::add_fk`] after the
-    /// load. Returns the table's new generation.
+    /// that involves the table (it was validated against the old contents)
+    /// — re-register with [`Database::add_fk`] after the load. Returns the
+    /// table's new generation.
     pub fn load_table(&mut self, mut table: Table) -> u64 {
         let name = table.name().to_string();
         match self.tables.iter_mut().find(|t| t.name() == name) {
@@ -132,8 +138,8 @@ impl Database {
             .map(|t| t.generation())
     }
 
-    /// How many times the set of registered FK indexes has changed
-    /// ([`Database::add_fk`], or a reload dropping an index).
+    /// How many times the set of registered FKs has changed
+    /// ([`Database::add_fk`], or a reload dropping one).
     pub(crate) fn fk_epoch(&self) -> u64 {
         self.fk_epoch
     }
@@ -158,26 +164,13 @@ impl Database {
             .ok_or_else(|| PlanError::UnknownTable(name.to_string()))
     }
 
-    /// Look up the FK index for `child.fk_col`, verifying it targets
-    /// `parent`.
-    pub fn fk_index(&self, child: &str, fk_col: &str, parent: &str) -> Option<&FkIndex> {
+    /// The parent's row count if `child.fk_col → parent` is registered:
+    /// every value of the child's FK column is then a position below it.
+    pub fn fk_parent_rows(&self, child: &str, fk_col: &str, parent: &str) -> Option<usize> {
         self.fks
             .iter()
             .find(|f| f.child == child && f.fk_col == fk_col && f.parent == parent)
-            .map(|f| f.index.as_ref())
-    }
-
-    /// [`Database::fk_index`] as a shared snapshot, for execution to pin.
-    pub(crate) fn fk_index_arc(
-        &self,
-        child: &str,
-        fk_col: &str,
-        parent: &str,
-    ) -> Option<Arc<FkIndex>> {
-        self.fks
-            .iter()
-            .find(|f| f.child == child && f.fk_col == fk_col && f.parent == parent)
-            .map(|f| Arc::clone(&f.index))
+            .map(|f| f.parent_rows)
     }
 
     /// All table names.
@@ -225,10 +218,10 @@ impl Engine {
         self.inner.stats.mode()
     }
 
-    /// Register a foreign-key index through [`Database::add_fk`] (needed
-    /// again after [`Engine::load_table`] replaced either side's table). It
-    /// invalidates every cached plan with a join edge: the index changes
-    /// which strategies the planner may pick.
+    /// Register a foreign key through [`Database::add_fk`] (needed again
+    /// after [`Engine::load_table`] replaced either side's table). It
+    /// invalidates every cached plan with a join edge: a registered FK
+    /// changes which strategies the planner may pick.
     pub fn register_fk(&self, child: &str, fk_col: &str, parent: &str) -> Result<(), PlanError> {
         let mut db = self.inner.db.write().unwrap_or_else(|e| e.into_inner());
         db.add_fk(child, fk_col, parent).map(|_| ())
@@ -255,10 +248,8 @@ mod tests {
     fn register_and_lookup_fk() {
         let mut db = db();
         db.add_fk("r", "fk", "s").unwrap();
-        let idx = db.fk_index("r", "fk", "s").unwrap();
-        assert_eq!(idx.positions(), &[0, 2, 1, 0]);
-        assert_eq!(idx.parent_len(), 3);
-        assert!(db.fk_index("r", "fk", "other").is_none());
+        assert_eq!(db.fk_parent_rows("r", "fk", "s"), Some(3));
+        assert_eq!(db.fk_parent_rows("r", "fk", "other"), None);
     }
 
     #[test]
@@ -276,6 +267,31 @@ mod tests {
             db.add_fk("r", "fk", "nope"),
             Err(PlanError::UnknownTable(_))
         ));
+    }
+
+    /// An FK value that is not a parent row is a typed error, not a panic
+    /// under the engine's write lock: nothing registers, and the engine
+    /// goes on registering valid FKs and answering joins through them.
+    #[test]
+    fn integrity_violation_is_an_error() {
+        let mut db = db();
+        db.add_table(Table::new("t").with_column("fk", ColumnData::U32(vec![0, 3])));
+        let engine = Engine::builder(db).build();
+        assert_eq!(
+            engine.register_fk("t", "fk", "s"),
+            Err(PlanError::ReferentialIntegrity {
+                child: "t".into(),
+                fk_column: "fk".into(),
+                parent: "s".into(),
+            })
+        );
+        assert_eq!(engine.database().fk_parent_rows("t", "fk", "s"), None);
+        engine
+            .register_fk("r", "fk", "s")
+            .expect("a valid FK registers");
+        let sql = "select sum(r.a) as s from r, s where r.fk = s.rowid and s.x > 1";
+        let res = engine.session().query_sql(sql, &crate::Params::new());
+        assert_eq!(res.and_then(|r| r.try_scalar("s")), Ok(6 + 7));
     }
 
     #[test]

@@ -29,6 +29,16 @@ pub enum PlanError {
         /// FK column.
         fk_column: String,
     },
+    /// [`crate::Database::add_fk`] found an FK value that is not a row of
+    /// the parent; nothing was registered.
+    ReferentialIntegrity {
+        /// Child table.
+        child: String,
+        /// FK column.
+        fk_column: String,
+        /// Parent table.
+        parent: String,
+    },
     /// A scalar accessor was used on a result that does not have exactly
     /// one row.
     NotScalar {
@@ -152,6 +162,14 @@ impl fmt::Display for PlanError {
             PlanError::MissingFkIndex { child, fk_column } => {
                 write!(f, "no foreign-key index registered for {child}.{fk_column}")
             }
+            PlanError::ReferentialIntegrity {
+                child,
+                fk_column,
+                parent,
+            } => write!(
+                f,
+                "referential integrity violated: {child}.{fk_column} → {parent}"
+            ),
             PlanError::NotScalar { rows } => {
                 write!(f, "result is not scalar: {rows} rows (expected exactly 1)")
             }

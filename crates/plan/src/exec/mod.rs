@@ -17,7 +17,7 @@ use crate::metrics::{MetricsLevel, OpMetrics};
 use crate::physical::{JoinEdge, PhysicalPlan, PostOp, Shape};
 use crate::result::{QueryResult, Rows};
 use swole_runtime::{ExecCtx, Executor};
-use swole_storage::{FkIndex, Table};
+use swole_storage::Table;
 use swole_verify::ir::{Access, AccessSig};
 use swole_verify::OverflowProof;
 
@@ -43,31 +43,18 @@ pub(crate) struct ExecOpts<'a> {
     pub overflow: OverflowProof,
 }
 
-/// The positional FK mapping, pinned as owned data so shared-pool worker
+/// The positional FK mapping probe→parent: the child's `u32` FK column (by
+/// index), pinned with its table as owned data so shared-pool worker
 /// closures (which outlive the submitting call stack) can read it without
-/// borrowing from the database guard.
+/// borrowing from the database guard. A registered FK is this same column
+/// — registration validates it and copies nothing.
 #[derive(Clone)]
-pub(crate) enum FkSource {
-    /// A registered FK index.
-    Index(Arc<FkIndex>),
-    /// The raw `u32` FK column (by index) of the (pinned, immutable) child
-    /// table — validated at construction, so `slice` cannot fail.
-    Column(Arc<Table>, usize),
-}
+pub(crate) struct FkSource(Arc<Table>, usize);
 
 impl FkSource {
-    /// The positional FK mapping probe→parent: the registered FK index if
-    /// present, otherwise the raw `u32` FK column (dense parent keys).
+    /// Pin `child.fk_col`, which must be a `u32` column (dense parent keys).
     /// Planning resolves it too, to validate the edge.
-    pub(crate) fn resolve(
-        db: &Database,
-        child: &str,
-        fk_col: &str,
-        parent: &str,
-    ) -> Result<FkSource, PlanError> {
-        if let Some(idx) = db.fk_index_arc(child, fk_col, parent) {
-            return Ok(FkSource::Index(idx));
-        }
+    pub(crate) fn resolve(db: &Database, child: &str, fk_col: &str) -> Result<FkSource, PlanError> {
         let t = db.table_arc(child)?;
         let col = t
             .column_index(fk_col)
@@ -81,17 +68,14 @@ impl FkSource {
                 fk_column: fk_col.to_string(),
             });
         }
-        Ok(FkSource::Column(t, col))
+        Ok(FkSource(t, col))
     }
 
     fn slice(&self) -> &[u32] {
-        match self {
-            FkSource::Index(idx) => idx.positions(),
-            FkSource::Column(t, col) => t
-                .column_at(*col)
-                .as_u32()
-                .expect("validated u32 FK column on an immutable table"),
-        }
+        self.0
+            .column_at(self.1)
+            .as_u32()
+            .expect("validated u32 FK column on an immutable table")
     }
 }
 
@@ -121,7 +105,7 @@ impl<'a> BoundEdge<'a> {
                 Ok(BoundEdge {
                     edge: e,
                     parent_t: db.table_arc(&e.parent)?,
-                    fk: FkSource::resolve(db, child, &e.fk_col, &e.parent)?,
+                    fk: FkSource::resolve(db, child, &e.fk_col)?,
                     children: BoundEdge::bind_all(db, &e.parent, &e.children)?,
                 })
             })
@@ -132,8 +116,8 @@ impl<'a> BoundEdge<'a> {
 /// Execute a physical plan against an execution context, returning the
 /// result plus per-operator metrics (empty below
 /// [`MetricsLevel::Counters`]). Planner/executor drift (a table or FK
-/// index dropped after planning) propagates as a [`PlanError`] instead
-/// of panicking. Input tables and FK indexes are pinned as `Arc`
+/// column gone after planning) propagates as a [`PlanError`] instead
+/// of panicking. Input tables, FK columns included, are pinned as `Arc`
 /// snapshots for the query's lifetime.
 pub(crate) fn execute_shape(
     db: &Database,
@@ -393,14 +377,14 @@ mod tests {
                 let bound = BoundEdge {
                     edge: &e,
                     parent_t: Arc::clone(&p),
-                    fk: FkSource::Column(Arc::clone(&p), 1),
+                    fk: FkSource(Arc::clone(&p), 1),
                     children: e
                         .children
                         .iter()
                         .map(|c| BoundEdge {
                             edge: c,
                             parent_t: Arc::clone(&q),
-                            fk: FkSource::Column(Arc::clone(&p), 1),
+                            fk: FkSource(Arc::clone(&p), 1),
                             children: Vec::new(),
                         })
                         .collect(),
@@ -443,5 +427,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A registered FK is its column: the positions the executor pins are
+    /// the child column's own buffer. A pin taken before the child is
+    /// reloaded keeps reading its snapshot, and the reload leaves the FK
+    /// unregistered until it is registered again.
+    #[test]
+    fn a_registered_fk_pins_the_child_column() {
+        let r = |fk: Vec<u32>| Table::new("R").with_column("fk", ColumnData::U32(fk));
+        let mut db = Database::new();
+        db.add_table(Table::new("S").with_column("x", ColumnData::I32(vec![1, 2, 3])));
+        db.add_table(r(vec![0, 2, 1]));
+        db.add_fk("R", "fk", "S").expect("valid FK");
+        let engine = crate::Engine::builder(db).build();
+        let column = || {
+            let db = engine.database();
+            db.table("R")
+                .unwrap()
+                .column("fk")
+                .unwrap()
+                .as_u32()
+                .unwrap()
+                .as_ptr()
+        };
+        let pin = || FkSource::resolve(&engine.database(), "R", "fk").expect("resolves");
+        let before = pin();
+        assert_eq!(before.slice().as_ptr(), column());
+
+        engine.load_table(r(vec![1, 1, 1, 1]));
+        assert_eq!(before.slice(), [0, 2, 1]);
+        assert_ne!(before.slice().as_ptr(), column());
+        assert_eq!(engine.database().fk_parent_rows("R", "fk", "S"), None);
+        engine.register_fk("R", "fk", "S").expect("valid FK");
+        assert_eq!(engine.database().fk_parent_rows("R", "fk", "S"), Some(3));
+        assert_eq!(pin().slice().as_ptr(), column());
     }
 }

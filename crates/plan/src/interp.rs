@@ -618,20 +618,17 @@ impl<'a> Survivors<'a> {
                 Survivors::compile(db, build, op)?.for_each(op, |ids, _| {
                     ids.iter().for_each(|&r| parent[r as usize] = true)
                 });
-                let fk = match db.fk_index(input.base_table(), fk_col, parent_name) {
-                    Some(idx) => idx.positions(),
-                    None => child
-                        .column(fk_col)
-                        .ok_or_else(|| PlanError::UnknownColumn {
-                            table: input.base_table().to_string(),
-                            column: fk_col.clone(),
-                        })?
-                        .as_u32()
-                        .ok_or_else(|| PlanError::MissingFkIndex {
-                            child: input.base_table().to_string(),
-                            fk_column: fk_col.clone(),
-                        })?,
-                };
+                let fk = child
+                    .column(fk_col)
+                    .ok_or_else(|| PlanError::UnknownColumn {
+                        table: input.base_table().to_string(),
+                        column: fk_col.clone(),
+                    })?
+                    .as_u32()
+                    .ok_or_else(|| PlanError::MissingFkIndex {
+                        child: input.base_table().to_string(),
+                        fk_column: fk_col.clone(),
+                    })?;
                 let mut rows = Survivors::compile(db, input, op)?;
                 rows.steps.push(Step::SemiJoin { fk, parent });
                 Ok(rows)
@@ -807,6 +804,34 @@ mod tests {
     fn counters(op: &OpMetrics) -> [u64; 4] {
         let a = &op.access;
         [a.rows_in, a.predicate_evals, a.ht_probes, a.rows_out]
+    }
+
+    /// The interpreter's semijoin reads a registered FK from the child
+    /// column's own buffer, as the executor does.
+    #[test]
+    fn semijoin_reads_the_fk_column_in_place() {
+        let mut db = Database::new();
+        db.add_table(Table::new("P").with_column("y", ColumnData::I8(vec![1, 2])));
+        db.add_table(Table::new("R").with_column("fk", ColumnData::U32(vec![1, 0, 1])));
+        db.add_fk("R", "fk", "P").expect("valid FK");
+        let scan = |t: &str| Box::new(LogicalPlan::Scan { table: t.into() });
+        let plan = LogicalPlan::SemiJoin {
+            input: scan("R"),
+            build: scan("P"),
+            fk_col: "fk".into(),
+        };
+        let survivors = Survivors::compile(&db, &plan, &mut OpMetrics::default()).unwrap();
+        let column = db
+            .table("R")
+            .unwrap()
+            .column("fk")
+            .unwrap()
+            .as_u32()
+            .unwrap();
+        match &survivors.steps[..] {
+            [Step::SemiJoin { fk, .. }] => assert_eq!(fk.as_ptr(), column.as_ptr()),
+            _ => panic!("one semijoin step"),
+        }
     }
 
     #[test]

@@ -179,7 +179,7 @@ pub enum LogicalPlan {
         input: Box<LogicalPlan>,
         /// Parent-side plan (scan + optional filter).
         build: Box<LogicalPlan>,
-        /// Child FK column (must have a registered FK index to the build
+        /// Child FK column (must be registered as an FK to the build
         /// table for the positional-bitmap strategy to be available).
         fk_col: String,
     },

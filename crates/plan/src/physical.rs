@@ -247,7 +247,7 @@ pub(crate) enum GroupTableRepr {
     /// The domain is a fact about particular contents: `generations` are
     /// those of the scanned table and of the table the domain was read from
     /// (the same table for a group-by; the edge's parent for a grouped
-    /// join, whose FK index ties the key to both).
+    /// join, whose registered FK ties the key to both).
     Dense {
         min: i64,
         max: i64,

@@ -265,14 +265,14 @@ impl Planner<'_> {
                 };
                 (domain, generation, None)
             }
-            // FK keys are parent positions — exactly `0..parent rows` when a
-            // registered index has validated every one of them.
+            // FK keys are parent positions — exactly `0..parent rows` when
+            // registering the FK has validated every one of them.
             Some(edge) => {
                 let parent_t = db.table(&edge.parent)?;
                 let domain = db
-                    .fk_index(table.name(), g, &edge.parent)
-                    .map(|idx| (0, idx.parent_len() as i64 - 1))
-                    .ok_or("no FK index validates the key domain");
+                    .fk_parent_rows(table.name(), g, &edge.parent)
+                    .map(|rows| (0, rows as i64 - 1))
+                    .ok_or("no registered FK validates the key domain");
                 (domain, parent_t.generation(), Some(parent_t.len()))
             }
         };

@@ -82,7 +82,9 @@ impl Planner<'_> {
             .iter()
             .map(|e| {
                 let parent_rows = db.table(&e.parent).map(|t| t.len()).unwrap_or(0);
-                let has_fk_index = db.fk_index(fact.name(), &e.fk_col, &e.parent).is_some();
+                let has_fk_index = db
+                    .fk_parent_rows(fact.name(), &e.fk_col, &e.parent)
+                    .is_some();
                 let build_bytes = match e.strategy {
                     SemiJoinStrategy::Hash => {
                         (((parent_rows as f64 * e.est_selectivity).ceil() as usize).max(1)) * 16
@@ -299,7 +301,7 @@ impl Planner<'_> {
         if let Some(f) = &e.parent_filter {
             f.validate(parent_t)?;
         }
-        FkSource::resolve(db, child, &e.fk_col, &e.parent)?;
+        FkSource::resolve(db, child, &e.fk_col)?;
         let mut children = Vec::with_capacity(e.children.len());
         for c in e.children {
             children.push(self.lower_join_edge(&e.parent, c, None, true, decisions)?);
@@ -322,7 +324,7 @@ impl Planner<'_> {
             .iter()
             .fold(own, |s, c| s * c.est_selectivity)
             .clamp(0.0, 1.0);
-        let has_fk_index = db.fk_index(child, &e.fk_col, &e.parent).is_some();
+        let has_fk_index = db.fk_parent_rows(child, &e.fk_col, &e.parent).is_some();
         let choice = choose_semijoin(
             self.params,
             &SemiJoinProfile {

@@ -2,8 +2,8 @@
 //! trail out.
 //!
 //! A [`Planner`] is a *catalog view* — everything a plan is a function of,
-//! borrowed for the length of one planning call: the tables and FK indexes
-//! of a [`Database`] (behind whatever guard the caller holds), the
+//! borrowed for the length of one planning call: the tables and FKs
+//! registered in a [`Database`] (behind whatever guard the caller holds), the
 //! statistics snapshots kept for them, the cost parameters, the thread count
 //! the choosers price for, and the session's strategy pins. It borrows and
 //! owns nothing, so it costs nothing to make, cannot outlive the database

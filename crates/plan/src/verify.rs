@@ -250,12 +250,13 @@ fn lower_window_scan(
     })
 }
 
-/// The FK edge a probe shape traverses: the registered index when present,
-/// otherwise the raw `u32` column's dense-key mapping onto the build table.
+/// The FK edge a probe shape traverses: the `u32` column's dense-key
+/// mapping onto the build table's rows, as many as the FK's registration
+/// recorded (the table's own count when the FK is unregistered).
 fn fk_decl(db: &Database, probe: &str, fk_col: &str, build: &str) -> Result<FkDecl, PlanError> {
     let probe_rows = db.table(probe)?.len();
-    let parent_rows = match db.fk_index(probe, fk_col, build) {
-        Some(idx) => idx.parent_len(),
+    let parent_rows = match db.fk_parent_rows(probe, fk_col, build) {
+        Some(rows) => rows,
         None => db.table(build)?.len(),
     };
     Ok(FkDecl {

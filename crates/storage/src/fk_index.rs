@@ -1,14 +1,18 @@
-//! Foreign-key (positional) indexes.
-
-use std::collections::HashMap;
+//! The hand-coded pipelines' foreign-key (positional) index.
 
 /// A foreign-key index mapping each child row to the **position** of its
-/// parent row.
+/// parent row, as an owned copy of the child's FK column.
 ///
 /// The paper (§ III-D): "Positional bitmaps exploit the referential integrity
 /// constraint of foreign keys, which is typically enforced by building an
 /// index to check the corresponding primary key. Thus, since these indexes
 /// are necessary, our technique does not incur any additional overhead."
+///
+/// The engine needs no such copy: with dense parent keys the child's `U32`
+/// FK column already holds every position, so a foreign key registered in
+/// the engine's catalog *is* that column, validated once — and "no
+/// additional overhead" holds literally. This type is the hand-coded
+/// yardstick's (`swole-micro`) stand-in for the index.
 ///
 /// On the probe side of a bitmap semijoin, `positions[i]` gives the bit
 /// offset to test for child row `i` — a purely positional lookup, no hashing.
@@ -19,41 +23,15 @@ pub struct FkIndex {
 }
 
 impl FkIndex {
-    /// Build the index from a child FK column and the parent PK column.
-    ///
-    /// Returns `None` if any foreign key has no matching primary key
-    /// (a referential-integrity violation).
-    pub fn build(fk: &[i64], parent_pk: &[i64]) -> Option<FkIndex> {
-        let lookup: HashMap<i64, u32> = parent_pk
-            .iter()
-            .enumerate()
-            .map(|(pos, &k)| (k, pos as u32))
-            .collect();
-        let mut positions = Vec::with_capacity(fk.len());
-        for &k in fk {
-            positions.push(*lookup.get(&k)?);
-        }
-        Some(FkIndex {
-            positions,
-            parent_len: parent_pk.len(),
-        })
-    }
-
-    /// Fast path: the parent primary key is dense `0..parent_len`, so the FK
-    /// values *are* the positions. All generated tables in this repo use
-    /// dense surrogate keys, and real systems store exactly this mapping.
+    /// The parent primary key is dense `0..parent_len`, so the FK values
+    /// *are* the positions. All generated tables in this repo use dense
+    /// surrogate keys.
     pub fn from_dense(fk_positions: Vec<u32>, parent_len: usize) -> FkIndex {
         debug_assert!(fk_positions.iter().all(|&p| (p as usize) < parent_len));
         FkIndex {
             positions: fk_positions,
             parent_len,
         }
-    }
-
-    /// Parent-row position for child row `i`.
-    #[inline]
-    pub fn position(&self, i: usize) -> u32 {
-        self.positions[i]
     }
 
     /// The whole position array (what probe kernels scan).
@@ -84,33 +62,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn build_resolves_positions() {
-        let parent = vec![100, 200, 300];
-        let fk = vec![300, 100, 100, 200];
-        let idx = FkIndex::build(&fk, &parent).unwrap();
-        assert_eq!(idx.positions(), &[2, 0, 0, 1]);
-        assert_eq!(idx.parent_len(), 3);
-        assert_eq!(idx.len(), 4);
-    }
-
-    #[test]
-    fn build_detects_violation() {
-        assert!(FkIndex::build(&[5], &[1, 2, 3]).is_none());
-    }
-
-    #[test]
     fn dense_fast_path() {
         let idx = FkIndex::from_dense(vec![0, 2, 1], 3);
-        assert_eq!(idx.position(1), 2);
-        assert_eq!(idx.parent_len(), 3);
-    }
-
-    #[test]
-    fn dense_matches_general_build_for_dense_pk() {
-        let parent: Vec<i64> = (0..10).collect();
-        let fk = vec![3i64, 7, 0, 9, 9];
-        let built = FkIndex::build(&fk, &parent).unwrap();
-        let dense = FkIndex::from_dense(fk.iter().map(|&k| k as u32).collect(), 10);
-        assert_eq!(built, dense);
+        assert_eq!(idx.positions(), &[0, 2, 1]);
+        assert_eq!((idx.len(), idx.parent_len()), (3, 3));
     }
 }

@@ -12,9 +12,12 @@
 //! * **fixed-point storage** for decimals ([`Decimal`]: values multiplied by
 //!   a power of 10 and stored as integers),
 //! * 64-bit integer aggregate states everywhere (no per-row overflow checks),
-//! * **foreign-key indexes** ([`FkIndex`]) built to check referential
-//!   integrity — the paper's positional-bitmap technique (§ III-D) relies on
-//!   these indexes already existing, so probes are positional lookups.
+//! * **foreign keys as positions**: with dense parent keys a child's `U32`
+//!   FK column holds its parents' row positions, so it is itself the index
+//!   the paper's positional bitmaps (§ III-D) probe through — the engine
+//!   validates it once at registration and copies nothing, which makes
+//!   § III-D's "no additional overhead" literal. [`FkIndex`] is the
+//!   hand-coded pipelines' owned copy of such a column.
 //!
 //! The crate is dependency-free and deliberately simple: data lives in plain
 //! `Vec`s so the kernel crates can borrow raw slices and generate tight,

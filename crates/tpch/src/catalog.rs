@@ -90,12 +90,14 @@ mod tests {
         for t in ["lineitem", "orders", "customer", "part", "supplier"] {
             assert!(names.contains(&t), "{t} missing");
         }
-        assert!(catalog
-            .fk_index("lineitem", "l_orderkey", "orders")
-            .is_some());
-        assert!(catalog
-            .fk_index("orders", "o_custkey", "customer")
-            .is_some());
+        assert_eq!(
+            catalog.fk_parent_rows("lineitem", "l_orderkey", "orders"),
+            Some(db.orders.len())
+        );
+        assert_eq!(
+            catalog.fk_parent_rows("orders", "o_custkey", "customer"),
+            Some(db.customer.len())
+        );
         assert_eq!(catalog.table("lineitem").unwrap().len(), db.lineitem.len());
     }
 }

@@ -44,11 +44,15 @@
 # "+working-tree" when the tree differs from it), the pairs, seeds and
 # seconds; per workload and end-to-end metric each side's median and
 # quartiles and the pairs the change won; per statement class each side's
-# median ratio. When another BENCH_PR*.json is there, the one with the
-# highest number below N, it prints how the change side's medians moved
-# since that record. The record holds no calibrated CostParams and no
-# bounds tightness: those come from a traced run (`--trace 1`), and every
-# run here is untraced.
+# median ratio and, for a class with a hand-coded pair, each side's median
+# hand-coded time ("handcoded_p50_ms": {"parent": ms, "change": ms}). No
+# engine change moves that pipeline, so it reads the host's speed during
+# each side's runs: a 3x host move shows there, not as an engine change.
+# When another BENCH_PR*.json is there, the one with the highest number
+# below N, it prints how the change side's medians (hand-coded times
+# included) moved since that record. The record holds no calibrated
+# CostParams and no bounds tightness: those come from a traced run
+# (`--trace 1`), and every run here is untraced.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -232,6 +236,11 @@ for w in workloads:
             "won": wins(par, chg, True),
             "pairs": len(par),
         }
+        host = {s: of(s, "handcoded_p50_ms") for s in ("parent", "change")}
+        if all(host.values()):
+            rec["classes"][name]["handcoded_p50_ms"] = {
+                s: statistics.median(v) for s, v in host.items()
+            }
         print(
             f"  {w + ' ' + name:<35} {key:<22} {statistics.median(par):>8.4g} -> "
             f"{statistics.median(chg):<8.4g} won {wins(par, chg, True)}/{len(par)}"
@@ -262,6 +271,11 @@ if record_n:
                 for m, v in now["metrics"].items()
             ]
             rows += [(c, then["classes"].get(c, {}).get("change"), v["change"]) for c, v in now["classes"].items()]
+            rows += [
+                (f"{c} handcoded_p50_ms", then["classes"].get(c, {}).get("handcoded_p50_ms", {}).get("change"), hc["change"])
+                for c, v in now["classes"].items()
+                if (hc := v.get("handcoded_p50_ms"))
+            ]
             for name, a, b in rows:
                 if a is None:
                     continue
