@@ -192,6 +192,10 @@ impl Lcg {
 ///   (one byte per row fits the modelled L1), and into `wide` (`p_w`):
 ///   40 Ki rows, above that budget, so its build is a packed bitmap.
 ///   `wide.w_fk` chains into `dim4`.
+/// * `widths` (3000 rows) — `n16`, `n32` and `n64`, whose values need
+///   that stored width, beside an `i8` group key `ng` (8 groups),
+///   selection column `nx` and non-zero divisor `nd`. Every other
+///   micro-shaped column is stored as `i8` or `i16`.
 pub fn fixture_db() -> Database {
     let mut db = swole_tpch::catalog::to_database(&swole_tpch::generate(0.002, 42));
     let mut rng = Lcg(0x5eed_c0ff_ee00_0001);
@@ -380,6 +384,41 @@ pub fn fixture_db() -> Database {
         .expect("probe.p_w -> wide registers");
     db.add_fk("wide", "w_fk", "dim4")
         .expect("wide.w_fk -> dim4 registers");
+
+    // One micro-shaped column per wide stored width, with values that
+    // need it (a table stores every column at the narrowest width that
+    // holds it). Computed, not drawn from the LCG, so every table above
+    // stays byte-stable.
+    let rows = || 0..3000i64;
+    db.add_table(
+        Table::new("widths")
+            .with_column(
+                "n16",
+                ColumnData::I64(rows().map(|i| i * 7919 % 60_000 - 30_000).collect()),
+            )
+            .with_column(
+                "n32",
+                ColumnData::I64(
+                    rows()
+                        .map(|i| i * 104_729 % 2_000_000 - 1_000_000)
+                        .collect(),
+                ),
+            )
+            .with_column(
+                "n64",
+                ColumnData::I64(
+                    rows()
+                        .map(|i| (i * 15_485_863 % 1_000_000 - 500_000) << 24)
+                        .collect(),
+                ),
+            )
+            .with_column("ng", ColumnData::I64(rows().map(|i| i % 8).collect()))
+            .with_column(
+                "nx",
+                ColumnData::I64(rows().map(|i| i * 13 % 100).collect()),
+            )
+            .with_column("nd", ColumnData::I64(rows().map(|i| 1 + i % 9).collect())),
+    );
     db
 }
 
@@ -959,6 +998,33 @@ pub fn write_summary(outcomes: &[FileOutcome], path: &Path) -> std::io::Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The widths the fixture's integer columns are stored at: every
+    /// signed width stays reached by the corpus.
+    #[test]
+    fn fixture_columns_keep_every_stored_width() {
+        use swole_storage::DataType::{I16, I32, I64, I8};
+        let db = fixture_db();
+        for (table, column, ty) in [
+            ("R", "r_a", I8),
+            ("R", "r_b", I8),
+            ("T", "k", I16),
+            ("T", "v", I16),
+            ("T", "h", I16),
+            ("fact", "f_v", I8),
+            ("big", "m", I64),
+            ("lineitem", "l_extendedprice", I32),
+            ("widths", "n16", I16),
+            ("widths", "n32", I32),
+            ("widths", "n64", I64),
+            ("widths", "ng", I8),
+            ("widths", "nx", I8),
+            ("widths", "nd", I8),
+        ] {
+            let stored = db.table(table).unwrap().column(column).unwrap();
+            assert_eq!(stored.data_type(), ty, "{table}.{column}");
+        }
+    }
 
     #[test]
     fn script_parse_round_trip() {

@@ -90,7 +90,8 @@ impl<T: GroupTable, A: AsI64, B: AsI64, O: BinOp> Inputs<T> for Fused<'_, A, B, 
     }
     #[inline(always)]
     fn upsert(&self, ht: &mut T, off: usize, first: usize, j: usize, c: i64) {
-        let v = O::apply(self.0[j].widen(), self.1[j].widen());
+        let (a, b) = O::operands(self.0[j], self.1[j]);
+        let v = O::apply(a, b);
         ht.add(off, first, v * c);
     }
 }

@@ -149,19 +149,19 @@ pub(crate) enum Instr {
     MaskToVal { mask: usize, dst: usize },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct ColSlot {
     pub(crate) name: String,
     ty: DataType,
 }
 
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum DictMatcher {
     Like(String),
     In(Vec<String>),
 }
 
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DictPred {
     pub(crate) col: usize,
     pub(crate) matcher: DictMatcher,
@@ -172,7 +172,7 @@ pub(crate) struct DictPred {
 /// `Debug` rendering is what the plan cache sizes an entry by, so the
 /// derived `Debug` here is also the program's share of that accounting
 /// (instruction list, column names and LIKE / IN patterns).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct TileProgram {
     pub(crate) cols: Vec<ColSlot>,
     pub(crate) dicts: Vec<DictPred>,
@@ -293,10 +293,14 @@ impl TileProgram {
     }
 
     /// Resolve the program against a pinned table: column positions by
-    /// name (a type that drifted since planning is a typed error) and one
-    /// match table per dictionary predicate, evaluated once per query.
+    /// name and one match table per dictionary predicate, evaluated once
+    /// per query. A column whose stored integer width changed since
+    /// planning (a reload narrowed or widened it) binds the program
+    /// re-fitted to the new width ([`TileProgram::refitted`]); a dropped
+    /// column or a dictionary ↔ integer change is a typed error.
     pub(crate) fn bind(self: &Arc<Self>, table: &Arc<Table>) -> Result<BoundProgram, PlanError> {
         let mut cols = Vec::with_capacity(self.cols.len());
+        let mut retyped = false;
         for slot in &self.cols {
             let idx = table
                 .column_index(&slot.name)
@@ -305,7 +309,7 @@ impl TileProgram {
                     column: slot.name.clone(),
                 })?;
             let ty = table.column_at(idx).data_type();
-            if ty != slot.ty {
+            if (ty == DataType::Dict) != (slot.ty == DataType::Dict) {
                 return Err(PlanError::ExecutionFailed(format!(
                     "column {}.{} is {ty:?} but the plan was lowered for {:?}",
                     table.name(),
@@ -313,8 +317,13 @@ impl TileProgram {
                     slot.ty
                 )));
             }
+            retyped |= ty != slot.ty;
             cols.push(idx);
         }
+        let prog = match retyped {
+            true => Arc::new(self.refitted(table, &cols)),
+            false => Arc::clone(self),
+        };
         let matches = self
             .dicts
             .iter()
@@ -331,11 +340,31 @@ impl TileProgram {
             })
             .collect();
         Ok(BoundProgram {
-            prog: Arc::clone(self),
+            prog,
             table: Arc::clone(table),
             cols,
             matches,
         })
+    }
+
+    /// This program re-lowered for `table`, whose columns at `cols` (slot
+    /// order) have the same kinds as the slots but not all the same integer
+    /// widths. A literal comparison is the only lowering that depends on a
+    /// width: one whose literal is outside its column's new range compares
+    /// every row the same way, so it becomes the equivalent comparison
+    /// against the nearest bound of that range. Registers, outputs and
+    /// scratch stay the ones the sinks and the certificate were built for.
+    fn refitted(&self, table: &Table, cols: &[usize]) -> TileProgram {
+        let mut prog = self.clone();
+        for (slot, &idx) in prog.cols.iter_mut().zip(cols) {
+            slot.ty = table.column_at(idx).data_type();
+        }
+        for ins in &mut prog.instrs {
+            if let Instr::CmpColLit { op, col, lit, .. } = ins {
+                (*op, *lit) = refit(*op, prog.cols[*col].ty, *lit);
+            }
+        }
+        prog
     }
 }
 
@@ -414,15 +443,39 @@ fn flip(op: CmpOp) -> CmpOp {
     }
 }
 
+/// The values a column of type `ty` holds (dictionary codes are `u32`).
+fn type_range(ty: DataType) -> (i64, i64) {
+    match ty {
+        DataType::I8 => (i8::MIN.into(), i8::MAX.into()),
+        DataType::I16 => (i16::MIN.into(), i16::MAX.into()),
+        DataType::I32 => (i32::MIN.into(), i32::MAX.into()),
+        DataType::I64 => (i64::MIN, i64::MAX),
+        DataType::U32 | DataType::Dict => (0, u32::MAX.into()),
+    }
+}
+
 /// Whether `lit` is representable in the column's native type, so the
 /// comparison can run without widening.
 fn fits(ty: DataType, lit: i64) -> bool {
-    match ty {
-        DataType::I8 => i8::try_from(lit).is_ok(),
-        DataType::I16 => i16::try_from(lit).is_ok(),
-        DataType::I32 => i32::try_from(lit).is_ok(),
-        DataType::I64 => true,
-        DataType::U32 | DataType::Dict => u32::try_from(lit).is_ok(),
+    let (lo, hi) = type_range(ty);
+    (lo..=hi).contains(&lit)
+}
+
+/// `col OP lit` over a column of type `ty`, with the literal in that type's
+/// range. Past the range every row compares alike: above it `<`, `<=` and
+/// `!=` hold everywhere (`col <= hi`) and the rest nowhere (`col > hi`);
+/// below it `>`, `>=` and `!=` hold everywhere (`col >= lo`) and the rest
+/// nowhere (`col < lo`).
+fn refit(op: CmpOp, ty: DataType, lit: i64) -> (CmpOp, i64) {
+    let (lo, hi) = type_range(ty);
+    if lit > hi {
+        let all = matches!(op, CmpOp::Lt | CmpOp::Le | CmpOp::Ne);
+        (if all { CmpOp::Le } else { CmpOp::Gt }, hi)
+    } else if lit < lo {
+        let all = matches!(op, CmpOp::Gt | CmpOp::Ge | CmpOp::Ne);
+        (if all { CmpOp::Ge } else { CmpOp::Lt }, lo)
+    } else {
+        (op, lit)
     }
 }
 
@@ -915,8 +968,8 @@ impl BoundProgram {
             match *ins {
                 Instr::CmpColLit { op, col, lit, dst } => {
                     let out = &mut r.masks[dst][..len];
-                    // `lit` fits the slot's type (checked when lowering) and
-                    // the column still has it (checked when binding).
+                    // `lit` fits the column's type: checked when lowering,
+                    // re-fitted when binding to a column since retyped.
                     match self.lane(col, start, len) {
                         Lane::I8(d) => cmp_native(op, d, lit as i8, out),
                         Lane::I16(d) => cmp_native(op, d, lit as i16, out),
@@ -2339,16 +2392,47 @@ mod tests {
         }
     }
 
+    /// A reload may store a column at another integer width: the program
+    /// binds re-fitted to it and answers as the interpreter, literals
+    /// outside the new range included. A dropped column or a dictionary ↔
+    /// integer change is still a typed error.
     #[test]
     fn binding_rejects_a_drifted_table() {
         let t = table(1);
-        let prog = Arc::new(
-            TileProgram::lower(&t, Some(&Expr::col("c8").cmp(CmpOp::Lt, Expr::lit(5))), &[])
-                .unwrap(),
-        );
-        let retyped = Arc::new(Table::new("t").with_column("c8", ColumnData::I32(vec![1, 2, 3])));
+        let ops = [
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+            CmpOp::Eq,
+            CmpOp::Ne,
+        ];
+        let filters: Vec<Expr> = (ops.iter())
+            .flat_map(|&op| [-5, 90, 1_000, -1_000].map(|x| Expr::col("c16").cmp(op, Expr::lit(x))))
+            .collect();
+        for filter in &filters {
+            let prog = Arc::new(TileProgram::lower(&t, Some(filter), &[]).unwrap());
+            assert!(
+                matches!(prog.instrs[0], Instr::CmpColLit { .. }),
+                "{filter:?}"
+            );
+            for values in [vec![-100, 5, 90, 100], vec![-5, 70_000, -70_000, 3]] {
+                let retyped = Arc::new(Table::new("t").with_column("c16", ColumnData::I32(values)));
+                let bound = prog.bind(&retyped).expect("an integer width change binds");
+                let mut regs = Regs::new(&prog);
+                bound.run(&mut regs, 0, retyped.len());
+                let rows: Vec<u32> = (0..retyped.len() as u32).collect();
+                let mut want = vec![0i64; rows.len()];
+                filter.compile(&retyped).unwrap().eval(&rows, &mut want);
+                let want: Vec<u8> = want.into_iter().map(|b| b as u8).collect();
+                assert_eq!(bound.filter(&regs, retyped.len()), want, "{filter:?}");
+            }
+        }
+        let prog = Arc::new(TileProgram::lower(&t, Some(&filters[0]), &[]).unwrap());
+        let dict = ColumnData::Dict(DictColumn::encode(&["a"]));
+        let recoded = Arc::new(Table::new("t").with_column("c16", dict));
         assert!(matches!(
-            prog.bind(&retyped),
+            prog.bind(&recoded),
             Err(PlanError::ExecutionFailed(_))
         ));
         let dropped = Arc::new(Table::new("t").with_column("other", ColumnData::I8(vec![1])));

@@ -35,8 +35,10 @@ impl DataType {
 ///
 /// Narrow integer variants exist because the paper stores low-cardinality
 /// integer columns null-suppressed (§ IV: "null suppression for
-/// low-cardinality integer columns"); [`ColumnData::compress_i64`] performs
-/// that compression.
+/// low-cardinality integer columns"). A table stores every signed integer
+/// column that way: [`crate::Table::add_column`] narrows it to the smallest
+/// width that holds its values, so a column built as `I32` may be read back
+/// as `I8`. There is no other way into a table.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
     /// 8-bit signed integers.
@@ -152,26 +154,43 @@ impl ColumnData {
         }
     }
 
-    /// Null-suppress a stream of `i64` values into the narrowest integer
-    /// representation that holds the whole value range.
+    /// Null-suppress a signed integer column into the narrowest of
+    /// `I8`/`I16`/`I32`/`I64` that holds its whole [min, max] (an empty
+    /// column becomes `I8`). `U32` (row positions, foreign keys) and `Dict`
+    /// pass through unchanged. [`crate::Table::add_column`] is its only
+    /// caller: every column is narrowed once, as it enters a table.
     ///
     /// The paper (§ IV) stores low-cardinality integer columns this way;
     /// narrower values mean more values per cache line, which directly feeds
     /// the `read_seq` term of the cost models.
-    pub fn compress_i64(values: &[i64]) -> ColumnData {
-        let (mut min, mut max) = (i64::MAX, i64::MIN);
-        for &v in values {
-            min = min.min(v);
-            max = max.max(v);
+    pub(crate) fn narrowed(self) -> ColumnData {
+        fn narrow<T: Copy + Into<i64>>(v: Vec<T>) -> ColumnData
+        where
+            ColumnData: From<Vec<T>>,
+        {
+            // Folding from (0, 0) widens the range towards 0, which every
+            // signed width holds, so it picks the same width as the bare
+            // [min, max] and sends an empty column to `I8`.
+            let (lo, hi) = v.iter().fold((0, 0), |(lo, hi): (i64, i64), &x| {
+                (lo.min(x.into()), hi.max(x.into()))
+            });
+            let fits = |min: i64, max: i64| lo >= min && hi <= max;
+            let width = std::mem::size_of::<T>();
+            if fits(i8::MIN.into(), i8::MAX.into()) {
+                ColumnData::I8(v.into_iter().map(|x| x.into() as i8).collect())
+            } else if width > 2 && fits(i16::MIN.into(), i16::MAX.into()) {
+                ColumnData::I16(v.into_iter().map(|x| x.into() as i16).collect())
+            } else if width > 4 && fits(i32::MIN.into(), i32::MAX.into()) {
+                ColumnData::I32(v.into_iter().map(|x| x.into() as i32).collect())
+            } else {
+                ColumnData::from(v)
+            }
         }
-        if values.is_empty() || (min >= i8::MIN as i64 && max <= i8::MAX as i64) {
-            ColumnData::I8(values.iter().map(|&v| v as i8).collect())
-        } else if min >= i16::MIN as i64 && max <= i16::MAX as i64 {
-            ColumnData::I16(values.iter().map(|&v| v as i16).collect())
-        } else if min >= i32::MIN as i64 && max <= i32::MAX as i64 {
-            ColumnData::I32(values.iter().map(|&v| v as i32).collect())
-        } else {
-            ColumnData::I64(values.to_vec())
+        match self {
+            ColumnData::I16(v) => narrow(v),
+            ColumnData::I32(v) => narrow(v),
+            ColumnData::I64(v) => narrow(v),
+            other => other,
         }
     }
 
@@ -217,38 +236,85 @@ impl From<DictColumn> for ColumnData {
 mod tests {
     use super::*;
 
+    /// `data` as a table stores it.
+    fn stored(data: ColumnData) -> ColumnData {
+        crate::Table::new("t")
+            .with_column("c", data)
+            .column_at(0)
+            .clone()
+    }
+
     #[test]
     fn compress_picks_narrowest_width() {
+        let cases: [(i64, i64, DataType); 13] = [
+            (i8::MIN.into(), i8::MAX.into(), DataType::I8),
+            (i8::MIN as i64 - 1, 0, DataType::I16),
+            (0, i8::MAX as i64 + 1, DataType::I16),
+            (i16::MIN.into(), i16::MAX.into(), DataType::I16),
+            (i16::MIN as i64 - 1, 0, DataType::I32),
+            (0, i16::MAX as i64 + 1, DataType::I32),
+            (i32::MIN.into(), i32::MAX.into(), DataType::I32),
+            (i32::MIN as i64 - 1, 0, DataType::I64),
+            (0, i32::MAX as i64 + 1, DataType::I64),
+            (i64::MIN, i64::MAX, DataType::I64),
+            (i64::MIN, i64::MIN, DataType::I64),
+            (200, 300, DataType::I16),
+            (-3, -1, DataType::I8),
+        ];
+        for (lo, hi, want) in cases {
+            let col = stored(ColumnData::I64(vec![hi, lo, hi]));
+            assert_eq!(col.data_type(), want, "[{lo}, {hi}]");
+            assert_eq!(col.to_i64_vec(), vec![hi, lo, hi], "[{lo}, {hi}]");
+        }
+    }
+
+    #[test]
+    fn every_signed_width_enters_at_the_narrowest() {
+        assert_eq!(stored(ColumnData::I8(vec![-1])).data_type(), DataType::I8);
+        assert_eq!(stored(ColumnData::I16(vec![-1])).data_type(), DataType::I8);
         assert_eq!(
-            ColumnData::compress_i64(&[1, 2, -3]).data_type(),
-            DataType::I8
+            stored(ColumnData::I16(vec![i16::MAX])).data_type(),
+            DataType::I16
         );
+        assert_eq!(stored(ColumnData::I32(vec![50])).data_type(), DataType::I8);
         assert_eq!(
-            ColumnData::compress_i64(&[1, 300]).data_type(),
+            stored(ColumnData::I32(vec![-129])).data_type(),
             DataType::I16
         );
         assert_eq!(
-            ColumnData::compress_i64(&[1, 70_000]).data_type(),
+            stored(ColumnData::I32(vec![i32::MIN])).data_type(),
             DataType::I32
         );
-        assert_eq!(
-            ColumnData::compress_i64(&[1, 1 << 40]).data_type(),
-            DataType::I64
-        );
+    }
+
+    #[test]
+    fn positions_and_dictionaries_pass_through() {
+        let fk = ColumnData::U32(vec![0, 1, 2]);
+        assert_eq!(stored(fk.clone()), fk);
+        let dict = ColumnData::Dict(DictColumn::encode(&["a", "b", "a"]));
+        assert_eq!(stored(dict.clone()), dict);
     }
 
     #[test]
     fn compress_round_trips_values() {
         let vals = vec![-5, 0, 7, 127, -128];
-        let col = ColumnData::compress_i64(&vals);
+        let col = stored(ColumnData::I64(vals.clone()));
+        assert_eq!(col.data_type(), DataType::I8);
         assert_eq!(col.to_i64_vec(), vals);
     }
 
     #[test]
     fn compress_empty_is_i8() {
-        let col = ColumnData::compress_i64(&[]);
-        assert_eq!(col.data_type(), DataType::I8);
-        assert!(col.is_empty());
+        for empty in [
+            ColumnData::I16(vec![]),
+            ColumnData::I32(vec![]),
+            ColumnData::I64(vec![]),
+        ] {
+            let col = stored(empty);
+            assert_eq!(col.data_type(), DataType::I8);
+            assert!(col.is_empty());
+        }
+        assert_eq!(stored(ColumnData::U32(vec![])).data_type(), DataType::U32);
     }
 
     #[test]

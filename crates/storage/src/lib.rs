@@ -6,9 +6,11 @@
 //!
 //! * **dictionary encoding** for low-cardinality string columns
 //!   ([`DictColumn`]),
-//! * **null suppression** (leading-zero suppression) for low-cardinality
-//!   integer columns — [`ColumnData::compress_i64`] picks the narrowest
-//!   integer width that can represent the values,
+//! * **null suppression** (leading-zero suppression) for integer columns:
+//!   [`Table::add_column`], the only way a column enters a table, stores
+//!   every signed integer column at the narrowest of `i8`/`i16`/`i32`/`i64`
+//!   that holds its [min, max], so a column built as `I32` may be read back
+//!   as `I8`,
 //! * **fixed-point storage** for decimals ([`Decimal`]: values multiplied by
 //!   a power of 10 and stored as integers),
 //! * 64-bit integer aggregate states everywhere (no per-row overflow checks),

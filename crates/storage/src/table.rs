@@ -53,8 +53,12 @@ impl Table {
         self.len == 0
     }
 
-    /// Add a column. Panics if its length disagrees with existing columns or
-    /// if the name is already taken.
+    /// Add a column, stored null-suppressed: `I16`/`I32`/`I64` data is
+    /// narrowed to the smallest of `I8`/`I16`/`I32`/`I64` that holds its
+    /// [min, max], so the stored type may be narrower than the one passed in.
+    /// `I8`, `U32` and `Dict` are stored as given. This is the only way a
+    /// column enters a table. Panics if its length disagrees with existing
+    /// columns or if the name is already taken.
     pub fn add_column(&mut self, name: impl Into<String>, data: ColumnData) -> &mut Self {
         let name = name.into();
         assert!(
@@ -71,7 +75,7 @@ impl Table {
                 self.name
             );
         }
-        self.columns.push((name, data));
+        self.columns.push((name, data.narrowed()));
         self
     }
 
@@ -131,11 +135,11 @@ mod tests {
     #[test]
     fn build_and_lookup() {
         let t = Table::new("r")
-            .with_column("a", ColumnData::I32(vec![1, 2, 3]))
+            .with_column("a", ColumnData::I32(vec![1, 2, i32::MAX]))
             .with_column("b", ColumnData::I8(vec![4, 5, 6]));
         assert_eq!(t.len(), 3);
         assert_eq!(t.num_columns(), 2);
-        assert_eq!(t.column("a").unwrap().get_i64(2), 3);
+        assert_eq!(t.column("a").unwrap().get_i64(2), i32::MAX as i64);
         assert!(t.column("zzz").is_none());
         assert_eq!(t.column_index("b"), Some(1));
         assert_eq!(t.column_at(1).get_i64(0), 4);

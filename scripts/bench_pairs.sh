@@ -5,11 +5,14 @@
 #   scripts/bench_pairs.sh <parent-rev> [--aa] [--pairs N] [--seconds S] [--smoke] [--out DIR] [--record N] [workload...]
 #
 # 1. Builds `perf` (the benchmark package under crates/bench/src/bin/perf)
-#    from the working tree, and from <parent-rev> checked out with
-#    `git worktree` under a temporary directory (`mktemp -d`, so $TMPDIR
-#    decides where), each into its own target directory. Only perf's stdout
-#    is read: nothing under crates/bench/src/bin/perf and not BENCHMARK.json
-#    is touched.
+#    twice, one side after the other, in the same directory under a
+#    temporary one (`mktemp -d`, so $TMPDIR decides where): first
+#    <parent-rev>'s files (`git archive`), then the working tree's tracked
+#    and untracked, not ignored, files (uncommitted edits included). Each
+#    side's binary is copied out before the next is built; `perf` embeds
+#    BENCHMARK.json, so it runs from anywhere. Only perf's stdout is read:
+#    nothing under crates/bench/src/bin/perf and not BENCHMARK.json is
+#    touched.
 # 2. For pair i = 1..N (default 10) and each workload (default: every one
 #    BENCHMARK.json declares) runs both binaries once with `--seed i
 #    --trace 0` and `--seconds S` (default: BENCHMARK.json's run_seconds),
@@ -22,19 +25,17 @@
 #    `engine_over_handcoded` of each side (`engine_p50_ms` for a class
 #    without a hand-coded pair) and the pairs the change won.
 #
-# Layout caveat (ROADMAP item 1): `perf` is a package of its own, its path
-# dependencies hash their absolute paths into symbol names, and so the
-# function order -- and with it the alignment of a few hot loops, such as
-# `selvec::fill_nobranch` inlined into `scan_micro`'s hybrid statements --
-# changes with the checkout directory. The two binaries here are built in
-# different directories, as they are when the benchmark runs on two fresh
-# checkouts: a 30-50 % move of one of those statements with no change to
-# its code is that coin, not the change. Judge pairs, not one side's runs.
+# Layout (ROADMAP item 1): `perf` is a package of its own, and its path
+# dependencies hash their absolute paths into symbol names, so the
+# function order -- and with it the alignment of a few hot loops -- changes
+# with the checkout directory. Building both sides at one absolute path
+# takes that coin out of the pairs; what is left is the layout the change
+# itself makes. Judge pairs, not one side's runs.
 #
-# `--aa` runs <parent-rev> against itself: the "change" side is a second
-# worktree of <parent-rev>, in another directory. Same source, same table:
-# what it shows is what the harness and the layout coin move on their own,
-# the spread a change's pairs must be read against.
+# `--aa` runs <parent-rev> against itself: both sides are <parent-rev>,
+# built one after the other at the same path. Same source, same table:
+# what it shows is what the harness and the host move on their own, the
+# spread a change's pairs must be read against.
 #
 # `--smoke` passes perf's --smoke (tiny sizes, 0.4 s a run unless --seconds
 # is given): one pair against HEAD checks the protocol end to end.
@@ -92,33 +93,32 @@ runs="$out/runs.jsonl"
 : >"$runs"
 
 tmp=$(mktemp -d)
-cleanup() {
-    for side in parent change; do
-        git worktree remove --force "$tmp/$side" >/dev/null 2>&1 || true
-    done
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
-git worktree add --detach --quiet "$tmp/parent" "$parent"
-declare -A root=([parent]="$tmp/parent" [change]="$PWD")
-if [ -n "$aa" ]; then
-    git worktree add --detach --quiet "$tmp/change" "$parent"
-    root[change]="$tmp/change"
-fi
-
+trap 'rm -rf "$tmp"' EXIT
+src="$tmp/src"
 manifest=crates/bench/src/bin/perf/Cargo.toml
+declare -A bin=([parent]="$tmp/parent/perf" [change]="$tmp/change/perf")
 for side in parent change; do
-    echo "bench_pairs: building $side perf" >&2
-    cargo build --release --quiet --manifest-path "${root[$side]}/$manifest"
+    echo "bench_pairs: building $side perf in $src" >&2
+    rm -rf "$src"
+    mkdir -p "$src" "$tmp/$side"
+    if [ "$side" = parent ] || [ -n "$aa" ]; then
+        git archive "$parent" | tar -x -C "$src"
+    else
+        git ls-files -z --cached --others --exclude-standard |
+            while IFS= read -r -d '' f; do if [ -e "$f" ]; then printf '%s\0' "$f"; fi; done |
+            tar -c --null -T - | tar -x -C "$src"
+    fi
+    cargo build --release --quiet --manifest-path "$src/$manifest"
+    cp "$src/crates/bench/src/bin/perf/target/release/perf" "${bin[$side]}"
 done
+rm -rf "$src"
 
 # One run: the last two stdout lines are perf's detail and result.
 run() {
     local side=$1 pair=$2 workload=$3 status=0 lines
     local args=(--workload "$workload" --seed "$pair" --trace 0 ${smoke:+"$smoke"})
     [ -z "$seconds" ] || args+=(--seconds "$seconds")
-    lines=$(cd "${root[$side]}" &&
-        crates/bench/src/bin/perf/target/release/perf "${args[@]}" | tail -n 2) || status=$?
+    lines=$("${bin[$side]}" "${args[@]}" | tail -n 2) || status=$?
     [ "$status" -eq 0 ] || echo "bench_pairs: $side $workload seed $pair exited $status" >&2
     [ "$(printf '%s\n' "$lines" | wc -l)" -eq 2 ] || return 0
     printf '{"pair":%d,"side":"%s","workload":"%s","status":%d,"detail":%s,"result":%s}\n' \

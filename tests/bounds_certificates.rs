@@ -315,7 +315,12 @@ fn without_statistics_a_column_is_its_types_range() {
                 "r_y",
                 ColumnData::I8((0..n).map(|i| (i % 7) as i8).collect()),
             )
-            .with_column("r_w", ColumnData::I64((0..n).map(|i| i as i64).collect())),
+            // Values that need `i64`: a table stores a column at the
+            // narrowest width that holds it.
+            .with_column(
+                "r_w",
+                ColumnData::I64((0..n).map(|i| (i as i64) << 32).collect()),
+            ),
     );
     let engine = Engine::builder(db).stats(StatsMode::Off).build();
     let cert = |sql: &str| engine.certificate(&parse_sql(sql).expect("parses").plan);

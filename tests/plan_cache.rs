@@ -4,6 +4,7 @@
 //! cached/fresh verdict, and logical-plan normalization.
 
 use swole::prelude::*;
+use swole::storage::DataType;
 
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -709,6 +710,66 @@ fn a_reload_past_the_i32_tile_proof_recertifies() {
             want.rows,
             "prepared, scale {scale}"
         );
+    }
+}
+
+/// `G(v, x, g)`, every `v` times `scale`: a table stores `v` at the
+/// narrowest width that holds it, `i8` at 1, `i16` at 100, `i32` at 100 000.
+fn widening(scale: i32) -> Table {
+    let n = 6_000usize;
+    Table::new("G")
+        .with_column(
+            "v",
+            ColumnData::I32((0..n).map(|i| scale * (i % 50) as i32).collect()),
+        )
+        .with_column(
+            "x",
+            ColumnData::I32((0..n).map(|i| (i * 13 % 100) as i32).collect()),
+        )
+        .with_column(
+            "g",
+            ColumnData::I32((0..n).map(|i| (i % 7) as i32).collect()),
+        )
+}
+
+/// A reload that changes a column's stored width (`i8` → `i16` → `i32`,
+/// then back to `i8`) answers as the interpreter: through the plan cache,
+/// through a statement prepared before the first reload and through every
+/// `PhysicalPlan` held from an earlier width — the one held at `i16` or
+/// `i32` compares `v` with a literal the `i8` column cannot hold.
+#[test]
+fn a_reload_that_changes_a_stored_width_answers_as_the_interpreter() {
+    let texts = [
+        "select sum(v * x) as s, sum(v) as t, count(*) as n from G where v < 5000 and x < 60",
+        "select g, sum(v * x) as s, count(*) as n from G where v < 5000 and x < 60 group by g",
+    ];
+    for sql in texts {
+        let plan = swole::plan::parse_sql(sql).expect("parses").plan;
+        let mut db = Database::new();
+        db.add_table(widening(1));
+        let engine = Engine::builder(db).threads(2).build();
+        let prepared = engine.prepare_sql(sql).expect("prepares");
+        let mut held = Vec::new();
+        for (scale, width) in [
+            (1, DataType::I8),
+            (100, DataType::I16),
+            (100_000, DataType::I32),
+            (1, DataType::I8),
+        ] {
+            engine.load_table(widening(scale));
+            let stored = engine.database().table("G").unwrap().column("v").cloned();
+            assert_eq!(stored.unwrap().data_type(), width, "scale {scale}");
+            let want = swole::plan::interp::run(&engine.database(), &plan).expect("interpreter");
+            let at = format!("{sql} at scale {scale}");
+            assert_eq!(engine.query(&plan).expect("runs"), want, "cache: {at}");
+            let got = prepared.bind(&Params::new()).and_then(|b| b.execute());
+            assert_eq!(got.expect("runs").rows, want.rows, "prepared: {at}");
+            held.push(engine.plan(&plan).expect("plans"));
+            for (i, physical) in held.iter().enumerate() {
+                let got = engine.execute(physical).expect("a held plan runs");
+                assert_eq!(got, want, "plan held from step {i}: {at}");
+            }
+        }
     }
 }
 

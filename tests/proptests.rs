@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use swole::bitmap::{CompressedBitmap, PositionalBitmap};
 use swole::ht::{AggTable, KeySet, NULL_KEY};
 use swole::kernels::{predicate, selvec};
-use swole::storage::{like_match, ColumnData, Date};
+use swole::storage::{like_match, ColumnData, DataType, Date, Table};
 
 const CASES: u64 = 48;
 
@@ -286,15 +286,27 @@ fn date_ordering_matches_days() {
     }
 }
 
+/// A column enters a table at the narrowest signed width that holds it,
+/// and reads back the values it was built from.
 #[test]
 fn column_compression_roundtrips() {
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0xD0 + seed);
+        // An arithmetic shift spreads the cases over every stored width.
+        let shift = rng.gen_range(0u32..64);
         let values: Vec<i64> = (0..rng.gen_range(0usize..500))
-            .map(|_| rng.gen_range(i64::MIN..=i64::MAX))
+            .map(|_| rng.gen_range(i64::MIN..=i64::MAX) >> shift)
             .collect();
-        let col = ColumnData::compress_i64(&values);
+        let t = Table::new("t").with_column("c", ColumnData::I64(values.clone()));
+        let col = t.column_at(0);
         assert_eq!(col.to_i64_vec(), values, "seed={seed}");
+        let half = 4 * col.data_type().width() as u32;
+        let fits_half = |v: &i64| (-(1i64 << (half - 1))..1i64 << (half - 1)).contains(v);
+        assert!(
+            col.data_type() == DataType::I8 || !values.iter().all(fits_half),
+            "seed={seed}: {:?} is not the narrowest",
+            col.data_type()
+        );
     }
 }
 
@@ -302,11 +314,11 @@ fn column_compression_roundtrips() {
 fn narrow_values_compress_narrow() {
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0xE0 + seed);
-        let values: Vec<i64> = (0..rng.gen_range(1usize..200))
-            .map(|_| rng.gen_range(-100i64..100))
+        let values: Vec<i32> = (0..rng.gen_range(1usize..200))
+            .map(|_| rng.gen_range(-100i32..100))
             .collect();
-        let col = ColumnData::compress_i64(&values);
-        assert_eq!(col.size_bytes(), values.len()); // one byte each
+        let t = Table::new("t").with_column("c", ColumnData::I32(values.clone()));
+        assert_eq!(t.size_bytes(), values.len()); // one byte each
     }
 }
 
